@@ -44,11 +44,14 @@ echo "== sparse (fluid-compacted ST + MR: porosity-swept footprints, exact B/F, 
 # equals the roofline sparse model on the *fluid* count (published and read
 # back through the metrics registry), measured B/F matches the
 # indirect-addressing model (180/132 D2Q9, 380/236 D3Q19), the sparse
-# drivers stay FNV-bitwise equal to the dense ones, and the sharded sparse
-# halo tally is byte-exact.
+# drivers stay FNV-bitwise equal to the dense ones, the sharded sparse
+# halo tally is byte-exact, and each driver's 1-vs-8-thread tally agrees;
+# then times sparse-st / sparse-mr at 50% rock and holds sparse-mr's
+# speedup_vs_st to 85% of its perf_baseline.json row.
 cargo run -p lbm-bench --release --bin reproduce -- sparse
 test -s BENCH_sparse.json
 cargo run -p obs --release --bin obs-validate -- BENCH_sparse.json
+cargo run -p lbm-bench --release --bin perf_trend -- BENCH_sparse.json perf_baseline.json
 
 echo "== bench wall-clock smoke (pooled executor + span paths, measured MFLUPS)"
 # Asserts 1-thread vs 8-thread tallies are identical, then times the kernels;

@@ -1,8 +1,10 @@
-//! Performance-trend gate over `BENCH_bench.json`.
+//! Performance-trend gate over `BENCH_bench.json` (and the timed
+//! `sparse-st` / `sparse-mr` pair of `BENCH_sparse.json`).
 //!
-//! Reads the wall-clock bench record, prints the per-(device, lattice,
-//! pattern) MR-vs-ST speedup table, and compares each MR row against
-//! `perf_baseline.json`:
+//! Reads the wall-clock rows of a bench record (rows a section did not
+//! time carry `speedup_vs_st: 0` and are skipped), prints the
+//! per-(device, lattice, pattern) MR-vs-ST speedup table, and compares
+//! each MR row against `perf_baseline.json`:
 //!
 //! - baseline missing → warn, write the current speedups as the new
 //!   baseline, exit 0 (first run seeds the gate);
@@ -52,6 +54,9 @@ fn read_rows(path: &str) -> Result<Vec<Row>, String> {
             .get("speedup_vs_st")
             .and_then(Value::as_f64)
             .ok_or_else(|| format!("{path}: row missing `speedup_vs_st`"))?;
+        if speedup == 0.0 {
+            continue;
+        }
         out.push(Row {
             device: field("device")?,
             lattice: field("lattice")?,
@@ -86,7 +91,7 @@ fn run() -> Result<bool, String> {
 
     let rows = read_rows(&bench_path)?;
     if rows.is_empty() {
-        return Err(format!("{bench_path}: empty rows"));
+        return Err(format!("{bench_path}: no timed rows"));
     }
     println!("== perf-trend: MR speedup vs ST ({bench_path}) ==");
     for r in &rows {

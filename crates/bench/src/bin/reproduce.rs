@@ -1442,9 +1442,55 @@ fn sparse_section(hub: &Arc<obs::Obs>) {
         });
     }
 
+    // Wall clock at 50 % rock, in the `bench` section's row shape so the
+    // same `perf_trend` gate reads it: each driver's 1-vs-8-thread tally
+    // must agree byte for byte (the link tables carry no touch tracking on
+    // the strength of that), then the pair is timed in interleaved rounds.
+    let geom = Scenario::Porous2D {
+        nx: 256,
+        ny: 128,
+        solid_pct: 50,
+    }
+    .geometry();
+    let (steps_per_rep, reps) = (10, 6);
+    let mut pair = vec![
+        contender(
+            "sparse-st",
+            |threads| {
+                StSparseSim::<D2Q9, _>::new(dev.clone(), geom.clone(), Bgk::new(TAU))
+                    .with_cpu_threads(threads)
+            },
+            |s, k| s.run(k),
+            |s| s.traffic(),
+            steps_per_rep,
+            geom.fluid_count(),
+        ),
+        contender(
+            "sparse-mr",
+            |threads| {
+                SparseMrSim2D::new(dev.clone(), geom.clone(), MrScheme::projective(), TAU)
+                    .with_cpu_threads(threads)
+            },
+            |s, k| s.run(k),
+            |s| s.traffic(),
+            steps_per_rep,
+            geom.fluid_count(),
+        ),
+    ];
+    time_contenders(
+        &mut rec,
+        &dev,
+        "D2Q9",
+        geom.fluid_count(),
+        steps_per_rep,
+        reps,
+        &mut pair,
+    );
+
     let path = rec.write(".").expect("write BENCH_sparse.json");
     println!("sparse OK: footprints == fluid-count model at 25/50/75% rock (registry-checked);");
-    println!("           B/F 180/132 (D2Q9) and 380/236 (D3Q19); bitwise vs dense; halo exact");
+    println!("           B/F 180/132 (D2Q9) and 380/236 (D3Q19); bitwise vs dense; halo exact;");
+    println!("           1-vs-8-thread tallies identical; sparse-st / sparse-mr timed");
     println!("wrote {path}");
     println!();
 }
@@ -1497,6 +1543,103 @@ fn bench_record(quick: bool, results: &[RunResult], hub: &Arc<obs::Obs>) {
     println!();
 }
 
+/// One streaming pattern prepared for timing: the 1-vs-8-thread
+/// tally-equality check already ran, the 8-thread sim is warm, and
+/// `step` drives it.
+struct Contender {
+    pattern: &'static str,
+    step: Box<dyn FnMut(usize)>,
+    bpf: f64,
+    l2: f64,
+    best: f64,
+}
+
+/// Build one contender: tally-equality check (1 vs 8 threads), warmup,
+/// and measured B/F + L2 hit rate.
+fn contender<S: 'static>(
+    pattern: &'static str,
+    mk: impl Fn(usize) -> S,
+    step: impl Fn(&mut S, usize) + 'static,
+    tally: impl Fn(&S) -> gpu_sim::memory::Tally,
+    steps_per_rep: usize,
+    fluid: usize,
+) -> Contender {
+    let mut s1 = mk(1);
+    step(&mut s1, steps_per_rep);
+    let mut s8 = mk(8);
+    step(&mut s8, steps_per_rep); // doubles as warmup
+    let (t1, t8) = (tally(&s1), tally(&s8));
+    assert_eq!(
+        t1, t8,
+        "pooled span execution changed the traffic tally vs single-threaded"
+    );
+    Contender {
+        pattern,
+        bpf: t8.dram_bytes() as f64 / (fluid * steps_per_rep) as f64,
+        l2: t8.l2_hit_rate(),
+        best: f64::INFINITY,
+        step: Box::new(move |k| step(&mut s8, k)),
+    }
+}
+
+/// Time `contenders` on one (device, lattice): `reps` interleaved rounds of
+/// `steps_per_rep` steps, min-of-k, one `measured_mflups` / `speedup_vs_st`
+/// row each. The first contender is the ST reference of the speedups.
+fn time_contenders(
+    rec: &mut obs::BenchRecord,
+    dev: &DeviceSpec,
+    lattice: &str,
+    fluid: usize,
+    steps_per_rep: usize,
+    reps: usize,
+    contenders: &mut [Contender],
+) {
+    use std::time::Instant;
+    // Interleave the contenders' timing rounds so slow machine drift hits
+    // every pattern alike instead of biasing whichever ran last; min-of-k
+    // then absorbs per-round noise.
+    for _ in 0..reps {
+        for c in contenders.iter_mut() {
+            let t0 = Instant::now();
+            (c.step)(steps_per_rep);
+            c.best = c.best.min(t0.elapsed().as_secs_f64());
+        }
+    }
+    let mflups_of = |c: &Contender| fluid as f64 * steps_per_rep as f64 / c.best / 1e6;
+    let st_mflups = mflups_of(&contenders[0]);
+    for c in contenders.iter() {
+        let mflups = mflups_of(c);
+        assert!(
+            mflups > 0.0 && mflups.is_finite(),
+            "wall-clock MFLUPS must be positive, got {mflups}"
+        );
+        let speedup = mflups / st_mflups;
+        println!(
+            "{:<12} {:<6} {:<6} {:>8} nodes  {:>9.3} ms/step  {:>8.3} MFLUPS  {:>6.2}x vs ST",
+            dev.name,
+            lattice,
+            c.pattern,
+            fluid,
+            c.best * 1e3 / steps_per_rep as f64,
+            mflups,
+            speedup
+        );
+        rec.push(obs::BenchRow {
+            device: dev.name.to_string(),
+            lattice: lattice.to_string(),
+            pattern: c.pattern.to_string(),
+            fluid_nodes: fluid as u64,
+            steps: steps_per_rep as u64,
+            mflups_modeled: mflups_max_on(dev, c.bpf),
+            dram_bytes_per_item: c.bpf,
+            l2_hit_rate: c.l2,
+            measured_mflups: mflups,
+            speedup_vs_st: speedup,
+            ..Default::default()
+        });
+    }
+}
+
 /// Wall-clock bench of the software substrate itself: steady-state step
 /// timing (warmup + min-of-k repetitions on the monotonic clock) for ST,
 /// MR-P, MR-R, and the in-place ST-AA / MR-T on the smoke lattice,
@@ -1506,12 +1649,10 @@ fn bench_record(quick: bool, results: &[RunResult], hub: &Arc<obs::Obs>) {
 /// byte-identical — the release-build guard that the pooled, span-staged
 /// executor is transparent to the accounting.
 fn bench_wallclock(quick: bool) {
-    use gpu_sim::memory::Tally;
     use lbm_bench::{bench_geometry_2d, bench_geometry_3d, TAU};
     use lbm_core::collision::Bgk;
     use lbm_gpu::{AaStSim, MrScheme, MrSim2D, MrSim3D, StSim};
     use lbm_lattice::{D2Q9, D3Q19};
-    use std::time::Instant;
 
     println!("== bench: wall-clock MFLUPS of the software substrate ==============");
     // Measurement lattices: large enough that the chunked SoA collision
@@ -1523,45 +1664,6 @@ fn bench_wallclock(quick: bool) {
     let (steps_3d, reps_3d) = if quick { (2, 2) } else { (4, 3) };
     let geom_2d = bench_geometry_2d(256, 128);
     let geom_3d = bench_geometry_3d(70, 70, 70);
-
-    /// One streaming pattern prepared for timing: the 1-vs-8-thread
-    /// tally-equality check already ran, the 8-thread sim is warm, and
-    /// `step` drives it.
-    struct Contender {
-        pattern: &'static str,
-        step: Box<dyn FnMut(usize)>,
-        bpf: f64,
-        l2: f64,
-        best: f64,
-    }
-
-    /// Build one contender: tally-equality check (1 vs 8 threads), warmup,
-    /// and measured B/F + L2 hit rate.
-    fn contender<S: 'static>(
-        pattern: &'static str,
-        mk: impl Fn(usize) -> S,
-        step: impl Fn(&mut S, usize) + 'static,
-        tally: impl Fn(&S) -> Tally,
-        steps_per_rep: usize,
-        fluid: usize,
-    ) -> Contender {
-        let mut s1 = mk(1);
-        step(&mut s1, steps_per_rep);
-        let mut s8 = mk(8);
-        step(&mut s8, steps_per_rep); // doubles as warmup
-        let (t1, t8) = (tally(&s1), tally(&s8));
-        assert_eq!(
-            t1, t8,
-            "pooled span execution changed the traffic tally vs single-threaded"
-        );
-        Contender {
-            pattern,
-            bpf: t8.dram_bytes() as f64 / (fluid * steps_per_rep) as f64,
-            l2: t8.l2_hit_rate(),
-            best: f64::INFINITY,
-            step: Box::new(move |k| step(&mut s8, k)),
-        }
-    }
 
     let mut rec = obs::BenchRecord::new("bench");
     for dev in devices() {
@@ -1719,51 +1821,15 @@ fn bench_wallclock(quick: bool) {
                     ),
                 ]
             };
-            // Interleave the contenders' timing rounds so slow machine
-            // drift hits every pattern alike instead of biasing whichever
-            // ran last; min-of-k then absorbs per-round noise.
-            for _ in 0..reps {
-                for c in contenders.iter_mut() {
-                    let t0 = Instant::now();
-                    (c.step)(steps_per_rep);
-                    c.best = c.best.min(t0.elapsed().as_secs_f64());
-                }
-            }
-            let mut st_mflups = 0.0;
-            for c in &contenders {
-                let mflups = fluid as f64 * steps_per_rep as f64 / c.best / 1e6;
-                assert!(
-                    mflups > 0.0 && mflups.is_finite(),
-                    "wall-clock MFLUPS must be positive, got {mflups}"
-                );
-                if c.pattern == "st" {
-                    st_mflups = mflups;
-                }
-                let speedup = mflups / st_mflups;
-                println!(
-                    "{:<12} {:<6} {:<6} {:>8} nodes  {:>9.3} ms/step  {:>8.3} MFLUPS  {:>6.2}x vs ST",
-                    dev.name,
-                    lattice,
-                    c.pattern,
-                    fluid,
-                    c.best * 1e3 / steps_per_rep as f64,
-                    mflups,
-                    speedup
-                );
-                rec.push(obs::BenchRow {
-                    device: dev.name.to_string(),
-                    lattice: lattice.to_string(),
-                    pattern: c.pattern.to_string(),
-                    fluid_nodes: fluid as u64,
-                    steps: steps_per_rep as u64,
-                    mflups_modeled: mflups_max_on(&dev, c.bpf),
-                    dram_bytes_per_item: c.bpf,
-                    l2_hit_rate: c.l2,
-                    measured_mflups: mflups,
-                    speedup_vs_st: speedup,
-                    ..Default::default()
-                });
-            }
+            time_contenders(
+                &mut rec,
+                &dev,
+                lattice,
+                fluid,
+                steps_per_rep,
+                reps,
+                &mut contenders,
+            );
         }
     }
     let path = rec.write(".").expect("write BENCH_bench.json");

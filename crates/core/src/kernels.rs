@@ -70,22 +70,28 @@ pub struct KernelConsts {
     pub scalar: bool,
 }
 
+/// Assert that lattice `L` fits the fixed-size `[f64; MAX_Q]` /
+/// `[f64; MAX_M]` staging buffers, so a future velocity set cannot silently
+/// overrun them. Drivers call this once at construction.
+pub fn assert_lattice_fits<L: Lattice>() {
+    assert!(
+        L::Q <= MAX_Q,
+        "{}: Q = {} exceeds MAX_Q = {MAX_Q}",
+        L::NAME,
+        L::Q
+    );
+    assert!(
+        L::M <= MAX_M,
+        "{}: M = {} exceeds MAX_M = {MAX_M}",
+        L::NAME,
+        L::M
+    );
+}
+
 impl KernelConsts {
-    /// Build for lattice `L`; asserts the lattice fits the fixed-size lane
-    /// buffers so a future velocity set cannot silently overrun them.
+    /// Build for lattice `L` (asserting [`assert_lattice_fits`]).
     pub fn new<L: Lattice>(tau: f64) -> Self {
-        assert!(
-            L::Q <= MAX_Q,
-            "{}: Q = {} exceeds MAX_Q = {MAX_Q}",
-            L::NAME,
-            L::Q
-        );
-        assert!(
-            L::M <= MAX_M,
-            "{}: M = {} exceeds MAX_M = {MAX_M}",
-            L::NAME,
-            L::M
-        );
+        assert_lattice_fits::<L>();
         KernelConsts {
             tau,
             omega: 1.0 - 1.0 / tau,

@@ -36,12 +36,11 @@ use gpu_sim::memory::Tally;
 use gpu_sim::{DeviceSpec, GlobalBuffer, Gpu};
 use lbm_core::collision::Collision;
 use lbm_core::geometry::{Geometry, NodeType};
+use lbm_core::kernels::{assert_lattice_fits, MAX_Q};
 use lbm_lattice::moments::Moments;
 use lbm_lattice::Lattice;
 use std::marker::PhantomData;
 use std::sync::Arc;
-
-const MAX_Q: usize = 48;
 
 /// Why a sparse driver could not be built from a geometry. Each variant is
 /// a *user input* problem, not a programming error — the service layer
@@ -96,6 +95,28 @@ pub struct Tile {
     pub hi: u32,
     /// Compact ids updated by this tile's block.
     pub active: Vec<u32>,
+}
+
+impl Tile {
+    /// Maximal runs of consecutive compact ids on the active list, as slot
+    /// ranges into `active`: a fully active tile is the single run
+    /// `0..active.len()`, a ghost-filtered one breaks at every dropped
+    /// node. Each run is one contiguous span of every compacted SoA row.
+    pub fn active_runs(&self) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+        let a = &self.active;
+        let mut next = 0;
+        std::iter::from_fn(move || {
+            if next == a.len() {
+                return None;
+            }
+            let start = next;
+            next += 1;
+            while next < a.len() && a[next] == a[next - 1] + 1 {
+                next += 1;
+            }
+            Some(start..next)
+        })
+    }
 }
 
 /// Compacted fluid-node indexing for a geometry, tiled for cache
@@ -366,13 +387,16 @@ impl<L: Lattice, C: Collision<L>> StSparseSim<L, C> {
         geom: Geometry,
         collision: C,
     ) -> Result<Self, SparseBuildError> {
+        assert_lattice_fits::<L>();
         validate_sparse_geometry(&geom)?;
         let index = FluidIndex::build(&geom);
         if index.is_empty() {
             return Err(SparseBuildError::NoFluidNodes);
         }
-        let table =
-            GlobalBuffer::from_vec(build_neighbor_table::<L>(&geom, &index)?).with_touch_tracking();
+        // No touch tracking on the link table: one block per tile over
+        // disjoint active lists reads every link exactly once per launch,
+        // so there is never a repeat touch for the L2 model to discount.
+        let table = GlobalBuffer::from_vec(build_neighbor_table::<L>(&geom, &index)?);
         let nf = index.len();
         let mut sim = StSparseSim {
             gpu: Gpu::new(device),
@@ -703,6 +727,7 @@ mod tests {
             for (k, &cid) in tile.active.iter().enumerate() {
                 assert_eq!(cid, tile.lo + k as u32, "all nodes active by default");
             }
+            assert!(tile.active_runs().eq(std::iter::once(0..tile.active.len())));
             active_total += tile.active.len();
             next = tile.hi;
         }

@@ -16,18 +16,24 @@
 //!
 //! The update is the *pull-form* mirror of the dense MR drivers'
 //! push-form scatter: for each direction the kernel follows the
-//! precompiled link to the upstream node, recomputes that node's
-//! post-collision population (`collide_and_map` on its time-`t` moments —
-//! in-cache work, traded for the second lattice), and reduces the gathered
-//! populations straight to time-`t+1` moments. Links encode halfway
-//! bounce-back exactly as the dense scatter does (a wall link points at
-//! the node's own opposite direction), so on the shared fluid nodes the
-//! arithmetic — and therefore the trajectory — is **bitwise identical**
-//! to the dense MR drivers.
+//! precompiled link to the upstream node, takes that node's post-collision
+//! population (recomputed from its time-`t` moments — in-cache work, traded
+//! for the second lattice), and reduces the gathered populations straight
+//! to time-`t+1` moments. Links encode halfway bounce-back exactly as the
+//! dense scatter does (a wall link points at the node's own opposite
+//! direction), so on the shared fluid nodes the arithmetic — and therefore
+//! the trajectory — is **bitwise identical** to the dense MR drivers.
+//!
+//! A block processes its tile as a batch. The upstream nodes outside the
+//! tile's storage span are known at construction — the tile's
+//! [`HaloDirectory`] entry — so the block loads tile + halo moments into
+//! one SoA slab, collides all of them in `LANES` chunks, and then gathers
+//! through the link table with nothing left to compute but the moment
+//! reduction.
 //!
 //! One grid-wide lockstep barrier separates the gather (phase 0, reads
 //! only) from the in-place moment write-back (phase 1), so a single
-//! moment lattice suffices; the per-tile staging slab lives in block
+//! moment lattice suffices; the per-tile staging rows live in block
 //! scratch, which persists across phases.
 
 use crate::scheme::MrScheme;
@@ -38,22 +44,91 @@ use gpu_sim::exec::{BlockCtx, Launch, PhasedKernel};
 use gpu_sim::memory::Tally;
 use gpu_sim::{DeviceSpec, GlobalBuffer, Gpu};
 use lbm_core::geometry::Geometry;
-use lbm_core::kernels::{self, LaneBlock, LANES, MAX_M, MAX_Q};
+use lbm_core::kernels::{self, assert_lattice_fits, LaneBlock, LANES, MAX_M, MAX_Q};
 use lbm_lattice::moments::Moments;
 use lbm_lattice::{Lattice, D2Q9, D3Q19};
-use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::sync::Arc;
 
+/// Decode the direction-`i` link `entry` of a table over `nf` fluid nodes
+/// (see [`build_neighbor_table`]) into `(d, p)`: the node pulls direction
+/// `d` of node `p`. An entry is either `(i, upstream)` or the bounce-back
+/// `(OPP[i], self)`, so one wrapping range compare tells them apart — no
+/// division by the runtime `nf`, and a select instead of a branch: on rock
+/// the two alternate at random, and a mispredicted branch per link costs
+/// more than the rest of the walk.
+#[inline(always)]
+fn decode_link<L: Lattice>(entry: u32, i: usize, nf: usize) -> (usize, usize) {
+    let e = entry as usize;
+    let d = std::hint::select_unpredictable(e.wrapping_sub(i * nf) < nf, i, L::OPP[i]);
+    (d, e.wrapping_sub(d * nf))
+}
+
+/// Per-tile halo directory: for every tile of a [`FluidIndex`], the sorted
+/// distinct compact ids *outside* the tile's storage span `lo..hi` that the
+/// links of its active nodes pull from. Built once from the link table
+/// (in the sharded drivers after the ghost nodes left the active lists), it
+/// tells a block which foreign moments to load before it starts gathering.
+pub struct HaloDirectory {
+    /// Tile `b`'s halo ids are `ids[starts[b]..starts[b + 1]]`.
+    starts: Vec<u32>,
+    ids: Vec<u32>,
+    /// Largest `stored span + halo count` of any tile: the per-block slab
+    /// holds that many nodes.
+    slab_nodes: usize,
+}
+
+impl HaloDirectory {
+    /// Walk the links of every tile's active nodes in `table` (the
+    /// [`build_neighbor_table`] of `index` for lattice `L`).
+    pub fn build<L: Lattice>(index: &FluidIndex, table: &GlobalBuffer<u32>) -> Self {
+        let nf = index.len();
+        assert_eq!(table.len(), L::Q * nf, "link table does not match index");
+        let mut starts = Vec::with_capacity(index.tiles().len() + 1);
+        let mut ids = Vec::new();
+        let mut slab_nodes = 0;
+        let mut halo: Vec<u32> = Vec::new();
+        starts.push(0);
+        for tile in index.tiles() {
+            halo.clear();
+            let (lo, len) = (tile.lo as usize, (tile.hi - tile.lo) as usize);
+            for i in 0..L::Q {
+                for &cid in &tile.active {
+                    // A bounce-back link decodes to the node itself: in tile.
+                    let (_, p) = decode_link::<L>(table.get(i * nf + cid as usize), i, nf);
+                    if p.wrapping_sub(lo) >= len {
+                        halo.push(p as u32);
+                    }
+                }
+            }
+            halo.sort_unstable();
+            halo.dedup();
+            slab_nodes = slab_nodes.max(len + halo.len());
+            ids.extend_from_slice(&halo);
+            starts.push(ids.len() as u32);
+        }
+        HaloDirectory {
+            starts,
+            ids,
+            slab_nodes,
+        }
+    }
+
+    /// Halo ids of tile `b`, ascending.
+    pub fn tile(&self, b: usize) -> &[u32] {
+        &self.ids[self.starts[b] as usize..self.starts[b + 1] as usize]
+    }
+}
+
 /// Two-phase pull kernel: one block per tile.
 ///
-/// * **Phase 0** — load the tile's moment rows, compute the tile nodes'
-///   post-collision populations (vectorized lane chunks or the scalar
-///   path, bitwise-identical), gather through the link table (out-of-tile
-///   upstream nodes are recomputed on the fly with a per-block memo), and
-///   stage each active node's new moments in block scratch.
+/// * **Phase 0** — load the moment rows of the tile and of its halo
+///   directory into one SoA slab (`n = len + halo` nodes), collide all `n`
+///   (vectorized lane chunks or the scalar reference, bitwise-identical),
+///   read the active nodes' links, gather their populations out of the
+///   slab and stage each active node's new moments in block scratch.
 /// * **Phase 1** — after the grid-wide barrier, write the staged moments
-///   back in place.
+///   back in place, one span per run of consecutive active ids.
 ///
 /// Reads all happen in phase 0 and writes in phase 1 with each cell
 /// written by exactly one block, so the kernel passes strict race
@@ -68,6 +143,7 @@ struct SparseMrKernel<'a, L: Lattice> {
     dst: &'a GlobalBuffer<f64>,
     table: &'a GlobalBuffer<u32>,
     tiles: &'a [Tile],
+    halo: &'a HaloDirectory,
     nf: usize,
     scheme: &'a MrScheme,
     tau: f64,
@@ -75,18 +151,70 @@ struct SparseMrKernel<'a, L: Lattice> {
     /// scalar path recomputes).
     omega: f64,
     scalar: bool,
-    /// Shared/scratch slab stride (max tile span).
-    cap: usize,
     dirs: Vec<usize>,
     _l: PhantomData<L>,
 }
 
 impl<L: Lattice> SparseMrKernel<'_, L> {
-    /// Scalar post-collision populations of one node's moment vector.
-    #[inline]
-    fn collide_node(&self, mm: &[f64], out: &mut [f64]) {
-        let m = Moments::unpack::<L>(mm);
-        self.scheme.collide_and_map::<L>(&m, self.tau, out);
+    /// Post-collision populations of the slab's `n` nodes: moment rows
+    /// `scratch[m·n + j]` → `shared[i·n + j]`. The lane chunks are the same
+    /// `lbm_core::kernels` paths the dense MR drivers run; the scalar
+    /// reference goes node by node through `collide_and_map`.
+    fn collide_slab(&self, n: usize, ctx: &mut BlockCtx) {
+        let (shared, scratch) = ctx.shared_and_scratch();
+        let moms = &scratch[..L::M * n];
+        if self.scalar {
+            let mut mm = [0.0f64; MAX_M];
+            let mut fstar = [0.0f64; MAX_Q];
+            for j in 0..n {
+                for m in 0..L::M {
+                    mm[m] = moms[m * n + j];
+                }
+                let node = Moments::unpack::<L>(&mm[..L::M]);
+                self.scheme
+                    .collide_and_map::<L>(&node, self.tau, &mut fstar[..L::Q]);
+                for i in 0..L::Q {
+                    shared[i * n + j] = fstar[i];
+                }
+            }
+            return;
+        }
+        let mut out: LaneBlock = [[0.0; LANES]; MAX_Q];
+        for j0 in (0..n).step_by(LANES) {
+            match self.scheme {
+                MrScheme::Projective => {
+                    kernels::mr_p_collide_chunk::<L>(moms, n, j0, self.omega, &self.dirs, &mut out)
+                }
+                MrScheme::Recursive(basis) => kernels::mr_r_collide_chunk::<L>(
+                    moms, n, j0, self.omega, basis, &self.dirs, &mut out,
+                ),
+            }
+            let cnt = LANES.min(n - j0);
+            for i in 0..L::Q {
+                shared[i * n + j0..][..cnt].copy_from_slice(&out[i][..cnt]);
+            }
+        }
+    }
+
+    /// New moments of `LANES` active nodes whose gathered populations sit
+    /// in `f` (`cnt` valid lanes), staged at slot `s0` of the `alen`-strided
+    /// rows in `stage`.
+    fn reduce_chunk(&self, f: &LaneBlock, cnt: usize, stage: &mut [f64], alen: usize, s0: usize) {
+        if !self.scalar {
+            kernels::moments_from_f_lanes::<L>(&f[..L::Q], stage, alen, s0);
+            return;
+        }
+        let mut f_loc = [0.0f64; MAX_Q];
+        let mut mm = [0.0f64; MAX_M];
+        for l in 0..cnt {
+            for i in 0..L::Q {
+                f_loc[i] = f[i][l];
+            }
+            Moments::from_f::<L>(&f_loc[..L::Q]).pack::<L>(&mut mm[..L::M]);
+            for m in 0..L::M {
+                stage[m * alen + s0 + l] = mm[m];
+            }
+        }
     }
 }
 
@@ -101,107 +229,85 @@ impl<L: Lattice> PhasedKernel for SparseMrKernel<'_, L> {
 
     fn run_phase(&self, phase: usize, ctx: &mut BlockCtx) {
         let tile = &self.tiles[ctx.block_id];
-        let lo = tile.lo as usize;
+        let (nf, lo) = (self.nf, tile.lo as usize);
         let len = (tile.hi - tile.lo) as usize;
-        let stage = self.cap * L::M; // staged moments live after the row slab
+        let active = &tile.active[..];
+        let alen = active.len();
 
         if phase == 1 {
-            // Write-back: each active node's staged moments, in place.
-            for (slot, &cid) in tile.active.iter().enumerate() {
+            // Write-back: the staged rows (`scratch[m·alen + slot]`), one
+            // span per moment and run of consecutive active ids.
+            for run in tile.active_runs() {
+                let cid = active[run.start] as usize;
                 for m in 0..L::M {
-                    let v = ctx.scratch()[stage + m * self.cap + slot];
-                    ctx.write(self.dst, m * self.nf + cid as usize, v);
+                    ctx.write_span_from_scratch(
+                        self.dst,
+                        m * nf + cid,
+                        m * alen + run.start,
+                        run.len(),
+                    );
                 }
             }
             return;
         }
 
-        // Phase 0, step 1: the tile's moment rows → scratch[0 .. M·len]
-        // (counted reads; every stored node's moments are touched once).
+        // Phase 0, step 1: moment rows of tile + halo → scratch[m·n + j]
+        // (counted reads: every stored node of the tile once, every halo
+        // node once per tile that pulls from it — repeats across tiles are
+        // L2 hits under touch tracking, so the DRAM ledger stays
+        // `M·8 + Q·4` read + `M·8` written per fluid node).
+        let halo = self.halo.tile(ctx.block_id);
+        let n = len + halo.len();
         for m in 0..L::M {
-            ctx.read_span_to_scratch(self.src, m * self.nf + lo, m * len, len);
+            ctx.read_span_to_scratch(self.src, m * nf + lo, m * n, len);
         }
-
-        // Step 2: post-collision populations of every tile node →
-        // shared[i·len + j]. The vectorized chunks are the same
-        // `lbm_core::kernels` lane paths the dense MR drivers run, and are
-        // bitwise-identical to the scalar fallback.
-        if self.scalar {
-            let mut mm = [0.0f64; MAX_M];
-            let mut fstar = [0.0f64; MAX_Q];
-            for j in 0..len {
-                {
-                    let scratch = ctx.scratch();
-                    for m in 0..L::M {
-                        mm[m] = scratch[m * len + j];
-                    }
-                }
-                self.collide_node(&mm[..L::M], &mut fstar[..L::Q]);
-                let shared = ctx.shared();
-                for i in 0..L::Q {
-                    shared[i * len + j] = fstar[i];
-                }
-            }
-        } else {
-            let mut out: LaneBlock = [[0.0; LANES]; MAX_Q];
-            let mut j0 = 0;
-            while j0 < len {
-                {
-                    let (shared, scratch) = ctx.shared_and_scratch();
-                    let moms = &scratch[..L::M * len];
-                    match self.scheme {
-                        MrScheme::Projective => kernels::mr_p_collide_chunk::<L>(
-                            moms, len, j0, self.omega, &self.dirs, &mut out,
-                        ),
-                        MrScheme::Recursive(basis) => kernels::mr_r_collide_chunk::<L>(
-                            moms, len, j0, self.omega, basis, &self.dirs, &mut out,
-                        ),
-                    }
-                    let cnt = LANES.min(len - j0);
-                    for i in 0..L::Q {
-                        for l in 0..cnt {
-                            shared[i * len + j0 + l] = out[i][l];
-                        }
-                    }
-                }
-                j0 += LANES;
-            }
-        }
-
-        // Step 3: gather through the link table, reduce to new moments,
-        // stage in scratch. Upstream nodes outside this tile are
-        // recomputed scalar (bitwise-equal) with a per-block memo; their
-        // moment reads are counted like any other (repeats within the
-        // launch are L2 hits under touch tracking, so the DRAM ledger
-        // stays `M·8 + Q·4` read + `M·8` written per fluid node).
-        let mut memo: HashMap<usize, [f64; MAX_Q]> = HashMap::new();
-        let mut f_loc = [0.0f64; MAX_Q];
-        let mut mm = [0.0f64; MAX_M];
-        for (slot, &cid) in tile.active.iter().enumerate() {
-            let cid = cid as usize;
-            for i in 0..L::Q {
-                let link = ctx.read(self.table, i * self.nf + cid) as usize;
-                let (d, p) = (link / self.nf, link % self.nf);
-                f_loc[i] = if p >= lo && p < lo + len {
-                    ctx.shared()[d * len + (p - lo)]
-                } else if let Some(fs) = memo.get(&p) {
-                    fs[d]
-                } else {
-                    for m in 0..L::M {
-                        mm[m] = ctx.read(self.src, m * self.nf + p);
-                    }
-                    let mut fs = [0.0f64; MAX_Q];
-                    self.collide_node(&mm[..L::M], &mut fs[..L::Q]);
-                    memo.insert(p, fs);
-                    fs[d]
-                };
-            }
-            let mnew = Moments::from_f::<L>(&f_loc[..L::Q]);
-            mnew.pack::<L>(&mut mm[..L::M]);
-            let scratch = ctx.scratch();
+        for (k, &p) in halo.iter().enumerate() {
             for m in 0..L::M {
-                scratch[stage + m * self.cap + slot] = mm[m];
+                let v = ctx.read(self.src, m * nf + p as usize);
+                ctx.scratch()[m * n + len + k] = v;
             }
+        }
+
+        // Step 2: post-collision populations of all n nodes → shared.
+        self.collide_slab(n, ctx);
+
+        // Step 3: the active nodes' links, one counted span per direction
+        // and run of consecutive ids → links[i·alen + slot].
+        let mut links = vec![0u32; L::Q * alen];
+        for run in tile.active_runs() {
+            let cid = active[run.start] as usize;
+            for i in 0..L::Q {
+                let row = &mut links[i * alen..][run.clone()];
+                ctx.read_span(self.table, i * nf + cid, row);
+            }
+        }
+
+        // Step 4: gather LANES active nodes at a time out of the slab and
+        // reduce them to new moments. The moment rows are dead after the
+        // collide, so the staged rows reuse scratch from offset 0.
+        let (shared, scratch) = ctx.shared_and_scratch();
+        let stage = &mut scratch[..L::M * alen];
+        let mut f: LaneBlock = [[0.0; LANES]; MAX_Q];
+        for s0 in (0..alen).step_by(LANES) {
+            let cnt = LANES.min(alen - s0);
+            for i in 0..L::Q {
+                let row = &links[i * alen + s0..][..cnt];
+                let fi = &mut f[i];
+                for l in 0..cnt {
+                    let (d, p) = decode_link::<L>(row[l], i, nf);
+                    let mut j = p.wrapping_sub(lo);
+                    if j >= len {
+                        let k = halo.binary_search(&(p as u32));
+                        j = len + k.expect("upstream node missing from the halo directory");
+                    }
+                    fi[l] = shared[d * n + j];
+                }
+                // Ragged tail: replicate the last node like the lane loaders.
+                for l in cnt..LANES {
+                    fi[l] = fi[cnt - 1];
+                }
+            }
+            self.reduce_chunk(&f, cnt, stage, alen, s0);
         }
     }
 }
@@ -209,7 +315,8 @@ impl<L: Lattice> PhasedKernel for SparseMrKernel<'_, L> {
 /// Launch the two-phase sparse MR kernel over every tile of `index`.
 /// `src` holds time-`t` moments, `dst` receives time-`t+1` moments for the
 /// active nodes; the single-device driver passes the same buffer for both
-/// (in-place), the sharded drivers pass distinct ones.
+/// (in-place), the sharded drivers pass distinct ones. `halo` is the
+/// [`HaloDirectory`] of `index` and `table`.
 #[allow(clippy::too_many_arguments)]
 pub fn launch_sparse_mr<L: Lattice>(
     gpu: &Gpu,
@@ -217,17 +324,17 @@ pub fn launch_sparse_mr<L: Lattice>(
     dst: &GlobalBuffer<f64>,
     table: &GlobalBuffer<u32>,
     index: &FluidIndex,
+    halo: &HaloDirectory,
     scheme: &MrScheme,
     tau: f64,
     scalar: bool,
 ) -> gpu_sim::exec::LaunchStats {
     let tiles = index.tiles();
-    let cap = index.tile_capacity().max(1);
     let cfg = Launch {
         blocks: tiles.len(),
-        threads_per_block: cap,
-        shared_doubles: L::Q * cap,
-        scratch_doubles: 2 * L::M * cap,
+        threads_per_block: index.tile_capacity().max(1),
+        shared_doubles: L::Q * halo.slab_nodes,
+        scratch_doubles: L::M * halo.slab_nodes,
     };
     gpu.launch_lockstep(
         &cfg,
@@ -236,12 +343,12 @@ pub fn launch_sparse_mr<L: Lattice>(
             dst,
             table,
             tiles,
+            halo,
             nf: index.len(),
             scheme,
             tau,
             omega: 1.0 - 1.0 / tau,
             scalar,
-            cap,
             dirs: kernels::dirs_all::<L>(),
             _l: PhantomData,
         },
@@ -256,6 +363,7 @@ pub struct SparseMrSim<L: Lattice> {
     geom: Geometry,
     index: FluidIndex,
     table: GlobalBuffer<u32>,
+    halo: HaloDirectory,
     mom: GlobalBuffer<f64>,
     scheme: MrScheme,
     tau: f64,
@@ -287,19 +395,22 @@ impl<L: Lattice> SparseMrSim<L> {
         scheme: MrScheme,
         tau: f64,
     ) -> Result<Self, SparseBuildError> {
+        assert_lattice_fits::<L>();
         validate_sparse_geometry(&geom)?;
         let index = FluidIndex::build(&geom);
         if index.is_empty() {
             return Err(SparseBuildError::NoFluidNodes);
         }
-        let table =
-            GlobalBuffer::from_vec(build_neighbor_table::<L>(&geom, &index)?).with_touch_tracking();
+        // Links are read once per launch: nothing for the L2 model to track.
+        let table = GlobalBuffer::from_vec(build_neighbor_table::<L>(&geom, &index)?);
+        let halo = HaloDirectory::build::<L>(&index, &table);
         let nf = index.len();
         let mut sim = SparseMrSim {
             gpu: Gpu::new(device),
             geom,
             index,
             table,
+            halo,
             mom: GlobalBuffer::new(L::M * nf).with_touch_tracking(),
             scheme,
             tau,
@@ -422,6 +533,7 @@ impl<L: Lattice> SparseMrSim<L> {
             &self.mom,
             &self.table,
             &self.index,
+            &self.halo,
             &self.scheme,
             self.tau,
             self.scalar,
@@ -640,6 +752,98 @@ mod tests {
                 sparse.field_checksum(),
                 "sparse MR must be bitwise-equal to dense MR"
             );
+        }
+    }
+
+    /// Walls in y, periodic in x, and roughly `pct` % of the interior
+    /// turned to rock by a coordinate hash.
+    fn rock(nx: usize, ny: usize, nz: usize, pct: usize) -> Geometry {
+        let mut g = Geometry::new(nx, ny, nz, [true, false, false]);
+        for idx in 0..g.len() {
+            let (x, y, z) = g.coords(idx);
+            let h = (x * 7919 + y * 104_729 + z * 1_299_709 + 17).wrapping_mul(2_654_435_761);
+            if y == 0 || y == ny - 1 || (h >> 7) % 100 < pct {
+                g.set(x, y, z, NodeType::Wall);
+            }
+        }
+        g
+    }
+
+    /// Every tile's directory against a brute-force walk of the table
+    /// (decoded the slow way, by division): sorted, duplicate-free,
+    /// disjoint from the tile's own span, and exactly the out-of-tile
+    /// targets of the active nodes' links.
+    fn assert_directory_invariants<L: Lattice>(geom: &Geometry, index: &FluidIndex) {
+        let nf = index.len();
+        let table = GlobalBuffer::from_vec(build_neighbor_table::<L>(geom, index).unwrap());
+        let dir = HaloDirectory::build::<L>(index, &table);
+        let mut slab_nodes = 0;
+        for (b, tile) in index.tiles().iter().enumerate() {
+            let mut want: Vec<u32> = Vec::new();
+            for &cid in &tile.active {
+                for i in 0..L::Q {
+                    let p = table.get(i * nf + cid as usize) % nf as u32;
+                    if !(tile.lo..tile.hi).contains(&p) {
+                        want.push(p);
+                    }
+                }
+            }
+            want.sort_unstable();
+            want.dedup();
+            let got = dir.tile(b);
+            assert!(got.windows(2).all(|w| w[0] < w[1]), "tile {b}: {got:?}");
+            assert!(got.iter().all(|p| !(tile.lo..tile.hi).contains(p)));
+            assert_eq!(got, &want[..], "tile {b}");
+            slab_nodes = slab_nodes.max((tile.hi - tile.lo) as usize + got.len());
+        }
+        assert_eq!(dir.slab_nodes, slab_nodes);
+    }
+
+    #[test]
+    fn halo_directory_invariants() {
+        for geom in [obstacle_2d(), rock(37, 21, 1, 50), rock(5, 12, 1, 30)] {
+            assert_directory_invariants::<D2Q9>(&geom, &FluidIndex::build(&geom));
+            // Non-default tile shapes change the spans, not the contract.
+            assert_directory_invariants::<D2Q9>(&geom, &FluidIndex::build_tiled(&geom, (5, 3, 1)));
+        }
+        let g3 = rock(9, 8, 7, 35);
+        assert_directory_invariants::<D3Q19>(&g3, &FluidIndex::build(&g3));
+
+        // Ghost-filtered, as the sharded build leaves it: columns 0 and
+        // nx − 1 stay stored (and gatherable) but leave the active lists,
+        // so runs break and the last tile column (x = 24 alone) drops out.
+        let geom = rock(25, 18, 1, 50);
+        let mut index = FluidIndex::build(&geom);
+        let tiles_before = index.tiles().len();
+        index.retain_active(|idx| (1..24).contains(&geom.coords(idx).0));
+        assert!(index.tiles().len() < tiles_before, "ghost-only tiles go");
+        assert!(index.tiles().iter().any(|t| t.active_runs().count() > 1));
+        assert_directory_invariants::<D2Q9>(&geom, &index);
+    }
+
+    /// A tile whose only fluid node is a dead end: every link bounces
+    /// back, so its directory is empty — and the node keeps its mass.
+    #[test]
+    fn dead_end_tiles_have_empty_directories() {
+        let mut geom = Geometry::walls_y_periodic_x(16, 16);
+        for idx in 0..geom.len() {
+            let (x, y, _) = geom.coords(idx);
+            if !(x % 8 == 3 && y % 8 == 4) {
+                geom.set(x, y, 0, NodeType::Wall);
+            }
+        }
+        let mut sim: SparseMrSim2D =
+            SparseMrSim::new(DeviceSpec::v100(), geom, MrScheme::projective(), 0.8);
+        assert_eq!(sim.index.tiles().len(), 4);
+        for b in 0..4 {
+            assert!(sim.halo.tile(b).is_empty());
+        }
+        assert_eq!(sim.halo.slab_nodes, 1);
+        sim.init_with(|x, _, _| (1.0 + 0.01 * x as f64, [0.0; 3]));
+        let before = sim.density_field();
+        sim.run(3);
+        for (a, b) in sim.density_field().iter().zip(&before) {
+            assert!((a - b).abs() < 1e-13, "{a} vs {b}");
         }
     }
 

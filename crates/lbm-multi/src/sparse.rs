@@ -5,9 +5,10 @@
 //! (ghost columns included in storage, excluded from the active lists via
 //! [`FluidIndex::retain_active`]) and its own link table, so the per-shard
 //! update is exactly the single-device sparse kernel over the owned nodes.
-//! The halo exchange walks the sender's tiles: every tile holding nodes of
+//! The halo exchange goes tile by tile: every sender tile holding nodes of
 //! the exchanged column issues its own transfer, sized by *that tile's*
-//! fluid count in the column. Summed over tiles this is the column's fluid
+//! fluid count in the column (the `(source id, destination id)` lists are
+//! compiled once at construction). Summed over tiles this is the column's fluid
 //! count — the wire bytes scale with the fluid-node population of the cut,
 //! not the bounding-box cross-section, which is the sparse-storage
 //! argument extended to the interconnect:
@@ -31,19 +32,17 @@ use gpu_sim::{DeviceSpec, FaultPlan, GlobalBuffer};
 use lbm_core::collision::Collision;
 use lbm_core::geometry::Geometry;
 use lbm_core::io::{CheckpointError, CheckpointReader, CheckpointWriter};
+use lbm_core::kernels::{assert_lattice_fits, MAX_M, MAX_Q};
 use lbm_gpu::scheme::MrScheme;
 use lbm_gpu::sparse::{
     build_neighbor_table, launch_sparse_st, validate_sparse_geometry, FluidIndex, SparseBuildError,
 };
-use lbm_gpu::sparse_mr::launch_sparse_mr;
+use lbm_gpu::sparse_mr::{launch_sparse_mr, HaloDirectory};
 use lbm_lattice::moments::Moments;
 use lbm_lattice::Lattice;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-const MAX_Q: usize = 48;
-const MAX_M: usize = 16;
 
 /// One shard of a sparse decomposition: local geometry, its tiled fluid
 /// compaction (ghost columns stored but inactive), the local link table,
@@ -63,13 +62,14 @@ fn build_shard<L: Lattice>(
     r: usize,
     dpn: usize,
 ) -> Result<SparseShard, SparseBuildError> {
+    assert_lattice_fits::<L>();
     let g = decomp.local_geometry(r);
     let mut index = FluidIndex::build(&g);
     if index.is_empty() {
         return Err(SparseBuildError::NoFluidNodes);
     }
-    let table =
-        GlobalBuffer::from_vec(build_neighbor_table::<L>(&g, &index)?).with_touch_tracking();
+    // Links are read once per launch: nothing for the L2 model to track.
+    let table = GlobalBuffer::from_vec(build_neighbor_table::<L>(&g, &index)?);
     let s = decomp.slab(r);
     let (lo, hi) = (s.owned_lo(), s.owned_hi());
     index.retain_active(|idx| {
@@ -89,42 +89,74 @@ fn build_shard<L: Lattice>(
     })
 }
 
+/// One interconnect transfer of the halo exchange: the nodes of one sender
+/// tile that lie in an exchanged column, as `(source compact id,
+/// destination compact id)` pairs.
+struct TileTransfer {
+    from: usize,
+    to: usize,
+    pairs: Vec<(u32, u32)>,
+}
+
+/// Compile the per-step exchange: for every directed halo transfer, in
+/// `halo_transfers` order, one [`TileTransfer`] per sender tile with nodes
+/// in the exchanged column, in tile order. Compact ids are assigned tile by
+/// tile, so the column's pairs sorted by source id split at the tile spans.
+fn build_exchange_plan(decomp: &SlabDecomp, shards: &[SparseShard]) -> Vec<TileTransfer> {
+    let mut plan = Vec::new();
+    for tr in decomp.halo_transfers() {
+        let (src, dst) = (&shards[tr.from], &shards[tr.to]);
+        let mut column = Vec::new();
+        for z in 0..src.geom.nz {
+            for y in 0..src.geom.ny {
+                let scid = src.index.compact[src.geom.idx(tr.src_lx, y, z)];
+                if scid != usize::MAX {
+                    let dcid = dst.index.compact[dst.geom.idx(tr.dst_lx, y, z)];
+                    column.push((scid as u32, dcid as u32));
+                }
+            }
+        }
+        column.sort_unstable();
+        let mut rest = &column[..];
+        for tile in src.index.tiles() {
+            let k = rest.partition_point(|&(scid, _)| scid < tile.hi);
+            if k > 0 {
+                assert!(rest[0].0 >= tile.lo, "exchanged node in an inactive tile");
+                plan.push(TileTransfer {
+                    from: tr.from,
+                    to: tr.to,
+                    pairs: rest[..k].to_vec(),
+                });
+                rest = &rest[k..];
+            }
+        }
+        assert!(rest.is_empty(), "exchanged node in an inactive tile");
+    }
+    plan
+}
+
 /// Per-tile halo exchange of the freshly computed (`cur ^ 1`) buffers:
-/// every sender tile with nodes in the exchanged column issues one
-/// transfer of `(tile nodes in column) × dpn·8` bytes, tallied through the
-/// interconnect *before* the copy — a failed transfer moves no data and
-/// records no bytes, so a retried step tallies exactly once.
+/// every [`TileTransfer`] moves `(tile nodes in column) × dpn·8` bytes,
+/// tallied through the interconnect *before* the copy — a failed transfer
+/// moves no data and records no bytes, so a retried step tallies exactly
+/// once.
 fn exchange_tiled(
     mg: &MultiGpu,
-    decomp: &SlabDecomp,
+    plan: &[TileTransfer],
     shards: &[SparseShard],
     dpn: usize,
     retry: &HaloRetryPolicy,
     retries: &AtomicU64,
 ) -> Result<(), LinkError> {
-    for tr in decomp.halo_transfers() {
-        let (src, dst) = (&shards[tr.from], &shards[tr.to]);
+    for t in plan {
+        let (src, dst) = (&shards[t.from], &shards[t.to]);
         let (snf, dnf) = (src.index.len(), dst.index.len());
         let (sb, db) = (&src.bufs[src.cur ^ 1], &dst.bufs[dst.cur ^ 1]);
-        for tile in src.index.tiles() {
-            let mut pairs = Vec::new();
-            for cid in tile.lo..tile.hi {
-                let idx = src.index.nodes[cid as usize];
-                let (lx, y, z) = src.geom.coords(idx);
-                if lx == tr.src_lx {
-                    let dcid = dst.index.compact[dst.geom.idx(tr.dst_lx, y, z)];
-                    pairs.push((cid as usize, dcid));
-                }
-            }
-            if pairs.is_empty() {
-                continue;
-            }
-            let bytes = (pairs.len() * dpn * 8) as u64;
-            transfer_with_retry(mg, tr.from, tr.to, bytes, retry, retries)?;
-            for (scid, dcid) in &pairs {
-                for m in 0..dpn {
-                    db.set(m * dnf + dcid, sb.get(m * snf + scid));
-                }
+        let bytes = (t.pairs.len() * dpn * 8) as u64;
+        transfer_with_retry(mg, t.from, t.to, bytes, retry, retries)?;
+        for &(scid, dcid) in &t.pairs {
+            for m in 0..dpn {
+                db.set(m * dnf + dcid as usize, sb.get(m * snf + scid as usize));
             }
         }
     }
@@ -329,6 +361,7 @@ pub struct MultiSparseStSim<L: Lattice, C: Collision<L>> {
     mg: MultiGpu,
     decomp: SlabDecomp,
     shards: Vec<SparseShard>,
+    plan: Vec<TileTransfer>,
     collision: C,
     t: u64,
     monitor: Option<obs::PhysicsMonitor>,
@@ -365,10 +398,12 @@ impl<L: Lattice, C: Collision<L>> MultiSparseStSim<L, C> {
         let shards = (0..n)
             .map(|r| build_shard::<L>(&decomp, r, L::Q))
             .collect::<Result<Vec<_>, _>>()?;
+        let plan = build_exchange_plan(&decomp, &shards);
         let mut sim = MultiSparseStSim {
             mg: MultiGpu::ring(device, n),
             decomp,
             shards,
+            plan,
             collision,
             t: 0,
             monitor: None,
@@ -444,7 +479,7 @@ impl<L: Lattice, C: Collision<L>> MultiSparseStSim<L, C> {
         });
         exchange_tiled(
             &self.mg,
-            &self.decomp,
+            &self.plan,
             &self.shards,
             L::Q,
             &self.retry,
@@ -534,6 +569,9 @@ pub struct MultiSparseMrSim<L: Lattice> {
     mg: MultiGpu,
     decomp: SlabDecomp,
     shards: Vec<SparseShard>,
+    /// Shard `r`'s halo directory (of its ghost-filtered active lists).
+    halos: Vec<HaloDirectory>,
+    plan: Vec<TileTransfer>,
     scheme: MrScheme,
     tau: f64,
     scalar: bool,
@@ -573,10 +611,17 @@ impl<L: Lattice> MultiSparseMrSim<L> {
         let shards = (0..n)
             .map(|r| build_shard::<L>(&decomp, r, L::M))
             .collect::<Result<Vec<_>, _>>()?;
+        let halos = shards
+            .iter()
+            .map(|sh| HaloDirectory::build::<L>(&sh.index, &sh.table))
+            .collect();
+        let plan = build_exchange_plan(&decomp, &shards);
         let mut sim = MultiSparseMrSim {
             mg: MultiGpu::ring(device, n),
             decomp,
             shards,
+            halos,
+            plan,
             scheme,
             tau,
             scalar: false,
@@ -646,6 +691,7 @@ impl<L: Lattice> MultiSparseMrSim<L> {
                 &sh.bufs[sh.cur ^ 1],
                 &sh.table,
                 &sh.index,
+                &self.halos[r],
                 &self.scheme,
                 self.tau,
                 self.scalar,
@@ -662,7 +708,7 @@ impl<L: Lattice> MultiSparseMrSim<L> {
         });
         exchange_tiled(
             &self.mg,
-            &self.decomp,
+            &self.plan,
             &self.shards,
             L::M,
             &self.retry,
@@ -853,6 +899,51 @@ mod tests {
             mr.interconnect().total_link_bytes(),
             steps as u64 * mr.halo_bytes_per_step()
         );
+    }
+
+    /// The exchange plan compiled at construction is the walk of the cut
+    /// columns it replaced — same transfers, same order, same node pairs —
+    /// on a cut through 50 % rock whose shards are 25 columns wide, so the
+    /// left ghost breaks the first tile column's active runs and the right
+    /// ghost (x = 24 alone in its tile column) leaves stored tiles with no
+    /// active node.
+    #[test]
+    fn exchange_plan_matches_a_walk_of_the_cut_columns() {
+        let mut geom = Geometry::walls_y_periodic_x(46, 24);
+        for idx in 0..geom.len() {
+            let (x, y, _) = geom.coords(idx);
+            let h = (x * 7919 + y * 104_729 + 17).wrapping_mul(2_654_435_761);
+            if (h >> 7) % 100 < 50 {
+                geom.set(x, y, 0, NodeType::Wall);
+            }
+        }
+        let sim: MultiSparseMrSim<D2Q9> =
+            MultiSparseMrSim::new(DeviceSpec::v100(), geom, MrScheme::projective(), 0.8, 2);
+        for sh in &sim.shards {
+            let tiles = sh.index.tiles();
+            assert!(tiles.iter().any(|t| t.active_runs().count() > 1));
+            let stored: usize = tiles.iter().map(|t| (t.hi - t.lo) as usize).sum();
+            assert!(stored < sh.index.len(), "ghost-only tiles keep storage");
+        }
+        let mut want = Vec::new();
+        for tr in sim.decomp.halo_transfers() {
+            let (src, dst) = (&sim.shards[tr.from], &sim.shards[tr.to]);
+            for y in 0..src.geom.ny {
+                let scid = src.index.compact[src.geom.idx(tr.src_lx, y, 0)];
+                if scid != usize::MAX {
+                    let dcid = dst.index.compact[dst.geom.idx(tr.dst_lx, y, 0)];
+                    want.push((tr.from, tr.to, scid as u32, dcid as u32));
+                }
+            }
+        }
+        let got: Vec<_> = sim
+            .plan
+            .iter()
+            .flat_map(|t| t.pairs.iter().map(|&(s, d)| (t.from, t.to, s, d)))
+            .collect();
+        assert_eq!(got, want);
+        assert!(sim.plan.iter().all(|t| !t.pairs.is_empty()));
+        assert_eq!(sim.halo_bytes_per_step(), (got.len() * 6 * 8) as u64);
     }
 
     /// LBCK round-trips for both sharded sparse flavors are bitwise.

@@ -14,7 +14,8 @@
 //! `sparse-st` / `sparse-mr`), positive wall-clock measurements with the
 //! in-place patterns present in `bench`, byte-exact halved residency in
 //! `aa`, and a porosity sweep whose sparse residency shrinks with the
-//! fluid count in `sparse`. Exits non-zero on the first failure.
+//! fluid count plus one timed row per sparse driver in `sparse`. Exits
+//! non-zero on the first failure.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -76,9 +77,25 @@ fn validate_bench(v: &obs::json::Value, section: &str) -> Result<String, String>
         }
     }
     if section == "sparse" {
+        // Both drivers present, each with exactly one wall-clock row (the
+        // `perf_trend` input).
         for required in ["sparse-st", "sparse-mr"] {
             if !seen.contains(required) {
                 return Err(format!("sparse record has no '{required}' rows"));
+            }
+            let timed = rows
+                .iter()
+                .filter(|r| {
+                    let num = |k: &str| r.get(k).and_then(|x| x.as_f64()).unwrap_or(0.0);
+                    r.get("pattern").and_then(|p| p.as_str()) == Some(required)
+                        && num("measured_mflups") > 0.0
+                        && num("speedup_vs_st") > 0.0
+                })
+                .count();
+            if timed != 1 {
+                return Err(format!(
+                    "sparse record has {timed} timed '{required}' rows, expected 1"
+                ));
             }
         }
         let sweep = v

@@ -444,3 +444,368 @@ fn sparse_3d_matches_dense_fnv_sweep() {
         }
     }
 }
+
+/// SplitMix64 finalizer: the coordinate hash of the seeded rock.
+fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Box with walls on its y (and, in 3D, z) faces, periodic in x, and
+/// `solid_pct` % of the interior turned to rock by a seeded coordinate
+/// hash — the `porous` benchmark's generator (each node decided on its own,
+/// so the rock lines up with no tile and no shard cut).
+fn hashed_rock(seed: u64, (nx, ny, nz): (usize, usize, usize), solid_pct: u64) -> Geometry {
+    let mut g = Geometry::new(nx, ny, nz, [true, false, false]);
+    let key = mix(seed ^ 0x706f_726f_7573);
+    for z in 0..nz {
+        for y in 0..ny {
+            for x in 0..nx {
+                let face = y == 0 || y == ny - 1 || (nz > 1 && (z == 0 || z == nz - 1));
+                let h = mix(key ^ ((x as u64) << 32 | (z as u64) << 16 | y as u64));
+                if face || h % 100 < solid_pct {
+                    g.set(x, y, z, NodeType::Wall);
+                }
+            }
+        }
+    }
+    g
+}
+
+/// A 2D box of solid rock with the given nodes carved back out.
+fn carved(nx: usize, ny: usize, fluid: impl Fn(usize, usize) -> bool) -> Geometry {
+    let mut g = Geometry::walls_y_periodic_x(nx, ny);
+    for y in 1..ny - 1 {
+        for x in 0..nx {
+            if !fluid(x, y) {
+                g.set(x, y, 0, NodeType::Wall);
+            }
+        }
+    }
+    g
+}
+
+/// The 2D edges the tile-batched sparse MR kernel has to get right, from
+/// one seed:
+/// * `rock50` — the benchmark's 50 % hashed rock at 64×32;
+/// * `channels` — one-node-wide channels laid along the 8×8 tile seams
+///   (rows `8k`, columns `8k + 7`) plus a one-node-wide diagonal, so most
+///   upstream links leave the tile and many tiles hold a node or two;
+/// * `dead-ends` — isolated single fluid nodes (every link bounces back:
+///   an empty halo directory) beside one open chamber;
+/// * `narrow` — `nx = 5 < LANES`, periodic wrap inside one tile column.
+fn sparse_edge_geometries(seed: u64) -> Vec<(&'static str, Geometry)> {
+    vec![
+        ("rock50", hashed_rock(seed, (64, 32, 1), 50)),
+        (
+            "channels",
+            carved(40, 26, |x, y| y % 8 == 0 || x % 8 == 7 || x == y + 3),
+        ),
+        (
+            "dead-ends",
+            carved(32, 20, |x, y| {
+                (x % 8 == 3 && y % 8 == 4) || ((17..23).contains(&x) && (9..13).contains(&y))
+            }),
+        ),
+        ("narrow", hashed_rock(seed, (5, 19, 1), 30)),
+    ]
+}
+
+/// Sparse MR on `geom`: the tile-batched lane kernel under 1, 2 and 3
+/// pooled threads with the strict race checker, the node-at-a-time scalar
+/// reference, and the dense MR driver `dense` — FNV-equal at every step
+/// (step 0 included), with the full byte tally of every sparse variant
+/// equal at every step.
+fn assert_sparse_mr_equivalent<L: Lattice>(
+    what: &str,
+    geom: &Geometry,
+    scheme: MrScheme,
+    steps: u64,
+    dense: &mut dyn Simulation,
+) {
+    let mk = || {
+        let mut s = lbm_mr::kernels::SparseMrSim::<L>::new(
+            DeviceSpec::v100(),
+            geom.clone(),
+            scheme.clone(),
+            0.8,
+        );
+        s.init_with(shear_init);
+        s
+    };
+    let mut scalar = mk().with_scalar_kernels().with_cpu_threads(1);
+    let mut lanes: Vec<_> = (1..=3)
+        .map(|threads| {
+            mk().with_racecheck_strict()
+                .with_cpu_threads(threads)
+                .with_parallel_threshold(0)
+        })
+        .collect();
+    for step in 0..=steps {
+        if step > 0 {
+            dense.step();
+            scalar.step();
+            lanes.iter_mut().for_each(|s| s.step());
+        }
+        let want = dense.field_checksum();
+        assert_eq!(
+            scalar.field_checksum(),
+            want,
+            "{what}: scalar sparse MR vs dense MR at step {step}"
+        );
+        for (k, s) in lanes.iter().enumerate() {
+            assert_eq!(
+                s.field_checksum(),
+                want,
+                "{what}: lane kernel on {} threads vs dense MR at step {step}",
+                k + 1
+            );
+            assert_eq!(
+                s.traffic(),
+                scalar.traffic(),
+                "{what}: tally on {} threads vs scalar reference at step {step}",
+                k + 1
+            );
+        }
+    }
+    assert_eq!(lanes[0].steps(), steps);
+    if steps == 0 {
+        assert_eq!(lanes[0].measured_bpf(), 0.0, "{what}: no updates yet");
+    }
+}
+
+/// The tile-batched sparse MR kernel on generated edges (2D, MR-P and
+/// MR-R), zero steps included.
+#[test]
+fn sparse_mr_tile_batches_match_on_generated_edges() {
+    for (name, geom) in sparse_edge_geometries(7) {
+        for scheme in [MrScheme::projective(), MrScheme::recursive::<D2Q9>()] {
+            let mut dense: MrSim2D<D2Q9> =
+                MrSim2D::new(DeviceSpec::v100(), geom.clone(), scheme.clone(), 0.8);
+            dense.init_with(shear_init);
+            assert_sparse_mr_equivalent::<D2Q9>(name, &geom, scheme, 6, &mut dense);
+        }
+    }
+    let geom = hashed_rock(7, (64, 32, 1), 50);
+    let mut dense: MrSim2D<D2Q9> = MrSim2D::new(
+        DeviceSpec::v100(),
+        geom.clone(),
+        MrScheme::projective(),
+        0.8,
+    );
+    dense.init_with(shear_init);
+    assert_sparse_mr_equivalent::<D2Q9>("zero steps", &geom, MrScheme::projective(), 0, &mut dense);
+}
+
+/// The same on D3Q19 with 4×4×4 tiles, 40 % hashed rock in a duct.
+#[test]
+fn sparse_mr_tile_batches_match_on_generated_edges_3d() {
+    let geom = hashed_rock(7, (11, 9, 10), 40);
+    for scheme in [MrScheme::projective(), MrScheme::recursive::<D3Q19>()] {
+        let mut dense: MrSim3D<D3Q19> =
+            MrSim3D::new(DeviceSpec::mi100(), geom.clone(), scheme.clone(), 0.8);
+        dense.init_with(shear_init);
+        assert_sparse_mr_equivalent::<D3Q19>("rock40-3d", &geom, scheme, 4, &mut dense);
+    }
+}
+
+/// The byte ledger of both solo sparse drivers on the 64×32 rock after six
+/// steps, recorded from the node-at-a-time kernels (ST with a touch-tracked
+/// link table, MR with its per-block memo) before the tile batching: reads,
+/// writes, bytes, DRAM bytes and L2 hits are all unmoved, at 1 and at 3
+/// threads.
+#[test]
+fn sparse_tallies_match_the_recorded_ledger() {
+    use lbm_mr::gpu::memory::Tally;
+    let geom = hashed_rock(7, (64, 32, 1), 50);
+    assert_eq!(geom.fluid_count(), 944);
+    for threads in [1, 3] {
+        let mut mr = SparseMrSim2D::new(
+            DeviceSpec::v100(),
+            geom.clone(),
+            MrScheme::projective(),
+            0.8,
+        )
+        .with_cpu_threads(threads)
+        .with_parallel_threshold(0);
+        mr.run(6);
+        assert_eq!(
+            mr.traffic(),
+            Tally {
+                reads: 99396,
+                writes: 33984,
+                bytes_read: 591264,
+                bytes_written: 271872,
+                dram_bytes_read: 475776,
+                l2_read_hits: 14436,
+            }
+        );
+        let mut st: StSparseSim<D2Q9, _> =
+            StSparseSim::new(DeviceSpec::v100(), geom.clone(), Bgk::new(0.8))
+                .with_cpu_threads(threads)
+                .with_parallel_threshold(0);
+        st.run(6);
+        assert_eq!(
+            st.traffic(),
+            Tally {
+                reads: 101952,
+                writes: 50976,
+                bytes_read: 611712,
+                bytes_written: 407808,
+                dram_bytes_read: 611712,
+                l2_read_hits: 0,
+            }
+        );
+    }
+}
+
+/// Byte tally and launch count a hub has seen, summed over kernels and
+/// devices (the sharded drivers publish their launches only there).
+fn hub_tally(hub: &Obs) -> [u64; 5] {
+    let names = [
+        "bytes_read",
+        "bytes_written",
+        "dram_bytes_read",
+        "l2_read_hits",
+        "launches",
+    ];
+    let mut out = [0u64; 5];
+    for (key, metric) in hub.metrics.snapshot() {
+        if let (Some(k), obs::Metric::Counter(v)) =
+            (names.iter().position(|n| *n == key.name), metric)
+        {
+            out[k] += v;
+        }
+    }
+    out
+}
+
+/// Shard cuts through rock. The widths are chosen so every shard's local
+/// box is 25 columns wide (23 owned + 2 ghosts): the first tile column
+/// holds the left ghost, so its active lists are non-contiguous, and the
+/// fourth is the right ghost alone — tiles that keep storage but have no
+/// active node. Both sharded sparse drivers must match their solo twins
+/// FNV-bitwise at every step, under 1 and 3 threads, with the lane and the
+/// scalar MR kernels, and move exactly `halo_bytes_per_step()` per step.
+#[test]
+fn sharded_sparse_cuts_through_rock_match_solo() {
+    for (shards, nx) in [(2usize, 46usize), (3, 69)] {
+        let geom = hashed_rock(7, (nx, 24, 1), 50);
+        let mut solo_mr = SparseMrSim2D::new(
+            DeviceSpec::v100(),
+            geom.clone(),
+            MrScheme::projective(),
+            0.8,
+        );
+        let mut solo_st: StSparseSim<D2Q9, _> =
+            StSparseSim::new(DeviceSpec::v100(), geom.clone(), Bgk::new(0.8));
+        solo_mr.init_with(shear_init);
+        solo_st.init_with(shear_init);
+        let mk_mr = |threads: usize| {
+            let hub = Obs::shared();
+            let mut s: MultiSparseMrSim<D2Q9> = MultiSparseMrSim::new(
+                DeviceSpec::v100(),
+                geom.clone(),
+                MrScheme::projective(),
+                0.8,
+                shards,
+            )
+            .with_cpu_threads(threads)
+            .with_parallel_threshold(0)
+            .with_obs(hub.clone());
+            s.init_with(shear_init);
+            (s, hub)
+        };
+        let (mut mr1, hub1) = mk_mr(1);
+        let (mut mr3, hub3) = mk_mr(3);
+        let (mrs, hubs) = mk_mr(2);
+        let mut mrs = mrs.with_scalar_kernels();
+        let hub_st = Obs::shared();
+        let mut st: MultiSparseStSim<D2Q9, _> =
+            MultiSparseStSim::new(DeviceSpec::v100(), geom.clone(), Bgk::new(0.8), shards)
+                .with_cpu_threads(3)
+                .with_parallel_threshold(0)
+                .with_obs(hub_st.clone());
+        st.init_with(shear_init);
+        let steps = 5u64;
+        for step in 0..=steps {
+            if step > 0 {
+                solo_mr.step();
+                solo_st.step();
+                mr1.step();
+                mr3.step();
+                mrs.step();
+                st.step();
+            }
+            let want = solo_mr.field_checksum();
+            assert_eq!(
+                mr1.field_checksum(),
+                want,
+                "x{shards} MR, 1 thread, step {step}"
+            );
+            assert_eq!(
+                mr3.field_checksum(),
+                want,
+                "x{shards} MR, 3 threads, step {step}"
+            );
+            assert_eq!(
+                mrs.field_checksum(),
+                want,
+                "x{shards} MR, scalar, step {step}"
+            );
+            assert_eq!(
+                st.field_checksum(),
+                solo_st.field_checksum(),
+                "x{shards} ST, step {step}"
+            );
+        }
+        // Recorded from the node-at-a-time kernels this driver replaced
+        // (`[bytes_read, bytes_written, dram_bytes_read, l2_read_hits,
+        // launches]` over all shards): the batching moved no counted access.
+        let (want_mr, want_st, halo_mr, halo_st) = match shards {
+            2 => (
+                [254520, 117600, 214200, 5040, 10],
+                [264600, 176400, 264600, 0, 10],
+                1920,
+                2880,
+            ),
+            _ => (
+                [372000, 173760, 317040, 6870, 15],
+                [390960, 260640, 390960, 0, 15],
+                2784,
+                4176,
+            ),
+        };
+        assert_eq!(hub_tally(&hub1), want_mr, "x{shards} MR tally vs recorded");
+        assert_eq!(
+            hub_tally(&hub_st),
+            want_st,
+            "x{shards} ST tally vs recorded"
+        );
+        assert_eq!(mr1.halo_bytes_per_step(), halo_mr);
+        assert_eq!(st.halo_bytes_per_step(), halo_st);
+        assert_eq!(
+            hub_tally(&hub1),
+            hub_tally(&hub3),
+            "x{shards} MR tally, 1 vs 3 threads"
+        );
+        assert_eq!(
+            hub_tally(&hub1),
+            hub_tally(&hubs),
+            "x{shards} MR tally, lanes vs scalar"
+        );
+        for (link_bytes, per_step) in [
+            (
+                mr1.interconnect().total_link_bytes(),
+                mr1.halo_bytes_per_step(),
+            ),
+            (
+                st.interconnect().total_link_bytes(),
+                st.halo_bytes_per_step(),
+            ),
+        ] {
+            assert_eq!(link_bytes, steps * per_step, "x{shards} interconnect tally");
+        }
+    }
+}

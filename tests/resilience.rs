@@ -741,6 +741,17 @@ fn obstacle_2d() -> Geometry {
     Geometry::walls_y_periodic_x(20, 10).with_cylinder(8.5, 5.0, 2.4)
 }
 
+/// 50 % hashed rock (the fleet's porous scenario): tiles of every fill,
+/// halo directories of every size, and a shard cut that runs through rock.
+fn rock_2d() -> Geometry {
+    lbm_serve::Scenario::Porous2D {
+        nx: 46,
+        ny: 24,
+        solid_pct: 50,
+    }
+    .geometry()
+}
+
 /// PR 10: the sparse drivers' parity with the dense family extends to the
 /// checkpoint harness — taking a snapshot never perturbs the run, and a
 /// fresh build restores bitwise (single-device ST and MR on an obstacle
@@ -769,6 +780,21 @@ fn sparse_checkpoint_roundtrip_bitwise() {
         s
     };
     ckpt_roundtrip(mk_mr(), mk_mr(), mk_mr(), 5, 7);
+
+    // On rock, from an odd step: the fresh build compiles its own halo
+    // directory and continues bitwise.
+    let mk_rock = || {
+        let mut s: SparseMrSim2D = SparseMrSim2D::new(
+            DeviceSpec::v100(),
+            rock_2d(),
+            MrScheme::recursive::<D2Q9>(),
+            0.8,
+        )
+        .with_cpu_threads(2);
+        s.init_with(shear_init);
+        s
+    };
+    ckpt_roundtrip(mk_rock(), mk_rock(), mk_rock(), 3, 4);
 }
 
 /// Sharded sparse checkpoints (ghost columns included in every shard's
@@ -789,6 +815,23 @@ fn multi_sparse_checkpoint_roundtrip_bitwise() {
         s
     };
     ckpt_roundtrip(mk(), mk(), mk(), 4, 6);
+
+    // Two shards cut through rock, from an odd step: directories and the
+    // exchange plan are rebuilt by the fresh build, ghosts come from the
+    // snapshot.
+    let mk_rock = || {
+        let mut s: MultiSparseMrSim<D2Q9> = MultiSparseMrSim::new(
+            DeviceSpec::v100(),
+            rock_2d(),
+            MrScheme::projective(),
+            0.8,
+            2,
+        )
+        .with_cpu_threads(2);
+        s.init_with(shear_init);
+        s
+    };
+    ckpt_roundtrip(mk_rock(), mk_rock(), mk_rock(), 3, 4);
 }
 
 /// PR 10 satellite: fault-injected sparse recovery. A NaN landing in the
