@@ -1006,8 +1006,9 @@ fn smoke(hub: &Arc<obs::Obs>) {
     let mut rec = obs::BenchRecord::new("smoke");
     obs_pass(hub, &mut rec);
 
-    // One sharded run with the hub attached so the trace nests
-    // step → kernel spans alongside halo-exchange spans.
+    // One four-shard run with the hub attached so the trace nests
+    // step → halo-exchange spans on this thread beside the shards' kernel
+    // spans (told apart by their `dev` arg) on the device threads.
     {
         use lbm_core::collision::Projective;
         use lbm_lattice::D2Q9;
@@ -1016,7 +1017,7 @@ fn smoke(hub: &Arc<obs::Obs>) {
             DeviceSpec::v100(),
             g2.clone(),
             Projective::new(lbm_bench::TAU),
-            2,
+            4,
         )
         .with_obs(hub.clone())
         .with_monitor(obs::MonitorConfig {

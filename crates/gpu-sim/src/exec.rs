@@ -314,6 +314,10 @@ pub struct Gpu {
     trace_ctx: Option<obs::fleet::TraceCtx>,
     /// Injected-fault script consulted at launch entry (tests/resilience).
     faults: Option<Arc<crate::fault::FaultPlan>>,
+    /// Position in the owning [`crate::MultiGpu`] (`None` for a solo
+    /// device): every device of a ring shares one `device` name, so kernel
+    /// spans and the per-device counters carry this as `dev`.
+    index: Option<usize>,
     /// Lazily-spawned persistent pool of `cpu_threads − 1` worker threads
     /// (the launching thread is the remaining participant).
     pool: OnceLock<WorkerPool>,
@@ -343,6 +347,7 @@ impl Gpu {
             obs: None,
             trace_ctx: None,
             faults: None,
+            index: None,
             pool: OnceLock::new(),
             arena: Mutex::new(Vec::new()),
         }
@@ -358,6 +363,12 @@ impl Gpu {
     /// Builder-style [`Gpu::set_fault_plan`].
     pub fn with_fault_plan(mut self, plan: Arc<crate::fault::FaultPlan>) -> Self {
         self.set_fault_plan(plan);
+        self
+    }
+
+    /// Record this device's position in its ring (see the `index` field).
+    pub(crate) fn with_index(mut self, i: usize) -> Self {
+        self.index = Some(i);
         self
     }
 
@@ -472,14 +483,12 @@ impl Gpu {
                 // The kernel never ran: report a zero tally so accounting
                 // reflects that nothing moved, and make the abort visible.
                 if let Some(o) = &self.obs {
-                    o.tracer.instant(
-                        "fault",
-                        "launch-abort",
-                        &[
-                            ("kernel", kernel.name().to_string()),
-                            ("device", self.device.name.to_string()),
-                        ],
-                    );
+                    let mut args = vec![
+                        ("kernel", kernel.name().to_string()),
+                        ("device", self.device.name.to_string()),
+                    ];
+                    args.extend(self.index.map(|i| ("dev", i.to_string())));
+                    o.tracer.instant("fault", "launch-abort", &args);
                     o.metrics.counter_add(
                         "fault_launch_aborts",
                         &[("kernel", kernel.name()), ("device", self.device.name)],
@@ -535,6 +544,7 @@ impl Gpu {
                 ("threads_per_block", cfg.threads_per_block.to_string()),
                 ("phases", phases.to_string()),
             ];
+            args.extend(self.index.map(|i| ("dev", i.to_string())));
             if let Some(ctx) = &self.trace_ctx {
                 ctx.append_args(&mut args);
             }
@@ -635,6 +645,14 @@ impl Gpu {
             m.counter_add("l2_read_hits", &labels, stats.tally.l2_read_hits);
             if use_pool {
                 m.counter_add("exec_block_steal", &labels, stolen);
+            }
+            // The counters above sum over a ring's devices (they share one
+            // `device` name); these two keep each shard's load apart.
+            if let Some(i) = self.index {
+                let dev = i.to_string();
+                let dlabels = [("device", self.device.name), ("dev", dev.as_str())];
+                m.counter_add("device_launches", &dlabels, 1);
+                m.counter_add("device_dram_bytes", &dlabels, stats.tally.dram_bytes());
             }
             // Live roofline attribution: cumulative DRAM bytes over
             // cumulative kernel wall-clock is the achieved bandwidth; its

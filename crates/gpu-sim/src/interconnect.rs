@@ -16,10 +16,11 @@
 use crate::device::{DeviceSpec, Vendor};
 use crate::exec::Gpu;
 use crate::fault::FaultPlan;
+use crate::pool::WorkerPool;
 use crate::profiler::Profiler;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Typed interconnect failure, surfaced to the decomposition layer so the
 /// recovery machinery can distinguish "retry may help" from "give up".
@@ -178,6 +179,14 @@ impl Link {
     }
 }
 
+/// Split a budget of `n` host threads over `devices` devices into `(team,
+/// per_device)`; the rule is stated on [`MultiGpu::with_cpu_threads`].
+fn thread_budget(n: usize, devices: usize) -> (usize, usize) {
+    let n = n.max(1);
+    let team = n.min(devices);
+    (team, (n / team).max(1))
+}
+
 /// N simulated devices of one spec joined in a ring (the chain degenerate
 /// case for N = 2, no links for N = 1). Devices are homogeneous, as in the
 /// paper's single-node multi-GPU platforms.
@@ -189,14 +198,32 @@ pub struct MultiGpu {
     profiler: Option<Arc<Profiler>>,
     obs: Option<Arc<obs::Obs>>,
     faults: Option<Arc<FaultPlan>>,
+    /// Host threads that step devices side by side (the calling thread
+    /// included).
+    team: usize,
+    /// The `team − 1` helper threads, spawned by the first
+    /// [`MultiGpu::for_each_device`] that runs devices side by side. No
+    /// obs hub is ever attached to it: the `pool_workers*` gauges describe
+    /// the devices' launch pools.
+    team_pool: OnceLock<WorkerPool>,
 }
 
 impl MultiGpu {
-    /// Build `n` devices joined ring-wise with the vendor's preset link.
+    /// Build `n` devices joined ring-wise with the vendor's preset link,
+    /// sharing all available CPU parallelism (see
+    /// [`MultiGpu::with_cpu_threads`]).
     pub fn ring(spec: DeviceSpec, n: usize) -> Self {
         assert!(n > 0, "need at least one device");
         let link_spec = LinkSpec::preset_for(&spec);
-        let devices = (0..n).map(|_| Gpu::new(spec.clone())).collect();
+        let cpu = std::thread::available_parallelism().map_or(1, |c| c.get());
+        let (team, per_device) = thread_budget(cpu, n);
+        let devices = (0..n)
+            .map(|i| {
+                Gpu::new(spec.clone())
+                    .with_index(i)
+                    .with_cpu_threads(per_device)
+            })
+            .collect();
         // Neighbor pairs: (i, i+1) plus the wrap link for n > 2. For n = 2
         // the wrap pair equals (0, 1), so one link carries both cuts.
         let mut links = Vec::new();
@@ -214,12 +241,18 @@ impl MultiGpu {
             profiler: None,
             obs: None,
             faults: None,
+            team,
+            team_pool: OnceLock::new(),
         }
     }
 
     /// Attach a fault-injection plan to the link layer *and* every device
     /// (launch aborts). Apply after the thread/threshold builders, which
-    /// rebuild the devices.
+    /// rebuild the devices. With a plan attached
+    /// [`MultiGpu::for_each_device`] visits the devices one after another
+    /// in index order whatever the thread budget: the plan's skip counters
+    /// are shared by all devices, so the order of launches across devices
+    /// decides which one takes the fault.
     pub fn set_fault_plan(&mut self, plan: Arc<FaultPlan>) {
         for g in &mut self.devices {
             g.set_fault_plan(plan.clone());
@@ -233,14 +266,54 @@ impl MultiGpu {
         self
     }
 
-    /// Limit each device's CPU-thread pool (determinism in tests).
+    /// Set the host-thread budget of the whole ring to `n`: a team of
+    /// `min(n, devices)` threads steps devices side by side
+    /// ([`MultiGpu::for_each_device`]) and each device's launches get
+    /// `max(1, n / team)` threads, so `team × per_device ≤ n`. `n = 1`
+    /// spawns no thread at all; `n = 2` on four devices is two device
+    /// threads whose launches run inline. Results and tallies are the same
+    /// for every `n`.
     pub fn with_cpu_threads(mut self, n: usize) -> Self {
+        let (team, per_device) = thread_budget(n, self.devices.len());
         self.devices = self
             .devices
             .drain(..)
-            .map(|g| g.with_cpu_threads(n))
+            .map(|g| g.with_cpu_threads(per_device))
             .collect();
+        self.team = team;
+        self.team_pool = OnceLock::new();
         self
+    }
+
+    /// Run `f(r)` once for every device `r` and return the results in
+    /// device order. Devices are claimed one at a time by the team's
+    /// threads (this one included), so each device's launches stay in
+    /// program order on a single thread while different devices run side
+    /// by side; the call returns when all have finished. With a one-thread
+    /// team or a fault plan attached this is the plain loop `0..n` on the
+    /// calling thread. A panic in `f` is re-raised here once every device
+    /// thread is idle again, and the team stays usable.
+    pub fn for_each_device<T: Send>(&self, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        let n = self.devices.len();
+        if self.team == 1 || self.faults.is_some() {
+            return (0..n).map(f).collect();
+        }
+        let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        let pool = self
+            .team_pool
+            .get_or_init(|| WorkerPool::new(self.team - 1));
+        pool.run(n, &|r| {
+            let out = f(r);
+            *slots[r].lock().expect("slot written once, by one thread") = Some(out);
+        });
+        slots
+            .into_iter()
+            .map(|s| {
+                s.into_inner()
+                    .expect("slot written once, by one thread")
+                    .expect("the pool ran every device")
+            })
+            .collect()
     }
 
     /// Override each device's minimum pooled-launch size (see
@@ -527,6 +600,176 @@ mod tests {
         // Devices inherit the hub.
         assert!(mg.device(0).obs().is_some());
         assert!(mg.device(1).obs().is_some());
+    }
+
+    /// The budget table: the team never outgrows the devices or the budget,
+    /// what is left over goes to the launches, and nothing oversubscribes.
+    #[test]
+    fn thread_budget_splits_without_oversubscribing() {
+        assert_eq!(thread_budget(1, 4), (1, 1));
+        assert_eq!(thread_budget(2, 4), (2, 1));
+        assert_eq!(thread_budget(3, 2), (2, 1));
+        assert_eq!(thread_budget(4, 3), (3, 1));
+        assert_eq!(thread_budget(8, 4), (4, 2));
+        assert_eq!(thread_budget(8, 1), (1, 8));
+        assert_eq!(thread_budget(0, 3), (1, 1), "a zero budget means one");
+        for n in 1..=9 {
+            for devices in 1..=5 {
+                let (team, per_device) = thread_budget(n, devices);
+                assert_eq!(team, n.min(devices));
+                assert!(
+                    per_device >= 1 && team * per_device <= n,
+                    "{n} on {devices}"
+                );
+            }
+        }
+    }
+
+    /// A one-thread budget is the plain loop: index order, the calling
+    /// thread, and no team thread is ever spawned. So is any budget with a
+    /// fault plan attached, whose skip counters all devices share.
+    #[test]
+    fn one_thread_and_fault_plans_walk_devices_in_index_order() {
+        let walk = |mg: &MultiGpu| {
+            let seen = Mutex::new(Vec::new());
+            let out = mg.for_each_device(|r| {
+                seen.lock().unwrap().push((r, std::thread::current().id()));
+                r * 10
+            });
+            assert_eq!(out, [0, 10, 20, 30]);
+            let here = std::thread::current().id();
+            let want: Vec<_> = (0..4).map(|r| (r, here)).collect();
+            assert_eq!(*seen.lock().unwrap(), want);
+            assert!(mg.team_pool.get().is_none(), "a team thread was spawned");
+        };
+        walk(&MultiGpu::ring(DeviceSpec::v100(), 4).with_cpu_threads(1));
+        walk(
+            &MultiGpu::ring(DeviceSpec::v100(), 4)
+                .with_cpu_threads(4)
+                .with_fault_plan(Arc::new(FaultPlan::new())),
+        );
+    }
+
+    /// Two device threads really are live at once: every device waits
+    /// until two have arrived, which a single thread could never satisfy.
+    /// Results still come back in device order.
+    #[test]
+    fn devices_run_side_by_side_and_results_keep_device_order() {
+        let mg = MultiGpu::ring(DeviceSpec::v100(), 4).with_cpu_threads(2);
+        for _ in 0..50 {
+            let arrived = AtomicU64::new(0);
+            let out = mg.for_each_device(|r| {
+                arrived.fetch_add(1, Ordering::SeqCst);
+                while arrived.load(Ordering::SeqCst) < 2 {
+                    std::hint::spin_loop();
+                }
+                r + 100
+            });
+            assert_eq!(out, [100, 101, 102, 103]);
+        }
+        assert_eq!(mg.team_pool.get().map(WorkerPool::workers), Some(1));
+    }
+
+    /// A race-checker trip inside one device's launch — raised on that
+    /// device's launch pool, under a team thread — surfaces on the thread
+    /// that called `for_each_device`; the team runs the next call cleanly
+    /// and the ring drops without hanging.
+    #[test]
+    fn kernel_panic_on_one_device_surfaces_and_team_survives() {
+        use crate::exec::{BlockCtx, Launch, PhasedKernel};
+        use crate::memory::GlobalBuffer;
+        /// Block 0 overwrites in phase 0 what block 1 reads in phase 1.
+        struct StaleRead<'b>(&'b GlobalBuffer<f64>);
+        impl PhasedKernel for StaleRead<'_> {
+            fn name(&self) -> &str {
+                "stale_read"
+            }
+            fn phases(&self) -> usize {
+                2
+            }
+            fn run_phase(&self, phase: usize, ctx: &mut BlockCtx) {
+                match (phase, ctx.block_id) {
+                    (0, 0) => ctx.write(self.0, 5, 1.0),
+                    (1, 1) => drop(ctx.read(self.0, 5)),
+                    _ => {}
+                }
+            }
+        }
+        let obs = obs::Obs::shared();
+        let mg = MultiGpu::ring(DeviceSpec::v100(), 4)
+            .with_cpu_threads(8)
+            .with_parallel_threshold(0)
+            .with_obs(obs.clone());
+        let bufs: Vec<GlobalBuffer<f64>> = (0..4)
+            .map(|_| GlobalBuffer::new(8).with_racecheck_strict())
+            .collect();
+        let step = |bad: Option<usize>| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                mg.for_each_device(|r| {
+                    if bad == Some(r) {
+                        mg.device(r)
+                            .launch_lockstep(&Launch::simple(2, 32), &StaleRead(&bufs[r]));
+                    }
+                    r
+                })
+            }))
+        };
+        let err = step(Some(2)).expect_err("the trip must reach the caller");
+        let msg = err.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(msg.contains("stale read"), "unexpected panic: {msg:?}");
+        assert_eq!(
+            obs.tracer.open_spans_total(),
+            0,
+            "a span leaked past the panic"
+        );
+        assert_eq!(step(None).expect("the team is not poisoned"), [0, 1, 2, 3]);
+    }
+
+    /// Kernel spans and the per-device counters tell a ring's devices
+    /// apart; a solo device carries neither.
+    #[test]
+    fn device_index_labels_spans_and_counters() {
+        use crate::exec::{BlockCtx, Kernel, Launch};
+        struct Nop;
+        impl Kernel for Nop {
+            fn name(&self) -> &str {
+                "nop"
+            }
+            fn run_block(&self, _ctx: &mut BlockCtx) {}
+        }
+        let obs = obs::Obs::shared();
+        let mg = MultiGpu::ring(DeviceSpec::v100(), 3)
+            .with_cpu_threads(2)
+            .with_obs(obs.clone());
+        mg.for_each_device(|r| {
+            for _ in 0..=r {
+                mg.device(r).launch(&Launch::simple(1, 32), &Nop);
+            }
+        });
+        for r in 0..3 {
+            let dev = r.to_string();
+            let spans = obs
+                .tracer
+                .events()
+                .iter()
+                .filter(|e| e.ph == 'B' && e.args.contains(&("dev".to_string(), dev.clone())))
+                .count();
+            assert_eq!(spans, r + 1);
+            let labels = [("device", "NVIDIA V100"), ("dev", dev.as_str())];
+            assert_eq!(
+                obs.metrics.counter("device_launches", &labels),
+                Some(r as u64 + 1)
+            );
+        }
+        // The team pool never publishes into the launch pools' gauges.
+        assert_eq!(obs.metrics.gauge("pool_workers", &[]), None);
+
+        let solo = Gpu::new(DeviceSpec::v100()).with_obs(obs.clone());
+        let before = obs.tracer.len();
+        solo.launch(&Launch::simple(1, 32), &Nop);
+        assert!(obs.tracer.events()[before..]
+            .iter()
+            .all(|e| e.args.iter().all(|(k, _)| k != "dev")));
     }
 
     #[test]

@@ -120,7 +120,9 @@ impl<L: Lattice, C: Collision<L>> MultiAaStSim<L, C> {
         sim
     }
 
-    /// Limit each device's CPU worker threads.
+    /// Host-thread budget of the whole ring, split between threads that
+    /// step shards side by side and threads per launch (see
+    /// `gpu_sim::MultiGpu::with_cpu_threads`).
     pub fn with_cpu_threads(mut self, n: usize) -> Self {
         self.mg = self.mg.with_cpu_threads(n);
         self
@@ -201,7 +203,9 @@ impl<L: Lattice, C: Collision<L>> MultiAaStSim<L, C> {
     }
 
     /// Attach a deterministic fault plan to every device, every shard's
-    /// lattice, and the interconnect.
+    /// lattice, and the interconnect. With a plan attached the shards are
+    /// stepped one after another in index order at any thread count, so
+    /// the same shard takes the fault every time.
     pub fn with_fault_plan(mut self, plan: Arc<FaultPlan>) -> Self {
         self.mg.set_fault_plan(plan.clone());
         for sh in &mut self.shards {
@@ -286,7 +290,7 @@ impl<L: Lattice, C: Collision<L>> MultiAaStSim<L, C> {
             self.sample_monitor();
             return Ok(());
         }
-        let mut launch_bytes = vec![0u64; self.shards.len()];
+        let launch_bytes;
         let mut exchange_s = 0.0;
         if self.t.is_multiple_of(2) {
             // Stream half-step: pre-exchange, one in-place launch per
@@ -301,8 +305,9 @@ impl<L: Lattice, C: Collision<L>> MultiAaStSim<L, C> {
                 .map(|o| o.tracer.span_args("halo", "halo-exchange", &halo_args));
             let pre = self.exchange(Phase::Pre)?;
             drop(pre_span);
-            for (r, sh) in self.shards.iter().enumerate() {
-                let stats = launch_aa_stream_span::<L, C>(
+            launch_bytes = self.mg.for_each_device(|r| {
+                let sh = &self.shards[r];
+                launch_aa_stream_span::<L, C>(
                     self.mg.device(r),
                     &sh.a,
                     &sh.geom,
@@ -311,9 +316,10 @@ impl<L: Lattice, C: Collision<L>> MultiAaStSim<L, C> {
                     self.block_size,
                     sh.owned_lo,
                     sh.owned_hi,
-                );
-                launch_bytes[r] += stats.tally.dram_bytes();
-            }
+                )
+                .tally
+                .dram_bytes()
+            });
             let post_span = obs
                 .as_ref()
                 .map(|o| o.tracer.span_args("halo", "halo-exchange", &halo_args));
@@ -328,8 +334,9 @@ impl<L: Lattice, C: Collision<L>> MultiAaStSim<L, C> {
             exchange_s = exchange_time_s(&self.mg, &pre) + exchange_time_s(&self.mg, &post);
         } else {
             // Collide half-step: node-local, no exchange.
-            for (r, sh) in self.shards.iter().enumerate() {
-                let stats = launch_aa_collide_span::<L, C>(
+            launch_bytes = self.mg.for_each_device(|r| {
+                let sh = &self.shards[r];
+                launch_aa_collide_span::<L, C>(
                     self.mg.device(r),
                     &sh.a,
                     &sh.geom,
@@ -338,12 +345,13 @@ impl<L: Lattice, C: Collision<L>> MultiAaStSim<L, C> {
                     self.block_size,
                     sh.owned_lo,
                     sh.owned_hi,
-                );
-                launch_bytes[r] += stats.tally.dram_bytes();
-            }
+                )
+                .tally
+                .dram_bytes()
+            });
         }
         let spec = self.mg.spec().clone();
-        let launch_s = device_time_s(&spec, launch_bytes.iter().copied().max().unwrap_or(0));
+        let launch_s = device_time_s(&spec, launch_bytes.into_iter().max().unwrap_or(0));
         self.stats.record_step(0.0, launch_s, exchange_s, 0.0);
         self.t += 1;
         self.sample_monitor();
@@ -762,29 +770,28 @@ mod tests {
         ));
     }
 
-    /// Executor determinism: identical fields and link traffic under 1, 3,
-    /// and 8 CPU threads per device with forced pooling.
+    /// Four device threads with two pooled launch threads each trip no
+    /// strict race check on the in-place lattices, and land on the
+    /// one-thread run's fields.
     #[test]
-    fn executor_determinism_across_thread_counts() {
-        let run = |threads: usize| {
+    fn shards_side_by_side_are_racecheck_clean() {
+        let run = |threads: usize, strict: bool| {
             let geom = lid_geom(16, 8);
             let mut multi: MultiAaStSim<D2Q9, _> =
                 MultiAaStSim::new(DeviceSpec::v100(), geom, Projective::new(0.8), 4)
                     .with_cpu_threads(threads)
                     .with_parallel_threshold(0);
+            if strict {
+                for sh in &mut multi.shards {
+                    let a = std::mem::replace(&mut sh.a, GlobalBuffer::new(0));
+                    sh.a = a.with_racecheck_strict();
+                }
+            }
             multi.init_with(shear_init);
-            multi.run(8);
-            (
-                multi.velocity_field(),
-                multi.density_field(),
-                multi.interconnect().total_link_bytes(),
-            )
+            multi.run(6);
+            multi.field_checksum()
         };
-        let base = run(1);
-        for threads in [3, 8] {
-            let got = run(threads);
-            assert_eq!(base, got, "sharded AA diverges at {threads} threads");
-        }
+        assert_eq!(run(8, true), run(1, false));
     }
 
     #[test]

@@ -155,7 +155,9 @@ impl<L: Lattice> MultiMrSim2D<L> {
         sim
     }
 
-    /// Limit each device's CPU worker threads.
+    /// Host-thread budget of the whole ring, split between threads that
+    /// step shards side by side and threads per launch (see
+    /// `gpu_sim::MultiGpu::with_cpu_threads`).
     pub fn with_cpu_threads(mut self, n: usize) -> Self {
         self.mg = self.mg.with_cpu_threads(n);
         self
@@ -231,7 +233,9 @@ impl<L: Lattice> MultiMrSim2D<L> {
     }
 
     /// Attach a deterministic fault plan to every device, every shard's
-    /// moment lattices, and the interconnect.
+    /// moment lattices, and the interconnect. With a plan attached the
+    /// shards are stepped one after another in index order at any thread
+    /// count, so the same shard takes the fault every time.
     pub fn with_fault_plan(mut self, plan: Arc<FaultPlan>) -> Self {
         self.mg.set_fault_plan(plan.clone());
         for sh in &mut self.shards {
@@ -292,30 +296,34 @@ impl<L: Lattice> MultiMrSim2D<L> {
             }
             o.tracer.span_args("driver", "step", &args)
         });
-        let n_sh = self.shards.len();
-        let mut boundary_bytes = vec![0u64; n_sh];
-        let mut interior_bytes = vec![0u64; n_sh];
-        let mut bc_bytes = vec![0u64; n_sh];
+        // One shard's column launch over `cols`, on its own device: the
+        // DRAM bytes it moved.
+        let columns = |r: usize, cols: &[usize]| -> u64 {
+            let sh = &self.shards[r];
+            if cols.is_empty() {
+                return 0;
+            }
+            launch_mr2d_columns::<L>(
+                self.mg.device(r),
+                &sh.mom[sh.cur],
+                &sh.mom[sh.cur ^ 1],
+                &sh.geom,
+                &self.scheme,
+                &self.consts,
+                &sh.bulk,
+                self.t,
+                sh.col_w,
+                self.tile_h,
+                cols,
+            )
+            .tally
+            .dram_bytes()
+        };
 
         // Phase 1: edge column blocks.
-        for (r, sh) in self.shards.iter().enumerate() {
-            if !sh.strip_cols.is_empty() {
-                let stats = launch_mr2d_columns::<L>(
-                    self.mg.device(r),
-                    &sh.mom[sh.cur],
-                    &sh.mom[sh.cur ^ 1],
-                    &sh.geom,
-                    &self.scheme,
-                    &self.consts,
-                    &sh.bulk,
-                    self.t,
-                    sh.col_w,
-                    self.tile_h,
-                    &sh.strip_cols,
-                );
-                boundary_bytes[r] += stats.tally.dram_bytes();
-            }
-        }
+        let boundary_bytes = self
+            .mg
+            .for_each_device(|r| columns(r, &self.shards[r].strip_cols));
 
         // Phase 2: moment-space halo exchange (overlaps the interior).
         let _halo_span = obs.as_ref().map(|o| {
@@ -329,40 +337,28 @@ impl<L: Lattice> MultiMrSim2D<L> {
         drop(_halo_span);
 
         // Phase 3: interior column blocks.
-        for (r, sh) in self.shards.iter().enumerate() {
-            if !sh.interior_cols.is_empty() {
-                let stats = launch_mr2d_columns::<L>(
-                    self.mg.device(r),
-                    &sh.mom[sh.cur],
-                    &sh.mom[sh.cur ^ 1],
-                    &sh.geom,
-                    &self.scheme,
-                    &self.consts,
-                    &sh.bulk,
-                    self.t,
-                    sh.col_w,
-                    self.tile_h,
-                    &sh.interior_cols,
-                );
-                interior_bytes[r] += stats.tally.dram_bytes();
-            }
-        }
+        let interior_bytes = self
+            .mg
+            .for_each_device(|r| columns(r, &self.shards[r].interior_cols));
 
         // Phase 4: inlet/outlet rebuild (native to moment space).
-        for (r, sh) in self.shards.iter().enumerate() {
-            if !sh.boundary.is_empty() {
-                let stats = launch_mr_bc::<L>(
-                    self.mg.device(r),
-                    &sh.mom[sh.cur ^ 1],
-                    &sh.geom,
-                    self.tau,
-                    self.t + 1,
-                    &sh.boundary,
-                    64,
-                );
-                bc_bytes[r] += stats.tally.dram_bytes();
+        let bc_bytes = self.mg.for_each_device(|r| {
+            let sh = &self.shards[r];
+            if sh.boundary.is_empty() {
+                return 0;
             }
-        }
+            launch_mr_bc::<L>(
+                self.mg.device(r),
+                &sh.mom[sh.cur ^ 1],
+                &sh.geom,
+                self.tau,
+                self.t + 1,
+                &sh.boundary,
+                64,
+            )
+            .tally
+            .dram_bytes()
+        });
 
         let spec = self.mg.spec().clone();
         let max_t = |b: &[u64]| device_time_s(&spec, b.iter().copied().max().unwrap_or(0));
@@ -733,29 +729,54 @@ mod tests {
         assert!((m0 - m1).abs() < 1e-9 * m0, "mass drift {}", m1 - m0);
     }
 
-    /// Executor determinism across the sharded driver: identical fields and
-    /// halo traffic under 1, 3, and 8 CPU threads per device.
+    fn strict(sh: &mut MrShard) {
+        let n = sh.geom.len();
+        let mom = std::mem::replace(&mut sh.mom, [0, 1].map(|_| MomentLattice::new(n, 6, 0, 0)));
+        sh.mom = mom.map(MomentLattice::with_racecheck_strict);
+    }
+
+    /// Four device threads with two pooled launch threads each trip no
+    /// strict race check, and land on the one-thread run's fields.
     #[test]
-    fn executor_determinism_across_thread_counts() {
-        let run = |threads: usize| {
+    fn shards_side_by_side_are_racecheck_clean() {
+        let run = |threads: usize, check: bool| {
             let geom = Geometry::walls_y_periodic_x(16, 8);
             let mut multi: MultiMrSim2D<D2Q9> =
                 MultiMrSim2D::new(DeviceSpec::v100(), geom, MrScheme::projective(), 0.8, 4)
                     .with_cpu_threads(threads)
-                    .with_parallel_threshold(0); // force pooled dispatch at any size
+                    .with_parallel_threshold(0);
+            if check {
+                multi.shards.iter_mut().for_each(strict);
+            }
             multi.init_with(shear_init);
-            multi.run(8);
-            (
-                multi.velocity_field(),
-                multi.density_field(),
-                multi.halo_bytes_per_step(),
-                multi.interconnect().total_link_bytes(),
-            )
+            multi.run(6);
+            multi.field_checksum()
         };
-        let base = run(1);
-        for threads in [3, 8] {
-            let got = run(threads);
-            assert_eq!(base, got, "sharded MR2D diverges at {threads} threads");
-        }
+        assert_eq!(run(8, true), run(1, false));
+    }
+
+    /// A kernel that panics on one shard's device thread (here: a column
+    /// origin outside the shard) reaches the thread that called `step`,
+    /// leaves no span open on any thread, and the driver still drops.
+    #[test]
+    fn kernel_panic_in_one_shard_surfaces_on_the_stepping_thread() {
+        let hub = obs::Obs::shared();
+        let geom = Geometry::walls_y_periodic_x(16, 8);
+        let mut multi: MultiMrSim2D<D2Q9> =
+            MultiMrSim2D::new(DeviceSpec::v100(), geom, MrScheme::projective(), 0.8, 4)
+                .with_cpu_threads(4)
+                .with_obs(hub.clone());
+        multi.init_with(shear_init);
+        multi.run(2);
+        multi.shards[2].interior_cols = vec![1000];
+        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| multi.step()));
+        assert!(res.is_err(), "the shard's panic was swallowed");
+        assert_eq!(
+            hub.tracer.open_spans_total(),
+            0,
+            "a span leaked past the panic"
+        );
+        assert_eq!(multi.steps(), 2, "a failed step must not count");
+        drop(multi);
     }
 }

@@ -146,7 +146,9 @@ impl<L: Lattice> MultiMrSim3D<L> {
         sim
     }
 
-    /// Limit each device's CPU worker threads.
+    /// Host-thread budget of the whole ring, split between threads that
+    /// step shards side by side and threads per launch (see
+    /// `gpu_sim::MultiGpu::with_cpu_threads`).
     pub fn with_cpu_threads(mut self, n: usize) -> Self {
         self.mg = self.mg.with_cpu_threads(n);
         self
@@ -222,7 +224,9 @@ impl<L: Lattice> MultiMrSim3D<L> {
     }
 
     /// Attach a deterministic fault plan to every device, every shard's
-    /// moment lattices, and the interconnect.
+    /// moment lattices, and the interconnect. With a plan attached the
+    /// shards are stepped one after another in index order at any thread
+    /// count, so the same shard takes the fault every time.
     pub fn with_fault_plan(mut self, plan: Arc<FaultPlan>) -> Self {
         self.mg.set_fault_plan(plan.clone());
         for sh in &mut self.shards {
@@ -283,29 +287,33 @@ impl<L: Lattice> MultiMrSim3D<L> {
             }
             o.tracer.span_args("driver", "step", &args)
         });
-        let n_sh = self.shards.len();
-        let mut boundary_bytes = vec![0u64; n_sh];
-        let mut interior_bytes = vec![0u64; n_sh];
-        let mut bc_bytes = vec![0u64; n_sh];
-
-        for (r, sh) in self.shards.iter().enumerate() {
-            if !sh.strip_cols.is_empty() {
-                let stats = launch_mr3d_columns::<L>(
-                    self.mg.device(r),
-                    &sh.mom[sh.cur],
-                    &sh.mom[sh.cur ^ 1],
-                    &sh.geom,
-                    &self.scheme,
-                    &self.consts,
-                    &sh.bulk,
-                    self.t,
-                    sh.wx,
-                    sh.wy,
-                    &sh.strip_cols,
-                );
-                boundary_bytes[r] += stats.tally.dram_bytes();
+        // One shard's column launch over `cols`, on its own device: the
+        // DRAM bytes it moved.
+        let columns = |r: usize, cols: &[(usize, usize)]| -> u64 {
+            let sh = &self.shards[r];
+            if cols.is_empty() {
+                return 0;
             }
-        }
+            launch_mr3d_columns::<L>(
+                self.mg.device(r),
+                &sh.mom[sh.cur],
+                &sh.mom[sh.cur ^ 1],
+                &sh.geom,
+                &self.scheme,
+                &self.consts,
+                &sh.bulk,
+                self.t,
+                sh.wx,
+                sh.wy,
+                cols,
+            )
+            .tally
+            .dram_bytes()
+        };
+
+        let boundary_bytes = self
+            .mg
+            .for_each_device(|r| columns(r, &self.shards[r].strip_cols));
 
         let _halo_span = obs.as_ref().map(|o| {
             let mut args = Vec::new();
@@ -317,39 +325,27 @@ impl<L: Lattice> MultiMrSim3D<L> {
         let transfers = self.exchange()?;
         drop(_halo_span);
 
-        for (r, sh) in self.shards.iter().enumerate() {
-            if !sh.interior_cols.is_empty() {
-                let stats = launch_mr3d_columns::<L>(
-                    self.mg.device(r),
-                    &sh.mom[sh.cur],
-                    &sh.mom[sh.cur ^ 1],
-                    &sh.geom,
-                    &self.scheme,
-                    &self.consts,
-                    &sh.bulk,
-                    self.t,
-                    sh.wx,
-                    sh.wy,
-                    &sh.interior_cols,
-                );
-                interior_bytes[r] += stats.tally.dram_bytes();
-            }
-        }
+        let interior_bytes = self
+            .mg
+            .for_each_device(|r| columns(r, &self.shards[r].interior_cols));
 
-        for (r, sh) in self.shards.iter().enumerate() {
-            if !sh.boundary.is_empty() {
-                let stats = launch_mr_bc::<L>(
-                    self.mg.device(r),
-                    &sh.mom[sh.cur ^ 1],
-                    &sh.geom,
-                    self.tau,
-                    self.t + 1,
-                    &sh.boundary,
-                    64,
-                );
-                bc_bytes[r] += stats.tally.dram_bytes();
+        let bc_bytes = self.mg.for_each_device(|r| {
+            let sh = &self.shards[r];
+            if sh.boundary.is_empty() {
+                return 0;
             }
-        }
+            launch_mr_bc::<L>(
+                self.mg.device(r),
+                &sh.mom[sh.cur ^ 1],
+                &sh.geom,
+                self.tau,
+                self.t + 1,
+                &sh.boundary,
+                64,
+            )
+            .tally
+            .dram_bytes()
+        });
 
         let spec = self.mg.spec().clone();
         let max_t = |b: &[u64]| device_time_s(&spec, b.iter().copied().max().unwrap_or(0));
@@ -644,29 +640,28 @@ mod tests {
         assert_eq!(multi.interconnect().total_link_bytes(), 3 * per_step as u64);
     }
 
-    /// Executor determinism across the sharded driver: identical fields and
-    /// halo traffic under 1, 3, and 8 CPU threads per device.
+    /// Three device threads with two pooled launch threads each trip no
+    /// strict race check, and land on the one-thread run's fields.
     #[test]
-    fn executor_determinism_across_thread_counts() {
-        let run = |threads: usize| {
+    fn shards_side_by_side_are_racecheck_clean() {
+        let run = |threads: usize, strict: bool| {
             let geom = duct(12, 8, 8);
             let mut multi: MultiMrSim3D<D3Q19> =
                 MultiMrSim3D::new(DeviceSpec::v100(), geom, MrScheme::projective(), 0.8, 3)
                     .with_cpu_threads(threads)
-                    .with_parallel_threshold(0); // force pooled dispatch at any size
+                    .with_parallel_threshold(0);
+            if strict {
+                for sh in &mut multi.shards {
+                    let n = sh.geom.len();
+                    let blank = [0, 1].map(|_| MomentLattice::new(n, 10, 0, 0));
+                    let mom = std::mem::replace(&mut sh.mom, blank);
+                    sh.mom = mom.map(MomentLattice::with_racecheck_strict);
+                }
+            }
             multi.init_with(shear_init);
-            multi.run(6);
-            (
-                multi.velocity_field(),
-                multi.density_field(),
-                multi.halo_bytes_per_step(),
-                multi.interconnect().total_link_bytes(),
-            )
+            multi.run(4);
+            multi.field_checksum()
         };
-        let base = run(1);
-        for threads in [3, 8] {
-            let got = run(threads);
-            assert_eq!(base, got, "sharded MR3D diverges at {threads} threads");
-        }
+        assert_eq!(run(6, true), run(1, false));
     }
 }

@@ -179,7 +179,9 @@ fn locate(
 
 macro_rules! sparse_multi_common {
     ($name:ident, $pattern:literal, $dpn:expr) => {
-        /// Limit each device's CPU worker threads.
+        /// Host-thread budget of the whole ring, split between threads
+        /// that step shards side by side and threads per launch (see
+        /// `gpu_sim::MultiGpu::with_cpu_threads`).
         pub fn with_cpu_threads(mut self, n: usize) -> Self {
             self.mg = self.mg.with_cpu_threads(n);
             self
@@ -238,7 +240,9 @@ macro_rules! sparse_multi_common {
         }
 
         /// Attach a deterministic fault plan to every device, every shard's
-        /// state buffers, and the interconnect.
+        /// state buffers, and the interconnect. With a plan attached the
+        /// shards are stepped one after another in index order at any
+        /// thread count, so the same shard takes the fault every time.
         pub fn with_fault_plan(mut self, plan: Arc<FaultPlan>) -> Self {
             self.mg.set_fault_plan(plan.clone());
             for sh in &mut self.shards {
@@ -458,7 +462,8 @@ impl<L: Lattice, C: Collision<L>> MultiSparseStSim<L, C> {
         });
 
         // Update every shard's owned (active) nodes: read t, write t+1.
-        for (r, sh) in self.shards.iter().enumerate() {
+        self.mg.for_each_device(|r| {
+            let sh = &self.shards[r];
             launch_sparse_st::<L, C>(
                 self.mg.device(r),
                 &sh.bufs[sh.cur],
@@ -467,7 +472,7 @@ impl<L: Lattice, C: Collision<L>> MultiSparseStSim<L, C> {
                 &sh.index,
                 &self.collision,
             );
-        }
+        });
 
         // Per-tile halo exchange of the freshly computed edge columns.
         let _halo_span = obs.as_ref().map(|o| {
@@ -684,7 +689,8 @@ impl<L: Lattice> MultiSparseMrSim<L> {
         });
 
         // Update every shard's owned (active) nodes: read t, write t+1.
-        for (r, sh) in self.shards.iter().enumerate() {
+        self.mg.for_each_device(|r| {
+            let sh = &self.shards[r];
             launch_sparse_mr::<L>(
                 self.mg.device(r),
                 &sh.bufs[sh.cur],
@@ -696,7 +702,7 @@ impl<L: Lattice> MultiSparseMrSim<L> {
                 self.tau,
                 self.scalar,
             );
-        }
+        });
 
         // Per-tile moment-space halo exchange: M·8 bytes per fluid node.
         let _halo_span = obs.as_ref().map(|o| {
@@ -1023,25 +1029,48 @@ mod tests {
         );
     }
 
-    /// Executor determinism: identical fields and halo traffic under 1 and
-    /// 8 CPU threads per device with forced pooled dispatch.
+    fn strict(sh: &mut SparseShard) {
+        let blank = [GlobalBuffer::new(0), GlobalBuffer::new(0)];
+        let bufs = std::mem::replace(&mut sh.bufs, blank);
+        sh.bufs = bufs.map(GlobalBuffer::with_racecheck_strict);
+    }
+
+    /// Three device threads with two pooled launch threads each trip no
+    /// strict race check in either sparse driver, and land on the
+    /// one-thread run's fields.
     #[test]
-    fn executor_determinism_across_thread_counts() {
-        let run = |threads: usize| {
-            let geom = obstacle_geom();
-            let mut multi: MultiSparseMrSim<D2Q9> =
-                MultiSparseMrSim::new(DeviceSpec::v100(), geom, MrScheme::projective(), 0.8, 3)
+    fn shards_side_by_side_are_racecheck_clean() {
+        let run_st = |threads: usize, check: bool| {
+            let mut multi: MultiSparseStSim<D2Q9, _> =
+                MultiSparseStSim::new(DeviceSpec::v100(), obstacle_geom(), Projective::new(0.8), 3)
                     .with_cpu_threads(threads)
                     .with_parallel_threshold(0);
+            if check {
+                multi.shards.iter_mut().for_each(strict);
+            }
             multi.init_with(shear_init);
             multi.run(6);
-            (
-                multi.field_checksum(),
-                multi.interconnect().total_link_bytes(),
-            )
+            multi.field_checksum()
         };
-        let base = run(1);
-        assert_eq!(base, run(8), "sharded sparse MR diverges at 8 threads");
+        assert_eq!(run_st(6, true), run_st(1, false));
+        let run_mr = |threads: usize, check: bool| {
+            let mut multi: MultiSparseMrSim<D2Q9> = MultiSparseMrSim::new(
+                DeviceSpec::v100(),
+                obstacle_geom(),
+                MrScheme::projective(),
+                0.8,
+                3,
+            )
+            .with_cpu_threads(threads)
+            .with_parallel_threshold(0);
+            if check {
+                multi.shards.iter_mut().for_each(strict);
+            }
+            multi.init_with(shear_init);
+            multi.run(6);
+            multi.field_checksum()
+        };
+        assert_eq!(run_mr(6, true), run_mr(1, false));
     }
 
     /// Obs integration: step and halo-exchange spans, link metrics, and a

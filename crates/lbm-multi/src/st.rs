@@ -129,7 +129,9 @@ impl<L: Lattice, C: Collision<L>> MultiStSim<L, C> {
         sim
     }
 
-    /// Limit each device's CPU worker threads.
+    /// Host-thread budget of the whole ring, split between threads that
+    /// step shards side by side and threads per launch (see
+    /// `gpu_sim::MultiGpu::with_cpu_threads`).
     pub fn with_cpu_threads(mut self, n: usize) -> Self {
         self.mg = self.mg.with_cpu_threads(n);
         self
@@ -214,7 +216,9 @@ impl<L: Lattice, C: Collision<L>> MultiStSim<L, C> {
     }
 
     /// Attach a deterministic fault plan to every device, every shard's
-    /// distribution buffers, and the interconnect.
+    /// distribution buffers, and the interconnect. With a plan attached the
+    /// shards are stepped one after another in index order at any thread
+    /// count, so the same shard takes the fault every time.
     pub fn with_fault_plan(mut self, plan: Arc<FaultPlan>) -> Self {
         self.mg.set_fault_plan(plan.clone());
         for sh in &mut self.shards {
@@ -296,29 +300,35 @@ impl<L: Lattice, C: Collision<L>> MultiStSim<L, C> {
             }
             o.tracer.span_args("driver", "step", &args)
         });
-        let n_sh = self.shards.len();
-        let mut boundary_bytes = vec![0u64; n_sh];
-        let mut interior_bytes = vec![0u64; n_sh];
-        let mut bc_bytes = vec![0u64; n_sh];
+        // One shard's pull launches over `spans`, on its own device: the
+        // DRAM bytes they moved.
+        let pull = |r: usize, spans: &[(usize, usize)]| -> u64 {
+            let sh = &self.shards[r];
+            spans
+                .iter()
+                .map(|&(lo, hi)| {
+                    launch_st_pull_span::<L, C>(
+                        self.mg.device(r),
+                        &sh.f[sh.cur],
+                        &sh.f[sh.cur ^ 1],
+                        &sh.geom,
+                        &self.collision,
+                        &self.consts,
+                        self.block_size,
+                        lo,
+                        hi,
+                    )
+                    .tally
+                    .dram_bytes()
+                })
+                .sum()
+        };
 
         // Phase 1: boundary strips — the owned edge columns whose t+1
         // values the neighbors' ghosts need.
-        for (r, sh) in self.shards.iter().enumerate() {
-            for (lo, hi) in sh.strip_spans() {
-                let stats = launch_st_pull_span::<L, C>(
-                    self.mg.device(r),
-                    &sh.f[sh.cur],
-                    &sh.f[sh.cur ^ 1],
-                    &sh.geom,
-                    &self.collision,
-                    &self.consts,
-                    self.block_size,
-                    lo,
-                    hi,
-                );
-                boundary_bytes[r] += stats.tally.dram_bytes();
-            }
-        }
+        let boundary_bytes = self
+            .mg
+            .for_each_device(|r| pull(r, &self.shards[r].strip_spans()));
 
         // Phase 2: halo exchange of the strip results (overlapped with the
         // interior launch in the timing model).
@@ -333,37 +343,27 @@ impl<L: Lattice, C: Collision<L>> MultiStSim<L, C> {
         drop(_halo_span);
 
         // Phase 3: interior.
-        for (r, sh) in self.shards.iter().enumerate() {
-            if let Some((lo, hi)) = sh.interior_span() {
-                let stats = launch_st_pull_span::<L, C>(
-                    self.mg.device(r),
-                    &sh.f[sh.cur],
-                    &sh.f[sh.cur ^ 1],
-                    &sh.geom,
-                    &self.collision,
-                    &self.consts,
-                    self.block_size,
-                    lo,
-                    hi,
-                );
-                interior_bytes[r] += stats.tally.dram_bytes();
-            }
-        }
+        let interior_bytes = self
+            .mg
+            .for_each_device(|r| pull(r, self.shards[r].interior_span().as_slice()));
 
         // Phase 4: inlet/outlet rebuild on the shards owning global x edges.
-        for (r, sh) in self.shards.iter().enumerate() {
-            if !sh.boundary.is_empty() {
-                let stats = launch_st_bc::<L, C>(
-                    self.mg.device(r),
-                    &sh.f[sh.cur ^ 1],
-                    &sh.geom,
-                    &self.collision,
-                    &sh.boundary,
-                    self.block_size,
-                );
-                bc_bytes[r] += stats.tally.dram_bytes();
+        let bc_bytes = self.mg.for_each_device(|r| {
+            let sh = &self.shards[r];
+            if sh.boundary.is_empty() {
+                return 0;
             }
-        }
+            launch_st_bc::<L, C>(
+                self.mg.device(r),
+                &sh.f[sh.cur ^ 1],
+                &sh.geom,
+                &self.collision,
+                &sh.boundary,
+                self.block_size,
+            )
+            .tally
+            .dram_bytes()
+        });
 
         let spec = self.mg.spec().clone();
         let max_t = |b: &[u64]| device_time_s(&spec, b.iter().copied().max().unwrap_or(0));
@@ -787,29 +787,27 @@ mod tests {
         let _ = MultiStSim::<D2Q9, _>::new(DeviceSpec::v100(), geom, Bgk::new(0.8), 4);
     }
 
-    /// Executor determinism across the sharded driver: identical fields and
-    /// halo traffic under 1, 3, and 8 CPU threads per device.
+    /// Four device threads with two pooled launch threads each trip no
+    /// strict race check, and land on the one-thread run's fields.
     #[test]
-    fn executor_determinism_across_thread_counts() {
-        let run = |threads: usize| {
+    fn shards_side_by_side_are_racecheck_clean() {
+        let run = |threads: usize, strict: bool| {
             let geom = Geometry::walls_y_periodic_x(16, 8);
             let mut multi: MultiStSim<D2Q9, _> =
                 MultiStSim::new(DeviceSpec::v100(), geom, Projective::new(0.8), 4)
                     .with_cpu_threads(threads)
-                    .with_parallel_threshold(0); // force pooled dispatch at any size
+                    .with_parallel_threshold(0);
+            if strict {
+                for sh in &mut multi.shards {
+                    let f =
+                        std::mem::replace(&mut sh.f, [GlobalBuffer::new(0), GlobalBuffer::new(0)]);
+                    sh.f = f.map(GlobalBuffer::with_racecheck_strict);
+                }
+            }
             multi.init_with(shear_init);
-            multi.run(8);
-            (
-                multi.velocity_field(),
-                multi.density_field(),
-                multi.halo_bytes_per_step(),
-                multi.interconnect().total_link_bytes(),
-            )
+            multi.run(6);
+            multi.field_checksum()
         };
-        let base = run(1);
-        for threads in [3, 8] {
-            let got = run(threads);
-            assert_eq!(base, got, "sharded ST diverges at {threads} threads");
-        }
+        assert_eq!(run(8, true), run(1, false));
     }
 }

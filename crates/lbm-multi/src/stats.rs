@@ -18,7 +18,7 @@ use gpu_sim::interconnect::MultiGpu;
 use gpu_sim::DeviceSpec;
 
 /// Accumulated per-phase modeled times over all steps.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct OverlapStats {
     pub steps: u64,
     /// Σ max-over-devices boundary-strip time.

@@ -11,8 +11,9 @@ fn shear(_x: usize, y: usize, _z: usize) -> (f64, [f64; 3]) {
     (1.0, [0.04 * (y as f64 * 0.37).sin(), 0.0, 0.0])
 }
 
-/// Drive a sharded run (CPU worker threads per device, lockstep column
-/// kernels, halo exchange) with the tracer attached, and return the hub.
+/// Drive a sharded run (two device threads with two launch threads each,
+/// lockstep column kernels, halo exchange) with the tracer attached, and
+/// return the hub.
 fn traced_multi_run() -> std::sync::Arc<Obs> {
     let hub = Obs::shared();
     let geom = Geometry::walls_y_periodic_x(24, 10);
@@ -199,4 +200,49 @@ fn monitor_is_nonintrusive() {
             assert_eq!(a[k], b[k], "monitoring changed the physics");
         }
     }
+}
+
+/// Four shards stepped by a team of device threads: every kernel span
+/// names its device (`dev` 0..3 — the `device` arg is the same model name
+/// on all four), no thread is left with an open span, and the per-device
+/// counters split the launches the shared `launches` counter sums.
+#[test]
+fn sharded_kernel_spans_name_their_device() {
+    let hub = Obs::shared();
+    let geom = Geometry::walls_y_periodic_x(24, 10);
+    let mut sim: MultiMrSim2D<D2Q9> =
+        MultiMrSim2D::new(DeviceSpec::v100(), geom, MrScheme::projective(), 0.8, 4)
+            .with_cpu_threads(4)
+            .with_obs(hub.clone());
+    sim.init_with(shear);
+    sim.run(5);
+    assert_eq!(hub.tracer.open_spans_total(), 0);
+    let events = hub.tracer.events();
+    let kernels: Vec<_> = events
+        .iter()
+        .filter(|e| e.ph == 'B' && e.cat == "kernel")
+        .collect();
+    let dev_of = |e: &&lbm_mr::obs::TraceEvent| -> usize {
+        let arg = e.args.iter().find(|(k, _)| k == "dev");
+        arg.expect("kernel span without a dev arg")
+            .1
+            .parse()
+            .unwrap()
+    };
+    let labels = [("kernel", "mr2d-p"), ("device", "NVIDIA V100")];
+    let total = hub.metrics.counter("launches", &labels).unwrap();
+    assert_eq!(kernels.len() as u64, total);
+    let mut split = 0;
+    for dev in 0..4 {
+        let spans = kernels.iter().filter(|e| dev_of(e) == dev).count() as u64;
+        let d = dev.to_string();
+        let dlabels = [("device", "NVIDIA V100"), ("dev", d.as_str())];
+        assert_eq!(
+            hub.metrics.counter("device_launches", &dlabels),
+            Some(spans)
+        );
+        assert!(spans > 0, "device {dev} launched nothing");
+        split += spans;
+    }
+    assert_eq!(split, total);
 }

@@ -156,7 +156,7 @@ fn multi_st_checkpoint_roundtrip_bitwise() {
     let mk = || {
         let mut s: MultiStSim<D2Q9, _> =
             MultiStSim::new(DeviceSpec::v100(), geom.clone(), Projective::new(0.8), 3)
-                .with_cpu_threads(2);
+                .with_cpu_threads(4);
         s.init_with(shear_init);
         s
     };
@@ -174,7 +174,7 @@ fn multi_mr2d_checkpoint_roundtrip_bitwise() {
             0.8,
             4,
         )
-        .with_cpu_threads(2);
+        .with_cpu_threads(4);
         s.init_with(shear_init);
         s
     };
@@ -194,7 +194,7 @@ fn multi_mr2d_checkpoint_restores_overlap_stats() {
             0.8,
             4,
         )
-        .with_cpu_threads(2);
+        .with_cpu_threads(4);
         s.init_with(shear_init);
         s
     };
@@ -230,7 +230,7 @@ fn multi_mr3d_checkpoint_roundtrip_bitwise() {
             0.8,
             3,
         )
-        .with_cpu_threads(2);
+        .with_cpu_threads(4);
         s.init_with(shear_init);
         s
     };
@@ -263,7 +263,7 @@ fn multi_aa_checkpoint_roundtrip_at_odd_parity() {
     let mk = || {
         let mut s: MultiAaStSim<D2Q9, _> =
             MultiAaStSim::new(DeviceSpec::v100(), geom.clone(), Projective::new(0.8), 3)
-                .with_cpu_threads(2);
+                .with_cpu_threads(4);
         s.init_with(shear_init);
         s
     };
@@ -474,7 +474,7 @@ fn multi_st_recovers_from_nan_fault() {
     let mk = || {
         let mut s: MultiStSim<D2Q9, _> =
             MultiStSim::new(DeviceSpec::v100(), geom.clone(), Projective::new(0.8), 3)
-                .with_cpu_threads(2);
+                .with_cpu_threads(4);
         s.init_with(shear_init);
         s
     };
@@ -495,7 +495,7 @@ fn multi_mr2d_recovers_from_nan_fault() {
             0.8,
             4,
         )
-        .with_cpu_threads(2);
+        .with_cpu_threads(4);
         s.init_with(shear_init);
         s
     };
@@ -516,7 +516,7 @@ fn multi_mr3d_recovers_from_nan_fault() {
             0.8,
             3,
         )
-        .with_cpu_threads(2);
+        .with_cpu_threads(4);
         s.init_with(shear_init);
         s
     };
@@ -584,7 +584,7 @@ fn transient_link_failure_is_retried_with_identical_tallies() {
             0.8,
             4,
         )
-        .with_cpu_threads(2);
+        .with_cpu_threads(4);
         s.init_with(shear_init);
         s
     };
@@ -631,7 +631,7 @@ fn permanent_link_failure_surfaces_typed_error() {
     let plan = Arc::new(plan);
     let mut sim: MultiMrSim2D<D2Q9> =
         MultiMrSim2D::new(DeviceSpec::v100(), geom, MrScheme::projective(), 0.8, 4)
-            .with_cpu_threads(2)
+            .with_cpu_threads(4)
             .with_fault_plan(plan.clone());
     sim.init_with(shear_init);
 
@@ -667,7 +667,7 @@ fn retry_budget_exhaustion_surfaces_transient_error() {
     plan.fail_link(0, 1, 10);
     let mut sim: MultiMrSim2D<D2Q9> =
         MultiMrSim2D::new(DeviceSpec::v100(), geom, MrScheme::projective(), 0.8, 4)
-            .with_cpu_threads(2)
+            .with_cpu_threads(4)
             .with_halo_retry(HaloRetryPolicy {
                 max_attempts: 2,
                 backoff_base_us: 1,
@@ -723,7 +723,7 @@ fn multi_run_flushes_final_monitor_sample() {
     let geom = Geometry::walls_y_periodic_x(16, 8);
     let mut sim: MultiStSim<D2Q9, _> =
         MultiStSim::new(DeviceSpec::v100(), geom, Projective::new(0.8), 2)
-            .with_cpu_threads(2)
+            .with_cpu_threads(4)
             .with_monitor(obs::MonitorConfig {
                 cadence: 16,
                 ..Default::default()
@@ -810,7 +810,7 @@ fn multi_sparse_checkpoint_roundtrip_bitwise() {
             0.8,
             3,
         )
-        .with_cpu_threads(2);
+        .with_cpu_threads(4);
         s.init_with(shear_init);
         s
     };
@@ -827,7 +827,7 @@ fn multi_sparse_checkpoint_roundtrip_bitwise() {
             0.8,
             2,
         )
-        .with_cpu_threads(2);
+        .with_cpu_threads(4);
         s.init_with(shear_init);
         s
     };
@@ -889,7 +889,7 @@ fn multi_sparse_st_recovers_from_nan_fault() {
     let mk = || {
         let mut s: MultiSparseStSim<D2Q9, _> =
             MultiSparseStSim::new(DeviceSpec::v100(), geom.clone(), Projective::new(0.8), 3)
-                .with_cpu_threads(2);
+                .with_cpu_threads(4);
         s.init_with(shear_init);
         s
     };
@@ -911,7 +911,7 @@ fn multi_sparse_mr_recovers_from_nan_fault() {
             0.8,
             3,
         )
-        .with_cpu_threads(2);
+        .with_cpu_threads(4);
         s.init_with(shear_init);
         s
     };
@@ -919,4 +919,97 @@ fn multi_sparse_mr_recovers_from_nan_fault() {
     plan.inject_nan(15, 10);
     let plan = Arc::new(plan);
     assert_recovers(mk(), mk().with_fault_plan(plan.clone()), plan, 12, 4);
+}
+
+/// Where an injected write fault lands in a sharded run with no recovery
+/// around it: the step on which it fired and the `(shard, global node)`
+/// pairs it left non-finite.
+fn fault_site<S: Simulation>(
+    mut sim: S,
+    plan: &FaultPlan,
+    geom: &Geometry,
+    shards: usize,
+) -> (u64, Vec<(usize, usize)>) {
+    while plan.total_fired() == 0 {
+        assert!(sim.steps() < 32, "the fault never fired");
+        sim.step();
+    }
+    let decomp = lbm_multi::SlabDecomp::new(geom.clone(), shards);
+    let (rho, _) = sim.macro_fields();
+    let hit: Vec<(usize, usize)> = (0..rho.len())
+        .filter(|&i| geom.node_at(i).is_fluid_like() && !rho[i].is_finite())
+        .map(|i| (decomp.owner_of(geom.coords(i).0), i))
+        .collect();
+    assert!(!hit.is_empty(), "the fault fired but left no trace");
+    (sim.steps(), hit)
+}
+
+/// A fault plan's skip counters are shared by every shard's buffers, so
+/// which shard takes an injected fault depends on the order of the shards'
+/// launches. With a plan attached that order is index order at any thread
+/// budget: the fault lands on the same step, shard and node at 4 threads
+/// as at 1, for every sharded driver the recovery cases above cover.
+#[test]
+fn injected_faults_hit_the_same_shard_at_any_thread_budget() {
+    fn same_site<S: Simulation>(
+        name: &str,
+        geom: &Geometry,
+        shards: usize,
+        (cell, skip): (usize, u64),
+        mk: impl Fn(usize, Arc<FaultPlan>) -> S,
+    ) {
+        let site = |threads: usize| {
+            let mut plan = FaultPlan::new();
+            plan.inject_nan(cell, skip);
+            let plan = Arc::new(plan);
+            fault_site(mk(threads, plan.clone()), &plan, geom, shards)
+        };
+        assert_eq!(site(4), site(1), "{name}: the fault moved");
+    }
+    let flat = Geometry::walls_y_periodic_x(16, 8);
+    same_site("multi-st", &flat, 3, (30, 8), |threads, plan| {
+        let mut s: MultiStSim<D2Q9, _> =
+            MultiStSim::new(DeviceSpec::v100(), flat.clone(), Projective::new(0.8), 3)
+                .with_cpu_threads(threads)
+                .with_fault_plan(plan);
+        s.init_with(shear_init);
+        s
+    });
+    same_site("multi-mr2d", &flat, 4, (40, 10), |threads, plan| {
+        let scheme = MrScheme::projective();
+        let mut s: MultiMrSim2D<D2Q9> =
+            MultiMrSim2D::new(DeviceSpec::v100(), flat.clone(), scheme, 0.8, 4)
+                .with_cpu_threads(threads)
+                .with_fault_plan(plan);
+        s.init_with(shear_init);
+        s
+    });
+    let duct3 = duct(12, 8, 8);
+    same_site("multi-mr3d", &duct3, 3, (110, 4), |threads, plan| {
+        let scheme = MrScheme::projective();
+        let mut s: MultiMrSim3D<D3Q19> =
+            MultiMrSim3D::new(DeviceSpec::v100(), duct3.clone(), scheme, 0.8, 3)
+                .with_cpu_threads(threads)
+                .with_fault_plan(plan);
+        s.init_with(shear_init);
+        s
+    });
+    let rock = obstacle_2d();
+    same_site("multi-sparse-st", &rock, 3, (20, 10), |threads, plan| {
+        let mut s: MultiSparseStSim<D2Q9, _> =
+            MultiSparseStSim::new(DeviceSpec::v100(), rock.clone(), Projective::new(0.8), 3)
+                .with_cpu_threads(threads)
+                .with_fault_plan(plan);
+        s.init_with(shear_init);
+        s
+    });
+    same_site("multi-sparse-mr", &rock, 3, (15, 10), |threads, plan| {
+        let scheme = MrScheme::projective();
+        let mut s: MultiSparseMrSim<D2Q9> =
+            MultiSparseMrSim::new(DeviceSpec::v100(), rock.clone(), scheme, 0.8, 3)
+                .with_cpu_threads(threads)
+                .with_fault_plan(plan);
+        s.init_with(shear_init);
+        s
+    });
 }
