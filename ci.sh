@@ -17,6 +17,12 @@ cargo build --release --workspace
 echo "== cargo test"
 cargo test --workspace -q
 
+echo "== benchmark/ (own workspace: the crate every PR is scored by) builds and tests"
+# The root `cargo build` never compiles benchmark/, so an API reshaping in
+# the driver crates could break it unnoticed.
+cargo build --release --manifest-path benchmark/Cargo.toml
+cargo test --release --manifest-path benchmark/Cargo.toml
+
 echo "== reproduce smoke (multi-device bitwise + exact halo ratios + observability)"
 # Smoke fails hard on physics-monitor violations (NaN, mass drift > 1e-10)
 # and on any deviation from Table 2's byte-exact traffic ideals.

@@ -1,20 +1,19 @@
 //! The driver-facing simulation surface shared by every solver in the
 //! workspace.
 //!
-//! Six drivers (ST / MR-P / MR-R × single / multi-device) historically
-//! exposed the same inherent-method convention — `step`, `checkpoint`,
-//! `restore`, `field_checksum`, `with_obs`, … — duplicated six ways with
-//! nothing enforcing agreement. [`Simulation`] names that surface once, as
-//! an object-safe trait, so schedulers (`lbm-serve`), the recovery loop
+//! [`Simulation`] names what a scheduler needs of a driver — `step`,
+//! `checkpoint`, `restore`, `field_checksum`, `set_obs`, … — once, as an
+//! object-safe trait, so schedulers (`lbm-serve`), the recovery loop
 //! (`lbm-multi::recovery`), and tests can drive any driver through a
 //! `Box<dyn Simulation + Send>` without knowing its pattern, lattice, or
 //! sharding.
 //!
-//! The trait lives here (below `gpu-sim` in the crate graph) so it can be
-//! implemented by both the single-device drivers in `lbm-gpu` and the
-//! sharded ones in `lbm-multi`. Interconnect failures surface as the
-//! substrate-agnostic [`StepError`] — a mirror of `gpu-sim`'s `LinkError`
-//! that this crate cannot name directly.
+//! The trait lives here (below `gpu-sim` in the crate graph) and has two
+//! implementations, one per driver host: `lbm_gpu::Sim<B>` for every
+//! single-device pattern body and `lbm_multi::MultiSim<B>` for every
+//! sharded one (see `lbm_gpu::driver`). Interconnect failures surface as
+//! the substrate-agnostic [`StepError`] — a mirror of `gpu-sim`'s
+//! `LinkError` that this crate cannot name directly.
 
 use crate::io::CheckpointError;
 use std::sync::Arc;

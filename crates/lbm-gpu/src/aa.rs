@@ -46,10 +46,10 @@
 //! while resident bytes drop from `2Q·8` to `Q·8` per node.
 
 use crate::boundary::boundary_nodes;
+use crate::driver::{fill, DriverBody, DriverCore, Fields, Frame, Sim, SoloBody};
 use crate::st::for_each_run;
 use gpu_sim::exec::{BlockCtx, Kernel, Launch, LaunchStats};
-use gpu_sim::memory::Tally;
-use gpu_sim::{DeviceSpec, GlobalBuffer, Gpu};
+use gpu_sim::{DeviceSpec, FaultPlan, GlobalBuffer, Gpu};
 use lbm_core::boundary::WallGains;
 use lbm_core::collision::Collision;
 use lbm_core::geometry::{Geometry, NodeType};
@@ -57,6 +57,7 @@ use lbm_core::kernels::{aa_slot, KernelConsts, MAX_Q};
 use lbm_lattice::moments::Moments;
 use lbm_lattice::Lattice;
 use std::marker::PhantomData;
+use std::sync::Arc;
 
 /// Gather the streamed populations for node `idx` out of the even-state
 /// buffer (post-collision values in reversed slots). Case-for-case the
@@ -330,22 +331,19 @@ pub fn launch_aa_collide_span<L: Lattice, C: Collision<L>>(
     )
 }
 
-/// Driver for an in-place AA-pattern ST simulation: one `Q·n` lattice,
-/// bitwise equal to [`crate::StSim`] at every even step count.
-pub struct AaStSim<L: Lattice, C: Collision<L>> {
-    gpu: Gpu,
+/// The AA pattern's state: one `Q·n` lattice updated in place.
+pub struct AaSt<L: Lattice, C: Collision<L>> {
     geom: Geometry,
     a: GlobalBuffer<f64>,
     collision: C,
     consts: KernelConsts,
     block_size: usize,
-    steps: u64,
-    accum: Tally,
-    profiler: Option<std::sync::Arc<gpu_sim::profiler::Profiler>>,
-    obs: Option<std::sync::Arc<obs::Obs>>,
-    monitor: Option<obs::PhysicsMonitor>,
     _l: PhantomData<L>,
 }
+
+/// Driver for an in-place AA-pattern ST simulation: one `Q·n` lattice,
+/// bitwise equal to [`crate::StSim`] at every even step count.
+pub type AaStSim<L, C> = Sim<AaSt<L, C>>;
 
 impl<L: Lattice, C: Collision<L>> AaStSim<L, C> {
     /// Build an AA simulation on `device` over `geom`, initialized to
@@ -363,89 +361,30 @@ impl<L: Lattice, C: Collision<L>> AaStSim<L, C> {
         );
         let n = geom.len();
         let consts = KernelConsts::new::<L>(collision.tau());
-        let mut sim = AaStSim {
-            gpu: Gpu::new(device),
-            geom,
-            a: GlobalBuffer::new(L::Q * n).with_touch_tracking(),
-            collision,
-            consts,
-            block_size: 256,
-            steps: 0,
-            accum: Tally::default(),
-            profiler: None,
-            obs: None,
-            monitor: None,
-            _l: PhantomData,
-        };
-        sim.init_with(|_, _, _| (1.0, [0.0; 3]));
-        sim
-    }
-
-    /// Limit the CPU worker threads backing the substrate.
-    pub fn with_cpu_threads(mut self, n: usize) -> Self {
-        self.gpu = self.gpu.with_cpu_threads(n);
-        self
-    }
-
-    /// Override the minimum launch size dispatched to the worker pool;
-    /// `0` forces pooling for every multi-block launch.
-    pub fn with_parallel_threshold(mut self, items: usize) -> Self {
-        self.gpu = self.gpu.with_parallel_threshold(items);
-        self
-    }
-
-    /// Record every kernel launch into a shared profiler.
-    pub fn with_profiler(mut self, p: std::sync::Arc<gpu_sim::profiler::Profiler>) -> Self {
-        self.profiler = Some(p);
-        self
-    }
-
-    /// Attach an observability hub (step spans, kernel spans, launch
-    /// metrics).
-    pub fn with_obs(mut self, obs: std::sync::Arc<obs::Obs>) -> Self {
-        self.set_obs(obs);
-        self
-    }
-
-    /// In-place [`AaStSim::with_obs`] (the `Simulation` trait surface).
-    pub fn set_obs(&mut self, obs: std::sync::Arc<obs::Obs>) {
-        self.gpu.set_obs(obs.clone());
-        self.obs = Some(obs);
-    }
-
-    /// Attach (or clear) the fleet trace context.
-    pub fn set_trace_ctx(&mut self, ctx: Option<obs::TraceCtx>) {
-        self.gpu.set_trace_ctx(ctx);
-    }
-
-    /// Attach a physics monitor sampling the macroscopic fields every
-    /// `cfg.cadence` steps.
-    pub fn with_monitor(mut self, cfg: obs::MonitorConfig) -> Self {
-        self.monitor = Some(obs::PhysicsMonitor::new(cfg));
-        self
-    }
-
-    /// The attached physics monitor, if any.
-    pub fn monitor(&self) -> Option<&obs::PhysicsMonitor> {
-        self.monitor.as_ref()
-    }
-
-    /// Mutable access to the physics monitor (recovery rollback).
-    pub fn monitor_mut(&mut self) -> Option<&mut obs::PhysicsMonitor> {
-        self.monitor.as_mut()
+        Sim::from_body(
+            Gpu::new(device),
+            AaSt {
+                geom,
+                a: GlobalBuffer::new(L::Q * n).with_touch_tracking(),
+                collision,
+                consts,
+                block_size: 256,
+                _l: PhantomData,
+            },
+        )
     }
 
     /// Set the thread-block size of the half-step kernels.
     pub fn with_block_size(mut self, bs: usize) -> Self {
         assert!(bs >= 1);
-        self.block_size = bs;
+        self.body.block_size = bs;
         self
     }
 
     /// Run the original per-node scalar kernels instead of the vectorized
     /// SoA chunks (bitwise-identical; the equivalence oracle).
     pub fn with_scalar_kernels(mut self) -> Self {
-        self.consts.scalar = true;
+        self.body.consts.scalar = true;
         self
     }
 
@@ -453,22 +392,39 @@ impl<L: Lattice, C: Collision<L>> AaStSim<L, C> {
     /// overlap or stale read inside a launch panics. The in-place update's
     /// exclusive cell ownership is exactly what this verifies.
     pub fn with_racecheck_strict(mut self) -> Self {
-        let a = std::mem::replace(&mut self.a, GlobalBuffer::new(1));
-        self.a = a.with_racecheck_strict();
+        let a = std::mem::replace(&mut self.body.a, GlobalBuffer::new(1));
+        self.body.a = a.with_racecheck_strict();
         self
     }
 
-    /// Attach a deterministic fault plan to the device and the lattice.
-    pub fn with_fault_plan(mut self, plan: std::sync::Arc<gpu_sim::FaultPlan>) -> Self {
-        self.gpu.set_fault_plan(plan.clone());
-        self.a.set_fault_plan(plan);
-        self
+    /// Distribution at a node, un-permuted to natural direction order
+    /// regardless of the current parity.
+    pub fn f_at(&self, x: usize, y: usize, z: usize) -> Vec<f64> {
+        let b = &self.body;
+        let n = b.geom.len();
+        let idx = b.geom.idx(x, y, z);
+        (0..L::Q)
+            .map(|i| b.a.get(aa_slot::<L>(self.steps(), i) * n + idx))
+            .collect()
     }
 
-    /// Initialize all nodes to the operator-consistent equilibrium of a
-    /// macroscopic field, stored per the even-parity invariant (reversed
-    /// slots), and reset the step/traffic counters.
-    pub fn init_with(&mut self, field: impl Fn(usize, usize, usize) -> (f64, [f64; 3])) {
+    /// Moments at a node.
+    pub fn moments_at(&self, x: usize, y: usize, z: usize) -> Moments {
+        Moments::from_f::<L>(&self.f_at(x, y, z))
+    }
+}
+
+impl<L: Lattice, C: Collision<L>> DriverBody for AaSt<L, C> {
+    fn label(&self) -> &'static str {
+        "aa-st"
+    }
+
+    fn geom(&self) -> &Geometry {
+        &self.geom
+    }
+
+    /// Stored per the even-parity invariant (reversed slots).
+    fn init_with(&mut self, field: impl Fn(usize, usize, usize) -> (f64, [f64; 3])) {
         let n = self.geom.len();
         let mut feq = [0.0f64; MAX_Q];
         for idx in 0..n {
@@ -484,153 +440,14 @@ impl<L: Lattice, C: Collision<L>> AaStSim<L, C> {
                 self.a.set(aa_slot::<L>(0, i) * n + idx, feq[i]);
             }
         }
-        self.steps = 0;
-        self.accum = Tally::default();
     }
 
-    /// Advance one timestep: the stream half-step at even completed-step
-    /// counts, the in-place collide at odd ones.
-    pub fn step(&mut self) {
-        let obs = self.obs.clone();
-        let _step_span = obs.as_ref().map(|o| {
-            let mut args = vec![("t", self.steps.to_string())];
-            if let Some(ctx) = self.gpu.trace_ctx() {
-                ctx.append_args(&mut args);
-            }
-            o.tracer.span_args("driver", "step", &args)
-        });
-        let stats = if self.steps.is_multiple_of(2) {
-            launch_aa_stream_span::<L, C>(
-                &self.gpu,
-                &self.a,
-                &self.geom,
-                &self.collision,
-                &self.consts,
-                self.block_size,
-                0,
-                self.geom.nx,
-            )
-        } else {
-            launch_aa_collide_span::<L, C>(
-                &self.gpu,
-                &self.a,
-                &self.geom,
-                &self.collision,
-                &self.consts,
-                self.block_size,
-                0,
-                self.geom.nx,
-            )
-        };
-        self.accum.merge(&stats.tally);
-        if let Some(p) = &self.profiler {
-            p.record(&stats, self.geom.fluid_count() as u64);
-        }
-        self.steps += 1;
-        self.sample_monitor();
-    }
-
-    fn sample_monitor(&mut self) {
-        if !self.monitor.as_ref().is_some_and(|m| m.due(self.steps)) {
-            return;
-        }
-        let (rho, u) = self.macro_fields();
-        let s = self.monitor.as_mut().unwrap().observe(self.steps, &rho, &u);
-        if let Some(o) = &self.obs {
-            o.metrics
-                .gauge_set("monitor_mass", &[("pattern", "aa-st")], s.mass);
-            o.metrics
-                .gauge_set("monitor_max_u", &[("pattern", "aa-st")], s.max_u);
-            if s.nonfinite > 0 {
-                o.tracer.instant(
-                    "monitor",
-                    "nonfinite",
-                    &[
-                        ("step", s.step.to_string()),
-                        ("count", s.nonfinite.to_string()),
-                    ],
-                );
-            }
-        }
-    }
-
-    /// Advance `steps` timesteps, then force a final monitor sample.
-    pub fn run(&mut self, steps: usize) {
-        for _ in 0..steps {
-            self.step();
-        }
-        self.finish_monitor();
-    }
-
-    /// Force a final monitor sample at the current step.
-    pub fn finish_monitor(&mut self) {
-        if self.monitor.is_none() {
-            return;
-        }
-        let (rho, u) = self.macro_fields();
-        let s = self.monitor.as_mut().unwrap().finish(self.steps, &rho, &u);
-        if let (Some(s), Some(o)) = (s, &self.obs) {
-            o.metrics
-                .gauge_set("monitor_mass", &[("pattern", "aa-st")], s.mass);
-            o.metrics
-                .gauge_set("monitor_max_u", &[("pattern", "aa-st")], s.max_u);
-            o.tracer
-                .instant("monitor", "flush", &[("step", s.step.to_string())]);
-        }
-    }
-
-    /// Completed timesteps.
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-
-    /// Domain geometry.
-    pub fn geom(&self) -> &Geometry {
-        &self.geom
-    }
-
-    /// Aggregate traffic over all steps so far.
-    pub fn traffic(&self) -> Tally {
-        self.accum
-    }
-
-    /// Measured DRAM bytes per fluid lattice update (Table 2's B/F).
-    pub fn measured_bpf(&self) -> f64 {
-        let updates = self.geom.fluid_count() as u64 * self.steps;
-        if updates == 0 {
-            return 0.0;
-        }
-        self.accum.dram_bytes() as f64 / updates as f64
-    }
-
-    /// Device-memory footprint: exactly one lattice, `Q·8` bytes per node —
-    /// half of [`crate::StSim`].
-    pub fn footprint_bytes(&self) -> usize {
-        self.a.size_bytes()
-    }
-
-    /// Distribution at a node, un-permuted to natural direction order
-    /// regardless of the current parity.
-    pub fn f_at(&self, x: usize, y: usize, z: usize) -> Vec<f64> {
-        let n = self.geom.len();
-        let idx = self.geom.idx(x, y, z);
-        (0..L::Q)
-            .map(|i| self.a.get(aa_slot::<L>(self.steps, i) * n + idx))
-            .collect()
-    }
-
-    /// Moments at a node.
-    pub fn moments_at(&self, x: usize, y: usize, z: usize) -> Moments {
-        Moments::from_f::<L>(&self.f_at(x, y, z))
-    }
-
-    /// Density and velocity fields in one pass (solid nodes report zero).
     /// At even parity the slot un-permutation makes the per-node sums
-    /// bitwise identical to [`crate::StSim::macro_fields`]; at odd parity
-    /// the buffer holds the *streamed* inputs of the next step, so the
-    /// fields are the (deterministic, conservative) half-cycle state —
-    /// comparable to the two-lattice driver only at even counts.
-    pub fn macro_fields(&self) -> (Vec<f64>, Vec<[f64; 3]>) {
+    /// bitwise identical to [`crate::StSim`]'s; at odd parity the buffer
+    /// holds the *streamed* inputs of the next step, so the fields are the
+    /// (deterministic, conservative) half-cycle state — comparable to the
+    /// two-lattice driver only at even counts.
+    fn macro_fields(&self, t: u64) -> Fields {
         let n = self.geom.len();
         let mut rho_out = vec![0.0; n];
         let mut u_out = vec![[0.0; 3]; n];
@@ -641,7 +458,7 @@ impl<L: Lattice, C: Collision<L>> AaStSim<L, C> {
             let mut rho = 0.0;
             let mut j = [0.0f64; 3];
             for i in 0..L::Q {
-                let fi = self.a.get(aa_slot::<L>(self.steps, i) * n + idx);
+                let fi = self.a.get(aa_slot::<L>(t, i) * n + idx);
                 let c = L::cf(i);
                 rho += fi;
                 j[0] += c[0] * fi;
@@ -655,81 +472,63 @@ impl<L: Lattice, C: Collision<L>> AaStSim<L, C> {
         (rho_out, u_out)
     }
 
-    /// Velocity field (solid nodes report zero).
-    pub fn velocity_field(&self) -> Vec<[f64; 3]> {
-        self.macro_fields().1
+    /// Exactly one lattice, `Q·8` bytes per node — half of
+    /// [`crate::StSim`].
+    fn footprint_bytes(&self) -> usize {
+        self.a.size_bytes()
     }
 
-    /// Density field (solid nodes report zero).
-    pub fn density_field(&self) -> Vec<f64> {
-        self.macro_fields().0
+    fn set_fault_plan(&mut self, plan: Arc<FaultPlan>) {
+        self.a.set_fault_plan(plan);
     }
 
-    /// FNV-1a fingerprint of the macroscopic fields (bitwise-sensitive).
-    pub fn field_checksum(&self) -> u64 {
-        let (rho, u) = self.macro_fields();
-        lbm_core::io::field_checksum(&rho, &u)
-    }
-
-    /// Serialize the full solver state. The flavor tag carries the step
-    /// parity (`"aa-st+even"` / `"aa-st+odd"`), so a restore can only land
-    /// on the half of the AA cycle the snapshot was taken at.
-    pub fn checkpoint(&self) -> Vec<u8> {
-        let n = self.geom.len();
-        let flavor = lbm_core::io::parity_flavor("aa-st", self.steps);
-        let mut w = lbm_core::io::CheckpointWriter::new(&flavor);
-        w.put_u64(self.geom.nx as u64)
-            .put_u64(self.geom.ny as u64)
-            .put_u64(self.geom.nz as u64)
-            .put_u64(L::Q as u64)
-            .put_u64(self.steps)
-            .put_u64(self.accum.reads)
-            .put_u64(self.accum.writes)
-            .put_u64(self.accum.bytes_read)
-            .put_u64(self.accum.bytes_written)
-            .put_u64(self.accum.dram_bytes_read)
-            .put_u64(self.accum.l2_read_hits)
-            .put_f64s(&self.a.snapshot()[..L::Q * n]);
-        w.finish()
-    }
-
-    /// Restore an [`AaStSim::checkpoint`] snapshot taken on an identically
-    /// configured simulation. The parity baked into the flavor tag is
-    /// cross-checked against the stored step counter, so a snapshot whose
-    /// framing and payload disagree about the half-cycle is rejected.
-    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), lbm_core::io::CheckpointError> {
-        use lbm_core::io::{CheckpointError, CheckpointReader};
-        let (mut r, which) = CheckpointReader::open_any(bytes, &["aa-st+even", "aa-st+odd"])?;
-        r.expect_u64(self.geom.nx as u64, "nx")?;
-        r.expect_u64(self.geom.ny as u64, "ny")?;
-        r.expect_u64(self.geom.nz as u64, "nz")?;
-        r.expect_u64(L::Q as u64, "Q")?;
-        let steps = r.take_u64()?;
-        if steps % 2 != which as u64 {
-            return Err(CheckpointError::Mismatch(format!(
-                "flavor parity ({}) disagrees with stored step counter {steps}",
-                if which == 0 { "even" } else { "odd" }
-            )));
+    /// The flavor carries the step parity (`"aa-st+even"` / `"aa-st+odd"`).
+    fn frame(&self) -> Frame {
+        Frame {
+            flavor: "aa-st",
+            parity: true,
+            guards: vec![
+                ("nx", self.geom.nx as u64),
+                ("ny", self.geom.ny as u64),
+                ("nz", self.geom.nz as u64),
+                ("Q", L::Q as u64),
+            ],
         }
-        let accum = Tally {
-            reads: r.take_u64()?,
-            writes: r.take_u64()?,
-            bytes_read: r.take_u64()?,
-            bytes_written: r.take_u64()?,
-            dram_bytes_read: r.take_u64()?,
-            l2_read_hits: r.take_u64()?,
+    }
+
+    fn state_arrays(&self) -> Vec<Vec<f64>> {
+        vec![self.a.snapshot()]
+    }
+
+    fn state_lens(&self) -> Vec<usize> {
+        vec![self.a.len()]
+    }
+
+    fn install(&mut self, arrays: Vec<Vec<f64>>) {
+        fill(&self.a, &arrays[0]);
+    }
+}
+
+impl<L: Lattice, C: Collision<L>> SoloBody for AaSt<L, C> {
+    /// The stream half-step at even completed-step counts, the in-place
+    /// collide at odd ones.
+    fn advance(&mut self, gpu: &Gpu, core: &mut DriverCore) {
+        let launch = if core.steps().is_multiple_of(2) {
+            launch_aa_stream_span::<L, C>
+        } else {
+            launch_aa_collide_span::<L, C>
         };
-        let n = self.geom.len();
-        let a = r.take_f64s(L::Q * n)?;
-        for (i, v) in a.iter().enumerate() {
-            self.a.set(i, *v);
-        }
-        self.steps = steps;
-        self.accum = accum;
-        if let Some(m) = self.monitor.as_mut() {
-            m.rollback_to(self.steps);
-        }
-        Ok(())
+        let stats = launch(
+            gpu,
+            &self.a,
+            &self.geom,
+            &self.collision,
+            &self.consts,
+            self.block_size,
+            0,
+            self.geom.nx,
+        );
+        core.record(&stats, core.fluid_nodes());
     }
 }
 

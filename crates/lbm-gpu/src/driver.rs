@@ -1,0 +1,576 @@
+//! The driver chassis: everything a driver does that does not depend on
+//! its propagation pattern, written once.
+//!
+//! A driver is three parts:
+//!
+//! * [`DriverCore`] — plain state (step counter, cumulative [`Tally`], obs
+//!   hub, profiler, physics monitor) and what hangs off it: the
+//!   `driver/step` span, launch recording, monitor sampling with its
+//!   gauges and instants, `measured_bpf`, and the LBCK checkpoint envelope.
+//! * [`DriverBody`] — what a pattern supplies: storage, its gauge label,
+//!   its macroscopic fields, the arrays it keeps in a checkpoint.
+//!   [`SoloBody`] adds the one-device timestep.
+//! * [`Sim`] — the host: a core, a [`Gpu`] and a body. It carries every
+//!   shared builder and accessor and the one [`Simulation`] impl; a local
+//!   wrapper is what the orphan rule asks for to implement `lbm_core`'s
+//!   trait generically. `lbm-multi` hosts sharded bodies the same way over
+//!   a `MultiGpu`, reusing the core and the body trait; inherent methods
+//!   cannot be added to [`Sim`] from another crate, hence two hosts.
+//!
+//! The public driver names (`StSim`, `MrSim2D`, …) are aliases of
+//! `Sim<body>`. Each body's module adds its constructors and its own
+//! switches (`with_twist`, `with_stream`, …) on the alias; a host derefs to
+//! its body for the pattern's read accessors (`scheme()`, `index()`, …).
+//!
+//! # Restore contract
+//!
+//! [`DriverCore::load`] parses a blob completely — framing, flavor, step
+//! parity, configuration guards, counters, every array — into temporaries,
+//! refuses payload bytes nobody consumed, and only then commits. After any
+//! `Err` the driver is exactly as it was before the call.
+
+use gpu_sim::exec::LaunchStats;
+use gpu_sim::memory::Tally;
+use gpu_sim::profiler::Profiler;
+use gpu_sim::{FaultPlan, GlobalBuffer, Gpu};
+use lbm_core::geometry::Geometry;
+use lbm_core::io::{parity_flavor, CheckpointError, CheckpointReader, CheckpointWriter};
+use lbm_core::sim::Simulation;
+use std::sync::Arc;
+
+/// Density and velocity over the whole box (solid nodes report zero).
+pub type Fields = (Vec<f64>, Vec<[f64; 3]>);
+
+/// The head of a pattern's LBCK blob: what precedes the step counter.
+pub struct Frame {
+    /// Flavor string (`"st"`, `"mr2d-twist"`, `"multi-mr2d"`, …).
+    pub flavor: &'static str,
+    /// In-place patterns suffix the flavor with the step parity
+    /// (`"+even"` / `"+odd"`), so a restore can only land on the half of
+    /// the two-step cycle the snapshot was taken at.
+    pub parity: bool,
+    /// Configuration guards in blob order; a restoring driver must hold
+    /// the same values.
+    pub guards: Vec<(&'static str, u64)>,
+}
+
+/// What a propagation pattern supplies to a host.
+pub trait DriverBody {
+    /// Pattern label of this configuration: the `pattern` value of the
+    /// monitor gauges (`"mr2d"`, `"mr2d-twist"`, `"multi-st"`, …).
+    fn label(&self) -> &'static str;
+
+    /// The (global) domain geometry.
+    fn geom(&self) -> &Geometry;
+
+    /// Set every node to the equilibrium of a macroscopic field, in the
+    /// storage layout of step 0.
+    fn init_with(&mut self, field: impl Fn(usize, usize, usize) -> (f64, [f64; 3]));
+
+    /// Density and velocity after `t` completed steps, in one pass.
+    fn macro_fields(&self, t: u64) -> Fields;
+
+    /// Device-memory footprint of the resident storage, in bytes.
+    fn footprint_bytes(&self) -> usize;
+
+    /// Route injected write faults through the lattice buffers (the host
+    /// attaches the plan to the device itself).
+    fn set_fault_plan(&mut self, plan: Arc<FaultPlan>);
+
+    /// A hub was attached: publish configuration gauges, if any.
+    fn hub_attached(&self, _obs: &obs::Obs) {}
+
+    /// Flavor and configuration guards of this configuration's blobs.
+    fn frame(&self) -> Frame;
+
+    /// A word stored between the step counter and the host's ledger. Only
+    /// `mr2d` blobs have one (their buffer selector, a function of `t`);
+    /// the format is frozen, so the envelope keeps the slot.
+    fn selector(&self, _t: u64) -> Option<u64> {
+        None
+    }
+
+    /// The lattice arrays of the current state, raw, in blob order.
+    fn state_arrays(&self) -> Vec<Vec<f64>>;
+
+    /// Lengths of [`DriverBody::state_arrays`].
+    fn state_lens(&self) -> Vec<usize>;
+
+    /// Install arrays of exactly those lengths as the current state.
+    fn install(&mut self, arrays: Vec<Vec<f64>>);
+}
+
+/// A body that advances on one device.
+pub trait SoloBody: DriverBody {
+    /// Issue the launches of step `core.steps()` on `gpu`, reporting each
+    /// through [`DriverCore::record`]. The host counts the step.
+    fn advance(&mut self, gpu: &Gpu, core: &mut DriverCore);
+}
+
+/// Copy a restored array into a device buffer from the host side.
+pub fn fill(buf: &GlobalBuffer<f64>, data: &[f64]) {
+    for (i, v) in data.iter().enumerate() {
+        buf.set(i, *v);
+    }
+}
+
+/// The `driver/step` span of step `t`, carrying the fleet job args when a
+/// trace context is attached.
+pub fn step_span<'a>(obs: &'a obs::Obs, t: u64, ctx: Option<&obs::TraceCtx>) -> obs::Span<'a> {
+    let mut args = vec![("t", t.to_string())];
+    if let Some(ctx) = ctx {
+        ctx.append_args(&mut args);
+    }
+    obs.tracer.span_args("driver", "step", &args)
+}
+
+/// The pattern-independent state of a driver.
+pub struct DriverCore {
+    t: u64,
+    tally: Tally,
+    fluid_nodes: u64,
+    /// Hub the step span, monitor gauges and instants go to.
+    pub obs: Option<Arc<obs::Obs>>,
+    /// Mirror of every recorded launch (per-kernel byte counts and B/F).
+    pub profiler: Option<Arc<Profiler>>,
+    /// Sampled every `cadence` completed steps; rolled back by a restore.
+    pub monitor: Option<obs::PhysicsMonitor>,
+}
+
+impl DriverCore {
+    /// A core at step 0 for a domain of `fluid_nodes` fluid-like nodes.
+    pub fn new(fluid_nodes: usize) -> Self {
+        DriverCore {
+            t: 0,
+            tally: Tally::default(),
+            fluid_nodes: fluid_nodes as u64,
+            obs: None,
+            profiler: None,
+            monitor: None,
+        }
+    }
+
+    /// Completed timesteps.
+    pub fn steps(&self) -> u64 {
+        self.t
+    }
+
+    /// Fluid-like nodes of the domain — the unit of MFLUPS and of B/F.
+    pub fn fluid_nodes(&self) -> u64 {
+        self.fluid_nodes
+    }
+
+    /// Whether the attached physics monitor (if any) has no violations.
+    pub fn monitor_ok(&self) -> bool {
+        self.monitor.as_ref().is_none_or(|m| m.is_ok())
+    }
+
+    /// Back to step 0 with an empty tally (a fresh initial field).
+    pub fn reset(&mut self) {
+        self.t = 0;
+        self.tally = Tally::default();
+    }
+
+    /// Account one launch that updated `nodes` nodes: merge its tally and
+    /// mirror it into the profiler.
+    pub fn record(&mut self, stats: &LaunchStats, nodes: u64) {
+        self.tally.merge(&stats.tally);
+        if let Some(p) = &self.profiler {
+            p.record(stats, nodes);
+        }
+    }
+
+    /// Measured DRAM bytes per fluid lattice update (Table 2's B/F); zero
+    /// before the first step, when there is no update to divide by.
+    pub fn measured_bpf(&self) -> f64 {
+        let updates = self.fluid_nodes * self.t;
+        if updates == 0 {
+            return 0.0;
+        }
+        self.tally.dram_bytes() as f64 / updates as f64
+    }
+
+    /// Count a completed step and sample the monitor if it is due.
+    pub fn complete_step(&mut self, label: &str, fields: impl FnOnce(u64) -> Fields) {
+        self.t += 1;
+        self.sample_monitor(label, fields);
+    }
+
+    /// Cadence-gated monitor sampling: `fields` (the expensive part) only
+    /// runs on sampling steps.
+    fn sample_monitor(&mut self, label: &str, fields: impl FnOnce(u64) -> Fields) {
+        if !self.monitor.as_ref().is_some_and(|m| m.due(self.t)) {
+            return;
+        }
+        let (rho, u) = fields(self.t);
+        let s = self.monitor.as_mut().unwrap().observe(self.t, &rho, &u);
+        if let Some(o) = &self.obs {
+            publish_sample(o, label, &s);
+            if s.nonfinite > 0 {
+                o.tracer.instant(
+                    "monitor",
+                    "nonfinite",
+                    &[
+                        ("step", s.step.to_string()),
+                        ("count", s.nonfinite.to_string()),
+                    ],
+                );
+            }
+        }
+    }
+
+    /// Force a final monitor sample at the current step (no-op without a
+    /// monitor, or when the last step was already sampled). The flushed
+    /// sample is published like any cadence sample, so monitor series stay
+    /// gap-free across run ends and fleet evictions.
+    pub fn flush_monitor(&mut self, label: &str, fields: impl FnOnce(u64) -> Fields) {
+        let Some(m) = self.monitor.as_mut() else {
+            return;
+        };
+        let (rho, u) = fields(self.t);
+        if let (Some(s), Some(o)) = (m.finish(self.t, &rho, &u), &self.obs) {
+            publish_sample(o, label, &s);
+            o.tracer
+                .instant("monitor", "flush", &[("step", s.step.to_string())]);
+        }
+    }
+
+    /// Serialize `body` at the current step: flavor (parity-tagged where
+    /// the frame says so), guards, `t`, the body's selector word if it has
+    /// one, the host's `ledger` words, the body's arrays.
+    pub fn save<B: DriverBody>(
+        &self,
+        body: &B,
+        ledger: impl FnOnce(&mut CheckpointWriter),
+    ) -> Vec<u8> {
+        let frame = body.frame();
+        let mut w = CheckpointWriter::new(&if frame.parity {
+            parity_flavor(frame.flavor, self.t)
+        } else {
+            frame.flavor.to_string()
+        });
+        for (_, v) in &frame.guards {
+            w.put_u64(*v);
+        }
+        w.put_u64(self.t);
+        if let Some(sel) = body.selector(self.t) {
+            w.put_u64(sel);
+        }
+        ledger(&mut w);
+        for a in body.state_arrays() {
+            w.put_f64s(&a);
+        }
+        w.finish()
+    }
+
+    /// Restore a [`DriverCore::save`] blob into this core and `body`,
+    /// returning what `ledger` parsed for the host to keep. See the module
+    /// docs for the all-or-nothing contract.
+    pub fn load<B: DriverBody, T>(
+        &mut self,
+        body: &mut B,
+        bytes: &[u8],
+        ledger: impl FnOnce(&mut CheckpointReader<'_>) -> Result<T, CheckpointError>,
+    ) -> Result<T, CheckpointError> {
+        let frame = body.frame();
+        let (mut r, parity) = if frame.parity {
+            let (even, odd) = (
+                parity_flavor(frame.flavor, 0),
+                parity_flavor(frame.flavor, 1),
+            );
+            let (r, which) = CheckpointReader::open_any(bytes, &[even.as_str(), odd.as_str()])?;
+            (r, Some(which as u64))
+        } else {
+            (CheckpointReader::open(bytes, frame.flavor)?, None)
+        };
+        for (what, v) in &frame.guards {
+            r.expect_u64(*v, what)?;
+        }
+        let t = r.take_u64()?;
+        if parity.is_some_and(|p| t % 2 != p) {
+            return Err(CheckpointError::Mismatch(format!(
+                "flavor parity ({}) disagrees with stored step counter {t}",
+                if parity == Some(0) { "even" } else { "odd" }
+            )));
+        }
+        if let Some(sel) = body.selector(t) {
+            r.expect_u64(sel, "buffer selector")?;
+        }
+        let kept = ledger(&mut r)?;
+        let arrays = body
+            .state_lens()
+            .into_iter()
+            .map(|n| r.take_f64s(n))
+            .collect::<Result<Vec<_>, _>>()?;
+        if r.remaining() != 0 {
+            return Err(CheckpointError::Mismatch(format!(
+                "{} payload bytes beyond what this driver stores",
+                r.remaining()
+            )));
+        }
+        body.install(arrays);
+        self.t = t;
+        if let Some(m) = self.monitor.as_mut() {
+            m.rollback_to(t);
+        }
+        Ok(kept)
+    }
+}
+
+fn publish_sample(o: &obs::Obs, label: &str, s: &obs::MonitorSample) {
+    o.metrics
+        .gauge_set("monitor_mass", &[("pattern", label)], s.mass);
+    o.metrics
+        .gauge_set("monitor_max_u", &[("pattern", label)], s.max_u);
+}
+
+fn put_tally(w: &mut CheckpointWriter, t: &Tally) {
+    w.put_u64(t.reads)
+        .put_u64(t.writes)
+        .put_u64(t.bytes_read)
+        .put_u64(t.bytes_written)
+        .put_u64(t.dram_bytes_read)
+        .put_u64(t.l2_read_hits);
+}
+
+fn take_tally(r: &mut CheckpointReader<'_>) -> Result<Tally, CheckpointError> {
+    Ok(Tally {
+        reads: r.take_u64()?,
+        writes: r.take_u64()?,
+        bytes_read: r.take_u64()?,
+        bytes_written: r.take_u64()?,
+        dram_bytes_read: r.take_u64()?,
+        l2_read_hits: r.take_u64()?,
+    })
+}
+
+/// A single-device driver: core, device and pattern body.
+pub struct Sim<B> {
+    pub(crate) core: DriverCore,
+    pub(crate) gpu: Gpu,
+    pub(crate) body: B,
+}
+
+impl<B> std::ops::Deref for Sim<B> {
+    type Target = B;
+    fn deref(&self) -> &B {
+        &self.body
+    }
+}
+
+impl<B: SoloBody> Sim<B> {
+    /// Host `body` on `gpu`, initialized to equilibrium at rest (inlets at
+    /// their prescribed velocity).
+    pub fn from_body(gpu: Gpu, body: B) -> Self {
+        let core = DriverCore::new(body.geom().fluid_count());
+        let mut sim = Sim { core, gpu, body };
+        sim.init_with(|_, _, _| (1.0, [0.0; 3]));
+        sim
+    }
+
+    /// Limit the CPU worker threads backing the substrate.
+    pub fn with_cpu_threads(mut self, n: usize) -> Self {
+        self.gpu = self.gpu.with_cpu_threads(n);
+        self
+    }
+
+    /// Override the minimum launch size dispatched to the worker pool
+    /// (see `gpu_sim::Gpu::with_parallel_threshold`); `0` forces pooling
+    /// for every multi-block launch.
+    pub fn with_parallel_threshold(mut self, items: usize) -> Self {
+        self.gpu = self.gpu.with_parallel_threshold(items);
+        self
+    }
+
+    /// Record every kernel launch into a shared profiler (the substrate's
+    /// nvvp/rocprof analog): per-kernel byte counts and B/F.
+    pub fn with_profiler(mut self, p: Arc<Profiler>) -> Self {
+        self.core.profiler = Some(p);
+        self
+    }
+
+    /// Attach an observability hub: the driver emits a `step` span per
+    /// timestep and the device nests kernel/phase spans and publishes
+    /// launch metrics under it.
+    pub fn with_obs(mut self, obs: Arc<obs::Obs>) -> Self {
+        self.set_obs(obs);
+        self
+    }
+
+    /// In-place [`Sim::with_obs`].
+    pub fn set_obs(&mut self, obs: Arc<obs::Obs>) {
+        self.body.hub_attached(&obs);
+        self.gpu.set_obs(obs.clone());
+        self.core.obs = Some(obs);
+    }
+
+    /// Attach (or clear) the fleet trace context — the job identity the
+    /// serve scheduler assigned this simulation. Step and kernel spans
+    /// carry its args from now on; stepping and tallies are unaffected.
+    pub fn set_trace_ctx(&mut self, ctx: Option<obs::TraceCtx>) {
+        self.gpu.set_trace_ctx(ctx);
+    }
+
+    /// Attach a physics monitor sampling the macroscopic fields every
+    /// `cfg.cadence` steps (mass/momentum/max-|u|/NaN guards).
+    pub fn with_monitor(mut self, cfg: obs::MonitorConfig) -> Self {
+        self.core.monitor = Some(obs::PhysicsMonitor::new(cfg));
+        self
+    }
+
+    /// The attached physics monitor, if any.
+    pub fn monitor(&self) -> Option<&obs::PhysicsMonitor> {
+        self.core.monitor.as_ref()
+    }
+
+    /// Mutable access to the physics monitor (recovery rollback).
+    pub fn monitor_mut(&mut self) -> Option<&mut obs::PhysicsMonitor> {
+        self.core.monitor.as_mut()
+    }
+
+    /// Attach a deterministic fault plan to the device and the lattice
+    /// buffers (see `gpu_sim::FaultPlan`): injected write corruption and
+    /// launch aborts become live, with unchanged traffic accounting.
+    pub fn with_fault_plan(mut self, plan: Arc<FaultPlan>) -> Self {
+        self.gpu.set_fault_plan(plan.clone());
+        self.body.set_fault_plan(plan);
+        self
+    }
+
+    /// Monitor/metric pattern label of this configuration.
+    pub fn pattern_label(&self) -> &'static str {
+        self.body.label()
+    }
+
+    /// Initialize every node to the operator-consistent equilibrium of a
+    /// macroscopic field and reset the step and traffic counters.
+    pub fn init_with(&mut self, field: impl Fn(usize, usize, usize) -> (f64, [f64; 3])) {
+        self.body.init_with(field);
+        self.core.reset();
+    }
+
+    /// Advance one timestep.
+    pub fn step(&mut self) {
+        let obs = self.core.obs.clone();
+        let _step_span = obs
+            .as_ref()
+            .map(|o| step_span(o, self.core.t, self.gpu.trace_ctx()));
+        self.body.advance(&self.gpu, &mut self.core);
+        let body = &self.body;
+        self.core
+            .complete_step(body.label(), |t| body.macro_fields(t));
+    }
+
+    /// Advance `steps` timesteps, then force a final monitor sample so a
+    /// run that ends off the sampling cadence still has its tail checked.
+    pub fn run(&mut self, steps: usize) {
+        for _ in 0..steps {
+            self.step();
+        }
+        Simulation::finish_monitor(self);
+    }
+
+    /// Completed timesteps.
+    pub fn steps(&self) -> u64 {
+        self.core.t
+    }
+
+    /// Domain geometry.
+    pub fn geom(&self) -> &Geometry {
+        self.body.geom()
+    }
+
+    /// Aggregate traffic over all steps so far.
+    pub fn traffic(&self) -> Tally {
+        self.core.tally
+    }
+
+    /// Measured DRAM bytes per fluid lattice update (Table 2's B/F).
+    pub fn measured_bpf(&self) -> f64 {
+        self.core.measured_bpf()
+    }
+
+    /// Device-memory footprint of the resident lattices.
+    pub fn footprint_bytes(&self) -> usize {
+        self.body.footprint_bytes()
+    }
+
+    /// Density and velocity fields in one pass over the lattice (solid
+    /// nodes report zero). This is what the physics monitor samples.
+    pub fn macro_fields(&self) -> Fields {
+        self.body.macro_fields(self.core.t)
+    }
+
+    /// Velocity field (solid nodes report zero).
+    pub fn velocity_field(&self) -> Vec<[f64; 3]> {
+        self.macro_fields().1
+    }
+
+    /// Density field (solid nodes report zero).
+    pub fn density_field(&self) -> Vec<f64> {
+        self.macro_fields().0
+    }
+
+    /// FNV-1a fingerprint of the macroscopic fields (bitwise-sensitive; two
+    /// runs match iff their fields are identical to the last bit).
+    pub fn field_checksum(&self) -> u64 {
+        let (rho, u) = self.macro_fields();
+        lbm_core::io::field_checksum(&rho, &u)
+    }
+
+    /// Serialize the full solver state (lattice arrays, step counter,
+    /// traffic tally) as a versioned, checksummed LBCK snapshot.
+    pub fn checkpoint(&self) -> Vec<u8> {
+        self.core
+            .save(&self.body, |w| put_tally(w, &self.core.tally))
+    }
+
+    /// Restore a [`Sim::checkpoint`] snapshot taken on an identically
+    /// configured simulation; resuming replays the exact uninterrupted
+    /// trajectory. All-or-nothing (see the module docs).
+    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
+        self.core.tally = self.core.load(&mut self.body, bytes, take_tally)?;
+        Ok(())
+    }
+}
+
+impl<B: SoloBody> Simulation for Sim<B> {
+    fn step(&mut self) {
+        Sim::step(self)
+    }
+    fn steps(&self) -> u64 {
+        self.core.t
+    }
+    fn checkpoint(&self) -> Vec<u8> {
+        Sim::checkpoint(self)
+    }
+    fn restore(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
+        Sim::restore(self, bytes)
+    }
+    fn field_checksum(&self) -> u64 {
+        Sim::field_checksum(self)
+    }
+    fn macro_fields(&self) -> Fields {
+        Sim::macro_fields(self)
+    }
+    fn set_obs(&mut self, obs: Arc<obs::Obs>) {
+        Sim::set_obs(self, obs)
+    }
+    fn set_trace_ctx(&mut self, ctx: Option<obs::TraceCtx>) {
+        Sim::set_trace_ctx(self, ctx)
+    }
+    fn monitor_ok(&self) -> bool {
+        self.core.monitor_ok()
+    }
+    fn finish_monitor(&mut self) {
+        let body = &self.body;
+        self.core
+            .flush_monitor(body.label(), |t| body.macro_fields(t));
+    }
+    fn fluid_nodes(&self) -> usize {
+        self.core.fluid_nodes as usize
+    }
+    fn footprint_bytes(&self) -> usize {
+        self.body.footprint_bytes()
+    }
+}

@@ -10,6 +10,15 @@
 //!   array time shifting ([`moment_lattice`]). The collision kernel is
 //!   either projective (**MR-P**) or recursive (**MR-R**) regularization
 //!   ([`scheme`]).
+//! * [`aa`] — the in-place AA-pattern ST variant; [`sparse`] /
+//!   [`sparse_mr`] — the fluid-compacted (indirect-addressing) ST and MR.
+//! * [`driver`] — the chassis all six drivers share: a [`DriverCore`]
+//!   (step counter, tally, obs hub, monitor, checkpoint envelope), the
+//!   [`DriverBody`] a pattern implements, and the generic host [`Sim`] that
+//!   carries every common builder/accessor and the one `Simulation` impl.
+//!   `StSim`, `AaStSim`, `MrSim2D`, `MrSim3D`, `StSparseSim` and
+//!   `SparseMrSim` are aliases of `Sim<body>`; each pattern module keeps
+//!   its storage, kernels, constructors and own switches.
 //! * [`boundary`] — the finite-difference inlet/outlet kernels for both
 //!   representations.
 //! * [`footprint`] — device-memory footprint accounting (§4.1's 35 % / 47 %
@@ -25,17 +34,18 @@
 #![allow(clippy::needless_range_loop)] // indexed loops are the idiom in stencil kernels
 pub mod aa;
 pub mod boundary;
+pub mod driver;
 pub mod footprint;
 pub mod moment_lattice;
 pub mod mr2d;
 pub mod mr3d;
 pub mod scheme;
-pub mod sim_impls;
 pub mod sparse;
 pub mod sparse_mr;
 pub mod st;
 
 pub use aa::{launch_aa_collide_span, launch_aa_stream_span, AaStSim};
+pub use driver::{DriverBody, DriverCore, Sim, SoloBody};
 pub use moment_lattice::MomentLattice;
 pub use mr2d::{launch_mr2d_columns, launch_mr_bc, MrSim2D};
 pub use mr3d::{launch_mr3d_columns, MrSim3D};

@@ -23,17 +23,18 @@
 //! its last read.
 
 use crate::boundary::{boundary_nodes, stencil_coords, MacroCache};
+use crate::driver::{DriverBody, DriverCore, Fields, Frame, Sim, SoloBody};
 use crate::moment_lattice::MomentLattice;
 use crate::scheme::MrScheme;
 use gpu_sim::exec::{BlockCtx, Kernel, Launch, LaunchStats, PhasedKernel};
-use gpu_sim::memory::Tally;
-use gpu_sim::{DeviceSpec, Gpu};
+use gpu_sim::{DeviceSpec, FaultPlan, Gpu};
 use lbm_core::boundary::boundary_node_moments;
 use lbm_core::geometry::{Geometry, NodeType};
 use lbm_core::kernels::{self, KernelConsts, LaneBlock, LANES, MAX_M, MAX_Q};
 use lbm_lattice::moments::Moments;
 use lbm_lattice::Lattice;
 use std::marker::PhantomData;
+use std::sync::Arc;
 
 /// Pick the largest column width ≤ `max` that divides `nx`.
 pub fn pick_column_width(nx: usize, max: usize) -> usize {
@@ -477,15 +478,15 @@ impl<L: Lattice> Kernel for MrBcKernel<'_, L> {
     }
 }
 
-/// Driver for a 2D moment-representation simulation (MR-P or MR-R).
-pub struct MrSim2D<L: Lattice> {
-    gpu: Gpu,
+/// The 2D moment representation's state: one circularly shifted moment
+/// lattice (or the double-buffered / parity-twist storage variants).
+pub struct Mr2d<L: Lattice> {
     geom: Geometry,
     mom: MomentLattice,
     /// Second lattice for the double-buffered ablation variant; `None` for
-    /// the single-lattice circular-shift design of Algorithm 2.
+    /// the single-lattice circular-shift design of Algorithm 2. Odd steps
+    /// read it and write `mom`.
     mom2: Option<MomentLattice>,
-    cur: usize,
     scheme: MrScheme,
     tau: f64,
     consts: KernelConsts,
@@ -493,13 +494,11 @@ pub struct MrSim2D<L: Lattice> {
     col_w: usize,
     tile_h: usize,
     boundary: Vec<(usize, usize, usize)>,
-    t: u64,
-    accum: Tally,
-    profiler: Option<std::sync::Arc<gpu_sim::profiler::Profiler>>,
-    obs: Option<std::sync::Arc<obs::Obs>>,
-    monitor: Option<obs::PhysicsMonitor>,
     _l: PhantomData<L>,
 }
+
+/// Driver for a 2D moment-representation simulation (MR-P or MR-R).
+pub type MrSim2D<L> = Sim<Mr2d<L>>;
 
 impl<L: Lattice> MrSim2D<L> {
     /// Build an MR simulation over a channel-type geometry: walls at
@@ -556,34 +555,22 @@ impl<L: Lattice> MrSim2D<L> {
         let pad = (shift_rows + 1) * geom.nx;
         let mom = MomentLattice::new(n, L::M, shift_rows * geom.nx, pad).with_touch_tracking();
         let bulk = crate::boundary::bulk_mask::<L>(&geom);
-        let mut sim = MrSim2D {
-            gpu: Gpu::new(device),
-            geom,
-            mom,
-            mom2: None,
-            cur: 0,
-            scheme,
-            tau,
-            consts: KernelConsts::new::<L>(tau),
-            bulk,
-            col_w,
-            tile_h,
-            boundary,
-            t: 0,
-            accum: Tally::default(),
-            profiler: None,
-            obs: None,
-            monitor: None,
-            _l: PhantomData,
-        };
-        sim.init_with(|_, _, _| (1.0, [0.0; 3]));
-        sim
-    }
-
-    /// Limit the CPU worker threads backing the substrate.
-    pub fn with_cpu_threads(mut self, n: usize) -> Self {
-        self.gpu = self.gpu.with_cpu_threads(n);
-        self
+        Sim::from_body(
+            Gpu::new(device),
+            Mr2d {
+                geom,
+                mom,
+                mom2: None,
+                scheme,
+                tau,
+                consts: KernelConsts::new::<L>(tau),
+                bulk,
+                col_w,
+                tile_h,
+                boundary,
+                _l: PhantomData,
+            },
+        )
     }
 
     /// Run the original per-node scalar kernels instead of the vectorized
@@ -591,65 +578,17 @@ impl<L: Lattice> MrSim2D<L> {
     /// `tests/kernel_equivalence.rs`); the scalar path exists as the
     /// equivalence oracle.
     pub fn with_scalar_kernels(mut self) -> Self {
-        self.consts.scalar = true;
+        self.body.consts.scalar = true;
         self
-    }
-
-    /// Override the minimum launch size dispatched to the worker pool
-    /// (see `gpu_sim::Gpu::with_parallel_threshold`); `0` forces pooling
-    /// for every multi-block launch.
-    pub fn with_parallel_threshold(mut self, items: usize) -> Self {
-        self.gpu = self.gpu.with_parallel_threshold(items);
-        self
-    }
-
-    /// Record every kernel launch into a shared profiler (the substrate's
-    /// nvvp/rocprof analog): per-kernel byte counts and B/F.
-    pub fn with_profiler(mut self, p: std::sync::Arc<gpu_sim::profiler::Profiler>) -> Self {
-        self.profiler = Some(p);
-        self
-    }
-
-    /// Attach an observability hub: the driver emits a `step` span per
-    /// timestep and the device nests kernel/phase spans and publishes
-    /// launch metrics under it.
-    pub fn with_obs(mut self, obs: std::sync::Arc<obs::Obs>) -> Self {
-        self.set_obs(obs);
-        self
-    }
-
-    /// In-place [`MrSim2D::with_obs`] (the `Simulation` trait surface).
-    pub fn set_obs(&mut self, obs: std::sync::Arc<obs::Obs>) {
-        self.gpu.set_obs(obs.clone());
-        self.obs = Some(obs);
-    }
-
-    /// Attach (or clear) the fleet trace context — the job identity the
-    /// serve scheduler assigned this simulation. Step and kernel spans
-    /// carry its args from now on; stepping and tallies are unaffected.
-    pub fn set_trace_ctx(&mut self, ctx: Option<obs::TraceCtx>) {
-        self.gpu.set_trace_ctx(ctx);
-    }
-
-    /// Attach a physics monitor sampling the macroscopic fields every
-    /// `cfg.cadence` steps (mass/momentum/max-|u|/NaN guards).
-    pub fn with_monitor(mut self, cfg: obs::MonitorConfig) -> Self {
-        self.monitor = Some(obs::PhysicsMonitor::new(cfg));
-        self
-    }
-
-    /// The attached physics monitor, if any.
-    pub fn monitor(&self) -> Option<&obs::PhysicsMonitor> {
-        self.monitor.as_ref()
     }
 
     /// Enable strict race checking on the moment lattice (tests). Must be
     /// called before the first step.
     pub fn with_racecheck_strict(mut self) -> Self {
-        assert_eq!(self.t, 0, "attach the race checker before stepping");
+        assert_eq!(self.steps(), 0, "attach the race checker before stepping");
         let dummy = MomentLattice::new(1, L::M, 0, 0);
-        let old = std::mem::replace(&mut self.mom, dummy);
-        self.mom = old.with_racecheck_strict();
+        let old = std::mem::replace(&mut self.body.mom, dummy);
+        self.body.mom = old.with_racecheck_strict();
         self
     }
 
@@ -658,12 +597,11 @@ impl<L: Lattice> MrSim2D<L> {
     /// correspond to) and no circular shifting. Must be called before the
     /// first step.
     pub fn with_double_buffer(mut self) -> Self {
-        assert_eq!(self.t, 0, "switch storage before stepping");
-        let n = self.geom.len();
+        assert_eq!(self.steps(), 0, "switch storage before stepping");
+        let n = self.body.geom.len();
         // Rebuild both lattices without shift.
-        self.mom = MomentLattice::new(n, L::M, 0, 0).with_touch_tracking();
-        self.mom2 = Some(MomentLattice::new(n, L::M, 0, 0).with_touch_tracking());
-        self.cur = 0;
+        self.body.mom = MomentLattice::new(n, L::M, 0, 0).with_touch_tracking();
+        self.body.mom2 = Some(MomentLattice::new(n, L::M, 0, 0).with_touch_tracking());
         self.init_with(|_, _, _| (1.0, [0.0; 3]));
         self
     }
@@ -681,315 +619,34 @@ impl<L: Lattice> MrSim2D<L> {
     /// zero-shift in-place safety the strict race checker proves) and must
     /// be called before the first step.
     pub fn with_twist(mut self) -> Self {
-        assert_eq!(self.t, 0, "switch storage before stepping");
+        assert_eq!(self.steps(), 0, "switch storage before stepping");
         assert!(
-            self.mom2.is_none(),
+            self.body.mom2.is_none(),
             "the twist replaces the double-buffered ablation, not vice versa"
         );
         assert_eq!(
-            self.tile_h, 1,
+            self.body.tile_h, 1,
             "the zero-shift twist requires 1-row lockstep tiles"
         );
-        let n = self.geom.len();
-        self.mom = MomentLattice::new(n, L::M, 0, 0)
+        let n = self.body.geom.len();
+        self.body.mom = MomentLattice::new(n, L::M, 0, 0)
             .with_parity_twist()
             .with_touch_tracking();
         self.init_with(|_, _, _| (1.0, [0.0; 3]));
         self
     }
 
+    /// Moments of a node at the current time (pre-collision state).
+    pub fn moments_at(&self, x: usize, y: usize, z: usize) -> Moments {
+        let (t, b) = (self.steps(), &self.body);
+        b.lattice_pair(t).0.get_moments::<L>(t, b.geom.idx(x, y, z))
+    }
+}
+
+impl<L: Lattice> Mr2d<L> {
     /// Whether this driver runs the parity-twist storage variant.
     pub fn is_twist(&self) -> bool {
         self.mom.parity_twist()
-    }
-
-    /// Monitor/metric pattern label for this configuration.
-    fn pattern_label(&self) -> &'static str {
-        if self.mom.parity_twist() {
-            "mr2d-twist"
-        } else {
-            "mr2d"
-        }
-    }
-
-    #[inline]
-    fn lattice_pair(&self) -> (&MomentLattice, &MomentLattice) {
-        match &self.mom2 {
-            None => (&self.mom, &self.mom),
-            Some(m2) => {
-                if self.cur == 0 {
-                    (&self.mom, m2)
-                } else {
-                    (m2, &self.mom)
-                }
-            }
-        }
-    }
-
-    #[inline]
-    fn current_lattice(&self) -> &MomentLattice {
-        let (input, _) = self.lattice_pair();
-        input
-    }
-
-    /// Initialize every node's moments from a macroscopic field (moments
-    /// are `{ρ, u, Π_eq}` — an equilibrium start, matching the ST init).
-    pub fn init_with(&mut self, field: impl Fn(usize, usize, usize) -> (f64, [f64; 3])) {
-        self.t = 0;
-        self.cur = 0;
-        for idx in 0..self.geom.len() {
-            let (x, y, z) = self.geom.coords(idx);
-            let (rho, u) = match self.geom.node_at(idx) {
-                NodeType::Inlet(u_bc) => (field(x, y, z).0, u_bc),
-                NodeType::Outlet(rho_bc) => (rho_bc, field(x, y, z).1),
-                _ => field(x, y, z),
-            };
-            let m = Moments {
-                rho,
-                u,
-                pi: Moments::pi_eq(rho, u, L::D),
-            };
-            self.current_lattice().set_moments::<L>(0, idx, &m);
-        }
-        self.accum = Tally::default();
-    }
-
-    /// Advance one timestep: the lockstep column kernel, then the boundary
-    /// kernel.
-    pub fn step(&mut self) {
-        let obs = self.obs.clone();
-        let _step_span = obs.as_ref().map(|o| {
-            let mut args = vec![("t", self.t.to_string())];
-            if let Some(ctx) = self.gpu.trace_ctx() {
-                ctx.append_args(&mut args);
-            }
-            o.tracer.span_args("driver", "step", &args)
-        });
-        let cols: Vec<usize> = (0..self.geom.nx / self.col_w)
-            .map(|b| b * self.col_w)
-            .collect();
-        let mut step_tally = Tally::default();
-        let (mom_in, mom_out) = self.lattice_pair();
-        let stats = launch_mr2d_columns::<L>(
-            &self.gpu,
-            mom_in,
-            mom_out,
-            &self.geom,
-            &self.scheme,
-            &self.consts,
-            &self.bulk,
-            self.t,
-            self.col_w,
-            self.tile_h,
-            &cols,
-        );
-        step_tally.merge(&stats.tally);
-        if let Some(p) = &self.profiler {
-            p.record(&stats, self.geom.fluid_count() as u64);
-        }
-
-        if !self.boundary.is_empty() {
-            let bs = 64;
-            let stats = self.gpu.launch(
-                &Launch::simple(self.boundary.len().div_ceil(bs), bs),
-                &MrBcKernel::<L> {
-                    mom: mom_out,
-                    geom: &self.geom,
-                    tau: self.tau,
-                    t_next: self.t + 1,
-                    nodes: &self.boundary,
-                    block_size: bs,
-                    _l: PhantomData,
-                },
-            );
-            step_tally.merge(&stats.tally);
-            if let Some(p) = &self.profiler {
-                p.record(&stats, self.boundary.len() as u64);
-            }
-        }
-
-        self.accum.merge(&step_tally);
-        self.t += 1;
-        if self.mom2.is_some() {
-            self.cur ^= 1;
-        }
-        self.sample_monitor();
-    }
-
-    /// Cadence-gated monitor sampling: field extraction only happens on
-    /// sampling steps.
-    fn sample_monitor(&mut self) {
-        if !self.monitor.as_ref().is_some_and(|m| m.due(self.t)) {
-            return;
-        }
-        let (rho, u) = self.macro_fields();
-        let s = self.monitor.as_mut().unwrap().observe(self.t, &rho, &u);
-        if let Some(o) = &self.obs {
-            let pat = self.pattern_label();
-            o.metrics
-                .gauge_set("monitor_mass", &[("pattern", pat)], s.mass);
-            o.metrics
-                .gauge_set("monitor_max_u", &[("pattern", pat)], s.max_u);
-            if s.nonfinite > 0 {
-                o.tracer.instant(
-                    "monitor",
-                    "nonfinite",
-                    &[
-                        ("step", s.step.to_string()),
-                        ("count", s.nonfinite.to_string()),
-                    ],
-                );
-            }
-        }
-    }
-
-    /// Advance `steps` timesteps, then force a final monitor sample so a
-    /// run that ends off the sampling cadence still has its tail checked.
-    pub fn run(&mut self, steps: usize) {
-        for _ in 0..steps {
-            self.step();
-        }
-        self.finish_monitor();
-    }
-
-    /// Force a final monitor sample at the current step (no-op without a
-    /// monitor, or when the last step was already sampled). The flushed
-    /// sample is published to the hub like any cadence sample, so monitor
-    /// series stay gap-free across run ends *and* fleet evictions.
-    pub fn finish_monitor(&mut self) {
-        if self.monitor.is_none() {
-            return;
-        }
-        let (rho, u) = self.macro_fields();
-        let s = self.monitor.as_mut().unwrap().finish(self.t, &rho, &u);
-        if let (Some(s), Some(o)) = (s, &self.obs) {
-            let pat = self.pattern_label();
-            o.metrics
-                .gauge_set("monitor_mass", &[("pattern", pat)], s.mass);
-            o.metrics
-                .gauge_set("monitor_max_u", &[("pattern", pat)], s.max_u);
-            o.tracer
-                .instant("monitor", "flush", &[("step", s.step.to_string())]);
-        }
-    }
-
-    /// Mutable access to the physics monitor (recovery rollback).
-    pub fn monitor_mut(&mut self) -> Option<&mut obs::PhysicsMonitor> {
-        self.monitor.as_mut()
-    }
-
-    /// Attach a deterministic fault plan to the device and the moment
-    /// storage (see `gpu_sim::FaultPlan`).
-    pub fn with_fault_plan(mut self, plan: std::sync::Arc<gpu_sim::FaultPlan>) -> Self {
-        self.gpu.set_fault_plan(plan.clone());
-        self.mom.set_fault_plan(plan.clone());
-        if let Some(m2) = self.mom2.as_mut() {
-            m2.set_fault_plan(plan);
-        }
-        self
-    }
-
-    /// FNV-1a fingerprint of the macroscopic fields (bitwise-sensitive).
-    pub fn field_checksum(&self) -> u64 {
-        let (rho, u) = self.macro_fields();
-        lbm_core::io::field_checksum(&rho, &u)
-    }
-
-    /// Serialize the full solver state. The moment lattice is snapshotted
-    /// *raw* (all slots, untranslated): restoring the same bytes with the
-    /// same `t` reproduces the exact circular-shift slot layout, so a
-    /// resumed run is bitwise-identical to an uninterrupted one. Covers
-    /// both the single-lattice and double-buffered configurations.
-    /// Twist runs tag the flavor with the step parity
-    /// (`"mr2d-twist+even"` / `"mr2d-twist+odd"`): the plane order is part
-    /// of the storage contract, so a restore may only land on the matching
-    /// half-cycle.
-    pub fn checkpoint(&self) -> Vec<u8> {
-        let flavor = if self.is_twist() {
-            lbm_core::io::parity_flavor("mr2d-twist", self.t)
-        } else {
-            "mr2d".to_string()
-        };
-        let mut w = lbm_core::io::CheckpointWriter::new(&flavor);
-        w.put_u64(self.geom.nx as u64)
-            .put_u64(self.geom.ny as u64)
-            .put_u64(L::M as u64)
-            .put_u64(self.mom2.is_some() as u64)
-            .put_u64(self.t)
-            .put_u64(self.cur as u64)
-            .put_u64(self.accum.reads)
-            .put_u64(self.accum.writes)
-            .put_u64(self.accum.bytes_read)
-            .put_u64(self.accum.bytes_written)
-            .put_u64(self.accum.dram_bytes_read)
-            .put_u64(self.accum.l2_read_hits)
-            .put_f64s(&self.mom.host_snapshot());
-        if let Some(m2) = &self.mom2 {
-            w.put_f64s(&m2.host_snapshot());
-        }
-        w.finish()
-    }
-
-    /// Restore a [`MrSim2D::checkpoint`] snapshot taken on an identically
-    /// configured simulation.
-    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), lbm_core::io::CheckpointError> {
-        use lbm_core::io::{CheckpointError, CheckpointReader};
-        let (mut r, twist_parity) = if self.is_twist() {
-            let (r, which) =
-                CheckpointReader::open_any(bytes, &["mr2d-twist+even", "mr2d-twist+odd"])?;
-            (r, Some(which as u64))
-        } else {
-            (CheckpointReader::open(bytes, "mr2d")?, None)
-        };
-        r.expect_u64(self.geom.nx as u64, "nx")?;
-        r.expect_u64(self.geom.ny as u64, "ny")?;
-        r.expect_u64(L::M as u64, "M")?;
-        r.expect_u64(self.mom2.is_some() as u64, "double-buffer flag")?;
-        let t = r.take_u64()?;
-        if let Some(parity) = twist_parity {
-            if t % 2 != parity {
-                return Err(CheckpointError::Mismatch(format!(
-                    "flavor parity ({}) disagrees with stored step counter {t}",
-                    if parity == 0 { "even" } else { "odd" }
-                )));
-            }
-        }
-        let cur = r.take_u64()? as usize;
-        if cur > 1 {
-            return Err(CheckpointError::Mismatch(format!(
-                "buffer selector {cur} out of range"
-            )));
-        }
-        self.accum = Tally {
-            reads: r.take_u64()?,
-            writes: r.take_u64()?,
-            bytes_read: r.take_u64()?,
-            bytes_written: r.take_u64()?,
-            dram_bytes_read: r.take_u64()?,
-            l2_read_hits: r.take_u64()?,
-        };
-        let raw = r.take_f64s(self.mom.raw_len())?;
-        self.mom.host_restore(&raw);
-        if let Some(m2) = &self.mom2 {
-            let raw2 = r.take_f64s(m2.raw_len())?;
-            m2.host_restore(&raw2);
-        }
-        self.t = t;
-        self.cur = cur;
-        if let Some(m) = self.monitor.as_mut() {
-            m.rollback_to(self.t);
-        }
-        Ok(())
-    }
-
-    /// Completed timesteps.
-    pub fn steps(&self) -> u64 {
-        self.t
-    }
-
-    /// Domain geometry.
-    pub fn geom(&self) -> &Geometry {
-        &self.geom
     }
 
     /// The collision scheme.
@@ -1002,42 +659,62 @@ impl<L: Lattice> MrSim2D<L> {
         (self.col_w, self.tile_h)
     }
 
-    /// Aggregate traffic over all steps so far.
-    pub fn traffic(&self) -> Tally {
-        self.accum
+    /// The resident lattices, in checkpoint order.
+    fn lattices(&self) -> impl Iterator<Item = &MomentLattice> {
+        std::iter::once(&self.mom).chain(&self.mom2)
     }
 
-    /// Measured DRAM bytes per fluid lattice update (Table 2's B/F).
-    pub fn measured_bpf(&self) -> f64 {
-        let updates = self.geom.fluid_count() as u64 * self.t;
-        if updates == 0 {
-            return 0.0;
+    /// The lattices step `t` reads and writes.
+    #[inline]
+    fn lattice_pair(&self, t: u64) -> (&MomentLattice, &MomentLattice) {
+        match &self.mom2 {
+            None => (&self.mom, &self.mom),
+            Some(m2) if t.is_multiple_of(2) => (&self.mom, m2),
+            Some(m2) => (m2, &self.mom),
         }
-        self.accum.dram_bytes() as f64 / updates as f64
+    }
+}
+
+impl<L: Lattice> DriverBody for Mr2d<L> {
+    fn label(&self) -> &'static str {
+        if self.mom.parity_twist() {
+            "mr2d-twist"
+        } else {
+            "mr2d"
+        }
     }
 
-    /// Device-memory footprint of the moment storage (one lattice plus
-    /// padding, or two for the double-buffered variant).
-    pub fn footprint_bytes(&self) -> usize {
-        self.mom.size_bytes() + self.mom2.as_ref().map_or(0, |m| m.size_bytes())
+    fn geom(&self) -> &Geometry {
+        &self.geom
     }
 
-    /// Moments of a node at the current time (pre-collision state).
-    pub fn moments_at(&self, x: usize, y: usize, z: usize) -> Moments {
-        self.current_lattice()
-            .get_moments::<L>(self.t, self.geom.idx(x, y, z))
+    /// Moments are `{ρ, u, Π_eq}` — an equilibrium start, matching the ST
+    /// init.
+    fn init_with(&mut self, field: impl Fn(usize, usize, usize) -> (f64, [f64; 3])) {
+        for idx in 0..self.geom.len() {
+            let (x, y, z) = self.geom.coords(idx);
+            let (rho, u) = match self.geom.node_at(idx) {
+                NodeType::Inlet(u_bc) => (field(x, y, z).0, u_bc),
+                NodeType::Outlet(rho_bc) => (rho_bc, field(x, y, z).1),
+                _ => field(x, y, z),
+            };
+            let m = Moments {
+                rho,
+                u,
+                pi: Moments::pi_eq(rho, u, L::D),
+            };
+            self.mom.set_moments::<L>(0, idx, &m);
+        }
     }
 
-    /// Density and velocity fields in one pass over the moment lattice
-    /// (solid nodes report zero). This is what the physics monitor samples.
-    pub fn macro_fields(&self) -> (Vec<f64>, Vec<[f64; 3]>) {
+    fn macro_fields(&self, t: u64) -> Fields {
         let n = self.geom.len();
-        let lat = self.current_lattice();
+        let lat = self.lattice_pair(t).0;
         let mut rho_out = vec![0.0; n];
         let mut u_out = vec![[0.0; 3]; n];
         for idx in 0..n {
             if self.geom.node_at(idx).is_fluid_like() {
-                let m = lat.get_moments::<L>(self.t, idx);
+                let m = lat.get_moments::<L>(t, idx);
                 rho_out[idx] = m.rho;
                 u_out[idx] = m.u;
             }
@@ -1045,14 +722,98 @@ impl<L: Lattice> MrSim2D<L> {
         (rho_out, u_out)
     }
 
-    /// Velocity field (solid nodes report zero).
-    pub fn velocity_field(&self) -> Vec<[f64; 3]> {
-        self.macro_fields().1
+    /// One lattice plus padding, or two for the double-buffered variant.
+    fn footprint_bytes(&self) -> usize {
+        self.lattices().map(MomentLattice::size_bytes).sum()
     }
 
-    /// Density field (solid nodes report zero).
-    pub fn density_field(&self) -> Vec<f64> {
-        self.macro_fields().0
+    fn set_fault_plan(&mut self, plan: Arc<FaultPlan>) {
+        self.mom.set_fault_plan(plan.clone());
+        if let Some(m2) = self.mom2.as_mut() {
+            m2.set_fault_plan(plan);
+        }
+    }
+
+    /// Twist runs tag the flavor with the step parity
+    /// (`"mr2d-twist+even"` / `"mr2d-twist+odd"`): the plane order is part
+    /// of the storage contract, so a restore may only land on the matching
+    /// half-cycle.
+    fn frame(&self) -> Frame {
+        Frame {
+            flavor: self.label(),
+            parity: self.is_twist(),
+            guards: vec![
+                ("nx", self.geom.nx as u64),
+                ("ny", self.geom.ny as u64),
+                ("M", L::M as u64),
+                ("double-buffer flag", self.mom2.is_some() as u64),
+            ],
+        }
+    }
+
+    /// Which lattice step `t` reads: 1 on odd steps of the double-buffered
+    /// variant, else 0.
+    fn selector(&self, t: u64) -> Option<u64> {
+        Some(self.mom2.is_some() as u64 * (t % 2))
+    }
+
+    /// The moment lattices are snapshotted *raw* (all slots, untranslated):
+    /// restoring the same bytes with the same `t` reproduces the exact
+    /// circular-shift slot layout.
+    fn state_arrays(&self) -> Vec<Vec<f64>> {
+        self.lattices().map(MomentLattice::host_snapshot).collect()
+    }
+
+    fn state_lens(&self) -> Vec<usize> {
+        self.lattices().map(MomentLattice::raw_len).collect()
+    }
+
+    fn install(&mut self, arrays: Vec<Vec<f64>>) {
+        for (lat, raw) in self.lattices().zip(&arrays) {
+            lat.host_restore(raw);
+        }
+    }
+}
+
+impl<L: Lattice> SoloBody for Mr2d<L> {
+    /// The lockstep column kernel, then the boundary kernel.
+    fn advance(&mut self, gpu: &Gpu, core: &mut DriverCore) {
+        let t = core.steps();
+        let cols: Vec<usize> = (0..self.geom.nx / self.col_w)
+            .map(|b| b * self.col_w)
+            .collect();
+        let (mom_in, mom_out) = self.lattice_pair(t);
+        let stats = launch_mr2d_columns::<L>(
+            gpu,
+            mom_in,
+            mom_out,
+            &self.geom,
+            &self.scheme,
+            &self.consts,
+            &self.bulk,
+            t,
+            self.col_w,
+            self.tile_h,
+            &cols,
+        );
+        core.record(&stats, core.fluid_nodes());
+
+        if !self.boundary.is_empty() {
+            let bs = 64;
+            let stats = gpu.launch(
+                &Launch::simple(self.boundary.len().div_ceil(bs), bs),
+                &MrBcKernel::<L> {
+                    mom: mom_out,
+                    geom: &self.geom,
+                    tau: self.tau,
+                    t_next: t + 1,
+                    nodes: &self.boundary,
+                    block_size: bs,
+                    _l: PhantomData,
+                },
+            );
+            core.record(&stats, self.boundary.len() as u64);
+        }
     }
 }
 
@@ -1306,39 +1067,6 @@ mod tests {
         assert!(double.footprint_bytes() >= 2 * 6 * 16 * 8 * 8);
         // Same traffic either way.
         assert!((single.measured_bpf() - double.measured_bpf()).abs() < 1e-9);
-    }
-
-    /// Obs integration: step spans nest the lockstep column kernel's phase
-    /// spans, and the monitor confirms conservation on the closed channel.
-    #[test]
-    fn obs_and_monitor_wire_through() {
-        let obs = obs::Obs::shared();
-        let geom = Geometry::walls_y_periodic_x(16, 8);
-        let mut mr: MrSim2D<D2Q9> =
-            MrSim2D::new(DeviceSpec::v100(), geom, MrScheme::projective(), 0.8)
-                .with_cpu_threads(2)
-                .with_obs(obs.clone())
-                .with_monitor(obs::MonitorConfig {
-                    cadence: 4,
-                    ..Default::default()
-                });
-        mr.init_with(|x, y, _| (1.0 + 0.01 * ((x + y) as f64).sin(), [0.0; 3]));
-        mr.run(8);
-        let ev = obs.tracer.events();
-        assert_eq!(
-            ev.iter()
-                .filter(|e| e.ph == 'B' && e.name == "step")
-                .count(),
-            8
-        );
-        // The column kernel is lockstep (phases > 1) → phase spans nested
-        // inside its kernel span, and barrier instants between phases.
-        assert!(ev.iter().any(|e| e.cat == "phase"));
-        assert!(ev.iter().any(|e| e.ph == 'i' && e.name == "barrier"));
-        let m = mr.monitor().unwrap();
-        assert_eq!(m.samples().len(), 2); // steps 4 and 8
-        assert!(m.is_ok(), "{:?}", m.violations());
-        assert!(m.mass_drift() <= 1e-10);
     }
 
     /// Mass conservation on the periodic-x channel.

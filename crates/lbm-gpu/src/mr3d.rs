@@ -11,17 +11,18 @@
 //! one-layer downward circular shift.
 
 use crate::boundary::boundary_nodes;
+use crate::driver::{DriverBody, DriverCore, Fields, Frame, Sim, SoloBody};
 use crate::moment_lattice::MomentLattice;
 use crate::mr2d::MrBcKernel;
 use crate::scheme::MrScheme;
 use gpu_sim::exec::{BlockCtx, Launch, LaunchStats, PhasedKernel};
-use gpu_sim::memory::Tally;
-use gpu_sim::{DeviceSpec, Gpu};
+use gpu_sim::{DeviceSpec, FaultPlan, Gpu};
 use lbm_core::geometry::{Geometry, NodeType};
 use lbm_core::kernels::{self, KernelConsts, LaneBlock, LANES, MAX_M, MAX_Q};
 use lbm_lattice::moments::Moments;
 use lbm_lattice::Lattice;
 use std::marker::PhantomData;
+use std::sync::Arc;
 
 /// Pick the largest column footprint edge ≤ `max` dividing `n`.
 pub fn pick_footprint(n: usize, max: usize) -> usize {
@@ -527,9 +528,9 @@ pub fn launch_mr3d_columns<L: Lattice>(
     )
 }
 
-/// Driver for a 3D moment-representation simulation (MR-P or MR-R).
-pub struct MrSim3D<L: Lattice> {
-    gpu: Gpu,
+/// The 3D moment representation's state: one moment lattice shifted by a
+/// layer per step (or the parity-twist storage variant).
+pub struct Mr3d<L: Lattice> {
     geom: Geometry,
     mom: MomentLattice,
     scheme: MrScheme,
@@ -539,13 +540,11 @@ pub struct MrSim3D<L: Lattice> {
     wx: usize,
     wy: usize,
     boundary: Vec<(usize, usize, usize)>,
-    t: u64,
-    accum: Tally,
-    profiler: Option<std::sync::Arc<gpu_sim::profiler::Profiler>>,
-    obs: Option<std::sync::Arc<obs::Obs>>,
-    monitor: Option<obs::PhysicsMonitor>,
     _l: PhantomData<L>,
 }
+
+/// Driver for a 3D moment-representation simulation (MR-P or MR-R).
+pub type MrSim3D<L> = Sim<Mr3d<L>>;
 
 impl<L: Lattice> MrSim3D<L> {
     /// Build a 3D MR simulation over a duct-type geometry: walls on the
@@ -603,103 +602,36 @@ impl<L: Lattice> MrSim3D<L> {
         let layer = geom.nx * geom.ny;
         let mom = MomentLattice::new(n, L::M, layer, 2 * layer).with_touch_tracking();
         let bulk = crate::boundary::bulk_mask::<L>(&geom);
-        let mut sim = MrSim3D {
-            gpu: Gpu::new(device),
-            geom,
-            mom,
-            scheme,
-            tau,
-            consts: KernelConsts::new::<L>(tau),
-            bulk,
-            wx,
-            wy,
-            boundary,
-            t: 0,
-            accum: Tally::default(),
-            profiler: None,
-            obs: None,
-            monitor: None,
-            _l: PhantomData,
-        };
-        sim.init_with(|_, _, _| (1.0, [0.0; 3]));
-        sim
-    }
-
-    /// Limit the CPU worker threads backing the substrate.
-    pub fn with_cpu_threads(mut self, n: usize) -> Self {
-        self.gpu = self.gpu.with_cpu_threads(n);
-        self
+        Sim::from_body(
+            Gpu::new(device),
+            Mr3d {
+                geom,
+                mom,
+                scheme,
+                tau,
+                consts: KernelConsts::new::<L>(tau),
+                bulk,
+                wx,
+                wy,
+                boundary,
+                _l: PhantomData,
+            },
+        )
     }
 
     /// Force the scalar (per-node) reference kernels instead of the
     /// chunk-vectorized ones — the equivalence-test oracle.
     pub fn with_scalar_kernels(mut self) -> Self {
-        self.consts.scalar = true;
+        self.body.consts.scalar = true;
         self
-    }
-
-    /// Override the minimum launch size dispatched to the worker pool
-    /// (see `gpu_sim::Gpu::with_parallel_threshold`); `0` forces pooling
-    /// for every multi-block launch.
-    pub fn with_parallel_threshold(mut self, items: usize) -> Self {
-        self.gpu = self.gpu.with_parallel_threshold(items);
-        self
-    }
-
-    /// Record every kernel launch into a shared profiler (the substrate's
-    /// nvvp/rocprof analog): per-kernel byte counts and B/F.
-    pub fn with_profiler(mut self, p: std::sync::Arc<gpu_sim::profiler::Profiler>) -> Self {
-        self.profiler = Some(p);
-        self
-    }
-
-    /// Attach an observability hub: the driver emits a `step` span per
-    /// timestep and the device nests kernel/phase spans and publishes
-    /// launch metrics under it.
-    pub fn with_obs(mut self, obs: std::sync::Arc<obs::Obs>) -> Self {
-        self.set_obs(obs);
-        self
-    }
-
-    /// In-place [`MrSim3D::with_obs`] (the `Simulation` trait surface).
-    /// Publishes the chosen column footprint's lane redundancy as a gauge,
-    /// so bench records expose degenerate-domain fallbacks (e.g.
-    /// `ny < LANES`) instead of hiding them in the picker.
-    pub fn set_obs(&mut self, obs: std::sync::Arc<obs::Obs>) {
-        obs.metrics.gauge_set(
-            "mr3d_lane_redundancy",
-            &[("pattern", self.pattern_label())],
-            lane_redundancy(self.wx, self.wy),
-        );
-        self.gpu.set_obs(obs.clone());
-        self.obs = Some(obs);
-    }
-
-    /// Attach (or clear) the fleet trace context — the job identity the
-    /// serve scheduler assigned this simulation. Step and kernel spans
-    /// carry its args from now on; stepping and tallies are unaffected.
-    pub fn set_trace_ctx(&mut self, ctx: Option<obs::TraceCtx>) {
-        self.gpu.set_trace_ctx(ctx);
-    }
-
-    /// Attach a physics monitor sampling the macroscopic fields every
-    /// `cfg.cadence` steps (mass/momentum/max-|u|/NaN guards).
-    pub fn with_monitor(mut self, cfg: obs::MonitorConfig) -> Self {
-        self.monitor = Some(obs::PhysicsMonitor::new(cfg));
-        self
-    }
-
-    /// The attached physics monitor, if any.
-    pub fn monitor(&self) -> Option<&obs::PhysicsMonitor> {
-        self.monitor.as_ref()
     }
 
     /// Enable strict race checking on the moment lattice (tests).
     pub fn with_racecheck_strict(mut self) -> Self {
-        assert_eq!(self.t, 0, "attach the race checker before stepping");
+        assert_eq!(self.steps(), 0, "attach the race checker before stepping");
         let dummy = MomentLattice::new(1, L::M, 0, 0);
-        let old = std::mem::replace(&mut self.mom, dummy);
-        self.mom = old.with_racecheck_strict();
+        let old = std::mem::replace(&mut self.body.mom, dummy);
+        self.body.mom = old.with_racecheck_strict();
         self
     }
 
@@ -713,22 +645,36 @@ impl<L: Lattice> MrSim3D<L> {
     /// parity mapping routes the write to; the strict race checker verifies
     /// this in the tests. Must be called before the first step.
     pub fn with_twist(mut self) -> Self {
-        assert_eq!(self.t, 0, "switch storage before stepping");
-        let n = self.geom.len();
-        self.mom = MomentLattice::new(n, L::M, 0, 0)
+        assert_eq!(self.steps(), 0, "switch storage before stepping");
+        let n = self.body.geom.len();
+        self.body.mom = MomentLattice::new(n, L::M, 0, 0)
             .with_parity_twist()
             .with_touch_tracking();
         self.init_with(|_, _, _| (1.0, [0.0; 3]));
         self
     }
 
+    /// Moments of a node at the current time.
+    pub fn moments_at(&self, x: usize, y: usize, z: usize) -> Moments {
+        let b = &self.body;
+        b.mom.get_moments::<L>(self.steps(), b.geom.idx(x, y, z))
+    }
+}
+
+impl<L: Lattice> Mr3d<L> {
     /// Whether this driver runs the parity-twist storage variant.
     pub fn is_twist(&self) -> bool {
         self.mom.parity_twist()
     }
 
-    /// Monitor/metric pattern label for this configuration.
-    fn pattern_label(&self) -> &'static str {
+    /// Column footprint `(wx, wy)`.
+    pub fn config(&self) -> (usize, usize) {
+        (self.wx, self.wy)
+    }
+}
+
+impl<L: Lattice> DriverBody for Mr3d<L> {
+    fn label(&self) -> &'static str {
         if self.mom.parity_twist() {
             "mr3d-twist"
         } else {
@@ -736,8 +682,11 @@ impl<L: Lattice> MrSim3D<L> {
         }
     }
 
-    /// Initialize every node's moments from a macroscopic field.
-    pub fn init_with(&mut self, field: impl Fn(usize, usize, usize) -> (f64, [f64; 3])) {
+    fn geom(&self) -> &Geometry {
+        &self.geom
+    }
+
+    fn init_with(&mut self, field: impl Fn(usize, usize, usize) -> (f64, [f64; 3])) {
         for idx in 0..self.geom.len() {
             let (x, y, z) = self.geom.coords(idx);
             let (rho, u) = match self.geom.node_at(idx) {
@@ -752,261 +701,15 @@ impl<L: Lattice> MrSim3D<L> {
             };
             self.mom.set_moments::<L>(0, idx, &m);
         }
-        self.t = 0;
-        self.accum = Tally::default();
     }
 
-    /// Advance one timestep.
-    pub fn step(&mut self) {
-        let obs = self.obs.clone();
-        let _step_span = obs.as_ref().map(|o| {
-            let mut args = vec![("t", self.t.to_string())];
-            if let Some(ctx) = self.gpu.trace_ctx() {
-                ctx.append_args(&mut args);
-            }
-            o.tracer.span_args("driver", "step", &args)
-        });
-        let cols_x = self.geom.nx / self.wx;
-        let blocks = cols_x * (self.geom.ny / self.wy);
-        let cols: Vec<(usize, usize)> = (0..blocks)
-            .map(|b| ((b % cols_x) * self.wx, (b / cols_x) * self.wy))
-            .collect();
-        let stats = launch_mr3d_columns::<L>(
-            &self.gpu,
-            &self.mom,
-            &self.mom,
-            &self.geom,
-            &self.scheme,
-            &self.consts,
-            &self.bulk,
-            self.t,
-            self.wx,
-            self.wy,
-            &cols,
-        );
-        if let Some(p) = &self.profiler {
-            p.record(&stats, self.geom.fluid_count() as u64);
-        }
-        self.accum.merge(&stats.tally);
-
-        if !self.boundary.is_empty() {
-            let bs = 64;
-            let stats = self.gpu.launch(
-                &Launch::simple(self.boundary.len().div_ceil(bs), bs),
-                &MrBcKernel::<L> {
-                    mom: &self.mom,
-                    geom: &self.geom,
-                    tau: self.tau,
-                    t_next: self.t + 1,
-                    nodes: &self.boundary,
-                    block_size: bs,
-                    _l: PhantomData,
-                },
-            );
-            if let Some(p) = &self.profiler {
-                p.record(&stats, self.boundary.len() as u64);
-            }
-            self.accum.merge(&stats.tally);
-        }
-
-        self.t += 1;
-        self.sample_monitor();
-    }
-
-    /// Cadence-gated monitor sampling: field extraction only happens on
-    /// sampling steps.
-    fn sample_monitor(&mut self) {
-        if !self.monitor.as_ref().is_some_and(|m| m.due(self.t)) {
-            return;
-        }
-        let (rho, u) = self.macro_fields();
-        let s = self.monitor.as_mut().unwrap().observe(self.t, &rho, &u);
-        if let Some(o) = &self.obs {
-            let pat = self.pattern_label();
-            o.metrics
-                .gauge_set("monitor_mass", &[("pattern", pat)], s.mass);
-            o.metrics
-                .gauge_set("monitor_max_u", &[("pattern", pat)], s.max_u);
-            if s.nonfinite > 0 {
-                o.tracer.instant(
-                    "monitor",
-                    "nonfinite",
-                    &[
-                        ("step", s.step.to_string()),
-                        ("count", s.nonfinite.to_string()),
-                    ],
-                );
-            }
-        }
-    }
-
-    /// Advance `steps` timesteps, then force a final monitor sample so a
-    /// run that ends off the sampling cadence still has its tail checked.
-    pub fn run(&mut self, steps: usize) {
-        for _ in 0..steps {
-            self.step();
-        }
-        self.finish_monitor();
-    }
-
-    /// Force a final monitor sample at the current step (no-op without a
-    /// monitor, or when the last step was already sampled). The flushed
-    /// sample is published to the hub like any cadence sample, so monitor
-    /// series stay gap-free across run ends *and* fleet evictions.
-    pub fn finish_monitor(&mut self) {
-        if self.monitor.is_none() {
-            return;
-        }
-        let (rho, u) = self.macro_fields();
-        let s = self.monitor.as_mut().unwrap().finish(self.t, &rho, &u);
-        if let (Some(s), Some(o)) = (s, &self.obs) {
-            let pat = self.pattern_label();
-            o.metrics
-                .gauge_set("monitor_mass", &[("pattern", pat)], s.mass);
-            o.metrics
-                .gauge_set("monitor_max_u", &[("pattern", pat)], s.max_u);
-            o.tracer
-                .instant("monitor", "flush", &[("step", s.step.to_string())]);
-        }
-    }
-
-    /// Mutable access to the physics monitor (recovery rollback).
-    pub fn monitor_mut(&mut self) -> Option<&mut obs::PhysicsMonitor> {
-        self.monitor.as_mut()
-    }
-
-    /// Attach a deterministic fault plan to the device and the moment
-    /// storage (see `gpu_sim::FaultPlan`).
-    pub fn with_fault_plan(mut self, plan: std::sync::Arc<gpu_sim::FaultPlan>) -> Self {
-        self.gpu.set_fault_plan(plan.clone());
-        self.mom.set_fault_plan(plan);
-        self
-    }
-
-    /// FNV-1a fingerprint of the macroscopic fields (bitwise-sensitive).
-    pub fn field_checksum(&self) -> u64 {
-        let (rho, u) = self.macro_fields();
-        lbm_core::io::field_checksum(&rho, &u)
-    }
-
-    /// Serialize the full solver state (raw moment lattice, step counter,
-    /// traffic accumulator) — see [`MrSim2D::checkpoint`](crate::MrSim2D)
-    /// for the raw-snapshot rationale.
-    /// Twist runs tag the flavor with the step parity
-    /// (`"mr3d-twist+even"` / `"mr3d-twist+odd"`), mirroring
-    /// [`MrSim2D`](crate::MrSim2D): the plane order is part of the storage
-    /// contract, so a restore may only land on the matching half-cycle.
-    pub fn checkpoint(&self) -> Vec<u8> {
-        let flavor = if self.is_twist() {
-            lbm_core::io::parity_flavor("mr3d-twist", self.t)
-        } else {
-            "mr3d".to_string()
-        };
-        let mut w = lbm_core::io::CheckpointWriter::new(&flavor);
-        w.put_u64(self.geom.nx as u64)
-            .put_u64(self.geom.ny as u64)
-            .put_u64(self.geom.nz as u64)
-            .put_u64(L::M as u64)
-            .put_u64(self.t)
-            .put_u64(self.accum.reads)
-            .put_u64(self.accum.writes)
-            .put_u64(self.accum.bytes_read)
-            .put_u64(self.accum.bytes_written)
-            .put_u64(self.accum.dram_bytes_read)
-            .put_u64(self.accum.l2_read_hits)
-            .put_f64s(&self.mom.host_snapshot());
-        w.finish()
-    }
-
-    /// Restore a [`MrSim3D::checkpoint`] snapshot taken on an identically
-    /// configured simulation.
-    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), lbm_core::io::CheckpointError> {
-        use lbm_core::io::{CheckpointError, CheckpointReader};
-        let (mut r, twist_parity) = if self.is_twist() {
-            let (r, which) =
-                CheckpointReader::open_any(bytes, &["mr3d-twist+even", "mr3d-twist+odd"])?;
-            (r, Some(which as u64))
-        } else {
-            (CheckpointReader::open(bytes, "mr3d")?, None)
-        };
-        r.expect_u64(self.geom.nx as u64, "nx")?;
-        r.expect_u64(self.geom.ny as u64, "ny")?;
-        r.expect_u64(self.geom.nz as u64, "nz")?;
-        r.expect_u64(L::M as u64, "M")?;
-        let t = r.take_u64()?;
-        if let Some(parity) = twist_parity {
-            if t % 2 != parity {
-                return Err(CheckpointError::Mismatch(format!(
-                    "flavor parity ({}) disagrees with stored step counter {t}",
-                    if parity == 0 { "even" } else { "odd" }
-                )));
-            }
-        }
-        self.t = t;
-        self.accum = Tally {
-            reads: r.take_u64()?,
-            writes: r.take_u64()?,
-            bytes_read: r.take_u64()?,
-            bytes_written: r.take_u64()?,
-            dram_bytes_read: r.take_u64()?,
-            l2_read_hits: r.take_u64()?,
-        };
-        let raw = r.take_f64s(self.mom.raw_len())?;
-        self.mom.host_restore(&raw);
-        if let Some(m) = self.monitor.as_mut() {
-            m.rollback_to(self.t);
-        }
-        Ok(())
-    }
-
-    /// Completed timesteps.
-    pub fn steps(&self) -> u64 {
-        self.t
-    }
-
-    /// Domain geometry.
-    pub fn geom(&self) -> &Geometry {
-        &self.geom
-    }
-
-    /// Column footprint `(wx, wy)`.
-    pub fn config(&self) -> (usize, usize) {
-        (self.wx, self.wy)
-    }
-
-    /// Aggregate traffic over all steps so far.
-    pub fn traffic(&self) -> Tally {
-        self.accum
-    }
-
-    /// Measured DRAM bytes per fluid lattice update.
-    pub fn measured_bpf(&self) -> f64 {
-        let updates = self.geom.fluid_count() as u64 * self.t;
-        if updates == 0 {
-            return 0.0;
-        }
-        self.accum.dram_bytes() as f64 / updates as f64
-    }
-
-    /// Device-memory footprint of the single moment lattice.
-    pub fn footprint_bytes(&self) -> usize {
-        self.mom.size_bytes()
-    }
-
-    /// Moments of a node at the current time.
-    pub fn moments_at(&self, x: usize, y: usize, z: usize) -> Moments {
-        self.mom.get_moments::<L>(self.t, self.geom.idx(x, y, z))
-    }
-
-    /// Density and velocity fields in one pass over the moment lattice
-    /// (solid nodes report zero). This is what the physics monitor samples.
-    pub fn macro_fields(&self) -> (Vec<f64>, Vec<[f64; 3]>) {
+    fn macro_fields(&self, t: u64) -> Fields {
         let n = self.geom.len();
         let mut rho_out = vec![0.0; n];
         let mut u_out = vec![[0.0; 3]; n];
         for idx in 0..n {
             if self.geom.node_at(idx).is_fluid_like() {
-                let m = self.mom.get_moments::<L>(self.t, idx);
+                let m = self.mom.get_moments::<L>(t, idx);
                 rho_out[idx] = m.rho;
                 u_out[idx] = m.u;
             }
@@ -1014,14 +717,94 @@ impl<L: Lattice> MrSim3D<L> {
         (rho_out, u_out)
     }
 
-    /// Velocity field (solid nodes report zero).
-    pub fn velocity_field(&self) -> Vec<[f64; 3]> {
-        self.macro_fields().1
+    fn footprint_bytes(&self) -> usize {
+        self.mom.size_bytes()
     }
 
-    /// Density field (solid nodes report zero).
-    pub fn density_field(&self) -> Vec<f64> {
-        self.macro_fields().0
+    fn set_fault_plan(&mut self, plan: Arc<FaultPlan>) {
+        self.mom.set_fault_plan(plan);
+    }
+
+    /// Publishes the chosen column footprint's lane redundancy as a gauge,
+    /// so bench records expose degenerate-domain fallbacks (e.g.
+    /// `ny < LANES`) instead of hiding them in the picker.
+    fn hub_attached(&self, obs: &obs::Obs) {
+        obs.metrics.gauge_set(
+            "mr3d_lane_redundancy",
+            &[("pattern", self.label())],
+            lane_redundancy(self.wx, self.wy),
+        );
+    }
+
+    /// Twist runs tag the flavor with the step parity
+    /// (`"mr3d-twist+even"` / `"mr3d-twist+odd"`), mirroring
+    /// [`MrSim2D`](crate::MrSim2D).
+    fn frame(&self) -> Frame {
+        Frame {
+            flavor: self.label(),
+            parity: self.is_twist(),
+            guards: vec![
+                ("nx", self.geom.nx as u64),
+                ("ny", self.geom.ny as u64),
+                ("nz", self.geom.nz as u64),
+                ("M", L::M as u64),
+            ],
+        }
+    }
+
+    /// Raw, like [`MrSim2D`](crate::MrSim2D)'s.
+    fn state_arrays(&self) -> Vec<Vec<f64>> {
+        vec![self.mom.host_snapshot()]
+    }
+
+    fn state_lens(&self) -> Vec<usize> {
+        vec![self.mom.raw_len()]
+    }
+
+    fn install(&mut self, arrays: Vec<Vec<f64>>) {
+        self.mom.host_restore(&arrays[0]);
+    }
+}
+
+impl<L: Lattice> SoloBody for Mr3d<L> {
+    fn advance(&mut self, gpu: &Gpu, core: &mut DriverCore) {
+        let t = core.steps();
+        let cols_x = self.geom.nx / self.wx;
+        let blocks = cols_x * (self.geom.ny / self.wy);
+        let cols: Vec<(usize, usize)> = (0..blocks)
+            .map(|b| ((b % cols_x) * self.wx, (b / cols_x) * self.wy))
+            .collect();
+        let stats = launch_mr3d_columns::<L>(
+            gpu,
+            &self.mom,
+            &self.mom,
+            &self.geom,
+            &self.scheme,
+            &self.consts,
+            &self.bulk,
+            t,
+            self.wx,
+            self.wy,
+            &cols,
+        );
+        core.record(&stats, core.fluid_nodes());
+
+        if !self.boundary.is_empty() {
+            let bs = 64;
+            let stats = gpu.launch(
+                &Launch::simple(self.boundary.len().div_ceil(bs), bs),
+                &MrBcKernel::<L> {
+                    mom: &self.mom,
+                    geom: &self.geom,
+                    tau: self.tau,
+                    t_next: t + 1,
+                    nodes: &self.boundary,
+                    block_size: bs,
+                    _l: PhantomData,
+                },
+            );
+            core.record(&stats, self.boundary.len() as u64);
+        }
     }
 }
 

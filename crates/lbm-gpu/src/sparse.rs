@@ -31,8 +31,8 @@
 //! constructors (`try_new`), so a service front-end can reject a bad
 //! geometry instead of catching a panic.
 
+use crate::driver::{fill, DriverBody, DriverCore, Fields, Frame, Sim, SoloBody};
 use gpu_sim::exec::{BlockCtx, Kernel, Launch};
-use gpu_sim::memory::Tally;
 use gpu_sim::{DeviceSpec, GlobalBuffer, Gpu};
 use lbm_core::collision::Collision;
 use lbm_core::geometry::{Geometry, NodeType};
@@ -356,21 +356,20 @@ pub fn launch_sparse_st<L: Lattice, C: Collision<L>>(
     )
 }
 
-/// Driver for the indirect-addressing ST simulation.
-pub struct StSparseSim<L: Lattice, C: Collision<L>> {
-    gpu: Gpu,
+/// The sparse ST pattern's state: two compacted lattices and the link
+/// table.
+pub struct SparseSt<L: Lattice, C: Collision<L>> {
     geom: Geometry,
     index: FluidIndex,
     table: GlobalBuffer<u32>,
     f: [GlobalBuffer<f64>; 2],
     cur: usize,
     collision: C,
-    steps: u64,
-    accum: Tally,
-    obs: Option<Arc<obs::Obs>>,
-    monitor: Option<obs::PhysicsMonitor>,
     _l: PhantomData<L>,
 }
+
+/// Driver for the indirect-addressing ST simulation.
+pub type StSparseSim<L, C> = Sim<SparseSt<L, C>>;
 
 impl<L: Lattice, C: Collision<L>> StSparseSim<L, C> {
     /// Build a sparse simulation, panicking on an unsupported geometry.
@@ -398,84 +397,41 @@ impl<L: Lattice, C: Collision<L>> StSparseSim<L, C> {
         // so there is never a repeat touch for the L2 model to discount.
         let table = GlobalBuffer::from_vec(build_neighbor_table::<L>(&geom, &index)?);
         let nf = index.len();
-        let mut sim = StSparseSim {
-            gpu: Gpu::new(device),
-            geom,
-            index,
-            table,
-            f: [
-                GlobalBuffer::new(L::Q * nf).with_touch_tracking(),
-                GlobalBuffer::new(L::Q * nf).with_touch_tracking(),
-            ],
-            cur: 0,
-            collision,
-            steps: 0,
-            accum: Tally::default(),
-            obs: None,
-            monitor: None,
-            _l: PhantomData,
-        };
-        sim.init_with(|_, _, _| (1.0, [0.0; 3]));
-        Ok(sim)
+        Ok(Sim::from_body(
+            Gpu::new(device),
+            SparseSt {
+                geom,
+                index,
+                table,
+                f: [
+                    GlobalBuffer::new(L::Q * nf).with_touch_tracking(),
+                    GlobalBuffer::new(L::Q * nf).with_touch_tracking(),
+                ],
+                cur: 0,
+                collision,
+                _l: PhantomData,
+            },
+        ))
     }
+}
 
-    /// Limit the CPU worker threads backing the substrate.
-    pub fn with_cpu_threads(mut self, n: usize) -> Self {
-        self.gpu = self.gpu.with_cpu_threads(n);
-        self
+impl<L: Lattice, C: Collision<L>> SparseSt<L, C> {
+    /// The fluid-node compaction.
+    pub fn index(&self) -> &FluidIndex {
+        &self.index
     }
+}
 
-    /// Override the minimum launch size dispatched to the worker pool
-    /// (see `gpu_sim::Gpu::with_parallel_threshold`); `0` forces pooling
-    /// for every multi-block launch.
-    pub fn with_parallel_threshold(mut self, items: usize) -> Self {
-        self.gpu = self.gpu.with_parallel_threshold(items);
-        self
-    }
-
-    /// Route injected faults through the substrate and both lattices.
-    pub fn with_fault_plan(mut self, plan: Arc<gpu_sim::FaultPlan>) -> Self {
-        self.gpu.set_fault_plan(plan.clone());
-        self.f[0].set_fault_plan(plan.clone());
-        self.f[1].set_fault_plan(plan);
-        self
-    }
-
-    /// Attach an observability hub (kernel spans, monitor gauges).
-    pub fn with_obs(mut self, obs: Arc<obs::Obs>) -> Self {
-        self.set_obs(obs);
-        self
-    }
-
-    /// Attach an observability hub after construction.
-    pub fn set_obs(&mut self, obs: Arc<obs::Obs>) {
-        self.gpu.set_obs(obs.clone());
-        self.obs = Some(obs);
-    }
-
-    /// Attribute subsequent spans and events to a fleet trace context.
-    pub fn set_trace_ctx(&mut self, ctx: Option<obs::TraceCtx>) {
-        self.gpu.set_trace_ctx(ctx);
-    }
-
-    /// Attach a physics monitor sampling the macroscopic fields.
-    pub fn with_monitor(mut self, cfg: obs::MonitorConfig) -> Self {
-        self.monitor = Some(obs::PhysicsMonitor::new(cfg));
-        self
-    }
-
-    /// The attached physics monitor, if any.
-    pub fn monitor(&self) -> Option<&obs::PhysicsMonitor> {
-        self.monitor.as_ref()
-    }
-
-    /// Monitor/metric pattern label for this driver.
-    pub fn pattern_label(&self) -> &'static str {
+impl<L: Lattice, C: Collision<L>> DriverBody for SparseSt<L, C> {
+    fn label(&self) -> &'static str {
         "sparse-st"
     }
 
-    /// Initialize to the operator-consistent equilibrium of a field.
-    pub fn init_with(&mut self, field: impl Fn(usize, usize, usize) -> (f64, [f64; 3])) {
+    fn geom(&self) -> &Geometry {
+        &self.geom
+    }
+
+    fn init_with(&mut self, field: impl Fn(usize, usize, usize) -> (f64, [f64; 3])) {
         let nf = self.index.len();
         let mut feq = [0.0f64; MAX_Q];
         for (cid, &idx) in self.index.nodes.iter().enumerate() {
@@ -491,184 +447,9 @@ impl<L: Lattice, C: Collision<L>> StSparseSim<L, C> {
                 self.f[self.cur].set(i * nf + cid, feq[i]);
             }
         }
-        self.steps = 0;
-        self.accum = Tally::default();
     }
 
-    /// Advance one timestep.
-    pub fn step(&mut self) {
-        let obs = self.obs.clone();
-        let _step_span = obs.as_ref().map(|o| {
-            let mut args = vec![("t", self.steps.to_string())];
-            if let Some(ctx) = self.gpu.trace_ctx() {
-                ctx.append_args(&mut args);
-            }
-            o.tracer.span_args("driver", "step", &args)
-        });
-        let (src, dst) = (&self.f[self.cur], &self.f[self.cur ^ 1]);
-        let stats = launch_sparse_st::<L, C>(
-            &self.gpu,
-            src,
-            dst,
-            &self.table,
-            &self.index,
-            &self.collision,
-        );
-        self.accum.merge(&stats.tally);
-        self.cur ^= 1;
-        self.steps += 1;
-        self.sample_monitor();
-    }
-
-    /// Cadence-gated monitor sampling.
-    fn sample_monitor(&mut self) {
-        if !self.monitor.as_ref().is_some_and(|m| m.due(self.steps)) {
-            return;
-        }
-        let (rho, u) = self.macro_fields();
-        let s = self.monitor.as_mut().unwrap().observe(self.steps, &rho, &u);
-        if let Some(o) = &self.obs {
-            let pat = self.pattern_label();
-            o.metrics
-                .gauge_set("monitor_mass", &[("pattern", pat)], s.mass);
-            o.metrics
-                .gauge_set("monitor_max_u", &[("pattern", pat)], s.max_u);
-            if s.nonfinite > 0 {
-                o.tracer.instant(
-                    "monitor",
-                    "nonfinite",
-                    &[
-                        ("step", s.step.to_string()),
-                        ("count", s.nonfinite.to_string()),
-                    ],
-                );
-            }
-        }
-    }
-
-    /// Force a final monitor sample at the current step.
-    pub fn finish_monitor(&mut self) {
-        if self.monitor.is_none() {
-            return;
-        }
-        let (rho, u) = self.macro_fields();
-        let s = self.monitor.as_mut().unwrap().finish(self.steps, &rho, &u);
-        if let (Some(s), Some(o)) = (s, &self.obs) {
-            let pat = self.pattern_label();
-            o.metrics
-                .gauge_set("monitor_mass", &[("pattern", pat)], s.mass);
-            o.metrics
-                .gauge_set("monitor_max_u", &[("pattern", pat)], s.max_u);
-            o.tracer
-                .instant("monitor", "flush", &[("step", s.step.to_string())]);
-        }
-    }
-
-    /// Advance `steps` timesteps, then flush the monitor.
-    pub fn run(&mut self, steps: usize) {
-        for _ in 0..steps {
-            self.step();
-        }
-        self.finish_monitor();
-    }
-
-    /// Completed timesteps.
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-
-    /// Domain geometry.
-    pub fn geom(&self) -> &Geometry {
-        &self.geom
-    }
-
-    /// The fluid-node compaction.
-    pub fn index(&self) -> &FluidIndex {
-        &self.index
-    }
-
-    /// Aggregate traffic over all steps so far.
-    pub fn traffic(&self) -> Tally {
-        self.accum
-    }
-
-    /// Measured DRAM bytes per fluid update — `2Q·8 + Q·4` for the link
-    /// reads (the indirect-addressing penalty). Zero before the first step
-    /// (no updates have happened, so there is no per-update ratio yet).
-    pub fn measured_bpf(&self) -> f64 {
-        let updates = self.index.len() as u64 * self.steps;
-        if updates == 0 {
-            return 0.0;
-        }
-        self.accum.dram_bytes() as f64 / updates as f64
-    }
-
-    /// Device-memory footprint: two compacted lattices plus the link table.
-    /// Scales with the fluid count, not the bounding box.
-    pub fn footprint_bytes(&self) -> usize {
-        self.f[0].size_bytes() + self.f[1].size_bytes() + self.table.size_bytes()
-    }
-
-    /// Serialize the full solver state (LBCK flavor `"sparse-st"`): the
-    /// current compacted lattice plus the traffic tally, restorable on an
-    /// identically configured simulation for bitwise-identical resumption.
-    pub fn checkpoint(&self) -> Vec<u8> {
-        let mut w = lbm_core::io::CheckpointWriter::new("sparse-st");
-        w.put_u64(self.geom.nx as u64)
-            .put_u64(self.geom.ny as u64)
-            .put_u64(self.geom.nz as u64)
-            .put_u64(L::Q as u64)
-            .put_u64(self.index.len() as u64)
-            .put_u64(self.steps)
-            .put_u64(self.accum.reads)
-            .put_u64(self.accum.writes)
-            .put_u64(self.accum.bytes_read)
-            .put_u64(self.accum.bytes_written)
-            .put_u64(self.accum.dram_bytes_read)
-            .put_u64(self.accum.l2_read_hits)
-            .put_f64s(&self.f[self.cur].snapshot());
-        w.finish()
-    }
-
-    /// Restore a [`StSparseSim::checkpoint`] snapshot.
-    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), lbm_core::io::CheckpointError> {
-        use lbm_core::io::CheckpointReader;
-        let mut r = CheckpointReader::open(bytes, "sparse-st")?;
-        r.expect_u64(self.geom.nx as u64, "nx")?;
-        r.expect_u64(self.geom.ny as u64, "ny")?;
-        r.expect_u64(self.geom.nz as u64, "nz")?;
-        r.expect_u64(L::Q as u64, "Q")?;
-        r.expect_u64(self.index.len() as u64, "fluid nodes")?;
-        let t = r.take_u64()?;
-        self.accum = Tally {
-            reads: r.take_u64()?,
-            writes: r.take_u64()?,
-            bytes_read: r.take_u64()?,
-            bytes_written: r.take_u64()?,
-            dram_bytes_read: r.take_u64()?,
-            l2_read_hits: r.take_u64()?,
-        };
-        let raw = r.take_f64s(self.f[0].len())?;
-        for (i, v) in raw.iter().enumerate() {
-            self.f[0].set(i, *v);
-        }
-        self.cur = 0;
-        self.steps = t;
-        if let Some(m) = self.monitor.as_mut() {
-            m.rollback_to(self.steps);
-        }
-        Ok(())
-    }
-
-    /// FNV-1a fingerprint of the macroscopic fields (bitwise-sensitive).
-    pub fn field_checksum(&self) -> u64 {
-        let (rho, u) = self.macro_fields();
-        lbm_core::io::field_checksum(&rho, &u)
-    }
-
-    /// Density and velocity fields on the full domain in one pass (solid
-    /// nodes report zero). This is what the physics monitor samples.
-    pub fn macro_fields(&self) -> (Vec<f64>, Vec<[f64; 3]>) {
+    fn macro_fields(&self, _t: u64) -> Fields {
         let nf = self.index.len();
         let mut rho_out = vec![0.0; self.geom.len()];
         let mut u_out = vec![[0.0; 3]; self.geom.len()];
@@ -684,14 +465,54 @@ impl<L: Lattice, C: Collision<L>> StSparseSim<L, C> {
         (rho_out, u_out)
     }
 
-    /// Velocity field on the full domain (solid nodes report zero).
-    pub fn velocity_field(&self) -> Vec<[f64; 3]> {
-        self.macro_fields().1
+    /// Two compacted lattices plus the link table: scales with the fluid
+    /// count, not the bounding box.
+    fn footprint_bytes(&self) -> usize {
+        self.f[0].size_bytes() + self.f[1].size_bytes() + self.table.size_bytes()
     }
 
-    /// Density field on the full domain.
-    pub fn density_field(&self) -> Vec<f64> {
-        self.macro_fields().0
+    fn set_fault_plan(&mut self, plan: Arc<gpu_sim::FaultPlan>) {
+        self.f[0].set_fault_plan(plan.clone());
+        self.f[1].set_fault_plan(plan);
+    }
+
+    fn frame(&self) -> Frame {
+        Frame {
+            flavor: "sparse-st",
+            parity: false,
+            guards: vec![
+                ("nx", self.geom.nx as u64),
+                ("ny", self.geom.ny as u64),
+                ("nz", self.geom.nz as u64),
+                ("Q", L::Q as u64),
+                ("fluid nodes", self.index.len() as u64),
+            ],
+        }
+    }
+
+    fn state_arrays(&self) -> Vec<Vec<f64>> {
+        vec![self.f[self.cur].snapshot()]
+    }
+
+    fn state_lens(&self) -> Vec<usize> {
+        vec![self.f[0].len()]
+    }
+
+    fn install(&mut self, arrays: Vec<Vec<f64>>) {
+        fill(&self.f[0], &arrays[0]);
+        self.cur = 0;
+    }
+}
+
+impl<L: Lattice, C: Collision<L>> SoloBody for SparseSt<L, C> {
+    /// Measured B/F is `2Q·8 + Q·4`: the link reads are the
+    /// indirect-addressing penalty.
+    fn advance(&mut self, gpu: &Gpu, core: &mut DriverCore) {
+        let (src, dst) = (&self.f[self.cur], &self.f[self.cur ^ 1]);
+        let stats =
+            launch_sparse_st::<L, C>(gpu, src, dst, &self.table, &self.index, &self.collision);
+        core.record(&stats, core.fluid_nodes());
+        self.cur ^= 1;
     }
 }
 

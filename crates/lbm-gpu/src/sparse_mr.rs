@@ -36,12 +36,12 @@
 //! moment lattice suffices; the per-tile staging rows live in block
 //! scratch, which persists across phases.
 
+use crate::driver::{fill, DriverBody, DriverCore, Fields, Frame, Sim, SoloBody};
 use crate::scheme::MrScheme;
 use crate::sparse::{
     build_neighbor_table, validate_sparse_geometry, FluidIndex, SparseBuildError, Tile,
 };
 use gpu_sim::exec::{BlockCtx, Launch, PhasedKernel};
-use gpu_sim::memory::Tally;
 use gpu_sim::{DeviceSpec, GlobalBuffer, Gpu};
 use lbm_core::geometry::Geometry;
 use lbm_core::kernels::{self, assert_lattice_fits, LaneBlock, LANES, MAX_M, MAX_Q};
@@ -355,11 +355,9 @@ pub fn launch_sparse_mr<L: Lattice>(
     )
 }
 
-/// Driver for the sparse (fluid-compacted, indirect-addressing)
-/// moment-representation simulation. Stores a single in-place moment
+/// The sparse moment representation's state: a single in-place moment
 /// lattice of `M` doubles per fluid node plus the `u32` link table.
-pub struct SparseMrSim<L: Lattice> {
-    gpu: Gpu,
+pub struct SparseMr<L: Lattice> {
     geom: Geometry,
     index: FluidIndex,
     table: GlobalBuffer<u32>,
@@ -368,13 +366,12 @@ pub struct SparseMrSim<L: Lattice> {
     scheme: MrScheme,
     tau: f64,
     scalar: bool,
-    t: u64,
-    accum: Tally,
-    obs: Option<Arc<obs::Obs>>,
-    monitor: Option<obs::PhysicsMonitor>,
     _l: PhantomData<L>,
 }
 
+/// Driver for the sparse (fluid-compacted, indirect-addressing)
+/// moment-representation simulation.
+pub type SparseMrSim<L> = Sim<SparseMr<L>>;
 /// Sparse MR on the D2Q9 lattice (M = 6: B/F 132 vs dense MR's 96).
 pub type SparseMrSim2D = SparseMrSim<D2Q9>;
 /// Sparse MR on the D3Q19 lattice (M = 10: B/F 236 vs dense MR's 160).
@@ -405,42 +402,26 @@ impl<L: Lattice> SparseMrSim<L> {
         let table = GlobalBuffer::from_vec(build_neighbor_table::<L>(&geom, &index)?);
         let halo = HaloDirectory::build::<L>(&index, &table);
         let nf = index.len();
-        let mut sim = SparseMrSim {
-            gpu: Gpu::new(device),
-            geom,
-            index,
-            table,
-            halo,
-            mom: GlobalBuffer::new(L::M * nf).with_touch_tracking(),
-            scheme,
-            tau,
-            scalar: false,
-            t: 0,
-            accum: Tally::default(),
-            obs: None,
-            monitor: None,
-            _l: PhantomData,
-        };
-        sim.init_with(|_, _, _| (1.0, [0.0; 3]));
-        Ok(sim)
-    }
-
-    /// Limit the CPU worker threads backing the substrate.
-    pub fn with_cpu_threads(mut self, n: usize) -> Self {
-        self.gpu = self.gpu.with_cpu_threads(n);
-        self
-    }
-
-    /// Override the minimum launch size dispatched to the worker pool.
-    pub fn with_parallel_threshold(mut self, items: usize) -> Self {
-        self.gpu = self.gpu.with_parallel_threshold(items);
-        self
+        Ok(Sim::from_body(
+            Gpu::new(device),
+            SparseMr {
+                geom,
+                index,
+                table,
+                halo,
+                mom: GlobalBuffer::new(L::M * nf).with_touch_tracking(),
+                scheme,
+                tau,
+                scalar: false,
+                _l: PhantomData,
+            },
+        ))
     }
 
     /// Force the original per-node scalar kernels (bitwise-identical to
     /// the default vectorized lane path; used by the equivalence tests).
     pub fn with_scalar_kernels(mut self) -> Self {
-        self.scalar = true;
+        self.body.scalar = true;
         self
     }
 
@@ -448,56 +429,37 @@ impl<L: Lattice> SparseMrSim<L> {
     /// two-phase kernel reads strictly before it writes, so even the
     /// strict checker stays quiet.
     pub fn with_racecheck_strict(mut self) -> Self {
-        assert_eq!(self.t, 0, "attach the race checker before stepping");
-        let old = std::mem::replace(&mut self.mom, GlobalBuffer::new(0));
-        self.mom = old.with_racecheck_strict();
+        assert_eq!(self.steps(), 0, "attach the race checker before stepping");
+        let old = std::mem::replace(&mut self.body.mom, GlobalBuffer::new(0));
+        self.body.mom = old.with_racecheck_strict();
         self
     }
+}
 
-    /// Route injected faults through the substrate and the moment lattice.
-    pub fn with_fault_plan(mut self, plan: Arc<gpu_sim::FaultPlan>) -> Self {
-        self.gpu.set_fault_plan(plan.clone());
-        self.mom.set_fault_plan(plan);
-        self
+impl<L: Lattice> SparseMr<L> {
+    /// The fluid-node compaction.
+    pub fn index(&self) -> &FluidIndex {
+        &self.index
     }
 
-    /// Attach an observability hub (kernel spans, monitor gauges).
-    pub fn with_obs(mut self, obs: Arc<obs::Obs>) -> Self {
-        self.set_obs(obs);
-        self
+    /// The collision scheme.
+    pub fn scheme(&self) -> &MrScheme {
+        &self.scheme
     }
+}
 
-    /// Attach an observability hub after construction.
-    pub fn set_obs(&mut self, obs: Arc<obs::Obs>) {
-        self.gpu.set_obs(obs.clone());
-        self.obs = Some(obs);
-    }
-
-    /// Attribute subsequent spans and events to a fleet trace context.
-    pub fn set_trace_ctx(&mut self, ctx: Option<obs::TraceCtx>) {
-        self.gpu.set_trace_ctx(ctx);
-    }
-
-    /// Attach a physics monitor sampling the macroscopic fields.
-    pub fn with_monitor(mut self, cfg: obs::MonitorConfig) -> Self {
-        self.monitor = Some(obs::PhysicsMonitor::new(cfg));
-        self
-    }
-
-    /// The attached physics monitor, if any.
-    pub fn monitor(&self) -> Option<&obs::PhysicsMonitor> {
-        self.monitor.as_ref()
-    }
-
-    /// Monitor/metric pattern label for this driver.
-    pub fn pattern_label(&self) -> &'static str {
+impl<L: Lattice> DriverBody for SparseMr<L> {
+    fn label(&self) -> &'static str {
         "sparse-mr"
     }
 
-    /// Initialize every fluid node's moments from a macroscopic field
-    /// (`{ρ, u, Π_eq}` — the same equilibrium start as the dense MR
-    /// drivers, so shared fluid nodes begin bitwise-equal).
-    pub fn init_with(&mut self, field: impl Fn(usize, usize, usize) -> (f64, [f64; 3])) {
+    fn geom(&self) -> &Geometry {
+        &self.geom
+    }
+
+    /// `{ρ, u, Π_eq}` — the same equilibrium start as the dense MR
+    /// drivers, so shared fluid nodes begin bitwise-equal.
+    fn init_with(&mut self, field: impl Fn(usize, usize, usize) -> (f64, [f64; 3])) {
         let nf = self.index.len();
         let mut packed = [0.0f64; MAX_M];
         for (cid, &idx) in self.index.nodes.iter().enumerate() {
@@ -513,187 +475,9 @@ impl<L: Lattice> SparseMrSim<L> {
                 self.mom.set(mi * nf + cid, packed[mi]);
             }
         }
-        self.t = 0;
-        self.accum = Tally::default();
     }
 
-    /// Advance one timestep (one two-phase lockstep launch).
-    pub fn step(&mut self) {
-        let obs = self.obs.clone();
-        let _step_span = obs.as_ref().map(|o| {
-            let mut args = vec![("t", self.t.to_string())];
-            if let Some(ctx) = self.gpu.trace_ctx() {
-                ctx.append_args(&mut args);
-            }
-            o.tracer.span_args("driver", "step", &args)
-        });
-        let stats = launch_sparse_mr::<L>(
-            &self.gpu,
-            &self.mom,
-            &self.mom,
-            &self.table,
-            &self.index,
-            &self.halo,
-            &self.scheme,
-            self.tau,
-            self.scalar,
-        );
-        self.accum.merge(&stats.tally);
-        self.t += 1;
-        self.sample_monitor();
-    }
-
-    /// Cadence-gated monitor sampling.
-    fn sample_monitor(&mut self) {
-        if !self.monitor.as_ref().is_some_and(|m| m.due(self.t)) {
-            return;
-        }
-        let (rho, u) = self.macro_fields();
-        let s = self.monitor.as_mut().unwrap().observe(self.t, &rho, &u);
-        if let Some(o) = &self.obs {
-            let pat = self.pattern_label();
-            o.metrics
-                .gauge_set("monitor_mass", &[("pattern", pat)], s.mass);
-            o.metrics
-                .gauge_set("monitor_max_u", &[("pattern", pat)], s.max_u);
-            if s.nonfinite > 0 {
-                o.tracer.instant(
-                    "monitor",
-                    "nonfinite",
-                    &[
-                        ("step", s.step.to_string()),
-                        ("count", s.nonfinite.to_string()),
-                    ],
-                );
-            }
-        }
-    }
-
-    /// Force a final monitor sample at the current step.
-    pub fn finish_monitor(&mut self) {
-        if self.monitor.is_none() {
-            return;
-        }
-        let (rho, u) = self.macro_fields();
-        let s = self.monitor.as_mut().unwrap().finish(self.t, &rho, &u);
-        if let (Some(s), Some(o)) = (s, &self.obs) {
-            let pat = self.pattern_label();
-            o.metrics
-                .gauge_set("monitor_mass", &[("pattern", pat)], s.mass);
-            o.metrics
-                .gauge_set("monitor_max_u", &[("pattern", pat)], s.max_u);
-            o.tracer
-                .instant("monitor", "flush", &[("step", s.step.to_string())]);
-        }
-    }
-
-    /// Advance `steps` timesteps, then flush the monitor.
-    pub fn run(&mut self, steps: usize) {
-        for _ in 0..steps {
-            self.step();
-        }
-        self.finish_monitor();
-    }
-
-    /// Completed timesteps.
-    pub fn steps(&self) -> u64 {
-        self.t
-    }
-
-    /// Domain geometry.
-    pub fn geom(&self) -> &Geometry {
-        &self.geom
-    }
-
-    /// The fluid-node compaction.
-    pub fn index(&self) -> &FluidIndex {
-        &self.index
-    }
-
-    /// The collision scheme.
-    pub fn scheme(&self) -> &MrScheme {
-        &self.scheme
-    }
-
-    /// Aggregate traffic over all steps so far.
-    pub fn traffic(&self) -> Tally {
-        self.accum
-    }
-
-    /// Measured DRAM bytes per fluid update — `2M·8 + Q·4` (132 for D2Q9,
-    /// 236 for D3Q19). Zero before the first step (no updates yet, so
-    /// there is no per-update ratio — the 0/0 guard of the ST driver).
-    pub fn measured_bpf(&self) -> f64 {
-        let updates = self.index.len() as u64 * self.t;
-        if updates == 0 {
-            return 0.0;
-        }
-        self.accum.dram_bytes() as f64 / updates as f64
-    }
-
-    /// Device-memory footprint: one compacted moment lattice plus the link
-    /// table — `M·8 + Q·4` bytes per fluid node.
-    pub fn footprint_bytes(&self) -> usize {
-        self.mom.size_bytes() + self.table.size_bytes()
-    }
-
-    /// Serialize the full solver state (LBCK flavor `"sparse-mr"`).
-    pub fn checkpoint(&self) -> Vec<u8> {
-        let mut w = lbm_core::io::CheckpointWriter::new("sparse-mr");
-        w.put_u64(self.geom.nx as u64)
-            .put_u64(self.geom.ny as u64)
-            .put_u64(self.geom.nz as u64)
-            .put_u64(L::M as u64)
-            .put_u64(self.index.len() as u64)
-            .put_u64(self.t)
-            .put_u64(self.accum.reads)
-            .put_u64(self.accum.writes)
-            .put_u64(self.accum.bytes_read)
-            .put_u64(self.accum.bytes_written)
-            .put_u64(self.accum.dram_bytes_read)
-            .put_u64(self.accum.l2_read_hits)
-            .put_f64s(&self.mom.snapshot());
-        w.finish()
-    }
-
-    /// Restore a [`SparseMrSim::checkpoint`] snapshot.
-    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), lbm_core::io::CheckpointError> {
-        use lbm_core::io::CheckpointReader;
-        let mut r = CheckpointReader::open(bytes, "sparse-mr")?;
-        r.expect_u64(self.geom.nx as u64, "nx")?;
-        r.expect_u64(self.geom.ny as u64, "ny")?;
-        r.expect_u64(self.geom.nz as u64, "nz")?;
-        r.expect_u64(L::M as u64, "M")?;
-        r.expect_u64(self.index.len() as u64, "fluid nodes")?;
-        let t = r.take_u64()?;
-        self.accum = Tally {
-            reads: r.take_u64()?,
-            writes: r.take_u64()?,
-            bytes_read: r.take_u64()?,
-            bytes_written: r.take_u64()?,
-            dram_bytes_read: r.take_u64()?,
-            l2_read_hits: r.take_u64()?,
-        };
-        let raw = r.take_f64s(self.mom.len())?;
-        for (i, v) in raw.iter().enumerate() {
-            self.mom.set(i, *v);
-        }
-        self.t = t;
-        if let Some(m) = self.monitor.as_mut() {
-            m.rollback_to(self.t);
-        }
-        Ok(())
-    }
-
-    /// FNV-1a fingerprint of the macroscopic fields (bitwise-sensitive).
-    pub fn field_checksum(&self) -> u64 {
-        let (rho, u) = self.macro_fields();
-        lbm_core::io::field_checksum(&rho, &u)
-    }
-
-    /// Density and velocity fields on the full domain in one pass (solid
-    /// nodes report zero).
-    pub fn macro_fields(&self) -> (Vec<f64>, Vec<[f64; 3]>) {
+    fn macro_fields(&self, _t: u64) -> Fields {
         let nf = self.index.len();
         let mut rho_out = vec![0.0; self.geom.len()];
         let mut u_out = vec![[0.0; 3]; self.geom.len()];
@@ -706,14 +490,59 @@ impl<L: Lattice> SparseMrSim<L> {
         (rho_out, u_out)
     }
 
-    /// Velocity field on the full domain (solid nodes report zero).
-    pub fn velocity_field(&self) -> Vec<[f64; 3]> {
-        self.macro_fields().1
+    /// One compacted moment lattice plus the link table — `M·8 + Q·4`
+    /// bytes per fluid node.
+    fn footprint_bytes(&self) -> usize {
+        self.mom.size_bytes() + self.table.size_bytes()
     }
 
-    /// Density field on the full domain.
-    pub fn density_field(&self) -> Vec<f64> {
-        self.macro_fields().0
+    fn set_fault_plan(&mut self, plan: Arc<gpu_sim::FaultPlan>) {
+        self.mom.set_fault_plan(plan);
+    }
+
+    fn frame(&self) -> Frame {
+        Frame {
+            flavor: "sparse-mr",
+            parity: false,
+            guards: vec![
+                ("nx", self.geom.nx as u64),
+                ("ny", self.geom.ny as u64),
+                ("nz", self.geom.nz as u64),
+                ("M", L::M as u64),
+                ("fluid nodes", self.index.len() as u64),
+            ],
+        }
+    }
+
+    fn state_arrays(&self) -> Vec<Vec<f64>> {
+        vec![self.mom.snapshot()]
+    }
+
+    fn state_lens(&self) -> Vec<usize> {
+        vec![self.mom.len()]
+    }
+
+    fn install(&mut self, arrays: Vec<Vec<f64>>) {
+        fill(&self.mom, &arrays[0]);
+    }
+}
+
+impl<L: Lattice> SoloBody for SparseMr<L> {
+    /// One two-phase lockstep launch; measured B/F is `2M·8 + Q·4` (132
+    /// for D2Q9, 236 for D3Q19).
+    fn advance(&mut self, gpu: &Gpu, core: &mut DriverCore) {
+        let stats = launch_sparse_mr::<L>(
+            gpu,
+            &self.mom,
+            &self.mom,
+            &self.table,
+            &self.index,
+            &self.halo,
+            &self.scheme,
+            self.tau,
+            self.scalar,
+        );
+        core.record(&stats, core.fluid_nodes());
     }
 }
 

@@ -8,9 +8,9 @@
 //! small inlet/outlet kernel contribution.
 
 use crate::boundary::{boundary_nodes, stencil_coords, MacroCache};
+use crate::driver::{fill, DriverBody, DriverCore, Fields, Frame, Sim, SoloBody};
 use gpu_sim::exec::{BlockCtx, Kernel, Launch, LaunchStats};
-use gpu_sim::memory::Tally;
-use gpu_sim::{DeviceSpec, GlobalBuffer, Gpu};
+use gpu_sim::{DeviceSpec, FaultPlan, GlobalBuffer, Gpu};
 use lbm_core::boundary::{boundary_node_moments, WallGains};
 use lbm_core::collision::Collision;
 use lbm_core::geometry::{Geometry, NodeType};
@@ -18,6 +18,7 @@ use lbm_core::kernels::{KernelConsts, MAX_Q};
 use lbm_lattice::moments::Moments;
 use lbm_lattice::Lattice;
 use std::marker::PhantomData;
+use std::sync::Arc;
 
 /// Streaming by gather (Algorithm 1, lines 3–10) with halfway bounce-back
 /// against solid neighbors — everything up to the collision. Shared by the
@@ -452,9 +453,8 @@ impl<L: Lattice, C: Collision<L>> Kernel for StBcKernel<'_, L, C> {
     }
 }
 
-/// Driver for an ST simulation on the substrate.
-pub struct StSim<L: Lattice, C: Collision<L>> {
-    gpu: Gpu,
+/// The ST pattern's state: two full distribution lattices.
+pub struct St<L: Lattice, C: Collision<L>> {
     geom: Geometry,
     f: [GlobalBuffer<f64>; 2],
     cur: usize,
@@ -463,13 +463,11 @@ pub struct StSim<L: Lattice, C: Collision<L>> {
     block_size: usize,
     stream: StStream,
     boundary: Vec<(usize, usize, usize)>,
-    steps: u64,
-    accum: Tally,
-    profiler: Option<std::sync::Arc<gpu_sim::profiler::Profiler>>,
-    obs: Option<std::sync::Arc<obs::Obs>>,
-    monitor: Option<obs::PhysicsMonitor>,
     _l: PhantomData<L>,
 }
+
+/// Driver for an ST simulation on the substrate.
+pub type StSim<L, C> = Sim<St<L, C>>;
 
 impl<L: Lattice, C: Collision<L>> StSim<L, C> {
     /// Build an ST simulation on `device` over `geom`, initialized to
@@ -484,88 +482,29 @@ impl<L: Lattice, C: Collision<L>> StSim<L, C> {
             assert!(geom.nx >= 5, "FD boundaries need nx ≥ 5");
         }
         let consts = KernelConsts::new::<L>(collision.tau());
-        let mut sim = StSim {
-            gpu: Gpu::new(device),
-            geom,
-            f: [
-                GlobalBuffer::new(L::Q * n).with_touch_tracking(),
-                GlobalBuffer::new(L::Q * n).with_touch_tracking(),
-            ],
-            cur: 0,
-            collision,
-            consts,
-            block_size: 256,
-            stream: StStream::Pull,
-            boundary,
-            steps: 0,
-            accum: Tally::default(),
-            profiler: None,
-            obs: None,
-            monitor: None,
-            _l: PhantomData,
-        };
-        sim.init_with(|_, _, _| (1.0, [0.0; 3]));
-        sim
-    }
-
-    /// Limit the CPU worker threads backing the substrate.
-    pub fn with_cpu_threads(mut self, n: usize) -> Self {
-        self.gpu = self.gpu.with_cpu_threads(n);
-        self
-    }
-
-    /// Override the minimum launch size dispatched to the worker pool
-    /// (see `gpu_sim::Gpu::with_parallel_threshold`); `0` forces pooling
-    /// for every multi-block launch.
-    pub fn with_parallel_threshold(mut self, items: usize) -> Self {
-        self.gpu = self.gpu.with_parallel_threshold(items);
-        self
-    }
-
-    /// Record every kernel launch into a shared profiler (the substrate's
-    /// nvvp/rocprof analog): per-kernel byte counts and B/F.
-    pub fn with_profiler(mut self, p: std::sync::Arc<gpu_sim::profiler::Profiler>) -> Self {
-        self.profiler = Some(p);
-        self
-    }
-
-    /// Attach an observability hub: the driver emits a `step` span per
-    /// timestep and the device nests kernel spans and publishes launch
-    /// metrics under it.
-    pub fn with_obs(mut self, obs: std::sync::Arc<obs::Obs>) -> Self {
-        self.set_obs(obs);
-        self
-    }
-
-    /// In-place [`StSim::with_obs`] (the `Simulation` trait surface).
-    pub fn set_obs(&mut self, obs: std::sync::Arc<obs::Obs>) {
-        self.gpu.set_obs(obs.clone());
-        self.obs = Some(obs);
-    }
-
-    /// Attach (or clear) the fleet trace context — the job identity the
-    /// serve scheduler assigned this simulation. Step and kernel spans
-    /// carry its args from now on; stepping and tallies are unaffected.
-    pub fn set_trace_ctx(&mut self, ctx: Option<obs::TraceCtx>) {
-        self.gpu.set_trace_ctx(ctx);
-    }
-
-    /// Attach a physics monitor sampling the macroscopic fields every
-    /// `cfg.cadence` steps (mass/momentum/max-|u|/NaN guards).
-    pub fn with_monitor(mut self, cfg: obs::MonitorConfig) -> Self {
-        self.monitor = Some(obs::PhysicsMonitor::new(cfg));
-        self
-    }
-
-    /// The attached physics monitor, if any.
-    pub fn monitor(&self) -> Option<&obs::PhysicsMonitor> {
-        self.monitor.as_ref()
+        Sim::from_body(
+            Gpu::new(device),
+            St {
+                geom,
+                f: [
+                    GlobalBuffer::new(L::Q * n).with_touch_tracking(),
+                    GlobalBuffer::new(L::Q * n).with_touch_tracking(),
+                ],
+                cur: 0,
+                collision,
+                consts,
+                block_size: 256,
+                stream: StStream::Pull,
+                boundary,
+                _l: PhantomData,
+            },
+        )
     }
 
     /// Set the thread-block size of the bulk kernel.
     pub fn with_block_size(mut self, bs: usize) -> Self {
         assert!(bs >= 1);
-        self.block_size = bs;
+        self.body.block_size = bs;
         self
     }
 
@@ -574,7 +513,7 @@ impl<L: Lattice, C: Collision<L>> StSim<L, C> {
     /// `tests/kernel_equivalence.rs`); the scalar path exists as the
     /// equivalence oracle.
     pub fn with_scalar_kernels(mut self) -> Self {
-        self.consts.scalar = true;
+        self.body.consts.scalar = true;
         self
     }
 
@@ -585,18 +524,43 @@ impl<L: Lattice, C: Collision<L>> StSim<L, C> {
     pub fn with_stream(mut self, stream: StStream) -> Self {
         if stream == StStream::Push {
             assert!(
-                self.boundary.is_empty(),
+                self.body.boundary.is_empty(),
                 "push streaming does not support inlet/outlet boundaries"
             );
         }
-        self.stream = stream;
+        self.body.stream = stream;
         self
     }
+}
 
-    /// Initialize all nodes to the operator-consistent equilibrium of a
-    /// macroscopic field (the collision operator's reconstruction of
-    /// `{ρ, u, Π_eq}` — see the reference solver's `init_with`).
-    pub fn init_with(&mut self, field: impl Fn(usize, usize, usize) -> (f64, [f64; 3])) {
+impl<L: Lattice, C: Collision<L>> St<L, C> {
+    /// Distribution at a node (current state).
+    pub fn f_at(&self, x: usize, y: usize, z: usize) -> Vec<f64> {
+        let n = self.geom.len();
+        let idx = self.geom.idx(x, y, z);
+        (0..L::Q)
+            .map(|i| self.f[self.cur].get(i * n + idx))
+            .collect()
+    }
+
+    /// Moments at a node (post-collision state).
+    pub fn moments_at(&self, x: usize, y: usize, z: usize) -> Moments {
+        Moments::from_f::<L>(&self.f_at(x, y, z))
+    }
+}
+
+impl<L: Lattice, C: Collision<L>> DriverBody for St<L, C> {
+    fn label(&self) -> &'static str {
+        "st"
+    }
+
+    fn geom(&self) -> &Geometry {
+        &self.geom
+    }
+
+    /// The collision operator's reconstruction of `{ρ, u, Π_eq}` — see the
+    /// reference solver's `init_with`.
+    fn init_with(&mut self, field: impl Fn(usize, usize, usize) -> (f64, [f64; 3])) {
         let n = self.geom.len();
         let mut feq = [0.0f64; MAX_Q];
         for idx in 0..n {
@@ -616,202 +580,11 @@ impl<L: Lattice, C: Collision<L>> StSim<L, C> {
                 self.f[self.cur].set(i * n + idx, feq[i]);
             }
         }
-        self.steps = 0;
-        self.accum = Tally::default();
     }
 
-    /// Advance one timestep (bulk launch + boundary launch).
-    pub fn step(&mut self) {
-        let obs = self.obs.clone();
-        let _step_span = obs.as_ref().map(|o| {
-            let mut args = vec![("t", self.steps.to_string())];
-            if let Some(ctx) = self.gpu.trace_ctx() {
-                ctx.append_args(&mut args);
-            }
-            o.tracer.span_args("driver", "step", &args)
-        });
-        let n = self.geom.len();
-        let (src, dst) = (&self.f[self.cur], &self.f[self.cur ^ 1]);
-        let blocks = n.div_ceil(self.block_size);
-        // Both bulk kernels stage span traffic direction-major in scratch.
-        let cfg = Launch {
-            blocks,
-            threads_per_block: self.block_size,
-            shared_doubles: 0,
-            scratch_doubles: L::Q * self.block_size,
-        };
-        let stats = match self.stream {
-            StStream::Pull => self.gpu.launch(
-                &cfg,
-                &StBulkKernel::<L, C> {
-                    src,
-                    dst,
-                    geom: &self.geom,
-                    collision: &self.collision,
-                    consts: &self.consts,
-                    block_size: self.block_size,
-                    _l: PhantomData,
-                },
-            ),
-            StStream::Push => self.gpu.launch(
-                &cfg,
-                &StPushKernel::<L, C> {
-                    src,
-                    dst,
-                    geom: &self.geom,
-                    collision: &self.collision,
-                    consts: &self.consts,
-                    block_size: self.block_size,
-                    _l: PhantomData,
-                },
-            ),
-        };
-        self.accum.merge(&stats.tally);
-        if let Some(p) = &self.profiler {
-            p.record(&stats, self.geom.fluid_count() as u64);
-        }
-
-        if !self.boundary.is_empty() {
-            let bblocks = self.boundary.len().div_ceil(self.block_size);
-            let stats = self.gpu.launch(
-                &Launch::simple(bblocks, self.block_size),
-                &StBcKernel::<L, C> {
-                    dst,
-                    geom: &self.geom,
-                    collision: &self.collision,
-                    nodes: &self.boundary,
-                    block_size: self.block_size,
-                    _l: PhantomData,
-                },
-            );
-            self.accum.merge(&stats.tally);
-            if let Some(p) = &self.profiler {
-                p.record(&stats, self.boundary.len() as u64);
-            }
-        }
-
-        self.cur ^= 1;
-        self.steps += 1;
-        self.sample_monitor();
-    }
-
-    /// Cadence-gated monitor sampling: field extraction (the expensive
-    /// part) only happens on sampling steps.
-    fn sample_monitor(&mut self) {
-        if !self.monitor.as_ref().is_some_and(|m| m.due(self.steps)) {
-            return;
-        }
-        let (rho, u) = self.macro_fields();
-        let s = self.monitor.as_mut().unwrap().observe(self.steps, &rho, &u);
-        if let Some(o) = &self.obs {
-            o.metrics
-                .gauge_set("monitor_mass", &[("pattern", "st")], s.mass);
-            o.metrics
-                .gauge_set("monitor_max_u", &[("pattern", "st")], s.max_u);
-            if s.nonfinite > 0 {
-                o.tracer.instant(
-                    "monitor",
-                    "nonfinite",
-                    &[
-                        ("step", s.step.to_string()),
-                        ("count", s.nonfinite.to_string()),
-                    ],
-                );
-            }
-        }
-    }
-
-    /// Advance `steps` timesteps, then force a final monitor sample so a
-    /// run that ends off the sampling cadence still has its tail checked.
-    pub fn run(&mut self, steps: usize) {
-        for _ in 0..steps {
-            self.step();
-        }
-        self.finish_monitor();
-    }
-
-    /// Force a final monitor sample at the current step (no-op without a
-    /// monitor, or when the last step was already sampled). The flushed
-    /// sample is published to the hub like any cadence sample, so monitor
-    /// series stay gap-free across run ends *and* fleet evictions.
-    pub fn finish_monitor(&mut self) {
-        if self.monitor.is_none() {
-            return;
-        }
-        let (rho, u) = self.macro_fields();
-        let s = self.monitor.as_mut().unwrap().finish(self.steps, &rho, &u);
-        if let (Some(s), Some(o)) = (s, &self.obs) {
-            o.metrics
-                .gauge_set("monitor_mass", &[("pattern", "st")], s.mass);
-            o.metrics
-                .gauge_set("monitor_max_u", &[("pattern", "st")], s.max_u);
-            o.tracer
-                .instant("monitor", "flush", &[("step", s.step.to_string())]);
-        }
-    }
-
-    /// Mutable access to the physics monitor (recovery rollback).
-    pub fn monitor_mut(&mut self) -> Option<&mut obs::PhysicsMonitor> {
-        self.monitor.as_mut()
-    }
-
-    /// Attach a deterministic fault plan to the device and both lattices
-    /// (see `gpu_sim::FaultPlan`): injected write corruption and launch
-    /// aborts become live, with unchanged traffic accounting.
-    pub fn with_fault_plan(mut self, plan: std::sync::Arc<gpu_sim::FaultPlan>) -> Self {
-        self.gpu.set_fault_plan(plan.clone());
-        self.f[0].set_fault_plan(plan.clone());
-        self.f[1].set_fault_plan(plan);
-        self
-    }
-
-    /// Completed timesteps.
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-
-    /// Domain geometry.
-    pub fn geom(&self) -> &Geometry {
-        &self.geom
-    }
-
-    /// Aggregate traffic over all steps so far.
-    pub fn traffic(&self) -> Tally {
-        self.accum
-    }
-
-    /// Measured DRAM bytes per fluid lattice update (Table 2's B/F).
-    pub fn measured_bpf(&self) -> f64 {
-        let updates = self.geom.fluid_count() as u64 * self.steps;
-        if updates == 0 {
-            return 0.0;
-        }
-        self.accum.dram_bytes() as f64 / updates as f64
-    }
-
-    /// Device-memory footprint of the two lattices.
-    pub fn footprint_bytes(&self) -> usize {
-        self.f[0].size_bytes() + self.f[1].size_bytes()
-    }
-
-    /// Distribution at a node (current state).
-    pub fn f_at(&self, x: usize, y: usize, z: usize) -> Vec<f64> {
-        let n = self.geom.len();
-        let idx = self.geom.idx(x, y, z);
-        (0..L::Q)
-            .map(|i| self.f[self.cur].get(i * n + idx))
-            .collect()
-    }
-
-    /// Moments at a node (post-collision state).
-    pub fn moments_at(&self, x: usize, y: usize, z: usize) -> Moments {
-        Moments::from_f::<L>(&self.f_at(x, y, z))
-    }
-
-    /// Density and velocity fields in one pass over the lattice, without
-    /// the per-node `Vec` of [`StSim::f_at`] (solid nodes report zero).
-    /// This is what the physics monitor samples.
-    pub fn macro_fields(&self) -> (Vec<f64>, Vec<[f64; 3]>) {
+    /// One pass over the lattice, without the per-node `Vec` of
+    /// [`St::f_at`].
+    fn macro_fields(&self, _t: u64) -> Fields {
         let n = self.geom.len();
         let buf = &self.f[self.cur];
         let mut rho_out = vec![0.0; n];
@@ -837,72 +610,101 @@ impl<L: Lattice, C: Collision<L>> StSim<L, C> {
         (rho_out, u_out)
     }
 
-    /// Velocity field (solid nodes report zero).
-    pub fn velocity_field(&self) -> Vec<[f64; 3]> {
-        self.macro_fields().1
+    fn footprint_bytes(&self) -> usize {
+        self.f[0].size_bytes() + self.f[1].size_bytes()
     }
 
-    /// Density field (solid nodes report zero).
-    pub fn density_field(&self) -> Vec<f64> {
-        self.macro_fields().0
+    fn set_fault_plan(&mut self, plan: Arc<FaultPlan>) {
+        self.f[0].set_fault_plan(plan.clone());
+        self.f[1].set_fault_plan(plan);
     }
 
-    /// FNV-1a fingerprint of the macroscopic fields (bitwise-sensitive; two
-    /// runs match iff their fields are identical to the last bit).
-    pub fn field_checksum(&self) -> u64 {
-        let (rho, u) = self.macro_fields();
-        lbm_core::io::field_checksum(&rho, &u)
-    }
-
-    /// Serialize the full solver state (current lattice, step counter,
-    /// traffic accumulator) as a versioned, checksummed snapshot.
-    pub fn checkpoint(&self) -> Vec<u8> {
-        let n = self.geom.len();
-        let mut w = lbm_core::io::CheckpointWriter::new("st");
-        w.put_u64(self.geom.nx as u64)
-            .put_u64(self.geom.ny as u64)
-            .put_u64(self.geom.nz as u64)
-            .put_u64(L::Q as u64)
-            .put_u64(self.steps)
-            .put_u64(self.accum.reads)
-            .put_u64(self.accum.writes)
-            .put_u64(self.accum.bytes_read)
-            .put_u64(self.accum.bytes_written)
-            .put_u64(self.accum.dram_bytes_read)
-            .put_u64(self.accum.l2_read_hits)
-            .put_f64s(&self.f[self.cur].snapshot()[..L::Q * n]);
-        w.finish()
-    }
-
-    /// Restore a [`StSim::checkpoint`] snapshot taken on an identically
-    /// configured simulation. Resuming replays the exact uninterrupted
-    /// trajectory (the update is deterministic and the snapshot is bitwise).
-    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), lbm_core::io::CheckpointError> {
-        use lbm_core::io::CheckpointReader;
-        let mut r = CheckpointReader::open(bytes, "st")?;
-        r.expect_u64(self.geom.nx as u64, "nx")?;
-        r.expect_u64(self.geom.ny as u64, "ny")?;
-        r.expect_u64(self.geom.nz as u64, "nz")?;
-        r.expect_u64(L::Q as u64, "Q")?;
-        self.steps = r.take_u64()?;
-        self.accum = Tally {
-            reads: r.take_u64()?,
-            writes: r.take_u64()?,
-            bytes_read: r.take_u64()?,
-            bytes_written: r.take_u64()?,
-            dram_bytes_read: r.take_u64()?,
-            l2_read_hits: r.take_u64()?,
-        };
-        let n = self.geom.len();
-        let f = r.take_f64s(L::Q * n)?;
-        for (i, v) in f.iter().enumerate() {
-            self.f[0].set(i, *v);
+    fn frame(&self) -> Frame {
+        Frame {
+            flavor: "st",
+            parity: false,
+            guards: vec![
+                ("nx", self.geom.nx as u64),
+                ("ny", self.geom.ny as u64),
+                ("nz", self.geom.nz as u64),
+                ("Q", L::Q as u64),
+            ],
         }
+    }
+
+    fn state_arrays(&self) -> Vec<Vec<f64>> {
+        vec![self.f[self.cur].snapshot()]
+    }
+
+    fn state_lens(&self) -> Vec<usize> {
+        vec![self.f[0].len()]
+    }
+
+    /// The snapshot lands in buffer 0 regardless of the saved parity.
+    fn install(&mut self, arrays: Vec<Vec<f64>>) {
+        fill(&self.f[0], &arrays[0]);
         self.cur = 0;
-        if let Some(m) = self.monitor.as_mut() {
-            m.rollback_to(self.steps);
+    }
+}
+
+impl<L: Lattice, C: Collision<L>> SoloBody for St<L, C> {
+    /// Bulk launch + boundary launch.
+    fn advance(&mut self, gpu: &Gpu, core: &mut DriverCore) {
+        let n = self.geom.len();
+        let (src, dst) = (&self.f[self.cur], &self.f[self.cur ^ 1]);
+        let blocks = n.div_ceil(self.block_size);
+        // Both bulk kernels stage span traffic direction-major in scratch.
+        let cfg = Launch {
+            blocks,
+            threads_per_block: self.block_size,
+            shared_doubles: 0,
+            scratch_doubles: L::Q * self.block_size,
+        };
+        let stats = match self.stream {
+            StStream::Pull => gpu.launch(
+                &cfg,
+                &StBulkKernel::<L, C> {
+                    src,
+                    dst,
+                    geom: &self.geom,
+                    collision: &self.collision,
+                    consts: &self.consts,
+                    block_size: self.block_size,
+                    _l: PhantomData,
+                },
+            ),
+            StStream::Push => gpu.launch(
+                &cfg,
+                &StPushKernel::<L, C> {
+                    src,
+                    dst,
+                    geom: &self.geom,
+                    collision: &self.collision,
+                    consts: &self.consts,
+                    block_size: self.block_size,
+                    _l: PhantomData,
+                },
+            ),
+        };
+        core.record(&stats, core.fluid_nodes());
+
+        if !self.boundary.is_empty() {
+            let bblocks = self.boundary.len().div_ceil(self.block_size);
+            let stats = gpu.launch(
+                &Launch::simple(bblocks, self.block_size),
+                &StBcKernel::<L, C> {
+                    dst,
+                    geom: &self.geom,
+                    collision: &self.collision,
+                    nodes: &self.boundary,
+                    block_size: self.block_size,
+                    _l: PhantomData,
+                },
+            );
+            core.record(&stats, self.boundary.len() as u64);
         }
-        Ok(())
+
+        self.cur ^= 1;
     }
 }
 
@@ -1026,51 +828,6 @@ mod tests {
         let geom = Geometry::channel_2d(16, 8, 0.03);
         let _ = StSim::<D2Q9, _>::new(DeviceSpec::v100(), geom, Bgk::new(0.8))
             .with_stream(StStream::Push);
-    }
-
-    /// Obs integration: step spans nest the device's kernel spans, metrics
-    /// see the launches, and the monitor confirms conservation on a
-    /// periodic box.
-    #[test]
-    fn obs_and_monitor_wire_through() {
-        let obs = obs::Obs::shared();
-        let geom = Geometry::periodic_2d(16, 8);
-        let mut sim: StSim<D2Q9, _> = StSim::new(DeviceSpec::v100(), geom, Bgk::new(0.9))
-            .with_cpu_threads(2)
-            .with_obs(obs.clone())
-            .with_monitor(obs::MonitorConfig {
-                cadence: 2,
-                ..Default::default()
-            });
-        sim.init_with(|x, _, _| (1.0, [0.02 * (x as f64 * 0.5).sin(), 0.0, 0.0]));
-        sim.run(4);
-        // 4 step spans, each nesting one st-bulk kernel span (periodic box →
-        // no bc kernel): B/E pairs in order.
-        let ev = obs.tracer.events();
-        let step_begins = ev
-            .iter()
-            .filter(|e| e.ph == 'B' && e.name == "step")
-            .count();
-        let kernel_begins = ev
-            .iter()
-            .filter(|e| e.ph == 'B' && e.name == "st-bulk")
-            .count();
-        assert_eq!(step_begins, 4);
-        assert_eq!(kernel_begins, 4);
-        assert_eq!(ev[0].name, "step");
-        assert_eq!(ev[1].name, "st-bulk");
-        let labels = [("kernel", "st-bulk"), ("device", "NVIDIA V100")];
-        assert_eq!(obs.metrics.counter("launches", &labels), Some(4));
-        // Monitor sampled at steps 2 and 4; mass is conserved on the
-        // periodic box.
-        let m = sim.monitor().unwrap();
-        assert_eq!(m.samples().len(), 2);
-        assert!(m.is_ok(), "{:?}", m.violations());
-        assert!(m.mass_drift() <= 1e-10);
-        assert!(obs
-            .metrics
-            .gauge("monitor_mass", &[("pattern", "st")])
-            .is_some());
     }
 
     /// macro_fields is a single-pass equivalent of the per-node accessors.

@@ -30,20 +30,19 @@
 //! identical with `==`, at both parities.
 
 use crate::decomp::SlabDecomp;
-use crate::recovery::{transfer_with_retry, HaloRetryPolicy};
+use crate::driver::{MultiSim, ShardedBody, StepCx};
 use crate::stats::{device_time_s, exchange_time_s, OverlapStats};
 use gpu_sim::interconnect::{LinkError, MultiGpu};
 use gpu_sim::{DeviceSpec, FaultPlan, GlobalBuffer};
 use lbm_core::collision::Collision;
 use lbm_core::geometry::{Geometry, NodeType};
-use lbm_core::io::{CheckpointError, CheckpointReader, CheckpointWriter};
 use lbm_core::kernels::{aa_slot, KernelConsts};
 use lbm_gpu::aa::{launch_aa_collide_span, launch_aa_stream_span};
 use lbm_gpu::boundary::boundary_nodes;
+use lbm_gpu::driver::{fill, DriverBody, Fields, Frame};
 use lbm_lattice::moments::Moments;
 use lbm_lattice::Lattice;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 struct AaShard {
@@ -53,26 +52,24 @@ struct AaShard {
     owned_hi: usize,
 }
 
-/// Slab-sharded AA-pattern ST simulation across N simulated devices.
-pub struct MultiAaStSim<L: Lattice, C: Collision<L>> {
-    mg: MultiGpu,
+/// The sharded AA pattern's state: one lattice per shard, updated in place.
+pub struct MultiAaSt<L: Lattice, C: Collision<L>> {
     decomp: SlabDecomp,
     shards: Vec<AaShard>,
     collision: C,
     consts: KernelConsts,
     block_size: usize,
-    t: u64,
     /// A stream half-step's post-exchange failed after the launch mutated
-    /// the lattice in place; the next `try_step` must finish that exchange
+    /// the lattice in place; the next `advance` must finish that exchange
     /// (idempotent: it only reads ghosts and writes edge columns) before
     /// the step can complete.
     post_pending: bool,
     stats: OverlapStats,
-    monitor: Option<obs::PhysicsMonitor>,
-    retry: HaloRetryPolicy,
-    halo_retries: AtomicU64,
     _l: PhantomData<L>,
 }
+
+/// Slab-sharded AA-pattern ST simulation across N simulated devices.
+pub type MultiAaStSim<L, C> = MultiSim<MultiAaSt<L, C>>;
 
 impl<L: Lattice, C: Collision<L>> MultiAaStSim<L, C> {
     /// Shard `geom` across `n` devices of one spec, joined ring-wise with
@@ -87,7 +84,6 @@ impl<L: Lattice, C: Collision<L>> MultiAaStSim<L, C> {
             "AA-pattern streaming does not support inlet/outlet boundaries"
         );
         let decomp = SlabDecomp::new(geom, n);
-        let mg = MultiGpu::ring(device, n);
         let shards = (0..n)
             .map(|r| {
                 let g = decomp.local_geometry(r);
@@ -101,269 +97,66 @@ impl<L: Lattice, C: Collision<L>> MultiAaStSim<L, C> {
                 }
             })
             .collect();
-        let mut sim = MultiAaStSim {
-            mg,
-            decomp,
-            shards,
-            consts: KernelConsts::new::<L>(collision.tau()),
-            collision,
-            block_size: 256,
-            t: 0,
-            post_pending: false,
-            stats: OverlapStats::default(),
-            monitor: None,
-            retry: HaloRetryPolicy::default(),
-            halo_retries: AtomicU64::new(0),
-            _l: PhantomData,
-        };
-        sim.init_with(|_, _, _| (1.0, [0.0; 3]));
-        sim
-    }
-
-    /// Host-thread budget of the whole ring, split between threads that
-    /// step shards side by side and threads per launch (see
-    /// `gpu_sim::MultiGpu::with_cpu_threads`).
-    pub fn with_cpu_threads(mut self, n: usize) -> Self {
-        self.mg = self.mg.with_cpu_threads(n);
-        self
+        MultiSim::from_body(
+            MultiGpu::ring(device, n),
+            MultiAaSt {
+                decomp,
+                shards,
+                consts: KernelConsts::new::<L>(collision.tau()),
+                collision,
+                block_size: 256,
+                post_pending: false,
+                stats: OverlapStats::default(),
+                _l: PhantomData,
+            },
+        )
     }
 
     /// Force the scalar (per-node) reference kernels instead of the
     /// chunk-vectorized ones — the equivalence-test oracle.
     pub fn with_scalar_kernels(mut self) -> Self {
-        self.consts.scalar = true;
-        self
-    }
-
-    /// Override the minimum launch size dispatched to the worker pool
-    /// (see `gpu_sim::Gpu::with_parallel_threshold`); `0` forces pooling
-    /// for every multi-block launch.
-    pub fn with_parallel_threshold(mut self, items: usize) -> Self {
-        self.mg = self.mg.with_parallel_threshold(items);
-        self
-    }
-
-    /// Mirror link traffic into a shared profiler.
-    pub fn with_profiler(mut self, p: std::sync::Arc<gpu_sim::profiler::Profiler>) -> Self {
-        self.mg = self.mg.with_profiler(p);
+        self.body.consts.scalar = true;
         self
     }
 
     /// Set the thread-block size of the span kernels.
     pub fn with_block_size(mut self, bs: usize) -> Self {
         assert!(bs >= 1);
-        self.block_size = bs;
+        self.body.block_size = bs;
         self
     }
 
-    /// Attach one observability hub to every device and the link layer.
-    pub fn with_obs(mut self, obs: std::sync::Arc<obs::Obs>) -> Self {
-        self.set_obs(obs);
-        self
+    /// Distribution at a global node, un-permuted to natural direction
+    /// order regardless of the current parity.
+    pub fn f_at(&self, x: usize, y: usize, z: usize) -> Vec<f64> {
+        let b = &self.body;
+        let r = b.decomp.owner_of(x);
+        let sh = &b.shards[r];
+        let lx = sh.owned_lo + (x - b.decomp.slab(r).x0);
+        let ln = sh.geom.len();
+        let idx = sh.geom.idx(lx, y, z);
+        (0..L::Q)
+            .map(|i| sh.a.get(aa_slot::<L>(self.steps(), i) * ln + idx))
+            .collect()
     }
 
-    /// In-place [`MultiAaStSim::with_obs`] (the `Simulation` trait surface).
-    pub fn set_obs(&mut self, obs: std::sync::Arc<obs::Obs>) {
-        self.mg.set_obs(obs);
+    /// Moments at a global node.
+    pub fn moments_at(&self, x: usize, y: usize, z: usize) -> Moments {
+        Moments::from_f::<L>(&self.f_at(x, y, z))
     }
+}
 
-    /// Tag every device's kernel spans (and this driver's step/halo spans)
-    /// with a fleet trace context, or clear it with `None`.
-    pub fn set_trace_ctx(&mut self, ctx: Option<obs::TraceCtx>) {
-        self.mg.set_trace_ctx(ctx);
-    }
-
-    /// Device-memory footprint: every shard's single resident lattice —
-    /// half of [`crate::MultiStSim::footprint_bytes`] shard for shard.
-    pub fn footprint_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.a.size_bytes()).sum()
-    }
-
-    /// Attach a physics monitor over the *global* fields every
-    /// `cfg.cadence` steps.
-    pub fn with_monitor(mut self, cfg: obs::MonitorConfig) -> Self {
-        self.monitor = Some(obs::PhysicsMonitor::new(cfg));
-        self
-    }
-
-    /// The attached physics monitor, if any.
-    pub fn monitor(&self) -> Option<&obs::PhysicsMonitor> {
-        self.monitor.as_ref()
-    }
-
-    /// Mutable access to the physics monitor, if enabled.
-    pub fn monitor_mut(&mut self) -> Option<&mut obs::PhysicsMonitor> {
-        self.monitor.as_mut()
-    }
-
-    /// Override the halo-transfer retry policy.
-    pub fn with_halo_retry(mut self, policy: HaloRetryPolicy) -> Self {
-        self.retry = policy;
-        self
-    }
-
-    /// Attach a deterministic fault plan to every device, every shard's
-    /// lattice, and the interconnect. With a plan attached the shards are
-    /// stepped one after another in index order at any thread count, so
-    /// the same shard takes the fault every time.
-    pub fn with_fault_plan(mut self, plan: Arc<FaultPlan>) -> Self {
-        self.mg.set_fault_plan(plan.clone());
-        for sh in &mut self.shards {
-            sh.a.set_fault_plan(plan.clone());
-        }
-        self
-    }
-
-    /// Halo-transfer retries performed so far.
-    pub fn halo_retries(&self) -> u64 {
-        self.halo_retries.load(Ordering::Relaxed)
-    }
-
-    fn sample_monitor(&mut self) {
-        if !self.monitor.as_ref().is_some_and(|m| m.due(self.t)) {
-            return;
-        }
-        let (rho, u) = self.macro_fields();
-        let s = self.monitor.as_mut().unwrap().observe(self.t, &rho, &u);
-        if let Some(o) = self.mg.obs() {
-            let labels = [("pattern", "multi-aa-st")];
-            o.metrics.gauge_set("monitor_mass", &labels, s.mass);
-            o.metrics.gauge_set("monitor_max_u", &labels, s.max_u);
-        }
-    }
-
-    /// Initialize every node — *including ghosts* — from a macroscopic
-    /// field evaluated at **global** coordinates into the even-parity slot
-    /// layout, so ghost columns start consistent with their owners.
-    pub fn init_with(&mut self, field: impl Fn(usize, usize, usize) -> (f64, [f64; 3])) {
-        let mut feq = [0.0f64; 48];
-        for (r, sh) in self.shards.iter_mut().enumerate() {
-            let ln = sh.geom.len();
-            for idx in 0..ln {
-                let (lx, y, z) = sh.geom.coords(idx);
-                let gx = self.decomp.global_x(r, lx);
-                let (rho, u) = field(gx, y, z);
-                let m = Moments {
-                    rho,
-                    u,
-                    pi: Moments::pi_eq(rho, u, L::D),
-                };
-                self.collision.reconstruct(&m, &mut feq[..L::Q]);
-                for (i, &v) in feq[..L::Q].iter().enumerate() {
-                    sh.a.set(aa_slot::<L>(0, i) * ln + idx, v);
-                }
-            }
-        }
-        self.t = 0;
-        self.post_pending = false;
-        self.stats = OverlapStats::default();
-    }
-
-    /// Advance one timestep. Panics if a halo transfer fails beyond the
-    /// retry budget; use [`MultiAaStSim::try_step`] for typed link errors.
-    pub fn step(&mut self) {
-        self.try_step()
-            .unwrap_or_else(|e| panic!("halo exchange failed: {e}"));
-    }
-
-    /// Advance one timestep, surfacing halo-link failures. A failure in the
-    /// *pre*-exchange leaves no owned state mutated — retrying the whole
-    /// step is safe. A failure in the *post*-exchange arrives after the
-    /// in-place launch, so the step is parked half-done: the next
-    /// `try_step` call finishes the pending exchange (and only then counts
-    /// the step) instead of recomputing over clobbered inputs.
-    pub fn try_step(&mut self) -> Result<(), LinkError> {
-        let obs = self.mg.obs().cloned();
-        let _step_span = obs.as_ref().map(|o| {
-            let mut args = vec![("t", self.t.to_string())];
-            if let Some(ctx) = self.mg.trace_ctx() {
-                ctx.append_args(&mut args);
-            }
-            o.tracer.span_args("driver", "step", &args)
-        });
-        if self.post_pending {
-            let transfers = self.exchange(Phase::Post)?;
-            self.post_pending = false;
-            self.stats
-                .record_step(0.0, 0.0, exchange_time_s(&self.mg, &transfers), 0.0);
-            self.t += 1;
-            self.sample_monitor();
-            return Ok(());
-        }
-        let launch_bytes;
-        let mut exchange_s = 0.0;
-        if self.t.is_multiple_of(2) {
-            // Stream half-step: pre-exchange, one in-place launch per
-            // shard, post-exchange. Neither exchange can overlap the
-            // launch — it reads and rewrites the cut columns.
-            let mut halo_args = Vec::new();
-            if let Some(ctx) = self.mg.trace_ctx() {
-                ctx.append_args(&mut halo_args);
-            }
-            let pre_span = obs
-                .as_ref()
-                .map(|o| o.tracer.span_args("halo", "halo-exchange", &halo_args));
-            let pre = self.exchange(Phase::Pre)?;
-            drop(pre_span);
-            launch_bytes = self.mg.for_each_device(|r| {
-                let sh = &self.shards[r];
-                launch_aa_stream_span::<L, C>(
-                    self.mg.device(r),
-                    &sh.a,
-                    &sh.geom,
-                    &self.collision,
-                    &self.consts,
-                    self.block_size,
-                    sh.owned_lo,
-                    sh.owned_hi,
-                )
-                .tally
-                .dram_bytes()
-            });
-            let post_span = obs
-                .as_ref()
-                .map(|o| o.tracer.span_args("halo", "halo-exchange", &halo_args));
-            let post = match self.exchange(Phase::Post) {
-                Ok(t) => t,
-                Err(e) => {
-                    self.post_pending = true;
-                    return Err(e);
-                }
-            };
-            drop(post_span);
-            exchange_s = exchange_time_s(&self.mg, &pre) + exchange_time_s(&self.mg, &post);
-        } else {
-            // Collide half-step: node-local, no exchange.
-            launch_bytes = self.mg.for_each_device(|r| {
-                let sh = &self.shards[r];
-                launch_aa_collide_span::<L, C>(
-                    self.mg.device(r),
-                    &sh.a,
-                    &sh.geom,
-                    &self.collision,
-                    &self.consts,
-                    self.block_size,
-                    sh.owned_lo,
-                    sh.owned_hi,
-                )
-                .tally
-                .dram_bytes()
-            });
-        }
-        let spec = self.mg.spec().clone();
-        let launch_s = device_time_s(&spec, launch_bytes.into_iter().max().unwrap_or(0));
-        self.stats.record_step(0.0, launch_s, exchange_s, 0.0);
-        self.t += 1;
-        self.sample_monitor();
-        Ok(())
-    }
-
+impl<L: Lattice, C: Collision<L>> MultiAaSt<L, C> {
     /// Run one exchange phase over every cut. Pre copies owned edge
     /// columns into ghosts; post copies ghosts back into the neighbor's
     /// edge columns with the pushing-node guard. Link tallies are recorded
     /// (with bounded retries) before each copy, so a failed transfer moves
     /// no data and a successful retry tallies exactly once.
-    fn exchange(&self, phase: Phase) -> Result<Vec<(usize, usize, u64)>, LinkError> {
+    fn exchange(
+        &self,
+        cx: &StepCx<'_>,
+        phase: Phase,
+    ) -> Result<Vec<(usize, usize, u64)>, LinkError> {
         let mut out = Vec::new();
         for tr in self.decomp.halo_transfers() {
             // Ghost side determines which slots cross this cut direction.
@@ -377,7 +170,7 @@ impl<L: Lattice, C: Collision<L>> MultiAaStSim<L, C> {
                 Phase::Pre => (tr.from, tr.to),
                 Phase::Post => (tr.to, tr.from),
             };
-            transfer_with_retry(&self.mg, from, to, bytes, &self.retry, &self.halo_retries)?;
+            cx.transfer(from, to, bytes)?;
             let owner = &self.shards[tr.from];
             let holder = &self.shards[tr.to];
             let (on, hn) = (owner.geom.len(), holder.geom.len());
@@ -415,50 +208,6 @@ impl<L: Lattice, C: Collision<L>> MultiAaStSim<L, C> {
         Ok(out)
     }
 
-    /// Advance `steps` timesteps, then flush a final monitor sample.
-    pub fn run(&mut self, steps: usize) {
-        for _ in 0..steps {
-            self.step();
-        }
-        self.finish_monitor();
-    }
-
-    /// Force a final monitor sample at the current step.
-    pub fn finish_monitor(&mut self) {
-        if self.monitor.is_none() {
-            return;
-        }
-        let (rho, u) = self.macro_fields();
-        let s = self.monitor.as_mut().unwrap().finish(self.t, &rho, &u);
-        if let (Some(s), Some(o)) = (s, self.mg.obs()) {
-            let labels = [("pattern", "multi-aa-st")];
-            o.metrics.gauge_set("monitor_mass", &labels, s.mass);
-            o.metrics.gauge_set("monitor_max_u", &labels, s.max_u);
-            o.tracer
-                .instant("monitor", "flush", &[("step", s.step.to_string())]);
-        }
-    }
-
-    /// Completed timesteps.
-    pub fn steps(&self) -> u64 {
-        self.t
-    }
-
-    /// The global geometry.
-    pub fn geom(&self) -> &Geometry {
-        self.decomp.global()
-    }
-
-    /// Number of devices.
-    pub fn num_devices(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The interconnect (link byte counters, report).
-    pub fn interconnect(&self) -> &MultiGpu {
-        &self.mg
-    }
-
     /// Modeled schedule timing (the exchange is always exposed — AA cannot
     /// overlap it with the in-place launch).
     pub fn stats(&self) -> &OverlapStats {
@@ -479,28 +228,42 @@ impl<L: Lattice, C: Collision<L>> MultiAaStSim<L, C> {
             })
             .sum()
     }
+}
 
-    /// Distribution at a global node, un-permuted to natural direction
-    /// order regardless of the current parity.
-    pub fn f_at(&self, x: usize, y: usize, z: usize) -> Vec<f64> {
-        let r = self.decomp.owner_of(x);
-        let sh = &self.shards[r];
-        let lx = sh.owned_lo + (x - self.decomp.slab(r).x0);
-        let ln = sh.geom.len();
-        let idx = sh.geom.idx(lx, y, z);
-        (0..L::Q)
-            .map(|i| sh.a.get(aa_slot::<L>(self.t, i) * ln + idx))
-            .collect()
+impl<L: Lattice, C: Collision<L>> DriverBody for MultiAaSt<L, C> {
+    fn label(&self) -> &'static str {
+        "multi-aa-st"
     }
 
-    /// Moments at a global node.
-    pub fn moments_at(&self, x: usize, y: usize, z: usize) -> Moments {
-        Moments::from_f::<L>(&self.f_at(x, y, z))
+    fn geom(&self) -> &Geometry {
+        self.decomp.global()
     }
 
-    /// Global density and velocity fields (solid nodes report zero),
-    /// gathered from the owning shards through the parity slot map.
-    pub fn macro_fields(&self) -> (Vec<f64>, Vec<[f64; 3]>) {
+    /// Into the even-parity slot layout.
+    fn init_with(&mut self, field: impl Fn(usize, usize, usize) -> (f64, [f64; 3])) {
+        let mut feq = [0.0f64; 48];
+        for (r, sh) in self.shards.iter_mut().enumerate() {
+            let ln = sh.geom.len();
+            for idx in 0..ln {
+                let (lx, y, z) = sh.geom.coords(idx);
+                let gx = self.decomp.global_x(r, lx);
+                let (rho, u) = field(gx, y, z);
+                let m = Moments {
+                    rho,
+                    u,
+                    pi: Moments::pi_eq(rho, u, L::D),
+                };
+                self.collision.reconstruct(&m, &mut feq[..L::Q]);
+                for (i, &v) in feq[..L::Q].iter().enumerate() {
+                    sh.a.set(aa_slot::<L>(0, i) * ln + idx, v);
+                }
+            }
+        }
+        self.post_pending = false;
+    }
+
+    /// Gathered from the owning shards through the parity slot map.
+    fn macro_fields(&self, t: u64) -> Fields {
         let g = self.decomp.global();
         let mut rho_out = vec![0.0; g.len()];
         let mut u_out = vec![[0.0; 3]; g.len()];
@@ -517,7 +280,7 @@ impl<L: Lattice, C: Collision<L>> MultiAaStSim<L, C> {
             let mut rho = 0.0;
             let mut j = [0.0f64; 3];
             for i in 0..L::Q {
-                let fi = sh.a.get(aa_slot::<L>(self.t, i) * ln + lidx);
+                let fi = sh.a.get(aa_slot::<L>(t, i) * ln + lidx);
                 let c = L::cf(i);
                 rho += fi;
                 j[0] += c[0] * fi;
@@ -531,90 +294,129 @@ impl<L: Lattice, C: Collision<L>> MultiAaStSim<L, C> {
         (rho_out, u_out)
     }
 
-    /// Global velocity field (solid nodes report zero).
-    pub fn velocity_field(&self) -> Vec<[f64; 3]> {
-        self.macro_fields().1
+    /// Every shard's single resident lattice — half of
+    /// [`crate::MultiStSim`]'s footprint shard for shard.
+    fn footprint_bytes(&self) -> usize {
+        self.shards.iter().map(|s| s.a.size_bytes()).sum()
     }
 
-    /// Global density field (solid nodes report zero).
-    pub fn density_field(&self) -> Vec<f64> {
-        self.macro_fields().0
-    }
-
-    /// FNV-1a checksum of the global macroscopic fields (bitwise).
-    pub fn field_checksum(&self) -> u64 {
-        let (rho, u) = self.macro_fields();
-        lbm_core::io::field_checksum(&rho, &u)
-    }
-
-    /// Serialize the full sharded state (ghost columns included). The
-    /// flavor tag carries the step parity, so a restore can only land on
-    /// the half of the AA cycle the snapshot was taken at.
-    pub fn checkpoint(&self) -> Vec<u8> {
-        let g = self.decomp.global();
-        let flavor = lbm_core::io::parity_flavor("aa-st-multi", self.t);
-        let mut w = CheckpointWriter::new(&flavor);
-        w.put_u64(g.nx as u64)
-            .put_u64(g.ny as u64)
-            .put_u64(g.nz as u64)
-            .put_u64(L::Q as u64)
-            .put_u64(self.shards.len() as u64)
-            .put_u64(self.t)
-            .put_u64(self.stats.steps)
-            .put_f64(self.stats.boundary_s)
-            .put_f64(self.stats.interior_s)
-            .put_f64(self.stats.exchange_s)
-            .put_f64(self.stats.bc_s)
-            .put_f64(self.stats.hidden_s)
-            .put_f64(self.stats.total_s);
-        for sh in &self.shards {
-            w.put_f64s(&sh.a.snapshot());
-        }
-        w.finish()
-    }
-
-    /// Restore a [`MultiAaStSim::checkpoint`] snapshot on an identically
-    /// configured simulation. The parity baked into the flavor tag is
-    /// cross-checked against the stored step counter.
-    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
-        let g = self.decomp.global();
-        let (mut r, which) =
-            CheckpointReader::open_any(bytes, &["aa-st-multi+even", "aa-st-multi+odd"])?;
-        r.expect_u64(g.nx as u64, "nx")?;
-        r.expect_u64(g.ny as u64, "ny")?;
-        r.expect_u64(g.nz as u64, "nz")?;
-        r.expect_u64(L::Q as u64, "Q")?;
-        r.expect_u64(self.shards.len() as u64, "shard count")?;
-        let t = r.take_u64()?;
-        if t % 2 != which as u64 {
-            return Err(CheckpointError::Mismatch(format!(
-                "flavor parity ({}) disagrees with stored step counter {t}",
-                if which == 0 { "even" } else { "odd" }
-            )));
-        }
-        let stats = OverlapStats {
-            steps: r.take_u64()?,
-            boundary_s: r.take_f64()?,
-            interior_s: r.take_f64()?,
-            exchange_s: r.take_f64()?,
-            bc_s: r.take_f64()?,
-            hidden_s: r.take_f64()?,
-            total_s: r.take_f64()?,
-        };
+    fn set_fault_plan(&mut self, plan: Arc<FaultPlan>) {
         for sh in &mut self.shards {
-            let n = L::Q * sh.geom.len();
-            let data = r.take_f64s(n)?;
-            for (i, v) in data.iter().enumerate() {
-                sh.a.set(i, *v);
-            }
+            sh.a.set_fault_plan(plan.clone());
         }
-        self.t = t;
-        self.stats = stats;
+    }
+
+    /// The flavor tag carries the step parity, so a restore can only land
+    /// on the half of the AA cycle the snapshot was taken at.
+    fn frame(&self) -> Frame {
+        let g = self.decomp.global();
+        Frame {
+            flavor: "aa-st-multi",
+            parity: true,
+            guards: vec![
+                ("nx", g.nx as u64),
+                ("ny", g.ny as u64),
+                ("nz", g.nz as u64),
+                ("Q", L::Q as u64),
+                ("shard count", self.shards.len() as u64),
+            ],
+        }
+    }
+
+    fn state_arrays(&self) -> Vec<Vec<f64>> {
+        self.shards.iter().map(|sh| sh.a.snapshot()).collect()
+    }
+
+    fn state_lens(&self) -> Vec<usize> {
+        self.shards.iter().map(|sh| sh.a.len()).collect()
+    }
+
+    fn install(&mut self, arrays: Vec<Vec<f64>>) {
+        for (sh, data) in self.shards.iter().zip(&arrays) {
+            fill(&sh.a, data);
+        }
         self.post_pending = false;
-        if let Some(m) = self.monitor.as_mut() {
-            m.rollback_to(self.t);
+    }
+}
+
+impl<L: Lattice, C: Collision<L>> ShardedBody for MultiAaSt<L, C> {
+    /// A failure in the *pre*-exchange leaves no owned state mutated —
+    /// retrying the whole step is safe. A failure in the *post*-exchange
+    /// arrives after the in-place launch, so the step is parked half-done:
+    /// the next call finishes the pending exchange (and only then is the
+    /// step counted) instead of recomputing over clobbered inputs.
+    fn advance(&mut self, cx: &StepCx<'_>) -> Result<(), LinkError> {
+        if self.post_pending {
+            let transfers = self.exchange(cx, Phase::Post)?;
+            self.post_pending = false;
+            self.stats
+                .record_step(0.0, 0.0, exchange_time_s(cx.mg, &transfers), 0.0);
+            return Ok(());
         }
+        let launch_bytes;
+        let mut exchange_s = 0.0;
+        if cx.t.is_multiple_of(2) {
+            // Stream half-step: pre-exchange, one in-place launch per
+            // shard, post-exchange. Neither exchange can overlap the
+            // launch — it reads and rewrites the cut columns.
+            let pre_span = cx.halo_span();
+            let pre = self.exchange(cx, Phase::Pre)?;
+            drop(pre_span);
+            launch_bytes = cx.mg.for_each_device(|r| {
+                let sh = &self.shards[r];
+                launch_aa_stream_span::<L, C>(
+                    cx.mg.device(r),
+                    &sh.a,
+                    &sh.geom,
+                    &self.collision,
+                    &self.consts,
+                    self.block_size,
+                    sh.owned_lo,
+                    sh.owned_hi,
+                )
+                .tally
+                .dram_bytes()
+            });
+            let post_span = cx.halo_span();
+            let post = match self.exchange(cx, Phase::Post) {
+                Ok(t) => t,
+                Err(e) => {
+                    self.post_pending = true;
+                    return Err(e);
+                }
+            };
+            drop(post_span);
+            exchange_s = exchange_time_s(cx.mg, &pre) + exchange_time_s(cx.mg, &post);
+        } else {
+            // Collide half-step: node-local, no exchange.
+            launch_bytes = cx.mg.for_each_device(|r| {
+                let sh = &self.shards[r];
+                launch_aa_collide_span::<L, C>(
+                    cx.mg.device(r),
+                    &sh.a,
+                    &sh.geom,
+                    &self.collision,
+                    &self.consts,
+                    self.block_size,
+                    sh.owned_lo,
+                    sh.owned_hi,
+                )
+                .tally
+                .dram_bytes()
+            });
+        }
+        let spec = cx.mg.spec().clone();
+        let launch_s = device_time_s(&spec, launch_bytes.into_iter().max().unwrap_or(0));
+        self.stats.record_step(0.0, launch_s, exchange_s, 0.0);
         Ok(())
+    }
+
+    fn overlap(&self) -> Option<&OverlapStats> {
+        Some(&self.stats)
+    }
+
+    fn overlap_mut(&mut self) -> Option<&mut OverlapStats> {
+        Some(&mut self.stats)
     }
 }
 
@@ -628,6 +430,7 @@ enum Phase {
 mod tests {
     use super::*;
     use lbm_core::collision::{Bgk, Projective};
+    use lbm_core::io::CheckpointError;
     use lbm_gpu::AaStSim;
     use lbm_lattice::{D2Q9, D3Q19};
 

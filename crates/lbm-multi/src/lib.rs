@@ -25,30 +25,35 @@
 //!   [`MultiSparseMrSim`]): per-shard tiled compaction and a per-tile halo
 //!   exchange whose wire bytes scale with the cut columns' *fluid* count,
 //!   not the bounding-box cross-section.
+//! * [`driver`] — the sharded host [`MultiSim`]: `lbm_gpu::driver`'s
+//!   chassis over a `MultiGpu`, plus what only a sharded step has (typed
+//!   link errors, the halo-retry policy, the overlap-stats checkpoint
+//!   words) and the one [`lbm_core::Simulation`] impl of this crate. The
+//!   six `Multi*Sim` names are aliases of `MultiSim<body>`.
 //! * [`recovery`] — checkpoint/rollback recovery loop and bounded
-//!   halo-retry policy, driving any [`lbm_core::Simulation`] (the shared
-//!   trait implemented by all six drivers — see [`sim_impls`]).
+//!   halo-retry policy, driving any [`lbm_core::Simulation`].
 //! * [`stats`] — the two-phase overlap schedule's timing model
 //!   (`t_step = t_boundary + max(t_interior, t_exchange) + t_bc`) and
 //!   overlap efficiency.
 //!
-//! All three drivers are *bitwise* identical to their single-device
+//! All six drivers are *bitwise* identical to their single-device
 //! counterparts: ghosts carry exact doubles and every kernel's per-node
 //! arithmetic is decomposition-independent. The test suite asserts
 //! equality with `==`, not a tolerance.
 
 pub mod aa;
 pub mod decomp;
+pub mod driver;
 pub mod mr2d;
 pub mod mr3d;
 pub mod recovery;
-pub mod sim_impls;
 pub mod sparse;
 pub mod st;
 pub mod stats;
 
 pub use aa::MultiAaStSim;
 pub use decomp::{Cut, HaloTransfer, Slab, SlabDecomp};
+pub use driver::{MultiSim, ShardedBody, StepCx};
 pub use lbm_core::{Simulation, StepError};
 pub use mr2d::MultiMrSim2D;
 pub use mr3d::MultiMrSim3D;

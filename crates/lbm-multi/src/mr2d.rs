@@ -13,22 +13,21 @@
 //! trajectory is bitwise unchanged.
 
 use crate::decomp::SlabDecomp;
-use crate::recovery::{transfer_with_retry, HaloRetryPolicy};
+use crate::driver::{MultiSim, ShardedBody, StepCx};
 use crate::st::check_boundary_widths;
 use crate::stats::{device_time_s, exchange_time_s, OverlapStats};
 use gpu_sim::interconnect::{LinkError, MultiGpu};
 use gpu_sim::{DeviceSpec, FaultPlan};
 use lbm_core::geometry::{Geometry, NodeType};
-use lbm_core::io::{CheckpointError, CheckpointReader, CheckpointWriter};
 use lbm_core::kernels::KernelConsts;
 use lbm_gpu::boundary::boundary_nodes;
+use lbm_gpu::driver::{DriverBody, Fields, Frame};
 use lbm_gpu::moment_lattice::MomentLattice;
 use lbm_gpu::mr2d::{launch_mr2d_columns, launch_mr_bc, pick_column_width};
 use lbm_gpu::scheme::MrScheme;
 use lbm_lattice::moments::Moments;
 use lbm_lattice::Lattice;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 pub(crate) struct MrShard {
@@ -68,22 +67,21 @@ impl MrShard {
     }
 }
 
-/// Slab-sharded 2D MR simulation (MR-P or MR-R) across N devices.
-pub struct MultiMrSim2D<L: Lattice> {
-    mg: MultiGpu,
+/// The sharded 2D moment representation's state: two shift-0 moment
+/// lattices per shard.
+pub struct MultiMr2d<L: Lattice> {
     decomp: SlabDecomp,
     shards: Vec<MrShard>,
     scheme: MrScheme,
     tau: f64,
     consts: KernelConsts,
     tile_h: usize,
-    t: u64,
     stats: OverlapStats,
-    monitor: Option<obs::PhysicsMonitor>,
-    retry: HaloRetryPolicy,
-    halo_retries: AtomicU64,
     _l: PhantomData<L>,
 }
+
+/// Slab-sharded 2D MR simulation (MR-P or MR-R) across N devices.
+pub type MultiMrSim2D<L> = MultiSim<MultiMr2d<L>>;
 
 impl<L: Lattice> MultiMrSim2D<L> {
     /// Shard a channel-type geometry (walls at `y = 0` and `y = ny−1`)
@@ -104,7 +102,6 @@ impl<L: Lattice> MultiMrSim2D<L> {
         }
         let decomp = SlabDecomp::new(geom, n);
         check_boundary_widths(&decomp);
-        let mg = MultiGpu::ring(device, n);
         let shards = (0..n)
             .map(|r| {
                 let g = decomp.local_geometry(r);
@@ -136,123 +133,91 @@ impl<L: Lattice> MultiMrSim2D<L> {
                 }
             })
             .collect();
-        let mut sim = MultiMrSim2D {
-            mg,
-            decomp,
-            shards,
-            scheme,
-            tau,
-            consts: KernelConsts::new::<L>(tau),
-            tile_h: 1,
-            t: 0,
-            stats: OverlapStats::default(),
-            monitor: None,
-            retry: HaloRetryPolicy::default(),
-            halo_retries: AtomicU64::new(0),
-            _l: PhantomData,
-        };
-        sim.init_with(|_, _, _| (1.0, [0.0; 3]));
-        sim
-    }
-
-    /// Host-thread budget of the whole ring, split between threads that
-    /// step shards side by side and threads per launch (see
-    /// `gpu_sim::MultiGpu::with_cpu_threads`).
-    pub fn with_cpu_threads(mut self, n: usize) -> Self {
-        self.mg = self.mg.with_cpu_threads(n);
-        self
+        MultiSim::from_body(
+            MultiGpu::ring(device, n),
+            MultiMr2d {
+                decomp,
+                shards,
+                scheme,
+                tau,
+                consts: KernelConsts::new::<L>(tau),
+                tile_h: 1,
+                stats: OverlapStats::default(),
+                _l: PhantomData,
+            },
+        )
     }
 
     /// Force the scalar (per-node) reference kernels instead of the
     /// chunk-vectorized ones — the equivalence-test oracle.
     pub fn with_scalar_kernels(mut self) -> Self {
-        self.consts.scalar = true;
+        self.body.consts.scalar = true;
         self
     }
 
-    /// Override the minimum launch size dispatched to the worker pool
-    /// (see `gpu_sim::Gpu::with_parallel_threshold`); `0` forces pooling
-    /// for every multi-block launch.
-    pub fn with_parallel_threshold(mut self, items: usize) -> Self {
-        self.mg = self.mg.with_parallel_threshold(items);
-        self
+    /// Moments at a global node (owner shard, current time).
+    pub fn moments_at(&self, x: usize, y: usize, z: usize) -> Moments {
+        self.body.moments(self.steps(), x, y, z)
     }
+}
 
-    /// Mirror link traffic into a shared profiler.
-    pub fn with_profiler(mut self, p: std::sync::Arc<gpu_sim::profiler::Profiler>) -> Self {
-        self.mg = self.mg.with_profiler(p);
-        self
-    }
-
-    /// Attach an observability hub (tracer + metrics) to every device and
-    /// the interconnect.
-    pub fn with_obs(mut self, obs: std::sync::Arc<obs::Obs>) -> Self {
-        self.set_obs(obs);
-        self
-    }
-
-    /// In-place [`MultiMrSim2D::with_obs`] (the `Simulation` trait surface).
-    pub fn set_obs(&mut self, obs: std::sync::Arc<obs::Obs>) {
-        self.mg.set_obs(obs);
-    }
-
-    /// Tag every device's kernel spans (and this driver's step/halo spans)
-    /// with a fleet trace context, or clear it with `None`.
-    pub fn set_trace_ctx(&mut self, ctx: Option<obs::TraceCtx>) {
-        self.mg.set_trace_ctx(ctx);
-    }
-
-    /// Device-memory footprint of every shard's resident moment lattices.
-    pub fn footprint_bytes(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.mom[0].size_bytes() + s.mom[1].size_bytes())
-            .sum()
-    }
-
-    /// Enable per-step physics monitoring (mass, momentum, max |u|, NaN guard).
-    pub fn with_monitor(mut self, cfg: obs::MonitorConfig) -> Self {
-        self.monitor = Some(obs::PhysicsMonitor::new(cfg));
-        self
-    }
-
-    /// The physics monitor, if enabled.
-    pub fn monitor(&self) -> Option<&obs::PhysicsMonitor> {
-        self.monitor.as_ref()
-    }
-
-    /// Mutable access to the physics monitor, if enabled.
-    pub fn monitor_mut(&mut self) -> Option<&mut obs::PhysicsMonitor> {
-        self.monitor.as_mut()
-    }
-
-    /// Override the halo-transfer retry policy.
-    pub fn with_halo_retry(mut self, policy: HaloRetryPolicy) -> Self {
-        self.retry = policy;
-        self
-    }
-
-    /// Attach a deterministic fault plan to every device, every shard's
-    /// moment lattices, and the interconnect. With a plan attached the
-    /// shards are stepped one after another in index order at any thread
-    /// count, so the same shard takes the fault every time.
-    pub fn with_fault_plan(mut self, plan: Arc<FaultPlan>) -> Self {
-        self.mg.set_fault_plan(plan.clone());
-        for sh in &mut self.shards {
-            sh.mom[0].set_fault_plan(plan.clone());
-            sh.mom[1].set_fault_plan(plan.clone());
+impl<L: Lattice> MultiMr2d<L> {
+    /// Copy each cut's freshly computed edge columns — as `M` moments per
+    /// node, not `Q` populations — into the neighbors' ghost columns. The
+    /// link tally is recorded (with bounded retries on transient link
+    /// faults) *before* the copy: a failed transfer moves no data and
+    /// records no bytes, so a successful retry tallies exactly once.
+    fn exchange(&self, cx: &StepCx<'_>) -> Result<Vec<(usize, usize, u64)>, LinkError> {
+        let mut out = Vec::new();
+        for tr in self.decomp.halo_transfers() {
+            let bytes = (self.decomp.column_fluid_count(tr.gx) * L::M * 8) as u64;
+            cx.transfer(tr.from, tr.to, bytes)?;
+            let (src, dst) = (&self.shards[tr.from], &self.shards[tr.to]);
+            let (sm, dm) = (&src.mom[src.cur ^ 1], &dst.mom[dst.cur ^ 1]);
+            for z in 0..src.geom.nz {
+                for y in 0..src.geom.ny {
+                    if !src.geom.node(tr.src_lx, y, z).is_fluid_like() {
+                        continue;
+                    }
+                    let si = src.geom.idx(tr.src_lx, y, z);
+                    let di = dst.geom.idx(tr.dst_lx, y, z);
+                    let m = sm.get_moments::<L>(cx.t + 1, si);
+                    dm.set_moments::<L>(cx.t + 1, di, &m);
+                }
+            }
+            out.push((tr.from, tr.to, bytes));
         }
-        self
+        Ok(out)
     }
 
-    /// Halo-transfer retries performed so far.
-    pub fn halo_retries(&self) -> u64 {
-        self.halo_retries.load(Ordering::Relaxed)
+    /// Modeled overlap-schedule timing.
+    pub fn stats(&self) -> &OverlapStats {
+        &self.stats
     }
 
-    /// Initialize every node — including ghosts — from a macroscopic field
-    /// at **global** coordinates (no initial exchange needed).
-    pub fn init_with(&mut self, field: impl Fn(usize, usize, usize) -> (f64, [f64; 3])) {
+    /// Analytic per-step halo traffic: fluid-like halo nodes × `M·8`.
+    pub fn halo_bytes_per_step(&self) -> u64 {
+        (self.decomp.halo_nodes_per_step() * L::M * 8) as u64
+    }
+
+    fn moments(&self, t: u64, x: usize, y: usize, z: usize) -> Moments {
+        let r = self.decomp.owner_of(x);
+        let sh = &self.shards[r];
+        let lx = self.decomp.slab(r).owned_lo() + (x - self.decomp.slab(r).x0);
+        sh.mom[sh.cur].get_moments::<L>(t, sh.geom.idx(lx, y, z))
+    }
+}
+
+impl<L: Lattice> DriverBody for MultiMr2d<L> {
+    fn label(&self) -> &'static str {
+        "multi-mr2d"
+    }
+
+    fn geom(&self) -> &Geometry {
+        self.decomp.global()
+    }
+
+    fn init_with(&mut self, field: impl Fn(usize, usize, usize) -> (f64, [f64; 3])) {
         for (r, sh) in self.shards.iter_mut().enumerate() {
             sh.cur = 0;
             for idx in 0..sh.geom.len() {
@@ -271,31 +236,78 @@ impl<L: Lattice> MultiMrSim2D<L> {
                 sh.mom[0].set_moments::<L>(0, idx, &m);
             }
         }
-        self.t = 0;
-        self.stats = OverlapStats::default();
     }
 
-    /// Advance one timestep with the two-phase overlap schedule. Panics if
-    /// a halo transfer fails beyond the retry budget; use
-    /// [`MultiMrSim2D::try_step`] for typed link errors.
-    pub fn step(&mut self) {
-        self.try_step()
-            .unwrap_or_else(|e| panic!("halo exchange failed: {e}"));
-    }
-
-    /// Advance one timestep, surfacing halo-link failures. On `Err` no
-    /// state has advanced (`t` and the buffer parity are unchanged) — the
-    /// completed edge-strip launches are idempotent and a later retry of
-    /// the whole step recomputes them bitwise-identically.
-    pub fn try_step(&mut self) -> Result<(), LinkError> {
-        let obs = self.mg.obs().cloned();
-        let _step_span = obs.as_ref().map(|o| {
-            let mut args = vec![("t", self.t.to_string())];
-            if let Some(ctx) = self.mg.trace_ctx() {
-                ctx.append_args(&mut args);
+    fn macro_fields(&self, t: u64) -> Fields {
+        let g = self.decomp.global();
+        let mut rho = vec![0.0; g.len()];
+        let mut u = vec![[0.0; 3]; g.len()];
+        for idx in 0..g.len() {
+            if g.node_at(idx).is_fluid_like() {
+                let (x, y, z) = g.coords(idx);
+                let m = self.moments(t, x, y, z);
+                rho[idx] = m.rho;
+                u[idx] = m.u;
             }
-            o.tracer.span_args("driver", "step", &args)
-        });
+        }
+        (rho, u)
+    }
+
+    fn footprint_bytes(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| s.mom[0].size_bytes() + s.mom[1].size_bytes())
+            .sum()
+    }
+
+    fn set_fault_plan(&mut self, plan: Arc<FaultPlan>) {
+        for sh in &mut self.shards {
+            sh.mom[0].set_fault_plan(plan.clone());
+            sh.mom[1].set_fault_plan(plan.clone());
+        }
+    }
+
+    fn frame(&self) -> Frame {
+        let g = self.decomp.global();
+        Frame {
+            flavor: "multi-mr2d",
+            parity: false,
+            guards: vec![
+                ("nx", g.nx as u64),
+                ("ny", g.ny as u64),
+                ("M", L::M as u64),
+                ("shard count", self.shards.len() as u64),
+            ],
+        }
+    }
+
+    fn state_arrays(&self) -> Vec<Vec<f64>> {
+        self.shards
+            .iter()
+            .map(|sh| sh.mom[sh.cur].host_snapshot())
+            .collect()
+    }
+
+    fn state_lens(&self) -> Vec<usize> {
+        self.shards.iter().map(|sh| sh.mom[0].raw_len()).collect()
+    }
+
+    /// Shift-0 lattices make the slot layout timestep-independent, so the
+    /// snapshot lands in buffer 0 regardless of the saved parity.
+    fn install(&mut self, arrays: Vec<Vec<f64>>) {
+        for (sh, data) in self.shards.iter_mut().zip(&arrays) {
+            sh.mom[0].host_restore(data);
+            sh.cur = 0;
+        }
+    }
+}
+
+impl<L: Lattice> ShardedBody for MultiMr2d<L> {
+    /// The two-phase overlap schedule. On `Err` no state has advanced (the
+    /// buffer parity is unchanged) — the completed edge-strip launches are
+    /// idempotent and a later retry of the whole step recomputes them
+    /// bitwise-identically.
+    fn advance(&mut self, cx: &StepCx<'_>) -> Result<(), LinkError> {
         // One shard's column launch over `cols`, on its own device: the
         // DRAM bytes it moved.
         let columns = |r: usize, cols: &[usize]| -> u64 {
@@ -304,14 +316,14 @@ impl<L: Lattice> MultiMrSim2D<L> {
                 return 0;
             }
             launch_mr2d_columns::<L>(
-                self.mg.device(r),
+                cx.mg.device(r),
                 &sh.mom[sh.cur],
                 &sh.mom[sh.cur ^ 1],
                 &sh.geom,
                 &self.scheme,
                 &self.consts,
                 &sh.bulk,
-                self.t,
+                cx.t,
                 sh.col_w,
                 self.tile_h,
                 cols,
@@ -321,38 +333,32 @@ impl<L: Lattice> MultiMrSim2D<L> {
         };
 
         // Phase 1: edge column blocks.
-        let boundary_bytes = self
+        let boundary_bytes = cx
             .mg
             .for_each_device(|r| columns(r, &self.shards[r].strip_cols));
 
         // Phase 2: moment-space halo exchange (overlaps the interior).
-        let _halo_span = obs.as_ref().map(|o| {
-            let mut args = Vec::new();
-            if let Some(ctx) = self.mg.trace_ctx() {
-                ctx.append_args(&mut args);
-            }
-            o.tracer.span_args("halo", "halo-exchange", &args)
-        });
-        let transfers = self.exchange()?;
-        drop(_halo_span);
+        let halo_span = cx.halo_span();
+        let transfers = self.exchange(cx)?;
+        drop(halo_span);
 
         // Phase 3: interior column blocks.
-        let interior_bytes = self
+        let interior_bytes = cx
             .mg
             .for_each_device(|r| columns(r, &self.shards[r].interior_cols));
 
         // Phase 4: inlet/outlet rebuild (native to moment space).
-        let bc_bytes = self.mg.for_each_device(|r| {
+        let bc_bytes = cx.mg.for_each_device(|r| {
             let sh = &self.shards[r];
             if sh.boundary.is_empty() {
                 return 0;
             }
             launch_mr_bc::<L>(
-                self.mg.device(r),
+                cx.mg.device(r),
                 &sh.mom[sh.cur ^ 1],
                 &sh.geom,
                 self.tau,
-                self.t + 1,
+                cx.t + 1,
                 &sh.boundary,
                 64,
             )
@@ -360,222 +366,27 @@ impl<L: Lattice> MultiMrSim2D<L> {
             .dram_bytes()
         });
 
-        let spec = self.mg.spec().clone();
+        let spec = cx.mg.spec().clone();
         let max_t = |b: &[u64]| device_time_s(&spec, b.iter().copied().max().unwrap_or(0));
         self.stats.record_step(
             max_t(&boundary_bytes),
             max_t(&interior_bytes),
-            exchange_time_s(&self.mg, &transfers),
+            exchange_time_s(cx.mg, &transfers),
             max_t(&bc_bytes),
         );
 
         for sh in &mut self.shards {
             sh.cur ^= 1;
         }
-        self.t += 1;
-        self.sample_monitor("multi-mr2d");
         Ok(())
     }
 
-    /// Copy each cut's freshly computed edge columns — as `M` moments per
-    /// node, not `Q` populations — into the neighbors' ghost columns. The
-    /// link tally is recorded (with bounded retries on transient link
-    /// faults) *before* the copy: a failed transfer moves no data and
-    /// records no bytes, so a successful retry tallies exactly once.
-    fn exchange(&self) -> Result<Vec<(usize, usize, u64)>, LinkError> {
-        let mut out = Vec::new();
-        for tr in self.decomp.halo_transfers() {
-            let bytes = (self.decomp.column_fluid_count(tr.gx) * L::M * 8) as u64;
-            transfer_with_retry(
-                &self.mg,
-                tr.from,
-                tr.to,
-                bytes,
-                &self.retry,
-                &self.halo_retries,
-            )?;
-            let (src, dst) = (&self.shards[tr.from], &self.shards[tr.to]);
-            let (sm, dm) = (&src.mom[src.cur ^ 1], &dst.mom[dst.cur ^ 1]);
-            for z in 0..src.geom.nz {
-                for y in 0..src.geom.ny {
-                    if !src.geom.node(tr.src_lx, y, z).is_fluid_like() {
-                        continue;
-                    }
-                    let si = src.geom.idx(tr.src_lx, y, z);
-                    let di = dst.geom.idx(tr.dst_lx, y, z);
-                    let m = sm.get_moments::<L>(self.t + 1, si);
-                    dm.set_moments::<L>(self.t + 1, di, &m);
-                }
-            }
-            out.push((tr.from, tr.to, bytes));
-        }
-        Ok(out)
+    fn overlap(&self) -> Option<&OverlapStats> {
+        Some(&self.stats)
     }
 
-    /// Advance `steps` timesteps, then flush a final monitor sample if the
-    /// last step fell between cadence points.
-    pub fn run(&mut self, steps: usize) {
-        for _ in 0..steps {
-            self.step();
-        }
-        self.finish_monitor();
-    }
-
-    /// Force a final monitor sample at the current step (no-op when the
-    /// monitor is absent or already sampled this step).
-    pub fn finish_monitor(&mut self) {
-        if self.monitor.is_none() {
-            return;
-        }
-        let (rho, u) = self.macro_fields();
-        let s = self.monitor.as_mut().unwrap().finish(self.t, &rho, &u);
-        if let (Some(s), Some(o)) = (s, self.mg.obs()) {
-            let labels = [("pattern", "multi-mr2d")];
-            o.metrics.gauge_set("monitor_mass", &labels, s.mass);
-            o.metrics.gauge_set("monitor_max_u", &labels, s.max_u);
-            o.tracer
-                .instant("monitor", "flush", &[("step", s.step.to_string())]);
-        }
-    }
-
-    /// Completed timesteps.
-    pub fn steps(&self) -> u64 {
-        self.t
-    }
-
-    /// The global geometry.
-    pub fn geom(&self) -> &Geometry {
-        self.decomp.global()
-    }
-
-    /// Number of devices.
-    pub fn num_devices(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The interconnect (link byte counters, report).
-    pub fn interconnect(&self) -> &MultiGpu {
-        &self.mg
-    }
-
-    /// Modeled overlap-schedule timing.
-    pub fn stats(&self) -> &OverlapStats {
-        &self.stats
-    }
-
-    /// Analytic per-step halo traffic: fluid-like halo nodes × `M·8`.
-    pub fn halo_bytes_per_step(&self) -> u64 {
-        (self.decomp.halo_nodes_per_step() * L::M * 8) as u64
-    }
-
-    /// Moments at a global node (owner shard, current time).
-    pub fn moments_at(&self, x: usize, y: usize, z: usize) -> Moments {
-        let r = self.decomp.owner_of(x);
-        let sh = &self.shards[r];
-        let lx = self.decomp.slab(r).owned_lo() + (x - self.decomp.slab(r).x0);
-        sh.mom[sh.cur].get_moments::<L>(self.t, sh.geom.idx(lx, y, z))
-    }
-
-    /// Global density and velocity in one pass (solid nodes report zero).
-    pub fn macro_fields(&self) -> (Vec<f64>, Vec<[f64; 3]>) {
-        let g = self.decomp.global();
-        let mut rho = vec![0.0; g.len()];
-        let mut u = vec![[0.0; 3]; g.len()];
-        for idx in 0..g.len() {
-            if g.node_at(idx).is_fluid_like() {
-                let (x, y, z) = g.coords(idx);
-                let m = self.moments_at(x, y, z);
-                rho[idx] = m.rho;
-                u[idx] = m.u;
-            }
-        }
-        (rho, u)
-    }
-
-    fn sample_monitor(&mut self, pattern: &str) {
-        if !self.monitor.as_ref().is_some_and(|m| m.due(self.t)) {
-            return;
-        }
-        let (rho, u) = self.macro_fields();
-        let s = self.monitor.as_mut().unwrap().observe(self.t, &rho, &u);
-        if let Some(o) = self.mg.obs() {
-            let labels = [("pattern", pattern)];
-            o.metrics.gauge_set("monitor_mass", &labels, s.mass);
-            o.metrics.gauge_set("monitor_max_u", &labels, s.max_u);
-        }
-    }
-
-    /// Global velocity field (solid nodes report zero).
-    pub fn velocity_field(&self) -> Vec<[f64; 3]> {
-        self.macro_fields().1
-    }
-
-    /// Global density field (solid nodes report zero).
-    pub fn density_field(&self) -> Vec<f64> {
-        self.macro_fields().0
-    }
-
-    /// FNV-1a checksum of the global macroscopic fields (bitwise).
-    pub fn field_checksum(&self) -> u64 {
-        let (rho, u) = self.macro_fields();
-        lbm_core::io::field_checksum(&rho, &u)
-    }
-
-    /// Serialize the full sharded state: dimensions, timestep, overlap
-    /// stats, and every shard's current moment lattice (ghost columns
-    /// included, so no post-restore exchange is needed).
-    pub fn checkpoint(&self) -> Vec<u8> {
-        let g = self.decomp.global();
-        let mut w = CheckpointWriter::new("multi-mr2d");
-        w.put_u64(g.nx as u64)
-            .put_u64(g.ny as u64)
-            .put_u64(L::M as u64)
-            .put_u64(self.shards.len() as u64)
-            .put_u64(self.t)
-            .put_u64(self.stats.steps)
-            .put_f64(self.stats.boundary_s)
-            .put_f64(self.stats.interior_s)
-            .put_f64(self.stats.exchange_s)
-            .put_f64(self.stats.bc_s)
-            .put_f64(self.stats.hidden_s)
-            .put_f64(self.stats.total_s);
-        for sh in &self.shards {
-            w.put_f64s(&sh.mom[sh.cur].host_snapshot());
-        }
-        w.finish()
-    }
-
-    /// Restore a snapshot taken by [`MultiMrSim2D::checkpoint`] on an
-    /// identically configured simulation. Bitwise: the restored state
-    /// continues exactly as the original would have (shift-0 lattices make
-    /// the slot layout timestep-independent, so the snapshot lands in
-    /// buffer 0 regardless of the saved parity).
-    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
-        let g = self.decomp.global();
-        let mut r = CheckpointReader::open(bytes, "multi-mr2d")?;
-        r.expect_u64(g.nx as u64, "nx")?;
-        r.expect_u64(g.ny as u64, "ny")?;
-        r.expect_u64(L::M as u64, "M")?;
-        r.expect_u64(self.shards.len() as u64, "shard count")?;
-        self.t = r.take_u64()?;
-        self.stats = OverlapStats {
-            steps: r.take_u64()?,
-            boundary_s: r.take_f64()?,
-            interior_s: r.take_f64()?,
-            exchange_s: r.take_f64()?,
-            bc_s: r.take_f64()?,
-            hidden_s: r.take_f64()?,
-            total_s: r.take_f64()?,
-        };
-        for sh in &mut self.shards {
-            let data = r.take_f64s(sh.mom[0].raw_len())?;
-            sh.mom[0].host_restore(&data);
-            sh.cur = 0;
-        }
-        if let Some(m) = self.monitor.as_mut() {
-            m.rollback_to(self.t);
-        }
-        Ok(())
+    fn overlap_mut(&mut self) -> Option<&mut OverlapStats> {
+        Some(&mut self.stats)
     }
 }
 
@@ -671,47 +482,6 @@ mod tests {
         let per_step = 4 * 8 * 6 * 8; // 4 transfers × 8 fluid nodes × M·8
         assert_eq!(multi.halo_bytes_per_step(), per_step as u64);
         assert_eq!(multi.interconnect().total_link_bytes(), 4 * per_step as u64);
-    }
-
-    /// Step/halo spans, link metrics, and the physics monitor all flow
-    /// through the sharded MR driver.
-    #[test]
-    fn obs_and_monitor_wire_through() {
-        let hub = obs::Obs::shared();
-        let geom = Geometry::walls_y_periodic_x(16, 8);
-        let mut multi: MultiMrSim2D<D2Q9> =
-            MultiMrSim2D::new(DeviceSpec::v100(), geom, MrScheme::projective(), 0.8, 2)
-                .with_cpu_threads(2)
-                .with_obs(hub.clone())
-                .with_monitor(obs::MonitorConfig {
-                    cadence: 2,
-                    ..Default::default()
-                });
-        multi.init_with(|x, y, _| (1.0 + 0.01 * ((x + y) as f64).sin(), [0.0; 3]));
-        multi.run(4);
-
-        let events = hub.tracer.events();
-        let steps = events
-            .iter()
-            .filter(|e| e.ph == 'B' && e.name == "step")
-            .count();
-        assert_eq!(steps, 4);
-        let halos = events
-            .iter()
-            .filter(|e| e.ph == 'B' && e.name == "halo-exchange")
-            .count();
-        assert_eq!(halos, 4);
-        assert!(
-            hub.metrics
-                .counter("link_transfer_bytes", &[("link", "NVLink2[0->1]")])
-                .unwrap_or(0)
-                > 0
-        );
-
-        let mon = multi.monitor().unwrap();
-        assert_eq!(mon.samples().len(), 2);
-        assert!(mon.is_ok(), "violations: {:?}", mon.violations());
-        assert!(mon.mass_drift() <= 1e-10);
     }
 
     /// Mass is conserved across the cuts.

@@ -26,13 +26,13 @@
 //! are *bitwise* identical to their single-device counterparts.
 
 use crate::decomp::SlabDecomp;
-use crate::recovery::{transfer_with_retry, HaloRetryPolicy};
+use crate::driver::{MultiSim, ShardedBody, StepCx};
 use gpu_sim::interconnect::{LinkError, MultiGpu};
 use gpu_sim::{DeviceSpec, FaultPlan, GlobalBuffer};
 use lbm_core::collision::Collision;
 use lbm_core::geometry::Geometry;
-use lbm_core::io::{CheckpointError, CheckpointReader, CheckpointWriter};
 use lbm_core::kernels::{assert_lattice_fits, MAX_M, MAX_Q};
+use lbm_gpu::driver::{fill, DriverBody, Fields, Frame};
 use lbm_gpu::scheme::MrScheme;
 use lbm_gpu::sparse::{
     build_neighbor_table, launch_sparse_st, validate_sparse_geometry, FluidIndex, SparseBuildError,
@@ -41,7 +41,6 @@ use lbm_gpu::sparse_mr::{launch_sparse_mr, HaloDirectory};
 use lbm_lattice::moments::Moments;
 use lbm_lattice::Lattice;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// One shard of a sparse decomposition: local geometry, its tiled fluid
@@ -141,19 +140,17 @@ fn build_exchange_plan(decomp: &SlabDecomp, shards: &[SparseShard]) -> Vec<TileT
 /// moves no data and records no bytes, so a retried step tallies exactly
 /// once.
 fn exchange_tiled(
-    mg: &MultiGpu,
+    cx: &StepCx<'_>,
     plan: &[TileTransfer],
     shards: &[SparseShard],
     dpn: usize,
-    retry: &HaloRetryPolicy,
-    retries: &AtomicU64,
 ) -> Result<(), LinkError> {
     for t in plan {
         let (src, dst) = (&shards[t.from], &shards[t.to]);
         let (snf, dnf) = (src.index.len(), dst.index.len());
         let (sb, db) = (&src.bufs[src.cur ^ 1], &dst.bufs[dst.cur ^ 1]);
         let bytes = (t.pairs.len() * dpn * 8) as u64;
-        transfer_with_retry(mg, t.from, t.to, bytes, retry, retries)?;
+        cx.transfer(t.from, t.to, bytes)?;
         for &(scid, dcid) in &t.pairs {
             for m in 0..dpn {
                 db.set(m * dnf + dcid as usize, sb.get(m * snf + scid as usize));
@@ -177,202 +174,71 @@ fn locate(
     (r, sh.index.compact[sh.geom.idx(lx, y, z)])
 }
 
-macro_rules! sparse_multi_common {
-    ($name:ident, $pattern:literal, $dpn:expr) => {
-        /// Host-thread budget of the whole ring, split between threads
-        /// that step shards side by side and threads per launch (see
-        /// `gpu_sim::MultiGpu::with_cpu_threads`).
-        pub fn with_cpu_threads(mut self, n: usize) -> Self {
-            self.mg = self.mg.with_cpu_threads(n);
-            self
-        }
-
-        /// Override the minimum launch size dispatched to the worker pool;
-        /// `0` forces pooling for every multi-block launch.
-        pub fn with_parallel_threshold(mut self, items: usize) -> Self {
-            self.mg = self.mg.with_parallel_threshold(items);
-            self
-        }
-
-        /// Mirror link traffic into a shared profiler.
-        pub fn with_profiler(mut self, p: Arc<gpu_sim::profiler::Profiler>) -> Self {
-            self.mg = self.mg.with_profiler(p);
-            self
-        }
-
-        /// Attach one observability hub to every device and the link layer.
-        pub fn with_obs(mut self, obs: Arc<obs::Obs>) -> Self {
-            self.set_obs(obs);
-            self
-        }
-
-        /// In-place [`Self::with_obs`] (the `Simulation` trait surface).
-        pub fn set_obs(&mut self, obs: Arc<obs::Obs>) {
-            self.mg.set_obs(obs);
-        }
-
-        /// Tag every device's kernel spans (and the step/halo spans) with a
-        /// fleet trace context, or clear it with `None`.
-        pub fn set_trace_ctx(&mut self, ctx: Option<obs::TraceCtx>) {
-            self.mg.set_trace_ctx(ctx);
-        }
-
-        /// Attach a physics monitor over the *global* fields.
-        pub fn with_monitor(mut self, cfg: obs::MonitorConfig) -> Self {
-            self.monitor = Some(obs::PhysicsMonitor::new(cfg));
-            self
-        }
-
-        /// The attached physics monitor, if any.
-        pub fn monitor(&self) -> Option<&obs::PhysicsMonitor> {
-            self.monitor.as_ref()
-        }
-
-        /// Mutable access to the physics monitor, if enabled.
-        pub fn monitor_mut(&mut self) -> Option<&mut obs::PhysicsMonitor> {
-            self.monitor.as_mut()
-        }
-
-        /// Override the halo-transfer retry policy.
-        pub fn with_halo_retry(mut self, policy: HaloRetryPolicy) -> Self {
-            self.retry = policy;
-            self
-        }
-
-        /// Attach a deterministic fault plan to every device, every shard's
-        /// state buffers, and the interconnect. With a plan attached the
-        /// shards are stepped one after another in index order at any
-        /// thread count, so the same shard takes the fault every time.
-        pub fn with_fault_plan(mut self, plan: Arc<FaultPlan>) -> Self {
-            self.mg.set_fault_plan(plan.clone());
-            for sh in &mut self.shards {
-                sh.bufs[0].set_fault_plan(plan.clone());
-                sh.bufs[1].set_fault_plan(plan.clone());
-            }
-            self
-        }
-
-        /// Halo-transfer retries performed so far.
-        pub fn halo_retries(&self) -> u64 {
-            self.halo_retries.load(Ordering::Relaxed)
-        }
-
-        /// Monitor/metric pattern label for this driver.
-        pub fn pattern_label(&self) -> &'static str {
-            $pattern
-        }
-
-        /// Advance one timestep. Panics if a halo transfer fails beyond the
-        /// retry budget; use `try_step` for typed link errors.
-        pub fn step(&mut self) {
-            self.try_step()
-                .unwrap_or_else(|e| panic!("halo exchange failed: {e}"));
-        }
-
-        /// Advance `steps` timesteps, then flush the monitor.
-        pub fn run(&mut self, steps: usize) {
-            for _ in 0..steps {
-                self.step();
-            }
-            self.finish_monitor();
-        }
-
-        /// Force a final monitor sample at the current step.
-        pub fn finish_monitor(&mut self) {
-            if self.monitor.is_none() {
-                return;
-            }
-            let (rho, u) = self.macro_fields();
-            let s = self.monitor.as_mut().unwrap().finish(self.t, &rho, &u);
-            if let (Some(s), Some(o)) = (s, self.mg.obs()) {
-                let labels = [("pattern", self.pattern_label())];
-                o.metrics.gauge_set("monitor_mass", &labels, s.mass);
-                o.metrics.gauge_set("monitor_max_u", &labels, s.max_u);
-                o.tracer
-                    .instant("monitor", "flush", &[("step", s.step.to_string())]);
-            }
-        }
-
-        /// Cadence-gated monitor sampling over the gathered global fields.
-        fn sample_monitor(&mut self) {
-            if !self.monitor.as_ref().is_some_and(|m| m.due(self.t)) {
-                return;
-            }
-            let (rho, u) = self.macro_fields();
-            let s = self.monitor.as_mut().unwrap().observe(self.t, &rho, &u);
-            if let Some(o) = self.mg.obs() {
-                let labels = [("pattern", self.pattern_label())];
-                o.metrics.gauge_set("monitor_mass", &labels, s.mass);
-                o.metrics.gauge_set("monitor_max_u", &labels, s.max_u);
-            }
-        }
-
-        /// Completed timesteps.
-        pub fn steps(&self) -> u64 {
-            self.t
-        }
-
-        /// The global geometry.
-        pub fn geom(&self) -> &Geometry {
-            self.decomp.global()
-        }
-
-        /// Number of devices.
-        pub fn num_devices(&self) -> usize {
-            self.shards.len()
-        }
-
-        /// The interconnect (link byte counters, report).
-        pub fn interconnect(&self) -> &MultiGpu {
-            &self.mg
-        }
-
-        /// Analytic per-step halo traffic: fluid-like cut-column nodes ×
-        /// state payload — proportional to fluid count, not box volume.
-        pub fn halo_bytes_per_step(&self) -> u64 {
-            (self.decomp.halo_nodes_per_step() * $dpn * 8) as u64
-        }
-
-        /// Device-memory footprint of every shard's compacted buffers and
-        /// link tables.
-        pub fn footprint_bytes(&self) -> usize {
-            self.shards
-                .iter()
-                .map(|s| s.bufs[0].size_bytes() + s.bufs[1].size_bytes() + s.table.size_bytes())
-                .sum()
-        }
-
-        /// Global velocity field (solid nodes report zero).
-        pub fn velocity_field(&self) -> Vec<[f64; 3]> {
-            self.macro_fields().1
-        }
-
-        /// Global density field (solid nodes report zero).
-        pub fn density_field(&self) -> Vec<f64> {
-            self.macro_fields().0
-        }
-
-        /// FNV-1a checksum of the global macroscopic fields (bitwise).
-        pub fn field_checksum(&self) -> u64 {
-            let (rho, u) = self.macro_fields();
-            lbm_core::io::field_checksum(&rho, &u)
-        }
-    };
+/// The checkpoint frame both sparse bodies share: box dimensions, the
+/// per-node payload (`"Q"` or `"M"`) and the shard count.
+fn sparse_frame(
+    flavor: &'static str,
+    decomp: &SlabDecomp,
+    payload: (&'static str, usize),
+) -> Frame {
+    let g = decomp.global();
+    Frame {
+        flavor,
+        parity: false,
+        guards: vec![
+            ("nx", g.nx as u64),
+            ("ny", g.ny as u64),
+            ("nz", g.nz as u64),
+            (payload.0, payload.1 as u64),
+            ("shard count", decomp.num_shards() as u64),
+        ],
+    }
 }
 
-/// Slab-sharded sparse ST simulation across N simulated devices.
-pub struct MultiSparseStSim<L: Lattice, C: Collision<L>> {
-    mg: MultiGpu,
+/// Every shard's compacted buffers and link tables, bytes.
+fn shards_footprint(shards: &[SparseShard]) -> usize {
+    shards
+        .iter()
+        .map(|s| s.bufs[0].size_bytes() + s.bufs[1].size_bytes() + s.table.size_bytes())
+        .sum()
+}
+
+fn shards_set_fault_plan(shards: &mut [SparseShard], plan: &Arc<FaultPlan>) {
+    for sh in shards {
+        sh.bufs[0].set_fault_plan(plan.clone());
+        sh.bufs[1].set_fault_plan(plan.clone());
+    }
+}
+
+/// Every shard's current compacted lattice (ghost nodes included, so no
+/// post-restore exchange is needed).
+fn shards_snapshot(shards: &[SparseShard]) -> Vec<Vec<f64>> {
+    shards.iter().map(|sh| sh.bufs[sh.cur].snapshot()).collect()
+}
+
+fn shards_lens(shards: &[SparseShard]) -> Vec<usize> {
+    shards.iter().map(|sh| sh.bufs[0].len()).collect()
+}
+
+/// The snapshot lands in buffer 0 regardless of the saved parity.
+fn shards_install(shards: &mut [SparseShard], arrays: &[Vec<f64>]) {
+    for (sh, data) in shards.iter_mut().zip(arrays) {
+        fill(&sh.bufs[0], data);
+        sh.cur = 0;
+    }
+}
+
+/// The sharded sparse ST pattern's state.
+pub struct MultiSparseSt<L: Lattice, C: Collision<L>> {
     decomp: SlabDecomp,
     shards: Vec<SparseShard>,
     plan: Vec<TileTransfer>,
     collision: C,
-    t: u64,
-    monitor: Option<obs::PhysicsMonitor>,
-    retry: HaloRetryPolicy,
-    halo_retries: AtomicU64,
     _l: PhantomData<L>,
 }
+
+/// Slab-sharded sparse ST simulation across N simulated devices.
+pub type MultiSparseStSim<L, C> = MultiSim<MultiSparseSt<L, C>>;
 
 impl<L: Lattice, C: Collision<L>> MultiSparseStSim<L, C> {
     /// Shard `geom` across `n` devices, panicking on an unsupported
@@ -403,28 +269,37 @@ impl<L: Lattice, C: Collision<L>> MultiSparseStSim<L, C> {
             .map(|r| build_shard::<L>(&decomp, r, L::Q))
             .collect::<Result<Vec<_>, _>>()?;
         let plan = build_exchange_plan(&decomp, &shards);
-        let mut sim = MultiSparseStSim {
-            mg: MultiGpu::ring(device, n),
-            decomp,
-            shards,
-            plan,
-            collision,
-            t: 0,
-            monitor: None,
-            retry: HaloRetryPolicy::default(),
-            halo_retries: AtomicU64::new(0),
-            _l: PhantomData,
-        };
-        sim.init_with(|_, _, _| (1.0, [0.0; 3]));
-        Ok(sim)
+        Ok(MultiSim::from_body(
+            MultiGpu::ring(device, n),
+            MultiSparseSt {
+                decomp,
+                shards,
+                plan,
+                collision,
+                _l: PhantomData,
+            },
+        ))
+    }
+}
+
+impl<L: Lattice, C: Collision<L>> MultiSparseSt<L, C> {
+    /// Analytic per-step halo traffic: fluid-like cut-column nodes × `Q·8`
+    /// — proportional to fluid count, not box volume.
+    pub fn halo_bytes_per_step(&self) -> u64 {
+        (self.decomp.halo_nodes_per_step() * L::Q * 8) as u64
+    }
+}
+
+impl<L: Lattice, C: Collision<L>> DriverBody for MultiSparseSt<L, C> {
+    fn label(&self) -> &'static str {
+        "multi-sparse-st"
     }
 
-    sparse_multi_common!(MultiSparseStSim, "multi-sparse-st", L::Q);
+    fn geom(&self) -> &Geometry {
+        self.decomp.global()
+    }
 
-    /// Initialize every fluid node — *including ghosts* — from a
-    /// macroscopic field at **global** coordinates, so ghost columns start
-    /// consistent with their owners and no initial exchange is needed.
-    pub fn init_with(&mut self, field: impl Fn(usize, usize, usize) -> (f64, [f64; 3])) {
+    fn init_with(&mut self, field: impl Fn(usize, usize, usize) -> (f64, [f64; 3])) {
         let mut feq = [0.0f64; MAX_Q];
         for (r, sh) in self.shards.iter_mut().enumerate() {
             sh.cur = 0;
@@ -444,65 +319,9 @@ impl<L: Lattice, C: Collision<L>> MultiSparseStSim<L, C> {
                 }
             }
         }
-        self.t = 0;
     }
 
-    /// Advance one timestep, surfacing halo-link failures. On `Err` no
-    /// state has advanced (`t` and the buffer parity are unchanged) — the
-    /// completed update launches are idempotent and a retried step
-    /// recomputes them bitwise-identically.
-    pub fn try_step(&mut self) -> Result<(), LinkError> {
-        let obs = self.mg.obs().cloned();
-        let _step_span = obs.as_ref().map(|o| {
-            let mut args = vec![("t", self.t.to_string())];
-            if let Some(ctx) = self.mg.trace_ctx() {
-                ctx.append_args(&mut args);
-            }
-            o.tracer.span_args("driver", "step", &args)
-        });
-
-        // Update every shard's owned (active) nodes: read t, write t+1.
-        self.mg.for_each_device(|r| {
-            let sh = &self.shards[r];
-            launch_sparse_st::<L, C>(
-                self.mg.device(r),
-                &sh.bufs[sh.cur],
-                &sh.bufs[sh.cur ^ 1],
-                &sh.table,
-                &sh.index,
-                &self.collision,
-            );
-        });
-
-        // Per-tile halo exchange of the freshly computed edge columns.
-        let _halo_span = obs.as_ref().map(|o| {
-            let mut args = Vec::new();
-            if let Some(ctx) = self.mg.trace_ctx() {
-                ctx.append_args(&mut args);
-            }
-            o.tracer.span_args("halo", "halo-exchange", &args)
-        });
-        exchange_tiled(
-            &self.mg,
-            &self.plan,
-            &self.shards,
-            L::Q,
-            &self.retry,
-            &self.halo_retries,
-        )?;
-        drop(_halo_span);
-
-        for sh in &mut self.shards {
-            sh.cur ^= 1;
-        }
-        self.t += 1;
-        self.sample_monitor();
-        Ok(())
-    }
-
-    /// Global density and velocity in one pass over the owning shards
-    /// (solid nodes report zero).
-    pub fn macro_fields(&self) -> (Vec<f64>, Vec<[f64; 3]>) {
+    fn macro_fields(&self, _t: u64) -> Fields {
         let g = self.decomp.global();
         let mut rho_out = vec![0.0; g.len()];
         let mut u_out = vec![[0.0; 3]; g.len()];
@@ -525,53 +344,63 @@ impl<L: Lattice, C: Collision<L>> MultiSparseStSim<L, C> {
         (rho_out, u_out)
     }
 
-    /// Serialize the full sharded state (LBCK flavor `"multi-sparse-st"`):
-    /// dimensions, timestep, and every shard's current compacted lattice
-    /// (ghost nodes included, so no post-restore exchange is needed).
-    pub fn checkpoint(&self) -> Vec<u8> {
-        let g = self.decomp.global();
-        let mut w = CheckpointWriter::new("multi-sparse-st");
-        w.put_u64(g.nx as u64)
-            .put_u64(g.ny as u64)
-            .put_u64(g.nz as u64)
-            .put_u64(L::Q as u64)
-            .put_u64(self.shards.len() as u64)
-            .put_u64(self.t);
-        for sh in &self.shards {
-            w.put_f64s(&sh.bufs[sh.cur].snapshot());
-        }
-        w.finish()
+    fn footprint_bytes(&self) -> usize {
+        shards_footprint(&self.shards)
     }
 
-    /// Restore a [`MultiSparseStSim::checkpoint`] snapshot on an
-    /// identically configured simulation (bitwise; the snapshot lands in
-    /// buffer 0 regardless of the saved parity).
-    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
-        let g = self.decomp.global();
-        let mut r = CheckpointReader::open(bytes, "multi-sparse-st")?;
-        r.expect_u64(g.nx as u64, "nx")?;
-        r.expect_u64(g.ny as u64, "ny")?;
-        r.expect_u64(g.nz as u64, "nz")?;
-        r.expect_u64(L::Q as u64, "Q")?;
-        r.expect_u64(self.shards.len() as u64, "shard count")?;
-        self.t = r.take_u64()?;
+    fn set_fault_plan(&mut self, plan: Arc<FaultPlan>) {
+        shards_set_fault_plan(&mut self.shards, &plan);
+    }
+
+    fn frame(&self) -> Frame {
+        sparse_frame("multi-sparse-st", &self.decomp, ("Q", L::Q))
+    }
+
+    fn state_arrays(&self) -> Vec<Vec<f64>> {
+        shards_snapshot(&self.shards)
+    }
+
+    fn state_lens(&self) -> Vec<usize> {
+        shards_lens(&self.shards)
+    }
+
+    fn install(&mut self, arrays: Vec<Vec<f64>>) {
+        shards_install(&mut self.shards, &arrays);
+    }
+}
+
+impl<L: Lattice, C: Collision<L>> ShardedBody for MultiSparseSt<L, C> {
+    /// On `Err` no state has advanced (the buffer parity is unchanged) —
+    /// the completed update launches are idempotent and a retried step
+    /// recomputes them bitwise-identically.
+    fn advance(&mut self, cx: &StepCx<'_>) -> Result<(), LinkError> {
+        // Update every shard's owned (active) nodes: read t, write t+1.
+        cx.mg.for_each_device(|r| {
+            let sh = &self.shards[r];
+            launch_sparse_st::<L, C>(
+                cx.mg.device(r),
+                &sh.bufs[sh.cur],
+                &sh.bufs[sh.cur ^ 1],
+                &sh.table,
+                &sh.index,
+                &self.collision,
+            );
+        });
+
+        // Per-tile halo exchange of the freshly computed edge columns.
+        let halo_span = cx.halo_span();
+        exchange_tiled(cx, &self.plan, &self.shards, L::Q)?;
+        drop(halo_span);
+
         for sh in &mut self.shards {
-            let data = r.take_f64s(sh.bufs[0].len())?;
-            for (i, v) in data.iter().enumerate() {
-                sh.bufs[0].set(i, *v);
-            }
-            sh.cur = 0;
-        }
-        if let Some(m) = self.monitor.as_mut() {
-            m.rollback_to(self.t);
+            sh.cur ^= 1;
         }
         Ok(())
     }
 }
 
-/// Slab-sharded sparse MR simulation (MR-P or MR-R) across N devices.
-pub struct MultiSparseMrSim<L: Lattice> {
-    mg: MultiGpu,
+/// The sharded sparse MR pattern's state.
+pub struct MultiSparseMr<L: Lattice> {
     decomp: SlabDecomp,
     shards: Vec<SparseShard>,
     /// Shard `r`'s halo directory (of its ghost-filtered active lists).
@@ -580,12 +409,11 @@ pub struct MultiSparseMrSim<L: Lattice> {
     scheme: MrScheme,
     tau: f64,
     scalar: bool,
-    t: u64,
-    monitor: Option<obs::PhysicsMonitor>,
-    retry: HaloRetryPolicy,
-    halo_retries: AtomicU64,
     _l: PhantomData<L>,
 }
+
+/// Slab-sharded sparse MR simulation (MR-P or MR-R) across N devices.
+pub type MultiSparseMrSim<L> = MultiSim<MultiSparseMr<L>>;
 
 impl<L: Lattice> MultiSparseMrSim<L> {
     /// Shard `geom` across `n` devices, panicking on an unsupported
@@ -621,37 +449,47 @@ impl<L: Lattice> MultiSparseMrSim<L> {
             .map(|sh| HaloDirectory::build::<L>(&sh.index, &sh.table))
             .collect();
         let plan = build_exchange_plan(&decomp, &shards);
-        let mut sim = MultiSparseMrSim {
-            mg: MultiGpu::ring(device, n),
-            decomp,
-            shards,
-            halos,
-            plan,
-            scheme,
-            tau,
-            scalar: false,
-            t: 0,
-            monitor: None,
-            retry: HaloRetryPolicy::default(),
-            halo_retries: AtomicU64::new(0),
-            _l: PhantomData,
-        };
-        sim.init_with(|_, _, _| (1.0, [0.0; 3]));
-        Ok(sim)
+        Ok(MultiSim::from_body(
+            MultiGpu::ring(device, n),
+            MultiSparseMr {
+                decomp,
+                shards,
+                halos,
+                plan,
+                scheme,
+                tau,
+                scalar: false,
+                _l: PhantomData,
+            },
+        ))
     }
-
-    sparse_multi_common!(MultiSparseMrSim, "multi-sparse-mr", L::M);
 
     /// Force the original per-node scalar kernels (bitwise-identical to
     /// the default vectorized lane path; used by the equivalence tests).
     pub fn with_scalar_kernels(mut self) -> Self {
-        self.scalar = true;
+        self.body.scalar = true;
         self
     }
+}
 
-    /// Initialize every fluid node's moments — including ghosts — from a
-    /// macroscopic field at **global** coordinates.
-    pub fn init_with(&mut self, field: impl Fn(usize, usize, usize) -> (f64, [f64; 3])) {
+impl<L: Lattice> MultiSparseMr<L> {
+    /// Analytic per-step halo traffic: fluid-like cut-column nodes × `M·8`
+    /// — proportional to fluid count, not box volume.
+    pub fn halo_bytes_per_step(&self) -> u64 {
+        (self.decomp.halo_nodes_per_step() * L::M * 8) as u64
+    }
+}
+
+impl<L: Lattice> DriverBody for MultiSparseMr<L> {
+    fn label(&self) -> &'static str {
+        "multi-sparse-mr"
+    }
+
+    fn geom(&self) -> &Geometry {
+        self.decomp.global()
+    }
+
+    fn init_with(&mut self, field: impl Fn(usize, usize, usize) -> (f64, [f64; 3])) {
         let mut packed = [0.0f64; MAX_M];
         for (r, sh) in self.shards.iter_mut().enumerate() {
             sh.cur = 0;
@@ -671,68 +509,9 @@ impl<L: Lattice> MultiSparseMrSim<L> {
                 }
             }
         }
-        self.t = 0;
     }
 
-    /// Advance one timestep, surfacing halo-link failures. On `Err` no
-    /// state has advanced — the time-`t` buffer is never written (the
-    /// sharded update is double-buffered, unlike the in-place single-device
-    /// driver), so a retried step recomputes bitwise-identically.
-    pub fn try_step(&mut self) -> Result<(), LinkError> {
-        let obs = self.mg.obs().cloned();
-        let _step_span = obs.as_ref().map(|o| {
-            let mut args = vec![("t", self.t.to_string())];
-            if let Some(ctx) = self.mg.trace_ctx() {
-                ctx.append_args(&mut args);
-            }
-            o.tracer.span_args("driver", "step", &args)
-        });
-
-        // Update every shard's owned (active) nodes: read t, write t+1.
-        self.mg.for_each_device(|r| {
-            let sh = &self.shards[r];
-            launch_sparse_mr::<L>(
-                self.mg.device(r),
-                &sh.bufs[sh.cur],
-                &sh.bufs[sh.cur ^ 1],
-                &sh.table,
-                &sh.index,
-                &self.halos[r],
-                &self.scheme,
-                self.tau,
-                self.scalar,
-            );
-        });
-
-        // Per-tile moment-space halo exchange: M·8 bytes per fluid node.
-        let _halo_span = obs.as_ref().map(|o| {
-            let mut args = Vec::new();
-            if let Some(ctx) = self.mg.trace_ctx() {
-                ctx.append_args(&mut args);
-            }
-            o.tracer.span_args("halo", "halo-exchange", &args)
-        });
-        exchange_tiled(
-            &self.mg,
-            &self.plan,
-            &self.shards,
-            L::M,
-            &self.retry,
-            &self.halo_retries,
-        )?;
-        drop(_halo_span);
-
-        for sh in &mut self.shards {
-            sh.cur ^= 1;
-        }
-        self.t += 1;
-        self.sample_monitor();
-        Ok(())
-    }
-
-    /// Global density and velocity in one pass over the owning shards
-    /// (solid nodes report zero).
-    pub fn macro_fields(&self) -> (Vec<f64>, Vec<[f64; 3]>) {
+    fn macro_fields(&self, _t: u64) -> Fields {
         let g = self.decomp.global();
         let mut rho_out = vec![0.0; g.len()];
         let mut u_out = vec![[0.0; 3]; g.len()];
@@ -752,42 +531,60 @@ impl<L: Lattice> MultiSparseMrSim<L> {
         (rho_out, u_out)
     }
 
-    /// Serialize the full sharded state (LBCK flavor `"multi-sparse-mr"`).
-    pub fn checkpoint(&self) -> Vec<u8> {
-        let g = self.decomp.global();
-        let mut w = CheckpointWriter::new("multi-sparse-mr");
-        w.put_u64(g.nx as u64)
-            .put_u64(g.ny as u64)
-            .put_u64(g.nz as u64)
-            .put_u64(L::M as u64)
-            .put_u64(self.shards.len() as u64)
-            .put_u64(self.t);
-        for sh in &self.shards {
-            w.put_f64s(&sh.bufs[sh.cur].snapshot());
-        }
-        w.finish()
+    fn footprint_bytes(&self) -> usize {
+        shards_footprint(&self.shards)
     }
 
-    /// Restore a [`MultiSparseMrSim::checkpoint`] snapshot on an
-    /// identically configured simulation (bitwise).
-    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
-        let g = self.decomp.global();
-        let mut r = CheckpointReader::open(bytes, "multi-sparse-mr")?;
-        r.expect_u64(g.nx as u64, "nx")?;
-        r.expect_u64(g.ny as u64, "ny")?;
-        r.expect_u64(g.nz as u64, "nz")?;
-        r.expect_u64(L::M as u64, "M")?;
-        r.expect_u64(self.shards.len() as u64, "shard count")?;
-        self.t = r.take_u64()?;
+    fn set_fault_plan(&mut self, plan: Arc<FaultPlan>) {
+        shards_set_fault_plan(&mut self.shards, &plan);
+    }
+
+    fn frame(&self) -> Frame {
+        sparse_frame("multi-sparse-mr", &self.decomp, ("M", L::M))
+    }
+
+    fn state_arrays(&self) -> Vec<Vec<f64>> {
+        shards_snapshot(&self.shards)
+    }
+
+    fn state_lens(&self) -> Vec<usize> {
+        shards_lens(&self.shards)
+    }
+
+    fn install(&mut self, arrays: Vec<Vec<f64>>) {
+        shards_install(&mut self.shards, &arrays);
+    }
+}
+
+impl<L: Lattice> ShardedBody for MultiSparseMr<L> {
+    /// On `Err` no state has advanced — the time-`t` buffer is never
+    /// written (the sharded update is double-buffered, unlike the in-place
+    /// single-device driver), so a retried step recomputes
+    /// bitwise-identically.
+    fn advance(&mut self, cx: &StepCx<'_>) -> Result<(), LinkError> {
+        // Update every shard's owned (active) nodes: read t, write t+1.
+        cx.mg.for_each_device(|r| {
+            let sh = &self.shards[r];
+            launch_sparse_mr::<L>(
+                cx.mg.device(r),
+                &sh.bufs[sh.cur],
+                &sh.bufs[sh.cur ^ 1],
+                &sh.table,
+                &sh.index,
+                &self.halos[r],
+                &self.scheme,
+                self.tau,
+                self.scalar,
+            );
+        });
+
+        // Per-tile moment-space halo exchange: M·8 bytes per fluid node.
+        let halo_span = cx.halo_span();
+        exchange_tiled(cx, &self.plan, &self.shards, L::M)?;
+        drop(halo_span);
+
         for sh in &mut self.shards {
-            let data = r.take_f64s(sh.bufs[0].len())?;
-            for (i, v) in data.iter().enumerate() {
-                sh.bufs[0].set(i, *v);
-            }
-            sh.cur = 0;
-        }
-        if let Some(m) = self.monitor.as_mut() {
-            m.rollback_to(self.t);
+            sh.cur ^= 1;
         }
         Ok(())
     }
@@ -1071,44 +868,5 @@ mod tests {
             multi.field_checksum()
         };
         assert_eq!(run_mr(6, true), run_mr(1, false));
-    }
-
-    /// Obs integration: step and halo-exchange spans, link metrics, and a
-    /// conserving physics monitor.
-    #[test]
-    fn obs_and_monitor_wire_through() {
-        let hub = obs::Obs::shared();
-        let geom = obstacle_geom();
-        let mut multi: MultiSparseStSim<D2Q9, _> =
-            MultiSparseStSim::new(DeviceSpec::v100(), geom, Projective::new(0.8), 2)
-                .with_cpu_threads(2)
-                .with_obs(hub.clone())
-                .with_monitor(obs::MonitorConfig {
-                    cadence: 2,
-                    ..Default::default()
-                });
-        multi.init_with(shear_init);
-        multi.run(4);
-        let ev = hub.tracer.events();
-        assert_eq!(
-            ev.iter()
-                .filter(|e| e.ph == 'B' && e.name == "step")
-                .count(),
-            4
-        );
-        assert_eq!(
-            ev.iter()
-                .filter(|e| e.ph == 'B' && e.name == "halo-exchange")
-                .count(),
-            4
-        );
-        assert!(hub
-            .metrics
-            .counter("link_transfer_bytes", &[("link", "NVLink2[0->1]")])
-            .is_some_and(|b| b > 0));
-        let m = multi.monitor().unwrap();
-        assert_eq!(m.samples().len(), 2);
-        assert!(m.is_ok(), "{:?}", m.violations());
-        assert!(m.mass_drift() <= 1e-10);
     }
 }

@@ -13,11 +13,13 @@ use lbm_core::geometry::{Geometry, NodeType};
 use lbm_core::Simulation;
 use lbm_gpu::sparse::validate_sparse_geometry;
 use lbm_gpu::{
-    AaStSim, MrScheme, MrSim2D, MrSim3D, SparseMrSim2D, SparseMrSim3D, StSim, StSparseSim,
+    AaStSim, MrScheme, MrSim2D, MrSim3D, Sim, SoloBody, SparseMrSim2D, SparseMrSim3D, StSim,
+    StSparseSim,
 };
 use lbm_lattice::{Lattice, D2Q9, D3Q19};
 use lbm_multi::{
-    MultiAaStSim, MultiMrSim2D, MultiMrSim3D, MultiSparseMrSim, MultiSparseStSim, MultiStSim,
+    MultiAaStSim, MultiMrSim2D, MultiMrSim3D, MultiSim, MultiSparseMrSim, MultiSparseStSim,
+    MultiStSim, ShardedBody,
 };
 use std::sync::Arc;
 
@@ -344,6 +346,42 @@ impl JobSpec {
         )
     }
 
+    /// Shared tail of every single-device arm of [`JobSpec::build`]: thread
+    /// budget, fault plan, monitor, initial condition, then erase the
+    /// concrete type.
+    fn solo<B: SoloBody + Send + 'static>(
+        &self,
+        sim: Sim<B>,
+        cpu_threads: usize,
+    ) -> Box<dyn Simulation + Send> {
+        let mut s = sim.with_cpu_threads(cpu_threads);
+        if let Some(plan) = &self.fault_plan {
+            s = s.with_fault_plan(plan.clone());
+        }
+        if let Some(cfg) = self.monitor {
+            s = s.with_monitor(cfg);
+        }
+        s.init_with(JobSpec::init);
+        Box::new(s)
+    }
+
+    /// [`JobSpec::solo`] for the sharded host.
+    fn sharded<B: ShardedBody + Send + 'static>(
+        &self,
+        sim: MultiSim<B>,
+        cpu_threads: usize,
+    ) -> Box<dyn Simulation + Send> {
+        let mut s = sim.with_cpu_threads(cpu_threads);
+        if let Some(plan) = &self.fault_plan {
+            s = s.with_fault_plan(plan.clone());
+        }
+        if let Some(cfg) = self.monitor {
+            s = s.with_monitor(cfg);
+        }
+        s.init_with(JobSpec::init);
+        Box::new(s)
+    }
+
     /// Build the solver this spec describes, initialized and ready to
     /// step. `cpu_threads` is the per-job thread budget (the fleet default
     /// of 1 keeps each sim on its executor thread — see
@@ -352,153 +390,123 @@ impl JobSpec {
     /// exactly; the fault plan (shared `Arc`) re-attaches so its fired
     /// counters keep accumulating across evictions.
     pub fn build(&self, cpu_threads: usize) -> Box<dyn Simulation + Send> {
-        // Shared tail of every arm: thread budget, fault plan, initial
-        // condition, then erase the concrete type.
-        macro_rules! finish {
-            ($sim:expr) => {{
-                let mut s = $sim.with_cpu_threads(cpu_threads);
-                if let Some(plan) = &self.fault_plan {
-                    s = s.with_fault_plan(plan.clone());
-                }
-                if let Some(cfg) = self.monitor {
-                    s = s.with_monitor(cfg);
-                }
-                s.init_with(JobSpec::init);
-                Box::new(s) as Box<dyn Simulation + Send>
-            }};
-        }
         let dev = DeviceSpec::v100();
         let geom = self.scenario.geometry();
         match (self.scenario, self.pattern, self.devices) {
-            (Scenario::Shear2D { .. }, Pattern::St, 1) => {
-                finish!(StSim::<D2Q9, _>::new(dev, geom, Bgk::new(self.tau)))
-            }
-            (Scenario::Shear2D { .. }, Pattern::St, n) => {
-                finish!(MultiStSim::<D2Q9, _>::new(dev, geom, Bgk::new(self.tau), n))
-            }
-            (Scenario::Shear2D { .. }, Pattern::AaSt, 1) => {
-                finish!(AaStSim::<D2Q9, _>::new(dev, geom, Bgk::new(self.tau)))
-            }
-            (Scenario::Shear2D { .. }, Pattern::AaSt, n) => {
-                finish!(MultiAaStSim::<D2Q9, _>::new(
-                    dev,
-                    geom,
-                    Bgk::new(self.tau),
-                    n
-                ))
-            }
+            (Scenario::Shear2D { .. }, Pattern::St, 1) => self.solo(
+                StSim::<D2Q9, _>::new(dev, geom, Bgk::new(self.tau)),
+                cpu_threads,
+            ),
+            (Scenario::Shear2D { .. }, Pattern::St, n) => self.sharded(
+                MultiStSim::<D2Q9, _>::new(dev, geom, Bgk::new(self.tau), n),
+                cpu_threads,
+            ),
+            (Scenario::Shear2D { .. }, Pattern::AaSt, 1) => self.solo(
+                AaStSim::<D2Q9, _>::new(dev, geom, Bgk::new(self.tau)),
+                cpu_threads,
+            ),
+            (Scenario::Shear2D { .. }, Pattern::AaSt, n) => self.sharded(
+                MultiAaStSim::<D2Q9, _>::new(dev, geom, Bgk::new(self.tau), n),
+                cpu_threads,
+            ),
             (Scenario::Shear2D { .. }, Pattern::MrTwist, _) => {
                 // validate() rejects devices > 1 for the twist pattern.
-                finish!(
-                    MrSim2D::<D2Q9>::new(dev, geom, MrScheme::projective(), self.tau).with_twist()
+                self.solo(
+                    MrSim2D::<D2Q9>::new(dev, geom, MrScheme::projective(), self.tau).with_twist(),
+                    cpu_threads,
                 )
             }
-            (Scenario::Shear2D { .. } | Scenario::Porous2D { .. }, Pattern::SparseSt, 1) => {
-                finish!(StSparseSim::<D2Q9, _>::new(dev, geom, Bgk::new(self.tau)))
-            }
-            (Scenario::Shear2D { .. } | Scenario::Porous2D { .. }, Pattern::SparseSt, n) => {
-                finish!(MultiSparseStSim::<D2Q9, _>::new(
-                    dev,
-                    geom,
-                    Bgk::new(self.tau),
-                    n
-                ))
-            }
-            (Scenario::Shear2D { .. } | Scenario::Porous2D { .. }, Pattern::SparseMr, 1) => {
-                finish!(SparseMrSim2D::new(
-                    dev,
-                    geom,
-                    MrScheme::projective(),
-                    self.tau
-                ))
-            }
-            (Scenario::Shear2D { .. } | Scenario::Porous2D { .. }, Pattern::SparseMr, n) => {
-                finish!(MultiSparseMrSim::<D2Q9>::new(
-                    dev,
-                    geom,
-                    MrScheme::projective(),
-                    self.tau,
-                    n
-                ))
-            }
+            (Scenario::Shear2D { .. } | Scenario::Porous2D { .. }, Pattern::SparseSt, 1) => self
+                .solo(
+                    StSparseSim::<D2Q9, _>::new(dev, geom, Bgk::new(self.tau)),
+                    cpu_threads,
+                ),
+            (Scenario::Shear2D { .. } | Scenario::Porous2D { .. }, Pattern::SparseSt, n) => self
+                .sharded(
+                    MultiSparseStSim::<D2Q9, _>::new(dev, geom, Bgk::new(self.tau), n),
+                    cpu_threads,
+                ),
+            (Scenario::Shear2D { .. } | Scenario::Porous2D { .. }, Pattern::SparseMr, 1) => self
+                .solo(
+                    SparseMrSim2D::new(dev, geom, MrScheme::projective(), self.tau),
+                    cpu_threads,
+                ),
+            (Scenario::Shear2D { .. } | Scenario::Porous2D { .. }, Pattern::SparseMr, n) => self
+                .sharded(
+                    MultiSparseMrSim::<D2Q9>::new(dev, geom, MrScheme::projective(), self.tau, n),
+                    cpu_threads,
+                ),
             (Scenario::Shear2D { .. }, pat, n) => {
                 let scheme = match pat {
                     Pattern::MrP => MrScheme::projective(),
                     _ => MrScheme::recursive::<D2Q9>(),
                 };
                 if n == 1 {
-                    finish!(MrSim2D::<D2Q9>::new(dev, geom, scheme, self.tau))
+                    self.solo(
+                        MrSim2D::<D2Q9>::new(dev, geom, scheme, self.tau),
+                        cpu_threads,
+                    )
                 } else {
-                    finish!(MultiMrSim2D::<D2Q9>::new(dev, geom, scheme, self.tau, n))
+                    self.sharded(
+                        MultiMrSim2D::<D2Q9>::new(dev, geom, scheme, self.tau, n),
+                        cpu_threads,
+                    )
                 }
             }
             (Scenario::Porous2D { .. }, ..) => {
                 unreachable!("validate() rejects dense patterns on porous scenarios")
             }
-            (Scenario::Shear3D { .. }, Pattern::St, 1) => {
-                finish!(StSim::<D3Q19, _>::new(dev, geom, Bgk::new(self.tau)))
-            }
-            (Scenario::Shear3D { .. }, Pattern::St, n) => {
-                finish!(MultiStSim::<D3Q19, _>::new(
-                    dev,
-                    geom,
-                    Bgk::new(self.tau),
-                    n
-                ))
-            }
-            (Scenario::Shear3D { .. }, Pattern::AaSt, 1) => {
-                finish!(AaStSim::<D3Q19, _>::new(dev, geom, Bgk::new(self.tau)))
-            }
-            (Scenario::Shear3D { .. }, Pattern::AaSt, n) => {
-                finish!(MultiAaStSim::<D3Q19, _>::new(
-                    dev,
-                    geom,
-                    Bgk::new(self.tau),
-                    n
-                ))
-            }
-            (Scenario::Shear3D { .. }, Pattern::MrTwist, _) => {
-                finish!(
-                    MrSim3D::<D3Q19>::new(dev, geom, MrScheme::projective(), self.tau).with_twist()
-                )
-            }
-            (Scenario::Shear3D { .. }, Pattern::SparseSt, 1) => {
-                finish!(StSparseSim::<D3Q19, _>::new(dev, geom, Bgk::new(self.tau)))
-            }
-            (Scenario::Shear3D { .. }, Pattern::SparseSt, n) => {
-                finish!(MultiSparseStSim::<D3Q19, _>::new(
-                    dev,
-                    geom,
-                    Bgk::new(self.tau),
-                    n
-                ))
-            }
-            (Scenario::Shear3D { .. }, Pattern::SparseMr, 1) => {
-                finish!(SparseMrSim3D::new(
-                    dev,
-                    geom,
-                    MrScheme::projective(),
-                    self.tau
-                ))
-            }
-            (Scenario::Shear3D { .. }, Pattern::SparseMr, n) => {
-                finish!(MultiSparseMrSim::<D3Q19>::new(
-                    dev,
-                    geom,
-                    MrScheme::projective(),
-                    self.tau,
-                    n
-                ))
-            }
+            (Scenario::Shear3D { .. }, Pattern::St, 1) => self.solo(
+                StSim::<D3Q19, _>::new(dev, geom, Bgk::new(self.tau)),
+                cpu_threads,
+            ),
+            (Scenario::Shear3D { .. }, Pattern::St, n) => self.sharded(
+                MultiStSim::<D3Q19, _>::new(dev, geom, Bgk::new(self.tau), n),
+                cpu_threads,
+            ),
+            (Scenario::Shear3D { .. }, Pattern::AaSt, 1) => self.solo(
+                AaStSim::<D3Q19, _>::new(dev, geom, Bgk::new(self.tau)),
+                cpu_threads,
+            ),
+            (Scenario::Shear3D { .. }, Pattern::AaSt, n) => self.sharded(
+                MultiAaStSim::<D3Q19, _>::new(dev, geom, Bgk::new(self.tau), n),
+                cpu_threads,
+            ),
+            (Scenario::Shear3D { .. }, Pattern::MrTwist, _) => self.solo(
+                MrSim3D::<D3Q19>::new(dev, geom, MrScheme::projective(), self.tau).with_twist(),
+                cpu_threads,
+            ),
+            (Scenario::Shear3D { .. }, Pattern::SparseSt, 1) => self.solo(
+                StSparseSim::<D3Q19, _>::new(dev, geom, Bgk::new(self.tau)),
+                cpu_threads,
+            ),
+            (Scenario::Shear3D { .. }, Pattern::SparseSt, n) => self.sharded(
+                MultiSparseStSim::<D3Q19, _>::new(dev, geom, Bgk::new(self.tau), n),
+                cpu_threads,
+            ),
+            (Scenario::Shear3D { .. }, Pattern::SparseMr, 1) => self.solo(
+                SparseMrSim3D::new(dev, geom, MrScheme::projective(), self.tau),
+                cpu_threads,
+            ),
+            (Scenario::Shear3D { .. }, Pattern::SparseMr, n) => self.sharded(
+                MultiSparseMrSim::<D3Q19>::new(dev, geom, MrScheme::projective(), self.tau, n),
+                cpu_threads,
+            ),
             (Scenario::Shear3D { .. }, pat, n) => {
                 let scheme = match pat {
                     Pattern::MrP => MrScheme::projective(),
                     _ => MrScheme::recursive::<D3Q19>(),
                 };
                 if n == 1 {
-                    finish!(MrSim3D::<D3Q19>::new(dev, geom, scheme, self.tau))
+                    self.solo(
+                        MrSim3D::<D3Q19>::new(dev, geom, scheme, self.tau),
+                        cpu_threads,
+                    )
                 } else {
-                    finish!(MultiMrSim3D::<D3Q19>::new(dev, geom, scheme, self.tau, n))
+                    self.sharded(
+                        MultiMrSim3D::<D3Q19>::new(dev, geom, scheme, self.tau, n),
+                        cpu_threads,
+                    )
                 }
             }
         }

@@ -246,3 +246,60 @@ fn sharded_kernel_spans_name_their_device() {
     }
     assert_eq!(split, total);
 }
+
+/// One monitor path: a sharded driver reports non-finite nodes through the
+/// same `monitor/nonfinite` instant (step + count) as its single-device
+/// twin, and flags the violation.
+#[test]
+fn sharded_monitor_emits_the_nonfinite_instant() {
+    let poisoned = |x: usize, y: usize, _z: usize| {
+        let rho = if (x, y) == (5, 4) { f64::NAN } else { 1.0 };
+        (rho, [0.0; 3])
+    };
+    let geom = Geometry::walls_y_periodic_x(24, 10);
+    let cfg = MonitorConfig {
+        cadence: 1,
+        ..Default::default()
+    };
+    let nonfinite_instants = |hub: &Obs| -> Vec<(String, String)> {
+        hub.tracer
+            .events()
+            .iter()
+            .filter(|e| e.ph == 'i' && e.cat == "monitor" && e.name == "nonfinite")
+            .map(|e| {
+                let arg = |k: &str| e.args.iter().find(|a| a.0 == k).unwrap().1.clone();
+                (arg("step"), arg("count"))
+            })
+            .collect()
+    };
+
+    let sharded_hub = Obs::shared();
+    let mut sharded: MultiMrSim2D<D2Q9> = MultiMrSim2D::new(
+        DeviceSpec::v100(),
+        geom.clone(),
+        MrScheme::projective(),
+        0.8,
+        2,
+    )
+    .with_cpu_threads(2)
+    .with_obs(sharded_hub.clone())
+    .with_monitor(cfg);
+    sharded.init_with(poisoned);
+    sharded.run(2);
+    assert!(!sharded.monitor().unwrap().is_ok(), "NaN went unnoticed");
+
+    let solo_hub = Obs::shared();
+    let mut solo: MrSim2D<D2Q9> =
+        MrSim2D::new(DeviceSpec::v100(), geom, MrScheme::projective(), 0.8)
+            .with_cpu_threads(2)
+            .with_obs(solo_hub.clone())
+            .with_monitor(cfg);
+    solo.init_with(poisoned);
+    solo.run(2);
+
+    let instants = nonfinite_instants(&sharded_hub);
+    assert_eq!(instants.len(), 2, "one instant per sampled step");
+    assert_eq!(instants[0].0, "1");
+    assert!(instants[0].1.parse::<u64>().unwrap() > 0);
+    assert_eq!(instants, nonfinite_instants(&solo_hub));
+}
