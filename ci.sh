@@ -23,6 +23,25 @@ echo "== benchmark/ (own workspace: the crate every PR is scored by) builds and 
 cargo build --release --manifest-path benchmark/Cargo.toml
 cargo test --release --manifest-path benchmark/Cargo.toml
 
+echo "== benchmark run (all five workloads, every output checked; the only solver timing harness)"
+# Exit code is a function of failed *operations* only (bitwise twins,
+# checkpoint round trip, B/F within 10 % of Table 2, per-epoch ledger
+# identity, every served checksum), never of a time, so it cannot flake on
+# a noisy machine. Time is gated per PR by the paired parent-vs-change
+# `benchmark ... run` protocol at the BENCHMARK.json bounds, not here.
+cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- run --seconds 2
+
+# "Exact means repeatable": the smoke / aa / sparse records hold counts,
+# byte tallies and model values only, so a second run must write the same
+# bytes. A clock that creeps back into one of these sections fails here.
+repeats_byte_for_byte() {
+  local section=$1
+  test -s "BENCH_$section.json"
+  cp "BENCH_$section.json" "$OBS_DIR/BENCH_$section.first.json"
+  cargo run -p lbm-bench --release --bin reproduce -- "$section" >/dev/null
+  cmp "$OBS_DIR/BENCH_$section.first.json" "BENCH_$section.json"
+}
+
 echo "== reproduce smoke (multi-device bitwise + exact halo ratios + observability)"
 # Smoke fails hard on physics-monitor violations (NaN, mass drift > 1e-10)
 # and on any deviation from Table 2's byte-exact traffic ideals.
@@ -30,9 +49,9 @@ OBS_DIR=$(mktemp -d)
 trap 'rm -rf "$OBS_DIR"' EXIT
 cargo run -p lbm-bench --release --bin reproduce -- smoke \
   "--trace=$OBS_DIR/trace.json" "--metrics=$OBS_DIR/metrics.json"
+repeats_byte_for_byte smoke
 
 echo "== validate emitted observability JSON (trace nesting, metrics, BENCH record)"
-test -s BENCH_smoke.json
 cargo run -p obs --release --bin obs-validate -- \
   "$OBS_DIR/trace.json" "$OBS_DIR/metrics.json" BENCH_smoke.json
 
@@ -42,7 +61,7 @@ echo "== aa (in-place single-lattice: bitwise vs two-lattice, byte-exact halved 
 # exactly Q*8 / M*8 — half the two-lattice 2Q*8 / 2M*8 — published and
 # read back through the metrics registry.
 cargo run -p lbm-bench --release --bin reproduce -- aa
-test -s BENCH_aa.json
+repeats_byte_for_byte aa
 cargo run -p obs --release --bin obs-validate -- BENCH_aa.json
 
 echo "== sparse (fluid-compacted ST + MR: porosity-swept footprints, exact B/F, bitwise vs dense)"
@@ -50,26 +69,11 @@ echo "== sparse (fluid-compacted ST + MR: porosity-swept footprints, exact B/F, 
 # equals the roofline sparse model on the *fluid* count (published and read
 # back through the metrics registry), measured B/F matches the
 # indirect-addressing model (180/132 D2Q9, 380/236 D3Q19), the sparse
-# drivers stay FNV-bitwise equal to the dense ones, the sharded sparse
-# halo tally is byte-exact, and each driver's 1-vs-8-thread tally agrees;
-# then times sparse-st / sparse-mr at 50% rock and holds sparse-mr's
-# speedup_vs_st to 85% of its perf_baseline.json row.
+# drivers stay FNV-bitwise equal to the dense ones, and the sharded sparse
+# halo tally is byte-exact.
 cargo run -p lbm-bench --release --bin reproduce -- sparse
-test -s BENCH_sparse.json
+repeats_byte_for_byte sparse
 cargo run -p obs --release --bin obs-validate -- BENCH_sparse.json
-cargo run -p lbm-bench --release --bin perf_trend -- BENCH_sparse.json perf_baseline.json
-
-echo "== bench wall-clock smoke (pooled executor + span paths, measured MFLUPS)"
-# Asserts 1-thread vs 8-thread tallies are identical, then times the kernels;
-# emits measured_mflups / speedup_vs_st rows into BENCH_bench.json.
-cargo run -p lbm-bench --release --bin reproduce -- --section=bench --steps=small
-test -s BENCH_bench.json
-
-echo "== perf trend (MR-vs-ST speedups gated against the committed baseline)"
-# Fails if any measured speedup_vs_st falls below 85% of perf_baseline.json;
-# a missing baseline is seeded from the current run instead.
-cargo run -p obs --release --bin obs-validate -- BENCH_bench.json
-cargo run -p lbm-bench --release --bin perf_trend
 
 echo "== resilience (fault injection + checkpoint/rollback, bitwise-verified resume)"
 # Injects NaN writes, a launch abort, and transient link failures; asserts

@@ -2,23 +2,24 @@
 //!
 //! ```text
 //! reproduce [table1|table2|table3|table4|figure2|figure3|footprint|speedups|occupancy
-//!            |profile|futurework|scaling|smoke|aa|sparse|bench|bench-record|resilience|serve|slo|all]
-//!           [--quick] [--steps=small|full] [--section=<name>] [--slo]
+//!            |profile|futurework|scaling|smoke|aa|sparse|bench-record|resilience|serve|slo|all]
+//!           [--quick]
 //!           [--inject=nan|abort|link|all] [--checkpoint-every=<n>]
 //!           [--jobs=<n>] [--seed=<n>]
 //!           [--trace=<path>] [--metrics=<path>] [--events=<path>]
 //! ```
 //!
-//! With `--quick` (alias `--steps=small`) the measurement domains are
-//! smaller (CI-friendly). Every section prints the paper's reference
-//! numbers next to the reproduced ones; `EXPERIMENTS.md` records a captured
-//! run. The `bench` section measures genuine wall-clock MFLUPS of the
-//! software substrate (pooled executor + span memory paths) and appends
-//! `measured_mflups` / `speedup_vs_st` rows to `BENCH_bench.json` —
-//! including the in-place `st-aa` / `mr-t` patterns. The `aa` section is
-//! the in-place smoke: bitwise equivalence to the two-lattice drivers and
-//! byte-exact `Q·8` / `M·8` residency through the metrics registry. The
-//! `sparse` section gates the fluid-compacted drivers: porosity-swept
+//! The section is the one positional argument (default `all`); any other
+//! argument prints the usage and exits 2. With `--quick` the measurement
+//! domains are smaller (CI-friendly). Every section prints the paper's
+//! reference numbers next to the reproduced ones; `EXPERIMENTS.md` records
+//! a captured run. Outside `serve` / `slo` (fleet latency is their
+//! subject) nothing here reads a clock, so every `BENCH_*.json` repeats
+//! byte for byte from run to run; wall-clock time of the substrate is
+//! measured by `benchmark/` (see `benchmark/README.md`). The `aa` section
+//! is the in-place smoke: bitwise equivalence to the two-lattice drivers
+//! and byte-exact `Q·8` / `M·8` residency through the metrics registry.
+//! The `sparse` section gates the fluid-compacted drivers: porosity-swept
 //! footprints on the fluid-count model, the indirect-addressing B/F,
 //! bitwise equality with the dense drivers, and exact sparse halo bytes.
 
@@ -217,13 +218,6 @@ fn figure(results: &[RunResult], dim: usize) {
             }
             println!(" {roof_st:>12.0} {roof_mr:>12.0}");
         }
-        // Wall-clock MFLUPS of the substrate (measured, CPU-bound).
-        print!("{:>12}", "substrate");
-        for p in PATTERNS {
-            let r = find(results, p, lat);
-            print!(" {:>10.2}", r.wall_mflups);
-        }
-        println!("  (CPU wall-clock of the simulated kernels; not GPU-comparable)");
     }
     if dim == 2 {
         println!(
@@ -839,7 +833,6 @@ fn record_ideal_run(
         l2_hit_rate,
         halo_bytes_per_step: 0,
         overlap_efficiency: 0.0,
-        ..Default::default()
     });
 }
 
@@ -925,35 +918,6 @@ fn obs_pass(hub: &Arc<obs::Obs>, rec: &mut obs::BenchRecord) {
     }
 }
 
-/// Wall-clock cost of the physics monitor at its default cadence, as a
-/// fraction of the unmonitored run. Monitored and plain reps are
-/// interleaved (min-of-5 each way) so slow machine drift on a shared
-/// 1-core box hits both timings alike — back-to-back best-of-3 swung the
-/// reported overhead between 0% and 8% from drift alone.
-fn monitor_overhead() -> f64 {
-    use lbm_core::collision::Bgk;
-    use lbm_gpu::StSim;
-    use lbm_lattice::D2Q9;
-    let geom = lbm_core::Geometry::periodic_2d(96, 48);
-    let rep = |monitored: bool| -> f64 {
-        let mut sim: StSim<D2Q9, _> =
-            StSim::new(DeviceSpec::v100(), geom.clone(), Bgk::new(lbm_bench::TAU));
-        if monitored {
-            sim = sim.with_monitor(obs::MonitorConfig::default());
-        }
-        sim.init_with(init_2d);
-        let t0 = std::time::Instant::now();
-        sim.run(64);
-        t0.elapsed().as_secs_f64()
-    };
-    let (mut plain, mut monitored) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..5 {
-        plain = plain.min(rep(false));
-        monitored = monitored.min(rep(true));
-    }
-    ((monitored - plain) / plain).max(0.0)
-}
-
 /// A multi-device ScaleRow as a BENCH row (halo traffic + overlap columns).
 fn scale_to_bench(r: &ScaleRow, lattice: &str, fluid: usize, steps: usize) -> obs::BenchRow {
     let bpf = match (lattice, r.repr) {
@@ -973,7 +937,6 @@ fn scale_to_bench(r: &ScaleRow, lattice: &str, fluid: usize, steps: usize) -> ob
         l2_hit_rate: 0.0,
         halo_bytes_per_step: r.halo_per_step,
         overlap_efficiency: r.efficiency,
-        ..Default::default()
     }
 }
 
@@ -1037,26 +1000,11 @@ fn smoke(hub: &Arc<obs::Obs>) {
         rec.push(scale_to_bench(r, "D3Q19", g3.fluid_count(), steps));
     }
 
-    let overhead = monitor_overhead();
-    rec.set_extra("monitor_overhead_frac", obs::json::Value::num(overhead));
     rec.set_extra("mass_drift_tol", obs::json::Value::num(1e-10));
-    // True overhead measures ~0–2%; the 10% trip-wire leaves room for the
-    // 1-core container's wall-clock jitter (the vectorized kernels made the
-    // unmonitored run ~2x faster, so the monitor's relative cost — and the
-    // noise floor — both grew) while still catching structural regressions
-    // like the monitor sampling every step instead of every 16th.
-    assert!(
-        overhead <= 0.10,
-        "monitor overhead {:.1}% exceeds 10% at the default cadence",
-        overhead * 100.0
-    );
     let path = rec.write(".").expect("write BENCH_smoke.json");
     println!("smoke OK: multi-device runs bitwise-match single device; halo ratios exact");
     println!("smoke OK: Table 2 B/F byte-exact through the metrics registry (144/304/96/160);");
-    println!(
-        "          monitors clean (drift <= 1e-10), overhead {:.2}% at cadence 16; wrote {path}",
-        overhead * 100.0
-    );
+    println!("          monitors clean (drift <= 1e-10); wrote {path}");
 }
 
 /// In-place (single-lattice) smoke: the AA-pattern ST and parity-twist MR
@@ -1443,62 +1391,16 @@ fn sparse_section(hub: &Arc<obs::Obs>) {
         });
     }
 
-    // Wall clock at 50 % rock, in the `bench` section's row shape so the
-    // same `perf_trend` gate reads it: each driver's 1-vs-8-thread tally
-    // must agree byte for byte (the link tables carry no touch tracking on
-    // the strength of that), then the pair is timed in interleaved rounds.
-    let geom = Scenario::Porous2D {
-        nx: 256,
-        ny: 128,
-        solid_pct: 50,
-    }
-    .geometry();
-    let (steps_per_rep, reps) = (10, 6);
-    let mut pair = vec![
-        contender(
-            "sparse-st",
-            |threads| {
-                StSparseSim::<D2Q9, _>::new(dev.clone(), geom.clone(), Bgk::new(TAU))
-                    .with_cpu_threads(threads)
-            },
-            |s, k| s.run(k),
-            |s| s.traffic(),
-            steps_per_rep,
-            geom.fluid_count(),
-        ),
-        contender(
-            "sparse-mr",
-            |threads| {
-                SparseMrSim2D::new(dev.clone(), geom.clone(), MrScheme::projective(), TAU)
-                    .with_cpu_threads(threads)
-            },
-            |s, k| s.run(k),
-            |s| s.traffic(),
-            steps_per_rep,
-            geom.fluid_count(),
-        ),
-    ];
-    time_contenders(
-        &mut rec,
-        &dev,
-        "D2Q9",
-        geom.fluid_count(),
-        steps_per_rep,
-        reps,
-        &mut pair,
-    );
-
     let path = rec.write(".").expect("write BENCH_sparse.json");
     println!("sparse OK: footprints == fluid-count model at 25/50/75% rock (registry-checked);");
-    println!("           B/F 180/132 (D2Q9) and 380/236 (D3Q19); bitwise vs dense; halo exact;");
-    println!("           1-vs-8-thread tallies identical; sparse-st / sparse-mr timed");
+    println!("           B/F 180/132 (D2Q9) and 380/236 (D3Q19); bitwise vs dense; halo exact");
     println!("wrote {path}");
     println!();
 }
 
 /// Machine-readable perf records: every headline number as a BENCH row —
 /// byte-exact traffic ideals, the measured sweep on both devices, the
-/// multi-device halo/overlap measurements, and the monitor's cost.
+/// multi-device halo/overlap measurements.
 fn bench_record(quick: bool, results: &[RunResult], hub: &Arc<obs::Obs>) {
     println!("== bench-record: machine-readable perf records ======================");
     let mut rec = obs::BenchRecord::new("bench-record");
@@ -1518,7 +1420,6 @@ fn bench_record(quick: bool, results: &[RunResult], hub: &Arc<obs::Obs>) {
                 l2_hit_rate: 0.0,
                 halo_bytes_per_step: 0,
                 overlap_efficiency: 0.0,
-                ..Default::default()
             });
         }
     }
@@ -1533,308 +1434,8 @@ fn bench_record(quick: bool, results: &[RunResult], hub: &Arc<obs::Obs>) {
         rec.push(scale_to_bench(&row, "D3Q19", g3.fluid_count(), steps));
     }
 
-    let overhead = monitor_overhead();
-    rec.set_extra("monitor_overhead_frac", obs::json::Value::num(overhead));
     let path = rec.write(".").expect("write BENCH record");
-    println!(
-        "wrote {path}: {} rows, monitor overhead {:.2}% at the default cadence",
-        rec.rows().len(),
-        overhead * 100.0
-    );
-    println!();
-}
-
-/// One streaming pattern prepared for timing: the 1-vs-8-thread
-/// tally-equality check already ran, the 8-thread sim is warm, and
-/// `step` drives it.
-struct Contender {
-    pattern: &'static str,
-    step: Box<dyn FnMut(usize)>,
-    bpf: f64,
-    l2: f64,
-    best: f64,
-}
-
-/// Build one contender: tally-equality check (1 vs 8 threads), warmup,
-/// and measured B/F + L2 hit rate.
-fn contender<S: 'static>(
-    pattern: &'static str,
-    mk: impl Fn(usize) -> S,
-    step: impl Fn(&mut S, usize) + 'static,
-    tally: impl Fn(&S) -> gpu_sim::memory::Tally,
-    steps_per_rep: usize,
-    fluid: usize,
-) -> Contender {
-    let mut s1 = mk(1);
-    step(&mut s1, steps_per_rep);
-    let mut s8 = mk(8);
-    step(&mut s8, steps_per_rep); // doubles as warmup
-    let (t1, t8) = (tally(&s1), tally(&s8));
-    assert_eq!(
-        t1, t8,
-        "pooled span execution changed the traffic tally vs single-threaded"
-    );
-    Contender {
-        pattern,
-        bpf: t8.dram_bytes() as f64 / (fluid * steps_per_rep) as f64,
-        l2: t8.l2_hit_rate(),
-        best: f64::INFINITY,
-        step: Box::new(move |k| step(&mut s8, k)),
-    }
-}
-
-/// Time `contenders` on one (device, lattice): `reps` interleaved rounds of
-/// `steps_per_rep` steps, min-of-k, one `measured_mflups` / `speedup_vs_st`
-/// row each. The first contender is the ST reference of the speedups.
-fn time_contenders(
-    rec: &mut obs::BenchRecord,
-    dev: &DeviceSpec,
-    lattice: &str,
-    fluid: usize,
-    steps_per_rep: usize,
-    reps: usize,
-    contenders: &mut [Contender],
-) {
-    use std::time::Instant;
-    // Interleave the contenders' timing rounds so slow machine drift hits
-    // every pattern alike instead of biasing whichever ran last; min-of-k
-    // then absorbs per-round noise.
-    for _ in 0..reps {
-        for c in contenders.iter_mut() {
-            let t0 = Instant::now();
-            (c.step)(steps_per_rep);
-            c.best = c.best.min(t0.elapsed().as_secs_f64());
-        }
-    }
-    let mflups_of = |c: &Contender| fluid as f64 * steps_per_rep as f64 / c.best / 1e6;
-    let st_mflups = mflups_of(&contenders[0]);
-    for c in contenders.iter() {
-        let mflups = mflups_of(c);
-        assert!(
-            mflups > 0.0 && mflups.is_finite(),
-            "wall-clock MFLUPS must be positive, got {mflups}"
-        );
-        let speedup = mflups / st_mflups;
-        println!(
-            "{:<12} {:<6} {:<6} {:>8} nodes  {:>9.3} ms/step  {:>8.3} MFLUPS  {:>6.2}x vs ST",
-            dev.name,
-            lattice,
-            c.pattern,
-            fluid,
-            c.best * 1e3 / steps_per_rep as f64,
-            mflups,
-            speedup
-        );
-        rec.push(obs::BenchRow {
-            device: dev.name.to_string(),
-            lattice: lattice.to_string(),
-            pattern: c.pattern.to_string(),
-            fluid_nodes: fluid as u64,
-            steps: steps_per_rep as u64,
-            mflups_modeled: mflups_max_on(dev, c.bpf),
-            dram_bytes_per_item: c.bpf,
-            l2_hit_rate: c.l2,
-            measured_mflups: mflups,
-            speedup_vs_st: speedup,
-            ..Default::default()
-        });
-    }
-}
-
-/// Wall-clock bench of the software substrate itself: steady-state step
-/// timing (warmup + min-of-k repetitions on the monotonic clock) for ST,
-/// MR-P, MR-R, and the in-place ST-AA / MR-T on the smoke lattice,
-/// reported as *measured* MFLUPS with
-/// the per-pattern speedup over ST. Before timing, each pattern is run
-/// under 1 and 8 CPU threads and the two traffic tallies are asserted
-/// byte-identical — the release-build guard that the pooled, span-staged
-/// executor is transparent to the accounting.
-fn bench_wallclock(quick: bool) {
-    use lbm_bench::{bench_geometry_2d, bench_geometry_3d, TAU};
-    use lbm_core::collision::Bgk;
-    use lbm_gpu::{AaStSim, MrScheme, MrSim2D, MrSim3D, StSim};
-    use lbm_lattice::{D2Q9, D3Q19};
-
-    println!("== bench: wall-clock MFLUPS of the software substrate ==============");
-    // Measurement lattices: large enough that the chunked SoA collision
-    // kernels dominate the step (256×128 ≈ 33 k nodes 2D, 70³ ≈ 343 k
-    // nodes 3D — 70 divides into 14-wide columns whose 16-node halo rows
-    // fill the 8-lane chunks exactly); `--quick` trims steps and
-    // repetitions, not the domains.
-    let (steps_2d, reps_2d) = if quick { (8, 2) } else { (20, 3) };
-    let (steps_3d, reps_3d) = if quick { (2, 2) } else { (4, 3) };
-    let geom_2d = bench_geometry_2d(256, 128);
-    let geom_3d = bench_geometry_3d(70, 70, 70);
-
-    let mut rec = obs::BenchRecord::new("bench");
-    for dev in devices() {
-        for (lattice, geom, steps_per_rep, reps) in [
-            ("D2Q9", &geom_2d, steps_2d, reps_2d),
-            ("D3Q19", &geom_3d, steps_3d, reps_3d),
-        ] {
-            let fluid = geom.fluid_count();
-            let mut contenders = if lattice == "D2Q9" {
-                vec![
-                    contender(
-                        "st",
-                        |threads| {
-                            StSim::<D2Q9, _>::new(dev.clone(), geom.clone(), Bgk::new(TAU))
-                                .with_cpu_threads(threads)
-                        },
-                        |s, k| s.run(k),
-                        |s| s.traffic(),
-                        steps_per_rep,
-                        fluid,
-                    ),
-                    contender(
-                        "mr-p",
-                        |threads| {
-                            MrSim2D::<D2Q9>::new(
-                                dev.clone(),
-                                geom.clone(),
-                                MrScheme::projective(),
-                                TAU,
-                            )
-                            .with_cpu_threads(threads)
-                        },
-                        |s, k| s.run(k),
-                        |s| s.traffic(),
-                        steps_per_rep,
-                        fluid,
-                    ),
-                    contender(
-                        "mr-r",
-                        |threads| {
-                            MrSim2D::<D2Q9>::new(
-                                dev.clone(),
-                                geom.clone(),
-                                MrScheme::recursive::<D2Q9>(),
-                                TAU,
-                            )
-                            .with_cpu_threads(threads)
-                        },
-                        |s, k| s.run(k),
-                        |s| s.traffic(),
-                        steps_per_rep,
-                        fluid,
-                    ),
-                    contender(
-                        "st-aa",
-                        |threads| {
-                            AaStSim::<D2Q9, _>::new(dev.clone(), geom.clone(), Bgk::new(TAU))
-                                .with_cpu_threads(threads)
-                        },
-                        |s, k| s.run(k),
-                        |s| s.traffic(),
-                        steps_per_rep,
-                        fluid,
-                    ),
-                    contender(
-                        "mr-t",
-                        |threads| {
-                            MrSim2D::<D2Q9>::new(
-                                dev.clone(),
-                                geom.clone(),
-                                MrScheme::projective(),
-                                TAU,
-                            )
-                            .with_twist()
-                            .with_cpu_threads(threads)
-                        },
-                        |s, k| s.run(k),
-                        |s| s.traffic(),
-                        steps_per_rep,
-                        fluid,
-                    ),
-                ]
-            } else {
-                vec![
-                    contender(
-                        "st",
-                        |threads| {
-                            StSim::<D3Q19, _>::new(dev.clone(), geom.clone(), Bgk::new(TAU))
-                                .with_cpu_threads(threads)
-                        },
-                        |s, k| s.run(k),
-                        |s| s.traffic(),
-                        steps_per_rep,
-                        fluid,
-                    ),
-                    contender(
-                        "mr-p",
-                        |threads| {
-                            MrSim3D::<D3Q19>::new(
-                                dev.clone(),
-                                geom.clone(),
-                                MrScheme::projective(),
-                                TAU,
-                            )
-                            .with_cpu_threads(threads)
-                        },
-                        |s, k| s.run(k),
-                        |s| s.traffic(),
-                        steps_per_rep,
-                        fluid,
-                    ),
-                    contender(
-                        "mr-r",
-                        |threads| {
-                            MrSim3D::<D3Q19>::new(
-                                dev.clone(),
-                                geom.clone(),
-                                MrScheme::recursive::<D3Q19>(),
-                                TAU,
-                            )
-                            .with_cpu_threads(threads)
-                        },
-                        |s, k| s.run(k),
-                        |s| s.traffic(),
-                        steps_per_rep,
-                        fluid,
-                    ),
-                    contender(
-                        "st-aa",
-                        |threads| {
-                            AaStSim::<D3Q19, _>::new(dev.clone(), geom.clone(), Bgk::new(TAU))
-                                .with_cpu_threads(threads)
-                        },
-                        |s, k| s.run(k),
-                        |s| s.traffic(),
-                        steps_per_rep,
-                        fluid,
-                    ),
-                    contender(
-                        "mr-t",
-                        |threads| {
-                            MrSim3D::<D3Q19>::new(
-                                dev.clone(),
-                                geom.clone(),
-                                MrScheme::projective(),
-                                TAU,
-                            )
-                            .with_twist()
-                            .with_cpu_threads(threads)
-                        },
-                        |s, k| s.run(k),
-                        |s| s.traffic(),
-                        steps_per_rep,
-                        fluid,
-                    ),
-                ]
-            };
-            time_contenders(
-                &mut rec,
-                &dev,
-                lattice,
-                fluid,
-                steps_per_rep,
-                reps,
-                &mut contenders,
-            );
-        }
-    }
-    let path = rec.write(".").expect("write BENCH_bench.json");
-    println!("wrote {path}");
+    println!("wrote {path}: {} rows", rec.rows().len());
     println!();
 }
 
@@ -2467,18 +2068,38 @@ fn slo_load(jobs: usize, seed: u64, events_path: Option<&str>) {
     println!();
 }
 
+const USAGE: &str = "usage: reproduce [table1|table2|table3|table4|figure2|figure3|footprint|speedups|occupancy|profile|futurework|scaling|smoke|aa|sparse|bench-record|resilience|serve|slo|all] [--quick] [--inject=nan|abort|link|all] [--checkpoint-every=<n>] [--jobs=<n>] [--seed=<n>] [--trace=<path>] [--metrics=<path>] [--events=<path>]";
+
+/// Flags that carry a value (`--name=value`).
+const VALUE_FLAGS: [&str; 7] = [
+    "--inject=",
+    "--checkpoint-every=",
+    "--jobs=",
+    "--seed=",
+    "--trace=",
+    "--metrics=",
+    "--events=",
+];
+
+fn usage_exit(problem: &str) -> ! {
+    eprintln!("{problem}");
+    eprintln!("{USAGE}");
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // One positional section; every other argument must be a known flag.
+    let mut sections = args.iter().filter(|a| !a.starts_with("--"));
+    let what = sections.next().map_or("all", String::as_str);
+    let known_flag = |a: &str| a == "--quick" || VALUE_FLAGS.iter().any(|f| a.starts_with(f));
+    if let Some(bad) = sections
+        .next()
+        .or_else(|| args.iter().find(|a| a.starts_with("--") && !known_flag(a)))
+    {
+        usage_exit(&format!("unrecognised argument '{bad}'"));
+    }
     let quick = args.iter().any(|a| a == "--quick");
-    let quick = match args.iter().find_map(|a| a.strip_prefix("--steps=")) {
-        Some("small") => true,
-        Some("full") => false,
-        Some(other) => {
-            eprintln!("unknown --steps value '{other}' (expected small|full)");
-            std::process::exit(2);
-        }
-        None => quick,
-    };
     let trace_path = args
         .iter()
         .find_map(|a| a.strip_prefix("--trace="))
@@ -2534,21 +2155,8 @@ fn main() {
         None => 2023,
     };
     let hub = obs::Obs::shared();
-    let what = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--section="))
-        .map(String::from)
-        .or_else(|| args.iter().find(|a| !a.starts_with("--")).cloned())
-        .or_else(|| {
-            args.iter()
-                .any(|a| a == "--bench-wallclock")
-                .then(|| "bench".to_string())
-        })
-        .or_else(|| args.iter().any(|a| a == "--slo").then(|| "slo".to_string()))
-        .unwrap_or_else(|| "all".to_string());
-
     let needs_measure = matches!(
-        what.as_str(),
+        what,
         "all" | "table2" | "figure2" | "figure3" | "speedups" | "bench-record"
     );
     let results = if needs_measure {
@@ -2558,7 +2166,7 @@ fn main() {
         Vec::new()
     };
 
-    match what.as_str() {
+    match what {
         "table1" => table1(),
         "table2" => table2(&results),
         "table3" => table3(),
@@ -2574,7 +2182,6 @@ fn main() {
         "smoke" => smoke(&hub),
         "aa" => aa_section(&hub),
         "sparse" => sparse_section(&hub),
-        "bench" => bench_wallclock(quick),
         "bench-record" => bench_record(quick, &results, &hub),
         "resilience" => resilience(&hub, &inject, ckpt_every),
         "serve" => serve_load(&hub, serve_jobs, serve_seed),
@@ -2594,7 +2201,6 @@ fn main() {
             scaling(quick);
             aa_section(&hub);
             sparse_section(&hub);
-            bench_wallclock(quick);
             bench_record(quick, &results, &hub);
             resilience(&hub, &inject, ckpt_every);
             serve_load(&hub, serve_jobs, serve_seed);
@@ -2602,11 +2208,7 @@ fn main() {
             let [v, _] = devices();
             debug_assert!(bandwidth_fraction(&v, Pattern::Standard, 2) > 0.0);
         }
-        other => {
-            eprintln!("unknown section '{other}'");
-            eprintln!("usage: reproduce [table1|table2|table3|table4|figure2|figure3|footprint|speedups|occupancy|profile|futurework|scaling|smoke|aa|sparse|bench|bench-record|resilience|serve|slo|all] [--quick] [--steps=small|full] [--section=<name>] [--bench-wallclock] [--slo] [--inject=nan|abort|link|all] [--checkpoint-every=<n>] [--jobs=<n>] [--seed=<n>] [--trace=<path>] [--metrics=<path>] [--events=<path>]");
-            std::process::exit(2);
-        }
+        other => usage_exit(&format!("unknown section '{other}'")),
     }
 
     if let Some(p) = &trace_path {
@@ -2620,7 +2222,7 @@ fn main() {
     // The slo section writes its own (fresh) hub's event log to the path;
     // every other section logs fleet events on the shared hub.
     if let Some(p) = &events_path {
-        if !matches!(what.as_str(), "slo" | "all") {
+        if !matches!(what, "slo" | "all") {
             hub.events.write_json(p).expect("write events JSON");
             eprintln!("wrote fleet event log to {p}");
         }

@@ -1,14 +1,14 @@
-//! Harness utilities shared by the `reproduce` binary and the Criterion
-//! benches: run one configuration of (device, pattern, lattice, size),
-//! collect the measured B/F from the traffic ledger, and map it through the
-//! roofline/efficiency models to the modeled MFLUPS the paper reports.
+//! Harness utilities of the `reproduce` binary: run one configuration of
+//! (device, pattern, lattice, size), collect the measured B/F from the
+//! traffic ledger, and map it through the roofline/efficiency models to the
+//! modeled MFLUPS the paper reports.
 //!
 //! Absolute figure/table sizes in the paper reach tens of millions of
 //! nodes; the harness measures B/F on a moderate domain (B/F is
 //! size-independent up to boundary effects — verified by a test below) and
-//! evaluates the size sweep through the saturation model. The CPU wall-clock
-//! MFLUPS of the substrate itself is also reported as a genuinely measured,
-//! but hardware-incomparable, series.
+//! evaluates the size sweep through the saturation model. Nothing here
+//! reads a clock: wall-clock time of the substrate is measured by
+//! `benchmark/` only.
 
 #![allow(clippy::needless_range_loop)] // indexed loops are the idiom in stencil kernels
 use gpu_sim::efficiency::{modeled_mflups, Pattern};
@@ -17,7 +17,6 @@ use lbm_core::collision::Bgk;
 use lbm_core::Geometry;
 use lbm_gpu::{AaStSim, MrScheme, MrSim2D, MrSim3D, StSim};
 use lbm_lattice::{D2Q9, D3Q19, D3Q27, D3Q39};
-use std::time::Instant;
 
 /// Result of one harness run.
 #[derive(Clone, Debug)]
@@ -29,8 +28,6 @@ pub struct RunResult {
     pub steps: usize,
     /// DRAM bytes per fluid lattice update, from the traffic ledger.
     pub measured_bpf: f64,
-    /// Wall-clock MFLUPS of the substrate run on this CPU.
-    pub wall_mflups: f64,
 }
 
 impl RunResult {
@@ -86,20 +83,18 @@ pub fn run_2d(
     let name = device.name;
     let geom = bench_geometry_2d(nx, ny);
     let fluid = geom.fluid_count();
-    match pattern {
+    let measured_bpf = match pattern {
         Pattern::Standard => {
             let mut sim: StSim<D2Q9, _> = StSim::new(device, geom, Bgk::new(TAU));
             sim.init_with(shear_init_2d);
-            let t0 = Instant::now();
             sim.run(steps);
-            finish(name, pattern, "D2Q9", fluid, steps, sim.measured_bpf(), t0)
+            sim.measured_bpf()
         }
         Pattern::StandardAa => {
             let mut sim: AaStSim<D2Q9, _> = AaStSim::new(device, geom, Bgk::new(TAU));
             sim.init_with(shear_init_2d);
-            let t0 = Instant::now();
             sim.run(steps);
-            finish(name, pattern, "D2Q9", fluid, steps, sim.measured_bpf(), t0)
+            sim.measured_bpf()
         }
         Pattern::MomentProjective | Pattern::MomentRecursive => {
             let scheme = if pattern == Pattern::MomentProjective {
@@ -109,18 +104,24 @@ pub fn run_2d(
             };
             let mut sim: MrSim2D<D2Q9> = MrSim2D::new(device, geom, scheme, TAU);
             sim.init_with(shear_init_2d);
-            let t0 = Instant::now();
             sim.run(steps);
-            finish(name, pattern, "D2Q9", fluid, steps, sim.measured_bpf(), t0)
+            sim.measured_bpf()
         }
         Pattern::MomentTwist => {
             let mut sim: MrSim2D<D2Q9> =
                 MrSim2D::new(device, geom, MrScheme::projective(), TAU).with_twist();
             sim.init_with(shear_init_2d);
-            let t0 = Instant::now();
             sim.run(steps);
-            finish(name, pattern, "D2Q9", fluid, steps, sim.measured_bpf(), t0)
+            sim.measured_bpf()
         }
+    };
+    RunResult {
+        device: name,
+        pattern,
+        lattice: "D2Q9",
+        fluid_nodes: fluid,
+        steps,
+        measured_bpf,
     }
 }
 
@@ -136,20 +137,18 @@ pub fn run_3d(
     let name = device.name;
     let geom = bench_geometry_3d(nx, ny, nz);
     let fluid = geom.fluid_count();
-    match pattern {
+    let measured_bpf = match pattern {
         Pattern::Standard => {
             let mut sim: StSim<D3Q19, _> = StSim::new(device, geom, Bgk::new(TAU));
             sim.init_with(shear_init_3d);
-            let t0 = Instant::now();
             sim.run(steps);
-            finish(name, pattern, "D3Q19", fluid, steps, sim.measured_bpf(), t0)
+            sim.measured_bpf()
         }
         Pattern::StandardAa => {
             let mut sim: AaStSim<D3Q19, _> = AaStSim::new(device, geom, Bgk::new(TAU));
             sim.init_with(shear_init_3d);
-            let t0 = Instant::now();
             sim.run(steps);
-            finish(name, pattern, "D3Q19", fluid, steps, sim.measured_bpf(), t0)
+            sim.measured_bpf()
         }
         Pattern::MomentProjective | Pattern::MomentRecursive => {
             let scheme = if pattern == Pattern::MomentProjective {
@@ -159,40 +158,24 @@ pub fn run_3d(
             };
             let mut sim: MrSim3D<D3Q19> = MrSim3D::new(device, geom, scheme, TAU);
             sim.init_with(shear_init_3d);
-            let t0 = Instant::now();
             sim.run(steps);
-            finish(name, pattern, "D3Q19", fluid, steps, sim.measured_bpf(), t0)
+            sim.measured_bpf()
         }
         Pattern::MomentTwist => {
             let mut sim: MrSim3D<D3Q19> =
                 MrSim3D::new(device, geom, MrScheme::projective(), TAU).with_twist();
             sim.init_with(shear_init_3d);
-            let t0 = Instant::now();
             sim.run(steps);
-            finish(name, pattern, "D3Q19", fluid, steps, sim.measured_bpf(), t0)
+            sim.measured_bpf()
         }
-    }
-}
-
-fn finish(
-    device: &'static str,
-    pattern: Pattern,
-    lattice: &'static str,
-    fluid_nodes: usize,
-    steps: usize,
-    measured_bpf: f64,
-    t0: Instant,
-) -> RunResult {
-    let dt = t0.elapsed().as_secs_f64();
-    let wall_mflups = fluid_nodes as f64 * steps as f64 / dt / 1e6;
+    };
     RunResult {
-        device,
+        device: name,
         pattern,
-        lattice,
-        fluid_nodes,
+        lattice: "D3Q19",
+        fluid_nodes: fluid,
         steps,
         measured_bpf,
-        wall_mflups,
     }
 }
 
@@ -210,20 +193,18 @@ pub fn run_3d_q27(
     let name = device.name;
     let geom = bench_geometry_3d(nx, ny, nz);
     let fluid = geom.fluid_count();
-    match pattern {
+    let measured_bpf = match pattern {
         Pattern::Standard => {
             let mut sim: StSim<D3Q27, _> = StSim::new(device, geom, Bgk::new(TAU));
             sim.init_with(shear_init_3d);
-            let t0 = Instant::now();
             sim.run(steps);
-            finish(name, pattern, "D3Q27", fluid, steps, sim.measured_bpf(), t0)
+            sim.measured_bpf()
         }
         Pattern::StandardAa => {
             let mut sim: AaStSim<D3Q27, _> = AaStSim::new(device, geom, Bgk::new(TAU));
             sim.init_with(shear_init_3d);
-            let t0 = Instant::now();
             sim.run(steps);
-            finish(name, pattern, "D3Q27", fluid, steps, sim.measured_bpf(), t0)
+            sim.measured_bpf()
         }
         Pattern::MomentProjective | Pattern::MomentRecursive => {
             let scheme = if pattern == Pattern::MomentProjective {
@@ -233,18 +214,24 @@ pub fn run_3d_q27(
             };
             let mut sim: MrSim3D<D3Q27> = MrSim3D::new(device, geom, scheme, TAU);
             sim.init_with(shear_init_3d);
-            let t0 = Instant::now();
             sim.run(steps);
-            finish(name, pattern, "D3Q27", fluid, steps, sim.measured_bpf(), t0)
+            sim.measured_bpf()
         }
         Pattern::MomentTwist => {
             let mut sim: MrSim3D<D3Q27> =
                 MrSim3D::new(device, geom, MrScheme::projective(), TAU).with_twist();
             sim.init_with(shear_init_3d);
-            let t0 = Instant::now();
             sim.run(steps);
-            finish(name, pattern, "D3Q27", fluid, steps, sim.measured_bpf(), t0)
+            sim.measured_bpf()
         }
+    };
+    RunResult {
+        device: name,
+        pattern,
+        lattice: "D3Q27",
+        fluid_nodes: fluid,
+        steps,
+        measured_bpf,
     }
 }
 
@@ -259,17 +246,15 @@ pub fn run_3d_q39_st(device: DeviceSpec, n: usize, steps: usize) -> RunResult {
     let fluid = geom.fluid_count();
     let mut sim: StSim<D3Q39, _> = StSim::new(device, geom, Bgk::new(TAU));
     sim.init_with(|_, y, z| (1.0, [0.02 * ((y + z) as f64 * 0.4).sin(), 0.0, 0.0]));
-    let t0 = Instant::now();
     sim.run(steps);
-    finish(
-        name,
-        Pattern::Standard,
-        "D3Q39",
-        fluid,
+    RunResult {
+        device: name,
+        pattern: Pattern::Standard,
+        lattice: "D3Q39",
+        fluid_nodes: fluid,
         steps,
-        sim.measured_bpf(),
-        t0,
-    )
+        measured_bpf: sim.measured_bpf(),
+    }
 }
 
 /// The problem-size sweep of Figures 2–3 (fluid nodes).
@@ -277,51 +262,6 @@ pub fn figure_sizes() -> Vec<usize> {
     vec![
         250_000, 500_000, 1_000_000, 2_000_000, 4_000_000, 8_000_000, 16_000_000, 30_000_000,
     ]
-}
-
-/// Time `iters` calls of `f` after `warmup` unmeasured calls; returns
-/// seconds per iteration. The plain-`Instant` replacement for the Criterion
-/// harness (which the offline workspace cannot resolve).
-pub fn time_iters<F: FnMut()>(warmup: usize, iters: usize, mut f: F) -> f64 {
-    for _ in 0..warmup {
-        f();
-    }
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    t0.elapsed().as_secs_f64() / iters as f64
-}
-
-/// Steady-state wall-clock timing: `warmup` unmeasured calls of `f`, then
-/// `reps` individually timed repetitions on the monotonic clock, returning
-/// the fastest one in seconds. Min-of-k is the standard "how fast can this
-/// go" estimator — robust to scheduler noise, unlike a mean.
-pub fn time_min_of<F: FnMut()>(warmup: usize, reps: usize, mut f: F) -> f64 {
-    for _ in 0..warmup {
-        f();
-    }
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
-}
-
-/// Print one bench-log line: per-iteration time and, when `nodes > 0`, the
-/// wall-clock MLUPS it implies.
-pub fn bench_line(group: &str, id: &str, nodes: usize, secs_per_iter: f64) {
-    if nodes > 0 {
-        println!(
-            "[{group}] {id:<28} {:>10.3} ms/iter  {:>8.3} MLUPS",
-            secs_per_iter * 1e3,
-            nodes as f64 / secs_per_iter / 1e6
-        );
-    } else {
-        println!("[{group}] {id:<28} {:>10.3} ms/iter", secs_per_iter * 1e3);
-    }
 }
 
 /// Render a fixed-width table row.

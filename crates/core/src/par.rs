@@ -1,83 +1,53 @@
-//! Minimal data-parallel helpers built on `std::thread::scope`.
+//! Minimal data-parallel helper built on `std::thread::scope`.
 //!
-//! The solvers update disjoint node sets per thread, writing to strided
-//! locations of a shared output lattice (SoA layout: direction-major), so a
-//! slice split is not expressible with safe `split_at_mut`. [`SendPtr`]
-//! carries the raw base pointer across the scope with the usual disjointness
-//! contract; every use site documents why its writes are disjoint.
+//! The solver updates disjoint node ranges per thread, writing to strided
+//! locations of a shared output lattice (SoA layout: direction-major,
+//! `f[dir · n + node]`). [`parallel_soa_ranges`] expresses that split with
+//! safe slices: the lattice is cut by direction, each direction's slice at
+//! the same node-range bounds, and every worker is handed its own
+//! sub-slice of every direction.
 
-use std::ops::Range;
-
-/// Number of worker threads: `LBM_THREADS` env override, else the machine's
-/// available parallelism.
+/// Default worker-thread count: the machine's available parallelism.
+/// (`Solver::with_threads` is the way to choose another.)
 pub fn num_threads() -> usize {
-    if let Ok(s) = std::env::var("LBM_THREADS") {
-        if let Ok(n) = s.parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
 }
 
-/// Split `0..n` into `threads` contiguous ranges of near-equal size and run
-/// `body` on each range in parallel. With `threads == 1` the body runs
-/// inline (no spawn), which keeps single-threaded benchmarks clean.
-pub fn parallel_ranges<F>(n: usize, threads: usize, body: F)
+/// Split the `n` nodes of a direction-major SoA lattice (`soa.len()` a
+/// multiple of `n`) into at most `threads` contiguous node ranges of
+/// near-equal size and run `body(lo, rows)` on each in parallel, where
+/// `rows[dir][k]` is node `lo + k` of direction `dir`. With one range the
+/// body runs inline (no spawn), which keeps single-threaded runs clean.
+pub fn parallel_soa_ranges<T, F>(soa: &mut [T], n: usize, threads: usize, body: F)
 where
-    F: Fn(Range<usize>) + Sync,
+    T: Send,
+    F: Fn(usize, Vec<&mut [T]>) + Sync,
 {
-    let threads = threads.max(1).min(n.max(1));
-    if threads == 1 {
-        body(0..n);
+    if n == 0 {
         return;
     }
-    let chunk = n.div_ceil(threads);
+    assert_eq!(soa.len() % n, 0, "lattice is not direction-major over n");
+    let chunk = n.div_ceil(threads.clamp(1, n));
+    let mut parts: Vec<Vec<&mut [T]>> = (0..n.div_ceil(chunk))
+        .map(|_| Vec::with_capacity(soa.len() / n))
+        .collect();
+    for dir in soa.chunks_mut(n) {
+        for (part, rows) in parts.iter_mut().zip(dir.chunks_mut(chunk)) {
+            part.push(rows);
+        }
+    }
+    if parts.len() == 1 {
+        body(0, parts.remove(0));
+        return;
+    }
     std::thread::scope(|s| {
-        for t in 0..threads {
-            let lo = t * chunk;
-            let hi = ((t + 1) * chunk).min(n);
-            if lo >= hi {
-                break;
-            }
+        for (t, part) in parts.into_iter().enumerate() {
             let body = &body;
-            s.spawn(move || body(lo..hi));
+            s.spawn(move || body(t * chunk, part));
         }
     });
-}
-
-/// A raw mutable pointer that may be shared across scoped threads.
-///
-/// # Safety contract
-/// Callers must guarantee that concurrent users write disjoint elements and
-/// that the pointee outlives the scope (both hold for the solvers: each
-/// thread owns a contiguous range of node indices, and all writes for node
-/// `idx` touch only offsets `dir·n + idx`).
-#[derive(Copy, Clone)]
-pub struct SendPtr<T>(pub *mut T);
-
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
-
-impl<T> SendPtr<T> {
-    /// Create from a mutable slice; the pointer stays valid while the slice
-    /// borrow is alive in the caller.
-    pub fn new(slice: &mut [T]) -> Self {
-        SendPtr(slice.as_mut_ptr())
-    }
-
-    /// Write `value` at `offset`.
-    ///
-    /// # Safety
-    /// `offset` must be in bounds and not concurrently written by another
-    /// thread.
-    #[inline(always)]
-    pub unsafe fn write(&self, offset: usize, value: T) {
-        unsafe { self.0.add(offset).write(value) };
-    }
 }
 
 #[cfg(test)]
@@ -89,11 +59,15 @@ mod tests {
     fn ranges_cover_exactly_once() {
         for n in [0usize, 1, 7, 100, 1001] {
             for threads in [1usize, 2, 3, 8] {
+                let mut soa = vec![0u8; 3 * n];
                 let counter = AtomicUsize::new(0);
                 let sum = AtomicUsize::new(0);
-                parallel_ranges(n, threads, |r| {
-                    counter.fetch_add(r.len(), Ordering::Relaxed);
-                    sum.fetch_add(r.sum::<usize>(), Ordering::Relaxed);
+                parallel_soa_ranges(&mut soa, n, threads, |lo, rows| {
+                    assert_eq!(rows.len(), 3);
+                    let len = rows[0].len();
+                    assert!(rows.iter().all(|r| r.len() == len));
+                    counter.fetch_add(len, Ordering::Relaxed);
+                    sum.fetch_add((lo..lo + len).sum::<usize>(), Ordering::Relaxed);
                 });
                 assert_eq!(counter.load(Ordering::Relaxed), n);
                 assert_eq!(sum.load(Ordering::Relaxed), n * n.saturating_sub(1) / 2);
@@ -102,18 +76,18 @@ mod tests {
     }
 
     #[test]
-    fn sendptr_disjoint_writes() {
+    fn disjoint_writes_land_direction_major() {
         let n = 1000;
-        let mut data = vec![0u64; n];
-        let p = SendPtr::new(&mut data);
-        parallel_ranges(n, 4, |r| {
-            for i in r {
-                // Safety: ranges are disjoint.
-                unsafe { p.write(i, i as u64 * 3) };
+        let mut data = vec![0u64; 2 * n];
+        parallel_soa_ranges(&mut data, n, 4, |lo, mut rows| {
+            for k in 0..rows[0].len() {
+                rows[0][k] = (lo + k) as u64 * 3;
+                rows[1][k] = (lo + k) as u64 * 5;
             }
         });
-        for (i, &v) in data.iter().enumerate() {
-            assert_eq!(v, i as u64 * 3);
+        for i in 0..n {
+            assert_eq!(data[i], i as u64 * 3);
+            assert_eq!(data[n + i], i as u64 * 5);
         }
     }
 

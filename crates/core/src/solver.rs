@@ -17,7 +17,7 @@
 use crate::boundary::{boundary_node_moments, WallGains};
 use crate::collision::Collision;
 use crate::geometry::{Geometry, NodeType};
-use crate::par::{self, SendPtr};
+use crate::par;
 use lbm_lattice::moments::Moments;
 use lbm_lattice::Lattice;
 use std::io::{self, Read, Write};
@@ -130,10 +130,9 @@ impl<L: Lattice, C: Collision<L>> Solver<L, C> {
         // (bitwise-equal to the inline form; see `WallGains`).
         let gains = WallGains::build::<L>(1.0);
         let gains = &gains;
-        let dstp = SendPtr::new(dst);
-        par::parallel_ranges(n, self.threads, |range| {
+        par::parallel_soa_ranges(dst, n, self.threads, |lo, mut rows| {
             let mut f_loc = [0.0f64; MAX_Q];
-            for idx in range {
+            for idx in lo..lo + rows[0].len() {
                 if !matches!(geom.node_at(idx), NodeType::Fluid) {
                     continue;
                 }
@@ -159,10 +158,7 @@ impl<L: Lattice, C: Collision<L>> Solver<L, C> {
                 }
                 collision.collide(&mut f_loc[..q]);
                 for i in 0..q {
-                    // Safety: each node index is visited by exactly one
-                    // thread; writes for node `idx` touch only offsets
-                    // `i·n + idx`.
-                    unsafe { dstp.write(i * n + idx, f_loc[i]) };
+                    rows[i][idx - lo] = f_loc[i];
                 }
             }
         });

@@ -1,23 +1,17 @@
 //! 2D specialization of the reference solver plus physical validation
 //! against analytic solutions.
 
-use crate::collision::Collision;
 use crate::solver::Solver;
 use lbm_lattice::D2Q9;
 
 /// The D2Q9 reference solver (paper's 2D "ST" implementation).
 pub type Solver2D<C> = Solver<D2Q9, C>;
 
-/// Convenience constructor mirroring [`Solver::new`].
-pub fn solver_2d<C: Collision<D2Q9>>(geom: crate::Geometry, collision: C) -> Solver2D<C> {
-    Solver::new(geom, collision)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::analytic;
-    use crate::collision::{Bgk, Projective, Recursive};
+    use crate::collision::{Bgk, Collision, Projective, Recursive};
     use crate::geometry::Geometry;
     use crate::units;
 

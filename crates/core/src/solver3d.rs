@@ -1,7 +1,6 @@
 //! 3D specializations of the reference solver (D3Q19 as in the paper's
 //! evaluation; D3Q27 for the future-work lattice).
 
-use crate::collision::Collision;
 use crate::solver::Solver;
 use lbm_lattice::{D3Q19, D3Q27, D3Q39};
 
@@ -15,15 +14,10 @@ pub type Solver3DQ27<C> = Solver<D3Q27, C>;
 /// work). Note its different sound speed: ν = (2/3)(τ − ½).
 pub type Solver3DQ39<C> = Solver<D3Q39, C>;
 
-/// Convenience constructor mirroring [`Solver::new`].
-pub fn solver_3d<C: Collision<D3Q19>>(geom: crate::Geometry, collision: C) -> Solver3D<C> {
-    Solver::new(geom, collision)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collision::{Bgk, Projective, Recursive};
+    use crate::collision::{Bgk, Collision, Projective, Recursive};
     use crate::geometry::Geometry;
 
     /// A 3D periodic shear wave decays viscously; its decay rate pins the

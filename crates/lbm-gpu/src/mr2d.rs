@@ -1098,30 +1098,39 @@ mod tests {
                 ],
             )
         };
-        let run = |threads: usize| {
+        let run = |scheme: MrScheme, twist: bool, threads: usize| {
             let geom = Geometry::walls_y_periodic_x(48, 8);
             // col_w 8 → 6 column blocks, enough for real work stealing.
-            let mut sim: MrSim2D<D2Q9> = MrSim2D::with_config(
-                DeviceSpec::v100(),
-                geom,
-                MrScheme::projective(),
-                0.8,
-                8,
-                1,
-                1,
-            )
-            .with_cpu_threads(threads)
-            .with_parallel_threshold(0); // force pooled dispatch at any size
+            let mut sim: MrSim2D<D2Q9> =
+                MrSim2D::with_config(DeviceSpec::v100(), geom, scheme, 0.8, 8, 1, 1)
+                    .with_cpu_threads(threads)
+                    .with_parallel_threshold(0); // force pooled dispatch at any size
+            if twist {
+                sim = sim.with_twist();
+            }
             sim.init_with(init);
             sim.run(8);
             (sim.velocity_field(), sim.density_field(), sim.traffic())
         };
-        let base = run(1);
-        for threads in [3, 8] {
-            let got = run(threads);
-            assert_eq!(base.0, got.0, "velocity diverges at {threads} threads");
-            assert_eq!(base.1, got.1, "density diverges at {threads} threads");
-            assert_eq!(base.2, got.2, "tally diverges at {threads} threads");
+        // mr-p, mr-r and mr-t: every variant's tally is thread-count blind.
+        for (label, mk, twist) in [
+            ("mr-p", MrScheme::projective as fn() -> MrScheme, false),
+            ("mr-r", MrScheme::recursive::<D2Q9>, false),
+            ("mr-t", MrScheme::projective, true),
+        ] {
+            let base = run(mk(), twist, 1);
+            for threads in [3, 8] {
+                let got = run(mk(), twist, threads);
+                assert_eq!(
+                    base.0, got.0,
+                    "{label} velocity diverges at {threads} threads"
+                );
+                assert_eq!(
+                    base.1, got.1,
+                    "{label} density diverges at {threads} threads"
+                );
+                assert_eq!(base.2, got.2, "{label} tally diverges at {threads} threads");
+            }
         }
     }
 

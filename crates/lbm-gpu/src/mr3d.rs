@@ -24,16 +24,6 @@ use lbm_lattice::Lattice;
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-/// Pick the largest column footprint edge ≤ `max` dividing `n`.
-pub fn pick_footprint(n: usize, max: usize) -> usize {
-    for w in (1..=max.min(n)).rev() {
-        if n.is_multiple_of(w) {
-            return w;
-        }
-    }
-    1
-}
-
 /// Choose the column footprint that minimizes vectorized collide work.
 ///
 /// Each halo-extended row of `wx + 2` nodes is processed in `LANES`-node
@@ -963,22 +953,37 @@ mod tests {
                 ],
             )
         };
-        let run = |threads: usize| {
+        let run = |scheme: MrScheme, twist: bool, threads: usize| {
             let geom = Geometry::channel_3d(12, 8, 8, 0.03);
-            let mut sim: MrSim3D<D3Q19> =
-                MrSim3D::new(DeviceSpec::v100(), geom, MrScheme::projective(), 0.7)
-                    .with_cpu_threads(threads)
-                    .with_parallel_threshold(0); // force pooled dispatch at any size
+            let mut sim: MrSim3D<D3Q19> = MrSim3D::new(DeviceSpec::v100(), geom, scheme, 0.7)
+                .with_cpu_threads(threads)
+                .with_parallel_threshold(0); // force pooled dispatch at any size
+            if twist {
+                sim = sim.with_twist();
+            }
             sim.init_with(init);
             sim.run(6);
             (sim.velocity_field(), sim.density_field(), sim.traffic())
         };
-        let base = run(1);
-        for threads in [3, 8] {
-            let got = run(threads);
-            assert_eq!(base.0, got.0, "velocity diverges at {threads} threads");
-            assert_eq!(base.1, got.1, "density diverges at {threads} threads");
-            assert_eq!(base.2, got.2, "tally diverges at {threads} threads");
+        // mr-p, mr-r and mr-t: every variant's tally is thread-count blind.
+        for (label, mk, twist) in [
+            ("mr-p", MrScheme::projective as fn() -> MrScheme, false),
+            ("mr-r", MrScheme::recursive::<D3Q19>, false),
+            ("mr-t", MrScheme::projective, true),
+        ] {
+            let base = run(mk(), twist, 1);
+            for threads in [3, 8] {
+                let got = run(mk(), twist, threads);
+                assert_eq!(
+                    base.0, got.0,
+                    "{label} velocity diverges at {threads} threads"
+                );
+                assert_eq!(
+                    base.1, got.1,
+                    "{label} density diverges at {threads} threads"
+                );
+                assert_eq!(base.2, got.2, "{label} tally diverges at {threads} threads");
+            }
         }
     }
 

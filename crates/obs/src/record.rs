@@ -4,7 +4,9 @@
 //! one [`BenchRow`] per (device, lattice, pattern) combination — so the
 //! paper's headline numbers (Table 2 traffic ideals, Figs. 2–3 MFLUPS
 //! curves, halo volumes, overlap efficiency) are diffable across commits
-//! instead of living only in stdout tables.
+//! instead of living only in stdout tables. Every field is a count, a
+//! byte tally or a model value: a row holds no wall-clock time, so the
+//! same commit writes the same bytes on every run.
 
 use crate::json::Value;
 
@@ -13,7 +15,8 @@ use crate::json::Value;
 pub struct BenchRow {
     pub device: String,
     pub lattice: String,
-    /// Traffic pattern: `st`, `mr-p`, or `mr-r`.
+    /// Traffic pattern: `st`, `mr-p`, `mr-r`, the in-place `st-aa` /
+    /// `mr-t`, or the fluid-compacted `sparse-st` / `sparse-mr`.
     pub pattern: String,
     pub fluid_nodes: u64,
     pub steps: u64,
@@ -27,13 +30,6 @@ pub struct BenchRow {
     pub halo_bytes_per_step: u64,
     /// Overlap efficiency in [0, 1] (0 for single-device runs).
     pub overlap_efficiency: f64,
-    /// Wall-clock MFLUPS of the software substrate itself (monotonic-clock
-    /// steady-state timing; 0 when the section does not time wall-clock).
-    pub measured_mflups: f64,
-    /// Wall-clock speedup of this pattern relative to the ST run of the
-    /// same (device, lattice) in the same section (0 when not timed; 1 for
-    /// the ST row itself).
-    pub speedup_vs_st: f64,
 }
 
 impl BenchRow {
@@ -49,14 +45,12 @@ impl BenchRow {
             ("l2_hit_rate", Value::num(self.l2_hit_rate)),
             ("halo_bytes_per_step", Value::int(self.halo_bytes_per_step)),
             ("overlap_efficiency", Value::num(self.overlap_efficiency)),
-            ("measured_mflups", Value::num(self.measured_mflups)),
-            ("speedup_vs_st", Value::num(self.speedup_vs_st)),
         ])
     }
 }
 
 /// A named collection of bench rows plus free-form extras (monitor
-/// summaries, overhead measurements, …).
+/// summaries, porosity sweeps, …).
 #[derive(Default)]
 pub struct BenchRecord {
     section: String,
@@ -85,8 +79,8 @@ impl BenchRecord {
         &self.rows
     }
 
-    /// Attach an extra top-level field (e.g. `"monitor"`,
-    /// `"monitor_overhead_frac"`). Later values win on key collision.
+    /// Attach an extra top-level field (e.g. `"porosity_sweep"`,
+    /// `"mass_drift_tol"`). Later values win on key collision.
     pub fn set_extra(&mut self, key: &str, v: Value) {
         self.extras.retain(|(k, _)| k != key);
         self.extras.push((key.to_string(), v));
@@ -145,8 +139,6 @@ mod tests {
             l2_hit_rate: 0.25,
             halo_bytes_per_step: 0,
             overlap_efficiency: 0.0,
-            measured_mflups: 12.5,
-            speedup_vs_st: 2.1,
         }
     }
 
@@ -165,8 +157,6 @@ mod tests {
             Some(96.0)
         );
         assert_eq!(rows[0].get("pattern").unwrap().as_str(), Some("mr-p"));
-        assert_eq!(rows[0].get("measured_mflups").unwrap().as_f64(), Some(12.5));
-        assert_eq!(rows[0].get("speedup_vs_st").unwrap().as_f64(), Some(2.1));
         // set_extra replaces on collision.
         assert_eq!(v.get("monitor_overhead_frac").unwrap().as_f64(), Some(0.02));
     }
