@@ -809,3 +809,171 @@ fn sharded_sparse_cuts_through_rock_match_solo() {
         }
     }
 }
+
+/// What [`dense_mr_matches_the_recorded_ledger`] pins of a solo run: field
+/// FNV, the six `Tally` words, and the FNV and length of the checkpoint blob.
+type SoloRow = (u64, [u64; 6], u64, usize);
+
+/// Seven steps of a dense MR driver from `shear_init`, every launch pooled.
+fn solo_ledger_row<B: lbm_mr::kernels::SoloBody>(
+    sim: lbm_mr::kernels::Sim<B>,
+    threads: usize,
+) -> SoloRow {
+    let mut sim = sim.with_cpu_threads(threads).with_parallel_threshold(0);
+    sim.init_with(shear_init);
+    sim.run(7);
+    let t = sim.traffic();
+    let blob = sim.checkpoint();
+    (
+        sim.field_checksum(),
+        [
+            t.reads,
+            t.writes,
+            t.bytes_read,
+            t.bytes_written,
+            t.dram_bytes_read,
+            t.l2_read_hits,
+        ],
+        io::fnv1a(&blob),
+        blob.len(),
+    )
+}
+
+/// The sharded twin: field FNV, bytes the links carried, the analytic halo
+/// payload of one step (an accessor of the body, hence `halo`), and the
+/// blob's FNV.
+fn sharded_ledger_row<B: lbm_mr::multi::ShardedBody>(
+    sim: lbm_mr::multi::MultiSim<B>,
+    halo: impl Fn(&lbm_mr::multi::MultiSim<B>) -> u64,
+    threads: usize,
+) -> [u64; 4] {
+    let mut sim = sim.with_cpu_threads(threads).with_parallel_threshold(0);
+    sim.init_with(shear_init);
+    sim.run(7);
+    [
+        sim.field_checksum(),
+        sim.interconnect().total_link_bytes(),
+        halo(&sim),
+        io::fnv1a(&sim.checkpoint()),
+    ]
+}
+
+/// Dense MR against history. Scalar-vs-vector equivalence compares the
+/// current code with itself; these rows were read from the two per-dimension
+/// walkers (`mr2d.rs` / `mr3d.rs`, commit 7c1f508) before they became one,
+/// so fields, every counted access, the L2 model and the checkpoint bytes of
+/// every storage variant are held to what that code produced, at 1 and at 3
+/// threads.
+#[test]
+fn dense_mr_matches_the_recorded_ledger() {
+    let v100 = DeviceSpec::v100;
+    let p = MrScheme::projective;
+    let chan = || Geometry::channel_2d(48, 16, 0.04);
+    let cyl = || Geometry::walls_y_periodic_x(48, 16).with_cylinder(20.0, 8.0, 3.0);
+    let duct = || Geometry::channel_3d(16, 10, 10, 0.03);
+    let chan_tally = [31122, 29400, 248976, 235200, 235200, 1722];
+    let cyl_tally = [29316, 27006, 234528, 216048, 216048, 2310];
+    let duct_tally = [85120, 80640, 680960, 645120, 630784, 6272];
+    for threads in [1, 3] {
+        let solo2 = |sim: MrSim2D<D2Q9>| solo_ledger_row(sim, threads);
+        let solo3 = |sim: MrSim3D<D3Q19>| solo_ledger_row(sim, threads);
+        let rows: [(&str, SoloRow, SoloRow); 9] = [
+            (
+                "mr2d-p/chan",
+                solo2(MrSim2D::new(v100(), chan(), p(), 0.8)),
+                (0xf3d72790f1aa143b, chan_tally, 0x70b8a2a1544ddba5, 41_600),
+            ),
+            (
+                "mr2d-r/chan",
+                solo2(MrSim2D::new(
+                    v100(),
+                    chan(),
+                    MrScheme::recursive::<D2Q9>(),
+                    0.8,
+                )),
+                (0x52e39bce749d161e, chan_tally, 0x5be48c3c1c2cfc3d, 41_600),
+            ),
+            (
+                "mr2d-p/cyl",
+                solo2(MrSim2D::new(v100(), cyl(), p(), 0.8)),
+                (0x6c6e934025b90ae2, cyl_tally, 0x64b368e67e3e5b30, 41_600),
+            ),
+            (
+                "mr2d-p/cyl twist",
+                solo2(MrSim2D::new(v100(), cyl(), p(), 0.8).with_twist()),
+                (0x6c6e934025b90ae2, cyl_tally, 0x200b84b471c1ba81, 36_992),
+            ),
+            (
+                "mr2d-p/cyl double-buffer",
+                solo2(MrSim2D::new(v100(), cyl(), p(), 0.8).with_double_buffer()),
+                (0x6c6e934025b90ae2, cyl_tally, 0x7bac94b210c52e6e, 73_856),
+            ),
+            (
+                "mr2d-p/cyl col_w 8, tile_h 2, shift 2",
+                solo2(MrSim2D::with_config(v100(), cyl(), p(), 0.8, 8, 2, 2)),
+                (
+                    0x6c6e934025b90ae2,
+                    [34020, 27006, 272160, 216048, 216048, 7014],
+                    0x0b978c0713d7cc01,
+                    43_904,
+                ),
+            ),
+            (
+                "mr3d-p/duct",
+                solo3(MrSim3D::new(v100(), duct(), p(), 0.8)),
+                (0x5d52602e657094ae, duct_tally, 0x77759a1a69fddfca, 153_720),
+            ),
+            (
+                "mr3d-r/duct",
+                solo3(MrSim3D::new(
+                    v100(),
+                    duct(),
+                    MrScheme::recursive::<D3Q19>(),
+                    0.8,
+                )),
+                (0x8633f650e4666710, duct_tally, 0x244d60e3b7a248bb, 153_720),
+            ),
+            (
+                "mr3d-p/duct twist",
+                solo3(MrSim3D::new(v100(), duct(), p(), 0.8).with_twist()),
+                (0x5d52602e657094ae, duct_tally, 0x468bd1b8ff93ed81, 128_120),
+            ),
+        ];
+        for (what, got, want) in rows {
+            assert_eq!(got, want, "{what}, {threads} thread(s)");
+        }
+
+        let multi2 = |geom: Geometry, shards: usize| {
+            sharded_ledger_row(
+                MultiMrSim2D::<D2Q9>::new(v100(), geom, p(), 0.8, shards),
+                |s| s.halo_bytes_per_step(),
+                threads,
+            )
+        };
+        let multi3 = sharded_ledger_row(
+            MultiMrSim3D::<D3Q19>::new(v100(), duct(), p(), 0.8, 2),
+            |s| s.halo_bytes_per_step(),
+            threads,
+        );
+        let sharded: [(&str, [u64; 4], [u64; 4]); 3] = [
+            (
+                "multi-mr2d x3/chan",
+                multi2(chan(), 3),
+                [0xf3d72790f1aa143b, 18816, 2688, 0x6c63957e5911d6f0],
+            ),
+            (
+                "multi-mr2d x2/cyl",
+                multi2(cyl(), 2),
+                [0x6c6e934025b90ae2, 18480, 2640, 0xefffd9caf9abd3b8],
+            ),
+            (
+                "multi-mr3d x2/duct",
+                multi3,
+                [0x5d52602e657094ae, 71680, 10240, 0x920ab2645b887771],
+            ),
+        ];
+        for (what, got, want) in sharded {
+            assert_eq!(got, want, "{what}, {threads} thread(s)");
+        }
+    }
+}
