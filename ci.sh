@@ -11,6 +11,9 @@ cargo fmt --all -- --check
 echo "== cargo clippy (all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc (warnings are errors: a dangling intra-doc link fails the build)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== cargo build --release"
 cargo build --release --workspace
 

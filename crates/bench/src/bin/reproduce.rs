@@ -26,7 +26,7 @@
 use gpu_sim::efficiency::{bandwidth_fraction, modeled_bandwidth_gbps, Pattern};
 use gpu_sim::roofline::{bytes_per_flup_mr, bytes_per_flup_st, mflups_max_on};
 use gpu_sim::DeviceSpec;
-use lbm_bench::{figure_sizes, run_2d, run_3d, run_3d_q27, run_3d_q39_st, RunResult};
+use lbm_bench::{figure_sizes, run, run_3d_q39_st, RunResult};
 use lbm_gpu::footprint::footprint_table;
 use std::sync::Arc;
 
@@ -91,6 +91,7 @@ fn table1() {
 
 /// Measure B/F for every pattern/lattice on moderate domains.
 fn measure_all(quick: bool) -> Vec<RunResult> {
+    use lbm_lattice::{D2Q9, D3Q19};
     let (n2, s2) = if quick { ((96, 48), 2) } else { ((192, 96), 3) };
     let (n3, s3) = if quick {
         ((24, 16, 16), 2)
@@ -100,8 +101,13 @@ fn measure_all(quick: bool) -> Vec<RunResult> {
     let mut out = Vec::new();
     for pattern in PATTERNS {
         // B/F is device-independent; measure once, reuse for both devices.
-        out.push(run_2d(DeviceSpec::v100(), pattern, n2.0, n2.1, s2));
-        out.push(run_3d(DeviceSpec::v100(), pattern, n3.0, n3.1, n3.2, s3));
+        out.push(run::<D2Q9>(
+            DeviceSpec::v100(),
+            pattern,
+            (n2.0, n2.1, 1),
+            s2,
+        ));
+        out.push(run::<D3Q19>(DeviceSpec::v100(), pattern, n3, s3));
     }
     out
 }
@@ -294,28 +300,15 @@ fn speedups(results: &[RunResult]) {
 
 fn future_work(quick: bool) {
     println!("== §5 future work: D3Q27 through the same kernels ===================");
-    let (nx, ny, nz, steps) = if quick {
-        (16, 12, 12, 2)
+    let (dims, steps) = if quick {
+        ((16, 12, 12), 2)
     } else {
-        (32, 16, 16, 2)
+        ((32, 16, 16), 2)
     };
-    let st = run_3d_q27(DeviceSpec::v100(), Pattern::Standard, nx, ny, nz, steps);
-    let mrp = run_3d_q27(
-        DeviceSpec::v100(),
-        Pattern::MomentProjective,
-        nx,
-        ny,
-        nz,
-        steps,
-    );
-    let mrr = run_3d_q27(
-        DeviceSpec::v100(),
-        Pattern::MomentRecursive,
-        nx,
-        ny,
-        nz,
-        steps,
-    );
+    let q27 = |pattern| run::<lbm_lattice::D3Q27>(DeviceSpec::v100(), pattern, dims, steps);
+    let st = q27(Pattern::Standard);
+    let mrp = q27(Pattern::MomentProjective);
+    let mrr = q27(Pattern::MomentRecursive);
     println!(
         "measured B/F: ST {:.1} (model 2Q·8 = 432), MR-P {:.1} (2M·8 = 160), MR-R {:.1}",
         st.measured_bpf, mrp.measured_bpf, mrr.measured_bpf

@@ -15,8 +15,8 @@ use gpu_sim::efficiency::{modeled_mflups, Pattern};
 use gpu_sim::DeviceSpec;
 use lbm_core::collision::Bgk;
 use lbm_core::Geometry;
-use lbm_gpu::{AaStSim, MrScheme, MrSim2D, MrSim3D, StSim};
-use lbm_lattice::{D2Q9, D3Q19, D3Q27, D3Q39};
+use lbm_gpu::{AaStSim, MrScheme, MrSim, Sim, SoloBody, StSim};
+use lbm_lattice::{Lattice, D3Q39};
 
 /// Result of one harness run.
 #[derive(Clone, Debug)]
@@ -72,163 +72,54 @@ pub fn bench_geometry_3d(nx: usize, ny: usize, nz: usize) -> Geometry {
     g
 }
 
-/// Run a 2D configuration and collect its measurements.
-pub fn run_2d(
-    device: DeviceSpec,
-    pattern: Pattern,
-    nx: usize,
-    ny: usize,
+/// Measured B/F of `steps` steps of `sim` from `init`.
+fn bpf_of<B: SoloBody>(
+    mut sim: Sim<B>,
+    init: fn(usize, usize, usize) -> (f64, [f64; 3]),
     steps: usize,
-) -> RunResult {
-    let name = device.name;
-    let geom = bench_geometry_2d(nx, ny);
-    let fluid = geom.fluid_count();
-    let measured_bpf = match pattern {
-        Pattern::Standard => {
-            let mut sim: StSim<D2Q9, _> = StSim::new(device, geom, Bgk::new(TAU));
-            sim.init_with(shear_init_2d);
-            sim.run(steps);
-            sim.measured_bpf()
-        }
-        Pattern::StandardAa => {
-            let mut sim: AaStSim<D2Q9, _> = AaStSim::new(device, geom, Bgk::new(TAU));
-            sim.init_with(shear_init_2d);
-            sim.run(steps);
-            sim.measured_bpf()
-        }
-        Pattern::MomentProjective | Pattern::MomentRecursive => {
-            let scheme = if pattern == Pattern::MomentProjective {
-                MrScheme::projective()
-            } else {
-                MrScheme::recursive::<D2Q9>()
-            };
-            let mut sim: MrSim2D<D2Q9> = MrSim2D::new(device, geom, scheme, TAU);
-            sim.init_with(shear_init_2d);
-            sim.run(steps);
-            sim.measured_bpf()
-        }
-        Pattern::MomentTwist => {
-            let mut sim: MrSim2D<D2Q9> =
-                MrSim2D::new(device, geom, MrScheme::projective(), TAU).with_twist();
-            sim.init_with(shear_init_2d);
-            sim.run(steps);
-            sim.measured_bpf()
-        }
-    };
-    RunResult {
-        device: name,
-        pattern,
-        lattice: "D2Q9",
-        fluid_nodes: fluid,
-        steps,
-        measured_bpf,
-    }
+) -> f64 {
+    sim.init_with(init);
+    sim.run(steps);
+    sim.measured_bpf()
 }
 
-/// Run a 3D configuration and collect its measurements.
-pub fn run_3d(
+/// Run `pattern` on lattice `L` over the bulk-dominated benchmark domain of
+/// that dimension (`nz` is ignored in 2D) and collect its measurements.
+/// D3Q27 goes through the same kernels (paper §5 future work: "lattices
+/// with a large number of components, such as the single-speed D3Q27") and
+/// the MR advantage grows: 2Q·8 = 432 vs 2M·8 = 160 B/F.
+pub fn run<L: Lattice>(
     device: DeviceSpec,
     pattern: Pattern,
-    nx: usize,
-    ny: usize,
-    nz: usize,
+    (nx, ny, nz): (usize, usize, usize),
     steps: usize,
 ) -> RunResult {
     let name = device.name;
-    let geom = bench_geometry_3d(nx, ny, nz);
+    let (geom, init): (_, fn(usize, usize, usize) -> _) = if L::D == 2 {
+        (bench_geometry_2d(nx, ny), shear_init_2d)
+    } else {
+        (bench_geometry_3d(nx, ny, nz), shear_init_3d)
+    };
     let fluid = geom.fluid_count();
+    let bgk = Bgk::new(TAU);
+    let p = MrScheme::projective;
     let measured_bpf = match pattern {
-        Pattern::Standard => {
-            let mut sim: StSim<D3Q19, _> = StSim::new(device, geom, Bgk::new(TAU));
-            sim.init_with(shear_init_3d);
-            sim.run(steps);
-            sim.measured_bpf()
-        }
-        Pattern::StandardAa => {
-            let mut sim: AaStSim<D3Q19, _> = AaStSim::new(device, geom, Bgk::new(TAU));
-            sim.init_with(shear_init_3d);
-            sim.run(steps);
-            sim.measured_bpf()
-        }
-        Pattern::MomentProjective | Pattern::MomentRecursive => {
-            let scheme = if pattern == Pattern::MomentProjective {
-                MrScheme::projective()
-            } else {
-                MrScheme::recursive::<D3Q19>()
-            };
-            let mut sim: MrSim3D<D3Q19> = MrSim3D::new(device, geom, scheme, TAU);
-            sim.init_with(shear_init_3d);
-            sim.run(steps);
-            sim.measured_bpf()
+        Pattern::Standard => bpf_of(StSim::<L, _>::new(device, geom, bgk), init, steps),
+        Pattern::StandardAa => bpf_of(AaStSim::<L, _>::new(device, geom, bgk), init, steps),
+        Pattern::MomentProjective => bpf_of(MrSim::<L>::new(device, geom, p(), TAU), init, steps),
+        Pattern::MomentRecursive => {
+            let scheme = MrScheme::recursive::<L>();
+            bpf_of(MrSim::<L>::new(device, geom, scheme, TAU), init, steps)
         }
         Pattern::MomentTwist => {
-            let mut sim: MrSim3D<D3Q19> =
-                MrSim3D::new(device, geom, MrScheme::projective(), TAU).with_twist();
-            sim.init_with(shear_init_3d);
-            sim.run(steps);
-            sim.measured_bpf()
+            let sim = MrSim::<L>::new(device, geom, p(), TAU).with_twist();
+            bpf_of(sim, init, steps)
         }
     };
     RunResult {
         device: name,
         pattern,
-        lattice: "D3Q19",
-        fluid_nodes: fluid,
-        steps,
-        measured_bpf,
-    }
-}
-
-/// Run a 3D configuration on the D3Q27 lattice (paper §5 future work:
-/// "lattices with a large number of components, such as the single-speed
-/// D3Q27"). The MR advantage grows: 2Q·8 = 432 vs 2M·8 = 160 B/F.
-pub fn run_3d_q27(
-    device: DeviceSpec,
-    pattern: Pattern,
-    nx: usize,
-    ny: usize,
-    nz: usize,
-    steps: usize,
-) -> RunResult {
-    let name = device.name;
-    let geom = bench_geometry_3d(nx, ny, nz);
-    let fluid = geom.fluid_count();
-    let measured_bpf = match pattern {
-        Pattern::Standard => {
-            let mut sim: StSim<D3Q27, _> = StSim::new(device, geom, Bgk::new(TAU));
-            sim.init_with(shear_init_3d);
-            sim.run(steps);
-            sim.measured_bpf()
-        }
-        Pattern::StandardAa => {
-            let mut sim: AaStSim<D3Q27, _> = AaStSim::new(device, geom, Bgk::new(TAU));
-            sim.init_with(shear_init_3d);
-            sim.run(steps);
-            sim.measured_bpf()
-        }
-        Pattern::MomentProjective | Pattern::MomentRecursive => {
-            let scheme = if pattern == Pattern::MomentProjective {
-                MrScheme::projective()
-            } else {
-                MrScheme::recursive::<D3Q27>()
-            };
-            let mut sim: MrSim3D<D3Q27> = MrSim3D::new(device, geom, scheme, TAU);
-            sim.init_with(shear_init_3d);
-            sim.run(steps);
-            sim.measured_bpf()
-        }
-        Pattern::MomentTwist => {
-            let mut sim: MrSim3D<D3Q27> =
-                MrSim3D::new(device, geom, MrScheme::projective(), TAU).with_twist();
-            sim.init_with(shear_init_3d);
-            sim.run(steps);
-            sim.measured_bpf()
-        }
-    };
-    RunResult {
-        device: name,
-        pattern,
-        lattice: "D3Q27",
+        lattice: L::NAME,
         fluid_nodes: fluid,
         steps,
         measured_bpf,
@@ -276,13 +167,24 @@ pub fn row(cells: &[String], widths: &[usize]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lbm_lattice::{D2Q9, D3Q19};
 
     /// B/F is size-independent for the bulk-dominated domains (the whole
     /// point of measuring it at moderate size and extrapolating).
     #[test]
     fn bpf_is_size_independent_2d() {
-        let a = run_2d(DeviceSpec::v100(), Pattern::MomentProjective, 32, 16, 2);
-        let b = run_2d(DeviceSpec::v100(), Pattern::MomentProjective, 64, 32, 2);
+        let a = run::<D2Q9>(
+            DeviceSpec::v100(),
+            Pattern::MomentProjective,
+            (32, 16, 1),
+            2,
+        );
+        let b = run::<D2Q9>(
+            DeviceSpec::v100(),
+            Pattern::MomentProjective,
+            (64, 32, 1),
+            2,
+        );
         assert!(
             (a.measured_bpf - b.measured_bpf).abs() < 2.0,
             "{} vs {}",
@@ -293,17 +195,27 @@ mod tests {
 
     #[test]
     fn st_and_mr_bpf_match_table2() {
-        let st = run_2d(DeviceSpec::v100(), Pattern::Standard, 48, 24, 2);
+        let st = run::<D2Q9>(DeviceSpec::v100(), Pattern::Standard, (48, 24, 1), 2);
         assert!((st.measured_bpf - 144.0).abs() < 2.0, "{}", st.measured_bpf);
-        let mr = run_2d(DeviceSpec::v100(), Pattern::MomentProjective, 48, 24, 2);
+        let mr = run::<D2Q9>(
+            DeviceSpec::v100(),
+            Pattern::MomentProjective,
+            (48, 24, 1),
+            2,
+        );
         assert!((mr.measured_bpf - 96.0).abs() < 2.0, "{}", mr.measured_bpf);
-        let st3 = run_3d(DeviceSpec::mi100(), Pattern::Standard, 16, 12, 12, 2);
+        let st3 = run::<D3Q19>(DeviceSpec::mi100(), Pattern::Standard, (16, 12, 12), 2);
         assert!(
             (st3.measured_bpf - 304.0).abs() < 3.0,
             "{}",
             st3.measured_bpf
         );
-        let mr3 = run_3d(DeviceSpec::mi100(), Pattern::MomentRecursive, 16, 12, 12, 2);
+        let mr3 = run::<D3Q19>(
+            DeviceSpec::mi100(),
+            Pattern::MomentRecursive,
+            (16, 12, 12),
+            2,
+        );
         assert!(
             (mr3.measured_bpf - 160.0).abs() < 4.0,
             "{}",
@@ -315,17 +227,17 @@ mod tests {
     /// halves, traffic does not.
     #[test]
     fn aa_and_twist_bpf_match_table2() {
-        let aa = run_2d(DeviceSpec::v100(), Pattern::StandardAa, 48, 24, 2);
+        let aa = run::<D2Q9>(DeviceSpec::v100(), Pattern::StandardAa, (48, 24, 1), 2);
         assert!((aa.measured_bpf - 144.0).abs() < 2.0, "{}", aa.measured_bpf);
-        let tw = run_2d(DeviceSpec::v100(), Pattern::MomentTwist, 48, 24, 2);
+        let tw = run::<D2Q9>(DeviceSpec::v100(), Pattern::MomentTwist, (48, 24, 1), 2);
         assert!((tw.measured_bpf - 96.0).abs() < 2.0, "{}", tw.measured_bpf);
-        let aa3 = run_3d(DeviceSpec::mi100(), Pattern::StandardAa, 16, 12, 12, 2);
+        let aa3 = run::<D3Q19>(DeviceSpec::mi100(), Pattern::StandardAa, (16, 12, 12), 2);
         assert!(
             (aa3.measured_bpf - 304.0).abs() < 3.0,
             "{}",
             aa3.measured_bpf
         );
-        let tw3 = run_3d(DeviceSpec::mi100(), Pattern::MomentTwist, 16, 12, 12, 2);
+        let tw3 = run::<D3Q19>(DeviceSpec::mi100(), Pattern::MomentTwist, (16, 12, 12), 2);
         assert!(
             (tw3.measured_bpf - 160.0).abs() < 4.0,
             "{}",
@@ -338,8 +250,8 @@ mod tests {
     #[test]
     fn modeled_speedups_from_measured_bpf() {
         let v100 = DeviceSpec::v100();
-        let st = run_2d(v100.clone(), Pattern::Standard, 48, 24, 2);
-        let mr = run_2d(v100.clone(), Pattern::MomentProjective, 48, 24, 2);
+        let st = run::<D2Q9>(v100.clone(), Pattern::Standard, (48, 24, 1), 2);
+        let mr = run::<D2Q9>(v100.clone(), Pattern::MomentProjective, (48, 24, 1), 2);
         let n = 16_000_000;
         let speedup = mr.modeled_mflups(&v100, n) / st.modeled_mflups(&v100, n);
         assert!((speedup - 1.32).abs() < 0.06, "2D V100 speedup {speedup}");

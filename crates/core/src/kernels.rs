@@ -123,15 +123,6 @@ pub fn aa_slot<L: Lattice>(parity: u64, i: usize) -> usize {
     }
 }
 
-/// Direction indices whose y velocity component equals `cy`. A column
-/// kernel's y-halo row only ever stores the directions pointing into the
-/// footprint (`cy = +1` below it, `cy = −1` above it): every other
-/// direction fails the footprint test or the `src_in_col` bounce-back
-/// guard, so restricting the reconstruction to this set is bitwise-neutral.
-pub fn dirs_with_cy<L: Lattice>(cy: i32) -> Vec<usize> {
-    (0..L::Q).filter(|&i| L::C[i][1] == cy).collect()
-}
-
 /// Load `LANES` nodes' moments from SoA rows (`moms[m*len + j]`) into lane
 /// arrays, mapping storage Π slots to canonical [`PAIRS`] slots. Full
 /// chunks copy contiguous row slices; ragged tails clamp to the last valid
@@ -582,7 +573,8 @@ mod tests {
         let (moms, _) = soa_states::<L>(n);
         let basis = HigherBasis::new::<L>();
         let all = dirs_all::<L>();
-        let up = dirs_with_cy::<L>(1);
+        // What a column kernel's lower y-halo row reconstructs.
+        let up: Vec<usize> = (0..L::Q).filter(|&i| L::C[i][1] == 1).collect();
         assert_eq!(up.len(), 5);
         let mut full = [[0.0f64; LANES]; MAX_Q];
         let mut masked = [[7.5f64; LANES]; MAX_Q];

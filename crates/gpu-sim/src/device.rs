@@ -85,7 +85,7 @@ impl DeviceSpec {
     }
 
     /// An NVIDIA A100 (SXM, 80 GB) — one of the "emerging GPU
-    /// architectures [with] significantly larger cache sizes" the paper's
+    /// architectures \[with\] significantly larger cache sizes" the paper's
     /// §5 expects to favor the moment representation (40 MB L2 vs the
     /// V100's 6 MB). No efficiency calibration exists for it (the paper
     /// measured only V100/MI100); use it for roofline projections.

@@ -2,23 +2,25 @@
 //!
 //! * [`st`] — the **standard distribution representation** (Algorithm 1):
 //!   two full lattices, SoA layout, pull scheme, one thread per node.
-//! * [`mr2d`] / [`mr3d`] — the **moment representation** (Algorithm 2): one
-//!   moment lattice in global memory, column decomposition with per-column
-//!   thread blocks, collision in moment space, mapping to distribution space
+//! * [`mr`] — the **moment representation** (Algorithm 2): one moment
+//!   lattice in global memory, column decomposition with per-column thread
+//!   blocks, collision in moment space, mapping to distribution space
 //!   inside shared memory for exact streaming, sliding-window tiles with a
 //!   two-layer write lag, and in-place global updates protected by circular
-//!   array time shifting ([`moment_lattice`]). The collision kernel is
-//!   either projective (**MR-P**) or recursive (**MR-R**) regularization
-//!   ([`scheme`]).
+//!   array time shifting ([`moment_lattice`]). One column walker serves
+//!   every dimension: a 2D domain is the one-row-deep case of the 3D walk
+//!   frame. The collision kernel is either projective (**MR-P**) or
+//!   recursive (**MR-R**) regularization ([`scheme`]).
 //! * [`aa`] — the in-place AA-pattern ST variant; [`sparse`] /
 //!   [`sparse_mr`] — the fluid-compacted (indirect-addressing) ST and MR.
-//! * [`driver`] — the chassis all six drivers share: a [`DriverCore`]
+//! * [`driver`] — the chassis every driver shares: a [`DriverCore`]
 //!   (step counter, tally, obs hub, monitor, checkpoint envelope), the
 //!   [`DriverBody`] a pattern implements, and the generic host [`Sim`] that
 //!   carries every common builder/accessor and the one `Simulation` impl.
-//!   `StSim`, `AaStSim`, `MrSim2D`, `MrSim3D`, `StSparseSim` and
-//!   `SparseMrSim` are aliases of `Sim<body>`; each pattern module keeps
-//!   its storage, kernels, constructors and own switches.
+//!   `StSim`, `AaStSim`, `MrSim` (also named `MrSim2D` / `MrSim3D`),
+//!   `StSparseSim` and `SparseMrSim` are aliases of `Sim<body>`; each
+//!   pattern module keeps its storage, kernels, constructors and own
+//!   switches.
 //! * [`boundary`] — the finite-difference inlet/outlet kernels for both
 //!   representations.
 //! * [`footprint`] — device-memory footprint accounting (§4.1's 35 % / 47 %
@@ -37,8 +39,7 @@ pub mod boundary;
 pub mod driver;
 pub mod footprint;
 pub mod moment_lattice;
-pub mod mr2d;
-pub mod mr3d;
+pub mod mr;
 pub mod scheme;
 pub mod sparse;
 pub mod sparse_mr;
@@ -47,8 +48,7 @@ pub mod st;
 pub use aa::{launch_aa_collide_span, launch_aa_stream_span, AaStSim};
 pub use driver::{DriverBody, DriverCore, Sim, SoloBody};
 pub use moment_lattice::MomentLattice;
-pub use mr2d::{launch_mr2d_columns, launch_mr_bc, MrSim2D};
-pub use mr3d::{launch_mr3d_columns, MrSim3D};
+pub use mr::{launch_mr_bc, launch_mr_columns, MrSim, MrSim2D, MrSim3D};
 pub use scheme::MrScheme;
 pub use sparse::{launch_sparse_st, FluidIndex, SparseBuildError, StSparseSim};
 pub use sparse_mr::{launch_sparse_mr, SparseMrSim, SparseMrSim2D, SparseMrSim3D};

@@ -1,0 +1,1706 @@
+//! The moment-representation kernel — Algorithm 2 of the paper, one column
+//! walker for every dimension.
+//!
+//! The plane across the walk axis is decomposed into rectangular *column*
+//! footprints `wx × wy`, one thread block per column with a one-node halo
+//! (Figure 1). Each column is processed bottom-up in tiles of `tile_h`
+//! layers; per tile the block
+//!
+//! 1. reads the moments `{ρ, u, Π}` of the tile layers **and the halo**
+//!    from global memory (halo re-reads hit the modeled L2, so the DRAM
+//!    traffic stays at `M` doubles per node),
+//! 2. performs collision in moment space (eq. 10; for MR-R also the
+//!    recursive higher-order coefficients, eqs. 12–13),
+//! 3. maps to distribution space (eq. 11 / 14) and *streams by scatter*
+//!    into a shared-memory sliding window of `tile_h + 2` layers, resolving
+//!    wall bounce-back on the fly; populations leaving the column are not
+//!    stored — the neighbor column computes them from its own halo,
+//! 4. after the implicit block barrier, recomputes the moments of the
+//!    layers that just became complete (the two-layer write lag) and writes
+//!    them back to global memory at the circularly shifted slot for `t + 1`.
+//!
+//! The in-place global update is protected by the downward circular shift
+//! (see [`crate::moment_lattice`]); under the substrate's lockstep tile
+//! phases the strict race checker proves no old value is clobbered before
+//! its last read.
+//!
+//! # Walk frame
+//!
+//! The walker sees every domain as a frame `(nx, nfy, nw)`: footprints tile
+//! the `nx × nfy` plane and blocks walk the `nw` axis. A 3D lattice maps
+//! `(nx, ny, nz)` onto it; a 2D lattice is its `nfy = 1` case `(nx, 1, ny)`
+//! with direction `i` split as `(C[i][0], 0, C[i][1])`, and the linear index
+//! `x + nx·(fy + nfy·w)` is [`Geometry::idx`] either way. With `nfy = 1`
+//! the y-halo rows fall outside `[0, nfy)` and are skipped, and the shared
+//! slot `((xl·wy + yl)·win + w mod win)·Q + i` is the 2D column slot: the
+//! 2D kernel is the 3D kernel, not a copy. `L::D` is a constant, so each
+//! such branch folds away per lattice (DESIGN.md, "Walk frame").
+//!
+//! Tiles default to a single layer — the paper notes (§3.2) that taller 3D
+//! tiles "consistently underperform those that are a single lattice point
+//! high" — but the height stays a parameter of the one walker.
+
+use crate::boundary::{boundary_nodes, bulk_mask, stencil_coords, MacroCache};
+use crate::driver::{DriverBody, DriverCore, Fields, Frame, Sim, SoloBody};
+use crate::moment_lattice::MomentLattice;
+use crate::scheme::MrScheme;
+use gpu_sim::exec::{BlockCtx, Kernel, Launch, LaunchStats, PhasedKernel};
+use gpu_sim::{DeviceSpec, FaultPlan, Gpu};
+use lbm_core::boundary::boundary_node_moments;
+use lbm_core::geometry::{Geometry, NodeType};
+use lbm_core::kernels::{self, KernelConsts, LaneBlock, LANES, MAX_M, MAX_Q};
+use lbm_lattice::moments::Moments;
+use lbm_lattice::Lattice;
+use std::marker::PhantomData;
+use std::sync::Arc;
+
+/// The walk frame `(nx, nfy, nw)` of a domain (see the module docs).
+pub fn walk_frame<L: Lattice>(geom: &Geometry) -> (usize, usize, usize) {
+    if L::D == 3 {
+        (geom.nx, geom.ny, geom.nz)
+    } else {
+        (geom.nx, 1, geom.ny)
+    }
+}
+
+/// Direction `i` along the frame axes: `(cx, c_fy, c_walk)`.
+#[inline(always)]
+fn frame_dir<L: Lattice>(i: usize) -> (i64, i64, i64) {
+    let c = L::C[i];
+    if L::D == 3 {
+        (c[0] as i64, c[1] as i64, c[2] as i64)
+    } else {
+        (c[0] as i64, 0, c[1] as i64)
+    }
+}
+
+/// Pick the largest column width ≤ `max` that divides `nx`.
+fn pick_column_width(nx: usize, max: usize) -> usize {
+    for w in (1..=max.min(nx)).rev() {
+        if nx.is_multiple_of(w) {
+            return w;
+        }
+    }
+    1
+}
+
+/// Choose the column footprint that minimizes vectorized collide work.
+///
+/// Each halo-extended row of `wx + 2` nodes is processed in `LANES`-node
+/// chunks (tail lanes replicate, so a partial chunk costs as much as a
+/// full one), and a block collides `wy + 2` such rows per layer to own
+/// `wx × wy` nodes. The lane-slot redundancy is therefore
+/// `ceil((wx+2)/LANES)·LANES·(wy+2) / (wx·wy)`, which this searches over
+/// all divisor pairs subject to the device's shared-memory window
+/// (`wx·wy·(tile_h+2)·Q` doubles) and thread-block capacity
+/// (`(wx+2)(wy+2)·tile_h`). Pass `0` for a coordinate to let it float, or a
+/// fixed divisor to pin it.
+fn pick_column_footprint<L: Lattice>(
+    device: &DeviceSpec,
+    nx: usize,
+    ny: usize,
+    tile_h: usize,
+    fix_wx: usize,
+    fix_wy: usize,
+) -> (usize, usize) {
+    let divisors = |n: usize, fixed: usize| -> Vec<usize> {
+        if fixed != 0 {
+            vec![fixed]
+        } else {
+            (1..=n).filter(|w| n.is_multiple_of(*w)).collect()
+        }
+    };
+    let mut best = (1usize, 1usize);
+    let mut best_cost = f64::INFINITY;
+    for &wx in &divisors(nx, fix_wx) {
+        for &wy in &divisors(ny, fix_wy) {
+            if wx * wy * (tile_h + 2) * L::Q * 8 > device.shared_mem_per_sm {
+                continue;
+            }
+            if (wx + 2) * (wy + 2) * tile_h > device.max_threads_per_block {
+                continue;
+            }
+            let cost = lane_redundancy(wx, wy);
+            // Tie-break toward larger blocks: fewer columns amortize the
+            // per-block sliding-window setup.
+            if cost < best_cost - 1e-12 || (cost < best_cost + 1e-12 && wx * wy > best.0 * best.1) {
+                best = (wx, wy);
+                best_cost = cost;
+            }
+        }
+    }
+    best
+}
+
+/// The column footprint `(wx, wy)` for a `width`-wide slab of a domain
+/// whose frame is `nfy` deep; `0` lets a coordinate float, anything else
+/// pins it. The two pickers encode different constraints (2D: the widest
+/// divisor of `width` up to 32; 3D: least lane redundancy that fits the
+/// device), and the footprint decides how often a halo cell is re-read, so
+/// changing either would move the recorded `reads` / `l2_read_hits`.
+pub fn auto_footprint<L: Lattice>(
+    device: &DeviceSpec,
+    width: usize,
+    nfy: usize,
+    tile_h: usize,
+    wx: usize,
+    wy: usize,
+) -> (usize, usize) {
+    if L::D == 3 {
+        pick_column_footprint::<L>(device, width, nfy, tile_h, wx, wy)
+    } else {
+        let wx = if wx == 0 {
+            pick_column_width(width, 32)
+        } else {
+            wx
+        };
+        (wx, wy.max(1))
+    }
+}
+
+/// Lane-slot redundancy of a `wx × wy` 3D column footprint: vectorized
+/// collide slots spent per owned node. This is the cost the 3D picker
+/// minimizes; the driver gauges the chosen value into obs so bench records
+/// expose when a degenerate domain (e.g. `ny < LANES`) forces a redundant
+/// footprint instead of silently eating the slowdown. It counts the y-halo
+/// rows, which a 2D footprint does not have.
+pub fn lane_redundancy(wx: usize, wy: usize) -> f64 {
+    let chunks = (wx + 2).div_ceil(LANES);
+    (chunks * LANES * (wy + 2)) as f64 / (wx * wy) as f64
+}
+
+/// x-categories of a lane in a halo-extended row: left halo, left edge,
+/// interior, right edge, right halo.
+const XCATS: usize = 5;
+
+/// Masked fast-scatter lists of one (footprint row, window layer) pair.
+///
+/// A bulk node has every neighbor in-domain and fluid (and sits away from
+/// the periodic x faces), so [`MrKernel::scatter_node`] reduces to "store
+/// `f*[i]` at `base(x) + off[i]` iff the destination lies inside the shared
+/// window". Window membership per direction depends only on the row
+/// (`yl + c_fy` in the owned rows) and the lane's x-category, and the
+/// offset only on those and the layer modulo the window height: one
+/// `(dir, offset)` list per category, with its offset range.
+struct ScatterTable {
+    list: [[(usize, i64); MAX_Q]; XCATS],
+    len: [usize; XCATS],
+    min: [i64; XCATS],
+    max: [i64; XCATS],
+}
+
+/// How a column block walks a domain: footprint, tile height, and what
+/// follows from them and the geometry alone — the directions each
+/// footprint row can store, the fast-scatter tables and the nodes that may
+/// use them. Built once per driver (or shard) and borrowed by every launch.
+pub struct ColumnWalk {
+    wx: usize,
+    wy: usize,
+    tile_h: usize,
+    /// Interior fast-scatter eligibility per node (see
+    /// [`crate::boundary::bulk_mask`]).
+    bulk: Vec<bool>,
+    /// Directions a row stores into the footprint, as an index list (what
+    /// the collide kernels reconstruct) and a bit mask (what the reference
+    /// scatter visits): the halo row below, the owned rows, the halo row
+    /// above. A halo row only reaches the footprint through the directions
+    /// pointing at it (every other one fails the footprint test or the
+    /// `src_in_col` bounce-back guard), so restricting its reconstruction
+    /// is bitwise-neutral.
+    rows: [(Vec<usize>, u64); 3],
+    /// Indexed `(yi + 1)·win + w mod win` for footprint row `yi ∈ −1..=wy`.
+    tables: Vec<ScatterTable>,
+}
+
+impl ColumnWalk {
+    /// The walk of `wx × wy` columns over `geom` in tiles of `tile_h`
+    /// layers.
+    pub fn new<L: Lattice>(geom: &Geometry, wx: usize, wy: usize, tile_h: usize) -> Self {
+        assert!(wx >= 1 && wy >= 1 && tile_h >= 1, "empty column tile");
+        const { assert!(L::Q <= 64, "direction masks are u64") };
+        let row_dirs = |c_fy: Option<i64>| {
+            let dirs: Vec<usize> = (0..L::Q)
+                .filter(|&i| c_fy.is_none_or(|c| frame_dir::<L>(i).1 == c))
+                .collect();
+            let mask = dirs.iter().fold(0u64, |m, &i| m | 1 << i);
+            (dirs, mask)
+        };
+        let rows = [row_dirs(Some(1)), row_dirs(None), row_dirs(Some(-1))];
+        let win = tile_h + 2;
+        let cell = win * L::Q; // shared doubles per (x, y) cell
+        let mut tables = Vec::with_capacity((wy + 2) * win);
+        for yi in -1..=wy as i64 {
+            let (dirs, _) = &rows[Self::row_kind(wy, yi)];
+            for wl in 0..win as i64 {
+                let mut t = ScatterTable {
+                    list: [[(0, 0); MAX_Q]; XCATS],
+                    len: [0; XCATS],
+                    min: [i64::MAX; XCATS],
+                    max: [i64::MIN; XCATS],
+                };
+                for &i in dirs {
+                    let (cx, cy, cw) = frame_dir::<L>(i);
+                    let ydl = yi + cy;
+                    if ydl < 0 || ydl >= wy as i64 {
+                        continue; // dest row outside the window: dropped
+                    }
+                    let off = cx * (wy * cell) as i64
+                        + ydl * cell as i64
+                        + (wl + cw).rem_euclid(win as i64) * L::Q as i64
+                        + i as i64;
+                    let ok = [cx == 1, cx >= 0, true, cx <= 0, cx == -1];
+                    for (cat, &k) in ok.iter().enumerate() {
+                        if k {
+                            t.list[cat][t.len[cat]] = (i, off);
+                            t.len[cat] += 1;
+                            t.min[cat] = t.min[cat].min(off);
+                            t.max[cat] = t.max[cat].max(off);
+                        }
+                    }
+                }
+                tables.push(t);
+            }
+        }
+        ColumnWalk {
+            wx,
+            wy,
+            tile_h,
+            bulk: bulk_mask::<L>(geom),
+            rows,
+            tables,
+        }
+    }
+
+    /// Which of `rows` footprint row `yi` is: 0 below the footprint, 1
+    /// inside it, 2 above.
+    #[inline(always)]
+    fn row_kind(wy: usize, yi: i64) -> usize {
+        (yi >= 0) as usize + (yi >= wy as i64) as usize
+    }
+}
+
+/// One x row of a block's halo-extended footprint at one layer — what is
+/// constant along the row, hoisted out of the lane loops.
+struct Row {
+    /// Column footprint origin.
+    x0: usize,
+    y0: usize,
+    /// Footprint row, `−1..=wy` (the ends are the y-halo rows).
+    yi: i64,
+    /// Its frame coordinates.
+    fy: usize,
+    w: usize,
+    /// Window slots (`mod win`) of layers `w − 1`, `w`, `w + 1`.
+    wl: [usize; 3],
+}
+
+struct MrKernel<'a, L: Lattice> {
+    /// Moment lattice read at time `t` (equal to `mom_out` for the in-place
+    /// circular-shift variant).
+    mom_in: &'a MomentLattice,
+    /// Moment lattice written at time `t + 1`.
+    mom_out: &'a MomentLattice,
+    geom: &'a Geometry,
+    scheme: &'a MrScheme,
+    consts: &'a KernelConsts,
+    t: u64,
+    walk: &'a ColumnWalk,
+    /// Column footprint origins: block `b` processes
+    /// `[cols[b].0, cols[b].0 + wx) × [cols[b].1, cols[b].1 + wy)` for all
+    /// tiles. The single-device driver passes every column; the
+    /// multi-device drivers pass owned subsets (boundary strips vs
+    /// interior).
+    cols: &'a [(usize, usize)],
+    _l: PhantomData<L>,
+}
+
+impl<L: Lattice> PhasedKernel for MrKernel<'_, L> {
+    fn name(&self) -> &str {
+        match (L::D, self.scheme) {
+            (2, MrScheme::Projective) => "mr2d-p",
+            (2, MrScheme::Recursive(_)) => "mr2d-r",
+            (_, MrScheme::Projective) => "mr3d-p",
+            (_, MrScheme::Recursive(_)) => "mr3d-r",
+        }
+    }
+
+    fn phases(&self) -> usize {
+        walk_frame::<L>(self.geom).2 / self.walk.tile_h
+    }
+
+    fn run_phase(&self, k: usize, ctx: &mut BlockCtx) {
+        let (nx, nfy, _) = walk_frame::<L>(self.geom);
+        let (wx, wy, h) = (self.walk.wx, self.walk.wy, self.walk.tile_h);
+        let win = h + 2;
+        let (x0, y0) = self.cols[ctx.block_id];
+        let (x_lo, x_hi) = (x0 as i64, (x0 + wx) as i64 - 1);
+        let w_lo = k * h;
+
+        // --- Collide the tile's layers of the column + full rectangular ---
+        // --- halo, stream into the shared window.                       ---
+        // Per x row of the halo-extended footprint, maximal segments of
+        // consecutive-index fluid nodes stage their `t`-moments through row
+        // spans before the per-node collide + scatter.
+        for w in w_lo..w_lo + h {
+            for yi in -1..=(wy as i64) {
+                let ys = y0 as i64 + yi;
+                if ys < 0 || ys >= nfy as i64 {
+                    continue; // wall-terminated y faces
+                }
+                let row = Row {
+                    x0,
+                    y0,
+                    yi,
+                    fy: ys as usize,
+                    w,
+                    wl: [(w + win - 1) % win, w % win, (w + 1) % win],
+                };
+                let row0 = nx * (row.fy + nfy * w);
+                self.for_each_run(row0, x_lo - 1, x_hi + 1, |x, idx, len| {
+                    self.collide_segment(ctx, &row, x, idx, len)
+                });
+            }
+        }
+
+        // --- Finalize the layers completed by this tile (two-layer lag): ---
+        // --- layers [k·h − 1, k·h + h − 2] have received every          ---
+        // --- population.                                                ---
+        for wf in w_lo.saturating_sub(1)..w_lo + h - 1 {
+            for yl in 0..wy {
+                let row0 = nx * (y0 + yl + nfy * wf);
+                self.for_each_run(row0, x_lo, x_hi, |x, idx, len| {
+                    // Shared slot of the run's first node, direction 0.
+                    let slot0 = (((x - x0) * wy + yl) * win + wf % win) * L::Q;
+                    self.finalize_run(ctx, slot0, idx, len)
+                });
+            }
+        }
+    }
+}
+
+impl<L: Lattice> MrKernel<'_, L> {
+    /// Call `f(x, idx, len)` for every maximal run of consecutive-index
+    /// fluid nodes among frame x `lo..=hi` of the row whose `x = 0` node
+    /// has index `row0`. Runs break at solids, non-periodic edges, and
+    /// periodic-x wraps (where `idx` jumps).
+    fn for_each_run(&self, row0: usize, lo: i64, hi: i64, mut f: impl FnMut(usize, usize, usize)) {
+        let fluid_at = |xs: i64| {
+            let x = self.wrap_x(xs)?;
+            (!self.geom.node_at(row0 + x).is_solid()).then_some((x, row0 + x))
+        };
+        let mut xi = lo;
+        while xi <= hi {
+            let Some((x, idx)) = fluid_at(xi) else {
+                xi += 1;
+                continue;
+            };
+            let mut len = 1;
+            while xi + len as i64 <= hi && fluid_at(xi + len as i64) == Some((x + len, idx + len)) {
+                len += 1;
+            }
+            f(x, idx, len);
+            xi += len as i64;
+        }
+    }
+
+    /// Recompute the moments of a completed run of `len` owned nodes from
+    /// the shared window (first node's populations at `slot0`, one node per
+    /// `wy·win·Q` doubles), staged plane-major in scratch and flushed to
+    /// time `t + 1` through row spans.
+    fn finalize_run(&self, ctx: &mut BlockCtx, slot0: usize, idx: usize, len: usize) {
+        let stride = self.walk.wy * (self.walk.tile_h + 2) * L::Q;
+        if self.consts.scalar {
+            let mut flat = [0.0f64; MAX_M];
+            for j in 0..len {
+                let base = slot0 + j * stride;
+                let mnew = Moments::from_f::<L>(&ctx.shared()[base..base + L::Q]);
+                mnew.pack::<L>(&mut flat[..L::M]);
+                let scratch = ctx.scratch();
+                for m in 0..L::M {
+                    scratch[m * len + j] = flat[m];
+                }
+            }
+        } else {
+            // Fused from_f + pack over LANES-node chunks, writing the SoA
+            // scratch rows directly (tail lanes replicate the run's last
+            // node).
+            let mut fl: LaneBlock = [[0.0f64; LANES]; MAX_Q];
+            for j0 in (0..len).step_by(LANES) {
+                let cnt = LANES.min(len - j0);
+                let shm = ctx.shared();
+                for l in 0..LANES {
+                    let base = slot0 + (j0 + l.min(cnt - 1)) * stride;
+                    // A node's Q slots are contiguous; the fixed-length
+                    // reslice lets the compiler drop the per-direction
+                    // bounds checks.
+                    let src = &shm[base..base + L::Q];
+                    for (i, &v) in src.iter().enumerate() {
+                        fl[i][l] = v;
+                    }
+                }
+                kernels::moments_from_f_lanes::<L>(&fl[..L::Q], ctx.scratch(), len, j0);
+            }
+        }
+        self.mom_out
+            .write_row_from_scratch(ctx, self.t + 1, idx, len, 0);
+    }
+
+    /// Frame x `xs` as an in-domain x: wrapped on a periodic x axis, `None`
+    /// past a non-periodic x face (the inlet/outlet kernel owns what
+    /// crosses it).
+    #[inline(always)]
+    fn wrap_x(&self, xs: i64) -> Option<usize> {
+        let nx = self.geom.nx as i64;
+        if (0..nx).contains(&xs) {
+            Some(xs as usize)
+        } else {
+            self.geom.periodic[0].then(|| xs.rem_euclid(nx) as usize)
+        }
+    }
+
+    /// Collide + scatter one maximal segment of consecutive-index fluid
+    /// nodes of `row`: the segment's `t`-moments are staged through row
+    /// spans, then each node is collided and streamed into the block's
+    /// shared window exactly as the element-wise path did.
+    fn collide_segment(
+        &self,
+        ctx: &mut BlockCtx,
+        row: &Row,
+        x_first: usize,
+        idx0: usize,
+        len: usize,
+    ) {
+        let (wx, wy, win) = (self.walk.wx, self.walk.wy, self.walk.tile_h + 2);
+        self.mom_in.read_row_to_scratch(ctx, self.t, idx0, len, 0);
+        if self.consts.scalar {
+            // Scalar oracle: the original node-at-a-time unpack → collide →
+            // map chain with its strided scratch gather, every direction
+            // offered to the reference scatter.
+            let all = self.walk.rows[1].1;
+            let mut f_star = [0.0f64; MAX_Q];
+            let mut flat = [0.0f64; MAX_M];
+            for j in 0..len {
+                {
+                    let scratch = ctx.scratch();
+                    for m in 0..L::M {
+                        flat[m] = scratch[m * len + j];
+                    }
+                }
+                let m = Moments::unpack::<L>(&flat[..L::M]);
+                self.scheme
+                    .collide_and_map::<L>(&m, self.consts.tau, &mut f_star[..L::Q]);
+                self.scatter_node(ctx, row, x_first + j, |i| f_star[i], all);
+            }
+            return;
+        }
+        // Chunked unpack + collide + reconstruct straight off the SoA
+        // scratch rows (no strided per-node gather). Bulk nodes take the
+        // branchless masked scatter of their row's `ScatterTable`: the
+        // per-direction geometry lookups, bounds checks, and modulo are
+        // all in the table, and a single range assert stands in for the
+        // per-store bounds checks. Slow lanes (boundary-adjacent nodes,
+        // periodic wraps) fall back to the reference scatter, which writes
+        // the same slots.
+        let (dirs, mask) = &self.walk.rows[ColumnWalk::row_kind(wy, row.yi)];
+        let tab = &self.walk.tables[(row.yi + 1) as usize * win + row.wl[1]];
+        let (cell, omega) = (win * L::Q, self.consts.omega);
+        let mut fs: LaneBlock = [[0.0f64; LANES]; MAX_Q];
+        for j0 in (0..len).step_by(LANES) {
+            self.scheme
+                .collide_chunk::<L>(ctx.scratch(), len, j0, omega, dirs, &mut fs);
+            let cnt = LANES.min(len - j0);
+            for l in 0..cnt {
+                let x = x_first + j0 + l;
+                let xl = x as i64 - row.x0 as i64;
+                // Below three columns the edge categories coincide.
+                if wx >= 3 && (-1..=wx as i64).contains(&xl) && self.walk.bulk[idx0 + j0 + l] {
+                    let cat = match xl {
+                        -1 => 0,
+                        0 => 1,
+                        v if v == wx as i64 - 1 => 3,
+                        v if v == wx as i64 => 4,
+                        _ => 2,
+                    };
+                    let n = tab.len[cat];
+                    if n > 0 {
+                        let base = xl * (wy * cell) as i64;
+                        let shm = ctx.shared();
+                        // One range check covers the whole masked list.
+                        assert!(
+                            base + tab.min[cat] >= 0
+                                && ((base + tab.max[cat]) as usize) < shm.len(),
+                            "fast scatter out of the shared window"
+                        );
+                        for &(i, o) in &tab.list[cat][..n] {
+                            debug_assert!(((base + o) as usize) < shm.len());
+                            // SAFETY: every offset of the list satisfies
+                            // `tab.min[cat] ≤ o ≤ tab.max[cat]` (the table
+                            // builder folds each into both bounds), and the
+                            // assert above puts `base + min ≥ 0` and
+                            // `base + max < shm.len()`, so `base + o`
+                            // indexes inside `shm`.
+                            unsafe {
+                                *shm.get_unchecked_mut((base + o) as usize) = fs[i][l];
+                            }
+                        }
+                    }
+                } else {
+                    self.scatter_node(ctx, row, x, |i| fs[i][l], *mask);
+                }
+            }
+        }
+    }
+
+    /// Stream the populations in `mask` of one collided node of `row` into
+    /// the block's shared window (push form, halfway bounce-back at solids;
+    /// shared slot: `((xl·wy + yl)·win + w mod win)·Q + dir`) — shared
+    /// verbatim by the scalar and vectorized collide paths.
+    #[inline]
+    fn scatter_node(
+        &self,
+        ctx: &mut BlockCtx,
+        row: &Row,
+        x: usize,
+        f_star: impl Fn(usize) -> f64,
+        mask: u64,
+    ) {
+        let (nx, nfy, nw) = walk_frame::<L>(self.geom);
+        let (wx, wy, win) = (self.walk.wx, self.walk.wy, self.walk.tile_h + 2);
+        let &Row { x0, y0, fy, w, .. } = row;
+        // `cw` selects the window slot of the destination layer.
+        let sh = |xl: usize, yl: usize, cw: i64, i: usize| {
+            ((xl * wy + yl) * win + row.wl[(cw + 1) as usize]) * L::Q + i
+        };
+        let src_in_col = x >= x0 && x < x0 + wx && fy >= y0 && fy < y0 + wy;
+        // Constant trip count: the compiler unrolls over `Q` and a halo
+        // row's absent directions cost one bit test each.
+        for i in 0..L::Q {
+            if mask >> i & 1 == 0 {
+                continue;
+            }
+            let (cx, cy, cw) = frame_dir::<L>(i);
+            let (yd, wd) = (fy as i64 + cy, w as i64 + cw);
+            let Some(xd) = self.wrap_x(x as i64 + cx) else {
+                continue; // leaves through an x face
+            };
+            if yd < 0 || yd >= nfy as i64 || wd < 0 || wd >= nw as i64 {
+                continue; // beyond wall-terminated faces
+            }
+            let (yd, wd) = (yd as usize, wd as usize);
+            let dest = self.geom.node_at(xd + nx * (yd + nfy * wd));
+            if dest.is_solid() {
+                // Halfway bounce-back: the population returns to its
+                // source node in the opposite direction (push form).
+                if src_in_col {
+                    let gain = match dest {
+                        NodeType::MovingWall(uw) => self.consts.gains.gain(L::OPP[i], uw),
+                        _ => 0.0,
+                    };
+                    let slot = sh(x - x0, fy - y0, 0, L::OPP[i]);
+                    ctx.shared()[slot] = f_star(i) + gain;
+                }
+                continue;
+            }
+            if xd >= x0 && xd < x0 + wx && yd >= y0 && yd < y0 + wy {
+                let slot = sh(xd - x0, yd - y0, cw, i);
+                ctx.shared()[slot] = f_star(i);
+            }
+        }
+    }
+}
+
+/// Launch the MR column kernel over an explicit set of footprint origins.
+/// Reads moments at time `t` from `mom_in` and writes `t + 1` into
+/// `mom_out` — the multi-device drivers pass two distinct (shift-0)
+/// lattices, since splitting one step across sequential launches would
+/// break the in-place circular shift's read-before-clobber ordering.
+/// Per-node arithmetic is identical to `MrSim::step`, so column subsets
+/// compose bitwise.
+#[allow(clippy::too_many_arguments)]
+pub fn launch_mr_columns<L: Lattice>(
+    gpu: &Gpu,
+    mom_in: &MomentLattice,
+    mom_out: &MomentLattice,
+    geom: &Geometry,
+    scheme: &MrScheme,
+    consts: &KernelConsts,
+    t: u64,
+    walk: &ColumnWalk,
+    cols: &[(usize, usize)],
+) -> LaunchStats {
+    let (nx, nfy, _) = walk_frame::<L>(geom);
+    let (wx, wy, tile_h) = (walk.wx, walk.wy, walk.tile_h);
+    assert!(!cols.is_empty(), "no columns to launch");
+    assert_eq!(walk.bulk.len(), geom.len(), "walk built for another domain");
+    for &(x0, y0) in cols {
+        assert!(
+            x0 + wx <= nx && y0 + wy <= nfy,
+            "column ({x0}, {y0}) overruns the domain"
+        );
+    }
+    gpu.launch_lockstep(
+        // `blocks × threads_per_block` decides pooled vs inline dispatch and
+        // is printed in launch spans: 2D blocks have no y halo to count.
+        &Launch {
+            blocks: cols.len(),
+            threads_per_block: (wx + 2) * if L::D == 3 { wy + 2 } else { 1 } * tile_h,
+            shared_doubles: wx * wy * (tile_h + 2) * L::Q,
+            // Row-span staging: one segment of up to wx + 2 nodes (the
+            // collide loop's halo-extended x row), M planes.
+            scratch_doubles: L::M * (wx + 2),
+        },
+        &MrKernel::<L> {
+            mom_in,
+            mom_out,
+            geom,
+            scheme,
+            consts,
+            t,
+            walk,
+            cols,
+            _l: PhantomData,
+        },
+    )
+}
+
+/// Boundary nodes per block of the inlet/outlet kernel.
+const BC_BLOCK: usize = 64;
+
+/// Launch the moment-space inlet/outlet kernel over `nodes`, rebuilding
+/// their `t_next` moments in `mom`. Public for the multi-device drivers.
+pub fn launch_mr_bc<L: Lattice>(
+    gpu: &Gpu,
+    mom: &MomentLattice,
+    geom: &Geometry,
+    tau: f64,
+    t_next: u64,
+    nodes: &[(usize, usize, usize)],
+) -> LaunchStats {
+    assert!(!nodes.is_empty(), "no boundary nodes");
+    gpu.launch(
+        &Launch::simple(nodes.len().div_ceil(BC_BLOCK), BC_BLOCK),
+        &MrBcKernel::<L> {
+            mom,
+            geom,
+            tau,
+            t_next,
+            nodes,
+            _l: PhantomData,
+        },
+    )
+}
+
+/// Inlet/outlet kernel for the moment representation: the FD condition is
+/// *native* to moment space — the node's new state is written directly as
+/// moments.
+struct MrBcKernel<'a, L: Lattice> {
+    mom: &'a MomentLattice,
+    geom: &'a Geometry,
+    tau: f64,
+    t_next: u64,
+    nodes: &'a [(usize, usize, usize)],
+    _l: PhantomData<L>,
+}
+
+impl<L: Lattice> MrBcKernel<'_, L> {
+    fn read_macro(&self, ctx: &mut BlockCtx, x: usize, y: usize, z: usize) -> (f64, [f64; 3]) {
+        let idx = self.geom.idx(x, y, z);
+        let rho = self.mom.read(ctx, self.t_next, idx, 0);
+        let mut u = [0.0; 3];
+        for (a, ua) in u.iter_mut().enumerate().take(L::D) {
+            *ua = self.mom.read(ctx, self.t_next, idx, 1 + a);
+        }
+        (rho, u)
+    }
+}
+
+impl<L: Lattice> Kernel for MrBcKernel<'_, L> {
+    fn name(&self) -> &str {
+        "mr-bc"
+    }
+
+    fn run_block(&self, ctx: &mut BlockCtx) {
+        let base = ctx.block_id * BC_BLOCK;
+        for tid in 0..BC_BLOCK {
+            let Some(&(x, y, z)) = self.nodes.get(base + tid) else {
+                break;
+            };
+            let mut cache = MacroCache::new();
+            for (sx, sy, sz) in stencil_coords(self.geom, x, y, z) {
+                let (rho, u) = self.read_macro(ctx, sx, sy, sz);
+                cache.insert((sx, sy, sz), rho, u);
+            }
+            let m = boundary_node_moments::<L>(self.geom, x, y, z, self.tau, &|qx, qy, qz| {
+                cache.lookup(qx, qy, qz)
+            });
+            let idx = self.geom.idx(x, y, z);
+            self.mom.write_moments::<L>(ctx, self.t_next, idx, &m);
+        }
+    }
+}
+
+/// What every MR driver asks of its domain: a `D`-dimensional box for a
+/// `D`-dimensional lattice of unit streaming reach, and solid walls on both
+/// faces of the walk axis and of the footprint's y axis (the sliding
+/// window starts and ends on them); x may be periodic or inlet/outlet.
+pub fn assert_mr_domain<L: Lattice>(geom: &Geometry) {
+    assert_eq!(
+        geom.nz > 1,
+        L::D == 3,
+        "a {}D lattice needs a {}D domain",
+        L::D,
+        L::D
+    );
+    assert_eq!(
+        L::REACH,
+        1,
+        "the MR sliding window requires unit streaming reach"
+    );
+    let n = [geom.nx, geom.ny, geom.nz];
+    let stride = [1, geom.nx, geom.nx * geom.ny];
+    // Walk axis first: it is the one the window slides along.
+    for a in (1..L::D).rev() {
+        let axis = ["x", "y", "z"][a];
+        assert!(
+            !geom.periodic[a],
+            "MR requires wall-terminated {axis} faces"
+        );
+        // Both ends of every line of nodes along axis `a`.
+        let line = stride[a] * n[a];
+        for base in (0..geom.len()).step_by(line) {
+            for lo in base..base + stride[a] {
+                let hi = lo + line - stride[a];
+                assert!(
+                    geom.node_at(lo).is_solid() && geom.node_at(hi).is_solid(),
+                    "MR requires walls at {axis} = 0 and {axis} = n{axis}−1"
+                );
+            }
+        }
+    }
+}
+
+/// Set `mom`'s time-0 moments to `{ρ, u, Π_eq}` of `field` — an equilibrium
+/// start, matching the ST init — with inlets at their prescribed velocity
+/// and outlets at their prescribed density.
+pub fn init_equilibrium<L: Lattice>(
+    mom: &MomentLattice,
+    geom: &Geometry,
+    field: impl Fn(usize, usize, usize) -> (f64, [f64; 3]),
+) {
+    for idx in 0..geom.len() {
+        let (x, y, z) = geom.coords(idx);
+        let (rho, u) = match geom.node_at(idx) {
+            NodeType::Inlet(u_bc) => (field(x, y, z).0, u_bc),
+            NodeType::Outlet(rho_bc) => (rho_bc, field(x, y, z).1),
+            _ => field(x, y, z),
+        };
+        let m = Moments {
+            rho,
+            u,
+            pi: Moments::pi_eq(rho, u, L::D),
+        };
+        mom.set_moments::<L>(0, idx, &m);
+    }
+}
+
+/// Density and velocity of every fluid-like node of `geom` from its
+/// moments (solid nodes report zero).
+pub fn fluid_macro_fields(geom: &Geometry, moments: impl Fn(usize) -> Moments) -> Fields {
+    let n = geom.len();
+    let mut rho = vec![0.0; n];
+    let mut u = vec![[0.0; 3]; n];
+    for idx in 0..n {
+        if geom.node_at(idx).is_fluid_like() {
+            let m = moments(idx);
+            rho[idx] = m.rho;
+            u[idx] = m.u;
+        }
+    }
+    (rho, u)
+}
+
+/// Dimension and moment-count guards every MR blob starts with: `nx`, `ny`,
+/// `nz` in 3D, then `M`.
+pub fn blob_guards<L: Lattice>(geom: &Geometry) -> Vec<(&'static str, u64)> {
+    let mut guards = vec![
+        ("nx", geom.nx as u64),
+        ("ny", geom.ny as u64),
+        ("nz", geom.nz as u64),
+    ];
+    guards.truncate(L::D);
+    guards.push(("M", L::M as u64));
+    guards
+}
+
+/// The moment representation's state: one circularly shifted moment
+/// lattice (or the double-buffered / parity-twist storage variants).
+pub struct Mr<L: Lattice> {
+    geom: Geometry,
+    mom: MomentLattice,
+    /// Second lattice for the double-buffered ablation variant; `None` for
+    /// the single-lattice circular-shift design of Algorithm 2. Odd steps
+    /// read it and write `mom`.
+    mom2: Option<MomentLattice>,
+    scheme: MrScheme,
+    consts: KernelConsts,
+    walk: ColumnWalk,
+    /// Every column footprint origin, x fastest.
+    cols: Vec<(usize, usize)>,
+    boundary: Vec<(usize, usize, usize)>,
+    _l: PhantomData<L>,
+}
+
+/// Driver for a moment-representation simulation (MR-P or MR-R).
+pub type MrSim<L> = Sim<Mr<L>>;
+/// [`MrSim`] under its 2D name.
+pub type MrSim2D<L> = MrSim<L>;
+/// [`MrSim`] under its 3D name.
+pub type MrSim3D<L> = MrSim<L>;
+
+impl<L: Lattice> MrSim<L> {
+    /// Build an MR simulation over a channel- or duct-type geometry: walls
+    /// on the y (and, in 3D, z) extreme faces are mandatory (the sliding
+    /// window relies on them); the x faces may be periodic or
+    /// inlet/outlet. Column footprint is chosen automatically; one-layer
+    /// tiles, one-layer circular shift.
+    pub fn new(device: DeviceSpec, geom: Geometry, scheme: MrScheme, tau: f64) -> Self {
+        Self::with_config(device, geom, scheme, tau, 0, 0, 1, 1)
+    }
+
+    /// Full configuration: column footprint `wx × wy` (`0` = auto; a 2D
+    /// footprint is one row deep), tile height in layers, and the circular
+    /// shift in layers per step (must be ≥ `tile_h − 1`; 0 means in-place,
+    /// valid for 1-layer tiles under lockstep).
+    #[allow(clippy::too_many_arguments)]
+    pub fn with_config(
+        device: DeviceSpec,
+        geom: Geometry,
+        scheme: MrScheme,
+        tau: f64,
+        wx: usize,
+        wy: usize,
+        tile_h: usize,
+        shift: usize,
+    ) -> Self {
+        assert_mr_domain::<L>(&geom);
+        let (nx, nfy, nw) = walk_frame::<L>(&geom);
+        assert!(
+            tile_h >= 1 && nw.is_multiple_of(tile_h),
+            "tile height must divide the walk axis"
+        );
+        assert!(
+            shift + 1 >= tile_h,
+            "circular shift of {shift} layers cannot protect a {tile_h}-layer tile"
+        );
+        let (wx, wy) = auto_footprint::<L>(&device, nx, nfy, tile_h, wx, wy);
+        assert!(
+            nx.is_multiple_of(wx) && nfy.is_multiple_of(wy),
+            "footprint {wx}×{wy} must tile the {nx}×{nfy} plane"
+        );
+        let boundary = boundary_nodes(&geom);
+        if !boundary.is_empty() {
+            assert!(nx >= 5, "FD boundaries need nx ≥ 5");
+        }
+        let layer = nx * nfy;
+        let mom = MomentLattice::new(geom.len(), L::M, shift * layer, (shift + 1) * layer)
+            .with_touch_tracking();
+        let walk = ColumnWalk::new::<L>(&geom, wx, wy, tile_h);
+        let cols_x = nx / wx;
+        let cols = (0..cols_x * (nfy / wy))
+            .map(|b| ((b % cols_x) * wx, (b / cols_x) * wy))
+            .collect();
+        Sim::from_body(
+            Gpu::new(device),
+            Mr {
+                geom,
+                mom,
+                mom2: None,
+                scheme,
+                consts: KernelConsts::new::<L>(tau),
+                walk,
+                cols,
+                boundary,
+                _l: PhantomData,
+            },
+        )
+    }
+
+    /// Run the original per-node scalar kernels instead of the vectorized
+    /// SoA chunks. The two paths are bitwise-identical (enforced by
+    /// `tests/kernel_equivalence.rs`); the scalar path exists as the
+    /// equivalence oracle.
+    pub fn with_scalar_kernels(mut self) -> Self {
+        self.body.consts.scalar = true;
+        self
+    }
+
+    /// Enable strict race checking on the moment lattice (tests). Must be
+    /// called before the first step.
+    pub fn with_racecheck_strict(mut self) -> Self {
+        assert_eq!(self.steps(), 0, "attach the race checker before stepping");
+        let dummy = MomentLattice::new(1, L::M, 0, 0);
+        let old = std::mem::replace(&mut self.body.mom, dummy);
+        self.body.mom = old.with_racecheck_strict();
+        self
+    }
+
+    /// Switch to the double-buffered ablation variant: two moment lattices
+    /// (`2M` doubles per node — the capacity the paper's §4.1 figures
+    /// correspond to) and no circular shifting. Must be called before the
+    /// first step.
+    pub fn with_double_buffer(mut self) -> Self {
+        assert_eq!(self.steps(), 0, "switch storage before stepping");
+        let n = self.body.geom.len();
+        // Rebuild both lattices without shift.
+        self.body.mom = MomentLattice::new(n, L::M, 0, 0).with_touch_tracking();
+        self.body.mom2 = Some(MomentLattice::new(n, L::M, 0, 0).with_touch_tracking());
+        self.init_with(|_, _, _| (1.0, [0.0; 3]));
+        self
+    }
+
+    /// Switch to the single-lattice **moment twist** variant: parity-indexed
+    /// plane storage ([`MomentLattice::with_parity_twist`]) with zero
+    /// circular shift and zero padding — exactly `M·8` resident bytes per
+    /// node, half the double-buffered ablation and below even the
+    /// shift-padded single lattice. Each step's fused moment collide reads
+    /// logical moments from the current parity's plane order and writes the
+    /// post-collision moments through the `t+1` mapping, i.e. into the same
+    /// physical planes in reversed order; the step parity becomes part of
+    /// the storage contract and is carried in the checkpoint flavor tag.
+    /// Safety rests on the lockstep phase lag alone: every block
+    /// global-reads layer `w` when its window reaches it (phase `w − 1`)
+    /// and global-writes it two phases later (phase `w + 1`), so under the
+    /// bulk-synchronous phases no cell is read after being rewritten,
+    /// whichever plane the parity mapping routes the write to; the strict
+    /// race checker verifies this in the tests. Requires the 1-layer
+    /// lockstep tiling (the configuration whose zero-shift in-place safety
+    /// that argument covers) and must be called before the first step.
+    pub fn with_twist(mut self) -> Self {
+        assert_eq!(self.steps(), 0, "switch storage before stepping");
+        assert!(
+            self.body.mom2.is_none(),
+            "the twist replaces the double-buffered ablation, not vice versa"
+        );
+        assert_eq!(
+            self.body.walk.tile_h, 1,
+            "the zero-shift twist requires 1-layer lockstep tiles"
+        );
+        let n = self.body.geom.len();
+        self.body.mom = MomentLattice::new(n, L::M, 0, 0)
+            .with_parity_twist()
+            .with_touch_tracking();
+        self.init_with(|_, _, _| (1.0, [0.0; 3]));
+        self
+    }
+
+    /// Moments of a node at the current time (pre-collision state).
+    pub fn moments_at(&self, x: usize, y: usize, z: usize) -> Moments {
+        let (t, b) = (self.steps(), &self.body);
+        b.lattice_pair(t).0.get_moments::<L>(t, b.geom.idx(x, y, z))
+    }
+}
+
+impl<L: Lattice> Mr<L> {
+    /// Whether this driver runs the parity-twist storage variant.
+    pub fn is_twist(&self) -> bool {
+        self.mom.parity_twist()
+    }
+
+    /// The collision scheme.
+    pub fn scheme(&self) -> &MrScheme {
+        &self.scheme
+    }
+
+    /// Column/tile configuration `(wx, wy, tile height)`.
+    pub fn config(&self) -> (usize, usize, usize) {
+        (self.walk.wx, self.walk.wy, self.walk.tile_h)
+    }
+
+    /// The resident lattices, in checkpoint order.
+    fn lattices(&self) -> impl Iterator<Item = &MomentLattice> {
+        std::iter::once(&self.mom).chain(&self.mom2)
+    }
+
+    /// The lattices step `t` reads and writes.
+    #[inline]
+    fn lattice_pair(&self, t: u64) -> (&MomentLattice, &MomentLattice) {
+        match &self.mom2 {
+            None => (&self.mom, &self.mom),
+            Some(m2) if t.is_multiple_of(2) => (&self.mom, m2),
+            Some(m2) => (m2, &self.mom),
+        }
+    }
+}
+
+impl<L: Lattice> DriverBody for Mr<L> {
+    fn label(&self) -> &'static str {
+        match (L::D, self.is_twist()) {
+            (2, false) => "mr2d",
+            (2, true) => "mr2d-twist",
+            (_, false) => "mr3d",
+            (_, true) => "mr3d-twist",
+        }
+    }
+
+    fn geom(&self) -> &Geometry {
+        &self.geom
+    }
+
+    fn init_with(&mut self, field: impl Fn(usize, usize, usize) -> (f64, [f64; 3])) {
+        init_equilibrium::<L>(&self.mom, &self.geom, field);
+    }
+
+    fn macro_fields(&self, t: u64) -> Fields {
+        let lat = self.lattice_pair(t).0;
+        fluid_macro_fields(&self.geom, |idx| lat.get_moments::<L>(t, idx))
+    }
+
+    /// One lattice plus padding, or two for the double-buffered variant.
+    fn footprint_bytes(&self) -> usize {
+        self.lattices().map(MomentLattice::size_bytes).sum()
+    }
+
+    fn set_fault_plan(&mut self, plan: Arc<FaultPlan>) {
+        self.mom.set_fault_plan(plan.clone());
+        if let Some(m2) = self.mom2.as_mut() {
+            m2.set_fault_plan(plan);
+        }
+    }
+
+    /// Publishes a 3D column footprint's lane redundancy as a gauge, so
+    /// bench records expose degenerate-domain fallbacks (e.g. `ny < LANES`)
+    /// instead of hiding them in the picker.
+    fn hub_attached(&self, obs: &obs::Obs) {
+        if L::D == 3 {
+            obs.metrics.gauge_set(
+                "mr3d_lane_redundancy",
+                &[("pattern", self.label())],
+                lane_redundancy(self.walk.wx, self.walk.wy),
+            );
+        }
+    }
+
+    /// Twist runs tag the flavor with the step parity
+    /// (`"mr2d-twist+even"` / `"mr2d-twist+odd"`): the plane order is part
+    /// of the storage contract, so a restore may only land on the matching
+    /// half-cycle. The blob layouts are a format and predate the merged
+    /// walker: 2D blobs carry a double-buffer guard (and the selector word
+    /// below), 3D blobs do not.
+    fn frame(&self) -> Frame {
+        let mut guards = blob_guards::<L>(&self.geom);
+        if L::D == 2 {
+            guards.push(("double-buffer flag", self.mom2.is_some() as u64));
+        }
+        Frame {
+            flavor: self.label(),
+            parity: self.is_twist(),
+            guards,
+        }
+    }
+
+    /// Which lattice step `t` reads: 1 on odd steps of the double-buffered
+    /// variant, else 0 (2D blobs only).
+    fn selector(&self, t: u64) -> Option<u64> {
+        (L::D == 2).then_some(self.mom2.is_some() as u64 * (t % 2))
+    }
+
+    /// The moment lattices are snapshotted *raw* (all slots, untranslated):
+    /// restoring the same bytes with the same `t` reproduces the exact
+    /// circular-shift slot layout.
+    fn state_arrays(&self) -> Vec<Vec<f64>> {
+        self.lattices().map(MomentLattice::host_snapshot).collect()
+    }
+
+    fn state_lens(&self) -> Vec<usize> {
+        self.lattices().map(MomentLattice::raw_len).collect()
+    }
+
+    fn install(&mut self, arrays: Vec<Vec<f64>>) {
+        for (lat, raw) in self.lattices().zip(&arrays) {
+            lat.host_restore(raw);
+        }
+    }
+}
+
+impl<L: Lattice> SoloBody for Mr<L> {
+    /// The lockstep column kernel, then the boundary kernel.
+    fn advance(&mut self, gpu: &Gpu, core: &mut DriverCore) {
+        let t = core.steps();
+        let (mom_in, mom_out) = self.lattice_pair(t);
+        let stats = launch_mr_columns::<L>(
+            gpu,
+            mom_in,
+            mom_out,
+            &self.geom,
+            &self.scheme,
+            &self.consts,
+            t,
+            &self.walk,
+            &self.cols,
+        );
+        core.record(&stats, core.fluid_nodes());
+
+        if !self.boundary.is_empty() {
+            let tau = self.consts.tau;
+            let stats = launch_mr_bc::<L>(gpu, mom_out, &self.geom, tau, t + 1, &self.boundary);
+            core.record(&stats, self.boundary.len() as u64);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lbm_core::collision::{Collision, Projective, Recursive};
+    use lbm_core::io::CheckpointError;
+    use lbm_core::Solver;
+    use lbm_lattice::{D2Q9, D3Q19, D3Q27};
+
+    type Init = fn(usize, usize, usize) -> (f64, [f64; 3]);
+
+    fn v100() -> DeviceSpec {
+        DeviceSpec::v100()
+    }
+
+    /// Periodic along x, walls on the lateral faces: a channel for
+    /// `nz = 1`, a duct otherwise.
+    fn walled(nx: usize, ny: usize, nz: usize) -> Geometry {
+        let mut geom = Geometry::new(nx, ny, nz, [true, false, nz == 1]);
+        for idx in 0..geom.len() {
+            let (x, y, z) = geom.coords(idx);
+            if y == 0 || y == ny - 1 || (nz > 1 && (z == 0 || z == nz - 1)) {
+                geom.set(x, y, z, NodeType::Wall);
+            }
+        }
+        geom
+    }
+
+    fn shear_2d(x: usize, y: usize, _z: usize) -> (f64, [f64; 3]) {
+        (
+            1.0 + 0.01 * ((x + 2 * y) as f64 * 0.4).sin(),
+            [
+                0.02 * (y as f64 * 0.7).sin(),
+                0.01 * (x as f64 * 0.5).cos(),
+                0.0,
+            ],
+        )
+    }
+
+    fn shear_3d(x: usize, y: usize, z: usize) -> (f64, [f64; 3]) {
+        (
+            1.0 + 0.005 * ((x + y + z) as f64 * 0.5).sin(),
+            [
+                0.02 * ((y + z) as f64 * 0.6).sin(),
+                0.01 * (x as f64 * 0.4).cos(),
+                0.01 * ((x + y) as f64 * 0.3).sin(),
+            ],
+        )
+    }
+
+    /// `mr` and the reference solver with operator `op` on the same
+    /// geometry, `steps` steps from `init` (rest if `None`): density and
+    /// velocity agree to `tol` — the moment representation is lossless.
+    fn assert_matches_reference<L: Lattice, C: Collision<L>>(
+        what: &str,
+        mut mr: MrSim<L>,
+        op: C,
+        init: Option<Init>,
+        steps: usize,
+        tol: f64,
+    ) {
+        let mut st: Solver<L, _> = Solver::new(mr.geom().clone(), op).with_threads(2);
+        if let Some(init) = init {
+            mr.init_with(init);
+            st.init_with(init);
+        }
+        mr.run(steps);
+        st.run(steps);
+        let (rho, u) = mr.macro_fields();
+        for (i, (ua, ub)) in u.iter().zip(&st.velocity_field()).enumerate() {
+            for k in 0..3 {
+                assert!(
+                    (ua[k] - ub[k]).abs() < tol,
+                    "{what}: u[{i}][{k}] {} vs {}",
+                    ua[k],
+                    ub[k]
+                );
+            }
+        }
+        for (i, (x, y)) in rho.iter().zip(&st.density_field()).enumerate() {
+            assert!((x - y).abs() < tol, "{what}: rho[{i}] {x} vs {y}");
+        }
+    }
+
+    /// MR-P reproduces the reference projective solver on the paper's
+    /// inlet/outlet channel and duct.
+    #[test]
+    fn mr_p_matches_reference() {
+        let p = MrScheme::projective;
+        let channel = Geometry::channel_2d_poiseuille(16, 8, 0.05);
+        assert_matches_reference::<D2Q9, _>(
+            "MR-P vs REG-P",
+            MrSim::new(v100(), channel, p(), 0.8).with_cpu_threads(4),
+            Projective::new(0.8),
+            None,
+            20,
+            1e-10,
+        );
+        let duct = Geometry::channel_3d(12, 8, 8, 0.03);
+        assert_matches_reference::<D3Q19, _>(
+            "3D MR-P",
+            MrSim::new(v100(), duct, p(), 0.7).with_cpu_threads(4),
+            Projective::new(0.7),
+            None,
+            12,
+            1e-10,
+        );
+    }
+
+    /// MR-R likewise matches the reference recursive solver.
+    #[test]
+    fn mr_r_matches_reference_channel() {
+        let mk = |dev: DeviceSpec| {
+            MrSim::<D2Q9>::new(
+                dev,
+                Geometry::channel_2d(16, 8, 0.04),
+                MrScheme::recursive::<D2Q9>(),
+                0.75,
+            )
+            .with_cpu_threads(4)
+        };
+        let op = || Recursive::new::<D2Q9>(0.75);
+        assert_matches_reference(
+            "MR-R vs REG-R",
+            mk(DeviceSpec::mi100()),
+            op(),
+            None,
+            20,
+            1e-10,
+        );
+        // Twist with the recursive scheme and inlet/outlet boundaries (the
+        // boundary kernel routes through the same parity mapping).
+        assert_matches_reference(
+            "MR-twist vs REG-R",
+            mk(v100()).with_twist(),
+            op(),
+            None,
+            15,
+            1e-10,
+        );
+    }
+
+    /// Periodic-x channel and duct (no boundary kernel): the two
+    /// representations agree to strict roundoff, and the circular shift
+    /// passes the strict race checker.
+    #[test]
+    fn periodic_x_matches_reference_with_racecheck() {
+        assert_matches_reference::<D2Q9, _>(
+            "periodic-x",
+            MrSim::new(v100(), walled(12, 8, 1), MrScheme::projective(), 0.9)
+                .with_cpu_threads(4)
+                .with_racecheck_strict(),
+            Projective::new(0.9),
+            Some(|x, y, _| {
+                (
+                    1.0,
+                    [
+                        0.03 * (y as f64 * 0.5).sin(),
+                        0.01 * (x as f64 * 0.7).cos(),
+                        0.0,
+                    ],
+                )
+            }),
+            15,
+            1e-12,
+        );
+        assert_matches_reference::<D3Q19, _>(
+            "3D MR-R",
+            MrSim::new(
+                DeviceSpec::mi100(),
+                walled(8, 8, 8),
+                MrScheme::recursive::<D3Q19>(),
+                0.8,
+            )
+            .with_cpu_threads(4)
+            .with_racecheck_strict(),
+            Recursive::new::<D3Q19>(0.8),
+            Some(|x, y, z| {
+                (
+                    1.0,
+                    [
+                        0.02 * ((y + z) as f64 * 0.6).sin(),
+                        0.01 * (x as f64 * 0.8).cos(),
+                        0.0,
+                    ],
+                )
+            }),
+            10,
+            1e-12,
+        );
+    }
+
+    /// Tile heights > 1 produce identical physics (the sliding window and
+    /// shift generalize) and stay race-free — in 2D and, because there is
+    /// one walker, on the D3Q19 duct (the configuration §3.2 remarks on).
+    #[test]
+    fn taller_tiles_match_reference() {
+        let p = MrScheme::projective;
+        // Footprint 4 × auto, tile_h 2, shift 2 ≥ tile_h − 1.
+        assert_matches_reference::<D2Q9, _>(
+            "tile_h=2",
+            MrSim::with_config(v100(), walled(12, 8, 1), p(), 0.8, 4, 0, 2, 2)
+                .with_cpu_threads(4)
+                .with_racecheck_strict(),
+            Projective::new(0.8),
+            Some(|_, y, _| (1.0, [0.02 * (y as f64 * 0.9).sin(), 0.0, 0.0])),
+            10,
+            1e-12,
+        );
+        assert_matches_reference::<D3Q19, _>(
+            "3D tile_h=2",
+            MrSim::with_config(v100(), walled(12, 8, 8), p(), 0.8, 0, 0, 2, 1)
+                .with_cpu_threads(4)
+                .with_parallel_threshold(0)
+                .with_racecheck_strict(),
+            Projective::new(0.8),
+            Some(shear_3d),
+            8,
+            1e-12,
+        );
+    }
+
+    /// Measured B/F reproduces Table 2's `2M·8`: 96 for D2Q9, 160 for
+    /// D3Q19 (halo re-reads are L2 hits, not DRAM).
+    #[test]
+    fn measured_bpf_matches_table2() {
+        fn bpf<L: Lattice>(geom: Geometry, steps: usize) -> f64 {
+            let mut mr: MrSim<L> =
+                MrSim::new(v100(), geom, MrScheme::projective(), 0.8).with_cpu_threads(2);
+            mr.run(steps);
+            mr.measured_bpf()
+        }
+        let bpf2 = bpf::<D2Q9>(walled(32, 16, 1), 3);
+        assert!((bpf2 - 96.0).abs() < 2.0, "B/F = {bpf2}");
+        let bpf3 = bpf::<D3Q19>(walled(12, 12, 10), 2);
+        assert!((bpf3 - 160.0).abs() < 4.0, "B/F = {bpf3}");
+    }
+
+    /// The single-lattice footprint beats ST's two lattices by far more
+    /// than the paper's 33 % (Algorithm 2 stores M, not 2M, doubles).
+    #[test]
+    fn footprint_is_single_lattice() {
+        let mr: MrSim<D2Q9> = MrSim::new(v100(), walled(32, 16, 1), MrScheme::projective(), 0.8);
+        let st_bytes = 2 * 9 * 32 * 16 * 8;
+        assert!(mr.footprint_bytes() < st_bytes / 2);
+    }
+
+    /// In-place update (shift 0) is also safe under lockstep with 1-row
+    /// tiles — the ablation baseline.
+    #[test]
+    fn inplace_no_shift_is_lockstep_safe() {
+        let mut mr: MrSim<D2Q9> = MrSim::with_config(
+            v100(),
+            walled(12, 8, 1),
+            MrScheme::projective(),
+            0.8,
+            4,
+            0,
+            1,
+            0, // in-place
+        )
+        .with_cpu_threads(4)
+        .with_racecheck_strict();
+        mr.init_with(|_, y, _| (1.0, [0.02 * (y as f64).sin(), 0.0, 0.0]));
+        mr.run(5); // the race checker panics on any violation
+        assert!(mr.velocity_field().iter().all(|u| u[0].is_finite()));
+    }
+
+    #[test]
+    #[should_panic(expected = "wall-terminated y")]
+    fn rejects_missing_walls() {
+        let geom = Geometry::periodic_2d(8, 8);
+        let _ = MrSim::<D2Q9>::new(v100(), geom, MrScheme::projective(), 0.8);
+    }
+
+    #[test]
+    #[should_panic(expected = "wall-terminated z")]
+    fn rejects_periodic_lateral_faces() {
+        let geom = Geometry::periodic_3d(8, 8, 8);
+        let _ = MrSim::<D3Q19>::new(v100(), geom, MrScheme::projective(), 0.8);
+    }
+
+    #[test]
+    #[should_panic(expected = "walls at z")]
+    fn rejects_missing_z_walls() {
+        // Non-periodic but all-fluid: the wall check fires.
+        let geom = Geometry::new(8, 8, 8, [true, false, false]);
+        let _ = MrSim::<D3Q19>::new(v100(), geom, MrScheme::projective(), 0.8);
+    }
+
+    #[test]
+    #[should_panic(expected = "needs a 2D domain")]
+    fn rejects_a_domain_of_another_dimension() {
+        let _ = MrSim::<D2Q9>::new(v100(), walled(8, 8, 8), MrScheme::projective(), 0.8);
+    }
+
+    #[test]
+    fn column_width_picker() {
+        assert_eq!(pick_column_width(64, 32), 32);
+        assert_eq!(pick_column_width(48, 32), 24);
+        assert_eq!(pick_column_width(7, 32), 7);
+        assert_eq!(pick_column_width(13, 4), 1);
+    }
+
+    /// The D3Q27 future-work lattice runs through the same kernel.
+    #[test]
+    fn q27_duct_runs() {
+        let geom = Geometry::channel_3d(8, 6, 6, 0.02);
+        let mut mr: MrSim<D3Q27> =
+            MrSim::new(v100(), geom, MrScheme::recursive::<D3Q27>(), 0.8).with_cpu_threads(4);
+        mr.run(5);
+        let u = mr.velocity_field();
+        assert!(u.iter().all(|v| v.iter().all(|c| c.is_finite())));
+        assert!(mr.moments_at(1, 3, 3).u[0].abs() < 1.0);
+    }
+
+    /// The double-buffered ablation variant produces the identical
+    /// trajectory at twice the footprint.
+    #[test]
+    fn double_buffer_matches_single() {
+        let init: Init = |x, y, _| {
+            (
+                1.0,
+                [
+                    0.02 * (y as f64 * 0.7).sin(),
+                    0.01 * (x as f64 * 0.5).cos(),
+                    0.0,
+                ],
+            )
+        };
+        let mk = || {
+            MrSim::<D2Q9>::new(v100(), walled(16, 8, 1), MrScheme::projective(), 0.8)
+                .with_cpu_threads(2)
+        };
+        let mut single = mk();
+        single.init_with(init);
+        let mut double = mk().with_double_buffer();
+        double.init_with(init);
+        single.run(12);
+        double.run(12);
+        let (us, ud) = (single.velocity_field(), double.velocity_field());
+        for (a, b) in us.iter().zip(&ud) {
+            for k in 0..3 {
+                assert_eq!(a[k], b[k], "storage layout changed the arithmetic");
+            }
+        }
+        assert!(double.footprint_bytes() > 2 * single.footprint_bytes() / 2);
+        assert!(double.footprint_bytes() >= 2 * 6 * 16 * 8 * 8);
+        // Same traffic either way.
+        assert!((single.measured_bpf() - double.measured_bpf()).abs() < 1e-9);
+    }
+
+    /// Mass conservation on the periodic-x channel.
+    #[test]
+    fn conserves_mass() {
+        let mut mr: MrSim<D2Q9> =
+            MrSim::new(v100(), walled(16, 8, 1), MrScheme::projective(), 0.8).with_cpu_threads(2);
+        mr.init_with(|x, y, _| (1.0 + 0.01 * ((x + y) as f64).sin(), [0.0; 3]));
+        let mass = |s: &MrSim<D2Q9>| -> f64 { s.density_field().iter().sum() };
+        let m0 = mass(&mr);
+        mr.run(20);
+        let m1 = mass(&mr);
+        assert!((m0 - m1).abs() < 1e-9 * m0, "mass drift {}", m1 - m0);
+    }
+
+    /// Executor determinism: identical fields and traffic tally under 1, 3,
+    /// and 8 CPU threads — the pool's dynamic block scheduling must be
+    /// invisible to both physics and accounting.
+    #[test]
+    fn executor_determinism_across_thread_counts() {
+        fn check<L: Lattice>(mk: impl Fn(MrScheme) -> MrSim<L>, init: Init, steps: usize) {
+            let run = |scheme: fn() -> MrScheme, twist: bool, threads: usize| {
+                let mut sim = mk(scheme())
+                    .with_cpu_threads(threads)
+                    .with_parallel_threshold(0); // force pooled dispatch at any size
+                if twist {
+                    sim = sim.with_twist();
+                }
+                sim.init_with(init);
+                sim.run(steps);
+                (sim.velocity_field(), sim.density_field(), sim.traffic())
+            };
+            // mr-p, mr-r and mr-t: every variant's tally is thread-count blind.
+            for (label, scheme, twist) in [
+                ("mr-p", MrScheme::projective as fn() -> MrScheme, false),
+                ("mr-r", MrScheme::recursive::<L>, false),
+                ("mr-t", MrScheme::projective, true),
+            ] {
+                let base = run(scheme, twist, 1);
+                for threads in [3, 8] {
+                    let got = run(scheme, twist, threads);
+                    let what = format!("{} {label} at {threads} threads", L::NAME);
+                    assert_eq!(base.0, got.0, "velocity diverges: {what}");
+                    assert_eq!(base.1, got.1, "density diverges: {what}");
+                    assert_eq!(base.2, got.2, "tally diverges: {what}");
+                }
+            }
+        }
+        // wx 8 → 6 column blocks, enough for real work stealing.
+        check::<D2Q9>(
+            |s| MrSim::with_config(v100(), walled(48, 8, 1), s, 0.8, 8, 0, 1, 1),
+            shear_2d,
+            8,
+        );
+        check::<D3Q19>(
+            |s| MrSim::new(v100(), Geometry::channel_3d(12, 8, 8, 0.03), s, 0.7),
+            shear_3d,
+            6,
+        );
+    }
+
+    /// The correctness contract of the twist variant: the parity-indexed
+    /// plane storage changes *where* moments live, never their values —
+    /// bitwise equal to the circular-shift driver at every step, odd and
+    /// even alike, on both device models, with the strict race checker
+    /// proving the reversed-plane in-place update safe under the lockstep
+    /// phase lag.
+    #[test]
+    fn twist_matches_shift_bitwise_every_step() {
+        fn check<L: Lattice>(geom: Geometry, init: Init, steps: u64) {
+            for dev in [v100(), DeviceSpec::mi100()] {
+                let mut twist: MrSim<L> =
+                    MrSim::new(dev.clone(), geom.clone(), MrScheme::projective(), 0.8)
+                        .with_twist()
+                        .with_racecheck_strict()
+                        .with_cpu_threads(3)
+                        .with_parallel_threshold(0);
+                twist.init_with(init);
+                let mut shift: MrSim<L> =
+                    MrSim::new(dev, geom.clone(), MrScheme::projective(), 0.8).with_cpu_threads(2);
+                shift.init_with(init);
+                for step in 1..=steps {
+                    twist.step();
+                    shift.step();
+                    assert_eq!(
+                        twist.field_checksum(),
+                        shift.field_checksum(),
+                        "{} twist diverges at step {step}",
+                        L::NAME
+                    );
+                }
+            }
+        }
+        check::<D2Q9>(walled(16, 8, 1), shear_2d, 7);
+        check::<D3Q19>(walled(8, 8, 8), shear_3d, 5);
+    }
+
+    /// Twist residency is exactly `M·8` bytes per node — no padding, no
+    /// second buffer, below the shift-padded lattice; the strict race
+    /// checker proves the reversed-plane in-place update safe under forced
+    /// pooling.
+    #[test]
+    fn twist_footprint_exact_and_racecheck_clean() {
+        fn check<L: Lattice>(geom: Geometry, bytes: usize) {
+            let mk = || MrSim::<L>::new(v100(), geom.clone(), MrScheme::projective(), 0.8);
+            let mut twist = mk()
+                .with_twist()
+                .with_racecheck_strict()
+                .with_cpu_threads(3)
+                .with_parallel_threshold(0);
+            assert_eq!(twist.footprint_bytes(), bytes);
+            assert!(twist.footprint_bytes() < mk().footprint_bytes());
+            twist.init_with(|_, y, _| (1.0, [0.02 * (y as f64).sin(), 0.0, 0.0]));
+            twist.run(5);
+            assert!(twist.velocity_field().iter().all(|u| u[0].is_finite()));
+        }
+        check::<D2Q9>(walled(16, 8, 1), 6 * 16 * 8 * 8);
+        check::<D3Q19>(walled(8, 8, 8), 10 * 8 * 8 * 8 * 8);
+    }
+
+    /// Twist checkpoints carry the parity in their flavor and round-trip at
+    /// odd cut points; a plain-MR snapshot is rejected.
+    #[test]
+    fn twist_checkpoint_round_trips_at_odd_parity() {
+        fn check<L: Lattice>(geom: Geometry, init: Init, tail: usize) {
+            let plain = || {
+                MrSim::<L>::new(v100(), geom.clone(), MrScheme::projective(), 0.8)
+                    .with_cpu_threads(2)
+            };
+            let mut a = plain().with_twist();
+            a.init_with(init);
+            a.run(3);
+            let blob = a.checkpoint();
+            a.run(tail);
+
+            let mut b = plain().with_twist();
+            b.restore(&blob).unwrap();
+            assert_eq!(b.steps(), 3);
+            b.run(tail);
+            assert_eq!(a.field_checksum(), b.field_checksum());
+
+            // A circular-shift snapshot must not restore into a twist driver.
+            let mut shift = plain();
+            shift.run(2);
+            let mut c = plain().with_twist();
+            assert!(matches!(
+                c.restore(&shift.checkpoint()),
+                Err(CheckpointError::WrongFlavor { .. })
+            ));
+        }
+        check::<D2Q9>(
+            walled(16, 8, 1),
+            |_, y, _| (1.0, [0.02 * (y as f64 * 0.9).sin(), 0.0, 0.0]),
+            5,
+        );
+        check::<D3Q19>(
+            walled(8, 6, 6),
+            |_, y, z| (1.0, [0.02 * ((y + z) as f64 * 0.7).sin(), 0.0, 0.0]),
+            3,
+        );
+    }
+
+    /// The footprint picker's degenerate-domain fallback (`ny < LANES`)
+    /// must still return a valid tiling, and its redundancy is the
+    /// documented lane cost — the value the driver gauges into obs.
+    #[test]
+    fn pick_column_footprint_degenerate_ny_regression() {
+        // ny = 4 < LANES = 8: every candidate wy ∈ {1, 2, 4} wastes tail
+        // lanes; the picker must still return divisors and the redundancy
+        // formula must expose the waste rather than hide it.
+        let (wx, wy) = pick_column_footprint::<D3Q19>(&v100(), 16, 4, 1, 0, 0);
+        assert!(
+            16 % wx == 0 && 4 % wy == 0,
+            "non-divisor footprint {wx}×{wy}"
+        );
+        let r = lane_redundancy(wx, wy);
+        assert!(
+            (1.0..=16.0).contains(&r),
+            "degenerate redundancy {r} out of band for {wx}×{wy}"
+        );
+        // The picker found the minimum over all admissible pairs.
+        for cand_wx in [1usize, 2, 4, 8, 16] {
+            for cand_wy in [1usize, 2, 4] {
+                if cand_wx * cand_wy * 3 * 19 * 8 > v100().shared_mem_per_sm
+                    || (cand_wx + 2) * (cand_wy + 2) > v100().max_threads_per_block
+                {
+                    continue;
+                }
+                assert!(
+                    r <= lane_redundancy(cand_wx, cand_wy) + 1e-12,
+                    "picker chose {wx}×{wy} (r={r}) but {cand_wx}×{cand_wy} is cheaper"
+                );
+            }
+        }
+        // And the driver exposes the chosen redundancy as a gauge.
+        let obs = obs::Obs::shared();
+        let mut mr: MrSim<D3Q19> =
+            MrSim::new(v100(), walled(16, 4, 6), MrScheme::projective(), 0.8);
+        mr.set_obs(obs.clone());
+        let g = obs
+            .metrics
+            .gauge("mr3d_lane_redundancy", &[("pattern", "mr3d")])
+            .expect("redundancy gauge missing");
+        let (wx, wy, _) = mr.config();
+        assert_eq!(g, lane_redundancy(wx, wy));
+    }
+}

@@ -2,6 +2,7 @@
 
 use gpu_sim::efficiency::Pattern;
 use lbm_core::collision::{collide_and_map_projective, collide_and_map_recursive};
+use lbm_core::kernels::{self, LANES};
 use lbm_lattice::gram::HigherBasis;
 use lbm_lattice::moments::Moments;
 use lbm_lattice::Lattice;
@@ -39,6 +40,30 @@ impl MrScheme {
         match self {
             MrScheme::Projective => collide_and_map_projective::<L>(m, tau, out),
             MrScheme::Recursive(basis) => collide_and_map_recursive::<L>(m, tau, basis, out),
+        }
+    }
+
+    /// The lane twin of [`MrScheme::collide_and_map`]: post-collision
+    /// populations of nodes `j0 .. min(j0 + LANES, len)` of the SoA moment
+    /// rows `moms`, for the directions in `dirs` only (see
+    /// [`kernels::mr_p_collide_chunk`]).
+    #[inline(always)]
+    pub fn collide_chunk<L: Lattice>(
+        &self,
+        moms: &[f64],
+        len: usize,
+        j0: usize,
+        omega: f64,
+        dirs: &[usize],
+        out: &mut [[f64; LANES]],
+    ) {
+        match self {
+            MrScheme::Projective => {
+                kernels::mr_p_collide_chunk::<L>(moms, len, j0, omega, dirs, out)
+            }
+            MrScheme::Recursive(basis) => {
+                kernels::mr_r_collide_chunk::<L>(moms, len, j0, omega, basis, dirs, out)
+            }
         }
     }
 

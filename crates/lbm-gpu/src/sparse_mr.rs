@@ -181,14 +181,8 @@ impl<L: Lattice> SparseMrKernel<'_, L> {
         }
         let mut out: LaneBlock = [[0.0; LANES]; MAX_Q];
         for j0 in (0..n).step_by(LANES) {
-            match self.scheme {
-                MrScheme::Projective => {
-                    kernels::mr_p_collide_chunk::<L>(moms, n, j0, self.omega, &self.dirs, &mut out)
-                }
-                MrScheme::Recursive(basis) => kernels::mr_r_collide_chunk::<L>(
-                    moms, n, j0, self.omega, basis, &self.dirs, &mut out,
-                ),
-            }
+            self.scheme
+                .collide_chunk::<L>(moms, n, j0, self.omega, &self.dirs, &mut out);
             let cnt = LANES.min(n - j0);
             for i in 0..L::Q {
                 shared[i * n + j0..][..cnt].copy_from_slice(&out[i][..cnt]);

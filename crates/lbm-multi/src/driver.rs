@@ -7,7 +7,7 @@
 //! [`MultiGpu`], a step that can fail on a link ([`MultiSim::try_step`],
 //! mirrored into [`StepError`] for the [`Simulation`] surface), the
 //! [`HaloRetryPolicy`] with its retry counter, and the [`OverlapStats`]
-//! words of the checkpoint. The six public driver names are aliases of
+//! words of the checkpoint. The public driver names are aliases of
 //! `MultiSim<body>`; a second host exists only because inherent methods
 //! cannot be added to `lbm_gpu::Sim` from this crate.
 

@@ -16,8 +16,8 @@
 //! * [`aa`] — sharded in-place AA-pattern ST ([`MultiAaStSim`]): one
 //!   resident lattice per shard and a parity-aware exchange moving only
 //!   the cut-crossing slots, on stream half-steps only.
-//! * [`mr2d`] / [`mr3d`] — sharded moment representation
-//!   ([`MultiMrSim2D`], [`MultiMrSim3D`]): moment-space exchange, `M·8`
+//! * [`mr`] — sharded moment representation ([`MultiMrSim`], also named
+//!   [`MultiMrSim2D`] / [`MultiMrSim3D`]): moment-space exchange, `M·8`
 //!   bytes per halo node, per-shard double-buffered shift-0 moment
 //!   lattices (the in-place circular shift of Algorithm 2 is only safe
 //!   when a whole step is one lockstep launch).
@@ -29,14 +29,14 @@
 //!   chassis over a `MultiGpu`, plus what only a sharded step has (typed
 //!   link errors, the halo-retry policy, the overlap-stats checkpoint
 //!   words) and the one [`lbm_core::Simulation`] impl of this crate. The
-//!   six `Multi*Sim` names are aliases of `MultiSim<body>`.
+//!   `Multi*Sim` names are aliases of `MultiSim<body>`.
 //! * [`recovery`] — checkpoint/rollback recovery loop and bounded
 //!   halo-retry policy, driving any [`lbm_core::Simulation`].
 //! * [`stats`] — the two-phase overlap schedule's timing model
 //!   (`t_step = t_boundary + max(t_interior, t_exchange) + t_bc`) and
 //!   overlap efficiency.
 //!
-//! All six drivers are *bitwise* identical to their single-device
+//! All of them are *bitwise* identical to their single-device
 //! counterparts: ghosts carry exact doubles and every kernel's per-node
 //! arithmetic is decomposition-independent. The test suite asserts
 //! equality with `==`, not a tolerance.
@@ -44,8 +44,7 @@
 pub mod aa;
 pub mod decomp;
 pub mod driver;
-pub mod mr2d;
-pub mod mr3d;
+pub mod mr;
 pub mod recovery;
 pub mod sparse;
 pub mod st;
@@ -55,8 +54,7 @@ pub use aa::MultiAaStSim;
 pub use decomp::{Cut, HaloTransfer, Slab, SlabDecomp};
 pub use driver::{MultiSim, ShardedBody, StepCx};
 pub use lbm_core::{Simulation, StepError};
-pub use mr2d::MultiMrSim2D;
-pub use mr3d::MultiMrSim3D;
+pub use mr::{MultiMrSim, MultiMrSim2D, MultiMrSim3D};
 pub use recovery::{
     run_with_recovery, HaloRetryPolicy, RecoveryConfig, RecoveryError, RecoveryStats,
 };

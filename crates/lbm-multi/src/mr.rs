@@ -1,16 +1,18 @@
-//! Multi-device 2D MR: slab-sharded moment representation with
-//! *moment-space* halo exchange — `M·8` bytes per halo node instead of the
-//! ST pattern's `Q·8`, the paper's bandwidth argument extended to the
-//! interconnect (96 vs 144 bytes for D2Q9).
+//! Multi-device MR: slab-sharded moment representation with *moment-space*
+//! halo exchange — `M·8` bytes per halo node instead of the ST pattern's
+//! `Q·8`, the paper's bandwidth argument extended to the interconnect
+//! (96 vs 144 bytes for D2Q9, 80 vs 152 for D3Q19).
 //!
 //! Each shard stores two shift-0 moment lattices and alternates between
-//! them. The single-device `MrSim2D` updates one lattice in place under
+//! them. The single-device `MrSim` updates one lattice in place under
 //! circular shifting, which is only safe when the whole step is one
 //! lockstep launch; splitting the step into boundary-strip and interior
 //! launches would let a later launch clobber slots an earlier one still
 //! needed. Double buffering removes the hazard at `2M` doubles per node —
-//! and `MrSim2D`'s `double_buffer_matches_single` test proves the
-//! trajectory is bitwise unchanged.
+//! and `MrSim`'s `double_buffer_matches_single` test proves the trajectory
+//! is bitwise unchanged. Column footprints are partitioned into edge strips
+//! and interior for the two-phase overlap schedule; the walker itself is
+//! [`lbm_gpu::mr`]'s, so one body serves every dimension.
 
 use crate::decomp::SlabDecomp;
 use crate::driver::{MultiSim, ShardedBody, StepCx};
@@ -18,130 +20,96 @@ use crate::st::check_boundary_widths;
 use crate::stats::{device_time_s, exchange_time_s, OverlapStats};
 use gpu_sim::interconnect::{LinkError, MultiGpu};
 use gpu_sim::{DeviceSpec, FaultPlan};
-use lbm_core::geometry::{Geometry, NodeType};
+use lbm_core::geometry::Geometry;
 use lbm_core::kernels::KernelConsts;
 use lbm_gpu::boundary::boundary_nodes;
 use lbm_gpu::driver::{DriverBody, Fields, Frame};
 use lbm_gpu::moment_lattice::MomentLattice;
-use lbm_gpu::mr2d::{launch_mr2d_columns, launch_mr_bc, pick_column_width};
+use lbm_gpu::mr::{
+    assert_mr_domain, auto_footprint, blob_guards, fluid_macro_fields, init_equilibrium,
+    launch_mr_bc, launch_mr_columns, walk_frame, ColumnWalk,
+};
 use lbm_gpu::scheme::MrScheme;
 use lbm_lattice::moments::Moments;
 use lbm_lattice::Lattice;
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-pub(crate) struct MrShard {
-    pub geom: Geometry,
-    /// Interior fast-scatter eligibility over the local geometry (see
-    /// `lbm_gpu::boundary::bulk_mask`).
-    pub bulk: Vec<bool>,
-    pub mom: [MomentLattice; 2],
-    pub cur: usize,
-    pub boundary: Vec<(usize, usize, usize)>,
-    /// Local x origins of the edge column blocks (computed in phase 1).
-    pub strip_cols: Vec<usize>,
-    /// Local x origins of the remaining owned column blocks.
-    pub interior_cols: Vec<usize>,
-    pub col_w: usize,
+struct MrShard {
+    geom: Geometry,
+    mom: [MomentLattice; 2],
+    cur: usize,
+    boundary: Vec<(usize, usize, usize)>,
+    /// Footprint origins (local x) of the edge column blocks, whose x-range
+    /// touches a cut (computed in phase 1).
+    strip_cols: Vec<(usize, usize)>,
+    /// Remaining owned footprint origins.
+    interior_cols: Vec<(usize, usize)>,
+    walk: ColumnWalk,
 }
 
-impl MrShard {
-    /// Partition a shard's owned column blocks into edge strips and
-    /// interior. `origins` are the owned block origins in local x.
-    pub fn partition(
-        origins: Vec<usize>,
-        ghost_l: bool,
-        ghost_r: bool,
-    ) -> (Vec<usize>, Vec<usize>) {
-        let mut strips = Vec::new();
-        let mut interior = Vec::new();
-        let last = origins.len() - 1;
-        for (k, x0) in origins.into_iter().enumerate() {
-            if (k == 0 && ghost_l) || (k == last && ghost_r) {
-                strips.push(x0);
-            } else {
-                interior.push(x0);
-            }
-        }
-        (strips, interior)
-    }
-}
-
-/// The sharded 2D moment representation's state: two shift-0 moment
-/// lattices per shard.
-pub struct MultiMr2d<L: Lattice> {
+/// The sharded moment representation's state: two shift-0 moment lattices
+/// per shard.
+pub struct MultiMr<L: Lattice> {
     decomp: SlabDecomp,
     shards: Vec<MrShard>,
     scheme: MrScheme,
-    tau: f64,
     consts: KernelConsts,
-    tile_h: usize,
     stats: OverlapStats,
     _l: PhantomData<L>,
 }
 
-/// Slab-sharded 2D MR simulation (MR-P or MR-R) across N devices.
-pub type MultiMrSim2D<L> = MultiSim<MultiMr2d<L>>;
+/// Slab-sharded MR simulation (MR-P or MR-R) across N devices.
+pub type MultiMrSim<L> = MultiSim<MultiMr<L>>;
+/// [`MultiMrSim`] under its 2D name.
+pub type MultiMrSim2D<L> = MultiMrSim<L>;
+/// [`MultiMrSim`] under its 3D name.
+pub type MultiMrSim3D<L> = MultiMrSim<L>;
 
-impl<L: Lattice> MultiMrSim2D<L> {
-    /// Shard a channel-type geometry (walls at `y = 0` and `y = ny−1`)
-    /// across `n` devices. Initialized to equilibrium at rest.
+impl<L: Lattice> MultiMrSim<L> {
+    /// Shard a channel- or duct-type geometry (walls on the y and, in 3D,
+    /// z extreme faces) across `n` devices. Initialized to equilibrium at
+    /// rest.
     pub fn new(device: DeviceSpec, geom: Geometry, scheme: MrScheme, tau: f64, n: usize) -> Self {
-        assert_eq!(geom.nz, 1, "MultiMrSim2D requires a 2D domain");
-        assert_eq!(
-            L::REACH,
-            1,
-            "the MR sliding window requires unit streaming reach"
-        );
-        assert!(!geom.periodic[1], "MR requires wall-terminated y faces");
-        for x in 0..geom.nx {
-            assert!(
-                geom.node(x, 0, 0).is_solid() && geom.node(x, geom.ny - 1, 0).is_solid(),
-                "MR requires walls at y = 0 and y = ny−1"
-            );
-        }
+        assert_mr_domain::<L>(&geom);
         let decomp = SlabDecomp::new(geom, n);
         check_boundary_widths(&decomp);
         let shards = (0..n)
             .map(|r| {
                 let g = decomp.local_geometry(r);
                 let s = decomp.slab(r);
-                let col_w = pick_column_width(s.width, 32);
-                let origins: Vec<usize> = (0..s.width / col_w)
-                    .map(|k| s.owned_lo() + k * col_w)
-                    .collect();
-                let (strip_cols, interior_cols) = if n == 1 {
-                    (Vec::new(), origins)
-                } else {
-                    MrShard::partition(origins, s.ghost_l, s.ghost_r)
+                let nfy = walk_frame::<L>(&g).1;
+                let (wx, wy) = auto_footprint::<L>(&device, s.width, nfy, 1, 0, 0);
+                // Edge strips: the first / last owned block of a shard with
+                // a ghost column on that side.
+                let blocks_x = s.width / wx;
+                let is_strip =
+                    |k: usize| n > 1 && ((k == 0 && s.ghost_l) || (k == blocks_x - 1 && s.ghost_r));
+                let with_y = |strip: bool| -> Vec<(usize, usize)> {
+                    (0..blocks_x)
+                        .filter(|&k| is_strip(k) == strip)
+                        .flat_map(|k| (0..nfy / wy).map(move |j| (s.owned_lo() + k * wx, j * wy)))
+                        .collect()
                 };
                 let ln = g.len();
-                let boundary = boundary_nodes(&g);
-                let bulk = lbm_gpu::boundary::bulk_mask::<L>(&g);
                 MrShard {
-                    bulk,
-                    mom: [
-                        MomentLattice::new(ln, L::M, 0, 0).with_touch_tracking(),
-                        MomentLattice::new(ln, L::M, 0, 0).with_touch_tracking(),
-                    ],
+                    mom: [0, 1].map(|_| MomentLattice::new(ln, L::M, 0, 0).with_touch_tracking()),
                     cur: 0,
-                    boundary,
-                    strip_cols,
-                    interior_cols,
-                    col_w,
+                    boundary: boundary_nodes(&g),
+                    strip_cols: with_y(true),
+                    interior_cols: with_y(false),
+                    walk: ColumnWalk::new::<L>(&g, wx, wy, 1),
                     geom: g,
                 }
             })
             .collect();
         MultiSim::from_body(
             MultiGpu::ring(device, n),
-            MultiMr2d {
+            MultiMr {
                 decomp,
                 shards,
                 scheme,
-                tau,
                 consts: KernelConsts::new::<L>(tau),
-                tile_h: 1,
                 stats: OverlapStats::default(),
                 _l: PhantomData,
             },
@@ -161,7 +129,7 @@ impl<L: Lattice> MultiMrSim2D<L> {
     }
 }
 
-impl<L: Lattice> MultiMr2d<L> {
+impl<L: Lattice> MultiMr<L> {
     /// Copy each cut's freshly computed edge columns — as `M` moments per
     /// node, not `Q` populations — into the neighbors' ghost columns. The
     /// link tally is recorded (with bounded retries on transient link
@@ -208,9 +176,13 @@ impl<L: Lattice> MultiMr2d<L> {
     }
 }
 
-impl<L: Lattice> DriverBody for MultiMr2d<L> {
+impl<L: Lattice> DriverBody for MultiMr<L> {
     fn label(&self) -> &'static str {
-        "multi-mr2d"
+        if L::D == 3 {
+            "multi-mr3d"
+        } else {
+            "multi-mr2d"
+        }
     }
 
     fn geom(&self) -> &Geometry {
@@ -220,37 +192,18 @@ impl<L: Lattice> DriverBody for MultiMr2d<L> {
     fn init_with(&mut self, field: impl Fn(usize, usize, usize) -> (f64, [f64; 3])) {
         for (r, sh) in self.shards.iter_mut().enumerate() {
             sh.cur = 0;
-            for idx in 0..sh.geom.len() {
-                let (lx, y, z) = sh.geom.coords(idx);
-                let gx = self.decomp.global_x(r, lx);
-                let (rho, u) = match sh.geom.node_at(idx) {
-                    NodeType::Inlet(u_bc) => (field(gx, y, z).0, u_bc),
-                    NodeType::Outlet(rho_bc) => (rho_bc, field(gx, y, z).1),
-                    _ => field(gx, y, z),
-                };
-                let m = Moments {
-                    rho,
-                    u,
-                    pi: Moments::pi_eq(rho, u, L::D),
-                };
-                sh.mom[0].set_moments::<L>(0, idx, &m);
-            }
+            init_equilibrium::<L>(&sh.mom[0], &sh.geom, |lx, y, z| {
+                field(self.decomp.global_x(r, lx), y, z)
+            });
         }
     }
 
     fn macro_fields(&self, t: u64) -> Fields {
         let g = self.decomp.global();
-        let mut rho = vec![0.0; g.len()];
-        let mut u = vec![[0.0; 3]; g.len()];
-        for idx in 0..g.len() {
-            if g.node_at(idx).is_fluid_like() {
-                let (x, y, z) = g.coords(idx);
-                let m = self.moments(t, x, y, z);
-                rho[idx] = m.rho;
-                u[idx] = m.u;
-            }
-        }
-        (rho, u)
+        fluid_macro_fields(g, |idx| {
+            let (x, y, z) = g.coords(idx);
+            self.moments(t, x, y, z)
+        })
     }
 
     fn footprint_bytes(&self) -> usize {
@@ -268,16 +221,12 @@ impl<L: Lattice> DriverBody for MultiMr2d<L> {
     }
 
     fn frame(&self) -> Frame {
-        let g = self.decomp.global();
+        let mut guards = blob_guards::<L>(self.decomp.global());
+        guards.push(("shard count", self.shards.len() as u64));
         Frame {
-            flavor: "multi-mr2d",
+            flavor: self.label(),
             parity: false,
-            guards: vec![
-                ("nx", g.nx as u64),
-                ("ny", g.ny as u64),
-                ("M", L::M as u64),
-                ("shard count", self.shards.len() as u64),
-            ],
+            guards,
         }
     }
 
@@ -302,7 +251,7 @@ impl<L: Lattice> DriverBody for MultiMr2d<L> {
     }
 }
 
-impl<L: Lattice> ShardedBody for MultiMr2d<L> {
+impl<L: Lattice> ShardedBody for MultiMr<L> {
     /// The two-phase overlap schedule. On `Err` no state has advanced (the
     /// buffer parity is unchanged) — the completed edge-strip launches are
     /// idempotent and a later retry of the whole step recomputes them
@@ -310,22 +259,20 @@ impl<L: Lattice> ShardedBody for MultiMr2d<L> {
     fn advance(&mut self, cx: &StepCx<'_>) -> Result<(), LinkError> {
         // One shard's column launch over `cols`, on its own device: the
         // DRAM bytes it moved.
-        let columns = |r: usize, cols: &[usize]| -> u64 {
+        let columns = |r: usize, cols: &[(usize, usize)]| -> u64 {
             let sh = &self.shards[r];
             if cols.is_empty() {
                 return 0;
             }
-            launch_mr2d_columns::<L>(
+            launch_mr_columns::<L>(
                 cx.mg.device(r),
                 &sh.mom[sh.cur],
                 &sh.mom[sh.cur ^ 1],
                 &sh.geom,
                 &self.scheme,
                 &self.consts,
-                &sh.bulk,
                 cx.t,
-                sh.col_w,
-                self.tile_h,
+                &sh.walk,
                 cols,
             )
             .tally
@@ -357,10 +304,9 @@ impl<L: Lattice> ShardedBody for MultiMr2d<L> {
                 cx.mg.device(r),
                 &sh.mom[sh.cur ^ 1],
                 &sh.geom,
-                self.tau,
+                self.consts.tau,
                 cx.t + 1,
                 &sh.boundary,
-                64,
             )
             .tally
             .dram_bytes()
@@ -393,10 +339,26 @@ impl<L: Lattice> ShardedBody for MultiMr2d<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lbm_gpu::MrSim2D;
-    use lbm_lattice::D2Q9;
+    use lbm_core::geometry::NodeType;
+    use lbm_gpu::MrSim;
+    use lbm_lattice::{D2Q9, D3Q19};
 
-    fn shear_init(x: usize, y: usize, _z: usize) -> (f64, [f64; 3]) {
+    type Init = fn(usize, usize, usize) -> (f64, [f64; 3]);
+
+    /// Periodic along x, walls on the lateral faces: a channel for
+    /// `nz = 1`, a duct otherwise.
+    fn walled(nx: usize, ny: usize, nz: usize) -> Geometry {
+        let mut g = Geometry::new(nx, ny, nz, [true, false, nz == 1]);
+        for idx in 0..g.len() {
+            let (x, y, z) = g.coords(idx);
+            if y == 0 || y == ny - 1 || (nz > 1 && (z == 0 || z == nz - 1)) {
+                g.set(x, y, z, NodeType::Wall);
+            }
+        }
+        g
+    }
+
+    fn shear_2d(x: usize, y: usize, _z: usize) -> (f64, [f64; 3]) {
         (
             1.0 + 0.01 * ((2 * x + y) as f64 * 0.4).sin(),
             [
@@ -407,36 +369,67 @@ mod tests {
         )
     }
 
-    /// Sharded MR-P matches single-device MR-P bitwise on a periodic-x
-    /// channel: the ghost moments are exact copies and the column kernel's
-    /// per-node arithmetic is decomposition-independent.
-    #[test]
-    fn multi_matches_single_bitwise() {
-        let geom = Geometry::walls_y_periodic_x(16, 8);
-        let mut single: MrSim2D<D2Q9> = MrSim2D::new(
+    fn shear_3d(x: usize, y: usize, z: usize) -> (f64, [f64; 3]) {
+        (
+            1.0 + 0.005 * ((x + y + z) as f64 * 0.5).sin(),
+            [
+                0.02 * ((y + z) as f64 * 0.6).sin(),
+                0.01 * (x as f64 * 0.4).cos(),
+                0.01 * ((x + y) as f64 * 0.3).sin(),
+            ],
+        )
+    }
+
+    fn sharded<L: Lattice>(geom: Geometry, shards: usize) -> MultiMrSim<L> {
+        MultiMrSim::new(
             DeviceSpec::v100(),
-            geom.clone(),
+            geom,
             MrScheme::projective(),
             0.8,
+            shards,
         )
-        .with_cpu_threads(2);
-        single.init_with(shear_init);
-        let mut multi: MultiMrSim2D<D2Q9> =
-            MultiMrSim2D::new(DeviceSpec::v100(), geom, MrScheme::projective(), 0.8, 4)
-                .with_cpu_threads(2);
-        multi.init_with(shear_init);
-        single.run(10);
-        multi.run(10);
-        let (us, um) = (single.velocity_field(), multi.velocity_field());
-        for (a, b) in us.iter().zip(&um) {
-            for k in 0..3 {
-                assert_eq!(a[k], b[k], "sharding changed the arithmetic");
-            }
+    }
+
+    /// Sharded MR matches single-device MR bitwise: the ghost moments are
+    /// exact copies and the column kernel's per-node arithmetic is
+    /// decomposition-independent.
+    fn assert_matches_single<L: Lattice>(
+        mut single: MrSim<L>,
+        mut multi: MultiMrSim<L>,
+        init: Option<Init>,
+        steps: usize,
+    ) {
+        if let Some(init) = init {
+            single.init_with(init);
+            multi.init_with(init);
         }
-        let (rs, rm) = (single.density_field(), multi.density_field());
-        for (a, b) in rs.iter().zip(&rm) {
-            assert_eq!(a, b);
+        single.run(steps);
+        multi.run(steps);
+        assert_eq!(
+            single.velocity_field(),
+            multi.velocity_field(),
+            "sharding changed the arithmetic"
+        );
+        assert_eq!(single.density_field(), multi.density_field());
+    }
+
+    /// MR-P on a periodic-x channel over four shards and a periodic-x duct
+    /// over three.
+    #[test]
+    fn multi_matches_single_bitwise() {
+        fn check<L: Lattice>(geom: Geometry, shards: usize, init: Init, steps: usize) {
+            let single = MrSim::<L>::new(
+                DeviceSpec::v100(),
+                geom.clone(),
+                MrScheme::projective(),
+                0.8,
+            )
+            .with_cpu_threads(2);
+            let multi = sharded::<L>(geom, shards).with_cpu_threads(2);
+            assert_matches_single(single, multi, Some(init), steps);
         }
+        check::<D2Q9>(walled(16, 8, 1), 4, shear_2d, 10);
+        check::<D3Q19>(walled(12, 8, 8), 3, shear_3d, 6);
     }
 
     /// MR-R on an inlet/outlet channel matches to roundoff (the FD stencil
@@ -445,84 +438,68 @@ mod tests {
     #[test]
     fn multi_matches_single_channel_recursive() {
         let geom = Geometry::channel_2d(20, 10, 0.04);
-        let mut single: MrSim2D<D2Q9> = MrSim2D::new(
-            DeviceSpec::mi100(),
-            geom.clone(),
-            MrScheme::recursive::<D2Q9>(),
-            0.75,
-        )
-        .with_cpu_threads(2);
-        let mut multi: MultiMrSim2D<D2Q9> = MultiMrSim2D::new(
-            DeviceSpec::mi100(),
-            geom,
-            MrScheme::recursive::<D2Q9>(),
-            0.75,
-            3,
-        )
-        .with_cpu_threads(2);
-        single.run(12);
-        multi.run(12);
-        let (us, um) = (single.velocity_field(), multi.velocity_field());
-        for (a, b) in us.iter().zip(&um) {
-            for k in 0..3 {
-                assert_eq!(a[k], b[k]);
-            }
-        }
+        let (dev, scheme) = (DeviceSpec::mi100, MrScheme::recursive::<D2Q9>);
+        let single = MrSim::<D2Q9>::new(dev(), geom.clone(), scheme(), 0.75).with_cpu_threads(2);
+        let multi = MultiMrSim::<D2Q9>::new(dev(), geom, scheme(), 0.75, 3).with_cpu_threads(2);
+        assert_matches_single(single, multi, None, 12);
     }
 
     /// The moment-space exchange moves exactly M/Q of the ST halo bytes:
-    /// 96/144 per D2Q9 halo node.
+    /// `M·8` = 48 of 72 per D2Q9 halo node, 80 of 152 per D3Q19 one.
     #[test]
     fn halo_bytes_are_m_per_node() {
-        let geom = Geometry::walls_y_periodic_x(16, 10);
-        let mut multi: MultiMrSim2D<D2Q9> =
-            MultiMrSim2D::new(DeviceSpec::v100(), geom, MrScheme::projective(), 0.8, 2)
-                .with_cpu_threads(2);
-        multi.run(4);
-        let per_step = 4 * 8 * 6 * 8; // 4 transfers × 8 fluid nodes × M·8
-        assert_eq!(multi.halo_bytes_per_step(), per_step as u64);
-        assert_eq!(multi.interconnect().total_link_bytes(), 4 * per_step as u64);
+        fn check<L: Lattice>(dev: DeviceSpec, geom: Geometry, steps: usize, per_step: u64) {
+            let mut multi: MultiMrSim<L> =
+                MultiMrSim::new(dev, geom, MrScheme::projective(), 0.8, 2).with_cpu_threads(2);
+            multi.run(steps);
+            assert_eq!(multi.halo_bytes_per_step(), per_step);
+            assert_eq!(
+                multi.interconnect().total_link_bytes(),
+                steps as u64 * per_step
+            );
+        }
+        // 4 transfers × 8 fluid nodes × M·8.
+        check::<D2Q9>(DeviceSpec::v100(), walled(16, 10, 1), 4, 4 * 8 * 6 * 8);
+        // 4 transfers × (6−2)·(6−2) fluid nodes × 10·8 bytes.
+        check::<D3Q19>(DeviceSpec::mi100(), walled(8, 6, 6), 3, 4 * 16 * 10 * 8);
     }
 
     /// Mass is conserved across the cuts.
     #[test]
     fn conserves_mass() {
-        let geom = Geometry::walls_y_periodic_x(16, 8);
-        let mut multi: MultiMrSim2D<D2Q9> =
-            MultiMrSim2D::new(DeviceSpec::v100(), geom, MrScheme::projective(), 0.8, 4)
-                .with_cpu_threads(2);
+        let mut multi = sharded::<D2Q9>(walled(16, 8, 1), 4).with_cpu_threads(2);
         multi.init_with(|x, y, _| (1.0 + 0.01 * ((x + y) as f64).sin(), [0.0; 3]));
-        let mass = |s: &MultiMrSim2D<D2Q9>| -> f64 { s.density_field().iter().sum() };
+        let mass = |s: &MultiMrSim<D2Q9>| -> f64 { s.density_field().iter().sum() };
         let m0 = mass(&multi);
         multi.run(20);
         let m1 = mass(&multi);
         assert!((m0 - m1).abs() < 1e-9 * m0, "mass drift {}", m1 - m0);
     }
 
-    fn strict(sh: &mut MrShard) {
-        let n = sh.geom.len();
-        let mom = std::mem::replace(&mut sh.mom, [0, 1].map(|_| MomentLattice::new(n, 6, 0, 0)));
-        sh.mom = mom.map(MomentLattice::with_racecheck_strict);
-    }
-
-    /// Four device threads with two pooled launch threads each trip no
-    /// strict race check, and land on the one-thread run's fields.
+    /// One device thread per shard with two pooled launch threads each trip
+    /// no strict race check, and land on the one-thread run's fields.
     #[test]
     fn shards_side_by_side_are_racecheck_clean() {
-        let run = |threads: usize, check: bool| {
-            let geom = Geometry::walls_y_periodic_x(16, 8);
-            let mut multi: MultiMrSim2D<D2Q9> =
-                MultiMrSim2D::new(DeviceSpec::v100(), geom, MrScheme::projective(), 0.8, 4)
+        fn check<L: Lattice>(geom: Geometry, shards: usize, init: Init, steps: usize) {
+            let run = |threads: usize, strict: bool| {
+                let mut multi = sharded::<L>(geom.clone(), shards)
                     .with_cpu_threads(threads)
                     .with_parallel_threshold(0);
-            if check {
-                multi.shards.iter_mut().for_each(strict);
-            }
-            multi.init_with(shear_init);
-            multi.run(6);
-            multi.field_checksum()
-        };
-        assert_eq!(run(8, true), run(1, false));
+                if strict {
+                    for sh in &mut multi.shards {
+                        let blank = [0, 1].map(|_| MomentLattice::new(1, L::M, 0, 0));
+                        let mom = std::mem::replace(&mut sh.mom, blank);
+                        sh.mom = mom.map(MomentLattice::with_racecheck_strict);
+                    }
+                }
+                multi.init_with(init);
+                multi.run(steps);
+                multi.field_checksum()
+            };
+            assert_eq!(run(2 * shards, true), run(1, false));
+        }
+        check::<D2Q9>(walled(16, 8, 1), 4, shear_2d, 6);
+        check::<D3Q19>(walled(12, 8, 8), 3, shear_3d, 4);
     }
 
     /// A kernel that panics on one shard's device thread (here: a column
@@ -530,23 +507,25 @@ mod tests {
     /// leaves no span open on any thread, and the driver still drops.
     #[test]
     fn kernel_panic_in_one_shard_surfaces_on_the_stepping_thread() {
-        let hub = obs::Obs::shared();
-        let geom = Geometry::walls_y_periodic_x(16, 8);
-        let mut multi: MultiMrSim2D<D2Q9> =
-            MultiMrSim2D::new(DeviceSpec::v100(), geom, MrScheme::projective(), 0.8, 4)
-                .with_cpu_threads(4)
+        fn check<L: Lattice>(geom: Geometry, shards: usize, init: Init) {
+            let hub = obs::Obs::shared();
+            let mut multi = sharded::<L>(geom, shards)
+                .with_cpu_threads(shards)
                 .with_obs(hub.clone());
-        multi.init_with(shear_init);
-        multi.run(2);
-        multi.shards[2].interior_cols = vec![1000];
-        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| multi.step()));
-        assert!(res.is_err(), "the shard's panic was swallowed");
-        assert_eq!(
-            hub.tracer.open_spans_total(),
-            0,
-            "a span leaked past the panic"
-        );
-        assert_eq!(multi.steps(), 2, "a failed step must not count");
-        drop(multi);
+            multi.init_with(init);
+            multi.run(2);
+            multi.shards[shards - 2].interior_cols = vec![(1000, 0)];
+            let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| multi.step()));
+            assert!(res.is_err(), "the shard's panic was swallowed");
+            assert_eq!(
+                hub.tracer.open_spans_total(),
+                0,
+                "a span leaked past the panic"
+            );
+            assert_eq!(multi.steps(), 2, "a failed step must not count");
+            drop(multi);
+        }
+        check::<D2Q9>(walled(16, 8, 1), 4, shear_2d);
+        check::<D3Q19>(walled(12, 8, 8), 3, shear_3d);
     }
 }

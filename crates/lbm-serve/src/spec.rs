@@ -12,14 +12,10 @@ use lbm_core::collision::Bgk;
 use lbm_core::geometry::{Geometry, NodeType};
 use lbm_core::Simulation;
 use lbm_gpu::sparse::validate_sparse_geometry;
-use lbm_gpu::{
-    AaStSim, MrScheme, MrSim2D, MrSim3D, Sim, SoloBody, SparseMrSim2D, SparseMrSim3D, StSim,
-    StSparseSim,
-};
+use lbm_gpu::{AaStSim, MrScheme, MrSim, Sim, SoloBody, SparseMrSim, StSim, StSparseSim};
 use lbm_lattice::{Lattice, D2Q9, D3Q19};
 use lbm_multi::{
-    MultiAaStSim, MultiMrSim2D, MultiMrSim3D, MultiSim, MultiSparseMrSim, MultiSparseStSim,
-    MultiStSim, ShardedBody,
+    MultiAaStSim, MultiMrSim, MultiSim, MultiSparseMrSim, MultiSparseStSim, MultiStSim, ShardedBody,
 };
 use std::sync::Arc;
 
@@ -390,124 +386,63 @@ impl JobSpec {
     /// exactly; the fault plan (shared `Arc`) re-attaches so its fired
     /// counters keep accumulating across evictions.
     pub fn build(&self, cpu_threads: usize) -> Box<dyn Simulation + Send> {
+        match self.scenario {
+            Scenario::Shear2D { .. } => self.build_on::<D2Q9>(cpu_threads),
+            Scenario::Porous2D { .. } => {
+                assert!(
+                    self.pattern.is_sparse(),
+                    "validate() rejects dense patterns on porous scenarios"
+                );
+                self.build_on::<D2Q9>(cpu_threads)
+            }
+            Scenario::Shear3D { .. } => self.build_on::<D3Q19>(cpu_threads),
+        }
+    }
+
+    /// [`JobSpec::build`] on the scenario's lattice: every pattern has one
+    /// lattice-generic driver, solo and sharded.
+    fn build_on<L: Lattice>(&self, cpu_threads: usize) -> Box<dyn Simulation + Send> {
         let dev = DeviceSpec::v100();
         let geom = self.scenario.geometry();
-        match (self.scenario, self.pattern, self.devices) {
-            (Scenario::Shear2D { .. }, Pattern::St, 1) => self.solo(
-                StSim::<D2Q9, _>::new(dev, geom, Bgk::new(self.tau)),
-                cpu_threads,
-            ),
-            (Scenario::Shear2D { .. }, Pattern::St, n) => self.sharded(
-                MultiStSim::<D2Q9, _>::new(dev, geom, Bgk::new(self.tau), n),
-                cpu_threads,
-            ),
-            (Scenario::Shear2D { .. }, Pattern::AaSt, 1) => self.solo(
-                AaStSim::<D2Q9, _>::new(dev, geom, Bgk::new(self.tau)),
-                cpu_threads,
-            ),
-            (Scenario::Shear2D { .. }, Pattern::AaSt, n) => self.sharded(
-                MultiAaStSim::<D2Q9, _>::new(dev, geom, Bgk::new(self.tau), n),
-                cpu_threads,
-            ),
-            (Scenario::Shear2D { .. }, Pattern::MrTwist, _) => {
-                // validate() rejects devices > 1 for the twist pattern.
-                self.solo(
-                    MrSim2D::<D2Q9>::new(dev, geom, MrScheme::projective(), self.tau).with_twist(),
-                    cpu_threads,
-                )
+        let (tau, bgk) = (self.tau, Bgk::new(self.tau));
+        // MR-R is the one recursive pattern; twist and sparse MR are MR-P.
+        let scheme = match self.pattern {
+            Pattern::MrR => MrScheme::recursive::<L>(),
+            _ => MrScheme::projective(),
+        };
+        match (self.pattern, self.devices) {
+            (Pattern::St, 1) => self.solo(StSim::<L, _>::new(dev, geom, bgk), cpu_threads),
+            (Pattern::St, n) => {
+                self.sharded(MultiStSim::<L, _>::new(dev, geom, bgk, n), cpu_threads)
             }
-            (Scenario::Shear2D { .. } | Scenario::Porous2D { .. }, Pattern::SparseSt, 1) => self
-                .solo(
-                    StSparseSim::<D2Q9, _>::new(dev, geom, Bgk::new(self.tau)),
-                    cpu_threads,
-                ),
-            (Scenario::Shear2D { .. } | Scenario::Porous2D { .. }, Pattern::SparseSt, n) => self
-                .sharded(
-                    MultiSparseStSim::<D2Q9, _>::new(dev, geom, Bgk::new(self.tau), n),
-                    cpu_threads,
-                ),
-            (Scenario::Shear2D { .. } | Scenario::Porous2D { .. }, Pattern::SparseMr, 1) => self
-                .solo(
-                    SparseMrSim2D::new(dev, geom, MrScheme::projective(), self.tau),
-                    cpu_threads,
-                ),
-            (Scenario::Shear2D { .. } | Scenario::Porous2D { .. }, Pattern::SparseMr, n) => self
-                .sharded(
-                    MultiSparseMrSim::<D2Q9>::new(dev, geom, MrScheme::projective(), self.tau, n),
-                    cpu_threads,
-                ),
-            (Scenario::Shear2D { .. }, pat, n) => {
-                let scheme = match pat {
-                    Pattern::MrP => MrScheme::projective(),
-                    _ => MrScheme::recursive::<D2Q9>(),
-                };
-                if n == 1 {
-                    self.solo(
-                        MrSim2D::<D2Q9>::new(dev, geom, scheme, self.tau),
-                        cpu_threads,
-                    )
-                } else {
-                    self.sharded(
-                        MultiMrSim2D::<D2Q9>::new(dev, geom, scheme, self.tau, n),
-                        cpu_threads,
-                    )
-                }
+            (Pattern::AaSt, 1) => self.solo(AaStSim::<L, _>::new(dev, geom, bgk), cpu_threads),
+            (Pattern::AaSt, n) => {
+                self.sharded(MultiAaStSim::<L, _>::new(dev, geom, bgk, n), cpu_threads)
             }
-            (Scenario::Porous2D { .. }, ..) => {
-                unreachable!("validate() rejects dense patterns on porous scenarios")
+            // validate() rejects devices > 1 for the twist pattern.
+            (Pattern::MrTwist, _) => self.solo(
+                MrSim::<L>::new(dev, geom, scheme, tau).with_twist(),
+                cpu_threads,
+            ),
+            (Pattern::SparseSt, 1) => {
+                self.solo(StSparseSim::<L, _>::new(dev, geom, bgk), cpu_threads)
             }
-            (Scenario::Shear3D { .. }, Pattern::St, 1) => self.solo(
-                StSim::<D3Q19, _>::new(dev, geom, Bgk::new(self.tau)),
+            (Pattern::SparseSt, n) => self.sharded(
+                MultiSparseStSim::<L, _>::new(dev, geom, bgk, n),
                 cpu_threads,
             ),
-            (Scenario::Shear3D { .. }, Pattern::St, n) => self.sharded(
-                MultiStSim::<D3Q19, _>::new(dev, geom, Bgk::new(self.tau), n),
+            (Pattern::SparseMr, 1) => {
+                self.solo(SparseMrSim::<L>::new(dev, geom, scheme, tau), cpu_threads)
+            }
+            (Pattern::SparseMr, n) => self.sharded(
+                MultiSparseMrSim::<L>::new(dev, geom, scheme, tau, n),
                 cpu_threads,
             ),
-            (Scenario::Shear3D { .. }, Pattern::AaSt, 1) => self.solo(
-                AaStSim::<D3Q19, _>::new(dev, geom, Bgk::new(self.tau)),
-                cpu_threads,
-            ),
-            (Scenario::Shear3D { .. }, Pattern::AaSt, n) => self.sharded(
-                MultiAaStSim::<D3Q19, _>::new(dev, geom, Bgk::new(self.tau), n),
-                cpu_threads,
-            ),
-            (Scenario::Shear3D { .. }, Pattern::MrTwist, _) => self.solo(
-                MrSim3D::<D3Q19>::new(dev, geom, MrScheme::projective(), self.tau).with_twist(),
-                cpu_threads,
-            ),
-            (Scenario::Shear3D { .. }, Pattern::SparseSt, 1) => self.solo(
-                StSparseSim::<D3Q19, _>::new(dev, geom, Bgk::new(self.tau)),
-                cpu_threads,
-            ),
-            (Scenario::Shear3D { .. }, Pattern::SparseSt, n) => self.sharded(
-                MultiSparseStSim::<D3Q19, _>::new(dev, geom, Bgk::new(self.tau), n),
-                cpu_threads,
-            ),
-            (Scenario::Shear3D { .. }, Pattern::SparseMr, 1) => self.solo(
-                SparseMrSim3D::new(dev, geom, MrScheme::projective(), self.tau),
-                cpu_threads,
-            ),
-            (Scenario::Shear3D { .. }, Pattern::SparseMr, n) => self.sharded(
-                MultiSparseMrSim::<D3Q19>::new(dev, geom, MrScheme::projective(), self.tau, n),
-                cpu_threads,
-            ),
-            (Scenario::Shear3D { .. }, pat, n) => {
-                let scheme = match pat {
-                    Pattern::MrP => MrScheme::projective(),
-                    _ => MrScheme::recursive::<D3Q19>(),
-                };
-                if n == 1 {
-                    self.solo(
-                        MrSim3D::<D3Q19>::new(dev, geom, scheme, self.tau),
-                        cpu_threads,
-                    )
-                } else {
-                    self.sharded(
-                        MultiMrSim3D::<D3Q19>::new(dev, geom, scheme, self.tau, n),
-                        cpu_threads,
-                    )
-                }
+            (Pattern::MrP | Pattern::MrR, 1) => {
+                self.solo(MrSim::<L>::new(dev, geom, scheme, tau), cpu_threads)
+            }
+            (Pattern::MrP | Pattern::MrR, n) => {
+                self.sharded(MultiMrSim::<L>::new(dev, geom, scheme, tau, n), cpu_threads)
             }
         }
     }

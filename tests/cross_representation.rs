@@ -428,6 +428,7 @@ fn mr_config_invariance() {
             MrScheme::projective(),
             0.8,
             col_w,
+            0,
             tile_h,
             shift,
         );

@@ -278,7 +278,7 @@ fn table() -> Vec<Row> {
         .blob("mr2d", &[16, 8, 6, 0])
         .selector(0),
         solo("mr2d/shift2", "mr2d", "mr2d-p", true, || {
-            MrSim2D::<D2Q9>::with_config(v(), channel(), p(), 0.8, 0, 2, 2)
+            MrSim2D::<D2Q9>::with_config(v(), channel(), p(), 0.8, 0, 0, 2, 2)
         })
         .blob("mr2d", &[16, 8, 6, 0])
         .selector(0),
@@ -630,6 +630,7 @@ fn mr2d_refuses_a_twin_with_another_circular_shift() {
             channel(),
             MrScheme::projective(),
             0.8,
+            0,
             0,
             tile_h,
             shift_rows,

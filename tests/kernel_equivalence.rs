@@ -12,6 +12,8 @@
 //! lengths (`len % LANES != 0`), moving walls, interior obstacles, and
 //! inlet/outlet boundaries, and compare FNV field checksums.
 
+use lbm_mr::kernels::MrSim;
+use lbm_mr::multi::MultiMrSim;
 use lbm_mr::prelude::*;
 
 /// A smooth, non-trivial initial field (same shape the multi-device
@@ -67,29 +69,58 @@ fn st_projective_staging_is_transparent() {
     assert_eq!(fast.field_checksum(), slow.field_checksum());
 }
 
-/// 2D MR (both regularization flavors) on a cavity with a moving lid and
-/// odd row lengths — the chunked unpack+collide+reconstruct with tail
-/// replication must match the scalar chain bitwise.
-#[test]
-fn mr2d_vectorized_matches_scalar() {
-    for dev in devices() {
-        for scheme in [MrScheme::projective(), MrScheme::recursive::<D2Q9>()] {
-            let geom = Geometry::cavity_2d(13, 0.08);
-            let mut fast: MrSim2D<D2Q9> =
-                MrSim2D::new(dev.clone(), geom.clone(), scheme.clone(), 0.8);
-            let mut slow: MrSim2D<D2Q9> =
-                MrSim2D::new(dev.clone(), geom, scheme, 0.8).with_scalar_kernels();
+/// Dense MR on lattice `L`, both regularization flavors, on each of `devs`:
+/// the chunked unpack+collide+reconstruct with tail replication must match
+/// the scalar chain bitwise. One body for every lattice — the walker is one.
+fn assert_mr_vectorized_matches_scalar<L: Lattice>(
+    geom: &Geometry,
+    devs: &[DeviceSpec],
+    tau: f64,
+    steps: usize,
+) {
+    for dev in devs {
+        for scheme in [MrScheme::projective(), MrScheme::recursive::<L>()] {
+            let mut fast: MrSim2D<L> = MrSim2D::new(dev.clone(), geom.clone(), scheme.clone(), tau);
+            let mut slow: MrSim2D<L> =
+                MrSim2D::new(dev.clone(), geom.clone(), scheme, tau).with_scalar_kernels();
             fast.init_with(shear_init);
             slow.init_with(shear_init);
-            fast.run(6);
-            slow.run(6);
+            fast.run(steps);
+            slow.run(steps);
             assert_eq!(
                 fast.field_checksum(),
                 slow.field_checksum(),
-                "MR 2D vectorized diverged from scalar"
+                "{} MR vectorized diverged from scalar",
+                L::NAME
             );
         }
     }
+}
+
+/// The sharded twin on two shards.
+fn assert_multi_mr_vectorized_matches_scalar<L: Lattice>(
+    geom: &Geometry,
+    dev: DeviceSpec,
+    steps: usize,
+) {
+    for scheme in [MrScheme::projective(), MrScheme::recursive::<L>()] {
+        let mut fast: MultiMrSim<L> =
+            MultiMrSim::new(dev.clone(), geom.clone(), scheme.clone(), 0.8, 2);
+        let mut slow: MultiMrSim<L> =
+            MultiMrSim::new(dev.clone(), geom.clone(), scheme, 0.8, 2).with_scalar_kernels();
+        fast.init_with(shear_init);
+        slow.init_with(shear_init);
+        fast.run(steps);
+        slow.run(steps);
+        assert_eq!(fast.field_checksum(), slow.field_checksum());
+    }
+}
+
+/// 2D MR on a cavity with a moving lid and odd row lengths.
+#[test]
+fn mr2d_vectorized_matches_scalar() {
+    let geom = Geometry::cavity_2d(13, 0.08);
+    assert_mr_vectorized_matches_scalar::<D2Q9>(&geom, &devices(), 0.8, 6);
 }
 
 /// 2D MR around an interior obstacle: runs split at the cylinder, so the
@@ -97,41 +128,15 @@ fn mr2d_vectorized_matches_scalar() {
 #[test]
 fn mr2d_obstacle_segments_match() {
     let geom = Geometry::walls_y_periodic_x(24, 9).with_cylinder(7.5, 4.5, 2.2);
-    for scheme in [MrScheme::projective(), MrScheme::recursive::<D2Q9>()] {
-        let mut fast: MrSim2D<D2Q9> =
-            MrSim2D::new(DeviceSpec::v100(), geom.clone(), scheme.clone(), 0.7);
-        let mut slow: MrSim2D<D2Q9> =
-            MrSim2D::new(DeviceSpec::v100(), geom.clone(), scheme, 0.7).with_scalar_kernels();
-        fast.init_with(shear_init);
-        slow.init_with(shear_init);
-        fast.run(6);
-        slow.run(6);
-        assert_eq!(fast.field_checksum(), slow.field_checksum());
-    }
+    assert_mr_vectorized_matches_scalar::<D2Q9>(&geom, &[DeviceSpec::v100()], 0.7, 6);
 }
 
 /// 3D MR on the paper's duct (inlet/outlet + FD boundary rebuild), both
-/// flavors, both devices; 12-node rows exercise the 4-lane tail.
+/// devices; 12-node rows exercise the 4-lane tail.
 #[test]
 fn mr3d_vectorized_matches_scalar() {
-    for dev in devices() {
-        for scheme in [MrScheme::projective(), MrScheme::recursive::<D3Q19>()] {
-            let geom = Geometry::channel_3d(12, 6, 6, 0.04);
-            let mut fast: MrSim3D<D3Q19> =
-                MrSim3D::new(dev.clone(), geom.clone(), scheme.clone(), 0.8);
-            let mut slow: MrSim3D<D3Q19> =
-                MrSim3D::new(dev.clone(), geom, scheme, 0.8).with_scalar_kernels();
-            fast.init_with(shear_init);
-            slow.init_with(shear_init);
-            fast.run(4);
-            slow.run(4);
-            assert_eq!(
-                fast.field_checksum(),
-                slow.field_checksum(),
-                "MR 3D vectorized diverged from scalar"
-            );
-        }
-    }
+    let geom = Geometry::channel_3d(12, 6, 6, 0.04);
+    assert_mr_vectorized_matches_scalar::<D3Q19>(&geom, &devices(), 0.8, 4);
 }
 
 /// Sharded ST: the vectorized kernels run inside each shard's strip and
@@ -154,18 +159,7 @@ fn multi_st_vectorized_matches_scalar() {
 #[test]
 fn multi_mr2d_vectorized_matches_scalar() {
     let geom = Geometry::walls_y_periodic_x(24, 9);
-    for scheme in [MrScheme::projective(), MrScheme::recursive::<D2Q9>()] {
-        let mut fast: MultiMrSim2D<D2Q9> =
-            MultiMrSim2D::new(DeviceSpec::mi100(), geom.clone(), scheme.clone(), 0.8, 2);
-        let mut slow: MultiMrSim2D<D2Q9> =
-            MultiMrSim2D::new(DeviceSpec::mi100(), geom.clone(), scheme, 0.8, 2)
-                .with_scalar_kernels();
-        fast.init_with(shear_init);
-        slow.init_with(shear_init);
-        fast.run(6);
-        slow.run(6);
-        assert_eq!(fast.field_checksum(), slow.field_checksum());
-    }
+    assert_multi_mr_vectorized_matches_scalar::<D2Q9>(&geom, DeviceSpec::mi100(), 6);
 }
 
 /// PR 9 tentpole contract, swept at the workspace level: the in-place
@@ -251,54 +245,32 @@ fn aa_matches_two_lattice_fnv_sweep_3d() {
 /// 3D (with inlet/outlet boundaries), both devices, pooled 1/8-thread.
 #[test]
 fn mr_twist_matches_default_fnv_sweep() {
-    for dev in devices() {
-        let geom2 = Geometry::cavity_2d(13, 0.08);
-        let mut plain2: MrSim2D<D2Q9> =
-            MrSim2D::new(dev.clone(), geom2.clone(), MrScheme::projective(), 0.8);
-        let mut tw1: MrSim2D<D2Q9> =
-            MrSim2D::new(dev.clone(), geom2.clone(), MrScheme::projective(), 0.8)
-                .with_cpu_threads(1)
-                .with_twist();
-        let mut tw8: MrSim2D<D2Q9> = MrSim2D::new(dev.clone(), geom2, MrScheme::projective(), 0.8)
-            .with_cpu_threads(8)
-            .with_twist();
-        plain2.init_with(shear_init);
+    fn sweep<L: Lattice>(dev: &DeviceSpec, geom: &Geometry, scheme: MrScheme, steps: u64) {
+        let mk = || MrSim::<L>::new(dev.clone(), geom.clone(), scheme.clone(), 0.8);
+        let mut plain = mk();
+        let mut tw1 = mk().with_cpu_threads(1).with_twist();
+        let mut tw8 = mk().with_cpu_threads(8).with_twist();
+        plain.init_with(shear_init);
         tw1.init_with(shear_init);
         tw8.init_with(shear_init);
-        for step in 1..=7u64 {
-            plain2.step();
+        for step in 1..=steps {
+            plain.step();
             tw1.step();
             tw8.step();
             assert_eq!(tw1.field_checksum(), tw8.field_checksum());
             assert_eq!(
                 tw1.field_checksum(),
-                plain2.field_checksum(),
-                "2D twist diverged at step {step}"
+                plain.field_checksum(),
+                "{} twist diverged at step {step}",
+                L::NAME
             );
         }
-
+    }
+    for dev in devices() {
+        let geom2 = Geometry::cavity_2d(13, 0.08);
+        sweep::<D2Q9>(&dev, &geom2, MrScheme::projective(), 7);
         let geom3 = Geometry::channel_3d(12, 6, 6, 0.04);
-        let mut plain3: MrSim3D<D3Q19> = MrSim3D::new(
-            dev.clone(),
-            geom3.clone(),
-            MrScheme::recursive::<D3Q19>(),
-            0.8,
-        );
-        let mut tw3: MrSim3D<D3Q19> =
-            MrSim3D::new(dev.clone(), geom3, MrScheme::recursive::<D3Q19>(), 0.8)
-                .with_cpu_threads(8)
-                .with_twist();
-        plain3.init_with(shear_init);
-        tw3.init_with(shear_init);
-        for step in 1..=5u64 {
-            plain3.step();
-            tw3.step();
-            assert_eq!(
-                tw3.field_checksum(),
-                plain3.field_checksum(),
-                "3D twist diverged at step {step}"
-            );
-        }
+        sweep::<D3Q19>(&dev, &geom3, MrScheme::recursive::<D3Q19>(), 5);
     }
 }
 
@@ -306,18 +278,7 @@ fn mr_twist_matches_default_fnv_sweep() {
 #[test]
 fn multi_mr3d_vectorized_matches_scalar() {
     let geom = Geometry::channel_3d(16, 6, 6, 0.04);
-    for scheme in [MrScheme::projective(), MrScheme::recursive::<D3Q19>()] {
-        let mut fast: MultiMrSim3D<D3Q19> =
-            MultiMrSim3D::new(DeviceSpec::v100(), geom.clone(), scheme.clone(), 0.8, 2);
-        let mut slow: MultiMrSim3D<D3Q19> =
-            MultiMrSim3D::new(DeviceSpec::v100(), geom.clone(), scheme, 0.8, 2)
-                .with_scalar_kernels();
-        fast.init_with(shear_init);
-        slow.init_with(shear_init);
-        fast.run(4);
-        slow.run(4);
-        assert_eq!(fast.field_checksum(), slow.field_checksum());
-    }
+    assert_multi_mr_vectorized_matches_scalar::<D3Q19>(&geom, DeviceSpec::v100(), 4);
 }
 
 /// PR 10 tentpole contract, swept at the workspace level: the
@@ -910,7 +871,7 @@ fn dense_mr_matches_the_recorded_ledger() {
             ),
             (
                 "mr2d-p/cyl col_w 8, tile_h 2, shift 2",
-                solo2(MrSim2D::with_config(v100(), cyl(), p(), 0.8, 8, 2, 2)),
+                solo2(MrSim2D::with_config(v100(), cyl(), p(), 0.8, 8, 0, 2, 2)),
                 (
                     0x6c6e934025b90ae2,
                     [34020, 27006, 272160, 216048, 216048, 7014],

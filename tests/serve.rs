@@ -121,6 +121,14 @@ fn quota_rejects_and_recovers() {
         quotas,
         ..Default::default()
     });
+    // A gate the test controls: a job only `cancel` ends holds the one
+    // executor (a running interactive group is neither joined nor evicted),
+    // so `a` and `b` stay queued — in flight, charged to the quota — until
+    // the gate opens, however fast a 16×8 job steps.
+    let gate = serve
+        .submit(JobSpec::shear_2d("gate", 16, 8, 1 << 40))
+        .unwrap();
+    wait_for_state(&serve, gate, JobState::Running);
     let spec = JobSpec::shear_2d("acme", 16, 8, 12);
     let a = serve.submit(spec.clone()).unwrap();
     let b = serve.submit(spec.clone()).unwrap();
@@ -131,6 +139,7 @@ fn quota_rejects_and_recovers() {
     // Another tenant is unaffected.
     serve.submit(JobSpec::shear_2d("nova", 16, 8, 12)).unwrap();
     // Capacity returns once a job completes.
+    assert!(serve.cancel(gate), "the gate was still running");
     serve.wait(a).unwrap();
     serve.wait(b).unwrap();
     serve.submit(spec).expect("quota released after completion");
