@@ -16,8 +16,9 @@
 //!   write sequence is deterministic even under pooled execution;
 //! * a launch abort fires on the k-th **launch** — launches are issued from
 //!   the host thread in program order;
-//! * a link fault fails the next `n` **transfers in one direction** —
-//!   transfers are issued from the host thread in program order.
+//! * a link fault fails `n` **transfers in one direction**, after letting a
+//!   given number through — transfers are issued from the host thread in
+//!   program order.
 //!
 //! All hooks are *accounting-neutral*: a corrupted write is tallied exactly
 //! like a clean one (the bytes did move — they just carried the wrong
@@ -56,6 +57,8 @@ struct AbortFault {
 struct LinkFault {
     from: usize,
     to: usize,
+    /// Transfers in this direction still to be let through before failing.
+    skips: AtomicU64,
     /// Transfers left to fail; `u64::MAX` means the link is down for good.
     remaining: AtomicU64,
 }
@@ -130,10 +133,25 @@ impl FaultPlan {
     /// Fail the next `times` transfers in the `from → to` direction
     /// (transient: the link comes back afterwards).
     pub fn fail_link(&mut self, from: usize, to: usize, times: u64) -> &mut Self {
+        self.fail_link_after(from, to, 0, times)
+    }
+
+    /// Let `skip_transfers` transfers in the `from → to` direction through,
+    /// then fail the next `times` (transient) — the link twin of
+    /// `inject_nan`'s `skip_writes`, for faults that must land on a later
+    /// exchange of a step than the link's first.
+    pub fn fail_link_after(
+        &mut self,
+        from: usize,
+        to: usize,
+        skip_transfers: u64,
+        times: u64,
+    ) -> &mut Self {
         assert!(times != PERMANENT, "use fail_link_permanently");
         self.links.push(LinkFault {
             from,
             to,
+            skips: AtomicU64::new(skip_transfers),
             remaining: AtomicU64::new(times),
         });
         self
@@ -144,6 +162,7 @@ impl FaultPlan {
         self.links.push(LinkFault {
             from,
             to,
+            skips: AtomicU64::new(0),
             remaining: AtomicU64::new(PERMANENT),
         });
         self
@@ -202,6 +221,13 @@ impl FaultPlan {
         let mut verdict = None;
         for f in &self.links {
             if f.from != from || f.to != to {
+                continue;
+            }
+            let skipped = f
+                .skips
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| s.checked_sub(1))
+                .is_ok();
+            if skipped {
                 continue;
             }
             if f.remaining.load(Ordering::Relaxed) == PERMANENT {
@@ -351,6 +377,18 @@ mod tests {
         assert_eq!(plan.link_should_fail(0, 1), Some(false));
         assert_eq!(plan.link_should_fail(0, 1), None, "fault exhausted");
         assert_eq!(plan.link_faults_fired(), 2);
+    }
+
+    #[test]
+    fn link_fault_after_a_skip_spares_the_first_transfers() {
+        let mut plan = FaultPlan::new();
+        plan.fail_link_after(0, 1, 2, 1);
+        assert_eq!(plan.link_should_fail(0, 1), None);
+        assert_eq!(plan.link_should_fail(1, 0), None, "direction matters");
+        assert_eq!(plan.link_should_fail(0, 1), None);
+        assert_eq!(plan.link_should_fail(0, 1), Some(false));
+        assert_eq!(plan.link_should_fail(0, 1), None, "fault exhausted");
+        assert_eq!(plan.link_faults_fired(), 1);
     }
 
     #[test]

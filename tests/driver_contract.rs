@@ -617,6 +617,92 @@ fn every_driver_keeps_the_contract() {
     }
 }
 
+/// What the sharding layer rests on: a shard is the single-device body of
+/// its pattern on a slab, so one shard *is* the solo driver — same fields
+/// after every step, same counted bytes, same number of launches.
+#[test]
+fn one_shard_is_the_solo_driver() {
+    fn hub_tally(hub: &Obs) -> [u64; 5] {
+        let names = [
+            "bytes_read",
+            "bytes_written",
+            "dram_bytes_read",
+            "l2_read_hits",
+            "launches",
+        ];
+        let mut out = [0u64; 5];
+        for (key, metric) in hub.metrics.snapshot() {
+            if let (Some(k), Metric::Counter(v)) =
+                (names.iter().position(|n| *n == key.name), metric)
+            {
+                out[k] += v;
+            }
+        }
+        out
+    }
+    fn check<A: SoloBody + Send + 'static, B: ShardedBody + Send + 'static>(
+        name: &str,
+        solo: Sim<A>,
+        one: MultiSim<B>,
+    ) {
+        let (mut solo, mut one) = (solo.with_cpu_threads(1), one.with_cpu_threads(1));
+        solo.init_with(shear_init);
+        one.init_with(shear_init);
+        let (hub_solo, hub_one) = (Obs::shared(), Obs::shared());
+        solo.set_obs(hub_solo.clone());
+        one.set_obs(hub_one.clone());
+        assert_eq!(one.num_devices(), 1, "{name}");
+        for step in 0..=STEPS {
+            if step > 0 {
+                solo.step();
+                one.step();
+            }
+            assert_eq!(
+                one.field_checksum(),
+                solo.field_checksum(),
+                "{name}: step {step}"
+            );
+        }
+        assert_eq!(hub_tally(&hub_one), hub_tally(&hub_solo), "{name}: tally");
+        assert_eq!(one.interconnect().total_link_bytes(), 0, "{name}");
+        assert_eq!(one.fluid_nodes(), solo.fluid_nodes(), "{name}");
+    }
+    // Inlet/outlet where the pattern has a boundary kernel, periodic else.
+    let inlet = || Geometry::channel_2d(32, 16, 0.04);
+    let periodic = || Geometry::walls_y_periodic_x(32, 16);
+    let bgk = || Bgk::new(0.8);
+    check(
+        "st",
+        StSim::<D2Q9, _>::new(v(), inlet(), bgk()),
+        MultiStSim::<D2Q9, _>::new(v(), inlet(), bgk(), 1),
+    );
+    check(
+        "aa",
+        AaStSim::<D2Q9, _>::new(v(), periodic(), bgk()),
+        MultiAaStSim::<D2Q9, _>::new(v(), periodic(), bgk(), 1),
+    );
+    check(
+        "mr2d",
+        MrSim2D::<D2Q9>::new(v(), inlet(), p(), 0.8),
+        MultiMrSim2D::<D2Q9>::new(v(), inlet(), p(), 0.8, 1),
+    );
+    check(
+        "mr3d",
+        MrSim3D::<D3Q19>::new(v(), duct(), p(), 0.8),
+        MultiMrSim3D::<D3Q19>::new(v(), duct(), p(), 0.8, 1),
+    );
+    check(
+        "sparse-st",
+        StSparseSim::<D2Q9, _>::new(v(), periodic(), bgk()),
+        MultiSparseStSim::<D2Q9, _>::new(v(), periodic(), bgk(), 1),
+    );
+    check(
+        "sparse-mr",
+        SparseMrSim2D::new(v(), periodic(), p(), 0.8),
+        MultiSparseMrSim::<D2Q9>::new(v(), periodic(), p(), 0.8, 1),
+    );
+}
+
 /// The defect that motivated the all-or-nothing envelope: `MrSim2D` blobs
 /// of a `shift_rows = 2` twin differ from a `shift_rows = 1` driver's only
 /// in the length of the raw moment array, which no configuration guard

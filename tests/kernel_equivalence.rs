@@ -800,23 +800,47 @@ fn solo_ledger_row<B: lbm_mr::kernels::SoloBody>(
     )
 }
 
-/// The sharded twin: field FNV, bytes the links carried, the analytic halo
-/// payload of one step (an accessor of the body, hence `halo`), and the
-/// blob's FNV.
+/// What the recorded ledgers pin of a sharded run: `[field FNV, bytes the
+/// links carried, the analytic halo payload of one step or cycle (an
+/// accessor of the body, hence `halo`), blob FNV]`, the blob's length, and
+/// what the attached hub saw ([`hub_tally`]).
+type ShardedRow = ([u64; 4], usize, [u64; 5]);
+
+/// `steps` steps of a sharded driver from `shear_init`, every launch pooled.
+fn sharded_row<B: lbm_mr::multi::ShardedBody>(
+    sim: lbm_mr::multi::MultiSim<B>,
+    halo: impl Fn(&lbm_mr::multi::MultiSim<B>) -> u64,
+    threads: usize,
+    steps: usize,
+) -> ShardedRow {
+    let hub = Obs::shared();
+    let mut sim = sim
+        .with_cpu_threads(threads)
+        .with_parallel_threshold(0)
+        .with_obs(hub.clone());
+    sim.init_with(shear_init);
+    sim.run(steps);
+    let blob = sim.checkpoint();
+    (
+        [
+            sim.field_checksum(),
+            sim.interconnect().total_link_bytes(),
+            halo(&sim),
+            io::fnv1a(&blob),
+        ],
+        blob.len(),
+        hub_tally(&hub),
+    )
+}
+
+/// The four words [`dense_mr_matches_the_recorded_ledger`] holds its sharded
+/// rows to, after seven steps.
 fn sharded_ledger_row<B: lbm_mr::multi::ShardedBody>(
     sim: lbm_mr::multi::MultiSim<B>,
     halo: impl Fn(&lbm_mr::multi::MultiSim<B>) -> u64,
     threads: usize,
 ) -> [u64; 4] {
-    let mut sim = sim.with_cpu_threads(threads).with_parallel_threshold(0);
-    sim.init_with(shear_init);
-    sim.run(7);
-    [
-        sim.field_checksum(),
-        sim.interconnect().total_link_bytes(),
-        halo(&sim),
-        io::fnv1a(&sim.checkpoint()),
-    ]
+    sharded_row(sim, halo, threads, 7).0
 }
 
 /// Dense MR against history. Scalar-vs-vector equivalence compares the
@@ -934,6 +958,219 @@ fn dense_mr_matches_the_recorded_ledger() {
             ),
         ];
         for (what, got, want) in sharded {
+            assert_eq!(got, want, "{what}, {threads} thread(s)");
+        }
+    }
+}
+
+/// Every sharded driver against history: fields, link bytes, the analytic
+/// halo payload, the checkpoint blob and every counted device access of the
+/// five hand-written sharded bodies (commit 7dc563c), read before they
+/// became one generic body over the single-device ones. Identical at 1 and
+/// at 3 threads.
+#[test]
+fn sharded_drivers_match_the_recorded_ledger() {
+    let v100 = DeviceSpec::v100;
+    let p = MrScheme::projective;
+    let bgk = || Bgk::new(0.8);
+    let chan = || Geometry::channel_2d(48, 16, 0.04);
+    let cyl = || Geometry::walls_y_periodic_x(48, 16).with_cylinder(20.0, 8.0, 3.0);
+    let duct = || Geometry::channel_3d(16, 10, 10, 0.03);
+    // Periodic-x duct with walls on the four lateral faces.
+    let pduct = || hashed_rock(7, (16, 10, 10), 0);
+    let rock = || hashed_rock(7, (46, 24, 1), 50);
+    for threads in [1, 3] {
+        let st2 = |geom: Geometry, shards: usize| {
+            sharded_row(
+                MultiStSim::<D2Q9, _>::new(v100(), geom, bgk(), shards),
+                |s| s.halo_bytes_per_step(),
+                threads,
+                7,
+            )
+        };
+        let aa2 = |steps: usize| {
+            sharded_row(
+                MultiAaStSim::<D2Q9, _>::new(v100(), cyl(), bgk(), 3),
+                |s| s.halo_bytes_per_cycle(),
+                threads,
+                steps,
+            )
+        };
+        let sparse_st = |geom: Geometry| {
+            sharded_row(
+                MultiSparseStSim::<D2Q9, _>::new(v100(), geom, bgk(), 2),
+                |s| s.halo_bytes_per_step(),
+                threads,
+                7,
+            )
+        };
+        let sparse_mr = |geom: Geometry| {
+            sharded_row(
+                MultiSparseMrSim::<D2Q9>::new(v100(), geom, p(), 0.8, 2),
+                |s| s.halo_bytes_per_step(),
+                threads,
+                7,
+            )
+        };
+        let mr2 = |geom: Geometry, shards: usize| {
+            sharded_row(
+                MultiMrSim2D::<D2Q9>::new(v100(), geom, p(), 0.8, shards),
+                |s| s.halo_bytes_per_step(),
+                threads,
+                7,
+            )
+        };
+        let rows: [(&str, ShardedRow, ShardedRow); 14] = [
+            (
+                "multi-st x3/chan",
+                st2(chan(), 3),
+                (
+                    [0x01baf9ef9f2e673a, 28224, 4032, 0xeac56e4ddd675a82],
+                    60_040,
+                    [365904, 338688, 352800, 1638, 63],
+                ),
+            ),
+            (
+                "multi-st x2/cyl",
+                st2(cyl(), 2),
+                (
+                    [0xc898230927e9734f, 27720, 3960, 0x89058b74d448868c],
+                    60_040,
+                    [324072, 324072, 324072, 0, 42],
+                ),
+            ),
+            (
+                "multi-st/d3q19 x2/duct",
+                sharded_row(
+                    MultiStSim::<D3Q19, _>::new(v100(), duct(), bgk(), 2),
+                    |s| s.halo_bytes_per_step(),
+                    threads,
+                    7,
+                ),
+                (
+                    [0xd1f53660be6b5d81, 136192, 19456, 0xffe912d0dcca82f9],
+                    273_736,
+                    [1464064, 1089536, 1225728, 29792, 42],
+                ),
+            ),
+            (
+                "multi-aa x3/cyl, 7 steps",
+                aa2(7),
+                (
+                    [0x1f3f93a834cc3b88, 16128, 4032, 0x139829998b8a28ad],
+                    62_344,
+                    [324072, 324072, 324072, 0, 21],
+                ),
+            ),
+            (
+                "multi-aa x3/cyl, 8 steps",
+                aa2(8),
+                (
+                    [0x24b8828b70998214, 16128, 4032, 0x52f004320ad4ab2e],
+                    62_344,
+                    [370368, 370368, 370368, 0, 24],
+                ),
+            ),
+            (
+                "multi-aa/d3q19 x2/pduct",
+                sharded_row(
+                    MultiAaStSim::<D3Q19, _>::new(v100(), pduct(), bgk(), 2),
+                    |s| s.halo_bytes_per_cycle(),
+                    threads,
+                    7,
+                ),
+                (
+                    [0xf776655be19b6ed5, 81920, 20480, 0xba27b48bd9156c8d],
+                    304_136,
+                    [1089536, 1089536, 1089536, 0, 14],
+                ),
+            ),
+            (
+                "multi-sparse-st x2/cyl",
+                sparse_st(cyl()),
+                (
+                    [0xc898230927e9734f, 27720, 3960, 0x09036acd4b9dd099],
+                    50_336,
+                    [486108, 324072, 486108, 0, 14],
+                ),
+            ),
+            (
+                "multi-sparse-st x2/rock",
+                sparse_st(rock()),
+                (
+                    [0x27cac631ac6e4587, 20160, 2880, 0xfb5de8c7d502b2e5],
+                    38_240,
+                    [370440, 246960, 370440, 0, 14],
+                ),
+            ),
+            (
+                "multi-sparse-mr x2/cyl",
+                sparse_mr(cyl()),
+                (
+                    [0x6c6e934025b90ae2, 18480, 2640, 0x0921f61141ff20c3],
+                    33_584,
+                    [486948, 216048, 396564, 11298, 14],
+                ),
+            ),
+            (
+                "multi-sparse-mr x2/rock",
+                sparse_mr(rock()),
+                (
+                    [0x55dc6e3527af1655, 13440, 1920, 0x29377fc4aea0ed09],
+                    25_520,
+                    [356328, 164640, 299880, 7056, 14],
+                ),
+            ),
+            (
+                "multi-sparse-mr/d3q19 x2/pduct",
+                sharded_row(
+                    MultiSparseMrSim::<D3Q19>::new(v100(), pduct(), p(), 0.8, 2),
+                    |s| s.halo_bytes_per_step(),
+                    threads,
+                    7,
+                ),
+                (
+                    [0x1c5a2a46da48e382, 143360, 20480, 0x07adbff21aa33dcb],
+                    102_480,
+                    [2695168, 573440, 1261568, 179200, 14],
+                ),
+            ),
+            // The sharded rows of `dense_mr_matches_the_recorded_ledger`,
+            // with what their devices counted.
+            (
+                "multi-mr2d x3/chan",
+                mr2(chan(), 3),
+                (
+                    [0xf3d72790f1aa143b, 18816, 2688, 0x6c63957e5911d6f0],
+                    40_064,
+                    [258384, 235200, 254016, 546, 35],
+                ),
+            ),
+            (
+                "multi-mr2d x2/cyl",
+                mr2(cyl(), 2),
+                (
+                    [0x6c6e934025b90ae2, 18480, 2640, 0xefffd9caf9abd3b8],
+                    40_064,
+                    [234528, 216048, 234528, 0, 14],
+                ),
+            ),
+            (
+                "multi-mr3d x2/duct",
+                sharded_row(
+                    MultiMrSim3D::<D3Q19>::new(v100(), duct(), p(), 0.8, 2),
+                    |s| s.halo_bytes_per_step(),
+                    threads,
+                    7,
+                ),
+                (
+                    [0x5d52602e657094ae, 71680, 10240, 0x920ab2645b887771],
+                    144_136,
+                    [752640, 645120, 702464, 6272, 28],
+                ),
+            ),
+        ];
+        for (what, got, want) in rows {
             assert_eq!(got, want, "{what}, {threads} thread(s)");
         }
     }

@@ -270,6 +270,101 @@ fn multi_aa_checkpoint_roundtrip_at_odd_parity() {
     ckpt_roundtrip(mk(), mk(), mk(), 5, 7);
 }
 
+/// The sharded AA stream half-step updates its lattice in place, so a
+/// post-exchange that fails after the launch cannot be retried from the
+/// top: the step is parked and the next `try_step` finishes the exchange.
+/// Every link's first use in a stream step is a pre-exchange, hence the
+/// skip: the fault lands on the first transfer of the post-exchange.
+#[test]
+fn multi_aa_parked_post_exchange_is_finished_by_the_next_step() {
+    let geom = Geometry::walls_y_periodic_x(16, 8);
+    let mk = || {
+        let mut s: MultiAaStSim<D2Q9, _> =
+            MultiAaStSim::new(DeviceSpec::v100(), geom.clone(), Projective::new(0.8), 3)
+                .with_cpu_threads(4);
+        s.init_with(shear_init);
+        s
+    };
+    let faulted = |skip: u64| {
+        let mut plan = FaultPlan::new();
+        plan.fail_link_after(1, 0, skip, 1);
+        let plan = Arc::new(plan);
+        let sim = mk()
+            .with_halo_retry(HaloRetryPolicy {
+                max_attempts: 1,
+                backoff_base_us: 1,
+            })
+            .with_fault_plan(plan.clone());
+        (sim, plan)
+    };
+    // Steps, fields, link bytes and every shard's lattice as the blob holds
+    // it (ghost columns included). The blob's head — LBCK framing, five
+    // guards, `t` and the seven overlap words — is left out: the modeled
+    // timing of a parked step counts only the exchange that finished it.
+    let state = |s: &MultiAaStSim<D2Q9, Projective>| {
+        (
+            s.steps(),
+            checksum_of(s),
+            s.interconnect().total_link_bytes(),
+            s.checkpoint().split_off(32 + 8 * (5 + 1 + 7)),
+        )
+    };
+
+    // A stream half-step sends 1 → 0 once in its pre-exchange and opens its
+    // post-exchange with the second. Steps 0 and 1 run clean; step 2 is the
+    // next stream half-step, so its post-exchange is the fourth transfer.
+    let mut clean = mk();
+    let (mut sim, plan) = faulted(3);
+    clean.run(2);
+    sim.run(2);
+    let before = checksum_of(&sim);
+    let err = sim.try_step().unwrap_err();
+    assert!(matches!(
+        err,
+        LinkError::Down {
+            from: 1,
+            to: 0,
+            permanent: false
+        }
+    ));
+    assert_eq!(plan.link_faults_fired(), 1);
+    assert_eq!(sim.steps(), 2, "a parked step must not count");
+    assert_ne!(
+        checksum_of(&sim),
+        before,
+        "the in-place launch had run: only a post-exchange parks a step"
+    );
+    sim.try_step().unwrap();
+    clean.step();
+    assert_eq!(sim.steps(), 3, "the parked step counts once");
+    assert!(
+        state(&sim) == state(&clean),
+        "diverged after the parked step"
+    );
+    sim.run(4);
+    clean.run(4);
+    assert!(state(&sim) == state(&clean), "diverged four steps later");
+
+    // A restore while parked drops the pending exchange with the state it
+    // belonged to: the restored run replays the clean trajectory.
+    let mut clean = mk();
+    clean.run(1);
+    let snap = clean.checkpoint();
+    clean.run(5);
+    let (mut sim, _) = faulted(1);
+    sim.try_step().unwrap_err();
+    assert_eq!(sim.steps(), 0);
+    sim.restore(&snap).unwrap();
+    assert_eq!(sim.steps(), 1);
+    sim.run(5);
+    assert_eq!(sim.steps(), 6);
+    assert_eq!(checksum_of(&sim), checksum_of(&clean));
+    assert!(
+        sim.checkpoint() == clean.checkpoint(),
+        "restore kept a mark"
+    );
+}
+
 /// The moment-twist checkpoints carry the plane parity in their flavor
 /// (`"mr2d-twist+odd"` / `"mr3d-twist+odd"`): restoring at odd parity
 /// must land on reversed plane order and keep stepping bitwise.
