@@ -14,6 +14,20 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo doc (warnings are errors: a dangling intra-doc link fails the build)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
+echo "== non-test lines per crate (lines before the first #[cfg(test)] of every crates/*/src/**/*.rs)"
+# The size PRs report, as a command. The two driver crates may only shrink:
+# lower DRIVER_LINES_MAX when a PR lands below it; raise it only with a
+# sentence in CHANGES.md saying what the lines bought.
+DRIVER_LINES_MAX=6902
+driver_lines=0
+for crate in crates/*/; do
+  lines=$(find "$crate/src" -name '*.rs' -exec awk 'FNR == 1 { on = 1 } /#\[cfg\(test\)\]/ { on = 0 } on' {} + | wc -l)
+  printf '%8d  %s\n' "$lines" "$(basename "$crate")"
+  case "$(basename "$crate")" in lbm-gpu | lbm-multi) driver_lines=$((driver_lines + lines)) ;; esac
+done
+printf '%8d  lbm-gpu + lbm-multi (max %d)\n' "$driver_lines" "$DRIVER_LINES_MAX"
+test "$driver_lines" -le "$DRIVER_LINES_MAX"
+
 echo "== cargo build --release"
 cargo build --release --workspace
 

@@ -139,8 +139,13 @@ impl<T: Copy> GlobalBuffer<T> {
     /// for in-place buffers protected by circular array shifting, where such
     /// a read means the shift failed to protect old data.
     pub fn with_racecheck_strict(mut self) -> Self {
-        self.race = Some(RaceChecker::with_mode(self.cells.len(), true));
+        self.set_racecheck_strict();
         self
+    }
+
+    /// In-place [`GlobalBuffer::with_racecheck_strict`].
+    pub fn set_racecheck_strict(&mut self) {
+        self.race = Some(RaceChecker::with_mode(self.cells.len(), true));
     }
 
     /// Number of elements.

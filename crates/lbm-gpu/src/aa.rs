@@ -46,9 +46,11 @@
 //! while resident bytes drop from `2Q·8` to `Q·8` per node.
 
 use crate::boundary::boundary_nodes;
-use crate::driver::{fill, DriverBody, DriverCore, Fields, Frame, Sim, SoloBody};
-use crate::st::for_each_run;
-use gpu_sim::exec::{BlockCtx, Kernel, Launch, LaunchStats};
+use crate::driver::{
+    box_guards, fill, DriverBody, Fields, Frame, Owned, Part, Rec, Sim, SlabBody, SoloBody,
+};
+use crate::st::{fluid_like, for_each_run, init_populations, population_macro_fields};
+use gpu_sim::exec::{BlockCtx, Kernel, Launch};
 use gpu_sim::{DeviceSpec, FaultPlan, GlobalBuffer, Gpu};
 use lbm_core::boundary::WallGains;
 use lbm_core::collision::Collision;
@@ -93,11 +95,10 @@ fn aa_gather<L: Lattice>(
     }
 }
 
-/// Stream half-step kernel over the x-span `[x_lo, x_hi)`: gather (pull
-/// rules over reversed slots), collide, scatter (push rules into natural
-/// slots). The span restriction is the multi-device building block; the
-/// single-device driver launches it over the whole domain.
-struct AaStreamKernel<'a, L: Lattice, C: Collision<L>> {
+/// What both half-step kernels hold: the lattice, the operator and the
+/// x-span `[x_lo, x_hi)` of `geom` (all y, z) they update. A single-device
+/// body's span is its whole domain, a shard's its owned columns.
+struct AaSpan<'a, L: Lattice, C: Collision<L>> {
     a: &'a GlobalBuffer<f64>,
     geom: &'a Geometry,
     collision: &'a C,
@@ -108,52 +109,54 @@ struct AaStreamKernel<'a, L: Lattice, C: Collision<L>> {
     _l: PhantomData<L>,
 }
 
+impl<L: Lattice, C: Collision<L>> AaSpan<'_, L, C> {
+    /// The fluid node thread slot `q` of the launch handles, if any.
+    #[inline(always)]
+    fn node_of(&self, q: usize) -> Option<usize> {
+        let w = self.x_hi - self.x_lo;
+        if q >= w * self.geom.ny * self.geom.nz {
+            return None;
+        }
+        let x = self.x_lo + q % w;
+        let y = (q / w) % self.geom.ny;
+        let z = q / (w * self.geom.ny);
+        let idx = self.geom.idx(x, y, z);
+        matches!(self.geom.node_at(idx), NodeType::Fluid).then_some(idx)
+    }
+}
+
+/// Stream half-step kernel: gather (pull rules over reversed slots),
+/// collide, scatter (push rules into natural slots).
+struct AaStreamKernel<'a, L: Lattice, C: Collision<L>>(AaSpan<'a, L, C>);
+
 impl<L: Lattice, C: Collision<L>> Kernel for AaStreamKernel<'_, L, C> {
     fn name(&self) -> &str {
         "aa-stream"
     }
 
     fn run_block(&self, ctx: &mut BlockCtx) {
-        let n = self.geom.len();
-        let bs = self.block_size;
-        let w = self.x_hi - self.x_lo;
-        let span = w * self.geom.ny * self.geom.nz;
+        let k = &self.0;
+        let n = k.geom.len();
+        let bs = k.block_size;
         let base = ctx.block_id * bs;
-        let node_of = |tid: usize| {
-            let q = base + tid;
-            if q >= span {
-                return None;
-            }
-            let x = self.x_lo + q % w;
-            let y = (q / w) % self.geom.ny;
-            let z = q / (w * self.geom.ny);
-            let idx = self.geom.idx(x, y, z);
-            matches!(self.geom.node_at(idx), NodeType::Fluid).then_some(idx)
-        };
+        let node_of = |tid: usize| k.node_of(base + tid);
         // Pass 1: gather + collide into scratch, staged per maximal run —
         // the same arithmetic path (and `collide_soa` chunking) as the
         // two-lattice pull kernel, so per-node values are bitwise equal.
         for_each_run(ctx, bs, node_of, |ctx, stid, sidx, len| {
             let mut f_loc = [0.0f64; MAX_Q];
-            for k in 0..len {
-                aa_gather::<L>(
-                    ctx,
-                    self.a,
-                    self.geom,
-                    &self.consts.gains,
-                    sidx + k,
-                    &mut f_loc,
-                );
-                if self.consts.scalar {
-                    self.collision.collide(&mut f_loc[..L::Q]);
+            for j in 0..len {
+                aa_gather::<L>(ctx, k.a, k.geom, &k.consts.gains, sidx + j, &mut f_loc);
+                if k.consts.scalar {
+                    k.collision.collide(&mut f_loc[..L::Q]);
                 }
                 let scratch = ctx.scratch();
                 for i in 0..L::Q {
-                    scratch[i * bs + stid + k] = f_loc[i];
+                    scratch[i * bs + stid + j] = f_loc[i];
                 }
             }
-            if !self.consts.scalar {
-                self.collision.collide_soa(ctx.scratch(), bs, stid, len);
+            if !k.consts.scalar {
+                k.collision.collide_soa(ctx.scratch(), bs, stid, len);
             }
         });
         // Pass 2: scatter element-wise with the push rules (pre-applies the
@@ -165,47 +168,38 @@ impl<L: Lattice, C: Collision<L>> Kernel for AaStreamKernel<'_, L, C> {
             let Some(idx) = node_of(tid) else {
                 continue;
             };
-            let (x, y, z) = self.geom.coords(idx);
+            let (x, y, z) = k.geom.coords(idx);
             let scratch = ctx.scratch();
             for i in 0..L::Q {
                 f_loc[i] = scratch[i * bs + tid];
             }
             for i in 0..L::Q {
                 let c = L::C[i];
-                match self.geom.neighbor(x, y, z, c) {
+                match k.geom.neighbor(x, y, z, c) {
                     Some((dx, dy, dz)) => {
-                        let didx = self.geom.idx(dx, dy, dz);
-                        match self.geom.node_at(didx) {
-                            t if t.is_fluid_like() => ctx.write(self.a, i * n + didx, f_loc[i]),
-                            NodeType::Wall => ctx.write(self.a, L::OPP[i] * n + idx, f_loc[i]),
+                        let didx = k.geom.idx(dx, dy, dz);
+                        match k.geom.node_at(didx) {
+                            t if t.is_fluid_like() => ctx.write(k.a, i * n + didx, f_loc[i]),
+                            NodeType::Wall => ctx.write(k.a, L::OPP[i] * n + idx, f_loc[i]),
                             NodeType::MovingWall(uw) => ctx.write(
-                                self.a,
+                                k.a,
                                 L::OPP[i] * n + idx,
-                                f_loc[i] + self.consts.gains.gain(L::OPP[i], uw),
+                                f_loc[i] + k.consts.gains.gain(L::OPP[i], uw),
                             ),
                             _ => unreachable!(),
                         }
                     }
-                    None => ctx.write(self.a, L::OPP[i] * n + idx, f_loc[i]),
+                    None => ctx.write(k.a, L::OPP[i] * n + idx, f_loc[i]),
                 }
             }
         }
     }
 }
 
-/// Collide half-step kernel over the x-span `[x_lo, x_hi)`: read the `Q`
-/// natural slots (already streamed by the previous half-step's push),
-/// collide, write back reversed. Node-local by construction.
-struct AaCollideKernel<'a, L: Lattice, C: Collision<L>> {
-    a: &'a GlobalBuffer<f64>,
-    geom: &'a Geometry,
-    collision: &'a C,
-    consts: &'a KernelConsts,
-    block_size: usize,
-    x_lo: usize,
-    x_hi: usize,
-    _l: PhantomData<L>,
-}
+/// Collide half-step kernel: read the `Q` natural slots (already streamed
+/// by the previous half-step's push), collide, write back reversed.
+/// Node-local by construction.
+struct AaCollideKernel<'a, L: Lattice, C: Collision<L>>(AaSpan<'a, L, C>);
 
 impl<L: Lattice, C: Collision<L>> Kernel for AaCollideKernel<'_, L, C> {
     fn name(&self) -> &str {
@@ -213,127 +207,45 @@ impl<L: Lattice, C: Collision<L>> Kernel for AaCollideKernel<'_, L, C> {
     }
 
     fn run_block(&self, ctx: &mut BlockCtx) {
-        let n = self.geom.len();
-        let bs = self.block_size;
-        let w = self.x_hi - self.x_lo;
-        let span = w * self.geom.ny * self.geom.nz;
+        let k = &self.0;
+        let n = k.geom.len();
+        let bs = k.block_size;
         let base = ctx.block_id * bs;
-        let node_of = |tid: usize| {
-            let q = base + tid;
-            if q >= span {
-                return None;
-            }
-            let x = self.x_lo + q % w;
-            let y = (q / w) % self.geom.ny;
-            let z = q / (w * self.geom.ny);
-            let idx = self.geom.idx(x, y, z);
-            matches!(self.geom.node_at(idx), NodeType::Fluid).then_some(idx)
-        };
+        let node_of = |tid: usize| k.node_of(base + tid);
         for_each_run(ctx, bs, node_of, |ctx, stid, sidx, len| {
-            if self.consts.scalar {
+            if k.consts.scalar {
                 let mut f_loc = [0.0f64; MAX_Q];
-                for k in 0..len {
-                    let idx = sidx + k;
+                for j in 0..len {
+                    let idx = sidx + j;
                     for i in 0..L::Q {
-                        f_loc[i] = ctx.read(self.a, i * n + idx);
+                        f_loc[i] = ctx.read(k.a, i * n + idx);
                     }
-                    self.collision.collide(&mut f_loc[..L::Q]);
+                    k.collision.collide(&mut f_loc[..L::Q]);
                     let scratch = ctx.scratch();
                     for i in 0..L::Q {
-                        scratch[i * bs + stid + k] = f_loc[i];
+                        scratch[i * bs + stid + j] = f_loc[i];
                     }
                 }
             } else {
                 for i in 0..L::Q {
-                    ctx.read_span_to_scratch(self.a, i * n + sidx, i * bs + stid, len);
+                    ctx.read_span_to_scratch(k.a, i * n + sidx, i * bs + stid, len);
                 }
-                self.collision.collide_soa(ctx.scratch(), bs, stid, len);
+                k.collision.collide_soa(ctx.scratch(), bs, stid, len);
             }
             // All Q rows of the run were read above, so the reversed-slot
             // flush only overwrites cells this run's own nodes already
             // consumed.
             for i in 0..L::Q {
-                ctx.write_span_from_scratch(self.a, L::OPP[i] * n + sidx, i * bs + stid, len);
+                ctx.write_span_from_scratch(k.a, L::OPP[i] * n + sidx, i * bs + stid, len);
             }
         });
     }
 }
 
-/// Launch the AA stream half-step (gather + collide + push) restricted to
-/// the x-span `[x_lo, x_hi)`. Per-node arithmetic is identical to the full
-/// launch, so a union of span launches covering the domain is bitwise
-/// equal to one full launch — the multi-device building block.
-#[allow(clippy::too_many_arguments)]
-pub fn launch_aa_stream_span<L: Lattice, C: Collision<L>>(
-    gpu: &Gpu,
-    a: &GlobalBuffer<f64>,
-    geom: &Geometry,
-    collision: &C,
-    consts: &KernelConsts,
-    block_size: usize,
-    x_lo: usize,
-    x_hi: usize,
-) -> LaunchStats {
-    assert!(x_lo < x_hi && x_hi <= geom.nx, "bad span {x_lo}..{x_hi}");
-    let span = (x_hi - x_lo) * geom.ny * geom.nz;
-    gpu.launch(
-        &Launch {
-            blocks: span.div_ceil(block_size),
-            threads_per_block: block_size,
-            shared_doubles: 0,
-            scratch_doubles: L::Q * block_size,
-        },
-        &AaStreamKernel::<L, C> {
-            a,
-            geom,
-            collision,
-            consts,
-            block_size,
-            x_lo,
-            x_hi,
-            _l: PhantomData,
-        },
-    )
-}
-
-/// Launch the AA collide half-step (node-local collide, reversed-slot
-/// store) restricted to the x-span `[x_lo, x_hi)`.
-#[allow(clippy::too_many_arguments)]
-pub fn launch_aa_collide_span<L: Lattice, C: Collision<L>>(
-    gpu: &Gpu,
-    a: &GlobalBuffer<f64>,
-    geom: &Geometry,
-    collision: &C,
-    consts: &KernelConsts,
-    block_size: usize,
-    x_lo: usize,
-    x_hi: usize,
-) -> LaunchStats {
-    assert!(x_lo < x_hi && x_hi <= geom.nx, "bad span {x_lo}..{x_hi}");
-    let span = (x_hi - x_lo) * geom.ny * geom.nz;
-    gpu.launch(
-        &Launch {
-            blocks: span.div_ceil(block_size),
-            threads_per_block: block_size,
-            shared_doubles: 0,
-            scratch_doubles: L::Q * block_size,
-        },
-        &AaCollideKernel::<L, C> {
-            a,
-            geom,
-            collision,
-            consts,
-            block_size,
-            x_lo,
-            x_hi,
-            _l: PhantomData,
-        },
-    )
-}
-
 /// The AA pattern's state: one `Q·n` lattice updated in place.
 pub struct AaSt<L: Lattice, C: Collision<L>> {
     geom: Geometry,
+    owned: Owned,
     a: GlobalBuffer<f64>,
     collision: C,
     consts: KernelConsts,
@@ -352,39 +264,22 @@ impl<L: Lattice, C: Collision<L>> AaStSim<L, C> {
     /// before the boundary kernel could rebuild them — so geometries with
     /// inlet/outlet nodes are rejected.
     pub fn new(device: DeviceSpec, geom: Geometry, collision: C) -> Self {
-        if L::D == 2 {
-            assert_eq!(geom.nz, 1, "2D lattice on a 3D domain");
-        }
-        assert!(
-            boundary_nodes(&geom).is_empty(),
-            "AA-pattern streaming does not support inlet/outlet boundaries"
-        );
-        let n = geom.len();
-        let consts = KernelConsts::new::<L>(collision.tau());
         Sim::from_body(
             Gpu::new(device),
-            AaSt {
-                geom,
-                a: GlobalBuffer::new(L::Q * n).with_touch_tracking(),
-                collision,
-                consts,
-                block_size: 256,
-                _l: PhantomData,
-            },
+            AaSt::on_slab(Owned::all(&geom), geom, collision),
         )
     }
 
     /// Set the thread-block size of the half-step kernels.
     pub fn with_block_size(mut self, bs: usize) -> Self {
-        assert!(bs >= 1);
-        self.body.block_size = bs;
+        self.body.set_block_size(bs);
         self
     }
 
     /// Run the original per-node scalar kernels instead of the vectorized
     /// SoA chunks (bitwise-identical; the equivalence oracle).
     pub fn with_scalar_kernels(mut self) -> Self {
-        self.body.consts.scalar = true;
+        self.body.set_scalar_kernels();
         self
     }
 
@@ -392,25 +287,75 @@ impl<L: Lattice, C: Collision<L>> AaStSim<L, C> {
     /// overlap or stale read inside a launch panics. The in-place update's
     /// exclusive cell ownership is exactly what this verifies.
     pub fn with_racecheck_strict(mut self) -> Self {
-        let a = std::mem::replace(&mut self.body.a, GlobalBuffer::new(1));
-        self.body.a = a.with_racecheck_strict();
+        self.body.set_racecheck_strict();
         self
     }
 
     /// Distribution at a node, un-permuted to natural direction order
     /// regardless of the current parity.
     pub fn f_at(&self, x: usize, y: usize, z: usize) -> Vec<f64> {
-        let b = &self.body;
-        let n = b.geom.len();
-        let idx = b.geom.idx(x, y, z);
-        (0..L::Q)
-            .map(|i| b.a.get(aa_slot::<L>(self.steps(), i) * n + idx))
-            .collect()
+        self.body.f_at(self.steps(), x, y, z)
     }
 
     /// Moments at a node.
     pub fn moments_at(&self, x: usize, y: usize, z: usize) -> Moments {
         Moments::from_f::<L>(&self.f_at(x, y, z))
+    }
+}
+
+impl<L: Lattice, C: Collision<L>> AaSt<L, C> {
+    /// The AA state over `geom`, computing its `owned` columns — the one
+    /// constructor behind [`AaStSim::new`] and every shard of `lbm-multi`.
+    pub fn on_slab(owned: Owned, geom: Geometry, collision: C) -> Self {
+        if L::D == 2 {
+            assert_eq!(geom.nz, 1, "2D lattice on a 3D domain");
+        }
+        assert!(
+            boundary_nodes(&geom).is_empty(),
+            "AA-pattern streaming does not support inlet/outlet boundaries"
+        );
+        AaSt {
+            a: GlobalBuffer::new(L::Q * geom.len()).with_touch_tracking(),
+            consts: KernelConsts::new::<L>(collision.tau()),
+            collision,
+            block_size: 256,
+            owned,
+            geom,
+            _l: PhantomData,
+        }
+    }
+
+    /// See [`AaStSim::with_block_size`].
+    pub fn set_block_size(&mut self, bs: usize) {
+        assert!(bs >= 1);
+        self.block_size = bs;
+    }
+
+    /// See [`AaStSim::with_scalar_kernels`].
+    pub fn set_scalar_kernels(&mut self) {
+        self.consts.scalar = true;
+    }
+
+    /// See [`AaStSim::with_racecheck_strict`].
+    pub fn set_racecheck_strict(&mut self) {
+        self.a.set_racecheck_strict();
+    }
+
+    /// Distribution at a node after `t` steps, in natural direction order.
+    pub fn f_at(&self, t: u64, x: usize, y: usize, z: usize) -> Vec<f64> {
+        let n = self.geom.len();
+        let idx = self.geom.idx(x, y, z);
+        (0..L::Q)
+            .map(|i| self.a.get(aa_slot::<L>(t, i) * n + idx))
+            .collect()
+    }
+
+    /// Copy storage slot `slot` of node `si` into the same slot of node `di`
+    /// of `to`: the unit of the sharded AA exchange, which moves only the
+    /// slots that cross a cut.
+    pub fn send_slot(&self, to: &Self, slot: usize, si: usize, di: usize) {
+        let (sn, dn) = (self.geom.len(), to.geom.len());
+        to.a.set(slot * dn + di, self.a.get(slot * sn + si));
     }
 }
 
@@ -425,21 +370,10 @@ impl<L: Lattice, C: Collision<L>> DriverBody for AaSt<L, C> {
 
     /// Stored per the even-parity invariant (reversed slots).
     fn init_with(&mut self, field: impl Fn(usize, usize, usize) -> (f64, [f64; 3])) {
-        let n = self.geom.len();
-        let mut feq = [0.0f64; MAX_Q];
-        for idx in 0..n {
-            let (x, y, z) = self.geom.coords(idx);
-            let (rho, u) = field(x, y, z);
-            let m = Moments {
-                rho,
-                u,
-                pi: Moments::pi_eq(rho, u, L::D),
-            };
-            self.collision.reconstruct(&m, &mut feq[..L::Q]);
-            for i in 0..L::Q {
-                self.a.set(aa_slot::<L>(0, i) * n + idx, feq[i]);
-            }
-        }
+        let (n, a) = (self.geom.len(), &self.a);
+        init_populations::<L, C>(&self.geom, &self.collision, 0..n, field, |idx, i, v| {
+            a.set(aa_slot::<L>(0, i) * n + idx, v)
+        });
     }
 
     /// At even parity the slot un-permutation makes the per-node sums
@@ -448,28 +382,10 @@ impl<L: Lattice, C: Collision<L>> DriverBody for AaSt<L, C> {
     /// (deterministic, conservative) half-cycle state — comparable to the
     /// two-lattice driver only at even counts.
     fn macro_fields(&self, t: u64) -> Fields {
-        let n = self.geom.len();
-        let mut rho_out = vec![0.0; n];
-        let mut u_out = vec![[0.0; 3]; n];
-        for idx in 0..n {
-            if !self.geom.node_at(idx).is_fluid_like() {
-                continue;
-            }
-            let mut rho = 0.0;
-            let mut j = [0.0f64; 3];
-            for i in 0..L::Q {
-                let fi = self.a.get(aa_slot::<L>(t, i) * n + idx);
-                let c = L::cf(i);
-                rho += fi;
-                j[0] += c[0] * fi;
-                j[1] += c[1] * fi;
-                j[2] += c[2] * fi;
-            }
-            let inv_rho = 1.0 / rho;
-            rho_out[idx] = rho;
-            u_out[idx] = [j[0] * inv_rho, j[1] * inv_rho, j[2] * inv_rho];
-        }
-        (rho_out, u_out)
+        let (n, a) = (self.geom.len(), &self.a);
+        population_macro_fields::<L>(n, fluid_like(&self.geom), |idx, i| {
+            a.get(aa_slot::<L>(t, i) * n + idx)
+        })
     }
 
     /// Exactly one lattice, `Q·8` bytes per node — half of
@@ -487,16 +403,11 @@ impl<L: Lattice, C: Collision<L>> DriverBody for AaSt<L, C> {
         Frame {
             flavor: "aa-st",
             parity: true,
-            guards: vec![
-                ("nx", self.geom.nx as u64),
-                ("ny", self.geom.ny as u64),
-                ("nz", self.geom.nz as u64),
-                ("Q", L::Q as u64),
-            ],
+            guards: box_guards(&self.geom, ("Q", L::Q)),
         }
     }
 
-    fn state_arrays(&self) -> Vec<Vec<f64>> {
+    fn state_arrays(&self, _t: u64) -> Vec<Vec<f64>> {
         vec![self.a.snapshot()]
     }
 
@@ -504,31 +415,54 @@ impl<L: Lattice, C: Collision<L>> DriverBody for AaSt<L, C> {
         vec![self.a.len()]
     }
 
-    fn install(&mut self, arrays: Vec<Vec<f64>>) {
+    fn install(&mut self, _t: u64, arrays: Vec<Vec<f64>>) {
         fill(&self.a, &arrays[0]);
     }
 }
 
 impl<L: Lattice, C: Collision<L>> SoloBody for AaSt<L, C> {
-    /// The stream half-step at even completed-step counts, the in-place
-    /// collide at odd ones.
-    fn advance(&mut self, gpu: &Gpu, core: &mut DriverCore) {
-        let launch = if core.steps().is_multiple_of(2) {
-            launch_aa_stream_span::<L, C>
-        } else {
-            launch_aa_collide_span::<L, C>
+    /// One launch over the owned span: the stream half-step at even
+    /// completed-step counts, the in-place collide at odd ones. Per-node
+    /// arithmetic does not depend on the span, so span launches covering a
+    /// domain are bitwise one full launch.
+    fn launch_part(&self, gpu: &Gpu, t: u64, part: Part, rec: Rec<'_>) {
+        if part != Part::Interior {
+            return;
+        }
+        let (x_lo, x_hi) = (self.owned.lo, self.owned.hi);
+        let cfg = Launch {
+            blocks: ((x_hi - x_lo) * self.geom.ny * self.geom.nz).div_ceil(self.block_size),
+            threads_per_block: self.block_size,
+            shared_doubles: 0,
+            scratch_doubles: L::Q * self.block_size,
         };
-        let stats = launch(
-            gpu,
-            &self.a,
-            &self.geom,
-            &self.collision,
-            &self.consts,
-            self.block_size,
-            0,
-            self.geom.nx,
-        );
-        core.record(&stats, core.fluid_nodes());
+        let span = AaSpan::<L, C> {
+            a: &self.a,
+            geom: &self.geom,
+            collision: &self.collision,
+            consts: &self.consts,
+            block_size: self.block_size,
+            x_lo,
+            x_hi,
+            _l: PhantomData,
+        };
+        let stats = if t.is_multiple_of(2) {
+            gpu.launch(&cfg, &AaStreamKernel(span))
+        } else {
+            gpu.launch(&cfg, &AaCollideKernel(span))
+        };
+        rec(&stats, None);
+    }
+}
+
+impl<L: Lattice, C: Collision<L>> SlabBody for AaSt<L, C> {
+    fn sharded_frame(&self, global: &Geometry) -> (&'static str, Frame) {
+        let frame = Frame {
+            flavor: "aa-st-multi",
+            parity: true,
+            guards: box_guards(global, ("Q", L::Q)),
+        };
+        ("multi-aa-st", frame)
     }
 }
 

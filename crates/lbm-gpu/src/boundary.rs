@@ -7,6 +7,7 @@
 //! closure.
 
 use lbm_core::geometry::{Geometry, NodeType};
+use lbm_lattice::moments::Moments;
 
 /// A coordinate and its macroscopic state.
 type MacroEntry = ((usize, usize, usize), (f64, [f64; 3]));
@@ -115,6 +116,27 @@ pub fn boundary_nodes(geom: &Geometry) -> Vec<(usize, usize, usize)> {
         }
     }
     out
+}
+
+/// The state every pattern starts node `idx` from: `{ρ, u, Π_eq}` of `field`
+/// — an equilibrium start — with an inlet at its prescribed velocity and an
+/// outlet at its prescribed density.
+pub fn initial_moments<L: lbm_lattice::Lattice>(
+    geom: &Geometry,
+    idx: usize,
+    field: &impl Fn(usize, usize, usize) -> (f64, [f64; 3]),
+) -> Moments {
+    let (x, y, z) = geom.coords(idx);
+    let (rho, u) = match geom.node_at(idx) {
+        NodeType::Inlet(u_bc) => (field(x, y, z).0, u_bc),
+        NodeType::Outlet(rho_bc) => (rho_bc, field(x, y, z).1),
+        _ => field(x, y, z),
+    };
+    Moments {
+        rho,
+        u,
+        pi: Moments::pi_eq(rho, u, L::D),
+    }
 }
 
 #[cfg(test)]

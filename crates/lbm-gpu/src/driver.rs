@@ -9,7 +9,7 @@
 //!   gauges and instants, `measured_bpf`, and the LBCK checkpoint envelope.
 //! * [`DriverBody`] — what a pattern supplies: storage, its gauge label,
 //!   its macroscopic fields, the arrays it keeps in a checkpoint.
-//!   [`SoloBody`] adds the one-device timestep.
+//!   [`SoloBody`] adds the timestep on one device, cut into [`Part`]s.
 //! * [`Sim`] — the host: a core, a [`Gpu`] and a body. It carries every
 //!   shared builder and accessor and the one [`Simulation`] impl; a local
 //!   wrapper is what the orphan rule asks for to implement `lbm_core`'s
@@ -21,6 +21,22 @@
 //! `Sim<body>`. Each body's module adds its constructors and its own
 //! switches (`with_twist`, `with_stream`, …) on the alias; a host derefs to
 //! its body for the pattern's read accessors (`scheme()`, `index()`, …).
+//!
+//! # Slab ownership
+//!
+//! A body computes an x-span of its geometry, its [`Owned`] columns; the
+//! columns outside it are *ghosts* — initialised, read and checkpointed like
+//! any other, never computed. A single-device driver owns everything
+//! ([`Owned::all`]). A shard of `lbm-multi` is the same body built on a
+//! slab's local geometry with a ghost column at each cut: [`SlabBody`] is
+//! what it adds to be hosted that way (the sharded blob frame and the live
+//! lattice as one blob array), [`NodeHalo`] how a neighbour's fresh edge
+//! column is copied into a ghost. A step is issued in parts so the sharded
+//! schedule can exchange halos between them: [`Part::Strips`] (what a
+//! neighbour's ghost mirrors and so must exist before the exchange),
+//! [`Part::Interior`] (the rest, which the exchange can overlap),
+//! [`Part::Boundary`] (inlet/outlet rebuild); [`Sim::step`] runs the three
+//! back to back.
 //!
 //! # Restore contract
 //!
@@ -90,21 +106,143 @@ pub trait DriverBody {
         None
     }
 
-    /// The lattice arrays of the current state, raw, in blob order.
-    fn state_arrays(&self) -> Vec<Vec<f64>>;
+    /// The lattice arrays of the state after `t` steps, raw, in blob order.
+    fn state_arrays(&self, t: u64) -> Vec<Vec<f64>>;
 
     /// Lengths of [`DriverBody::state_arrays`].
     fn state_lens(&self) -> Vec<usize>;
 
-    /// Install arrays of exactly those lengths as the current state.
-    fn install(&mut self, arrays: Vec<Vec<f64>>);
+    /// Install arrays of exactly those lengths as the state after `t` steps.
+    fn install(&mut self, t: u64, arrays: Vec<Vec<f64>>);
 }
+
+/// The x-span of its geometry a body computes (see the module docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Owned {
+    /// First owned column.
+    pub lo: usize,
+    /// One past the last owned column.
+    pub hi: usize,
+    /// Whether a ghost column precedes the span.
+    pub ghost_l: bool,
+    /// Whether a ghost column follows the span.
+    pub ghost_r: bool,
+}
+
+impl Owned {
+    /// Every column of `geom`, no ghosts: the single-device case.
+    pub fn all(geom: &Geometry) -> Self {
+        Owned {
+            lo: 0,
+            hi: geom.nx,
+            ghost_l: false,
+            ghost_r: false,
+        }
+    }
+
+    /// Whether column `x` is owned.
+    pub fn contains(&self, x: usize) -> bool {
+        (self.lo..self.hi).contains(&x)
+    }
+
+    /// The owned columns next to a ghost, as spans (one span when a 1-wide
+    /// slab's single column is both edges).
+    pub fn strips(&self) -> Vec<(usize, usize)> {
+        let mut out = Vec::new();
+        if self.ghost_l {
+            out.push((self.lo, self.lo + 1));
+        }
+        if self.ghost_r && out.first() != Some(&(self.hi - 1, self.hi)) {
+            out.push((self.hi - 1, self.hi));
+        }
+        out
+    }
+
+    /// The owned span not covered by [`Owned::strips`].
+    pub fn interior(&self) -> Option<(usize, usize)> {
+        let lo = self.lo + self.ghost_l as usize;
+        let hi = self.hi - self.ghost_r as usize;
+        (lo < hi).then_some((lo, hi))
+    }
+}
+
+/// One part of a timestep (see the module docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Part {
+    /// The owned columns next to a ghost — or the whole update, where a
+    /// pattern does not sort its work by distance from a cut.
+    Strips,
+    /// The owned columns no neighbour mirrors.
+    Interior,
+    /// The inlet/outlet rebuild over what the other two wrote.
+    Boundary,
+}
+
+/// Receives every launch of a part with the nodes it updated (`None`: the
+/// domain's fluid nodes).
+pub type Rec<'a> = &'a mut dyn FnMut(&LaunchStats, Option<u64>);
 
 /// A body that advances on one device.
 pub trait SoloBody: DriverBody {
-    /// Issue the launches of step `core.steps()` on `gpu`, reporting each
-    /// through [`DriverCore::record`]. The host counts the step.
-    fn advance(&mut self, gpu: &Gpu, core: &mut DriverCore);
+    /// Issue `part`'s launches of step `t` on `gpu`, reporting each through
+    /// `rec`. Unless the body updates in place, time `t` stays intact until
+    /// [`SoloBody::flip`] and a part may be launched again (a sharded step
+    /// retried after a failed exchange).
+    fn launch_part(&self, gpu: &Gpu, t: u64, part: Part, rec: Rec<'_>);
+
+    /// Every part of a step has run: make its output the current state
+    /// (nothing to do where the buffer is chosen by step parity or updated
+    /// in place).
+    fn flip(&mut self) {}
+}
+
+/// What a [`SoloBody`] adds to be one shard of a slab decomposition. These
+/// touch private storage, hence a trait here and not code in `lbm-multi`.
+pub trait SlabBody: SoloBody + Sync {
+    /// Monitor label and blob frame (flavor and guards, over the `global`
+    /// box) of this pattern's sharded driver; the host appends the shard
+    /// count. The strings are frozen formats.
+    fn sharded_frame(&self, global: &Geometry) -> (&'static str, Frame);
+
+    /// The live lattice after `t` steps: a shard's one blob array. A body
+    /// whose [`DriverBody::state_arrays`] is that lattice inherits this.
+    fn current(&self, t: u64) -> Vec<f64> {
+        let mut arrays = self.state_arrays(t);
+        assert_eq!(arrays.len(), 1, "a multi-array body overrides this");
+        arrays.remove(0)
+    }
+
+    /// Length of [`SlabBody::current`].
+    fn current_len(&self) -> usize {
+        self.state_lens()[0]
+    }
+
+    /// Install [`SlabBody::current`] data as the state after `t` steps.
+    fn install_current(&mut self, t: u64, data: Vec<f64>) {
+        self.install(t, vec![data]);
+    }
+}
+
+/// A [`SlabBody`] whose ghosts are whole-node copies of a neighbour's state.
+pub trait NodeHalo: SlabBody {
+    /// Doubles per halo node (`Q` populations or `M` moments).
+    const HALO: usize;
+
+    /// Copy node `si`'s time-`t + 1` state — what the parts of step `t`
+    /// wrote — into node `di` of `to`. Node ids are the pattern's own (flat
+    /// domain index; compact id when fluid-compacted).
+    fn send_node(&self, to: &Self, t: u64, si: usize, di: usize);
+}
+
+/// The four guards most blobs open with: the box and the per-node payload
+/// (`("Q", L::Q)` or `("M", L::M)`).
+pub fn box_guards(geom: &Geometry, payload: (&'static str, usize)) -> Vec<(&'static str, u64)> {
+    vec![
+        ("nx", geom.nx as u64),
+        ("ny", geom.ny as u64),
+        ("nz", geom.nz as u64),
+        (payload.0, payload.1 as u64),
+    ]
 }
 
 /// Copy a restored array into a device buffer from the host side.
@@ -257,7 +395,7 @@ impl DriverCore {
             w.put_u64(sel);
         }
         ledger(&mut w);
-        for a in body.state_arrays() {
+        for a in body.state_arrays(self.t) {
             w.put_f64s(&a);
         }
         w.finish()
@@ -308,7 +446,7 @@ impl DriverCore {
                 r.remaining()
             )));
         }
-        body.install(arrays);
+        body.install(t, arrays);
         self.t = t;
         if let Some(m) = self.monitor.as_mut() {
             m.rollback_to(t);
@@ -455,7 +593,14 @@ impl<B: SoloBody> Sim<B> {
         let _step_span = obs
             .as_ref()
             .map(|o| step_span(o, self.core.t, self.gpu.trace_ctx()));
-        self.body.advance(&self.gpu, &mut self.core);
+        let (t, core) = (self.core.t, &mut self.core);
+        for part in [Part::Strips, Part::Interior, Part::Boundary] {
+            self.body
+                .launch_part(&self.gpu, t, part, &mut |stats, nodes| {
+                    core.record(stats, nodes.unwrap_or(core.fluid_nodes))
+                });
+        }
+        self.body.flip();
         let body = &self.body;
         self.core
             .complete_step(body.label(), |t| body.macro_fields(t));

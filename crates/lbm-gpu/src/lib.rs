@@ -20,7 +20,11 @@
 //!   `StSim`, `AaStSim`, `MrSim` (also named `MrSim2D` / `MrSim3D`),
 //!   `StSparseSim` and `SparseMrSim` are aliases of `Sim<body>`; each
 //!   pattern module keeps its storage, kernels, constructors and own
-//!   switches.
+//!   switches. A body computes the [`Owned`] x-span of its geometry —
+//!   everything on one device, a slab between ghost columns as a shard of
+//!   `lbm-multi` — and [`SlabBody`] is what it adds to be hosted there; how
+//!   a pattern's state is laid out, initialised, read back and checkpointed
+//!   is known to its module here and nowhere else.
 //! * [`boundary`] — the finite-difference inlet/outlet kernels for both
 //!   representations.
 //! * [`footprint`] — device-memory footprint accounting (§4.1's 35 % / 47 %
@@ -45,11 +49,11 @@ pub mod sparse;
 pub mod sparse_mr;
 pub mod st;
 
-pub use aa::{launch_aa_collide_span, launch_aa_stream_span, AaStSim};
-pub use driver::{DriverBody, DriverCore, Sim, SoloBody};
+pub use aa::AaStSim;
+pub use driver::{DriverBody, DriverCore, Owned, Sim, SlabBody, SoloBody};
 pub use moment_lattice::MomentLattice;
-pub use mr::{launch_mr_bc, launch_mr_columns, MrSim, MrSim2D, MrSim3D};
+pub use mr::{MrSim, MrSim2D, MrSim3D};
 pub use scheme::MrScheme;
-pub use sparse::{launch_sparse_st, FluidIndex, SparseBuildError, StSparseSim};
-pub use sparse_mr::{launch_sparse_mr, SparseMrSim, SparseMrSim2D, SparseMrSim3D};
-pub use st::{launch_st_bc, launch_st_pull_span, StSim, StStream};
+pub use sparse::{FluidIndex, SparseBuildError, StSparseSim};
+pub use sparse_mr::{SparseMrSim, SparseMrSim2D, SparseMrSim3D};
+pub use st::{StSim, StStream};

@@ -94,14 +94,19 @@ impl MomentLattice {
 
     /// Enable the launch-scoped L2 model on the backing buffer.
     pub fn with_touch_tracking(mut self) -> Self {
-        self.buf = replace_buffer(self.buf, |b| b.with_touch_tracking());
+        self.buf = self.buf.with_touch_tracking();
         self
     }
 
     /// Enable strict race checking on the backing buffer (tests).
     pub fn with_racecheck_strict(mut self) -> Self {
-        self.buf = replace_buffer(self.buf, |b| b.with_racecheck_strict());
+        self.set_racecheck_strict();
         self
+    }
+
+    /// In-place [`MomentLattice::with_racecheck_strict`].
+    pub fn set_racecheck_strict(&mut self) {
+        self.buf.set_racecheck_strict();
     }
 
     /// Number of nodes.
@@ -289,13 +294,6 @@ impl MomentLattice {
     pub fn set_fault_plan(&mut self, plan: std::sync::Arc<gpu_sim::FaultPlan>) {
         self.buf.set_fault_plan(plan);
     }
-}
-
-fn replace_buffer(
-    buf: GlobalBuffer<f64>,
-    f: impl FnOnce(GlobalBuffer<f64>) -> GlobalBuffer<f64>,
-) -> GlobalBuffer<f64> {
-    f(buf)
 }
 
 #[cfg(test)]

@@ -40,8 +40,10 @@
 //! tiles "consistently underperform those that are a single lattice point
 //! high" — but the height stays a parameter of the one walker.
 
-use crate::boundary::{boundary_nodes, bulk_mask, stencil_coords, MacroCache};
-use crate::driver::{DriverBody, DriverCore, Fields, Frame, Sim, SoloBody};
+use crate::boundary::{boundary_nodes, bulk_mask, initial_moments, stencil_coords, MacroCache};
+use crate::driver::{
+    DriverBody, Fields, Frame, NodeHalo, Owned, Part, Rec, Sim, SlabBody, SoloBody,
+};
 use crate::moment_lattice::MomentLattice;
 use crate::scheme::MrScheme;
 use gpu_sim::exec::{BlockCtx, Kernel, Launch, LaunchStats, PhasedKernel};
@@ -55,7 +57,7 @@ use std::marker::PhantomData;
 use std::sync::Arc;
 
 /// The walk frame `(nx, nfy, nw)` of a domain (see the module docs).
-pub fn walk_frame<L: Lattice>(geom: &Geometry) -> (usize, usize, usize) {
+fn walk_frame<L: Lattice>(geom: &Geometry) -> (usize, usize, usize) {
     if L::D == 3 {
         (geom.nx, geom.ny, geom.nz)
     } else {
@@ -138,7 +140,7 @@ fn pick_column_footprint<L: Lattice>(
 /// divisor of `width` up to 32; 3D: least lane redundancy that fits the
 /// device), and the footprint decides how often a halo cell is re-read, so
 /// changing either would move the recorded `reads` / `l2_read_hits`.
-pub fn auto_footprint<L: Lattice>(
+fn auto_footprint<L: Lattice>(
     device: &DeviceSpec,
     width: usize,
     nfy: usize,
@@ -193,7 +195,7 @@ struct ScatterTable {
 /// follows from them and the geometry alone — the directions each
 /// footprint row can store, the fast-scatter tables and the nodes that may
 /// use them. Built once per driver (or shard) and borrowed by every launch.
-pub struct ColumnWalk {
+struct ColumnWalk {
     wx: usize,
     wy: usize,
     tile_h: usize,
@@ -215,7 +217,7 @@ pub struct ColumnWalk {
 impl ColumnWalk {
     /// The walk of `wx × wy` columns over `geom` in tiles of `tile_h`
     /// layers.
-    pub fn new<L: Lattice>(geom: &Geometry, wx: usize, wy: usize, tile_h: usize) -> Self {
+    fn new<L: Lattice>(geom: &Geometry, wx: usize, wy: usize, tile_h: usize) -> Self {
         assert!(wx >= 1 && wy >= 1 && tile_h >= 1, "empty column tile");
         const { assert!(L::Q <= 64, "direction masks are u64") };
         let row_dirs = |c_fy: Option<i64>| {
@@ -307,9 +309,8 @@ struct MrKernel<'a, L: Lattice> {
     walk: &'a ColumnWalk,
     /// Column footprint origins: block `b` processes
     /// `[cols[b].0, cols[b].0 + wx) × [cols[b].1, cols[b].1 + wy)` for all
-    /// tiles. The single-device driver passes every column; the
-    /// multi-device drivers pass owned subsets (boundary strips vs
-    /// interior).
+    /// tiles: every column of a single-device body, the strip or the
+    /// interior subset of a shard's owned ones.
     cols: &'a [(usize, usize)],
     _l: PhantomData<L>,
 }
@@ -611,13 +612,13 @@ impl<L: Lattice> MrKernel<'_, L> {
 
 /// Launch the MR column kernel over an explicit set of footprint origins.
 /// Reads moments at time `t` from `mom_in` and writes `t + 1` into
-/// `mom_out` — the multi-device drivers pass two distinct (shift-0)
-/// lattices, since splitting one step across sequential launches would
-/// break the in-place circular shift's read-before-clobber ordering.
-/// Per-node arithmetic is identical to `MrSim::step`, so column subsets
-/// compose bitwise.
+/// `mom_out` — a step launched in parts (a shard's strips and interior)
+/// needs two distinct (shift-0) lattices, since splitting one step across
+/// sequential launches would break the in-place circular shift's
+/// read-before-clobber ordering. Per-node arithmetic does not depend on
+/// the subset, so column subsets compose bitwise.
 #[allow(clippy::too_many_arguments)]
-pub fn launch_mr_columns<L: Lattice>(
+fn launch_mr_columns<L: Lattice>(
     gpu: &Gpu,
     mom_in: &MomentLattice,
     mom_out: &MomentLattice,
@@ -667,8 +668,8 @@ pub fn launch_mr_columns<L: Lattice>(
 const BC_BLOCK: usize = 64;
 
 /// Launch the moment-space inlet/outlet kernel over `nodes`, rebuilding
-/// their `t_next` moments in `mom`. Public for the multi-device drivers.
-pub fn launch_mr_bc<L: Lattice>(
+/// their `t_next` moments in `mom`.
+fn launch_mr_bc<L: Lattice>(
     gpu: &Gpu,
     mom: &MomentLattice,
     geom: &Geometry,
@@ -743,7 +744,7 @@ impl<L: Lattice> Kernel for MrBcKernel<'_, L> {
 /// `D`-dimensional lattice of unit streaming reach, and solid walls on both
 /// faces of the walk axis and of the footprint's y axis (the sliding
 /// window starts and ends on them); x may be periodic or inlet/outlet.
-pub fn assert_mr_domain<L: Lattice>(geom: &Geometry) {
+fn assert_mr_domain<L: Lattice>(geom: &Geometry) {
     assert_eq!(
         geom.nz > 1,
         L::D == 3,
@@ -779,49 +780,9 @@ pub fn assert_mr_domain<L: Lattice>(geom: &Geometry) {
     }
 }
 
-/// Set `mom`'s time-0 moments to `{ρ, u, Π_eq}` of `field` — an equilibrium
-/// start, matching the ST init — with inlets at their prescribed velocity
-/// and outlets at their prescribed density.
-pub fn init_equilibrium<L: Lattice>(
-    mom: &MomentLattice,
-    geom: &Geometry,
-    field: impl Fn(usize, usize, usize) -> (f64, [f64; 3]),
-) {
-    for idx in 0..geom.len() {
-        let (x, y, z) = geom.coords(idx);
-        let (rho, u) = match geom.node_at(idx) {
-            NodeType::Inlet(u_bc) => (field(x, y, z).0, u_bc),
-            NodeType::Outlet(rho_bc) => (rho_bc, field(x, y, z).1),
-            _ => field(x, y, z),
-        };
-        let m = Moments {
-            rho,
-            u,
-            pi: Moments::pi_eq(rho, u, L::D),
-        };
-        mom.set_moments::<L>(0, idx, &m);
-    }
-}
-
-/// Density and velocity of every fluid-like node of `geom` from its
-/// moments (solid nodes report zero).
-pub fn fluid_macro_fields(geom: &Geometry, moments: impl Fn(usize) -> Moments) -> Fields {
-    let n = geom.len();
-    let mut rho = vec![0.0; n];
-    let mut u = vec![[0.0; 3]; n];
-    for idx in 0..n {
-        if geom.node_at(idx).is_fluid_like() {
-            let m = moments(idx);
-            rho[idx] = m.rho;
-            u[idx] = m.u;
-        }
-    }
-    (rho, u)
-}
-
 /// Dimension and moment-count guards every MR blob starts with: `nx`, `ny`,
 /// `nz` in 3D, then `M`.
-pub fn blob_guards<L: Lattice>(geom: &Geometry) -> Vec<(&'static str, u64)> {
+fn blob_guards<L: Lattice>(geom: &Geometry) -> Vec<(&'static str, u64)> {
     let mut guards = vec![
         ("nx", geom.nx as u64),
         ("ny", geom.ny as u64),
@@ -837,15 +798,19 @@ pub fn blob_guards<L: Lattice>(geom: &Geometry) -> Vec<(&'static str, u64)> {
 pub struct Mr<L: Lattice> {
     geom: Geometry,
     mom: MomentLattice,
-    /// Second lattice for the double-buffered ablation variant; `None` for
-    /// the single-lattice circular-shift design of Algorithm 2. Odd steps
-    /// read it and write `mom`.
+    /// Second lattice of the double-buffered variant; `None` for the
+    /// single-lattice circular-shift design of Algorithm 2. Odd steps read
+    /// it and write `mom`. A shard always has it: its step is several
+    /// launches, and the in-place update is only safe within one.
     mom2: Option<MomentLattice>,
     scheme: MrScheme,
     consts: KernelConsts,
     walk: ColumnWalk,
-    /// Every column footprint origin, x fastest.
+    /// Owned column footprint origins: the first `strips` touch a ghost
+    /// column with their halo and are launched first, x fastest in each
+    /// group.
     cols: Vec<(usize, usize)>,
+    strips: usize,
     boundary: Vec<(usize, usize, usize)>,
     _l: PhantomData<L>,
 }
@@ -882,47 +847,24 @@ impl<L: Lattice> MrSim<L> {
         tile_h: usize,
         shift: usize,
     ) -> Self {
-        assert_mr_domain::<L>(&geom);
-        let (nx, nfy, nw) = walk_frame::<L>(&geom);
-        assert!(
-            tile_h >= 1 && nw.is_multiple_of(tile_h),
-            "tile height must divide the walk axis"
-        );
         assert!(
             shift + 1 >= tile_h,
             "circular shift of {shift} layers cannot protect a {tile_h}-layer tile"
         );
-        let (wx, wy) = auto_footprint::<L>(&device, nx, nfy, tile_h, wx, wy);
-        assert!(
-            nx.is_multiple_of(wx) && nfy.is_multiple_of(wy),
-            "footprint {wx}×{wy} must tile the {nx}×{nfy} plane"
+        let walk = (wx, wy, tile_h);
+        let body = Mr::build(
+            &device,
+            Owned::all(&geom),
+            geom,
+            scheme,
+            tau,
+            walk,
+            Some(shift),
         );
-        let boundary = boundary_nodes(&geom);
-        if !boundary.is_empty() {
-            assert!(nx >= 5, "FD boundaries need nx ≥ 5");
+        if !body.boundary.is_empty() {
+            assert!(body.geom.nx >= 5, "FD boundaries need nx ≥ 5");
         }
-        let layer = nx * nfy;
-        let mom = MomentLattice::new(geom.len(), L::M, shift * layer, (shift + 1) * layer)
-            .with_touch_tracking();
-        let walk = ColumnWalk::new::<L>(&geom, wx, wy, tile_h);
-        let cols_x = nx / wx;
-        let cols = (0..cols_x * (nfy / wy))
-            .map(|b| ((b % cols_x) * wx, (b / cols_x) * wy))
-            .collect();
-        Sim::from_body(
-            Gpu::new(device),
-            Mr {
-                geom,
-                mom,
-                mom2: None,
-                scheme,
-                consts: KernelConsts::new::<L>(tau),
-                walk,
-                cols,
-                boundary,
-                _l: PhantomData,
-            },
-        )
+        Sim::from_body(Gpu::new(device), body)
     }
 
     /// Run the original per-node scalar kernels instead of the vectorized
@@ -930,7 +872,7 @@ impl<L: Lattice> MrSim<L> {
     /// `tests/kernel_equivalence.rs`); the scalar path exists as the
     /// equivalence oracle.
     pub fn with_scalar_kernels(mut self) -> Self {
-        self.body.consts.scalar = true;
+        self.body.set_scalar_kernels();
         self
     }
 
@@ -938,9 +880,7 @@ impl<L: Lattice> MrSim<L> {
     /// called before the first step.
     pub fn with_racecheck_strict(mut self) -> Self {
         assert_eq!(self.steps(), 0, "attach the race checker before stepping");
-        let dummy = MomentLattice::new(1, L::M, 0, 0);
-        let old = std::mem::replace(&mut self.body.mom, dummy);
-        self.body.mom = old.with_racecheck_strict();
+        self.body.set_racecheck_strict();
         self
     }
 
@@ -950,10 +890,8 @@ impl<L: Lattice> MrSim<L> {
     /// first step.
     pub fn with_double_buffer(mut self) -> Self {
         assert_eq!(self.steps(), 0, "switch storage before stepping");
-        let n = self.body.geom.len();
-        // Rebuild both lattices without shift.
-        self.body.mom = MomentLattice::new(n, L::M, 0, 0).with_touch_tracking();
-        self.body.mom2 = Some(MomentLattice::new(n, L::M, 0, 0).with_touch_tracking());
+        let [mom, mom2] = shift0_pair::<L>(&self.body.geom);
+        (self.body.mom, self.body.mom2) = (mom, Some(mom2));
         self.init_with(|_, _, _| (1.0, [0.0; 3]));
         self
     }
@@ -995,12 +933,102 @@ impl<L: Lattice> MrSim<L> {
 
     /// Moments of a node at the current time (pre-collision state).
     pub fn moments_at(&self, x: usize, y: usize, z: usize) -> Moments {
-        let (t, b) = (self.steps(), &self.body);
-        b.lattice_pair(t).0.get_moments::<L>(t, b.geom.idx(x, y, z))
+        self.body.moments_at(self.steps(), x, y, z)
     }
 }
 
+/// Two unshifted lattices over `geom`: the double-buffered storage.
+fn shift0_pair<L: Lattice>(geom: &Geometry) -> [MomentLattice; 2] {
+    [0, 1].map(|_| MomentLattice::new(geom.len(), L::M, 0, 0).with_touch_tracking())
+}
+
 impl<L: Lattice> Mr<L> {
+    /// The MR state of one shard: `geom` is a slab's local box, of which the
+    /// body computes the `owned` columns. The footprint is chosen for the
+    /// owned width; tiles are one layer high and the two lattices unshifted.
+    pub fn on_slab(
+        device: &DeviceSpec,
+        owned: Owned,
+        geom: Geometry,
+        scheme: MrScheme,
+        tau: f64,
+    ) -> Self {
+        Self::build(device, owned, geom, scheme, tau, (0, 0, 1), None)
+    }
+
+    /// The one constructor: `walk` is `(wx, wy, tile height)` with `0` for
+    /// an automatic footprint coordinate; `shift` the circular shift in
+    /// layers per step of a single lattice, or `None` for the double buffer.
+    fn build(
+        device: &DeviceSpec,
+        owned: Owned,
+        geom: Geometry,
+        scheme: MrScheme,
+        tau: f64,
+        (wx, wy, tile_h): (usize, usize, usize),
+        shift: Option<usize>,
+    ) -> Self {
+        assert_mr_domain::<L>(&geom);
+        let (nx, nfy, nw) = walk_frame::<L>(&geom);
+        assert!(
+            tile_h >= 1 && nw.is_multiple_of(tile_h),
+            "tile height must divide the walk axis"
+        );
+        let width = owned.hi - owned.lo;
+        let (wx, wy) = auto_footprint::<L>(device, width, nfy, tile_h, wx, wy);
+        assert!(
+            width.is_multiple_of(wx) && nfy.is_multiple_of(wy),
+            "footprint {wx}×{wy} must tile the {width}×{nfy} plane"
+        );
+        let (mom, mom2) = match shift {
+            Some(shift) => {
+                let layer = nx * nfy;
+                let pad = (shift + 1) * layer;
+                let mom = MomentLattice::new(geom.len(), L::M, shift * layer, pad);
+                (mom.with_touch_tracking(), None)
+            }
+            None => {
+                let [mom, mom2] = shift0_pair::<L>(&geom);
+                (mom, Some(mom2))
+            }
+        };
+        // Edge strips: the first / last owned block of a slab with a ghost
+        // column on that side.
+        let cols_x = width / wx;
+        let is_strip = |k: usize| (k == 0 && owned.ghost_l) || (k == cols_x - 1 && owned.ghost_r);
+        let group = |strip: bool| {
+            (0..cols_x * (nfy / wy))
+                .filter(move |b| is_strip(b % cols_x) == strip)
+                .map(move |b| (owned.lo + (b % cols_x) * wx, (b / cols_x) * wy))
+        };
+        let cols: Vec<_> = group(true).chain(group(false)).collect();
+        Mr {
+            strips: group(true).count(),
+            cols,
+            mom,
+            mom2,
+            scheme,
+            consts: KernelConsts::new::<L>(tau),
+            walk: ColumnWalk::new::<L>(&geom, wx, wy, tile_h),
+            boundary: boundary_nodes(&geom),
+            geom,
+            _l: PhantomData,
+        }
+    }
+
+    /// See [`MrSim::with_scalar_kernels`].
+    pub fn set_scalar_kernels(&mut self) {
+        self.consts.scalar = true;
+    }
+
+    /// Strict race checking on the moment lattices (tests).
+    pub fn set_racecheck_strict(&mut self) {
+        self.mom.set_racecheck_strict();
+        if let Some(m2) = &mut self.mom2 {
+            m2.set_racecheck_strict();
+        }
+    }
+
     /// Whether this driver runs the parity-twist storage variant.
     pub fn is_twist(&self) -> bool {
         self.mom.parity_twist()
@@ -1014,6 +1042,13 @@ impl<L: Lattice> Mr<L> {
     /// Column/tile configuration `(wx, wy, tile height)`.
     pub fn config(&self) -> (usize, usize, usize) {
         (self.walk.wx, self.walk.wy, self.walk.tile_h)
+    }
+
+    /// Moments of a node after `t` steps (pre-collision state).
+    pub fn moments_at(&self, t: u64, x: usize, y: usize, z: usize) -> Moments {
+        self.lattice_pair(t)
+            .0
+            .get_moments::<L>(t, self.geom.idx(x, y, z))
     }
 
     /// The resident lattices, in checkpoint order.
@@ -1046,13 +1081,26 @@ impl<L: Lattice> DriverBody for Mr<L> {
         &self.geom
     }
 
+    /// Every node's [`initial_moments`], at time 0.
     fn init_with(&mut self, field: impl Fn(usize, usize, usize) -> (f64, [f64; 3])) {
-        init_equilibrium::<L>(&self.mom, &self.geom, field);
+        for idx in 0..self.geom.len() {
+            let m = initial_moments::<L>(&self.geom, idx, &field);
+            self.mom.set_moments::<L>(0, idx, &m);
+        }
     }
 
     fn macro_fields(&self, t: u64) -> Fields {
-        let lat = self.lattice_pair(t).0;
-        fluid_macro_fields(&self.geom, |idx| lat.get_moments::<L>(t, idx))
+        let (n, lat) = (self.geom.len(), self.lattice_pair(t).0);
+        let mut rho = vec![0.0; n];
+        let mut u = vec![[0.0; 3]; n];
+        for idx in 0..n {
+            if self.geom.node_at(idx).is_fluid_like() {
+                let m = lat.get_moments::<L>(t, idx);
+                rho[idx] = m.rho;
+                u[idx] = m.u;
+            }
+        }
+        (rho, u)
     }
 
     /// One lattice plus padding, or two for the double-buffered variant.
@@ -1107,7 +1155,7 @@ impl<L: Lattice> DriverBody for Mr<L> {
     /// The moment lattices are snapshotted *raw* (all slots, untranslated):
     /// restoring the same bytes with the same `t` reproduces the exact
     /// circular-shift slot layout.
-    fn state_arrays(&self) -> Vec<Vec<f64>> {
+    fn state_arrays(&self, _t: u64) -> Vec<Vec<f64>> {
         self.lattices().map(MomentLattice::host_snapshot).collect()
     }
 
@@ -1115,7 +1163,7 @@ impl<L: Lattice> DriverBody for Mr<L> {
         self.lattices().map(MomentLattice::raw_len).collect()
     }
 
-    fn install(&mut self, arrays: Vec<Vec<f64>>) {
+    fn install(&mut self, _t: u64, arrays: Vec<Vec<f64>>) {
         for (lat, raw) in self.lattices().zip(&arrays) {
             lat.host_restore(raw);
         }
@@ -1123,28 +1171,75 @@ impl<L: Lattice> DriverBody for Mr<L> {
 }
 
 impl<L: Lattice> SoloBody for Mr<L> {
-    /// The lockstep column kernel, then the boundary kernel.
-    fn advance(&mut self, gpu: &Gpu, core: &mut DriverCore) {
-        let t = core.steps();
+    /// The lockstep column kernel over the strip or the interior columns,
+    /// then the boundary kernel over what they wrote.
+    fn launch_part(&self, gpu: &Gpu, t: u64, part: Part, rec: Rec<'_>) {
         let (mom_in, mom_out) = self.lattice_pair(t);
-        let stats = launch_mr_columns::<L>(
-            gpu,
-            mom_in,
-            mom_out,
-            &self.geom,
-            &self.scheme,
-            &self.consts,
-            t,
-            &self.walk,
-            &self.cols,
-        );
-        core.record(&stats, core.fluid_nodes());
-
-        if !self.boundary.is_empty() {
-            let tau = self.consts.tau;
-            let stats = launch_mr_bc::<L>(gpu, mom_out, &self.geom, tau, t + 1, &self.boundary);
-            core.record(&stats, self.boundary.len() as u64);
+        let cols = match part {
+            Part::Strips => &self.cols[..self.strips],
+            Part::Interior => &self.cols[self.strips..],
+            Part::Boundary => {
+                if !self.boundary.is_empty() {
+                    let (tau, nodes) = (self.consts.tau, &self.boundary);
+                    let stats = launch_mr_bc::<L>(gpu, mom_out, &self.geom, tau, t + 1, nodes);
+                    rec(&stats, Some(nodes.len() as u64));
+                }
+                return;
+            }
+        };
+        if !cols.is_empty() {
+            let stats = launch_mr_columns::<L>(
+                gpu,
+                mom_in,
+                mom_out,
+                &self.geom,
+                &self.scheme,
+                &self.consts,
+                t,
+                &self.walk,
+                cols,
+            );
+            rec(&stats, None);
         }
+    }
+}
+
+impl<L: Lattice> SlabBody for Mr<L> {
+    fn sharded_frame(&self, global: &Geometry) -> (&'static str, Frame) {
+        let frame = Frame {
+            flavor: if L::D == 3 {
+                "multi-mr3d"
+            } else {
+                "multi-mr2d"
+            },
+            parity: false,
+            guards: blob_guards::<L>(global),
+        };
+        (frame.flavor, frame)
+    }
+
+    /// A sharded blob holds the live lattice only, where the solo
+    /// double-buffered blob holds both: shift-0 lattices make the slot
+    /// layout timestep-independent, so one is the whole state.
+    fn current(&self, t: u64) -> Vec<f64> {
+        self.lattice_pair(t).0.host_snapshot()
+    }
+
+    fn current_len(&self) -> usize {
+        self.mom.raw_len()
+    }
+
+    fn install_current(&mut self, t: u64, data: Vec<f64>) {
+        self.lattice_pair(t).0.host_restore(&data);
+    }
+}
+
+impl<L: Lattice> NodeHalo for Mr<L> {
+    const HALO: usize = L::M;
+
+    fn send_node(&self, to: &Self, t: u64, si: usize, di: usize) {
+        let m = self.lattice_pair(t).1.get_moments::<L>(t + 1, si);
+        to.lattice_pair(t).1.set_moments::<L>(t + 1, di, &m);
     }
 }
 

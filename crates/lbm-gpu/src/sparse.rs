@@ -31,13 +31,16 @@
 //! constructors (`try_new`), so a service front-end can reject a bad
 //! geometry instead of catching a panic.
 
-use crate::driver::{fill, DriverBody, DriverCore, Fields, Frame, Sim, SoloBody};
+use crate::driver::{
+    box_guards, fill, DriverBody, Fields, Frame, NodeHalo, Owned, Part, Rec, Sim, SlabBody,
+    SoloBody,
+};
+use crate::st::{init_populations, population_macro_fields};
 use gpu_sim::exec::{BlockCtx, Kernel, Launch};
 use gpu_sim::{DeviceSpec, GlobalBuffer, Gpu};
 use lbm_core::collision::Collision;
 use lbm_core::geometry::{Geometry, NodeType};
 use lbm_core::kernels::{assert_lattice_fits, MAX_Q};
-use lbm_lattice::moments::Moments;
 use lbm_lattice::Lattice;
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -84,9 +87,9 @@ pub fn validate_sparse_geometry(geom: &Geometry) -> Result<(), SparseBuildError>
 }
 
 /// One spatial tile of the compaction: compact ids `lo..hi` are stored
-/// contiguously, and `active` lists the ids this tile *updates* (in the
-/// single-device drivers that is all of them; the sharded drivers drop
-/// ghost-column nodes from the active list while keeping their storage).
+/// contiguously, and `active` lists the ids this tile *updates*: the nodes
+/// of the body's owned columns (a ghost column's nodes keep their storage
+/// and leave the list).
 #[derive(Clone, Debug)]
 pub struct Tile {
     /// First compact id stored in this tile.
@@ -224,9 +227,9 @@ impl FluidIndex {
         self.tiles.iter().map(|t| t.active.len()).sum()
     }
 
-    /// Drop nodes from the active lists (they stay stored and gatherable).
-    /// The sharded drivers use this to exclude ghost-column nodes, which
-    /// receive their values by halo exchange instead of local update.
+    /// Drop nodes from the active lists (they stay stored and gatherable):
+    /// ghost-column nodes, which receive their values by halo exchange
+    /// instead of local update.
     pub fn retain_active(&mut self, keep: impl Fn(usize) -> bool) {
         for tile in &mut self.tiles {
             tile.active.retain(|&cid| keep(self.nodes[cid as usize]));
@@ -327,33 +330,29 @@ impl<L: Lattice, C: Collision<L>> Kernel for SparseKernel<'_, L, C> {
     }
 }
 
-/// Launch the sparse pull-collide kernel over every tile of `index`
-/// (one block per tile). `src` is read through `table`'s links, collided
-/// populations land in `dst`. The sharded drivers call this per shard with
-/// ghost-filtered active lists; [`StSparseSim::step`] calls it with every
-/// node active.
-pub fn launch_sparse_st<L: Lattice, C: Collision<L>>(
-    gpu: &Gpu,
-    src: &GlobalBuffer<f64>,
-    dst: &GlobalBuffer<f64>,
-    table: &GlobalBuffer<u32>,
-    index: &FluidIndex,
-    collision: &C,
-) -> gpu_sim::exec::LaunchStats {
-    let tiles = index.tiles();
-    let threads = index.tile_capacity().max(1);
-    gpu.launch(
-        &Launch::simple(tiles.len(), threads),
-        &SparseKernel::<L, C> {
-            src,
-            dst,
-            table,
-            tiles,
-            nf: index.len(),
-            collision,
-            _l: PhantomData,
-        },
-    )
+/// What both fluid-compacted bodies are built on: the tiled compaction of
+/// `geom` with the nodes outside the `owned` columns dropped from the active
+/// lists, and its link table. Refuses what the table cannot express and a
+/// body with nothing to update.
+pub(crate) fn compact<L: Lattice>(
+    geom: &Geometry,
+    owned: Owned,
+) -> Result<(FluidIndex, GlobalBuffer<u32>), SparseBuildError> {
+    assert_lattice_fits::<L>();
+    if L::D == 2 {
+        assert_eq!(geom.nz, 1, "2D lattice on a 3D domain");
+    }
+    validate_sparse_geometry(geom)?;
+    let mut index = FluidIndex::build(geom);
+    // No touch tracking on the link table: one block per tile over
+    // disjoint active lists reads every link exactly once per launch,
+    // so there is never a repeat touch for the L2 model to discount.
+    let table = GlobalBuffer::from_vec(build_neighbor_table::<L>(geom, &index)?);
+    index.retain_active(|idx| owned.contains(geom.coords(idx).0));
+    if index.tiles().is_empty() {
+        return Err(SparseBuildError::NoFluidNodes);
+    }
+    Ok((index, table))
 }
 
 /// The sparse ST pattern's state: two compacted lattices and the link
@@ -386,36 +385,36 @@ impl<L: Lattice, C: Collision<L>> StSparseSim<L, C> {
         geom: Geometry,
         collision: C,
     ) -> Result<Self, SparseBuildError> {
-        assert_lattice_fits::<L>();
-        validate_sparse_geometry(&geom)?;
-        let index = FluidIndex::build(&geom);
-        if index.is_empty() {
-            return Err(SparseBuildError::NoFluidNodes);
-        }
-        // No touch tracking on the link table: one block per tile over
-        // disjoint active lists reads every link exactly once per launch,
-        // so there is never a repeat touch for the L2 model to discount.
-        let table = GlobalBuffer::from_vec(build_neighbor_table::<L>(&geom, &index)?);
-        let nf = index.len();
-        Ok(Sim::from_body(
-            Gpu::new(device),
-            SparseSt {
-                geom,
-                index,
-                table,
-                f: [
-                    GlobalBuffer::new(L::Q * nf).with_touch_tracking(),
-                    GlobalBuffer::new(L::Q * nf).with_touch_tracking(),
-                ],
-                cur: 0,
-                collision,
-                _l: PhantomData,
-            },
-        ))
+        let body = SparseSt::on_slab(Owned::all(&geom), geom, collision)?;
+        Ok(Sim::from_body(Gpu::new(device), body))
     }
 }
 
 impl<L: Lattice, C: Collision<L>> SparseSt<L, C> {
+    /// The sparse ST state over `geom`, updating the fluid nodes of its
+    /// `owned` columns — the one constructor behind [`StSparseSim::try_new`]
+    /// and every shard of `lbm-multi`.
+    pub fn on_slab(owned: Owned, geom: Geometry, collision: C) -> Result<Self, SparseBuildError> {
+        let (index, table) = compact::<L>(&geom, owned)?;
+        let lattice = || GlobalBuffer::new(L::Q * index.len()).with_touch_tracking();
+        Ok(SparseSt {
+            f: [lattice(), lattice()],
+            cur: 0,
+            geom,
+            index,
+            table,
+            collision,
+            _l: PhantomData,
+        })
+    }
+
+    /// Strict race checking on both lattices (tests).
+    pub fn set_racecheck_strict(&mut self) {
+        self.f
+            .iter_mut()
+            .for_each(GlobalBuffer::set_racecheck_strict);
+    }
+
     /// The fluid-node compaction.
     pub fn index(&self) -> &FluidIndex {
         &self.index
@@ -432,37 +431,21 @@ impl<L: Lattice, C: Collision<L>> DriverBody for SparseSt<L, C> {
     }
 
     fn init_with(&mut self, field: impl Fn(usize, usize, usize) -> (f64, [f64; 3])) {
-        let nf = self.index.len();
-        let mut feq = [0.0f64; MAX_Q];
-        for (cid, &idx) in self.index.nodes.iter().enumerate() {
-            let (x, y, z) = self.geom.coords(idx);
-            let (rho, u) = field(x, y, z);
-            let m = Moments {
-                rho,
-                u,
-                pi: Moments::pi_eq(rho, u, L::D),
-            };
-            self.collision.reconstruct(&m, &mut feq[..L::Q]);
-            for i in 0..L::Q {
-                self.f[self.cur].set(i * nf + cid, feq[i]);
-            }
-        }
+        let (nf, f) = (self.index.len(), &self.f[self.cur]);
+        let nodes = self.index.nodes.iter().copied();
+        init_populations::<L, C>(&self.geom, &self.collision, nodes, field, |cid, i, v| {
+            f.set(i * nf + cid, v)
+        });
     }
 
     fn macro_fields(&self, _t: u64) -> Fields {
-        let nf = self.index.len();
-        let mut rho_out = vec![0.0; self.geom.len()];
-        let mut u_out = vec![[0.0; 3]; self.geom.len()];
-        let mut f_loc = [0.0f64; MAX_Q];
-        for (cid, &idx) in self.index.nodes.iter().enumerate() {
-            for i in 0..L::Q {
-                f_loc[i] = self.f[self.cur].get(i * nf + cid);
-            }
-            let m = Moments::from_f::<L>(&f_loc[..L::Q]);
-            rho_out[idx] = m.rho;
-            u_out[idx] = m.u;
-        }
-        (rho_out, u_out)
+        let (nf, f) = (self.index.len(), &self.f[self.cur]);
+        let nodes = self.index.nodes.iter().enumerate();
+        population_macro_fields::<L>(
+            self.geom.len(),
+            nodes.map(|(cid, &idx)| (idx, cid)),
+            |cid, i| f.get(i * nf + cid),
+        )
     }
 
     /// Two compacted lattices plus the link table: scales with the fluid
@@ -477,20 +460,16 @@ impl<L: Lattice, C: Collision<L>> DriverBody for SparseSt<L, C> {
     }
 
     fn frame(&self) -> Frame {
+        let mut guards = box_guards(&self.geom, ("Q", L::Q));
+        guards.push(("fluid nodes", self.index.len() as u64));
         Frame {
             flavor: "sparse-st",
             parity: false,
-            guards: vec![
-                ("nx", self.geom.nx as u64),
-                ("ny", self.geom.ny as u64),
-                ("nz", self.geom.nz as u64),
-                ("Q", L::Q as u64),
-                ("fluid nodes", self.index.len() as u64),
-            ],
+            guards,
         }
     }
 
-    fn state_arrays(&self) -> Vec<Vec<f64>> {
+    fn state_arrays(&self, _t: u64) -> Vec<Vec<f64>> {
         vec![self.f[self.cur].snapshot()]
     }
 
@@ -498,21 +477,65 @@ impl<L: Lattice, C: Collision<L>> DriverBody for SparseSt<L, C> {
         vec![self.f[0].len()]
     }
 
-    fn install(&mut self, arrays: Vec<Vec<f64>>) {
+    /// The snapshot lands in buffer 0 regardless of the saved parity.
+    fn install(&mut self, _t: u64, arrays: Vec<Vec<f64>>) {
         fill(&self.f[0], &arrays[0]);
         self.cur = 0;
     }
 }
 
 impl<L: Lattice, C: Collision<L>> SoloBody for SparseSt<L, C> {
-    /// Measured B/F is `2Q·8 + Q·4`: the link reads are the
+    /// The sparse pull-collide kernel, one block per tile over its active
+    /// list: `f[cur]` is read through the table's links, collided
+    /// populations land in `f[cur ^ 1]`. Tiles are not split by distance
+    /// from a cut, so the whole update is the part that precedes an
+    /// exchange. Measured B/F is `2Q·8 + Q·4`: the link reads are the
     /// indirect-addressing penalty.
-    fn advance(&mut self, gpu: &Gpu, core: &mut DriverCore) {
-        let (src, dst) = (&self.f[self.cur], &self.f[self.cur ^ 1]);
-        let stats =
-            launch_sparse_st::<L, C>(gpu, src, dst, &self.table, &self.index, &self.collision);
-        core.record(&stats, core.fluid_nodes());
+    fn launch_part(&self, gpu: &Gpu, _t: u64, part: Part, rec: Rec<'_>) {
+        if part != Part::Strips {
+            return;
+        }
+        let tiles = self.index.tiles();
+        let stats = gpu.launch(
+            &Launch::simple(tiles.len(), self.index.tile_capacity().max(1)),
+            &SparseKernel::<L, C> {
+                src: &self.f[self.cur],
+                dst: &self.f[self.cur ^ 1],
+                table: &self.table,
+                tiles,
+                nf: self.index.len(),
+                collision: &self.collision,
+                _l: PhantomData,
+            },
+        );
+        rec(&stats, None);
+    }
+
+    fn flip(&mut self) {
         self.cur ^= 1;
+    }
+}
+
+impl<L: Lattice, C: Collision<L>> SlabBody for SparseSt<L, C> {
+    fn sharded_frame(&self, global: &Geometry) -> (&'static str, Frame) {
+        let frame = Frame {
+            flavor: "multi-sparse-st",
+            parity: false,
+            guards: box_guards(global, ("Q", L::Q)),
+        };
+        (frame.flavor, frame)
+    }
+}
+
+impl<L: Lattice, C: Collision<L>> NodeHalo for SparseSt<L, C> {
+    const HALO: usize = L::Q;
+
+    fn send_node(&self, to: &Self, _t: u64, si: usize, di: usize) {
+        let (sn, dn) = (self.index.len(), to.index.len());
+        let (sf, df) = (&self.f[self.cur ^ 1], &to.f[to.cur ^ 1]);
+        for i in 0..L::Q {
+            df.set(i * dn + di, sf.get(i * sn + si));
+        }
     }
 }
 

@@ -9,9 +9,9 @@
 //!   B/F = 2M·8 + Q·4        (132 for D2Q9, 236 for D3Q19)
 //! ```
 //!
-//! — `M` moment reads + `M` moment writes per node (the moment lattice is
-//! single-copy, updated in place under lockstep phases) plus one `u32`
-//! link read per direction. Compare sparse ST's `2Q·8 + Q·4` (180/380)
+//! — `M` moment reads + `M` moment writes per node (a single-device moment
+//! lattice is single-copy, updated in place under lockstep phases) plus one
+//! `u32` link read per direction. Compare sparse ST's `2Q·8 + Q·4` (180/380)
 //! and dense MR's `2M·8` (96/160).
 //!
 //! The update is the *pull-form* mirror of the dense MR drivers'
@@ -36,27 +36,29 @@
 //! moment lattice suffices; the per-tile staging rows live in block
 //! scratch, which persists across phases.
 
-use crate::driver::{fill, DriverBody, DriverCore, Fields, Frame, Sim, SoloBody};
-use crate::scheme::MrScheme;
-use crate::sparse::{
-    build_neighbor_table, validate_sparse_geometry, FluidIndex, SparseBuildError, Tile,
+use crate::boundary::initial_moments;
+use crate::driver::{
+    box_guards, fill, DriverBody, Fields, Frame, NodeHalo, Owned, Part, Rec, Sim, SlabBody,
+    SoloBody,
 };
+use crate::scheme::MrScheme;
+use crate::sparse::{compact, FluidIndex, SparseBuildError, Tile};
 use gpu_sim::exec::{BlockCtx, Launch, PhasedKernel};
 use gpu_sim::{DeviceSpec, GlobalBuffer, Gpu};
 use lbm_core::geometry::Geometry;
-use lbm_core::kernels::{self, assert_lattice_fits, LaneBlock, LANES, MAX_M, MAX_Q};
+use lbm_core::kernels::{self, LaneBlock, LANES, MAX_M, MAX_Q};
 use lbm_lattice::moments::Moments;
 use lbm_lattice::{Lattice, D2Q9, D3Q19};
 use std::marker::PhantomData;
 use std::sync::Arc;
 
 /// Decode the direction-`i` link `entry` of a table over `nf` fluid nodes
-/// (see [`build_neighbor_table`]) into `(d, p)`: the node pulls direction
-/// `d` of node `p`. An entry is either `(i, upstream)` or the bounce-back
-/// `(OPP[i], self)`, so one wrapping range compare tells them apart — no
-/// division by the runtime `nf`, and a select instead of a branch: on rock
-/// the two alternate at random, and a mispredicted branch per link costs
-/// more than the rest of the walk.
+/// (see [`crate::sparse::build_neighbor_table`]) into `(d, p)`: the node
+/// pulls direction `d` of node `p`. An entry is either `(i, upstream)` or
+/// the bounce-back `(OPP[i], self)`, so one wrapping range compare tells
+/// them apart — no division by the runtime `nf`, and a select instead of a
+/// branch: on rock the two alternate at random, and a mispredicted branch
+/// per link costs more than the rest of the walk.
 #[inline(always)]
 fn decode_link<L: Lattice>(entry: u32, i: usize, nf: usize) -> (usize, usize) {
     let e = entry as usize;
@@ -67,8 +69,8 @@ fn decode_link<L: Lattice>(entry: u32, i: usize, nf: usize) -> (usize, usize) {
 /// Per-tile halo directory: for every tile of a [`FluidIndex`], the sorted
 /// distinct compact ids *outside* the tile's storage span `lo..hi` that the
 /// links of its active nodes pull from. Built once from the link table
-/// (in the sharded drivers after the ghost nodes left the active lists), it
-/// tells a block which foreign moments to load before it starts gathering.
+/// (after ghost-column nodes left the active lists), it tells a block which
+/// foreign moments to load before it starts gathering.
 pub struct HaloDirectory {
     /// Tile `b`'s halo ids are `ids[starts[b]..starts[b + 1]]`.
     starts: Vec<u32>,
@@ -80,7 +82,7 @@ pub struct HaloDirectory {
 
 impl HaloDirectory {
     /// Walk the links of every tile's active nodes in `table` (the
-    /// [`build_neighbor_table`] of `index` for lattice `L`).
+    /// [`crate::sparse::build_neighbor_table`] of `index` for lattice `L`).
     pub fn build<L: Lattice>(index: &FluidIndex, table: &GlobalBuffer<u32>) -> Self {
         let nf = index.len();
         assert_eq!(table.len(), L::Q * nf, "link table does not match index");
@@ -136,10 +138,10 @@ impl HaloDirectory {
 struct SparseMrKernel<'a, L: Lattice> {
     /// Time-`t` moments (all reads go here).
     src: &'a GlobalBuffer<f64>,
-    /// Time-`t+1` moments (all writes go here). The single-device driver
-    /// passes the same buffer for both — in-place, safe under the lockstep
-    /// barrier; the sharded driver passes distinct buffers so a failed
-    /// halo exchange can retry the whole step from unmodified `src`.
+    /// Time-`t+1` moments (all writes go here): `src` again for an in-place
+    /// body — safe under the lockstep barrier — and the other buffer where
+    /// an exchange follows the launch, so a failed one can retry the whole
+    /// step from unmodified `src`.
     dst: &'a GlobalBuffer<f64>,
     table: &'a GlobalBuffer<u32>,
     tiles: &'a [Tile],
@@ -306,57 +308,18 @@ impl<L: Lattice> PhasedKernel for SparseMrKernel<'_, L> {
     }
 }
 
-/// Launch the two-phase sparse MR kernel over every tile of `index`.
-/// `src` holds time-`t` moments, `dst` receives time-`t+1` moments for the
-/// active nodes; the single-device driver passes the same buffer for both
-/// (in-place), the sharded drivers pass distinct ones. `halo` is the
-/// [`HaloDirectory`] of `index` and `table`.
-#[allow(clippy::too_many_arguments)]
-pub fn launch_sparse_mr<L: Lattice>(
-    gpu: &Gpu,
-    src: &GlobalBuffer<f64>,
-    dst: &GlobalBuffer<f64>,
-    table: &GlobalBuffer<u32>,
-    index: &FluidIndex,
-    halo: &HaloDirectory,
-    scheme: &MrScheme,
-    tau: f64,
-    scalar: bool,
-) -> gpu_sim::exec::LaunchStats {
-    let tiles = index.tiles();
-    let cfg = Launch {
-        blocks: tiles.len(),
-        threads_per_block: index.tile_capacity().max(1),
-        shared_doubles: L::Q * halo.slab_nodes,
-        scratch_doubles: L::M * halo.slab_nodes,
-    };
-    gpu.launch_lockstep(
-        &cfg,
-        &SparseMrKernel::<L> {
-            src,
-            dst,
-            table,
-            tiles,
-            halo,
-            nf: index.len(),
-            scheme,
-            tau,
-            omega: 1.0 - 1.0 / tau,
-            scalar,
-            dirs: kernels::dirs_all::<L>(),
-            _l: PhantomData,
-        },
-    )
-}
-
-/// The sparse moment representation's state: a single in-place moment
-/// lattice of `M` doubles per fluid node plus the `u32` link table.
+/// The sparse moment representation's state: a moment lattice of `M` doubles
+/// per fluid node, updated in place, plus the `u32` link table.
 pub struct SparseMr<L: Lattice> {
     geom: Geometry,
     index: FluidIndex,
     table: GlobalBuffer<u32>,
     halo: HaloDirectory,
     mom: GlobalBuffer<f64>,
+    /// Second lattice of a body with ghost columns (odd steps read it and
+    /// write `mom`): its step is an update *then* an exchange, and a failed
+    /// transfer must find time `t` untouched to be retried bitwise.
+    mom2: Option<GlobalBuffer<f64>>,
     scheme: MrScheme,
     tau: f64,
     scalar: bool,
@@ -386,36 +349,14 @@ impl<L: Lattice> SparseMrSim<L> {
         scheme: MrScheme,
         tau: f64,
     ) -> Result<Self, SparseBuildError> {
-        assert_lattice_fits::<L>();
-        validate_sparse_geometry(&geom)?;
-        let index = FluidIndex::build(&geom);
-        if index.is_empty() {
-            return Err(SparseBuildError::NoFluidNodes);
-        }
-        // Links are read once per launch: nothing for the L2 model to track.
-        let table = GlobalBuffer::from_vec(build_neighbor_table::<L>(&geom, &index)?);
-        let halo = HaloDirectory::build::<L>(&index, &table);
-        let nf = index.len();
-        Ok(Sim::from_body(
-            Gpu::new(device),
-            SparseMr {
-                geom,
-                index,
-                table,
-                halo,
-                mom: GlobalBuffer::new(L::M * nf).with_touch_tracking(),
-                scheme,
-                tau,
-                scalar: false,
-                _l: PhantomData,
-            },
-        ))
+        let body = SparseMr::on_slab(Owned::all(&geom), geom, scheme, tau)?;
+        Ok(Sim::from_body(Gpu::new(device), body))
     }
 
     /// Force the original per-node scalar kernels (bitwise-identical to
     /// the default vectorized lane path; used by the equivalence tests).
     pub fn with_scalar_kernels(mut self) -> Self {
-        self.body.scalar = true;
+        self.body.set_scalar_kernels();
         self
     }
 
@@ -424,13 +365,50 @@ impl<L: Lattice> SparseMrSim<L> {
     /// strict checker stays quiet.
     pub fn with_racecheck_strict(mut self) -> Self {
         assert_eq!(self.steps(), 0, "attach the race checker before stepping");
-        let old = std::mem::replace(&mut self.body.mom, GlobalBuffer::new(0));
-        self.body.mom = old.with_racecheck_strict();
+        self.body.set_racecheck_strict();
         self
     }
 }
 
 impl<L: Lattice> SparseMr<L> {
+    /// The sparse MR state over `geom`, updating the fluid nodes of its
+    /// `owned` columns — the one constructor behind
+    /// [`SparseMrSim::try_new`] and every shard of `lbm-multi`.
+    pub fn on_slab(
+        owned: Owned,
+        geom: Geometry,
+        scheme: MrScheme,
+        tau: f64,
+    ) -> Result<Self, SparseBuildError> {
+        let (index, table) = compact::<L>(&geom, owned)?;
+        let lattice = || GlobalBuffer::new(L::M * index.len()).with_touch_tracking();
+        Ok(SparseMr {
+            halo: HaloDirectory::build::<L>(&index, &table),
+            mom: lattice(),
+            mom2: (owned.ghost_l || owned.ghost_r).then(lattice),
+            geom,
+            index,
+            table,
+            scheme,
+            tau,
+            scalar: false,
+            _l: PhantomData,
+        })
+    }
+
+    /// See [`SparseMrSim::with_scalar_kernels`].
+    pub fn set_scalar_kernels(&mut self) {
+        self.scalar = true;
+    }
+
+    /// See [`SparseMrSim::with_racecheck_strict`].
+    pub fn set_racecheck_strict(&mut self) {
+        self.mom.set_racecheck_strict();
+        if let Some(m2) = &mut self.mom2 {
+            m2.set_racecheck_strict();
+        }
+    }
+
     /// The fluid-node compaction.
     pub fn index(&self) -> &FluidIndex {
         &self.index
@@ -439,6 +417,15 @@ impl<L: Lattice> SparseMr<L> {
     /// The collision scheme.
     pub fn scheme(&self) -> &MrScheme {
         &self.scheme
+    }
+
+    /// The lattices step `t` reads and writes.
+    fn lattice_pair(&self, t: u64) -> (&GlobalBuffer<f64>, &GlobalBuffer<f64>) {
+        match &self.mom2 {
+            None => (&self.mom, &self.mom),
+            Some(m2) if t.is_multiple_of(2) => (&self.mom, m2),
+            Some(m2) => (m2, &self.mom),
+        }
     }
 }
 
@@ -451,98 +438,135 @@ impl<L: Lattice> DriverBody for SparseMr<L> {
         &self.geom
     }
 
-    /// `{ρ, u, Π_eq}` — the same equilibrium start as the dense MR
+    /// Every fluid node's [`initial_moments`] — the start of the dense MR
     /// drivers, so shared fluid nodes begin bitwise-equal.
     fn init_with(&mut self, field: impl Fn(usize, usize, usize) -> (f64, [f64; 3])) {
         let nf = self.index.len();
         let mut packed = [0.0f64; MAX_M];
         for (cid, &idx) in self.index.nodes.iter().enumerate() {
-            let (x, y, z) = self.geom.coords(idx);
-            let (rho, u) = field(x, y, z);
-            let m = Moments {
-                rho,
-                u,
-                pi: Moments::pi_eq(rho, u, L::D),
-            };
-            m.pack::<L>(&mut packed[..L::M]);
+            initial_moments::<L>(&self.geom, idx, &field).pack::<L>(&mut packed[..L::M]);
             for mi in 0..L::M {
                 self.mom.set(mi * nf + cid, packed[mi]);
             }
         }
     }
 
-    fn macro_fields(&self, _t: u64) -> Fields {
-        let nf = self.index.len();
+    fn macro_fields(&self, t: u64) -> Fields {
+        let (nf, mom) = (self.index.len(), self.lattice_pair(t).0);
         let mut rho_out = vec![0.0; self.geom.len()];
         let mut u_out = vec![[0.0; 3]; self.geom.len()];
         for (cid, &idx) in self.index.nodes.iter().enumerate() {
-            rho_out[idx] = self.mom.get(cid);
+            rho_out[idx] = mom.get(cid);
             for a in 0..L::D {
-                u_out[idx][a] = self.mom.get((1 + a) * nf + cid);
+                u_out[idx][a] = mom.get((1 + a) * nf + cid);
             }
         }
         (rho_out, u_out)
     }
 
-    /// One compacted moment lattice plus the link table — `M·8 + Q·4`
-    /// bytes per fluid node.
+    /// The compacted moment lattices plus the link table — `M·8 + Q·4`
+    /// bytes per fluid node in place.
     fn footprint_bytes(&self) -> usize {
-        self.mom.size_bytes() + self.table.size_bytes()
+        let mom2 = self.mom2.as_ref().map_or(0, GlobalBuffer::size_bytes);
+        self.mom.size_bytes() + mom2 + self.table.size_bytes()
     }
 
     fn set_fault_plan(&mut self, plan: Arc<gpu_sim::FaultPlan>) {
+        if let Some(m2) = &mut self.mom2 {
+            m2.set_fault_plan(plan.clone());
+        }
         self.mom.set_fault_plan(plan);
     }
 
     fn frame(&self) -> Frame {
+        let mut guards = box_guards(&self.geom, ("M", L::M));
+        guards.push(("fluid nodes", self.index.len() as u64));
         Frame {
             flavor: "sparse-mr",
             parity: false,
-            guards: vec![
-                ("nx", self.geom.nx as u64),
-                ("ny", self.geom.ny as u64),
-                ("nz", self.geom.nz as u64),
-                ("M", L::M as u64),
-                ("fluid nodes", self.index.len() as u64),
-            ],
+            guards,
         }
     }
 
-    fn state_arrays(&self) -> Vec<Vec<f64>> {
-        vec![self.mom.snapshot()]
+    /// The live lattice: all there is in place, all that matters of a
+    /// double buffer (the layout does not depend on `t`).
+    fn state_arrays(&self, t: u64) -> Vec<Vec<f64>> {
+        vec![self.lattice_pair(t).0.snapshot()]
     }
 
     fn state_lens(&self) -> Vec<usize> {
         vec![self.mom.len()]
     }
 
-    fn install(&mut self, arrays: Vec<Vec<f64>>) {
-        fill(&self.mom, &arrays[0]);
+    fn install(&mut self, t: u64, arrays: Vec<Vec<f64>>) {
+        fill(self.lattice_pair(t).0, &arrays[0]);
     }
 }
 
 impl<L: Lattice> SoloBody for SparseMr<L> {
-    /// One two-phase lockstep launch; measured B/F is `2M·8 + Q·4` (132
-    /// for D2Q9, 236 for D3Q19).
-    fn advance(&mut self, gpu: &Gpu, core: &mut DriverCore) {
-        let stats = launch_sparse_mr::<L>(
-            gpu,
-            &self.mom,
-            &self.mom,
-            &self.table,
-            &self.index,
-            &self.halo,
-            &self.scheme,
-            self.tau,
-            self.scalar,
+    /// One two-phase lockstep launch over every tile; measured B/F is
+    /// `2M·8 + Q·4` (132 for D2Q9, 236 for D3Q19). Like sparse ST's, it is
+    /// the part that precedes an exchange.
+    fn launch_part(&self, gpu: &Gpu, t: u64, part: Part, rec: Rec<'_>) {
+        if part != Part::Strips {
+            return;
+        }
+        let (src, dst) = self.lattice_pair(t);
+        let tiles = self.index.tiles();
+        let cfg = Launch {
+            blocks: tiles.len(),
+            threads_per_block: self.index.tile_capacity().max(1),
+            shared_doubles: L::Q * self.halo.slab_nodes,
+            scratch_doubles: L::M * self.halo.slab_nodes,
+        };
+        let stats = gpu.launch_lockstep(
+            &cfg,
+            &SparseMrKernel::<L> {
+                src,
+                dst,
+                table: &self.table,
+                tiles,
+                halo: &self.halo,
+                nf: self.index.len(),
+                scheme: &self.scheme,
+                tau: self.tau,
+                omega: 1.0 - 1.0 / self.tau,
+                scalar: self.scalar,
+                dirs: kernels::dirs_all::<L>(),
+                _l: PhantomData,
+            },
         );
-        core.record(&stats, core.fluid_nodes());
+        rec(&stats, None);
+    }
+}
+
+impl<L: Lattice> SlabBody for SparseMr<L> {
+    fn sharded_frame(&self, global: &Geometry) -> (&'static str, Frame) {
+        let frame = Frame {
+            flavor: "multi-sparse-mr",
+            parity: false,
+            guards: box_guards(global, ("M", L::M)),
+        };
+        (frame.flavor, frame)
+    }
+}
+
+impl<L: Lattice> NodeHalo for SparseMr<L> {
+    const HALO: usize = L::M;
+
+    fn send_node(&self, to: &Self, t: u64, si: usize, di: usize) {
+        let (sn, dn) = (self.index.len(), to.index.len());
+        let (sm, dm) = (self.lattice_pair(t).1, to.lattice_pair(t).1);
+        for m in 0..L::M {
+            dm.set(m * dn + di, sm.get(m * sn + si));
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sparse::build_neighbor_table;
     use crate::MrSim2D;
     use lbm_core::geometry::NodeType;
 

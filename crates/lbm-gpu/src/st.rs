@@ -7,8 +7,11 @@
 //! B/F reproduces Table 2's `2Q·8` (144 for D2Q9, 304 for D3Q19) up to the
 //! small inlet/outlet kernel contribution.
 
-use crate::boundary::{boundary_nodes, stencil_coords, MacroCache};
-use crate::driver::{fill, DriverBody, DriverCore, Fields, Frame, Sim, SoloBody};
+use crate::boundary::{boundary_nodes, initial_moments, stencil_coords, MacroCache};
+use crate::driver::{
+    box_guards, fill, DriverBody, Fields, Frame, NodeHalo, Owned, Part, Rec, Sim, SlabBody,
+    SoloBody,
+};
 use gpu_sim::exec::{BlockCtx, Kernel, Launch, LaunchStats};
 use gpu_sim::{DeviceSpec, FaultPlan, GlobalBuffer, Gpu};
 use lbm_core::boundary::{boundary_node_moments, WallGains};
@@ -186,9 +189,12 @@ impl<L: Lattice, C: Collision<L>> Kernel for StBulkKernel<'_, L, C> {
     }
 }
 
-/// Pull + collide over the x-span `[x_lo, x_hi)` of `geom` (all y, z): the
-/// building block for slab-decomposed multi-device ST. Ghost columns
-/// outside the span are read (time t) but never written.
+/// Pull + collide over the x-span `[x_lo, x_hi)` of `geom` (all y, z): what a
+/// body that does not own its whole box launches. Columns outside the span
+/// are read (time t) but never written. Per-node arithmetic is the bulk
+/// kernel's, so span launches covering a domain are bitwise one bulk launch;
+/// the bulk kernel stays because the span's per-thread `%` and `/` cost a
+/// measured 8 % on a full-width domain.
 struct StSpanKernel<'a, L: Lattice, C: Collision<L>> {
     src: &'a GlobalBuffer<f64>,
     dst: &'a GlobalBuffer<f64>,
@@ -234,70 +240,6 @@ impl<L: Lattice, C: Collision<L>> Kernel for StSpanKernel<'_, L, C> {
             },
         );
     }
-}
-
-/// Launch the pull-scheme update restricted to the x-span `[x_lo, x_hi)`.
-/// Per-node arithmetic is identical to `StSim::step`'s bulk launch, so a
-/// union of span launches covering the domain is bitwise equal to one full
-/// launch.
-#[allow(clippy::too_many_arguments)]
-pub fn launch_st_pull_span<L: Lattice, C: Collision<L>>(
-    gpu: &Gpu,
-    src: &GlobalBuffer<f64>,
-    dst: &GlobalBuffer<f64>,
-    geom: &Geometry,
-    collision: &C,
-    consts: &KernelConsts,
-    block_size: usize,
-    x_lo: usize,
-    x_hi: usize,
-) -> LaunchStats {
-    assert!(x_lo < x_hi && x_hi <= geom.nx, "bad span {x_lo}..{x_hi}");
-    let span = (x_hi - x_lo) * geom.ny * geom.nz;
-    gpu.launch(
-        &Launch {
-            blocks: span.div_ceil(block_size),
-            threads_per_block: block_size,
-            shared_doubles: 0,
-            scratch_doubles: L::Q * block_size,
-        },
-        &StSpanKernel::<L, C> {
-            src,
-            dst,
-            geom,
-            collision,
-            consts,
-            block_size,
-            x_lo,
-            x_hi,
-            _l: PhantomData,
-        },
-    )
-}
-
-/// Launch the inlet/outlet rebuild kernel over `nodes` (post-bulk state in
-/// `dst`). Public for the multi-device drivers; `StSim::step` uses the same
-/// kernel.
-pub fn launch_st_bc<L: Lattice, C: Collision<L>>(
-    gpu: &Gpu,
-    dst: &GlobalBuffer<f64>,
-    geom: &Geometry,
-    collision: &C,
-    nodes: &[(usize, usize, usize)],
-    block_size: usize,
-) -> LaunchStats {
-    assert!(!nodes.is_empty(), "no boundary nodes");
-    gpu.launch(
-        &Launch::simple(nodes.len().div_ceil(block_size), block_size),
-        &StBcKernel::<L, C> {
-            dst,
-            geom,
-            collision,
-            nodes,
-            block_size,
-            _l: PhantomData,
-        },
-    )
 }
 
 /// Streaming scheme of the ST pattern (paper §3.1): *pull* performs
@@ -453,9 +395,67 @@ impl<L: Lattice, C: Collision<L>> Kernel for StBcKernel<'_, L, C> {
     }
 }
 
+/// Set the populations of `nodes` to the collision operator's reconstruction
+/// of their [`initial_moments`] (see the reference solver's `init_with`):
+/// `store(k, i, v)` receives population `i` of the `k`-th node.
+pub(crate) fn init_populations<L: Lattice, C: Collision<L>>(
+    geom: &Geometry,
+    collision: &C,
+    nodes: impl Iterator<Item = usize>,
+    field: impl Fn(usize, usize, usize) -> (f64, [f64; 3]),
+    mut store: impl FnMut(usize, usize, f64),
+) {
+    let mut feq = [0.0f64; MAX_Q];
+    for (k, idx) in nodes.enumerate() {
+        let m = initial_moments::<L>(geom, idx, &field);
+        collision.reconstruct(&m, &mut feq[..L::Q]);
+        for (i, &v) in feq[..L::Q].iter().enumerate() {
+            store(k, i, v);
+        }
+    }
+}
+
+/// Density and velocity over an `n`-node box from populations: `nodes`
+/// yields `(domain index, storage id)` of every fluid-like node and
+/// `f(id, i)` reads population `i`. One pass, the sums of
+/// [`Moments::from_f`] without its second moment.
+pub(crate) fn population_macro_fields<L: Lattice>(
+    n: usize,
+    nodes: impl Iterator<Item = (usize, usize)>,
+    f: impl Fn(usize, usize) -> f64,
+) -> Fields {
+    let mut rho_out = vec![0.0; n];
+    let mut u_out = vec![[0.0; 3]; n];
+    for (idx, id) in nodes {
+        let mut rho = 0.0;
+        let mut j = [0.0f64; 3];
+        for i in 0..L::Q {
+            let fi = f(id, i);
+            let c = L::cf(i);
+            rho += fi;
+            j[0] += c[0] * fi;
+            j[1] += c[1] * fi;
+            j[2] += c[2] * fi;
+        }
+        let inv_rho = 1.0 / rho;
+        rho_out[idx] = rho;
+        u_out[idx] = [j[0] * inv_rho, j[1] * inv_rho, j[2] * inv_rho];
+    }
+    (rho_out, u_out)
+}
+
+/// The fluid-like nodes of `geom` as [`population_macro_fields`] wants them
+/// from a dense lattice: storage id = domain index.
+pub(crate) fn fluid_like(geom: &Geometry) -> impl Iterator<Item = (usize, usize)> + '_ {
+    (0..geom.len())
+        .filter(|&idx| geom.node_at(idx).is_fluid_like())
+        .map(|idx| (idx, idx))
+}
+
 /// The ST pattern's state: two full distribution lattices.
 pub struct St<L: Lattice, C: Collision<L>> {
     geom: Geometry,
+    owned: Owned,
     f: [GlobalBuffer<f64>; 2],
     cur: usize,
     collision: C,
@@ -473,38 +473,16 @@ impl<L: Lattice, C: Collision<L>> StSim<L, C> {
     /// Build an ST simulation on `device` over `geom`, initialized to
     /// equilibrium at rest (inlets at their prescribed velocity).
     pub fn new(device: DeviceSpec, geom: Geometry, collision: C) -> Self {
-        if L::D == 2 {
-            assert_eq!(geom.nz, 1, "2D lattice on a 3D domain");
+        let body = St::on_slab(Owned::all(&geom), geom, collision);
+        if !body.boundary.is_empty() {
+            assert!(body.geom.nx >= 5, "FD boundaries need nx ≥ 5");
         }
-        let n = geom.len();
-        let boundary = boundary_nodes(&geom);
-        if !boundary.is_empty() {
-            assert!(geom.nx >= 5, "FD boundaries need nx ≥ 5");
-        }
-        let consts = KernelConsts::new::<L>(collision.tau());
-        Sim::from_body(
-            Gpu::new(device),
-            St {
-                geom,
-                f: [
-                    GlobalBuffer::new(L::Q * n).with_touch_tracking(),
-                    GlobalBuffer::new(L::Q * n).with_touch_tracking(),
-                ],
-                cur: 0,
-                collision,
-                consts,
-                block_size: 256,
-                stream: StStream::Pull,
-                boundary,
-                _l: PhantomData,
-            },
-        )
+        Sim::from_body(Gpu::new(device), body)
     }
 
     /// Set the thread-block size of the bulk kernel.
     pub fn with_block_size(mut self, bs: usize) -> Self {
-        assert!(bs >= 1);
-        self.body.block_size = bs;
+        self.body.set_block_size(bs);
         self
     }
 
@@ -513,7 +491,7 @@ impl<L: Lattice, C: Collision<L>> StSim<L, C> {
     /// `tests/kernel_equivalence.rs`); the scalar path exists as the
     /// equivalence oracle.
     pub fn with_scalar_kernels(mut self) -> Self {
-        self.body.consts.scalar = true;
+        self.body.set_scalar_kernels();
         self
     }
 
@@ -534,6 +512,46 @@ impl<L: Lattice, C: Collision<L>> StSim<L, C> {
 }
 
 impl<L: Lattice, C: Collision<L>> St<L, C> {
+    /// The ST state over `geom`, computing its `owned` columns — the one
+    /// constructor behind [`StSim::new`] and every shard of `lbm-multi`.
+    pub fn on_slab(owned: Owned, geom: Geometry, collision: C) -> Self {
+        if L::D == 2 {
+            assert_eq!(geom.nz, 1, "2D lattice on a 3D domain");
+        }
+        let lattice = || GlobalBuffer::new(L::Q * geom.len()).with_touch_tracking();
+        St {
+            f: [lattice(), lattice()],
+            cur: 0,
+            consts: KernelConsts::new::<L>(collision.tau()),
+            collision,
+            block_size: 256,
+            stream: StStream::Pull,
+            boundary: boundary_nodes(&geom),
+            owned,
+            geom,
+            _l: PhantomData,
+        }
+    }
+
+    /// See [`StSim::with_block_size`].
+    pub fn set_block_size(&mut self, bs: usize) {
+        assert!(bs >= 1);
+        self.block_size = bs;
+    }
+
+    /// See [`StSim::with_scalar_kernels`].
+    pub fn set_scalar_kernels(&mut self) {
+        self.consts.scalar = true;
+    }
+
+    /// Strict race checking on both lattices (tests): any cross-block
+    /// overlap or stale read inside a launch panics.
+    pub fn set_racecheck_strict(&mut self) {
+        self.f
+            .iter_mut()
+            .for_each(GlobalBuffer::set_racecheck_strict);
+    }
+
     /// Distribution at a node (current state).
     pub fn f_at(&self, x: usize, y: usize, z: usize) -> Vec<f64> {
         let n = self.geom.len();
@@ -547,6 +565,63 @@ impl<L: Lattice, C: Collision<L>> St<L, C> {
     pub fn moments_at(&self, x: usize, y: usize, z: usize) -> Moments {
         Moments::from_f::<L>(&self.f_at(x, y, z))
     }
+
+    /// One streaming + collision launch over columns `[x_lo, x_hi)`: the
+    /// bulk kernel when that is the whole box, the span kernel otherwise.
+    fn update(&self, gpu: &Gpu, x_lo: usize, x_hi: usize) -> LaunchStats {
+        let (geom, collision, consts) = (&self.geom, &self.collision, &self.consts);
+        let (src, dst) = (&self.f[self.cur], &self.f[self.cur ^ 1]);
+        let block_size = self.block_size;
+        let span = (x_hi - x_lo) * geom.ny * geom.nz;
+        // Every kernel stages span traffic direction-major in scratch.
+        let cfg = Launch {
+            blocks: span.div_ceil(block_size),
+            threads_per_block: block_size,
+            shared_doubles: 0,
+            scratch_doubles: L::Q * block_size,
+        };
+        let _l = PhantomData;
+        match self.stream {
+            StStream::Pull if x_hi - x_lo == geom.nx => gpu.launch(
+                &cfg,
+                &StBulkKernel::<L, C> {
+                    src,
+                    dst,
+                    geom,
+                    collision,
+                    consts,
+                    block_size,
+                    _l,
+                },
+            ),
+            StStream::Pull => gpu.launch(
+                &cfg,
+                &StSpanKernel::<L, C> {
+                    src,
+                    dst,
+                    geom,
+                    collision,
+                    consts,
+                    block_size,
+                    x_lo,
+                    x_hi,
+                    _l,
+                },
+            ),
+            StStream::Push => gpu.launch(
+                &cfg,
+                &StPushKernel::<L, C> {
+                    src,
+                    dst,
+                    geom,
+                    collision,
+                    consts,
+                    block_size,
+                    _l,
+                },
+            ),
+        }
+    }
 }
 
 impl<L: Lattice, C: Collision<L>> DriverBody for St<L, C> {
@@ -558,56 +633,16 @@ impl<L: Lattice, C: Collision<L>> DriverBody for St<L, C> {
         &self.geom
     }
 
-    /// The collision operator's reconstruction of `{ρ, u, Π_eq}` — see the
-    /// reference solver's `init_with`.
     fn init_with(&mut self, field: impl Fn(usize, usize, usize) -> (f64, [f64; 3])) {
-        let n = self.geom.len();
-        let mut feq = [0.0f64; MAX_Q];
-        for idx in 0..n {
-            let (x, y, z) = self.geom.coords(idx);
-            let (rho, u) = match self.geom.node_at(idx) {
-                NodeType::Inlet(u_bc) => (field(x, y, z).0, u_bc),
-                NodeType::Outlet(rho_bc) => (rho_bc, field(x, y, z).1),
-                _ => field(x, y, z),
-            };
-            let m = Moments {
-                rho,
-                u,
-                pi: Moments::pi_eq(rho, u, L::D),
-            };
-            self.collision.reconstruct(&m, &mut feq[..L::Q]);
-            for i in 0..L::Q {
-                self.f[self.cur].set(i * n + idx, feq[i]);
-            }
-        }
+        let (n, f) = (self.geom.len(), &self.f[self.cur]);
+        init_populations::<L, C>(&self.geom, &self.collision, 0..n, field, |idx, i, v| {
+            f.set(i * n + idx, v)
+        });
     }
 
-    /// One pass over the lattice, without the per-node `Vec` of
-    /// [`St::f_at`].
     fn macro_fields(&self, _t: u64) -> Fields {
-        let n = self.geom.len();
-        let buf = &self.f[self.cur];
-        let mut rho_out = vec![0.0; n];
-        let mut u_out = vec![[0.0; 3]; n];
-        for idx in 0..n {
-            if !self.geom.node_at(idx).is_fluid_like() {
-                continue;
-            }
-            let mut rho = 0.0;
-            let mut j = [0.0f64; 3];
-            for i in 0..L::Q {
-                let fi = buf.get(i * n + idx);
-                let c = L::cf(i);
-                rho += fi;
-                j[0] += c[0] * fi;
-                j[1] += c[1] * fi;
-                j[2] += c[2] * fi;
-            }
-            let inv_rho = 1.0 / rho;
-            rho_out[idx] = rho;
-            u_out[idx] = [j[0] * inv_rho, j[1] * inv_rho, j[2] * inv_rho];
-        }
-        (rho_out, u_out)
+        let (n, f) = (self.geom.len(), &self.f[self.cur]);
+        population_macro_fields::<L>(n, fluid_like(&self.geom), |idx, i| f.get(i * n + idx))
     }
 
     fn footprint_bytes(&self) -> usize {
@@ -623,16 +658,11 @@ impl<L: Lattice, C: Collision<L>> DriverBody for St<L, C> {
         Frame {
             flavor: "st",
             parity: false,
-            guards: vec![
-                ("nx", self.geom.nx as u64),
-                ("ny", self.geom.ny as u64),
-                ("nz", self.geom.nz as u64),
-                ("Q", L::Q as u64),
-            ],
+            guards: box_guards(&self.geom, ("Q", L::Q)),
         }
     }
 
-    fn state_arrays(&self) -> Vec<Vec<f64>> {
+    fn state_arrays(&self, _t: u64) -> Vec<Vec<f64>> {
         vec![self.f[self.cur].snapshot()]
     }
 
@@ -641,70 +671,73 @@ impl<L: Lattice, C: Collision<L>> DriverBody for St<L, C> {
     }
 
     /// The snapshot lands in buffer 0 regardless of the saved parity.
-    fn install(&mut self, arrays: Vec<Vec<f64>>) {
+    fn install(&mut self, _t: u64, arrays: Vec<Vec<f64>>) {
         fill(&self.f[0], &arrays[0]);
         self.cur = 0;
     }
 }
 
 impl<L: Lattice, C: Collision<L>> SoloBody for St<L, C> {
-    /// Bulk launch + boundary launch.
-    fn advance(&mut self, gpu: &Gpu, core: &mut DriverCore) {
-        let n = self.geom.len();
-        let (src, dst) = (&self.f[self.cur], &self.f[self.cur ^ 1]);
-        let blocks = n.div_ceil(self.block_size);
-        // Both bulk kernels stage span traffic direction-major in scratch.
-        let cfg = Launch {
-            blocks,
-            threads_per_block: self.block_size,
-            shared_doubles: 0,
-            scratch_doubles: L::Q * self.block_size,
-        };
-        let stats = match self.stream {
-            StStream::Pull => gpu.launch(
-                &cfg,
-                &StBulkKernel::<L, C> {
-                    src,
-                    dst,
-                    geom: &self.geom,
-                    collision: &self.collision,
-                    consts: &self.consts,
-                    block_size: self.block_size,
-                    _l: PhantomData,
-                },
-            ),
-            StStream::Push => gpu.launch(
-                &cfg,
-                &StPushKernel::<L, C> {
-                    src,
-                    dst,
-                    geom: &self.geom,
-                    collision: &self.collision,
-                    consts: &self.consts,
-                    block_size: self.block_size,
-                    _l: PhantomData,
-                },
-            ),
-        };
-        core.record(&stats, core.fluid_nodes());
-
-        if !self.boundary.is_empty() {
-            let bblocks = self.boundary.len().div_ceil(self.block_size);
-            let stats = gpu.launch(
-                &Launch::simple(bblocks, self.block_size),
-                &StBcKernel::<L, C> {
-                    dst,
-                    geom: &self.geom,
-                    collision: &self.collision,
-                    nodes: &self.boundary,
-                    block_size: self.block_size,
-                    _l: PhantomData,
-                },
-            );
-            core.record(&stats, self.boundary.len() as u64);
+    /// One launch per edge strip, one over the interior, then the
+    /// inlet/outlet rebuild of what they wrote.
+    fn launch_part(&self, gpu: &Gpu, _t: u64, part: Part, rec: Rec<'_>) {
+        match part {
+            Part::Strips => {
+                for (lo, hi) in self.owned.strips() {
+                    rec(&self.update(gpu, lo, hi), None);
+                }
+            }
+            Part::Interior => {
+                if let Some((lo, hi)) = self.owned.interior() {
+                    rec(&self.update(gpu, lo, hi), None);
+                }
+            }
+            Part::Boundary if self.boundary.is_empty() => {}
+            Part::Boundary => {
+                let stats = gpu.launch(
+                    &Launch::simple(
+                        self.boundary.len().div_ceil(self.block_size),
+                        self.block_size,
+                    ),
+                    &StBcKernel::<L, C> {
+                        dst: &self.f[self.cur ^ 1],
+                        geom: &self.geom,
+                        collision: &self.collision,
+                        nodes: &self.boundary,
+                        block_size: self.block_size,
+                        _l: PhantomData,
+                    },
+                );
+                rec(&stats, Some(self.boundary.len() as u64));
+            }
         }
+    }
 
+    fn flip(&mut self) {
         self.cur ^= 1;
+    }
+}
+
+impl<L: Lattice, C: Collision<L>> SlabBody for St<L, C> {
+    fn sharded_frame(&self, global: &Geometry) -> (&'static str, Frame) {
+        let frame = Frame {
+            flavor: "multi-st",
+            parity: false,
+            guards: box_guards(global, ("Q", L::Q)),
+        };
+        (frame.flavor, frame)
+    }
+}
+
+impl<L: Lattice, C: Collision<L>> NodeHalo for St<L, C> {
+    const HALO: usize = L::Q;
+
+    fn send_node(&self, to: &Self, _t: u64, si: usize, di: usize) {
+        let (sn, dn) = (self.geom.len(), to.geom.len());
+        let (sf, df) = (&self.f[self.cur ^ 1], &to.f[to.cur ^ 1]);
+        for i in 0..L::Q {
+            df.set(i * dn + di, sf.get(i * sn + si));
+        }
     }
 }
 

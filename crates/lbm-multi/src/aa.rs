@@ -1,9 +1,11 @@
 //! Multi-device AA-pattern ST: slab-sharded in-place propagation with
 //! parity-aware halo exchange.
 //!
-//! Each shard holds **one** `Q·8`-per-node lattice (half of
-//! [`crate::MultiStSim`]'s residency) and runs the same two half-steps as
-//! [`lbm_gpu::AaStSim`] over its owned span:
+//! Every shard is an [`AaSt`] on its slab: **one** `Q·8`-per-node lattice
+//! (half of [`crate::MultiStSim`]'s residency) running the two half-steps of
+//! [`lbm_gpu::AaStSim`] over its owned span. What is specific to the
+//! pattern is the whole exchange — a different algorithm from the shared
+//! whole-node one of [`crate::slabs`], not a copy of it:
 //!
 //! * **Stream half-step** (even `t`): the edge nodes *gather* from the
 //!   ghost column and *push* into it, so the cut protocol is two partial
@@ -30,114 +32,58 @@
 //! identical with `==`, at both parities.
 
 use crate::decomp::SlabDecomp;
-use crate::driver::{MultiSim, ShardedBody, StepCx};
-use crate::stats::{device_time_s, exchange_time_s, OverlapStats};
+use crate::driver::{MultiSim, StepCx};
+use crate::slabs::{column_plan, Schedule, Slabs};
+use crate::stats::{device_time_s, exchange_time_s};
 use gpu_sim::interconnect::{LinkError, MultiGpu};
-use gpu_sim::{DeviceSpec, FaultPlan, GlobalBuffer};
+use gpu_sim::DeviceSpec;
 use lbm_core::collision::Collision;
 use lbm_core::geometry::{Geometry, NodeType};
-use lbm_core::kernels::{aa_slot, KernelConsts};
-use lbm_gpu::aa::{launch_aa_collide_span, launch_aa_stream_span};
-use lbm_gpu::boundary::boundary_nodes;
-use lbm_gpu::driver::{fill, DriverBody, Fields, Frame};
+use lbm_gpu::aa::AaSt;
+use lbm_gpu::driver::{DriverBody, Part};
 use lbm_lattice::moments::Moments;
 use lbm_lattice::Lattice;
-use std::marker::PhantomData;
-use std::sync::Arc;
-
-struct AaShard {
-    geom: Geometry,
-    a: GlobalBuffer<f64>,
-    owned_lo: usize,
-    owned_hi: usize,
-}
-
-/// The sharded AA pattern's state: one lattice per shard, updated in place.
-pub struct MultiAaSt<L: Lattice, C: Collision<L>> {
-    decomp: SlabDecomp,
-    shards: Vec<AaShard>,
-    collision: C,
-    consts: KernelConsts,
-    block_size: usize,
-    /// A stream half-step's post-exchange failed after the launch mutated
-    /// the lattice in place; the next `advance` must finish that exchange
-    /// (idempotent: it only reads ghosts and writes edge columns) before
-    /// the step can complete.
-    post_pending: bool,
-    stats: OverlapStats,
-    _l: PhantomData<L>,
-}
 
 /// Slab-sharded AA-pattern ST simulation across N simulated devices.
-pub type MultiAaStSim<L, C> = MultiSim<MultiAaSt<L, C>>;
+pub type MultiAaStSim<L, C> = MultiSim<Slabs<AaSt<L, C>>>;
 
-impl<L: Lattice, C: Collision<L>> MultiAaStSim<L, C> {
+impl<L: Lattice, C: Collision<L> + Clone> MultiAaStSim<L, C> {
     /// Shard `geom` across `n` devices of one spec, joined ring-wise with
     /// the vendor's preset link. Initialized to equilibrium at rest.
     pub fn new(device: DeviceSpec, geom: Geometry, collision: C, n: usize) -> Self {
-        if L::D == 2 {
-            assert_eq!(geom.nz, 1, "2D lattice on a 3D domain");
-        }
         assert_eq!(L::REACH, 1, "slab ghosts are one column wide");
-        assert!(
-            boundary_nodes(&geom).is_empty(),
-            "AA-pattern streaming does not support inlet/outlet boundaries"
-        );
         let decomp = SlabDecomp::new(geom, n);
-        let shards = (0..n)
-            .map(|r| {
-                let g = decomp.local_geometry(r);
-                let s = decomp.slab(r);
-                let ln = g.len();
-                AaShard {
-                    a: GlobalBuffer::new(L::Q * ln).with_touch_tracking(),
-                    owned_lo: s.owned_lo(),
-                    owned_hi: s.owned_hi(),
-                    geom: g,
-                }
-            })
+        let shards: Vec<_> = decomp
+            .boxes()
+            .map(|(owned, g)| AaSt::on_slab(owned, g, collision.clone()))
             .collect();
-        MultiSim::from_body(
-            MultiGpu::ring(device, n),
-            MultiAaSt {
-                decomp,
-                shards,
-                consts: KernelConsts::new::<L>(collision.tau()),
-                collision,
-                block_size: 256,
-                post_pending: false,
-                stats: OverlapStats::default(),
-                _l: PhantomData,
-            },
-        )
+        let plan = column_plan(&decomp, &shards);
+        MultiSim::from_body(MultiGpu::ring(device, n), Slabs::new(decomp, shards, plan))
     }
 
     /// Force the scalar (per-node) reference kernels instead of the
     /// chunk-vectorized ones — the equivalence-test oracle.
     pub fn with_scalar_kernels(mut self) -> Self {
-        self.body.consts.scalar = true;
+        self.body
+            .shards
+            .iter_mut()
+            .for_each(AaSt::set_scalar_kernels);
         self
     }
 
     /// Set the thread-block size of the span kernels.
     pub fn with_block_size(mut self, bs: usize) -> Self {
-        assert!(bs >= 1);
-        self.body.block_size = bs;
+        for sh in &mut self.body.shards {
+            sh.set_block_size(bs);
+        }
         self
     }
 
     /// Distribution at a global node, un-permuted to natural direction
     /// order regardless of the current parity.
     pub fn f_at(&self, x: usize, y: usize, z: usize) -> Vec<f64> {
-        let b = &self.body;
-        let r = b.decomp.owner_of(x);
-        let sh = &b.shards[r];
-        let lx = sh.owned_lo + (x - b.decomp.slab(r).x0);
-        let ln = sh.geom.len();
-        let idx = sh.geom.idx(lx, y, z);
-        (0..L::Q)
-            .map(|i| sh.a.get(aa_slot::<L>(self.steps(), i) * ln + idx))
-            .collect()
+        let (sh, lx) = self.body.owner(x);
+        sh.f_at(self.steps(), lx, y, z)
     }
 
     /// Moments at a global node.
@@ -146,24 +92,36 @@ impl<L: Lattice, C: Collision<L>> MultiAaStSim<L, C> {
     }
 }
 
-impl<L: Lattice, C: Collision<L>> MultiAaSt<L, C> {
-    /// Run one exchange phase over every cut. Pre copies owned edge
-    /// columns into ghosts; post copies ghosts back into the neighbor's
+/// Storage slots whose direction has x-component `dir`: what crosses a cut
+/// towards (`+1`) or from (`−1`) the right.
+fn crossing_slots<L: Lattice>(dir: i32) -> Vec<usize> {
+    (0..L::Q).filter(|&s| L::C[s][0] == dir).collect()
+}
+
+impl<L: Lattice, C: Collision<L>> Slabs<AaSt<L, C>> {
+    /// Run one exchange phase over every transfer of the plan (whose `from`
+    /// owns the column and whose `to` holds its ghost). Pre copies owned
+    /// edge columns into ghosts; post copies ghosts back into the owner's
     /// edge columns with the pushing-node guard. Link tallies are recorded
     /// (with bounded retries) before each copy, so a failed transfer moves
     /// no data and a successful retry tallies exactly once.
-    fn exchange(
+    fn exchange_slots(
         &self,
         cx: &StepCx<'_>,
         phase: Phase,
     ) -> Result<Vec<(usize, usize, u64)>, LinkError> {
-        let mut out = Vec::new();
-        for tr in self.decomp.halo_transfers() {
+        let mut out = Vec::with_capacity(self.plan.len());
+        let (leftward, rightward) = (crossing_slots::<L>(-1), crossing_slots::<L>(1));
+        for tr in &self.plan {
+            let (owner, holder) = (&self.shards[tr.from], &self.shards[tr.to]);
+            let hg = holder.geom();
             // Ghost side determines which slots cross this cut direction.
-            let ghost_left = tr.dst_lx == 0;
-            let dir = if ghost_left { -1 } else { 1 };
-            let slots: Vec<usize> = (0..L::Q).filter(|&s| L::C[s][0] == dir).collect();
-            let bytes = (self.decomp.column_fluid_count(tr.gx) * slots.len() * 8) as u64;
+            let ghost_left = tr
+                .pairs
+                .first()
+                .is_some_and(|&(_, hi)| hg.coords(hi).0 == 0);
+            let slots = if ghost_left { &leftward } else { &rightward };
+            let bytes = (tr.pairs.len() * slots.len() * 8) as u64;
             // Post reverses the roles: the ghost holder sends back to the
             // column owner.
             let (from, to) = match phase {
@@ -171,35 +129,24 @@ impl<L: Lattice, C: Collision<L>> MultiAaSt<L, C> {
                 Phase::Post => (tr.to, tr.from),
             };
             cx.transfer(from, to, bytes)?;
-            let owner = &self.shards[tr.from];
-            let holder = &self.shards[tr.to];
-            let (on, hn) = (owner.geom.len(), holder.geom.len());
-            for z in 0..owner.geom.nz {
-                for y in 0..owner.geom.ny {
-                    if !owner.geom.node(tr.src_lx, y, z).is_fluid_like() {
-                        continue;
-                    }
-                    let oi = owner.geom.idx(tr.src_lx, y, z);
-                    let hi = holder.geom.idx(tr.dst_lx, y, z);
-                    for &s in &slots {
-                        match phase {
-                            Phase::Pre => holder.a.set(s * hn + hi, owner.a.get(s * on + oi)),
-                            Phase::Post => {
-                                // Only slots a Fluid node actually pushed:
-                                // where the pushing cell across the cut is
-                                // solid or absent, the owner stored this
-                                // slot itself via the local bounce rules.
-                                let c = L::C[s];
-                                let pusher =
-                                    holder.geom.neighbor(tr.dst_lx, y, z, [-c[0], -c[1], -c[2]]);
-                                let pushed = pusher.is_some_and(|(px, py, pz)| {
-                                    matches!(holder.geom.node(px, py, pz), NodeType::Fluid)
-                                });
-                                if pushed {
-                                    owner.a.set(s * on + oi, holder.a.get(s * hn + hi));
-                                }
-                            }
-                        }
+            for &(oi, hi) in &tr.pairs {
+                if phase == Phase::Pre {
+                    slots
+                        .iter()
+                        .for_each(|&s| owner.send_slot(holder, s, oi, hi));
+                    continue;
+                }
+                // Only slots a Fluid node actually pushed: where the pushing
+                // cell across the cut is solid or absent, the owner stored
+                // this slot itself via the local bounce rules.
+                let (hx, y, z) = hg.coords(hi);
+                for &s in slots {
+                    let c = L::C[s];
+                    let pusher = hg.neighbor(hx, y, z, [-c[0], -c[1], -c[2]]);
+                    let pushed = pusher
+                        .is_some_and(|(px, py, pz)| matches!(hg.node(px, py, pz), NodeType::Fluid));
+                    if pushed {
+                        holder.send_slot(owner, s, hi, oi);
                     }
                 }
             }
@@ -208,180 +155,48 @@ impl<L: Lattice, C: Collision<L>> MultiAaSt<L, C> {
         Ok(out)
     }
 
-    /// Modeled schedule timing (the exchange is always exposed — AA cannot
-    /// overlap it with the in-place launch).
-    pub fn stats(&self) -> &OverlapStats {
-        &self.stats
-    }
-
     /// Analytic interconnect traffic of one two-step AA cycle: each cut
     /// direction moves its crossing slots twice (pre + post) per stream
     /// half-step, and the collide half-step moves nothing.
     pub fn halo_bytes_per_cycle(&self) -> u64 {
-        self.decomp
-            .halo_transfers()
-            .iter()
-            .map(|tr| {
-                let dir = if tr.dst_lx == 0 { -1 } else { 1 };
-                let crossing = (0..L::Q).filter(|&s| L::C[s][0] == dir).count();
-                2 * (self.decomp.column_fluid_count(tr.gx) * crossing * 8) as u64
-            })
-            .sum()
+        // As many slots point left as right.
+        let crossing = crossing_slots::<L>(1).len();
+        let nodes: usize = self.plan.iter().map(|tr| tr.pairs.len()).sum();
+        (2 * nodes * crossing * 8) as u64
     }
 }
 
-impl<L: Lattice, C: Collision<L>> DriverBody for MultiAaSt<L, C> {
-    fn label(&self) -> &'static str {
-        "multi-aa-st"
-    }
-
-    fn geom(&self) -> &Geometry {
-        self.decomp.global()
-    }
-
-    /// Into the even-parity slot layout.
-    fn init_with(&mut self, field: impl Fn(usize, usize, usize) -> (f64, [f64; 3])) {
-        let mut feq = [0.0f64; 48];
-        for (r, sh) in self.shards.iter_mut().enumerate() {
-            let ln = sh.geom.len();
-            for idx in 0..ln {
-                let (lx, y, z) = sh.geom.coords(idx);
-                let gx = self.decomp.global_x(r, lx);
-                let (rho, u) = field(gx, y, z);
-                let m = Moments {
-                    rho,
-                    u,
-                    pi: Moments::pi_eq(rho, u, L::D),
-                };
-                self.collision.reconstruct(&m, &mut feq[..L::Q]);
-                for (i, &v) in feq[..L::Q].iter().enumerate() {
-                    sh.a.set(aa_slot::<L>(0, i) * ln + idx, v);
-                }
-            }
-        }
-        self.post_pending = false;
-    }
-
-    /// Gathered from the owning shards through the parity slot map.
-    fn macro_fields(&self, t: u64) -> Fields {
-        let g = self.decomp.global();
-        let mut rho_out = vec![0.0; g.len()];
-        let mut u_out = vec![[0.0; 3]; g.len()];
-        for (idx, rho_o) in rho_out.iter_mut().enumerate() {
-            if !g.node_at(idx).is_fluid_like() {
-                continue;
-            }
-            let (x, y, z) = g.coords(idx);
-            let r = self.decomp.owner_of(x);
-            let sh = &self.shards[r];
-            let lx = sh.owned_lo + (x - self.decomp.slab(r).x0);
-            let ln = sh.geom.len();
-            let lidx = sh.geom.idx(lx, y, z);
-            let mut rho = 0.0;
-            let mut j = [0.0f64; 3];
-            for i in 0..L::Q {
-                let fi = sh.a.get(aa_slot::<L>(t, i) * ln + lidx);
-                let c = L::cf(i);
-                rho += fi;
-                j[0] += c[0] * fi;
-                j[1] += c[1] * fi;
-                j[2] += c[2] * fi;
-            }
-            let inv_rho = 1.0 / rho;
-            *rho_o = rho;
-            u_out[idx] = [j[0] * inv_rho, j[1] * inv_rho, j[2] * inv_rho];
-        }
-        (rho_out, u_out)
-    }
-
-    /// Every shard's single resident lattice — half of
-    /// [`crate::MultiStSim`]'s footprint shard for shard.
-    fn footprint_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.a.size_bytes()).sum()
-    }
-
-    fn set_fault_plan(&mut self, plan: Arc<FaultPlan>) {
-        for sh in &mut self.shards {
-            sh.a.set_fault_plan(plan.clone());
-        }
-    }
-
-    /// The flavor tag carries the step parity, so a restore can only land
-    /// on the half of the AA cycle the snapshot was taken at.
-    fn frame(&self) -> Frame {
-        let g = self.decomp.global();
-        Frame {
-            flavor: "aa-st-multi",
-            parity: true,
-            guards: vec![
-                ("nx", g.nx as u64),
-                ("ny", g.ny as u64),
-                ("nz", g.nz as u64),
-                ("Q", L::Q as u64),
-                ("shard count", self.shards.len() as u64),
-            ],
-        }
-    }
-
-    fn state_arrays(&self) -> Vec<Vec<f64>> {
-        self.shards.iter().map(|sh| sh.a.snapshot()).collect()
-    }
-
-    fn state_lens(&self) -> Vec<usize> {
-        self.shards.iter().map(|sh| sh.a.len()).collect()
-    }
-
-    fn install(&mut self, arrays: Vec<Vec<f64>>) {
-        for (sh, data) in self.shards.iter().zip(&arrays) {
-            fill(&sh.a, data);
-        }
-        self.post_pending = false;
-    }
-}
-
-impl<L: Lattice, C: Collision<L>> ShardedBody for MultiAaSt<L, C> {
+impl<L: Lattice, C: Collision<L>> Schedule for AaSt<L, C> {
     /// A failure in the *pre*-exchange leaves no owned state mutated —
     /// retrying the whole step is safe. A failure in the *post*-exchange
     /// arrives after the in-place launch, so the step is parked half-done:
-    /// the next call finishes the pending exchange (and only then is the
-    /// step counted) instead of recomputing over clobbered inputs.
-    fn advance(&mut self, cx: &StepCx<'_>) -> Result<(), LinkError> {
-        if self.post_pending {
-            let transfers = self.exchange(cx, Phase::Post)?;
-            self.post_pending = false;
-            self.stats
-                .record_step(0.0, 0.0, exchange_time_s(cx.mg, &transfers), 0.0);
+    /// the next call finishes the pending exchange (idempotent: it only
+    /// reads ghosts and writes edge columns), and only then is the step
+    /// counted, instead of recomputing over clobbered inputs. The stats
+    /// record every exchange as exposed time — the launch both reads and
+    /// rewrites the cut columns, so nothing can overlap it.
+    fn advance(slabs: &mut Slabs<Self>, cx: &StepCx<'_>) -> Result<(), LinkError> {
+        if slabs.parked {
+            let transfers = slabs.exchange_slots(cx, Phase::Post)?;
+            slabs.parked = false;
+            let exchange_s = exchange_time_s(cx.mg, &transfers);
+            slabs.stats.record_step(0.0, 0.0, exchange_s, 0.0);
             return Ok(());
         }
         let launch_bytes;
         let mut exchange_s = 0.0;
         if cx.t.is_multiple_of(2) {
             // Stream half-step: pre-exchange, one in-place launch per
-            // shard, post-exchange. Neither exchange can overlap the
-            // launch — it reads and rewrites the cut columns.
+            // shard, post-exchange.
             let pre_span = cx.halo_span();
-            let pre = self.exchange(cx, Phase::Pre)?;
+            let pre = slabs.exchange_slots(cx, Phase::Pre)?;
             drop(pre_span);
-            launch_bytes = cx.mg.for_each_device(|r| {
-                let sh = &self.shards[r];
-                launch_aa_stream_span::<L, C>(
-                    cx.mg.device(r),
-                    &sh.a,
-                    &sh.geom,
-                    &self.collision,
-                    &self.consts,
-                    self.block_size,
-                    sh.owned_lo,
-                    sh.owned_hi,
-                )
-                .tally
-                .dram_bytes()
-            });
+            launch_bytes = slabs.launch(cx, Part::Interior);
             let post_span = cx.halo_span();
-            let post = match self.exchange(cx, Phase::Post) {
+            let post = match slabs.exchange_slots(cx, Phase::Post) {
                 Ok(t) => t,
                 Err(e) => {
-                    self.post_pending = true;
+                    slabs.parked = true;
                     return Err(e);
                 }
             };
@@ -389,34 +204,11 @@ impl<L: Lattice, C: Collision<L>> ShardedBody for MultiAaSt<L, C> {
             exchange_s = exchange_time_s(cx.mg, &pre) + exchange_time_s(cx.mg, &post);
         } else {
             // Collide half-step: node-local, no exchange.
-            launch_bytes = cx.mg.for_each_device(|r| {
-                let sh = &self.shards[r];
-                launch_aa_collide_span::<L, C>(
-                    cx.mg.device(r),
-                    &sh.a,
-                    &sh.geom,
-                    &self.collision,
-                    &self.consts,
-                    self.block_size,
-                    sh.owned_lo,
-                    sh.owned_hi,
-                )
-                .tally
-                .dram_bytes()
-            });
+            launch_bytes = slabs.launch(cx, Part::Interior);
         }
-        let spec = cx.mg.spec().clone();
-        let launch_s = device_time_s(&spec, launch_bytes.into_iter().max().unwrap_or(0));
-        self.stats.record_step(0.0, launch_s, exchange_s, 0.0);
+        let launch_s = device_time_s(cx.mg.spec(), launch_bytes.into_iter().max().unwrap_or(0));
+        slabs.stats.record_step(0.0, launch_s, exchange_s, 0.0);
         Ok(())
-    }
-
-    fn overlap(&self) -> Option<&OverlapStats> {
-        Some(&self.stats)
-    }
-
-    fn overlap_mut(&mut self) -> Option<&mut OverlapStats> {
-        Some(&mut self.stats)
     }
 }
 
@@ -429,6 +221,7 @@ enum Phase {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::slabs::checks;
     use lbm_core::collision::{Bgk, Projective};
     use lbm_core::io::CheckpointError;
     use lbm_gpu::AaStSim;
@@ -455,34 +248,21 @@ mod tests {
         g
     }
 
+    fn v100() -> DeviceSpec {
+        DeviceSpec::v100()
+    }
+
     /// Sharded AA is bitwise identical to single-device AA at *every* step
     /// count — both parities — including MovingWall gains at the cuts.
     #[test]
     fn multi_matches_single_bitwise_both_parities_2d() {
-        for steps in [7usize, 8] {
-            let geom = lid_geom(16, 8);
-            let mut single: AaStSim<D2Q9, _> =
-                AaStSim::new(DeviceSpec::v100(), geom.clone(), Projective::new(0.8))
-                    .with_cpu_threads(2);
-            single.init_with(shear_init);
-            let mut multi: MultiAaStSim<D2Q9, _> =
-                MultiAaStSim::new(DeviceSpec::v100(), geom, Projective::new(0.8), 3)
-                    .with_cpu_threads(2);
-            multi.init_with(shear_init);
-            single.run(steps);
-            multi.run(steps);
-            assert_eq!(
-                single.field_checksum(),
-                multi.field_checksum(),
-                "diverged at {steps} steps"
-            );
-            let (us, um) = (single.velocity_field(), multi.velocity_field());
-            for (a, b) in us.iter().zip(&um) {
-                for k in 0..3 {
-                    assert_eq!(a[k], b[k], "sharding changed the arithmetic");
-                }
-            }
-        }
+        let (geom, op) = (lid_geom(16, 8), Projective::new(0.8));
+        checks::matches_single(
+            AaStSim::<D2Q9, _>::new(v100(), geom.clone(), op).with_cpu_threads(2),
+            MultiAaStSim::<D2Q9, _>::new(v100(), geom, op, 3).with_cpu_threads(2),
+            Some(shear_init),
+            &[7, 8],
+        );
     }
 
     /// 3D walled duct across 2 devices, odd and even step counts.
@@ -501,18 +281,13 @@ mod tests {
                 geom.set(x, y, 6, NodeType::Wall);
             }
         }
-        for steps in [5usize, 6] {
-            let mut single: AaStSim<D3Q19, _> =
-                AaStSim::new(DeviceSpec::mi100(), geom.clone(), Bgk::new(0.7)).with_cpu_threads(2);
-            single.init_with(shear_init);
-            let mut multi: MultiAaStSim<D3Q19, _> =
-                MultiAaStSim::new(DeviceSpec::mi100(), geom.clone(), Bgk::new(0.7), 2)
-                    .with_cpu_threads(2);
-            multi.init_with(shear_init);
-            single.run(steps);
-            multi.run(steps);
-            assert_eq!(single.field_checksum(), multi.field_checksum());
-        }
+        let dev = DeviceSpec::mi100;
+        checks::matches_single(
+            AaStSim::<D3Q19, _>::new(dev(), geom.clone(), Bgk::new(0.7)).with_cpu_threads(2),
+            MultiAaStSim::<D3Q19, _>::new(dev(), geom, Bgk::new(0.7), 2).with_cpu_threads(2),
+            Some(shear_init),
+            &[5, 6],
+        );
     }
 
     /// Per-cycle halo traffic: only the cut-crossing slots move (3 of 9
@@ -522,25 +297,28 @@ mod tests {
     #[test]
     fn halo_bytes_and_footprint_are_exact() {
         let geom = Geometry::walls_y_periodic_x(16, 10);
-        let mut multi: MultiAaStSim<D2Q9, _> =
-            MultiAaStSim::new(DeviceSpec::v100(), geom.clone(), Projective::new(0.8), 2)
-                .with_cpu_threads(2);
-        multi.run(4); // two full cycles
-                      // n = 2 periodic: 2 cuts → 4 directed transfers, each crossing 3
-                      // slots over 8 fluid column nodes, pre + post per stream step.
+        let mk = || {
+            MultiAaStSim::<D2Q9, _>::new(v100(), geom.clone(), Projective::new(0.8), 2)
+                .with_cpu_threads(2)
+        };
+        // n = 2 periodic: 2 cuts → 4 directed transfers, each crossing 3
+        // slots over 8 fluid column nodes, pre + post per stream step.
         let per_cycle = 2 * 4 * 8 * 3 * 8;
-        assert_eq!(multi.halo_bytes_per_cycle(), per_cycle as u64);
-        assert_eq!(
-            multi.interconnect().total_link_bytes(),
-            2 * per_cycle as u64
+        // Four steps are two full cycles.
+        checks::halo_bytes_exact(
+            mk(),
+            4,
+            Slabs::halo_bytes_per_cycle,
+            per_cycle,
+            2 * per_cycle,
         );
         // ST exchanges full-Q columns every step: 2 · 4 · 8 · 9 · 8 per
         // cycle — exactly 3× the AA wire traffic.
         let st_cycle = 2 * 4 * 8 * 9 * 8;
-        assert_eq!(3 * multi.halo_bytes_per_cycle(), st_cycle as u64);
+        assert_eq!(3 * mk().halo_bytes_per_cycle(), st_cycle);
         // One lattice per shard: shard lattices total (16 + 2·2) · 10 · 9
         // doubles (each shard owns 8 columns + 2 ghosts).
-        assert_eq!(multi.footprint_bytes(), 20 * 10 * 9 * 8);
+        assert_eq!(mk().footprint_bytes(), 20 * 10 * 9 * 8);
     }
 
     /// Checkpoint at odd parity restores bitwise mid-cycle; a two-lattice
@@ -550,7 +328,7 @@ mod tests {
         let geom = lid_geom(12, 6);
         let mk = || {
             let mut s: MultiAaStSim<D2Q9, _> =
-                MultiAaStSim::new(DeviceSpec::v100(), geom.clone(), Projective::new(0.8), 2)
+                MultiAaStSim::new(v100(), geom.clone(), Projective::new(0.8), 2)
                     .with_cpu_threads(2);
             s.init_with(shear_init);
             s
@@ -566,7 +344,7 @@ mod tests {
         assert_eq!(a.field_checksum(), b.field_checksum());
 
         let st: crate::MultiStSim<D2Q9, _> =
-            crate::MultiStSim::new(DeviceSpec::v100(), geom.clone(), Projective::new(0.8), 2);
+            crate::MultiStSim::new(v100(), geom.clone(), Projective::new(0.8), 2);
         assert!(matches!(
             b.restore(&st.checkpoint()),
             Err(CheckpointError::WrongFlavor { .. })
@@ -578,29 +356,19 @@ mod tests {
     /// one-thread run's fields.
     #[test]
     fn shards_side_by_side_are_racecheck_clean() {
-        let run = |threads: usize, strict: bool| {
-            let geom = lid_geom(16, 8);
-            let mut multi: MultiAaStSim<D2Q9, _> =
-                MultiAaStSim::new(DeviceSpec::v100(), geom, Projective::new(0.8), 4)
-                    .with_cpu_threads(threads)
-                    .with_parallel_threshold(0);
-            if strict {
-                for sh in &mut multi.shards {
-                    let a = std::mem::replace(&mut sh.a, GlobalBuffer::new(0));
-                    sh.a = a.with_racecheck_strict();
-                }
-            }
-            multi.init_with(shear_init);
-            multi.run(6);
-            multi.field_checksum()
-        };
-        assert_eq!(run(8, true), run(1, false));
+        checks::racecheck_clean(
+            || MultiAaStSim::<D2Q9, _>::new(v100(), lid_geom(16, 8), Projective::new(0.8), 4),
+            AaSt::set_racecheck_strict,
+            shear_init,
+            8,
+            6,
+        );
     }
 
     #[test]
     #[should_panic(expected = "does not support inlet/outlet")]
     fn rejects_inlet_outlet_geometries() {
         let geom = Geometry::channel_2d(12, 6, 0.04);
-        let _ = MultiAaStSim::<D2Q9, _>::new(DeviceSpec::v100(), geom, Bgk::new(0.8), 2);
+        let _ = MultiAaStSim::<D2Q9, _>::new(v100(), geom, Bgk::new(0.8), 2);
     }
 }

@@ -10,6 +10,7 @@
 //! which is what makes the sharded update bitwise identical.
 
 use lbm_core::geometry::Geometry;
+use lbm_gpu::Owned;
 
 /// One shard's span of the global domain.
 #[derive(Clone, Copy, Debug)]
@@ -43,6 +44,16 @@ impl Slab {
     pub fn owned_hi(&self) -> usize {
         self.owned_lo() + self.width
     }
+
+    /// The owned span in the local frame, as the shard's body takes it.
+    pub fn owned(&self) -> Owned {
+        Owned {
+            lo: self.owned_lo(),
+            hi: self.owned_hi(),
+            ghost_l: self.ghost_l,
+            ghost_r: self.ghost_r,
+        }
+    }
 }
 
 /// A cut between two adjacent shards (including the periodic wrap cut).
@@ -64,8 +75,6 @@ pub struct HaloTransfer {
     pub src_lx: usize,
     /// Receiver-local `x` of the ghost column being filled.
     pub dst_lx: usize,
-    /// Global `x` of the column (for byte accounting).
-    pub gx: usize,
 }
 
 /// The full decomposition: global geometry, per-shard slabs, and cuts.
@@ -155,17 +164,14 @@ impl SlabDecomp {
     }
 
     /// Shard `r`'s local geometry: its owned span plus ghost columns, node
-    /// types copied from the global domain. For `n ≥ 2` the local `x` axis
-    /// is never periodic — the ghost columns carry what periodicity (or a
-    /// neighbor shard) would have supplied.
+    /// types copied from the global domain. The local `x` axis is periodic
+    /// only where no ghost column carries what periodicity (or a neighbor
+    /// shard) would have supplied: on the one slab of an unsharded domain.
     pub fn local_geometry(&self, r: usize) -> Geometry {
-        let n = self.num_shards();
-        if n == 1 {
-            return self.global.clone();
-        }
         let s = &self.slabs[r];
         let (ny, nz) = (self.global.ny, self.global.nz);
-        let periodic = [false, self.global.periodic[1], self.global.periodic[2]];
+        let [px, py, pz] = self.global.periodic;
+        let periodic = [px && !s.ghost_l, py, pz];
         let mut g = Geometry::new(s.local_nx(), ny, nz, periodic);
         for lx in 0..s.local_nx() {
             let gx = self.global_x(r, lx);
@@ -178,19 +184,10 @@ impl SlabDecomp {
         g
     }
 
-    /// Fluid-like nodes in global column `gx` — the nodes whose state a
-    /// halo exchange of that column must carry (walls are never exchanged:
-    /// the pull update resolves solid neighbors from its own node).
-    pub fn column_fluid_count(&self, gx: usize) -> usize {
-        let mut count = 0;
-        for z in 0..self.global.nz {
-            for y in 0..self.global.ny {
-                if self.global.node(gx, y, z).is_fluid_like() {
-                    count += 1;
-                }
-            }
-        }
-        count
+    /// What each shard's body is built from, in shard order: its owned span
+    /// and its local geometry.
+    pub fn boxes(&self) -> impl Iterator<Item = (Owned, Geometry)> + '_ {
+        (0..self.num_shards()).map(|r| (self.slabs[r].owned(), self.local_geometry(r)))
     }
 
     /// The two directed transfers of every cut, in cut order.
@@ -204,7 +201,6 @@ impl SlabDecomp {
                 to: c.right,
                 src_lx: l.owned_hi() - 1,
                 dst_lx: 0,
-                gx: l.x0 + l.width - 1,
             });
             // Right shard's leftmost owned column → left shard's right ghost.
             out.push(HaloTransfer {
@@ -212,20 +208,9 @@ impl SlabDecomp {
                 to: c.left,
                 src_lx: r.owned_lo(),
                 dst_lx: l.local_nx() - 1,
-                gx: r.x0,
             });
         }
         out
-    }
-
-    /// Total fluid-like halo nodes exchanged per step (both directions of
-    /// every cut). Multiplied by `Q·8` (ST) or `M·8` (MR) this is the
-    /// analytic per-step interconnect traffic.
-    pub fn halo_nodes_per_step(&self) -> usize {
-        self.halo_transfers()
-            .iter()
-            .map(|t| self.column_fluid_count(t.gx))
-            .sum()
     }
 }
 
@@ -298,8 +283,6 @@ mod tests {
         let ts = d.halo_transfers();
         assert_eq!(ts.len(), 4);
         assert!(ts.iter().all(|t| t.from != t.to));
-        // Each column has ny − 2 = 4 fluid nodes (two walls).
-        assert_eq!(d.halo_nodes_per_step(), 4 * 4);
     }
 
     #[test]

@@ -403,14 +403,6 @@ impl<B: ShardedBody> Simulation for MultiSim<B> {
 mod tests {
     use super::*;
 
-    /// The crate's unit tests swap strict race-checked buffers into the
-    /// shards of a built driver.
-    impl<B> std::ops::DerefMut for MultiSim<B> {
-        fn deref_mut(&mut self) -> &mut B {
-            &mut self.body
-        }
-    }
-
     #[test]
     fn link_error_mirrors_into_step_error() {
         let e = step_error_from_link(LinkError::Down {

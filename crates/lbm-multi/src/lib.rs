@@ -8,28 +8,33 @@
 //! D2Q9, 160/304 for D3Q19 in two-lattice B/F terms; 80 vs 152 on the
 //! wire per D3Q19 halo node).
 //!
+//! A shard is the *single-device* body of its pattern (`lbm_gpu::st::St`,
+//! `aa::AaSt`, `mr::Mr`, `sparse::SparseSt`, `sparse_mr::SparseMr`) built on
+//! a slab's local geometry, of which it computes the owned columns; the
+//! pattern's own `lbm-gpu` module is the only place that knows how its state
+//! is laid out, initialised, read back and checkpointed. This crate knows
+//! coordinates, links and the schedule.
+//!
 //! * [`decomp`] — 1D slab decomposition along `x` with one-node ghost
-//!   columns, local geometries that mirror global node types, and exact
-//!   per-column halo accounting.
-//! * [`st`] — sharded standard representation ([`MultiStSim`]):
-//!   distribution-space exchange, `Q·8` bytes per halo node.
-//! * [`aa`] — sharded in-place AA-pattern ST ([`MultiAaStSim`]): one
-//!   resident lattice per shard and a parity-aware exchange moving only
-//!   the cut-crossing slots, on stream half-steps only.
-//! * [`mr`] — sharded moment representation ([`MultiMrSim`], also named
-//!   [`MultiMrSim2D`] / [`MultiMrSim3D`]): moment-space exchange, `M·8`
-//!   bytes per halo node, per-shard double-buffered shift-0 moment
-//!   lattices (the in-place circular shift of Algorithm 2 is only safe
-//!   when a whole step is one lockstep launch).
-//! * [`sparse`] — sharded fluid-compacted drivers ([`MultiSparseStSim`],
-//!   [`MultiSparseMrSim`]): per-shard tiled compaction and a per-tile halo
-//!   exchange whose wire bytes scale with the cut columns' *fluid* count,
-//!   not the bounding-box cross-section.
+//!   columns, local geometries that mirror global node types, and the
+//!   directed transfers of every cut.
+//! * [`slabs`] — the one sharded body, [`Slabs<B>`]: init through global
+//!   coordinates, fields by copying owned columns, one blob array per
+//!   shard, the halo plan compiled at construction, the one whole-node
+//!   exchange and the one two-phase overlap schedule.
+//! * [`st`], [`aa`], [`mr`], [`sparse`] — per pattern, what is specific to
+//!   it: the constructor and switches of its alias ([`MultiStSim`],
+//!   [`MultiAaStSim`], [`MultiMrSim`] also named [`MultiMrSim2D`] /
+//!   [`MultiMrSim3D`], [`MultiSparseStSim`], [`MultiSparseMrSim`]) and what
+//!   its exchange does differently — nothing for ST (`Q·8` bytes per halo
+//!   node) and MR (`M·8`); a parity-aware pre/post protocol moving only the
+//!   cut-crossing slots for AA; a per-tile plan whose wire bytes scale with
+//!   the cut columns' *fluid* count for the sparse pair.
 //! * [`driver`] — the sharded host [`MultiSim`]: `lbm_gpu::driver`'s
 //!   chassis over a `MultiGpu`, plus what only a sharded step has (typed
 //!   link errors, the halo-retry policy, the overlap-stats checkpoint
 //!   words) and the one [`lbm_core::Simulation`] impl of this crate. The
-//!   `Multi*Sim` names are aliases of `MultiSim<body>`.
+//!   `Multi*Sim` names are aliases of `MultiSim<Slabs<body>>`.
 //! * [`recovery`] — checkpoint/rollback recovery loop and bounded
 //!   halo-retry policy, driving any [`lbm_core::Simulation`].
 //! * [`stats`] — the two-phase overlap schedule's timing model
@@ -46,6 +51,7 @@ pub mod decomp;
 pub mod driver;
 pub mod mr;
 pub mod recovery;
+pub mod slabs;
 pub mod sparse;
 pub mod st;
 pub mod stats;
@@ -58,6 +64,7 @@ pub use mr::{MultiMrSim, MultiMrSim2D, MultiMrSim3D};
 pub use recovery::{
     run_with_recovery, HaloRetryPolicy, RecoveryConfig, RecoveryError, RecoveryStats,
 };
+pub use slabs::Slabs;
 pub use sparse::{MultiSparseMrSim, MultiSparseStSim};
 pub use st::MultiStSim;
 pub use stats::OverlapStats;

@@ -11,11 +11,12 @@ use gpu_sim::{DeviceSpec, FaultPlan};
 use lbm_core::collision::Bgk;
 use lbm_core::geometry::{Geometry, NodeType};
 use lbm_core::Simulation;
-use lbm_gpu::sparse::validate_sparse_geometry;
 use lbm_gpu::{AaStSim, MrScheme, MrSim, Sim, SoloBody, SparseMrSim, StSim, StSparseSim};
 use lbm_lattice::{Lattice, D2Q9, D3Q19};
+use lbm_multi::sparse::check_slabs;
 use lbm_multi::{
-    MultiAaStSim, MultiMrSim, MultiSim, MultiSparseMrSim, MultiSparseStSim, MultiStSim, ShardedBody,
+    MultiAaStSim, MultiMrSim, MultiSim, MultiSparseMrSim, MultiSparseStSim, MultiStSim,
+    ShardedBody, SlabDecomp,
 };
 use std::sync::Arc;
 
@@ -281,14 +282,12 @@ impl JobSpec {
             // Run the sparse builders' own geometry checks at submit time,
             // so a bad spec is a synchronous SubmitError instead of a
             // poisoned executor: the typed build errors (unsupported node
-            // types, no fluid nodes, link-table overflow) all surface here.
+            // types, a device left with no fluid node to update, link-table
+            // overflow) all surface here. One slab is the solo build.
             let geom = self.scenario.geometry();
-            if let Err(e) = validate_sparse_geometry(&geom) {
-                return invalid(format!("sparse pattern rejected: {e}"));
-            }
             let fluid = geom.fluid_count();
-            if fluid == 0 {
-                return invalid("sparse pattern rejected: domain has no fluid nodes".into());
+            if let Err(e) = check_slabs(&SlabDecomp::new(geom, self.devices)) {
+                return invalid(format!("sparse pattern rejected: {e}"));
             }
             let q = match self.scenario {
                 Scenario::Shear3D { .. } => D3Q19::Q,

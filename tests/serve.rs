@@ -170,6 +170,30 @@ fn invalid_specs_are_rejected() {
         serve.submit(JobSpec::shear_2d("acme", 16, 8, 0)),
         Err(SubmitError::Invalid(_))
     ));
+    // A slab left with nothing but rock: its device would have no fluid
+    // node to update, whatever the other slabs hold.
+    for pattern in [Pattern::SparseSt, Pattern::SparseMr] {
+        let rock_slab = JobSpec {
+            scenario: Scenario::Porous2D {
+                nx: 16,
+                ny: 6,
+                solid_pct: 90,
+            },
+            pattern,
+            devices: 4,
+            ..JobSpec::shear_2d("acme", 16, 6, 4)
+        };
+        assert!(rock_slab.scenario.geometry().fluid_count() > 0);
+        assert!(matches!(
+            serve.submit(rock_slab),
+            Err(SubmitError::Invalid(_))
+        ));
+    }
+    assert_eq!(
+        serve.tenant_usage("acme").in_flight,
+        0,
+        "nothing was queued"
+    );
 }
 
 /// Cancel while queued: synchronous, quota released immediately, waiters
