@@ -21,21 +21,25 @@
 //!    spans carrying the job args, with kernel (and, when sharded,
 //!    `halo-exchange`) spans nested under them.
 
-use gpu_sim::DeviceSpec;
+use gpu_sim::memory::Tally;
+use gpu_sim::profiler::Profiler;
+use gpu_sim::{DeviceSpec, FaultPlan};
 use lbm_core::collision::{Bgk, Projective};
 use lbm_core::geometry::{Geometry, NodeType};
 use lbm_core::io::{fnv1a, CheckpointError};
-use lbm_core::Simulation;
+use lbm_core::{Simulation, StepError};
 use lbm_gpu::{
     AaStSim, MrScheme, MrSim2D, MrSim3D, Sim, SoloBody, SparseMrSim2D, SparseMrSim3D, StSim,
     StSparseSim,
 };
 use lbm_lattice::{D2Q9, D3Q19};
+use lbm_multi::recovery::HaloRetryPolicy;
 use lbm_multi::{
     MultiAaStSim, MultiMrSim2D, MultiMrSim3D, MultiSim, MultiSparseMrSim, MultiSparseStSim,
-    MultiStSim, ShardedBody,
+    MultiStSim, OverlapStats, ShardedBody,
 };
 use obs::{Metric, MonitorConfig, Obs, PhysicsMonitor, TraceCtx};
+use std::sync::Arc;
 
 /// What the contract needs beyond [`Simulation`], implemented once per host.
 trait Host: Simulation + Send {
@@ -743,4 +747,232 @@ fn mr2d_refuses_a_twin_with_another_circular_shift() {
         Err(CheckpointError::Truncated)
     );
     assert!(before == state_of(&shift2), "shift 1 → 2 left a mark");
+}
+
+/// What the table and the recorded ledgers leave open about a host, for one
+/// solo and one two-shard driver of a pattern: what `init_with` resets,
+/// where `with_profiler` records, how a link failure past the retry budget
+/// reaches a `dyn Simulation` caller, and that neither host takes the
+/// other's blobs. `$timed`: the pattern's sharded blobs carry the overlap
+/// timing, which `init_with` then zeroes like the rest of the ledger. Only
+/// calls on the concrete driver names, so the check is indifferent to how
+/// the hosts are built.
+macro_rules! pin_host_surface {
+    ($name:expr, $solo_kernel:expr, $sharded_kernel:expr, $timed:expr, $solo:expr, $sharded:expr) => {{
+        let n = $name;
+        let mk_solo = || {
+            let mut s = $solo.with_cpu_threads(1);
+            s.init_with(shear_init);
+            s
+        };
+        let mk_sharded = || {
+            let mut s = $sharded.with_cpu_threads(1);
+            s.init_with(shear_init);
+            s
+        };
+
+        // `init_with` is a fresh start: step counter and ledger at zero, and
+        // the run that follows is a new driver's (the interconnect keeps
+        // what it carried).
+        let mut solo = mk_solo();
+        solo.run(3);
+        assert_ne!(solo.traffic(), Tally::default(), "{n}");
+        solo.init_with(shear_init);
+        assert_eq!(solo.steps(), 0, "{n}");
+        assert_eq!(solo.traffic(), Tally::default(), "{n}: solo tally");
+        assert_eq!(solo.measured_bpf(), 0.0, "{n}");
+        let mut fresh = mk_solo();
+        solo.run(2);
+        fresh.run(2);
+        assert_eq!(solo.field_checksum(), fresh.field_checksum(), "{n}");
+        assert_eq!(solo.traffic(), fresh.traffic(), "{n}: solo restart");
+        let mut sharded = mk_sharded();
+        sharded.run(3);
+        assert_eq!(sharded.stats().steps, 3, "{n}");
+        let carried = sharded.interconnect().total_link_bytes();
+        assert!(carried > 0, "{n}");
+        sharded.init_with(shear_init);
+        assert_eq!(sharded.steps(), 0, "{n}");
+        if $timed {
+            assert_eq!(*sharded.stats(), OverlapStats::default(), "{n}: stats");
+        }
+        assert_eq!(sharded.interconnect().total_link_bytes(), carried, "{n}");
+        let mut fresh = mk_sharded();
+        sharded.run(2);
+        fresh.run(2);
+        assert_eq!(sharded.field_checksum(), fresh.field_checksum(), "{n}");
+        if $timed {
+            assert_eq!(sharded.stats(), fresh.stats(), "{n}: sharded restart");
+        }
+
+        // A profiler sees a solo driver's launches and a sharded driver's
+        // link transfers (its launches go to the hub only).
+        let prof = Arc::new(Profiler::new());
+        let mut solo = mk_solo().with_profiler(prof.clone());
+        solo.run(2);
+        let k = prof
+            .get($solo_kernel)
+            .unwrap_or_else(|| panic!("{n}: no launch"));
+        assert!(k.launches >= 1 && k.tally.dram_bytes() > 0, "{n}");
+        let prof = Arc::new(Profiler::new());
+        let mut sharded = mk_sharded().with_profiler(prof.clone());
+        sharded.run(2);
+        assert!(prof.get($sharded_kernel).is_none(), "{n}: sharded launch");
+        let link = sharded.interconnect().link_spec().name;
+        let seen: u64 = ["0->1", "1->0"]
+            .iter()
+            .map(|dir| prof.get_link(&format!("{link}[{dir}]")).unwrap().bytes)
+            .sum();
+        assert_eq!(seen, sharded.interconnect().total_link_bytes(), "{n}");
+
+        // A link failure that outlasts the retry budget is the matching
+        // `StepError` behind the trait object, and the step does not count.
+        let two_tries = HaloRetryPolicy {
+            max_attempts: 2,
+            backoff_base_us: 1,
+        };
+        let mut plan = FaultPlan::new();
+        plan.fail_link(0, 1, 10);
+        let mut boxed: Box<dyn Simulation + Send> = Box::new(
+            mk_sharded()
+                .with_halo_retry(two_tries)
+                .with_fault_plan(Arc::new(plan)),
+        );
+        let want = StepError::Link {
+            from: 0,
+            to: 1,
+            permanent: false,
+        };
+        assert_eq!(boxed.try_step(), Err(want), "{n}: transient");
+        assert_eq!((boxed.steps(), boxed.halo_retries()), (0, 1), "{n}");
+        let mut plan = FaultPlan::new();
+        plan.fail_link_permanently(1, 0);
+        let mut boxed: Box<dyn Simulation + Send> =
+            Box::new(mk_sharded().with_fault_plan(Arc::new(plan)));
+        let want = StepError::Link {
+            from: 1,
+            to: 0,
+            permanent: true,
+        };
+        assert_eq!(boxed.try_step(), Err(want), "{n}: permanent");
+        assert_eq!((boxed.steps(), boxed.halo_retries()), (0, 0), "{n}");
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| boxed.step()))
+            .expect_err("step() on a dead link returned");
+        let msg = died.downcast_ref::<String>().expect("a formatted panic");
+        assert!(msg.starts_with("halo exchange failed: "), "{n}: {msg}");
+
+        // The hosts' blobs are different flavors: each refuses the other's
+        // and is left as it was.
+        let (mut solo, mut sharded) = (mk_solo(), mk_sharded());
+        solo.run(2);
+        sharded.run(3);
+        let (solo_blob, sharded_blob) = (solo.checkpoint(), sharded.checkpoint());
+        let before = (solo.steps(), solo.traffic(), solo.field_checksum());
+        assert!(
+            matches!(
+                solo.restore(&sharded_blob),
+                Err(CheckpointError::WrongFlavor { .. })
+            ),
+            "{n}: sharded blob into the solo driver"
+        );
+        assert_eq!(
+            before,
+            (solo.steps(), solo.traffic(), solo.field_checksum()),
+            "{n}"
+        );
+        assert!(solo.checkpoint() == solo_blob, "{n}: solo left a mark");
+        let before = (sharded.steps(), *sharded.stats(), sharded.field_checksum());
+        assert!(
+            matches!(
+                sharded.restore(&solo_blob),
+                Err(CheckpointError::WrongFlavor { .. })
+            ),
+            "{n}: solo blob into the sharded driver"
+        );
+        assert_eq!(
+            before,
+            (sharded.steps(), *sharded.stats(), sharded.field_checksum()),
+            "{n}"
+        );
+        assert!(
+            sharded.checkpoint() == sharded_blob,
+            "{n}: sharded left a mark"
+        );
+    }};
+}
+
+#[test]
+fn host_surface_is_pinned() {
+    let bgk = || Bgk::new(0.8);
+    pin_host_surface!(
+        "st",
+        "st-bulk",
+        "st-bulk-span",
+        true,
+        StSim::<D2Q9, _>::new(v(), channel(), bgk()),
+        MultiStSim::<D2Q9, _>::new(v(), channel(), bgk(), 2)
+    );
+    pin_host_surface!(
+        "aa",
+        "aa-stream",
+        "aa-stream",
+        true,
+        AaStSim::<D2Q9, _>::new(v(), channel(), bgk()),
+        MultiAaStSim::<D2Q9, _>::new(v(), channel(), bgk(), 2)
+    );
+    pin_host_surface!(
+        "mr2d",
+        "mr2d-p",
+        "mr2d-p",
+        true,
+        MrSim2D::<D2Q9>::new(v(), channel(), p(), 0.8),
+        MultiMrSim2D::<D2Q9>::new(v(), channel(), p(), 0.8, 2)
+    );
+    pin_host_surface!(
+        "sparse-st",
+        "st-sparse",
+        "st-sparse",
+        false,
+        StSparseSim::<D2Q9, _>::new(v(), channel(), bgk()),
+        MultiSparseStSim::<D2Q9, _>::new(v(), channel(), bgk(), 2)
+    );
+    pin_host_surface!(
+        "sparse-mr",
+        "mr-sparse",
+        "mr-sparse",
+        false,
+        SparseMrSim2D::new(v(), channel(), p(), 0.8),
+        MultiSparseMrSim::<D2Q9>::new(v(), channel(), p(), 0.8, 2)
+    );
+
+    // `init_with` also drops a parked AA step: the post-exchange of step 0
+    // fails (its first transfer is the second 1 -> 0 of the step), the
+    // in-place launch has run, and the re-initialised driver must start a
+    // whole step again, not finish the stale exchange.
+    let mk = || {
+        let mut s = MultiAaStSim::<D2Q9, _>::new(v(), channel(), bgk(), 3).with_cpu_threads(1);
+        s.init_with(shear_init);
+        s
+    };
+    let mut plan = FaultPlan::new();
+    plan.fail_link_after(1, 0, 1, 1);
+    let mut parked = mk()
+        .with_halo_retry(HaloRetryPolicy {
+            max_attempts: 1,
+            backoff_base_us: 1,
+        })
+        .with_fault_plan(Arc::new(plan));
+    let before = parked.field_checksum();
+    parked.try_step().unwrap_err();
+    assert_eq!(parked.steps(), 0);
+    assert_ne!(parked.field_checksum(), before, "the step did not park");
+    parked.init_with(shear_init);
+    assert_eq!(parked.field_checksum(), before);
+    let mut clean = mk();
+    parked.run(4);
+    clean.run(4);
+    assert!(
+        parked.checkpoint() == clean.checkpoint(),
+        "a parked step outlived init_with"
+    );
 }
