@@ -354,8 +354,9 @@ impl Gpu {
     }
 
     /// Attach a fault-injection plan: launches consult it and may abort
-    /// (returning a zero tally — the kernel never ran). Apply after any
-    /// `with_cpu_threads`/`with_parallel_threshold` builder calls.
+    /// (returning a zero tally — the kernel never ran). The thread and
+    /// threshold builders keep it, so the order of the builder calls does
+    /// not matter.
     pub fn set_fault_plan(&mut self, plan: Arc<crate::fault::FaultPlan>) {
         self.faults = Some(plan);
     }

@@ -247,8 +247,8 @@ impl MultiGpu {
     }
 
     /// Attach a fault-injection plan to the link layer *and* every device
-    /// (launch aborts). Apply after the thread/threshold builders, which
-    /// rebuild the devices. With a plan attached
+    /// (launch aborts). The thread/threshold builders keep it on both, so
+    /// the order of the builder calls does not matter. With a plan attached
     /// [`MultiGpu::for_each_device`] visits the devices one after another
     /// in index order whatever the thread budget: the plan's skip counters
     /// are shared by all devices, so the order of launches across devices
@@ -770,6 +770,49 @@ mod tests {
         assert!(obs.tracer.events()[before..]
             .iter()
             .all(|e| e.args.iter().all(|(k, _)| k != "dev")));
+    }
+
+    /// A fault plan attached before the thread/threshold builders fires
+    /// exactly as one attached after them: on the links and on a device.
+    #[test]
+    fn fault_plan_survives_the_thread_and_threshold_builders() {
+        use crate::exec::{BlockCtx, Kernel, Launch};
+        struct Touch<'b>(&'b crate::memory::GlobalBuffer<f64>);
+        impl Kernel for Touch<'_> {
+            fn name(&self) -> &str {
+                "touch"
+            }
+            fn run_block(&self, ctx: &mut BlockCtx) {
+                ctx.write(self.0, ctx.block_id, 1.0);
+            }
+        }
+        let plan = || {
+            let mut plan = FaultPlan::new();
+            plan.fail_link(0, 1, 1).abort_launch(0);
+            Arc::new(plan)
+        };
+        let tuned = |mg: MultiGpu| mg.with_cpu_threads(4).with_parallel_threshold(0);
+        let (first, last) = (plan(), plan());
+        let rings = [
+            (
+                tuned(MultiGpu::ring(DeviceSpec::v100(), 2).with_fault_plan(first.clone())),
+                first,
+            ),
+            (
+                tuned(MultiGpu::ring(DeviceSpec::v100(), 2)).with_fault_plan(last.clone()),
+                last,
+            ),
+        ];
+        for (mg, plan) in rings {
+            assert!(mg.try_record_transfer(0, 1, 64).is_err());
+            assert!(mg.try_record_transfer(0, 1, 64).is_ok());
+            let buf = crate::memory::GlobalBuffer::new(2);
+            let aborted = mg.device(1).launch(&Launch::simple(2, 32), &Touch(&buf));
+            assert_eq!(aborted.tally.writes, 0, "the first launch is aborted");
+            let ran = mg.device(1).launch(&Launch::simple(2, 32), &Touch(&buf));
+            assert_eq!(ran.tally.writes, 2);
+            assert_eq!((plan.link_faults_fired(), plan.aborts_fired()), (1, 1));
+        }
     }
 
     #[test]

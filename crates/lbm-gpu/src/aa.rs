@@ -47,10 +47,14 @@
 
 use crate::boundary::boundary_nodes;
 use crate::driver::{
-    box_guards, fill, DriverBody, Fields, Frame, Owned, Part, Rec, Sim, SlabBody, SoloBody,
+    advance_solo, box_guards, fill, BlockSize, DriverBody, Fields, Frame, Owned, Part, Rec,
+    ScalarKernels, Sim, SlabBody, SoloBody,
 };
+use crate::multi::ring::StepCx;
+use crate::multi::Slabs;
 use crate::st::{fluid_like, for_each_run, init_populations, population_macro_fields};
 use gpu_sim::exec::{BlockCtx, Kernel, Launch};
+use gpu_sim::interconnect::LinkError;
 use gpu_sim::{DeviceSpec, FaultPlan, GlobalBuffer, Gpu};
 use lbm_core::boundary::WallGains;
 use lbm_core::collision::Collision;
@@ -259,28 +263,15 @@ pub type AaStSim<L, C> = Sim<AaSt<L, C>>;
 
 impl<L: Lattice, C: Collision<L>> AaStSim<L, C> {
     /// Build an AA simulation on `device` over `geom`, initialized to
-    /// equilibrium at rest. Like the push-scheme ablation, the AA scatter
-    /// has no inlet/outlet support — the scheme pre-streams into neighbors
-    /// before the boundary kernel could rebuild them — so geometries with
-    /// inlet/outlet nodes are rejected.
+    /// equilibrium at rest. The AA scatter has no inlet/outlet support —
+    /// the scheme pre-streams into neighbors before the boundary kernel
+    /// could rebuild them — so geometries with inlet/outlet nodes are
+    /// rejected.
     pub fn new(device: DeviceSpec, geom: Geometry, collision: C) -> Self {
         Sim::from_body(
             Gpu::new(device),
             AaSt::on_slab(Owned::all(&geom), geom, collision),
         )
-    }
-
-    /// Set the thread-block size of the half-step kernels.
-    pub fn with_block_size(mut self, bs: usize) -> Self {
-        self.body.set_block_size(bs);
-        self
-    }
-
-    /// Run the original per-node scalar kernels instead of the vectorized
-    /// SoA chunks (bitwise-identical; the equivalence oracle).
-    pub fn with_scalar_kernels(mut self) -> Self {
-        self.body.set_scalar_kernels();
-        self
     }
 
     /// Enable strict race checking on the single lattice: any cross-block
@@ -305,8 +296,8 @@ impl<L: Lattice, C: Collision<L>> AaStSim<L, C> {
 
 impl<L: Lattice, C: Collision<L>> AaSt<L, C> {
     /// The AA state over `geom`, computing its `owned` columns — the one
-    /// constructor behind [`AaStSim::new`] and every shard of `lbm-multi`.
-    pub fn on_slab(owned: Owned, geom: Geometry, collision: C) -> Self {
+    /// constructor behind [`AaStSim::new`] and every shard of [`crate::multi`].
+    pub(crate) fn on_slab(owned: Owned, geom: Geometry, collision: C) -> Self {
         if L::D == 2 {
             assert_eq!(geom.nz, 1, "2D lattice on a 3D domain");
         }
@@ -325,19 +316,8 @@ impl<L: Lattice, C: Collision<L>> AaSt<L, C> {
         }
     }
 
-    /// See [`AaStSim::with_block_size`].
-    pub fn set_block_size(&mut self, bs: usize) {
-        assert!(bs >= 1);
-        self.block_size = bs;
-    }
-
-    /// See [`AaStSim::with_scalar_kernels`].
-    pub fn set_scalar_kernels(&mut self) {
-        self.consts.scalar = true;
-    }
-
     /// See [`AaStSim::with_racecheck_strict`].
-    pub fn set_racecheck_strict(&mut self) {
+    pub(crate) fn set_racecheck_strict(&mut self) {
         self.a.set_racecheck_strict();
     }
 
@@ -359,7 +339,27 @@ impl<L: Lattice, C: Collision<L>> AaSt<L, C> {
     }
 }
 
+impl<L: Lattice, C: Collision<L>> ScalarKernels for AaSt<L, C> {
+    fn set_scalar_kernels(&mut self) {
+        self.consts.scalar = true;
+    }
+}
+
+impl<L: Lattice, C: Collision<L>> BlockSize for AaSt<L, C> {
+    /// The block size of the half-step kernels.
+    fn set_block_size(&mut self, bs: usize) {
+        assert!(bs >= 1);
+        self.block_size = bs;
+    }
+}
+
 impl<L: Lattice, C: Collision<L>> DriverBody for AaSt<L, C> {
+    type Dev = Gpu;
+
+    fn advance(&mut self, gpu: &Gpu, t: u64, rec: Rec<'_>) -> Result<(), LinkError> {
+        advance_solo(self, gpu, t, rec)
+    }
+
     fn label(&self) -> &'static str {
         "aa-st"
     }
@@ -463,6 +463,10 @@ impl<L: Lattice, C: Collision<L>> SlabBody for AaSt<L, C> {
             guards: box_guards(global, ("Q", L::Q)),
         };
         ("multi-aa-st", frame)
+    }
+    /// The pre/post slot exchange around one in-place launch.
+    fn advance_slabs(slabs: &mut Slabs<Self>, cx: &StepCx<'_>) -> Result<(), LinkError> {
+        crate::multi::aa::advance(slabs, cx)
     }
 }
 

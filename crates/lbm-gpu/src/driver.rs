@@ -1,5 +1,5 @@
 //! The driver chassis: everything a driver does that does not depend on
-//! its propagation pattern, written once.
+//! its propagation pattern or on how many devices it runs on, written once.
 //!
 //! A driver is three parts:
 //!
@@ -8,51 +8,66 @@
 //!   `driver/step` span, launch recording, monitor sampling with its
 //!   gauges and instants, `measured_bpf`, and the LBCK checkpoint envelope.
 //! * [`DriverBody`] — what a pattern supplies: storage, its gauge label,
-//!   its macroscopic fields, the arrays it keeps in a checkpoint.
-//!   [`SoloBody`] adds the timestep on one device, cut into [`Part`]s.
-//! * [`Sim`] — the host: a core, a [`Gpu`] and a body. It carries every
-//!   shared builder and accessor and the one [`Simulation`] impl; a local
-//!   wrapper is what the orphan rule asks for to implement `lbm_core`'s
-//!   trait generically. `lbm-multi` hosts sharded bodies the same way over
-//!   a `MultiGpu`, reusing the core and the body trait; inherent methods
-//!   cannot be added to [`Sim`] from another crate, hence two hosts.
+//!   its macroscopic fields, the arrays and ledger words it keeps in a
+//!   checkpoint, the device it runs on ([`DriverBody::Dev`]) and one
+//!   timestep on it ([`DriverBody::advance`]). [`SoloBody`] is a body on one
+//!   [`Gpu`]: its timestep is three [`Part`]s and a flip. The one other body
+//!   is [`crate::multi::Slabs`], a slab decomposition of solo bodies on a
+//!   [`crate::multi::Ring`], whose timestep exchanges halos between the
+//!   parts and can fail on a link.
+//! * [`Sim`] — the one host: a core, the body's device and the body. It
+//!   carries every shared builder and accessor and the one [`Simulation`]
+//!   impl (a local wrapper is what the orphan rule asks for to implement
+//!   `lbm_core`'s trait generically). What only one kind of device can
+//!   answer sits in an `impl` block bounded by the device type:
+//!   [`Sim::traffic`] and [`Sim::measured_bpf`] for `Dev = Gpu` here,
+//!   `try_step`, `with_halo_retry`, `halo_retries`, `interconnect` and
+//!   `num_devices` for `Dev = Ring` in [`crate::multi`]. The host reaches
+//!   either device through the crate-private `Device` trait — the builder
+//!   calls `Gpu` and `MultiGpu` both have.
 //!
-//! The public driver names (`StSim`, `MrSim2D`, …) are aliases of
-//! `Sim<body>`. Each body's module adds its constructors and its own
-//! switches (`with_twist`, `with_stream`, …) on the alias; a host derefs to
-//! its body for the pattern's read accessors (`scheme()`, `index()`, …).
+//! The public driver names (`StSim`, `MrSim2D`, `MultiStSim`, …) are aliases
+//! of `Sim<body>`. Each body's module adds its constructors and its own
+//! switches (`with_twist`, `with_config`, …) on the alias; a host derefs to
+//! its body for the pattern's read accessors (`scheme()`, `index()`,
+//! `stats()`, …).
 //!
 //! # Slab ownership
 //!
 //! A body computes an x-span of its geometry, its [`Owned`] columns; the
 //! columns outside it are *ghosts* — initialised, read and checkpointed like
 //! any other, never computed. A single-device driver owns everything
-//! ([`Owned::all`]). A shard of `lbm-multi` is the same body built on a
-//! slab's local geometry with a ghost column at each cut: [`SlabBody`] is
+//! ([`Owned::all`]). A shard of [`crate::multi`] is the same body built on a
+//! slab's local geometry with a ghost column at each cut: `SlabBody` is
 //! what it adds to be hosted that way (the sharded blob frame and the live
-//! lattice as one blob array), [`NodeHalo`] how a neighbour's fresh edge
+//! lattice as one blob array), `NodeHalo` how a neighbour's fresh edge
 //! column is copied into a ghost. A step is issued in parts so the sharded
 //! schedule can exchange halos between them: [`Part::Strips`] (what a
 //! neighbour's ghost mirrors and so must exist before the exchange),
 //! [`Part::Interior`] (the rest, which the exchange can overlap),
-//! [`Part::Boundary`] (inlet/outlet rebuild); [`Sim::step`] runs the three
-//! back to back.
+//! [`Part::Boundary`] (inlet/outlet rebuild); a solo body's
+//! [`DriverBody::advance`] runs the three back to back ([`advance_solo`]).
 //!
 //! # Restore contract
 //!
 //! [`DriverCore::load`] parses a blob completely — framing, flavor, step
-//! parity, configuration guards, counters, every array — into temporaries,
-//! refuses payload bytes nobody consumed, and only then commits. After any
-//! `Err` the driver is exactly as it was before the call.
+//! parity, configuration guards, counters, ledger words, every array — into
+//! temporaries, refuses payload bytes nobody consumed, and only then
+//! commits. After any `Err` the driver is exactly as it was before the call.
 
 use gpu_sim::exec::LaunchStats;
+use gpu_sim::interconnect::LinkError;
 use gpu_sim::memory::Tally;
 use gpu_sim::profiler::Profiler;
 use gpu_sim::{FaultPlan, GlobalBuffer, Gpu};
 use lbm_core::geometry::Geometry;
 use lbm_core::io::{parity_flavor, CheckpointError, CheckpointReader, CheckpointWriter};
 use lbm_core::sim::Simulation;
+use lbm_core::StepError;
 use std::sync::Arc;
+
+use crate::multi::ring::{step_error_from_link, StepCx};
+use crate::multi::Slabs;
 
 /// Density and velocity over the whole box (solid nodes report zero).
 pub type Fields = (Vec<f64>, Vec<[f64; 3]>);
@@ -70,8 +85,55 @@ pub struct Frame {
     pub guards: Vec<(&'static str, u64)>,
 }
 
+/// What the host asks of the device, or ring of devices, under it: the
+/// builder calls `Gpu` and `MultiGpu` both have (and to be sent to the
+/// executor thread of a served job with its driver).
+pub(crate) trait Device: Sized + Send + 'static {
+    fn with_cpu_threads(self, n: usize) -> Self;
+    fn with_parallel_threshold(self, items: usize) -> Self;
+    /// Mirror link traffic into `p`. One device has no link; its launches
+    /// reach the profiler through [`DriverCore::record`].
+    fn with_link_profiler(self, _p: Arc<Profiler>) -> Self {
+        self
+    }
+    fn set_obs(&mut self, obs: Arc<obs::Obs>);
+    fn set_trace_ctx(&mut self, ctx: Option<obs::TraceCtx>);
+    fn trace_ctx(&self) -> Option<&obs::TraceCtx>;
+    fn set_fault_plan(&mut self, plan: Arc<FaultPlan>);
+    /// Halo-transfer retries so far (one device has no halo).
+    fn halo_retries(&self) -> u64 {
+        0
+    }
+}
+
+impl Device for Gpu {
+    fn with_cpu_threads(self, n: usize) -> Self {
+        Gpu::with_cpu_threads(self, n)
+    }
+    fn with_parallel_threshold(self, items: usize) -> Self {
+        Gpu::with_parallel_threshold(self, items)
+    }
+    fn set_obs(&mut self, obs: Arc<obs::Obs>) {
+        Gpu::set_obs(self, obs)
+    }
+    fn set_trace_ctx(&mut self, ctx: Option<obs::TraceCtx>) {
+        Gpu::set_trace_ctx(self, ctx)
+    }
+    fn trace_ctx(&self) -> Option<&obs::TraceCtx> {
+        Gpu::trace_ctx(self)
+    }
+    fn set_fault_plan(&mut self, plan: Arc<FaultPlan>) {
+        Gpu::set_fault_plan(self, plan)
+    }
+}
+
 /// What a propagation pattern supplies to a host.
 pub trait DriverBody {
+    /// What the body runs on: a [`Gpu`], or the [`crate::multi::Ring`] of a
+    /// slab decomposition.
+    #[allow(private_bounds)]
+    type Dev: Device;
+
     /// Pattern label of this configuration: the `pattern` value of the
     /// monitor gauges (`"mr2d"`, `"mr2d-twist"`, `"multi-st"`, …).
     fn label(&self) -> &'static str;
@@ -114,6 +176,42 @@ pub trait DriverBody {
 
     /// Install arrays of exactly those lengths as the state after `t` steps.
     fn install(&mut self, t: u64, arrays: Vec<Vec<f64>>);
+
+    /// The words a blob keeps between the step counter (and selector) and
+    /// the arrays — a frozen format. On one device: the host's cumulative
+    /// `tally`.
+    fn ledger(&self, tally: &Tally) -> Vec<u64> {
+        vec![
+            tally.reads,
+            tally.writes,
+            tally.bytes_read,
+            tally.bytes_written,
+            tally.dram_bytes_read,
+            tally.l2_read_hits,
+        ]
+    }
+
+    /// Take back as many words as [`DriverBody::ledger`] writes. Called by a
+    /// restore after [`DriverBody::install`], once the whole blob parsed.
+    fn set_ledger(&mut self, words: &[u64], tally: &mut Tally) {
+        let [reads, writes, bytes_read, bytes_written, dram_bytes_read, l2_read_hits] =
+            words.try_into().expect("as many words as ledger() wrote");
+        *tally = Tally {
+            reads,
+            writes,
+            bytes_read,
+            bytes_written,
+            dram_bytes_read,
+            l2_read_hits,
+        };
+    }
+
+    /// Compute step `t` on `dev`, reporting every launch of a single device
+    /// through `rec`. Only a ring's link failing past its retry budget is an
+    /// `Err`, and the step must then be retryable: either nothing owned was
+    /// mutated, or the body remembers what is left to finish. The host
+    /// counts the step.
+    fn advance(&mut self, dev: &Self::Dev, t: u64, rec: Rec<'_>) -> Result<(), LinkError>;
 }
 
 /// The x-span of its geometry a body computes (see the module docs).
@@ -183,7 +281,7 @@ pub enum Part {
 pub type Rec<'a> = &'a mut dyn FnMut(&LaunchStats, Option<u64>);
 
 /// A body that advances on one device.
-pub trait SoloBody: DriverBody {
+pub trait SoloBody: DriverBody<Dev = Gpu> {
     /// Issue `part`'s launches of step `t` on `gpu`, reporting each through
     /// `rec`. Unless the body updates in place, time `t` stays intact until
     /// [`SoloBody::flip`] and a part may be launched again (a sharded step
@@ -196,13 +294,37 @@ pub trait SoloBody: DriverBody {
     fn flip(&mut self) {}
 }
 
+/// [`DriverBody::advance`] of a [`SoloBody`]: the three parts back to back,
+/// then the flip. Never an `Err`.
+pub fn advance_solo<B: SoloBody>(
+    body: &mut B,
+    gpu: &Gpu,
+    t: u64,
+    rec: Rec<'_>,
+) -> Result<(), LinkError> {
+    for part in [Part::Strips, Part::Interior, Part::Boundary] {
+        body.launch_part(gpu, t, part, &mut *rec);
+    }
+    body.flip();
+    Ok(())
+}
+
 /// What a [`SoloBody`] adds to be one shard of a slab decomposition. These
-/// touch private storage, hence a trait here and not code in `lbm-multi`.
-pub trait SlabBody: SoloBody + Sync {
+/// touch private storage, hence a trait here and not code in
+/// [`crate::multi`].
+pub(crate) trait SlabBody: SoloBody + Sync + Sized {
+    /// Whether the pattern's sharded blobs carry the overlap-timing words
+    /// after the step counter — a frozen format.
+    const OVERLAP_IN_BLOB: bool = true;
+
     /// Monitor label and blob frame (flavor and guards, over the `global`
     /// box) of this pattern's sharded driver; the host appends the shard
     /// count. The strings are frozen formats.
     fn sharded_frame(&self, global: &Geometry) -> (&'static str, Frame);
+
+    /// One step of the pattern's sharded driver: [`Slabs::two_phase`] unless
+    /// its exchange is a protocol of its own.
+    fn advance_slabs(slabs: &mut Slabs<Self>, cx: &StepCx<'_>) -> Result<(), LinkError>;
 
     /// The live lattice after `t` steps: a shard's one blob array. A body
     /// whose [`DriverBody::state_arrays`] is that lattice inherits this.
@@ -224,7 +346,7 @@ pub trait SlabBody: SoloBody + Sync {
 }
 
 /// A [`SlabBody`] whose ghosts are whole-node copies of a neighbour's state.
-pub trait NodeHalo: SlabBody {
+pub(crate) trait NodeHalo: SlabBody {
     /// Doubles per halo node (`Q` populations or `M` moments).
     const HALO: usize;
 
@@ -232,6 +354,18 @@ pub trait NodeHalo: SlabBody {
     /// wrote — into node `di` of `to`. Node ids are the pattern's own (flat
     /// domain index; compact id when fluid-compacted).
     fn send_node(&self, to: &Self, t: u64, si: usize, di: usize);
+}
+
+/// A body with a per-node scalar path beside its chunk-vectorized one — or
+/// the shards of one.
+pub(crate) trait ScalarKernels {
+    fn set_scalar_kernels(&mut self);
+}
+
+/// A body whose span kernels run in thread blocks of a settable size — or
+/// the shards of one.
+pub(crate) trait BlockSize {
+    fn set_block_size(&mut self, bs: usize);
 }
 
 /// The four guards most blobs open with: the box and the per-node payload
@@ -375,12 +509,8 @@ impl DriverCore {
 
     /// Serialize `body` at the current step: flavor (parity-tagged where
     /// the frame says so), guards, `t`, the body's selector word if it has
-    /// one, the host's `ledger` words, the body's arrays.
-    pub fn save<B: DriverBody>(
-        &self,
-        body: &B,
-        ledger: impl FnOnce(&mut CheckpointWriter),
-    ) -> Vec<u8> {
+    /// one, its ledger words, its arrays.
+    pub fn save<B: DriverBody>(&self, body: &B) -> Vec<u8> {
         let frame = body.frame();
         let mut w = CheckpointWriter::new(&if frame.parity {
             parity_flavor(frame.flavor, self.t)
@@ -394,22 +524,22 @@ impl DriverCore {
         if let Some(sel) = body.selector(self.t) {
             w.put_u64(sel);
         }
-        ledger(&mut w);
+        for word in body.ledger(&self.tally) {
+            w.put_u64(word);
+        }
         for a in body.state_arrays(self.t) {
             w.put_f64s(&a);
         }
         w.finish()
     }
 
-    /// Restore a [`DriverCore::save`] blob into this core and `body`,
-    /// returning what `ledger` parsed for the host to keep. See the module
-    /// docs for the all-or-nothing contract.
-    pub fn load<B: DriverBody, T>(
+    /// Restore a [`DriverCore::save`] blob into this core and `body`. See
+    /// the module docs for the all-or-nothing contract.
+    pub fn load<B: DriverBody>(
         &mut self,
         body: &mut B,
         bytes: &[u8],
-        ledger: impl FnOnce(&mut CheckpointReader<'_>) -> Result<T, CheckpointError>,
-    ) -> Result<T, CheckpointError> {
+    ) -> Result<(), CheckpointError> {
         let frame = body.frame();
         let (mut r, parity) = if frame.parity {
             let (even, odd) = (
@@ -434,7 +564,9 @@ impl DriverCore {
         if let Some(sel) = body.selector(t) {
             r.expect_u64(sel, "buffer selector")?;
         }
-        let kept = ledger(&mut r)?;
+        let ledger = (0..body.ledger(&self.tally).len())
+            .map(|_| r.take_u64())
+            .collect::<Result<Vec<_>, _>>()?;
         let arrays = body
             .state_lens()
             .into_iter()
@@ -447,11 +579,12 @@ impl DriverCore {
             )));
         }
         body.install(t, arrays);
+        body.set_ledger(&ledger, &mut self.tally);
         self.t = t;
         if let Some(m) = self.monitor.as_mut() {
             m.rollback_to(t);
         }
-        Ok(kept)
+        Ok(())
     }
 }
 
@@ -462,53 +595,36 @@ fn publish_sample(o: &obs::Obs, label: &str, s: &obs::MonitorSample) {
         .gauge_set("monitor_max_u", &[("pattern", label)], s.max_u);
 }
 
-fn put_tally(w: &mut CheckpointWriter, t: &Tally) {
-    w.put_u64(t.reads)
-        .put_u64(t.writes)
-        .put_u64(t.bytes_read)
-        .put_u64(t.bytes_written)
-        .put_u64(t.dram_bytes_read)
-        .put_u64(t.l2_read_hits);
-}
-
-fn take_tally(r: &mut CheckpointReader<'_>) -> Result<Tally, CheckpointError> {
-    Ok(Tally {
-        reads: r.take_u64()?,
-        writes: r.take_u64()?,
-        bytes_read: r.take_u64()?,
-        bytes_written: r.take_u64()?,
-        dram_bytes_read: r.take_u64()?,
-        l2_read_hits: r.take_u64()?,
-    })
-}
-
-/// A single-device driver: core, device and pattern body.
-pub struct Sim<B> {
+/// A driver: core, the body's device and the pattern body.
+pub struct Sim<B: DriverBody> {
     pub(crate) core: DriverCore,
-    pub(crate) gpu: Gpu,
+    pub(crate) dev: B::Dev,
     pub(crate) body: B,
 }
 
-impl<B> std::ops::Deref for Sim<B> {
+impl<B: DriverBody> std::ops::Deref for Sim<B> {
     type Target = B;
     fn deref(&self) -> &B {
         &self.body
     }
 }
 
-impl<B: SoloBody> Sim<B> {
-    /// Host `body` on `gpu`, initialized to equilibrium at rest (inlets at
+impl<B: DriverBody> Sim<B> {
+    /// Host `body` on `dev`, initialized to equilibrium at rest (inlets at
     /// their prescribed velocity).
-    pub fn from_body(gpu: Gpu, body: B) -> Self {
+    pub(crate) fn from_body(dev: B::Dev, body: B) -> Self {
         let core = DriverCore::new(body.geom().fluid_count());
-        let mut sim = Sim { core, gpu, body };
+        let mut sim = Sim { core, dev, body };
         sim.init_with(|_, _, _| (1.0, [0.0; 3]));
         sim
     }
 
-    /// Limit the CPU worker threads backing the substrate.
+    /// Limit the CPU worker threads backing the substrate. On a ring the
+    /// budget is the whole ring's, split between threads that step shards
+    /// side by side and threads per launch (see
+    /// `gpu_sim::MultiGpu::with_cpu_threads`).
     pub fn with_cpu_threads(mut self, n: usize) -> Self {
-        self.gpu = self.gpu.with_cpu_threads(n);
+        self.dev = self.dev.with_cpu_threads(n);
         self
     }
 
@@ -516,20 +632,23 @@ impl<B: SoloBody> Sim<B> {
     /// (see `gpu_sim::Gpu::with_parallel_threshold`); `0` forces pooling
     /// for every multi-block launch.
     pub fn with_parallel_threshold(mut self, items: usize) -> Self {
-        self.gpu = self.gpu.with_parallel_threshold(items);
+        self.dev = self.dev.with_parallel_threshold(items);
         self
     }
 
-    /// Record every kernel launch into a shared profiler (the substrate's
-    /// nvvp/rocprof analog): per-kernel byte counts and B/F.
+    /// Record into a shared profiler (the substrate's nvvp/rocprof analog):
+    /// every kernel launch of a single device with its byte counts and B/F,
+    /// the link traffic of a ring.
     pub fn with_profiler(mut self, p: Arc<Profiler>) -> Self {
+        self.dev = self.dev.with_link_profiler(p.clone());
         self.core.profiler = Some(p);
         self
     }
 
     /// Attach an observability hub: the driver emits a `step` span per
-    /// timestep and the device nests kernel/phase spans and publishes
-    /// launch metrics under it.
+    /// timestep (and a `halo-exchange` span per exchange), every device
+    /// nests kernel/phase spans and publishes launch metrics under it, and
+    /// transfers publish link metrics.
     pub fn with_obs(mut self, obs: Arc<obs::Obs>) -> Self {
         self.set_obs(obs);
         self
@@ -538,19 +657,19 @@ impl<B: SoloBody> Sim<B> {
     /// In-place [`Sim::with_obs`].
     pub fn set_obs(&mut self, obs: Arc<obs::Obs>) {
         self.body.hub_attached(&obs);
-        self.gpu.set_obs(obs.clone());
+        self.dev.set_obs(obs.clone());
         self.core.obs = Some(obs);
     }
 
     /// Attach (or clear) the fleet trace context — the job identity the
-    /// serve scheduler assigned this simulation. Step and kernel spans
+    /// serve scheduler assigned this simulation. Step, halo and kernel spans
     /// carry its args from now on; stepping and tallies are unaffected.
     pub fn set_trace_ctx(&mut self, ctx: Option<obs::TraceCtx>) {
-        self.gpu.set_trace_ctx(ctx);
+        self.dev.set_trace_ctx(ctx);
     }
 
-    /// Attach a physics monitor sampling the macroscopic fields every
-    /// `cfg.cadence` steps (mass/momentum/max-|u|/NaN guards).
+    /// Attach a physics monitor sampling the (global) macroscopic fields
+    /// every `cfg.cadence` steps (mass/momentum/max-|u|/NaN guards).
     pub fn with_monitor(mut self, cfg: obs::MonitorConfig) -> Self {
         self.core.monitor = Some(obs::PhysicsMonitor::new(cfg));
         self
@@ -566,11 +685,14 @@ impl<B: SoloBody> Sim<B> {
         self.core.monitor.as_mut()
     }
 
-    /// Attach a deterministic fault plan to the device and the lattice
-    /// buffers (see `gpu_sim::FaultPlan`): injected write corruption and
-    /// launch aborts become live, with unchanged traffic accounting.
+    /// Attach a deterministic fault plan to the device(s), the lattice
+    /// buffers and, on a ring, the interconnect (see `gpu_sim::FaultPlan`):
+    /// injected write corruption, launch aborts and link failures become
+    /// live, with unchanged traffic accounting. With a plan attached the
+    /// shards of a ring are stepped one after another in index order at any
+    /// thread count, so the same shard takes the fault every time.
     pub fn with_fault_plan(mut self, plan: Arc<FaultPlan>) -> Self {
-        self.gpu.set_fault_plan(plan.clone());
+        self.dev.set_fault_plan(plan.clone());
         self.body.set_fault_plan(plan);
         self
     }
@@ -581,29 +703,34 @@ impl<B: SoloBody> Sim<B> {
     }
 
     /// Initialize every node to the operator-consistent equilibrium of a
-    /// macroscopic field and reset the step and traffic counters.
+    /// macroscopic field (evaluated at global coordinates) and reset the
+    /// step counter and the ledger.
     pub fn init_with(&mut self, field: impl Fn(usize, usize, usize) -> (f64, [f64; 3])) {
         self.body.init_with(field);
         self.core.reset();
     }
 
-    /// Advance one timestep.
-    pub fn step(&mut self) {
+    /// One timestep, counted if it completed.
+    pub(crate) fn advance(&mut self) -> Result<(), LinkError> {
         let obs = self.core.obs.clone();
         let _step_span = obs
             .as_ref()
-            .map(|o| step_span(o, self.core.t, self.gpu.trace_ctx()));
+            .map(|o| step_span(o, self.core.t, self.dev.trace_ctx()));
         let (t, core) = (self.core.t, &mut self.core);
-        for part in [Part::Strips, Part::Interior, Part::Boundary] {
-            self.body
-                .launch_part(&self.gpu, t, part, &mut |stats, nodes| {
-                    core.record(stats, nodes.unwrap_or(core.fluid_nodes))
-                });
-        }
-        self.body.flip();
+        self.body.advance(&self.dev, t, &mut |stats, nodes| {
+            core.record(stats, nodes.unwrap_or(core.fluid_nodes))
+        })?;
         let body = &self.body;
         self.core
             .complete_step(body.label(), |t| body.macro_fields(t));
+        Ok(())
+    }
+
+    /// Advance one timestep. Panics if a halo transfer of a ring fails
+    /// beyond the retry budget; use `try_step` there for typed link errors.
+    pub fn step(&mut self) {
+        self.advance()
+            .unwrap_or_else(|e| panic!("halo exchange failed: {e}"));
     }
 
     /// Advance `steps` timesteps, then force a final monitor sample so a
@@ -620,22 +747,13 @@ impl<B: SoloBody> Sim<B> {
         self.core.t
     }
 
-    /// Domain geometry.
+    /// Domain geometry (the global one of a sharded driver).
     pub fn geom(&self) -> &Geometry {
         self.body.geom()
     }
 
-    /// Aggregate traffic over all steps so far.
-    pub fn traffic(&self) -> Tally {
-        self.core.tally
-    }
-
-    /// Measured DRAM bytes per fluid lattice update (Table 2's B/F).
-    pub fn measured_bpf(&self) -> f64 {
-        self.core.measured_bpf()
-    }
-
-    /// Device-memory footprint of the resident lattices.
+    /// Device-memory footprint of the resident lattices, every shard's
+    /// included.
     pub fn footprint_bytes(&self) -> usize {
         self.body.footprint_bytes()
     }
@@ -663,25 +781,72 @@ impl<B: SoloBody> Sim<B> {
         lbm_core::io::field_checksum(&rho, &u)
     }
 
-    /// Serialize the full solver state (lattice arrays, step counter,
-    /// traffic tally) as a versioned, checksummed LBCK snapshot.
+    /// The accounting words a checkpoint carries between the step counter
+    /// and the lattices: the traffic tally of a single device, the overlap
+    /// timing of a sharded pattern whose blobs have it.
+    pub fn ledger(&self) -> Vec<u64> {
+        self.body.ledger(&self.core.tally)
+    }
+
+    /// Serialize the full solver state (step counter, ledger, lattice
+    /// arrays — ghost columns included, so a sharded restore needs no
+    /// exchange) as a versioned, checksummed LBCK snapshot.
     pub fn checkpoint(&self) -> Vec<u8> {
-        self.core
-            .save(&self.body, |w| put_tally(w, &self.core.tally))
+        self.core.save(&self.body)
     }
 
     /// Restore a [`Sim::checkpoint`] snapshot taken on an identically
     /// configured simulation; resuming replays the exact uninterrupted
     /// trajectory. All-or-nothing (see the module docs).
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
-        self.core.tally = self.core.load(&mut self.body, bytes, take_tally)?;
-        Ok(())
+        self.core.load(&mut self.body, bytes)
     }
 }
 
-impl<B: SoloBody> Simulation for Sim<B> {
+// The switch traits are crate-private: a driver has the builder iff its
+// pattern has the switch.
+#[allow(private_bounds)]
+impl<B: DriverBody> Sim<B> {
+    /// Run the original per-node scalar kernels instead of the vectorized
+    /// SoA chunks. The two paths are bitwise-identical (enforced by
+    /// `tests/kernel_equivalence.rs`); the scalar path exists as the
+    /// equivalence oracle.
+    pub fn with_scalar_kernels(mut self) -> Self
+    where
+        B: ScalarKernels,
+    {
+        self.body.set_scalar_kernels();
+        self
+    }
+
+    /// Set the thread-block size of the span kernels.
+    pub fn with_block_size(mut self, bs: usize) -> Self
+    where
+        B: BlockSize,
+    {
+        self.body.set_block_size(bs);
+        self
+    }
+}
+
+impl<B: DriverBody<Dev = Gpu>> Sim<B> {
+    /// Aggregate traffic over all steps so far.
+    pub fn traffic(&self) -> Tally {
+        self.core.tally
+    }
+
+    /// Measured DRAM bytes per fluid lattice update (Table 2's B/F).
+    pub fn measured_bpf(&self) -> f64 {
+        self.core.measured_bpf()
+    }
+}
+
+impl<B: DriverBody> Simulation for Sim<B> {
     fn step(&mut self) {
         Sim::step(self)
+    }
+    fn try_step(&mut self) -> Result<(), StepError> {
+        self.advance().map_err(step_error_from_link)
     }
     fn steps(&self) -> u64 {
         self.core.t
@@ -711,6 +876,9 @@ impl<B: SoloBody> Simulation for Sim<B> {
         let body = &self.body;
         self.core
             .flush_monitor(body.label(), |t| body.macro_fields(t));
+    }
+    fn halo_retries(&self) -> u64 {
+        self.dev.halo_retries()
     }
     fn fluid_nodes(&self) -> usize {
         self.core.fluid_nodes as usize

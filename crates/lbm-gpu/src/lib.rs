@@ -44,16 +44,17 @@ pub mod driver;
 pub mod footprint;
 pub mod moment_lattice;
 pub mod mr;
+pub mod multi;
 pub mod scheme;
 pub mod sparse;
 pub mod sparse_mr;
 pub mod st;
 
 pub use aa::AaStSim;
-pub use driver::{DriverBody, DriverCore, Owned, Sim, SlabBody, SoloBody};
+pub use driver::{DriverBody, DriverCore, Owned, Sim, SoloBody};
 pub use moment_lattice::MomentLattice;
 pub use mr::{MrSim, MrSim2D, MrSim3D};
 pub use scheme::MrScheme;
 pub use sparse::{FluidIndex, SparseBuildError, StSparseSim};
 pub use sparse_mr::{SparseMrSim, SparseMrSim2D, SparseMrSim3D};
-pub use st::{StSim, StStream};
+pub use st::StSim;

@@ -42,11 +42,15 @@
 
 use crate::boundary::{boundary_nodes, bulk_mask, initial_moments, stencil_coords, MacroCache};
 use crate::driver::{
-    DriverBody, Fields, Frame, NodeHalo, Owned, Part, Rec, Sim, SlabBody, SoloBody,
+    advance_solo, DriverBody, Fields, Frame, NodeHalo, Owned, Part, Rec, ScalarKernels, Sim,
+    SlabBody, SoloBody,
 };
 use crate::moment_lattice::MomentLattice;
+use crate::multi::ring::StepCx;
+use crate::multi::Slabs;
 use crate::scheme::MrScheme;
 use gpu_sim::exec::{BlockCtx, Kernel, Launch, LaunchStats, PhasedKernel};
+use gpu_sim::interconnect::LinkError;
 use gpu_sim::{DeviceSpec, FaultPlan, Gpu};
 use lbm_core::boundary::boundary_node_moments;
 use lbm_core::geometry::{Geometry, NodeType};
@@ -867,15 +871,6 @@ impl<L: Lattice> MrSim<L> {
         Sim::from_body(Gpu::new(device), body)
     }
 
-    /// Run the original per-node scalar kernels instead of the vectorized
-    /// SoA chunks. The two paths are bitwise-identical (enforced by
-    /// `tests/kernel_equivalence.rs`); the scalar path exists as the
-    /// equivalence oracle.
-    pub fn with_scalar_kernels(mut self) -> Self {
-        self.body.set_scalar_kernels();
-        self
-    }
-
     /// Enable strict race checking on the moment lattice (tests). Must be
     /// called before the first step.
     pub fn with_racecheck_strict(mut self) -> Self {
@@ -946,7 +941,7 @@ impl<L: Lattice> Mr<L> {
     /// The MR state of one shard: `geom` is a slab's local box, of which the
     /// body computes the `owned` columns. The footprint is chosen for the
     /// owned width; tiles are one layer high and the two lattices unshifted.
-    pub fn on_slab(
+    pub(crate) fn on_slab(
         device: &DeviceSpec,
         owned: Owned,
         geom: Geometry,
@@ -1016,13 +1011,8 @@ impl<L: Lattice> Mr<L> {
         }
     }
 
-    /// See [`MrSim::with_scalar_kernels`].
-    pub fn set_scalar_kernels(&mut self) {
-        self.consts.scalar = true;
-    }
-
     /// Strict race checking on the moment lattices (tests).
-    pub fn set_racecheck_strict(&mut self) {
+    pub(crate) fn set_racecheck_strict(&mut self) {
         self.mom.set_racecheck_strict();
         if let Some(m2) = &mut self.mom2 {
             m2.set_racecheck_strict();
@@ -1067,7 +1057,19 @@ impl<L: Lattice> Mr<L> {
     }
 }
 
+impl<L: Lattice> ScalarKernels for Mr<L> {
+    fn set_scalar_kernels(&mut self) {
+        self.consts.scalar = true;
+    }
+}
+
 impl<L: Lattice> DriverBody for Mr<L> {
+    type Dev = Gpu;
+
+    fn advance(&mut self, gpu: &Gpu, t: u64, rec: Rec<'_>) -> Result<(), LinkError> {
+        advance_solo(self, gpu, t, rec)
+    }
+
     fn label(&self) -> &'static str {
         match (L::D, self.is_twist()) {
             (2, false) => "mr2d",
@@ -1231,6 +1233,9 @@ impl<L: Lattice> SlabBody for Mr<L> {
 
     fn install_current(&mut self, t: u64, data: Vec<f64>) {
         self.lattice_pair(t).0.host_restore(&data);
+    }
+    fn advance_slabs(slabs: &mut Slabs<Self>, cx: &StepCx<'_>) -> Result<(), LinkError> {
+        slabs.two_phase(cx)
     }
 }
 

@@ -2,10 +2,10 @@
 //! parity-aware halo exchange.
 //!
 //! Every shard is an [`AaSt`] on its slab: **one** `Q·8`-per-node lattice
-//! (half of [`crate::MultiStSim`]'s residency) running the two half-steps of
-//! [`lbm_gpu::AaStSim`] over its owned span. What is specific to the
+//! (half of [`super::MultiStSim`]'s residency) running the two half-steps of
+//! [`crate::AaStSim`] over its owned span. What is specific to the
 //! pattern is the whole exchange — a different algorithm from the shared
-//! whole-node one of [`crate::slabs`], not a copy of it:
+//! whole-node one of [`super::slabs`], not a copy of it:
 //!
 //! * **Stream half-step** (even `t`): the edge nodes *gather* from the
 //!   ghost column and *push* into it, so the cut protocol is two partial
@@ -28,24 +28,24 @@
 //! compute (the stats record the exchange as exposed time).
 //!
 //! Bitwise: every per-node read resolves to the same value the
-//! single-device [`lbm_gpu::AaStSim`] reads, so the sharded trajectory is
+//! single-device [`crate::AaStSim`] reads, so the sharded trajectory is
 //! identical with `==`, at both parities.
 
-use crate::decomp::SlabDecomp;
-use crate::driver::{MultiSim, StepCx};
-use crate::slabs::{column_plan, Schedule, Slabs};
-use crate::stats::{device_time_s, exchange_time_s};
-use gpu_sim::interconnect::{LinkError, MultiGpu};
+use super::decomp::SlabDecomp;
+use super::ring::{Ring, StepCx};
+use super::slabs::{column_plan, Slabs};
+use super::stats::{device_time_s, exchange_time_s};
+use crate::aa::AaSt;
+use crate::driver::{DriverBody, Part, Sim};
+use gpu_sim::interconnect::LinkError;
 use gpu_sim::DeviceSpec;
 use lbm_core::collision::Collision;
 use lbm_core::geometry::{Geometry, NodeType};
-use lbm_gpu::aa::AaSt;
-use lbm_gpu::driver::{DriverBody, Part};
 use lbm_lattice::moments::Moments;
 use lbm_lattice::Lattice;
 
 /// Slab-sharded AA-pattern ST simulation across N simulated devices.
-pub type MultiAaStSim<L, C> = MultiSim<Slabs<AaSt<L, C>>>;
+pub type MultiAaStSim<L, C> = Sim<Slabs<AaSt<L, C>>>;
 
 impl<L: Lattice, C: Collision<L> + Clone> MultiAaStSim<L, C> {
     /// Shard `geom` across `n` devices of one spec, joined ring-wise with
@@ -58,25 +58,7 @@ impl<L: Lattice, C: Collision<L> + Clone> MultiAaStSim<L, C> {
             .map(|(owned, g)| AaSt::on_slab(owned, g, collision.clone()))
             .collect();
         let plan = column_plan(&decomp, &shards);
-        MultiSim::from_body(MultiGpu::ring(device, n), Slabs::new(decomp, shards, plan))
-    }
-
-    /// Force the scalar (per-node) reference kernels instead of the
-    /// chunk-vectorized ones — the equivalence-test oracle.
-    pub fn with_scalar_kernels(mut self) -> Self {
-        self.body
-            .shards
-            .iter_mut()
-            .for_each(AaSt::set_scalar_kernels);
-        self
-    }
-
-    /// Set the thread-block size of the span kernels.
-    pub fn with_block_size(mut self, bs: usize) -> Self {
-        for sh in &mut self.body.shards {
-            sh.set_block_size(bs);
-        }
-        self
+        Sim::from_body(Ring::new(device, n), Slabs::new(decomp, shards, plan))
     }
 
     /// Distribution at a global node, un-permuted to natural direction
@@ -106,13 +88,13 @@ impl<L: Lattice, C: Collision<L>> Slabs<AaSt<L, C>> {
     /// (with bounded retries) before each copy, so a failed transfer moves
     /// no data and a successful retry tallies exactly once.
     fn exchange_slots(
-        &self,
+        &mut self,
         cx: &StepCx<'_>,
         phase: Phase,
     ) -> Result<Vec<(usize, usize, u64)>, LinkError> {
         let mut out = Vec::with_capacity(self.plan.len());
         let (leftward, rightward) = (crossing_slots::<L>(-1), crossing_slots::<L>(1));
-        for tr in &self.plan {
+        for (k, tr) in self.plan.iter().enumerate() {
             let (owner, holder) = (&self.shards[tr.from], &self.shards[tr.to]);
             let hg = holder.geom();
             // Ghost side determines which slots cross this cut direction.
@@ -128,7 +110,7 @@ impl<L: Lattice, C: Collision<L>> Slabs<AaSt<L, C>> {
                 Phase::Pre => (tr.from, tr.to),
                 Phase::Post => (tr.to, tr.from),
             };
-            cx.transfer(from, to, bytes)?;
+            cx.transfer(k, &mut self.sent, from, to, bytes)?;
             for &(oi, hi) in &tr.pairs {
                 if phase == Phase::Pre {
                     slots
@@ -152,6 +134,7 @@ impl<L: Lattice, C: Collision<L>> Slabs<AaSt<L, C>> {
             }
             out.push((from, to, bytes));
         }
+        self.sent = 0;
         Ok(out)
     }
 
@@ -166,50 +149,53 @@ impl<L: Lattice, C: Collision<L>> Slabs<AaSt<L, C>> {
     }
 }
 
-impl<L: Lattice, C: Collision<L>> Schedule for AaSt<L, C> {
-    /// A failure in the *pre*-exchange leaves no owned state mutated —
-    /// retrying the whole step is safe. A failure in the *post*-exchange
-    /// arrives after the in-place launch, so the step is parked half-done:
-    /// the next call finishes the pending exchange (idempotent: it only
-    /// reads ghosts and writes edge columns), and only then is the step
-    /// counted, instead of recomputing over clobbered inputs. The stats
-    /// record every exchange as exposed time — the launch both reads and
-    /// rewrites the cut columns, so nothing can overlap it.
-    fn advance(slabs: &mut Slabs<Self>, cx: &StepCx<'_>) -> Result<(), LinkError> {
-        if slabs.parked {
-            let transfers = slabs.exchange_slots(cx, Phase::Post)?;
-            slabs.parked = false;
-            let exchange_s = exchange_time_s(cx.mg, &transfers);
-            slabs.stats.record_step(0.0, 0.0, exchange_s, 0.0);
-            return Ok(());
-        }
-        let launch_bytes;
-        let mut exchange_s = 0.0;
-        if cx.t.is_multiple_of(2) {
-            // Stream half-step: pre-exchange, one in-place launch per
-            // shard, post-exchange.
-            let pre_span = cx.halo_span();
-            let pre = slabs.exchange_slots(cx, Phase::Pre)?;
-            drop(pre_span);
-            launch_bytes = slabs.launch(cx, Part::Interior);
-            let post_span = cx.halo_span();
-            let post = match slabs.exchange_slots(cx, Phase::Post) {
-                Ok(t) => t,
-                Err(e) => {
-                    slabs.parked = true;
-                    return Err(e);
-                }
-            };
-            drop(post_span);
-            exchange_s = exchange_time_s(cx.mg, &pre) + exchange_time_s(cx.mg, &post);
-        } else {
-            // Collide half-step: node-local, no exchange.
-            launch_bytes = slabs.launch(cx, Part::Interior);
-        }
-        let launch_s = device_time_s(cx.mg.spec(), launch_bytes.into_iter().max().unwrap_or(0));
-        slabs.stats.record_step(0.0, launch_s, exchange_s, 0.0);
-        Ok(())
+/// One step of the sharded AA driver (`AaSt`'s `SlabBody::advance_slabs`).
+///
+/// A failure in the *pre*-exchange leaves no owned state mutated —
+/// retrying the whole step is safe. A failure in the *post*-exchange
+/// arrives after the in-place launch, so the step is parked half-done:
+/// the next call finishes the pending exchange (idempotent: it only
+/// reads ghosts and writes edge columns), and only then is the step
+/// counted, instead of recomputing over clobbered inputs. The stats
+/// record every exchange as exposed time — the launch both reads and
+/// rewrites the cut columns, so nothing can overlap it.
+pub(crate) fn advance<L: Lattice, C: Collision<L>>(
+    slabs: &mut Slabs<AaSt<L, C>>,
+    cx: &StepCx<'_>,
+) -> Result<(), LinkError> {
+    if slabs.parked {
+        let transfers = slabs.exchange_slots(cx, Phase::Post)?;
+        slabs.parked = false;
+        let exchange_s = exchange_time_s(cx.mg, &transfers);
+        slabs.stats.record_step(0.0, 0.0, exchange_s, 0.0);
+        return Ok(());
     }
+    let launch_bytes;
+    let mut exchange_s = 0.0;
+    if cx.t.is_multiple_of(2) {
+        // Stream half-step: pre-exchange, one in-place launch per
+        // shard, post-exchange.
+        let pre_span = cx.halo_span();
+        let pre = slabs.exchange_slots(cx, Phase::Pre)?;
+        drop(pre_span);
+        launch_bytes = slabs.launch(cx, Part::Interior);
+        let post_span = cx.halo_span();
+        let post = match slabs.exchange_slots(cx, Phase::Post) {
+            Ok(t) => t,
+            Err(e) => {
+                slabs.parked = true;
+                return Err(e);
+            }
+        };
+        drop(post_span);
+        exchange_s = exchange_time_s(cx.mg, &pre) + exchange_time_s(cx.mg, &post);
+    } else {
+        // Collide half-step: node-local, no exchange.
+        launch_bytes = slabs.launch(cx, Part::Interior);
+    }
+    let launch_s = device_time_s(cx.mg.spec(), launch_bytes.into_iter().max().unwrap_or(0));
+    slabs.stats.record_step(0.0, launch_s, exchange_s, 0.0);
+    Ok(())
 }
 
 #[derive(Clone, Copy, PartialEq)]
@@ -221,10 +207,10 @@ enum Phase {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::slabs::checks;
+    use crate::multi::slabs::checks;
+    use crate::AaStSim;
     use lbm_core::collision::{Bgk, Projective};
     use lbm_core::io::CheckpointError;
-    use lbm_gpu::AaStSim;
     use lbm_lattice::{D2Q9, D3Q19};
 
     fn shear_init(x: usize, y: usize, z: usize) -> (f64, [f64; 3]) {
@@ -343,8 +329,8 @@ mod tests {
         b.run(4);
         assert_eq!(a.field_checksum(), b.field_checksum());
 
-        let st: crate::MultiStSim<D2Q9, _> =
-            crate::MultiStSim::new(v100(), geom.clone(), Projective::new(0.8), 2);
+        let st: crate::multi::MultiStSim<D2Q9, _> =
+            crate::multi::MultiStSim::new(v100(), geom.clone(), Projective::new(0.8), 2);
         assert!(matches!(
             b.restore(&st.checkpoint()),
             Err(CheckpointError::WrongFlavor { .. })

@@ -9,8 +9,8 @@
 //! every kernel sees exactly the node types the single-device run sees —
 //! which is what makes the sharded update bitwise identical.
 
+use crate::Owned;
 use lbm_core::geometry::Geometry;
-use lbm_gpu::Owned;
 
 /// One shard's span of the global domain.
 #[derive(Clone, Copy, Debug)]

@@ -4,7 +4,7 @@
 //! (96 vs 144 bytes for D2Q9, 80 vs 152 for D3Q19).
 //!
 //! Every shard is an [`Mr`] on its slab ([`Mr::on_slab`]): the column walker
-//! of [`lbm_gpu::mr`] with a footprint chosen for the owned width, so one
+//! of [`crate::mr`] with a footprint chosen for the owned width, so one
 //! body serves every dimension. Two things are specific to the pattern, and
 //! both live with its storage. A shard stores two shift-0 moment lattices
 //! and alternates between them, where the single-device `MrSim` updates one
@@ -16,20 +16,20 @@
 //! the first and last owned footprint, whose halo reads a ghost column —
 //! not single columns. The exchange itself is the shared one.
 
-use crate::decomp::SlabDecomp;
-use crate::driver::{MultiSim, StepCx};
-use crate::slabs::{column_plan, Schedule, Slabs};
-use crate::st::check_boundary_widths;
-use gpu_sim::interconnect::{LinkError, MultiGpu};
+use super::decomp::SlabDecomp;
+use super::ring::Ring;
+use super::slabs::{column_plan, Slabs};
+use super::st::check_boundary_widths;
+use crate::driver::Sim;
+use crate::mr::Mr;
+use crate::scheme::MrScheme;
 use gpu_sim::DeviceSpec;
 use lbm_core::geometry::Geometry;
-use lbm_gpu::mr::Mr;
-use lbm_gpu::scheme::MrScheme;
 use lbm_lattice::moments::Moments;
 use lbm_lattice::Lattice;
 
 /// Slab-sharded MR simulation (MR-P or MR-R) across N devices.
-pub type MultiMrSim<L> = MultiSim<Slabs<Mr<L>>>;
+pub type MultiMrSim<L> = Sim<Slabs<Mr<L>>>;
 /// [`MultiMrSim`] under its 2D name.
 pub type MultiMrSim2D<L> = MultiMrSim<L>;
 /// [`MultiMrSim`] under its 3D name.
@@ -47,14 +47,7 @@ impl<L: Lattice> MultiMrSim<L> {
             .map(|(owned, g)| Mr::on_slab(&device, owned, g, scheme.clone(), tau))
             .collect();
         let plan = column_plan(&decomp, &shards);
-        MultiSim::from_body(MultiGpu::ring(device, n), Slabs::new(decomp, shards, plan))
-    }
-
-    /// Force the scalar (per-node) reference kernels instead of the
-    /// chunk-vectorized ones — the equivalence-test oracle.
-    pub fn with_scalar_kernels(mut self) -> Self {
-        self.body.shards.iter_mut().for_each(Mr::set_scalar_kernels);
-        self
+        Sim::from_body(Ring::new(device, n), Slabs::new(decomp, shards, plan))
     }
 
     /// Moments at a global node (owner shard, current time).
@@ -64,20 +57,14 @@ impl<L: Lattice> MultiMrSim<L> {
     }
 }
 
-impl<L: Lattice> Schedule for Mr<L> {
-    fn advance(slabs: &mut Slabs<Self>, cx: &StepCx<'_>) -> Result<(), LinkError> {
-        slabs.two_phase(cx)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::slabs::checks::{self, Init};
+    use crate::driver::DriverBody;
+    use crate::multi::slabs::checks::{self, Init};
+    use crate::MrSim;
     use gpu_sim::FaultPlan;
     use lbm_core::geometry::NodeType;
-    use lbm_gpu::driver::DriverBody;
-    use lbm_gpu::MrSim;
     use lbm_lattice::{D2Q9, D3Q19};
     use std::sync::Arc;
 

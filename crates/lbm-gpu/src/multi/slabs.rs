@@ -1,45 +1,55 @@
 //! The one sharded body: [`Slabs<B>`] is a slab decomposition whose every
 //! shard is the *single-device* body `B` of a pattern, built on the slab's
-//! local geometry (`lbm_gpu::driver`, "Slab ownership").
+//! local geometry (`crate::driver`, "Slab ownership"), on a [`Ring`].
 //!
 //! Everything a pattern knows about its own state — layout, initial field,
-//! read-back, checkpoint array, kernels — stays in its `lbm-gpu` module;
-//! this module knows coordinates, links and the schedule:
+//! read-back, checkpoint array, kernels — stays in its own module; this
+//! module knows coordinates, links and the schedule:
 //!
 //! * **Coordinates.** A shard sees local `x`; fields go in through
 //!   [`SlabDecomp::global_x`] (ghosts included, so ghost columns start
 //!   consistent with their owners and no initial exchange is needed) and
 //!   come out by copying each shard's owned columns. A blob is the pattern's
-//!   sharded frame, the shard count and one array per shard: its live
-//!   lattice, ghost columns included, so a restore needs no exchange either.
+//!   sharded frame, the shard count, the overlap timing where the pattern's
+//!   frozen format has it, and one array per shard: its live lattice, ghost
+//!   columns included, so a restore needs no exchange either.
 //! * **Links.** The halo plan is compiled once at construction: per directed
 //!   cut transfer, the `(source node, destination node)` pairs of the
 //!   fluid-like nodes of the sender's edge column. Walls are never sent —
 //!   the update resolves solid neighbours from its own node.
 //! * **Schedule.** [`Slabs::two_phase`] is the overlap schedule of
-//!   [`crate::stats`]: every shard's strips, the exchange of what they wrote
+//!   [`super::stats`]: every shard's strips, the exchange of what they wrote
 //!   (modelled as concurrent with the interior), interiors, boundary
 //!   kernels, then the flip. A transfer is tallied on the interconnect
 //!   (under the host's retry policy) *before* its copy, so a failed one
-//!   moves no data and records no bytes; and no shard flips before every
+//!   moves no data and records no bytes; no shard flips before every
 //!   transfer succeeded, so time `t` is intact and a retried step recomputes
-//!   bitwise the same.
+//!   bitwise the same; and the retry tallies only the transfers the failed
+//!   attempt did not get through ([`Slabs::sent`]), so the links carry every
+//!   halo byte exactly once.
 //!
-//! The pattern modules of this crate add what is specific to a pattern: its
-//! constructor, its switches and whatever its exchange does differently.
+//! The pattern modules next to this one add what is specific to a pattern:
+//! its constructor, its switches and whatever its exchange does differently.
 
-use crate::decomp::SlabDecomp;
-use crate::driver::{ShardedBody, StepCx};
-use crate::stats::{device_time_s, exchange_time_s, OverlapStats};
+// `SlabBody` and `NodeHalo` are crate-private: callers name a pattern's
+// alias, never a `B`.
+#![allow(private_bounds)]
+
+use super::decomp::SlabDecomp;
+use super::ring::{Ring, StepCx};
+use super::stats::{device_time_s, exchange_time_s, OverlapStats};
+use crate::driver::{
+    BlockSize, DriverBody, Fields, Frame, NodeHalo, Part, Rec, ScalarKernels, SlabBody,
+};
 use gpu_sim::interconnect::LinkError;
+use gpu_sim::memory::Tally;
 use gpu_sim::FaultPlan;
 use lbm_core::geometry::Geometry;
-use lbm_gpu::driver::{DriverBody, Fields, Frame, NodeHalo, Part, SlabBody};
 use std::sync::Arc;
 
 /// One interconnect transfer of the halo exchange: nodes of shard `from`'s
 /// edge column and the ghost nodes of shard `to` that mirror them, as ids of
-/// the pattern (see `lbm_gpu::driver::NodeHalo::send_node`).
+/// the pattern (see `NodeHalo::send_node`).
 pub(crate) struct Transfer {
     pub from: usize,
     pub to: usize,
@@ -50,7 +60,7 @@ pub(crate) struct Transfer {
 /// [`SlabDecomp::halo_transfers`] order, over the column's fluid-like nodes
 /// by flat domain index.
 pub(crate) fn column_plan<B: DriverBody>(decomp: &SlabDecomp, shards: &[B]) -> Vec<Transfer> {
-    let column = |tr: &crate::HaloTransfer| {
+    let column = |tr: &super::HaloTransfer| {
         let (src, dst) = (shards[tr.from].geom(), shards[tr.to].geom());
         let mut pairs = Vec::new();
         for z in 0..src.nz {
@@ -79,7 +89,17 @@ pub struct Slabs<B> {
     /// the next `advance` must finish that exchange, not recompute over
     /// clobbered inputs. Only the AA schedule parks a step.
     pub(crate) parked: bool,
+    /// Transfers of the exchange in flight that got through before one
+    /// failed: the retry copies them again but tallies only the rest.
+    pub(crate) sent: usize,
     label: &'static str,
+}
+
+impl<B> Slabs<B> {
+    /// Modeled overlap-schedule timing.
+    pub fn stats(&self) -> &OverlapStats {
+        &self.stats
+    }
 }
 
 impl<B: SlabBody> Slabs<B> {
@@ -94,12 +114,8 @@ impl<B: SlabBody> Slabs<B> {
             plan,
             stats: OverlapStats::default(),
             parked: false,
+            sent: 0,
         }
-    }
-
-    /// Modeled overlap-schedule timing.
-    pub fn stats(&self) -> &OverlapStats {
-        &self.stats
     }
 
     /// The shard owning global column `x`, and `x` in its local frame.
@@ -132,23 +148,24 @@ impl<B: NodeHalo> Slabs<B> {
 
     /// Copy every cut's freshly computed edge columns (time `t + 1`) into
     /// the neighbours' ghost columns: what moved, as `(from, to, bytes)`.
-    fn exchange(&self, cx: &StepCx<'_>) -> Result<Vec<(usize, usize, u64)>, LinkError> {
+    fn exchange(&mut self, cx: &StepCx<'_>) -> Result<Vec<(usize, usize, u64)>, LinkError> {
         let mut out = Vec::with_capacity(self.plan.len());
-        for tr in &self.plan {
+        for (k, tr) in self.plan.iter().enumerate() {
             let bytes = (tr.pairs.len() * B::HALO * 8) as u64;
-            cx.transfer(tr.from, tr.to, bytes)?;
+            cx.transfer(k, &mut self.sent, tr.from, tr.to, bytes)?;
             let (src, dst) = (&self.shards[tr.from], &self.shards[tr.to]);
             for &(si, di) in &tr.pairs {
                 src.send_node(dst, cx.t, si, di);
             }
             out.push((tr.from, tr.to, bytes));
         }
+        self.sent = 0;
         Ok(out)
     }
 
     /// The two-phase overlap schedule (see the module docs). On `Err` no
     /// state has advanced: the completed launches are idempotent.
-    pub fn two_phase(&mut self, cx: &StepCx<'_>) -> Result<(), LinkError> {
+    pub(crate) fn two_phase(&mut self, cx: &StepCx<'_>) -> Result<(), LinkError> {
         let strips = self.launch(cx, Part::Strips);
         let halo_span = cx.halo_span();
         let transfers = self.exchange(cx)?;
@@ -169,32 +186,9 @@ impl<B: NodeHalo> Slabs<B> {
     }
 }
 
-/// What a pattern decides about its sharded step.
-pub trait Schedule: SlabBody + Sized {
-    /// Whether the pattern's sharded blobs carry the [`OverlapStats`] words
-    /// after the step counter — a frozen format.
-    const OVERLAP_IN_BLOB: bool = true;
-
-    /// [`ShardedBody::advance`] of the pattern: [`Slabs::two_phase`] unless
-    /// its exchange is a protocol of its own.
-    fn advance(slabs: &mut Slabs<Self>, cx: &StepCx<'_>) -> Result<(), LinkError>;
-}
-
-impl<B: Schedule> ShardedBody for Slabs<B> {
-    fn advance(&mut self, cx: &StepCx<'_>) -> Result<(), LinkError> {
-        B::advance(self, cx)
-    }
-
-    fn overlap(&self) -> Option<&OverlapStats> {
-        B::OVERLAP_IN_BLOB.then_some(&self.stats)
-    }
-
-    fn overlap_mut(&mut self) -> Option<&mut OverlapStats> {
-        B::OVERLAP_IN_BLOB.then_some(&mut self.stats)
-    }
-}
-
 impl<B: SlabBody> DriverBody for Slabs<B> {
+    type Dev = Ring;
+
     fn label(&self) -> &'static str {
         self.label
     }
@@ -207,7 +201,8 @@ impl<B: SlabBody> DriverBody for Slabs<B> {
         for (r, sh) in self.shards.iter_mut().enumerate() {
             sh.init_with(|lx, y, z| field(self.decomp.global_x(r, lx), y, z));
         }
-        self.parked = false;
+        self.stats = OverlapStats::default();
+        (self.parked, self.sent) = (false, 0);
     }
 
     fn macro_fields(&self, t: u64) -> Fields {
@@ -255,7 +250,60 @@ impl<B: SlabBody> DriverBody for Slabs<B> {
         for (sh, data) in self.shards.iter_mut().zip(arrays) {
             sh.install_current(t, data);
         }
-        self.parked = false;
+        (self.parked, self.sent) = (false, 0);
+    }
+
+    /// The overlap timing, where the pattern's blobs have it.
+    fn ledger(&self, _tally: &Tally) -> Vec<u64> {
+        if !B::OVERLAP_IN_BLOB {
+            return Vec::new();
+        }
+        let s = &self.stats;
+        let times = [
+            s.boundary_s,
+            s.interior_s,
+            s.exchange_s,
+            s.bc_s,
+            s.hidden_s,
+            s.total_s,
+        ];
+        std::iter::once(s.steps)
+            .chain(times.map(f64::to_bits))
+            .collect()
+    }
+
+    fn set_ledger(&mut self, words: &[u64], _tally: &mut Tally) {
+        if let &[steps, boundary, interior, exchange, bc, hidden, total] = words {
+            self.stats = OverlapStats {
+                steps,
+                boundary_s: f64::from_bits(boundary),
+                interior_s: f64::from_bits(interior),
+                exchange_s: f64::from_bits(exchange),
+                bc_s: f64::from_bits(bc),
+                hidden_s: f64::from_bits(hidden),
+                total_s: f64::from_bits(total),
+            };
+        }
+    }
+
+    /// The pattern's schedule over the ring; shard launches go to the hub
+    /// and the modeled timing, not to `rec`.
+    fn advance(&mut self, ring: &Ring, t: u64, _rec: Rec<'_>) -> Result<(), LinkError> {
+        B::advance_slabs(self, &ring.cx(t))
+    }
+}
+
+impl<B: ScalarKernels> ScalarKernels for Slabs<B> {
+    fn set_scalar_kernels(&mut self) {
+        self.shards.iter_mut().for_each(B::set_scalar_kernels);
+    }
+}
+
+impl<B: BlockSize> BlockSize for Slabs<B> {
+    fn set_block_size(&mut self, bs: usize) {
+        for sh in &mut self.shards {
+            sh.set_block_size(bs);
+        }
     }
 }
 
@@ -264,8 +312,7 @@ impl<B: SlabBody> DriverBody for Slabs<B> {
 #[cfg(test)]
 pub(crate) mod checks {
     use super::*;
-    use crate::MultiSim;
-    use lbm_gpu::{Sim, SoloBody};
+    use crate::{Sim, SoloBody};
 
     pub(crate) type Init = fn(usize, usize, usize) -> (f64, [f64; 3]);
 
@@ -273,9 +320,9 @@ pub(crate) mod checks {
     /// doubles and every kernel's per-node arithmetic is
     /// decomposition-independent. From `init` (rest if `None`), at each of
     /// `steps` in turn.
-    pub(crate) fn matches_single<A: SoloBody, B: Schedule>(
+    pub(crate) fn matches_single<A: SoloBody, B: SlabBody>(
         mut single: Sim<A>,
-        mut multi: MultiSim<Slabs<B>>,
+        mut multi: Sim<Slabs<B>>,
         init: Option<Init>,
         steps: &[usize],
     ) {
@@ -299,8 +346,8 @@ pub(crate) mod checks {
 
     /// After `steps` steps the analytic halo payload `payload` reports is
     /// `want`, and the interconnect carried exactly `want_total`.
-    pub(crate) fn halo_bytes_exact<B: Schedule>(
-        mut multi: MultiSim<Slabs<B>>,
+    pub(crate) fn halo_bytes_exact<B: SlabBody>(
+        mut multi: Sim<Slabs<B>>,
         steps: usize,
         payload: impl Fn(&Slabs<B>) -> u64,
         want: u64,
@@ -314,8 +361,8 @@ pub(crate) mod checks {
     /// One device thread per shard with pooled launch threads under each
     /// trips no strict race check (`strict` arms a shard's lattices), and
     /// lands on the one-thread run's fields.
-    pub(crate) fn racecheck_clean<B: Schedule>(
-        mk: impl Fn() -> MultiSim<Slabs<B>>,
+    pub(crate) fn racecheck_clean<B: SlabBody>(
+        mk: impl Fn() -> Sim<Slabs<B>>,
         strict: fn(&mut B),
         init: Init,
         threads: usize,

@@ -24,17 +24,16 @@
 //! formats set the pair apart: their blobs carry no overlap words, and a
 //! build can fail with a typed [`SparseBuildError`] ([`check_slabs`]).
 
-use crate::decomp::SlabDecomp;
-use crate::driver::{MultiSim, StepCx};
-use crate::slabs::{column_plan, Schedule, Slabs, Transfer};
-use gpu_sim::interconnect::{LinkError, MultiGpu};
+use super::decomp::SlabDecomp;
+use super::ring::Ring;
+use super::slabs::{column_plan, Slabs, Transfer};
+use crate::driver::{DriverBody, Owned, Sim, SlabBody};
+use crate::scheme::MrScheme;
+use crate::sparse::{validate_sparse_geometry, FluidIndex, SparseBuildError, SparseSt};
+use crate::sparse_mr::SparseMr;
 use gpu_sim::DeviceSpec;
 use lbm_core::collision::Collision;
 use lbm_core::geometry::Geometry;
-use lbm_gpu::driver::DriverBody;
-use lbm_gpu::scheme::MrScheme;
-use lbm_gpu::sparse::{validate_sparse_geometry, FluidIndex, SparseBuildError, SparseSt};
-use lbm_gpu::sparse_mr::SparseMr;
 use lbm_lattice::Lattice;
 
 /// What a sharded sparse build refuses, decided from the geometry alone (so
@@ -44,7 +43,7 @@ use lbm_lattice::Lattice;
 pub fn check_slabs(decomp: &SlabDecomp) -> Result<(), SparseBuildError> {
     let g = decomp.global();
     validate_sparse_geometry(g)?;
-    let owns_fluid = |s: &crate::Slab| {
+    let owns_fluid = |s: &super::Slab| {
         (s.x0..s.x0 + s.width)
             .any(|x| (0..g.ny * g.nz).any(|k| g.node(x, k % g.ny, k / g.ny).is_fluid_like()))
     };
@@ -96,13 +95,13 @@ fn tile_plan<B: DriverBody>(
 
 /// The one sharded sparse constructor: check the slabs, build a body on
 /// each, compile the per-tile plan, host the lot on a ring.
-fn build<B: Schedule>(
+fn build<B: SlabBody>(
     device: DeviceSpec,
     geom: Geometry,
     n: usize,
     index: impl Fn(&B) -> &FluidIndex,
-    on_slab: impl Fn(lbm_gpu::Owned, Geometry) -> Result<B, SparseBuildError>,
-) -> Result<MultiSim<Slabs<B>>, SparseBuildError> {
+    on_slab: impl Fn(Owned, Geometry) -> Result<B, SparseBuildError>,
+) -> Result<Sim<Slabs<B>>, SparseBuildError> {
     let decomp = SlabDecomp::new(geom, n);
     check_slabs(&decomp)?;
     let shards = decomp
@@ -111,11 +110,11 @@ fn build<B: Schedule>(
         .collect::<Result<Vec<_>, _>>()?;
     let plan = tile_plan(&decomp, &shards, index);
     let body = Slabs::new(decomp, shards, plan);
-    Ok(MultiSim::from_body(MultiGpu::ring(device, n), body))
+    Ok(Sim::from_body(Ring::new(device, n), body))
 }
 
 /// Slab-sharded sparse ST simulation across N simulated devices.
-pub type MultiSparseStSim<L, C> = MultiSim<Slabs<SparseSt<L, C>>>;
+pub type MultiSparseStSim<L, C> = Sim<Slabs<SparseSt<L, C>>>;
 
 impl<L: Lattice, C: Collision<L> + Clone> MultiSparseStSim<L, C> {
     /// Shard `geom` across `n` devices, panicking on an unsupported
@@ -141,7 +140,7 @@ impl<L: Lattice, C: Collision<L> + Clone> MultiSparseStSim<L, C> {
 }
 
 /// Slab-sharded sparse MR simulation (MR-P or MR-R) across N devices.
-pub type MultiSparseMrSim<L> = MultiSim<Slabs<SparseMr<L>>>;
+pub type MultiSparseMrSim<L> = Sim<Slabs<SparseMr<L>>>;
 
 impl<L: Lattice> MultiSparseMrSim<L> {
     /// Shard `geom` across `n` devices, panicking on an unsupported
@@ -165,41 +164,15 @@ impl<L: Lattice> MultiSparseMrSim<L> {
             SparseMr::on_slab(owned, g, scheme.clone(), tau)
         })
     }
-
-    /// Force the original per-node scalar kernels (bitwise-identical to
-    /// the default vectorized lane path; used by the equivalence tests).
-    pub fn with_scalar_kernels(mut self) -> Self {
-        self.body
-            .shards
-            .iter_mut()
-            .for_each(SparseMr::set_scalar_kernels);
-        self
-    }
-}
-
-impl<L: Lattice, C: Collision<L>> Schedule for SparseSt<L, C> {
-    const OVERLAP_IN_BLOB: bool = false;
-
-    fn advance(slabs: &mut Slabs<Self>, cx: &StepCx<'_>) -> Result<(), LinkError> {
-        slabs.two_phase(cx)
-    }
-}
-
-impl<L: Lattice> Schedule for SparseMr<L> {
-    const OVERLAP_IN_BLOB: bool = false;
-
-    fn advance(slabs: &mut Slabs<Self>, cx: &StepCx<'_>) -> Result<(), LinkError> {
-        slabs.two_phase(cx)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::slabs::checks;
+    use crate::multi::slabs::checks;
+    use crate::{SparseMrSim2D, StSparseSim};
     use lbm_core::collision::Projective;
     use lbm_core::geometry::NodeType;
-    use lbm_gpu::{SparseMrSim2D, StSparseSim};
     use lbm_lattice::D2Q9;
 
     fn obstacle_geom() -> Geometry {

@@ -4,23 +4,23 @@
 //! Every shard is an [`St`] on its slab, so it runs the pull-scheme update
 //! of `StSim` over its owned span and the sharded trajectory is *bitwise*
 //! identical to the single-device one. Nothing about its exchange is
-//! special: whole nodes, the shared two-phase schedule of [`crate::slabs`]
+//! special: whole nodes, the shared two-phase schedule of [`super::slabs`]
 //! (one strip launch per cut-adjacent column, then the interior).
 
-use crate::decomp::SlabDecomp;
-use crate::driver::{MultiSim, StepCx};
-use crate::slabs::{column_plan, Schedule, Slabs};
-use gpu_sim::interconnect::{LinkError, MultiGpu};
+use super::decomp::SlabDecomp;
+use super::ring::Ring;
+use super::slabs::{column_plan, Slabs};
+use crate::boundary::boundary_nodes;
+use crate::driver::Sim;
+use crate::st::St;
 use gpu_sim::DeviceSpec;
 use lbm_core::collision::Collision;
 use lbm_core::geometry::Geometry;
-use lbm_gpu::boundary::boundary_nodes;
-use lbm_gpu::st::St;
 use lbm_lattice::moments::Moments;
 use lbm_lattice::Lattice;
 
 /// Slab-sharded ST simulation across N simulated devices.
-pub type MultiStSim<L, C> = MultiSim<Slabs<St<L, C>>>;
+pub type MultiStSim<L, C> = Sim<Slabs<St<L, C>>>;
 
 impl<L: Lattice, C: Collision<L> + Clone> MultiStSim<L, C> {
     /// Shard `geom` across `n` devices of one spec, joined ring-wise with
@@ -34,22 +34,7 @@ impl<L: Lattice, C: Collision<L> + Clone> MultiStSim<L, C> {
             .map(|(owned, g)| St::on_slab(owned, g, collision.clone()))
             .collect();
         let plan = column_plan(&decomp, &shards);
-        MultiSim::from_body(MultiGpu::ring(device, n), Slabs::new(decomp, shards, plan))
-    }
-
-    /// Force the scalar (per-node) reference kernels instead of the
-    /// chunk-vectorized ones — the equivalence-test oracle.
-    pub fn with_scalar_kernels(mut self) -> Self {
-        self.body.shards.iter_mut().for_each(St::set_scalar_kernels);
-        self
-    }
-
-    /// Set the thread-block size of the span kernels.
-    pub fn with_block_size(mut self, bs: usize) -> Self {
-        for sh in &mut self.body.shards {
-            sh.set_block_size(bs);
-        }
-        self
+        Sim::from_body(Ring::new(device, n), Slabs::new(decomp, shards, plan))
     }
 }
 
@@ -63,12 +48,6 @@ impl<L: Lattice, C: Collision<L>> Slabs<St<L, C>> {
     /// Moments at a global node.
     pub fn moments_at(&self, x: usize, y: usize, z: usize) -> Moments {
         Moments::from_f::<L>(&self.f_at(x, y, z))
-    }
-}
-
-impl<L: Lattice, C: Collision<L>> Schedule for St<L, C> {
-    fn advance(slabs: &mut Slabs<Self>, cx: &StepCx<'_>) -> Result<(), LinkError> {
-        slabs.two_phase(cx)
     }
 }
 
@@ -101,9 +80,9 @@ pub(crate) fn check_boundary_widths(decomp: &SlabDecomp) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::slabs::checks;
+    use crate::multi::slabs::checks;
+    use crate::StSim;
     use lbm_core::collision::{Bgk, Projective};
-    use lbm_gpu::StSim;
     use lbm_lattice::{D2Q9, D3Q19};
 
     fn shear_init(x: usize, y: usize, _z: usize) -> (f64, [f64; 3]) {

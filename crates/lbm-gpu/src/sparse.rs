@@ -32,11 +32,14 @@
 //! geometry instead of catching a panic.
 
 use crate::driver::{
-    box_guards, fill, DriverBody, Fields, Frame, NodeHalo, Owned, Part, Rec, Sim, SlabBody,
-    SoloBody,
+    advance_solo, box_guards, fill, DriverBody, Fields, Frame, NodeHalo, Owned, Part, Rec, Sim,
+    SlabBody, SoloBody,
 };
+use crate::multi::ring::StepCx;
+use crate::multi::Slabs;
 use crate::st::{init_populations, population_macro_fields};
 use gpu_sim::exec::{BlockCtx, Kernel, Launch};
+use gpu_sim::interconnect::LinkError;
 use gpu_sim::{DeviceSpec, GlobalBuffer, Gpu};
 use lbm_core::collision::Collision;
 use lbm_core::geometry::{Geometry, NodeType};
@@ -393,8 +396,12 @@ impl<L: Lattice, C: Collision<L>> StSparseSim<L, C> {
 impl<L: Lattice, C: Collision<L>> SparseSt<L, C> {
     /// The sparse ST state over `geom`, updating the fluid nodes of its
     /// `owned` columns — the one constructor behind [`StSparseSim::try_new`]
-    /// and every shard of `lbm-multi`.
-    pub fn on_slab(owned: Owned, geom: Geometry, collision: C) -> Result<Self, SparseBuildError> {
+    /// and every shard of [`crate::multi`].
+    pub(crate) fn on_slab(
+        owned: Owned,
+        geom: Geometry,
+        collision: C,
+    ) -> Result<Self, SparseBuildError> {
         let (index, table) = compact::<L>(&geom, owned)?;
         let lattice = || GlobalBuffer::new(L::Q * index.len()).with_touch_tracking();
         Ok(SparseSt {
@@ -409,7 +416,8 @@ impl<L: Lattice, C: Collision<L>> SparseSt<L, C> {
     }
 
     /// Strict race checking on both lattices (tests).
-    pub fn set_racecheck_strict(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn set_racecheck_strict(&mut self) {
         self.f
             .iter_mut()
             .for_each(GlobalBuffer::set_racecheck_strict);
@@ -422,6 +430,12 @@ impl<L: Lattice, C: Collision<L>> SparseSt<L, C> {
 }
 
 impl<L: Lattice, C: Collision<L>> DriverBody for SparseSt<L, C> {
+    type Dev = Gpu;
+
+    fn advance(&mut self, gpu: &Gpu, t: u64, rec: Rec<'_>) -> Result<(), LinkError> {
+        advance_solo(self, gpu, t, rec)
+    }
+
     fn label(&self) -> &'static str {
         "sparse-st"
     }
@@ -517,6 +531,8 @@ impl<L: Lattice, C: Collision<L>> SoloBody for SparseSt<L, C> {
 }
 
 impl<L: Lattice, C: Collision<L>> SlabBody for SparseSt<L, C> {
+    const OVERLAP_IN_BLOB: bool = false;
+
     fn sharded_frame(&self, global: &Geometry) -> (&'static str, Frame) {
         let frame = Frame {
             flavor: "multi-sparse-st",
@@ -524,6 +540,9 @@ impl<L: Lattice, C: Collision<L>> SlabBody for SparseSt<L, C> {
             guards: box_guards(global, ("Q", L::Q)),
         };
         (frame.flavor, frame)
+    }
+    fn advance_slabs(slabs: &mut Slabs<Self>, cx: &StepCx<'_>) -> Result<(), LinkError> {
+        slabs.two_phase(cx)
     }
 }
 

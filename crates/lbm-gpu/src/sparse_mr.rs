@@ -38,12 +38,15 @@
 
 use crate::boundary::initial_moments;
 use crate::driver::{
-    box_guards, fill, DriverBody, Fields, Frame, NodeHalo, Owned, Part, Rec, Sim, SlabBody,
-    SoloBody,
+    advance_solo, box_guards, fill, DriverBody, Fields, Frame, NodeHalo, Owned, Part, Rec,
+    ScalarKernels, Sim, SlabBody, SoloBody,
 };
+use crate::multi::ring::StepCx;
+use crate::multi::Slabs;
 use crate::scheme::MrScheme;
 use crate::sparse::{compact, FluidIndex, SparseBuildError, Tile};
 use gpu_sim::exec::{BlockCtx, Launch, PhasedKernel};
+use gpu_sim::interconnect::LinkError;
 use gpu_sim::{DeviceSpec, GlobalBuffer, Gpu};
 use lbm_core::geometry::Geometry;
 use lbm_core::kernels::{self, LaneBlock, LANES, MAX_M, MAX_Q};
@@ -353,13 +356,6 @@ impl<L: Lattice> SparseMrSim<L> {
         Ok(Sim::from_body(Gpu::new(device), body))
     }
 
-    /// Force the original per-node scalar kernels (bitwise-identical to
-    /// the default vectorized lane path; used by the equivalence tests).
-    pub fn with_scalar_kernels(mut self) -> Self {
-        self.body.set_scalar_kernels();
-        self
-    }
-
     /// Attach the substrate's race checker to the moment lattice. The
     /// two-phase kernel reads strictly before it writes, so even the
     /// strict checker stays quiet.
@@ -373,8 +369,8 @@ impl<L: Lattice> SparseMrSim<L> {
 impl<L: Lattice> SparseMr<L> {
     /// The sparse MR state over `geom`, updating the fluid nodes of its
     /// `owned` columns — the one constructor behind
-    /// [`SparseMrSim::try_new`] and every shard of `lbm-multi`.
-    pub fn on_slab(
+    /// [`SparseMrSim::try_new`] and every shard of [`crate::multi`].
+    pub(crate) fn on_slab(
         owned: Owned,
         geom: Geometry,
         scheme: MrScheme,
@@ -396,13 +392,8 @@ impl<L: Lattice> SparseMr<L> {
         })
     }
 
-    /// See [`SparseMrSim::with_scalar_kernels`].
-    pub fn set_scalar_kernels(&mut self) {
-        self.scalar = true;
-    }
-
     /// See [`SparseMrSim::with_racecheck_strict`].
-    pub fn set_racecheck_strict(&mut self) {
+    pub(crate) fn set_racecheck_strict(&mut self) {
         self.mom.set_racecheck_strict();
         if let Some(m2) = &mut self.mom2 {
             m2.set_racecheck_strict();
@@ -429,7 +420,19 @@ impl<L: Lattice> SparseMr<L> {
     }
 }
 
+impl<L: Lattice> ScalarKernels for SparseMr<L> {
+    fn set_scalar_kernels(&mut self) {
+        self.scalar = true;
+    }
+}
+
 impl<L: Lattice> DriverBody for SparseMr<L> {
+    type Dev = Gpu;
+
+    fn advance(&mut self, gpu: &Gpu, t: u64, rec: Rec<'_>) -> Result<(), LinkError> {
+        advance_solo(self, gpu, t, rec)
+    }
+
     fn label(&self) -> &'static str {
         "sparse-mr"
     }
@@ -541,6 +544,8 @@ impl<L: Lattice> SoloBody for SparseMr<L> {
 }
 
 impl<L: Lattice> SlabBody for SparseMr<L> {
+    const OVERLAP_IN_BLOB: bool = false;
+
     fn sharded_frame(&self, global: &Geometry) -> (&'static str, Frame) {
         let frame = Frame {
             flavor: "multi-sparse-mr",
@@ -548,6 +553,9 @@ impl<L: Lattice> SlabBody for SparseMr<L> {
             guards: box_guards(global, ("M", L::M)),
         };
         (frame.flavor, frame)
+    }
+    fn advance_slabs(slabs: &mut Slabs<Self>, cx: &StepCx<'_>) -> Result<(), LinkError> {
+        slabs.two_phase(cx)
     }
 }
 

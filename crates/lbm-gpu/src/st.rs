@@ -9,10 +9,13 @@
 
 use crate::boundary::{boundary_nodes, initial_moments, stencil_coords, MacroCache};
 use crate::driver::{
-    box_guards, fill, DriverBody, Fields, Frame, NodeHalo, Owned, Part, Rec, Sim, SlabBody,
-    SoloBody,
+    advance_solo, box_guards, fill, BlockSize, DriverBody, Fields, Frame, NodeHalo, Owned, Part,
+    Rec, ScalarKernels, Sim, SlabBody, SoloBody,
 };
+use crate::multi::ring::StepCx;
+use crate::multi::Slabs;
 use gpu_sim::exec::{BlockCtx, Kernel, Launch, LaunchStats};
+use gpu_sim::interconnect::LinkError;
 use gpu_sim::{DeviceSpec, FaultPlan, GlobalBuffer, Gpu};
 use lbm_core::boundary::{boundary_node_moments, WallGains};
 use lbm_core::collision::Collision;
@@ -242,100 +245,6 @@ impl<L: Lattice, C: Collision<L>> Kernel for StSpanKernel<'_, L, C> {
     }
 }
 
-/// Streaming scheme of the ST pattern (paper §3.1): *pull* performs
-/// streaming before collision by gathering from neighbors (the fastest GPU
-/// configuration, used by default); *push* collides first and scatters
-/// post-collision populations to the neighbors. Both move `2Q` doubles per
-/// node; on real GPUs push pays extra for misaligned stores, which is why
-/// the paper's reference uses pull. The push variant exists for the
-/// pull-vs-push ablation bench.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
-pub enum StStream {
-    #[default]
-    Pull,
-    Push,
-}
-
-/// Push-scheme bulk kernel: read own pre-collision state, collide, scatter.
-struct StPushKernel<'a, L: Lattice, C: Collision<L>> {
-    src: &'a GlobalBuffer<f64>,
-    dst: &'a GlobalBuffer<f64>,
-    geom: &'a Geometry,
-    collision: &'a C,
-    consts: &'a KernelConsts,
-    block_size: usize,
-    _l: PhantomData<L>,
-}
-
-impl<L: Lattice, C: Collision<L>> Kernel for StPushKernel<'_, L, C> {
-    fn name(&self) -> &str {
-        "st-bulk-push"
-    }
-
-    fn run_block(&self, ctx: &mut BlockCtx) {
-        let n = self.geom.len();
-        let base = ctx.block_id * self.block_size;
-        let bs = self.block_size;
-        let node_of = |tid: usize| {
-            let idx = base + tid;
-            (idx < n && matches!(self.geom.node_at(idx), NodeType::Fluid)).then_some(idx)
-        };
-        // Pass 1: the pre-collision loads are the coalesced side of push —
-        // stage each maximal fluid run's `Q` direction rows into scratch as
-        // spans. Each source cell is read at most once per launch, so the
-        // reordering relative to the scatters is accounting-neutral.
-        for_each_run(ctx, bs, node_of, |ctx, stid, sidx, len| {
-            for i in 0..L::Q {
-                ctx.read_span_to_scratch(self.src, i * n + sidx, i * bs + stid, len);
-            }
-        });
-        // Collide the staged runs through the operator's chunk-vectorized
-        // SoA kernel (bitwise-identical to per-node collide).
-        if !self.consts.scalar {
-            for_each_run(ctx, bs, node_of, |ctx, stid, _, len| {
-                self.collision.collide_soa(ctx.scratch(), bs, stid, len);
-            });
-        }
-        // Pass 2: scatter element-wise (the scatter targets are irregular
-        // by construction — that is the point of the ablation).
-        let mut f_loc = [0.0f64; MAX_Q];
-        for tid in 0..bs {
-            let Some(idx) = node_of(tid) else {
-                continue;
-            };
-            let (x, y, z) = self.geom.coords(idx);
-            let scratch = ctx.scratch();
-            for i in 0..L::Q {
-                f_loc[i] = scratch[i * bs + tid];
-            }
-            if self.consts.scalar {
-                self.collision.collide(&mut f_loc[..L::Q]);
-            }
-            // Scatter (streaming by push); solid destinations reflect back
-            // into this node's opposite slot.
-            for i in 0..L::Q {
-                let c = L::C[i];
-                match self.geom.neighbor(x, y, z, c) {
-                    Some((dx, dy, dz)) => {
-                        let didx = self.geom.idx(dx, dy, dz);
-                        match self.geom.node_at(didx) {
-                            t if t.is_fluid_like() => ctx.write(self.dst, i * n + didx, f_loc[i]),
-                            NodeType::Wall => ctx.write(self.dst, L::OPP[i] * n + idx, f_loc[i]),
-                            NodeType::MovingWall(uw) => ctx.write(
-                                self.dst,
-                                L::OPP[i] * n + idx,
-                                f_loc[i] + self.consts.gains.gain(L::OPP[i], uw),
-                            ),
-                            _ => unreachable!(),
-                        }
-                    }
-                    None => ctx.write(self.dst, L::OPP[i] * n + idx, f_loc[i]),
-                }
-            }
-        }
-    }
-}
-
 /// Inlet/outlet rebuild kernel (runs after the bulk kernel).
 struct StBcKernel<'a, L: Lattice, C: Collision<L>> {
     dst: &'a GlobalBuffer<f64>,
@@ -461,7 +370,6 @@ pub struct St<L: Lattice, C: Collision<L>> {
     collision: C,
     consts: KernelConsts,
     block_size: usize,
-    stream: StStream,
     boundary: Vec<(usize, usize, usize)>,
     _l: PhantomData<L>,
 }
@@ -479,42 +387,12 @@ impl<L: Lattice, C: Collision<L>> StSim<L, C> {
         }
         Sim::from_body(Gpu::new(device), body)
     }
-
-    /// Set the thread-block size of the bulk kernel.
-    pub fn with_block_size(mut self, bs: usize) -> Self {
-        self.body.set_block_size(bs);
-        self
-    }
-
-    /// Run the original per-node scalar kernels instead of the vectorized
-    /// SoA chunks. The two paths are bitwise-identical (enforced by
-    /// `tests/kernel_equivalence.rs`); the scalar path exists as the
-    /// equivalence oracle.
-    pub fn with_scalar_kernels(mut self) -> Self {
-        self.body.set_scalar_kernels();
-        self
-    }
-
-    /// Select the streaming scheme. The push variant does not support
-    /// inlet/outlet boundaries (its boundary contributions would have to be
-    /// injected *before* the scatter); it exists for the pull-vs-push
-    /// ablation on wall/periodic domains.
-    pub fn with_stream(mut self, stream: StStream) -> Self {
-        if stream == StStream::Push {
-            assert!(
-                self.body.boundary.is_empty(),
-                "push streaming does not support inlet/outlet boundaries"
-            );
-        }
-        self.body.stream = stream;
-        self
-    }
 }
 
 impl<L: Lattice, C: Collision<L>> St<L, C> {
     /// The ST state over `geom`, computing its `owned` columns — the one
-    /// constructor behind [`StSim::new`] and every shard of `lbm-multi`.
-    pub fn on_slab(owned: Owned, geom: Geometry, collision: C) -> Self {
+    /// constructor behind [`StSim::new`] and every shard of [`crate::multi`].
+    pub(crate) fn on_slab(owned: Owned, geom: Geometry, collision: C) -> Self {
         if L::D == 2 {
             assert_eq!(geom.nz, 1, "2D lattice on a 3D domain");
         }
@@ -525,7 +403,6 @@ impl<L: Lattice, C: Collision<L>> St<L, C> {
             consts: KernelConsts::new::<L>(collision.tau()),
             collision,
             block_size: 256,
-            stream: StStream::Pull,
             boundary: boundary_nodes(&geom),
             owned,
             geom,
@@ -533,20 +410,10 @@ impl<L: Lattice, C: Collision<L>> St<L, C> {
         }
     }
 
-    /// See [`StSim::with_block_size`].
-    pub fn set_block_size(&mut self, bs: usize) {
-        assert!(bs >= 1);
-        self.block_size = bs;
-    }
-
-    /// See [`StSim::with_scalar_kernels`].
-    pub fn set_scalar_kernels(&mut self) {
-        self.consts.scalar = true;
-    }
-
     /// Strict race checking on both lattices (tests): any cross-block
     /// overlap or stale read inside a launch panics.
-    pub fn set_racecheck_strict(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn set_racecheck_strict(&mut self) {
         self.f
             .iter_mut()
             .for_each(GlobalBuffer::set_racecheck_strict);
@@ -581,8 +448,8 @@ impl<L: Lattice, C: Collision<L>> St<L, C> {
             scratch_doubles: L::Q * block_size,
         };
         let _l = PhantomData;
-        match self.stream {
-            StStream::Pull if x_hi - x_lo == geom.nx => gpu.launch(
+        if x_hi - x_lo == geom.nx {
+            gpu.launch(
                 &cfg,
                 &StBulkKernel::<L, C> {
                     src,
@@ -593,8 +460,9 @@ impl<L: Lattice, C: Collision<L>> St<L, C> {
                     block_size,
                     _l,
                 },
-            ),
-            StStream::Pull => gpu.launch(
+            )
+        } else {
+            gpu.launch(
                 &cfg,
                 &StSpanKernel::<L, C> {
                     src,
@@ -607,24 +475,32 @@ impl<L: Lattice, C: Collision<L>> St<L, C> {
                     x_hi,
                     _l,
                 },
-            ),
-            StStream::Push => gpu.launch(
-                &cfg,
-                &StPushKernel::<L, C> {
-                    src,
-                    dst,
-                    geom,
-                    collision,
-                    consts,
-                    block_size,
-                    _l,
-                },
-            ),
+            )
         }
     }
 }
 
+impl<L: Lattice, C: Collision<L>> ScalarKernels for St<L, C> {
+    fn set_scalar_kernels(&mut self) {
+        self.consts.scalar = true;
+    }
+}
+
+impl<L: Lattice, C: Collision<L>> BlockSize for St<L, C> {
+    /// The block size of the bulk, span and boundary kernels.
+    fn set_block_size(&mut self, bs: usize) {
+        assert!(bs >= 1);
+        self.block_size = bs;
+    }
+}
+
 impl<L: Lattice, C: Collision<L>> DriverBody for St<L, C> {
+    type Dev = Gpu;
+
+    fn advance(&mut self, gpu: &Gpu, t: u64, rec: Rec<'_>) -> Result<(), LinkError> {
+        advance_solo(self, gpu, t, rec)
+    }
+
     fn label(&self) -> &'static str {
         "st"
     }
@@ -727,6 +603,9 @@ impl<L: Lattice, C: Collision<L>> SlabBody for St<L, C> {
         };
         (frame.flavor, frame)
     }
+    fn advance_slabs(slabs: &mut Slabs<Self>, cx: &StepCx<'_>) -> Result<(), LinkError> {
+        slabs.two_phase(cx)
+    }
 }
 
 impl<L: Lattice, C: Collision<L>> NodeHalo for St<L, C> {
@@ -820,47 +699,6 @@ mod tests {
         sim.run(3);
         let bpf = sim.measured_bpf();
         assert!(bpf > 130.0 && bpf < 160.0, "B/F = {bpf}");
-    }
-
-    /// Pull and push produce the same macroscopic trajectory (they are the
-    /// same update in a different order) and the same B/F.
-    #[test]
-    fn push_matches_pull() {
-        let init = |x: usize, y: usize, _z: usize| {
-            (
-                1.0,
-                [
-                    0.03 * (y as f64 * 0.6).sin(),
-                    0.01 * (x as f64 * 0.4).cos(),
-                    0.0,
-                ],
-            )
-        };
-        let geom = Geometry::walls_y_periodic_x(16, 10);
-        let mut pull: StSim<D2Q9, _> =
-            StSim::new(DeviceSpec::v100(), geom.clone(), Projective::new(0.8)).with_cpu_threads(2);
-        pull.init_with(init);
-        let mut push: StSim<D2Q9, _> = StSim::new(DeviceSpec::v100(), geom, Projective::new(0.8))
-            .with_stream(StStream::Push)
-            .with_cpu_threads(2);
-        push.init_with(init);
-        pull.run(12);
-        push.run(12);
-        let (up, us) = (pull.velocity_field(), push.velocity_field());
-        for (a, b) in up.iter().zip(&us) {
-            for k in 0..3 {
-                assert!((a[k] - b[k]).abs() < 1e-12, "{a:?} vs {b:?}");
-            }
-        }
-        assert!((pull.measured_bpf() - push.measured_bpf()).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "push streaming does not support")]
-    fn push_rejects_inlet_outlet() {
-        let geom = Geometry::channel_2d(16, 8, 0.03);
-        let _ = StSim::<D2Q9, _>::new(DeviceSpec::v100(), geom, Bgk::new(0.8))
-            .with_stream(StStream::Push);
     }
 
     /// macro_fields is a single-pass equivalent of the per-node accessors.

@@ -1,70 +1,25 @@
-//! Multi-device domain decomposition with moment-space halo exchange.
+//! The checkpoint/rollback recovery loop, and the sharded driver names
+//! under the path the benchmark imports them from.
 //!
-//! Runs one simulation sharded across N simulated GPUs ([`gpu_sim`]'s
-//! [`MultiGpu`](gpu_sim::interconnect::MultiGpu)), extending the paper's
-//! bandwidth argument from device memory to the interconnect: a halo node
-//! costs `M·8` bytes to exchange in moment space instead of `Q·8` in
-//! distribution space — the exact `M/Q` ratio of Table 2 (96/144 for
-//! D2Q9, 160/304 for D3Q19 in two-lattice B/F terms; 80 vs 152 on the
-//! wire per D3Q19 halo node).
+//! Sharding itself is [`lbm_gpu::multi`]: the sharded drivers are aliases
+//! of `lbm_gpu::Sim<Slabs<body>>`, hosted by the same `Sim` as every
+//! single-device driver, and Rust only allows the inherent
+//! `MultiStSim::<L, _>::new(..)` in the crate that defines `Sim`. What is
+//! left here is
 //!
-//! A shard is the *single-device* body of its pattern (`lbm_gpu::st::St`,
-//! `aa::AaSt`, `mr::Mr`, `sparse::SparseSt`, `sparse_mr::SparseMr`) built on
-//! a slab's local geometry, of which it computes the owned columns; the
-//! pattern's own `lbm-gpu` module is the only place that knows how its state
-//! is laid out, initialised, read back and checkpointed. This crate knows
-//! coordinates, links and the schedule.
-//!
-//! * [`decomp`] — 1D slab decomposition along `x` with one-node ghost
-//!   columns, local geometries that mirror global node types, and the
-//!   directed transfers of every cut.
-//! * [`slabs`] — the one sharded body, [`Slabs<B>`]: init through global
-//!   coordinates, fields by copying owned columns, one blob array per
-//!   shard, the halo plan compiled at construction, the one whole-node
-//!   exchange and the one two-phase overlap schedule.
-//! * [`st`], [`aa`], [`mr`], [`sparse`] — per pattern, what is specific to
-//!   it: the constructor and switches of its alias ([`MultiStSim`],
-//!   [`MultiAaStSim`], [`MultiMrSim`] also named [`MultiMrSim2D`] /
-//!   [`MultiMrSim3D`], [`MultiSparseStSim`], [`MultiSparseMrSim`]) and what
-//!   its exchange does differently — nothing for ST (`Q·8` bytes per halo
-//!   node) and MR (`M·8`); a parity-aware pre/post protocol moving only the
-//!   cut-crossing slots for AA; a per-tile plan whose wire bytes scale with
-//!   the cut columns' *fluid* count for the sparse pair.
-//! * [`driver`] — the sharded host [`MultiSim`]: `lbm_gpu::driver`'s
-//!   chassis over a `MultiGpu`, plus what only a sharded step has (typed
-//!   link errors, the halo-retry policy, the overlap-stats checkpoint
-//!   words) and the one [`lbm_core::Simulation`] impl of this crate. The
-//!   `Multi*Sim` names are aliases of `MultiSim<Slabs<body>>`.
-//! * [`recovery`] — checkpoint/rollback recovery loop and bounded
-//!   halo-retry policy, driving any [`lbm_core::Simulation`].
-//! * [`stats`] — the two-phase overlap schedule's timing model
-//!   (`t_step = t_boundary + max(t_interior, t_exchange) + t_bc`) and
-//!   overlap efficiency.
-//!
-//! All of them are *bitwise* identical to their single-device
-//! counterparts: ghosts carry exact doubles and every kernel's per-node
-//! arithmetic is decomposition-independent. The test suite asserts
-//! equality with `==`, not a tolerance.
+//! * [`recovery`] — the recovery loop, which drives any
+//!   [`lbm_core::Simulation`] and so needs no driver crate at all, and
+//! * a `pub use` of the sharded names, because `benchmark/` (which a PR
+//!   that touches the drivers may not edit) imports them as `lbm_multi::…`.
+//!   The facade goes when a `benchmark`-archetype PR can point those imports
+//!   at `lbm_gpu::multi`.
 
-pub mod aa;
-pub mod decomp;
-pub mod driver;
-pub mod mr;
 pub mod recovery;
-pub mod slabs;
-pub mod sparse;
-pub mod st;
-pub mod stats;
 
-pub use aa::MultiAaStSim;
-pub use decomp::{Cut, HaloTransfer, Slab, SlabDecomp};
-pub use driver::{MultiSim, ShardedBody, StepCx};
 pub use lbm_core::{Simulation, StepError};
-pub use mr::{MultiMrSim, MultiMrSim2D, MultiMrSim3D};
-pub use recovery::{
-    run_with_recovery, HaloRetryPolicy, RecoveryConfig, RecoveryError, RecoveryStats,
+pub use lbm_gpu::multi::sparse;
+pub use lbm_gpu::multi::{
+    Cut, HaloRetryPolicy, HaloTransfer, MultiAaStSim, MultiMrSim, MultiMrSim2D, MultiMrSim3D,
+    MultiSparseMrSim, MultiSparseStSim, MultiStSim, OverlapStats, Slab, SlabDecomp, Slabs,
 };
-pub use slabs::Slabs;
-pub use sparse::{MultiSparseMrSim, MultiSparseStSim};
-pub use st::MultiStSim;
-pub use stats::OverlapStats;
+pub use recovery::{run_with_recovery, RecoveryConfig, RecoveryError, RecoveryStats};

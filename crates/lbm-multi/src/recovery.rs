@@ -1,11 +1,10 @@
-//! Fault-tolerant execution: halo-transfer retry, checkpoint cadence, and
-//! rollback recovery.
+//! Fault-tolerant execution: checkpoint cadence and rollback recovery.
 //!
 //! The recovery loop drives any [`Simulation`] toward a target step count
 //! while watching for injected or emergent faults on three channels:
 //!
 //! * **link failures** — transient link faults are absorbed *inside* the
-//!   drivers by [`HaloRetryPolicy`]-bounded retries (failed attempts record
+//!   drivers by [`HaloRetryPolicy`](crate::HaloRetryPolicy)-bounded retries (failed attempts record
 //!   zero link bytes, so a recovered run's link tallies are byte-identical
 //!   to a fault-free run); permanent failures surface as
 //!   [`RecoveryError::Step`];
@@ -21,81 +20,10 @@
 //! uninterrupted one — the resilience tests assert equality of FNV field
 //! checksums, not tolerances.
 
-use gpu_sim::interconnect::{LinkError, MultiGpu};
 use gpu_sim::FaultPlan;
 use lbm_core::io::CheckpointError;
 use lbm_core::{Simulation, StepError};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Bounded-backoff retry policy for halo transfers over faulty links.
-#[derive(Clone, Copy, Debug)]
-pub struct HaloRetryPolicy {
-    /// Total attempts per transfer, first try included (≥ 1).
-    pub max_attempts: u32,
-    /// Backoff before the first retry; doubles per retry, capped at 64×.
-    pub backoff_base_us: u64,
-}
-
-impl Default for HaloRetryPolicy {
-    fn default() -> Self {
-        HaloRetryPolicy {
-            max_attempts: 3,
-            backoff_base_us: 20,
-        }
-    }
-}
-
-/// Record one halo transfer with bounded retries. Transient link failures
-/// back off (capped exponential) and retry; a permanent failure or missing
-/// route is surfaced immediately. A failed attempt records zero bytes (the
-/// fault check precedes the tally in `MultiGpu::try_record_transfer`), so a
-/// successful retry tallies exactly once.
-pub(crate) fn transfer_with_retry(
-    mg: &MultiGpu,
-    from: usize,
-    to: usize,
-    bytes: u64,
-    policy: &HaloRetryPolicy,
-    retries: &AtomicU64,
-) -> Result<(), LinkError> {
-    assert!(policy.max_attempts >= 1, "at least one attempt is required");
-    let mut failures = 0u32;
-    loop {
-        match mg.try_record_transfer(from, to, bytes) {
-            Ok(()) => return Ok(()),
-            Err(
-                e @ (LinkError::NoRoute { .. }
-                | LinkError::Down {
-                    permanent: true, ..
-                }),
-            ) => {
-                return Err(e);
-            }
-            Err(e) => {
-                failures += 1;
-                if failures >= policy.max_attempts {
-                    return Err(e);
-                }
-                retries.fetch_add(1, Ordering::Relaxed);
-                if let Some(o) = mg.obs() {
-                    let link = format!("{from}->{to}");
-                    o.metrics
-                        .counter_add("halo_retries", &[("link", link.as_str())], 1);
-                    let ctx = mg.trace_ctx();
-                    o.events.record(
-                        obs::EventKind::HaloRetry,
-                        ctx.map(|c| c.job_id),
-                        ctx.map_or("", |c| c.tenant.as_str()),
-                        &[("link", link.clone()), ("attempt", failures.to_string())],
-                    );
-                }
-                let backoff = policy.backoff_base_us << (failures - 1).min(6);
-                std::thread::sleep(std::time::Duration::from_micros(backoff));
-            }
-        }
-    }
-}
 
 /// Recovery-loop configuration.
 #[derive(Clone, Default)]

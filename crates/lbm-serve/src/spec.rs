@@ -11,13 +11,12 @@ use gpu_sim::{DeviceSpec, FaultPlan};
 use lbm_core::collision::Bgk;
 use lbm_core::geometry::{Geometry, NodeType};
 use lbm_core::Simulation;
-use lbm_gpu::{AaStSim, MrScheme, MrSim, Sim, SoloBody, SparseMrSim, StSim, StSparseSim};
-use lbm_lattice::{Lattice, D2Q9, D3Q19};
-use lbm_multi::sparse::check_slabs;
-use lbm_multi::{
-    MultiAaStSim, MultiMrSim, MultiSim, MultiSparseMrSim, MultiSparseStSim, MultiStSim,
-    ShardedBody, SlabDecomp,
+use lbm_gpu::multi::sparse::check_slabs;
+use lbm_gpu::multi::{
+    MultiAaStSim, MultiMrSim, MultiSparseMrSim, MultiSparseStSim, MultiStSim, SlabDecomp,
 };
+use lbm_gpu::{AaStSim, DriverBody, MrScheme, MrSim, Sim, SparseMrSim, StSim, StSparseSim};
+use lbm_lattice::{Lattice, D2Q9, D3Q19};
 use std::sync::Arc;
 
 /// Scheduling class of a job.
@@ -341,29 +340,11 @@ impl JobSpec {
         )
     }
 
-    /// Shared tail of every single-device arm of [`JobSpec::build`]: thread
-    /// budget, fault plan, monitor, initial condition, then erase the
-    /// concrete type.
-    fn solo<B: SoloBody + Send + 'static>(
+    /// Shared tail of every arm of [`JobSpec::build`]: thread budget, fault
+    /// plan, monitor, initial condition, then erase the concrete type.
+    fn host<B: DriverBody + Send + 'static>(
         &self,
         sim: Sim<B>,
-        cpu_threads: usize,
-    ) -> Box<dyn Simulation + Send> {
-        let mut s = sim.with_cpu_threads(cpu_threads);
-        if let Some(plan) = &self.fault_plan {
-            s = s.with_fault_plan(plan.clone());
-        }
-        if let Some(cfg) = self.monitor {
-            s = s.with_monitor(cfg);
-        }
-        s.init_with(JobSpec::init);
-        Box::new(s)
-    }
-
-    /// [`JobSpec::solo`] for the sharded host.
-    fn sharded<B: ShardedBody + Send + 'static>(
-        &self,
-        sim: MultiSim<B>,
         cpu_threads: usize,
     ) -> Box<dyn Simulation + Send> {
         let mut s = sim.with_cpu_threads(cpu_threads);
@@ -410,38 +391,36 @@ impl JobSpec {
             _ => MrScheme::projective(),
         };
         match (self.pattern, self.devices) {
-            (Pattern::St, 1) => self.solo(StSim::<L, _>::new(dev, geom, bgk), cpu_threads),
-            (Pattern::St, n) => {
-                self.sharded(MultiStSim::<L, _>::new(dev, geom, bgk, n), cpu_threads)
-            }
-            (Pattern::AaSt, 1) => self.solo(AaStSim::<L, _>::new(dev, geom, bgk), cpu_threads),
+            (Pattern::St, 1) => self.host(StSim::<L, _>::new(dev, geom, bgk), cpu_threads),
+            (Pattern::St, n) => self.host(MultiStSim::<L, _>::new(dev, geom, bgk, n), cpu_threads),
+            (Pattern::AaSt, 1) => self.host(AaStSim::<L, _>::new(dev, geom, bgk), cpu_threads),
             (Pattern::AaSt, n) => {
-                self.sharded(MultiAaStSim::<L, _>::new(dev, geom, bgk, n), cpu_threads)
+                self.host(MultiAaStSim::<L, _>::new(dev, geom, bgk, n), cpu_threads)
             }
             // validate() rejects devices > 1 for the twist pattern.
-            (Pattern::MrTwist, _) => self.solo(
+            (Pattern::MrTwist, _) => self.host(
                 MrSim::<L>::new(dev, geom, scheme, tau).with_twist(),
                 cpu_threads,
             ),
             (Pattern::SparseSt, 1) => {
-                self.solo(StSparseSim::<L, _>::new(dev, geom, bgk), cpu_threads)
+                self.host(StSparseSim::<L, _>::new(dev, geom, bgk), cpu_threads)
             }
-            (Pattern::SparseSt, n) => self.sharded(
+            (Pattern::SparseSt, n) => self.host(
                 MultiSparseStSim::<L, _>::new(dev, geom, bgk, n),
                 cpu_threads,
             ),
             (Pattern::SparseMr, 1) => {
-                self.solo(SparseMrSim::<L>::new(dev, geom, scheme, tau), cpu_threads)
+                self.host(SparseMrSim::<L>::new(dev, geom, scheme, tau), cpu_threads)
             }
-            (Pattern::SparseMr, n) => self.sharded(
+            (Pattern::SparseMr, n) => self.host(
                 MultiSparseMrSim::<L>::new(dev, geom, scheme, tau, n),
                 cpu_threads,
             ),
             (Pattern::MrP | Pattern::MrR, 1) => {
-                self.solo(MrSim::<L>::new(dev, geom, scheme, tau), cpu_threads)
+                self.host(MrSim::<L>::new(dev, geom, scheme, tau), cpu_threads)
             }
             (Pattern::MrP | Pattern::MrR, n) => {
-                self.sharded(MultiMrSim::<L>::new(dev, geom, scheme, tau, n), cpu_threads)
+                self.host(MultiMrSim::<L>::new(dev, geom, scheme, tau, n), cpu_threads)
             }
         }
     }

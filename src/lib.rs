@@ -50,7 +50,6 @@ pub mod prelude {
     pub use lbm_core::{Simulation, StepError};
     pub use lbm_gpu::{
         AaStSim, MrScheme, MrSim2D, MrSim3D, SparseMrSim2D, SparseMrSim3D, StSim, StSparseSim,
-        StStream,
     };
     pub use lbm_lattice::{Lattice, D2Q9, D3Q15, D3Q19, D3Q27, D3Q39};
     pub use lbm_multi::{

@@ -1,5 +1,5 @@
 //! One contract, every driver: the behaviour the `lbm_gpu::driver` chassis
-//! and its `lbm-multi` twin promise, checked by a single generic routine
+//! promises on one device and on a ring, checked by a single generic routine
 //! over a table of all twelve drivers × {D2Q9, D3Q19 where defined} plus
 //! the twist / double-buffer / two-row-shift storage variants.
 //!
@@ -23,25 +23,24 @@
 
 use gpu_sim::memory::Tally;
 use gpu_sim::profiler::Profiler;
-use gpu_sim::{DeviceSpec, FaultPlan};
+use gpu_sim::{DeviceSpec, FaultPlan, Gpu};
 use lbm_core::collision::{Bgk, Projective};
 use lbm_core::geometry::{Geometry, NodeType};
 use lbm_core::io::{fnv1a, CheckpointError};
 use lbm_core::{Simulation, StepError};
+use lbm_gpu::multi::{
+    HaloRetryPolicy, MultiAaStSim, MultiMrSim2D, MultiMrSim3D, MultiSparseMrSim, MultiSparseStSim,
+    MultiStSim, OverlapStats, Ring,
+};
 use lbm_gpu::{
-    AaStSim, MrScheme, MrSim2D, MrSim3D, Sim, SoloBody, SparseMrSim2D, SparseMrSim3D, StSim,
+    AaStSim, DriverBody, MrScheme, MrSim2D, MrSim3D, Sim, SparseMrSim2D, SparseMrSim3D, StSim,
     StSparseSim,
 };
 use lbm_lattice::{D2Q9, D3Q19};
-use lbm_multi::recovery::HaloRetryPolicy;
-use lbm_multi::{
-    MultiAaStSim, MultiMrSim2D, MultiMrSim3D, MultiSim, MultiSparseMrSim, MultiSparseStSim,
-    MultiStSim, OverlapStats, ShardedBody,
-};
 use obs::{Metric, MonitorConfig, Obs, PhysicsMonitor, TraceCtx};
 use std::sync::Arc;
 
-/// What the contract needs beyond [`Simulation`], implemented once per host.
+/// What the contract needs beyond [`Simulation`].
 trait Host: Simulation + Send {
     fn run_n(&mut self, n: usize);
     fn label(&self) -> &'static str;
@@ -55,36 +54,34 @@ trait Host: Simulation + Send {
     fn ledger(&self) -> Vec<u64>;
 }
 
-impl<B: SoloBody + Send> Host for Sim<B> {
-    fn run_n(&mut self, n: usize) {
-        self.run(n)
+/// The two answers only one kind of device has, read off the host.
+trait Probe: Sized {
+    fn bpf<B: DriverBody<Dev = Self>>(sim: &Sim<B>) -> Option<f64>;
+    fn link_bytes<B: DriverBody<Dev = Self>>(sim: &Sim<B>) -> Option<u64>;
+}
+
+impl Probe for Gpu {
+    fn bpf<B: DriverBody<Dev = Gpu>>(sim: &Sim<B>) -> Option<f64> {
+        Some(sim.measured_bpf())
     }
-    fn label(&self) -> &'static str {
-        self.pattern_label()
-    }
-    fn physics_monitor(&self) -> Option<&PhysicsMonitor> {
-        self.monitor()
-    }
-    fn bpf(&self) -> Option<f64> {
-        Some(self.measured_bpf())
-    }
-    fn link_bytes(&self) -> Option<u64> {
+    fn link_bytes<B: DriverBody<Dev = Gpu>>(_: &Sim<B>) -> Option<u64> {
         None
-    }
-    fn ledger(&self) -> Vec<u64> {
-        let t = self.traffic();
-        vec![
-            t.reads,
-            t.writes,
-            t.bytes_read,
-            t.bytes_written,
-            t.dram_bytes_read,
-            t.l2_read_hits,
-        ]
     }
 }
 
-impl<B: ShardedBody + Send> Host for MultiSim<B> {
+impl Probe for Ring {
+    fn bpf<B: DriverBody<Dev = Ring>>(_: &Sim<B>) -> Option<f64> {
+        None
+    }
+    fn link_bytes<B: DriverBody<Dev = Ring>>(sim: &Sim<B>) -> Option<u64> {
+        Some(sim.interconnect().total_link_bytes())
+    }
+}
+
+impl<B: DriverBody + Send> Host for Sim<B>
+where
+    B::Dev: Probe,
+{
     fn run_n(&mut self, n: usize) {
         self.run(n)
     }
@@ -95,27 +92,13 @@ impl<B: ShardedBody + Send> Host for MultiSim<B> {
         self.monitor()
     }
     fn bpf(&self) -> Option<f64> {
-        None
+        B::Dev::bpf(self)
     }
     fn link_bytes(&self) -> Option<u64> {
-        Some(self.interconnect().total_link_bytes())
+        B::Dev::link_bytes(self)
     }
     fn ledger(&self) -> Vec<u64> {
-        self.overlap().map_or(Vec::new(), |s| {
-            let mut w = vec![s.steps];
-            w.extend(
-                [
-                    s.boundary_s,
-                    s.interior_s,
-                    s.exchange_s,
-                    s.bc_s,
-                    s.hidden_s,
-                    s.total_s,
-                ]
-                .map(f64::to_bits),
-            );
-            w
-        })
+        Sim::ledger(self)
     }
 }
 
@@ -188,41 +171,17 @@ fn duct() -> Geometry {
     g
 }
 
-fn solo<B: SoloBody + Send + 'static>(
-    name: &'static str,
-    label: &'static str,
-    kernel: &'static str,
-    lockstep: bool,
-    mk: fn() -> Sim<B>,
-) -> Row {
-    Row {
-        name,
-        mk: Box::new(move |mon| {
-            let mut s = mk().with_cpu_threads(1);
-            if let Some(cfg) = mon {
-                s = s.with_monitor(cfg);
-            }
-            s.init_with(shear_init);
-            Box::new(s)
-        }),
-        label,
-        kernel,
-        lockstep,
-        halo_spans: 0,
-        flavor: "",
-        guards: &[],
-        selector: None,
-    }
-}
-
-fn sharded<B: ShardedBody + Send + 'static>(
+fn host<B: DriverBody + Send + 'static>(
     name: &'static str,
     label: &'static str,
     kernel: &'static str,
     lockstep: bool,
     halo_spans: usize,
-    mk: fn() -> MultiSim<B>,
-) -> Row {
+    mk: fn() -> Sim<B>,
+) -> Row
+where
+    B::Dev: Probe,
+{
     Row {
         name,
         mk: Box::new(move |mon| {
@@ -241,6 +200,17 @@ fn sharded<B: ShardedBody + Send + 'static>(
         guards: &[],
         selector: None,
     }
+}
+
+/// A row of a single-device driver: nothing to exchange.
+fn solo<B: DriverBody<Dev = Gpu> + Send + 'static>(
+    name: &'static str,
+    label: &'static str,
+    kernel: &'static str,
+    lockstep: bool,
+    mk: fn() -> Sim<B>,
+) -> Row {
+    host(name, label, kernel, lockstep, 0, mk)
 }
 
 fn v() -> DeviceSpec {
@@ -320,7 +290,7 @@ fn table() -> Vec<Row> {
             SparseMrSim3D::new(v(), duct(), p(), 0.8)
         })
         .blob("sparse-mr", &[8, 6, 6, 10, 128]),
-        sharded(
+        host(
             "multi-st/d2q9",
             "multi-st",
             "st-bulk-span",
@@ -329,7 +299,7 @@ fn table() -> Vec<Row> {
             || MultiStSim::<D2Q9, _>::new(v(), channel(), Bgk::new(0.8), 2),
         )
         .blob("multi-st", &[16, 8, 1, 9, 2]),
-        sharded(
+        host(
             "multi-st/d3q19",
             "multi-st",
             "st-bulk-span",
@@ -338,7 +308,7 @@ fn table() -> Vec<Row> {
             || MultiStSim::<D3Q19, _>::new(v(), duct(), Bgk::new(0.8), 2),
         )
         .blob("multi-st", &[8, 6, 6, 19, 2]),
-        sharded(
+        host(
             "multi-aa/d2q9",
             "multi-aa-st",
             "aa-stream",
@@ -347,7 +317,7 @@ fn table() -> Vec<Row> {
             || MultiAaStSim::<D2Q9, _>::new(v(), channel(), Bgk::new(0.8), 2),
         )
         .blob("aa-st-multi+odd", &[16, 8, 1, 9, 2]),
-        sharded(
+        host(
             "multi-aa/d3q19",
             "multi-aa-st",
             "aa-stream",
@@ -356,15 +326,15 @@ fn table() -> Vec<Row> {
             || MultiAaStSim::<D3Q19, _>::new(v(), duct(), Bgk::new(0.8), 2),
         )
         .blob("aa-st-multi+odd", &[8, 6, 6, 19, 2]),
-        sharded("multi-mr2d", "multi-mr2d", "mr2d-p", true, STEPS, || {
+        host("multi-mr2d", "multi-mr2d", "mr2d-p", true, STEPS, || {
             MultiMrSim2D::<D2Q9>::new(v(), channel(), p(), 0.8, 3)
         })
         .blob("multi-mr2d", &[16, 8, 6, 3]),
-        sharded("multi-mr3d", "multi-mr3d", "mr3d-p", true, STEPS, || {
+        host("multi-mr3d", "multi-mr3d", "mr3d-p", true, STEPS, || {
             MultiMrSim3D::<D3Q19>::new(v(), duct(), p(), 0.8, 2)
         })
         .blob("multi-mr3d", &[8, 6, 6, 10, 2]),
-        sharded(
+        host(
             "multi-sparse-st/d2q9",
             "multi-sparse-st",
             "st-sparse",
@@ -373,7 +343,7 @@ fn table() -> Vec<Row> {
             || MultiSparseStSim::<D2Q9, _>::new(v(), channel(), Bgk::new(0.8), 2),
         )
         .blob("multi-sparse-st", &[16, 8, 1, 9, 2]),
-        sharded(
+        host(
             "multi-sparse-st/d3q19",
             "multi-sparse-st",
             "st-sparse",
@@ -382,7 +352,7 @@ fn table() -> Vec<Row> {
             || MultiSparseStSim::<D3Q19, _>::new(v(), duct(), Bgk::new(0.8), 2),
         )
         .blob("multi-sparse-st", &[8, 6, 6, 19, 2]),
-        sharded(
+        host(
             "multi-sparse-mr/d2q9",
             "multi-sparse-mr",
             "mr-sparse",
@@ -391,7 +361,7 @@ fn table() -> Vec<Row> {
             || MultiSparseMrSim::<D2Q9>::new(v(), channel(), p(), 0.8, 2),
         )
         .blob("multi-sparse-mr", &[16, 8, 1, 6, 2]),
-        sharded(
+        host(
             "multi-sparse-mr/d3q19",
             "multi-sparse-mr",
             "mr-sparse",
@@ -644,10 +614,10 @@ fn one_shard_is_the_solo_driver() {
         }
         out
     }
-    fn check<A: SoloBody + Send + 'static, B: ShardedBody + Send + 'static>(
+    fn check<A: DriverBody<Dev = Gpu>, B: DriverBody<Dev = Ring>>(
         name: &str,
         solo: Sim<A>,
-        one: MultiSim<B>,
+        one: Sim<B>,
     ) {
         let (mut solo, mut one) = (solo.with_cpu_threads(1), one.with_cpu_threads(1));
         solo.init_with(shear_init);

@@ -12,8 +12,8 @@
 //! lengths (`len % LANES != 0`), moving walls, interior obstacles, and
 //! inlet/outlet boundaries, and compare FNV field checksums.
 
-use lbm_mr::kernels::MrSim;
-use lbm_mr::multi::MultiMrSim;
+use lbm_mr::kernels::multi::{MultiMrSim, Ring};
+use lbm_mr::kernels::{DriverBody, MrSim, Sim, SoloBody};
 use lbm_mr::prelude::*;
 
 /// A smooth, non-trivial initial field (same shape the multi-device
@@ -39,17 +39,9 @@ fn devices() -> [DeviceSpec; 2] {
 fn st_bgk_vectorized_matches_scalar() {
     for dev in devices() {
         let geom = Geometry::cavity_2d(13, 0.08);
-        let mut fast: StSim<D2Q9, _> = StSim::new(dev.clone(), geom.clone(), Bgk::new(0.8));
-        let mut slow: StSim<D2Q9, _> = StSim::new(dev, geom, Bgk::new(0.8)).with_scalar_kernels();
-        fast.init_with(shear_init);
-        slow.init_with(shear_init);
-        fast.run(6);
-        slow.run(6);
-        assert_eq!(
-            fast.field_checksum(),
-            slow.field_checksum(),
-            "ST vectorized BGK diverged from scalar"
-        );
+        let fast: StSim<D2Q9, _> = StSim::new(dev.clone(), geom.clone(), Bgk::new(0.8));
+        let slow: StSim<D2Q9, _> = StSim::new(dev, geom, Bgk::new(0.8)).with_scalar_kernels();
+        assert_same_run(fast, slow, 6);
     }
 }
 
@@ -58,42 +50,54 @@ fn st_bgk_vectorized_matches_scalar() {
 #[test]
 fn st_projective_staging_is_transparent() {
     let geom = Geometry::channel_2d(20, 10, 0.04);
-    let mut fast: StSim<D2Q9, _> =
-        StSim::new(DeviceSpec::v100(), geom.clone(), Projective::new(0.8));
-    let mut slow: StSim<D2Q9, _> =
+    let fast: StSim<D2Q9, _> = StSim::new(DeviceSpec::v100(), geom.clone(), Projective::new(0.8));
+    let slow: StSim<D2Q9, _> =
         StSim::new(DeviceSpec::v100(), geom, Projective::new(0.8)).with_scalar_kernels();
-    fast.init_with(shear_init);
-    slow.init_with(shear_init);
-    fast.run(6);
-    slow.run(6);
-    assert_eq!(fast.field_checksum(), slow.field_checksum());
+    assert_same_run(fast, slow, 6);
 }
 
-/// Dense MR on lattice `L`, both regularization flavors, on each of `devs`:
-/// the chunked unpack+collide+reconstruct with tail replication must match
-/// the scalar chain bitwise. One body for every lattice — the walker is one.
-fn assert_mr_vectorized_matches_scalar<L: Lattice>(
+/// `fast` and `slow` are one driver built twice — on either host — the
+/// second forced onto the scalar kernels: same fields after `steps` steps.
+fn assert_same_run<B: DriverBody>(mut fast: Sim<B>, mut slow: Sim<B>, steps: usize) {
+    fast.init_with(shear_init);
+    slow.init_with(shear_init);
+    fast.run(steps);
+    slow.run(steps);
+    assert_eq!(
+        fast.field_checksum(),
+        slow.field_checksum(),
+        "{} vectorized diverged from scalar",
+        fast.pattern_label()
+    );
+}
+
+/// An MR driver on lattice `L`, solo or sharded, both regularization
+/// flavors: the chunked unpack+collide+reconstruct with tail replication
+/// must match the scalar chain bitwise. One body for every lattice — the
+/// walker is one — and one helper for both hosts.
+fn assert_mr_vectorized_matches_scalar<L: Lattice, B: DriverBody>(
+    mk: impl Fn(MrScheme) -> Sim<B>,
+    scalar: fn(Sim<B>) -> Sim<B>,
+    steps: usize,
+) {
+    for scheme in [MrScheme::projective(), MrScheme::recursive::<L>()] {
+        assert_same_run(mk(scheme.clone()), scalar(mk(scheme)), steps);
+    }
+}
+
+/// Dense solo MR on each of `devs`.
+fn assert_solo_mr_vectorized_matches_scalar<L: Lattice>(
     geom: &Geometry,
     devs: &[DeviceSpec],
     tau: f64,
     steps: usize,
 ) {
     for dev in devs {
-        for scheme in [MrScheme::projective(), MrScheme::recursive::<L>()] {
-            let mut fast: MrSim2D<L> = MrSim2D::new(dev.clone(), geom.clone(), scheme.clone(), tau);
-            let mut slow: MrSim2D<L> =
-                MrSim2D::new(dev.clone(), geom.clone(), scheme, tau).with_scalar_kernels();
-            fast.init_with(shear_init);
-            slow.init_with(shear_init);
-            fast.run(steps);
-            slow.run(steps);
-            assert_eq!(
-                fast.field_checksum(),
-                slow.field_checksum(),
-                "{} MR vectorized diverged from scalar",
-                L::NAME
-            );
-        }
+        assert_mr_vectorized_matches_scalar::<L, _>(
+            |scheme| MrSim::<L>::new(dev.clone(), geom.clone(), scheme, tau),
+            Sim::with_scalar_kernels,
+            steps,
+        );
     }
 }
 
@@ -103,24 +107,18 @@ fn assert_multi_mr_vectorized_matches_scalar<L: Lattice>(
     dev: DeviceSpec,
     steps: usize,
 ) {
-    for scheme in [MrScheme::projective(), MrScheme::recursive::<L>()] {
-        let mut fast: MultiMrSim<L> =
-            MultiMrSim::new(dev.clone(), geom.clone(), scheme.clone(), 0.8, 2);
-        let mut slow: MultiMrSim<L> =
-            MultiMrSim::new(dev.clone(), geom.clone(), scheme, 0.8, 2).with_scalar_kernels();
-        fast.init_with(shear_init);
-        slow.init_with(shear_init);
-        fast.run(steps);
-        slow.run(steps);
-        assert_eq!(fast.field_checksum(), slow.field_checksum());
-    }
+    assert_mr_vectorized_matches_scalar::<L, _>(
+        |scheme| MultiMrSim::<L>::new(dev.clone(), geom.clone(), scheme, 0.8, 2),
+        Sim::with_scalar_kernels,
+        steps,
+    );
 }
 
 /// 2D MR on a cavity with a moving lid and odd row lengths.
 #[test]
 fn mr2d_vectorized_matches_scalar() {
     let geom = Geometry::cavity_2d(13, 0.08);
-    assert_mr_vectorized_matches_scalar::<D2Q9>(&geom, &devices(), 0.8, 6);
+    assert_solo_mr_vectorized_matches_scalar::<D2Q9>(&geom, &devices(), 0.8, 6);
 }
 
 /// 2D MR around an interior obstacle: runs split at the cylinder, so the
@@ -128,7 +126,7 @@ fn mr2d_vectorized_matches_scalar() {
 #[test]
 fn mr2d_obstacle_segments_match() {
     let geom = Geometry::walls_y_periodic_x(24, 9).with_cylinder(7.5, 4.5, 2.2);
-    assert_mr_vectorized_matches_scalar::<D2Q9>(&geom, &[DeviceSpec::v100()], 0.7, 6);
+    assert_solo_mr_vectorized_matches_scalar::<D2Q9>(&geom, &[DeviceSpec::v100()], 0.7, 6);
 }
 
 /// 3D MR on the paper's duct (inlet/outlet + FD boundary rebuild), both
@@ -136,7 +134,7 @@ fn mr2d_obstacle_segments_match() {
 #[test]
 fn mr3d_vectorized_matches_scalar() {
     let geom = Geometry::channel_3d(12, 6, 6, 0.04);
-    assert_mr_vectorized_matches_scalar::<D3Q19>(&geom, &devices(), 0.8, 4);
+    assert_solo_mr_vectorized_matches_scalar::<D3Q19>(&geom, &devices(), 0.8, 4);
 }
 
 /// Sharded ST: the vectorized kernels run inside each shard's strip and
@@ -144,15 +142,11 @@ fn mr3d_vectorized_matches_scalar() {
 #[test]
 fn multi_st_vectorized_matches_scalar() {
     let geom = Geometry::channel_2d(20, 10, 0.04);
-    let mut fast: MultiStSim<D2Q9, _> =
+    let fast: MultiStSim<D2Q9, _> =
         MultiStSim::new(DeviceSpec::v100(), geom.clone(), Bgk::new(0.8), 2);
-    let mut slow: MultiStSim<D2Q9, _> =
+    let slow: MultiStSim<D2Q9, _> =
         MultiStSim::new(DeviceSpec::v100(), geom, Bgk::new(0.8), 2).with_scalar_kernels();
-    fast.init_with(shear_init);
-    slow.init_with(shear_init);
-    fast.run(6);
-    slow.run(6);
-    assert_eq!(fast.field_checksum(), slow.field_checksum());
+    assert_same_run(fast, slow, 6);
 }
 
 /// Sharded 2D MR, both flavors.
@@ -776,10 +770,7 @@ fn sharded_sparse_cuts_through_rock_match_solo() {
 type SoloRow = (u64, [u64; 6], u64, usize);
 
 /// Seven steps of a dense MR driver from `shear_init`, every launch pooled.
-fn solo_ledger_row<B: lbm_mr::kernels::SoloBody>(
-    sim: lbm_mr::kernels::Sim<B>,
-    threads: usize,
-) -> SoloRow {
+fn solo_ledger_row<B: SoloBody>(sim: Sim<B>, threads: usize) -> SoloRow {
     let mut sim = sim.with_cpu_threads(threads).with_parallel_threshold(0);
     sim.init_with(shear_init);
     sim.run(7);
@@ -807,9 +798,9 @@ fn solo_ledger_row<B: lbm_mr::kernels::SoloBody>(
 type ShardedRow = ([u64; 4], usize, [u64; 5]);
 
 /// `steps` steps of a sharded driver from `shear_init`, every launch pooled.
-fn sharded_row<B: lbm_mr::multi::ShardedBody>(
-    sim: lbm_mr::multi::MultiSim<B>,
-    halo: impl Fn(&lbm_mr::multi::MultiSim<B>) -> u64,
+fn sharded_row<B: DriverBody<Dev = Ring>>(
+    sim: Sim<B>,
+    halo: impl Fn(&Sim<B>) -> u64,
     threads: usize,
     steps: usize,
 ) -> ShardedRow {
@@ -835,9 +826,9 @@ fn sharded_row<B: lbm_mr::multi::ShardedBody>(
 
 /// The four words [`dense_mr_matches_the_recorded_ledger`] holds its sharded
 /// rows to, after seven steps.
-fn sharded_ledger_row<B: lbm_mr::multi::ShardedBody>(
-    sim: lbm_mr::multi::MultiSim<B>,
-    halo: impl Fn(&lbm_mr::multi::MultiSim<B>) -> u64,
+fn sharded_ledger_row<B: DriverBody<Dev = Ring>>(
+    sim: Sim<B>,
+    halo: impl Fn(&Sim<B>) -> u64,
     threads: usize,
 ) -> [u64; 4] {
     sharded_row(sim, halo, threads, 7).0

@@ -16,9 +16,10 @@ use lbm_core::{Simulation, StepError};
 use lbm_gpu::scheme::MrScheme;
 use lbm_gpu::{AaStSim, MrSim2D, MrSim3D, SparseMrSim2D, StSim, StSparseSim};
 use lbm_lattice::{D2Q9, D3Q19};
-use lbm_multi::recovery::{run_with_recovery, HaloRetryPolicy, RecoveryConfig, RecoveryError};
+use lbm_multi::recovery::{run_with_recovery, RecoveryConfig, RecoveryError};
 use lbm_multi::{
-    MultiAaStSim, MultiMrSim2D, MultiMrSim3D, MultiSparseMrSim, MultiSparseStSim, MultiStSim,
+    HaloRetryPolicy, MultiAaStSim, MultiMrSim2D, MultiMrSim3D, MultiSparseMrSim, MultiSparseStSim,
+    MultiStSim,
 };
 use std::sync::Arc;
 
@@ -779,6 +780,105 @@ fn retry_budget_exhaustion_surfaces_transient_error() {
     ));
     assert_eq!(sim.halo_retries(), 1, "one retry before giving up");
     assert_eq!(sim.steps(), 0);
+}
+
+/// A transfer that fails *past the first* of its exchange, with no
+/// in-transfer retry to absorb it: the step fails with the earlier transfers
+/// already on the links, and the retried step must not send those again —
+/// the interconnect carries every halo byte exactly once, and the fields
+/// and the modeled timing are the fault-free run's.
+#[test]
+fn step_level_retry_tallies_each_transfer_once() {
+    let geom = Geometry::walls_y_periodic_x(16, 8);
+    let no_retry = HaloRetryPolicy {
+        max_attempts: 1,
+        backoff_base_us: 1,
+    };
+    let link_2_to_1_fails_after = |skip: u64| {
+        let mut plan = FaultPlan::new();
+        plan.fail_link_after(2, 1, skip, 1);
+        Arc::new(plan)
+    };
+    let down = |e: LinkError| {
+        matches!(
+            e,
+            LinkError::Down {
+                from: 2,
+                to: 1,
+                permanent: false
+            }
+        )
+    };
+
+    // The shared whole-node exchange. Cuts are walked in order, so 2 -> 1 is
+    // the fourth transfer of a step; the first one through is step 0's.
+    let mk = || {
+        let mut s: MultiMrSim2D<D2Q9> = MultiMrSim2D::new(
+            DeviceSpec::v100(),
+            geom.clone(),
+            MrScheme::projective(),
+            0.8,
+            4,
+        )
+        .with_cpu_threads(4);
+        s.init_with(shear_init);
+        s
+    };
+    let mut clean = mk();
+    clean.run(3);
+    let mut sim = mk()
+        .with_halo_retry(no_retry)
+        .with_fault_plan(link_2_to_1_fails_after(1));
+    let per_step = sim.halo_bytes_per_step();
+    sim.try_step().unwrap();
+    assert!(down(sim.try_step().unwrap_err()));
+    assert_eq!(sim.steps(), 1, "a failed step must not count");
+    assert!(
+        sim.interconnect().total_link_bytes() > per_step,
+        "the fault must land past the first transfer of its exchange"
+    );
+    sim.try_step().unwrap();
+    sim.try_step().unwrap();
+    assert_eq!((sim.steps(), sim.halo_retries()), (3, 0));
+    assert_eq!(
+        sim.interconnect().total_link_bytes(),
+        3 * per_step,
+        "the retried step sent a transfer twice"
+    );
+    assert_eq!(checksum_of(&sim), checksum_of(&clean));
+    assert_eq!(sim.stats(), clean.stats());
+
+    // The AA slot exchange, failing in the pre-exchange of step 2 (its
+    // fourth transfer; 2 -> 1 is sent twice per stream half-step) and in its
+    // post-exchange (the third), where the step is parked.
+    let mk = || {
+        let mut s: MultiAaStSim<D2Q9, _> =
+            MultiAaStSim::new(DeviceSpec::v100(), geom.clone(), Projective::new(0.8), 3)
+                .with_cpu_threads(4);
+        s.init_with(shear_init);
+        s
+    };
+    let mut clean = mk();
+    clean.run(4);
+    for skip in [2, 3] {
+        let mut sim = mk()
+            .with_halo_retry(no_retry)
+            .with_fault_plan(link_2_to_1_fails_after(skip));
+        sim.run(2);
+        let sent = sim.interconnect().total_link_bytes();
+        assert!(down(sim.try_step().unwrap_err()));
+        assert_eq!(sim.steps(), 2);
+        assert!(sim.interconnect().total_link_bytes() > sent, "skip {skip}");
+        sim.try_step().unwrap();
+        sim.try_step().unwrap();
+        assert_eq!(sim.steps(), 4);
+        assert_eq!(
+            sim.interconnect().total_link_bytes(),
+            2 * sim.halo_bytes_per_cycle(),
+            "skip {skip}: the retried step sent a transfer twice"
+        );
+        assert_eq!(checksum_of(&sim), checksum_of(&clean), "skip {skip}");
+    }
 }
 
 /// A fault that re-fires on every replay exhausts the rollback budget and
