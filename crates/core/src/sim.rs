@@ -8,10 +8,10 @@
 //! `Box<dyn Simulation + Send>` without knowing its pattern, lattice, or
 //! sharding.
 //!
-//! The trait lives here (below `gpu-sim` in the crate graph) and has two
-//! implementations, one per driver host: `lbm_gpu::Sim<B>` for every
-//! single-device pattern body and `lbm_multi::MultiSim<B>` for every
-//! sharded one (see `lbm_gpu::driver`). Interconnect failures surface as
+//! The trait lives here (below `gpu-sim` in the crate graph) and has one
+//! implementation, on the one driver host: `lbm_gpu::Sim<B>`, for every
+//! single-device pattern body and for the slab decomposition of one alike
+//! (see `lbm_gpu::driver`). Interconnect failures surface as
 //! the substrate-agnostic [`StepError`] — a mirror of `gpu-sim`'s
 //! `LinkError` that this crate cannot name directly.
 

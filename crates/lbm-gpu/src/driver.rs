@@ -86,8 +86,8 @@ pub struct Frame {
 }
 
 /// What the host asks of the device, or ring of devices, under it: the
-/// builder calls `Gpu` and `MultiGpu` both have (and to be sent to the
-/// executor thread of a served job with its driver).
+/// builder calls `Gpu` and `MultiGpu` both have. `Send + 'static` because a
+/// served job's driver moves to its executor thread, device included.
 pub(crate) trait Device: Sized + Send + 'static {
     fn with_cpu_threads(self, n: usize) -> Self;
     fn with_parallel_threshold(self, items: usize) -> Self;
@@ -388,7 +388,7 @@ pub fn fill(buf: &GlobalBuffer<f64>, data: &[f64]) {
 
 /// The `driver/step` span of step `t`, carrying the fleet job args when a
 /// trace context is attached.
-pub fn step_span<'a>(obs: &'a obs::Obs, t: u64, ctx: Option<&obs::TraceCtx>) -> obs::Span<'a> {
+fn step_span<'a>(obs: &'a obs::Obs, t: u64, ctx: Option<&obs::TraceCtx>) -> obs::Span<'a> {
     let mut args = vec![("t", t.to_string())];
     if let Some(ctx) = ctx {
         ctx.append_args(&mut args);
@@ -402,11 +402,11 @@ pub struct DriverCore {
     tally: Tally,
     fluid_nodes: u64,
     /// Hub the step span, monitor gauges and instants go to.
-    pub obs: Option<Arc<obs::Obs>>,
+    obs: Option<Arc<obs::Obs>>,
     /// Mirror of every recorded launch (per-kernel byte counts and B/F).
-    pub profiler: Option<Arc<Profiler>>,
+    profiler: Option<Arc<Profiler>>,
     /// Sampled every `cadence` completed steps; rolled back by a restore.
-    pub monitor: Option<obs::PhysicsMonitor>,
+    monitor: Option<obs::PhysicsMonitor>,
 }
 
 impl DriverCore {
@@ -420,16 +420,6 @@ impl DriverCore {
             profiler: None,
             monitor: None,
         }
-    }
-
-    /// Completed timesteps.
-    pub fn steps(&self) -> u64 {
-        self.t
-    }
-
-    /// Fluid-like nodes of the domain — the unit of MFLUPS and of B/F.
-    pub fn fluid_nodes(&self) -> u64 {
-        self.fluid_nodes
     }
 
     /// Whether the attached physics monitor (if any) has no violations.
@@ -641,6 +631,7 @@ impl<B: DriverBody> Sim<B> {
     /// the link traffic of a ring.
     pub fn with_profiler(mut self, p: Arc<Profiler>) -> Self {
         self.dev = self.dev.with_link_profiler(p.clone());
+        // Read by `DriverCore::record`, which only a solo `advance` calls.
         self.core.profiler = Some(p);
         self
     }

@@ -15,16 +15,27 @@
 //!   [`sparse_mr`] — the fluid-compacted (indirect-addressing) ST and MR.
 //! * [`driver`] — the chassis every driver shares: a [`DriverCore`]
 //!   (step counter, tally, obs hub, monitor, checkpoint envelope), the
-//!   [`DriverBody`] a pattern implements, and the generic host [`Sim`] that
-//!   carries every common builder/accessor and the one `Simulation` impl.
+//!   [`DriverBody`] a pattern implements, and the **one** generic host
+//!   [`Sim`] that carries every common builder/accessor and the one
+//!   `Simulation` impl — for a body on one [`gpu_sim::Gpu`] and for a slab
+//!   decomposition on a ring alike. What only one kind of device can answer
+//!   sits in `impl` blocks bounded by the body's device type: `traffic` /
+//!   `measured_bpf` on a `Gpu`; `try_step`, `with_halo_retry`,
+//!   `halo_retries`, `interconnect`, `num_devices` on a [`multi::Ring`].
 //!   `StSim`, `AaStSim`, `MrSim` (also named `MrSim2D` / `MrSim3D`),
 //!   `StSparseSim` and `SparseMrSim` are aliases of `Sim<body>`; each
 //!   pattern module keeps its storage, kernels, constructors and own
 //!   switches. A body computes the [`Owned`] x-span of its geometry —
-//!   everything on one device, a slab between ghost columns as a shard of
-//!   `lbm-multi` — and [`SlabBody`] is what it adds to be hosted there; how
-//!   a pattern's state is laid out, initialised, read back and checkpointed
-//!   is known to its module here and nowhere else.
+//!   everything on one device, a slab between ghost columns as a shard —
+//!   and how a pattern's state is laid out, initialised, read back and
+//!   checkpointed is known to its module here and nowhere else.
+//! * [`multi`] — sharding: [`multi::Slabs<B>`], the one sharded body (a
+//!   slab decomposition of single-device bodies `B`), its halo exchange and
+//!   overlap schedule, and the `Multi*Sim` aliases of `Sim<Slabs<body>>`.
+//!   It is a module of this crate and not a crate of its own because an
+//!   alias's inherent `MultiStSim::new(..)` can only be written in the
+//!   crate that defines `Sim`; the crate `lbm-multi` is left as the
+//!   recovery loop plus a re-export of these names for `benchmark/`.
 //! * [`boundary`] — the finite-difference inlet/outlet kernels for both
 //!   representations.
 //! * [`footprint`] — device-memory footprint accounting (§4.1's 35 % / 47 %

@@ -3,7 +3,7 @@
 //! `Q·8`, the paper's bandwidth argument extended to the interconnect
 //! (96 vs 144 bytes for D2Q9, 80 vs 152 for D3Q19).
 //!
-//! Every shard is an [`Mr`] on its slab ([`Mr::on_slab`]): the column walker
+//! Every shard is an [`Mr`] on its slab (`Mr::on_slab`): the column walker
 //! of [`crate::mr`] with a footprint chosen for the owned width, so one
 //! body serves every dimension. Two things are specific to the pattern, and
 //! both live with its storage. A shard stores two shift-0 moment lattices

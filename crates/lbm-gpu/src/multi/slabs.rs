@@ -17,7 +17,7 @@
 //!   cut transfer, the `(source node, destination node)` pairs of the
 //!   fluid-like nodes of the sender's edge column. Walls are never sent —
 //!   the update resolves solid neighbours from its own node.
-//! * **Schedule.** [`Slabs::two_phase`] is the overlap schedule of
+//! * **Schedule.** `Slabs::two_phase` is the overlap schedule of
 //!   [`super::stats`]: every shard's strips, the exchange of what they wrote
 //!   (modelled as concurrent with the interior), interiors, boundary
 //!   kernels, then the flip. A transfer is tallied on the interconnect
@@ -25,7 +25,7 @@
 //!   moves no data and records no bytes; no shard flips before every
 //!   transfer succeeded, so time `t` is intact and a retried step recomputes
 //!   bitwise the same; and the retry tallies only the transfers the failed
-//!   attempt did not get through ([`Slabs::sent`]), so the links carry every
+//!   attempt did not get through (`Slabs::sent`), so the links carry every
 //!   halo byte exactly once.
 //!
 //! The pattern modules next to this one add what is specific to a pattern:
@@ -95,13 +95,6 @@ pub struct Slabs<B> {
     label: &'static str,
 }
 
-impl<B> Slabs<B> {
-    /// Modeled overlap-schedule timing.
-    pub fn stats(&self) -> &OverlapStats {
-        &self.stats
-    }
-}
-
 impl<B: SlabBody> Slabs<B> {
     /// Shard `r` of `shards` was built on `decomp`'s slab `r`; `plan` is the
     /// exchange between them.
@@ -116,6 +109,11 @@ impl<B: SlabBody> Slabs<B> {
             parked: false,
             sent: 0,
         }
+    }
+
+    /// Modeled overlap-schedule timing.
+    pub fn stats(&self) -> &OverlapStats {
+        &self.stats
     }
 
     /// The shard owning global column `x`, and `x` in its local frame.

@@ -16,10 +16,8 @@
 
 pub mod recovery;
 
-pub use lbm_core::{Simulation, StepError};
-pub use lbm_gpu::multi::sparse;
 pub use lbm_gpu::multi::{
-    Cut, HaloRetryPolicy, HaloTransfer, MultiAaStSim, MultiMrSim, MultiMrSim2D, MultiMrSim3D,
-    MultiSparseMrSim, MultiSparseStSim, MultiStSim, OverlapStats, Slab, SlabDecomp, Slabs,
+    HaloRetryPolicy, MultiAaStSim, MultiMrSim2D, MultiMrSim3D, MultiSparseMrSim, MultiSparseStSim,
+    MultiStSim, OverlapStats, SlabDecomp,
 };
 pub use recovery::{run_with_recovery, RecoveryConfig, RecoveryError, RecoveryStats};

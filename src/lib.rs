@@ -3,15 +3,18 @@
 //! Facade crate for the workspace reproducing *"Moment Representation of
 //! Regularized Lattice Boltzmann Methods on NVIDIA and AMD GPUs"*
 //! (Valero-Lara, Vetter, Gounley, Randles — SC 2023). It re-exports the
-//! public API of the five member crates:
+//! public API of the member crates:
 //!
 //! * [`lattice`] — velocity sets, Hermite machinery, moment space;
 //! * [`core`] — collision operators, boundaries, reference solvers;
 //! * [`gpu`] — the software-GPU substrate (devices, kernels, traffic
 //!   ledger, roofline/efficiency models);
-//! * [`kernels`] — the ST and MR propagation patterns on that substrate;
-//! * [`multi`] — multi-device domain decomposition with moment-space
-//!   halo exchange over the simulated interconnect;
+//! * [`kernels`] — the ST and MR propagation patterns on that substrate,
+//!   the one driver host, and (`kernels::multi`) multi-device domain
+//!   decomposition with moment-space halo exchange over the simulated
+//!   interconnect;
+//! * [`multi`] — the checkpoint/rollback recovery loop (and the sharded
+//!   driver names under their former path);
 //! * [`serve`] — the multi-tenant simulation service: batched scheduling,
 //!   checkpoint-backed preemption, and per-tenant byte-denominated quotas
 //!   over every driver, including the in-place AA/twist patterns and the
@@ -48,14 +51,14 @@ pub mod prelude {
     pub use lbm_core::collision::{Bgk, Collision, Projective, Recursive};
     pub use lbm_core::{analytic, diagnostics, io, units, Geometry, NodeType, Solver};
     pub use lbm_core::{Simulation, StepError};
+    pub use lbm_gpu::multi::{
+        MultiAaStSim, MultiMrSim2D, MultiMrSim3D, MultiSparseMrSim, MultiSparseStSim, MultiStSim,
+        OverlapStats, SlabDecomp,
+    };
     pub use lbm_gpu::{
         AaStSim, MrScheme, MrSim2D, MrSim3D, SparseMrSim2D, SparseMrSim3D, StSim, StSparseSim,
     };
     pub use lbm_lattice::{Lattice, D2Q9, D3Q15, D3Q19, D3Q27, D3Q39};
-    pub use lbm_multi::{
-        MultiAaStSim, MultiMrSim2D, MultiMrSim3D, MultiSparseMrSim, MultiSparseStSim, MultiStSim,
-        OverlapStats, SlabDecomp,
-    };
     pub use lbm_serve::{JobSpec, Serve, ServeConfig, TenantQuota};
     pub use obs::{
         BenchRecord, BenchRow, MetricsRegistry, MonitorConfig, Obs, PhysicsMonitor, Tracer,
