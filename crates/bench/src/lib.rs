@@ -11,6 +11,7 @@
 //! `benchmark/` only.
 
 #![allow(clippy::needless_range_loop)] // indexed loops are the idiom in stencil kernels
+pub mod codegen_probe;
 use gpu_sim::efficiency::{modeled_mflups, Pattern};
 use gpu_sim::DeviceSpec;
 use lbm_core::collision::Bgk;

@@ -15,6 +15,16 @@
 //! disappears because the chunk loaders read the SoA rows directly
 //! (contiguous `LANES`-wide slices per moment row).
 //!
+//! "Turns into packed SIMD" is checked, not assumed: LLVM unrolls these
+//! short loops and has to re-pack the lanes, which it only does while the
+//! lane arrays stay values — a per-direction body takes its operands by
+//! value and *returns* its lanes (`reconstruct_dir`), nothing opaque is
+//! called between loads and stores, and no lane array is indexed by a
+//! loaded index. A closure writing through `&mut out[i]` compiled out of
+//! line and scalar for fourteen PRs behind this paragraph, so `ci.sh` now
+//! reads the assembly of `lbm_bench::codegen_probe` and fails on an
+//! out-of-line call or a packed : scalar arithmetic ratio under 4 : 1.
+//!
 //! **Bitwise contract.** Every chunk kernel performs, per lane, exactly the
 //! floating-point operation tree of its scalar counterpart in
 //! [`crate::collision`] / `lbm_lattice`: same association, same division
@@ -33,7 +43,7 @@ use crate::boundary::bounce_back::WallGains;
 use crate::collision::MAX_HO;
 use lbm_lattice::gram::HigherBasis;
 use lbm_lattice::moments::{pair_index_3d, pairs_storage_to_canonical};
-use lbm_lattice::{hermite, sym_pairs, Lattice, PAIRS};
+use lbm_lattice::{sym_pairs, Lattice, PAIRS};
 
 /// SIMD chunk width in nodes. Eight f64 lanes fill two AVX2 registers (or
 /// four SSE2 ones) and keep the per-chunk lane state comfortably inside L1.
@@ -184,6 +194,38 @@ fn collide_pi_lanes<L: Lattice>(
     }
 }
 
+/// One direction of eq. (11) over a chunk: every operand is a by-value lane
+/// array and the result is returned, not stored through a reference, so
+/// after inlining the whole body lives in vector registers. Per lane this
+/// is the operation tree of `f_from_moments`: `cu` left to right, the
+/// `H⁽²⁾:Π*` contraction accumulated from `+0.0` in `ks` order, one store.
+#[inline(always)]
+fn reconstruct_dir<L: Lattice>(
+    (c, row, w): ([f64; 3], [f64; 6], f64),
+    rho: [f64; LANES],
+    u: [[f64; LANES]; 3],
+    pi_k: [[f64; LANES]; 6],
+) -> [f64; LANES] {
+    let inv_cs2 = 1.0 / L::CS2;
+    let inv_2cs4 = 1.0 / (2.0 * L::CS2 * L::CS2);
+    let mut cu = [0.0f64; LANES];
+    for l in 0..LANES {
+        cu[l] = c[0] * u[0][l] + c[1] * u[1][l] + c[2] * u[2][l];
+    }
+    let mut h2pi = [0.0f64; LANES];
+    // `sym_pairs(L::D)` const-folds at monomorphization, unlike `map.nk()`.
+    for j in 0..sym_pairs(L::D) {
+        for l in 0..LANES {
+            h2pi[l] += row[j] * pi_k[j][l];
+        }
+    }
+    let mut o = [0.0f64; LANES];
+    for l in 0..LANES {
+        o[l] = w * (rho[l] + rho[l] * cu[l] * inv_cs2 + h2pi[l] * inv_2cs4);
+    }
+    o
+}
+
 /// Lane-wise projective reconstruction, eq. (11): per lane, exactly
 /// `lbm_lattice::equilibrium::f_from_moments` (same [`H2Map`] coefficients,
 /// same slot order, same division sites).
@@ -197,49 +239,28 @@ fn reconstruct_lanes<L: Lattice>(
     dirs: &[usize],
     out: &mut [[f64; LANES]],
 ) {
+    // One table fetch per chunk: `h2map()` is an opaque call, and one inside
+    // the direction loop spills every lane register around it.
     let map = L::h2map();
-    let cs2 = L::CS2;
-    let inv_cs2 = 1.0 / cs2;
-    let inv_2cs4 = 1.0 / (2.0 * cs2 * cs2);
-    let nk = sym_pairs(L::D); // const-folds at monomorphization, unlike map.nk()
-    debug_assert_eq!(map.ks().len(), nk);
-    // Densify the canonical Π* slots once per chunk so the per-direction
-    // contraction walks contiguous lanes with a compile-time trip count
-    // instead of chasing `ks` indirections 19 times over.
+    // Densify the canonical Π* slots once per chunk, by compile-time slot
+    // (`ks` is the same list, but indexing by a loaded `k` pins Π* to the
+    // stack), so the per-direction contraction walks `pi_k[0..nk]`.
     let mut pi_k = [[0.0f64; LANES]; 6];
-    for (j, &k) in map.ks().iter().enumerate() {
-        pi_k[j] = pi_star[k];
+    for j in 0..sym_pairs(L::D) {
+        debug_assert_eq!(map.ks()[j], pairs_storage_to_canonical(L::D, j));
+        pi_k[j] = pi_star[pairs_storage_to_canonical(L::D, j)];
     }
-    let mut one = |i: usize| {
-        let c = map.c(i);
-        let row = map.coeff(i);
-        let w = L::W[i];
-        let mut cu = [0.0f64; LANES];
-        for l in 0..LANES {
-            cu[l] = c[0] * u[0][l] + c[1] * u[1][l] + c[2] * u[2][l];
-        }
-        let mut h2pi = [0.0f64; LANES];
-        for j in 0..nk {
-            let rj = row[j];
-            let pk = &pi_k[j];
-            for l in 0..LANES {
-                h2pi[l] += rj * pk[l];
-            }
-        }
-        let o = &mut out[i];
-        for l in 0..LANES {
-            o[l] = w * (rho[l] + rho[l] * cu[l] * inv_cs2 + h2pi[l] * inv_2cs4);
-        }
-    };
+    let (rho, u) = (*rho, *u);
+    let dir = |i: usize| (map.c(i), *map.coeff(i), L::W[i]);
     // The unmasked hot path keeps the contiguous counted loop — an
     // indirect index list defeats the vectorizer's range analysis.
     if dirs.len() == L::Q {
         for i in 0..L::Q {
-            one(i);
+            out[i] = reconstruct_dir::<L>(dir(i), rho, u, pi_k);
         }
     } else {
         for &i in dirs {
-            one(i);
+            out[i] = reconstruct_dir::<L>(dir(i), rho, u, pi_k);
         }
     }
 }
@@ -343,29 +364,73 @@ pub fn mr_r_collide_chunk<L: Lattice>(
     // [`HigherBasis::nz34`] list — the same precomputed `(c·mult)·h`
     // coefficients in the same nz3-then-cf4 order the scalar loop walks,
     // so the accumulation is bitwise-neutral.
-    let mut one = |i: usize| {
-        let mut extra = [0.0f64; LANES];
-        for &(k, cf) in basis.nz34(i) {
-            let lane = &a34[k as usize];
-            for l in 0..LANES {
-                extra[l] += cf * lane[l];
-            }
-        }
-        let w = L::W[i];
-        let o = &mut out[i];
-        for l in 0..LANES {
-            o[l] += w * extra[l];
-        }
-    };
+    let w34 = |i: usize| (basis.nz34(i), L::W[i]);
     if dirs.len() == L::Q {
         for i in 0..L::Q {
-            one(i);
+            out[i] = add_higher_order_dir(w34(i), &a34, out[i]);
         }
     } else {
         for &i in dirs {
-            one(i);
+            out[i] = add_higher_order_dir(w34(i), &a34, out[i]);
         }
     }
+}
+
+/// One direction of eq. (14)'s higher-order terms over a chunk, added to the
+/// projective part `o`: by-value lanes in, lanes out (see
+/// [`reconstruct_dir`]), `extra` accumulated from `+0.0` in list order.
+#[inline(always)]
+fn add_higher_order_dir(
+    (nz34, w): (&[(u32, f64)], f64),
+    a34: &[[f64; LANES]; 2 * MAX_HO],
+    mut o: [f64; LANES],
+) -> [f64; LANES] {
+    let mut extra = [0.0f64; LANES];
+    for &(k, cf) in nz34 {
+        let lane = a34[k as usize];
+        for l in 0..LANES {
+            extra[l] += cf * lane[l];
+        }
+    }
+    for l in 0..LANES {
+        o[l] += w * extra[l];
+    }
+    o
+}
+
+/// Store the first `cnt` lanes of `src` at the head of `dst`. A full chunk
+/// is one fixed-width copy; only a ragged tail pays a run-time-length
+/// `memcpy`.
+#[inline(always)]
+fn store_lanes(dst: &mut [f64], src: &[f64; LANES], cnt: usize) {
+    if cnt == LANES {
+        dst[..LANES].copy_from_slice(src);
+    } else {
+        dst[..cnt].copy_from_slice(&src[..cnt]);
+    }
+}
+
+/// `H⁽²⁾_ab(c_i)` of the stored Π pairs, `ROWS[i][k]` in storage order
+/// (2D: xx, xy, yy): `hermite::h2` evaluated at compile time.
+struct H2Rows<L>(std::marker::PhantomData<L>);
+
+impl<L: Lattice> H2Rows<L> {
+    const ROWS: [[f64; 6]; MAX_Q] = {
+        let mut rows = [[0.0f64; 6]; MAX_Q];
+        let mut i = 0;
+        while i < L::Q {
+            let mut k = 0;
+            while k < sym_pairs(L::D) {
+                let (a, b) = PAIRS[if L::D == 3 { k } else { [0, 1, 3][k] }];
+                let c = L::C[i];
+                let delta = if a == b { 1.0 } else { 0.0 };
+                rows[i][k] = c[a] as f64 * c[b] as f64 - L::CS2 * delta;
+                k += 1;
+            }
+            i += 1;
+        }
+        rows
+    };
 }
 
 /// Moments of one chunk of post-streaming populations (`f[i][l]`, tail
@@ -380,55 +445,50 @@ pub fn moments_from_f_lanes<L: Lattice>(
     j0: usize,
 ) {
     let cnt = LANES.min(len - j0);
+    let f = &f[..L::Q];
     let mut rho = [0.0f64; LANES];
     let mut jm = [[0.0f64; LANES]; 3];
     for i in 0..L::Q {
-        let fi = &f[i];
+        let fi = f[i];
         let c = L::cf(i);
         for l in 0..LANES {
             rho[l] += fi[l];
         }
         for a in 0..3 {
-            let ca = c[a];
-            let ja = &mut jm[a];
             for l in 0..LANES {
-                ja[l] += ca * fi[l];
+                jm[a][l] += c[a] * fi[l];
             }
         }
     }
-    let mut u = [[0.0f64; LANES]; 3];
-    {
-        let mut inv_rho = [0.0f64; LANES];
-        for l in 0..LANES {
-            inv_rho[l] = 1.0 / rho[l];
-        }
-        for a in 0..3 {
-            for l in 0..LANES {
-                u[a][l] = jm[a][l] * inv_rho[l];
-            }
-        }
+    let mut inv_rho = [0.0f64; LANES];
+    for l in 0..LANES {
+        inv_rho[l] = 1.0 / rho[l];
     }
-    moms[j0..j0 + cnt].copy_from_slice(&rho[..cnt]);
+    store_lanes(&mut moms[j0..], &rho, cnt);
     for a in 0..L::D {
-        moms[(1 + a) * len + j0..][..cnt].copy_from_slice(&u[a][..cnt]);
-    }
-    // Π rows in storage order (2D: xx, xy, yy), accumulated over directions
-    // in the exact order of `Moments::from_f`.
-    let mut kp = 0;
-    for &(a, b) in PAIRS.iter() {
-        if b >= L::D {
-            continue;
+        let mut ua = [0.0f64; LANES];
+        for l in 0..LANES {
+            ua[l] = jm[a][l] * inv_rho[l];
         }
-        let mut s = [0.0f64; LANES];
-        for i in 0..L::Q {
-            let h = hermite::h2::<L>(L::cf(i), a, b);
-            let fi = &f[i];
+        store_lanes(&mut moms[(1 + a) * len + j0..], &ua, cnt);
+    }
+    // Π rows in storage order (2D: xx, xy, yy). Each row accumulates over
+    // directions in the exact order of `Moments::from_f`; the rows advance
+    // together through one direction loop, so their `sym_pairs(D)`
+    // independent add chains overlap instead of running one after another.
+    let np = sym_pairs(L::D);
+    let mut s = [[0.0f64; LANES]; 6];
+    for i in 0..L::Q {
+        let fi = f[i];
+        let h = H2Rows::<L>::ROWS[i];
+        for k in 0..np {
             for l in 0..LANES {
-                s[l] += h * fi[l];
+                s[k][l] += h[k] * fi[l];
             }
         }
-        moms[(1 + L::D + kp) * len + j0..][..cnt].copy_from_slice(&s[..cnt]);
-        kp += 1;
+    }
+    for k in 0..np {
+        store_lanes(&mut moms[(1 + L::D + k) * len + j0..], &s[k], cnt);
     }
 }
 
@@ -599,6 +659,23 @@ mod tests {
         chunks_match_scalar::<D2Q9>(13);
         chunks_match_scalar::<D2Q9>(3);
         chunks_match_scalar::<D3Q19>(11);
+    }
+
+    /// The compile-time `H⁽²⁾` rows are `hermite::h2`, to the sign of zero.
+    #[test]
+    fn h2_rows_are_hermite_h2() {
+        fn check<L: Lattice>() {
+            for i in 0..L::Q {
+                for k in 0..sym_pairs(L::D) {
+                    let (a, b) = PAIRS[pairs_storage_to_canonical(L::D, k)];
+                    let want = lbm_lattice::hermite::h2::<L>(L::cf(i), a, b);
+                    assert_eq!(H2Rows::<L>::ROWS[i][k].to_bits(), want.to_bits());
+                }
+            }
+        }
+        check::<D2Q9>();
+        check::<D3Q19>();
+        check::<lbm_lattice::D3Q27>();
     }
 
     /// Fused from_f + pack round-trips bitwise against the scalar pair.

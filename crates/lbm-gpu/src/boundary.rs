@@ -75,22 +75,34 @@ pub fn stencil_coords(geom: &Geometry, x: usize, y: usize, z: usize) -> Vec<(usi
     out
 }
 
-/// Mark the nodes eligible for the branchless interior-scatter fast path:
-/// fluid, away from the x faces (so no periodic wrap enters the destination
-/// arithmetic), and with every streaming neighbor in-domain and non-solid.
-/// For such a node the per-direction scatter never bounces, clips, or
-/// wraps — all `Q` destination slots are plain stores at offsets that are
-/// constant along an x run, which the column kernels precompute per
-/// segment.
-pub fn bulk_mask<L: lbm_lattice::Lattice>(geom: &Geometry) -> Vec<bool> {
+/// [`walk_classes`] byte of a solid node (wall or moving wall).
+pub const SOLID: u8 = 1;
+/// [`walk_classes`] byte of a bulk node.
+pub const BULK: u8 = 2;
+
+/// Classify every node for the MR column walk, one byte each: [`SOLID`],
+/// [`BULK`], or `0` for any other fluid node. Run scanning reads this mask
+/// instead of the 32-byte [`NodeType`]s.
+///
+/// A bulk node is eligible for the span scatter: fluid, away from the x
+/// faces (so no periodic wrap enters the destination arithmetic), and with
+/// every streaming neighbor in-domain and non-solid. For such a node the
+/// per-direction scatter never bounces, clips against the domain, or wraps
+/// — all `Q` destinations are plain stores at `x + c_x`, so a run of bulk
+/// nodes streams each direction as one contiguous lane span.
+pub fn walk_classes<L: lbm_lattice::Lattice>(geom: &Geometry) -> Vec<u8> {
     let (nx, ny, nz) = (geom.nx, geom.ny, geom.nz);
-    let mut mask = vec![false; geom.len()];
-    for (idx, m) in mask.iter_mut().enumerate() {
-        let (x, y, z) = geom.coords(idx);
-        if geom.node_at(idx).is_solid() || x == 0 || x + 1 >= nx {
+    let mut class = vec![0u8; geom.len()];
+    for (idx, k) in class.iter_mut().enumerate() {
+        if geom.node_at(idx).is_solid() {
+            *k = SOLID;
             continue;
         }
-        *m = (0..L::Q).all(|i| {
+        let (x, y, z) = geom.coords(idx);
+        if x == 0 || x + 1 >= nx {
+            continue;
+        }
+        let bulk = (0..L::Q).all(|i| {
             let c = L::C[i];
             let xd = x as i64 + c[0] as i64;
             let yd = y as i64 + c[1] as i64;
@@ -103,8 +115,11 @@ pub fn bulk_mask<L: lbm_lattice::Lattice>(geom: &Geometry) -> Vec<bool> {
                 && zd < nz as i64
                 && !geom.node(xd as usize, yd as usize, zd as usize).is_solid()
         });
+        if bulk {
+            *k = BULK;
+        }
     }
-    mask
+    class
 }
 
 /// Flat indices of all inlet/outlet nodes of a geometry, with coordinates.

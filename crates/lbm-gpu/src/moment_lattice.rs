@@ -27,6 +27,15 @@ use lbm_core::kernels::MAX_M;
 use lbm_lattice::moments::Moments;
 use lbm_lattice::Lattice;
 
+/// A timestep resolved against one lattice ([`MomentLattice::at`]): the
+/// circular offset `t·shift mod cap` — a `u128 %` — is computed here once,
+/// so a launch pays for it once instead of once per row.
+#[derive(Clone, Copy, Debug)]
+pub struct TimeSlot {
+    t: u64,
+    off: usize,
+}
+
 /// Moment storage for a whole domain, with circular time shifting.
 pub struct MomentLattice {
     buf: GlobalBuffer<f64>,
@@ -99,24 +108,8 @@ impl MomentLattice {
     }
 
     /// Enable strict race checking on the backing buffer (tests).
-    pub fn with_racecheck_strict(mut self) -> Self {
-        self.set_racecheck_strict();
-        self
-    }
-
-    /// In-place [`MomentLattice::with_racecheck_strict`].
     pub fn set_racecheck_strict(&mut self) {
         self.buf.set_racecheck_strict();
-    }
-
-    /// Number of nodes.
-    pub fn nodes(&self) -> usize {
-        self.n
-    }
-
-    /// Moments per node.
-    pub fn moments_per_node(&self) -> usize {
-        self.m
     }
 
     /// Device-memory footprint in bytes.
@@ -124,12 +117,29 @@ impl MomentLattice {
         self.buf.size_bytes()
     }
 
+    /// Timestep `t` resolved against this lattice's shift and capacity.
+    #[inline]
+    pub fn at(&self, t: u64) -> TimeSlot {
+        let off = ((t as u128 * self.shift as u128) % self.cap as u128) as usize;
+        TimeSlot { t, off }
+    }
+
     /// Storage slot of node `idx` at timestep `t`.
     #[inline(always)]
     pub fn slot(&self, idx: usize, t: u64) -> usize {
+        self.slot_at(idx, self.at(t))
+    }
+
+    /// [`MomentLattice::slot`] at an already resolved timestep.
+    #[inline(always)]
+    fn slot_at(&self, idx: usize, at: TimeSlot) -> usize {
         debug_assert!(idx < self.n);
-        let off = ((t as u128 * self.shift as u128) % self.cap as u128) as usize;
-        (idx + self.cap - off) % self.cap
+        let s = idx + self.cap - at.off;
+        if s >= self.cap {
+            s - self.cap
+        } else {
+            s
+        }
     }
 
     /// Kernel read of moment `m` of node `idx` at time `t`.
@@ -148,18 +158,6 @@ impl MomentLattice {
         );
     }
 
-    /// Kernel read of a node's full moment state at time `t`.
-    #[inline(always)]
-    pub fn read_moments<L: Lattice>(&self, ctx: &mut BlockCtx, t: u64, idx: usize) -> Moments {
-        debug_assert_eq!(self.m, L::M);
-        let mut flat = [0.0f64; MAX_M];
-        let s = self.slot(idx, t);
-        for m in 0..self.m {
-            flat[m] = ctx.read(&self.buf, self.plane(t, m) * self.cap + s);
-        }
-        Moments::unpack::<L>(&flat[..self.m])
-    }
-
     /// Kernel write of a node's full moment state at time `t`.
     #[inline(always)]
     pub fn write_moments<L: Lattice>(&self, ctx: &mut BlockCtx, t: u64, idx: usize, mom: &Moments) {
@@ -173,7 +171,7 @@ impl MomentLattice {
     }
 
     /// Bulk kernel read of the full moment state of `count` consecutive
-    /// nodes `idx0..idx0+count` at time `t` into block scratch at
+    /// nodes `idx0..idx0+count` at time `at` into block scratch at
     /// `scratch_off`, plane-major: `scratch[scratch_off + m·count + j]` is
     /// moment `m` of node `idx0 + j`.
     ///
@@ -181,18 +179,18 @@ impl MomentLattice {
     /// (`slot(idx0 + j, t) = (slot(idx0, t) + j) mod cap`), so each moment
     /// plane is at most two contiguous spans — split at the circular wrap —
     /// and is moved through [`BlockCtx::read_span_to_scratch`]. Tallies and
-    /// race checks are byte-identical to `count` element-wise
-    /// [`MomentLattice::read_moments`] calls.
+    /// race checks are byte-identical to `count · M` element-wise
+    /// [`MomentLattice::read`] calls.
     pub fn read_row_to_scratch(
         &self,
         ctx: &mut BlockCtx,
-        t: u64,
+        at: TimeSlot,
         idx0: usize,
         count: usize,
         scratch_off: usize,
     ) {
         debug_assert!(idx0 + count <= self.n);
-        let s0 = self.slot(idx0, t);
+        let (t, s0) = (at.t, self.slot_at(idx0, at));
         let first = count.min(self.cap - s0);
         if first == count && self.plane(t, 0) == 0 {
             // No circular wrap and natural plane order: all `m` plane rows
@@ -213,17 +211,17 @@ impl MomentLattice {
 
     /// Bulk kernel write mirroring [`MomentLattice::read_row_to_scratch`]:
     /// the plane-major staged moments of `count` consecutive nodes are
-    /// written to time `t` through [`BlockCtx::write_span_from_scratch`].
+    /// written to time `at` through [`BlockCtx::write_span_from_scratch`].
     pub fn write_row_from_scratch(
         &self,
         ctx: &mut BlockCtx,
-        t: u64,
+        at: TimeSlot,
         idx0: usize,
         count: usize,
         scratch_off: usize,
     ) {
         debug_assert!(idx0 + count <= self.n);
-        let s0 = self.slot(idx0, t);
+        let (t, s0) = (at.t, self.slot_at(idx0, at));
         let first = count.min(self.cap - s0);
         if first == count && self.plane(t, 0) == 0 {
             ctx.write_spans_from_scratch(&self.buf, s0, self.cap, self.m, count, scratch_off);
@@ -371,11 +369,13 @@ mod tests {
             }
             fn run_block(&self, ctx: &mut BlockCtx) {
                 if self.spans {
-                    self.ml.read_row_to_scratch(ctx, T, IDX0, COUNT, 0);
+                    self.ml
+                        .read_row_to_scratch(ctx, self.ml.at(T), IDX0, COUNT, 0);
                     for k in 0..COUNT * 6 {
                         ctx.scratch()[k] += 0.5;
                     }
-                    self.ml.write_row_from_scratch(ctx, T + 1, IDX0, COUNT, 0);
+                    self.ml
+                        .write_row_from_scratch(ctx, self.ml.at(T + 1), IDX0, COUNT, 0);
                 } else {
                     for j in 0..COUNT {
                         for m in 0..6 {

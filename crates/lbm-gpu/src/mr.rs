@@ -32,20 +32,25 @@
 //! with direction `i` split as `(C[i][0], 0, C[i][1])`, and the linear index
 //! `x + nx·(fy + nfy·w)` is [`Geometry::idx`] either way. With `nfy = 1`
 //! the y-halo rows fall outside `[0, nfy)` and are skipped, and the shared
-//! slot `((xl·wy + yl)·win + w mod win)·Q + i` is the 2D column slot: the
+//! slot `((i·win + w mod win)·wy + yl)·wx + xl` is the 2D column slot: the
 //! 2D kernel is the 3D kernel, not a copy. `L::D` is a constant, so each
-//! such branch folds away per lattice (DESIGN.md, "Walk frame").
+//! such branch folds away per lattice (DESIGN.md, "Walk frame"). The slot
+//! is direction-major with x fastest, so a stretch of bulk lanes streams
+//! direction `i` as one lane-span copy clipped to `xl + cx ∈ [0, wx)`, and
+//! a completed run hands `moments_from_f_lanes` contiguous lane slices.
 //!
 //! Tiles default to a single layer — the paper notes (§3.2) that taller 3D
 //! tiles "consistently underperform those that are a single lattice point
 //! high" — but the height stays a parameter of the one walker.
 
-use crate::boundary::{boundary_nodes, bulk_mask, initial_moments, stencil_coords, MacroCache};
+use crate::boundary::{
+    boundary_nodes, initial_moments, stencil_coords, walk_classes, MacroCache, BULK, SOLID,
+};
 use crate::driver::{
     advance_solo, DriverBody, Fields, Frame, NodeHalo, Owned, Part, Rec, ScalarKernels, Sim,
     SlabBody, SoloBody,
 };
-use crate::moment_lattice::MomentLattice;
+use crate::moment_lattice::{MomentLattice, TimeSlot};
 use crate::multi::ring::StepCx;
 use crate::multi::Slabs;
 use crate::scheme::MrScheme;
@@ -175,37 +180,18 @@ pub fn lane_redundancy(wx: usize, wy: usize) -> f64 {
     (chunks * LANES * (wy + 2)) as f64 / (wx * wy) as f64
 }
 
-/// x-categories of a lane in a halo-extended row: left halo, left edge,
-/// interior, right edge, right halo.
-const XCATS: usize = 5;
-
-/// Masked fast-scatter lists of one (footprint row, window layer) pair.
-///
-/// A bulk node has every neighbor in-domain and fluid (and sits away from
-/// the periodic x faces), so [`MrKernel::scatter_node`] reduces to "store
-/// `f*[i]` at `base(x) + off[i]` iff the destination lies inside the shared
-/// window". Window membership per direction depends only on the row
-/// (`yl + c_fy` in the owned rows) and the lane's x-category, and the
-/// offset only on those and the layer modulo the window height: one
-/// `(dir, offset)` list per category, with its offset range.
-struct ScatterTable {
-    list: [[(usize, i64); MAX_Q]; XCATS],
-    len: [usize; XCATS],
-    min: [i64; XCATS],
-    max: [i64; XCATS],
-}
-
 /// How a column block walks a domain: footprint, tile height, and what
 /// follows from them and the geometry alone — the directions each
-/// footprint row can store, the fast-scatter tables and the nodes that may
-/// use them. Built once per driver (or shard) and borrowed by every launch.
+/// footprint row can store and the class of every node. Built once per
+/// driver (or shard) and borrowed by every launch.
 struct ColumnWalk {
     wx: usize,
     wy: usize,
     tile_h: usize,
-    /// Interior fast-scatter eligibility per node (see
-    /// [`crate::boundary::bulk_mask`]).
-    bulk: Vec<bool>,
+    /// One byte per node ([`walk_classes`]): [`SOLID`] breaks a run,
+    /// [`BULK`] lanes stream as spans, anything else is scattered node by
+    /// node.
+    class: Vec<u8>,
     /// Directions a row stores into the footprint, as an index list (what
     /// the collide kernels reconstruct) and a bit mask (what the reference
     /// scatter visits): the halo row below, the owned rows, the halo row
@@ -214,8 +200,6 @@ struct ColumnWalk {
     /// `src_in_col` bounce-back guard), so restricting its reconstruction
     /// is bitwise-neutral.
     rows: [(Vec<usize>, u64); 3],
-    /// Indexed `(yi + 1)·win + w mod win` for footprint row `yi ∈ −1..=wy`.
-    tables: Vec<ScatterTable>,
 }
 
 impl ColumnWalk {
@@ -231,58 +215,39 @@ impl ColumnWalk {
             let mask = dirs.iter().fold(0u64, |m, &i| m | 1 << i);
             (dirs, mask)
         };
-        let rows = [row_dirs(Some(1)), row_dirs(None), row_dirs(Some(-1))];
-        let win = tile_h + 2;
-        let cell = win * L::Q; // shared doubles per (x, y) cell
-        let mut tables = Vec::with_capacity((wy + 2) * win);
-        for yi in -1..=wy as i64 {
-            let (dirs, _) = &rows[Self::row_kind(wy, yi)];
-            for wl in 0..win as i64 {
-                let mut t = ScatterTable {
-                    list: [[(0, 0); MAX_Q]; XCATS],
-                    len: [0; XCATS],
-                    min: [i64::MAX; XCATS],
-                    max: [i64::MIN; XCATS],
-                };
-                for &i in dirs {
-                    let (cx, cy, cw) = frame_dir::<L>(i);
-                    let ydl = yi + cy;
-                    if ydl < 0 || ydl >= wy as i64 {
-                        continue; // dest row outside the window: dropped
-                    }
-                    let off = cx * (wy * cell) as i64
-                        + ydl * cell as i64
-                        + (wl + cw).rem_euclid(win as i64) * L::Q as i64
-                        + i as i64;
-                    let ok = [cx == 1, cx >= 0, true, cx <= 0, cx == -1];
-                    for (cat, &k) in ok.iter().enumerate() {
-                        if k {
-                            t.list[cat][t.len[cat]] = (i, off);
-                            t.len[cat] += 1;
-                            t.min[cat] = t.min[cat].min(off);
-                            t.max[cat] = t.max[cat].max(off);
-                        }
-                    }
-                }
-                tables.push(t);
-            }
-        }
         ColumnWalk {
             wx,
             wy,
             tile_h,
-            bulk: bulk_mask::<L>(geom),
-            rows,
-            tables,
+            class: walk_classes::<L>(geom),
+            rows: [row_dirs(Some(1)), row_dirs(None), row_dirs(Some(-1))],
         }
     }
 
-    /// Which of `rows` footprint row `yi` is: 0 below the footprint, 1
-    /// inside it, 2 above.
+    /// Shared-window slot of direction `i` at footprint cell `(xl, yl)` in
+    /// window layer `wl` (a layer index `mod win`): direction-major, x
+    /// fastest, so the lanes of an x run are contiguous per direction.
     #[inline(always)]
-    fn row_kind(wy: usize, yi: i64) -> usize {
-        (yi >= 0) as usize + (yi >= wy as i64) as usize
+    fn slot(&self, i: usize, wl: usize, yl: usize, xl: usize) -> usize {
+        ((i * (self.tile_h + 2) + wl) * self.wy + yl) * self.wx + xl
     }
+}
+
+/// `dst[..n] = src` for a span of `n ≤ LANES` doubles: from half a chunk
+/// up, two fixed half-chunk copies that overlap in the middle — a
+/// run-time-length `copy_from_slice` is a `memcpy` call per direction per
+/// chunk, which only the short spans at a row's end still pay.
+#[inline(always)]
+fn copy_span(dst: &mut [f64], src: &[f64]) {
+    const H: usize = LANES / 2;
+    let n = src.len();
+    if n < H {
+        return dst[..n].copy_from_slice(src);
+    }
+    let head: [f64; H] = src[..H].try_into().expect("H ≤ n");
+    let tail: [f64; H] = src[n - H..].try_into().expect("H ≤ n");
+    dst[..H].copy_from_slice(&head);
+    dst[n - H..n].copy_from_slice(&tail);
 }
 
 /// One x row of a block's halo-extended footprint at one layer — what is
@@ -309,7 +274,10 @@ struct MrKernel<'a, L: Lattice> {
     geom: &'a Geometry,
     scheme: &'a MrScheme,
     consts: &'a KernelConsts,
-    t: u64,
+    /// Time `t` on `mom_in` and `t + 1` on `mom_out`, resolved once per
+    /// launch.
+    at_in: TimeSlot,
+    at_out: TimeSlot,
     walk: &'a ColumnWalk,
     /// Column footprint origins: block `b` processes
     /// `[cols[b].0, cols[b].0 + wx) × [cols[b].1, cols[b].1 + wy)` for all
@@ -375,7 +343,7 @@ impl<L: Lattice> PhasedKernel for MrKernel<'_, L> {
                 let row0 = nx * (y0 + yl + nfy * wf);
                 self.for_each_run(row0, x_lo, x_hi, |x, idx, len| {
                     // Shared slot of the run's first node, direction 0.
-                    let slot0 = (((x - x0) * wy + yl) * win + wf % win) * L::Q;
+                    let slot0 = self.walk.slot(0, wf % win, yl, x - x0);
                     self.finalize_run(ctx, slot0, idx, len)
                 });
             }
@@ -386,87 +354,77 @@ impl<L: Lattice> PhasedKernel for MrKernel<'_, L> {
 impl<L: Lattice> MrKernel<'_, L> {
     /// Call `f(x, idx, len)` for every maximal run of consecutive-index
     /// fluid nodes among frame x `lo..=hi` of the row whose `x = 0` node
-    /// has index `row0`. Runs break at solids, non-periodic edges, and
-    /// periodic-x wraps (where `idx` jumps).
+    /// has index `row0`, scanning the one-byte class mask. Runs break at
+    /// solids and non-periodic edges; a frame x past a periodic face wraps
+    /// to a run of its own (`idx` jumps there).
     fn for_each_run(&self, row0: usize, lo: i64, hi: i64, mut f: impl FnMut(usize, usize, usize)) {
-        let fluid_at = |xs: i64| {
-            let x = self.wrap_x(xs)?;
-            (!self.geom.node_at(row0 + x).is_solid()).then_some((x, row0 + x))
-        };
-        let mut xi = lo;
-        while xi <= hi {
-            let Some((x, idx)) = fluid_at(xi) else {
-                xi += 1;
+        let nx = self.geom.nx as i64;
+        let class = &self.walk.class[row0..][..nx as usize];
+        let mut xs = lo;
+        while xs <= hi {
+            let inside = (0..nx).contains(&xs);
+            let x = if inside { xs } else { xs.rem_euclid(nx) } as usize;
+            if class[x] == SOLID || !(inside || self.geom.periodic[0]) {
+                xs += 1;
                 continue;
-            };
-            let mut len = 1;
-            while xi + len as i64 <= hi && fluid_at(xi + len as i64) == Some((x + len, idx + len)) {
-                len += 1;
             }
-            f(x, idx, len);
-            xi += len as i64;
+            let end = if inside {
+                (hi + 1).min(nx) as usize
+            } else {
+                x + 1
+            };
+            let len = class[x..end].iter().take_while(|&&c| c != SOLID).count();
+            f(x, row0 + x, len);
+            xs += len as i64;
         }
     }
 
     /// Recompute the moments of a completed run of `len` owned nodes from
-    /// the shared window (first node's populations at `slot0`, one node per
-    /// `wy·win·Q` doubles), staged plane-major in scratch and flushed to
-    /// time `t + 1` through row spans.
+    /// the shared window (direction 0 of the first node at `slot0`; nodes
+    /// are consecutive, directions `wx·wy·win` doubles apart), staged
+    /// plane-major in scratch and flushed to time `t + 1` through row
+    /// spans.
     fn finalize_run(&self, ctx: &mut BlockCtx, slot0: usize, idx: usize, len: usize) {
-        let stride = self.walk.wy * (self.walk.tile_h + 2) * L::Q;
+        let dir_stride = self.walk.slot(1, 0, 0, 0);
+        let (shm, scratch) = ctx.shared_and_scratch();
         if self.consts.scalar {
+            let mut f = [0.0f64; MAX_Q];
             let mut flat = [0.0f64; MAX_M];
             for j in 0..len {
-                let base = slot0 + j * stride;
-                let mnew = Moments::from_f::<L>(&ctx.shared()[base..base + L::Q]);
-                mnew.pack::<L>(&mut flat[..L::M]);
-                let scratch = ctx.scratch();
+                for i in 0..L::Q {
+                    f[i] = shm[slot0 + i * dir_stride + j];
+                }
+                Moments::from_f::<L>(&f[..L::Q]).pack::<L>(&mut flat[..L::M]);
                 for m in 0..L::M {
                     scratch[m * len + j] = flat[m];
                 }
             }
         } else {
             // Fused from_f + pack over LANES-node chunks, writing the SoA
-            // scratch rows directly (tail lanes replicate the run's last
+            // scratch rows directly. A chunk's lanes are contiguous in
+            // every direction plane (tail lanes replicate the run's last
             // node).
             let mut fl: LaneBlock = [[0.0f64; LANES]; MAX_Q];
             for j0 in (0..len).step_by(LANES) {
                 let cnt = LANES.min(len - j0);
-                let shm = ctx.shared();
-                for l in 0..LANES {
-                    let base = slot0 + (j0 + l.min(cnt - 1)) * stride;
-                    // A node's Q slots are contiguous; the fixed-length
-                    // reslice lets the compiler drop the per-direction
-                    // bounds checks.
-                    let src = &shm[base..base + L::Q];
-                    for (i, &v) in src.iter().enumerate() {
-                        fl[i][l] = v;
+                for i in 0..L::Q {
+                    let src = &shm[slot0 + i * dir_stride + j0..][..cnt];
+                    if cnt == LANES {
+                        fl[i].copy_from_slice(src);
+                    } else {
+                        fl[i] = std::array::from_fn(|l| src[l.min(cnt - 1)]);
                     }
                 }
-                kernels::moments_from_f_lanes::<L>(&fl[..L::Q], ctx.scratch(), len, j0);
+                kernels::moments_from_f_lanes::<L>(&fl[..L::Q], scratch, len, j0);
             }
         }
         self.mom_out
-            .write_row_from_scratch(ctx, self.t + 1, idx, len, 0);
-    }
-
-    /// Frame x `xs` as an in-domain x: wrapped on a periodic x axis, `None`
-    /// past a non-periodic x face (the inlet/outlet kernel owns what
-    /// crosses it).
-    #[inline(always)]
-    fn wrap_x(&self, xs: i64) -> Option<usize> {
-        let nx = self.geom.nx as i64;
-        if (0..nx).contains(&xs) {
-            Some(xs as usize)
-        } else {
-            self.geom.periodic[0].then(|| xs.rem_euclid(nx) as usize)
-        }
+            .write_row_from_scratch(ctx, self.at_out, idx, len, 0);
     }
 
     /// Collide + scatter one maximal segment of consecutive-index fluid
     /// nodes of `row`: the segment's `t`-moments are staged through row
-    /// spans, then each node is collided and streamed into the block's
-    /// shared window exactly as the element-wise path did.
+    /// spans, then collided and streamed into the block's shared window.
     fn collide_segment(
         &self,
         ctx: &mut BlockCtx,
@@ -475,8 +433,8 @@ impl<L: Lattice> MrKernel<'_, L> {
         idx0: usize,
         len: usize,
     ) {
-        let (wx, wy, win) = (self.walk.wx, self.walk.wy, self.walk.tile_h + 2);
-        self.mom_in.read_row_to_scratch(ctx, self.t, idx0, len, 0);
+        self.mom_in
+            .read_row_to_scratch(ctx, self.at_in, idx0, len, 0);
         if self.consts.scalar {
             // Scalar oracle: the original node-at-a-time unpack → collide →
             // map chain with its strided scratch gather, every direction
@@ -499,67 +457,81 @@ impl<L: Lattice> MrKernel<'_, L> {
             return;
         }
         // Chunked unpack + collide + reconstruct straight off the SoA
-        // scratch rows (no strided per-node gather). Bulk nodes take the
-        // branchless masked scatter of their row's `ScatterTable`: the
-        // per-direction geometry lookups, bounds checks, and modulo are
-        // all in the table, and a single range assert stands in for the
-        // per-store bounds checks. Slow lanes (boundary-adjacent nodes,
-        // periodic wraps) fall back to the reference scatter, which writes
-        // the same slots.
-        let (dirs, mask) = &self.walk.rows[ColumnWalk::row_kind(wy, row.yi)];
-        let tab = &self.walk.tables[(row.yi + 1) as usize * win + row.wl[1]];
-        let (cell, omega) = (win * L::Q, self.consts.omega);
+        // scratch rows (no strided per-node gather). Each maximal stretch
+        // of bulk lanes in a chunk streams as clipped lane spans; the other
+        // lanes (boundary-adjacent nodes, periodic wraps) go through the
+        // reference scatter, which writes the same slots.
+        // 0 below the footprint, 1 inside it, 2 above.
+        let kind = (row.yi >= 0) as usize + (row.yi >= self.walk.wy as i64) as usize;
+        let (dirs, mask) = &self.walk.rows[kind];
+        let class = &self.walk.class[idx0..idx0 + len];
+        let omega = self.consts.omega;
         let mut fs: LaneBlock = [[0.0f64; LANES]; MAX_Q];
         for j0 in (0..len).step_by(LANES) {
             self.scheme
                 .collide_chunk::<L>(ctx.scratch(), len, j0, omega, dirs, &mut fs);
-            let cnt = LANES.min(len - j0);
-            for l in 0..cnt {
-                let x = x_first + j0 + l;
-                let xl = x as i64 - row.x0 as i64;
-                // Below three columns the edge categories coincide.
-                if wx >= 3 && (-1..=wx as i64).contains(&xl) && self.walk.bulk[idx0 + j0 + l] {
-                    let cat = match xl {
-                        -1 => 0,
-                        0 => 1,
-                        v if v == wx as i64 - 1 => 3,
-                        v if v == wx as i64 => 4,
-                        _ => 2,
-                    };
-                    let n = tab.len[cat];
-                    if n > 0 {
-                        let base = xl * (wy * cell) as i64;
-                        let shm = ctx.shared();
-                        // One range check covers the whole masked list.
-                        assert!(
-                            base + tab.min[cat] >= 0
-                                && ((base + tab.max[cat]) as usize) < shm.len(),
-                            "fast scatter out of the shared window"
-                        );
-                        for &(i, o) in &tab.list[cat][..n] {
-                            debug_assert!(((base + o) as usize) < shm.len());
-                            // SAFETY: every offset of the list satisfies
-                            // `tab.min[cat] ≤ o ≤ tab.max[cat]` (the table
-                            // builder folds each into both bounds), and the
-                            // assert above puts `base + min ≥ 0` and
-                            // `base + max < shm.len()`, so `base + o`
-                            // indexes inside `shm`.
-                            unsafe {
-                                *shm.get_unchecked_mut((base + o) as usize) = fs[i][l];
-                            }
-                        }
-                    }
-                } else {
-                    self.scatter_node(ctx, row, x, |i| fs[i][l], *mask);
+            let class = &class[j0..len.min(j0 + LANES)];
+            // A bulk node is off the periodic faces, so its run did not
+            // wrap and lane `l` sits at footprint x `xl0 + l`.
+            let xl0 = (x_first + j0) as i64 - row.x0 as i64;
+            let mut l = 0;
+            while l < class.len() {
+                if class[l] != BULK {
+                    self.scatter_node(ctx, row, x_first + j0 + l, |i| fs[i][l], *mask);
+                    l += 1;
+                    continue;
                 }
+                let l0 = l;
+                while l < class.len() && class[l] == BULK {
+                    l += 1;
+                }
+                self.scatter_span(ctx.shared(), row, dirs, &fs, xl0, l0..l);
+            }
+        }
+    }
+
+    /// Stream `lanes` of a collided chunk — consecutive bulk nodes of
+    /// `row`, lane `l` at footprint x `xl0 + l` — into the shared window:
+    /// per direction **one contiguous lane-span copy**, clipped to the
+    /// footprint. Nothing bounces, wraps or leaves the domain from a bulk
+    /// node, so a population lands in the window iff its destination row
+    /// `yi + c_fy` is an owned row and its destination `xl + cx` lies in
+    /// `[0, wx)`; every other one belongs to a neighbor column, which
+    /// computes it from its own halo.
+    #[inline]
+    fn scatter_span(
+        &self,
+        shm: &mut [f64],
+        row: &Row,
+        dirs: &[usize],
+        fs: &LaneBlock,
+        xl0: i64,
+        lanes: std::ops::Range<usize>,
+    ) {
+        let (wx, wy) = (self.walk.wx as i64, self.walk.wy as i64);
+        for &i in dirs {
+            let (cx, cy, cw) = frame_dir::<L>(i);
+            let yd = row.yi + cy;
+            if yd < 0 || yd >= wy {
+                continue;
+            }
+            // Lane `l` lands at footprint x `xd0 + l`, slot `slot0 + l`.
+            let xd0 = xl0 + cx;
+            let slot0 = self.walk.slot(i, row.wl[(cw + 1) as usize], yd as usize, 0) as i64 + xd0;
+            let lo = (lanes.start as i64).max(-xd0);
+            let hi = (lanes.end as i64).min(wx - xd0);
+            if lo < hi {
+                let dst = &mut shm[(slot0 + lo) as usize..];
+                copy_span(dst, &fs[i][lo as usize..hi as usize]);
             }
         }
     }
 
     /// Stream the populations in `mask` of one collided node of `row` into
     /// the block's shared window (push form, halfway bounce-back at solids;
-    /// shared slot: `((xl·wy + yl)·win + w mod win)·Q + dir`) — shared
-    /// verbatim by the scalar and vectorized collide paths.
+    /// shared slot: [`ColumnWalk::slot`]) — the reference scatter, shared
+    /// verbatim by the scalar path and the non-bulk lanes of the
+    /// vectorized one.
     #[inline]
     fn scatter_node(
         &self,
@@ -570,11 +542,11 @@ impl<L: Lattice> MrKernel<'_, L> {
         mask: u64,
     ) {
         let (nx, nfy, nw) = walk_frame::<L>(self.geom);
-        let (wx, wy, win) = (self.walk.wx, self.walk.wy, self.walk.tile_h + 2);
+        let (wx, wy) = (self.walk.wx, self.walk.wy);
         let &Row { x0, y0, fy, w, .. } = row;
         // `cw` selects the window slot of the destination layer.
         let sh = |xl: usize, yl: usize, cw: i64, i: usize| {
-            ((xl * wy + yl) * win + row.wl[(cw + 1) as usize]) * L::Q + i
+            self.walk.slot(i, row.wl[(cw + 1) as usize], yl, xl)
         };
         let src_in_col = x >= x0 && x < x0 + wx && fy >= y0 && fy < y0 + wy;
         // Constant trip count: the compiler unrolls over `Q` and a halo
@@ -585,19 +557,24 @@ impl<L: Lattice> MrKernel<'_, L> {
             }
             let (cx, cy, cw) = frame_dir::<L>(i);
             let (yd, wd) = (fy as i64 + cy, w as i64 + cw);
-            let Some(xd) = self.wrap_x(x as i64 + cx) else {
-                continue; // leaves through an x face
-            };
+            let mut xd = x as i64 + cx;
+            if !(0..nx as i64).contains(&xd) {
+                if !self.geom.periodic[0] {
+                    continue; // the inlet/outlet kernel owns what crosses an x face
+                }
+                xd = xd.rem_euclid(nx as i64);
+            }
+            let xd = xd as usize;
             if yd < 0 || yd >= nfy as i64 || wd < 0 || wd >= nw as i64 {
                 continue; // beyond wall-terminated faces
             }
             let (yd, wd) = (yd as usize, wd as usize);
-            let dest = self.geom.node_at(xd + nx * (yd + nfy * wd));
-            if dest.is_solid() {
+            let dest = xd + nx * (yd + nfy * wd);
+            if self.walk.class[dest] == SOLID {
                 // Halfway bounce-back: the population returns to its
                 // source node in the opposite direction (push form).
                 if src_in_col {
-                    let gain = match dest {
+                    let gain = match self.geom.node_at(dest) {
                         NodeType::MovingWall(uw) => self.consts.gains.gain(L::OPP[i], uw),
                         _ => 0.0,
                     };
@@ -636,7 +613,11 @@ fn launch_mr_columns<L: Lattice>(
     let (nx, nfy, _) = walk_frame::<L>(geom);
     let (wx, wy, tile_h) = (walk.wx, walk.wy, walk.tile_h);
     assert!(!cols.is_empty(), "no columns to launch");
-    assert_eq!(walk.bulk.len(), geom.len(), "walk built for another domain");
+    assert_eq!(
+        walk.class.len(),
+        geom.len(),
+        "walk built for another domain"
+    );
     for &(x0, y0) in cols {
         assert!(
             x0 + wx <= nx && y0 + wy <= nfy,
@@ -660,7 +641,8 @@ fn launch_mr_columns<L: Lattice>(
             geom,
             scheme,
             consts,
-            t,
+            at_in: mom_in.at(t),
+            at_out: mom_out.at(t + 1),
             walk,
             cols,
             _l: PhantomData,

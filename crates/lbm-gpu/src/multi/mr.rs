@@ -193,6 +193,15 @@ mod tests {
         }
         check::<D2Q9>(walled(16, 8, 1), 4, shear_2d, 6);
         check::<D3Q19>(walled(12, 8, 8), 3, shear_3d, 4);
+        // Scattered rock: chunks mix span-scattered bulk lanes with
+        // node-scattered ones, and the cut at x = 12 runs through it.
+        let mut rock = walled(24, 10, 1);
+        for (x, y) in (0..24).flat_map(|x| (1..9).map(move |y| (x, y))) {
+            if (7 * x + 13 * y) % 5 == 0 {
+                rock.set(x, y, 0, NodeType::Wall);
+            }
+        }
+        check::<D2Q9>(rock, 2, shear_2d, 6);
     }
 
     /// A kernel that panics on one shard's device thread reaches the thread

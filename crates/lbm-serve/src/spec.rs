@@ -17,7 +17,8 @@ use lbm_gpu::multi::{
 };
 use lbm_gpu::{AaStSim, DriverBody, MrScheme, MrSim, Sim, SparseMrSim, StSim, StSparseSim};
 use lbm_lattice::{Lattice, D2Q9, D3Q19};
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, LazyLock, Mutex, PoisonError};
 
 /// Scheduling class of a job.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -106,11 +107,16 @@ impl Scenario {
 
     /// Total lattice nodes (residency estimates multiply this by the
     /// pattern's per-node byte cost; sparse patterns use the geometry's
-    /// exact fluid count instead).
+    /// exact fluid count instead). Saturates at `usize::MAX` for extents
+    /// whose product overflows — [`JobSpec::validate`] refuses those.
     pub fn nodes(&self) -> usize {
+        self.checked_nodes().unwrap_or(usize::MAX)
+    }
+
+    fn checked_nodes(&self) -> Option<usize> {
         match *self {
-            Scenario::Shear2D { nx, ny } | Scenario::Porous2D { nx, ny, .. } => nx * ny,
-            Scenario::Shear3D { nx, ny, nz } => nx * ny * nz,
+            Scenario::Shear2D { nx, ny } | Scenario::Porous2D { nx, ny, .. } => nx.checked_mul(ny),
+            Scenario::Shear3D { nx, ny, nz } => nx.checked_mul(ny)?.checked_mul(nz),
         }
     }
 
@@ -175,6 +181,55 @@ impl Pattern {
     pub fn is_sparse(self) -> bool {
         matches!(self, Pattern::SparseSt | Pattern::SparseMr)
     }
+}
+
+/// What admission needs to know of a sparse scenario cut into `devices`
+/// slabs: why the sparse builders would refuse it (`check_slabs`,
+/// `check_table_encoding`), if they would, and its fluid node count.
+#[derive(Clone)]
+struct SparseVerdict {
+    rejected: Option<String>,
+    fluid: usize,
+}
+
+/// Shapes [`sparse_verdict`] remembers before it starts over.
+const SPARSE_MEMO_CAP: usize = 64;
+
+/// The [`SparseVerdict`] of `(scenario, devices)`, computed once per shape
+/// for the whole process: it costs a full [`Scenario::geometry`], and a
+/// fleet's jobs share a handful of shapes. Bounded — the map is cleared
+/// when it holds [`SPARSE_MEMO_CAP`] shapes — so a tenant cycling through
+/// shapes cannot grow it.
+fn sparse_verdict(scenario: Scenario, devices: usize) -> SparseVerdict {
+    static MEMO: LazyLock<Mutex<HashMap<(Scenario, usize), SparseVerdict>>> =
+        LazyLock::new(Mutex::default);
+    // Every update leaves the map valid, so a poisoned lock is still usable.
+    let memo = || MEMO.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(v) = memo().get(&(scenario, devices)) {
+        return v.clone();
+    }
+    // Built outside the lock: two submitters of a new shape may both build
+    // it, and store the same verdict.
+    let geom = scenario.geometry();
+    let fluid = geom.fluid_count();
+    let q = match scenario {
+        Scenario::Shear3D { .. } => D3Q19::Q,
+        _ => D2Q9::Q,
+    };
+    // The sparse builders' own geometry checks (unsupported node types, a
+    // device left with no fluid node to update, link-table overflow). One
+    // slab is the solo build.
+    let rejected = check_slabs(&SlabDecomp::new(geom, devices))
+        .map_err(|e| e.to_string())
+        .and_then(|()| lbm_gpu::sparse::check_table_encoding(q, fluid).map_err(|e| e.to_string()))
+        .err();
+    let verdict = SparseVerdict { rejected, fluid };
+    let mut memo = memo();
+    if memo.len() >= SPARSE_MEMO_CAP {
+        memo.clear();
+    }
+    memo.insert((scenario, devices), verdict.clone());
+    verdict
 }
 
 /// A complete, validated request for one simulation.
@@ -256,6 +311,9 @@ impl JobSpec {
         if self.devices == 0 {
             return invalid("devices must be >= 1".into());
         }
+        if let Err(why) = self.checked_box() {
+            return invalid(why);
+        }
         if self.devices > 1 && self.scenario.nx() / self.devices < 2 {
             return invalid(format!(
                 "{} devices leave slabs narrower than 2 columns (nx = {})",
@@ -278,38 +336,56 @@ impl JobSpec {
             ));
         }
         if self.pattern.is_sparse() {
-            // Run the sparse builders' own geometry checks at submit time,
+            // The sparse builders' own geometry checks run at submit time,
             // so a bad spec is a synchronous SubmitError instead of a
-            // poisoned executor: the typed build errors (unsupported node
-            // types, a device left with no fluid node to update, link-table
-            // overflow) all surface here. One slab is the solo build.
-            let geom = self.scenario.geometry();
-            let fluid = geom.fluid_count();
-            if let Err(e) = check_slabs(&SlabDecomp::new(geom, self.devices)) {
-                return invalid(format!("sparse pattern rejected: {e}"));
-            }
-            let q = match self.scenario {
-                Scenario::Shear3D { .. } => D3Q19::Q,
-                _ => D2Q9::Q,
-            };
-            if let Err(e) = lbm_gpu::sparse::check_table_encoding(q, fluid) {
+            // poisoned executor.
+            if let Some(e) = sparse_verdict(self.scenario, self.devices).rejected {
                 return invalid(format!("sparse pattern rejected: {e}"));
             }
         }
         Ok(())
     }
 
+    /// The scenario's node count, or why its box is refused before anything
+    /// is allocated for it: extents whose node or byte count overflows
+    /// `usize`, or — for a sparse pattern, whose admission has to build the
+    /// geometry — a node map larger than the memory of the devices asked
+    /// for.
+    fn checked_box(&self) -> Result<usize, String> {
+        // The dearest pattern per node: sparse ST on D3Q19.
+        const MAX_NODE_BYTES: usize = 2 * D3Q19::Q * 8 + D3Q19::Q * 4;
+        let scenario = self.scenario;
+        let nodes = scenario
+            .checked_nodes()
+            .filter(|n| n.checked_mul(MAX_NODE_BYTES).is_some())
+            .ok_or_else(|| format!("{scenario:?}: the lattice's byte count overflows"))?;
+        let map_bytes = nodes * std::mem::size_of::<NodeType>();
+        let device_bytes = DeviceSpec::v100().memory_bytes.saturating_mul(self.devices);
+        if self.pattern.is_sparse() && map_bytes > device_bytes {
+            return Err(format!(
+                "{scenario:?}: a node map of {map_bytes} bytes exceeds the {device_bytes} bytes \
+                 of {} device(s)",
+                self.devices
+            ));
+        }
+        Ok(nodes)
+    }
+
     /// Admission-time estimate of the solver's resident lattice bytes —
     /// the roofline model's per-pattern footprint over the scenario's
     /// nodes. The scheduler charges this at submit and trues it up to
     /// [`Simulation::resident_bytes`] once the solver is built (ghost
-    /// columns make multi-device builds slightly larger).
+    /// columns make multi-device builds slightly larger). A box
+    /// [`JobSpec::validate`] refuses for its size costs `usize::MAX`.
     pub fn estimated_resident_bytes(&self) -> usize {
         use gpu_sim::roofline::{
             footprint_aa_st, footprint_mr_double, footprint_mr_twist, footprint_sparse_mr,
             footprint_sparse_st, footprint_st,
         };
-        let n = self.scenario.nodes();
+        let Ok(n) = self.checked_box() else {
+            return usize::MAX;
+        };
+        let fluid = || sparse_verdict(self.scenario, self.devices).fluid;
         let (q, m) = match self.scenario {
             Scenario::Shear2D { .. } | Scenario::Porous2D { .. } => (D2Q9::Q, D2Q9::M),
             Scenario::Shear3D { .. } => (D3Q19::Q, D3Q19::M),
@@ -321,8 +397,8 @@ impl JobSpec {
             Pattern::MrTwist => footprint_mr_twist(n, m),
             // Sparse patterns are billed on the *fluid* count — the whole
             // point of the compacted storage is that rock is free.
-            Pattern::SparseSt => footprint_sparse_st(self.scenario.geometry().fluid_count(), q),
-            Pattern::SparseMr => footprint_sparse_mr(self.scenario.geometry().fluid_count(), m, q),
+            Pattern::SparseSt => footprint_sparse_st(fluid(), q),
+            Pattern::SparseMr => footprint_sparse_mr(fluid(), m, q),
         }
     }
 
@@ -453,4 +529,37 @@ pub fn solo_checksum(spec: &JobSpec) -> u64 {
         sim.step();
     }
     sim.field_checksum()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// More shapes than the memo holds: it turns over, and every answer —
+    /// first asked or repeated, before the turn or after — is the one the
+    /// geometry gives.
+    #[test]
+    fn sparse_verdict_survives_the_memo_turning_over() {
+        for round in 0..2 {
+            for k in 0..SPARSE_MEMO_CAP + 8 {
+                let scenario = Scenario::Porous2D {
+                    nx: 8 + k,
+                    ny: 6,
+                    solid_pct: 30,
+                };
+                let v = sparse_verdict(scenario, 1);
+                assert_eq!(v.fluid, scenario.geometry().fluid_count(), "round {round}");
+                assert_eq!(v.rejected, None);
+            }
+        }
+        let all_rock = Scenario::Porous2D {
+            nx: 16,
+            ny: 8,
+            solid_pct: 100,
+        };
+        for _ in 0..2 {
+            let why = sparse_verdict(all_rock, 1).rejected.expect("no fluid");
+            assert!(why.contains("no fluid nodes"), "{why}");
+        }
+    }
 }

@@ -275,6 +275,73 @@ fn multi_mr3d_vectorized_matches_scalar() {
     assert_multi_mr_vectorized_matches_scalar::<D3Q19>(&geom, DeviceSpec::v100(), 4);
 }
 
+/// The span scatter where chunks mix bulk and non-bulk lanes: dense MR-P
+/// and MR-R, solo (strict race checker armed) and on two shards, lane path
+/// vs the node-at-a-time scalar oracle — same field FNV **and** the same
+/// byte tally — on
+/// * 25 % hashed rock in 2D and 3D (bulk stretches of every length, broken
+///   by solids and wall-adjacent lanes inside one chunk);
+/// * `nx = 48`: a 24-wide footprint, so `wx + 2` is no multiple of `LANES`
+///   and every row ends in a clipped two-lane chunk, with a cylinder
+///   sitting on the column seam (and the shard cut) at `x = 24`;
+/// * `nx = 5 < LANES`: one column as wide as the domain, the periodic wrap
+///   inside its only chunk;
+/// * footprints one and two nodes wide, where the clip leaves a direction
+///   nothing or one lane.
+#[test]
+fn mr_span_scatter_matches_scalar_on_mixed_chunks() {
+    fn schemes<L: Lattice>() -> [MrScheme; 2] {
+        [MrScheme::projective(), MrScheme::recursive::<L>()]
+    }
+    fn solo<L: Lattice>(what: &str, geom: &Geometry, wx: usize) {
+        for scheme in schemes::<L>() {
+            let run = |scalar: bool| {
+                let dev = DeviceSpec::v100();
+                let sim =
+                    MrSim::<L>::with_config(dev, geom.clone(), scheme.clone(), 0.8, wx, 0, 1, 1);
+                let mut sim = sim.with_racecheck_strict();
+                if scalar {
+                    sim = sim.with_scalar_kernels();
+                }
+                sim.init_with(shear_init);
+                sim.run(5);
+                (sim.field_checksum(), tally_words(&sim))
+            };
+            assert_eq!(run(false), run(true), "{what}: solo {}", scheme.label());
+        }
+    }
+    fn sharded<L: Lattice>(what: &str, geom: &Geometry) {
+        for scheme in schemes::<L>() {
+            let run = |scalar: bool| {
+                let hub = Obs::shared();
+                let dev = DeviceSpec::mi100();
+                let mut sim = MultiMrSim::<L>::new(dev, geom.clone(), scheme.clone(), 0.8, 2)
+                    .with_obs(hub.clone());
+                if scalar {
+                    sim = sim.with_scalar_kernels();
+                }
+                sim.init_with(shear_init);
+                sim.run(5);
+                (sim.field_checksum(), hub_tally(&hub))
+            };
+            assert_eq!(run(false), run(true), "{what}: sharded {}", scheme.label());
+        }
+    }
+    let rock2d = hashed_rock(7, (48, 20, 1), 25);
+    solo::<D2Q9>("rock 2D", &rock2d, 0);
+    sharded::<D2Q9>("rock 2D", &rock2d);
+    let rock3d = hashed_rock(7, (16, 10, 10), 25);
+    solo::<D3Q19>("rock 3D", &rock3d, 0);
+    sharded::<D3Q19>("rock 3D", &rock3d);
+    let seam = Geometry::walls_y_periodic_x(48, 16).with_cylinder(24.0, 8.0, 3.0);
+    solo::<D2Q9>("cylinder on the seam", &seam, 0);
+    sharded::<D2Q9>("cylinder on the seam", &seam);
+    solo::<D2Q9>("nx < LANES", &hashed_rock(7, (5, 19, 1), 30), 0);
+    let thin = hashed_rock(11, (12, 9, 1), 10);
+    solo::<D2Q9>("wx = 1", &thin, 1);
+    solo::<D2Q9>("wx = 2", &thin, 2);
+}
+
 /// PR 10 tentpole contract, swept at the workspace level: the
 /// fluid-compacted sparse ST driver is FNV-bitwise equal to the dense
 /// two-lattice ST driver at *every* step on an obstacle-laden domain —
@@ -774,21 +841,26 @@ fn solo_ledger_row<B: SoloBody>(sim: Sim<B>, threads: usize) -> SoloRow {
     let mut sim = sim.with_cpu_threads(threads).with_parallel_threshold(0);
     sim.init_with(shear_init);
     sim.run(7);
-    let t = sim.traffic();
     let blob = sim.checkpoint();
     (
         sim.field_checksum(),
-        [
-            t.reads,
-            t.writes,
-            t.bytes_read,
-            t.bytes_written,
-            t.dram_bytes_read,
-            t.l2_read_hits,
-        ],
+        tally_words(&sim),
         io::fnv1a(&blob),
         blob.len(),
     )
+}
+
+/// The six `Tally` words of everything a solo driver has moved so far.
+fn tally_words<B: SoloBody>(sim: &Sim<B>) -> [u64; 6] {
+    let t = sim.traffic();
+    [
+        t.reads,
+        t.writes,
+        t.bytes_read,
+        t.bytes_written,
+        t.dram_bytes_read,
+        t.l2_read_hits,
+    ]
 }
 
 /// What the recorded ledgers pin of a sharded run: `[field FNV, bytes the

@@ -189,6 +189,50 @@ fn invalid_specs_are_rejected() {
             Err(SubmitError::Invalid(_))
         ));
     }
+    // Hostile extents: a node or byte count past `usize`, or (sparse, whose
+    // admission builds the geometry) a node map no device could hold, is a
+    // typed rejection before anything is allocated — not a multiply
+    // overflow, a wrapped quota charge or a terabyte `Vec`.
+    let huge = 1usize << 40;
+    let hostile = [
+        (Scenario::Shear2D { nx: huge, ny: huge }, Pattern::MrP),
+        (
+            Scenario::Shear3D {
+                nx: 1 << 21,
+                ny: 1 << 21,
+                nz: 1 << 21,
+            },
+            Pattern::St,
+        ),
+        (
+            Scenario::Porous2D {
+                nx: huge,
+                ny: huge,
+                solid_pct: 50,
+            },
+            Pattern::SparseMr,
+        ),
+        (
+            Scenario::Porous2D {
+                nx: 1 << 20,
+                ny: 1 << 20,
+                solid_pct: 50,
+            },
+            Pattern::SparseSt,
+        ),
+    ];
+    for (scenario, pattern) in hostile {
+        let spec = JobSpec {
+            scenario,
+            pattern,
+            ..JobSpec::shear_2d("acme", 16, 8, 4)
+        };
+        assert_eq!(spec.estimated_resident_bytes(), usize::MAX, "{scenario:?}");
+        assert!(
+            matches!(serve.submit(spec), Err(SubmitError::Invalid(_))),
+            "{scenario:?} was not refused"
+        );
+    }
     assert_eq!(
         serve.tenant_usage("acme").in_flight,
         0,
