@@ -18,7 +18,7 @@ echo "== non-test lines per crate (lines before the first #[cfg(test)] of every 
 # The size PRs report, as a command. The two driver crates may only shrink:
 # lower DRIVER_LINES_MAX when a PR lands below it; raise it only with a
 # sentence in CHANGES.md saying what the lines bought.
-DRIVER_LINES_MAX=6386
+DRIVER_LINES_MAX=6425
 driver_lines=0
 for crate in crates/*/; do
   lines=$(find "$crate/src" -name '*.rs' -exec awk 'FNR == 1 { on = 1 } /#\[cfg\(test\)\]/ { on = 0 } on' {} + | wc -l)
@@ -39,6 +39,12 @@ fi
 
 echo "== cargo build --release"
 cargo build --release --workspace
+
+echo "== cargo test --release (scalar ≡ vector and the serve races on the optimized code the benchmark times)"
+# The debug suite below proves the bitwise contract on unoptimized code;
+# these two suites run again on the x86-64-v3 release codegen, at the speed
+# that exposes scheduling races.
+cargo test --release -q --test kernel_equivalence --test serve
 
 echo "== cargo test"
 cargo test --workspace -q

@@ -75,51 +75,54 @@ pub fn stencil_coords(geom: &Geometry, x: usize, y: usize, z: usize) -> Vec<(usi
     out
 }
 
+/// [`walk_classes`] byte of a fluid node beside a moving wall.
+pub const REFERENCE: u8 = 0;
 /// [`walk_classes`] byte of a solid node (wall or moving wall).
 pub const SOLID: u8 = 1;
-/// [`walk_classes`] byte of a bulk node.
+/// [`walk_classes`] byte of a fluid node with no solid neighbor.
 pub const BULK: u8 = 2;
+/// [`walk_classes`] byte of a fluid node beside resting walls only.
+pub const BOUNCE: u8 = 3;
 
-/// Classify every node for the MR column walk, one byte each: [`SOLID`],
-/// [`BULK`], or `0` for any other fluid node. Run scanning reads this mask
-/// instead of the 32-byte [`NodeType`]s.
+/// Classify every node of an MR domain for the column walk, one byte each —
+/// [`SOLID`], [`BULK`], [`BOUNCE`] or [`REFERENCE`] — and give it a bounce
+/// mask: bit `i` is set iff neighbor `i` (x wrapped when periodic) is a
+/// resting wall. Run scanning reads the bytes, not the 32-byte [`NodeType`]s.
 ///
-/// A bulk node is eligible for the span scatter: fluid, away from the x
-/// faces (so no periodic wrap enters the destination arithmetic), and with
-/// every streaming neighbor in-domain and non-solid. For such a node the
-/// per-direction scatter never bounces, clips against the domain, or wraps
-/// — all `Q` destinations are plain stores at `x + c_x`, so a run of bulk
-/// nodes streams each direction as one contiguous lane span.
-pub fn walk_classes<L: lbm_lattice::Lattice>(geom: &Geometry) -> Vec<u8> {
-    let (nx, ny, nz) = (geom.nx, geom.ny, geom.nz);
-    let mut class = vec![0u8; geom.len()];
-    for (idx, k) in class.iter_mut().enumerate() {
+/// A bulk or bounce lane streams every direction as a plain store at
+/// `x + c_x`; a reference lane's bounce-back needs the wall's velocity, so
+/// it keeps the node-at-a-time scatter. A neighbor past a non-periodic x
+/// face is no wall: what crosses it belongs to the inlet/outlet kernel. The
+/// y and z faces are walls, so a fluid node's neighbors cross only x faces.
+pub fn walk_classes<L: lbm_lattice::Lattice>(geom: &Geometry) -> (Vec<u8>, Vec<u32>) {
+    const { assert!(L::Q <= 32, "bounce masks are u32") };
+    let (nx, ny) = (geom.nx as isize, geom.ny as isize);
+    let offset = |c: [i32; 3]| c[0] as isize + nx * (c[1] as isize + ny * c[2] as isize);
+    let mut class = vec![SOLID; geom.len()];
+    let mut bounce = vec![0u32; geom.len()];
+    for idx in 0..geom.len() {
         if geom.node_at(idx).is_solid() {
-            *k = SOLID;
             continue;
         }
         let (x, y, z) = geom.coords(idx);
-        if x == 0 || x + 1 >= nx {
-            continue;
+        let (mut mask, mut moving, on_face) = (0u32, false, x == 0 || x + 1 == geom.nx);
+        // Branch-free: on random rock a branch per neighbor mispredicts often.
+        for (i, &c) in L::C.iter().enumerate() {
+            let n = match on_face {
+                true => geom.neighbor(x, y, z, c).map(|p| geom.node(p.0, p.1, p.2)),
+                false => Some(geom.node_at(idx.wrapping_add_signed(offset(c)))),
+            };
+            mask |= (matches!(n, Some(NodeType::Wall)) as u32) << i;
+            moving |= matches!(n, Some(NodeType::MovingWall(_)));
         }
-        let bulk = (0..L::Q).all(|i| {
-            let c = L::C[i];
-            let xd = x as i64 + c[0] as i64;
-            let yd = y as i64 + c[1] as i64;
-            let zd = z as i64 + c[2] as i64;
-            xd >= 0
-                && xd < nx as i64
-                && yd >= 0
-                && yd < ny as i64
-                && zd >= 0
-                && zd < nz as i64
-                && !geom.node(xd as usize, yd as usize, zd as usize).is_solid()
-        });
-        if bulk {
-            *k = BULK;
-        }
+        bounce[idx] = mask;
+        class[idx] = match (moving, mask) {
+            (true, _) => REFERENCE,
+            (false, 0) => BULK,
+            (false, _) => BOUNCE,
+        };
     }
-    class
+    (class, bounce)
 }
 
 /// Flat indices of all inlet/outlet nodes of a geometry, with coordinates.
@@ -191,6 +194,73 @@ mod tests {
         // Tangential outlet neighbors at y±1 add their interior sources.
         assert!(s.contains(&(10, 4, 0)));
         assert!(s.contains(&(10, 2, 0)));
+    }
+
+    /// The walk classes and bounce masks against a brute-force recount: bit
+    /// `i` iff the neighbor in direction `i` (x wrapped when periodic, none
+    /// past a non-periodic face) is a resting wall; a node beside a moving
+    /// wall keeps the reference class, a bulk node has mask 0, and every
+    /// class occurs somewhere in the sweep.
+    #[test]
+    fn walk_classes_match_brute_force() {
+        use lbm_lattice::{Lattice, D2Q9, D3Q19};
+        fn check<L: Lattice>(g: &Geometry, seen: &mut [usize; 4]) {
+            let (class, bounce) = walk_classes::<L>(g);
+            for idx in 0..g.len() {
+                let (x, y, z) = g.coords(idx);
+                let (mut mask, mut moving) = (0u32, false);
+                for (i, c) in L::C.iter().enumerate() {
+                    let mut p: [i64; 3] =
+                        std::array::from_fn(|a| [x, y, z][a] as i64 + c[a] as i64);
+                    if g.periodic[0] {
+                        p[0] = p[0].rem_euclid(g.nx as i64);
+                    }
+                    let dims = [g.nx, g.ny, g.nz].map(|n| n as i64);
+                    if (0..3).any(|a| p[a] < 0 || p[a] >= dims[a]) {
+                        continue;
+                    }
+                    match g.node(p[0] as usize, p[1] as usize, p[2] as usize) {
+                        NodeType::Wall => mask |= 1 << i,
+                        NodeType::MovingWall(_) => moving = true,
+                        _ => {}
+                    }
+                }
+                let want = match g.node_at(idx) {
+                    n if n.is_solid() => SOLID,
+                    _ if moving => REFERENCE,
+                    _ if mask == 0 => BULK,
+                    _ => BOUNCE,
+                };
+                assert_eq!(class[idx], want, "class of ({x}, {y}, {z})");
+                if want != SOLID {
+                    assert_eq!(bounce[idx], mask, "bounce mask of ({x}, {y}, {z})");
+                }
+                if want == BULK {
+                    assert_eq!(bounce[idx], 0);
+                }
+                seen[want as usize] += 1;
+            }
+        }
+        let mut seen = [0; 4];
+        // Rock beside the moving lid, part of the lid at rest.
+        let mut cavity = Geometry::cavity_2d(13, 0.1);
+        for (x, y) in [(4, 11), (5, 12), (6, 12), (7, 12), (8, 10)] {
+            cavity.set(x, y, 0, NodeType::Wall);
+        }
+        check::<D2Q9>(&cavity, &mut seen);
+        // Rock on both periodic x faces: masks see across the wrap.
+        let mut periodic = Geometry::walls_y_periodic_x(12, 8);
+        periodic.set(0, 3, 0, NodeType::Wall);
+        periodic.set(11, 5, 0, NodeType::Wall);
+        check::<D2Q9>(&periodic, &mut seen);
+        // An obstacle beside the inlet: nothing past the x faces bounces.
+        let mut channel = Geometry::channel_2d(12, 8, 0.05);
+        channel.set(1, 3, 0, NodeType::Wall);
+        check::<D2Q9>(&channel, &mut seen);
+        let mut duct = Geometry::channel_3d(8, 6, 6, 0.02);
+        duct.set(1, 2, 3, NodeType::Wall);
+        check::<D3Q19>(&duct, &mut seen);
+        assert!(seen.iter().all(|&n| n > 0), "classes seen: {seen:?}");
     }
 
     #[test]

@@ -35,16 +35,21 @@
 //! slot `((i·win + w mod win)·wy + yl)·wx + xl` is the 2D column slot: the
 //! 2D kernel is the 3D kernel, not a copy. `L::D` is a constant, so each
 //! such branch folds away per lattice (DESIGN.md, "Walk frame"). The slot
-//! is direction-major with x fastest, so a stretch of bulk lanes streams
-//! direction `i` as one lane-span copy clipped to `xl + cx ∈ [0, wx)`, and
-//! a completed run hands `moments_from_f_lanes` contiguous lane slices.
+//! is direction-major with x fastest, so a stretch of lanes streams
+//! direction `i` as one lane-span copy in *frame* x (a wrapped halo lane
+//! sits at `xl = −1` or `wx`) clipped to `xl + cx ∈ [0, wx)`, and a
+//! completed run hands `moments_from_f_lanes` contiguous lane slices. A lane
+//! beside resting walls then writes its bounce mask back ([`walk_classes`]);
+//! only one beside a moving wall is scattered node by node. Every slot keeps
+//! one writer (DESIGN.md, "Clipped-span scatter with a bounce mask").
 //!
 //! Tiles default to a single layer — the paper notes (§3.2) that taller 3D
 //! tiles "consistently underperform those that are a single lattice point
 //! high" — but the height stays a parameter of the one walker.
 
 use crate::boundary::{
-    boundary_nodes, initial_moments, stencil_coords, walk_classes, MacroCache, BULK, SOLID,
+    boundary_nodes, initial_moments, stencil_coords, walk_classes, MacroCache, BOUNCE, BULK,
+    REFERENCE, SOLID,
 };
 use crate::driver::{
     advance_solo, DriverBody, Fields, Frame, NodeHalo, Owned, Part, Rec, ScalarKernels, Sim,
@@ -189,17 +194,17 @@ struct ColumnWalk {
     wy: usize,
     tile_h: usize,
     /// One byte per node ([`walk_classes`]): [`SOLID`] breaks a run,
-    /// [`BULK`] lanes stream as spans, anything else is scattered node by
-    /// node.
+    /// [`REFERENCE`] lanes are scattered node by node, the others stream
+    /// as spans.
     class: Vec<u8>,
-    /// Directions a row stores into the footprint, as an index list (what
-    /// the collide kernels reconstruct) and a bit mask (what the reference
-    /// scatter visits): the halo row below, the owned rows, the halo row
-    /// above. A halo row only reaches the footprint through the directions
-    /// pointing at it (every other one fails the footprint test or the
-    /// `src_in_col` bounce-back guard), so restricting its reconstruction
-    /// is bitwise-neutral.
-    rows: [(Vec<usize>, u64); 3],
+    /// The bounce mask of every node ([`walk_classes`]).
+    bounce: Vec<u32>,
+    /// Directions a lane stores into the footprint — index list (what the
+    /// collide kernels reconstruct) and bit mask (what the reference scatter
+    /// visits) — by row (halo below, owned, halo above) and x side (a
+    /// one-node run in the left halo, any other, the right halo). A halo lane
+    /// reaches the footprint only through the directions pointing at it.
+    rows: [[(Vec<usize>, u64); 3]; 3],
 }
 
 impl ColumnWalk {
@@ -208,19 +213,23 @@ impl ColumnWalk {
     fn new<L: Lattice>(geom: &Geometry, wx: usize, wy: usize, tile_h: usize) -> Self {
         assert!(wx >= 1 && wy >= 1 && tile_h >= 1, "empty column tile");
         const { assert!(L::Q <= 64, "direction masks are u64") };
-        let row_dirs = |c_fy: Option<i64>| {
+        let keep = |want: Option<i64>, c: i64| want.is_none_or(|w| w == c);
+        let dirs = |c_fy: Option<i64>, cx: Option<i64>| {
             let dirs: Vec<usize> = (0..L::Q)
-                .filter(|&i| c_fy.is_none_or(|c| frame_dir::<L>(i).1 == c))
+                .filter(|&i| keep(c_fy, frame_dir::<L>(i).1) && keep(cx, frame_dir::<L>(i).0))
                 .collect();
             let mask = dirs.iter().fold(0u64, |m, &i| m | 1 << i);
             (dirs, mask)
         };
+        let row = |c_fy| [dirs(c_fy, Some(1)), dirs(c_fy, None), dirs(c_fy, Some(-1))];
+        let (class, bounce) = walk_classes::<L>(geom);
         ColumnWalk {
             wx,
             wy,
             tile_h,
-            class: walk_classes::<L>(geom),
-            rows: [row_dirs(Some(1)), row_dirs(None), row_dirs(Some(-1))],
+            class,
+            bounce,
+            rows: [row(Some(1)), row(None), row(Some(-1))],
         }
     }
 
@@ -308,6 +317,8 @@ impl<L: Lattice> PhasedKernel for MrKernel<'_, L> {
         let (x0, y0) = self.cols[ctx.block_id];
         let (x_lo, x_hi) = (x0 as i64, (x0 + wx) as i64 - 1);
         let w_lo = k * h;
+        // One lane block per phase: every kernel writes a lane before reading it.
+        let mut lanes: LaneBlock = [[0.0f64; LANES]; MAX_Q];
 
         // --- Collide the tile's layers of the column + full rectangular ---
         // --- halo, stream into the shared window.                       ---
@@ -329,8 +340,8 @@ impl<L: Lattice> PhasedKernel for MrKernel<'_, L> {
                     wl: [(w + win - 1) % win, w % win, (w + 1) % win],
                 };
                 let row0 = nx * (row.fy + nfy * w);
-                self.for_each_run(row0, x_lo - 1, x_hi + 1, |x, idx, len| {
-                    self.collide_segment(ctx, &row, x, idx, len)
+                self.for_each_run(row0, x_lo - 1, x_hi + 1, |xs, idx, len| {
+                    self.collide_segment(ctx, &row, &mut lanes, xs - x_lo, idx, len)
                 });
             }
         }
@@ -341,10 +352,10 @@ impl<L: Lattice> PhasedKernel for MrKernel<'_, L> {
         for wf in w_lo.saturating_sub(1)..w_lo + h - 1 {
             for yl in 0..wy {
                 let row0 = nx * (y0 + yl + nfy * wf);
-                self.for_each_run(row0, x_lo, x_hi, |x, idx, len| {
+                self.for_each_run(row0, x_lo, x_hi, |xs, idx, len| {
                     // Shared slot of the run's first node, direction 0.
-                    let slot0 = self.walk.slot(0, wf % win, yl, x - x0);
-                    self.finalize_run(ctx, slot0, idx, len)
+                    let slot0 = self.walk.slot(0, wf % win, yl, (xs - x_lo) as usize);
+                    self.finalize_run(ctx, &mut lanes, slot0, idx, len)
                 });
             }
         }
@@ -352,12 +363,12 @@ impl<L: Lattice> PhasedKernel for MrKernel<'_, L> {
 }
 
 impl<L: Lattice> MrKernel<'_, L> {
-    /// Call `f(x, idx, len)` for every maximal run of consecutive-index
+    /// Call `f(xs, idx, len)` for every maximal run of consecutive-index
     /// fluid nodes among frame x `lo..=hi` of the row whose `x = 0` node
     /// has index `row0`, scanning the one-byte class mask. Runs break at
-    /// solids and non-periodic edges; a frame x past a periodic face wraps
-    /// to a run of its own (`idx` jumps there).
-    fn for_each_run(&self, row0: usize, lo: i64, hi: i64, mut f: impl FnMut(usize, usize, usize)) {
+    /// solids and non-periodic edges; a frame x past a periodic face is a
+    /// run of its own whose frame x `xs` stays `−1` or `nx` (`idx` wraps).
+    fn for_each_run(&self, row0: usize, lo: i64, hi: i64, mut f: impl FnMut(i64, usize, usize)) {
         let nx = self.geom.nx as i64;
         let class = &self.walk.class[row0..][..nx as usize];
         let mut xs = lo;
@@ -374,7 +385,7 @@ impl<L: Lattice> MrKernel<'_, L> {
                 x + 1
             };
             let len = class[x..end].iter().take_while(|&&c| c != SOLID).count();
-            f(x, row0 + x, len);
+            f(xs, row0 + x, len);
             xs += len as i64;
         }
     }
@@ -383,8 +394,15 @@ impl<L: Lattice> MrKernel<'_, L> {
     /// the shared window (direction 0 of the first node at `slot0`; nodes
     /// are consecutive, directions `wx·wy·win` doubles apart), staged
     /// plane-major in scratch and flushed to time `t + 1` through row
-    /// spans.
-    fn finalize_run(&self, ctx: &mut BlockCtx, slot0: usize, idx: usize, len: usize) {
+    /// spans; `fl` stages a chunk's lanes.
+    fn finalize_run(
+        &self,
+        ctx: &mut BlockCtx,
+        fl: &mut LaneBlock,
+        slot0: usize,
+        idx: usize,
+        len: usize,
+    ) {
         let dir_stride = self.walk.slot(1, 0, 0, 0);
         let (shm, scratch) = ctx.shared_and_scratch();
         if self.consts.scalar {
@@ -404,7 +422,6 @@ impl<L: Lattice> MrKernel<'_, L> {
             // scratch rows directly. A chunk's lanes are contiguous in
             // every direction plane (tail lanes replicate the run's last
             // node).
-            let mut fl: LaneBlock = [[0.0f64; LANES]; MAX_Q];
             for j0 in (0..len).step_by(LANES) {
                 let cnt = LANES.min(len - j0);
                 for i in 0..L::Q {
@@ -423,23 +440,27 @@ impl<L: Lattice> MrKernel<'_, L> {
     }
 
     /// Collide + scatter one maximal segment of consecutive-index fluid
-    /// nodes of `row`: the segment's `t`-moments are staged through row
-    /// spans, then collided and streamed into the block's shared window.
+    /// nodes of `row` from footprint x `xl0` (frame x: `−1` or `wx` for a
+    /// wrapped halo lane; `x_at` maps it to the domain x the reference
+    /// scatter takes): its `t`-moments are staged through row spans, then
+    /// collided chunk by chunk in `fs` and streamed into the window.
     fn collide_segment(
         &self,
         ctx: &mut BlockCtx,
         row: &Row,
-        x_first: usize,
+        fs: &mut LaneBlock,
+        xl0: i64,
         idx0: usize,
         len: usize,
     ) {
         self.mom_in
             .read_row_to_scratch(ctx, self.at_in, idx0, len, 0);
+        let x_at = |j: usize| (row.x0 as i64 + xl0).rem_euclid(self.geom.nx as i64) as usize + j;
         if self.consts.scalar {
             // Scalar oracle: the original node-at-a-time unpack → collide →
             // map chain with its strided scratch gather, every direction
             // offered to the reference scatter.
-            let all = self.walk.rows[1].1;
+            let all = self.walk.rows[1][1].1;
             let mut f_star = [0.0f64; MAX_Q];
             let mut flat = [0.0f64; MAX_M];
             for j in 0..len {
@@ -452,52 +473,62 @@ impl<L: Lattice> MrKernel<'_, L> {
                 let m = Moments::unpack::<L>(&flat[..L::M]);
                 self.scheme
                     .collide_and_map::<L>(&m, self.consts.tau, &mut f_star[..L::Q]);
-                self.scatter_node(ctx, row, x_first + j, |i| f_star[i], all);
+                self.scatter_node(ctx, row, x_at(j), |i| f_star[i], all);
             }
             return;
         }
-        // Chunked unpack + collide + reconstruct straight off the SoA
-        // scratch rows (no strided per-node gather). Each maximal stretch
-        // of bulk lanes in a chunk streams as clipped lane spans; the other
-        // lanes (boundary-adjacent nodes, periodic wraps) go through the
-        // reference scatter, which writes the same slots.
-        // 0 below the footprint, 1 inside it, 2 above.
-        let kind = (row.yi >= 0) as usize + (row.yi >= self.walk.wy as i64) as usize;
-        let (dirs, mask) = &self.walk.rows[kind];
+        // Chunked unpack + collide + reconstruct straight off the SoA scratch
+        // rows. Each maximal stretch of bulk and bounce lanes in a chunk
+        // streams as clipped lane spans; the other lanes, reference scatter.
+        // `kind`: 0 below the footprint, 1 inside it, 2 above; `side`: 0 for
+        // a one-node run in the left x halo, 2 in the right one, else 1.
+        let (wx, wy) = (self.walk.wx as i64, self.walk.wy as i64);
+        let kind = (row.yi >= 0) as usize + (row.yi >= wy) as usize;
+        let side = (xl0 >= 0 || len > 1) as usize + (xl0 == wx) as usize;
+        let (dirs, mask) = &self.walk.rows[kind][side];
         let class = &self.walk.class[idx0..idx0 + len];
         let omega = self.consts.omega;
-        let mut fs: LaneBlock = [[0.0f64; LANES]; MAX_Q];
         for j0 in (0..len).step_by(LANES) {
             self.scheme
-                .collide_chunk::<L>(ctx.scratch(), len, j0, omega, dirs, &mut fs);
+                .collide_chunk::<L>(ctx.scratch(), len, j0, omega, dirs, fs);
             let class = &class[j0..len.min(j0 + LANES)];
-            // A bulk node is off the periodic faces, so its run did not
-            // wrap and lane `l` sits at footprint x `xl0 + l`.
-            let xl0 = (x_first + j0) as i64 - row.x0 as i64;
+            let xc = xl0 + j0 as i64; // footprint x of lane 0
             let mut l = 0;
             while l < class.len() {
-                if class[l] != BULK {
-                    self.scatter_node(ctx, row, x_first + j0 + l, |i| fs[i][l], *mask);
+                if class[l] == REFERENCE {
+                    self.scatter_node(ctx, row, x_at(j0 + l), |i| fs[i][l], *mask);
                     l += 1;
                     continue;
                 }
                 let l0 = l;
-                while l < class.len() && class[l] == BULK {
+                while l < class.len() && class[l] != REFERENCE {
+                    // Bounce fix-up of an owned lane: `f*_i` returns to its own slot
+                    // `OPP[i]`, which only the wall at `x + c_i` could stream to.
+                    let xl = xc + l as i64;
+                    if class[l] == BOUNCE && kind == 1 && (0..wx).contains(&xl) {
+                        let (mut bits, yl) = (self.walk.bounce[idx0 + j0 + l], row.yi as usize);
+                        while bits != 0 {
+                            let i = bits.trailing_zeros() as usize;
+                            bits &= bits - 1;
+                            let slot = self.walk.slot(L::OPP[i], row.wl[1], yl, xl as usize);
+                            ctx.shared()[slot] = fs[i][l];
+                        }
+                    }
                     l += 1;
                 }
-                self.scatter_span(ctx.shared(), row, dirs, &fs, xl0, l0..l);
+                self.scatter_span(ctx.shared(), row, dirs, fs, xc, l0..l);
             }
         }
     }
 
-    /// Stream `lanes` of a collided chunk — consecutive bulk nodes of
-    /// `row`, lane `l` at footprint x `xl0 + l` — into the shared window:
+    /// Stream `lanes` of a collided chunk — bulk or bounce nodes of `row`,
+    /// lane `l` at frame footprint x `xl0 + l` — into the shared window:
     /// per direction **one contiguous lane-span copy**, clipped to the
-    /// footprint. Nothing bounces, wraps or leaves the domain from a bulk
-    /// node, so a population lands in the window iff its destination row
+    /// footprint. A population lands in the window iff its destination row
     /// `yi + c_fy` is an owned row and its destination `xl + cx` lies in
-    /// `[0, wx)`; every other one belongs to a neighbor column, which
-    /// computes it from its own halo.
+    /// `[0, wx)`; every other one belongs to a neighbor column (which
+    /// computes it from its own halo) or to the inlet/outlet kernel, and a
+    /// store into a solid node's slot is dead — finalize reads fluid only.
     #[inline]
     fn scatter_span(
         &self,
@@ -530,8 +561,8 @@ impl<L: Lattice> MrKernel<'_, L> {
     /// Stream the populations in `mask` of one collided node of `row` into
     /// the block's shared window (push form, halfway bounce-back at solids;
     /// shared slot: [`ColumnWalk::slot`]) — the reference scatter, shared
-    /// verbatim by the scalar path and the non-bulk lanes of the
-    /// vectorized one.
+    /// verbatim by the scalar path and the vectorized path's lanes beside
+    /// a moving wall.
     #[inline]
     fn scatter_node(
         &self,
@@ -1101,14 +1132,19 @@ impl<L: Lattice> DriverBody for Mr<L> {
 
     /// Publishes a 3D column footprint's lane redundancy as a gauge, so
     /// bench records expose degenerate-domain fallbacks (e.g. `ny < LANES`)
-    /// instead of hiding them in the picker.
+    /// instead of hiding them in the picker, and the walk's class census
+    /// `mr_walk_nodes{class = bulk | bounce | reference}` (DESIGN.md).
     fn hub_attached(&self, obs: &obs::Obs) {
+        let pattern = ("pattern", self.label());
         if L::D == 3 {
-            obs.metrics.gauge_set(
-                "mr3d_lane_redundancy",
-                &[("pattern", self.label())],
-                lane_redundancy(self.walk.wx, self.walk.wy),
-            );
+            let redundancy = lane_redundancy(self.walk.wx, self.walk.wy);
+            obs.metrics
+                .gauge_set("mr3d_lane_redundancy", &[pattern], redundancy);
+        }
+        for (name, class) in [("bulk", BULK), ("bounce", BOUNCE), ("reference", REFERENCE)] {
+            let n = self.walk.class.iter().filter(|&&c| c == class).count();
+            obs.metrics
+                .gauge_set("mr_walk_nodes", &[pattern, ("class", name)], n as f64);
         }
     }
 
@@ -1784,5 +1820,28 @@ mod tests {
             .expect("redundancy gauge missing");
         let (wx, wy, _) = mr.config();
         assert_eq!(g, lane_redundancy(wx, wy));
+
+        // The class census beside it, in 2D and 3D: every fluid node counted
+        // once. A duct 4 nodes deep has no node clear of a wall.
+        let census = |obs: &obs::Obs, pattern: &str| {
+            ["bulk", "bounce", "reference"].map(|class| {
+                let labels = [("pattern", pattern), ("class", class)];
+                let n = obs.metrics.gauge("mr_walk_nodes", &labels);
+                n.expect("census gauge missing") as usize
+            })
+        };
+        let fluid = mr.geom().fluid_count();
+        assert_eq!(census(&obs, "mr3d"), [0, fluid, 0]);
+        // A 13² cavity: 11² fluid nodes, the 9² interior ones clear of every
+        // wall, the 11 under the lid reference lanes, the other 29 bounce.
+        let obs = obs::Obs::shared();
+        let cavity = Geometry::cavity_2d(13, 0.1);
+        let mut mr: MrSim<D2Q9> = MrSim::new(v100(), cavity, MrScheme::projective(), 0.8);
+        mr.set_obs(obs.clone());
+        assert_eq!(census(&obs, "mr2d"), [81, 29, 11]);
+        assert!(obs
+            .metrics
+            .gauge("mr3d_lane_redundancy", &[("pattern", "mr2d")])
+            .is_none());
     }
 }

@@ -287,7 +287,14 @@ fn multi_mr3d_vectorized_matches_scalar() {
 /// * `nx = 5 < LANES`: one column as wide as the domain, the periodic wrap
 ///   inside its only chunk;
 /// * footprints one and two nodes wide, where the clip leaves a direction
-///   nothing or one lane.
+///   nothing or one lane;
+/// * 50 % hashed rock in 2D and 3D, where almost every lane is a bounce
+///   lane (span plus bounce-mask fix-up) in a run of one to three nodes;
+/// * a lid-driven cavity with rock beside the moving lid and part of the
+///   lid at rest, so reference-scatter lanes and bounce lanes share chunks;
+/// * a non-periodic inlet/outlet channel with an obstacle at `x = 1`, so
+///   bounce lanes sit on the x faces, whose outgoing populations belong to
+///   the boundary kernel.
 #[test]
 fn mr_span_scatter_matches_scalar_on_mixed_chunks() {
     fn schemes<L: Lattice>() -> [MrScheme; 2] {
@@ -340,6 +347,26 @@ fn mr_span_scatter_matches_scalar_on_mixed_chunks() {
     let thin = hashed_rock(11, (12, 9, 1), 10);
     solo::<D2Q9>("wx = 1", &thin, 1);
     solo::<D2Q9>("wx = 2", &thin, 2);
+    let half2d = hashed_rock(7, (64, 32, 1), 50);
+    solo::<D2Q9>("50 % rock 2D", &half2d, 0);
+    sharded::<D2Q9>("50 % rock 2D", &half2d);
+    let half3d = hashed_rock(7, (16, 12, 12), 50);
+    solo::<D3Q19>("50 % rock 3D", &half3d, 0);
+    sharded::<D3Q19>("50 % rock 3D", &half3d);
+    let mut lid = Geometry::cavity_2d(20, 0.08);
+    let rock = [(3, 18), (9, 18), (10, 17), (15, 16)];
+    let lid_at_rest = [(5, 19), (6, 19), (7, 19), (13, 19), (14, 19), (15, 19)];
+    for (x, y) in rock.into_iter().chain(lid_at_rest) {
+        lid.set(x, y, 0, NodeType::Wall);
+    }
+    solo::<D2Q9>("rock beside the lid", &lid, 0);
+    sharded::<D2Q9>("rock beside the lid", &lid);
+    let mut faces = Geometry::channel_2d(24, 12, 0.04);
+    for y in [2, 5, 6, 9] {
+        faces.set(1, y, 0, NodeType::Wall);
+    }
+    solo::<D2Q9>("obstacle at x = 1", &faces, 0);
+    sharded::<D2Q9>("obstacle at x = 1", &faces);
 }
 
 /// PR 10 tentpole contract, swept at the workspace level: the

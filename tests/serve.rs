@@ -20,13 +20,20 @@ fn cfg(executors: usize) -> ServeConfig {
 }
 
 /// Poll `status` until the job is in `state` (or panic after 10 s —
-/// generous; these lattices step in microseconds).
+/// generous; these lattices step in microseconds). A job that ends in
+/// another terminal state can never get there: panic at once, with the
+/// status.
 fn wait_for_state(serve: &Serve, id: JobId, state: JobState) {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        if serve.status(id).expect("known job").state == state {
+        let status = serve.status(id).expect("known job");
+        if status.state == state {
             return;
         }
+        assert!(
+            !status.state.is_terminal(),
+            "job ended before reaching {state:?}; status = {status:?}"
+        );
         assert!(
             Instant::now() < deadline,
             "job never reached {state:?}; status = {:?}",
@@ -249,8 +256,9 @@ fn cancel_while_queued_is_synchronous() {
         slice_steps: 4,
         ..Default::default()
     });
-    // Occupy the only executor.
-    let mut blocker = JobSpec::shear_2d("acme", 24, 10, 400);
+    // Occupy the only executor with a job only `cancel` ends, however fast
+    // a 24×10 lattice steps.
+    let mut blocker = JobSpec::shear_2d("acme", 24, 10, 100_000);
     blocker.priority = Priority::Batch;
     let blocker_id = serve.submit(blocker).unwrap();
     wait_for_state(&serve, blocker_id, JobState::Running);
