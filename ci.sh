@@ -18,7 +18,7 @@ echo "== non-test lines per crate (lines before the first #[cfg(test)] of every 
 # The size PRs report, as a command. The two driver crates may only shrink:
 # lower DRIVER_LINES_MAX when a PR lands below it; raise it only with a
 # sentence in CHANGES.md saying what the lines bought.
-DRIVER_LINES_MAX=6425
+DRIVER_LINES_MAX=6421
 driver_lines=0
 for crate in crates/*/; do
   lines=$(find "$crate/src" -name '*.rs' -exec awk 'FNR == 1 { on = 1 } /#\[cfg\(test\)\]/ { on = 0 } on' {} + | wc -l)

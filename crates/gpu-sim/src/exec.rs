@@ -202,8 +202,10 @@ impl<'a> BlockCtx<'a> {
     }
 
     /// Bulk-counted strided read: `rows` spans of `len` doubles at
-    /// `start + r·stride` land packed at `scratch_off`. One accounting
-    /// envelope for the whole family; see [`GlobalBuffer::read_spans`].
+    /// `start + r·stride` land in scratch rows `scratch_stride` apart from
+    /// `scratch_off`, in reverse order when `reversed`. One accounting
+    /// envelope for the whole family; see [`GlobalBuffer::read_spans_into`].
+    #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     pub fn read_spans_to_scratch(
         &mut self,
@@ -213,20 +215,25 @@ impl<'a> BlockCtx<'a> {
         rows: usize,
         len: usize,
         scratch_off: usize,
+        scratch_stride: usize,
+        reversed: bool,
     ) {
         let ep = self.epoch();
-        buf.read_spans(
+        buf.read_spans_into(
             &mut self.tally,
             ep,
             start,
             stride,
             rows,
             len,
-            &mut self.scratch[scratch_off..scratch_off + rows * len],
+            &mut self.scratch[scratch_off..],
+            scratch_stride,
+            reversed,
         )
     }
 
     /// Strided-write mirror of [`BlockCtx::read_spans_to_scratch`].
+    #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     pub fn write_spans_from_scratch(
         &mut self,
@@ -236,16 +243,20 @@ impl<'a> BlockCtx<'a> {
         rows: usize,
         len: usize,
         scratch_off: usize,
+        scratch_stride: usize,
+        reversed: bool,
     ) {
         let ep = self.epoch();
-        buf.write_spans(
+        buf.write_spans_from(
             &mut self.tally,
             ep,
             start,
             stride,
             rows,
             len,
-            &self.scratch[scratch_off..scratch_off + rows * len],
+            &self.scratch[scratch_off..],
+            scratch_stride,
+            reversed,
         )
     }
 

@@ -73,7 +73,13 @@ impl Tally {
 /// launch, and that no block reads a cell another block writes in the same
 /// lockstep phase. Enable the race checker (in tests) to verify this
 /// dynamically; release-path accesses are unchecked for speed, exactly like
-/// real global memory.
+/// real global memory. Host-path accesses ([`GlobalBuffer::get`],
+/// [`GlobalBuffer::set`], [`GlobalBuffer::snapshot`]) happen between
+/// launches only.
+///
+/// Every access to a cell's value goes through one of four private
+/// primitives (`load`, `store`, `load_span`, `store_span`), which hold the
+/// module's only `unsafe` blocks besides the two marker impls below.
 pub struct GlobalBuffer<T = f64> {
     cells: Box<[UnsafeCell<T>]>,
     race: Option<RaceChecker>,
@@ -83,10 +89,35 @@ pub struct GlobalBuffer<T = f64> {
     faults: Option<Arc<FaultPlan>>,
 }
 
-// Safety: concurrent access is governed by the documented contract above;
-// the race checker exists to validate it in tests.
+// SAFETY: the buffer never hands out a reference into `cells`, only copies
+// of `T` in and out through the four primitives, so sharing it between
+// threads is sound exactly when no cell is written by one thread while
+// another reads or writes it. That is the concurrency contract above: the
+// kernels' algorithms guarantee it, and the race checker (when attached)
+// verifies it cell by cell. The copies cross threads, hence `T: Send`. The
+// other fields — `race`, `touch`, `faults` — are `Sync` on their own
+// (atomics and an `Arc` of atomics; checked below).
 unsafe impl<T: Send> Sync for GlobalBuffer<T> {}
+// SAFETY: the buffer owns its cells; sending it sends `T`s, which are
+// `Send`, and the other fields are `Send` on their own (checked below).
 unsafe impl<T: Send> Send for GlobalBuffer<T> {}
+
+// The compile-time twin of both SAFETY comments: every field but `cells`
+// is `Send + Sync` without the impls above.
+const _: fn() = || {
+    fn shared<F: Send + Sync>() {}
+    shared::<Option<RaceChecker>>();
+    shared::<Option<Box<[AtomicU32]>>>();
+    shared::<Option<Arc<FaultPlan>>>();
+};
+
+/// Whether `len` values of `T` at `a` and at `b` share no byte — the
+/// precondition of `copy_nonoverlapping`, debug-checked at both span
+/// primitives.
+fn disjoint<T>(a: *const T, b: *const T, len: usize) -> bool {
+    let (a, b, bytes) = (a as usize, b as usize, len * std::mem::size_of::<T>());
+    a + bytes <= b || b + bytes <= a
+}
 
 impl<T: Copy + Default> GlobalBuffer<T> {
     /// Allocate a zero/default-initialized buffer of `len` elements.
@@ -96,6 +127,54 @@ impl<T: Copy + Default> GlobalBuffer<T> {
 }
 
 impl<T: Copy> GlobalBuffer<T> {
+    /// The value of cell `i`.
+    #[inline(always)]
+    fn load(&self, i: usize) -> T {
+        let cell = &self.cells[i];
+        // SAFETY: `cell` is in bounds (indexed above), so the pointer is
+        // valid and aligned for a `T`. No thread writes cell `i` while it is
+        // read (the concurrency contract; the race checker's job in tests).
+        unsafe { *cell.get() }
+    }
+
+    /// Set cell `i` to `v`.
+    #[inline(always)]
+    fn store(&self, i: usize, v: T) {
+        let cell = &self.cells[i];
+        // SAFETY: as in `load`; additionally no thread reads cell `i` while
+        // it is written.
+        unsafe { *cell.get() = v }
+    }
+
+    /// Copy cells `start .. start + out.len()` into `out`.
+    #[inline(always)]
+    fn load_span(&self, start: usize, out: &mut [T]) {
+        const { assert!(std::mem::size_of::<UnsafeCell<T>>() == std::mem::size_of::<T>()) };
+        let cells = &self.cells[start..start + out.len()];
+        let src = cells.as_ptr().cast::<T>();
+        debug_assert!(disjoint(src, out.as_ptr(), out.len()));
+        // SAFETY: `cells` is in bounds (sliced above) and, `UnsafeCell<T>`
+        // being layout-identical to `T` (asserted above), one contiguous
+        // run of `out.len()` values whose pointer carries the whole slice's
+        // provenance. `out` is an exclusive borrow of other memory, so the
+        // ranges do not overlap (debug-checked). No thread writes these
+        // cells meanwhile (the concurrency contract).
+        unsafe { std::ptr::copy_nonoverlapping(src, out.as_mut_ptr(), out.len()) }
+    }
+
+    /// Copy `src` into cells `start .. start + src.len()`.
+    #[inline(always)]
+    fn store_span(&self, start: usize, src: &[T]) {
+        const { assert!(std::mem::size_of::<UnsafeCell<T>>() == std::mem::size_of::<T>()) };
+        let cells = &self.cells[start..start + src.len()];
+        let dst = UnsafeCell::raw_get(cells.as_ptr());
+        debug_assert!(disjoint(src.as_ptr(), dst, src.len()));
+        // SAFETY: as in `load_span`, with the roles swapped: `UnsafeCell`
+        // permits writing through the shared slice, and no thread reads or
+        // writes these cells meanwhile.
+        unsafe { std::ptr::copy_nonoverlapping(src.as_ptr(), dst, src.len()) }
+    }
+
     /// Take ownership of host data.
     pub fn from_vec(v: Vec<T>) -> Self {
         GlobalBuffer {
@@ -218,9 +297,7 @@ impl<T: Copy> GlobalBuffer<T> {
             }
             None => tally.dram_bytes_read += sz,
         }
-        // Safety: bounds-checked above; concurrent safety per the type
-        // contract.
-        unsafe { *self.cells[i].get() }
+        self.load(i)
     }
 
     /// Kernel-path write: counted and race-checked. Bounds validated before
@@ -237,7 +314,7 @@ impl<T: Copy> GlobalBuffer<T> {
         if let Some(p) = &self.faults {
             p.corrupt(i, &mut value);
         }
-        unsafe { *self.cells[i].get() = value };
+        self.store(i, value);
     }
 
     /// Bulk-counted read of `out.len()` consecutive cells starting at
@@ -265,32 +342,9 @@ impl<T: Copy> GlobalBuffer<T> {
                 rc.on_read(epoch, i);
             }
         }
-        let sz = std::mem::size_of::<T>() as u64;
-        tally.reads += len as u64;
-        tally.bytes_read += sz * len as u64;
-        match &self.touch {
-            Some(touch) => {
-                let mut dram = 0u64;
-                for t in &touch[start..start + len] {
-                    if Self::touch_is_dram(t, epoch) {
-                        dram += 1;
-                    }
-                }
-                tally.dram_bytes_read += sz * dram;
-                tally.l2_read_hits += len as u64 - dram;
-            }
-            None => tally.dram_bytes_read += sz * len as u64,
-        }
-        // Safety: span bounds-checked above; `UnsafeCell<T>` is layout-
-        // identical to `T` and the cell slab is dense, so the span is one
-        // contiguous `T` run. Concurrent safety per the type contract.
-        unsafe {
-            std::ptr::copy_nonoverlapping(
-                self.cells[start].get() as *const T,
-                out.as_mut_ptr(),
-                len,
-            );
-        }
+        let dram = self.first_touches(epoch, start, len);
+        Self::count_reads(tally, len as u64, dram);
+        self.load_span(start, out);
     }
 
     /// Bulk-counted write of `src.len()` consecutive cells starting at
@@ -312,19 +366,46 @@ impl<T: Copy> GlobalBuffer<T> {
         }
         tally.writes += len as u64;
         tally.bytes_written += std::mem::size_of::<T>() as u64 * len as u64;
-        if let Some(p) = &self.faults {
-            // Fault path: store element-wise so each cell's value can be
-            // corrupted independently. Tallied identically to the bulk path.
-            for (k, v) in src.iter().enumerate() {
-                let mut v = *v;
-                p.corrupt(start + k, &mut v);
-                unsafe { *self.cells[start + k].get() = v };
-            }
-            return;
+        self.store_row(start, src);
+    }
+
+    /// Cells of `start..start + len` whose read is this launch's first touch
+    /// (DRAM reads under the L2 model; all of them without touch tracking).
+    #[inline(always)]
+    fn first_touches(&self, epoch: Epoch, start: usize, len: usize) -> u64 {
+        match &self.touch {
+            Some(touch) => touch[start..start + len]
+                .iter()
+                .filter(|t| Self::touch_is_dram(t, epoch))
+                .count() as u64,
+            None => len as u64,
         }
-        // Safety: as in `read_span`.
-        unsafe {
-            std::ptr::copy_nonoverlapping(src.as_ptr(), self.cells[start].get(), len);
+    }
+
+    /// Tally `n` counted reads, `dram` of them from DRAM, the rest L2 hits.
+    #[inline(always)]
+    fn count_reads(tally: &mut Tally, n: u64, dram: u64) {
+        let sz = std::mem::size_of::<T>() as u64;
+        tally.reads += n;
+        tally.bytes_read += sz * n;
+        tally.dram_bytes_read += sz * dram;
+        tally.l2_read_hits += n - dram;
+    }
+
+    /// Store `row` into cells `s..`: element by element through the fault
+    /// plan when one is attached, so each cell can corrupt independently
+    /// (the caller tallies the same either way), else in one span copy.
+    #[inline(always)]
+    fn store_row(&self, s: usize, row: &[T]) {
+        match &self.faults {
+            Some(p) => {
+                for (k, &v) in row.iter().enumerate() {
+                    let mut v = v;
+                    p.corrupt(s + k, &mut v);
+                    self.store(s + k, v);
+                }
+            }
+            None => self.store_span(s, row),
         }
     }
 
@@ -346,16 +427,32 @@ impl<T: Copy> GlobalBuffer<T> {
         len: usize,
         out: &mut [T],
     ) {
+        debug_assert_eq!(out.len(), rows * len);
+        self.read_spans_into(tally, epoch, start, stride, rows, len, out, len, false);
+    }
+
+    /// [`GlobalBuffer::read_spans`] into rows of `out` that are `out_stride`
+    /// apart (`≥ len`) and, when `reversed`, in reverse order: span `r`
+    /// lands at `out[d·out_stride..][..len]` with `d = rows − 1 − r`. One
+    /// envelope for the family either way; a moment lattice whose parity
+    /// twist has reversed its plane order reads its `M` planes with it.
+    #[allow(clippy::too_many_arguments)]
+    pub fn read_spans_into(
+        &self,
+        tally: &mut Tally,
+        epoch: Epoch,
+        start: usize,
+        stride: usize,
+        rows: usize,
+        len: usize,
+        out: &mut [T],
+        out_stride: usize,
+        reversed: bool,
+    ) {
         if rows == 0 || len == 0 {
             return;
         }
-        debug_assert_eq!(out.len(), rows * len);
-        let n = self.cells.len();
-        let last = start + (rows - 1) * stride;
-        assert!(
-            len <= n && start <= n - len && last <= n - len,
-            "global strided read out of bounds: {rows} rows of {start}..+{len} by {stride}"
-        );
+        self.check_family("read", start, stride, rows, len, out.len(), out_stride);
         if let Some(rc) = &self.race {
             for r in 0..rows {
                 let s = start + r * stride;
@@ -364,46 +461,19 @@ impl<T: Copy> GlobalBuffer<T> {
                 }
             }
         }
-        let sz = std::mem::size_of::<T>() as u64;
-        let total = (rows * len) as u64;
-        tally.reads += total;
-        tally.bytes_read += sz * total;
-        match &self.touch {
-            Some(touch) => {
-                let mut dram = 0u64;
-                for r in 0..rows {
-                    let s = start + r * stride;
-                    for t in &touch[s..s + len] {
-                        if Self::touch_is_dram(t, epoch) {
-                            dram += 1;
-                        }
-                    }
-                }
-                tally.dram_bytes_read += sz * dram;
-                tally.l2_read_hits += total - dram;
-            }
-            None => tally.dram_bytes_read += sz * total,
-        }
-        // Safety: every row span bounds-checked above (monotone starts, the
-        // first and last row checked explicitly cover the rest); same cell
-        // contract as `read_span`.
+        let dram = (0..rows).map(|r| self.first_touches(epoch, start + r * stride, len));
+        Self::count_reads(tally, (rows * len) as u64, dram.sum());
         for r in 0..rows {
-            let s = start + r * stride;
-            unsafe {
-                std::ptr::copy_nonoverlapping(
-                    self.cells[s].get() as *const T,
-                    out[r * len..].as_mut_ptr(),
-                    len,
-                );
-            }
+            let d = if reversed { rows - 1 - r } else { r } * out_stride;
+            self.load_span(start + r * stride, &mut out[d..d + len]);
         }
     }
 
-    /// Strided-write mirror of [`GlobalBuffer::read_spans`]: span `r` takes
-    /// `src[r·len..]` into cells `start + r·stride .. + len`. Accounting is
+    /// Write mirror of [`GlobalBuffer::read_spans_into`]: span `r` of the
+    /// cells takes `src[d·src_stride..][..len]`, `d` as there. Accounting is
     /// byte-identical to `rows` separate [`GlobalBuffer::write_span`] calls.
     #[allow(clippy::too_many_arguments)]
-    pub fn write_spans(
+    pub fn write_spans_from(
         &self,
         tally: &mut Tally,
         epoch: Epoch,
@@ -412,17 +482,13 @@ impl<T: Copy> GlobalBuffer<T> {
         rows: usize,
         len: usize,
         src: &[T],
+        src_stride: usize,
+        reversed: bool,
     ) {
         if rows == 0 || len == 0 {
             return;
         }
-        debug_assert_eq!(src.len(), rows * len);
-        let n = self.cells.len();
-        let last = start + (rows - 1) * stride;
-        assert!(
-            len <= n && start <= n - len && last <= n - len,
-            "global strided write out of bounds: {rows} rows of {start}..+{len} by {stride}"
-        );
+        self.check_family("write", start, stride, rows, len, src.len(), src_stride);
         if let Some(rc) = &self.race {
             for r in 0..rows {
                 let s = start + r * stride;
@@ -431,41 +497,53 @@ impl<T: Copy> GlobalBuffer<T> {
                 }
             }
         }
-        let sz = std::mem::size_of::<T>() as u64;
         let total = (rows * len) as u64;
         tally.writes += total;
-        tally.bytes_written += sz * total;
-        if let Some(p) = &self.faults {
-            // Fault path: element-wise so each cell can corrupt
-            // independently, exactly as `write_span` does.
-            for r in 0..rows {
-                let s = start + r * stride;
-                for (k, v) in src[r * len..][..len].iter().enumerate() {
-                    let mut v = *v;
-                    p.corrupt(s + k, &mut v);
-                    unsafe { *self.cells[s + k].get() = v };
-                }
-            }
-            return;
-        }
+        tally.bytes_written += std::mem::size_of::<T>() as u64 * total;
         for r in 0..rows {
-            let s = start + r * stride;
-            unsafe {
-                std::ptr::copy_nonoverlapping(src[r * len..].as_ptr(), self.cells[s].get(), len);
-            }
+            let d = if reversed { rows - 1 - r } else { r } * src_stride;
+            self.store_row(start + r * stride, &src[d..d + len]);
         }
+    }
+
+    /// Bounds of a strided family against the cells and against the host
+    /// slice of `host_len` values it moves to or from, validated before
+    /// anything is tallied: monotone row starts, so the first and the last
+    /// row cover the rest.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn check_family(
+        &self,
+        what: &str,
+        start: usize,
+        stride: usize,
+        rows: usize,
+        len: usize,
+        host_len: usize,
+        host_stride: usize,
+    ) {
+        let n = self.cells.len();
+        let last = start + (rows - 1) * stride;
+        assert!(
+            len <= n && start <= n - len && last <= n - len,
+            "global {what} out of bounds: {rows} rows of {start}..+{len} by {stride}"
+        );
+        assert!(
+            host_stride >= len && (rows - 1) * host_stride + len <= host_len,
+            "{rows} host rows of {len} by {host_stride} overrun {host_len} values"
+        );
     }
 
     /// Host-path read (uncounted). Only sound between launches.
     #[inline]
     pub fn get(&self, i: usize) -> T {
-        unsafe { *self.cells[i].get() }
+        self.load(i)
     }
 
     /// Host-path write (uncounted). Only sound between launches.
     #[inline]
     pub fn set(&self, i: usize, value: T) {
-        unsafe { *self.cells[i].get() = value };
+        self.store(i, value)
     }
 
     /// Copy the whole buffer to host memory. Only sound between launches.
@@ -647,6 +725,84 @@ mod tests {
         assert_eq!(ts.l2_read_hits, 8, "cells 8..16 re-read within the launch");
         assert_eq!(ts.dram_bytes_read, 12 * 8);
         assert_eq!(ts.writes, 6);
+    }
+
+    /// A strided family moved into rows `out_stride` apart, in reverse row
+    /// order, and written back the same way, tallies and lands exactly like
+    /// the element-wise loop it stands for — including a repeat read of
+    /// the family (L2 hits) and a fault on one cell of the write.
+    #[test]
+    fn strided_reversed_family_matches_element_ops() {
+        use crate::fault::FaultPlan;
+        // Three rows of two cells at stride 5 from cell 3; host rows 4 apart
+        // from offset 1, reversed.
+        let (start, stride, rows, len, out_stride) = (3, 5, 3, 2, 4);
+        let host = |r: usize, k: usize| 1 + (rows - 1 - r) * out_stride + k;
+        let run = |spans: bool| {
+            let mut plan = FaultPlan::new();
+            plan.inject_bitflip(start + stride + 1, 63, 0);
+            let b: GlobalBuffer<f64> = GlobalBuffer::from_vec((0..16).map(|i| i as f64).collect())
+                .with_touch_tracking()
+                .with_fault_plan(Arc::new(plan));
+            let (mut t, mut out) = (Tally::default(), [0.0; 12]);
+            if spans {
+                for _ in 0..2 {
+                    b.read_spans_into(
+                        &mut t,
+                        ep(0),
+                        start,
+                        stride,
+                        rows,
+                        len,
+                        &mut out[1..],
+                        out_stride,
+                        true,
+                    );
+                }
+                out.iter_mut().for_each(|v| *v *= 10.0);
+                b.write_spans_from(
+                    &mut t,
+                    ep(0),
+                    start,
+                    stride,
+                    rows,
+                    len,
+                    &out[1..],
+                    out_stride,
+                    true,
+                );
+            } else {
+                for _ in 0..2 {
+                    for r in 0..rows {
+                        for k in 0..len {
+                            out[host(r, k)] = b.read(&mut t, ep(0), start + r * stride + k);
+                        }
+                    }
+                }
+                out.iter_mut().for_each(|v| *v *= 10.0);
+                for r in 0..rows {
+                    for k in 0..len {
+                        b.write(&mut t, ep(0), start + r * stride + k, out[host(r, k)]);
+                    }
+                }
+            }
+            (t, out, b.snapshot())
+        };
+        let (ts, os, fs) = run(true);
+        let (te, oe, fe) = run(false);
+        assert_eq!(
+            ts, te,
+            "strided family tallies diverged from element tallies"
+        );
+        assert_eq!((os, &fs), (oe, &fe), "strided family values diverged");
+        assert_eq!((ts.reads, ts.l2_read_hits, ts.writes), (12, 6, 6));
+        // Row 0 (cells 3, 4) lands in the last host row, reversed order.
+        assert_eq!(os[host(0, 0)], 30.0);
+        assert_eq!(
+            fs[start + stride + 1],
+            -90.0,
+            "the fault hit cell 9's write"
+        );
     }
 
     /// Span ops feed the same per-cell race checker as element ops: a

@@ -91,10 +91,17 @@ impl MomentLattice {
         self.twist
     }
 
+    /// Whether the plane order is reversed at timestep `t` (odd `t` of a
+    /// twisted lattice).
+    #[inline(always)]
+    fn reversed(&self, t: u64) -> bool {
+        self.twist && t % 2 == 1
+    }
+
     /// Physical plane holding logical moment `m` at timestep `t`.
     #[inline(always)]
     fn plane(&self, t: u64, m: usize) -> usize {
-        if self.twist && t % 2 == 1 {
+        if self.reversed(t) {
             self.m - 1 - m
         } else {
             m
@@ -148,16 +155,6 @@ impl MomentLattice {
         ctx.read(&self.buf, self.plane(t, m) * self.cap + self.slot(idx, t))
     }
 
-    /// Kernel write of moment `m` of node `idx` at time `t`.
-    #[inline(always)]
-    pub fn write(&self, ctx: &mut BlockCtx, t: u64, idx: usize, m: usize, v: f64) {
-        ctx.write(
-            &self.buf,
-            self.plane(t, m) * self.cap + self.slot(idx, t),
-            v,
-        );
-    }
-
     /// Kernel write of a node's full moment state at time `t`.
     #[inline(always)]
     pub fn write_moments<L: Lattice>(&self, ctx: &mut BlockCtx, t: u64, idx: usize, mom: &Moments) {
@@ -171,70 +168,68 @@ impl MomentLattice {
     }
 
     /// Bulk kernel read of the full moment state of `count` consecutive
-    /// nodes `idx0..idx0+count` at time `at` into block scratch at
-    /// `scratch_off`, plane-major: `scratch[scratch_off + m·count + j]` is
-    /// moment `m` of node `idx0 + j`.
+    /// nodes `idx0..idx0+count` at time `at` into block scratch, plane-major
+    /// with plane stride `stride ≥ count`: `scratch[off + m·stride + j]` is
+    /// moment `m` of node `idx0 + j`. A walker row stages each run at its
+    /// row position with the row's stride; a packed run passes `count`.
     ///
-    /// Consecutive node indices occupy consecutive slots modulo `cap`
-    /// (`slot(idx0 + j, t) = (slot(idx0, t) + j) mod cap`), so each moment
-    /// plane is at most two contiguous spans — split at the circular wrap —
-    /// and is moved through [`BlockCtx::read_span_to_scratch`]. Tallies and
-    /// race checks are byte-identical to `count · M` element-wise
-    /// [`MomentLattice::read`] calls.
+    /// **Envelope.** Consecutive node indices occupy consecutive slots
+    /// modulo `cap`, and the `M` physical planes are `cap` apart, so the
+    /// row is one strided family of `M` spans — two at the circular wrap,
+    /// split there — moved by [`BlockCtx::read_spans_to_scratch`] in one
+    /// accounting envelope each. A parity-twisted lattice at odd `t` holds
+    /// moment `m` in plane `M−1−m`: the same family, landing in scratch in
+    /// reverse plane order. Tallies and race checks are byte-identical to
+    /// `count · M` element-wise [`MomentLattice::read`] calls.
     pub fn read_row_to_scratch(
         &self,
         ctx: &mut BlockCtx,
         at: TimeSlot,
         idx0: usize,
         count: usize,
-        scratch_off: usize,
+        off: usize,
+        stride: usize,
     ) {
-        debug_assert!(idx0 + count <= self.n);
-        let (t, s0) = (at.t, self.slot_at(idx0, at));
-        let first = count.min(self.cap - s0);
-        if first == count && self.plane(t, 0) == 0 {
-            // No circular wrap and natural plane order: all `m` plane rows
-            // share one stride, so the whole family moves in a single
-            // accounting envelope.
-            ctx.read_spans_to_scratch(&self.buf, s0, self.cap, self.m, count, scratch_off);
-            return;
-        }
-        for m in 0..self.m {
-            let base = self.plane(t, m) * self.cap;
-            let dst = scratch_off + m * count;
-            ctx.read_span_to_scratch(&self.buf, base + s0, dst, first);
-            if first < count {
-                ctx.read_span_to_scratch(&self.buf, base, dst + first, count - first);
-            }
+        let (rev, cap, m) = (self.reversed(at.t), self.cap, self.m);
+        for (s, j, len) in self.row_pieces(at, idx0, count) {
+            ctx.read_spans_to_scratch(&self.buf, s, cap, m, len, off + j, stride, rev);
         }
     }
 
     /// Bulk kernel write mirroring [`MomentLattice::read_row_to_scratch`]:
-    /// the plane-major staged moments of `count` consecutive nodes are
-    /// written to time `at` through [`BlockCtx::write_span_from_scratch`].
+    /// the plane-major staged moments of `count` consecutive nodes (plane
+    /// stride `stride`) are written to time `at` through
+    /// [`BlockCtx::write_spans_from_scratch`], in the same envelopes.
     pub fn write_row_from_scratch(
         &self,
         ctx: &mut BlockCtx,
         at: TimeSlot,
         idx0: usize,
         count: usize,
-        scratch_off: usize,
+        off: usize,
+        stride: usize,
     ) {
+        let (rev, cap, m) = (self.reversed(at.t), self.cap, self.m);
+        for (s, j, len) in self.row_pieces(at, idx0, count) {
+            ctx.write_spans_from_scratch(&self.buf, s, cap, m, len, off + j, stride, rev);
+        }
+    }
+
+    /// The contiguous pieces of plane 0 that nodes `idx0..idx0+count` occupy
+    /// at `at`, as `(slot, first node j, length)`: one, or two split at the
+    /// circular wrap (`slot(idx0 + j, t) = (slot(idx0, t) + j) mod cap`).
+    fn row_pieces(
+        &self,
+        at: TimeSlot,
+        idx0: usize,
+        count: usize,
+    ) -> impl Iterator<Item = (usize, usize, usize)> {
         debug_assert!(idx0 + count <= self.n);
-        let (t, s0) = (at.t, self.slot_at(idx0, at));
+        let s0 = self.slot_at(idx0, at);
         let first = count.min(self.cap - s0);
-        if first == count && self.plane(t, 0) == 0 {
-            ctx.write_spans_from_scratch(&self.buf, s0, self.cap, self.m, count, scratch_off);
-            return;
-        }
-        for m in 0..self.m {
-            let base = self.plane(t, m) * self.cap;
-            let src = scratch_off + m * count;
-            ctx.write_span_from_scratch(&self.buf, base + s0, src, first);
-            if first < count {
-                ctx.write_span_from_scratch(&self.buf, base, src + first, count - first);
-            }
-        }
+        [(s0, 0, first), (0, first, count - first)]
+            .into_iter()
+            .filter(|p| p.2 > 0)
     }
 
     /// Host read of a node's moments at time `t` (between launches).
@@ -346,79 +341,147 @@ mod tests {
         let _ = MomentLattice::new(100, 6, 10, 5);
     }
 
-    /// Row (span) reads/writes produce bitwise-identical values and
-    /// byte-identical tallies to element-wise moment access, including when
-    /// the row straddles the circular wrap of the slot space.
-    #[test]
-    fn row_ops_match_element_ops_across_wrap() {
+    /// One row through the span path against the element path: read the
+    /// `count` nodes from `idx0` at `t`, add ½ to every moment, write them
+    /// at `t + 1`. The span path stages the row at scratch offset `off`
+    /// with plane stride `stride` and checks what landed there against the
+    /// host's view of the lattice before writing it back. Returns both
+    /// runs' tallies and the moments they left at `t + 1`.
+    fn row_round_trip(
+        mk: impl Fn() -> MomentLattice,
+        t: u64,
+        (idx0, count): (usize, usize),
+        (off, stride): (usize, usize),
+    ) -> [(gpu_sim::memory::Tally, Vec<Moments>); 2] {
         use gpu_sim::exec::{Kernel, Launch};
         use gpu_sim::{DeviceSpec, Gpu};
-
-        // n=40, cap=50, shift=8: at t=1 node idx sits in slot (idx+42)%50,
-        // so the row idx0=5, count=10 occupies slots 47..50 ∪ 0..7 — a wrap.
-        const T: u64 = 1;
-        const IDX0: usize = 5;
-        const COUNT: usize = 10;
         struct RowProbe<'a> {
             ml: &'a MomentLattice,
             spans: bool,
+            t: u64,
+            row: (usize, usize),
+            at: (usize, usize),
+            /// Moment `m` of node `idx0 + j` at `t`, packed: `expect[m·count + j]`.
+            expect: Vec<f64>,
         }
         impl Kernel for RowProbe<'_> {
             fn name(&self) -> &str {
                 "row-probe"
             }
             fn run_block(&self, ctx: &mut BlockCtx) {
-                if self.spans {
-                    self.ml
-                        .read_row_to_scratch(ctx, self.ml.at(T), IDX0, COUNT, 0);
-                    for k in 0..COUNT * 6 {
-                        ctx.scratch()[k] += 0.5;
-                    }
-                    self.ml
-                        .write_row_from_scratch(ctx, self.ml.at(T + 1), IDX0, COUNT, 0);
-                } else {
-                    for j in 0..COUNT {
-                        for m in 0..6 {
-                            let v = self.ml.read(ctx, T, IDX0 + j, m);
-                            self.ml.write(ctx, T + 1, IDX0 + j, m, v + 0.5);
+                let ((idx0, count), (off, stride), t) = (self.row, self.at, self.t);
+                if !self.spans {
+                    // A node's six moments are all read before any is
+                    // written: a twisted lattice writes `t + 1` into the
+                    // planes that hold `t` in reverse.
+                    for j in 0..count {
+                        let v: [f64; 6] =
+                            std::array::from_fn(|m| self.ml.read(ctx, t, idx0 + j, m));
+                        for (m, v) in v.into_iter().enumerate() {
+                            let (ml, at) = (self.ml, self.ml.slot(idx0 + j, t + 1));
+                            ctx.write(&ml.buf, ml.plane(t + 1, m) * ml.cap + at, v + 0.5);
                         }
                     }
+                    return;
                 }
+                let ml = self.ml;
+                ml.read_row_to_scratch(ctx, ml.at(t), idx0, count, off, stride);
+                for m in 0..6 {
+                    let plane = &mut ctx.scratch()[off + m * stride..][..count];
+                    assert_eq!(plane, &self.expect[m * count..][..count], "plane {m}");
+                    plane.iter_mut().for_each(|v| *v += 0.5);
+                }
+                ml.write_row_from_scratch(ctx, ml.at(t + 1), idx0, count, off, stride);
             }
         }
-        let run = |spans: bool| {
-            let ml = MomentLattice::new(40, 6, 8, 10).with_touch_tracking();
+        [true, false].map(|spans| {
+            let ml = mk().with_touch_tracking();
+            let mut expect = vec![0.0; 6 * count];
             for idx in 0..40 {
                 let m = Moments {
                     rho: 1.0 + idx as f64 * 0.01,
-                    u: [0.001 * idx as f64, -0.002, 0.0],
-                    pi: [0.3, 0.05, 0.0, 0.31, 0.0, 0.0],
+                    u: [0.001 * idx as f64, -0.002 - 0.0001 * idx as f64, 0.0],
+                    pi: [0.3, 0.05 * idx as f64, 0.0, 0.31, 0.0, 0.0],
                 };
-                ml.set_moments::<D2Q9>(T, idx, &m);
+                ml.set_moments::<D2Q9>(t, idx, &m);
+                if (idx0..idx0 + count).contains(&idx) {
+                    let mut flat = [0.0; 6];
+                    m.pack::<D2Q9>(&mut flat);
+                    for (k, v) in flat.into_iter().enumerate() {
+                        expect[k * count + idx - idx0] = v;
+                    }
+                }
             }
             let gpu = Gpu::new(DeviceSpec::v100()).with_cpu_threads(1);
             let cfg = Launch {
                 blocks: 1,
                 threads_per_block: 32,
                 shared_doubles: 0,
-                scratch_doubles: 6 * COUNT,
+                scratch_doubles: off + 5 * stride + count,
             };
-            let stats = gpu.launch(&cfg, &RowProbe { ml: &ml, spans });
-            let out: Vec<Moments> = (IDX0..IDX0 + COUNT)
-                .map(|idx| ml.get_moments::<D2Q9>(T + 1, idx))
+            let probe = RowProbe {
+                ml: &ml,
+                spans,
+                t,
+                row: (idx0, count),
+                at: (off, stride),
+                expect,
+            };
+            let stats = gpu.launch(&cfg, &probe);
+            let out = (idx0..idx0 + count)
+                .map(|idx| ml.get_moments::<D2Q9>(t + 1, idx))
                 .collect();
             (stats.tally, out)
-        };
-        let (ts, vs) = run(true);
-        let (te, ve) = run(false);
-        assert_eq!(ts, te, "row-span tallies diverged from element tallies");
-        assert_eq!(ts.reads, (COUNT * 6) as u64);
-        assert_eq!(ts.writes, (COUNT * 6) as u64);
+        })
+    }
+
+    /// The span and element paths agree: same tally (six words), same
+    /// moments left behind, every one of the `6·count` cells read and
+    /// written once.
+    fn assert_same_round_trip(
+        what: &str,
+        [(ts, vs), (te, ve)]: [(gpu_sim::memory::Tally, Vec<Moments>); 2],
+    ) {
+        assert_eq!(
+            ts, te,
+            "{what}: row-span tallies diverged from element tallies"
+        );
+        assert_eq!(ts.reads, (vs.len() * 6) as u64, "{what}");
+        assert_eq!(ts.writes, (vs.len() * 6) as u64, "{what}");
         for (a, b) in vs.iter().zip(&ve) {
-            assert_eq!(a.rho, b.rho);
-            assert_eq!(a.u, b.u);
-            assert_eq!(a.pi, b.pi);
+            assert_eq!((a.rho, a.u, a.pi), (b.rho, b.u, b.pi), "{what}");
         }
-        assert!((vs[0].rho - (1.0 + 0.05 + 0.5)).abs() < 1e-15);
+    }
+
+    /// Row (span) reads/writes produce bitwise-identical values and
+    /// byte-identical tallies to element-wise moment access, including when
+    /// the row straddles the circular wrap of the slot space.
+    #[test]
+    fn row_ops_match_element_ops_across_wrap() {
+        // n=40, cap=50, shift=8: at t=1 node idx sits in slot (idx+42)%50,
+        // so the row idx0=5, count=10 occupies slots 47..50 ∪ 0..7 — a wrap.
+        let shifted = || MomentLattice::new(40, 6, 8, 10);
+        let runs = row_round_trip(shifted, 1, (5, 10), (0, 10));
+        assert!((runs[0].1[0].rho - (1.0 + 0.05 + 0.5)).abs() < 1e-15);
+        assert_same_round_trip("packed, across the wrap", runs);
+        // The same wrap staged at a row position with a wider plane stride.
+        let runs = row_round_trip(shifted, 1, (5, 10), (3, 17));
+        assert_same_round_trip("strided, across the wrap", runs);
+    }
+
+    /// The twisted lattice's row envelope: at odd `t` the planes are stored
+    /// in reverse order, so one side of every step moves them reversed —
+    /// reading at odd `t` and writing at even `t + 1`, then the other way
+    /// round — staged packed and at a non-packed plane stride. Values and
+    /// tallies must match element-wise access through `plane(t, m)`.
+    #[test]
+    fn row_ops_match_element_ops_twisted_and_strided() {
+        let twisted = || MomentLattice::new(40, 6, 0, 0).with_parity_twist();
+        for t in [1, 2] {
+            for (off, stride) in [(0, 9), (2, 9), (5, 13)] {
+                let what = format!("twist t = {t}, scratch {off} + m·{stride}");
+                assert_same_round_trip(&what, row_round_trip(twisted, t, (30, 9), (off, stride)));
+            }
+        }
     }
 }

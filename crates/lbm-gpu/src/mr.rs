@@ -7,9 +7,12 @@
 //! layers; per tile the block
 //!
 //! 1. reads the moments `{ρ, u, Π}` of the tile layers **and the halo**
-//!    from global memory (halo re-reads hit the modeled L2, so the DRAM
-//!    traffic stays at `M` doubles per node),
-//! 2. performs collision in moment space (eq. 10; for MR-R also the
+//!    from global memory, one halo-extended footprint row at a time: each
+//!    fluid run of the row is one counted row read, staged at its position
+//!    in the row (halo re-reads hit the modeled L2, so the DRAM traffic
+//!    stays at `M` doubles per node),
+//! 2. performs collision in moment space on the whole row, in `LANES`-node
+//!    chunks with all-solid chunks skipped (eq. 10; for MR-R also the
 //!    recursive higher-order coefficients, eqs. 12–13),
 //! 3. maps to distribution space (eq. 11 / 14) and *streams by scatter*
 //!    into a shared-memory sliding window of `tile_h + 2` layers, resolving
@@ -34,14 +37,17 @@
 //! the y-halo rows fall outside `[0, nfy)` and are skipped, and the shared
 //! slot `((i·win + w mod win)·wy + yl)·wx + xl` is the 2D column slot: the
 //! 2D kernel is the 3D kernel, not a copy. `L::D` is a constant, so each
-//! such branch folds away per lattice (DESIGN.md, "Walk frame"). The slot
-//! is direction-major with x fastest, so a stretch of lanes streams
-//! direction `i` as one lane-span copy in *frame* x (a wrapped halo lane
-//! sits at `xl = −1` or `wx`) clipped to `xl + cx ∈ [0, wx)`, and a
-//! completed run hands `moments_from_f_lanes` contiguous lane slices. A lane
-//! beside resting walls then writes its bounce mask back ([`walk_classes`]);
-//! only one beside a moving wall is scattered node by node. Every slot keeps
-//! one writer (DESIGN.md, "Clipped-span scatter with a bounce mask").
+//! such branch folds away per lattice (DESIGN.md, "Walk frame"). A block
+//! walks rows: position `p` of a halo-extended row is footprint x `p − 1`,
+//! so a wrapped halo lane sits at `−1` or `wx` in the row's first or last
+//! chunk, and the row's runs and classes come from a directory built once
+//! with the walk. The slot is direction-major with x fastest, so a chunk's
+//! stretch of lanes streams direction `i` as one lane-span copy in *frame*
+//! x clipped to `xl + cx ∈ [0, wx)`, and a completed row hands
+//! `moments_from_f_lanes` full chunks of lane slices. A lane beside resting
+//! walls then writes its bounce mask back ([`walk_classes`]); only one
+//! beside a moving wall is scattered node by node. Every slot keeps one
+//! writer (DESIGN.md, "Clipped-span scatter with a bounce mask").
 //!
 //! Tiles default to a single layer — the paper notes (§3.2) that taller 3D
 //! tiles "consistently underperform those that are a single lattice point
@@ -187,55 +193,110 @@ pub fn lane_redundancy(wx: usize, wy: usize) -> f64 {
 
 /// How a column block walks a domain: footprint, tile height, and what
 /// follows from them and the geometry alone — the directions each
-/// footprint row can store and the class of every node. Built once per
-/// driver (or shard) and borrowed by every launch.
+/// footprint row can store, the class of every node and the rows a block
+/// stages. Built once per driver (or shard) and borrowed by every launch.
 struct ColumnWalk {
     wx: usize,
     wy: usize,
     tile_h: usize,
+    /// Frame x of the first footprint: column `k` starts at `x_first + k·wx`.
+    x_first: usize,
+    ncols: usize,
     /// One byte per node ([`walk_classes`]): [`SOLID`] breaks a run,
     /// [`REFERENCE`] lanes are scattered node by node, the others stream
     /// as spans.
     class: Vec<u8>,
     /// The bounce mask of every node ([`walk_classes`]).
     bounce: Vec<u32>,
-    /// Directions a lane stores into the footprint — index list (what the
-    /// collide kernels reconstruct) and bit mask (what the reference scatter
-    /// visits) — by row (halo below, owned, halo above) and x side (a
-    /// one-node run in the left halo, any other, the right halo). A halo lane
-    /// reaches the footprint only through the directions pointing at it.
-    rows: [[(Vec<usize>, u64); 3]; 3],
+    /// Directions a lane can store into the footprint, which the collide
+    /// kernels reconstruct, by row: the y halo below, an owned row, the y
+    /// halo above. A y-halo lane reaches the footprint only through the
+    /// directions pointing at it; an x-halo lane shares its row's chunks,
+    /// and the span clip keeps what it stores inside the footprint.
+    rows: [Vec<usize>; 3],
+    /// Row `i = r·ncols + k`, the halo-extended row of column `k` at frame
+    /// row `r = fy + nfy·w`, has `wx + 2` positions, `p` at footprint x
+    /// `p − 1`: `row_class[i·(wx + 2) + p]` is the class of the node there
+    /// (wrapped past a periodic face, else [`SOLID`] past a face), and
+    /// `runs[run_at[i]..run_at[i + 1]]` its runs of consecutive-index fluid
+    /// nodes, `[frame x, p, len]`. The geometry is static: no step scans.
+    row_class: Vec<u8>,
+    runs: Vec<[u32; 3]>,
+    run_at: Vec<u32>,
 }
 
 impl ColumnWalk {
-    /// The walk of `wx × wy` columns over `geom` in tiles of `tile_h`
-    /// layers.
-    fn new<L: Lattice>(geom: &Geometry, wx: usize, wy: usize, tile_h: usize) -> Self {
+    /// The walk of `ncols` columns `wx × wy` from frame x `x_first` over
+    /// `geom`, in tiles of `tile_h` layers.
+    fn new<L: Lattice>(
+        geom: &Geometry,
+        (wx, wy, tile_h): (usize, usize, usize),
+        x_first: usize,
+        ncols: usize,
+    ) -> Self {
         assert!(wx >= 1 && wy >= 1 && tile_h >= 1, "empty column tile");
-        const { assert!(L::Q <= 64, "direction masks are u64") };
-        let keep = |want: Option<i64>, c: i64| want.is_none_or(|w| w == c);
-        let dirs = |c_fy: Option<i64>, cx: Option<i64>| {
-            let dirs: Vec<usize> = (0..L::Q)
-                .filter(|&i| keep(c_fy, frame_dir::<L>(i).1) && keep(cx, frame_dir::<L>(i).0))
-                .collect();
-            let mask = dirs.iter().fold(0u64, |m, &i| m | 1 << i);
-            (dirs, mask)
+        let dirs = |c_fy: Option<i64>| -> Vec<usize> {
+            (0..L::Q)
+                .filter(|&i| c_fy.is_none_or(|c| c == frame_dir::<L>(i).1))
+                .collect()
         };
-        let row = |c_fy| [dirs(c_fy, Some(1)), dirs(c_fy, None), dirs(c_fy, Some(-1))];
         let (class, bounce) = walk_classes::<L>(geom);
+        let (nx, periodic) = (geom.nx, geom.periodic[0]);
+        let u32_of = |v: usize| u32::try_from(v).expect("run directory exceeds u32");
+        let mut row_class = Vec::with_capacity(class.len() / nx * ncols * (wx + 2));
+        let (mut runs, mut run_at) = (Vec::<[u32; 3]>::new(), vec![0]);
+        for row in class.chunks_exact(nx) {
+            for x0 in (0..ncols).map(|k| x_first + k * wx) {
+                // Frame x of position `p`, wrapped at a periodic face.
+                let x_at = |p: usize| match x0 + p {
+                    0 if periodic => Some(nx - 1),
+                    fx if fx == nx + 1 && periodic => Some(0),
+                    fx => (1..=nx).contains(&fx).then(|| fx - 1),
+                };
+                // `prev`: frame x of the previous position when it is fluid.
+                let mut prev = None;
+                for p in 0..wx + 2 {
+                    let c = x_at(p).map_or(SOLID, |x| row[x]);
+                    row_class.push(c);
+                    let x = x_at(p).filter(|_| c != SOLID);
+                    match (x, runs.last_mut()) {
+                        (Some(x), Some(run)) if prev.is_some_and(|px| px + 1 == x) => run[2] += 1,
+                        (Some(x), _) => runs.push([x, p, 1].map(u32_of)),
+                        (None, _) => {}
+                    }
+                    prev = x;
+                }
+                run_at.push(u32_of(runs.len()));
+            }
+        }
         ColumnWalk {
             wx,
             wy,
             tile_h,
+            x_first,
+            ncols,
             class,
             bounce,
-            rows: [row(Some(1)), row(None), row(Some(-1))],
+            rows: [dirs(Some(1)), dirs(None), dirs(Some(-1))],
+            row_class,
+            runs,
+            run_at,
         }
+    }
+
+    /// Halo-extended row `(k, r)` ([`ColumnWalk::row_class`]): its class
+    /// bytes and its runs `[x, p, len]`.
+    #[inline]
+    fn row(&self, k: usize, r: usize) -> (&[u8], impl Iterator<Item = [usize; 3]> + '_) {
+        let (i, n) = (r * self.ncols + k, self.wx + 2);
+        let runs = &self.runs[self.run_at[i] as usize..self.run_at[i + 1] as usize];
+        let class = &self.row_class[i * n..][..n];
+        (class, runs.iter().map(|run| run.map(|v| v as usize)))
     }
 
     /// Shared-window slot of direction `i` at footprint cell `(xl, yl)` in
     /// window layer `wl` (a layer index `mod win`): direction-major, x
-    /// fastest, so the lanes of an x run are contiguous per direction.
+    /// fastest, so the lanes of an x row are contiguous per direction.
     #[inline(always)]
     fn slot(&self, i: usize, wl: usize, yl: usize, xl: usize) -> usize {
         ((i * (self.tile_h + 2) + wl) * self.wy + yl) * self.wx + xl
@@ -315,16 +376,13 @@ impl<L: Lattice> PhasedKernel for MrKernel<'_, L> {
         let (wx, wy, h) = (self.walk.wx, self.walk.wy, self.walk.tile_h);
         let win = h + 2;
         let (x0, y0) = self.cols[ctx.block_id];
-        let (x_lo, x_hi) = (x0 as i64, (x0 + wx) as i64 - 1);
+        let col = (x0 - self.walk.x_first) / wx;
         let w_lo = k * h;
         // One lane block per phase: every kernel writes a lane before reading it.
         let mut lanes: LaneBlock = [[0.0f64; LANES]; MAX_Q];
 
         // --- Collide the tile's layers of the column + full rectangular ---
-        // --- halo, stream into the shared window.                       ---
-        // Per x row of the halo-extended footprint, maximal segments of
-        // consecutive-index fluid nodes stage their `t`-moments through row
-        // spans before the per-node collide + scatter.
+        // --- halo, stream into the shared window, one x row at a time.  ---
         for w in w_lo..w_lo + h {
             for yi in -1..=(wy as i64) {
                 let ys = y0 as i64 + yi;
@@ -339,10 +397,8 @@ impl<L: Lattice> PhasedKernel for MrKernel<'_, L> {
                     w,
                     wl: [(w + win - 1) % win, w % win, (w + 1) % win],
                 };
-                let row0 = nx * (row.fy + nfy * w);
-                self.for_each_run(row0, x_lo - 1, x_hi + 1, |xs, idx, len| {
-                    self.collide_segment(ctx, &row, &mut lanes, xs - x_lo, idx, len)
-                });
+                let r = row.fy + nfy * w;
+                self.collide_row(ctx, &row, nx * r, self.walk.row(col, r), &mut lanes);
             }
         }
 
@@ -351,227 +407,190 @@ impl<L: Lattice> PhasedKernel for MrKernel<'_, L> {
         // --- population.                                                ---
         for wf in w_lo.saturating_sub(1)..w_lo + h - 1 {
             for yl in 0..wy {
-                let row0 = nx * (y0 + yl + nfy * wf);
-                self.for_each_run(row0, x_lo, x_hi, |xs, idx, len| {
-                    // Shared slot of the run's first node, direction 0.
-                    let slot0 = self.walk.slot(0, wf % win, yl, (xs - x_lo) as usize);
-                    self.finalize_run(ctx, &mut lanes, slot0, idx, len)
+                let r = y0 + yl + nfy * wf;
+                let (class, runs) = self.walk.row(col, r);
+                // The owned part of each run, positions `1..=wx`, as
+                // `(node, footprint x, length)`.
+                let owned = runs.filter_map(|[x, p, len]| {
+                    let (a, b) = (p.max(1), (p + len).min(wx + 1));
+                    (a < b).then(|| (nx * r + x + a - p, a - 1, b - a))
                 });
+                let slot0 = self.walk.slot(0, wf % win, yl, 0);
+                self.finalize_row(ctx, &mut lanes, &class[1..=wx], slot0, owned);
             }
         }
     }
 }
 
 impl<L: Lattice> MrKernel<'_, L> {
-    /// Call `f(xs, idx, len)` for every maximal run of consecutive-index
-    /// fluid nodes among frame x `lo..=hi` of the row whose `x = 0` node
-    /// has index `row0`, scanning the one-byte class mask. Runs break at
-    /// solids and non-periodic edges; a frame x past a periodic face is a
-    /// run of its own whose frame x `xs` stays `−1` or `nx` (`idx` wraps).
-    fn for_each_run(&self, row0: usize, lo: i64, hi: i64, mut f: impl FnMut(i64, usize, usize)) {
-        let nx = self.geom.nx as i64;
-        let class = &self.walk.class[row0..][..nx as usize];
-        let mut xs = lo;
-        while xs <= hi {
-            let inside = (0..nx).contains(&xs);
-            let x = if inside { xs } else { xs.rem_euclid(nx) } as usize;
-            if class[x] == SOLID || !(inside || self.geom.periodic[0]) {
-                xs += 1;
+    /// Collide halo-extended row `(class, runs)` ([`ColumnWalk::row`];
+    /// `row0` its `x = 0` node) into the shared window: each run staged by
+    /// one counted row read at its position (plane stride `wx + 2`), then
+    /// full `LANES`-position chunks, all-solid ones skipped (a solid lane is
+    /// computed and discarded). A chunk's bit masks pick its stretches of
+    /// bulk and bounce lanes (clipped spans), owned bounce lanes (fix-up)
+    /// and [`REFERENCE`] lanes (reference scatter). The scalar oracle stages
+    /// each run packed and collides and scatters it node by node.
+    fn collide_row(
+        &self,
+        ctx: &mut BlockCtx,
+        row: &Row,
+        row0: usize,
+        (class, runs): (&[u8], impl Iterator<Item = [usize; 3]>),
+        fs: &mut LaneBlock,
+    ) {
+        let (wx, wy) = (self.walk.wx as i64, self.walk.wy as i64);
+        let (stride, scalar) = (class.len(), self.consts.scalar);
+        for [x, p, len] in runs {
+            if !scalar {
+                self.mom_in
+                    .read_row_to_scratch(ctx, self.at_in, row0 + x, len, p, stride);
                 continue;
             }
-            let end = if inside {
-                (hi + 1).min(nx) as usize
-            } else {
-                x + 1
-            };
-            let len = class[x..end].iter().take_while(|&&c| c != SOLID).count();
-            f(xs, row0 + x, len);
-            xs += len as i64;
+            self.mom_in
+                .read_row_to_scratch(ctx, self.at_in, row0 + x, len, 0, len);
+            let (mut flat, mut f_star) = ([0.0f64; MAX_M], [0.0f64; MAX_Q]);
+            for j in 0..len {
+                for m in 0..L::M {
+                    flat[m] = ctx.scratch()[m * len + j];
+                }
+                let m = Moments::unpack::<L>(&flat[..L::M]);
+                self.scheme
+                    .collide_and_map::<L>(&m, self.consts.tau, &mut f_star[..L::Q]);
+                self.scatter_node(ctx, row, x + j, |i| f_star[i]);
+            }
+        }
+        if scalar {
+            return;
+        }
+        // `kind`: 0 below the footprint, 1 inside it, 2 above.
+        let kind = (row.yi >= 0) as usize + (row.yi >= wy) as usize;
+        let dirs = &self.walk.rows[kind];
+        let omega = self.consts.omega;
+        for p0 in (0..stride).step_by(LANES) {
+            // Lane bits of the chunk: bulk or bounce, bounce, reference.
+            let (mut spans, mut bounce, mut refs) = (0u32, 0u32, 0u32);
+            for (l, &c) in class[p0..stride.min(p0 + LANES)].iter().enumerate() {
+                spans |= u32::from(c == BULK || c == BOUNCE) << l;
+                bounce |= u32::from(c == BOUNCE) << l;
+                refs |= u32::from(c == REFERENCE) << l;
+            }
+            if spans | refs == 0 {
+                continue; // all solid
+            }
+            self.scheme
+                .collide_chunk::<L>(ctx.scratch(), stride, p0, omega, dirs, fs);
+            // Lane 0 sits at footprint x `xc`. A maximal stretch `l0..l1` of
+            // bulk and bounce lanes streams direction `i` as one lane-span
+            // copy, clipped: a population lands iff its destination row
+            // `yi + c_fy` is owned and its destination `xl + cx` lies in
+            // `[0, wx)`; any other belongs to a neighbor column (which computes
+            // it from its own halo) or to the inlet/outlet kernel, and a store
+            // into a solid node's slot is dead — finalize reads fluid only.
+            let xc = p0 as i64 - 1;
+            while spans != 0 {
+                let l0 = spans.trailing_zeros() as i64;
+                let l1 = l0 + (!(spans >> l0)).trailing_zeros() as i64;
+                spans &= !0 << l1;
+                for &i in dirs {
+                    let (cx, cy, cw) = frame_dir::<L>(i);
+                    // Lane `l` lands at footprint x `xd0 + l`, slot `slot0 + l`.
+                    let (yd, xd0) = (row.yi + cy, xc + cx);
+                    let (lo, hi) = (l0.max(-xd0), l1.min(wx - xd0));
+                    if (0..wy).contains(&yd) && lo < hi {
+                        let slot0 = self.walk.slot(i, row.wl[(cw + 1) as usize], yd as usize, 0);
+                        let dst = &mut ctx.shared()[(slot0 as i64 + xd0 + lo) as usize..];
+                        copy_span(dst, &fs[i][lo as usize..hi as usize]);
+                    }
+                }
+            }
+            // Bounce fix-up of the owned lanes: `f*_i` returns to its own
+            // slot `OPP[i]`, which only the wall at `x + c_i` could stream to.
+            let (lo, hi) = ((-xc).max(0), (wx - xc).min(LANES as i64));
+            bounce &= if kind == 1 { !0 << lo & !(!0 << hi) } else { 0 };
+            while bounce != 0 {
+                let l = bounce.trailing_zeros() as usize;
+                bounce &= bounce - 1;
+                let (xl, yl) = ((xc + l as i64) as usize, row.yi as usize);
+                let mut bits = self.walk.bounce[row0 + row.x0 + xl];
+                while bits != 0 {
+                    let i = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    ctx.shared()[self.walk.slot(L::OPP[i], row.wl[1], yl, xl)] = fs[i][l];
+                }
+            }
+            while refs != 0 {
+                let l = refs.trailing_zeros() as usize;
+                refs &= refs - 1;
+                let x = (row.x0 as i64 + xc + l as i64).rem_euclid(self.geom.nx as i64);
+                self.scatter_node(ctx, row, x as usize, |i| fs[i][l]);
+            }
         }
     }
 
-    /// Recompute the moments of a completed run of `len` owned nodes from
-    /// the shared window (direction 0 of the first node at `slot0`; nodes
-    /// are consecutive, directions `wx·wy·win` doubles apart), staged
-    /// plane-major in scratch and flushed to time `t + 1` through row
-    /// spans; `fl` stages a chunk's lanes.
-    fn finalize_run(
+    /// Recompute the moments of a completed owned row (classes `class`,
+    /// direction 0 at window slot `slot0`) and write them to `t + 1`, one
+    /// counted row write per `(node, footprint x, length)` of `owned`: full
+    /// `LANES`-node chunks, all-solid ones skipped, through `fl` and
+    /// `moments_from_f_lanes` into scratch rows of stride `wx`. The scalar
+    /// oracle recomputes each run node by node and writes it packed.
+    fn finalize_row(
         &self,
         ctx: &mut BlockCtx,
         fl: &mut LaneBlock,
+        class: &[u8],
         slot0: usize,
-        idx: usize,
-        len: usize,
+        owned: impl Iterator<Item = (usize, usize, usize)>,
     ) {
+        let (wx, scalar) = (class.len(), self.consts.scalar);
         let dir_stride = self.walk.slot(1, 0, 0, 0);
         let (shm, scratch) = ctx.shared_and_scratch();
-        if self.consts.scalar {
-            let mut f = [0.0f64; MAX_Q];
-            let mut flat = [0.0f64; MAX_M];
+        for j0 in (0..wx).step_by(LANES) {
+            let cnt = LANES.min(wx - j0);
+            if scalar || class[j0..j0 + cnt].iter().all(|&c| c == SOLID) {
+                continue;
+            }
+            // A chunk's lanes are contiguous in every direction plane (tail
+            // lanes replicate the row's last node).
+            for i in 0..L::Q {
+                let src = &shm[slot0 + i * dir_stride + j0..][..cnt];
+                if cnt == LANES {
+                    fl[i].copy_from_slice(src);
+                } else {
+                    fl[i] = std::array::from_fn(|l| src[l.min(cnt - 1)]);
+                }
+            }
+            kernels::moments_from_f_lanes::<L>(&fl[..L::Q], scratch, wx, j0);
+        }
+        for (idx, xl, len) in owned {
+            if !scalar {
+                self.mom_out
+                    .write_row_from_scratch(ctx, self.at_out, idx, len, xl, wx);
+                continue;
+            }
+            let (shm, scratch) = ctx.shared_and_scratch();
+            let (mut f, mut flat) = ([0.0f64; MAX_Q], [0.0f64; MAX_M]);
             for j in 0..len {
                 for i in 0..L::Q {
-                    f[i] = shm[slot0 + i * dir_stride + j];
+                    f[i] = shm[slot0 + i * dir_stride + xl + j];
                 }
                 Moments::from_f::<L>(&f[..L::Q]).pack::<L>(&mut flat[..L::M]);
                 for m in 0..L::M {
                     scratch[m * len + j] = flat[m];
                 }
             }
-        } else {
-            // Fused from_f + pack over LANES-node chunks, writing the SoA
-            // scratch rows directly. A chunk's lanes are contiguous in
-            // every direction plane (tail lanes replicate the run's last
-            // node).
-            for j0 in (0..len).step_by(LANES) {
-                let cnt = LANES.min(len - j0);
-                for i in 0..L::Q {
-                    let src = &shm[slot0 + i * dir_stride + j0..][..cnt];
-                    if cnt == LANES {
-                        fl[i].copy_from_slice(src);
-                    } else {
-                        fl[i] = std::array::from_fn(|l| src[l.min(cnt - 1)]);
-                    }
-                }
-                kernels::moments_from_f_lanes::<L>(&fl[..L::Q], scratch, len, j0);
-            }
-        }
-        self.mom_out
-            .write_row_from_scratch(ctx, self.at_out, idx, len, 0);
-    }
-
-    /// Collide + scatter one maximal segment of consecutive-index fluid
-    /// nodes of `row` from footprint x `xl0` (frame x: `−1` or `wx` for a
-    /// wrapped halo lane; `x_at` maps it to the domain x the reference
-    /// scatter takes): its `t`-moments are staged through row spans, then
-    /// collided chunk by chunk in `fs` and streamed into the window.
-    fn collide_segment(
-        &self,
-        ctx: &mut BlockCtx,
-        row: &Row,
-        fs: &mut LaneBlock,
-        xl0: i64,
-        idx0: usize,
-        len: usize,
-    ) {
-        self.mom_in
-            .read_row_to_scratch(ctx, self.at_in, idx0, len, 0);
-        let x_at = |j: usize| (row.x0 as i64 + xl0).rem_euclid(self.geom.nx as i64) as usize + j;
-        if self.consts.scalar {
-            // Scalar oracle: the original node-at-a-time unpack → collide →
-            // map chain with its strided scratch gather, every direction
-            // offered to the reference scatter.
-            let all = self.walk.rows[1][1].1;
-            let mut f_star = [0.0f64; MAX_Q];
-            let mut flat = [0.0f64; MAX_M];
-            for j in 0..len {
-                {
-                    let scratch = ctx.scratch();
-                    for m in 0..L::M {
-                        flat[m] = scratch[m * len + j];
-                    }
-                }
-                let m = Moments::unpack::<L>(&flat[..L::M]);
-                self.scheme
-                    .collide_and_map::<L>(&m, self.consts.tau, &mut f_star[..L::Q]);
-                self.scatter_node(ctx, row, x_at(j), |i| f_star[i], all);
-            }
-            return;
-        }
-        // Chunked unpack + collide + reconstruct straight off the SoA scratch
-        // rows. Each maximal stretch of bulk and bounce lanes in a chunk
-        // streams as clipped lane spans; the other lanes, reference scatter.
-        // `kind`: 0 below the footprint, 1 inside it, 2 above; `side`: 0 for
-        // a one-node run in the left x halo, 2 in the right one, else 1.
-        let (wx, wy) = (self.walk.wx as i64, self.walk.wy as i64);
-        let kind = (row.yi >= 0) as usize + (row.yi >= wy) as usize;
-        let side = (xl0 >= 0 || len > 1) as usize + (xl0 == wx) as usize;
-        let (dirs, mask) = &self.walk.rows[kind][side];
-        let class = &self.walk.class[idx0..idx0 + len];
-        let omega = self.consts.omega;
-        for j0 in (0..len).step_by(LANES) {
-            self.scheme
-                .collide_chunk::<L>(ctx.scratch(), len, j0, omega, dirs, fs);
-            let class = &class[j0..len.min(j0 + LANES)];
-            let xc = xl0 + j0 as i64; // footprint x of lane 0
-            let mut l = 0;
-            while l < class.len() {
-                if class[l] == REFERENCE {
-                    self.scatter_node(ctx, row, x_at(j0 + l), |i| fs[i][l], *mask);
-                    l += 1;
-                    continue;
-                }
-                let l0 = l;
-                while l < class.len() && class[l] != REFERENCE {
-                    // Bounce fix-up of an owned lane: `f*_i` returns to its own slot
-                    // `OPP[i]`, which only the wall at `x + c_i` could stream to.
-                    let xl = xc + l as i64;
-                    if class[l] == BOUNCE && kind == 1 && (0..wx).contains(&xl) {
-                        let (mut bits, yl) = (self.walk.bounce[idx0 + j0 + l], row.yi as usize);
-                        while bits != 0 {
-                            let i = bits.trailing_zeros() as usize;
-                            bits &= bits - 1;
-                            let slot = self.walk.slot(L::OPP[i], row.wl[1], yl, xl as usize);
-                            ctx.shared()[slot] = fs[i][l];
-                        }
-                    }
-                    l += 1;
-                }
-                self.scatter_span(ctx.shared(), row, dirs, fs, xc, l0..l);
-            }
+            self.mom_out
+                .write_row_from_scratch(ctx, self.at_out, idx, len, 0, len);
         }
     }
 
-    /// Stream `lanes` of a collided chunk — bulk or bounce nodes of `row`,
-    /// lane `l` at frame footprint x `xl0 + l` — into the shared window:
-    /// per direction **one contiguous lane-span copy**, clipped to the
-    /// footprint. A population lands in the window iff its destination row
-    /// `yi + c_fy` is an owned row and its destination `xl + cx` lies in
-    /// `[0, wx)`; every other one belongs to a neighbor column (which
-    /// computes it from its own halo) or to the inlet/outlet kernel, and a
-    /// store into a solid node's slot is dead — finalize reads fluid only.
+    /// Stream one collided node of `row` into the block's shared window
+    /// (push form, halfway bounce-back at solids; shared slot:
+    /// [`ColumnWalk::slot`]) — the reference scatter of the scalar path and
+    /// of lanes beside a moving wall. It stores only into the footprint, so
+    /// a y-halo lane's unreconstructed directions are never read.
     #[inline]
-    fn scatter_span(
-        &self,
-        shm: &mut [f64],
-        row: &Row,
-        dirs: &[usize],
-        fs: &LaneBlock,
-        xl0: i64,
-        lanes: std::ops::Range<usize>,
-    ) {
-        let (wx, wy) = (self.walk.wx as i64, self.walk.wy as i64);
-        for &i in dirs {
-            let (cx, cy, cw) = frame_dir::<L>(i);
-            let yd = row.yi + cy;
-            if yd < 0 || yd >= wy {
-                continue;
-            }
-            // Lane `l` lands at footprint x `xd0 + l`, slot `slot0 + l`.
-            let xd0 = xl0 + cx;
-            let slot0 = self.walk.slot(i, row.wl[(cw + 1) as usize], yd as usize, 0) as i64 + xd0;
-            let lo = (lanes.start as i64).max(-xd0);
-            let hi = (lanes.end as i64).min(wx - xd0);
-            if lo < hi {
-                let dst = &mut shm[(slot0 + lo) as usize..];
-                copy_span(dst, &fs[i][lo as usize..hi as usize]);
-            }
-        }
-    }
-
-    /// Stream the populations in `mask` of one collided node of `row` into
-    /// the block's shared window (push form, halfway bounce-back at solids;
-    /// shared slot: [`ColumnWalk::slot`]) — the reference scatter, shared
-    /// verbatim by the scalar path and the vectorized path's lanes beside
-    /// a moving wall.
-    #[inline]
-    fn scatter_node(
-        &self,
-        ctx: &mut BlockCtx,
-        row: &Row,
-        x: usize,
-        f_star: impl Fn(usize) -> f64,
-        mask: u64,
-    ) {
+    fn scatter_node(&self, ctx: &mut BlockCtx, row: &Row, x: usize, f_star: impl Fn(usize) -> f64) {
         let (nx, nfy, nw) = walk_frame::<L>(self.geom);
         let (wx, wy) = (self.walk.wx, self.walk.wy);
         let &Row { x0, y0, fy, w, .. } = row;
@@ -580,12 +599,7 @@ impl<L: Lattice> MrKernel<'_, L> {
             self.walk.slot(i, row.wl[(cw + 1) as usize], yl, xl)
         };
         let src_in_col = x >= x0 && x < x0 + wx && fy >= y0 && fy < y0 + wy;
-        // Constant trip count: the compiler unrolls over `Q` and a halo
-        // row's absent directions cost one bit test each.
         for i in 0..L::Q {
-            if mask >> i & 1 == 0 {
-                continue;
-            }
             let (cx, cy, cw) = frame_dir::<L>(i);
             let (yd, wd) = (fy as i64 + cy, w as i64 + cw);
             let mut xd = x as i64 + cx;
@@ -650,9 +664,10 @@ fn launch_mr_columns<L: Lattice>(
         "walk built for another domain"
     );
     for &(x0, y0) in cols {
+        let k = x0.checked_sub(walk.x_first).filter(|d| d % wx == 0);
         assert!(
-            x0 + wx <= nx && y0 + wy <= nfy,
-            "column ({x0}, {y0}) overruns the domain"
+            x0 + wx <= nx && y0 + wy <= nfy && k.is_some_and(|d| d / wx < walk.ncols),
+            "column ({x0}, {y0}) overruns the domain or the walk"
         );
     }
     gpu.launch_lockstep(
@@ -662,8 +677,7 @@ fn launch_mr_columns<L: Lattice>(
             blocks: cols.len(),
             threads_per_block: (wx + 2) * if L::D == 3 { wy + 2 } else { 1 } * tile_h,
             shared_doubles: wx * wy * (tile_h + 2) * L::Q,
-            // Row-span staging: one segment of up to wx + 2 nodes (the
-            // collide loop's halo-extended x row), M planes.
+            // Row staging: M planes of one halo-extended x row.
             scratch_doubles: L::M * (wx + 2),
         },
         &MrKernel::<L> {
@@ -1017,7 +1031,7 @@ impl<L: Lattice> Mr<L> {
             mom2,
             scheme,
             consts: KernelConsts::new::<L>(tau),
-            walk: ColumnWalk::new::<L>(&geom, wx, wy, tile_h),
+            walk: ColumnWalk::new::<L>(&geom, (wx, wy, tile_h), owned.lo, cols_x),
             boundary: boundary_nodes(&geom),
             geom,
             _l: PhantomData,

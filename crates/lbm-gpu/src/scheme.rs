@@ -75,19 +75,6 @@ impl MrScheme {
         }
     }
 
-    /// The performance-model pattern class for a given storage discipline:
-    /// parity-twist (single-lattice) runs report as [`Pattern::MomentTwist`]
-    /// regardless of collision operator — the twist changes residency, not
-    /// arithmetic, and MR-T inherits MR-P's bandwidth calibration through
-    /// `Pattern::calibration_class`.
-    pub fn pattern_for(&self, twist: bool) -> Pattern {
-        if twist {
-            Pattern::MomentTwist
-        } else {
-            self.pattern()
-        }
-    }
-
     /// Report label ("MR-P" / "MR-R").
     pub fn label(&self) -> &'static str {
         self.pattern().label()

@@ -294,18 +294,32 @@ fn multi_mr3d_vectorized_matches_scalar() {
 ///   lid at rest, so reference-scatter lanes and bounce lanes share chunks;
 /// * a non-periodic inlet/outlet channel with an obstacle at `x = 1`, so
 ///   bounce lanes sit on the x faces, whose outgoing populations belong to
-///   the boundary kernel.
+///   the boundary kernel;
+/// * MR-T (the parity twist) on 50 % rock in 2D and 3D, five steps, so
+///   the run ends on an odd step and every step moves its moment rows in
+///   reverse plane order on one side;
+/// * a periodic-x 3D duct with rock on both x faces, so wrapped halo lanes
+///   — solid, bounce or bulk — share the first and last chunk of a row
+///   with owned lanes;
+/// * footprints with an all-solid row and with an all-solid chunk inside
+///   a fluid row, which the row walker skips.
 #[test]
 fn mr_span_scatter_matches_scalar_on_mixed_chunks() {
     fn schemes<L: Lattice>() -> [MrScheme; 2] {
         [MrScheme::projective(), MrScheme::recursive::<L>()]
     }
     fn solo<L: Lattice>(what: &str, geom: &Geometry, wx: usize) {
+        solo_storage::<L>(what, geom, wx, false);
+    }
+    fn solo_storage<L: Lattice>(what: &str, geom: &Geometry, wx: usize, twist: bool) {
         for scheme in schemes::<L>() {
             let run = |scalar: bool| {
                 let dev = DeviceSpec::v100();
-                let sim =
+                let mut sim =
                     MrSim::<L>::with_config(dev, geom.clone(), scheme.clone(), 0.8, wx, 0, 1, 1);
+                if twist {
+                    sim = sim.with_twist();
+                }
                 let mut sim = sim.with_racecheck_strict();
                 if scalar {
                     sim = sim.with_scalar_kernels();
@@ -367,6 +381,40 @@ fn mr_span_scatter_matches_scalar_on_mixed_chunks() {
     }
     solo::<D2Q9>("obstacle at x = 1", &faces, 0);
     sharded::<D2Q9>("obstacle at x = 1", &faces);
+    solo_storage::<D2Q9>("MR-T on 50 % rock 2D", &half2d, 0, true);
+    solo_storage::<D3Q19>("MR-T on 50 % rock 3D", &half3d, 0, true);
+    // Rock on every second node of both x faces of a periodic duct.
+    let mut x_faces = hashed_rock(11, (16, 10, 10), 15);
+    for z in 1..9 {
+        for y in 1..9 {
+            for x in [0, 15] {
+                if (x + y + z) % 2 == 0 {
+                    x_faces.set(x, y, z, NodeType::Wall);
+                }
+            }
+        }
+    }
+    solo::<D3Q19>("rock on the x faces 3D", &x_faces, 0);
+    solo_storage::<D3Q19>("MR-T, rock on the x faces 3D", &x_faces, 0, true);
+    sharded::<D3Q19>("rock on the x faces 3D", &x_faces);
+    // 2D, `wx = 24`: row 4 is solid from face to face; rows 7 and 8 are
+    // solid over frame x 7..=14, the whole second chunk of their row.
+    let mut blocked = hashed_rock(7, (24, 12, 1), 20);
+    for x in 0..24 {
+        blocked.set(x, 4, 0, NodeType::Wall);
+    }
+    for (x, y) in (7..15).flat_map(|x| [(x, 7), (x, 8)]) {
+        blocked.set(x, y, 0, NodeType::Wall);
+    }
+    solo::<D2Q9>("all-solid row and chunk 2D", &blocked, 0);
+    solo_storage::<D2Q9>("MR-T, all-solid row and chunk 2D", &blocked, 0, true);
+    sharded::<D2Q9>("all-solid row and chunk 2D", &blocked);
+    // 3D: the x row at (y, z) = (4, 5) is solid from face to face.
+    let mut blocked3 = hashed_rock(7, (16, 10, 10), 20);
+    for x in 0..16 {
+        blocked3.set(x, 4, 5, NodeType::Wall);
+    }
+    solo::<D3Q19>("all-solid row 3D", &blocked3, 0);
 }
 
 /// PR 10 tentpole contract, swept at the workspace level: the
