@@ -15,7 +15,8 @@
 //! the paper's `1/(2c_s⁶)` prefactor exactly.
 
 use crate::gram::HigherBasis;
-use crate::{hermite, sym_pairs, Lattice, PAIRS};
+use crate::moments::pairs_storage_to_canonical;
+use crate::{sym_pairs, Lattice};
 
 /// Fill `out` with the second-order equilibrium distribution, eq. (4):
 /// `f_i^eq = ω_i ρ (1 + c·u/c_s² + ((c·u)² − c_s² u²) / (2 c_s⁴))`.
@@ -41,108 +42,36 @@ pub fn equilibrium_i<L: Lattice>(i: usize, rho: f64, u: [f64; 3], usq: f64) -> f
     L::W[i] * rho * (1.0 + cu * inv_cs2 + (cu * cu - cs2 * usq) * inv_2cs4)
 }
 
-/// Precomputed per-direction contraction table for [`f_from_moments`].
-///
-/// The second-order term `H⁽²⁾:Π*` is a dot product between per-direction
-/// constants `mult · H⁽²⁾_ab(c_i)` and the canonical Π* slots; both factors
-/// of the constant depend only on the velocity set, so the product is built
-/// once per lattice (via [`Lattice::h2map`]) instead of being re-derived for
-/// every node. Each stored coefficient is the exact f64 product the inline
-/// expression would have formed, and the contraction walks the same slot
-/// order the inline loop did, so reconstruction results are bitwise
-/// unchanged.
-pub struct H2Map {
-    /// Canonical [`PAIRS`] slots valid for this dimension, in loop order
-    /// (2D: xx, xy, yy at canonical slots 0, 1, 3).
-    ks: [usize; 6],
-    /// Number of valid slots: `sym_pairs(D)`.
-    nk: usize,
-    /// `coeff[i][j] = mult · H⁽²⁾_ab(c_i)` for `(a, b) = PAIRS[ks[j]]`.
-    coeff: Vec<[f64; 6]>,
-    /// `c_i` as floats, so the hot loop skips the int→float conversion.
-    c: Vec<[f64; 3]>,
-}
-
-impl H2Map {
-    /// Build the table for lattice `L`. Called once per lattice by the
-    /// [`Lattice::h2map`] implementations; hot code should go through that
-    /// cached accessor instead.
-    pub fn build<L: Lattice>() -> H2Map {
-        let mut ks = [0usize; 6];
-        let mut nk = 0;
-        for (k, &(_, b)) in PAIRS.iter().enumerate() {
-            if b < L::D {
-                ks[nk] = k;
-                nk += 1;
-            }
-        }
-        debug_assert_eq!(nk, sym_pairs(L::D));
-        let mut coeff = Vec::with_capacity(L::Q);
-        let mut c = Vec::with_capacity(L::Q);
-        for i in 0..L::Q {
-            let ci = L::cf(i);
-            let mut row = [0.0f64; 6];
-            for (j, &k) in ks[..nk].iter().enumerate() {
-                let (a, b) = PAIRS[k];
-                let mult = if a == b { 1.0 } else { 2.0 };
-                row[j] = mult * hermite::h2::<L>(ci, a, b);
-            }
-            coeff.push(row);
-            c.push(ci);
-        }
-        H2Map { ks, nk, coeff, c }
-    }
-
-    /// Number of valid canonical slots (`sym_pairs(D)`).
-    #[inline(always)]
-    pub fn nk(&self) -> usize {
-        self.nk
-    }
-
-    /// Canonical [`PAIRS`] slots valid for this dimension, in loop order.
-    #[inline(always)]
-    pub fn ks(&self) -> &[usize] {
-        &self.ks[..self.nk]
-    }
-
-    /// Contraction coefficients `mult · H⁽²⁾_ab(c_i)` for direction `i`,
-    /// parallel to [`H2Map::ks`].
-    #[inline(always)]
-    pub fn coeff(&self, i: usize) -> &[f64; 6] {
-        &self.coeff[i]
-    }
-
-    /// `c_i` as floats.
-    #[inline(always)]
-    pub fn c(&self, i: usize) -> [f64; 3] {
-        self.c[i]
-    }
-}
-
 /// Reconstruct the distribution from post-collision moments `{ρ, u, Π*}`
 /// (projective regularization, eq. 11):
 ///
 /// `f_i* = ω_i ( ρ + H⁽¹⁾·ρu / c_s² + H⁽²⁾:Π* / 2c_s⁴ )`.
 ///
-/// `pi_star` is in canonical [`PAIRS`] order (6 slots, 2D uses xx/xy/yy).
-/// The `H⁽²⁾` contraction constants come from the lattice's cached
-/// [`H2Map`].
+/// `pi_star` is in canonical [`PAIRS`](crate::PAIRS) order (6 slots, 2D
+/// uses xx/xy/yy).
+/// The constants come from [`Lattice::TABLE`]. The `H⁽²⁾:Π*` contraction
+/// accumulates from `+0.0` in storage-slot order and skips the exact-zero
+/// coefficients, which is bitwise-neutral for finite Π*: a `+0.0`-seeded
+/// sum is never `−0.0`, so adding a `±0.0` product cannot change it. The
+/// lane kernels of `lbm-core` skip the same terms.
 pub fn f_from_moments<L: Lattice>(rho: f64, u: [f64; 3], pi_star: &[f64; 6], out: &mut [f64]) {
     debug_assert_eq!(out.len(), L::Q);
-    let map = L::h2map();
+    let t = L::TABLE;
     let cs2 = L::CS2;
     let inv_cs2 = 1.0 / cs2;
     let inv_2cs4 = 1.0 / (2.0 * cs2 * cs2);
     for i in 0..L::Q {
-        let c = map.c[i];
+        let c = t.c[i];
         let cu = c[0] * u[0] + c[1] * u[1] + c[2] * u[2];
         // Second-order contraction with symmetric multiplicity.
-        let row = &map.coeff[i];
         let mut h2pi = 0.0;
-        for j in 0..map.nk {
-            h2pi += row[j] * pi_star[map.ks[j]];
+        for k in 0..sym_pairs(L::D) {
+            let h = t.h2m[i][k];
+            if h != 0.0 {
+                h2pi += h * pi_star[pairs_storage_to_canonical(L::D, k)];
+            }
         }
-        out[i] = L::W[i] * (rho + rho * cu * inv_cs2 + h2pi * inv_2cs4);
+        out[i] = t.w[i] * (rho + rho * cu * inv_cs2 + h2pi * inv_2cs4);
     }
 }
 

@@ -11,6 +11,7 @@
 //!   ([`moments`]), implementing eqs. (1)–(3) and (8) of the paper,
 //! * second-order Maxwell–Boltzmann equilibria (eq. 4) and the
 //!   moment-to-distribution maps (eqs. 11 and 14) ([`equilibrium`]),
+//! * the compile-time per-direction table those maps read ([`table`]),
 //! * a Gram-matrix analysis that *derives* which Hermite components are
 //!   representable on a given lattice ([`gram`]), validating the hand-listed
 //!   component sets used by recursive regularization.
@@ -26,9 +27,11 @@ pub mod hermite;
 pub mod moments;
 pub mod recursion;
 pub mod sets;
+pub mod table;
 pub mod tensor;
 
 pub use sets::{D2Q9, D3Q15, D3Q19, D3Q27, D3Q39};
+pub use table::{Table, MAX_Q};
 
 /// Square of the lattice speed of sound shared by all single-speed lattices
 /// in this crate.
@@ -99,20 +102,15 @@ pub trait Lattice: Copy + Clone + Default + Send + Sync + 'static {
         [c[0] as f64, c[1] as f64, c[2] as f64]
     }
 
+    /// The per-direction constants `c_i`, `w_i` and `H⁽²⁾(c_i)`, evaluated at
+    /// compile time ([`table`]).
+    const TABLE: &'static Table = &Table::new(Self::D, Self::CS2, Self::C, Self::W);
+
     /// Whether the recursive-regularization component tables are populated.
     #[inline]
     fn supports_recursive() -> bool {
         !Self::H3_COMPONENTS.is_empty()
     }
-
-    /// Cached second-order contraction table for
-    /// [`equilibrium::f_from_moments`].
-    ///
-    /// Implementations return a per-lattice `OnceLock` initialized with
-    /// [`equilibrium::H2Map::build`]. This is a required method (rather than
-    /// a default) because a `static` inside a generic or default method body
-    /// would be shared across every lattice.
-    fn h2map() -> &'static equilibrium::H2Map;
 }
 
 /// Ordered symmetric index pairs `(α, β)` with `α ≤ β` for dimension `D`,

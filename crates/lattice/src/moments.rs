@@ -10,7 +10,7 @@
 //! and 10 in 3D, which is what gives the MR pattern its bandwidth advantage
 //! (Table 2: 96 vs 144 B/F for D2Q9, 160 vs 304 for D3Q19).
 
-use crate::{hermite, pair_index, sym_pairs, Lattice, PAIRS};
+use crate::{pair_index, sym_pairs, Lattice, PAIRS};
 
 /// The first three velocity moments of a distribution at one lattice node.
 ///
@@ -27,33 +27,37 @@ pub struct Moments {
 }
 
 impl Moments {
-    /// Compute `{ρ, u, Π}` from a distribution (eqs. 1–3).
+    /// Compute `{ρ, u, Π}` from a distribution (eqs. 1–3), with the
+    /// coefficients of [`Lattice::TABLE`]. Every sum accumulates from `+0.0`
+    /// in direction order and skips the terms whose coefficient is an exact
+    /// zero — bitwise-neutral for finite `f` (a `+0.0`-seeded sum is never
+    /// `−0.0`), and the same terms the lane kernels of `lbm-core` skip.
     pub fn from_f<L: Lattice>(f: &[f64]) -> Self {
         debug_assert_eq!(f.len(), L::Q);
+        let t = L::TABLE;
         let mut rho = 0.0;
         let mut j = [0.0f64; 3];
         for i in 0..L::Q {
             let fi = f[i];
-            let c = L::cf(i);
             rho += fi;
-            j[0] += c[0] * fi;
-            j[1] += c[1] * fi;
-            j[2] += c[2] * fi;
+            for a in 0..3 {
+                if t.c[i][a] != 0.0 {
+                    j[a] += t.c[i][a] * fi;
+                }
+            }
         }
         let inv_rho = 1.0 / rho;
         let u = [j[0] * inv_rho, j[1] * inv_rho, j[2] * inv_rho];
+        // Π in storage order; 2D lattices fill canonical slots 0, 1, 3.
         let mut pi = [0.0f64; 6];
-        for (k, &(a, b)) in PAIRS.iter().enumerate() {
-            // Skip pairs outside the lattice dimension (PAIRS is 3D-ordered,
-            // so 2D lattices use canonical slots 0, 1, 3).
-            if b >= L::D {
-                continue;
-            }
+        for k in 0..sym_pairs(L::D) {
             let mut s = 0.0;
             for i in 0..L::Q {
-                s += hermite::h2::<L>(L::cf(i), a, b) * f[i];
+                if t.h2[i][k] != 0.0 {
+                    s += t.h2[i][k] * f[i];
+                }
             }
-            pi[k] = s;
+            pi[pairs_storage_to_canonical(L::D, k)] = s;
         }
         Moments { rho, u, pi }
     }
@@ -120,7 +124,7 @@ impl Moments {
 /// In 2D the independent pairs are `xx, xy, yy`, which live at canonical
 /// slots 0, 1, 3; in 3D storage order and canonical order coincide.
 #[inline]
-pub fn pairs_storage_to_canonical(d: usize, k: usize) -> usize {
+pub const fn pairs_storage_to_canonical(d: usize, k: usize) -> usize {
     match d {
         3 => k,
         2 => match k {
@@ -129,7 +133,7 @@ pub fn pairs_storage_to_canonical(d: usize, k: usize) -> usize {
             2 => 3, // yy
             _ => panic!("2D pair index out of range"),
         },
-        _ => panic!("unsupported dimension {d}"),
+        _ => panic!("unsupported dimension"),
     }
 }
 

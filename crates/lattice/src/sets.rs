@@ -6,9 +6,7 @@
 //! API — the GPU kernels index shared-memory slabs by these direction
 //! numbers.
 
-use crate::equilibrium::H2Map;
 use crate::Lattice;
-use std::sync::OnceLock;
 
 /// The classic two-dimensional nine-velocity lattice.
 ///
@@ -52,11 +50,6 @@ impl Lattice for D2Q9 {
 
     // H⁽⁴⁾_xxyy is the single non-aliased fourth-order component.
     const H4_COMPONENTS: &'static [([usize; 4], f64)] = &[([0, 0, 1, 1], 6.0)];
-
-    fn h2map() -> &'static H2Map {
-        static MAP: OnceLock<H2Map> = OnceLock::new();
-        MAP.get_or_init(H2Map::build::<D2Q9>)
-    }
 }
 
 /// The single-speed three-dimensional nineteen-velocity lattice used by the
@@ -127,11 +120,6 @@ impl Lattice for D3Q19 {
         ([0, 0, 2, 2], 6.0),
         ([1, 1, 2, 2], 6.0),
     ];
-
-    fn h2map() -> &'static H2Map {
-        static MAP: OnceLock<H2Map> = OnceLock::new();
-        MAP.get_or_init(H2Map::build::<D3Q19>)
-    }
 }
 
 /// The full three-dimensional twenty-seven-velocity lattice (paper §5:
@@ -214,11 +202,6 @@ impl Lattice for D3Q27 {
         ([0, 1, 1, 2], 12.0),
         ([0, 1, 2, 2], 12.0),
     ];
-
-    fn h2map() -> &'static H2Map {
-        static MAP: OnceLock<H2Map> = OnceLock::new();
-        MAP.get_or_init(H2Map::build::<D3Q27>)
-    }
 }
 
 /// The fifteen-velocity three-dimensional lattice (rest + axis + corners).
@@ -267,11 +250,6 @@ impl Lattice for D3Q15 {
 
     const H3_COMPONENTS: &'static [([usize; 3], f64)] = &[];
     const H4_COMPONENTS: &'static [([usize; 4], f64)] = &[];
-
-    fn h2map() -> &'static H2Map {
-        static MAP: OnceLock<H2Map> = OnceLock::new();
-        MAP.get_or_init(H2Map::build::<D3Q15>)
-    }
 }
 
 /// The multi-speed thirty-nine-velocity lattice E(3,39) (Shan–Yuan–Chen),
@@ -362,9 +340,4 @@ impl Lattice for D3Q39 {
 
     const H3_COMPONENTS: &'static [([usize; 3], f64)] = &[];
     const H4_COMPONENTS: &'static [([usize; 4], f64)] = &[];
-
-    fn h2map() -> &'static H2Map {
-        static MAP: OnceLock<H2Map> = OnceLock::new();
-        MAP.get_or_init(H2Map::build::<D3Q39>)
-    }
 }

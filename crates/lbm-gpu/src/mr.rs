@@ -70,7 +70,7 @@ use gpu_sim::interconnect::LinkError;
 use gpu_sim::{DeviceSpec, FaultPlan, Gpu};
 use lbm_core::boundary::boundary_node_moments;
 use lbm_core::geometry::{Geometry, NodeType};
-use lbm_core::kernels::{self, KernelConsts, LaneBlock, LANES, MAX_M, MAX_Q};
+use lbm_core::kernels::{self, DirMask, KernelConsts, LaneBlock, LANES, MAX_M, MAX_Q};
 use lbm_lattice::moments::Moments;
 use lbm_lattice::Lattice;
 use std::marker::PhantomData;
@@ -208,12 +208,12 @@ struct ColumnWalk {
     class: Vec<u8>,
     /// The bounce mask of every node ([`walk_classes`]).
     bounce: Vec<u32>,
-    /// Directions a lane can store into the footprint, which the collide
-    /// kernels reconstruct, by row: the y halo below, an owned row, the y
-    /// halo above. A y-halo lane reaches the footprint only through the
-    /// directions pointing at it; an x-halo lane shares its row's chunks,
-    /// and the span clip keeps what it stores inside the footprint.
-    rows: [Vec<usize>; 3],
+    /// Masks of the directions a lane can store into the footprint, which
+    /// the collide kernels reconstruct, by row: the y halo below, an owned
+    /// row, the y halo above. A y-halo lane reaches the footprint only
+    /// through the directions pointing at it; an x-halo lane shares its row's
+    /// chunks, and the span clip keeps what it stores inside the footprint.
+    rows: [DirMask; 3],
     /// Row `i = r·ncols + k`, the halo-extended row of column `k` at frame
     /// row `r = fy + nfy·w`, has `wx + 2` positions, `p` at footprint x
     /// `p − 1`: `row_class[i·(wx + 2) + p]` is the class of the node there
@@ -235,10 +235,10 @@ impl ColumnWalk {
         ncols: usize,
     ) -> Self {
         assert!(wx >= 1 && wy >= 1 && tile_h >= 1, "empty column tile");
-        let dirs = |c_fy: Option<i64>| -> Vec<usize> {
+        let dirs = |c_fy: Option<i64>| {
             (0..L::Q)
                 .filter(|&i| c_fy.is_none_or(|c| c == frame_dir::<L>(i).1))
-                .collect()
+                .fold(0, |mask: DirMask, i| mask | 1 << i)
         };
         let (class, bounce) = walk_classes::<L>(geom);
         let (nx, periodic) = (geom.nx, geom.periodic[0]);
@@ -465,7 +465,7 @@ impl<L: Lattice> MrKernel<'_, L> {
         }
         // `kind`: 0 below the footprint, 1 inside it, 2 above.
         let kind = (row.yi >= 0) as usize + (row.yi >= wy) as usize;
-        let dirs = &self.walk.rows[kind];
+        let dirs = self.walk.rows[kind];
         let omega = self.consts.omega;
         for p0 in (0..stride).step_by(LANES) {
             // Lane bits of the chunk: bulk or bounce, bounce, reference.
@@ -492,7 +492,7 @@ impl<L: Lattice> MrKernel<'_, L> {
                 let l0 = spans.trailing_zeros() as i64;
                 let l1 = l0 + (!(spans >> l0)).trailing_zeros() as i64;
                 spans &= !0 << l1;
-                for &i in dirs {
+                for i in (0..L::Q).filter(|i| (dirs >> i) & 1 != 0) {
                     let (cx, cy, cw) = frame_dir::<L>(i);
                     // Lane `l` lands at footprint x `xd0 + l`, slot `slot0 + l`.
                     let (yd, xd0) = (row.yi + cy, xc + cx);

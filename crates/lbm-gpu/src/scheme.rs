@@ -2,7 +2,7 @@
 
 use gpu_sim::efficiency::Pattern;
 use lbm_core::collision::{collide_and_map_projective, collide_and_map_recursive};
-use lbm_core::kernels::{self, LANES};
+use lbm_core::kernels::{self, DirMask, LANES};
 use lbm_lattice::gram::HigherBasis;
 use lbm_lattice::moments::Moments;
 use lbm_lattice::Lattice;
@@ -45,7 +45,7 @@ impl MrScheme {
 
     /// The lane twin of [`MrScheme::collide_and_map`]: post-collision
     /// populations of nodes `j0 .. min(j0 + LANES, len)` of the SoA moment
-    /// rows `moms`, for the directions in `dirs` only (see
+    /// rows `moms`, for the directions selected by `dirs` only (see
     /// [`kernels::mr_p_collide_chunk`]).
     #[inline(always)]
     pub fn collide_chunk<L: Lattice>(
@@ -54,15 +54,15 @@ impl MrScheme {
         len: usize,
         j0: usize,
         omega: f64,
-        dirs: &[usize],
+        dirs: DirMask,
         out: &mut [[f64; LANES]],
     ) {
         match self {
             MrScheme::Projective => {
-                kernels::mr_p_collide_chunk::<L>(moms, len, j0, omega, dirs, out)
+                kernels::mr_p_collide_chunk::<L>(moms, len, j0, omega, &dirs, out)
             }
             MrScheme::Recursive(basis) => {
-                kernels::mr_r_collide_chunk::<L>(moms, len, j0, omega, basis, dirs, out)
+                kernels::mr_r_collide_chunk::<L>(moms, len, j0, omega, basis, &dirs, out)
             }
         }
     }

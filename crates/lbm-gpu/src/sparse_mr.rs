@@ -156,7 +156,6 @@ struct SparseMrKernel<'a, L: Lattice> {
     /// scalar path recomputes).
     omega: f64,
     scalar: bool,
-    dirs: Vec<usize>,
     _l: PhantomData<L>,
 }
 
@@ -184,10 +183,10 @@ impl<L: Lattice> SparseMrKernel<'_, L> {
             }
             return;
         }
-        let mut out: LaneBlock = [[0.0; LANES]; MAX_Q];
+        let (mut out, all): (LaneBlock, _) = ([[0.0; LANES]; MAX_Q], kernels::dirs_all::<L>());
         for j0 in (0..n).step_by(LANES) {
             self.scheme
-                .collide_chunk::<L>(moms, n, j0, self.omega, &self.dirs, &mut out);
+                .collide_chunk::<L>(moms, n, j0, self.omega, all, &mut out);
             let cnt = LANES.min(n - j0);
             for i in 0..L::Q {
                 shared[i * n + j0..][..cnt].copy_from_slice(&out[i][..cnt]);
@@ -535,7 +534,6 @@ impl<L: Lattice> SoloBody for SparseMr<L> {
                 tau: self.tau,
                 omega: 1.0 - 1.0 / self.tau,
                 scalar: self.scalar,
-                dirs: kernels::dirs_all::<L>(),
                 _l: PhantomData,
             },
         );
