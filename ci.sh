@@ -18,7 +18,7 @@ echo "== non-test lines per crate (lines before the first #[cfg(test)] of every 
 # The size PRs report, as a command. The two driver crates may only shrink:
 # lower DRIVER_LINES_MAX when a PR lands below it; raise it only with a
 # sentence in CHANGES.md saying what the lines bought.
-DRIVER_LINES_MAX=6419
+DRIVER_LINES_MAX=6446
 driver_lines=0
 for crate in crates/*/; do
   lines=$(find "$crate/src" -name '*.rs' -exec awk 'FNR == 1 { on = 1 } /#\[cfg\(test\)\]/ { on = 0 } on' {} + | wc -l)
@@ -63,7 +63,8 @@ x86_64-*)
   asm=$(mktemp)
   cargo rustc -q -p lbm-bench --release --lib --config 'profile.release.lto="off"' -- --emit "asm=$asm"
   for probe in codegen_probe_mr_p_d2q9 codegen_probe_mr_p_d3q19 codegen_probe_mr_p_d3q19_y_halo \
-    codegen_probe_moments_from_f_d2q9 codegen_probe_moments_from_f_d3q19; do
+    codegen_probe_moments_from_f_d2q9 codegen_probe_moments_from_f_d3q19 \
+    codegen_probe_sparse_gather_d2q9; do
     body=$(awk -v p="$probe:" '$0 == p { on = 1 } on { print } on && /\.cfi_endproc/ { exit }' "$asm")
     test -n "$body"
     # Every call counts; a jump counts unless it targets a local `.L` label

@@ -62,6 +62,21 @@ pub fn codegen_probe_moments_from_f_d3q19(f: &[[f64; LANES]], moms: &mut [f64]) 
     kernels::moments_from_f_lanes::<D3Q19>(f, moms, LANES, 0)
 }
 
+/// The sparse MR kernel's chunk: `gather_lanes::<D2Q9>` out of a slab
+/// through slab-address links (`LANES`-strided rows) into `f`, then
+/// `moments_from_f_lanes::<D2Q9>`.
+#[no_mangle]
+#[inline(never)]
+pub fn codegen_probe_sparse_gather_d2q9(
+    slab: &[f64],
+    links: &[u32],
+    f: &mut [[f64; LANES]],
+    moms: &mut [f64],
+) {
+    kernels::gather_lanes::<D2Q9>(slab, links, LANES, 0, LANES, f);
+    kernels::moments_from_f_lanes::<D2Q9>(f, moms, LANES, 0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -481,6 +481,28 @@ pub fn moments_from_f_lanes<L: Lattice>(
     }
 }
 
+/// Gather one chunk of populations through precomputed addresses:
+/// `f[i][l] = slab[links[i·stride + s0 + l]]` for the first `cnt` lanes of
+/// every direction, tail lanes replicating lane `cnt − 1` like the chunk
+/// loaders. The pull of the sparse MR kernel, whose link table holds slab
+/// addresses: streaming is one indexed load per population.
+#[inline(always)]
+pub fn gather_lanes<L: Lattice>(
+    slab: &[f64],
+    links: &[u32],
+    stride: usize,
+    s0: usize,
+    cnt: usize,
+    f: &mut [[f64; LANES]],
+) {
+    for (i, fi) in f[..L::Q].iter_mut().enumerate() {
+        let row = &links[i * stride + s0..][..cnt];
+        for l in 0..LANES {
+            fi[l] = slab[row[l.min(cnt - 1)] as usize];
+        }
+    }
+}
+
 /// Vectorized BGK relaxation over `count` nodes stored SoA in
 /// `f[i*stride + base + j]` — the chunked form of [`crate::collision::Bgk`]
 /// with the per-lane operation tree of the scalar `collide`.

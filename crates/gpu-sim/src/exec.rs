@@ -314,6 +314,14 @@ struct BlockSlab {
 /// bench lattices — a 2-block smoke phase is ~40% faster inline).
 pub const DEFAULT_PARALLEL_THRESHOLD: usize = 4096;
 
+/// The host's available parallelism (1 if unknown), queried once per
+/// process: every [`Gpu::new`] and [`crate::MultiGpu::ring`] defaults to
+/// it, and the query is a system call.
+pub fn host_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 pub struct Gpu {
     pub device: DeviceSpec,
     cpu_threads: usize,
@@ -347,12 +355,9 @@ unsafe impl Sync for CtxPtr<'_> {}
 impl Gpu {
     /// Create a simulated device using all available CPU parallelism.
     pub fn new(device: DeviceSpec) -> Self {
-        let cpu = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
         Gpu {
             device,
-            cpu_threads: cpu,
+            cpu_threads: host_threads(),
             parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
             launch_counter: AtomicU32::new(0),
             obs: None,

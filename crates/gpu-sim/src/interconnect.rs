@@ -215,8 +215,7 @@ impl MultiGpu {
     pub fn ring(spec: DeviceSpec, n: usize) -> Self {
         assert!(n > 0, "need at least one device");
         let link_spec = LinkSpec::preset_for(&spec);
-        let cpu = std::thread::available_parallelism().map_or(1, |c| c.get());
-        let (team, per_device) = thread_budget(cpu, n);
+        let (team, per_device) = thread_budget(crate::exec::host_threads(), n);
         let devices = (0..n)
             .map(|i| {
                 Gpu::new(spec.clone())

@@ -24,17 +24,18 @@
 //! direction), so on the shared fluid nodes the arithmetic — and therefore
 //! the trajectory — is **bitwise identical** to the dense MR drivers.
 //!
-//! A block processes its tile as a batch. The upstream nodes outside the
-//! tile's storage span are known at construction — the tile's
-//! [`HaloDirectory`] entry — so the block loads tile + halo moments into
-//! one SoA slab, collides all of them in `LANES` chunks, and then gathers
-//! through the link table with nothing left to compute but the moment
-//! reduction.
+//! One persistent block per SM (at most one per tile) walks a contiguous
+//! range of tiles. Per tile it loads tile + [`HaloDirectory`] moments into
+//! one SoA slab, reused tile after tile, collides all of them in `LANES`
+//! chunks, and gathers through links that address the slab: at build every
+//! active link is re-encoded in place as `d·n + j` (direction `d` of slab
+//! column `j`, `n = len + halo`), so the gather is `shared[link]`. The
+//! table keeps its size and counted reads, so the byte ledger is unchanged.
 //!
 //! One grid-wide lockstep barrier separates the gather (phase 0, reads
-//! only) from the in-place moment write-back (phase 1), so a single
-//! moment lattice suffices; the per-tile staging rows live in block
-//! scratch, which persists across phases.
+//! only) from the in-place write-back (phase 1), so a single moment
+//! lattice suffices. Only the staged new moments of the block's tiles
+//! persist across it, in block scratch ahead of the slab's moment rows.
 
 use crate::boundary::initial_moments;
 use crate::driver::{
@@ -44,7 +45,7 @@ use crate::driver::{
 use crate::multi::ring::StepCx;
 use crate::multi::Slabs;
 use crate::scheme::MrScheme;
-use crate::sparse::{compact, FluidIndex, SparseBuildError, Tile};
+use crate::sparse::{compact, FluidIndex, SparseBuildError};
 use gpu_sim::exec::{BlockCtx, Launch, PhasedKernel};
 use gpu_sim::interconnect::LinkError;
 use gpu_sim::{DeviceSpec, GlobalBuffer, Gpu};
@@ -53,21 +54,8 @@ use lbm_core::kernels::{self, LaneBlock, LANES, MAX_M, MAX_Q};
 use lbm_lattice::moments::Moments;
 use lbm_lattice::{Lattice, D2Q9, D3Q19};
 use std::marker::PhantomData;
+use std::ops::Range;
 use std::sync::Arc;
-
-/// Decode the direction-`i` link `entry` of a table over `nf` fluid nodes
-/// (see [`crate::sparse::build_neighbor_table`]) into `(d, p)`: the node
-/// pulls direction `d` of node `p`. An entry is either `(i, upstream)` or
-/// the bounce-back `(OPP[i], self)`, so one wrapping range compare tells
-/// them apart — no division by the runtime `nf`, and a select instead of a
-/// branch: on rock the two alternate at random, and a mispredicted branch
-/// per link costs more than the rest of the walk.
-#[inline(always)]
-fn decode_link<L: Lattice>(entry: u32, i: usize, nf: usize) -> (usize, usize) {
-    let e = entry as usize;
-    let d = std::hint::select_unpredictable(e.wrapping_sub(i * nf) < nf, i, L::OPP[i]);
-    (d, e.wrapping_sub(d * nf))
-}
 
 /// Per-tile halo directory: for every tile of a [`FluidIndex`], the sorted
 /// distinct compact ids *outside* the tile's storage span `lo..hi` that the
@@ -85,30 +73,49 @@ pub struct HaloDirectory {
 
 impl HaloDirectory {
     /// Walk the links of every tile's active nodes in `table` (the
-    /// [`crate::sparse::build_neighbor_table`] of `index` for lattice `L`).
-    pub fn build<L: Lattice>(index: &FluidIndex, table: &GlobalBuffer<u32>) -> Self {
+    /// [`crate::sparse::build_neighbor_table`] of `index` for lattice `L`:
+    /// `i·nf + p`, or `OPP[i]·nf + self` for a bounce-back), and re-encode
+    /// them in place, tile by tile, as slab addresses `d·n + j`: `n = len +
+    /// halo` is the tile's slab width and `j` the slab column of `p` —
+    /// `p − lo` inside the tile's span, `len + k` for its `k`-th halo id.
+    pub fn localize<L: Lattice>(index: &FluidIndex, table: &GlobalBuffer<u32>) -> Self {
         let nf = index.len();
         assert_eq!(table.len(), L::Q * nf, "link table does not match index");
         let mut starts = Vec::with_capacity(index.tiles().len() + 1);
-        let mut ids = Vec::new();
+        let (mut ids, mut halo, mut col) = (Vec::new(), Vec::new(), vec![0u32; nf]);
         let mut slab_nodes = 0;
-        let mut halo: Vec<u32> = Vec::new();
         starts.push(0);
+        // Direction-`i` link of `cid`: its upstream id, `≥ nf` for a
+        // bounce-back (which pulls the node itself).
+        let upstream =
+            |i: usize, cid: u32| (table.get(i * nf + cid as usize) as usize).wrapping_sub(i * nf);
         for tile in index.tiles() {
             halo.clear();
-            let (lo, len) = (tile.lo as usize, (tile.hi - tile.lo) as usize);
+            let (lo, hi) = (tile.lo as usize, tile.hi as usize);
             for i in 0..L::Q {
                 for &cid in &tile.active {
-                    // A bounce-back link decodes to the node itself: in tile.
-                    let (_, p) = decode_link::<L>(table.get(i * nf + cid as usize), i, nf);
-                    if p.wrapping_sub(lo) >= len {
-                        halo.push(p as u32);
+                    let e = upstream(i, cid);
+                    if e < nf && !(lo..hi).contains(&e) {
+                        halo.push(e as u32);
                     }
                 }
             }
             halo.sort_unstable();
             halo.dedup();
-            slab_nodes = slab_nodes.max(len + halo.len());
+            let n = hi - lo + halo.len();
+            let slab = (lo..hi).chain(halo.iter().map(|&p| p as usize));
+            slab.enumerate().for_each(|(j, p)| col[p] = j as u32);
+            for i in 0..L::Q {
+                for &cid in &tile.active {
+                    let e = upstream(i, cid);
+                    let d = if e < nf { i } else { L::OPP[i] };
+                    let p = if e < nf { e } else { cid as usize };
+                    let link = d * n + col[p] as usize;
+                    assert!(link < L::Q * n, "link {link} outside the slab");
+                    table.set(i * nf + cid as usize, link as u32);
+                }
+            }
+            slab_nodes = slab_nodes.max(n);
             ids.extend_from_slice(&halo);
             starts.push(ids.len() as u32);
         }
@@ -125,20 +132,28 @@ impl HaloDirectory {
     }
 }
 
-/// Two-phase pull kernel: one block per tile.
+/// The tiles block `b` of `blocks` walks out of `tiles`: contiguous, sizes
+/// differing by at most one.
+fn block_tiles(b: usize, blocks: usize, tiles: usize) -> Range<usize> {
+    b * tiles / blocks..(b + 1) * tiles / blocks
+}
+
+/// Two-phase pull kernel: each block walks its [`block_tiles`].
 ///
-/// * **Phase 0** — load the moment rows of the tile and of its halo
-///   directory into one SoA slab (`n = len + halo` nodes), collide all `n`
-///   (vectorized lane chunks or the scalar reference, bitwise-identical),
-///   read the active nodes' links, gather their populations out of the
-///   slab and stage each active node's new moments in block scratch.
-/// * **Phase 1** — after the grid-wide barrier, write the staged moments
-///   back in place, one span per run of consecutive active ids.
+/// * **Phase 0**, per tile — load the moment rows of the tile and of its
+///   halo directory into one SoA slab (`n = len + halo` nodes) in the
+///   scratch tail, collide all `n` into shared memory (vectorized lane
+///   chunks or the scalar reference, bitwise-identical), read the active
+///   nodes' slab links, gather their populations and stage each active
+///   node's new moments in block scratch, after the previous tile's.
+/// * **Phase 1** — after the grid-wide barrier, write every tile's staged
+///   moments back in place, one span per run of consecutive active ids.
 ///
 /// Reads all happen in phase 0 and writes in phase 1 with each cell
 /// written by exactly one block, so the kernel passes strict race
 /// checking.
 struct SparseMrKernel<'a, L: Lattice> {
+    body: &'a SparseMr<L>,
     /// Time-`t` moments (all reads go here).
     src: &'a GlobalBuffer<f64>,
     /// Time-`t+1` moments (all writes go here): `src` again for an in-place
@@ -146,28 +161,19 @@ struct SparseMrKernel<'a, L: Lattice> {
     /// an exchange follows the launch, so a failed one can retry the whole
     /// step from unmodified `src`.
     dst: &'a GlobalBuffer<f64>,
-    table: &'a GlobalBuffer<u32>,
-    tiles: &'a [Tile],
-    halo: &'a HaloDirectory,
-    nf: usize,
-    scheme: &'a MrScheme,
-    tau: f64,
-    /// `ω = 1 − 1/τ`, the lane-path relaxation factor (same f64 the
-    /// scalar path recomputes).
-    omega: f64,
-    scalar: bool,
-    _l: PhantomData<L>,
 }
 
 impl<L: Lattice> SparseMrKernel<'_, L> {
     /// Post-collision populations of the slab's `n` nodes: moment rows
-    /// `scratch[m·n + j]` → `shared[i·n + j]`. The lane chunks are the same
-    /// `lbm_core::kernels` paths the dense MR drivers run; the scalar
+    /// `scratch[tail + m·n + j]` → `shared[i·n + j]`. The lane chunks are
+    /// the same `lbm_core::kernels` paths the dense MR drivers run (at
+    /// `ω = 1 − 1/τ`, the f64 the scalar path recomputes); the scalar
     /// reference goes node by node through `collide_and_map`.
-    fn collide_slab(&self, n: usize, ctx: &mut BlockCtx) {
+    fn collide_slab(&self, n: usize, tail: usize, out: &mut LaneBlock, ctx: &mut BlockCtx) {
+        let (scheme, tau) = (&self.body.scheme, self.body.tau);
         let (shared, scratch) = ctx.shared_and_scratch();
-        let moms = &scratch[..L::M * n];
-        if self.scalar {
+        let moms = &scratch[tail..][..L::M * n];
+        if self.body.scalar {
             let mut mm = [0.0f64; MAX_M];
             let mut fstar = [0.0f64; MAX_Q];
             for j in 0..n {
@@ -175,18 +181,16 @@ impl<L: Lattice> SparseMrKernel<'_, L> {
                     mm[m] = moms[m * n + j];
                 }
                 let node = Moments::unpack::<L>(&mm[..L::M]);
-                self.scheme
-                    .collide_and_map::<L>(&node, self.tau, &mut fstar[..L::Q]);
+                scheme.collide_and_map::<L>(&node, tau, &mut fstar[..L::Q]);
                 for i in 0..L::Q {
                     shared[i * n + j] = fstar[i];
                 }
             }
             return;
         }
-        let (mut out, all): (LaneBlock, _) = ([[0.0; LANES]; MAX_Q], kernels::dirs_all::<L>());
+        let all = kernels::dirs_all::<L>();
         for j0 in (0..n).step_by(LANES) {
-            self.scheme
-                .collide_chunk::<L>(moms, n, j0, self.omega, all, &mut out);
+            scheme.collide_chunk::<L>(moms, n, j0, 1.0 - 1.0 / tau, all, out);
             let cnt = LANES.min(n - j0);
             for i in 0..L::Q {
                 shared[i * n + j0..][..cnt].copy_from_slice(&out[i][..cnt]);
@@ -198,7 +202,7 @@ impl<L: Lattice> SparseMrKernel<'_, L> {
     /// in `f` (`cnt` valid lanes), staged at slot `s0` of the `alen`-strided
     /// rows in `stage`.
     fn reduce_chunk(&self, f: &LaneBlock, cnt: usize, stage: &mut [f64], alen: usize, s0: usize) {
-        if !self.scalar {
+        if !self.body.scalar {
             kernels::moments_from_f_lanes::<L>(&f[..L::Q], stage, alen, s0);
             return;
         }
@@ -214,6 +218,61 @@ impl<L: Lattice> SparseMrKernel<'_, L> {
             }
         }
     }
+
+    /// Phase 0 of tile `b`: its new moments land in the `M` rows of
+    /// `active.len()` slots at scratch offset `stage`, its slab's moment
+    /// rows past the staged rows of the fullest block. `links` (`Q` rows of
+    /// at least that many slots) and `f` are the block's reusable buffers.
+    fn update_tile(
+        &self,
+        b: usize,
+        stage: usize,
+        (links, f): (&mut [u32], &mut LaneBlock),
+        ctx: &mut BlockCtx,
+    ) {
+        let (nf, tail) = (self.body.index.len(), L::M * self.body.stage_nodes);
+        let (tile, halo) = (&self.body.index.tiles()[b], self.body.halo.tile(b));
+        let (lo, len) = (tile.lo as usize, (tile.hi - tile.lo) as usize);
+        let (active, alen, n) = (&tile.active[..], tile.active.len(), len + halo.len());
+
+        // Step 1: moment rows of tile + halo → scratch[tail + m·n + j]
+        // (counted reads: every stored node of the tile once, every halo
+        // node once per tile that pulls from it — repeats across tiles are
+        // L2 hits under touch tracking, so the DRAM ledger stays
+        // `M·8 + Q·4` read + `M·8` written per fluid node).
+        for m in 0..L::M {
+            ctx.read_span_to_scratch(self.src, m * nf + lo, tail + m * n, len);
+        }
+        for (k, &p) in halo.iter().enumerate() {
+            for m in 0..L::M {
+                let v = ctx.read(self.src, m * nf + p as usize);
+                ctx.scratch()[tail + m * n + len + k] = v;
+            }
+        }
+
+        // Step 2: post-collision populations of all n nodes → shared.
+        self.collide_slab(n, tail, f, ctx);
+
+        // Step 3: the active nodes' slab links, one counted span per
+        // direction and run of consecutive ids → links[i·alen + slot].
+        for run in tile.active_runs() {
+            let cid = active[run.start] as usize;
+            for i in 0..L::Q {
+                let row = &mut links[i * alen..][run.clone()];
+                ctx.read_span(&self.body.table, i * nf + cid, row);
+            }
+        }
+
+        // Step 4: gather LANES active nodes at a time out of the slab and
+        // reduce them to new moments in the staged rows.
+        let (shared, scratch) = ctx.shared_and_scratch();
+        let (slab, rows) = (&shared[..L::Q * n], &mut scratch[stage..][..L::M * alen]);
+        for s0 in (0..alen).step_by(LANES) {
+            let cnt = LANES.min(alen - s0);
+            kernels::gather_lanes::<L>(slab, links, alen, s0, cnt, f);
+            self.reduce_chunk(f, cnt, rows, alen, s0);
+        }
+    }
 }
 
 impl<L: Lattice> PhasedKernel for SparseMrKernel<'_, L> {
@@ -226,86 +285,33 @@ impl<L: Lattice> PhasedKernel for SparseMrKernel<'_, L> {
     }
 
     fn run_phase(&self, phase: usize, ctx: &mut BlockCtx) {
-        let tile = &self.tiles[ctx.block_id];
-        let (nf, lo) = (self.nf, tile.lo as usize);
-        let len = (tile.hi - tile.lo) as usize;
-        let active = &tile.active[..];
-        let alen = active.len();
-
-        if phase == 1 {
-            // Write-back: the staged rows (`scratch[m·alen + slot]`), one
-            // span per moment and run of consecutive active ids.
-            for run in tile.active_runs() {
-                let cid = active[run.start] as usize;
-                for m in 0..L::M {
-                    ctx.write_span_from_scratch(
-                        self.dst,
-                        m * nf + cid,
-                        m * alen + run.start,
-                        run.len(),
-                    );
-                }
-            }
-            return;
-        }
-
-        // Phase 0, step 1: moment rows of tile + halo → scratch[m·n + j]
-        // (counted reads: every stored node of the tile once, every halo
-        // node once per tile that pulls from it — repeats across tiles are
-        // L2 hits under touch tracking, so the DRAM ledger stays
-        // `M·8 + Q·4` read + `M·8` written per fluid node).
-        let halo = self.halo.tile(ctx.block_id);
-        let n = len + halo.len();
-        for m in 0..L::M {
-            ctx.read_span_to_scratch(self.src, m * nf + lo, m * n, len);
-        }
-        for (k, &p) in halo.iter().enumerate() {
-            for m in 0..L::M {
-                let v = ctx.read(self.src, m * nf + p as usize);
-                ctx.scratch()[m * n + len + k] = v;
-            }
-        }
-
-        // Step 2: post-collision populations of all n nodes → shared.
-        self.collide_slab(n, ctx);
-
-        // Step 3: the active nodes' links, one counted span per direction
-        // and run of consecutive ids → links[i·alen + slot].
-        let mut links = vec![0u32; L::Q * alen];
-        for run in tile.active_runs() {
-            let cid = active[run.start] as usize;
-            for i in 0..L::Q {
-                let row = &mut links[i * alen..][run.clone()];
-                ctx.read_span(self.table, i * nf + cid, row);
-            }
-        }
-
-        // Step 4: gather LANES active nodes at a time out of the slab and
-        // reduce them to new moments. The moment rows are dead after the
-        // collide, so the staged rows reuse scratch from offset 0.
-        let (shared, scratch) = ctx.shared_and_scratch();
-        let stage = &mut scratch[..L::M * alen];
-        let mut f: LaneBlock = [[0.0; LANES]; MAX_Q];
-        for s0 in (0..alen).step_by(LANES) {
-            let cnt = LANES.min(alen - s0);
-            for i in 0..L::Q {
-                let row = &links[i * alen + s0..][..cnt];
-                let fi = &mut f[i];
-                for l in 0..cnt {
-                    let (d, p) = decode_link::<L>(row[l], i, nf);
-                    let mut j = p.wrapping_sub(lo);
-                    if j >= len {
-                        let k = halo.binary_search(&(p as u32));
-                        j = len + k.expect("upstream node missing from the halo directory");
+        let (tiles, nf) = (self.body.index.tiles(), self.body.index.len());
+        let walk = block_tiles(ctx.block_id, self.body.blocks, tiles.len());
+        let most = tiles[walk.clone()].iter().map(|t| t.active.len()).max();
+        let len = if phase == 0 {
+            L::Q * most.unwrap_or(0)
+        } else {
+            0
+        };
+        let (mut links, mut f) = (vec![0u32; len], [[0.0; LANES]; MAX_Q]);
+        // The staged rows of the block's tiles, back to back from scratch
+        // offset 0: `M` rows of `active.len()` slots per tile.
+        let mut stage = 0;
+        for b in walk {
+            let (tile, alen) = (&tiles[b], tiles[b].active.len());
+            if phase == 0 {
+                self.update_tile(b, stage, (&mut links, &mut f), ctx);
+            } else {
+                // Write-back, one span per moment and run of active ids.
+                for run in tile.active_runs() {
+                    let cid = tile.active[run.start] as usize;
+                    for m in 0..L::M {
+                        let from = stage + m * alen + run.start;
+                        ctx.write_span_from_scratch(self.dst, m * nf + cid, from, run.len());
                     }
-                    fi[l] = shared[d * n + j];
-                }
-                // Ragged tail: replicate the last node like the lane loaders.
-                for l in cnt..LANES {
-                    fi[l] = fi[cnt - 1];
                 }
             }
-            self.reduce_chunk(&f, cnt, stage, alen, s0);
+            stage += L::M * alen;
         }
     }
 }
@@ -315,8 +321,13 @@ impl<L: Lattice> PhasedKernel for SparseMrKernel<'_, L> {
 pub struct SparseMr<L: Lattice> {
     geom: Geometry,
     index: FluidIndex,
+    /// The links, as slab addresses (see [`HaloDirectory::localize`]).
     table: GlobalBuffer<u32>,
     halo: HaloDirectory,
+    /// Launch grid: one block per SM, at most one per tile.
+    blocks: usize,
+    /// Most active nodes any block stages across the barrier.
+    stage_nodes: usize,
     mom: GlobalBuffer<f64>,
     /// Second lattice of a body with ghost columns (odd steps read it and
     /// write `mom`): its step is an update *then* an exchange, and a failed
@@ -351,7 +362,8 @@ impl<L: Lattice> SparseMrSim<L> {
         scheme: MrScheme,
         tau: f64,
     ) -> Result<Self, SparseBuildError> {
-        let body = SparseMr::on_slab(Owned::all(&geom), geom, scheme, tau)?;
+        let sms = device.sm_count as usize;
+        let body = SparseMr::on_slab(Owned::all(&geom), geom, scheme, tau, sms)?;
         Ok(Sim::from_body(Gpu::new(device), body))
     }
 
@@ -367,18 +379,27 @@ impl<L: Lattice> SparseMrSim<L> {
 
 impl<L: Lattice> SparseMr<L> {
     /// The sparse MR state over `geom`, updating the fluid nodes of its
-    /// `owned` columns — the one constructor behind
-    /// [`SparseMrSim::try_new`] and every shard of [`crate::multi`].
+    /// `owned` columns on a device of `sms` SMs — the one constructor
+    /// behind [`SparseMrSim::try_new`] and every shard of [`crate::multi`].
     pub(crate) fn on_slab(
         owned: Owned,
         geom: Geometry,
         scheme: MrScheme,
         tau: f64,
+        sms: usize,
     ) -> Result<Self, SparseBuildError> {
         let (index, table) = compact::<L>(&geom, owned)?;
+        let halo = HaloDirectory::localize::<L>(&index, &table);
+        let tiles = index.tiles();
+        let blocks = tiles.len().min(sms);
+        let staged = |b| tiles[block_tiles(b, blocks, tiles.len())].iter();
+        let stage_nodes = (0..blocks).map(|b| staged(b).map(|t| t.active.len()).sum());
+        let stage_nodes = stage_nodes.max().unwrap_or(0);
         let lattice = || GlobalBuffer::new(L::M * index.len()).with_touch_tracking();
         Ok(SparseMr {
-            halo: HaloDirectory::build::<L>(&index, &table),
+            halo,
+            blocks,
+            stage_nodes,
             mom: lattice(),
             mom2: (owned.ghost_l || owned.ghost_r).then(lattice),
             geom,
@@ -480,6 +501,22 @@ impl<L: Lattice> DriverBody for SparseMr<L> {
         self.mom.set_fault_plan(plan);
     }
 
+    /// Publishes the walk as `sparse_mr_walk{stat}`: `tiles_per_block`, and
+    /// `collided_per_fluid` — slab nodes collided per updated fluid node,
+    /// the halo recompute.
+    fn hub_attached(&self, obs: &obs::Obs) {
+        let tiles = self.index.tiles();
+        let spans: usize = tiles.iter().map(|t| (t.hi - t.lo) as usize).sum();
+        let collided = (spans + self.halo.ids.len()) as f64 / self.index.active_len() as f64;
+        for (stat, v) in [
+            ("tiles_per_block", tiles.len() as f64 / self.blocks as f64),
+            ("collided_per_fluid", collided),
+        ] {
+            let labels = [("pattern", self.label()), ("stat", stat)];
+            obs.metrics.gauge_set("sparse_mr_walk", &labels, v);
+        }
+    }
+
     fn frame(&self) -> Frame {
         let mut guards = box_guards(&self.geom, ("M", L::M));
         guards.push(("fluid nodes", self.index.len() as u64));
@@ -506,38 +543,27 @@ impl<L: Lattice> DriverBody for SparseMr<L> {
 }
 
 impl<L: Lattice> SoloBody for SparseMr<L> {
-    /// One two-phase lockstep launch over every tile; measured B/F is
-    /// `2M·8 + Q·4` (132 for D2Q9, 236 for D3Q19). Like sparse ST's, it is
-    /// the part that precedes an exchange.
+    /// One two-phase lockstep launch, one block per SM over every tile;
+    /// measured B/F is `2M·8 + Q·4` (132 for D2Q9, 236 for D3Q19). Like
+    /// sparse ST's, it is the part that precedes an exchange.
     fn launch_part(&self, gpu: &Gpu, t: u64, part: Part, rec: Rec<'_>) {
         if part != Part::Strips {
             return;
         }
         let (src, dst) = self.lattice_pair(t);
-        let tiles = self.index.tiles();
+        let slab = self.halo.slab_nodes;
         let cfg = Launch {
-            blocks: tiles.len(),
+            blocks: self.blocks,
             threads_per_block: self.index.tile_capacity().max(1),
-            shared_doubles: L::Q * self.halo.slab_nodes,
-            scratch_doubles: L::M * self.halo.slab_nodes,
+            shared_doubles: L::Q * slab,
+            scratch_doubles: L::M * (self.stage_nodes + slab),
         };
-        let stats = gpu.launch_lockstep(
-            &cfg,
-            &SparseMrKernel::<L> {
-                src,
-                dst,
-                table: &self.table,
-                tiles,
-                halo: &self.halo,
-                nf: self.index.len(),
-                scheme: &self.scheme,
-                tau: self.tau,
-                omega: 1.0 - 1.0 / self.tau,
-                scalar: self.scalar,
-                _l: PhantomData,
-            },
-        );
-        rec(&stats, None);
+        let kernel = SparseMrKernel {
+            body: self,
+            src,
+            dst,
+        };
+        rec(&gpu.launch_lockstep(&cfg, &kernel), None);
     }
 }
 
@@ -622,20 +648,43 @@ mod tests {
         g
     }
 
+    /// The directory's cases: an obstacle and two rocks on default and
+    /// custom tiles, a 3D rock, and a ghost-filtered index as the sharded
+    /// build leaves it — columns 0 and nx − 1 stay stored (and gatherable)
+    /// but leave the active lists, so runs break and the last tile column
+    /// (x = 24 alone) drops out.
+    fn directory_cases(d2q9: fn(&Geometry, &FluidIndex), d3q19: fn(&Geometry, &FluidIndex)) {
+        for geom in [obstacle_2d(), rock(37, 21, 1, 50), rock(5, 12, 1, 30)] {
+            d2q9(&geom, &FluidIndex::build(&geom));
+            // Non-default tile shapes change the spans, not the contract.
+            d2q9(&geom, &FluidIndex::build_tiled(&geom, (5, 3, 1)));
+        }
+        let g3 = rock(9, 8, 7, 35);
+        d3q19(&g3, &FluidIndex::build(&g3));
+
+        let geom = rock(25, 18, 1, 50);
+        let mut index = FluidIndex::build(&geom);
+        let tiles_before = index.tiles().len();
+        index.retain_active(|idx| (1..24).contains(&geom.coords(idx).0));
+        assert!(index.tiles().len() < tiles_before, "ghost-only tiles go");
+        assert!(index.tiles().iter().any(|t| t.active_runs().count() > 1));
+        d2q9(&geom, &index);
+    }
+
     /// Every tile's directory against a brute-force walk of the table
     /// (decoded the slow way, by division): sorted, duplicate-free,
     /// disjoint from the tile's own span, and exactly the out-of-tile
     /// targets of the active nodes' links.
     fn assert_directory_invariants<L: Lattice>(geom: &Geometry, index: &FluidIndex) {
         let nf = index.len();
-        let table = GlobalBuffer::from_vec(build_neighbor_table::<L>(geom, index).unwrap());
-        let dir = HaloDirectory::build::<L>(index, &table);
+        let global = build_neighbor_table::<L>(geom, index).unwrap();
+        let dir = HaloDirectory::localize::<L>(index, &GlobalBuffer::from_vec(global.clone()));
         let mut slab_nodes = 0;
         for (b, tile) in index.tiles().iter().enumerate() {
             let mut want: Vec<u32> = Vec::new();
             for &cid in &tile.active {
                 for i in 0..L::Q {
-                    let p = table.get(i * nf + cid as usize) % nf as u32;
+                    let p = global[i * nf + cid as usize] % nf as u32;
                     if !(tile.lo..tile.hi).contains(&p) {
                         want.push(p);
                     }
@@ -654,24 +703,82 @@ mod tests {
 
     #[test]
     fn halo_directory_invariants() {
-        for geom in [obstacle_2d(), rock(37, 21, 1, 50), rock(5, 12, 1, 30)] {
-            assert_directory_invariants::<D2Q9>(&geom, &FluidIndex::build(&geom));
-            // Non-default tile shapes change the spans, not the contract.
-            assert_directory_invariants::<D2Q9>(&geom, &FluidIndex::build_tiled(&geom, (5, 3, 1)));
-        }
-        let g3 = rock(9, 8, 7, 35);
-        assert_directory_invariants::<D3Q19>(&g3, &FluidIndex::build(&g3));
+        directory_cases(
+            assert_directory_invariants::<D2Q9>,
+            assert_directory_invariants::<D3Q19>,
+        );
+    }
 
-        // Ghost-filtered, as the sharded build leaves it: columns 0 and
-        // nx − 1 stay stored (and gatherable) but leave the active lists,
-        // so runs break and the last tile column (x = 24 alone) drops out.
-        let geom = rock(25, 18, 1, 50);
-        let mut index = FluidIndex::build(&geom);
-        let tiles_before = index.tiles().len();
-        index.retain_active(|idx| (1..24).contains(&geom.coords(idx).0));
-        assert!(index.tiles().len() < tiles_before, "ghost-only tiles go");
-        assert!(index.tiles().iter().any(|t| t.active_runs().count() > 1));
-        assert_directory_invariants::<D2Q9>(&geom, &index);
+    /// Every active link, re-encoded as the slab address `d·n + j`, maps
+    /// back to the `(d, upstream)` of its global entry `d·nf + upstream`:
+    /// column `j < len` is the tile's own node `lo + j`, the rest its halo
+    /// ids.
+    fn assert_slab_links<L: Lattice>(geom: &Geometry, index: &FluidIndex) {
+        let nf = index.len();
+        let global = build_neighbor_table::<L>(geom, index).unwrap();
+        let table = GlobalBuffer::from_vec(global.clone());
+        let dir = HaloDirectory::localize::<L>(index, &table);
+        for (b, tile) in index.tiles().iter().enumerate() {
+            let (lo, len, halo) = (tile.lo as usize, (tile.hi - tile.lo) as usize, dir.tile(b));
+            let n = len + halo.len();
+            for &cid in &tile.active {
+                for i in 0..L::Q {
+                    let at = i * nf + cid as usize;
+                    let link = table.get(at) as usize;
+                    assert!(link < L::Q * n, "tile {b}: {link} outside the slab");
+                    let (d, j) = (link / n, link % n);
+                    let p = if j < len {
+                        lo + j
+                    } else {
+                        halo[j - len] as usize
+                    };
+                    let want = (global[at] as usize / nf, global[at] as usize % nf);
+                    assert_eq!((d, p), want, "tile {b}, node {cid}, direction {i}");
+                    let bounce = (L::OPP[i], cid as usize);
+                    assert!(want.0 == i || want == bounce, "tile {b}: {want:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn slab_links_resolve_to_the_global_links() {
+        directory_cases(assert_slab_links::<D2Q9>, assert_slab_links::<D3Q19>);
+    }
+
+    /// The launch is one block per SM, each walking a contiguous run of
+    /// tiles: 200×90 rock is 300 tiles, 3 or 4 to each of V100's 80 blocks,
+    /// published with the halo recompute as `sparse_mr_walk`. Fewer tiles
+    /// than SMs leave one tile per block.
+    #[test]
+    fn blocks_walk_contiguous_tile_ranges() {
+        let walk = |geom: Geometry| {
+            let obs = obs::Obs::shared();
+            let sim: SparseMrSim2D =
+                SparseMrSim::new(DeviceSpec::v100(), geom, MrScheme::projective(), 0.8)
+                    .with_obs(obs.clone());
+            let gauge = |stat| {
+                let labels = [("pattern", "sparse-mr"), ("stat", stat)];
+                let v = obs.metrics.gauge("sparse_mr_walk", &labels);
+                v.expect("walk gauge missing")
+            };
+            let (tiles, blocks) = (sim.index.tiles().len(), sim.blocks);
+            (
+                tiles,
+                blocks,
+                gauge("tiles_per_block"),
+                gauge("collided_per_fluid"),
+            )
+        };
+        let (tiles, blocks, per_block, collided) = walk(rock(200, 90, 1, 50));
+        assert_eq!((tiles, blocks, per_block), (300, 80, 3.75));
+        assert!(collided > 1.0 && collided < 3.0, "{collided}");
+        let sizes: Vec<_> = (0..blocks)
+            .map(|b| block_tiles(b, blocks, tiles).len())
+            .collect();
+        assert!(sizes.iter().all(|&s| s == 3 || s == 4), "{sizes:?}");
+        assert_eq!(block_tiles(blocks - 1, blocks, tiles).end, tiles);
+        assert_eq!(walk(obstacle_2d()).2, 1.0);
     }
 
     /// A tile whose only fluid node is a dead end: every link bounces

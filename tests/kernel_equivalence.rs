@@ -609,13 +609,14 @@ fn sparse_edge_geometries(seed: u64) -> Vec<(&'static str, Geometry)> {
     ]
 }
 
-/// Sparse MR on `geom`: the tile-batched lane kernel under 1, 2 and 3
-/// pooled threads with the strict race checker, the node-at-a-time scalar
-/// reference, and the dense MR driver `dense` — FNV-equal at every step
-/// (step 0 included), with the full byte tally of every sparse variant
+/// Sparse MR on `geom` and `device`: the tile-batched lane kernel under 1,
+/// 2 and 3 pooled threads with the strict race checker, the node-at-a-time
+/// scalar reference, and the dense MR driver `dense` — FNV-equal at every
+/// step (step 0 included), with the full byte tally of every sparse variant
 /// equal at every step.
 fn assert_sparse_mr_equivalent<L: Lattice>(
     what: &str,
+    device: DeviceSpec,
     geom: &Geometry,
     scheme: MrScheme,
     steps: u64,
@@ -623,7 +624,7 @@ fn assert_sparse_mr_equivalent<L: Lattice>(
 ) {
     let mk = || {
         let mut s = lbm_mr::kernels::SparseMrSim::<L>::new(
-            DeviceSpec::v100(),
+            device.clone(),
             geom.clone(),
             scheme.clone(),
             0.8,
@@ -681,7 +682,8 @@ fn sparse_mr_tile_batches_match_on_generated_edges() {
             let mut dense: MrSim2D<D2Q9> =
                 MrSim2D::new(DeviceSpec::v100(), geom.clone(), scheme.clone(), 0.8);
             dense.init_with(shear_init);
-            assert_sparse_mr_equivalent::<D2Q9>(name, &geom, scheme, 6, &mut dense);
+            let v100 = DeviceSpec::v100();
+            assert_sparse_mr_equivalent::<D2Q9>(name, v100, &geom, scheme, 6, &mut dense);
         }
     }
     let geom = hashed_rock(7, (64, 32, 1), 50);
@@ -692,7 +694,50 @@ fn sparse_mr_tile_batches_match_on_generated_edges() {
         0.8,
     );
     dense.init_with(shear_init);
-    assert_sparse_mr_equivalent::<D2Q9>("zero steps", &geom, MrScheme::projective(), 0, &mut dense);
+    let (v100, mrp) = (DeviceSpec::v100(), MrScheme::projective());
+    assert_sparse_mr_equivalent::<D2Q9>("zero steps", v100, &geom, mrp, 0, &mut dense);
+}
+
+/// More tiles than the device has SMs, so every block walks several:
+/// 200×90 rock is 300 tiles on V100's 80 blocks (3 or 4 each), the D3Q19
+/// rock 180 tiles on MI100's 120 (1 or 2 each).
+#[test]
+fn sparse_mr_multi_tile_blocks_match() {
+    let geom = hashed_rock(11, (200, 90, 1), 50);
+    let sparse = SparseMrSim2D::new(
+        DeviceSpec::v100(),
+        geom.clone(),
+        MrScheme::projective(),
+        0.8,
+    );
+    assert_eq!(sparse.index().tiles().len(), 300);
+    let mut dense: MrSim2D<D2Q9> = MrSim2D::new(
+        DeviceSpec::v100(),
+        geom.clone(),
+        MrScheme::projective(),
+        0.8,
+    );
+    dense.init_with(shear_init);
+    let (v100, mrp) = (DeviceSpec::v100(), MrScheme::projective());
+    assert_sparse_mr_equivalent::<D2Q9>("rock50 200×90", v100, &geom, mrp, 3, &mut dense);
+
+    let geom = hashed_rock(11, (20, 24, 24), 40);
+    let sparse = SparseMrSim3D::new(
+        DeviceSpec::mi100(),
+        geom.clone(),
+        MrScheme::projective(),
+        0.8,
+    );
+    assert_eq!(sparse.index().tiles().len(), 180);
+    let mut dense: MrSim3D<D3Q19> = MrSim3D::new(
+        DeviceSpec::mi100(),
+        geom.clone(),
+        MrScheme::projective(),
+        0.8,
+    );
+    dense.init_with(shear_init);
+    let (mi100, mrp) = (DeviceSpec::mi100(), MrScheme::projective());
+    assert_sparse_mr_equivalent::<D3Q19>("rock40 3d", mi100, &geom, mrp, 3, &mut dense);
 }
 
 /// The same on D3Q19 with 4×4×4 tiles, 40 % hashed rock in a duct.
@@ -703,7 +748,8 @@ fn sparse_mr_tile_batches_match_on_generated_edges_3d() {
         let mut dense: MrSim3D<D3Q19> =
             MrSim3D::new(DeviceSpec::mi100(), geom.clone(), scheme.clone(), 0.8);
         dense.init_with(shear_init);
-        assert_sparse_mr_equivalent::<D3Q19>("rock40-3d", &geom, scheme, 4, &mut dense);
+        let v100 = DeviceSpec::v100();
+        assert_sparse_mr_equivalent::<D3Q19>("rock40-3d", v100, &geom, scheme, 4, &mut dense);
     }
 }
 
