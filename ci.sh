@@ -14,19 +14,46 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo doc (warnings are errors: a dangling intra-doc link fails the build)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-echo "== non-test lines per crate (lines before the first #[cfg(test)] of every crates/*/src/**/*.rs)"
+echo "== non-test lines per crate (lines before the first #[cfg(test)] mod of every crates/*/src/**/*.rs)"
 # The size PRs report, as a command. The two driver crates may only shrink:
 # lower DRIVER_LINES_MAX when a PR lands below it; raise it only with a
-# sentence in CHANGES.md saying what the lines bought.
-DRIVER_LINES_MAX=6446
+# sentence in CHANGES.md saying what the lines bought. A `#[cfg(test)]` on
+# anything but a `mod` (a test-only helper method) does not end the count.
+DRIVER_LINES_MAX=6689
 driver_lines=0
 for crate in crates/*/; do
-  lines=$(find "$crate/src" -name '*.rs' -exec awk 'FNR == 1 { on = 1 } /#\[cfg\(test\)\]/ { on = 0 } on' {} + | wc -l)
+  lines=$(find "$crate/src" -name '*.rs' -exec awk '
+    FNR == 1 { on = 1; held = "" }
+    on && held != "" {
+      if ($0 ~ /^[[:space:]]*(pub(\([a-z]+\))? )?mod /) { on = 0; next }
+      print held; held = ""
+    }
+    on && /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$/ { held = $0; next }
+    on' {} + | wc -l)
   printf '%8d  %s\n' "$lines" "$(basename "$crate")"
   case "$(basename "$crate")" in lbm-gpu | lbm-multi) driver_lines=$((driver_lines + lines)) ;; esac
 done
 printf '%8d  lbm-gpu + lbm-multi (max %d)\n' "$driver_lines" "$DRIVER_LINES_MAX"
 test "$driver_lines" -le "$DRIVER_LINES_MAX"
+
+echo "== every unsafe site states its invariant (a // SAFETY: comment just above it)"
+# The comment block above an `unsafe` block or impl must hold `SAFETY:`; one
+# code line (the head of the statement the block sits in) may come between.
+# Each site needs its own comment: a site consumes the one above it.
+unsafe_sites=0
+for file in $(git grep -lw unsafe -- 'crates/*/src/*.rs' 'crates/*/src/**/*.rs'); do
+  sites=$(awk -v f="$file" '
+    /^[[:space:]]*\/\// { if (/SAFETY:/) { armed = 1; code = 0 } next }
+    /(^|[^[:alnum:]_])unsafe([[:space:]]|\{)/ {
+      n++
+      if (!armed || code > 1) { printf "%s:%d: unsafe without a SAFETY comment\n", f, FNR > "/dev/stderr"; bad = 1 }
+      armed = 0; next
+    }
+    { code++ }
+    END { if (bad) exit 1; print n + 0 }' "$file")
+  unsafe_sites=$((unsafe_sites + sites))
+done
+printf '%8d  unsafe sites, each with a SAFETY comment\n' "$unsafe_sites"
 
 echo "== one host (one impl of Simulation in the driver crates, no second host or sharded body trait)"
 # A second `impl Simulation` means a second host crept back in; `benchmark/`

@@ -25,6 +25,7 @@
 //! slab arena on the `Gpu`, so steady-state launches allocate nothing.
 
 use crate::device::DeviceSpec;
+use crate::fault::Element;
 use crate::memory::{GlobalBuffer, Tally};
 use crate::pool::WorkerPool;
 use crate::racecheck::Epoch;
@@ -114,14 +115,14 @@ impl<'a> BlockCtx<'a> {
 
     /// Counted read from global memory.
     #[inline(always)]
-    pub fn read<T: Copy>(&mut self, buf: &GlobalBuffer<T>, i: usize) -> T {
+    pub fn read<T: Element>(&mut self, buf: &GlobalBuffer<T>, i: usize) -> T {
         let ep = self.epoch();
         buf.read(&mut self.tally, ep, i)
     }
 
     /// Counted write to global memory.
     #[inline(always)]
-    pub fn write<T: Copy>(&mut self, buf: &GlobalBuffer<T>, i: usize, v: T) {
+    pub fn write<T: Element>(&mut self, buf: &GlobalBuffer<T>, i: usize, v: T) {
         let ep = self.epoch();
         buf.write(&mut self.tally, ep, i, v)
     }
@@ -130,7 +131,7 @@ impl<'a> BlockCtx<'a> {
     /// `start`. Byte-identical tallies to element-wise reads; see
     /// [`GlobalBuffer::read_span`].
     #[inline(always)]
-    pub fn read_span<T: Copy>(&mut self, buf: &GlobalBuffer<T>, start: usize, out: &mut [T]) {
+    pub fn read_span<T: Element>(&mut self, buf: &GlobalBuffer<T>, start: usize, out: &mut [T]) {
         let ep = self.epoch();
         buf.read_span(&mut self.tally, ep, start, out)
     }
@@ -138,7 +139,7 @@ impl<'a> BlockCtx<'a> {
     /// Bulk-counted write of `src.len()` consecutive cells starting at
     /// `start`.
     #[inline(always)]
-    pub fn write_span<T: Copy>(&mut self, buf: &GlobalBuffer<T>, start: usize, src: &[T]) {
+    pub fn write_span<T: Element>(&mut self, buf: &GlobalBuffer<T>, start: usize, src: &[T]) {
         let ep = self.epoch();
         buf.write_span(&mut self.tally, ep, start, src)
     }
@@ -349,7 +350,12 @@ pub struct Gpu {
 
 /// Pointer wrapper for disjoint parallel access to the per-block contexts.
 struct CtxPtr<'a>(*mut BlockCtx<'a>);
+// SAFETY: the pointer is only dereferenced at disjoint block indices (see
+// the launch loop), so moving the wrapper to a pool thread shares no
+// context between threads.
 unsafe impl Send for CtxPtr<'_> {}
+// SAFETY: as for `Send`: every thread that holds a `&CtxPtr` derives a
+// `&mut` to a block context no other thread is handed.
 unsafe impl Sync for CtxPtr<'_> {}
 
 impl Gpu {
@@ -607,9 +613,10 @@ impl Gpu {
                 // field) so the closure itself is Sync.
                 let ptr = &ptr;
                 let task = move |b: usize| {
-                    // Safety: the pool's atomic cursor hands each block
-                    // index to exactly one participant, so the per-block
-                    // contexts are accessed disjointly.
+                    // SAFETY: `b < cfg.blocks == ctxs.len()`, and the
+                    // pool's atomic cursor hands each block index to exactly
+                    // one participant, so the per-block contexts are
+                    // accessed disjointly while `ctxs` outlives the run.
                     let ctx = unsafe { &mut *ptr.0.add(b) };
                     ctx.phase = phase as u32;
                     kernel.run_phase(phase, ctx);

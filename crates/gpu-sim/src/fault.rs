@@ -171,7 +171,7 @@ impl FaultPlan {
     /// Hook for counted global-memory writes: possibly corrupt `value`
     /// in place before it is stored to cell `index`. Accounting-neutral —
     /// the caller tallies the write either way.
-    pub fn corrupt<T: Copy>(&self, index: usize, value: &mut T) {
+    pub fn corrupt<T: Element>(&self, index: usize, value: &mut T) {
         for f in &self.mem {
             if f.index != index || f.fired.load(Ordering::Relaxed) {
                 continue;
@@ -267,30 +267,54 @@ impl FaultPlan {
     }
 }
 
-/// Overwrite `value`'s bytes according to `kind`. Width-generic so the
-/// same plan can corrupt `f64` lattices and `u32` link tables.
-fn apply<T: Copy>(kind: MemFaultKind, value: &mut T) {
-    let size = std::mem::size_of::<T>();
-    if size == 0 {
-        return;
+/// A global-memory cell type: what a [`crate::GlobalBuffer`] stores and a
+/// memory fault corrupts, through its bit pattern. Sealed: the substrate's
+/// cells are `f64` lattices and `u32` link tables, and no other type's bits
+/// are safe to forge.
+pub trait Element: Copy + sealed::Sealed {
+    /// Width of the bit pattern.
+    const BITS: u32;
+    /// The value's bits, zero-extended.
+    fn to_bits(self) -> u64;
+    /// The value whose bits are the low [`Element::BITS`] of `bits`.
+    fn from_bits(bits: u64) -> Self;
+}
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for f64 {}
+    impl Sealed for u32 {}
+}
+
+impl Element for f64 {
+    const BITS: u32 = 64;
+    fn to_bits(self) -> u64 {
+        f64::to_bits(self)
     }
-    // Sound for the plain-old-data cell types the substrate stores: we only
-    // ever reinterpret the value's own bytes in place.
-    let bytes = unsafe { std::slice::from_raw_parts_mut(value as *mut T as *mut u8, size) };
-    match kind {
-        MemFaultKind::Nan => {
-            if size == 8 {
-                bytes.copy_from_slice(&f64::NAN.to_le_bytes());
-            } else {
-                bytes.fill(0xFF);
-            }
-        }
-        MemFaultKind::BitFlip(bit) => {
-            let bit = bit as usize % (8 * size);
-            bytes[bit / 8] ^= 1 << (bit % 8);
-        }
+    fn from_bits(bits: u64) -> Self {
+        f64::from_bits(bits)
+    }
+}
+
+impl Element for u32 {
+    const BITS: u32 = 32;
+    fn to_bits(self) -> u64 {
+        self as u64
+    }
+    fn from_bits(bits: u64) -> Self {
+        bits as u32
+    }
+}
+
+/// Overwrite `value` according to `kind`. Width-generic so the same plan
+/// can corrupt `f64` lattices and `u32` link tables.
+fn apply<T: Element>(kind: MemFaultKind, value: &mut T) {
+    *value = match kind {
+        MemFaultKind::Nan if T::BITS == 64 => T::from_bits(f64::NAN.to_bits()),
+        MemFaultKind::Nan => T::from_bits(u64::MAX),
+        MemFaultKind::BitFlip(bit) => T::from_bits(value.to_bits() ^ (1 << (bit % T::BITS))),
         MemFaultKind::Panic => panic!("injected kernel panic"),
-    }
+    };
 }
 
 #[cfg(test)]

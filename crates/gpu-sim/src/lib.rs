@@ -48,6 +48,6 @@ pub mod roofline;
 
 pub use device::DeviceSpec;
 pub use exec::{Gpu, Kernel, Launch, LaunchStats, PhasedKernel};
-pub use fault::FaultPlan;
+pub use fault::{Element, FaultPlan};
 pub use interconnect::{Link, LinkError, LinkSpec, MultiGpu};
 pub use memory::GlobalBuffer;

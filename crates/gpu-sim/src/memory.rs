@@ -10,7 +10,7 @@
 //! discipline of the kernels (used by the tests for Algorithm 2's circular
 //! array shifting).
 
-use crate::fault::FaultPlan;
+use crate::fault::{Element, FaultPlan};
 use crate::racecheck::{Epoch, RaceChecker};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -119,14 +119,14 @@ fn disjoint<T>(a: *const T, b: *const T, len: usize) -> bool {
     a + bytes <= b || b + bytes <= a
 }
 
-impl<T: Copy + Default> GlobalBuffer<T> {
+impl<T: Element + Default> GlobalBuffer<T> {
     /// Allocate a zero/default-initialized buffer of `len` elements.
     pub fn new(len: usize) -> Self {
         Self::from_vec(vec![T::default(); len])
     }
 }
 
-impl<T: Copy> GlobalBuffer<T> {
+impl<T: Element> GlobalBuffer<T> {
     /// The value of cell `i`.
     #[inline(always)]
     fn load(&self, i: usize) -> T {

@@ -179,10 +179,10 @@ impl WorkerPool {
             o.metrics
                 .gauge_set("pool_workers_busy", &[], helpers as f64);
         }
-        // Erase the task's lifetime for publication. Sound because this
-        // function waits for `active == 0` with the leftover tickets revoked
-        // (no pool thread holds, or can still acquire, the job) before
-        // returning on every path, including panics.
+        // SAFETY: erasing the task's lifetime for publication is sound
+        // because this function waits for `active == 0` with the leftover
+        // tickets revoked (no pool thread holds, or can still acquire, the
+        // job) before returning on every path, including panics.
         let task_static: &'static (dyn Fn(usize) + Sync) =
             unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), _>(task) };
         {

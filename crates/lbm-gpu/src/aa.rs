@@ -8,10 +8,12 @@
 //! alternating two half-steps over a single buffer `A` of `Q·n` doubles:
 //!
 //! * **stream half-step** (performed when the completed-step counter is
-//!   even): gather the streamed populations exactly like the pull kernel,
-//!   collide, then *push* the post-collision values out — pre-applying the
-//!   **next** step's streaming so they land in natural slots
-//!   `A(x + c_i, i)`.
+//!   even): gather and collide with the pull kernel's own code — the ST
+//!   node walk, its run stager and its gather, given the storage-slot map
+//!   `OPP` instead of the identity (Wittmann et al.: AA is the pull kernel
+//!   over permuted slots) — then *push* the post-collision values out,
+//!   pre-applying the **next** step's streaming so they land in natural
+//!   slots `A(x + c_i, i)`.
 //! * **collide half-step** (counter odd): every node's inputs are already
 //!   in its own natural slots; collide node-locally and store the results
 //!   reversed, `A(x, OPP[i]) = f*_i`.
@@ -24,9 +26,9 @@
 //! At even completed-step counts the buffer holds the post-collision state
 //! in *reversed* slots: `A_t(x, OPP[i]) = f_i(x, t)`, bitwise equal to what
 //! `StSim` holds in its current lattice. At odd counts it holds the next
-//! step's pre-collision inputs in *natural* slots. Every slot computation
-//! routes through [`lbm_core::kernels::aa_slot`] so the convention cannot
-//! drift between gather, scatter, reduction, and init.
+//! step's pre-collision inputs in *natural* slots. The host paths —
+//! reduction, init, `f_at` — route through [`lbm_core::kernels::aa_slot`];
+//! the two kernels each run at one parity and name its slots directly.
 //!
 //! # Race freedom
 //!
@@ -52,11 +54,10 @@ use crate::driver::{
 };
 use crate::multi::ring::StepCx;
 use crate::multi::Slabs;
-use crate::st::{fluid_like, for_each_run, init_populations, population_macro_fields};
-use gpu_sim::exec::{BlockCtx, Kernel, Launch};
+use crate::st::{fluid_like, init_populations, population_macro_fields, NodeWalk};
+use gpu_sim::exec::{BlockCtx, Kernel};
 use gpu_sim::interconnect::LinkError;
 use gpu_sim::{DeviceSpec, FaultPlan, GlobalBuffer, Gpu};
-use lbm_core::boundary::WallGains;
 use lbm_core::collision::Collision;
 use lbm_core::geometry::{Geometry, NodeType};
 use lbm_core::kernels::{aa_slot, KernelConsts, MAX_Q};
@@ -65,73 +66,14 @@ use lbm_lattice::Lattice;
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-/// Gather the streamed populations for node `idx` out of the even-state
-/// buffer (post-collision values in reversed slots). Case-for-case the
-/// reads are [`crate::StSim`]'s pull gather with the source slot routed
-/// through the even-parity mapping: a fluid neighbor's `f_i` lives at
-/// `A(x − c_i, OPP[i])`, and the bounce-back read of the node's own
-/// `f_{OPP[i]}` lives at `A(x, i)`.
-#[inline]
-fn aa_gather<L: Lattice>(
-    ctx: &mut BlockCtx,
-    a: &GlobalBuffer<f64>,
-    geom: &Geometry,
-    gains: &WallGains,
-    idx: usize,
-    f_loc: &mut [f64; MAX_Q],
-) {
-    let n = geom.len();
-    let (x, y, z) = geom.coords(idx);
-    for i in 0..L::Q {
-        let c = L::C[i];
-        f_loc[i] = match geom.neighbor(x, y, z, [-c[0], -c[1], -c[2]]) {
-            Some((px, py, pz)) => {
-                let nidx = geom.idx(px, py, pz);
-                match geom.node_at(nidx) {
-                    t if t.is_fluid_like() => ctx.read(a, L::OPP[i] * n + nidx),
-                    NodeType::Wall => ctx.read(a, i * n + idx),
-                    NodeType::MovingWall(uw) => ctx.read(a, i * n + idx) + gains.gain(i, uw),
-                    _ => unreachable!(),
-                }
-            }
-            None => ctx.read(a, i * n + idx),
-        };
-    }
-}
-
-/// What both half-step kernels hold: the lattice, the operator and the
-/// x-span `[x_lo, x_hi)` of `geom` (all y, z) they update. A single-device
-/// body's span is its whole domain, a shard's its owned columns.
-struct AaSpan<'a, L: Lattice, C: Collision<L>> {
+/// Stream half-step kernel: the pull gather over reversed slots and the
+/// collide ([`NodeWalk::stage_run`], so per-node values are bitwise the
+/// two-lattice kernel's), then a scatter with the push rules into natural
+/// slots.
+struct AaStreamKernel<'a, L: Lattice, C: Collision<L>> {
+    walk: NodeWalk<'a, L, C>,
     a: &'a GlobalBuffer<f64>,
-    geom: &'a Geometry,
-    collision: &'a C,
-    consts: &'a KernelConsts,
-    block_size: usize,
-    x_lo: usize,
-    x_hi: usize,
-    _l: PhantomData<L>,
 }
-
-impl<L: Lattice, C: Collision<L>> AaSpan<'_, L, C> {
-    /// The fluid node thread slot `q` of the launch handles, if any.
-    #[inline(always)]
-    fn node_of(&self, q: usize) -> Option<usize> {
-        let w = self.x_hi - self.x_lo;
-        if q >= w * self.geom.ny * self.geom.nz {
-            return None;
-        }
-        let x = self.x_lo + q % w;
-        let y = (q / w) % self.geom.ny;
-        let z = q / (w * self.geom.ny);
-        let idx = self.geom.idx(x, y, z);
-        matches!(self.geom.node_at(idx), NodeType::Fluid).then_some(idx)
-    }
-}
-
-/// Stream half-step kernel: gather (pull rules over reversed slots),
-/// collide, scatter (push rules into natural slots).
-struct AaStreamKernel<'a, L: Lattice, C: Collision<L>>(AaSpan<'a, L, C>);
 
 impl<L: Lattice, C: Collision<L>> Kernel for AaStreamKernel<'_, L, C> {
     fn name(&self) -> &str {
@@ -139,71 +81,55 @@ impl<L: Lattice, C: Collision<L>> Kernel for AaStreamKernel<'_, L, C> {
     }
 
     fn run_block(&self, ctx: &mut BlockCtx) {
-        let k = &self.0;
-        let n = k.geom.len();
-        let bs = k.block_size;
-        let base = ctx.block_id * bs;
-        let node_of = |tid: usize| k.node_of(base + tid);
-        // Pass 1: gather + collide into scratch, staged per maximal run —
-        // the same arithmetic path (and `collide_soa` chunking) as the
-        // two-lattice pull kernel, so per-node values are bitwise equal.
-        for_each_run(ctx, bs, node_of, |ctx, stid, sidx, len| {
-            let mut f_loc = [0.0f64; MAX_Q];
-            for j in 0..len {
-                aa_gather::<L>(ctx, k.a, k.geom, &k.consts.gains, sidx + j, &mut f_loc);
-                if k.consts.scalar {
-                    k.collision.collide(&mut f_loc[..L::Q]);
-                }
-                let scratch = ctx.scratch();
-                for i in 0..L::Q {
-                    scratch[i * bs + stid + j] = f_loc[i];
-                }
-            }
-            if !k.consts.scalar {
-                k.collision.collide_soa(ctx.scratch(), bs, stid, len);
-            }
+        let (walk, a) = (&self.walk, self.a);
+        let (geom, gains) = (walk.geom, &walk.consts.gains);
+        let (n, bs) = (geom.len(), walk.block_size);
+        // Pass 1: gather + collide into scratch, staged per maximal run.
+        walk.for_each_run(ctx.block_id, |stid, sidx, len| {
+            walk.stage_run(ctx, a, |i| L::OPP[i], (stid, sidx, len));
         });
         // Pass 2: scatter element-wise with the push rules (pre-applies the
         // next step's streaming). Each node's gather strictly precedes its
         // push, and cell ownership is exclusive (module docs), so the
         // in-place overwrite is race-free.
-        let mut f_loc = [0.0f64; MAX_Q];
-        for tid in 0..bs {
-            let Some(idx) = node_of(tid) else {
-                continue;
-            };
-            let (x, y, z) = k.geom.coords(idx);
-            let scratch = ctx.scratch();
-            for i in 0..L::Q {
-                f_loc[i] = scratch[i * bs + tid];
-            }
-            for i in 0..L::Q {
-                let c = L::C[i];
-                match k.geom.neighbor(x, y, z, c) {
-                    Some((dx, dy, dz)) => {
-                        let didx = k.geom.idx(dx, dy, dz);
-                        match k.geom.node_at(didx) {
-                            t if t.is_fluid_like() => ctx.write(k.a, i * n + didx, f_loc[i]),
-                            NodeType::Wall => ctx.write(k.a, L::OPP[i] * n + idx, f_loc[i]),
-                            NodeType::MovingWall(uw) => ctx.write(
-                                k.a,
-                                L::OPP[i] * n + idx,
-                                f_loc[i] + k.consts.gains.gain(L::OPP[i], uw),
-                            ),
-                            _ => unreachable!(),
+        walk.for_each_run(ctx.block_id, |stid, sidx, len| {
+            let mut f_loc = [0.0f64; MAX_Q];
+            for j in 0..len {
+                let idx = sidx + j;
+                let (x, y, z) = geom.coords(idx);
+                let scratch = ctx.scratch();
+                for i in 0..L::Q {
+                    f_loc[i] = scratch[i * bs + stid + j];
+                }
+                for i in 0..L::Q {
+                    let own = L::OPP[i] * n + idx;
+                    match geom.neighbor(x, y, z, L::C[i]) {
+                        Some((dx, dy, dz)) => {
+                            let didx = geom.idx(dx, dy, dz);
+                            match geom.node_at(didx) {
+                                t if t.is_fluid_like() => ctx.write(a, i * n + didx, f_loc[i]),
+                                NodeType::Wall => ctx.write(a, own, f_loc[i]),
+                                NodeType::MovingWall(uw) => {
+                                    ctx.write(a, own, f_loc[i] + gains.gain(L::OPP[i], uw))
+                                }
+                                _ => unreachable!(),
+                            }
                         }
+                        None => ctx.write(a, own, f_loc[i]),
                     }
-                    None => ctx.write(k.a, L::OPP[i] * n + idx, f_loc[i]),
                 }
             }
-        }
+        });
     }
 }
 
 /// Collide half-step kernel: read the `Q` natural slots (already streamed
 /// by the previous half-step's push), collide, write back reversed.
 /// Node-local by construction.
-struct AaCollideKernel<'a, L: Lattice, C: Collision<L>>(AaSpan<'a, L, C>);
+struct AaCollideKernel<'a, L: Lattice, C: Collision<L>> {
+    walk: NodeWalk<'a, L, C>,
+    a: &'a GlobalBuffer<f64>,
+}
 
 impl<L: Lattice, C: Collision<L>> Kernel for AaCollideKernel<'_, L, C> {
     fn name(&self) -> &str {
@@ -211,36 +137,18 @@ impl<L: Lattice, C: Collision<L>> Kernel for AaCollideKernel<'_, L, C> {
     }
 
     fn run_block(&self, ctx: &mut BlockCtx) {
-        let k = &self.0;
-        let n = k.geom.len();
-        let bs = k.block_size;
-        let base = ctx.block_id * bs;
-        let node_of = |tid: usize| k.node_of(base + tid);
-        for_each_run(ctx, bs, node_of, |ctx, stid, sidx, len| {
-            if k.consts.scalar {
-                let mut f_loc = [0.0f64; MAX_Q];
-                for j in 0..len {
-                    let idx = sidx + j;
-                    for i in 0..L::Q {
-                        f_loc[i] = ctx.read(k.a, i * n + idx);
-                    }
-                    k.collision.collide(&mut f_loc[..L::Q]);
-                    let scratch = ctx.scratch();
-                    for i in 0..L::Q {
-                        scratch[i * bs + stid + j] = f_loc[i];
-                    }
-                }
-            } else {
-                for i in 0..L::Q {
-                    ctx.read_span_to_scratch(k.a, i * n + sidx, i * bs + stid, len);
-                }
-                k.collision.collide_soa(ctx.scratch(), bs, stid, len);
+        let (walk, a) = (&self.walk, self.a);
+        let (n, bs) = (walk.geom.len(), walk.block_size);
+        walk.for_each_run(ctx.block_id, |stid, sidx, len| {
+            for i in 0..L::Q {
+                ctx.read_span_to_scratch(a, i * n + sidx, i * bs + stid, len);
             }
+            walk.collide_run(ctx.scratch(), stid, len);
             // All Q rows of the run were read above, so the reversed-slot
             // flush only overwrites cells this run's own nodes already
             // consumed.
             for i in 0..L::Q {
-                ctx.write_span_from_scratch(k.a, L::OPP[i] * n + sidx, i * bs + stid, len);
+                ctx.write_span_from_scratch(a, L::OPP[i] * n + sidx, i * bs + stid, len);
             }
         });
     }
@@ -429,27 +337,33 @@ impl<L: Lattice, C: Collision<L>> SoloBody for AaSt<L, C> {
         if part != Part::Interior {
             return;
         }
-        let (x_lo, x_hi) = (self.owned.lo, self.owned.hi);
-        let cfg = Launch {
-            blocks: ((x_hi - x_lo) * self.geom.ny * self.geom.nz).div_ceil(self.block_size),
-            threads_per_block: self.block_size,
-            shared_doubles: 0,
-            scratch_doubles: L::Q * self.block_size,
+        let walk = || {
+            let span = (self.owned.lo, self.owned.hi);
+            NodeWalk::new(
+                &self.geom,
+                &self.collision,
+                &self.consts,
+                self.block_size,
+                span,
+            )
         };
-        let span = AaSpan::<L, C> {
-            a: &self.a,
-            geom: &self.geom,
-            collision: &self.collision,
-            consts: &self.consts,
-            block_size: self.block_size,
-            x_lo,
-            x_hi,
-            _l: PhantomData,
-        };
+        let cfg = walk().launch();
         let stats = if t.is_multiple_of(2) {
-            gpu.launch(&cfg, &AaStreamKernel(span))
+            gpu.launch(
+                &cfg,
+                &AaStreamKernel {
+                    walk: walk(),
+                    a: &self.a,
+                },
+            )
         } else {
-            gpu.launch(&cfg, &AaCollideKernel(span))
+            gpu.launch(
+                &cfg,
+                &AaCollideKernel {
+                    walk: walk(),
+                    a: &self.a,
+                },
+            )
         };
         rec(&stats, None);
     }

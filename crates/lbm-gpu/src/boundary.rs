@@ -6,6 +6,8 @@
 //! stencil into a [`MacroCache`] and hand the boundary routine a lookup
 //! closure.
 
+use gpu_sim::exec::BlockCtx;
+use lbm_core::boundary::boundary_node_moments;
 use lbm_core::geometry::{Geometry, NodeType};
 use lbm_lattice::moments::Moments;
 
@@ -73,6 +75,36 @@ pub fn stencil_coords(geom: &Geometry, x: usize, y: usize, z: usize) -> Vec<(usi
         }
     }
     out
+}
+
+/// The inlet/outlet update of block `ctx.block_id` over `nodes`, one node
+/// per thread of `block_size` — the loop `st-bc` and `mr-bc` share. Per
+/// node: pre-read its [`stencil_coords`] through `read_macro` (given a
+/// domain index) into a [`MacroCache`], apply the FD condition, and hand
+/// the node's new moments to `store` with its domain index.
+pub fn update_bc_block<L: lbm_lattice::Lattice>(
+    ctx: &mut BlockCtx,
+    geom: &Geometry,
+    tau: f64,
+    nodes: &[(usize, usize, usize)],
+    block_size: usize,
+    read_macro: impl Fn(&mut BlockCtx, usize) -> (f64, [f64; 3]),
+    store: impl Fn(&mut BlockCtx, usize, &Moments),
+) {
+    for &(x, y, z) in nodes
+        .iter()
+        .skip(ctx.block_id * block_size)
+        .take(block_size)
+    {
+        let mut cache = MacroCache::new();
+        for (sx, sy, sz) in stencil_coords(geom, x, y, z) {
+            let (rho, u) = read_macro(ctx, geom.idx(sx, sy, sz));
+            cache.insert((sx, sy, sz), rho, u);
+        }
+        let m =
+            boundary_node_moments::<L>(geom, x, y, z, tau, &|qx, qy, qz| cache.lookup(qx, qy, qz));
+        store(ctx, geom.idx(x, y, z), &m);
+    }
 }
 
 /// [`walk_classes`] byte of a fluid node beside a moving wall.

@@ -54,8 +54,7 @@
 //! high" — but the height stays a parameter of the one walker.
 
 use crate::boundary::{
-    boundary_nodes, initial_moments, stencil_coords, walk_classes, MacroCache, BOUNCE, BULK,
-    REFERENCE, SOLID,
+    boundary_nodes, initial_moments, update_bc_block, walk_classes, BOUNCE, BULK, REFERENCE, SOLID,
 };
 use crate::driver::{
     advance_solo, DriverBody, Fields, Frame, NodeHalo, Owned, Part, Rec, ScalarKernels, Sim,
@@ -68,7 +67,6 @@ use crate::scheme::MrScheme;
 use gpu_sim::exec::{BlockCtx, Kernel, Launch, LaunchStats, PhasedKernel};
 use gpu_sim::interconnect::LinkError;
 use gpu_sim::{DeviceSpec, FaultPlan, Gpu};
-use lbm_core::boundary::boundary_node_moments;
 use lbm_core::geometry::{Geometry, NodeType};
 use lbm_core::kernels::{self, DirMask, KernelConsts, LaneBlock, LANES, MAX_M, MAX_Q};
 use lbm_lattice::moments::Moments;
@@ -734,40 +732,30 @@ struct MrBcKernel<'a, L: Lattice> {
     _l: PhantomData<L>,
 }
 
-impl<L: Lattice> MrBcKernel<'_, L> {
-    fn read_macro(&self, ctx: &mut BlockCtx, x: usize, y: usize, z: usize) -> (f64, [f64; 3]) {
-        let idx = self.geom.idx(x, y, z);
-        let rho = self.mom.read(ctx, self.t_next, idx, 0);
-        let mut u = [0.0; 3];
-        for (a, ua) in u.iter_mut().enumerate().take(L::D) {
-            *ua = self.mom.read(ctx, self.t_next, idx, 1 + a);
-        }
-        (rho, u)
-    }
-}
-
 impl<L: Lattice> Kernel for MrBcKernel<'_, L> {
     fn name(&self) -> &str {
         "mr-bc"
     }
 
     fn run_block(&self, ctx: &mut BlockCtx) {
-        let base = ctx.block_id * BC_BLOCK;
-        for tid in 0..BC_BLOCK {
-            let Some(&(x, y, z)) = self.nodes.get(base + tid) else {
-                break;
-            };
-            let mut cache = MacroCache::new();
-            for (sx, sy, sz) in stencil_coords(self.geom, x, y, z) {
-                let (rho, u) = self.read_macro(ctx, sx, sy, sz);
-                cache.insert((sx, sy, sz), rho, u);
+        let (mom, t_next) = (self.mom, self.t_next);
+        let read_macro = |ctx: &mut BlockCtx, idx: usize| {
+            let rho = mom.read(ctx, t_next, idx, 0);
+            let mut u = [0.0; 3];
+            for (a, ua) in u.iter_mut().enumerate().take(L::D) {
+                *ua = mom.read(ctx, t_next, idx, 1 + a);
             }
-            let m = boundary_node_moments::<L>(self.geom, x, y, z, self.tau, &|qx, qy, qz| {
-                cache.lookup(qx, qy, qz)
-            });
-            let idx = self.geom.idx(x, y, z);
-            self.mom.write_moments::<L>(ctx, self.t_next, idx, &m);
-        }
+            (rho, u)
+        };
+        update_bc_block::<L>(
+            ctx,
+            self.geom,
+            self.tau,
+            self.nodes,
+            BC_BLOCK,
+            read_macro,
+            |ctx, idx, m| mom.write_moments::<L>(ctx, t_next, idx, m),
+        );
     }
 }
 

@@ -6,8 +6,13 @@
 //! node and step the kernel reads `Q` and writes `Q` doubles: the measured
 //! B/F reproduces Table 2's `2Q·8` (144 for D2Q9, 304 for D3Q19) up to the
 //! small inlet/outlet kernel contribution.
+//!
+//! The node walk (`NodeWalk`: span walk, run stager, pull gather) is the
+//! whole ST family's: the AA pattern's stream half-step ([`crate::aa`]) is
+//! the same pull gather over reversed storage slots, and its collide
+//! half-step walks the same runs.
 
-use crate::boundary::{boundary_nodes, initial_moments, stencil_coords, MacroCache};
+use crate::boundary::{boundary_nodes, initial_moments, update_bc_block};
 use crate::driver::{
     advance_solo, box_guards, fill, BlockSize, DriverBody, Fields, Frame, NodeHalo, Owned, Part,
     Rec, ScalarKernels, Sim, SlabBody, SoloBody,
@@ -17,7 +22,6 @@ use crate::multi::Slabs;
 use gpu_sim::exec::{BlockCtx, Kernel, Launch, LaunchStats};
 use gpu_sim::interconnect::LinkError;
 use gpu_sim::{DeviceSpec, FaultPlan, GlobalBuffer, Gpu};
-use lbm_core::boundary::{boundary_node_moments, WallGains};
 use lbm_core::collision::Collision;
 use lbm_core::geometry::{Geometry, NodeType};
 use lbm_core::kernels::{KernelConsts, MAX_Q};
@@ -26,222 +30,216 @@ use lbm_lattice::Lattice;
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-/// Streaming by gather (Algorithm 1, lines 3–10) with halfway bounce-back
-/// against solid neighbors — everything up to the collision. Shared by the
-/// bulk kernel and the multi-device span kernel so both produce
-/// bitwise-identical per-node values; moving-wall corrections use the
-/// hoisted [`WallGains`] table.
-#[inline]
-fn pull_gather<L: Lattice>(
-    ctx: &mut BlockCtx,
-    src: &GlobalBuffer<f64>,
-    geom: &Geometry,
-    gains: &WallGains,
-    idx: usize,
-    f_loc: &mut [f64; MAX_Q],
-) {
-    let n = geom.len();
-    let (x, y, z) = geom.coords(idx);
-    for i in 0..L::Q {
-        let c = L::C[i];
-        f_loc[i] = match geom.neighbor(x, y, z, [-c[0], -c[1], -c[2]]) {
-            Some((px, py, pz)) => {
-                let nidx = geom.idx(px, py, pz);
-                match geom.node_at(nidx) {
-                    t if t.is_fluid_like() => ctx.read(src, i * n + nidx),
-                    NodeType::Wall => ctx.read(src, L::OPP[i] * n + idx),
-                    NodeType::MovingWall(uw) => {
-                        ctx.read(src, L::OPP[i] * n + idx) + gains.gain(i, uw)
-                    }
-                    _ => unreachable!(),
-                }
-            }
-            None => ctx.read(src, L::OPP[i] * n + idx),
-        };
-    }
-}
-
-/// Element-wise reference node update: gather + collide + `Q` element
-/// stores. The production kernels stage stores in scratch and flush them as
-/// per-direction spans; this path is the oracle the debug-build cross-check
-/// test compares against.
-#[cfg_attr(not(all(test, debug_assertions)), allow(dead_code))]
-#[inline]
-fn pull_update_node<L: Lattice, C: Collision<L>>(
-    ctx: &mut BlockCtx,
-    src: &GlobalBuffer<f64>,
-    dst: &GlobalBuffer<f64>,
-    geom: &Geometry,
-    collision: &C,
-    gains: &WallGains,
-    idx: usize,
-) {
-    let n = geom.len();
-    let mut f_loc = [0.0f64; MAX_Q];
-    pull_gather::<L>(ctx, src, geom, gains, idx, &mut f_loc);
-    collision.collide(&mut f_loc[..L::Q]);
-    for i in 0..L::Q {
-        ctx.write(dst, i * n + idx, f_loc[i]);
-    }
-}
-
-/// Enumerate maximal runs of consecutive node indices over a block's thread
-/// slots: `node_of(tid)` yields the node a slot handles (`None` = skip), and
-/// `f(ctx, start_tid, start_idx, len)` fires once per run. Runs break at
-/// skipped slots and at any index discontinuity, so every run is a
-/// contiguous span in both the slot space and the node space.
-#[inline]
-pub(crate) fn for_each_run(
-    ctx: &mut BlockCtx,
-    block_size: usize,
-    node_of: impl Fn(usize) -> Option<usize>,
-    mut f: impl FnMut(&mut BlockCtx, usize, usize, usize),
-) {
-    let mut run: Option<(usize, usize, usize)> = None;
-    for tid in 0..=block_size {
-        let node = if tid < block_size { node_of(tid) } else { None };
-        match (&mut run, node) {
-            (Some((_, sidx, len)), Some(idx)) if idx == *sidx + *len => *len += 1,
-            (r, node) => {
-                if let Some((stid, sidx, len)) = r.take() {
-                    f(ctx, stid, sidx, len);
-                }
-                *r = node.map(|idx| (tid, idx, 1));
-            }
-        }
-    }
-}
-
-/// Pull-update a block's nodes with span-flushed stores: per run of
-/// consecutive fluid nodes, gather each node (reads are irregular —
-/// neighbor gathers and bounce-backs — so they stay element-wise) into
-/// direction-major scratch rows, collide the whole run through the
-/// operator's chunk-vectorized [`Collision::collide_soa`], then flush `Q`
-/// per-direction [`BlockCtx::write_span_from_scratch`] spans. Same cells,
-/// same read order, same values, same per-element race checks as the
-/// element-wise path — only the arithmetic is batched across the run and
-/// the store loop across the span, so tallies are byte-identical (see
-/// `DESIGN.md`, "Executor" and "Vectorized kernels"). `consts.scalar`
-/// selects the original node-at-a-time collide as the equivalence oracle.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn pull_update_block<L: Lattice, C: Collision<L>>(
-    ctx: &mut BlockCtx,
-    src: &GlobalBuffer<f64>,
-    dst: &GlobalBuffer<f64>,
-    geom: &Geometry,
-    collision: &C,
-    consts: &KernelConsts,
-    block_size: usize,
-    node_of: impl Fn(usize) -> Option<usize>,
-) {
-    let n = geom.len();
-    for_each_run(ctx, block_size, node_of, |ctx, stid, sidx, len| {
-        let mut f_loc = [0.0f64; MAX_Q];
-        for k in 0..len {
-            pull_gather::<L>(ctx, src, geom, &consts.gains, sidx + k, &mut f_loc);
-            if consts.scalar {
-                collision.collide(&mut f_loc[..L::Q]);
-            }
-            let scratch = ctx.scratch();
-            for i in 0..L::Q {
-                scratch[i * block_size + stid + k] = f_loc[i];
-            }
-        }
-        if !consts.scalar {
-            collision.collide_soa(ctx.scratch(), block_size, stid, len);
-        }
-        for i in 0..L::Q {
-            ctx.write_span_from_scratch(dst, i * n + sidx, i * block_size + stid, len);
-        }
-    });
-}
-
-/// Bulk update kernel: pull + collide over all fluid nodes.
-struct StBulkKernel<'a, L: Lattice, C: Collision<L>> {
-    src: &'a GlobalBuffer<f64>,
-    dst: &'a GlobalBuffer<f64>,
-    geom: &'a Geometry,
-    collision: &'a C,
-    consts: &'a KernelConsts,
-    block_size: usize,
-    _l: PhantomData<L>,
-}
-
-impl<L: Lattice, C: Collision<L>> Kernel for StBulkKernel<'_, L, C> {
-    fn name(&self) -> &str {
-        "st-bulk"
-    }
-
-    fn run_block(&self, ctx: &mut BlockCtx) {
-        let n = self.geom.len();
-        let base = ctx.block_id * self.block_size;
-        pull_update_block::<L, C>(
-            ctx,
-            self.src,
-            self.dst,
-            self.geom,
-            self.collision,
-            self.consts,
-            self.block_size,
-            |tid| {
-                let idx = base + tid;
-                (idx < n && matches!(self.geom.node_at(idx), NodeType::Fluid)).then_some(idx)
-            },
-        );
-    }
-}
-
-/// Pull + collide over the x-span `[x_lo, x_hi)` of `geom` (all y, z): what a
-/// body that does not own its whole box launches. Columns outside the span
-/// are read (time t) but never written. Per-node arithmetic is the bulk
-/// kernel's, so span launches covering a domain are bitwise one bulk launch;
-/// the bulk kernel stays because the span's per-thread `%` and `/` cost a
-/// measured 8 % on a full-width domain.
-struct StSpanKernel<'a, L: Lattice, C: Collision<L>> {
-    src: &'a GlobalBuffer<f64>,
-    dst: &'a GlobalBuffer<f64>,
-    geom: &'a Geometry,
-    collision: &'a C,
-    consts: &'a KernelConsts,
-    block_size: usize,
+/// The ST family's node walk: what its kernels (`st-bulk`, `aa-stream`,
+/// `aa-collide`) hold — the operator and the x-span `[x_lo, x_hi)` of `geom`
+/// (all y, z) they update: a solo body's whole box, a shard's owned columns
+/// or one of its edge strips.
+pub(crate) struct NodeWalk<'a, L: Lattice, C: Collision<L>> {
+    pub(crate) geom: &'a Geometry,
+    pub(crate) collision: &'a C,
+    pub(crate) consts: &'a KernelConsts,
+    pub(crate) block_size: usize,
     x_lo: usize,
     x_hi: usize,
     _l: PhantomData<L>,
 }
 
-impl<L: Lattice, C: Collision<L>> Kernel for StSpanKernel<'_, L, C> {
+impl<'a, L: Lattice, C: Collision<L>> NodeWalk<'a, L, C> {
+    pub(crate) fn new(
+        geom: &'a Geometry,
+        collision: &'a C,
+        consts: &'a KernelConsts,
+        block_size: usize,
+        (x_lo, x_hi): (usize, usize),
+    ) -> Self {
+        NodeWalk {
+            geom,
+            collision,
+            consts,
+            block_size,
+            x_lo,
+            x_hi,
+            _l: PhantomData,
+        }
+    }
+
+    /// One thread slot per span node, `Q` direction-major scratch rows per
+    /// block for the staged run values.
+    pub(crate) fn launch(&self) -> Launch {
+        let span = (self.x_hi - self.x_lo) * self.geom.ny * self.geom.nz;
+        Launch {
+            blocks: span.div_ceil(self.block_size),
+            threads_per_block: self.block_size,
+            shared_doubles: 0,
+            scratch_doubles: L::Q * self.block_size,
+        }
+    }
+
+    /// Block `block_id` covers span slots `[b·bs, (b+1)·bs)` in `(z, y, x)`
+    /// order; `f(stid, sidx, len)` fires once per maximal run of `Fluid`
+    /// nodes with consecutive indices, slot `stid + j` holding node
+    /// `sidx + j`. One division places the block's first slot and rows
+    /// advance by increments. A run breaks only at a node that is not
+    /// `Fluid` or where the index jumps (a row change on a partial span),
+    /// so on the whole box runs continue across rows.
+    #[inline]
+    pub(crate) fn for_each_run(&self, block_id: usize, mut f: impl FnMut(usize, usize, usize)) {
+        let (nx, w, bs) = (self.geom.nx, self.x_hi - self.x_lo, self.block_size);
+        let q0 = block_id * bs;
+        let q1 = (q0 + bs).min(w * self.geom.ny * self.geom.nz);
+        if q0 >= q1 {
+            return;
+        }
+        let mut row = q0 / w;
+        let (mut q, mut x) = (q0, self.x_lo + q0 - row * w);
+        // The open run; `len == 0` when there is none.
+        let (mut stid, mut sidx, mut len) = (0, 0, 0);
+        while q < q1 {
+            let take = (self.x_hi - x).min(q1 - q);
+            let base = row * nx + x;
+            for k in 0..take {
+                let idx = base + k;
+                let fluid = matches!(self.geom.node_at(idx), NodeType::Fluid);
+                if len > 0 && !(fluid && sidx + len == idx) {
+                    f(stid, sidx, len);
+                    len = 0;
+                }
+                if fluid {
+                    if len == 0 {
+                        (stid, sidx) = (q - q0 + k, idx);
+                    }
+                    len += 1;
+                }
+            }
+            (q, row, x) = (q + take, row + 1, self.x_lo);
+        }
+        if len > 0 {
+            f(stid, sidx, len);
+        }
+    }
+
+    /// Streaming by gather (Algorithm 1, lines 3–10) with halfway
+    /// bounce-back against solid neighbors — everything up to the collision
+    /// — for node `idx`, out of a lattice that stores direction `i` of a
+    /// node in storage slot `slot(i)`: the identity in the two-lattice
+    /// state, `OPP` in the AA pattern's even state, whose stream half-step
+    /// is this pull over reversed slots. A fluid neighbor's `f_i` is read at
+    /// `slot(i)·n + nidx`, the bounce-back of the node's own `f_{OPP[i]}` at
+    /// `slot(OPP[i])·n + idx`. Moving-wall corrections use the hoisted
+    /// [`WallGains`](lbm_core::boundary::WallGains) table.
+    #[inline]
+    fn pull_gather(
+        &self,
+        ctx: &mut BlockCtx,
+        src: &GlobalBuffer<f64>,
+        slot: impl Fn(usize) -> usize,
+        idx: usize,
+        f_loc: &mut [f64; MAX_Q],
+    ) {
+        let (geom, n) = (self.geom, self.geom.len());
+        let (x, y, z) = geom.coords(idx);
+        for i in 0..L::Q {
+            let c = L::C[i];
+            let own = slot(L::OPP[i]) * n + idx;
+            f_loc[i] = match geom.neighbor(x, y, z, [-c[0], -c[1], -c[2]]) {
+                Some((px, py, pz)) => {
+                    let nidx = geom.idx(px, py, pz);
+                    match geom.node_at(nidx) {
+                        t if t.is_fluid_like() => ctx.read(src, slot(i) * n + nidx),
+                        NodeType::Wall => ctx.read(src, own),
+                        NodeType::MovingWall(uw) => {
+                            ctx.read(src, own) + self.consts.gains.gain(i, uw)
+                        }
+                        _ => unreachable!(),
+                    }
+                }
+                None => ctx.read(src, own),
+            };
+        }
+    }
+
+    /// Gather the run of `len` nodes from `sidx` out of `src` (storage slots
+    /// `slot`, see [`NodeWalk::pull_gather`]) into direction-major scratch rows,
+    /// `scratch[i·bs + stid + j]`, and [`NodeWalk::collide_run`] it there.
+    /// Reads stay element-wise — neighbor gathers and bounce-backs are
+    /// irregular.
+    #[inline]
+    pub(crate) fn stage_run(
+        &self,
+        ctx: &mut BlockCtx,
+        src: &GlobalBuffer<f64>,
+        slot: impl Fn(usize) -> usize + Copy,
+        (stid, sidx, len): (usize, usize, usize),
+    ) {
+        let bs = self.block_size;
+        let mut f_loc = [0.0f64; MAX_Q];
+        for j in 0..len {
+            self.pull_gather(ctx, src, slot, sidx + j, &mut f_loc);
+            let scratch = ctx.scratch();
+            for i in 0..L::Q {
+                scratch[i * bs + stid + j] = f_loc[i];
+            }
+        }
+        self.collide_run(ctx.scratch(), stid, len);
+    }
+
+    /// Collide the run staged in scratch slots `stid..stid + len`: node by
+    /// node through [`Collision::collide`] when `consts.scalar` (the
+    /// equivalence oracle), else through the chunk-vectorized
+    /// [`Collision::collide_soa`].
+    #[inline]
+    pub(crate) fn collide_run(&self, scratch: &mut [f64], stid: usize, len: usize) {
+        let bs = self.block_size;
+        if !self.consts.scalar {
+            return self.collision.collide_soa(scratch, bs, stid, len);
+        }
+        let mut f_loc = [0.0f64; MAX_Q];
+        for t in stid..stid + len {
+            for i in 0..L::Q {
+                f_loc[i] = scratch[i * bs + t];
+            }
+            self.collision.collide(&mut f_loc[..L::Q]);
+            for i in 0..L::Q {
+                scratch[i * bs + t] = f_loc[i];
+            }
+        }
+    }
+}
+
+/// Pull + collide over a span (Algorithm 1): per run of consecutive fluid
+/// nodes, [`NodeWalk::stage_run`], then flush `Q` per-direction
+/// [`BlockCtx::write_span_from_scratch`] spans. Same cells, same read
+/// order, same values, same per-element race checks as the element-wise
+/// path — only the arithmetic is batched across the run and the store loop
+/// across the span, so tallies are byte-identical (see `DESIGN.md`,
+/// "Executor" and "Vectorized kernels"). Columns outside the span are read
+/// (time t) but never written, and per-node arithmetic does not depend on
+/// the span, so span launches covering a domain are bitwise one launch over
+/// the whole box.
+struct StKernel<'a, L: Lattice, C: Collision<L>> {
+    walk: NodeWalk<'a, L, C>,
+    src: &'a GlobalBuffer<f64>,
+    dst: &'a GlobalBuffer<f64>,
+}
+
+impl<L: Lattice, C: Collision<L>> Kernel for StKernel<'_, L, C> {
     fn name(&self) -> &str {
-        "st-bulk-span"
+        let walk = &self.walk;
+        match walk.x_hi - walk.x_lo == walk.geom.nx {
+            true => "st-bulk",
+            false => "st-bulk-span",
+        }
     }
 
     fn run_block(&self, ctx: &mut BlockCtx) {
-        let w = self.x_hi - self.x_lo;
-        let span = w * self.geom.ny * self.geom.nz;
-        let base = ctx.block_id * self.block_size;
-        // Runs still flush as maximal spans: a row change makes `idx` jump
-        // (the span covers only `[x_lo, x_hi)` of each row), which breaks
-        // the run in `for_each_run`'s consecutive-index check.
-        pull_update_block::<L, C>(
-            ctx,
-            self.src,
-            self.dst,
-            self.geom,
-            self.collision,
-            self.consts,
-            self.block_size,
-            |tid| {
-                let q = base + tid;
-                if q >= span {
-                    return None;
-                }
-                let x = self.x_lo + q % w;
-                let y = (q / w) % self.geom.ny;
-                let z = q / (w * self.geom.ny);
-                let idx = self.geom.idx(x, y, z);
-                matches!(self.geom.node_at(idx), NodeType::Fluid).then_some(idx)
-            },
-        );
+        let (walk, dst) = (&self.walk, self.dst);
+        let (n, bs) = (walk.geom.len(), walk.block_size);
+        walk.for_each_run(ctx.block_id, |stid, sidx, len| {
+            walk.stage_run(ctx, self.src, |i| i, (stid, sidx, len));
+            for i in 0..L::Q {
+                ctx.write_span_from_scratch(dst, i * n + sidx, i * bs + stid, len);
+            }
+        });
     }
 }
 
@@ -255,52 +253,43 @@ struct StBcKernel<'a, L: Lattice, C: Collision<L>> {
     _l: PhantomData<L>,
 }
 
-impl<L: Lattice, C: Collision<L>> StBcKernel<'_, L, C> {
-    fn read_macro(&self, ctx: &mut BlockCtx, x: usize, y: usize, z: usize) -> (f64, [f64; 3]) {
-        let n = self.geom.len();
-        let idx = self.geom.idx(x, y, z);
-        let mut rho = 0.0;
-        let mut j = [0.0f64; 3];
-        for i in 0..L::Q {
-            let fi = ctx.read(self.dst, i * n + idx);
-            let c = L::cf(i);
-            rho += fi;
-            j[0] += c[0] * fi;
-            j[1] += c[1] * fi;
-            j[2] += c[2] * fi;
-        }
-        (rho, [j[0] / rho, j[1] / rho, j[2] / rho])
-    }
-}
-
 impl<L: Lattice, C: Collision<L>> Kernel for StBcKernel<'_, L, C> {
     fn name(&self) -> &str {
         "st-bc"
     }
 
     fn run_block(&self, ctx: &mut BlockCtx) {
-        let n = self.geom.len();
-        let base = ctx.block_id * self.block_size;
-        let tau = self.collision.tau();
-        for tid in 0..self.block_size {
-            let Some(&(x, y, z)) = self.nodes.get(base + tid) else {
-                break;
-            };
-            let mut cache = MacroCache::new();
-            for (sx, sy, sz) in stencil_coords(self.geom, x, y, z) {
-                let (rho, u) = self.read_macro(ctx, sx, sy, sz);
-                cache.insert((sx, sy, sz), rho, u);
-            }
-            let m = boundary_node_moments::<L>(self.geom, x, y, z, tau, &|qx, qy, qz| {
-                cache.lookup(qx, qy, qz)
-            });
-            let mut out = [0.0f64; MAX_Q];
-            self.collision.reconstruct(&m, &mut out[..L::Q]);
-            let idx = self.geom.idx(x, y, z);
+        let (n, dst) = (self.geom.len(), self.dst);
+        let read_macro = |ctx: &mut BlockCtx, idx: usize| {
+            let mut rho = 0.0;
+            let mut j = [0.0f64; 3];
             for i in 0..L::Q {
-                ctx.write(self.dst, i * n + idx, out[i]);
+                let fi = ctx.read(dst, i * n + idx);
+                let c = L::cf(i);
+                rho += fi;
+                j[0] += c[0] * fi;
+                j[1] += c[1] * fi;
+                j[2] += c[2] * fi;
             }
-        }
+            (rho, [j[0] / rho, j[1] / rho, j[2] / rho])
+        };
+        let store = |ctx: &mut BlockCtx, idx: usize, m: &Moments| {
+            let mut out = [0.0f64; MAX_Q];
+            self.collision.reconstruct(m, &mut out[..L::Q]);
+            for i in 0..L::Q {
+                ctx.write(dst, i * n + idx, out[i]);
+            }
+        };
+        let tau = self.collision.tau();
+        update_bc_block::<L>(
+            ctx,
+            self.geom,
+            tau,
+            self.nodes,
+            self.block_size,
+            read_macro,
+            store,
+        );
     }
 }
 
@@ -433,50 +422,20 @@ impl<L: Lattice, C: Collision<L>> St<L, C> {
         Moments::from_f::<L>(&self.f_at(x, y, z))
     }
 
-    /// One streaming + collision launch over columns `[x_lo, x_hi)`: the
-    /// bulk kernel when that is the whole box, the span kernel otherwise.
+    /// One streaming + collision launch over columns `[x_lo, x_hi)`.
     fn update(&self, gpu: &Gpu, x_lo: usize, x_hi: usize) -> LaunchStats {
-        let (geom, collision, consts) = (&self.geom, &self.collision, &self.consts);
-        let (src, dst) = (&self.f[self.cur], &self.f[self.cur ^ 1]);
-        let block_size = self.block_size;
-        let span = (x_hi - x_lo) * geom.ny * geom.nz;
-        // Every kernel stages span traffic direction-major in scratch.
-        let cfg = Launch {
-            blocks: span.div_ceil(block_size),
-            threads_per_block: block_size,
-            shared_doubles: 0,
-            scratch_doubles: L::Q * block_size,
+        let kernel = StKernel {
+            walk: NodeWalk::<L, C>::new(
+                &self.geom,
+                &self.collision,
+                &self.consts,
+                self.block_size,
+                (x_lo, x_hi),
+            ),
+            src: &self.f[self.cur],
+            dst: &self.f[self.cur ^ 1],
         };
-        let _l = PhantomData;
-        if x_hi - x_lo == geom.nx {
-            gpu.launch(
-                &cfg,
-                &StBulkKernel::<L, C> {
-                    src,
-                    dst,
-                    geom,
-                    collision,
-                    consts,
-                    block_size,
-                    _l,
-                },
-            )
-        } else {
-            gpu.launch(
-                &cfg,
-                &StSpanKernel::<L, C> {
-                    src,
-                    dst,
-                    geom,
-                    collision,
-                    consts,
-                    block_size,
-                    x_lo,
-                    x_hi,
-                    _l,
-                },
-            )
-        }
+        gpu.launch(&kernel.walk.launch(), &kernel)
     }
 }
 
@@ -487,7 +446,7 @@ impl<L: Lattice, C: Collision<L>> ScalarKernels for St<L, C> {
 }
 
 impl<L: Lattice, C: Collision<L>> BlockSize for St<L, C> {
-    /// The block size of the bulk, span and boundary kernels.
+    /// The block size of the update and boundary kernels.
     fn set_block_size(&mut self, bs: usize) {
         assert!(bs >= 1);
         self.block_size = bs;
@@ -730,6 +689,66 @@ mod tests {
         assert_eq!(sim.footprint_bytes(), 2 * 9 * 100 * 8);
     }
 
+    /// The node walk's ragged cases under the strict race checker: rows of
+    /// `nx ∈ {3, 5, 33}` through half rock under a moving lid, in blocks of
+    /// 7 so rows and runs cross block ends — solo, and on three shards for
+    /// the two-lattice and the in-place state — land on the unchecked
+    /// one-thread fields.
+    #[test]
+    fn node_walk_is_racecheck_clean_on_ragged_spans() {
+        use crate::aa::AaSt;
+        use crate::multi::slabs::checks;
+        use crate::multi::{MultiAaStSim, MultiStSim};
+        let init: checks::Init = |x, y, _| (1.0 + 0.01 * ((x + 2 * y) as f64).sin(), [0.0; 3]);
+        for nx in [3, 5, 33] {
+            let mut geom = Geometry::walls_y_periodic_x(nx, 9);
+            for idx in nx..7 * nx + nx {
+                let (x, y, _) = geom.coords(idx);
+                let h = (x * 7919 + y * 104_729 + 17).wrapping_mul(2_654_435_761);
+                if (h >> 7) % 100 < 50 {
+                    geom.set(x, y, 0, NodeType::Wall);
+                }
+            }
+            for x in 0..nx {
+                geom.set(x, 8, 0, NodeType::MovingWall([0.05, 0.0, 0.0]));
+            }
+            let solo = |threads: usize, strict: bool| {
+                let mut sim: StSim<D2Q9, _> =
+                    StSim::new(DeviceSpec::v100(), geom.clone(), Bgk::new(0.8))
+                        .with_block_size(7)
+                        .with_cpu_threads(threads)
+                        .with_parallel_threshold(0);
+                if strict {
+                    sim.body.set_racecheck_strict();
+                }
+                sim.init_with(init);
+                sim.run(6);
+                sim.field_checksum()
+            };
+            assert_eq!(solo(3, true), solo(1, false), "nx = {nx}");
+            checks::racecheck_clean(
+                || {
+                    MultiStSim::<D2Q9, _>::new(DeviceSpec::v100(), geom.clone(), Bgk::new(0.8), 3)
+                        .with_block_size(7)
+                },
+                St::set_racecheck_strict,
+                init,
+                6,
+                6,
+            );
+            checks::racecheck_clean(
+                || {
+                    MultiAaStSim::<D2Q9, _>::new(DeviceSpec::v100(), geom.clone(), Bgk::new(0.8), 3)
+                        .with_block_size(7)
+                },
+                AaSt::set_racecheck_strict,
+                init,
+                6,
+                6,
+            );
+        }
+    }
+
     /// Executor determinism: the same simulation under 1, 3, and 8 CPU
     /// threads produces bitwise-identical populations and an identical
     /// traffic tally — block scheduling (including dynamic stealing in the
@@ -762,9 +781,8 @@ mod tests {
     }
 
     /// The span-staged store path must be bitwise- and tally-transparent
-    /// against the element-wise oracle (`pull_update_node`). Debug builds
-    /// only, matching the oracle's own gating.
-    #[cfg(debug_assertions)]
+    /// against an element-wise oracle: per fluid node, gather + collide +
+    /// `Q` element stores.
     #[test]
     fn span_store_path_matches_element_oracle() {
         let geom = Geometry::cavity_2d(13, 0.05);
@@ -774,38 +792,30 @@ mod tests {
         let collision = Bgk::new(0.8);
         let gpu = Gpu::new(DeviceSpec::v100()).with_cpu_threads(3);
         let (bs, blocks) = (32, n.div_ceil(32));
+        let consts = KernelConsts::new::<D2Q9>(Collision::<D2Q9>::tau(&collision));
+        let walk = || NodeWalk::new(&geom, &collision, &consts, bs, (0, geom.nx));
 
-        struct ElementOracle<'a, C: Collision<D2Q9>> {
+        struct ElementOracle<'a> {
+            walk: NodeWalk<'a, D2Q9, Bgk>,
             src: &'a GlobalBuffer<f64>,
             dst: &'a GlobalBuffer<f64>,
-            geom: &'a Geometry,
-            collision: &'a C,
-            block_size: usize,
         }
-        impl<C: Collision<D2Q9>> Kernel for ElementOracle<'_, C> {
+        impl Kernel for ElementOracle<'_> {
             fn name(&self) -> &str {
                 "st-bulk-element"
             }
             fn run_block(&self, ctx: &mut BlockCtx) {
-                let n = self.geom.len();
-                let base = ctx.block_id * self.block_size;
-                for tid in 0..self.block_size {
-                    let idx = base + tid;
-                    if idx >= n {
-                        break;
+                let (geom, bs) = (self.walk.geom, self.walk.block_size);
+                let n = geom.len();
+                let mut f_loc = [0.0f64; MAX_Q];
+                for idx in (ctx.block_id * bs..(ctx.block_id + 1) * bs).take_while(|&i| i < n) {
+                    if matches!(geom.node_at(idx), NodeType::Fluid) {
+                        self.walk.pull_gather(ctx, self.src, |i| i, idx, &mut f_loc);
+                        Collision::<D2Q9>::collide(self.walk.collision, &mut f_loc[..9]);
+                        for i in 0..9 {
+                            ctx.write(self.dst, i * n + idx, f_loc[i]);
+                        }
                     }
-                    if !matches!(self.geom.node_at(idx), NodeType::Fluid) {
-                        continue;
-                    }
-                    pull_update_node::<D2Q9, _>(
-                        ctx,
-                        self.src,
-                        self.dst,
-                        self.geom,
-                        self.collision,
-                        &KernelConsts::new::<D2Q9>(self.collision.tau()).gains,
-                        idx,
-                    );
                 }
             }
         }
@@ -813,20 +823,11 @@ mod tests {
         let src_a = GlobalBuffer::from_vec(vals.clone()).with_touch_tracking();
         let dst_a: GlobalBuffer<f64> = GlobalBuffer::new(q * n).with_touch_tracking();
         let span_stats = gpu.launch(
-            &Launch {
-                blocks,
-                threads_per_block: bs,
-                shared_doubles: 0,
-                scratch_doubles: q * bs,
-            },
-            &StBulkKernel::<D2Q9, _> {
+            &walk().launch(),
+            &StKernel::<D2Q9, _> {
+                walk: walk(),
                 src: &src_a,
                 dst: &dst_a,
-                geom: &geom,
-                collision: &collision,
-                consts: &KernelConsts::new::<D2Q9>(Collision::<D2Q9>::tau(&collision)),
-                block_size: bs,
-                _l: PhantomData,
             },
         );
 
@@ -835,11 +836,9 @@ mod tests {
         let elem_stats = gpu.launch(
             &Launch::simple(blocks, bs),
             &ElementOracle {
+                walk: walk(),
                 src: &src_b,
                 dst: &dst_b,
-                geom: &geom,
-                collision: &collision,
-                block_size: bs,
             },
         );
 

@@ -147,27 +147,24 @@ pub fn write_str(out: &mut String, s: &str) {
 
 /// Parse a complete JSON document; trailing non-whitespace is an error.
 pub fn parse(src: &str) -> Result<Value, String> {
-    let mut p = Parser {
-        bytes: src.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser { src, pos: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.src.len() {
         return Err(format!("trailing data at byte {}", p.pos));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
 }
 
 impl Parser<'_> {
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
+        while let Some(&b) = self.src.as_bytes().get(self.pos) {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
                 self.pos += 1;
             } else {
@@ -177,7 +174,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -212,7 +209,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, lit: &str, v: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.src[self.pos..].starts_with(lit) {
             self.pos += lit.len();
             Ok(v)
         } else {
@@ -305,14 +302,10 @@ impl Parser<'_> {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .src
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
+                            let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
                             // Surrogates are rejected (the exports never emit them).
                             out.push(
                                 char::from_u32(code)
@@ -331,11 +324,9 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so boundaries
-                    // are valid; find the next char boundary).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().unwrap();
+                    // Consume one UTF-8 scalar: `pos` only ever advances by
+                    // whole chars, so it sits on a char boundary.
+                    let c = self.src[self.pos..].chars().next().unwrap();
                     if (c as u32) < 0x20 {
                         return Err(format!("raw control char at byte {}", self.pos));
                     }
@@ -358,7 +349,7 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
+        let s = &self.src[start..self.pos];
         s.parse::<f64>()
             .map(Value::Num)
             .map_err(|_| format!("bad number '{s}' at byte {start}"))
@@ -408,6 +399,17 @@ mod tests {
         assert!(parse("{\"a\":1} x").is_err());
         assert!(parse("\"unterminated").is_err());
         assert!(parse("nul").is_err());
+    }
+
+    #[test]
+    fn parse_decodes_multi_byte_chars() {
+        let v = parse("[\"é→😀\", \"\\u00e9x\"]").unwrap();
+        assert_eq!(v.items()[0].as_str().unwrap(), "é→😀");
+        assert_eq!(v.items()[1].as_str().unwrap(), "éx");
+        assert_eq!(
+            parse(&Value::str("é→😀").to_json()).unwrap(),
+            Value::str("é→😀")
+        );
     }
 
     #[test]

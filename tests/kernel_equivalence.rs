@@ -138,7 +138,11 @@ fn mr3d_vectorized_matches_scalar() {
 }
 
 /// Sharded ST: the vectorized kernels run inside each shard's strip and
-/// interior launches; checksums must match the scalar shards.
+/// interior launches; checksums must match the scalar shards. Besides the
+/// channel on two shards, the node walk's ragged cases on three: rows of
+/// `nx ∈ {3, 5, 33}` (one-column shards, strips narrower than a chunk)
+/// through 50 % rock under a moving lid, in blocks of 7 so rows and runs
+/// cross block ends, in 2D and 3D.
 #[test]
 fn multi_st_vectorized_matches_scalar() {
     let geom = Geometry::channel_2d(20, 10, 0.04);
@@ -147,6 +151,136 @@ fn multi_st_vectorized_matches_scalar() {
     let slow: MultiStSim<D2Q9, _> =
         MultiStSim::new(DeviceSpec::v100(), geom, Bgk::new(0.8), 2).with_scalar_kernels();
     assert_same_run(fast, slow, 6);
+    for nx in WALK_WIDTHS {
+        let mk = |geom: &Geometry| {
+            MultiStSim::<D2Q9, _>::new(DeviceSpec::v100(), geom.clone(), Bgk::new(0.8), 3)
+                .with_block_size(7)
+                .with_cpu_threads(3)
+        };
+        let geom = lid_rock(nx, (9, 1));
+        assert_same_run(mk(&geom), mk(&geom).with_scalar_kernels(), 6);
+        let mk3 = |geom: &Geometry| {
+            MultiStSim::<D3Q19, _>::new(DeviceSpec::mi100(), geom.clone(), Projective::new(0.7), 3)
+                .with_block_size(7)
+        };
+        let geom = lid_rock(nx, (6, 6));
+        assert_same_run(mk3(&geom), mk3(&geom).with_scalar_kernels(), 4);
+    }
+}
+
+/// The row widths the ST node walk is swept over: below a lane chunk, one
+/// column per shard on three shards, and rows that straddle blocks of 7.
+const WALK_WIDTHS: [usize; 3] = [3, 5, 33];
+
+/// `hashed_rock` at 50 % on an `nx`-wide box of `ny × nz` with its top y face
+/// turned into a lid moving at 0.05 along x.
+fn lid_rock(nx: usize, (ny, nz): (usize, usize)) -> Geometry {
+    let mut g = hashed_rock(7, (nx, ny, nz), 50);
+    for z in 0..nz {
+        for x in 0..nx {
+            g.set(x, ny - 1, z, NodeType::MovingWall([0.05, 0.0, 0.0]));
+        }
+    }
+    g
+}
+
+/// The in-place AA driver against the two-lattice one on `geom`: AA on one
+/// pooled thread and on eight, both under the strict race checker, agree
+/// at every step, and they, AA on three shards and `st` agree at every even
+/// step.
+fn assert_aa_sweep<L: Lattice, C: Collision<L>>(
+    mk_aa: impl Fn() -> AaStSim<L, C>,
+    mut st: StSim<L, C>,
+    mut multi: MultiAaStSim<L, C>,
+    steps: u64,
+) {
+    let mut aa1 = mk_aa().with_racecheck_strict().with_cpu_threads(1);
+    let mut aa8 = mk_aa()
+        .with_racecheck_strict()
+        .with_cpu_threads(8)
+        .with_parallel_threshold(0);
+    st.init_with(shear_init);
+    aa1.init_with(shear_init);
+    aa8.init_with(shear_init);
+    multi.init_with(shear_init);
+    for step in 1..=steps {
+        st.step();
+        aa1.step();
+        aa8.step();
+        multi.step();
+        assert_eq!(
+            aa1.field_checksum(),
+            aa8.field_checksum(),
+            "pooled AA executors diverged at step {step}"
+        );
+        if step % 2 == 0 {
+            assert_eq!(
+                aa1.field_checksum(),
+                st.field_checksum(),
+                "AA diverged from the two-lattice driver at even step {step}"
+            );
+            assert_eq!(
+                multi.field_checksum(),
+                st.field_checksum(),
+                "sharded AA diverged at even step {step}"
+            );
+        }
+    }
+}
+
+/// PR 9 tentpole contract, swept at the workspace level: the in-place
+/// AA-pattern driver is FNV-bitwise equal to the two-lattice ST driver at
+/// *every even* step count — on both device models, through an odd step
+/// total, identically under pooled 1-thread and 8-thread executors (which
+/// must also agree with each other at odd steps, where the AA lattice is
+/// mid-cycle and legitimately differs from ST) and on three shards. The
+/// lid-driven cavity runs at the default block size; the node walk's
+/// ragged cases (`lid_rock` at every `WALK_WIDTHS` width) in blocks of 7.
+#[test]
+fn aa_matches_two_lattice_fnv_sweep_2d() {
+    for dev in devices() {
+        let bgk = || Bgk::new(0.8);
+        for (geom, bs) in std::iter::once((Geometry::cavity_2d(13, 0.08), 256))
+            .chain(WALK_WIDTHS.map(|nx| (lid_rock(nx, (9, 1)), 7)))
+        {
+            assert_aa_sweep::<D2Q9, _>(
+                || AaStSim::new(dev.clone(), geom.clone(), bgk()).with_block_size(bs),
+                StSim::new(dev.clone(), geom.clone(), bgk()),
+                MultiAaStSim::new(dev.clone(), geom.clone(), bgk(), 3).with_block_size(bs),
+                7,
+            );
+        }
+    }
+}
+
+/// Same AA sweep in 3D (walled duct, periodic x — AA rejects
+/// inlet/outlet) with the projective operator for the non-BGK collide
+/// path, then the ragged `lid_rock` boxes in blocks of 7.
+#[test]
+fn aa_matches_two_lattice_fnv_sweep_3d() {
+    for dev in devices() {
+        let mut duct = Geometry::new(10, 6, 6, [true, false, false]);
+        for z in 0..6 {
+            for y in 0..6 {
+                for x in 0..10 {
+                    if y == 0 || y == 5 || z == 0 || z == 5 {
+                        duct.set(x, y, z, NodeType::Wall);
+                    }
+                }
+            }
+        }
+        let op = || Projective::new(0.7);
+        for (geom, bs) in
+            std::iter::once((duct, 256)).chain(WALK_WIDTHS.map(|nx| (lid_rock(nx, (6, 6)), 7)))
+        {
+            assert_aa_sweep::<D3Q19, _>(
+                || AaStSim::new(dev.clone(), geom.clone(), op()).with_block_size(bs),
+                StSim::new(dev.clone(), geom.clone(), op()),
+                MultiAaStSim::new(dev.clone(), geom.clone(), op(), 3).with_block_size(bs),
+                5,
+            );
+        }
+    }
 }
 
 /// Sharded 2D MR, both flavors.
@@ -154,83 +288,6 @@ fn multi_st_vectorized_matches_scalar() {
 fn multi_mr2d_vectorized_matches_scalar() {
     let geom = Geometry::walls_y_periodic_x(24, 9);
     assert_multi_mr_vectorized_matches_scalar::<D2Q9>(&geom, DeviceSpec::mi100(), 6);
-}
-
-/// PR 9 tentpole contract, swept at the workspace level: the in-place
-/// AA-pattern driver is FNV-bitwise equal to the two-lattice ST driver at
-/// *every even* step count — on both device models, through an odd step
-/// total, and identically under pooled 1-thread and 8-thread executors
-/// (which must also agree with each other at odd steps, where the AA
-/// lattice is mid-cycle and legitimately differs from ST).
-#[test]
-fn aa_matches_two_lattice_fnv_sweep_2d() {
-    for dev in devices() {
-        // Lid-driven cavity: moving-wall gains on the in-place path.
-        let geom = Geometry::cavity_2d(13, 0.08);
-        let mut st: StSim<D2Q9, _> = StSim::new(dev.clone(), geom.clone(), Bgk::new(0.8));
-        let mut aa1: AaStSim<D2Q9, _> =
-            AaStSim::new(dev.clone(), geom.clone(), Bgk::new(0.8)).with_cpu_threads(1);
-        let mut aa8: AaStSim<D2Q9, _> = AaStSim::new(dev, geom, Bgk::new(0.8))
-            .with_cpu_threads(8)
-            .with_parallel_threshold(0);
-        st.init_with(shear_init);
-        aa1.init_with(shear_init);
-        aa8.init_with(shear_init);
-        for step in 1..=7u64 {
-            st.step();
-            aa1.step();
-            aa8.step();
-            assert_eq!(
-                aa1.field_checksum(),
-                aa8.field_checksum(),
-                "pooled AA executors diverged at step {step}"
-            );
-            if step % 2 == 0 {
-                assert_eq!(
-                    aa1.field_checksum(),
-                    st.field_checksum(),
-                    "AA diverged from the two-lattice driver at even step {step}"
-                );
-            }
-        }
-    }
-}
-
-/// Same AA sweep in 3D (walled duct, periodic x — AA rejects
-/// inlet/outlet) with the projective operator for the non-BGK collide
-/// path.
-#[test]
-fn aa_matches_two_lattice_fnv_sweep_3d() {
-    for dev in devices() {
-        let mut geom = Geometry::new(10, 6, 6, [true, false, false]);
-        for z in 0..6 {
-            for y in 0..6 {
-                for x in 0..10 {
-                    if y == 0 || y == 5 || z == 0 || z == 5 {
-                        geom.set(x, y, z, NodeType::Wall);
-                    }
-                }
-            }
-        }
-        let mut st: StSim<D3Q19, _> = StSim::new(dev.clone(), geom.clone(), Projective::new(0.7));
-        let mut aa1: AaStSim<D3Q19, _> =
-            AaStSim::new(dev.clone(), geom.clone(), Projective::new(0.7)).with_cpu_threads(1);
-        let mut aa8: AaStSim<D3Q19, _> = AaStSim::new(dev, geom, Projective::new(0.7))
-            .with_cpu_threads(8)
-            .with_parallel_threshold(0);
-        st.init_with(shear_init);
-        aa1.init_with(shear_init);
-        aa8.init_with(shear_init);
-        for step in 1..=5u64 {
-            st.step();
-            aa1.step();
-            aa8.step();
-            assert_eq!(aa1.field_checksum(), aa8.field_checksum());
-            if step % 2 == 0 {
-                assert_eq!(aa1.field_checksum(), st.field_checksum());
-            }
-        }
-    }
 }
 
 /// The moment-twist contract is stronger: parity-indexed plane storage
@@ -957,7 +1014,7 @@ fn sharded_sparse_cuts_through_rock_match_solo() {
 /// FNV, the six `Tally` words, and the FNV and length of the checkpoint blob.
 type SoloRow = (u64, [u64; 6], u64, usize);
 
-/// Seven steps of a dense MR driver from `shear_init`, every launch pooled.
+/// Seven steps of a dense solo driver from `shear_init`, every launch pooled.
 fn solo_ledger_row<B: SoloBody>(sim: Sim<B>, threads: usize) -> SoloRow {
     let mut sim = sim.with_cpu_threads(threads).with_parallel_threshold(0);
     sim.init_with(shear_init);
@@ -1032,7 +1089,8 @@ fn sharded_ledger_row<B: DriverBody<Dev = Ring>>(
 /// walkers (`mr2d.rs` / `mr3d.rs`, commit 7c1f508) before they became one,
 /// so fields, every counted access, the L2 model and the checkpoint bytes of
 /// every storage variant are held to what that code produced, at 1 and at 3
-/// threads.
+/// threads. The solo ST-family rows (two-lattice pull and in-place AA) were
+/// read the same way from their kernels before their node walks became one.
 #[test]
 fn dense_mr_matches_the_recorded_ledger() {
     let v100 = DeviceSpec::v100;
@@ -1043,9 +1101,76 @@ fn dense_mr_matches_the_recorded_ledger() {
     let chan_tally = [31122, 29400, 248976, 235200, 235200, 1722];
     let cyl_tally = [29316, 27006, 234528, 216048, 216048, 2310];
     let duct_tally = [85120, 80640, 680960, 645120, 630784, 6272];
+    let lid = || Geometry::cavity_2d(24, 0.08);
+    let pduct = || hashed_rock(7, (16, 10, 10), 0);
     for threads in [1, 3] {
         let solo2 = |sim: MrSim2D<D2Q9>| solo_ledger_row(sim, threads);
         let solo3 = |sim: MrSim3D<D3Q19>| solo_ledger_row(sim, threads);
+        // The ST family, recorded from `st.rs` / `aa.rs` at commit 16567ef.
+        let st: [(&str, SoloRow, SoloRow); 5] = [
+            (
+                "st/chan",
+                solo_ledger_row(
+                    StSim::<D2Q9, _>::new(v100(), chan(), Bgk::new(0.8)),
+                    threads,
+                ),
+                (
+                    0x01baf9ef9f2e673a,
+                    [45738, 42336, 365904, 338688, 352800, 1638],
+                    0x8c88e7cde718708c,
+                    55_416,
+                ),
+            ),
+            (
+                "st/duct",
+                solo_ledger_row(
+                    StSim::<D3Q19, _>::new(v100(), duct(), Projective::new(0.8)),
+                    threads,
+                ),
+                (
+                    0x65ba93d9b73cfcfa,
+                    [183008, 136192, 1464064, 1089536, 1225728, 29792],
+                    0x0968f40de7f73a5f,
+                    243_320,
+                ),
+            ),
+            (
+                "st/lid",
+                solo_ledger_row(StSim::<D2Q9, _>::new(v100(), lid(), Bgk::new(0.8)), threads),
+                (
+                    0xf597d5c7e7b07e47,
+                    [30492, 30492, 243936, 243936, 243936, 0],
+                    0xa9257e7286c3f957,
+                    41_592,
+                ),
+            ),
+            (
+                "st-aa/lid",
+                solo_ledger_row(
+                    AaStSim::<D2Q9, _>::new(v100(), lid(), Bgk::new(0.8)),
+                    threads,
+                ),
+                (
+                    0x0b79e551c8cc8d7c,
+                    [30492, 30492, 243936, 243936, 243936, 0],
+                    0x7d75b7e8fa6c4b0a,
+                    41_592,
+                ),
+            ),
+            (
+                "st-aa/pduct",
+                solo_ledger_row(
+                    AaStSim::<D3Q19, _>::new(v100(), pduct(), Projective::new(0.8)),
+                    threads,
+                ),
+                (
+                    0x74c1a39ee0cb983b,
+                    [136192, 136192, 1089536, 1089536, 1089536, 0],
+                    0xec06ed5f79e3acf6,
+                    243_320,
+                ),
+            ),
+        ];
         let rows: [(&str, SoloRow, SoloRow); 9] = [
             (
                 "mr2d-p/chan",
@@ -1108,7 +1233,7 @@ fn dense_mr_matches_the_recorded_ledger() {
                 (0x5d52602e657094ae, duct_tally, 0x468bd1b8ff93ed81, 128_120),
             ),
         ];
-        for (what, got, want) in rows {
+        for (what, got, want) in st.into_iter().chain(rows) {
             assert_eq!(got, want, "{what}, {threads} thread(s)");
         }
 
