@@ -70,8 +70,12 @@ cargo build --release --workspace
 echo "== cargo test --release (scalar ≡ vector and the serve races on the optimized code the benchmark times)"
 # The debug suite below proves the bitwise contract on unoptimized code;
 # these two suites run again on the x86-64-v3 release codegen, at the speed
-# that exposes scheduling races.
-cargo test --release -q --test kernel_equivalence --test serve
+# that exposes scheduling races. One serve run takes a fraction of a second
+# and a race can pass one run in many, so the serve suite runs ten times.
+cargo test --release -q --test kernel_equivalence
+for _ in $(seq 10); do
+  cargo test --release -q --test serve
+done
 
 echo "== cargo test"
 cargo test --workspace -q

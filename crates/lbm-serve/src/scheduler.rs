@@ -6,11 +6,12 @@
 //! Each executor pulls a *group* of up to `batch_max` compatible jobs
 //! (same scheduling class) from the ready queue and drives them in
 //! time-sliced round-robin: `slice_steps` timesteps of job A, then B, then
-//! C, then back to A. Because every solver in the workspace is
-//! bitwise-deterministic and slicing only changes *when* steps run — never
-//! their arithmetic — a job's final field checksum is identical to a solo
-//! run of the same spec, no matter how it was grouped, sliced, or
-//! preempted.
+//! C, then back to A, until each member finishes or leaves the group
+//! (canceled, failed, evicted or handed to an idle executor). Because every
+//! solver in the workspace is bitwise-deterministic and slicing only
+//! changes *when* steps run — never their arithmetic — a job's final field
+//! checksum is identical to a solo run of the same spec, no matter how it
+//! was grouped, sliced, handed off or preempted.
 //!
 //! # Checkpoint-backed preemption
 //!
@@ -20,6 +21,28 @@
 //! their snapshot attached; the interactive work runs next. On
 //! re-dispatch the spec is rebuilt and the snapshot restored — an exact
 //! continuation, not an approximation.
+//!
+//! # Work conservation
+//!
+//! No executor stays parked while the ready queue is empty and another
+//! executor's group holds two or more unfinished members. The rule acts at
+//! every slice boundary, under the state lock the executor already takes
+//! there to check for cancellation: if an executor is idle, the queue is
+//! empty, the one-slot hand-off in the state is free and the group has at
+//! least two members, the member due to run next moves to the slot and
+//! `work_cv` wakes one parked executor. That executor takes the slot before
+//! it would park again (and before it honours shutdown, so a member in the
+//! slot is never dropped) and runs the member as a new one-member group
+//! under a fresh group id. The member keeps its built solver, its steps and
+//! its trace context: nothing is rebuilt, checkpointed or requeued, and its
+//! checksum is the solo one because the hand-off, like slicing, only moves
+//! *when* steps run. A cancel that lands on a member in the slot or just
+//! adopted takes effect at its next slice boundary, as for any running job.
+//!
+//! Eviction keeps its `idle > 0` guard: it frees a device for waiting
+//! interactive work only when no executor is idle, and the hand-off acts
+//! only when one is idle and nothing waits, so the two never compete for
+//! the same boundary.
 //!
 //! # Priority, aging, and the starvation bound
 //!
@@ -145,6 +168,11 @@ struct State {
     ledger: QuotaLedger,
     /// Executors parked on `work_cv`.
     idle: usize,
+    /// One-slot hand-off: a built member a busy group gave up at a slice
+    /// boundary, with the fresh group id it will run under. The fleet
+    /// still owns it: an executor empties the slot before it parks or
+    /// exits.
+    handoff: Option<(u64, Active)>,
     /// Jobs not yet in a terminal state.
     in_flight: usize,
     next_id: u64,
@@ -243,6 +271,7 @@ impl Serve {
                 jobs: HashMap::new(),
                 ledger: QuotaLedger::new(cfg.quotas.clone()),
                 idle: 0,
+                handoff: None,
                 in_flight: 0,
                 next_id: 1,
                 shutdown: false,
@@ -569,9 +598,9 @@ fn select_group(inner: &Inner, st: &mut MutexGuard<'_, State>) -> Option<(u64, V
         }
     }
     st.queue.retain(|id| !group.contains(id));
-    for id in st.queue.clone() {
-        let rec = st.jobs.get_mut(&id).expect("queued job exists");
-        rec.eff_prio += inner.cfg.aging;
+    let State { queue, jobs, .. } = &mut **st;
+    for id in queue.iter() {
+        jobs.get_mut(id).expect("queued job exists").eff_prio += inner.cfg.aging;
     }
     for &id in &group {
         st.jobs.get_mut(&id).expect("grouped job exists").state = JobState::Running;
@@ -627,16 +656,63 @@ fn should_evict(inner: &Inner, st: &State, group: &[Active]) -> bool {
             .all(|a| st.jobs[&a.id].eff_prio < inner.cfg.interactive_base)
 }
 
+/// Should the group about to run its next slice give a member to an idle
+/// executor? Only when one is parked, the ready queue is empty (so that
+/// executor has nothing else to do), the slot is free, and the group
+/// keeps a member of its own.
+fn should_hand_off(st: &State, width: usize) -> bool {
+    st.idle > 0 && st.queue.is_empty() && st.handoff.is_none() && width >= 2
+}
+
+/// Put `a` in the hand-off slot as a one-member group with a fresh id and
+/// wake a parked executor to adopt it. The solver, its steps and its
+/// trace context move with it; only the context's group id changes.
+fn hand_off(inner: &Inner, st: &mut State, from: u64, mut a: Active) {
+    let to = inner.group_seq.fetch_add(1, Ordering::Relaxed) + 1;
+    if let Some(c) = &mut a.ctx {
+        c.group = to;
+    }
+    if let Some(o) = inner.obs() {
+        let class = st.jobs[&a.id].spec.priority.label();
+        o.metrics
+            .counter_add("serve_handoffs", &[("class", class)], 1);
+    }
+    inner.record_event(
+        EventKind::Handoff,
+        Some(a.id),
+        &a.tenant,
+        &[
+            ("from_group", from.to_string()),
+            ("to_group", to.to_string()),
+        ],
+    );
+    st.handoff = Some((to, a));
+    inner.work_cv.notify_one();
+}
+
+/// What an executor leaves the state lock with.
+enum Work {
+    /// Jobs `select_group` took off the ready queue, still to be built.
+    Formed(Vec<JobId>),
+    /// A built member taken from the hand-off slot.
+    Adopted(Active),
+}
+
 fn executor_loop(inner: &Arc<Inner>) {
     loop {
-        let (gid, group_ids) = {
+        let (gid, work) = {
             let mut st = inner.state.lock().unwrap();
             loop {
+                // The slot comes before the shutdown check: its member is
+                // still the fleet's and must reach a terminal state.
+                if let Some((gid, a)) = st.handoff.take() {
+                    break (gid, Work::Adopted(a));
+                }
                 if st.shutdown {
                     return;
                 }
-                if let Some(g) = select_group(inner, &mut st) {
-                    break g;
+                if let Some((gid, ids)) = select_group(inner, &mut st) {
+                    break (gid, Work::Formed(ids));
                 }
                 st.idle += 1;
                 inner.set_queue_gauges(&st);
@@ -644,14 +720,21 @@ fn executor_loop(inner: &Arc<Inner>) {
                 st.idle -= 1;
             }
         };
-        run_group(inner, gid, group_ids);
+        run_group(inner, gid, work);
     }
 }
 
-/// Build (or restore) every member of the group, then drive them in
-/// round-robin slices to completion, eviction, or cancellation.
-fn run_group(inner: &Arc<Inner>, gid: u64, group_ids: Vec<JobId>) {
-    let mut group: Vec<Active> = Vec::with_capacity(group_ids.len());
+/// Build (or restore) every member of a formed group, or take an adopted
+/// member as it is, then drive them in round-robin slices until each one
+/// completes, fails, is canceled, evicted or handed to an idle executor.
+fn run_group(inner: &Arc<Inner>, gid: u64, work: Work) {
+    let (group_ids, mut group) = match work {
+        Work::Formed(ids) => {
+            let n = ids.len();
+            (ids, Vec::with_capacity(n))
+        }
+        Work::Adopted(a) => (Vec::new(), vec![a]),
+    };
     for id in group_ids {
         let (spec, snapshot, done) = {
             let st = inner.state.lock().unwrap();
@@ -764,9 +847,16 @@ fn run_group(inner: &Arc<Inner>, gid: u64, group_ids: Vec<JobId>) {
         // One round-robin pass: a slice for every member still running.
         let mut i = 0;
         while i < group.len() {
+            // Slice boundary: the cancel check holds the state lock, and
+            // under it the member due next may go to an idle executor.
             let canceled = {
-                let st = inner.state.lock().unwrap();
-                st.jobs[&group[i].id].cancel
+                let mut st = inner.state.lock().unwrap();
+                let canceled = st.jobs[&group[i].id].cancel;
+                if !canceled && should_hand_off(&st, group.len()) {
+                    hand_off(inner, &mut st, gid, group.remove(i));
+                    continue;
+                }
+                canceled
             };
             if canceled {
                 let a = group.remove(i);

@@ -3,8 +3,8 @@
 //!
 //! Spans answer "where did the time go"; the event log answers "what did
 //! the scheduler decide, in what order". Every admission, group formation,
-//! slice, eviction, resume, rollback, halo retry, cancellation, failure,
-//! completion, and controller tuning decision is recorded as one
+//! slice, eviction, resume, hand-off, rollback, halo retry, cancellation,
+//! failure, completion, and controller tuning decision is recorded as one
 //! [`FleetEvent`] with a globally unique, strictly increasing sequence
 //! number. Causality links back to the trace: each event carries the same
 //! per-thread `tid` the [`crate::Tracer`] stamps on spans, so an event can
@@ -55,6 +55,9 @@ pub enum EventKind {
     /// A post-build quota true-up pushed a tenant over its resident-byte
     /// limit (the job stays admitted; the breach is surfaced, not hidden).
     QuotaBreach,
+    /// A busy group gave a running member to an idle executor, which runs
+    /// it on as a new one-member group (args `from_group`, `to_group`).
+    Handoff,
 }
 
 impl EventKind {
@@ -72,6 +75,7 @@ impl EventKind {
             EventKind::Complete => "complete",
             EventKind::Tune => "tune",
             EventKind::QuotaBreach => "quota-breach",
+            EventKind::Handoff => "handoff",
         }
     }
 }
@@ -245,6 +249,8 @@ pub struct JobReplay {
     pub slices: u64,
     pub evictions: u64,
     pub resumes: u64,
+    /// Times a busy group gave the job to an idle executor.
+    pub handoffs: u64,
     pub rollbacks: u64,
     /// Terminal kind (`Complete`/`Cancel`/`Fail`), once seen.
     pub terminal: Option<EventKind>,
@@ -258,6 +264,8 @@ pub struct JobReplay {
 ///   `Admit` follows;
 /// * every `Resume` is preceded by one more `Evict` than prior `Resume`s
 ///   (evict/resume strictly alternate per job);
+/// * a `Handoff` moves a running job, so it falls between the job's admit
+///   and its terminal event and never while the job is evicted;
 /// * at most one terminal event (`Complete`/`Cancel`/`Fail`) per job, and
 ///   nothing follows it.
 ///
@@ -310,6 +318,12 @@ pub fn replay(events: &[FleetEvent]) -> Result<std::collections::BTreeMap<u64, J
                     return Err(format!("job {id}: resume without evict at seq {}", e.seq));
                 }
                 rec.resumes += 1;
+            }
+            EventKind::Handoff => {
+                if rec.evictions != rec.resumes {
+                    return Err(format!("job {id}: handoff while evicted at seq {}", e.seq));
+                }
+                rec.handoffs += 1;
             }
             EventKind::Rollback => rec.rollbacks += 1,
             EventKind::HaloRetry
@@ -382,11 +396,13 @@ mod tests {
         ev(&log, EventKind::Slice, 7);
         ev(&log, EventKind::Evict, 7);
         ev(&log, EventKind::Resume, 7);
+        ev(&log, EventKind::Handoff, 7);
         ev(&log, EventKind::Slice, 7);
         ev(&log, EventKind::Complete, 7);
         let jobs = replay(&log.snapshot()).unwrap();
         let j = &jobs[&7];
         assert_eq!(j.slices, 2);
+        assert_eq!(j.handoffs, 1);
         assert_eq!(j.evictions, 1);
         assert_eq!(j.resumes, 1);
         assert_eq!(j.terminal, Some(EventKind::Complete));
@@ -411,6 +427,22 @@ mod tests {
         ev(&log, EventKind::Admit, 1);
         ev(&log, EventKind::Complete, 1);
         ev(&log, EventKind::Slice, 1);
+        assert!(replay(&log.snapshot()).is_err());
+
+        // A hand-off before admit, after the terminal event, or while the
+        // job sits evicted in the queue.
+        let log = EventLog::new(64);
+        ev(&log, EventKind::Handoff, 1);
+        assert!(replay(&log.snapshot()).is_err());
+        let log = EventLog::new(64);
+        ev(&log, EventKind::Admit, 1);
+        ev(&log, EventKind::Cancel, 1);
+        ev(&log, EventKind::Handoff, 1);
+        assert!(replay(&log.snapshot()).is_err());
+        let log = EventLog::new(64);
+        ev(&log, EventKind::Admit, 1);
+        ev(&log, EventKind::Evict, 1);
+        ev(&log, EventKind::Handoff, 1);
         assert!(replay(&log.snapshot()).is_err());
     }
 }

@@ -43,6 +43,63 @@ fn wait_for_state(serve: &Serve, id: JobId, state: JobState) {
     }
 }
 
+/// Form one four-member group of `specs` on a two-executor fleet and
+/// leave the other executor idle. Two gates (jobs only `cancel` ends) hold
+/// both executors while the four are queued, so they wait together; then
+/// both gates are canceled. The executor that reaches the queue first
+/// takes all four (`batch_max` 4) and the other finds it empty and parks.
+///
+/// How soon the second executor parks is up to the OS, so a group of jobs
+/// that all end could finish before it does. A test that needs a hand-off
+/// puts two [`anchor`]s in the group: they keep it at two members or more
+/// until the test cancels them, so the parked executor is always offered
+/// one.
+fn one_group_of_four(serve: &Serve, specs: &[JobSpec]) -> Vec<JobId> {
+    assert_eq!(specs.len(), 4, "one group of four");
+    let gate = || JobSpec::shear_2d("gate", 16, 8, 1 << 40);
+    let first = serve.submit(gate()).unwrap();
+    wait_for_state(serve, first, JobState::Running);
+    let second = serve.submit(gate()).unwrap();
+    wait_for_state(serve, second, JobState::Running);
+    let ids = specs
+        .iter()
+        .map(|s| serve.submit(s.clone()).expect("admitted"))
+        .collect();
+    assert!(serve.cancel(first) && serve.cancel(second));
+    ids
+}
+
+/// `spec` made into a batch job that only `cancel` ends.
+fn anchor(spec: JobSpec) -> JobSpec {
+    JobSpec {
+        priority: Priority::Batch,
+        steps: 1 << 40,
+        ..spec
+    }
+}
+
+/// Poll until the fleet has handed a member of `class` to an idle
+/// executor (or panic after 10 s).
+fn wait_for_handoff(hub: &obs::Obs, class: &str) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while hub
+        .metrics
+        .counter("serve_handoffs", &[("class", class)])
+        .is_none()
+    {
+        assert!(Instant::now() < deadline, "no member was ever handed off");
+        std::hint::spin_loop();
+    }
+}
+
+/// The value of argument `key` on a logged event.
+fn arg<'e>(e: &'e obs::FleetEvent, key: &str) -> Option<&'e str> {
+    e.args
+        .iter()
+        .find(|(k, _)| k == key)
+        .map(|(_, v)| v.as_str())
+}
+
 /// Core contract: a mixed fleet of jobs, every one completed exactly once,
 /// every checksum bitwise-equal to a solo run of the same spec.
 #[test]
@@ -398,6 +455,246 @@ fn resilient_job_recovers_from_injected_fault() {
         solo_checksum(&spec),
         "recovery inside the fleet diverged from the clean trajectory"
     );
+
+    // Two executors: four such jobs in one group, two of them anchors, so
+    // the idle executor always adopts a job with an injected fault.
+    let hub = obs::Obs::shared();
+    let serve = Serve::start(ServeConfig {
+        executors: 2,
+        obs: Some(hub.clone()),
+        ..Default::default()
+    });
+    let faulty = |steps| {
+        let mut plan = FaultPlan::new();
+        plan.inject_nan(40, 6);
+        JobSpec {
+            resilient: true,
+            fault_plan: Some(Arc::new(plan)),
+            pattern: Pattern::MrP,
+            priority: Priority::Batch,
+            ..JobSpec::shear_2d("acme", 20, 8, steps)
+        }
+    };
+    let specs = [
+        anchor(faulty(1)),
+        faulty(160),
+        anchor(faulty(1)),
+        faulty(160),
+    ];
+    let ids = one_group_of_four(&serve, &specs);
+    for k in [1, 3] {
+        let result = serve.wait(ids[k]).expect("resilient job completed");
+        assert!(
+            result.rollbacks >= 1,
+            "the injected fault never triggered a rollback"
+        );
+        assert_eq!(
+            result.checksum,
+            solo_checksum(&specs[k]),
+            "recovery inside the fleet diverged from the clean trajectory"
+        );
+    }
+    wait_for_handoff(&hub, "batch");
+    assert!(serve.cancel(ids[0]) && serve.cancel(ids[2]));
+    serve.drain();
+    drop(serve);
+    let replayed = obs::events::replay(&hub.events.snapshot()).expect("event log replays");
+    assert!(
+        ids.iter().any(|id| replayed[&id.0].handoffs >= 1),
+        "no job with an injected fault was adopted"
+    );
+    assert!(
+        ids.iter().all(|id| replayed[&id.0].rollbacks >= 1),
+        "a fault never fired"
+    );
+}
+
+/// Work conservation: with the ready queue empty, an idle executor adopts
+/// a member of the other executor's four-member group at a slice
+/// boundary. The adopted job runs on under a fresh group id, built once,
+/// and every checksum still equals its solo run.
+#[test]
+fn idle_executor_adopts_a_member_of_a_busy_group() {
+    // Two anchors make a hand-off certain; which member is due next when the
+    // executor parks is not, so rounds repeat until a job that completes
+    // (and so has a checksum) was the one adopted. The anchors' slices are
+    // the long ones, so the member due after them, a finite job, is the
+    // likely one.
+    let mut adopted_a_finite_job = false;
+    for _ in 0..20 {
+        let hub = obs::Obs::shared();
+        let serve = Serve::start(ServeConfig {
+            executors: 2,
+            slice_steps: 4,
+            obs: Some(hub.clone()),
+            ..Default::default()
+        });
+        let finite = |pattern| JobSpec {
+            pattern,
+            priority: Priority::Batch,
+            ..JobSpec::shear_2d("acme", 20, 8, 400)
+        };
+        let specs = [
+            anchor(JobSpec::shear_2d("acme", 48, 24, 1)),
+            finite(Pattern::MrR),
+            anchor(JobSpec::shear_2d("acme", 48, 24, 1)),
+            finite(Pattern::St),
+        ];
+        let ids = one_group_of_four(&serve, &specs);
+        for k in [1, 3] {
+            assert_eq!(
+                serve.wait(ids[k]).expect("completed").checksum,
+                solo_checksum(&specs[k]),
+                "a served job diverged from its solo run for {:?}",
+                specs[k]
+            );
+        }
+        wait_for_handoff(&hub, "batch");
+        assert!(serve.cancel(ids[0]) && serve.cancel(ids[2]));
+        serve.drain();
+        drop(serve);
+
+        let events = hub.events.snapshot();
+        let replayed = obs::events::replay(&events).expect("event log replays");
+        let members = ids
+            .iter()
+            .map(|id| id.0.to_string())
+            .collect::<Vec<_>>()
+            .join(",");
+        assert!(
+            events.iter().any(|e| e.kind == obs::EventKind::GroupForm
+                && arg(e, "members") == Some(members.as_str())),
+            "the four jobs never ran as one group"
+        );
+        let handoffs: Vec<_> = events
+            .iter()
+            .filter(|e| e.kind == obs::EventKind::Handoff)
+            .collect();
+        assert!(!handoffs.is_empty(), "the idle executor adopted nothing");
+        for h in handoffs {
+            let job = h.job.expect("a hand-off names its job");
+            let (from, to) = (arg(h, "from_group"), arg(h, "to_group"));
+            assert!(
+                to.is_some() && from != to,
+                "hand-off {h:?} names no new group"
+            );
+            let later: Vec<_> = events
+                .iter()
+                .filter(|e| e.seq > h.seq && e.job == Some(job) && e.kind == obs::EventKind::Slice)
+                .map(|e| arg(e, "group"))
+                .collect();
+            // Only an anchor canceled while its adopter woke up ends
+            // without a slice in the new group.
+            assert!(
+                !later.is_empty() || replayed[&job].terminal == Some(obs::EventKind::Cancel),
+                "job {job} ran no slice after adoption"
+            );
+            assert!(
+                later.iter().all(|g| *g == to),
+                "job {job} ran slices outside its new group {to:?}: {later:?}"
+            );
+            assert_eq!(replayed[&job].handoffs, 1, "a one-member group handed off");
+            assert!(!events
+                .iter()
+                .any(|e| e.job == Some(job) && e.kind == obs::EventKind::Resume));
+            adopted_a_finite_job |= job == ids[1].0 || job == ids[3].0;
+        }
+        if adopted_a_finite_job {
+            break;
+        }
+    }
+    assert!(
+        adopted_a_finite_job,
+        "in 20 rounds no job that completes was adopted"
+    );
+}
+
+/// A member in the hand-off slot is the fleet's until it is terminal:
+/// dropping the fleet the moment a member is handed off (its adopter
+/// likely not awake yet) still drives that member to a terminal state,
+/// like every other running job.
+#[test]
+fn shutdown_drives_a_handed_off_member_to_completion() {
+    for _ in 0..8 {
+        let hub = obs::Obs::shared();
+        let serve = Serve::start(ServeConfig {
+            executors: 2,
+            slice_steps: 1,
+            obs: Some(hub.clone()),
+            ..Default::default()
+        });
+        let finite = JobSpec {
+            priority: Priority::Batch,
+            ..JobSpec::shear_2d("acme", 16, 8, 120)
+        };
+        let specs = [
+            anchor(finite.clone()),
+            finite.clone(),
+            anchor(finite.clone()),
+            finite,
+        ];
+        let ids = one_group_of_four(&serve, &specs);
+        wait_for_handoff(&hub, "batch");
+        // Drop drives running jobs to the end, so the anchors must end.
+        assert!(serve.cancel(ids[0]) && serve.cancel(ids[2]));
+        drop(serve);
+        let replayed = obs::events::replay(&hub.events.snapshot()).expect("event log replays");
+        for (k, id) in ids.iter().enumerate() {
+            let want = if k % 2 == 0 {
+                obs::EventKind::Cancel
+            } else {
+                obs::EventKind::Complete
+            };
+            assert_eq!(
+                replayed[&id.0].terminal,
+                Some(want),
+                "job {id} was lost at shutdown"
+            );
+        }
+    }
+}
+
+/// Cancel reaches an adopted member: it ends `Canceled` at its next slice
+/// boundary, short of its target, like any running job.
+#[test]
+fn cancel_reaches_a_handed_off_member() {
+    let hub = obs::Obs::shared();
+    let serve = Serve::start(ServeConfig {
+        executors: 2,
+        slice_steps: 2,
+        obs: Some(hub.clone()),
+        ..Default::default()
+    });
+    // Jobs only `cancel` ends.
+    let specs: Vec<JobSpec> = (0..4)
+        .map(|_| JobSpec {
+            priority: Priority::Batch,
+            ..JobSpec::shear_2d("acme", 16, 8, 1 << 40)
+        })
+        .collect();
+    let ids = one_group_of_four(&serve, &specs);
+    wait_for_handoff(&hub, "batch");
+    let adopted = hub
+        .events
+        .snapshot()
+        .iter()
+        .find(|e| e.kind == obs::EventKind::Handoff)
+        .and_then(|e| e.job)
+        .map(JobId)
+        .expect("the hand-off was logged");
+    assert!(serve.cancel(adopted), "the adopted job was still running");
+    assert!(matches!(serve.wait(adopted), Err(JobState::Canceled)));
+    let status = serve.status(adopted).unwrap();
+    assert!(status.steps_done < status.steps_target);
+    assert!(serve.result(adopted).is_none());
+    for id in ids {
+        serve.cancel(id);
+    }
+    serve.drain();
+    assert_eq!(serve.tenant_usage("acme").in_flight, 0);
+    let replayed = obs::events::replay(&hub.events.snapshot()).expect("event log replays");
+    assert!(replayed[&adopted.0].handoffs >= 1);
+    assert_eq!(replayed[&adopted.0].terminal, Some(obs::EventKind::Cancel));
 }
 
 /// Multi-device jobs served by the fleet match their solo oracle too
