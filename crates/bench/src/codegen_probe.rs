@@ -9,8 +9,12 @@
 //! The guard (`ci.sh`, x86-64 only) fails if a probe calls or jumps to
 //! anything outside itself but a panic path — so the kernel must be inlined
 //! into the probe, not tail-called — or if packed `pd` arithmetic does not
-//! outnumber scalar `sd` arithmetic at least 4 : 1 in it.
+//! outnumber scalar `sd` arithmetic at least 4 : 1 in it. The data-movement
+//! probes (`codegen_probe_row_io_*`) do no arithmetic and are held to the
+//! first rule only: a counted row moves without a `memcpy` call.
 
+use gpu_sim::memory::{GlobalBuffer, Tally};
+use gpu_sim::racecheck::Epoch;
 use lbm_core::kernels::{self, DirMask, LANES};
 use lbm_lattice::{Lattice, D2Q9, D3Q19};
 
@@ -77,6 +81,42 @@ pub fn codegen_probe_sparse_gather_d2q9(
     kernels::moments_from_f_lanes::<D2Q9>(f, moms, LANES, 0)
 }
 
+/// Moment planes of a D3Q19 lattice.
+const ROW_IO_PLANES: usize = 10;
+
+/// One MR row's counted I/O on a D3Q19 moment lattice under an exclusive
+/// (inline) launch: a read of 10 planes × `len_in` nodes, `plane` apart,
+/// into `row` (rows `len_in` apart), then a write of 10 × `len_out` from
+/// `row[1..]`. The walker moves 16 in and 14 out; the lengths are run-time
+/// values here as there, bounded by a row (16), so a short copy that falls
+/// back to a `memcpy` call shows. `lattice` is touch-tracked in use, so the
+/// packed first-touch pass is part of what the guard reads. An
+/// instrumented buffer returns at once: its race checker and fault plan
+/// are per-cell calls by design, and the benchmark times neither.
+#[no_mangle]
+#[inline(never)]
+pub fn codegen_probe_row_io_d3q19(
+    lattice: &GlobalBuffer<f64>,
+    tally: &mut Tally,
+    launch: u32,
+    plane: usize,
+    (len_in, len_out): (usize, usize),
+    row: &mut [f64],
+) {
+    if lattice.is_instrumented() || len_in > 16 || len_out >= len_in {
+        return;
+    }
+    let ep = Epoch {
+        launch,
+        phase: 0,
+        block: 0,
+        exclusive: true,
+    };
+    let (p, n) = (ROW_IO_PLANES, len_in);
+    lattice.read_spans_into(tally, ep, 0, plane, p, n, row, n, false);
+    lattice.write_spans_from(tally, ep, 1, plane, p, len_out, &row[1..], n, false);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,5 +124,29 @@ mod tests {
     #[test]
     fn y_halo_mask_has_five_directions() {
         assert_eq!(Y_HALO_D3Q19.count_ones(), 5);
+    }
+
+    #[test]
+    fn row_io_probe_moves_and_counts_one_row() {
+        let (plane, n_in, n_out) = (20, 16, 14);
+        let b: GlobalBuffer<f64> =
+            GlobalBuffer::from_vec((0..ROW_IO_PLANES * plane).map(|i| i as f64).collect())
+                .with_touch_tracking();
+        let (mut t, mut row) = (Tally::default(), [0.0; ROW_IO_PLANES * 16]);
+        codegen_probe_row_io_d3q19(&b, &mut t, 1, plane, (n_in, n_out), &mut row);
+        assert_eq!(row[n_in + 3], (plane + 3) as f64);
+        assert_eq!(
+            b.get(plane + 5),
+            (plane + 5) as f64,
+            "the write returns what was read"
+        );
+        let (reads, writes) = (
+            (ROW_IO_PLANES * n_in) as u64,
+            (ROW_IO_PLANES * n_out) as u64,
+        );
+        assert_eq!(
+            (t.reads, t.dram_bytes_read, t.writes),
+            (reads, 8 * reads, writes)
+        );
     }
 }

@@ -305,8 +305,6 @@ struct BlockSlab {
     scratch: Vec<f64>,
 }
 
-/// The simulated device: owns the spec, the CPU worker configuration, the
-/// persistent worker pool, and the per-block slab arena.
 /// Default for [`Gpu::with_parallel_threshold`]: launches (or lockstep
 /// phases) with fewer than this many work items (`blocks ×
 /// threads_per_block`) run inline on the submitting thread. Dispatching a
@@ -323,6 +321,8 @@ pub fn host_threads() -> usize {
     *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
+/// The simulated device: owns the spec, the CPU worker configuration, the
+/// persistent worker pool, and the per-block slab arena.
 pub struct Gpu {
     pub device: DeviceSpec,
     cpu_threads: usize,

@@ -79,7 +79,8 @@ impl Tally {
 ///
 /// Every access to a cell's value goes through one of four private
 /// primitives (`load`, `store`, `load_span`, `store_span`), which hold the
-/// module's only `unsafe` blocks besides the two marker impls below.
+/// module's only `unsafe` blocks besides the two marker impls below and the
+/// packed stamp pass of an exclusive launch (`stamp_exclusive`).
 pub struct GlobalBuffer<T = f64> {
     cells: Box<[UnsafeCell<T>]>,
     race: Option<RaceChecker>,
@@ -111,12 +112,85 @@ const _: fn() = || {
     shared::<Option<Arc<FaultPlan>>>();
 };
 
-/// Whether `len` values of `T` at `a` and at `b` share no byte — the
-/// precondition of `copy_nonoverlapping`, debug-checked at both span
-/// primitives.
+/// Whether `len` values of `T` at `a` and at `b` share no byte — what the
+/// slice views of both span primitives take for granted, debug-checked at
+/// each.
 fn disjoint<T>(a: *const T, b: *const T, len: usize) -> bool {
     let (a, b, bytes) = (a as usize, b as usize, len * std::mem::size_of::<T>());
     a + bytes <= b || b + bytes <= a
+}
+
+/// The longest span [`copy_short`] moves in fixed-width chunks; longer
+/// ones are one `memcpy`. It covers every row the walkers move (a D3Q19
+/// MR row is 10 planes of 16 nodes, a sparse tile run 1–10 nodes).
+pub const SHORT_SPAN: usize = 64;
+
+/// Chunk width of [`copy_short`], in elements.
+const CHUNK: usize = 8;
+
+/// `dst.copy_from_slice(src)` without a `memcpy` call for a span of at
+/// most [`SHORT_SPAN`] elements: fixed-width loads and stores, inline. From
+/// one chunk of 8 up, whole chunks from the front and one last chunk that
+/// ends at the span's end, overlapping the one before it; below, two
+/// overlapping halves, quarters or pairs. Every chunk lies inside the
+/// span, so nothing beyond either end is read or written. A run-time-length
+/// copy is an out-of-line library call whose entry costs more than moving
+/// a short row; this is the cost per span the counted span reads and
+/// writes would otherwise pay.
+///
+/// # Panics
+/// If the lengths differ, like `copy_from_slice`.
+#[inline(always)]
+pub fn copy_short<T: Copy>(dst: &mut [T], src: &[T]) {
+    let n = src.len();
+    assert_eq!(
+        dst.len(),
+        n,
+        "copy_short: destination and source lengths differ"
+    );
+    if n > SHORT_SPAN {
+        dst.copy_from_slice(src)
+    } else if n >= CHUNK {
+        let mut k = 0;
+        while k + CHUNK < n {
+            copy_chunk::<T, CHUNK>(dst, src, k);
+            k += CHUNK;
+        }
+        copy_chunk::<T, CHUNK>(dst, src, n - CHUNK);
+    } else if n >= 4 {
+        copy_ends::<T, 4>(dst, src)
+    } else if n >= 2 {
+        copy_ends::<T, 2>(dst, src)
+    } else if n == 1 {
+        dst[0] = src[0]
+    }
+}
+
+/// The first and the last `W` elements of a span of `W ..= 2W`, which
+/// together cover it.
+#[inline(always)]
+fn copy_ends<T: Copy, const W: usize>(dst: &mut [T], src: &[T]) {
+    let n = src.len();
+    let head: [T; W] = src[..W].try_into().expect("W ≤ n");
+    let tail: [T; W] = src[n - W..].try_into().expect("W ≤ n");
+    dst[..W].copy_from_slice(&head);
+    dst[n - W..].copy_from_slice(&tail);
+}
+
+/// Elements `at .. at + W`, as one fixed-width move.
+#[inline(always)]
+fn copy_chunk<T: Copy, const W: usize>(dst: &mut [T], src: &[T], at: usize) {
+    let c: [T; W] = src[at..at + W].try_into().expect("chunk in the span");
+    dst[at..at + W].copy_from_slice(&c);
+}
+
+/// Count the `lanes` that are not yet `launch`, then set them all to it:
+/// one packed compare and one packed store of a fixed width.
+#[inline(always)]
+fn stamp_lanes<const W: usize>(lanes: &mut [u32; W], launch: u32) -> u64 {
+    let fresh = lanes.iter().filter(|&&s| s != launch).count();
+    *lanes = [launch; W];
+    fresh as u64
 }
 
 impl<T: Element + Default> GlobalBuffer<T> {
@@ -157,9 +231,9 @@ impl<T: Element> GlobalBuffer<T> {
         // being layout-identical to `T` (asserted above), one contiguous
         // run of `out.len()` values whose pointer carries the whole slice's
         // provenance. `out` is an exclusive borrow of other memory, so the
-        // ranges do not overlap (debug-checked). No thread writes these
-        // cells meanwhile (the concurrency contract).
-        unsafe { std::ptr::copy_nonoverlapping(src, out.as_mut_ptr(), out.len()) }
+        // view does not alias it (debug-checked). No thread writes these
+        // cells while the view lives (the concurrency contract).
+        copy_short(out, unsafe { std::slice::from_raw_parts(src, out.len()) })
     }
 
     /// Copy `src` into cells `start .. start + src.len()`.
@@ -171,8 +245,11 @@ impl<T: Element> GlobalBuffer<T> {
         debug_assert!(disjoint(src.as_ptr(), dst, src.len()));
         // SAFETY: as in `load_span`, with the roles swapped: `UnsafeCell`
         // permits writing through the shared slice, and no thread reads or
-        // writes these cells meanwhile.
-        unsafe { std::ptr::copy_nonoverlapping(src.as_ptr(), dst, src.len()) }
+        // writes these cells while the exclusive view lives.
+        copy_short(
+            unsafe { std::slice::from_raw_parts_mut(dst, src.len()) },
+            src,
+        )
     }
 
     /// Take ownership of host data.
@@ -227,6 +304,14 @@ impl<T: Element> GlobalBuffer<T> {
         self.race = Some(RaceChecker::with_mode(self.cells.len(), true));
     }
 
+    /// Whether a race checker or a fault plan is attached: the test and
+    /// resilience configurations, whose counted accesses call into them cell
+    /// by cell. Without either, a counted span is straight-line code.
+    #[inline]
+    pub fn is_instrumented(&self) -> bool {
+        self.race.is_some() || self.faults.is_some()
+    }
+
     /// Number of elements.
     #[inline]
     pub fn len(&self) -> usize {
@@ -245,8 +330,9 @@ impl<T: Element> GlobalBuffer<T> {
         self.cells.len() * std::mem::size_of::<T>()
     }
 
-    /// One step of the launch-scoped L2 touch model: `true` iff this access
-    /// is the cell's first touch of the launch (a DRAM transaction).
+    /// One step of the launch-scoped L2 touch model under a pooled launch:
+    /// `true` iff this access is the cell's first touch of the launch (a
+    /// DRAM transaction).
     ///
     /// The cheap relaxed load in front of the swap is a fast path for repeat
     /// touches (the common case: 8 of 9 gathers of a D2Q9 pull re-touch a
@@ -256,20 +342,12 @@ impl<T: Element> GlobalBuffer<T> {
     /// counted the DRAM byte. When the load sees anything else we fall
     /// through to the swap, whose return value stays authoritative — exactly
     /// one participant per (cell, launch) observes a foreign value, so the
-    /// merged totals are schedule-invariant either way.
-    ///
-    /// When the epoch is [`Epoch::exclusive`] (inline dispatch: every block
-    /// of the launch runs on the submitting thread), no other participant
-    /// can touch the cell concurrently, so a plain store replaces the locked
-    /// swap — same state machine, same counts, no bus lock.
+    /// merged totals are schedule-invariant either way. An exclusive launch
+    /// takes [`GlobalBuffer::stamp_exclusive`] instead.
     #[inline(always)]
     fn touch_is_dram(cell: &AtomicU32, ep: Epoch) -> bool {
         if cell.load(Ordering::Relaxed) == ep.launch {
             return false;
-        }
-        if ep.exclusive {
-            cell.store(ep.launch, Ordering::Relaxed);
-            return true;
         }
         cell.swap(ep.launch, Ordering::Relaxed) != ep.launch
     }
@@ -288,13 +366,15 @@ impl<T: Element> GlobalBuffer<T> {
         let sz = std::mem::size_of::<T>() as u64;
         tally.bytes_read += sz;
         match &self.touch {
-            Some(touch) => {
-                if Self::touch_is_dram(&touch[i], epoch) {
-                    tally.dram_bytes_read += sz;
-                } else {
-                    tally.l2_read_hits += 1;
-                }
+            // Branch-free: a halo cell is a first touch or a repeat about as
+            // often as not.
+            Some(touch) if epoch.exclusive => {
+                let dram = Self::stamp_exclusive(std::slice::from_ref(&touch[i]), epoch);
+                tally.dram_bytes_read += sz * dram;
+                tally.l2_read_hits += 1 - dram;
             }
+            Some(touch) if Self::touch_is_dram(&touch[i], epoch) => tally.dram_bytes_read += sz,
+            Some(_) => tally.l2_read_hits += 1,
             None => tally.dram_bytes_read += sz,
         }
         self.load(i)
@@ -322,11 +402,13 @@ impl<T: Element> GlobalBuffer<T> {
     ///
     /// Byte-identical accounting to `out.len()` element-wise [`read`]s:
     /// bounds are validated once for the whole span, `reads`/`bytes_read`
-    /// are bumped in one addition, race checks and L2 touch swaps still
-    /// happen per element (they are per-cell state machines), and the data
-    /// moves with one `copy_nonoverlapping` over the contiguous cell slab.
+    /// are bumped in one addition, race checks happen per element, L2
+    /// touches per element under a pooled launch and in one packed pass
+    /// under an exclusive one (the same per-cell state machine), and the
+    /// data moves with [`copy_short`] over the contiguous cell slab.
     ///
     /// [`read`]: GlobalBuffer::read
+    #[inline(always)]
     pub fn read_span(&self, tally: &mut Tally, epoch: Epoch, start: usize, out: &mut [T]) {
         let len = out.len();
         if len == 0 {
@@ -338,9 +420,7 @@ impl<T: Element> GlobalBuffer<T> {
             start + len
         );
         if let Some(rc) = &self.race {
-            for i in start..start + len {
-                rc.on_read(epoch, i);
-            }
+            Self::race_check(rc, epoch, false, (start, len, 1, len));
         }
         let dram = self.first_touches(epoch, start, len);
         Self::count_reads(tally, len as u64, dram);
@@ -349,6 +429,7 @@ impl<T: Element> GlobalBuffer<T> {
 
     /// Bulk-counted write of `src.len()` consecutive cells starting at
     /// `start`. Accounting mirror of [`GlobalBuffer::read_span`].
+    #[inline(always)]
     pub fn write_span(&self, tally: &mut Tally, epoch: Epoch, start: usize, src: &[T]) {
         let len = src.len();
         if len == 0 {
@@ -360,9 +441,7 @@ impl<T: Element> GlobalBuffer<T> {
             start + len
         );
         if let Some(rc) = &self.race {
-            for i in start..start + len {
-                rc.on_write(epoch, i);
-            }
+            Self::race_check(rc, epoch, true, (start, len, 1, len));
         }
         tally.writes += len as u64;
         tally.bytes_written += std::mem::size_of::<T>() as u64 * len as u64;
@@ -371,14 +450,79 @@ impl<T: Element> GlobalBuffer<T> {
 
     /// Cells of `start..start + len` whose read is this launch's first touch
     /// (DRAM reads under the L2 model; all of them without touch tracking).
+    /// An exclusive epoch stamps the span in one packed pass; a pooled one
+    /// swaps cell by cell, because another block may stamp the same cells.
     #[inline(always)]
     fn first_touches(&self, epoch: Epoch, start: usize, len: usize) -> u64 {
         match &self.touch {
+            Some(touch) if epoch.exclusive => {
+                Self::stamp_exclusive(&touch[start..start + len], epoch)
+            }
             Some(touch) => touch[start..start + len]
                 .iter()
                 .filter(|t| Self::touch_is_dram(t, epoch))
                 .count() as u64,
             None => len as u64,
+        }
+    }
+
+    /// The touch model over a span under an [`Epoch::exclusive`] epoch,
+    /// where no other participant can stamp a cell concurrently, so a plain
+    /// store replaces the locked swap: one branch-free packed pass counts
+    /// the stamps that are not yet `launch`, then sets them all to it. The
+    /// same count and the same stamps as the cell-by-cell state machine,
+    /// with no branch to mispredict, on a span or on the one cell of an
+    /// element read.
+    #[inline(always)]
+    fn stamp_exclusive(stamps: &[AtomicU32], ep: Epoch) -> u64 {
+        debug_assert!(ep.exclusive, "a packed stamp pass under a pooled launch");
+        // SAFETY: `AtomicU32` has the size, alignment and bit validity of
+        // `u32` and, holding an `UnsafeCell`, permits mutation through a
+        // shared borrow; the pointer carries the whole slice's provenance.
+        // Stamps are only touched by counted reads, which run inside a
+        // launch of the device that owns the buffer, and an exclusive epoch
+        // means every participant of that launch runs on this thread, so no
+        // other thread reads or writes these stamps while the view lives.
+        let stamps = unsafe {
+            std::slice::from_raw_parts_mut(stamps.as_ptr().cast::<u32>().cast_mut(), stamps.len())
+        };
+        // Whole 8-lane chunks, then the rest as at most one 4, one 2 and
+        // one 1: fixed-width passes, none overlapping another (a chunk that
+        // re-read lanes just stored would stall on store forwarding).
+        let (eights, rest) = stamps.as_chunks_mut::<8>();
+        let (fours, rest) = rest.as_chunks_mut::<4>();
+        let (twos, ones) = rest.as_chunks_mut::<2>();
+        let l = ep.launch;
+        eights.iter_mut().map(|c| stamp_lanes(c, l)).sum::<u64>()
+            + fours.iter_mut().map(|c| stamp_lanes(c, l)).sum::<u64>()
+            + twos.iter_mut().map(|c| stamp_lanes(c, l)).sum::<u64>()
+            + ones
+                .iter_mut()
+                .map(|s| stamp_lanes(std::array::from_mut(s), l))
+                .sum::<u64>()
+    }
+
+    /// The race checker's per-cell record of a counted family of `rows`
+    /// spans of `len` cells, `stride` apart from `start`. A checker is a
+    /// test configuration, so this stays out of line: the span paths it
+    /// would otherwise bloat are inlined into every kernel.
+    #[cold]
+    #[inline(never)]
+    fn race_check(
+        rc: &RaceChecker,
+        epoch: Epoch,
+        write: bool,
+        (start, stride, rows, len): (usize, usize, usize, usize),
+    ) {
+        for r in 0..rows {
+            let s = start + r * stride;
+            for i in s..s + len {
+                if write {
+                    rc.on_write(epoch, i)
+                } else {
+                    rc.on_read(epoch, i)
+                }
+            }
         }
     }
 
@@ -417,6 +561,7 @@ impl<T: Element> GlobalBuffer<T> {
     /// Short strided rows (an SoA moment lattice reads `M` of them per
     /// lattice row) are dominated by that envelope, not by the bytes.
     #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
     pub fn read_spans(
         &self,
         tally: &mut Tally,
@@ -437,6 +582,7 @@ impl<T: Element> GlobalBuffer<T> {
     /// envelope for the family either way; a moment lattice whose parity
     /// twist has reversed its plane order reads its `M` planes with it.
     #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
     pub fn read_spans_into(
         &self,
         tally: &mut Tally,
@@ -454,15 +600,13 @@ impl<T: Element> GlobalBuffer<T> {
         }
         self.check_family("read", start, stride, rows, len, out.len(), out_stride);
         if let Some(rc) = &self.race {
-            for r in 0..rows {
-                let s = start + r * stride;
-                for i in s..s + len {
-                    rc.on_read(epoch, i);
-                }
-            }
+            Self::race_check(rc, epoch, false, (start, stride, rows, len));
         }
-        let dram = (0..rows).map(|r| self.first_touches(epoch, start + r * stride, len));
-        Self::count_reads(tally, (rows * len) as u64, dram.sum());
+        let mut dram = 0;
+        for r in 0..rows {
+            dram += self.first_touches(epoch, start + r * stride, len);
+        }
+        Self::count_reads(tally, (rows * len) as u64, dram);
         for r in 0..rows {
             let d = if reversed { rows - 1 - r } else { r } * out_stride;
             self.load_span(start + r * stride, &mut out[d..d + len]);
@@ -473,6 +617,7 @@ impl<T: Element> GlobalBuffer<T> {
     /// cells takes `src[d·src_stride..][..len]`, `d` as there. Accounting is
     /// byte-identical to `rows` separate [`GlobalBuffer::write_span`] calls.
     #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
     pub fn write_spans_from(
         &self,
         tally: &mut Tally,
@@ -490,12 +635,7 @@ impl<T: Element> GlobalBuffer<T> {
         }
         self.check_family("write", start, stride, rows, len, src.len(), src_stride);
         if let Some(rc) = &self.race {
-            for r in 0..rows {
-                let s = start + r * stride;
-                for i in s..s + len {
-                    rc.on_write(epoch, i);
-                }
-            }
+            Self::race_check(rc, epoch, true, (start, stride, rows, len));
         }
         let total = (rows * len) as u64;
         tally.writes += total;
@@ -555,6 +695,7 @@ impl<T: Element> GlobalBuffer<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::ops::Range;
 
     fn ep(block: u32) -> Epoch {
         Epoch {
@@ -562,6 +703,115 @@ mod tests {
             phase: 0,
             block,
             exclusive: false,
+        }
+    }
+
+    /// The pseudo-random bit pattern of cell or host slot `i`.
+    fn val<T: Element>(i: usize) -> T {
+        T::from_bits((i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - T::BITS))
+    }
+
+    /// A buffer of `n` distinct cells, touch-tracked or not.
+    fn cells<T: Element>(n: usize, touch: bool) -> GlobalBuffer<T> {
+        let b = GlobalBuffer::from_vec((0..n).map(val).collect());
+        if touch {
+            b.with_touch_tracking()
+        } else {
+            b
+        }
+    }
+
+    /// What a run of counted accesses leaves behind: the tally, the host
+    /// values (as bits), the cells (as bits) and the touch stamps.
+    type Trace = (Tally, Vec<u64>, Vec<u64>, Option<Vec<u32>>);
+
+    fn trace<T: Element>(b: &GlobalBuffer<T>, t: Tally, host: &[T]) -> Trace {
+        let bits = |v: &[T]| v.iter().map(|x| x.to_bits()).collect();
+        let stamps = b.touch.as_ref();
+        let stamps = stamps.map(|s| s.iter().map(|a| a.load(Ordering::Relaxed)).collect());
+        (t, bits(host), bits(&b.snapshot()), stamps)
+    }
+
+    /// Every span shape the sweeps cover: lengths 0..=130 (below one chunk,
+    /// exact multiples of it, up to `SHORT_SPAN` and past it, where the copy
+    /// is a `memcpy`) at start offsets 0..8, touch tracking off and on.
+    fn shapes() -> impl Iterator<Item = (usize, usize, bool)> {
+        (0..=130).flat_map(|len| (0..8).flat_map(move |off| [(len, off, false), (len, off, true)]))
+    }
+
+    /// Launch 1 read every third cell of `span` and launch 2 every fifth,
+    /// element by element, so a launch-2 span meets stale, current and
+    /// never-set stamps side by side.
+    fn mix_stamps<T: Element>(b: &GlobalBuffer<T>, t: &mut Tally, span: Range<usize>, excl: bool) {
+        for (launch, step) in [(1, 3), (2, 5)] {
+            for i in span.clone().step_by(step) {
+                let _ = b.read(
+                    t,
+                    Epoch {
+                        launch,
+                        phase: 0,
+                        block: 0,
+                        exclusive: excl,
+                    },
+                    i,
+                );
+            }
+        }
+    }
+
+    /// `read_span` twice (the second pass over the back half: all L2 hits)
+    /// and `write_span`, against element-wise reads and writes, under a
+    /// pooled and an exclusive epoch: values, tallies and stamps agree,
+    /// and the host and cell sentinels on either side of every span keep
+    /// their values.
+    fn sweep_spans<T: Element>() {
+        for (len, off, touch) in shapes() {
+            let (start, back) = (8 + off, len / 2);
+            let run = |spans: bool, exclusive: bool| {
+                let b = cells::<T>(start + len + 8, touch);
+                let ep = Epoch {
+                    launch: 2,
+                    phase: 0,
+                    block: 0,
+                    exclusive,
+                };
+                let mut t = Tally::default();
+                mix_stamps(&b, &mut t, start..start + len, exclusive);
+                // Host rows of `len` and `len - back` between sentinels.
+                let mut host: Vec<T> = (0..2 * len - back + 3).map(|i| val(1 << 20 | i)).collect();
+                let src: Vec<T> = (0..len).map(|k| val(1 << 21 | k)).collect();
+                if spans {
+                    b.read_span(&mut t, ep, start, &mut host[1..=len]);
+                    b.read_span(
+                        &mut t,
+                        ep,
+                        start + back,
+                        &mut host[len + 2..2 * len - back + 2],
+                    );
+                    b.write_span(&mut t, ep, start, &src);
+                } else {
+                    for k in 0..len {
+                        host[1 + k] = b.read(&mut t, ep, start + k);
+                    }
+                    for k in back..len {
+                        host[len + 2 + k - back] = b.read(&mut t, ep, start + k);
+                    }
+                    for (k, &v) in src.iter().enumerate() {
+                        b.write(&mut t, ep, start + k, v);
+                    }
+                }
+                trace(&b, t, &host)
+            };
+            let oracle = run(false, false);
+            for (spans, exclusive) in [(false, true), (true, false), (true, true)] {
+                let what = if spans { "span" } else { "element" };
+                assert_eq!(
+                    run(spans, exclusive),
+                    oracle,
+                    "{what} ops diverged: {} len {len} at {start}, touch {touch}, exclusive {exclusive}",
+                    std::any::type_name::<T>()
+                );
+            }
         }
     }
 
@@ -725,6 +975,72 @@ mod tests {
         assert_eq!(ts.l2_read_hits, 8, "cells 8..16 re-read within the launch");
         assert_eq!(ts.dram_bytes_read, 12 * 8);
         assert_eq!(ts.writes, 6);
+        sweep_spans::<f64>();
+        sweep_spans::<u32>();
+    }
+
+    /// [`strided_reversed_family_matches_element_ops`] over every shape of
+    /// [`shapes`]: three rows `len + 3` apart (sentinel cells between
+    /// them), host rows `len + 2` apart from slot 1 (sentinel slots around
+    /// them), in order and reversed, read twice and written back from
+    /// other host rows, under a pooled and an exclusive epoch.
+    fn sweep_families<T: Element>() {
+        for (len, off, touch) in shapes() {
+            let (start, stride, rows, hs) = (8 + off, len + 3, 3, len + 2);
+            let family = start..start + (rows - 1) * stride + len;
+            for reversed in [false, true] {
+                let host = |r: usize, k: usize| 1 + [r, rows - 1 - r][reversed as usize] * hs + k;
+                let run = |spans: bool, exclusive: bool| {
+                    let b = cells::<T>(family.end + 8, touch);
+                    let ep = Epoch {
+                        launch: 2,
+                        phase: 0,
+                        block: 0,
+                        exclusive,
+                    };
+                    let mut t = Tally::default();
+                    mix_stamps(&b, &mut t, family.clone(), exclusive);
+                    let n = rows * hs + 2;
+                    let mut out: Vec<T> = (0..n).map(|i| val(1 << 20 | i)).collect();
+                    let src: Vec<T> = (0..n).map(|i| val(1 << 21 | i)).collect();
+                    if spans {
+                        for _ in 0..2 {
+                            let out = &mut out[1..];
+                            b.read_spans_into(
+                                &mut t, ep, start, stride, rows, len, out, hs, reversed,
+                            );
+                        }
+                        let src = &src[1..];
+                        b.write_spans_from(&mut t, ep, start, stride, rows, len, src, hs, reversed);
+                    } else {
+                        for _ in 0..2 {
+                            for r in 0..rows {
+                                for k in 0..len {
+                                    out[host(r, k)] = b.read(&mut t, ep, start + r * stride + k);
+                                }
+                            }
+                        }
+                        for r in 0..rows {
+                            for k in 0..len {
+                                b.write(&mut t, ep, start + r * stride + k, src[host(r, k)]);
+                            }
+                        }
+                    }
+                    trace(&b, t, &out)
+                };
+                let oracle = run(false, false);
+                for (spans, exclusive) in [(false, true), (true, false), (true, true)] {
+                    let what = if spans { "family" } else { "element" };
+                    assert_eq!(
+                        run(spans, exclusive),
+                        oracle,
+                        "{what} ops diverged: {} {rows} rows of {len} at {start}, reversed \
+                         {reversed}, touch {touch}, exclusive {exclusive}",
+                        std::any::type_name::<T>()
+                    );
+                }
+            }
+        }
     }
 
     /// A strided family moved into rows `out_stride` apart, in reverse row
@@ -803,6 +1119,8 @@ mod tests {
             -90.0,
             "the fault hit cell 9's write"
         );
+        sweep_families::<f64>();
+        sweep_families::<u32>();
     }
 
     /// Span ops feed the same per-cell race checker as element ops: a

@@ -66,6 +66,7 @@ use crate::multi::Slabs;
 use crate::scheme::MrScheme;
 use gpu_sim::exec::{BlockCtx, Kernel, Launch, LaunchStats, PhasedKernel};
 use gpu_sim::interconnect::LinkError;
+use gpu_sim::memory::copy_short;
 use gpu_sim::{DeviceSpec, FaultPlan, Gpu};
 use lbm_core::geometry::{Geometry, NodeType};
 use lbm_core::kernels::{self, DirMask, KernelConsts, LaneBlock, LANES, MAX_M, MAX_Q};
@@ -301,23 +302,6 @@ impl ColumnWalk {
     }
 }
 
-/// `dst[..n] = src` for a span of `n ≤ LANES` doubles: from half a chunk
-/// up, two fixed half-chunk copies that overlap in the middle — a
-/// run-time-length `copy_from_slice` is a `memcpy` call per direction per
-/// chunk, which only the short spans at a row's end still pay.
-#[inline(always)]
-fn copy_span(dst: &mut [f64], src: &[f64]) {
-    const H: usize = LANES / 2;
-    let n = src.len();
-    if n < H {
-        return dst[..n].copy_from_slice(src);
-    }
-    let head: [f64; H] = src[..H].try_into().expect("H ≤ n");
-    let tail: [f64; H] = src[n - H..].try_into().expect("H ≤ n");
-    dst[..H].copy_from_slice(&head);
-    dst[n - H..n].copy_from_slice(&tail);
-}
-
 /// One x row of a block's halo-extended footprint at one layer — what is
 /// constant along the row, hoisted out of the lane loops.
 struct Row {
@@ -497,8 +481,9 @@ impl<L: Lattice> MrKernel<'_, L> {
                     let (lo, hi) = (l0.max(-xd0), l1.min(wx - xd0));
                     if (0..wy).contains(&yd) && lo < hi {
                         let slot0 = self.walk.slot(i, row.wl[(cw + 1) as usize], yd as usize, 0);
-                        let dst = &mut ctx.shared()[(slot0 as i64 + xd0 + lo) as usize..];
-                        copy_span(dst, &fs[i][lo as usize..hi as usize]);
+                        let d0 = (slot0 as i64 + xd0 + lo) as usize;
+                        let dst = &mut ctx.shared()[d0..d0 + (hi - lo) as usize];
+                        copy_short(dst, &fs[i][lo as usize..hi as usize]);
                     }
                 }
             }

@@ -142,7 +142,8 @@ fn block_tiles(b: usize, blocks: usize, tiles: usize) -> Range<usize> {
 ///
 /// * **Phase 0**, per tile — load the moment rows of the tile and of its
 ///   halo directory into one SoA slab (`n = len + halo` nodes) in the
-///   scratch tail, collide all `n` into shared memory (vectorized lane
+///   scratch tail, as one strided family for the tile and one per halo
+///   node, collide all `n` into shared memory (vectorized lane
 ///   chunks or the scalar reference, bitwise-identical), read the active
 ///   nodes' slab links, gather their populations and stage each active
 ///   node's new moments in block scratch, after the previous tile's.
@@ -239,15 +240,13 @@ impl<L: Lattice> SparseMrKernel<'_, L> {
         // (counted reads: every stored node of the tile once, every halo
         // node once per tile that pulls from it — repeats across tiles are
         // L2 hits under touch tracking, so the DRAM ledger stays
-        // `M·8 + Q·4` read + `M·8` written per fluid node).
-        for m in 0..L::M {
-            ctx.read_span_to_scratch(self.src, m * nf + lo, tail + m * n, len);
-        }
+        // `M·8 + Q·4` read + `M·8` written per fluid node). The tile is one
+        // strided family of `M` rows, and each halo node one of `M` single
+        // cells: one accounting envelope per family, not per cell.
+        ctx.read_spans_to_scratch(self.src, lo, nf, L::M, len, tail, n, false);
         for (k, &p) in halo.iter().enumerate() {
-            for m in 0..L::M {
-                let v = ctx.read(self.src, m * nf + p as usize);
-                ctx.scratch()[tail + m * n + len + k] = v;
-            }
+            let at = tail + len + k;
+            ctx.read_spans_to_scratch(self.src, p as usize, nf, L::M, 1, at, n, false);
         }
 
         // Step 2: post-collision populations of all n nodes → shared.
