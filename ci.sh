@@ -19,7 +19,7 @@ echo "== non-test lines per crate (lines before the first #[cfg(test)] mod of ev
 # lower DRIVER_LINES_MAX when a PR lands below it; raise it only with a
 # sentence in CHANGES.md saying what the lines bought. A `#[cfg(test)]` on
 # anything but a `mod` (a test-only helper method) does not end the count.
-DRIVER_LINES_MAX=6673
+DRIVER_LINES_MAX=6719
 driver_lines=0
 for crate in crates/*/; do
   lines=$(find "$crate/src" -name '*.rs' -exec awk '
@@ -111,10 +111,11 @@ x86_64-*)
     fi
     test "$packed" -gt 0 && test "$packed" -ge $((4 * scalar))
   done
-  # Data-movement probes: a counted row read and write with no arithmetic
+  # Data-movement probes: a counted row read and write, and a counted
+  # window read and write under a run-time selection, with no arithmetic
   # to count, held to the call rule only. A short span that goes back to a
   # run-time-length `memcpy` (a call per plane) fails here.
-  for probe in codegen_probe_row_io_d3q19; do
+  for probe in codegen_probe_row_io_d3q19 codegen_probe_window_io_d2q9; do
     body=$(awk -v p="$probe:" '$0 == p { on = 1 } on { print } on && /\.cfi_endproc/ { exit }' "$asm")
     test -n "$body"
     calls=$(grep -E '^\s+(call\w*|j[a-z]+)\s' <<<"$body" | grep -vE '^\s+j[a-z]+\s+(\.L|\*%|\*\.L)' |

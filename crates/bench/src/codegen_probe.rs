@@ -10,10 +10,11 @@
 //! anything outside itself but a panic path — so the kernel must be inlined
 //! into the probe, not tail-called — or if packed `pd` arithmetic does not
 //! outnumber scalar `sd` arithmetic at least 4 : 1 in it. The data-movement
-//! probes (`codegen_probe_row_io_*`) do no arithmetic and are held to the
-//! first rule only: a counted row moves without a `memcpy` call.
+//! probes (`codegen_probe_row_io_*`, `codegen_probe_window_io_*`) do no
+//! arithmetic and are held to the first rule only: a counted row or window
+//! moves without a `memcpy` call.
 
-use gpu_sim::memory::{GlobalBuffer, Tally};
+use gpu_sim::memory::{GlobalBuffer, Selection, Tally};
 use gpu_sim::racecheck::Epoch;
 use lbm_core::kernels::{self, DirMask, LANES};
 use lbm_lattice::{Lattice, D2Q9, D3Q19};
@@ -117,6 +118,44 @@ pub fn codegen_probe_row_io_d3q19(
     lattice.write_spans_from(tally, ep, 1, plane, p, len_out, &row[1..], n, false);
 }
 
+/// Moment planes of a D2Q9 lattice.
+const WINDOW_IO_PLANES: usize = 6;
+
+/// One rock-row's counted window I/O on a D2Q9 moment lattice under an
+/// exclusive (inline) launch, as the MR walker moves a footprint row of
+/// several fluid runs: a window read of 6 planes × `len_in` cells, `plane`
+/// apart, into `row` (rows `len_in` apart) under the run-time selection
+/// `sel`, then a window write of 6 × `len_out` from `row[1..]` under the
+/// same bits one cell on. The walker moves up to 34 in and 32 out; the
+/// lengths are run-time values bounded by that row. `lattice` is
+/// touch-tracked in use, so the masked first-touch pass is part of what
+/// the guard reads. An instrumented buffer returns at once, as in
+/// [`codegen_probe_row_io_d3q19`].
+#[no_mangle]
+#[inline(never)]
+pub fn codegen_probe_window_io_d2q9(
+    lattice: &GlobalBuffer<f64>,
+    tally: &mut Tally,
+    (launch, plane): (u32, usize),
+    (len_in, len_out): (usize, usize),
+    sel: &[u64],
+    row: &mut [f64],
+) {
+    if lattice.is_instrumented() || len_in > 34 || len_out >= len_in {
+        return;
+    }
+    let ep = Epoch {
+        launch,
+        phase: 0,
+        block: 0,
+        exclusive: true,
+    };
+    let (p, n, sel) = (WINDOW_IO_PLANES, len_in, Selection { bits: sel, at: 0 });
+    lattice.read_window_into(tally, ep, (0, plane, p, n), sel, row, n, false);
+    let out = (1, plane, p, len_out);
+    lattice.write_window_from(tally, ep, out, sel.skip(1), &row[1..], n, false);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,6 +183,34 @@ mod tests {
             (ROW_IO_PLANES * n_in) as u64,
             (ROW_IO_PLANES * n_out) as u64,
         );
+        assert_eq!(
+            (t.reads, t.dram_bytes_read, t.writes),
+            (reads, 8 * reads, writes)
+        );
+    }
+
+    #[test]
+    fn window_io_probe_counts_the_selected_cells() {
+        let (plane, n_in, n_out) = (40, 34, 32);
+        let b: GlobalBuffer<f64> =
+            GlobalBuffer::from_vec((0..WINDOW_IO_PLANES * plane).map(|i| i as f64).collect())
+                .with_touch_tracking();
+        // Every third cell of the window, from cell 0.
+        let sel = [0x9249_2492_4924_9249u64];
+        let (mut t, mut row) = (Tally::default(), [0.0; WINDOW_IO_PLANES * 34]);
+        codegen_probe_window_io_d2q9(&b, &mut t, (1, plane), (n_in, n_out), &sel, &mut row);
+        assert_eq!(
+            row[n_in + 4],
+            (plane + 4) as f64,
+            "unselected cells are copied too"
+        );
+        // Cell 3 of a plane is selected and written back from row[3]; cell
+        // 2 is not, and keeps its value.
+        assert_eq!(
+            (b.get(plane + 3), b.get(plane + 2)),
+            ((plane + 3) as f64, (plane + 2) as f64)
+        );
+        let (reads, writes) = (WINDOW_IO_PLANES as u64 * 12, WINDOW_IO_PLANES as u64 * 10);
         assert_eq!(
             (t.reads, t.dram_bytes_read, t.writes),
             (reads, 8 * reads, writes)

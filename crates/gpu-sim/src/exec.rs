@@ -26,11 +26,11 @@
 
 use crate::device::DeviceSpec;
 use crate::fault::Element;
-use crate::memory::{GlobalBuffer, Tally};
+use crate::memory::{GlobalBuffer, Selection, Tally};
 use crate::pool::WorkerPool;
 use crate::racecheck::Epoch;
 use obs::Obs;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Launch configuration: grid size, block size, and per-block memory.
@@ -261,6 +261,48 @@ impl<'a> BlockCtx<'a> {
         )
     }
 
+    /// Counted window read into scratch: [`BlockCtx::read_spans_to_scratch`]
+    /// of `family = (start, stride, rows, len)`, of which only the cells
+    /// `sel` selects are counted and stamped, every cell copied; see
+    /// [`GlobalBuffer::read_window_into`] for the window contract the
+    /// caller keeps. With no selection, the plain family.
+    #[inline(always)]
+    pub fn read_window_to_scratch(
+        &mut self,
+        buf: &GlobalBuffer<f64>,
+        family: (usize, usize, usize, usize),
+        sel: Option<Selection<'_>>,
+        (scratch_off, scratch_stride): (usize, usize),
+        rev: bool,
+    ) {
+        let (ep, (start, stride, rows, len)) = (self.epoch(), family);
+        let (t, out) = (&mut self.tally, &mut self.scratch[scratch_off..]);
+        match sel {
+            Some(sel) => buf.read_window_into(t, ep, family, sel, out, scratch_stride, rev),
+            None => buf.read_spans_into(t, ep, start, stride, rows, len, out, scratch_stride, rev),
+        }
+    }
+
+    /// Window-write mirror of [`BlockCtx::read_window_to_scratch`]: only
+    /// the selected cells are written; see
+    /// [`GlobalBuffer::write_window_from`].
+    #[inline(always)]
+    pub fn write_window_from_scratch(
+        &mut self,
+        buf: &GlobalBuffer<f64>,
+        family: (usize, usize, usize, usize),
+        sel: Option<Selection<'_>>,
+        (scratch_off, scratch_stride): (usize, usize),
+        rev: bool,
+    ) {
+        let (ep, (start, stride, rows, len)) = (self.epoch(), family);
+        let (t, src) = (&mut self.tally, &self.scratch[scratch_off..]);
+        match sel {
+            Some(sel) => buf.write_window_from(t, ep, family, sel, src, scratch_stride, rev),
+            None => buf.write_spans_from(t, ep, start, stride, rows, len, src, scratch_stride, rev),
+        }
+    }
+
     /// The block's shared-memory slab.
     #[inline(always)]
     pub fn shared(&mut self) -> &mut [f64] {
@@ -350,6 +392,29 @@ pub struct Gpu {
 
 /// Pointer wrapper for disjoint parallel access to the per-block contexts.
 struct CtxPtr<'a>(*mut BlockCtx<'a>);
+
+/// The debug-build twin of the `CtxPtr` SAFETY comments: one flag per
+/// block of a phase, set when a participant claims the block, so a block
+/// handed out twice — two `&mut` to one context — panics instead of
+/// aliasing, and a block never handed out is caught when the phase drains.
+struct Claims(Box<[AtomicBool]>);
+
+impl Claims {
+    fn new(blocks: usize) -> Self {
+        Claims((0..blocks).map(|_| AtomicBool::new(false)).collect())
+    }
+
+    fn claim(&self, b: usize) {
+        assert!(
+            !self.0[b].swap(true, Ordering::Relaxed),
+            "block {b} claimed twice in one phase"
+        );
+    }
+
+    fn all_claimed(&self) -> bool {
+        self.0.iter().all(|c| c.load(Ordering::Relaxed))
+    }
+}
 // SAFETY: the pointer is only dereferenced at disjoint block indices (see
 // the launch loop), so moving the wrapper to a pool thread shares no
 // context between threads.
@@ -612,16 +677,26 @@ impl Gpu {
                 // Capture the Sync wrapper by reference (not its raw-pointer
                 // field) so the closure itself is Sync.
                 let ptr = &ptr;
-                let task = move |b: usize| {
+                let claims = cfg!(debug_assertions).then(|| Claims::new(cfg.blocks));
+                let task = |b: usize| {
+                    debug_assert!(b < cfg.blocks, "block {b} of a {}-block grid", cfg.blocks);
+                    if let Some(c) = &claims {
+                        c.claim(b);
+                    }
                     // SAFETY: `b < cfg.blocks == ctxs.len()`, and the
                     // pool's atomic cursor hands each block index to exactly
                     // one participant, so the per-block contexts are
-                    // accessed disjointly while `ctxs` outlives the run.
+                    // accessed disjointly while `ctxs` outlives the run
+                    // (both debug-checked above).
                     let ctx = unsafe { &mut *ptr.0.add(b) };
                     ctx.phase = phase as u32;
                     kernel.run_phase(phase, ctx);
                 };
                 stolen += self.pool().run(cfg.blocks, &task);
+                debug_assert!(
+                    claims.is_none_or(|c| c.all_claimed()),
+                    "a block was never run"
+                );
             }
             // The grid-wide barrier is the pool drain above; mark it so the
             // lockstep cadence is visible in the trace.
@@ -1096,6 +1171,20 @@ mod tests {
             .events()
             .iter()
             .any(|e| e.cat == "fault" && e.name == "launch-abort"));
+    }
+
+    /// The debug-build twin of the pooled launch's SAFETY comment: a block
+    /// claimed twice in one phase panics, and a phase with a block never
+    /// claimed is told apart from one with all of them. Pooled launches in
+    /// debug builds (the tests above) run every block through the check.
+    #[test]
+    #[should_panic(expected = "block 3 claimed twice in one phase")]
+    fn a_block_claimed_twice_panics() {
+        let claims = Claims::new(5);
+        (0..5).for_each(|b| claims.claim(b));
+        assert!(claims.all_claimed());
+        assert!(!Claims::new(2).all_claimed());
+        claims.claim(3);
     }
 
     /// Launch ids increment, so the race checker distinguishes launches.

@@ -80,7 +80,8 @@ impl Tally {
 /// Every access to a cell's value goes through one of four private
 /// primitives (`load`, `store`, `load_span`, `store_span`), which hold the
 /// module's only `unsafe` blocks besides the two marker impls below and the
-/// packed stamp pass of an exclusive launch (`stamp_exclusive`).
+/// plain view of the stamps an exclusive launch's packed passes take
+/// (`exclusive_stamps`).
 pub struct GlobalBuffer<T = f64> {
     cells: Box<[UnsafeCell<T>]>,
     race: Option<RaceChecker>,
@@ -191,6 +192,117 @@ fn stamp_lanes<const W: usize>(lanes: &mut [u32; W], launch: u32) -> u64 {
     let fresh = lanes.iter().filter(|&&s| s != launch).count();
     *lanes = [launch; W];
     fresh as u64
+}
+
+/// Count the `stamps` that are not yet `launch` and set them all to it:
+/// whole 8-lane chunks, then the rest as at most one 4, one 2 and one 1 —
+/// fixed-width passes, none overlapping another (a chunk that re-read
+/// lanes just stored would stall on store forwarding).
+#[inline(always)]
+fn stamp_all(stamps: &mut [u32], launch: u32) -> u64 {
+    let (eights, rest) = stamps.as_chunks_mut::<8>();
+    let (fours, rest) = rest.as_chunks_mut::<4>();
+    let (twos, ones) = rest.as_chunks_mut::<2>();
+    let l = launch;
+    eights.iter_mut().map(|c| stamp_lanes(c, l)).sum::<u64>()
+        + fours.iter_mut().map(|c| stamp_lanes(c, l)).sum::<u64>()
+        + twos.iter_mut().map(|c| stamp_lanes(c, l)).sum::<u64>()
+        + ones
+            .iter_mut()
+            .map(|s| stamp_lanes(std::array::from_mut(s), l))
+            .sum::<u64>()
+}
+
+/// [`stamp_lanes`] on the lanes whose bit of `mask` is set (bit `l` for
+/// lane `l`); the others keep their stamps and count nothing. Bitwise
+/// selects, not branches, so the pass is packed compares and blends with
+/// no branch per lane to mispredict on a ragged selection.
+#[inline(always)]
+fn stamp_lanes_masked<const W: usize>(lanes: &mut [u32; W], launch: u32, mask: u64) -> u64 {
+    let mut fresh = 0;
+    for (l, s) in lanes.iter_mut().enumerate() {
+        let on = ((mask >> l) as u32 & 1).wrapping_neg();
+        fresh += on & u32::from(*s != launch);
+        *s = launch & on | *s & !on;
+    }
+    u64::from(fresh)
+}
+
+/// The set bits of `m`, lowest first.
+#[inline(always)]
+fn set_bits(mut m: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let l = m.trailing_zeros() as usize;
+        m &= m.wrapping_sub(1);
+        (l < 64).then_some(l)
+    })
+}
+
+/// Which cells of a window a counted window access
+/// ([`GlobalBuffer::read_window_into`], [`GlobalBuffer::write_window_from`])
+/// selects: window cell `k` is selected iff bit `at + k` of `bits` is set,
+/// bit `j` being bit `j % 64` of word `j / 64`. Bits past the end of `bits`
+/// read as unselected. A walker keeps one bit string per footprint row, a
+/// set bit per fluid position, and windows it from the row position where
+/// the window starts.
+#[derive(Copy, Clone, Debug)]
+pub struct Selection<'a> {
+    pub bits: &'a [u64],
+    pub at: usize,
+}
+
+impl<'a> Selection<'a> {
+    /// The same bits, `k` cells further on.
+    #[inline(always)]
+    pub fn skip(self, k: usize) -> Self {
+        Selection {
+            bits: self.bits,
+            at: self.at + k,
+        }
+    }
+
+    /// A window of `len` cells in segments of up to 64: `(first cell,
+    /// length, selection bits)`, bits past the segment cleared.
+    #[inline(always)]
+    fn segments(self, len: usize) -> impl Iterator<Item = (usize, usize, u64)> + 'a {
+        (0..len).step_by(64).map(move |k| {
+            let (w, s) = ((self.at + k) / 64, (self.at + k) % 64);
+            let word = |w: usize| self.bits.get(w).copied().unwrap_or(0);
+            let bits = match s {
+                0 => word(w),
+                s => word(w) >> s | word(w + 1) << (64 - s),
+            };
+            let n = (len - k).min(64);
+            (k, n, bits & (u64::MAX >> (64 - n)))
+        })
+    }
+
+    /// Selected cells among the first `len` of the window.
+    #[inline(always)]
+    fn count(self, len: usize) -> u64 {
+        self.segments(len)
+            .map(|(.., m)| m.count_ones() as u64)
+            .sum()
+    }
+}
+
+/// The touch model's exclusive pass over the selected stamps of a window:
+/// 8-lane masked passes, then lane by lane. Returns the first touches.
+#[inline(always)]
+fn stamp_selected(stamps: &mut [u32], launch: u32, sel: Selection<'_>) -> u64 {
+    let mut fresh = 0;
+    for (k, n, mut m) in sel.segments(stamps.len()) {
+        let (eights, rest) = stamps[k..k + n].as_chunks_mut::<8>();
+        for c in eights {
+            fresh += stamp_lanes_masked(c, launch, m);
+            m >>= 8;
+        }
+        for s in rest {
+            fresh += stamp_lanes_masked(std::array::from_mut(s), launch, m);
+            m >>= 1;
+        }
+    }
+    fresh
 }
 
 impl<T: Element + Default> GlobalBuffer<T> {
@@ -420,7 +532,7 @@ impl<T: Element> GlobalBuffer<T> {
             start + len
         );
         if let Some(rc) = &self.race {
-            Self::race_check(rc, epoch, false, (start, len, 1, len));
+            Self::race_check(rc, epoch, false, (start, len, 1, len), None);
         }
         let dram = self.first_touches(epoch, start, len);
         Self::count_reads(tally, len as u64, dram);
@@ -441,7 +553,7 @@ impl<T: Element> GlobalBuffer<T> {
             start + len
         );
         if let Some(rc) = &self.race {
-            Self::race_check(rc, epoch, true, (start, len, 1, len));
+            Self::race_check(rc, epoch, true, (start, len, 1, len), None);
         }
         tally.writes += len as u64;
         tally.bytes_written += std::mem::size_of::<T>() as u64 * len as u64;
@@ -475,6 +587,18 @@ impl<T: Element> GlobalBuffer<T> {
     /// element read.
     #[inline(always)]
     fn stamp_exclusive(stamps: &[AtomicU32], ep: Epoch) -> u64 {
+        Self::exclusive_stamps(stamps, ep, |stamps| stamp_all(stamps, ep.launch))
+    }
+
+    /// `pass` over a plain `u32` view of `stamps` under an
+    /// [`Epoch::exclusive`] epoch — the view both packed stamp passes
+    /// (a span's and a window's selected cells) take.
+    #[inline(always)]
+    fn exclusive_stamps<R>(
+        stamps: &[AtomicU32],
+        ep: Epoch,
+        pass: impl FnOnce(&mut [u32]) -> R,
+    ) -> R {
         debug_assert!(ep.exclusive, "a packed stamp pass under a pooled launch");
         // SAFETY: `AtomicU32` has the size, alignment and bit validity of
         // `u32` and, holding an `UnsafeCell`, permits mutation through a
@@ -483,29 +607,16 @@ impl<T: Element> GlobalBuffer<T> {
         // launch of the device that owns the buffer, and an exclusive epoch
         // means every participant of that launch runs on this thread, so no
         // other thread reads or writes these stamps while the view lives.
-        let stamps = unsafe {
+        pass(unsafe {
             std::slice::from_raw_parts_mut(stamps.as_ptr().cast::<u32>().cast_mut(), stamps.len())
-        };
-        // Whole 8-lane chunks, then the rest as at most one 4, one 2 and
-        // one 1: fixed-width passes, none overlapping another (a chunk that
-        // re-read lanes just stored would stall on store forwarding).
-        let (eights, rest) = stamps.as_chunks_mut::<8>();
-        let (fours, rest) = rest.as_chunks_mut::<4>();
-        let (twos, ones) = rest.as_chunks_mut::<2>();
-        let l = ep.launch;
-        eights.iter_mut().map(|c| stamp_lanes(c, l)).sum::<u64>()
-            + fours.iter_mut().map(|c| stamp_lanes(c, l)).sum::<u64>()
-            + twos.iter_mut().map(|c| stamp_lanes(c, l)).sum::<u64>()
-            + ones
-                .iter_mut()
-                .map(|s| stamp_lanes(std::array::from_mut(s), l))
-                .sum::<u64>()
+        })
     }
 
     /// The race checker's per-cell record of a counted family of `rows`
-    /// spans of `len` cells, `stride` apart from `start`. A checker is a
-    /// test configuration, so this stays out of line: the span paths it
-    /// would otherwise bloat are inlined into every kernel.
+    /// spans of `len` cells, `stride` apart from `start` — of the cells
+    /// `sel` selects in each, if given. A checker is a test configuration,
+    /// so this stays out of line: the span paths it would otherwise bloat
+    /// are inlined into every kernel.
     #[cold]
     #[inline(never)]
     fn race_check(
@@ -513,10 +624,18 @@ impl<T: Element> GlobalBuffer<T> {
         epoch: Epoch,
         write: bool,
         (start, stride, rows, len): (usize, usize, usize, usize),
+        sel: Option<Selection<'_>>,
     ) {
+        let cells: Vec<usize> = match sel {
+            Some(sel) => sel
+                .segments(len)
+                .flat_map(|(k, _, m)| set_bits(m).map(move |l| k + l))
+                .collect(),
+            None => (0..len).collect(),
+        };
         for r in 0..rows {
             let s = start + r * stride;
-            for i in s..s + len {
+            for i in cells.iter().map(|k| s + k) {
                 if write {
                     rc.on_write(epoch, i)
                 } else {
@@ -600,7 +719,7 @@ impl<T: Element> GlobalBuffer<T> {
         }
         self.check_family("read", start, stride, rows, len, out.len(), out_stride);
         if let Some(rc) = &self.race {
-            Self::race_check(rc, epoch, false, (start, stride, rows, len));
+            Self::race_check(rc, epoch, false, (start, stride, rows, len), None);
         }
         let mut dram = 0;
         for r in 0..rows {
@@ -635,7 +754,7 @@ impl<T: Element> GlobalBuffer<T> {
         }
         self.check_family("write", start, stride, rows, len, src.len(), src_stride);
         if let Some(rc) = &self.race {
-            Self::race_check(rc, epoch, true, (start, stride, rows, len));
+            Self::race_check(rc, epoch, true, (start, stride, rows, len), None);
         }
         let total = (rows * len) as u64;
         tally.writes += total;
@@ -643,6 +762,117 @@ impl<T: Element> GlobalBuffer<T> {
         for r in 0..rows {
             let d = if reversed { rows - 1 - r } else { r } * src_stride;
             self.store_row(start + r * stride, &src[d..d + len]);
+        }
+    }
+
+    /// A counted **window**: [`GlobalBuffer::read_spans_into`]'s family of
+    /// `rows` spans of `len` cells, of which the kernel uses only the cells
+    /// `sel` selects; the others are a GPU row's predicated-off lanes. Every
+    /// cell of every span is copied to `out`, but only the selected ones
+    /// are counted in the tally, stamped by the touch model (one packed
+    /// masked pass under an exclusive epoch, the per-cell load-then-swap
+    /// under a pooled one), so tallies and stamps are byte-identical to
+    /// element-wise reads of the selected cells alone. One envelope for a
+    /// row of many short runs, where a family per run pays one each.
+    ///
+    /// **Window contract (the caller's obligation).** The unselected cells
+    /// are physically read too (the copy in `load_span`): no other block
+    /// may write any cell of the window in this phase. The race checker
+    /// records a read of every cell of the window, so a strict checker
+    /// proves the contract.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    pub fn read_window_into(
+        &self,
+        tally: &mut Tally,
+        epoch: Epoch,
+        (start, stride, rows, len): (usize, usize, usize, usize),
+        sel: Selection<'_>,
+        out: &mut [T],
+        out_stride: usize,
+        reversed: bool,
+    ) {
+        if rows == 0 || len == 0 {
+            return;
+        }
+        self.check_family("read", start, stride, rows, len, out.len(), out_stride);
+        if let Some(rc) = &self.race {
+            Self::race_check(rc, epoch, false, (start, stride, rows, len), None);
+        }
+        let mut dram = 0;
+        for r in 0..rows {
+            let s = start + r * stride;
+            dram += match &self.touch {
+                Some(touch) if epoch.exclusive => {
+                    let stamps = &touch[s..s + len];
+                    Self::exclusive_stamps(stamps, epoch, |st| {
+                        stamp_selected(st, epoch.launch, sel)
+                    })
+                }
+                Some(touch) => {
+                    let mut dram = 0;
+                    for (k, _, m) in sel.segments(len) {
+                        for i in set_bits(m).map(|l| s + k + l) {
+                            dram += u64::from(Self::touch_is_dram(&touch[i], epoch));
+                        }
+                    }
+                    dram
+                }
+                None => sel.count(len),
+            };
+        }
+        Self::count_reads(tally, rows as u64 * sel.count(len), dram);
+        for r in 0..rows {
+            let d = if reversed { rows - 1 - r } else { r } * out_stride;
+            self.load_span(start + r * stride, &mut out[d..d + len]);
+        }
+    }
+
+    /// Write mirror of [`GlobalBuffer::read_window_into`]: the selected
+    /// cells of span `r` take their values from `src[d·src_stride..]`, `d`
+    /// as there, one store per set bit (through the fault plan when one is
+    /// attached); the unselected cells are not touched and keep their
+    /// bytes. Tally, race checks and faults are those of element-wise
+    /// writes of the selected cells alone. A packed read-blend-write of the
+    /// whole window measured slower than these stores: the blend compiled
+    /// to a branch per lane.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    pub fn write_window_from(
+        &self,
+        tally: &mut Tally,
+        epoch: Epoch,
+        (start, stride, rows, len): (usize, usize, usize, usize),
+        sel: Selection<'_>,
+        src: &[T],
+        src_stride: usize,
+        reversed: bool,
+    ) {
+        if rows == 0 || len == 0 {
+            return;
+        }
+        self.check_family("write", start, stride, rows, len, src.len(), src_stride);
+        if let Some(rc) = &self.race {
+            Self::race_check(rc, epoch, true, (start, stride, rows, len), Some(sel));
+        }
+        let total = rows as u64 * sel.count(len);
+        tally.writes += total;
+        tally.bytes_written += std::mem::size_of::<T>() as u64 * total;
+        for r in 0..rows {
+            let (s, d) = (
+                start + r * stride,
+                if reversed { rows - 1 - r } else { r } * src_stride,
+            );
+            let row = &src[d..d + len];
+            for (k, _, m) in sel.segments(len) {
+                for k in set_bits(m).map(|l| k + l) {
+                    let mut v = row[k];
+                    if let Some(p) = &self.faults {
+                        p.corrupt(s + k, &mut v);
+                    }
+                    self.store(s + k, v);
+                }
+            }
         }
     }
 
@@ -1121,6 +1351,156 @@ mod tests {
         );
         sweep_families::<f64>();
         sweep_families::<u32>();
+    }
+
+    /// The selections the window sweep covers, as bit strings long enough
+    /// for any window of [`shapes`] at a bit offset below 8: none, all,
+    /// alternating, and eight seeded random ones.
+    fn selections() -> Vec<Vec<u64>> {
+        let words = 3;
+        let mut sels = vec![
+            vec![0; words],
+            vec![!0; words],
+            vec![0x5555_5555_5555_5555; words],
+        ];
+        for seed in 1..=8u64 {
+            let word = |w: u64| {
+                (seed << 8 | w)
+                    .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                    .rotate_left(29)
+            };
+            sels.push((0..words as u64).map(word).collect());
+        }
+        sels
+    }
+
+    /// Window reads and writes against the element-wise oracle over the
+    /// selected cells: three rows `len + 3` apart, host rows `len + 2`
+    /// apart from slot 1, in order and reversed, for every shape of
+    /// [`shapes`] and every selection of [`selections`] (its bit offset the
+    /// start offset), read twice and written back from other host rows,
+    /// under a pooled and an exclusive epoch. The oracle reads and writes
+    /// only the selected cells and copies the unselected ones uncounted
+    /// (`get`): so the tally, the stamps, the host rows and every cell —
+    /// unselected cells and the sentinels around the window included —
+    /// must come out the same.
+    fn sweep_windows<T: Element>() {
+        let sels = selections();
+        for (len, off, touch) in shapes() {
+            let (start, stride, rows, hs) = (8 + off, len + 3, 3, len + 2);
+            let family = start..start + (rows - 1) * stride + len;
+            for (bits, reversed) in sels.iter().flat_map(|b| [(b, false), (b, true)]) {
+                let sel = Selection { bits, at: off };
+                let on = |k: usize| (bits[(off + k) / 64] >> ((off + k) % 64)) & 1 != 0;
+                let host = |r: usize, k: usize| 1 + [r, rows - 1 - r][reversed as usize] * hs + k;
+                let run = |window: bool, exclusive: bool| {
+                    let b = cells::<T>(family.end + 8, touch);
+                    let ep = Epoch {
+                        launch: 2,
+                        phase: 0,
+                        block: 0,
+                        exclusive,
+                    };
+                    let mut t = Tally::default();
+                    mix_stamps(&b, &mut t, family.clone(), exclusive);
+                    let n = rows * hs + 2;
+                    let mut out: Vec<T> = (0..n).map(|i| val(1 << 20 | i)).collect();
+                    let src: Vec<T> = (0..n).map(|i| val(1 << 21 | i)).collect();
+                    let shape = (start, stride, rows, len);
+                    if window {
+                        for _ in 0..2 {
+                            b.read_window_into(&mut t, ep, shape, sel, &mut out[1..], hs, reversed);
+                        }
+                        b.write_window_from(&mut t, ep, shape, sel, &src[1..], hs, reversed);
+                    } else {
+                        for _ in 0..2 {
+                            for (r, k) in (0..rows).flat_map(|r| (0..len).map(move |k| (r, k))) {
+                                let i = start + r * stride + k;
+                                out[host(r, k)] = if on(k) {
+                                    b.read(&mut t, ep, i)
+                                } else {
+                                    b.get(i)
+                                };
+                            }
+                        }
+                        for (r, k) in (0..rows).flat_map(|r| (0..len).map(move |k| (r, k))) {
+                            if on(k) {
+                                b.write(&mut t, ep, start + r * stride + k, src[host(r, k)]);
+                            }
+                        }
+                    }
+                    trace(&b, t, &out)
+                };
+                let oracle = run(false, false);
+                assert_eq!(oracle.0.writes, rows as u64 * sel.count(len));
+                for exclusive in [false, true] {
+                    assert_eq!(
+                        run(true, exclusive),
+                        oracle,
+                        "window ops diverged: {} {rows} rows of {len} at {start}, selection {:x} \
+                         at bit {off}, reversed {reversed}, touch {touch}, exclusive {exclusive}",
+                        std::any::type_name::<T>(),
+                        bits[0]
+                    );
+                }
+            }
+        }
+    }
+
+    /// A window's selection decides what is counted, stamped, written and
+    /// corrupted: swept over every shape and selection ([`sweep_windows`]),
+    /// and here by hand — a fault scripted on an unselected cell never
+    /// fires, one on a selected cell does, and neither moves the tally.
+    #[test]
+    fn window_ops_match_element_ops_on_the_selected_cells() {
+        use crate::fault::FaultPlan;
+        // Cells 2..7, cells 2, 4 and 5 selected (bits 1, 3, 4).
+        let bits = [0b1_1010u64];
+        let sel = Selection { bits: &bits, at: 1 };
+        assert_eq!(sel.count(5), 3);
+        assert_eq!(sel.skip(2).count(3), 2);
+        let mut plan = FaultPlan::new();
+        plan.inject_bitflip(3, 63, 0); // unselected: never written
+        plan.inject_bitflip(4, 63, 0);
+        let plan = Arc::new(plan);
+        let b: GlobalBuffer<f64> = GlobalBuffer::from_vec((0..10).map(|i| i as f64).collect())
+            .with_touch_tracking()
+            .with_fault_plan(plan.clone());
+        let (mut t, mut out) = (Tally::default(), [0.0; 5]);
+        b.read_window_into(&mut t, ep(0), (2, 0, 1, 5), sel, &mut out, 5, false);
+        assert_eq!(out, [2.0, 3.0, 4.0, 5.0, 6.0], "every cell is copied");
+        out.iter_mut().for_each(|v| *v *= 10.0);
+        b.write_window_from(&mut t, ep(0), (2, 0, 1, 5), sel, &out, 5, false);
+        assert_eq!(b.snapshot(), [0., 1., 20., 3., -40., 50., 6., 7., 8., 9.]);
+        assert_eq!((t.reads, t.dram_bytes_read, t.writes), (3, 24, 3));
+        assert_eq!(plan.mem_faults_fired(), 1);
+        sweep_windows::<f64>();
+        sweep_windows::<u32>();
+    }
+
+    /// A window read records every cell it copies, selected or not: a cell
+    /// another block writes in the same phase is a race even when the
+    /// window does not select it. A window write records only the cells it
+    /// stores.
+    #[test]
+    #[should_panic(expected = "race: cell 3 read by block 0")]
+    fn window_reads_race_check_unselected_cells() {
+        let b: GlobalBuffer<f64> = GlobalBuffer::new(16).with_racecheck();
+        let mut t = Tally::default();
+        let (cell0, cell3, mut out) = ([0b1u64], [0b1000u64], [0.0; 4]);
+        let sel = |bits| Selection { bits, at: 0 };
+        // Block 1's window over cells 0..4 writes cell 3 alone, so block
+        // 0's window over the same cells, selecting cell 0, races on 3.
+        b.write_window_from(
+            &mut t,
+            ep(1),
+            (0, 0, 1, 4),
+            sel(&cell3),
+            &[1.0; 4],
+            4,
+            false,
+        );
+        b.read_window_into(&mut t, ep(0), (0, 0, 1, 4), sel(&cell0), &mut out, 4, false);
     }
 
     /// Span ops feed the same per-cell race checker as element ops: a

@@ -231,6 +231,13 @@ impl WorkerPool {
                 st = self.shared.done_cv.wait(st).unwrap();
             }
             st.job = None;
+            // The checked twin of the SAFETY comment on `task_static`: no
+            // pool thread holds the erased task, none can claim a ticket to
+            // it, and the job that carried it is retired.
+            assert!(
+                st.active == 0 && st.tickets == 0 && st.job.is_none(),
+                "the pool returns while a participant can still reach the task"
+            );
             if local_panic.is_none() {
                 local_panic = st.panic.take();
             } else {
@@ -431,6 +438,29 @@ mod tests {
             hits.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(hits.load(Ordering::Relaxed), 16);
+    }
+
+    /// What `run` asserts before it returns, seen from outside after a
+    /// clean job and after jobs with a panicking block (the first or a
+    /// later one, whichever participant ran it): no participant is active,
+    /// no ticket is left, the job (and the lifetime-erased task in it) is
+    /// retired.
+    #[test]
+    fn run_returns_with_the_task_out_of_reach() {
+        let pool = WorkerPool::new(3);
+        let released = || {
+            let st = pool.shared.state.lock().unwrap();
+            st.active == 0 && st.tickets == 0 && st.job.is_none()
+        };
+        pool.run(64, &|_| {});
+        assert!(released());
+        for boom in [13, 0] {
+            let r = catch_unwind(AssertUnwindSafe(|| {
+                pool.run(64, &|b| assert_ne!(b, boom, "boom in block {b}"))
+            }));
+            assert!(r.is_err());
+            assert!(released());
+        }
     }
 
     /// An inert pool (0 workers) runs everything inline.

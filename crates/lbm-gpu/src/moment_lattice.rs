@@ -22,6 +22,7 @@
 //! checkpoints of twisted lattices must carry it in their flavor tag.
 
 use gpu_sim::exec::BlockCtx;
+use gpu_sim::memory::Selection;
 use gpu_sim::GlobalBuffer;
 use lbm_core::kernels::MAX_M;
 use lbm_lattice::moments::Moments;
@@ -176,42 +177,47 @@ impl MomentLattice {
     /// **Envelope.** Consecutive node indices occupy consecutive slots
     /// modulo `cap`, and the `M` physical planes are `cap` apart, so the
     /// row is one strided family of `M` spans — two at the circular wrap,
-    /// split there — moved by [`BlockCtx::read_spans_to_scratch`] in one
+    /// split there — moved by [`BlockCtx::read_window_to_scratch`] in one
     /// accounting envelope each. A parity-twisted lattice at odd `t` holds
     /// moment `m` in plane `M−1−m`: the same family, landing in scratch in
     /// reverse plane order. Tallies and race checks are byte-identical to
-    /// `count · M` element-wise [`MomentLattice::read`] calls.
+    /// `count · M` element-wise [`MomentLattice::read`] calls — to those of
+    /// the nodes `sel` selects (bit `j` for node `idx0 + j`) if given: then
+    /// each piece is a counted window, whose unselected nodes are copied to
+    /// scratch uncounted, so no other block may write their slots at time
+    /// `at` in this phase (the window contract).
     pub fn read_row_to_scratch(
         &self,
         ctx: &mut BlockCtx,
         at: TimeSlot,
-        idx0: usize,
-        count: usize,
-        off: usize,
-        stride: usize,
+        (idx0, count): (usize, usize),
+        sel: Option<Selection<'_>>,
+        (off, stride): (usize, usize),
     ) {
         let (rev, cap, m) = (self.reversed(at.t), self.cap, self.m);
         for (s, j, len) in self.row_pieces(at, idx0, count) {
-            ctx.read_spans_to_scratch(&self.buf, s, cap, m, len, off + j, stride, rev);
+            let sel = sel.map(|sel| sel.skip(j));
+            ctx.read_window_to_scratch(&self.buf, (s, cap, m, len), sel, (off + j, stride), rev);
         }
     }
 
     /// Bulk kernel write mirroring [`MomentLattice::read_row_to_scratch`]:
     /// the plane-major staged moments of `count` consecutive nodes (plane
-    /// stride `stride`) are written to time `at` through
-    /// [`BlockCtx::write_spans_from_scratch`], in the same envelopes.
+    /// stride `stride`) are written to time `at` in the same envelopes —
+    /// only the selected nodes' if `sel` is given; the others' slots are
+    /// not touched.
     pub fn write_row_from_scratch(
         &self,
         ctx: &mut BlockCtx,
         at: TimeSlot,
-        idx0: usize,
-        count: usize,
-        off: usize,
-        stride: usize,
+        (idx0, count): (usize, usize),
+        sel: Option<Selection<'_>>,
+        (off, stride): (usize, usize),
     ) {
         let (rev, cap, m) = (self.reversed(at.t), self.cap, self.m);
         for (s, j, len) in self.row_pieces(at, idx0, count) {
-            ctx.write_spans_from_scratch(&self.buf, s, cap, m, len, off + j, stride, rev);
+            let sel = sel.map(|sel| sel.skip(j));
+            ctx.write_window_from_scratch(&self.buf, (s, cap, m, len), sel, (off + j, stride), rev);
         }
     }
 
@@ -345,13 +351,17 @@ mod tests {
     /// `count` nodes from `idx0` at `t`, add ½ to every moment, write them
     /// at `t + 1`. The span path stages the row at scratch offset `off`
     /// with plane stride `stride` and checks what landed there against the
-    /// host's view of the lattice before writing it back. Returns both
-    /// runs' tallies and the moments they left at `t + 1`.
+    /// host's view of the lattice before writing it back. With a
+    /// selection (bit `j` for node `idx0 + j`) the span path moves the row
+    /// as windows and the element path reads and writes the selected nodes
+    /// only. Returns both runs' tallies and the moments they left at
+    /// `t + 1`.
     fn row_round_trip(
         mk: impl Fn() -> MomentLattice,
         t: u64,
         (idx0, count): (usize, usize),
         (off, stride): (usize, usize),
+        sel: Option<&[u64]>,
     ) -> [(gpu_sim::memory::Tally, Vec<Moments>); 2] {
         use gpu_sim::exec::{Kernel, Launch};
         use gpu_sim::{DeviceSpec, Gpu};
@@ -361,6 +371,7 @@ mod tests {
             t: u64,
             row: (usize, usize),
             at: (usize, usize),
+            sel: Option<&'a [u64]>,
             /// Moment `m` of node `idx0 + j` at `t`, packed: `expect[m·count + j]`.
             expect: Vec<f64>,
         }
@@ -374,7 +385,8 @@ mod tests {
                     // A node's six moments are all read before any is
                     // written: a twisted lattice writes `t + 1` into the
                     // planes that hold `t` in reverse.
-                    for j in 0..count {
+                    let on = |j: usize| self.sel.is_none_or(|b| (b[j / 64] >> (j % 64)) & 1 != 0);
+                    for j in (0..count).filter(|&j| on(j)) {
                         let v: [f64; 6] =
                             std::array::from_fn(|m| self.ml.read(ctx, t, idx0 + j, m));
                         for (m, v) in v.into_iter().enumerate() {
@@ -384,14 +396,14 @@ mod tests {
                     }
                     return;
                 }
-                let ml = self.ml;
-                ml.read_row_to_scratch(ctx, ml.at(t), idx0, count, off, stride);
+                let (ml, sel) = (self.ml, self.sel.map(|bits| Selection { bits, at: 0 }));
+                ml.read_row_to_scratch(ctx, ml.at(t), (idx0, count), sel, (off, stride));
                 for m in 0..6 {
                     let plane = &mut ctx.scratch()[off + m * stride..][..count];
                     assert_eq!(plane, &self.expect[m * count..][..count], "plane {m}");
                     plane.iter_mut().for_each(|v| *v += 0.5);
                 }
-                ml.write_row_from_scratch(ctx, ml.at(t + 1), idx0, count, off, stride);
+                ml.write_row_from_scratch(ctx, ml.at(t + 1), (idx0, count), sel, (off, stride));
             }
         }
         [true, false].map(|spans| {
@@ -425,6 +437,7 @@ mod tests {
                 t,
                 row: (idx0, count),
                 at: (off, stride),
+                sel,
                 expect,
             };
             let stats = gpu.launch(&cfg, &probe);
@@ -436,18 +449,19 @@ mod tests {
     }
 
     /// The span and element paths agree: same tally (six words), same
-    /// moments left behind, every one of the `6·count` cells read and
+    /// moments left behind, each of the `6·selected` cells read and
     /// written once.
     fn assert_same_round_trip(
         what: &str,
         [(ts, vs), (te, ve)]: [(gpu_sim::memory::Tally, Vec<Moments>); 2],
+        selected: usize,
     ) {
         assert_eq!(
             ts, te,
             "{what}: row-span tallies diverged from element tallies"
         );
-        assert_eq!(ts.reads, (vs.len() * 6) as u64, "{what}");
-        assert_eq!(ts.writes, (vs.len() * 6) as u64, "{what}");
+        assert_eq!(ts.reads, (selected * 6) as u64, "{what}");
+        assert_eq!(ts.writes, (selected * 6) as u64, "{what}");
         for (a, b) in vs.iter().zip(&ve) {
             assert_eq!((a.rho, a.u, a.pi), (b.rho, b.u, b.pi), "{what}");
         }
@@ -461,12 +475,17 @@ mod tests {
         // n=40, cap=50, shift=8: at t=1 node idx sits in slot (idx+42)%50,
         // so the row idx0=5, count=10 occupies slots 47..50 ∪ 0..7 — a wrap.
         let shifted = || MomentLattice::new(40, 6, 8, 10);
-        let runs = row_round_trip(shifted, 1, (5, 10), (0, 10));
+        let runs = row_round_trip(shifted, 1, (5, 10), (0, 10), None);
         assert!((runs[0].1[0].rho - (1.0 + 0.05 + 0.5)).abs() < 1e-15);
-        assert_same_round_trip("packed, across the wrap", runs);
+        assert_same_round_trip("packed, across the wrap", runs, 10);
         // The same wrap staged at a row position with a wider plane stride.
-        let runs = row_round_trip(shifted, 1, (5, 10), (3, 17));
-        assert_same_round_trip("strided, across the wrap", runs);
+        let runs = row_round_trip(shifted, 1, (5, 10), (3, 17), None);
+        assert_same_round_trip("strided, across the wrap", runs, 10);
+        // A window split by the wrap into 3 + 7 nodes, runs on both sides
+        // of it and rock (unselected nodes) at both of its ends.
+        let sel = [0b01_1011_0110];
+        let runs = row_round_trip(shifted, 1, (5, 10), (3, 17), Some(&sel));
+        assert_same_round_trip("window across the wrap", runs, 6);
     }
 
     /// The twisted lattice's row envelope: at odd `t` the planes are stored
@@ -480,7 +499,11 @@ mod tests {
         for t in [1, 2] {
             for (off, stride) in [(0, 9), (2, 9), (5, 13)] {
                 let what = format!("twist t = {t}, scratch {off} + m·{stride}");
-                assert_same_round_trip(&what, row_round_trip(twisted, t, (30, 9), (off, stride)));
+                let runs = row_round_trip(twisted, t, (30, 9), (off, stride), None);
+                assert_same_round_trip(&what, runs, 9);
+                let runs =
+                    row_round_trip(twisted, t, (30, 9), (off, stride), Some(&[0b1_0110_1101]));
+                assert_same_round_trip(&format!("{what}, window"), runs, 6);
             }
         }
     }

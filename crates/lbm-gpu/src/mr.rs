@@ -7,10 +7,11 @@
 //! layers; per tile the block
 //!
 //! 1. reads the moments `{ρ, u, Π}` of the tile layers **and the halo**
-//!    from global memory, one halo-extended footprint row at a time: each
-//!    fluid run of the row is one counted row read, staged at its position
-//!    in the row (halo re-reads hit the modeled L2, so the DRAM traffic
-//!    stays at `M` doubles per node),
+//!    from global memory, one halo-extended footprint row at a time, staged
+//!    at its positions: a row of several fluid runs as one counted window
+//!    whose rock is predicated off (copied, never counted), a single run as
+//!    one counted row read (halo re-reads hit the modeled L2, so the DRAM
+//!    traffic stays at `M` doubles per node),
 //! 2. performs collision in moment space on the whole row, in `LANES`-node
 //!    chunks with all-solid chunks skipped (eq. 10; for MR-R also the
 //!    recursive higher-order coefficients, eqs. 12–13),
@@ -20,7 +21,8 @@
 //!    stored — the neighbor column computes them from its own halo,
 //! 4. after the implicit block barrier, recomputes the moments of the
 //!    layers that just became complete (the two-layer write lag) and writes
-//!    them back to global memory at the circularly shifted slot for `t + 1`.
+//!    them back to global memory at the circularly shifted slot for `t + 1`,
+//!    row by row as step 1 reads them (rock is never written).
 //!
 //! The in-place global update is protected by the downward circular shift
 //! (see [`crate::moment_lattice`]); under the substrate's lockstep tile
@@ -66,7 +68,7 @@ use crate::multi::Slabs;
 use crate::scheme::MrScheme;
 use gpu_sim::exec::{BlockCtx, Kernel, Launch, LaunchStats, PhasedKernel};
 use gpu_sim::interconnect::LinkError;
-use gpu_sim::memory::copy_short;
+use gpu_sim::memory::{copy_short, Selection};
 use gpu_sim::{DeviceSpec, FaultPlan, Gpu};
 use lbm_core::geometry::{Geometry, NodeType};
 use lbm_core::kernels::{self, DirMask, KernelConsts, LaneBlock, LANES, MAX_M, MAX_Q};
@@ -222,6 +224,10 @@ struct ColumnWalk {
     row_class: Vec<u8>,
     runs: Vec<[u32; 3]>,
     run_at: Vec<u32>,
+    /// Row `i`'s selection, `(wx + 2).div_ceil(64)` words from
+    /// `sel[i·words]`: bit `p` is set iff position `p` holds a fluid node
+    /// not wrapped past a periodic face — what a row window counts.
+    sel: Vec<u64>,
 }
 
 impl ColumnWalk {
@@ -244,8 +250,11 @@ impl ColumnWalk {
         let u32_of = |v: usize| u32::try_from(v).expect("run directory exceeds u32");
         let mut row_class = Vec::with_capacity(class.len() / nx * ncols * (wx + 2));
         let (mut runs, mut run_at) = (Vec::<[u32; 3]>::new(), vec![0]);
+        let (mut sel, words) = (Vec::new(), (wx + 2).div_ceil(64));
         for row in class.chunks_exact(nx) {
             for x0 in (0..ncols).map(|k| x_first + k * wx) {
+                let bits = sel.len();
+                sel.resize(bits + words, 0u64);
                 // Frame x of position `p`, wrapped at a periodic face.
                 let x_at = |p: usize| match x0 + p {
                     0 if periodic => Some(nx - 1),
@@ -257,6 +266,9 @@ impl ColumnWalk {
                 for p in 0..wx + 2 {
                     let c = x_at(p).map_or(SOLID, |x| row[x]);
                     row_class.push(c);
+                    if c != SOLID && (1..=nx).contains(&(x0 + p)) {
+                        sel[bits + p / 64] |= 1 << (p % 64);
+                    }
                     let x = x_at(p).filter(|_| c != SOLID);
                     match (x, runs.last_mut()) {
                         (Some(x), Some(run)) if prev.is_some_and(|px| px + 1 == x) => run[2] += 1,
@@ -280,17 +292,19 @@ impl ColumnWalk {
             row_class,
             runs,
             run_at,
+            sel,
         }
     }
 
     /// Halo-extended row `(k, r)` ([`ColumnWalk::row_class`]): its class
-    /// bytes and its runs `[x, p, len]`.
-    #[inline]
-    fn row(&self, k: usize, r: usize) -> (&[u8], impl Iterator<Item = [usize; 3]> + '_) {
+    /// bytes, its selection and its runs `[x, p, len]`.
+    #[inline(always)]
+    fn row(&self, k: usize, r: usize) -> RowDir<'_> {
         let (i, n) = (r * self.ncols + k, self.wx + 2);
+        let bits = &self.sel[i * n.div_ceil(64)..][..n.div_ceil(64)];
         let runs = &self.runs[self.run_at[i] as usize..self.run_at[i + 1] as usize];
         let class = &self.row_class[i * n..][..n];
-        (class, runs.iter().map(|run| run.map(|v| v as usize)))
+        (class, Selection { bits, at: 0 }, runs)
     }
 
     /// Shared-window slot of direction `i` at footprint cell `(xl, yl)` in
@@ -301,6 +315,10 @@ impl ColumnWalk {
         ((i * (self.tile_h + 2) + wl) * self.wy + yl) * self.wx + xl
     }
 }
+
+/// What [`ColumnWalk::row`] knows of a halo-extended row: class bytes,
+/// selection (bit `p` for position `p`) and runs `[frame x, p, len]`.
+type RowDir<'a> = (&'a [u8], Selection<'a>, &'a [[u32; 3]]);
 
 /// One x row of a block's halo-extended footprint at one layer — what is
 /// constant along the row, hoisted out of the lane loops.
@@ -390,60 +408,67 @@ impl<L: Lattice> PhasedKernel for MrKernel<'_, L> {
         for wf in w_lo.saturating_sub(1)..w_lo + h - 1 {
             for yl in 0..wy {
                 let r = y0 + yl + nfy * wf;
-                let (class, runs) = self.walk.row(col, r);
-                // The owned part of each run, positions `1..=wx`, as
-                // `(node, footprint x, length)`.
-                let owned = runs.filter_map(|[x, p, len]| {
-                    let (a, b) = (p.max(1), (p + len).min(wx + 1));
-                    (a < b).then(|| (nx * r + x + a - p, a - 1, b - a))
-                });
                 let slot0 = self.walk.slot(0, wf % win, yl, 0);
-                self.finalize_row(ctx, &mut lanes, &class[1..=wx], slot0, owned);
+                self.finalize_row(ctx, &mut lanes, nx * r, self.walk.row(col, r), slot0);
             }
         }
     }
 }
 
 impl<L: Lattice> MrKernel<'_, L> {
-    /// Collide halo-extended row `(class, runs)` ([`ColumnWalk::row`];
-    /// `row0` its `x = 0` node) into the shared window: each run staged by
-    /// one counted row read at its position (plane stride `wx + 2`), then
-    /// full `LANES`-position chunks, all-solid ones skipped (a solid lane is
-    /// computed and discarded). A chunk's bit masks pick its stretches of
-    /// bulk and bounce lanes (clipped spans), owned bounce lanes (fix-up)
-    /// and [`REFERENCE`] lanes (reference scatter). The scalar oracle stages
-    /// each run packed and collides and scatters it node by node.
+    /// Collide halo-extended row `(class, sel, runs)` ([`ColumnWalk::row`];
+    /// `row0` its `x = 0` node) into the shared window: staged at its
+    /// positions (plane stride `wx + 2`), two or more in-frame runs as one
+    /// counted window (rock copied, not counted), else each run as a family,
+    /// then collided in full `LANES`-position chunks, all-solid ones skipped
+    /// (a solid lane is computed and discarded). A chunk's bit masks pick
+    /// its stretches of bulk and bounce lanes (clipped spans), owned bounce
+    /// lanes (fix-up) and [`REFERENCE`] lanes (reference scatter). The
+    /// scalar oracle stages each run packed and collides and scatters it
+    /// node by node.
     fn collide_row(
         &self,
         ctx: &mut BlockCtx,
         row: &Row,
         row0: usize,
-        (class, runs): (&[u8], impl Iterator<Item = [usize; 3]>),
+        (class, sel, runs): RowDir<'_>,
         fs: &mut LaneBlock,
     ) {
         let (wx, wy) = (self.walk.wx as i64, self.walk.wy as i64);
-        let (stride, scalar) = (class.len(), self.consts.scalar);
-        for [x, p, len] in runs {
-            if !scalar {
-                self.mom_in
-                    .read_row_to_scratch(ctx, self.at_in, row0 + x, len, p, stride);
-                continue;
-            }
-            self.mom_in
-                .read_row_to_scratch(ctx, self.at_in, row0 + x, len, 0, len);
-            let (mut flat, mut f_star) = ([0.0f64; MAX_M], [0.0f64; MAX_Q]);
-            for j in 0..len {
-                for m in 0..L::M {
-                    flat[m] = ctx.scratch()[m * len + j];
-                }
-                let m = Moments::unpack::<L>(&flat[..L::M]);
-                self.scheme
-                    .collide_and_map::<L>(&m, self.consts.tau, &mut f_star[..L::Q]);
-                self.scatter_node(ctx, row, x + j, |i| f_star[i]);
-            }
-        }
+        let (stride, scalar, at) = (class.len(), self.consts.scalar, self.at_in);
+        let runs = runs.iter().map(|run| run.map(|v| v as usize));
         if scalar {
+            for [x, _, len] in runs {
+                self.mom_in
+                    .read_row_to_scratch(ctx, at, (row0 + x, len), None, (0, len));
+                let (mut flat, mut f_star) = ([0.0f64; MAX_M], [0.0f64; MAX_Q]);
+                for j in 0..len {
+                    for m in 0..L::M {
+                        flat[m] = ctx.scratch()[m * len + j];
+                    }
+                    let m = Moments::unpack::<L>(&flat[..L::M]);
+                    self.scheme
+                        .collide_and_map::<L>(&m, self.consts.tau, &mut f_star[..L::Q]);
+                    self.scatter_node(ctx, row, x + j, |i| f_star[i]);
+                }
+            }
             return;
+        }
+        // A run is in the frame unless it wraps past a periodic face, which
+        // only a one-node run at either end of the row can.
+        let framed = |&[x, p, _]: &[usize; 3]| x + 1 == row.x0 + p;
+        for [x, p, len] in runs.clone().filter(|r| !framed(r)) {
+            let lat = self.mom_in;
+            lat.read_row_to_scratch(ctx, at, (row0 + x, len), None, (p, stride));
+        }
+        let mut inner = runs.filter(framed);
+        if let Some([x, p, len]) = inner.next() {
+            let (len, sel) = match inner.next_back() {
+                Some([_, q, l]) => (q + l - p, Some(sel.skip(p))),
+                None => (len, None),
+            };
+            let lat = self.mom_in;
+            lat.read_row_to_scratch(ctx, at, (row0 + x, len), sel, (p, stride));
         }
         // `kind`: 0 below the footprint, 1 inside it, 2 above.
         let kind = (row.yi >= 0) as usize + (row.yi >= wy) as usize;
@@ -511,21 +536,30 @@ impl<L: Lattice> MrKernel<'_, L> {
         }
     }
 
-    /// Recompute the moments of a completed owned row (classes `class`,
-    /// direction 0 at window slot `slot0`) and write them to `t + 1`, one
-    /// counted row write per `(node, footprint x, length)` of `owned`: full
-    /// `LANES`-node chunks, all-solid ones skipped, through `fl` and
-    /// `moments_from_f_lanes` into scratch rows of stride `wx`. The scalar
-    /// oracle recomputes each run node by node and writes it packed.
+    /// Recompute the moments of completed owned row `(class, sel, runs)`
+    /// (positions `1..=wx`; `row0` its `x = 0` node, direction 0 at window
+    /// slot `slot0`) and write them to `t + 1`: full `LANES`-node chunks,
+    /// all-solid ones skipped, through `fl` and `moments_from_f_lanes` into
+    /// scratch rows of stride `wx`, written like `collide_row` reads (rock
+    /// not written). The scalar oracle recomputes each run node by node and
+    /// writes it packed.
     fn finalize_row(
         &self,
         ctx: &mut BlockCtx,
         fl: &mut LaneBlock,
-        class: &[u8],
+        row0: usize,
+        (class, sel, runs): RowDir<'_>,
         slot0: usize,
-        owned: impl Iterator<Item = (usize, usize, usize)>,
     ) {
-        let (wx, scalar) = (class.len(), self.consts.scalar);
+        let (wx, scalar, at) = (class.len() - 2, self.consts.scalar, self.at_out);
+        let class = &class[1..=wx];
+        // The owned part of each run, positions `1..=wx`, as
+        // `(node, footprint x, length)`.
+        let mut owned = runs.iter().filter_map(|run| {
+            let [x, p, len] = run.map(|v| v as usize);
+            let (a, b) = (p.max(1), (p + len).min(wx + 1));
+            (a < b).then(|| (row0 + x + a - p, a - 1, b - a))
+        });
         let dir_stride = self.walk.slot(1, 0, 0, 0);
         let (shm, scratch) = ctx.shared_and_scratch();
         for j0 in (0..wx).step_by(LANES) {
@@ -545,12 +579,18 @@ impl<L: Lattice> MrKernel<'_, L> {
             }
             kernels::moments_from_f_lanes::<L>(&fl[..L::Q], scratch, wx, j0);
         }
-        for (idx, xl, len) in owned {
-            if !scalar {
-                self.mom_out
-                    .write_row_from_scratch(ctx, self.at_out, idx, len, xl, wx);
-                continue;
+        if !scalar {
+            if let Some((idx, xl, len)) = owned.next() {
+                let (len, sel) = match owned.next_back() {
+                    Some((_, xm, l)) => (xm + l - xl, Some(sel.skip(xl + 1))),
+                    None => (len, None),
+                };
+                let lat = self.mom_out;
+                lat.write_row_from_scratch(ctx, at, (idx, len), sel, (xl, wx));
             }
+            return;
+        }
+        for (idx, xl, len) in owned {
             let (shm, scratch) = ctx.shared_and_scratch();
             let (mut f, mut flat) = ([0.0f64; MAX_Q], [0.0f64; MAX_M]);
             for j in 0..len {
@@ -563,7 +603,7 @@ impl<L: Lattice> MrKernel<'_, L> {
                 }
             }
             self.mom_out
-                .write_row_from_scratch(ctx, self.at_out, idx, len, 0, len);
+                .write_row_from_scratch(ctx, at, (idx, len), None, (0, len));
         }
     }
 

@@ -359,33 +359,63 @@ fn multi_mr3d_vectorized_matches_scalar() {
 ///   — solid, bounce or bulk — share the first and last chunk of a row
 ///   with owned lanes;
 /// * footprints with an all-solid row and with an all-solid chunk inside
-///   a fluid row, which the row walker skips.
+///   a fluid row, which the row walker skips;
+/// * 80 % hashed rock in 2D and 3D, where a row window is mostly rock;
+/// * a periodic-x channel whose fluid nodes at `x = 0` and `x = nx − 1`
+///   sit, wrapped, at both halo positions of a row — with two columns, and
+///   with one column as wide as the domain, so both are in one row;
+/// * the double-buffered storage, and MR-T ending on an odd step.
+///
+/// Beyond the field and the tally, the checkpoint bytes must agree: every
+/// raw slot of every lattice, rock included, since a row window copies
+/// rock moments in and must leave rock slots as it found them. Each solo
+/// run is made twice on the lane path — inline, and pooled (parallel
+/// threshold 0, three threads) — under the strict race checker, against a
+/// pooled scalar oracle. A row window split by the circular wrap of the
+/// slot space cannot occur here (a driver shifts by whole layers, and a
+/// row never straddles a layer); `moment_lattice`'s row test covers it.
 #[test]
 fn mr_span_scatter_matches_scalar_on_mixed_chunks() {
+    #[derive(Clone, Copy)]
+    enum Storage {
+        Shift,
+        Twist,
+        Double,
+    }
     fn schemes<L: Lattice>() -> [MrScheme; 2] {
         [MrScheme::projective(), MrScheme::recursive::<L>()]
     }
     fn solo<L: Lattice>(what: &str, geom: &Geometry, wx: usize) {
-        solo_storage::<L>(what, geom, wx, false);
+        solo_storage::<L>(what, geom, wx, Storage::Shift);
     }
-    fn solo_storage<L: Lattice>(what: &str, geom: &Geometry, wx: usize, twist: bool) {
+    fn solo_storage<L: Lattice>(what: &str, geom: &Geometry, wx: usize, storage: Storage) {
         for scheme in schemes::<L>() {
-            let run = |scalar: bool| {
+            let run = |scalar: bool, pooled: bool| {
                 let dev = DeviceSpec::v100();
                 let mut sim =
                     MrSim::<L>::with_config(dev, geom.clone(), scheme.clone(), 0.8, wx, 0, 1, 1);
-                if twist {
-                    sim = sim.with_twist();
-                }
+                sim = match storage {
+                    Storage::Shift => sim,
+                    Storage::Twist => sim.with_twist(),
+                    Storage::Double => sim.with_double_buffer(),
+                };
                 let mut sim = sim.with_racecheck_strict();
+                sim = match pooled {
+                    true => sim.with_cpu_threads(3).with_parallel_threshold(0),
+                    false => sim.with_cpu_threads(1),
+                };
                 if scalar {
                     sim = sim.with_scalar_kernels();
                 }
                 sim.init_with(shear_init);
                 sim.run(5);
-                (sim.field_checksum(), tally_words(&sim))
+                (sim.field_checksum(), tally_words(&sim), sim.checkpoint())
             };
-            assert_eq!(run(false), run(true), "{what}: solo {}", scheme.label());
+            let oracle = run(true, true);
+            for pooled in [false, true] {
+                let what = format!("{what}: solo {}, pooled {pooled}", scheme.label());
+                assert!(run(false, pooled) == oracle, "{what}");
+            }
         }
     }
     fn sharded<L: Lattice>(what: &str, geom: &Geometry) {
@@ -400,9 +430,10 @@ fn mr_span_scatter_matches_scalar_on_mixed_chunks() {
                 }
                 sim.init_with(shear_init);
                 sim.run(5);
-                (sim.field_checksum(), hub_tally(&hub))
+                (sim.field_checksum(), hub_tally(&hub), sim.checkpoint())
             };
-            assert_eq!(run(false), run(true), "{what}: sharded {}", scheme.label());
+            let what = format!("{what}: sharded {}", scheme.label());
+            assert!(run(false) == run(true), "{what}");
         }
     }
     let rock2d = hashed_rock(7, (48, 20, 1), 25);
@@ -438,8 +469,35 @@ fn mr_span_scatter_matches_scalar_on_mixed_chunks() {
     }
     solo::<D2Q9>("obstacle at x = 1", &faces, 0);
     sharded::<D2Q9>("obstacle at x = 1", &faces);
-    solo_storage::<D2Q9>("MR-T on 50 % rock 2D", &half2d, 0, true);
-    solo_storage::<D3Q19>("MR-T on 50 % rock 3D", &half3d, 0, true);
+    solo_storage::<D2Q9>("MR-T on 50 % rock 2D", &half2d, 0, Storage::Twist);
+    solo_storage::<D3Q19>("MR-T on 50 % rock 3D", &half3d, 0, Storage::Twist);
+    solo_storage::<D2Q9>("double buffer, 50 % rock 2D", &half2d, 0, Storage::Double);
+    solo_storage::<D3Q19>("double buffer, 50 % rock 3D", &half3d, 0, Storage::Double);
+    let most2d = hashed_rock(7, (64, 32, 1), 80);
+    solo::<D2Q9>("80 % rock 2D", &most2d, 0);
+    solo_storage::<D2Q9>("MR-T on 80 % rock 2D", &most2d, 0, Storage::Twist);
+    sharded::<D2Q9>("80 % rock 2D", &most2d);
+    let most3d = hashed_rock(7, (16, 12, 12), 80);
+    solo::<D3Q19>("80 % rock 3D", &most3d, 0);
+    solo_storage::<D3Q19>("MR-T on 80 % rock 3D", &most3d, 0, Storage::Twist);
+    // Fluid on both x faces of a periodic channel, rock beside them: each
+    // face node is a one-node run at a wrapped halo position.
+    let mut wrapped = hashed_rock(11, (40, 16, 1), 40);
+    for y in 1..15 {
+        for (x, node) in [(0, NodeType::Fluid), (1, NodeType::Wall)] {
+            wrapped.set(x, y, 0, node);
+            wrapped.set(39 - x, y, 0, node);
+        }
+    }
+    solo::<D2Q9>("wrapped halo runs, two columns", &wrapped, 0);
+    solo::<D2Q9>("wrapped halo runs, one column", &wrapped, 40);
+    solo_storage::<D2Q9>("MR-T, wrapped halo runs", &wrapped, 40, Storage::Twist);
+    solo_storage::<D2Q9>(
+        "double buffer, wrapped halo runs",
+        &wrapped,
+        40,
+        Storage::Double,
+    );
     // Rock on every second node of both x faces of a periodic duct.
     let mut x_faces = hashed_rock(11, (16, 10, 10), 15);
     for z in 1..9 {
@@ -452,7 +510,7 @@ fn mr_span_scatter_matches_scalar_on_mixed_chunks() {
         }
     }
     solo::<D3Q19>("rock on the x faces 3D", &x_faces, 0);
-    solo_storage::<D3Q19>("MR-T, rock on the x faces 3D", &x_faces, 0, true);
+    solo_storage::<D3Q19>("MR-T, rock on the x faces 3D", &x_faces, 0, Storage::Twist);
     sharded::<D3Q19>("rock on the x faces 3D", &x_faces);
     // 2D, `wx = 24`: row 4 is solid from face to face; rows 7 and 8 are
     // solid over frame x 7..=14, the whole second chunk of their row.
@@ -464,7 +522,12 @@ fn mr_span_scatter_matches_scalar_on_mixed_chunks() {
         blocked.set(x, y, 0, NodeType::Wall);
     }
     solo::<D2Q9>("all-solid row and chunk 2D", &blocked, 0);
-    solo_storage::<D2Q9>("MR-T, all-solid row and chunk 2D", &blocked, 0, true);
+    solo_storage::<D2Q9>(
+        "MR-T, all-solid row and chunk 2D",
+        &blocked,
+        0,
+        Storage::Twist,
+    );
     sharded::<D2Q9>("all-solid row and chunk 2D", &blocked);
     // 3D: the x row at (y, z) = (4, 5) is solid from face to face.
     let mut blocked3 = hashed_rock(7, (16, 10, 10), 20);
