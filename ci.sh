@@ -15,12 +15,15 @@ echo "== cargo doc (warnings are errors: a dangling intra-doc link fails the bui
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "== non-test lines per crate (lines before the first #[cfg(test)] mod of every crates/*/src/**/*.rs)"
-# The size PRs report, as a command. The two driver crates may only shrink:
-# lower DRIVER_LINES_MAX when a PR lands below it; raise it only with a
-# sentence in CHANGES.md saying what the lines bought. A `#[cfg(test)]` on
-# anything but a `mod` (a test-only helper method) does not end the count.
-DRIVER_LINES_MAX=6719
+# The size PRs report, as a command. The two driver crates and the gpu-sim
+# substrate may only shrink: lower DRIVER_LINES_MAX / SUBSTRATE_LINES_MAX
+# when a PR lands below it; raise one only with a sentence in CHANGES.md
+# saying what the lines bought. A `#[cfg(test)]` on anything but a `mod` (a
+# test-only helper method) does not end the count.
+DRIVER_LINES_MAX=6715
+SUBSTRATE_LINES_MAX=3597
 driver_lines=0
+substrate_lines=0
 for crate in crates/*/; do
   lines=$(find "$crate/src" -name '*.rs' -exec awk '
     FNR == 1 { on = 1; held = "" }
@@ -31,10 +34,15 @@ for crate in crates/*/; do
     on && /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$/ { held = $0; next }
     on' {} + | wc -l)
   printf '%8d  %s\n' "$lines" "$(basename "$crate")"
-  case "$(basename "$crate")" in lbm-gpu | lbm-multi) driver_lines=$((driver_lines + lines)) ;; esac
+  case "$(basename "$crate")" in
+  lbm-gpu | lbm-multi) driver_lines=$((driver_lines + lines)) ;;
+  gpu-sim) substrate_lines=$lines ;;
+  esac
 done
 printf '%8d  lbm-gpu + lbm-multi (max %d)\n' "$driver_lines" "$DRIVER_LINES_MAX"
+printf '%8d  gpu-sim (max %d)\n' "$substrate_lines" "$SUBSTRATE_LINES_MAX"
 test "$driver_lines" -le "$DRIVER_LINES_MAX"
+test "$substrate_lines" -le "$SUBSTRATE_LINES_MAX"
 
 echo "== every unsafe site states its invariant (a // SAFETY: comment just above it)"
 # The comment block above an `unsafe` block or impl must hold `SAFETY:`; one
@@ -111,10 +119,11 @@ x86_64-*)
     fi
     test "$packed" -gt 0 && test "$packed" -ge $((4 * scalar))
   done
-  # Data-movement probes: a counted row read and write, and a counted
-  # window read and write under a run-time selection, with no arithmetic
-  # to count, held to the call rule only. A short span that goes back to a
-  # run-time-length `memcpy` (a call per plane) fails here.
+  # Data-movement probes: the counted family pair's two arms, a row read
+  # and write with no selection and a window read and write under a
+  # run-time selection, with no arithmetic to count, held to the call rule
+  # only. A short span that goes back to a run-time-length `memcpy` (a call
+  # per plane) fails here.
   for probe in codegen_probe_row_io_d3q19 codegen_probe_window_io_d2q9; do
     body=$(awk -v p="$probe:" '$0 == p { on = 1 } on { print } on && /\.cfi_endproc/ { exit }' "$asm")
     test -n "$body"

@@ -86,8 +86,9 @@ pub fn codegen_probe_sparse_gather_d2q9(
 const ROW_IO_PLANES: usize = 10;
 
 /// One MR row's counted I/O on a D3Q19 moment lattice under an exclusive
-/// (inline) launch: a read of 10 planes × `len_in` nodes, `plane` apart,
-/// into `row` (rows `len_in` apart), then a write of 10 × `len_out` from
+/// (inline) launch, through the counted family pair with no selection (its
+/// unmasked arm): a read of 10 planes × `len_in` nodes, `plane` apart, into
+/// `row` (rows `len_in` apart), then a write of 10 × `len_out` from
 /// `row[1..]`. The walker moves 16 in and 14 out; the lengths are run-time
 /// values here as there, bounded by a row (16), so a short copy that falls
 /// back to a `memcpy` call shows. `lattice` is touch-tracked in use, so the
@@ -114,8 +115,8 @@ pub fn codegen_probe_row_io_d3q19(
         exclusive: true,
     };
     let (p, n) = (ROW_IO_PLANES, len_in);
-    lattice.read_spans_into(tally, ep, 0, plane, p, n, row, n, false);
-    lattice.write_spans_from(tally, ep, 1, plane, p, len_out, &row[1..], n, false);
+    lattice.read_window_into(tally, ep, (0, plane, p, n), None, row, n, false);
+    lattice.write_window_from(tally, ep, (1, plane, p, len_out), None, &row[1..], n, false);
 }
 
 /// Moment planes of a D2Q9 lattice.
@@ -125,9 +126,10 @@ const WINDOW_IO_PLANES: usize = 6;
 /// exclusive (inline) launch, as the MR walker moves a footprint row of
 /// several fluid runs: a window read of 6 planes × `len_in` cells, `plane`
 /// apart, into `row` (rows `len_in` apart) under the run-time selection
-/// `sel`, then a window write of 6 × `len_out` from `row[1..]` under the
-/// same bits one cell on. The walker moves up to 34 in and 32 out; the
-/// lengths are run-time values bounded by that row. `lattice` is
+/// `sel` (the family pair's masked arm), then a window write of 6 ×
+/// `len_out` from `row[1..]` under the same bits one cell on. The walker
+/// moves up to 34 in and 32 out; the lengths are run-time values bounded
+/// by that row. `lattice` is
 /// touch-tracked in use, so the masked first-touch pass is part of what
 /// the guard reads. An instrumented buffer returns at once, as in
 /// [`codegen_probe_row_io_d3q19`].
@@ -151,9 +153,9 @@ pub fn codegen_probe_window_io_d2q9(
         exclusive: true,
     };
     let (p, n, sel) = (WINDOW_IO_PLANES, len_in, Selection { bits: sel, at: 0 });
-    lattice.read_window_into(tally, ep, (0, plane, p, n), sel, row, n, false);
+    lattice.read_window_into(tally, ep, (0, plane, p, n), Some(sel), row, n, false);
     let out = (1, plane, p, len_out);
-    lattice.write_window_from(tally, ep, out, sel.skip(1), &row[1..], n, false);
+    lattice.write_window_from(tally, ep, out, Some(sel.skip(1)), &row[1..], n, false);
 }
 
 #[cfg(test)]

@@ -155,20 +155,6 @@ pub fn modeled_bandwidth_gbps(
     bandwidth_fraction(dev, pattern, dim) * saturation(dev, fluid_nodes) * dev.bandwidth_gbps
 }
 
-/// Modeled wall time in seconds for `steps` timesteps given total bytes
-/// moved per step.
-pub fn modeled_time_s(
-    dev: &DeviceSpec,
-    pattern: Pattern,
-    dim: usize,
-    bytes_per_step: f64,
-    fluid_nodes: usize,
-    steps: usize,
-) -> f64 {
-    let eta = bandwidth_fraction(dev, pattern, dim) * saturation(dev, fluid_nodes);
-    steps as f64 * bytes_per_step / (eta * dev.bandwidth_bytes_per_sec())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

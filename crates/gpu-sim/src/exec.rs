@@ -136,136 +136,13 @@ impl<'a> BlockCtx<'a> {
         buf.read_span(&mut self.tally, ep, start, out)
     }
 
-    /// Bulk-counted write of `src.len()` consecutive cells starting at
-    /// `start`.
-    #[inline(always)]
-    pub fn write_span<T: Element>(&mut self, buf: &GlobalBuffer<T>, start: usize, src: &[T]) {
-        let ep = self.epoch();
-        buf.write_span(&mut self.tally, ep, start, src)
-    }
-
-    /// Bulk-counted read of `len` consecutive cells into the block's
-    /// shared-memory slab at `shared_off` (the coalesced tile-fill path).
-    #[inline(always)]
-    pub fn copy_span_to_shared(
-        &mut self,
-        buf: &GlobalBuffer<f64>,
-        start: usize,
-        shared_off: usize,
-        len: usize,
-    ) {
-        let ep = self.epoch();
-        buf.read_span(
-            &mut self.tally,
-            ep,
-            start,
-            &mut self.shared[shared_off..shared_off + len],
-        )
-    }
-
-    /// Bulk-counted read of `len` consecutive cells into the block's
-    /// private scratch at `scratch_off` (the staging path used by the span
-    /// kernel ports).
-    #[inline(always)]
-    pub fn read_span_to_scratch(
-        &mut self,
-        buf: &GlobalBuffer<f64>,
-        start: usize,
-        scratch_off: usize,
-        len: usize,
-    ) {
-        let ep = self.epoch();
-        buf.read_span(
-            &mut self.tally,
-            ep,
-            start,
-            &mut self.scratch[scratch_off..scratch_off + len],
-        )
-    }
-
-    /// Bulk-counted write of `len` doubles from the block's private scratch
-    /// at `scratch_off` into `len` consecutive cells starting at `start`.
-    #[inline(always)]
-    pub fn write_span_from_scratch(
-        &mut self,
-        buf: &GlobalBuffer<f64>,
-        start: usize,
-        scratch_off: usize,
-        len: usize,
-    ) {
-        let ep = self.epoch();
-        buf.write_span(
-            &mut self.tally,
-            ep,
-            start,
-            &self.scratch[scratch_off..scratch_off + len],
-        )
-    }
-
-    /// Bulk-counted strided read: `rows` spans of `len` doubles at
-    /// `start + r·stride` land in scratch rows `scratch_stride` apart from
-    /// `scratch_off`, in reverse order when `reversed`. One accounting
-    /// envelope for the whole family; see [`GlobalBuffer::read_spans_into`].
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    pub fn read_spans_to_scratch(
-        &mut self,
-        buf: &GlobalBuffer<f64>,
-        start: usize,
-        stride: usize,
-        rows: usize,
-        len: usize,
-        scratch_off: usize,
-        scratch_stride: usize,
-        reversed: bool,
-    ) {
-        let ep = self.epoch();
-        buf.read_spans_into(
-            &mut self.tally,
-            ep,
-            start,
-            stride,
-            rows,
-            len,
-            &mut self.scratch[scratch_off..],
-            scratch_stride,
-            reversed,
-        )
-    }
-
-    /// Strided-write mirror of [`BlockCtx::read_spans_to_scratch`].
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    pub fn write_spans_from_scratch(
-        &mut self,
-        buf: &GlobalBuffer<f64>,
-        start: usize,
-        stride: usize,
-        rows: usize,
-        len: usize,
-        scratch_off: usize,
-        scratch_stride: usize,
-        reversed: bool,
-    ) {
-        let ep = self.epoch();
-        buf.write_spans_from(
-            &mut self.tally,
-            ep,
-            start,
-            stride,
-            rows,
-            len,
-            &self.scratch[scratch_off..],
-            scratch_stride,
-            reversed,
-        )
-    }
-
-    /// Counted window read into scratch: [`BlockCtx::read_spans_to_scratch`]
-    /// of `family = (start, stride, rows, len)`, of which only the cells
-    /// `sel` selects are counted and stamped, every cell copied; see
+    /// Counted family read into scratch: `family = (start, stride, rows,
+    /// len)` lands in scratch rows `scratch_stride` apart from
+    /// `scratch_off`, in reverse row order when `rev`, in one accounting
+    /// envelope. Every cell is counted with no selection, else only the
+    /// cells `sel` selects, every cell copied; see
     /// [`GlobalBuffer::read_window_into`] for the window contract the
-    /// caller keeps. With no selection, the plain family.
+    /// caller keeps.
     #[inline(always)]
     pub fn read_window_to_scratch(
         &mut self,
@@ -275,17 +152,23 @@ impl<'a> BlockCtx<'a> {
         (scratch_off, scratch_stride): (usize, usize),
         rev: bool,
     ) {
-        let (ep, (start, stride, rows, len)) = (self.epoch(), family);
-        let (t, out) = (&mut self.tally, &mut self.scratch[scratch_off..]);
+        let (ep, t, out) = (
+            self.epoch(),
+            &mut self.tally,
+            &mut self.scratch[scratch_off..],
+        );
+        // Each arm inlines the family body with its variant known, so a
+        // run-time selection is branched on once per family, not in every
+        // span's passes (4–6 % of the 3D MR-P step, whose one-run rows pass
+        // a run-time `None`).
         match sel {
-            Some(sel) => buf.read_window_into(t, ep, family, sel, out, scratch_stride, rev),
-            None => buf.read_spans_into(t, ep, start, stride, rows, len, out, scratch_stride, rev),
+            None => buf.read_window_into(t, ep, family, None, out, scratch_stride, rev),
+            Some(s) => buf.read_window_into(t, ep, family, Some(s), out, scratch_stride, rev),
         }
     }
 
-    /// Window-write mirror of [`BlockCtx::read_window_to_scratch`]: only
-    /// the selected cells are written; see
-    /// [`GlobalBuffer::write_window_from`].
+    /// Family-write mirror of [`BlockCtx::read_window_to_scratch`]: only
+    /// the used cells are written; see [`GlobalBuffer::write_window_from`].
     #[inline(always)]
     pub fn write_window_from_scratch(
         &mut self,
@@ -295,11 +178,10 @@ impl<'a> BlockCtx<'a> {
         (scratch_off, scratch_stride): (usize, usize),
         rev: bool,
     ) {
-        let (ep, (start, stride, rows, len)) = (self.epoch(), family);
-        let (t, src) = (&mut self.tally, &self.scratch[scratch_off..]);
+        let (ep, t, src) = (self.epoch(), &mut self.tally, &self.scratch[scratch_off..]);
         match sel {
-            Some(sel) => buf.write_window_from(t, ep, family, sel, src, scratch_stride, rev),
-            None => buf.write_spans_from(t, ep, start, stride, rows, len, src, scratch_stride, rev),
+            None => buf.write_window_from(t, ep, family, None, src, scratch_stride, rev),
+            Some(s) => buf.write_window_from(t, ep, family, Some(s), src, scratch_stride, rev),
         }
     }
 

@@ -238,13 +238,13 @@ fn set_bits(mut m: u64) -> impl Iterator<Item = usize> {
     })
 }
 
-/// Which cells of a window a counted window access
+/// Which cells of each span a counted family
 /// ([`GlobalBuffer::read_window_into`], [`GlobalBuffer::write_window_from`])
-/// selects: window cell `k` is selected iff bit `at + k` of `bits` is set,
-/// bit `j` being bit `j % 64` of word `j / 64`. Bits past the end of `bits`
-/// read as unselected. A walker keeps one bit string per footprint row, a
-/// set bit per fluid position, and windows it from the row position where
-/// the window starts.
+/// uses, when not all of them: span cell `k` is selected iff bit `at + k`
+/// of `bits` is set, bit `j` being bit `j % 64` of word `j / 64`. Bits past
+/// the end of `bits` read as unselected. A walker keeps one bit string per
+/// footprint row, a set bit per fluid position, and windows it from the
+/// row position where the family's spans start.
 #[derive(Copy, Clone, Debug)]
 pub struct Selection<'a> {
     pub bits: &'a [u64],
@@ -284,6 +284,25 @@ impl<'a> Selection<'a> {
             .map(|(.., m)| m.count_ones() as u64)
             .sum()
     }
+
+    /// `f` on each selected cell among the first `len` of the window, in
+    /// order: two plain loops, which stay inline where a flattened
+    /// iterator's fold compiled to an out-of-line call.
+    #[inline(always)]
+    fn each_cell(self, len: usize, mut f: impl FnMut(usize)) {
+        for (k, _, m) in self.segments(len) {
+            for l in set_bits(m) {
+                f(k + l)
+            }
+        }
+    }
+}
+
+/// Cells of a `len`-cell span that a family with selection `sel` uses: all
+/// of them with none.
+#[inline(always)]
+fn used(sel: Option<Selection<'_>>, len: usize) -> u64 {
+    sel.map_or(len as u64, |sel| sel.count(len))
 }
 
 /// The touch model's exclusive pass over the selected stamps of a window:
@@ -502,79 +521,91 @@ impl<T: Element> GlobalBuffer<T> {
         }
         tally.writes += 1;
         tally.bytes_written += std::mem::size_of::<T>() as u64;
-        let mut value = value;
+        self.commit(i, value);
+    }
+
+    /// Store `v` into cell `i` through the fault plan, if one is attached:
+    /// a counted write of one cell.
+    #[inline(always)]
+    fn commit(&self, i: usize, mut v: T) {
         if let Some(p) = &self.faults {
-            p.corrupt(i, &mut value);
+            p.corrupt(i, &mut v);
         }
-        self.store(i, value);
+        self.store(i, v);
     }
 
     /// Bulk-counted read of `out.len()` consecutive cells starting at
-    /// `start`.
-    ///
-    /// Byte-identical accounting to `out.len()` element-wise [`read`]s:
-    /// bounds are validated once for the whole span, `reads`/`bytes_read`
-    /// are bumped in one addition, race checks happen per element, L2
-    /// touches per element under a pooled launch and in one packed pass
-    /// under an exclusive one (the same per-cell state machine), and the
-    /// data moves with [`copy_short`] over the contiguous cell slab.
-    ///
-    /// [`read`]: GlobalBuffer::read
+    /// `start`: the one-span family of [`GlobalBuffer::read_window_into`]
+    /// with every cell used, so its accounting is byte-identical to
+    /// `out.len()` element-wise [`GlobalBuffer::read`]s.
     #[inline(always)]
     pub fn read_span(&self, tally: &mut Tally, epoch: Epoch, start: usize, out: &mut [T]) {
         let len = out.len();
-        if len == 0 {
-            return;
-        }
-        assert!(
-            len <= self.cells.len() && start <= self.cells.len() - len,
-            "global read span out of bounds: {start}..{}",
-            start + len
-        );
-        if let Some(rc) = &self.race {
-            Self::race_check(rc, epoch, false, (start, len, 1, len), None);
-        }
-        let dram = self.first_touches(epoch, start, len);
-        Self::count_reads(tally, len as u64, dram);
-        self.load_span(start, out);
+        self.read_window_into(tally, epoch, (start, len, 1, len), None, out, len, false)
     }
 
     /// Bulk-counted write of `src.len()` consecutive cells starting at
-    /// `start`. Accounting mirror of [`GlobalBuffer::read_span`].
+    /// `start`: the one-span family of [`GlobalBuffer::write_window_from`].
     #[inline(always)]
     pub fn write_span(&self, tally: &mut Tally, epoch: Epoch, start: usize, src: &[T]) {
         let len = src.len();
-        if len == 0 {
-            return;
-        }
-        assert!(
-            len <= self.cells.len() && start <= self.cells.len() - len,
-            "global write span out of bounds: {start}..{}",
-            start + len
-        );
-        if let Some(rc) = &self.race {
-            Self::race_check(rc, epoch, true, (start, len, 1, len), None);
-        }
-        tally.writes += len as u64;
-        tally.bytes_written += std::mem::size_of::<T>() as u64 * len as u64;
-        self.store_row(start, src);
+        self.write_window_from(tally, epoch, (start, len, 1, len), None, src, len, false)
     }
 
-    /// Cells of `start..start + len` whose read is this launch's first touch
-    /// (DRAM reads under the L2 model; all of them without touch tracking).
-    /// An exclusive epoch stamps the span in one packed pass; a pooled one
-    /// swaps cell by cell, because another block may stamp the same cells.
+    /// Bulk-counted read of `rows` equal-length spans at a fixed stride,
+    /// packed back to back into `out`: the family of
+    /// [`GlobalBuffer::read_window_into`] with every cell used.
+    #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    fn first_touches(&self, epoch: Epoch, start: usize, len: usize) -> u64 {
-        match &self.touch {
-            Some(touch) if epoch.exclusive => {
-                Self::stamp_exclusive(&touch[start..start + len], epoch)
-            }
-            Some(touch) => touch[start..start + len]
+    pub fn read_spans(
+        &self,
+        tally: &mut Tally,
+        epoch: Epoch,
+        start: usize,
+        stride: usize,
+        rows: usize,
+        len: usize,
+        out: &mut [T],
+    ) {
+        debug_assert_eq!(out.len(), rows * len);
+        let family = (start, stride, rows, len);
+        self.read_window_into(tally, epoch, family, None, out, len, false)
+    }
+
+    /// Cells of `start..start + len` — of those `sel` selects, if given —
+    /// whose read is this launch's first touch (DRAM reads under the L2
+    /// model; all of them without touch tracking). The one place the touch
+    /// model meets a span: an exclusive epoch stamps it in one packed pass,
+    /// masked under a selection; a pooled one swaps cell by cell, because
+    /// another block may stamp the same cells.
+    #[inline(always)]
+    fn first_touches(
+        &self,
+        epoch: Epoch,
+        start: usize,
+        len: usize,
+        sel: Option<Selection<'_>>,
+    ) -> u64 {
+        let Some(touch) = &self.touch else {
+            return used(sel, len);
+        };
+        let stamps = &touch[start..start + len];
+        match sel {
+            None if epoch.exclusive => Self::stamp_exclusive(stamps, epoch),
+            None => stamps
                 .iter()
                 .filter(|t| Self::touch_is_dram(t, epoch))
                 .count() as u64,
-            None => len as u64,
+            Some(sel) if epoch.exclusive => Self::exclusive_stamps(stamps, epoch, |stamps| {
+                stamp_selected(stamps, epoch.launch, sel)
+            }),
+            Some(sel) => {
+                let mut dram = 0;
+                sel.each_cell(len, |k| {
+                    dram += u64::from(Self::touch_is_dram(&stamps[k], epoch))
+                });
+                dram
+            }
         }
     }
 
@@ -592,7 +623,7 @@ impl<T: Element> GlobalBuffer<T> {
 
     /// `pass` over a plain `u32` view of `stamps` under an
     /// [`Epoch::exclusive`] epoch — the view both packed stamp passes
-    /// (a span's and a window's selected cells) take.
+    /// (a span's and a selection's) take.
     #[inline(always)]
     fn exclusive_stamps<R>(
         stamps: &[AtomicU32],
@@ -626,159 +657,42 @@ impl<T: Element> GlobalBuffer<T> {
         (start, stride, rows, len): (usize, usize, usize, usize),
         sel: Option<Selection<'_>>,
     ) {
-        let cells: Vec<usize> = match sel {
-            Some(sel) => sel
-                .segments(len)
-                .flat_map(|(k, _, m)| set_bits(m).map(move |l| k + l))
-                .collect(),
-            None => (0..len).collect(),
-        };
-        for r in 0..rows {
-            let s = start + r * stride;
-            for i in cells.iter().map(|k| s + k) {
-                if write {
-                    rc.on_write(epoch, i)
-                } else {
-                    rc.on_read(epoch, i)
-                }
+        for s in (0..rows).map(|r| start + r * stride) {
+            let record = |k: usize| match write {
+                true => rc.on_write(epoch, s + k),
+                false => rc.on_read(epoch, s + k),
+            };
+            match sel {
+                Some(sel) => sel.each_cell(len, record),
+                None => (0..len).for_each(record),
             }
         }
     }
 
-    /// Tally `n` counted reads, `dram` of them from DRAM, the rest L2 hits.
-    #[inline(always)]
-    fn count_reads(tally: &mut Tally, n: u64, dram: u64) {
-        let sz = std::mem::size_of::<T>() as u64;
-        tally.reads += n;
-        tally.bytes_read += sz * n;
-        tally.dram_bytes_read += sz * dram;
-        tally.l2_read_hits += n - dram;
-    }
-
-    /// Store `row` into cells `s..`: element by element through the fault
-    /// plan when one is attached, so each cell can corrupt independently
-    /// (the caller tallies the same either way), else in one span copy.
-    #[inline(always)]
-    fn store_row(&self, s: usize, row: &[T]) {
-        match &self.faults {
-            Some(p) => {
-                for (k, &v) in row.iter().enumerate() {
-                    let mut v = v;
-                    p.corrupt(s + k, &mut v);
-                    self.store(s + k, v);
-                }
-            }
-            None => self.store_span(s, row),
-        }
-    }
-
-    /// Bulk-counted read of `rows` equal-length spans at a fixed stride:
-    /// span `r` covers cells `start + r·stride .. + len` and lands at
-    /// `out[r·len..]`. Accounting is byte-identical to `rows` separate
-    /// [`GlobalBuffer::read_span`] calls, but the per-call envelope — race
-    /// dispatch, touch-table dispatch, tally field updates — is paid once.
-    /// Short strided rows (an SoA moment lattice reads `M` of them per
-    /// lattice row) are dominated by that envelope, not by the bytes.
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    pub fn read_spans(
-        &self,
-        tally: &mut Tally,
-        epoch: Epoch,
-        start: usize,
-        stride: usize,
-        rows: usize,
-        len: usize,
-        out: &mut [T],
-    ) {
-        debug_assert_eq!(out.len(), rows * len);
-        self.read_spans_into(tally, epoch, start, stride, rows, len, out, len, false);
-    }
-
-    /// [`GlobalBuffer::read_spans`] into rows of `out` that are `out_stride`
-    /// apart (`≥ len`) and, when `reversed`, in reverse order: span `r`
-    /// lands at `out[d·out_stride..][..len]` with `d = rows − 1 − r`. One
-    /// envelope for the family either way; a moment lattice whose parity
-    /// twist has reversed its plane order reads its `M` planes with it.
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    pub fn read_spans_into(
-        &self,
-        tally: &mut Tally,
-        epoch: Epoch,
-        start: usize,
-        stride: usize,
-        rows: usize,
-        len: usize,
-        out: &mut [T],
-        out_stride: usize,
-        reversed: bool,
-    ) {
-        if rows == 0 || len == 0 {
-            return;
-        }
-        self.check_family("read", start, stride, rows, len, out.len(), out_stride);
-        if let Some(rc) = &self.race {
-            Self::race_check(rc, epoch, false, (start, stride, rows, len), None);
-        }
-        let mut dram = 0;
-        for r in 0..rows {
-            dram += self.first_touches(epoch, start + r * stride, len);
-        }
-        Self::count_reads(tally, (rows * len) as u64, dram);
-        for r in 0..rows {
-            let d = if reversed { rows - 1 - r } else { r } * out_stride;
-            self.load_span(start + r * stride, &mut out[d..d + len]);
-        }
-    }
-
-    /// Write mirror of [`GlobalBuffer::read_spans_into`]: span `r` of the
-    /// cells takes `src[d·src_stride..][..len]`, `d` as there. Accounting is
-    /// byte-identical to `rows` separate [`GlobalBuffer::write_span`] calls.
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    pub fn write_spans_from(
-        &self,
-        tally: &mut Tally,
-        epoch: Epoch,
-        start: usize,
-        stride: usize,
-        rows: usize,
-        len: usize,
-        src: &[T],
-        src_stride: usize,
-        reversed: bool,
-    ) {
-        if rows == 0 || len == 0 {
-            return;
-        }
-        self.check_family("write", start, stride, rows, len, src.len(), src_stride);
-        if let Some(rc) = &self.race {
-            Self::race_check(rc, epoch, true, (start, stride, rows, len), None);
-        }
-        let total = (rows * len) as u64;
-        tally.writes += total;
-        tally.bytes_written += std::mem::size_of::<T>() as u64 * total;
-        for r in 0..rows {
-            let d = if reversed { rows - 1 - r } else { r } * src_stride;
-            self.store_row(start + r * stride, &src[d..d + len]);
-        }
-    }
-
-    /// A counted **window**: [`GlobalBuffer::read_spans_into`]'s family of
-    /// `rows` spans of `len` cells, of which the kernel uses only the cells
-    /// `sel` selects; the others are a GPU row's predicated-off lanes. Every
-    /// cell of every span is copied to `out`, but only the selected ones
-    /// are counted in the tally, stamped by the touch model (one packed
-    /// masked pass under an exclusive epoch, the per-cell load-then-swap
-    /// under a pooled one), so tallies and stamps are byte-identical to
-    /// element-wise reads of the selected cells alone. One envelope for a
-    /// row of many short runs, where a family per run pays one each.
+    /// The counted family read: `family = (start, stride, rows, len)` is
+    /// `rows` spans of `len` cells, span `r` covering cells
+    /// `start + r·stride ..`, and span `r` lands at `out[d·out_stride..]`
+    /// with `d = r`, or `d = rows − 1 − r` when `reversed` (a moment
+    /// lattice whose parity twist has reversed its plane order reads its
+    /// `M` planes so). Bounds are validated once and nothing is tallied
+    /// before; then one accounting envelope — race dispatch, touch-table
+    /// dispatch, tally updates — for the whole family, and the data moves
+    /// with [`copy_short`] per span. Short strided rows (an SoA lattice
+    /// moves `M` or `Q` of them per row) are dominated by that envelope,
+    /// not by the bytes.
+    ///
+    /// `sel` says which cells the kernel uses: every cell with `None`, else
+    /// the cells of each span that `sel` selects, the others being a GPU
+    /// row's predicated-off lanes. Every cell of every span is copied to
+    /// `out`, but only the used ones are counted in the tally and stamped
+    /// by the touch model (`first_touches`), so tallies and stamps are
+    /// byte-identical to element-wise [`GlobalBuffer::read`]s of the used
+    /// cells alone.
     ///
     /// **Window contract (the caller's obligation).** The unselected cells
     /// are physically read too (the copy in `load_span`): no other block
-    /// may write any cell of the window in this phase. The race checker
-    /// records a read of every cell of the window, so a strict checker
+    /// may write any cell of the family in this phase. The race checker
+    /// records a read of every cell of the family, so a strict checker
     /// proves the contract.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
@@ -787,7 +701,7 @@ impl<T: Element> GlobalBuffer<T> {
         tally: &mut Tally,
         epoch: Epoch,
         (start, stride, rows, len): (usize, usize, usize, usize),
-        sel: Selection<'_>,
+        sel: Option<Selection<'_>>,
         out: &mut [T],
         out_stride: usize,
         reversed: bool,
@@ -801,41 +715,33 @@ impl<T: Element> GlobalBuffer<T> {
         }
         let mut dram = 0;
         for r in 0..rows {
-            let s = start + r * stride;
-            dram += match &self.touch {
-                Some(touch) if epoch.exclusive => {
-                    let stamps = &touch[s..s + len];
-                    Self::exclusive_stamps(stamps, epoch, |st| {
-                        stamp_selected(st, epoch.launch, sel)
-                    })
-                }
-                Some(touch) => {
-                    let mut dram = 0;
-                    for (k, _, m) in sel.segments(len) {
-                        for i in set_bits(m).map(|l| s + k + l) {
-                            dram += u64::from(Self::touch_is_dram(&touch[i], epoch));
-                        }
-                    }
-                    dram
-                }
-                None => sel.count(len),
-            };
+            dram += self.first_touches(epoch, start + r * stride, len, sel);
         }
-        Self::count_reads(tally, rows as u64 * sel.count(len), dram);
+        let (sz, n) = (
+            std::mem::size_of::<T>() as u64,
+            rows as u64 * used(sel, len),
+        );
+        tally.reads += n;
+        tally.bytes_read += sz * n;
+        tally.dram_bytes_read += sz * dram;
+        tally.l2_read_hits += n - dram;
         for r in 0..rows {
             let d = if reversed { rows - 1 - r } else { r } * out_stride;
             self.load_span(start + r * stride, &mut out[d..d + len]);
         }
     }
 
-    /// Write mirror of [`GlobalBuffer::read_window_into`]: the selected
-    /// cells of span `r` take their values from `src[d·src_stride..]`, `d`
-    /// as there, one store per set bit (through the fault plan when one is
-    /// attached); the unselected cells are not touched and keep their
-    /// bytes. Tally, race checks and faults are those of element-wise
-    /// writes of the selected cells alone. A packed read-blend-write of the
-    /// whole window measured slower than these stores: the blend compiled
-    /// to a branch per lane.
+    /// The counted family write, mirror of
+    /// [`GlobalBuffer::read_window_into`]: the used cells of span `r` take
+    /// their values from `src[d·src_stride..]`, `d` as there. With `None`,
+    /// each span is one copy, or a store per cell through the fault plan
+    /// when one is attached, so each cell can corrupt independently. With a
+    /// selection, one store per set bit (through the fault plan, if any),
+    /// and the unselected cells are not touched and keep their bytes. Tally,
+    /// race checks and faults are those of element-wise
+    /// [`GlobalBuffer::write`]s of the used cells alone. A packed
+    /// read-blend-write of a whole window measured slower than the stores
+    /// per set bit: the blend compiled to a branch per lane.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     pub fn write_window_from(
@@ -843,7 +749,7 @@ impl<T: Element> GlobalBuffer<T> {
         tally: &mut Tally,
         epoch: Epoch,
         (start, stride, rows, len): (usize, usize, usize, usize),
-        sel: Selection<'_>,
+        sel: Option<Selection<'_>>,
         src: &[T],
         src_stride: usize,
         reversed: bool,
@@ -853,25 +759,25 @@ impl<T: Element> GlobalBuffer<T> {
         }
         self.check_family("write", start, stride, rows, len, src.len(), src_stride);
         if let Some(rc) = &self.race {
-            Self::race_check(rc, epoch, true, (start, stride, rows, len), Some(sel));
+            Self::race_check(rc, epoch, true, (start, stride, rows, len), sel);
         }
-        let total = rows as u64 * sel.count(len);
-        tally.writes += total;
-        tally.bytes_written += std::mem::size_of::<T>() as u64 * total;
+        let n = rows as u64 * used(sel, len);
+        tally.writes += n;
+        tally.bytes_written += std::mem::size_of::<T>() as u64 * n;
         for r in 0..rows {
             let (s, d) = (
                 start + r * stride,
                 if reversed { rows - 1 - r } else { r } * src_stride,
             );
             let row = &src[d..d + len];
-            for (k, _, m) in sel.segments(len) {
-                for k in set_bits(m).map(|l| k + l) {
-                    let mut v = row[k];
-                    if let Some(p) = &self.faults {
-                        p.corrupt(s + k, &mut v);
+            match sel {
+                None if self.faults.is_none() => self.store_span(s, row),
+                None => {
+                    for (k, &v) in row.iter().enumerate() {
+                        self.commit(s + k, v)
                     }
-                    self.store(s + k, v);
                 }
+                Some(sel) => sel.each_cell(len, |k| self.commit(s + k, row[k])),
             }
         }
     }
@@ -1209,74 +1115,12 @@ mod tests {
         sweep_spans::<u32>();
     }
 
-    /// [`strided_reversed_family_matches_element_ops`] over every shape of
-    /// [`shapes`]: three rows `len + 3` apart (sentinel cells between
-    /// them), host rows `len + 2` apart from slot 1 (sentinel slots around
-    /// them), in order and reversed, read twice and written back from
-    /// other host rows, under a pooled and an exclusive epoch.
-    fn sweep_families<T: Element>() {
-        for (len, off, touch) in shapes() {
-            let (start, stride, rows, hs) = (8 + off, len + 3, 3, len + 2);
-            let family = start..start + (rows - 1) * stride + len;
-            for reversed in [false, true] {
-                let host = |r: usize, k: usize| 1 + [r, rows - 1 - r][reversed as usize] * hs + k;
-                let run = |spans: bool, exclusive: bool| {
-                    let b = cells::<T>(family.end + 8, touch);
-                    let ep = Epoch {
-                        launch: 2,
-                        phase: 0,
-                        block: 0,
-                        exclusive,
-                    };
-                    let mut t = Tally::default();
-                    mix_stamps(&b, &mut t, family.clone(), exclusive);
-                    let n = rows * hs + 2;
-                    let mut out: Vec<T> = (0..n).map(|i| val(1 << 20 | i)).collect();
-                    let src: Vec<T> = (0..n).map(|i| val(1 << 21 | i)).collect();
-                    if spans {
-                        for _ in 0..2 {
-                            let out = &mut out[1..];
-                            b.read_spans_into(
-                                &mut t, ep, start, stride, rows, len, out, hs, reversed,
-                            );
-                        }
-                        let src = &src[1..];
-                        b.write_spans_from(&mut t, ep, start, stride, rows, len, src, hs, reversed);
-                    } else {
-                        for _ in 0..2 {
-                            for r in 0..rows {
-                                for k in 0..len {
-                                    out[host(r, k)] = b.read(&mut t, ep, start + r * stride + k);
-                                }
-                            }
-                        }
-                        for r in 0..rows {
-                            for k in 0..len {
-                                b.write(&mut t, ep, start + r * stride + k, src[host(r, k)]);
-                            }
-                        }
-                    }
-                    trace(&b, t, &out)
-                };
-                let oracle = run(false, false);
-                for (spans, exclusive) in [(false, true), (true, false), (true, true)] {
-                    let what = if spans { "family" } else { "element" };
-                    assert_eq!(
-                        run(spans, exclusive),
-                        oracle,
-                        "{what} ops diverged: {} {rows} rows of {len} at {start}, reversed \
-                         {reversed}, touch {touch}, exclusive {exclusive}",
-                        std::any::type_name::<T>()
-                    );
-                }
-            }
-        }
-    }
-
     /// A strided family moved into rows `out_stride` apart, in reverse row
     /// order, and written back the same way, tallies and lands exactly like
     /// the element-wise loop it stands for — including a repeat read of
-    /// the family (L2 hits) and a fault on one cell of the write.
+    /// the family (L2 hits) and a fault on one cell of the write. Swept over
+    /// every shape, with no selection among the others, in
+    /// [`sweep_windows`].
     #[test]
     fn strided_reversed_family_matches_element_ops() {
         use crate::fault::FaultPlan;
@@ -1292,31 +1136,20 @@ mod tests {
                 .with_fault_plan(Arc::new(plan));
             let (mut t, mut out) = (Tally::default(), [0.0; 12]);
             if spans {
+                let family = (start, stride, rows, len);
                 for _ in 0..2 {
-                    b.read_spans_into(
+                    b.read_window_into(
                         &mut t,
                         ep(0),
-                        start,
-                        stride,
-                        rows,
-                        len,
+                        family,
+                        None,
                         &mut out[1..],
                         out_stride,
                         true,
                     );
                 }
                 out.iter_mut().for_each(|v| *v *= 10.0);
-                b.write_spans_from(
-                    &mut t,
-                    ep(0),
-                    start,
-                    stride,
-                    rows,
-                    len,
-                    &out[1..],
-                    out_stride,
-                    true,
-                );
+                b.write_window_from(&mut t, ep(0), family, None, &out[1..], out_stride, true);
             } else {
                 for _ in 0..2 {
                     for r in 0..rows {
@@ -1349,19 +1182,19 @@ mod tests {
             -90.0,
             "the fault hit cell 9's write"
         );
-        sweep_families::<f64>();
-        sweep_families::<u32>();
     }
 
-    /// The selections the window sweep covers, as bit strings long enough
-    /// for any window of [`shapes`] at a bit offset below 8: none, all,
-    /// alternating, and eight seeded random ones.
-    fn selections() -> Vec<Vec<u64>> {
+    /// The selections the family sweep covers, as bit strings long enough
+    /// for any span of [`shapes`] at a bit offset below 8: no selection
+    /// (every cell used), then an empty, a full and an alternating one, and
+    /// eight seeded random ones.
+    fn selections() -> Vec<Option<Vec<u64>>> {
         let words = 3;
         let mut sels = vec![
-            vec![0; words],
-            vec![!0; words],
-            vec![0x5555_5555_5555_5555; words],
+            None,
+            Some(vec![0; words]),
+            Some(vec![!0; words]),
+            Some(vec![0x5555_5555_5555_5555; words]),
         ];
         for seed in 1..=8u64 {
             let word = |w: u64| {
@@ -1369,29 +1202,32 @@ mod tests {
                     .wrapping_mul(0x9e37_79b9_7f4a_7c15)
                     .rotate_left(29)
             };
-            sels.push((0..words as u64).map(word).collect());
+            sels.push(Some((0..words as u64).map(word).collect()));
         }
         sels
     }
 
-    /// Window reads and writes against the element-wise oracle over the
-    /// selected cells: three rows `len + 3` apart, host rows `len + 2`
-    /// apart from slot 1, in order and reversed, for every shape of
-    /// [`shapes`] and every selection of [`selections`] (its bit offset the
-    /// start offset), read twice and written back from other host rows,
-    /// under a pooled and an exclusive epoch. The oracle reads and writes
-    /// only the selected cells and copies the unselected ones uncounted
-    /// (`get`): so the tally, the stamps, the host rows and every cell —
-    /// unselected cells and the sentinels around the window included —
-    /// must come out the same.
+    /// Family reads and writes against the element-wise oracle over the
+    /// used cells: three rows `len + 3` apart (sentinel cells between them),
+    /// host rows `len + 2` apart from slot 1 (sentinel slots around them),
+    /// in order and reversed, for every shape of [`shapes`] and every
+    /// selection of [`selections`] (its bit offset the start offset), read
+    /// twice and written back from other host rows, under a pooled and an
+    /// exclusive epoch. The oracle reads and writes only the used cells and
+    /// copies the unselected ones uncounted (`get`): so the tally, the
+    /// stamps, the host rows and every cell — unselected cells and the
+    /// sentinels around the family included — must come out the same.
     fn sweep_windows<T: Element>() {
         let sels = selections();
         for (len, off, touch) in shapes() {
             let (start, stride, rows, hs) = (8 + off, len + 3, 3, len + 2);
             let family = start..start + (rows - 1) * stride + len;
             for (bits, reversed) in sels.iter().flat_map(|b| [(b, false), (b, true)]) {
-                let sel = Selection { bits, at: off };
-                let on = |k: usize| (bits[(off + k) / 64] >> ((off + k) % 64)) & 1 != 0;
+                let sel = bits.as_deref().map(|bits| Selection { bits, at: off });
+                let on = |k: usize| {
+                    bits.as_ref()
+                        .is_none_or(|bits| (bits[(off + k) / 64] >> ((off + k) % 64)) & 1 != 0)
+                };
                 let host = |r: usize, k: usize| 1 + [r, rows - 1 - r][reversed as usize] * hs + k;
                 let run = |window: bool, exclusive: bool| {
                     let b = cells::<T>(family.end + 8, touch);
@@ -1432,15 +1268,16 @@ mod tests {
                     trace(&b, t, &out)
                 };
                 let oracle = run(false, false);
-                assert_eq!(oracle.0.writes, rows as u64 * sel.count(len));
+                assert_eq!(oracle.0.writes, rows as u64 * used(sel, len));
                 for exclusive in [false, true] {
                     assert_eq!(
                         run(true, exclusive),
                         oracle,
-                        "window ops diverged: {} {rows} rows of {len} at {start}, selection {:x} \
-                         at bit {off}, reversed {reversed}, touch {touch}, exclusive {exclusive}",
+                        "family ops diverged: {} {rows} rows of {len} at {start}, selection \
+                         {:x?} at bit {off}, reversed {reversed}, touch {touch}, exclusive \
+                         {exclusive}",
                         std::any::type_name::<T>(),
-                        bits[0]
+                        bits.as_ref().map(|b| b[0])
                     );
                 }
             }
@@ -1467,10 +1304,10 @@ mod tests {
             .with_touch_tracking()
             .with_fault_plan(plan.clone());
         let (mut t, mut out) = (Tally::default(), [0.0; 5]);
-        b.read_window_into(&mut t, ep(0), (2, 0, 1, 5), sel, &mut out, 5, false);
+        b.read_window_into(&mut t, ep(0), (2, 0, 1, 5), Some(sel), &mut out, 5, false);
         assert_eq!(out, [2.0, 3.0, 4.0, 5.0, 6.0], "every cell is copied");
         out.iter_mut().for_each(|v| *v *= 10.0);
-        b.write_window_from(&mut t, ep(0), (2, 0, 1, 5), sel, &out, 5, false);
+        b.write_window_from(&mut t, ep(0), (2, 0, 1, 5), Some(sel), &out, 5, false);
         assert_eq!(b.snapshot(), [0., 1., 20., 3., -40., 50., 6., 7., 8., 9.]);
         assert_eq!((t.reads, t.dram_bytes_read, t.writes), (3, 24, 3));
         assert_eq!(plan.mem_faults_fired(), 1);
@@ -1488,7 +1325,7 @@ mod tests {
         let b: GlobalBuffer<f64> = GlobalBuffer::new(16).with_racecheck();
         let mut t = Tally::default();
         let (cell0, cell3, mut out) = ([0b1u64], [0b1000u64], [0.0; 4]);
-        let sel = |bits| Selection { bits, at: 0 };
+        let sel = |bits| Some(Selection { bits, at: 0 });
         // Block 1's window over cells 0..4 writes cell 3 alone, so block
         // 0's window over the same cells, selecting cell 0, races on 3.
         b.write_window_from(

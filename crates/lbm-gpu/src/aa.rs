@@ -140,15 +140,14 @@ impl<L: Lattice, C: Collision<L>> Kernel for AaCollideKernel<'_, L, C> {
         let (walk, a) = (&self.walk, self.a);
         let (n, bs) = (walk.geom.len(), walk.block_size);
         walk.for_each_run(ctx.block_id, |stid, sidx, len| {
-            for i in 0..L::Q {
-                ctx.read_span_to_scratch(a, i * n + sidx, i * bs + stid, len);
-            }
+            ctx.read_window_to_scratch(a, (sidx, n, L::Q, len), None, (stid, bs), false);
             walk.collide_run(ctx.scratch(), stid, len);
             // All Q rows of the run were read above, so the reversed-slot
             // flush only overwrites cells this run's own nodes already
-            // consumed.
+            // consumed. `OPP` is not a stride: one row per direction.
             for i in 0..L::Q {
-                ctx.write_span_from_scratch(a, L::OPP[i] * n + sidx, i * bs + stid, len);
+                let row = (L::OPP[i] * n + sidx, n, 1, len);
+                ctx.write_window_from_scratch(a, row, None, (i * bs + stid, len), false);
             }
         });
     }

@@ -243,10 +243,10 @@ impl<L: Lattice> SparseMrKernel<'_, L> {
         // `M·8 + Q·4` read + `M·8` written per fluid node). The tile is one
         // strided family of `M` rows, and each halo node one of `M` single
         // cells: one accounting envelope per family, not per cell.
-        ctx.read_spans_to_scratch(self.src, lo, nf, L::M, len, tail, n, false);
+        ctx.read_window_to_scratch(self.src, (lo, nf, L::M, len), None, (tail, n), false);
         for (k, &p) in halo.iter().enumerate() {
-            let at = tail + len + k;
-            ctx.read_spans_to_scratch(self.src, p as usize, nf, L::M, 1, at, n, false);
+            let (node, at) = ((p as usize, nf, L::M, 1), tail + len + k);
+            ctx.read_window_to_scratch(self.src, node, None, (at, n), false);
         }
 
         // Step 2: post-collision populations of all n nodes → shared.
@@ -301,13 +301,12 @@ impl<L: Lattice> PhasedKernel for SparseMrKernel<'_, L> {
             if phase == 0 {
                 self.update_tile(b, stage, (&mut links, &mut f), ctx);
             } else {
-                // Write-back, one span per moment and run of active ids.
+                // Write-back, one family of `M` spans per run of active ids.
                 for run in tile.active_runs() {
                     let cid = tile.active[run.start] as usize;
-                    for m in 0..L::M {
-                        let from = stage + m * alen + run.start;
-                        ctx.write_span_from_scratch(self.dst, m * nf + cid, from, run.len());
-                    }
+                    let family = (cid, nf, L::M, run.len());
+                    let from = (stage + run.start, alen);
+                    ctx.write_window_from_scratch(self.dst, family, None, from, false);
                 }
             }
             stage += L::M * alen;

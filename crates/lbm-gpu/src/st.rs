@@ -207,10 +207,10 @@ impl<'a, L: Lattice, C: Collision<L>> NodeWalk<'a, L, C> {
 }
 
 /// Pull + collide over a span (Algorithm 1): per run of consecutive fluid
-/// nodes, [`NodeWalk::stage_run`], then flush `Q` per-direction
-/// [`BlockCtx::write_span_from_scratch`] spans. Same cells, same read
-/// order, same values, same per-element race checks as the element-wise
-/// path — only the arithmetic is batched across the run and the store loop
+/// nodes, [`NodeWalk::stage_run`], then flush its `Q` direction rows as one
+/// counted family ([`BlockCtx::write_window_from_scratch`]). Same cells,
+/// same read order, same values, same per-element race checks as the
+/// element-wise path — only the arithmetic is batched across the run and the store loop
 /// across the span, so tallies are byte-identical (see `DESIGN.md`,
 /// "Executor" and "Vectorized kernels"). Columns outside the span are read
 /// (time t) but never written, and per-node arithmetic does not depend on
@@ -236,9 +236,7 @@ impl<L: Lattice, C: Collision<L>> Kernel for StKernel<'_, L, C> {
         let (n, bs) = (walk.geom.len(), walk.block_size);
         walk.for_each_run(ctx.block_id, |stid, sidx, len| {
             walk.stage_run(ctx, self.src, |i| i, (stid, sidx, len));
-            for i in 0..L::Q {
-                ctx.write_span_from_scratch(dst, i * n + sidx, i * bs + stid, len);
-            }
+            ctx.write_window_from_scratch(dst, (sidx, n, L::Q, len), None, (stid, bs), false);
         });
     }
 }
