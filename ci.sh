@@ -20,8 +20,8 @@ echo "== non-test lines per crate (lines before the first #[cfg(test)] mod of ev
 # when a PR lands below it; raise one only with a sentence in CHANGES.md
 # saying what the lines bought. A `#[cfg(test)]` on anything but a `mod` (a
 # test-only helper method) does not end the count.
-DRIVER_LINES_MAX=6715
-SUBSTRATE_LINES_MAX=3597
+DRIVER_LINES_MAX=6677
+SUBSTRATE_LINES_MAX=3323
 driver_lines=0
 substrate_lines=0
 for crate in crates/*/; do

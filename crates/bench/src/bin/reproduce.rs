@@ -391,7 +391,7 @@ fn profile(quick: bool) {
     use lbm_core::collision::Bgk;
     use lbm_gpu::{MrScheme, MrSim2D, MrSim3D, StSim};
     use lbm_lattice::{D2Q9, D3Q19};
-    let prof = std::sync::Arc::new(gpu_sim::profiler::Profiler::new());
+    let hub = obs::Obs::shared();
     let (n2, n3) = if quick {
         ((48, 24), (16, 12, 12))
     } else {
@@ -402,7 +402,7 @@ fn profile(quick: bool) {
         Geometry::channel_2d(n2.0, n2.1, 0.04),
         Bgk::new(TAU),
     )
-    .with_profiler(prof.clone());
+    .with_obs(hub.clone());
     st.run(2);
     let mut mr: MrSim2D<D2Q9> = MrSim2D::new(
         DeviceSpec::v100(),
@@ -410,7 +410,7 @@ fn profile(quick: bool) {
         MrScheme::projective(),
         TAU,
     )
-    .with_profiler(prof.clone());
+    .with_obs(hub.clone());
     mr.run(2);
     let mut mr3: MrSim3D<D3Q19> = MrSim3D::new(
         DeviceSpec::v100(),
@@ -418,9 +418,43 @@ fn profile(quick: bool) {
         MrScheme::recursive::<D3Q19>(),
         TAU,
     )
-    .with_profiler(prof.clone());
+    .with_obs(hub.clone());
     mr3.run(2);
-    print!("{}", prof.report());
+    // One row per kernel the hub saw launched, read from its counters.
+    println!(
+        "{:<24} {:>8} {:>14} {:>14} {:>14} {:>12}",
+        "kernel", "launches", "bytes read", "bytes written", "DRAM bytes", "L2 read hits"
+    );
+    let m = &hub.metrics;
+    for (key, _) in m.snapshot().iter().filter(|(k, _)| k.name == "launches") {
+        let labels: Vec<(&str, &str)> = key
+            .labels
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.as_str()))
+            .collect();
+        let kernel = labels
+            .iter()
+            .find(|(k, _)| *k == "kernel")
+            .map_or("", |l| l.1);
+        let c = |name| m.counter(name, &labels).unwrap_or(0);
+        println!(
+            "{:<24} {:>8} {:>14} {:>14} {:>14} {:>12}",
+            kernel,
+            c("launches"),
+            c("bytes_read"),
+            c("bytes_written"),
+            c("dram_bytes"),
+            c("l2_read_hits")
+        );
+    }
+    // Table 2's quantity: DRAM bytes per fluid lattice update, per driver.
+    for (driver, bpf) in [
+        ("ST D2Q9", st.measured_bpf()),
+        ("MR-P D2Q9", mr.measured_bpf()),
+        ("MR-R D3Q19", mr3.measured_bpf()),
+    ] {
+        println!("{driver:<24} B/F {bpf:.1}");
+    }
     use lbm_core::Geometry;
     println!();
 }
@@ -758,29 +792,39 @@ fn scaling(quick: bool) {
     println!();
 }
 
-/// Assert one ideal-pattern run hit Table 2's B/F byte-exactly and its
-/// monitor saw no violations, then publish the profile into the hub and
-/// record a BENCH row.
-#[allow(clippy::too_many_arguments)]
-fn record_ideal_run(
+/// One ideal-pattern run on the shared hub, traced, metered and
+/// monitor-verified: Table 2's B/F must come out byte-exact both from the
+/// driver's ledger and through the registry — the change in the hub's
+/// `dram_bytes` counter of `kernel` over the run, per fluid update (runs
+/// share the hub and some share a kernel name, hence the difference) — and
+/// the run records a BENCH row.
+fn ideal_run<B: lbm_gpu::DriverBody<Dev = gpu_sim::Gpu>>(
     hub: &Arc<obs::Obs>,
     rec: &mut obs::BenchRecord,
-    prof: &gpu_sim::profiler::Profiler,
-    monitor: &obs::PhysicsMonitor,
-    pattern: &'static str,
-    lattice: &'static str,
-    kernel: &'static str,
-    ideal_bpf: f64,
-    bpf: f64,
-    l2_hit_rate: f64,
-    fluid_nodes: usize,
+    sim: lbm_gpu::Sim<B>,
+    init: fn(usize, usize, usize) -> (f64, [f64; 3]),
     steps: u64,
+    (pattern, lattice, kernel): (&str, &str, &str),
+    ideal_bpf: f64,
 ) {
+    use lbm_core::Simulation as _;
     let dev = DeviceSpec::v100();
+    let labels = [("kernel", kernel), ("device", dev.name)];
+    let dram = || hub.metrics.counter("dram_bytes", &labels).unwrap_or(0);
+    let before = dram();
+    let mut sim = sim.with_obs(hub.clone()).with_monitor(obs::MonitorConfig {
+        cadence: 1,
+        ..Default::default()
+    });
+    sim.init_with(init);
+    sim.run(steps as usize);
+    let fluid = sim.fluid_nodes() as u64;
+    let bpf = sim.measured_bpf();
     assert!(
         (bpf - ideal_bpf).abs() < 1e-9,
         "{pattern}/{lattice}: measured B/F {bpf} != Table 2 ideal {ideal_bpf}"
     );
+    let monitor = sim.monitor().unwrap();
     assert!(
         monitor.is_ok(),
         "{pattern}/{lattice} monitor violations: {:?}",
@@ -791,39 +835,20 @@ fn record_ideal_run(
         "{pattern}/{lattice} mass drift {}",
         monitor.mass_drift()
     );
-    prof.publish(
-        &hub.metrics,
-        &[
-            ("pattern", pattern),
-            ("lattice", lattice),
-            ("device", dev.name),
-        ],
-    );
-    let per_kernel = hub
-        .metrics
-        .gauge(
-            "profile_dram_bytes_per_item",
-            &[
-                ("kernel", kernel),
-                ("pattern", pattern),
-                ("lattice", lattice),
-                ("device", dev.name),
-            ],
-        )
-        .expect("bulk kernel profile gauge");
+    let per_update = (dram() - before) as f64 / (fluid * steps) as f64;
     assert!(
-        (per_kernel - ideal_bpf).abs() < 1e-9,
-        "{kernel} per-kernel B/item {per_kernel} != ideal {ideal_bpf}"
+        (per_update - ideal_bpf).abs() < 1e-9,
+        "{kernel} hub dram_bytes per update {per_update} != ideal {ideal_bpf}"
     );
     rec.push(obs::BenchRow {
         device: dev.name.to_string(),
         lattice: lattice.to_string(),
         pattern: pattern.to_string(),
-        fluid_nodes: fluid_nodes as u64,
+        fluid_nodes: fluid,
         steps,
         mflups_modeled: mflups_max_on(&dev, bpf),
         dram_bytes_per_item: bpf,
-        l2_hit_rate,
+        l2_hit_rate: sim.traffic().l2_hit_rate(),
         halo_bytes_per_step: 0,
         overlap_efficiency: 0.0,
     });
@@ -831,84 +856,41 @@ fn record_ideal_run(
 
 /// Ideal-pattern observability runs: geometries where Table 2's B/F is
 /// byte-exact on the substrate (periodic boxes for ST, wall-bounded bench
-/// domains for MR), each traced, metered, and monitor-verified.
+/// domains for MR).
 fn obs_pass(hub: &Arc<obs::Obs>, rec: &mut obs::BenchRecord) {
-    use gpu_sim::profiler::Profiler;
     use lbm_bench::{bench_geometry_2d, bench_geometry_3d, TAU};
     use lbm_core::collision::Bgk;
     use lbm_core::Geometry;
     use lbm_gpu::{MrScheme, MrSim2D, MrSim3D, StSim};
     use lbm_lattice::{D2Q9, D3Q19};
     let dev = DeviceSpec::v100();
-    let cfg = obs::MonitorConfig {
-        cadence: 1,
-        ..Default::default()
-    };
-
-    {
-        let prof = Arc::new(Profiler::new());
-        let geom = Geometry::periodic_2d(32, 16);
-        let fluid = geom.fluid_count();
-        let mut sim: StSim<D2Q9, _> = StSim::new(dev.clone(), geom, Bgk::new(TAU))
-            .with_profiler(prof.clone())
-            .with_obs(hub.clone())
-            .with_monitor(cfg);
-        sim.init_with(init_2d);
-        sim.run(3);
-        let (bpf, l2) = (sim.measured_bpf(), sim.traffic().l2_hit_rate());
-        let mon = sim.monitor().unwrap();
-        record_ideal_run(
-            hub, rec, &prof, mon, "st", "D2Q9", "st-bulk", 144.0, bpf, l2, fluid, 3,
-        );
-    }
-    {
-        let prof = Arc::new(Profiler::new());
-        let geom = Geometry::periodic_3d(12, 8, 8);
-        let fluid = geom.fluid_count();
-        let mut sim: StSim<D3Q19, _> = StSim::new(dev.clone(), geom, Bgk::new(TAU))
-            .with_profiler(prof.clone())
-            .with_obs(hub.clone())
-            .with_monitor(cfg);
-        sim.init_with(init_3d);
-        sim.run(2);
-        let (bpf, l2) = (sim.measured_bpf(), sim.traffic().l2_hit_rate());
-        let mon = sim.monitor().unwrap();
-        record_ideal_run(
-            hub, rec, &prof, mon, "st", "D3Q19", "st-bulk", 304.0, bpf, l2, fluid, 2,
-        );
-    }
-    {
-        let prof = Arc::new(Profiler::new());
-        let geom = bench_geometry_2d(32, 16);
-        let fluid = geom.fluid_count();
-        let mut sim: MrSim2D<D2Q9> = MrSim2D::new(dev.clone(), geom, MrScheme::projective(), TAU)
-            .with_profiler(prof.clone())
-            .with_obs(hub.clone())
-            .with_monitor(cfg);
-        sim.init_with(init_2d);
-        sim.run(3);
-        let (bpf, l2) = (sim.measured_bpf(), sim.traffic().l2_hit_rate());
-        let mon = sim.monitor().unwrap();
-        record_ideal_run(
-            hub, rec, &prof, mon, "mr-p", "D2Q9", "mr2d-p", 96.0, bpf, l2, fluid, 3,
-        );
-    }
-    {
-        let prof = Arc::new(Profiler::new());
-        let geom = bench_geometry_3d(12, 12, 10);
-        let fluid = geom.fluid_count();
-        let mut sim: MrSim3D<D3Q19> = MrSim3D::new(dev.clone(), geom, MrScheme::projective(), TAU)
-            .with_profiler(prof.clone())
-            .with_obs(hub.clone())
-            .with_monitor(cfg);
-        sim.init_with(init_3d);
-        sim.run(2);
-        let (bpf, l2) = (sim.measured_bpf(), sim.traffic().l2_hit_rate());
-        let mon = sim.monitor().unwrap();
-        record_ideal_run(
-            hub, rec, &prof, mon, "mr-p", "D3Q19", "mr3d-p", 160.0, bpf, l2, fluid, 2,
-        );
-    }
+    let st2: StSim<D2Q9, _> = StSim::new(dev.clone(), Geometry::periodic_2d(32, 16), Bgk::new(TAU));
+    ideal_run(hub, rec, st2, init_2d, 3, ("st", "D2Q9", "st-bulk"), 144.0);
+    let st3: StSim<D3Q19, _> =
+        StSim::new(dev.clone(), Geometry::periodic_3d(12, 8, 8), Bgk::new(TAU));
+    ideal_run(hub, rec, st3, init_3d, 2, ("st", "D3Q19", "st-bulk"), 304.0);
+    let mr2 = MrSim2D::<D2Q9>::new(
+        dev.clone(),
+        bench_geometry_2d(32, 16),
+        MrScheme::projective(),
+        TAU,
+    );
+    ideal_run(hub, rec, mr2, init_2d, 3, ("mr-p", "D2Q9", "mr2d-p"), 96.0);
+    let mr3 = MrSim3D::<D3Q19>::new(
+        dev,
+        bench_geometry_3d(12, 12, 10),
+        MrScheme::projective(),
+        TAU,
+    );
+    ideal_run(
+        hub,
+        rec,
+        mr3,
+        init_3d,
+        2,
+        ("mr-p", "D3Q19", "mr3d-p"),
+        160.0,
+    );
 }
 
 /// A multi-device ScaleRow as a BENCH row (halo traffic + overlap columns).

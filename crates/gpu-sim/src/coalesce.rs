@@ -4,9 +4,9 @@
 //! (32 bytes on the architectures considered). A fully coalesced request by
 //! a 32-lane warp reading consecutive `f64`s touches 8 sectors and uses
 //! every byte; a strided or scattered pattern touches more sectors than it
-//! uses bytes. This module quantifies that, standing in for the profiler
-//! counters (nvvp/nsight/rocprof) the paper cites, and backs the SoA-vs-AoS
-//! ablation bench.
+//! uses bytes. This module quantifies that — the access-pattern half of the
+//! nvvp/nsight/rocprof counters the paper cites, whose byte half is the obs
+//! hub's per-kernel counters — and backs the SoA-vs-AoS ablation bench.
 
 /// Sector size used by the memory system model.
 pub const SECTOR_BYTES: u64 = 32;

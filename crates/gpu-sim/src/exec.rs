@@ -67,24 +67,9 @@ impl Launch {
 /// Aggregated statistics of one launch.
 #[derive(Clone, Debug, Default)]
 pub struct LaunchStats {
-    pub kernel: String,
-    pub blocks: usize,
-    pub threads_per_block: usize,
+    /// Phases run (0 when an injected abort skipped the launch).
     pub phases: usize,
     pub tally: Tally,
-}
-
-impl LaunchStats {
-    /// Requested bytes per work item (includes L2-served reads).
-    pub fn bytes_per_item(&self, items: u64) -> f64 {
-        self.tally.total_bytes() as f64 / items as f64
-    }
-
-    /// DRAM bytes per work item — the paper's B/F when `items` is the
-    /// fluid-node count (Table 2).
-    pub fn dram_bytes_per_item(&self, items: u64) -> f64 {
-        self.tally.dram_bytes() as f64 / items as f64
-    }
 }
 
 /// Per-block execution context: identity, memory handles, and counters.
@@ -206,7 +191,7 @@ impl<'a> BlockCtx<'a> {
 
 /// A kernel whose blocks are mutually independent within a launch.
 pub trait Kernel: Sync {
-    /// Name for profiler reports.
+    /// Name under which the launch is traced and metered.
     fn name(&self) -> &str;
     /// Execute one block to completion.
     fn run_block(&self, ctx: &mut BlockCtx);
@@ -214,7 +199,7 @@ pub trait Kernel: Sync {
 
 /// A kernel executed in grid-wide lockstep phases.
 pub trait PhasedKernel: Sync {
-    /// Name for profiler reports.
+    /// Name under which the launch is traced and metered.
     fn name(&self) -> &str;
     /// Number of phases; all blocks run phase `p` before any runs `p+1`.
     fn phases(&self) -> usize;
@@ -466,9 +451,6 @@ impl Gpu {
                     );
                 }
                 return LaunchStats {
-                    kernel: kernel.name().to_string(),
-                    blocks: cfg.blocks,
-                    threads_per_block: cfg.threads_per_block,
                     phases: 0,
                     tally: Tally::default(),
                 };
@@ -606,18 +588,9 @@ impl Gpu {
                 *arena = slabs;
             }
         }
-        let stats = LaunchStats {
-            kernel: kernel.name().to_string(),
-            blocks: cfg.blocks,
-            threads_per_block: cfg.threads_per_block,
-            phases,
-            tally,
-        };
+        let stats = LaunchStats { phases, tally };
         if let Some(o) = &self.obs {
-            let labels = [
-                ("kernel", stats.kernel.as_str()),
-                ("device", self.device.name),
-            ];
+            let labels = [("kernel", kernel.name()), ("device", self.device.name)];
             let m = &o.metrics;
             m.counter_add("launches", &labels, 1);
             m.counter_add("bytes_read", &labels, stats.tally.bytes_read);
@@ -647,7 +620,7 @@ impl Gpu {
             for (i, us) in phase_us.iter().enumerate() {
                 let phase = i.to_string();
                 let plabels = [
-                    ("kernel", stats.kernel.as_str()),
+                    ("kernel", kernel.name()),
                     ("device", self.device.name),
                     ("phase", phase.as_str()),
                 ];
@@ -718,7 +691,7 @@ mod tests {
         assert_eq!(stats.tally.reads, 2 * n as u64);
         assert_eq!(stats.tally.writes, n as u64);
         assert_eq!(stats.tally.bytes_written, 8 * n as u64);
-        assert_eq!(stats.bytes_per_item(n as u64), 24.0);
+        assert_eq!(stats.tally.total_bytes(), 24 * n as u64);
         for i in 0..n {
             assert_eq!(out.get(i), i as f64 + 10.0);
         }

@@ -17,7 +17,6 @@ use crate::device::{DeviceSpec, Vendor};
 use crate::exec::Gpu;
 use crate::fault::FaultPlan;
 use crate::pool::WorkerPool;
-use crate::profiler::Profiler;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -195,7 +194,6 @@ pub struct MultiGpu {
     links: Vec<Link>,
     spec: DeviceSpec,
     link_spec: LinkSpec,
-    profiler: Option<Arc<Profiler>>,
     obs: Option<Arc<obs::Obs>>,
     faults: Option<Arc<FaultPlan>>,
     /// Host threads that step devices side by side (the calling thread
@@ -237,7 +235,6 @@ impl MultiGpu {
             links,
             spec,
             link_spec,
-            profiler: None,
             obs: None,
             faults: None,
             team,
@@ -324,12 +321,6 @@ impl MultiGpu {
             .drain(..)
             .map(|g| g.with_parallel_threshold(items))
             .collect();
-        self
-    }
-
-    /// Mirror link traffic into a shared profiler's link section.
-    pub fn with_profiler(mut self, p: Arc<Profiler>) -> Self {
-        self.profiler = Some(p);
         self
     }
 
@@ -425,11 +416,8 @@ impl MultiGpu {
             });
         }
         link.record(from, bytes);
-        let name = format!("{}[{from}->{to}]", link.spec.name);
-        if let Some(p) = &self.profiler {
-            p.record_link(&name, bytes, 1);
-        }
         if let Some(o) = &self.obs {
+            let name = format!("{}[{from}->{to}]", link.spec.name);
             let labels = [("link", name.as_str())];
             o.metrics.counter_add("link_transfer_bytes", &labels, bytes);
             o.metrics.counter_add("link_transfer_count", &labels, 1);
@@ -449,8 +437,7 @@ impl MultiGpu {
         self.links.iter().map(|l| l.bytes_total()).sum()
     }
 
-    /// Per-link traffic table (the interconnect analog of
-    /// [`Profiler::report`]).
+    /// Per-link traffic table: transfers and bytes per direction.
     pub fn report(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
@@ -812,17 +799,5 @@ mod tests {
             assert_eq!(ran.tally.writes, 2);
             assert_eq!((plan.link_faults_fired(), plan.aborts_fired()), (1, 1));
         }
-    }
-
-    #[test]
-    fn profiler_sees_link_traffic() {
-        let p = Arc::new(Profiler::new());
-        let mg = MultiGpu::ring(DeviceSpec::mi100(), 2).with_profiler(p.clone());
-        mg.record_transfer(0, 1, 4096);
-        mg.record_transfer(0, 1, 4096);
-        let l = p.get_link("InfinityFabric[0->1]").unwrap();
-        assert_eq!(l.bytes, 8192);
-        assert_eq!(l.transfers, 2);
-        assert!(p.report().contains("InfinityFabric[0->1]"));
     }
 }

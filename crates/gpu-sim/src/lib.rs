@@ -19,14 +19,15 @@
 //!   CPU threads. A *lockstep* launch mode runs all blocks phase by phase
 //!   (bulk-synchronous), the deterministic over-approximation of SIMT
 //!   progress that the moment-representation kernels are verified under.
+//!   With an obs hub attached, every launch adds its tally to the hub's
+//!   per-kernel counters — the substrate's one per-kernel record.
 //! * [`occupancy`] — blocks-per-SM calculator (the paper's "two or more
 //!   thread blocks per SM" guidance).
 //! * [`coalesce`] — warp-level coalescing analysis (sectors per request),
-//!   standing in for the nvvp/nsight/rocprof measurements.
+//!   the access-pattern half of the nvvp/nsight/rocprof measurements.
 //! * [`roofline`] — eq. (15): `MFLUPS_max = BW / (10⁶ · B/F)`.
 //! * [`efficiency`] — achieved-bandwidth-fraction model calibrated from the
 //!   paper's measurements, mapping measured byte counts to modeled MFLUPS.
-//! * [`profiler`] — per-kernel launch statistics reports.
 //! * [`interconnect`] — N devices joined by byte-counted links (NVLink /
 //!   Infinity Fabric presets), the substrate for multi-device sharding.
 //! * [`fault`] — deterministic fault injection (corrupted writes, launch
@@ -42,7 +43,6 @@ pub mod interconnect;
 pub mod memory;
 pub mod occupancy;
 pub mod pool;
-pub mod profiler;
 pub mod racecheck;
 pub mod roofline;
 

@@ -364,7 +364,7 @@ impl<L: Lattice, C: Collision<L>> SoloBody for AaSt<L, C> {
                 },
             )
         };
-        rec(&stats, None);
+        rec(&stats);
     }
 }
 

@@ -4,7 +4,7 @@
 //! A driver is three parts:
 //!
 //! * [`DriverCore`] — plain state (step counter, cumulative [`Tally`], obs
-//!   hub, profiler, physics monitor) and what hangs off it: the
+//!   hub, physics monitor) and what hangs off it: the
 //!   `driver/step` span, launch recording, monitor sampling with its
 //!   gauges and instants, `measured_bpf`, and the LBCK checkpoint envelope.
 //! * [`DriverBody`] — what a pattern supplies: storage, its gauge label,
@@ -58,7 +58,6 @@
 use gpu_sim::exec::LaunchStats;
 use gpu_sim::interconnect::LinkError;
 use gpu_sim::memory::Tally;
-use gpu_sim::profiler::Profiler;
 use gpu_sim::{FaultPlan, GlobalBuffer, Gpu};
 use lbm_core::geometry::Geometry;
 use lbm_core::io::{parity_flavor, CheckpointError, CheckpointReader, CheckpointWriter};
@@ -91,11 +90,6 @@ pub struct Frame {
 pub(crate) trait Device: Sized + Send + 'static {
     fn with_cpu_threads(self, n: usize) -> Self;
     fn with_parallel_threshold(self, items: usize) -> Self;
-    /// Mirror link traffic into `p`. One device has no link; its launches
-    /// reach the profiler through [`DriverCore::record`].
-    fn with_link_profiler(self, _p: Arc<Profiler>) -> Self {
-        self
-    }
     fn set_obs(&mut self, obs: Arc<obs::Obs>);
     fn set_trace_ctx(&mut self, ctx: Option<obs::TraceCtx>);
     fn trace_ctx(&self) -> Option<&obs::TraceCtx>;
@@ -276,9 +270,8 @@ pub enum Part {
     Boundary,
 }
 
-/// Receives every launch of a part with the nodes it updated (`None`: the
-/// domain's fluid nodes).
-pub type Rec<'a> = &'a mut dyn FnMut(&LaunchStats, Option<u64>);
+/// Receives every launch of a part.
+pub type Rec<'a> = &'a mut dyn FnMut(&LaunchStats);
 
 /// A body that advances on one device.
 pub trait SoloBody: DriverBody<Dev = Gpu> {
@@ -403,8 +396,6 @@ pub struct DriverCore {
     fluid_nodes: u64,
     /// Hub the step span, monitor gauges and instants go to.
     obs: Option<Arc<obs::Obs>>,
-    /// Mirror of every recorded launch (per-kernel byte counts and B/F).
-    profiler: Option<Arc<Profiler>>,
     /// Sampled every `cadence` completed steps; rolled back by a restore.
     monitor: Option<obs::PhysicsMonitor>,
 }
@@ -417,7 +408,6 @@ impl DriverCore {
             tally: Tally::default(),
             fluid_nodes: fluid_nodes as u64,
             obs: None,
-            profiler: None,
             monitor: None,
         }
     }
@@ -433,13 +423,9 @@ impl DriverCore {
         self.tally = Tally::default();
     }
 
-    /// Account one launch that updated `nodes` nodes: merge its tally and
-    /// mirror it into the profiler.
-    pub fn record(&mut self, stats: &LaunchStats, nodes: u64) {
+    /// Account one launch: merge its tally into the ledger.
+    pub fn record(&mut self, stats: &LaunchStats) {
         self.tally.merge(&stats.tally);
-        if let Some(p) = &self.profiler {
-            p.record(stats, nodes);
-        }
     }
 
     /// Measured DRAM bytes per fluid lattice update (Table 2's B/F); zero
@@ -626,16 +612,6 @@ impl<B: DriverBody> Sim<B> {
         self
     }
 
-    /// Record into a shared profiler (the substrate's nvvp/rocprof analog):
-    /// every kernel launch of a single device with its byte counts and B/F,
-    /// the link traffic of a ring.
-    pub fn with_profiler(mut self, p: Arc<Profiler>) -> Self {
-        self.dev = self.dev.with_link_profiler(p.clone());
-        // Read by `DriverCore::record`, which only a solo `advance` calls.
-        self.core.profiler = Some(p);
-        self
-    }
-
     /// Attach an observability hub: the driver emits a `step` span per
     /// timestep (and a `halo-exchange` span per exchange), every device
     /// nests kernel/phase spans and publishes launch metrics under it, and
@@ -671,11 +647,6 @@ impl<B: DriverBody> Sim<B> {
         self.core.monitor.as_ref()
     }
 
-    /// Mutable access to the physics monitor (recovery rollback).
-    pub fn monitor_mut(&mut self) -> Option<&mut obs::PhysicsMonitor> {
-        self.core.monitor.as_mut()
-    }
-
     /// Attach a deterministic fault plan to the device(s), the lattice
     /// buffers and, on a ring, the interconnect (see `gpu_sim::FaultPlan`):
     /// injected write corruption, launch aborts and link failures become
@@ -708,9 +679,8 @@ impl<B: DriverBody> Sim<B> {
             .as_ref()
             .map(|o| step_span(o, self.core.t, self.dev.trace_ctx()));
         let (t, core) = (self.core.t, &mut self.core);
-        self.body.advance(&self.dev, t, &mut |stats, nodes| {
-            core.record(stats, nodes.unwrap_or(core.fluid_nodes))
-        })?;
+        self.body
+            .advance(&self.dev, t, &mut |stats| core.record(stats))?;
         let body = &self.body;
         self.core
             .complete_step(body.label(), |t| body.macro_fields(t));

@@ -1229,13 +1229,13 @@ impl<L: Lattice> SoloBody for Mr<L> {
                 if !self.boundary.is_empty() {
                     let (tau, nodes) = (self.consts.tau, &self.boundary);
                     let stats = launch_mr_bc::<L>(gpu, mom_out, &self.geom, tau, t + 1, nodes);
-                    rec(&stats, Some(nodes.len() as u64));
+                    rec(&stats);
                 }
                 return;
             }
         };
         if !cols.is_empty() {
-            let stats = launch_mr_columns::<L>(
+            rec(&launch_mr_columns::<L>(
                 gpu,
                 mom_in,
                 mom_out,
@@ -1245,8 +1245,7 @@ impl<L: Lattice> SoloBody for Mr<L> {
                 t,
                 &self.walk,
                 cols,
-            );
-            rec(&stats, None);
+            ));
         }
     }
 }

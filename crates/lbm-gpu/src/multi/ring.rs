@@ -9,7 +9,6 @@
 
 use crate::driver::{Device, DriverBody, Sim};
 use gpu_sim::interconnect::{LinkError, MultiGpu};
-use gpu_sim::profiler::Profiler;
 use gpu_sim::{DeviceSpec, FaultPlan};
 use lbm_core::StepError;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -139,10 +138,6 @@ impl Device for Ring {
     }
     fn with_parallel_threshold(mut self, items: usize) -> Self {
         self.mg = self.mg.with_parallel_threshold(items);
-        self
-    }
-    fn with_link_profiler(mut self, p: Arc<Profiler>) -> Self {
-        self.mg = self.mg.with_profiler(p);
         self
     }
     fn set_obs(&mut self, obs: Arc<obs::Obs>) {

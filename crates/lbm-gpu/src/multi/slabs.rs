@@ -128,7 +128,7 @@ impl<B: SlabBody> Slabs<B> {
     pub(crate) fn launch(&self, cx: &StepCx<'_>, part: Part) -> Vec<u64> {
         cx.mg.for_each_device(|r| {
             let mut bytes = 0;
-            self.shards[r].launch_part(cx.mg.device(r), cx.t, part, &mut |stats, _| {
+            self.shards[r].launch_part(cx.mg.device(r), cx.t, part, &mut |stats| {
                 bytes += stats.tally.dram_bytes()
             });
             bytes

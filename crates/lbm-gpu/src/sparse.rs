@@ -510,7 +510,7 @@ impl<L: Lattice, C: Collision<L>> SoloBody for SparseSt<L, C> {
             return;
         }
         let tiles = self.index.tiles();
-        let stats = gpu.launch(
+        rec(&gpu.launch(
             &Launch::simple(tiles.len(), self.index.tile_capacity().max(1)),
             &SparseKernel::<L, C> {
                 src: &self.f[self.cur],
@@ -521,8 +521,7 @@ impl<L: Lattice, C: Collision<L>> SoloBody for SparseSt<L, C> {
                 collision: &self.collision,
                 _l: PhantomData,
             },
-        );
-        rec(&stats, None);
+        ));
     }
 
     fn flip(&mut self) {

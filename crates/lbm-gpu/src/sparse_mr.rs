@@ -561,7 +561,7 @@ impl<L: Lattice> SoloBody for SparseMr<L> {
             src,
             dst,
         };
-        rec(&gpu.launch_lockstep(&cfg, &kernel), None);
+        rec(&gpu.launch_lockstep(&cfg, &kernel));
     }
 }
 

@@ -517,17 +517,17 @@ impl<L: Lattice, C: Collision<L>> SoloBody for St<L, C> {
         match part {
             Part::Strips => {
                 for (lo, hi) in self.owned.strips() {
-                    rec(&self.update(gpu, lo, hi), None);
+                    rec(&self.update(gpu, lo, hi));
                 }
             }
             Part::Interior => {
                 if let Some((lo, hi)) = self.owned.interior() {
-                    rec(&self.update(gpu, lo, hi), None);
+                    rec(&self.update(gpu, lo, hi));
                 }
             }
             Part::Boundary if self.boundary.is_empty() => {}
             Part::Boundary => {
-                let stats = gpu.launch(
+                rec(&gpu.launch(
                     &Launch::simple(
                         self.boundary.len().div_ceil(self.block_size),
                         self.block_size,
@@ -540,8 +540,7 @@ impl<L: Lattice, C: Collision<L>> SoloBody for St<L, C> {
                         block_size: self.block_size,
                         _l: PhantomData,
                     },
-                );
-                rec(&stats, Some(self.boundary.len() as u64));
+                ));
             }
         }
     }

@@ -6,8 +6,8 @@
 //!   barrier → halo exchange) exporting Chrome `trace_event` JSON that loads
 //!   in `chrome://tracing` / Perfetto;
 //! * [`MetricsRegistry`] — counters, gauges, and histograms labeled by
-//!   kernel/pattern/device, published by `gpu-sim`'s exec, memory,
-//!   interconnect, and profiler layers;
+//!   kernel/pattern/device, published by `gpu-sim`'s exec and
+//!   interconnect layers and the LBM drivers;
 //! * [`PhysicsMonitor`] — per-step conservation and divergence guards
 //!   (total mass, total momentum, max |u|, NaN check) with a sampling
 //!   cadence so hot paths stay hot.

@@ -1,11 +1,11 @@
 //! A labeled metrics registry: counters, gauges, and fixed-bucket
 //! histograms.
 //!
-//! The substrate's exec, memory-tally, interconnect, and profiler layers
-//! publish here (see `gpu-sim`), keyed by metric name plus a small label
-//! set (`kernel`, `pattern`, `device`, `link`, …). The registry is the
-//! machine-readable counterpart of `Profiler::report()`: everything it
-//! holds exports as deterministic JSON for the bench trajectory.
+//! The substrate's exec and interconnect layers publish here (see
+//! `gpu-sim`), keyed by metric name plus a small label set (`kernel`,
+//! `pattern`, `device`, `link`, …). The registry is the one per-kernel
+//! record of launches and bytes: everything it holds exports as
+//! deterministic JSON for the bench trajectory.
 
 use crate::json::Value;
 use std::collections::BTreeMap;

@@ -22,7 +22,6 @@
 //!    `halo-exchange`) spans nested under them.
 
 use gpu_sim::memory::Tally;
-use gpu_sim::profiler::Profiler;
 use gpu_sim::{DeviceSpec, FaultPlan, Gpu};
 use lbm_core::collision::{Bgk, Projective};
 use lbm_core::geometry::{Geometry, NodeType};
@@ -721,12 +720,12 @@ fn mr2d_refuses_a_twin_with_another_circular_shift() {
 
 /// What the table and the recorded ledgers leave open about a host, for one
 /// solo and one two-shard driver of a pattern: what `init_with` resets,
-/// where `with_profiler` records, how a link failure past the retry budget
-/// reaches a `dyn Simulation` caller, and that neither host takes the
-/// other's blobs. `$timed`: the pattern's sharded blobs carry the overlap
-/// timing, which `init_with` then zeroes like the rest of the ledger. Only
-/// calls on the concrete driver names, so the check is indifferent to how
-/// the hosts are built.
+/// what a fresh hub sees of each host's launches and links, how a link
+/// failure past the retry budget reaches a `dyn Simulation` caller, and
+/// that neither host takes the other's blobs. `$timed`: the pattern's
+/// sharded blobs carry the overlap timing, which `init_with` then zeroes
+/// like the rest of the ledger. Only calls on the concrete driver names, so
+/// the check is indifferent to how the hosts are built.
 macro_rules! pin_host_surface {
     ($name:expr, $solo_kernel:expr, $sharded_kernel:expr, $timed:expr, $solo:expr, $sharded:expr) => {{
         let n = $name;
@@ -775,23 +774,30 @@ macro_rules! pin_host_surface {
             assert_eq!(sharded.stats(), fresh.stats(), "{n}: sharded restart");
         }
 
-        // A profiler sees a solo driver's launches and a sharded driver's
-        // link transfers (its launches go to the hub only).
-        let prof = Arc::new(Profiler::new());
-        let mut solo = mk_solo().with_profiler(prof.clone());
-        solo.run(2);
-        let k = prof
-            .get($solo_kernel)
-            .unwrap_or_else(|| panic!("{n}: no launch"));
-        assert!(k.launches >= 1 && k.tally.dram_bytes() > 0, "{n}");
-        let prof = Arc::new(Profiler::new());
-        let mut sharded = mk_sharded().with_profiler(prof.clone());
+        // A fresh hub sees a solo driver's launches, a sharded driver's
+        // launches on every shard, and the sharded driver's link transfers.
+        let launches = |hub: &Obs, kernel: &str| {
+            hub.metrics
+                .counter("launches", &[("kernel", kernel), ("device", v().name)])
+                .unwrap_or(0)
+        };
+        let hub = Obs::shared();
+        mk_solo().with_obs(hub.clone()).run(2);
+        assert!(launches(&hub, $solo_kernel) >= 1, "{n}: solo launch");
+        let hub = Obs::shared();
+        let mut sharded = mk_sharded().with_obs(hub.clone());
         sharded.run(2);
-        assert!(prof.get($sharded_kernel).is_none(), "{n}: sharded launch");
+        assert!(launches(&hub, $sharded_kernel) >= 2, "{n}: sharded launch");
         let link = sharded.interconnect().link_spec().name;
         let seen: u64 = ["0->1", "1->0"]
             .iter()
-            .map(|dir| prof.get_link(&format!("{link}[{dir}]")).unwrap().bytes)
+            .map(|dir| {
+                let name = format!("{link}[{dir}]");
+                let labels = [("link", name.as_str())];
+                hub.metrics
+                    .counter("link_transfer_bytes", &labels)
+                    .unwrap_or(0)
+            })
             .sum();
         assert_eq!(seen, sharded.interconnect().total_link_bytes(), "{n}");
 

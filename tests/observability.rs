@@ -136,38 +136,6 @@ fn monitor_catches_violations() {
     assert!(!drift.is_ok(), "mass drift must be a violation");
 }
 
-/// Profiler lifecycle through the facade: reset clears, merge folds two
-/// profilers' kernels and links into one.
-#[test]
-fn profiler_reset_and_merge_compose() {
-    use lbm_mr::gpu::profiler::Profiler;
-    let a = std::sync::Arc::new(Profiler::new());
-    let geom = Geometry::walls_y_periodic_x(16, 8);
-    let mut sim: MrSim2D<D2Q9> = MrSim2D::new(
-        DeviceSpec::v100(),
-        geom.clone(),
-        MrScheme::projective(),
-        0.8,
-    )
-    .with_profiler(a.clone());
-    sim.run(2);
-    let launches = a.get("mr2d-p").unwrap().launches;
-    assert!(launches > 0);
-
-    let b = Profiler::new();
-    b.merge(&a);
-    b.merge(&a);
-    assert_eq!(b.get("mr2d-p").unwrap().launches, 2 * launches);
-    // Merging preserves the per-item traffic (bytes and items both double).
-    let bpi_a = a.get("mr2d-p").unwrap().dram_bytes_per_item();
-    let bpi_b = b.get("mr2d-p").unwrap().dram_bytes_per_item();
-    assert!((bpi_a - bpi_b).abs() < 1e-12);
-
-    b.reset();
-    assert!(b.get("mr2d-p").is_none());
-    assert!(!b.report().contains("mr2d-p"));
-}
-
 /// The monitor does not perturb the solution: a monitored run's fields are
 /// bitwise identical to an unmonitored one.
 #[test]
