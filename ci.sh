@@ -21,7 +21,7 @@ echo "== non-test lines per crate (lines before the first #[cfg(test)] mod of ev
 # saying what the lines bought. A `#[cfg(test)]` on anything but a `mod` (a
 # test-only helper method) does not end the count.
 DRIVER_LINES_MAX=6677
-SUBSTRATE_LINES_MAX=3323
+SUBSTRATE_LINES_MAX=3238
 driver_lines=0
 substrate_lines=0
 for crate in crates/*/; do

@@ -347,20 +347,15 @@ impl Gpu {
     }
 
     /// Attach an observability hub (builder style): every launch then emits
-    /// a kernel span (with per-phase child spans for lockstep kernels) into
-    /// the tracer and publishes its traffic into the metrics registry.
+    /// one kernel span into the tracer, whatever its phase or block count,
+    /// and publishes a fixed set of counters into the metrics registry.
     pub fn with_obs(mut self, obs: Arc<Obs>) -> Self {
         self.set_obs(obs);
         self
     }
 
-    /// Attach or replace the observability hub after construction. Also
-    /// wires the hub into the worker pool (if already spawned) so the
-    /// busy/idle worker gauges are published.
+    /// Attach or replace the observability hub after construction.
     pub fn set_obs(&mut self, obs: Arc<Obs>) {
-        if let Some(p) = self.pool.get() {
-            p.set_obs(obs.clone());
-        }
         self.obs = Some(obs);
     }
 
@@ -384,13 +379,8 @@ impl Gpu {
 
     /// The persistent worker pool, spawned on first parallel launch.
     fn pool(&self) -> &WorkerPool {
-        self.pool.get_or_init(|| {
-            let p = WorkerPool::new(self.cpu_threads.saturating_sub(1));
-            if let Some(o) = &self.obs {
-                p.set_obs(o.clone());
-            }
-            p
-        })
+        self.pool
+            .get_or_init(|| WorkerPool::new(self.cpu_threads.saturating_sub(1)))
     }
 
     fn validate(&self, cfg: &Launch) {
@@ -489,12 +479,20 @@ impl Gpu {
             .collect();
 
         let phases = kernel.phases();
+        // One span per launch, whatever its phase or block count: the grid
+        // and the threads that ran it are args.
         let _kernel_span = self.obs.as_ref().map(|o| {
+            let workers = if use_pool {
+                self.pool().workers() + 1
+            } else {
+                1
+            };
             let mut args = vec![
                 ("device", self.device.name.to_string()),
                 ("blocks", cfg.blocks.to_string()),
                 ("threads_per_block", cfg.threads_per_block.to_string()),
                 ("phases", phases.to_string()),
+                ("workers", workers.to_string()),
             ];
             args.extend(self.index.map(|i| ("dev", i.to_string())));
             if let Some(ctx) = &self.trace_ctx {
@@ -502,35 +500,11 @@ impl Gpu {
             }
             o.tracer.span_args("kernel", kernel.name(), &args)
         });
-        // Scheduler visibility: one `pool` span per pooled launch, nested
-        // inside the kernel span (declared after, so it drops first).
-        let _pool_span = match (&self.obs, use_pool) {
-            (Some(o), true) => Some(o.tracer.span_args(
-                "pool",
-                "dispatch",
-                &[
-                    ("workers", (self.pool().workers() + 1).to_string()),
-                    ("blocks", cfg.blocks.to_string()),
-                ],
-            )),
-            _ => None,
-        };
-        // Wall-clock per launch (and per phase for multi-phase kernels):
-        // joined with the DRAM byte tally below, this turns the roofline
-        // from an offline model into a live achieved-bandwidth gauge.
+        // Wall-clock per launch: joined with the DRAM byte tally below, this
+        // turns the roofline from an offline model into a live
+        // achieved-bandwidth gauge.
         let launch_start = self.obs.as_ref().map(|_| std::time::Instant::now());
-        let mut phase_us: Vec<u64> = Vec::new();
-        let mut stolen = 0u64;
         for phase in 0..phases {
-            let phase_start = launch_start.map(|_| std::time::Instant::now());
-            let _phase_span = match (&self.obs, phases > 1) {
-                (Some(o), true) => Some(o.tracer.span_args(
-                    "phase",
-                    "phase",
-                    &[("i", phase.to_string())],
-                )),
-                _ => None,
-            };
             if !use_pool {
                 for ctx in ctxs.iter_mut() {
                     ctx.phase = phase as u32;
@@ -556,20 +530,12 @@ impl Gpu {
                     ctx.phase = phase as u32;
                     kernel.run_phase(phase, ctx);
                 };
-                stolen += self.pool().run(cfg.blocks, &task);
+                // The grid-wide barrier is the pool's drain.
+                self.pool().run(cfg.blocks, &task);
                 debug_assert!(
                     claims.is_none_or(|c| c.all_claimed()),
                     "a block was never run"
                 );
-            }
-            // The grid-wide barrier is the pool drain above; mark it so the
-            // lockstep cadence is visible in the trace.
-            if let (Some(o), true) = (&self.obs, phases > 1) {
-                o.tracer
-                    .instant("exec", "barrier", &[("after_phase", phase.to_string())]);
-            }
-            if let Some(s) = phase_start {
-                phase_us.push(s.elapsed().as_micros() as u64);
             }
         }
 
@@ -597,9 +563,6 @@ impl Gpu {
             m.counter_add("bytes_written", &labels, stats.tally.bytes_written);
             m.counter_add("dram_bytes_read", &labels, stats.tally.dram_bytes_read);
             m.counter_add("l2_read_hits", &labels, stats.tally.l2_read_hits);
-            if use_pool {
-                m.counter_add("exec_block_steal", &labels, stolen);
-            }
             // The counters above sum over a ring's devices (they share one
             // `device` name); these two keep each shard's load apart.
             if let Some(i) = self.index {
@@ -613,24 +576,17 @@ impl Gpu {
             // fraction of the device's peak equals achieved-MFLUPS over
             // roofline-MFLUPS at the *measured* B/F (eq. 15 divides the
             // same bandwidth by the same byte count). Counters accumulate
-            // per kernel/device; gauges expose the running attribution.
-            let wall_us = launch_start.map_or(0, |s| s.elapsed().as_micros() as u64);
-            m.counter_add("kernel_time_us", &labels, wall_us);
+            // per kernel/device; gauges expose the running attribution. Time
+            // is summed in nanoseconds, so a sub-microsecond launch adds its
+            // time along with its bytes.
+            let wall_ns = launch_start.map_or(0, |s| s.elapsed().as_nanos() as u64);
+            m.counter_add("kernel_time_ns", &labels, wall_ns);
             m.counter_add("dram_bytes", &labels, stats.tally.dram_bytes());
-            for (i, us) in phase_us.iter().enumerate() {
-                let phase = i.to_string();
-                let plabels = [
-                    ("kernel", kernel.name()),
-                    ("device", self.device.name),
-                    ("phase", phase.as_str()),
-                ];
-                m.counter_add("phase_time_us", &plabels, *us);
-            }
-            let total_us = m.counter("kernel_time_us", &labels).unwrap_or(0);
+            let total_ns = m.counter("kernel_time_ns", &labels).unwrap_or(0);
             let total_dram = m.counter("dram_bytes", &labels).unwrap_or(0);
-            if total_us > 0 {
-                // bytes/µs = 10⁶ B/s; ÷10³ → GB/s (10⁹ B/s).
-                let gbps = total_dram as f64 / total_us as f64 * 1e-3;
+            if total_ns > 0 {
+                // bytes/ns = 10⁹ B/s = GB/s.
+                let gbps = total_dram as f64 / total_ns as f64;
                 m.gauge_set("achieved_gbps", &labels, gbps);
                 m.gauge_set(
                     "roofline_attained_pct",
@@ -885,15 +841,26 @@ mod tests {
             scratch_doubles: 1,
         };
         gpu.launch_lockstep(&cfg, &PhaseProbe { out: &out });
-        // One kernel span + one pool span + 3 phase spans (B/E each) +
-        // 3 barrier instants.
+        // One launch, one record: a single kernel B/E pair for a pooled
+        // three-phase launch, its grid and schedule carried as args.
         let ev = obs.tracer.events();
-        assert_eq!(ev.len(), 2 + 2 + 3 * 2 + 3);
-        assert_eq!(ev[0].name, "phase_probe");
-        assert_eq!(ev[0].cat, "kernel");
-        assert_eq!(ev[1].name, "dispatch");
-        assert_eq!(ev[1].cat, "pool");
-        assert!(ev.iter().filter(|e| e.ph == 'i').count() == 3);
+        assert_eq!(ev.len(), 2);
+        assert_eq!((ev[0].ph, ev[1].ph), ('B', 'E'));
+        assert_eq!(
+            (ev[0].cat.as_str(), ev[0].name.as_str()),
+            ("kernel", "phase_probe")
+        );
+        assert_eq!(ev[1].name, "phase_probe");
+        let arg = |k: &str| {
+            ev[0]
+                .args
+                .iter()
+                .find(|(key, _)| key == k)
+                .map(|a| a.1.as_str())
+        };
+        assert_eq!(arg("phases"), Some("3"));
+        assert_eq!(arg("blocks"), Some("6"));
+        assert_eq!(arg("workers"), Some("2"));
         let labels = [("kernel", "phase_probe"), ("device", "NVIDIA V100")];
         assert_eq!(obs.metrics.counter("launches", &labels), Some(1));
         assert_eq!(
@@ -901,9 +868,27 @@ mod tests {
             Some(6 * 8),
             "6 blocks each write one f64"
         );
-        assert!(
-            obs.metrics.counter("exec_block_steal", &labels).is_some(),
-            "pooled launches must publish the steal counter"
+        // A fixed set of series per kernel and device: nothing per phase,
+        // nothing per pool.
+        let names: Vec<String> = obs
+            .metrics
+            .snapshot()
+            .into_iter()
+            .map(|(key, _)| key.name)
+            .collect();
+        assert_eq!(
+            names,
+            [
+                "achieved_gbps",
+                "bytes_read",
+                "bytes_written",
+                "dram_bytes",
+                "dram_bytes_read",
+                "kernel_time_ns",
+                "l2_read_hits",
+                "launches",
+                "roofline_attained_pct",
+            ]
         );
     }
 

@@ -200,9 +200,7 @@ pub struct MultiGpu {
     /// included).
     team: usize,
     /// The `team − 1` helper threads, spawned by the first
-    /// [`MultiGpu::for_each_device`] that runs devices side by side. No
-    /// obs hub is ever attached to it: the `pool_workers*` gauges describe
-    /// the devices' launch pools.
+    /// [`MultiGpu::for_each_device`] that runs devices side by side.
     team_pool: OnceLock<WorkerPool>,
 }
 
@@ -747,9 +745,6 @@ mod tests {
                 Some(r as u64 + 1)
             );
         }
-        // The team pool never publishes into the launch pools' gauges.
-        assert_eq!(obs.metrics.gauge("pool_workers", &[]), None);
-
         let solo = Gpu::new(DeviceSpec::v100()).with_obs(obs.clone());
         let before = obs.tracer.len();
         solo.launch(&Launch::simple(1, 32), &Nop);

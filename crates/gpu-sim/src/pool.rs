@@ -32,7 +32,7 @@
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
@@ -71,8 +71,6 @@ struct Shared {
     done_cv: Condvar,
     /// Next unclaimed block index of the current job.
     cursor: AtomicUsize,
-    /// Blocks executed by pool threads (not the submitter) this job.
-    stolen: AtomicU64,
 }
 
 /// A persistent pool of `workers` OS threads executing block ranges.
@@ -90,10 +88,6 @@ pub struct WorkerPool {
     /// a time.
     submit: Mutex<()>,
     handles: Vec<JoinHandle<()>>,
-    /// Observability hub for the busy/idle worker gauges. Read only on the
-    /// pooled path (which already serializes on `submit`); the inline path
-    /// stays lock-free.
-    obs: Mutex<Option<Arc<obs::Obs>>>,
 }
 
 impl WorkerPool {
@@ -112,7 +106,6 @@ impl WorkerPool {
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
             cursor: AtomicUsize::new(0),
-            stolen: AtomicU64::new(0),
         });
         let handles = (0..workers)
             .map(|i| {
@@ -127,7 +120,6 @@ impl WorkerPool {
             shared,
             submit: Mutex::new(()),
             handles,
-            obs: Mutex::new(None),
         }
     }
 
@@ -136,29 +128,15 @@ impl WorkerPool {
         self.handles.len()
     }
 
-    /// Attach an observability hub. Publishes a `pool_workers` gauge (total
-    /// pool threads) immediately, and from then on every pooled job updates
-    /// a `pool_workers_busy` gauge: set to the number of invited helpers
-    /// while the job's steal loop is live, back to 0 once the pool drains.
-    /// Inline (zero-helper) jobs never touch the gauges — that path is
-    /// lock-free by contract.
-    pub fn set_obs(&self, obs: Arc<obs::Obs>) {
-        obs.metrics
-            .gauge_set("pool_workers", &[], self.handles.len() as f64);
-        obs.metrics.gauge_set("pool_workers_busy", &[], 0.0);
-        *self.obs.lock().unwrap() = Some(obs);
-    }
-
     /// Execute `task(b)` for every `b in 0..blocks`, each exactly once,
     /// distributing blocks dynamically over the pool threads and the
     /// calling thread. At most `blocks − 1` pool threads are woken (the
-    /// submitter is the remaining participant). Returns the number of
-    /// blocks executed by pool threads (the "stolen" count surfaced as an
-    /// `exec_block_steal` metric). Panics raised inside `task` — on any
-    /// participant — are re-raised here after the whole pool has quiesced.
-    pub fn run(&self, blocks: usize, task: &(dyn Fn(usize) + Sync)) -> u64 {
+    /// submitter is the remaining participant). Panics raised inside
+    /// `task` — on any participant — are re-raised here after the whole
+    /// pool has quiesced.
+    pub fn run(&self, blocks: usize, task: &(dyn Fn(usize) + Sync)) {
         if blocks == 0 {
-            return 0;
+            return;
         }
         let helpers = self.handles.len().min(blocks - 1);
         if helpers == 0 {
@@ -171,14 +149,9 @@ impl WorkerPool {
             for b in 0..blocks {
                 task(b);
             }
-            return 0;
+            return;
         }
         let _guard = self.submit.lock().unwrap();
-        let obs = self.obs.lock().unwrap().clone();
-        if let Some(o) = &obs {
-            o.metrics
-                .gauge_set("pool_workers_busy", &[], helpers as f64);
-        }
         // SAFETY: erasing the task's lifetime for publication is sound
         // because this function waits for `active == 0` with the leftover
         // tickets revoked (no pool thread holds, or can still acquire, the
@@ -188,7 +161,6 @@ impl WorkerPool {
         {
             let mut st = self.shared.state.lock().unwrap();
             self.shared.cursor.store(0, Ordering::Relaxed);
-            self.shared.stolen.store(0, Ordering::Relaxed);
             st.job = Some(Job {
                 task: task_static,
                 blocks,
@@ -219,7 +191,6 @@ impl WorkerPool {
                 break;
             }
         }
-        let stolen;
         {
             let mut st = self.shared.state.lock().unwrap();
             // Revoke unclaimed invitations: a lost notification (no worker
@@ -243,16 +214,11 @@ impl WorkerPool {
             } else {
                 st.panic = None;
             }
-            stolen = self.shared.stolen.load(Ordering::Relaxed);
-        }
-        if let Some(o) = &obs {
-            o.metrics.gauge_set("pool_workers_busy", &[], 0.0);
         }
         drop(_guard);
         if let Some(p) = local_panic {
             resume_unwind(p);
         }
-        stolen
     }
 }
 
@@ -297,20 +263,15 @@ fn worker_loop(shared: &Shared) {
             if b >= job.blocks {
                 break;
             }
-            match catch_unwind(AssertUnwindSafe(|| (job.task)(b))) {
-                Ok(()) => {
-                    shared.stolen.fetch_add(1, Ordering::Relaxed);
+            if let Err(p) = catch_unwind(AssertUnwindSafe(|| (job.task)(b))) {
+                // Stop the whole job: park the payload for the submitter
+                // and drain the cursor.
+                shared.cursor.store(job.blocks, Ordering::Relaxed);
+                let mut st = shared.state.lock().unwrap();
+                if st.panic.is_none() {
+                    st.panic = Some(p);
                 }
-                Err(p) => {
-                    // Stop the whole job: park the payload for the
-                    // submitter and drain the cursor.
-                    shared.cursor.store(job.blocks, Ordering::Relaxed);
-                    let mut st = shared.state.lock().unwrap();
-                    if st.panic.is_none() {
-                        st.panic = Some(p);
-                    }
-                    break;
-                }
+                break;
             }
         }
         let mut st = shared.state.lock().unwrap();
@@ -325,6 +286,20 @@ fn worker_loop(shared: &Shared) {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+
+    /// Runs `work` over `blocks` on `pool` and returns how many blocks ran
+    /// on a thread other than the caller's, as seen from inside the task.
+    fn run_counting_stolen(pool: &WorkerPool, blocks: usize, work: impl Fn(usize) + Sync) -> usize {
+        let submitter = std::thread::current().id();
+        let stolen = AtomicUsize::new(0);
+        pool.run(blocks, &|b| {
+            if std::thread::current().id() != submitter {
+                stolen.fetch_add(1, Ordering::Relaxed);
+            }
+            work(b);
+        });
+        stolen.into_inner()
+    }
 
     /// Every block runs exactly once, across reused submissions.
     #[test]
@@ -349,7 +324,7 @@ mod tests {
     fn pool_threads_steal_work() {
         let pool = WorkerPool::new(4);
         for attempt in 0..20 {
-            let stolen = pool.run(10_000, &|b| {
+            let stolen = run_counting_stolen(&pool, 10_000, |b| {
                 let mut acc = b as f64;
                 for _ in 0..200 {
                     acc = std::hint::black_box(acc * 1.0000001 + 1.0);
@@ -391,7 +366,7 @@ mod tests {
 
     /// A job with fewer blocks than workers completes even though only a
     /// subset of the pool is invited, and single-block jobs never involve
-    /// the pool at all. Exercises the ticket protocol's lost-notification
+    /// the pool at all (they run on the submitting thread). Exercises the ticket protocol's lost-notification
     /// path under rapid back-to-back submissions.
     #[test]
     fn small_jobs_complete_with_partial_wakeups() {
@@ -399,10 +374,13 @@ mod tests {
         for round in 0..200 {
             let blocks = 1 + round % 4; // 1..=4 blocks vs 8 workers
             let hits: Vec<AtomicUsize> = (0..blocks).map(|_| AtomicUsize::new(0)).collect();
-            let stolen = pool.run(blocks, &|b| {
+            let stolen = run_counting_stolen(&pool, blocks, |b| {
                 hits[b].fetch_add(1, Ordering::Relaxed);
             });
-            assert!(stolen <= blocks as u64);
+            assert!(stolen <= blocks);
+            if blocks == 1 {
+                assert_eq!(stolen, 0, "a single-block job ran off the submitter");
+            }
             for (b, h) in hits.iter().enumerate() {
                 assert_eq!(h.load(Ordering::Relaxed), 1, "block {b} round {round}");
             }
@@ -468,7 +446,7 @@ mod tests {
     fn zero_worker_pool_runs_inline() {
         let pool = WorkerPool::new(0);
         let hits = AtomicUsize::new(0);
-        let stolen = pool.run(5, &|_b| {
+        let stolen = run_counting_stolen(&pool, 5, |_b| {
             hits.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(hits.load(Ordering::Relaxed), 5);
@@ -489,7 +467,7 @@ mod tests {
                 .map(|_| {
                     s.spawn(|| {
                         let hits: Vec<AtomicUsize> = (0..16).map(|_| AtomicUsize::new(0)).collect();
-                        let stolen = pool.run(16, &|b| {
+                        let stolen = run_counting_stolen(&pool, 16, |b| {
                             if b == 0 {
                                 // All submitters must be inside `run` at
                                 // once — impossible if inline mode took the
@@ -513,33 +491,5 @@ mod tests {
             }
         });
         assert_eq!(arrived.load(Ordering::Relaxed), submitters);
-    }
-
-    /// The busy-worker gauge tracks pooled jobs: total worker count is
-    /// published at attach, the busy gauge returns to 0 after every drain,
-    /// and inline jobs leave it untouched.
-    #[test]
-    fn busy_gauge_tracks_pooled_jobs() {
-        let pool = WorkerPool::new(3);
-        let obs = obs::Obs::shared();
-        pool.set_obs(obs.clone());
-        assert_eq!(obs.metrics.gauge("pool_workers", &[]), Some(3.0));
-        assert_eq!(obs.metrics.gauge("pool_workers_busy", &[]), Some(0.0));
-
-        // Pooled job: observe the gauge from inside a block while the job
-        // is live (it is set before any block runs).
-        let seen = std::sync::Mutex::new(None);
-        pool.run(64, &|_b| {
-            let mut s = seen.lock().unwrap();
-            if s.is_none() {
-                *s = obs.metrics.gauge("pool_workers_busy", &[]);
-            }
-        });
-        assert_eq!(*seen.lock().unwrap(), Some(3.0));
-        assert_eq!(obs.metrics.gauge("pool_workers_busy", &[]), Some(0.0));
-
-        // Single-block job: inline path, gauge untouched (still 0).
-        pool.run(1, &|_b| {});
-        assert_eq!(obs.metrics.gauge("pool_workers_busy", &[]), Some(0.0));
     }
 }

@@ -614,8 +614,8 @@ impl<B: DriverBody> Sim<B> {
 
     /// Attach an observability hub: the driver emits a `step` span per
     /// timestep (and a `halo-exchange` span per exchange), every device
-    /// nests kernel/phase spans and publishes launch metrics under it, and
-    /// transfers publish link metrics.
+    /// nests one kernel span per launch under it and publishes launch
+    /// metrics, and transfers publish link metrics.
     pub fn with_obs(mut self, obs: Arc<obs::Obs>) -> Self {
         self.set_obs(obs);
         self

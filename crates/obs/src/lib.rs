@@ -2,9 +2,9 @@
 //!
 //! Three pillars, one hub:
 //!
-//! * [`Tracer`] — span-based tracing (step → kernel launch → block phases →
-//!   barrier → halo exchange) exporting Chrome `trace_event` JSON that loads
-//!   in `chrome://tracing` / Perfetto;
+//! * [`Tracer`] — span-based tracing (step → kernel launch, one span per
+//!   launch, and halo exchange) exporting Chrome `trace_event` JSON that
+//!   loads in `chrome://tracing` / Perfetto;
 //! * [`MetricsRegistry`] — counters, gauges, and histograms labeled by
 //!   kernel/pattern/device, published by `gpu-sim`'s exec and
 //!   interconnect layers and the LBM drivers;

@@ -115,6 +115,33 @@ fn metrics_carry_launch_and_link_traffic() {
         .is_some());
 }
 
+/// One launch, one record: the hub's output per step does not grow with
+/// the walk axis. A 128-row MR walk runs eight times the lockstep phases of
+/// a 16-row one, yet both record the same tracer events per step and the
+/// same metric series.
+#[test]
+fn hub_output_does_not_grow_with_the_walk_axis() {
+    const STEPS: usize = 3;
+    let record = |ny: usize| {
+        let hub = Obs::shared();
+        let geom = Geometry::walls_y_periodic_x(32, ny);
+        let mut sim: MrSim2D<D2Q9> =
+            MrSim2D::new(DeviceSpec::v100(), geom, MrScheme::projective(), 0.8)
+                .with_obs(hub.clone());
+        sim.init_with(shear);
+        sim.run(STEPS);
+        assert_eq!(hub.tracer.open_spans_total(), 0);
+        let events = hub.tracer.len();
+        assert_eq!(events % STEPS, 0, "ny = {ny}: {events} events");
+        (events / STEPS, hub.metrics.snapshot().len())
+    };
+    let (short, long) = (record(16), record(128));
+    assert_eq!(
+        short, long,
+        "(events per step, metric series) at ny = 16 vs ny = 128"
+    );
+}
+
 /// The monitor flags NaN and mass drift, and a clean run stays clean.
 #[test]
 fn monitor_catches_violations() {

@@ -55,6 +55,14 @@ fn wait_for_state(serve: &Serve, id: JobId, state: JobState) {
 /// until the test cancels them, so the parked executor is always offered
 /// one.
 fn one_group_of_four(serve: &Serve, specs: &[JobSpec]) -> Vec<JobId> {
+    let (ids, second) = one_group_of_four_held(serve, specs);
+    assert!(serve.cancel(second));
+    ids
+}
+
+/// [`one_group_of_four`] with the second gate still running: the caller
+/// cancels the returned gate when the other executor should park.
+fn one_group_of_four_held(serve: &Serve, specs: &[JobSpec]) -> (Vec<JobId>, JobId) {
     assert_eq!(specs.len(), 4, "one group of four");
     let gate = || JobSpec::shear_2d("gate", 16, 8, 1 << 40);
     let first = serve.submit(gate()).unwrap();
@@ -65,8 +73,23 @@ fn one_group_of_four(serve: &Serve, specs: &[JobSpec]) -> Vec<JobId> {
         .iter()
         .map(|s| serve.submit(s.clone()).expect("admitted"))
         .collect();
-    assert!(serve.cancel(first) && serve.cancel(second));
-    ids
+    assert!(serve.cancel(first));
+    (ids, second)
+}
+
+/// Poll the event log until job `id` has started a slice (or panic after
+/// 10 s).
+fn wait_for_slice(hub: &obs::Obs, id: JobId) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !hub
+        .events
+        .snapshot()
+        .iter()
+        .any(|e| e.kind == obs::EventKind::Slice && e.job == Some(id.0))
+    {
+        assert!(Instant::now() < deadline, "job {id:?} never ran a slice");
+        std::thread::yield_now();
+    }
 }
 
 /// `spec` made into a batch job that only `cancel` ends.
@@ -517,9 +540,11 @@ fn resilient_job_recovers_from_injected_fault() {
 fn idle_executor_adopts_a_member_of_a_busy_group() {
     // Two anchors make a hand-off certain; which member is due next when the
     // executor parks is not, so rounds repeat until a job that completes
-    // (and so has a checksum) was the one adopted. The anchors' slices are
-    // the long ones, so the member due after them, a finite job, is the
-    // likely one.
+    // (and so has a checksum) was the one adopted. The second executor
+    // parks only once the group is slicing (an executor that parks while
+    // the group is still being built is always offered its first member,
+    // an anchor); the anchors' slices are the long ones, so the member due
+    // after them, a finite job, is the likely one.
     let mut adopted_a_finite_job = false;
     for _ in 0..20 {
         let hub = obs::Obs::shared();
@@ -540,7 +565,9 @@ fn idle_executor_adopts_a_member_of_a_busy_group() {
             anchor(JobSpec::shear_2d("acme", 48, 24, 1)),
             finite(Pattern::St),
         ];
-        let ids = one_group_of_four(&serve, &specs);
+        let (ids, gate) = one_group_of_four_held(&serve, &specs);
+        wait_for_slice(&hub, ids[0]);
+        assert!(serve.cancel(gate));
         for k in [1, 3] {
             assert_eq!(
                 serve.wait(ids[k]).expect("completed").checksum,
