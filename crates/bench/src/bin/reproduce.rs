@@ -1709,8 +1709,8 @@ fn serve_load(hub: &Arc<obs::Obs>, jobs: usize, seed: u64) {
 /// mis-configured fleet (wide groups, long slices, no observability) and
 /// (b) the same configuration with the full observability plane and the
 /// AIMD feedback controller enabled. Gates: adaptive interactive p99 beats
-/// static, every checksum still matches the solo oracle, every job's spans
-/// carry its job/tenant trace context, the event log replays cleanly and
+/// static, every checksum still matches the solo oracle, every job leaves
+/// a `serve` span naming its job and tenant, the event log replays cleanly and
 /// agrees with the scheduler's reported results, and roofline-attribution
 /// gauges exist for both device models (`BENCH_slo.json`).
 fn slo_load(jobs: usize, seed: u64, events_path: Option<&str>) {
@@ -1737,7 +1737,6 @@ fn slo_load(jobs: usize, seed: u64, events_path: Option<&str>) {
         // interactive latency is governed by preemption granularity — the
         // dimension the controller tunes — not by aged-batch immunity.
         interactive_base: 1_000_000,
-        trace_jobs: obs.is_some(),
         obs,
         slo,
         ..Default::default()
@@ -1866,8 +1865,9 @@ fn slo_load(jobs: usize, seed: u64, events_path: Option<&str>) {
         evictions_by_job.insert(id.0, result.evictions);
     }
 
-    // Gate 3: trace propagation — every job's spans carry its job id and
-    // tenant all the way down (driver/kernel spans inherit the TraceCtx).
+    // Gate 3: job identity — every job leaves a span carrying its job id
+    // and tenant: the scheduler's `serve` slice spans state them once, and
+    // the driver/kernel spans a slice runs nest under that span.
     let mut span_tenant: HashMap<String, String> = HashMap::new();
     for e in hub.tracer.events() {
         if e.ph != 'B' {

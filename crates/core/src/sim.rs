@@ -109,16 +109,6 @@ pub trait Simulation {
         self
     }
 
-    /// Attach (or clear) the fleet trace context: the job identity the
-    /// scheduler assigned this simulation. Drivers append its args to the
-    /// step/halo/kernel spans they emit, so one job's spans are filterable
-    /// across executors, evictions, and resumes. Pure annotation — never
-    /// affects stepping, tallies, or checksums. Default: ignored (solo
-    /// runs have no job identity).
-    fn set_trace_ctx(&mut self, ctx: Option<obs::fleet::TraceCtx>) {
-        let _ = ctx;
-    }
-
     /// Whether the attached physics monitor (if any) has no violations.
     fn monitor_ok(&self) -> bool {
         true

@@ -238,9 +238,6 @@ pub struct Gpu {
     parallel_threshold: usize,
     launch_counter: AtomicU32,
     obs: Option<Arc<Obs>>,
-    /// Fleet trace context appended to kernel spans (job identity set by
-    /// the serve scheduler, `None` for solo runs).
-    trace_ctx: Option<obs::fleet::TraceCtx>,
     /// Injected-fault script consulted at launch entry (tests/resilience).
     faults: Option<Arc<crate::fault::FaultPlan>>,
     /// Position in the owning [`crate::MultiGpu`] (`None` for a solo
@@ -299,7 +296,6 @@ impl Gpu {
             parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
             launch_counter: AtomicU32::new(0),
             obs: None,
-            trace_ctx: None,
             faults: None,
             index: None,
             pool: OnceLock::new(),
@@ -362,19 +358,6 @@ impl Gpu {
     /// The attached observability hub, if any.
     pub fn obs(&self) -> Option<&Arc<Obs>> {
         self.obs.as_ref()
-    }
-
-    /// Attach (or clear) the fleet trace context. Subsequent kernel spans
-    /// carry the job/tenant/group/slice args, so a Chrome trace filters to
-    /// one job across executors. Pure annotation: tallies, launch results,
-    /// and metrics counters are unaffected.
-    pub fn set_trace_ctx(&mut self, ctx: Option<obs::fleet::TraceCtx>) {
-        self.trace_ctx = ctx;
-    }
-
-    /// The attached fleet trace context, if any.
-    pub fn trace_ctx(&self) -> Option<&obs::fleet::TraceCtx> {
-        self.trace_ctx.as_ref()
     }
 
     /// The persistent worker pool, spawned on first parallel launch.
@@ -495,9 +478,6 @@ impl Gpu {
                 ("workers", workers.to_string()),
             ];
             args.extend(self.index.map(|i| ("dev", i.to_string())));
-            if let Some(ctx) = &self.trace_ctx {
-                ctx.append_args(&mut args);
-            }
             o.tracer.span_args("kernel", kernel.name(), &args)
         });
         // Wall-clock per launch: joined with the DRAM byte tally below, this

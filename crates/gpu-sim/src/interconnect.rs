@@ -344,19 +344,6 @@ impl MultiGpu {
         self.obs.as_ref()
     }
 
-    /// Attach (or clear) the fleet trace context on every device, so each
-    /// shard's kernel spans carry the owning job's identity.
-    pub fn set_trace_ctx(&mut self, ctx: Option<obs::fleet::TraceCtx>) {
-        for g in &mut self.devices {
-            g.set_trace_ctx(ctx.clone());
-        }
-    }
-
-    /// The fleet trace context attached to the devices, if any.
-    pub fn trace_ctx(&self) -> Option<&obs::fleet::TraceCtx> {
-        self.devices.first().and_then(|g| g.trace_ctx())
-    }
-
     pub fn num_devices(&self) -> usize {
         self.devices.len()
     }

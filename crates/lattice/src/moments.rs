@@ -85,12 +85,6 @@ impl Moments {
         out
     }
 
-    /// Read a `Π` component by its tensor indices.
-    #[inline]
-    pub fn pi_at(&self, d: usize, a: usize, b: usize) -> f64 {
-        self.pi[pair_index_3d(d, a, b)]
-    }
-
     /// Pack into the flat moment-vector layout `[ρ, u…, Π…]` used by the
     /// moment-representation storage.
     pub fn pack<L: Lattice>(&self, out: &mut [f64]) {

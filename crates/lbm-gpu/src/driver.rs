@@ -91,8 +91,6 @@ pub(crate) trait Device: Sized + Send + 'static {
     fn with_cpu_threads(self, n: usize) -> Self;
     fn with_parallel_threshold(self, items: usize) -> Self;
     fn set_obs(&mut self, obs: Arc<obs::Obs>);
-    fn set_trace_ctx(&mut self, ctx: Option<obs::TraceCtx>);
-    fn trace_ctx(&self) -> Option<&obs::TraceCtx>;
     fn set_fault_plan(&mut self, plan: Arc<FaultPlan>);
     /// Halo-transfer retries so far (one device has no halo).
     fn halo_retries(&self) -> u64 {
@@ -109,12 +107,6 @@ impl Device for Gpu {
     }
     fn set_obs(&mut self, obs: Arc<obs::Obs>) {
         Gpu::set_obs(self, obs)
-    }
-    fn set_trace_ctx(&mut self, ctx: Option<obs::TraceCtx>) {
-        Gpu::set_trace_ctx(self, ctx)
-    }
-    fn trace_ctx(&self) -> Option<&obs::TraceCtx> {
-        Gpu::trace_ctx(self)
     }
     fn set_fault_plan(&mut self, plan: Arc<FaultPlan>) {
         Gpu::set_fault_plan(self, plan)
@@ -379,16 +371,6 @@ pub fn fill(buf: &GlobalBuffer<f64>, data: &[f64]) {
     }
 }
 
-/// The `driver/step` span of step `t`, carrying the fleet job args when a
-/// trace context is attached.
-fn step_span<'a>(obs: &'a obs::Obs, t: u64, ctx: Option<&obs::TraceCtx>) -> obs::Span<'a> {
-    let mut args = vec![("t", t.to_string())];
-    if let Some(ctx) = ctx {
-        ctx.append_args(&mut args);
-    }
-    obs.tracer.span_args("driver", "step", &args)
-}
-
 /// The pattern-independent state of a driver.
 pub struct DriverCore {
     t: u64,
@@ -628,13 +610,6 @@ impl<B: DriverBody> Sim<B> {
         self.core.obs = Some(obs);
     }
 
-    /// Attach (or clear) the fleet trace context — the job identity the
-    /// serve scheduler assigned this simulation. Step, halo and kernel spans
-    /// carry its args from now on; stepping and tallies are unaffected.
-    pub fn set_trace_ctx(&mut self, ctx: Option<obs::TraceCtx>) {
-        self.dev.set_trace_ctx(ctx);
-    }
-
     /// Attach a physics monitor sampling the (global) macroscopic fields
     /// every `cfg.cadence` steps (mass/momentum/max-|u|/NaN guards).
     pub fn with_monitor(mut self, cfg: obs::MonitorConfig) -> Self {
@@ -675,9 +650,10 @@ impl<B: DriverBody> Sim<B> {
     /// One timestep, counted if it completed.
     pub(crate) fn advance(&mut self) -> Result<(), LinkError> {
         let obs = self.core.obs.clone();
-        let _step_span = obs
-            .as_ref()
-            .map(|o| step_span(o, self.core.t, self.dev.trace_ctx()));
+        let _step_span = obs.as_ref().map(|o| {
+            o.tracer
+                .span_args("driver", "step", &[("t", self.core.t.to_string())])
+        });
         let (t, core) = (self.core.t, &mut self.core);
         self.body
             .advance(&self.dev, t, &mut |stats| core.record(stats))?;
@@ -826,9 +802,6 @@ impl<B: DriverBody> Simulation for Sim<B> {
     }
     fn set_obs(&mut self, obs: Arc<obs::Obs>) {
         Sim::set_obs(self, obs)
-    }
-    fn set_trace_ctx(&mut self, ctx: Option<obs::TraceCtx>) {
-        Sim::set_trace_ctx(self, ctx)
     }
     fn monitor_ok(&self) -> bool {
         self.core.monitor_ok()

@@ -87,11 +87,10 @@ pub(crate) fn transfer_with_retry(
                     let link = format!("{from}->{to}");
                     o.metrics
                         .counter_add("halo_retries", &[("link", link.as_str())], 1);
-                    let ctx = mg.trace_ctx();
                     o.events.record(
                         obs::EventKind::HaloRetry,
-                        ctx.map(|c| c.job_id),
-                        ctx.map_or("", |c| c.tenant.as_str()),
+                        None,
+                        "",
                         &[("link", link.clone()), ("attempt", failures.to_string())],
                     );
                 }
@@ -143,12 +142,6 @@ impl Device for Ring {
     fn set_obs(&mut self, obs: Arc<obs::Obs>) {
         self.mg.set_obs(obs)
     }
-    fn set_trace_ctx(&mut self, ctx: Option<obs::TraceCtx>) {
-        self.mg.set_trace_ctx(ctx)
-    }
-    fn trace_ctx(&self) -> Option<&obs::TraceCtx> {
-        self.mg.trace_ctx()
-    }
     fn set_fault_plan(&mut self, plan: Arc<FaultPlan>) {
         self.mg.set_fault_plan(plan)
     }
@@ -188,16 +181,11 @@ impl StepCx<'_> {
         Ok(())
     }
 
-    /// A `halo/halo-exchange` span carrying the fleet job args, if a hub
-    /// is attached.
+    /// A `halo/halo-exchange` span, if a hub is attached.
     pub fn halo_span(&self) -> Option<obs::Span<'_>> {
-        self.mg.obs().map(|o| {
-            let mut args = Vec::new();
-            if let Some(ctx) = self.mg.trace_ctx() {
-                ctx.append_args(&mut args);
-            }
-            o.tracer.span_args("halo", "halo-exchange", &args)
-        })
+        self.mg
+            .obs()
+            .map(|o| o.tracer.span("halo", "halo-exchange"))
     }
 }
 

@@ -38,8 +38,9 @@ pub struct RecoveryConfig {
     pub fault_watch: Option<Arc<FaultPlan>>,
     /// Observability hub for recovery counters and rollback spans.
     pub obs: Option<Arc<obs::Obs>>,
-    /// Fleet trace context attributed to rollback events (job id / tenant).
-    pub ctx: Option<obs::TraceCtx>,
+    /// The job id and tenant a `Rollback` event is recorded under (set by
+    /// the `lbm-serve` scheduler; `None` records the event with no job).
+    pub ctx: Option<(u64, String)>,
 }
 
 impl RecoveryConfig {
@@ -179,11 +180,11 @@ pub fn run_with_recovery<S: Simulation + ?Sized>(
             let span = cfg.obs.as_ref().map(|o| {
                 o.metrics.counter_add("recovery_faults_detected", &[], 1);
                 o.metrics.counter_add("recovery_rollbacks_total", &[], 1);
-                let ctx = cfg.ctx.as_ref();
+                let (job, tenant) = cfg.ctx.as_ref().map_or((None, ""), |(j, t)| (Some(*j), t));
                 o.events.record(
                     obs::EventKind::Rollback,
-                    ctx.map(|c| c.job_id),
-                    ctx.map_or("", |c| c.tenant.as_str()),
+                    job,
+                    tenant,
                     &[("from", step.to_string()), ("to", ckpt_step.to_string())],
                 );
                 o.tracer.span_args(

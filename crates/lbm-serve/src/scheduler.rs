@@ -34,7 +34,7 @@
 //! it would park again (and before it honours shutdown, so a member in the
 //! slot is never dropped) and runs the member as a new one-member group
 //! under a fresh group id. The member keeps its built solver, its steps and
-//! its trace context: nothing is rebuilt, checkpointed or requeued, and its
+//! its slice count: nothing is rebuilt, checkpointed or requeued, and its
 //! checksum is the solo one because the hand-off, like slicing, only moves
 //! *when* steps run. A cancel that lands on a member in the slot or just
 //! adopted takes effect at its next slice boundary, as for any running job.
@@ -70,7 +70,7 @@ use crate::slo::{SloController, SloPolicy};
 use crate::spec::{JobSpec, Priority};
 use lbm_core::Simulation;
 use lbm_multi::recovery::{run_with_recovery, RecoveryConfig};
-use obs::{EventKind, Obs, TraceCtx};
+use obs::{EventKind, Obs};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -105,20 +105,24 @@ pub struct ServeConfig {
     pub aging: u64,
     /// CPU threads each solver may use. The default of 1 keeps every sim
     /// inline on its executor thread (the substrate's zero-worker pool
-    /// mode), so `executors` is the true parallelism.
+    /// mode), so `executors` is the true parallelism. It is also what
+    /// keeps a traced job's driver, halo and kernel spans on the executor
+    /// thread, nested under the `serve` span that names the job: with more
+    /// than one thread, a multi-device job steps its devices on a team of
+    /// helper threads, and the kernel spans a helper opens sit on no job
+    /// span's stack.
     pub cpu_threads_per_job: usize,
     /// Per-tenant admission limits (absent tenants are unlimited).
     pub quotas: HashMap<String, TenantQuota>,
     /// Observability hub: scheduler decisions become spans and typed
     /// events, queue/running state becomes gauges, outcomes become
-    /// counters and latency histograms.
+    /// counters and latency histograms. The hub is attached to every
+    /// solver the fleet builds, so its driver, halo and kernel spans nest
+    /// under the `serve` span of the slice that ran them — the one span
+    /// that carries the job's `job`/`tenant`/`group`/`slice` args. Purely
+    /// observational: field checksums are bitwise-identical with or
+    /// without a hub.
     pub obs: Option<Arc<Obs>>,
-    /// Attach the hub and a per-job [`TraceCtx`] to every solver the
-    /// fleet builds, so driver step/halo spans and substrate kernel spans
-    /// carry `job`/`tenant`/`group`/`slice` labels. No effect without
-    /// `obs`; purely observational either way — field checksums are
-    /// bitwise-identical with it on or off.
-    pub trace_jobs: bool,
     /// SLO feedback policy: when set, every completion latency feeds a
     /// [`SloController`] that retunes the live `slice_steps`/`batch_max`
     /// within the policy's bounds.
@@ -136,7 +140,6 @@ impl Default for ServeConfig {
             cpu_threads_per_job: 1,
             quotas: HashMap::new(),
             obs: None,
-            trace_jobs: true,
             slo: None,
         }
     }
@@ -158,6 +161,9 @@ struct JobRec {
     /// job: the spec estimate at admission, trued up to the driver's
     /// actual allocation once the solver is built.
     charged_bytes: usize,
+    /// Slices the job ran before its last eviction: a resumed member
+    /// counts on from here.
+    slices: u64,
 }
 
 struct State {
@@ -194,7 +200,7 @@ struct Inner {
     /// The feedback controller, when `cfg.slo` is set. Locked only from
     /// `finalize` (under the state lock) and the summary accessor.
     slo: Option<Mutex<SloController>>,
-    /// Monotonic lockstep-group IDs (the `group` field of [`TraceCtx`]).
+    /// Monotonic lockstep-group IDs (the `group` arg of a job's spans).
     group_seq: AtomicU64,
 }
 
@@ -238,10 +244,9 @@ struct Active {
     resilient: bool,
     fault_plan: Option<Arc<gpu_sim::FaultPlan>>,
     tenant: String,
-    /// Fleet trace context pushed into the solver (present only when the
-    /// hub is attached and `trace_jobs` is on); `slice` advances before
-    /// every slice so nested spans carry the current slice number.
-    ctx: Option<TraceCtx>,
+    /// Slices run so far, across evictions: the 1-based index of the
+    /// latest one.
+    slices: u64,
 }
 
 /// The multi-tenant simulation service. Submit [`JobSpec`]s, poll
@@ -344,6 +349,7 @@ impl Serve {
                 submitted_at: Instant::now(),
                 result: None,
                 charged_bytes: est_bytes,
+                slices: 0,
             },
         );
         st.queue.push(id);
@@ -666,12 +672,9 @@ fn should_hand_off(st: &State, width: usize) -> bool {
 
 /// Put `a` in the hand-off slot as a one-member group with a fresh id and
 /// wake a parked executor to adopt it. The solver, its steps and its
-/// trace context move with it; only the context's group id changes.
-fn hand_off(inner: &Inner, st: &mut State, from: u64, mut a: Active) {
+/// slice count move with it; only its group id changes.
+fn hand_off(inner: &Inner, st: &mut State, from: u64, a: Active) {
     let to = inner.group_seq.fetch_add(1, Ordering::Relaxed) + 1;
-    if let Some(c) = &mut a.ctx {
-        c.group = to;
-    }
     if let Some(o) = inner.obs() {
         let class = st.jobs[&a.id].spec.priority.label();
         o.metrics
@@ -724,6 +727,32 @@ fn executor_loop(inner: &Arc<Inner>) {
     }
 }
 
+/// A `serve` span of one job, if a hub is attached: the one place the
+/// job's identity — `job`, `tenant`, `group` and `slice`, the index of its
+/// latest slice — is stated. The driver, halo and kernel spans the job runs
+/// inside it nest under it on the executor's span stack and carry none of
+/// these args.
+fn job_span<'a>(
+    inner: &'a Inner,
+    name: &str,
+    (id, tenant, group, slice): (JobId, &str, u64, u64),
+    (key, value): (&'static str, u64),
+) -> Option<obs::Span<'a>> {
+    inner.obs().map(|o| {
+        o.tracer.span_args(
+            "serve",
+            name,
+            &[
+                ("job", id.to_string()),
+                ("tenant", tenant.to_string()),
+                ("group", group.to_string()),
+                ("slice", slice.to_string()),
+                (key, value.to_string()),
+            ],
+        )
+    })
+}
+
 /// Build (or restore) every member of a formed group, or take an adopted
 /// member as it is, then drive them in round-robin slices until each one
 /// completes, fails, is canceled, evicted or handed to an idle executor.
@@ -736,19 +765,23 @@ fn run_group(inner: &Arc<Inner>, gid: u64, work: Work) {
         Work::Adopted(a) => (Vec::new(), vec![a]),
     };
     for id in group_ids {
-        let (spec, snapshot, done) = {
+        let (spec, snapshot, done, slices) = {
             let st = inner.state.lock().unwrap();
             let rec = &st.jobs[&id];
-            (rec.spec.clone(), rec.snapshot.clone(), rec.steps_done)
+            (
+                rec.spec.clone(),
+                rec.snapshot.clone(),
+                rec.steps_done,
+                rec.slices,
+            )
         };
         let resume_span = snapshot.as_ref().and_then(|_| {
-            inner.obs().map(|o| {
-                o.tracer.span_args(
-                    "serve",
-                    "resume",
-                    &[("job", id.to_string()), ("from_step", done.to_string())],
-                )
-            })
+            job_span(
+                inner,
+                "resume",
+                (id, &spec.tenant, gid, slices),
+                ("from_step", done),
+            )
         });
         let built = catch_unwind(AssertUnwindSafe(|| {
             let mut sim = spec.build(inner.cfg.cpu_threads_per_job);
@@ -760,19 +793,8 @@ fn run_group(inner: &Arc<Inner>, gid: u64, work: Work) {
         drop(resume_span);
         match built {
             Ok(Ok(mut sim)) => {
-                let mut ctx = None;
                 if let Some(o) = inner.obs() {
-                    if inner.cfg.trace_jobs {
-                        sim.set_obs(o.clone());
-                        let c = TraceCtx {
-                            job_id: id.0,
-                            tenant: spec.tenant.clone(),
-                            group: gid,
-                            slice: 0,
-                        };
-                        sim.set_trace_ctx(Some(c.clone()));
-                        ctx = Some(c);
-                    }
+                    sim.set_obs(o.clone());
                 }
                 {
                     let mut st = inner.state.lock().unwrap();
@@ -833,7 +855,7 @@ fn run_group(inner: &Arc<Inner>, gid: u64, work: Work) {
                     resilient: spec.resilient,
                     fault_plan: spec.fault_plan.clone(),
                     tenant: spec.tenant.clone(),
-                    ctx,
+                    slices,
                 });
             }
             Ok(Err(_)) | Err(_) => {
@@ -867,10 +889,7 @@ fn run_group(inner: &Arc<Inner>, gid: u64, work: Work) {
             let a = &mut group[i];
             let slice_steps = inner.slice_steps.load(Ordering::Relaxed);
             let slice = slice_steps.min(a.target - a.done);
-            if let Some(c) = &mut a.ctx {
-                c.slice += 1;
-                a.sim.set_trace_ctx(Some(c.clone()));
-            }
+            a.slices += 1;
             inner.record_event(
                 EventKind::Slice,
                 Some(a.id),
@@ -881,13 +900,12 @@ fn run_group(inner: &Arc<Inner>, gid: u64, work: Work) {
                     ("group", gid.to_string()),
                 ],
             );
-            let _slice_span = inner.obs().map(|o| {
-                o.tracer.span_args(
-                    "serve",
-                    "slice",
-                    &[("job", a.id.to_string()), ("steps", slice.to_string())],
-                )
-            });
+            let _slice_span = job_span(
+                inner,
+                "slice",
+                (a.id, &a.tenant, gid, a.slices),
+                ("steps", slice),
+            );
             // A panic escaping the solver unwinds past every open driver /
             // kernel span guard; the balance guard force-closes whatever
             // leaked so the per-thread span stack stays balanced (the
@@ -901,7 +919,7 @@ fn run_group(inner: &Arc<Inner>, gid: u64, work: Work) {
                         max_rollbacks: 16,
                         fault_watch: a.fault_plan.clone(),
                         obs: inner.cfg.obs.clone(),
-                        ctx: a.ctx.clone(),
+                        ctx: Some((a.id.0, a.tenant.clone())),
                     };
                     run_with_recovery(&mut *a.sim, a.done + slice, &rcfg)
                         .map(|stats| stats.rollbacks)
@@ -973,13 +991,12 @@ fn run_group(inner: &Arc<Inner>, gid: u64, work: Work) {
         };
         if evict_now {
             for mut a in group.drain(..) {
-                let _evict_span = inner.obs().map(|o| {
-                    o.tracer.span_args(
-                        "serve",
-                        "evict",
-                        &[("job", a.id.to_string()), ("at_step", a.done.to_string())],
-                    )
-                });
+                let _evict_span = job_span(
+                    inner,
+                    "evict",
+                    (a.id, &a.tenant, gid, a.slices),
+                    ("at_step", a.done),
+                );
                 // Flush the physics monitor's final sample before the job
                 // goes cold: an eviction may be the last time this solver
                 // instance exists (a cancel can land while it waits), and
@@ -999,6 +1016,7 @@ fn run_group(inner: &Arc<Inner>, gid: u64, work: Work) {
                 rec.snapshot = Some(snapshot);
                 rec.state = JobState::Evicted;
                 rec.evictions += 1;
+                rec.slices = a.slices;
                 let class = rec.spec.priority.label();
                 st.queue.push(a.id);
                 if let Some(o) = inner.obs() {

@@ -12,11 +12,12 @@
 //!   (total mass, total momentum, max |u|, NaN check) with a sampling
 //!   cadence so hot paths stay hot.
 //!
-//! The fleet plane adds two more: [`EventLog`] — a bounded ring of typed
-//! scheduler/resilience events with span-linked causality — and
-//! [`TraceCtx`] — per-job identity propagated from `lbm-serve` admission
-//! down into driver and kernel spans. [`StreamingQuantile`] backs the
-//! rolling SLO latency estimators.
+//! The fleet plane adds one more: [`EventLog`] — a bounded ring of typed
+//! scheduler/resilience events with span-linked causality.
+//! [`StreamingQuantile`] backs the rolling SLO latency estimators. A job's
+//! identity is stated once, on the scheduler's `serve` spans; the driver,
+//! halo and kernel spans a slice runs nest under that span on the
+//! executor's per-thread stack and carry no job args of their own.
 //!
 //! [`Obs`] bundles the tracer, registry, and event log behind an `Arc` so
 //! one handle threads through `Gpu`, `MultiGpu`, the solver drivers, and
@@ -29,7 +30,6 @@
 //! `gpu-sim` in the crate graph.
 
 pub mod events;
-pub mod fleet;
 pub mod json;
 pub mod metrics;
 pub mod monitor;
@@ -37,7 +37,6 @@ pub mod record;
 pub mod trace;
 
 pub use events::{EventKind, EventLog, FleetEvent};
-pub use fleet::TraceCtx;
 pub use metrics::{Histogram, Metric, MetricKey, MetricsRegistry, StreamingQuantile};
 pub use monitor::{MonitorConfig, MonitorSample, PhysicsMonitor};
 pub use record::{BenchRecord, BenchRow};

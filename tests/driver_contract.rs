@@ -17,9 +17,9 @@
 //!    leaves `steps`, ledger, FNV and a fresh `checkpoint()` untouched;
 //! 5. `run(n)` flushes an off-cadence monitor sample and publishes it under
 //!    the driver's pattern label;
-//! 6. `set_obs` + `set_trace_ctx` after construction yield `driver/step`
-//!    spans carrying the job args, with kernel (and, when sharded,
-//!    `halo-exchange`) spans nested under them.
+//! 6. `set_obs` after construction yields `driver/step` spans carrying `t`
+//!    and no job args (a job's identity is on the scheduler's span), with
+//!    kernel (and, when sharded, `halo-exchange`) spans nested under them.
 
 use gpu_sim::memory::Tally;
 use gpu_sim::{DeviceSpec, FaultPlan, Gpu};
@@ -36,7 +36,7 @@ use lbm_gpu::{
     StSparseSim,
 };
 use lbm_lattice::{D2Q9, D3Q19};
-use obs::{Metric, MonitorConfig, Obs, PhysicsMonitor, TraceCtx};
+use obs::{Metric, MonitorConfig, Obs, PhysicsMonitor};
 use std::sync::Arc;
 
 /// What the contract needs beyond [`Simulation`].
@@ -477,9 +477,8 @@ fn check(row: &Row) {
         ..Default::default()
     }));
     assert_eq!(monitored.label(), row.label, "{n}");
-    // 6: hub and job identity attached after construction.
+    // 6: hub attached after construction.
     monitored.set_obs(hub.clone());
-    monitored.set_trace_ctx(Some(TraceCtx::new(17, "acme")));
     monitored.run_n(STEPS);
     let m = monitored.physics_monitor().unwrap();
     let sampled: Vec<u64> = m.samples().iter().map(|s| s.step).collect();
@@ -515,8 +514,9 @@ fn check(row: &Row) {
                 .map(|a| a.1.as_str())
         };
         assert_eq!(arg("t"), Some(t.to_string().as_str()), "{n}");
-        assert_eq!(arg("job"), Some("job-17"), "{n}: step span lost its job");
-        assert_eq!(arg("tenant"), Some("acme"), "{n}");
+        for k in ["job", "tenant", "group", "slice"] {
+            assert_eq!(arg(k), None, "{n}: step span carries a {k} arg");
+        }
     }
     assert_eq!(ev[0].name, "step", "{n}: the step span opens the trace");
     assert!(

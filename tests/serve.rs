@@ -853,6 +853,99 @@ fn eviction_flushes_monitor_final_sample() {
     );
 }
 
+/// A job's identity is stated once: the scheduler's `serve` spans carry
+/// `job`, `tenant`, `group` and `slice`, and every driver, halo and kernel
+/// span the job runs carries none of them but nests under such a span on
+/// its thread's span stack. A job's `slice` args count on across an
+/// eviction: they run 1..=n, and n is the slices the event log replays.
+#[test]
+fn job_identity_is_stated_once_on_the_scheduler_span() {
+    const IDENTITY: [&str; 4] = ["job", "tenant", "group", "slice"];
+    let hub = obs::Obs::shared();
+    let serve = Serve::start(ServeConfig {
+        executors: 1,
+        slice_steps: 4,
+        obs: Some(hub.clone()),
+        ..Default::default()
+    });
+    // A two-device batch job (so halo spans occur), evicted by an
+    // interactive job while the only executor runs it.
+    let batch = JobSpec {
+        priority: Priority::Batch,
+        pattern: Pattern::MrR,
+        devices: 2,
+        ..JobSpec::shear_2d("acme", 24, 10, 2000)
+    };
+    let batch_id = serve.submit(batch).unwrap();
+    wait_for_state(&serve, batch_id, JobState::Running);
+    let fg_id = serve.submit(JobSpec::shear_2d("nova", 16, 8, 8)).unwrap();
+    serve.wait(fg_id).expect("interactive job completed");
+    let result = serve.wait(batch_id).expect("batch job completed");
+    assert!(result.evictions >= 1, "the batch job was never preempted");
+    drop(serve);
+    let tenant_of = HashMap::from([(batch_id.to_string(), "acme"), (fg_id.to_string(), "nova")]);
+
+    let arg = |e: &obs::TraceEvent, key: &str| -> Option<String> {
+        e.args
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.clone())
+    };
+    let mut stacks: HashMap<u64, Vec<obs::TraceEvent>> = HashMap::new();
+    let mut nested = HashMap::<&str, usize>::new();
+    let mut batch_slices = Vec::new();
+    for e in hub.tracer.events() {
+        let stack = stacks.entry(e.tid).or_default();
+        match e.ph {
+            'B' => {
+                if let Some(layer) = ["driver", "halo", "kernel"]
+                    .into_iter()
+                    .find(|&c| c == e.cat)
+                {
+                    for k in IDENTITY {
+                        assert_eq!(arg(&e, k), None, "{}:{} carries {k}", e.cat, e.name);
+                    }
+                    let owner = stack
+                        .iter()
+                        .rev()
+                        .find(|s| s.cat == "serve")
+                        .unwrap_or_else(|| panic!("{}:{} outside a serve span", e.cat, e.name));
+                    let job = arg(owner, "job").expect("a serve span names its job");
+                    assert_eq!(
+                        arg(owner, "tenant").as_deref(),
+                        Some(tenant_of[&job]),
+                        "{job}: serve span tenant"
+                    );
+                    *nested.entry(layer).or_default() += 1;
+                }
+                if e.cat == "serve" && e.name == "slice" {
+                    for k in IDENTITY {
+                        assert!(arg(&e, k).is_some(), "a slice span lacks {k}");
+                    }
+                    if arg(&e, "job") == Some(batch_id.to_string()) {
+                        batch_slices.push(arg(&e, "slice").unwrap().parse::<u64>().unwrap());
+                    }
+                }
+                stack.push(e);
+            }
+            'E' => {
+                stack.pop().expect("an end with no open span");
+            }
+            _ => {}
+        }
+    }
+    for layer in ["driver", "halo", "kernel"] {
+        assert!(nested.get(layer) > Some(&0), "no {layer} span was traced");
+    }
+    let replayed = obs::events::replay(&hub.events.snapshot()).expect("event log replays");
+    let n = replayed[&batch_id.0].slices;
+    assert_eq!(
+        batch_slices,
+        (1..=n).collect::<Vec<_>>(),
+        "slice args of an evicted job"
+    );
+}
+
 /// The SLO feedback controller reacts to interactive latency breaches by
 /// shrinking the live slice/batch knobs (within bounds), emitting `tune`
 /// events as it goes.
