@@ -15,15 +15,18 @@ echo "== cargo doc (warnings are errors: a dangling intra-doc link fails the bui
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "== non-test lines per crate (lines before the first #[cfg(test)] mod of every crates/*/src/**/*.rs)"
-# The size PRs report, as a command. The two driver crates and the gpu-sim
-# substrate may only shrink: lower DRIVER_LINES_MAX / SUBSTRATE_LINES_MAX
-# when a PR lands below it; raise one only with a sentence in CHANGES.md
-# saying what the lines bought. A `#[cfg(test)]` on anything but a `mod` (a
-# test-only helper method) does not end the count.
+# The size PRs report, as a command. The two driver crates, the gpu-sim
+# substrate and the bench + obs harness may only shrink: lower
+# DRIVER_LINES_MAX / SUBSTRATE_LINES_MAX / HARNESS_LINES_MAX when a PR lands
+# below it; raise one only with a sentence in CHANGES.md saying what the
+# lines bought. A `#[cfg(test)]` on anything but a `mod` (a test-only helper
+# method) does not end the count.
 DRIVER_LINES_MAX=6639
 SUBSTRATE_LINES_MAX=3205
+HARNESS_LINES_MAX=4315
 driver_lines=0
 substrate_lines=0
+harness_lines=0
 for crate in crates/*/; do
   lines=$(find "$crate/src" -name '*.rs' -exec awk '
     FNR == 1 { on = 1; held = "" }
@@ -37,12 +40,15 @@ for crate in crates/*/; do
   case "$(basename "$crate")" in
   lbm-gpu | lbm-multi) driver_lines=$((driver_lines + lines)) ;;
   gpu-sim) substrate_lines=$lines ;;
+  bench | obs) harness_lines=$((harness_lines + lines)) ;;
   esac
 done
 printf '%8d  lbm-gpu + lbm-multi (max %d)\n' "$driver_lines" "$DRIVER_LINES_MAX"
 printf '%8d  gpu-sim (max %d)\n' "$substrate_lines" "$SUBSTRATE_LINES_MAX"
+printf '%8d  bench + obs (max %d)\n' "$harness_lines" "$HARNESS_LINES_MAX"
 test "$driver_lines" -le "$DRIVER_LINES_MAX"
 test "$substrate_lines" -le "$SUBSTRATE_LINES_MAX"
+test "$harness_lines" -le "$HARNESS_LINES_MAX"
 
 echo "== every unsafe site states its invariant (a // SAFETY: comment just above it)"
 # The comment block above an `unsafe` block or impl must hold `SAFETY:`; one
@@ -167,16 +173,18 @@ repeats_byte_for_byte() {
 
 echo "== reproduce smoke (multi-device bitwise + exact halo ratios + observability)"
 # Smoke fails hard on physics-monitor violations (NaN, mass drift > 1e-10)
-# and on any deviation from Table 2's byte-exact traffic ideals.
+# and on any deviation from Table 2's byte-exact traffic ideals. Each
+# section asserts what its record holds before it writes it; the trace,
+# metrics and event exports are checked by their exporters' tests
+# (tests/observability.rs, obs's unit tests). So past the byte-for-byte
+# repeats, a step here checks only that each file it writes is non-empty.
 OBS_DIR=$(mktemp -d)
 trap 'rm -rf "$OBS_DIR"' EXIT
 cargo run -p lbm-bench --release --bin reproduce -- smoke \
   "--trace=$OBS_DIR/trace.json" "--metrics=$OBS_DIR/metrics.json"
+test -s "$OBS_DIR/trace.json"
+test -s "$OBS_DIR/metrics.json"
 repeats_byte_for_byte smoke
-
-echo "== validate emitted observability JSON (trace nesting, metrics, BENCH record)"
-cargo run -p obs --release --bin obs-validate -- \
-  "$OBS_DIR/trace.json" "$OBS_DIR/metrics.json" BENCH_smoke.json
 
 echo "== aa (in-place single-lattice: bitwise vs two-lattice, byte-exact halved residency)"
 # Runs AA-pattern ST and twist-MR against their two-lattice counterparts
@@ -185,18 +193,17 @@ echo "== aa (in-place single-lattice: bitwise vs two-lattice, byte-exact halved 
 # read back through the metrics registry.
 cargo run -p lbm-bench --release --bin reproduce -- aa
 repeats_byte_for_byte aa
-cargo run -p obs --release --bin obs-validate -- BENCH_aa.json
 
 echo "== sparse (fluid-compacted ST + MR: porosity-swept footprints, exact B/F, bitwise vs dense)"
 # Sweeps 25/50/75% rock on the same box and asserts the resident footprint
 # equals the roofline sparse model on the *fluid* count (published and read
-# back through the metrics registry), measured B/F matches the
+# back through the metrics registry) and shrinks strictly with it, sparse MR
+# stays below sparse ST at every porosity, measured B/F matches the
 # indirect-addressing model (180/132 D2Q9, 380/236 D3Q19), the sparse
 # drivers stay FNV-bitwise equal to the dense ones, and the sharded sparse
 # halo tally is byte-exact.
 cargo run -p lbm-bench --release --bin reproduce -- sparse
 repeats_byte_for_byte sparse
-cargo run -p obs --release --bin obs-validate -- BENCH_sparse.json
 
 echo "== resilience (fault injection + checkpoint/rollback, bitwise-verified resume)"
 # Injects NaN writes, a launch abort, and transient link failures; asserts
@@ -204,7 +211,6 @@ echo "== resilience (fault injection + checkpoint/rollback, bitwise-verified res
 # halo exchanges leave byte-identical link tallies.
 cargo run -p lbm-bench --release --bin reproduce -- resilience
 test -s BENCH_resilience.json
-cargo run -p obs --release --bin obs-validate -- BENCH_resilience.json
 
 echo "== serve smoke (multi-tenant fleet: hundreds of jobs, checksum-verified)"
 # Replays a seeded arrival process through the lbm-serve scheduler and
@@ -212,18 +218,17 @@ echo "== serve smoke (multi-tenant fleet: hundreds of jobs, checksum-verified)"
 # with a checksum bitwise-equal to a solo run of the same spec.
 cargo run -p lbm-bench --release --bin reproduce -- serve --jobs=400 --seed=7
 test -s BENCH_serve.json
-cargo run -p obs --release --bin obs-validate -- BENCH_serve.json
 
 echo "== slo (observability plane: adaptive feedback controller vs static config)"
 # Runs the same seeded workload through a static and an SLO-tuned fleet in
 # interleaved waves; fails unless the controller beats the static config's
 # pooled interactive p99, every job leaves a span naming its job and tenant, the
 # event log replays to the scheduler's exact decision sequence, roofline
-# gauges cover both device models, and all checksums stay solo-bitwise.
+# gauges cover both device models and lie in (0, 100] %, and all checksums
+# stay solo-bitwise.
 cargo run -p lbm-bench --release --bin reproduce -- slo --jobs=400 --seed=7 \
   "--events=$OBS_DIR/events.json"
 test -s BENCH_slo.json
 test -s "$OBS_DIR/events.json"
-cargo run -p obs --release --bin obs-validate -- BENCH_slo.json "$OBS_DIR/events.json"
 
 echo "CI OK"

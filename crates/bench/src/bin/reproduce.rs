@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! reproduce [table1|table2|table3|table4|figure2|figure3|footprint|speedups|occupancy
-//!            |profile|futurework|scaling|smoke|aa|sparse|bench-record|resilience|serve|slo|all]
+//!            |profile|futurework|scaling|smoke|aa|sparse|resilience|serve|slo|all]
 //!           [--quick]
 //!           [--inject=nan|abort|link|all] [--checkpoint-every=<n>]
 //!           [--jobs=<n>] [--seed=<n>]
@@ -327,36 +327,24 @@ fn future_work(quick: bool) {
     }
     println!("(the paper cites D3Q27's runtime cost as a reason it is avoided; MR closes most of the gap)");
 
-    // Multi-speed D3Q39: ST measured for real; MR projected (the sliding
-    // window needs reach-1 streaming, so MR-D3Q39 remains future work here
-    // too — but the traffic argument is what the paper points at).
+    // Multi-speed D3Q39: ST measured for real. MR-D3Q39 remains future
+    // work here too: the sliding window needs reach-1 streaming.
     let q39 = run_3d_q39_st(DeviceSpec::v100(), if quick { 12 } else { 20 }, 2);
-    let mr_bpf_q39 = 2.0 * 10.0 * 8.0;
     println!(
-        "D3Q39 (multi-speed, c_s² = 2/3): measured ST B/F {:.1} (model 624); MR would need {:.0}",
-        q39.measured_bpf, mr_bpf_q39
+        "D3Q39 (multi-speed, c_s² = 2/3): measured ST B/F {:.1} (model 624)",
+        q39.measured_bpf
     );
-    for dev in devices() {
-        println!(
-            "{:<12} roofline: ST {:>5.0} vs MR {:>5.0} MFLUPS → potential ×{:.2}",
-            dev.name,
-            mflups_max_on(&dev, q39.measured_bpf),
-            mflups_max_on(&dev, mr_bpf_q39),
-            mflups_max_on(&dev, mr_bpf_q39) / mflups_max_on(&dev, q39.measured_bpf)
-        );
-    }
     // Table 3's rooflines assume *direct* addressing; the indirect
     // (fluid-compacted) alternative of refs [4]/[15] pays for its links.
     println!("-- direct vs indirect addressing (ST, measured B/F) --");
     {
-        use lbm_bench::bench_geometry_2d;
         use lbm_core::collision::Bgk;
         use lbm_gpu::StSparseSim;
         use lbm_lattice::D2Q9;
         let n = if quick { (48, 24) } else { (96, 48) };
         let mut sp: StSparseSim<D2Q9, _> = StSparseSim::new(
             DeviceSpec::v100(),
-            bench_geometry_2d(n.0, n.1),
+            lbm_core::Geometry::walls_y_periodic_x(n.0, n.1),
             Bgk::new(lbm_bench::TAU),
         );
         sp.run(2);
@@ -387,8 +375,9 @@ fn future_work(quick: bool) {
 
 fn profile(quick: bool) {
     println!("== Kernel profile (nvvp/rocprof analog) =============================");
-    use lbm_bench::{bench_geometry_2d, bench_geometry_3d, TAU};
+    use lbm_bench::TAU;
     use lbm_core::collision::Bgk;
+    use lbm_core::Geometry;
     use lbm_gpu::{MrScheme, MrSim2D, MrSim3D, StSim};
     use lbm_lattice::{D2Q9, D3Q19};
     let hub = obs::Obs::shared();
@@ -406,7 +395,7 @@ fn profile(quick: bool) {
     st.run(2);
     let mut mr: MrSim2D<D2Q9> = MrSim2D::new(
         DeviceSpec::v100(),
-        bench_geometry_2d(n2.0, n2.1),
+        Geometry::walls_y_periodic_x(n2.0, n2.1),
         MrScheme::projective(),
         TAU,
     )
@@ -414,7 +403,7 @@ fn profile(quick: bool) {
     mr.run(2);
     let mut mr3: MrSim3D<D3Q19> = MrSim3D::new(
         DeviceSpec::v100(),
-        bench_geometry_3d(n3.0, n3.1, n3.2),
+        Geometry::duct(n3.0, n3.1, n3.2),
         MrScheme::recursive::<D3Q19>(),
         TAU,
     )
@@ -455,7 +444,6 @@ fn profile(quick: bool) {
     ] {
         println!("{driver:<24} B/F {bpf:.1}");
     }
-    use lbm_core::Geometry;
     println!();
 }
 
@@ -561,21 +549,6 @@ fn check_halo_ratio(rows: &[ScaleRow], m: u64, q: u64, lattice: &str) {
         "(halo-byte ratio MR/ST verified byte-exact: {m}/{q} = {}·8/{}·8 B per halo node)",
         m, q
     );
-}
-
-fn duct_3d(nx: usize, ny: usize, nz: usize) -> lbm_core::Geometry {
-    use lbm_core::NodeType;
-    let mut g = lbm_core::Geometry::new(nx, ny, nz, [true, false, false]);
-    for z in 0..nz {
-        for y in 0..ny {
-            for x in 0..nx {
-                if y == 0 || y == ny - 1 || z == 0 || z == nz - 1 {
-                    g.set(x, y, z, NodeType::Wall);
-                }
-            }
-        }
-    }
-    g
 }
 
 fn max_udiff(a: &[[f64; 3]], b: &[[f64; 3]]) -> f64 {
@@ -736,7 +709,7 @@ fn scaling(quick: bool) {
     println!();
 
     let (sx3, sy3, sz3) = if quick { (16, 8, 8) } else { (24, 10, 10) };
-    let g3 = duct_3d(sx3, sy3, sz3);
+    let g3 = lbm_core::Geometry::duct(sx3, sy3, sz3);
     println!("-- D3Q19 strong scaling, periodic-x duct {sx3}×{sy3}×{sz3}, {steps} steps --");
     let rows: Vec<ScaleRow> = counts
         .iter()
@@ -767,7 +740,7 @@ fn scaling(quick: bool) {
     println!("-- D3Q19 weak scaling, {wx3}×{sy3}×{sz3} per device, {steps} steps --");
     let rows: Vec<ScaleRow> = counts
         .iter()
-        .flat_map(|&n| scale_3d(&duct_3d(wx3 * n, sy3, sz3), n, steps))
+        .flat_map(|&n| scale_3d(&lbm_core::Geometry::duct(wx3 * n, sy3, sz3), n, steps))
         .collect();
     print_scale_rows(&rows);
     check_halo_ratio(&rows, 10, 19, "D3Q19");
@@ -854,11 +827,39 @@ fn ideal_run<B: lbm_gpu::DriverBody<Dev = gpu_sim::Gpu>>(
     });
 }
 
+/// Every pattern a BENCH row may name: the paper's three two-lattice
+/// patterns, the in-place `st-aa` / `mr-t` and the fluid-compacted
+/// `sparse-st` / `sparse-mr`.
+const KNOWN_PATTERNS: [&str; 7] = [
+    "st",
+    "mr-p",
+    "mr-r",
+    "st-aa",
+    "mr-t",
+    "sparse-st",
+    "sparse-mr",
+];
+
+/// The one place a section writes its record: assert every row names a
+/// known pattern, then write `BENCH_<section>.json` here; returns the path.
+fn write_record(rec: &obs::BenchRecord) -> String {
+    for r in rec.rows() {
+        assert!(
+            KNOWN_PATTERNS.contains(&r.pattern.as_str()),
+            "{}: row has unknown pattern '{}'",
+            rec.section(),
+            r.pattern
+        );
+    }
+    rec.write(".")
+        .unwrap_or_else(|e| panic!("write {}: {e}", rec.file_name()))
+}
+
 /// Ideal-pattern observability runs: geometries where Table 2's B/F is
 /// byte-exact on the substrate (periodic boxes for ST, wall-bounded bench
 /// domains for MR).
 fn obs_pass(hub: &Arc<obs::Obs>, rec: &mut obs::BenchRecord) {
-    use lbm_bench::{bench_geometry_2d, bench_geometry_3d, TAU};
+    use lbm_bench::TAU;
     use lbm_core::collision::Bgk;
     use lbm_core::Geometry;
     use lbm_gpu::{MrScheme, MrSim2D, MrSim3D, StSim};
@@ -871,17 +872,12 @@ fn obs_pass(hub: &Arc<obs::Obs>, rec: &mut obs::BenchRecord) {
     ideal_run(hub, rec, st3, init_3d, 2, ("st", "D3Q19", "st-bulk"), 304.0);
     let mr2 = MrSim2D::<D2Q9>::new(
         dev.clone(),
-        bench_geometry_2d(32, 16),
+        Geometry::walls_y_periodic_x(32, 16),
         MrScheme::projective(),
         TAU,
     );
     ideal_run(hub, rec, mr2, init_2d, 3, ("mr-p", "D2Q9", "mr2d-p"), 96.0);
-    let mr3 = MrSim3D::<D3Q19>::new(
-        dev,
-        bench_geometry_3d(12, 12, 10),
-        MrScheme::projective(),
-        TAU,
-    );
+    let mr3 = MrSim3D::<D3Q19>::new(dev, Geometry::duct(12, 12, 10), MrScheme::projective(), TAU);
     ideal_run(
         hub,
         rec,
@@ -926,7 +922,7 @@ fn smoke(hub: &Arc<obs::Obs>) {
         .flat_map(|&n| scale_2d(&g2, n, steps))
         .collect();
     check_halo_ratio(&rows, 6, 9, "D2Q9");
-    let g3 = duct_3d(8, 6, 6);
+    let g3 = lbm_core::Geometry::duct(8, 6, 6);
     let rows3: Vec<ScaleRow> = [1usize, 2]
         .iter()
         .flat_map(|&n| scale_3d(&g3, n, steps))
@@ -976,7 +972,7 @@ fn smoke(hub: &Arc<obs::Obs>) {
     }
 
     rec.set_extra("mass_drift_tol", obs::json::Value::num(1e-10));
-    let path = rec.write(".").expect("write BENCH_smoke.json");
+    let path = write_record(&rec);
     println!("smoke OK: multi-device runs bitwise-match single device; halo ratios exact");
     println!("smoke OK: Table 2 B/F byte-exact through the metrics registry (144/304/96/160);");
     println!("          monitors clean (drift <= 1e-10); wrote {path}");
@@ -1001,7 +997,7 @@ fn in_place_pass(hub: &Arc<obs::Obs>, rec: &mut obs::BenchRecord) {
     let steps = 4; // even: the AA cycle is back in natural slot order
     let dev = DeviceSpec::v100();
     let g2 = lbm_core::Geometry::walls_y_periodic_x(16, 8);
-    let g3 = duct_3d(8, 6, 6);
+    let g3 = lbm_core::Geometry::duct(8, 6, 6);
     let (n2, n3) = (g2.len(), g3.len());
 
     // 2D: AA-ST vs ST and twist-MR vs shift-MR, bitwise at even steps.
@@ -1151,7 +1147,7 @@ fn aa_section(hub: &Arc<obs::Obs>) {
     println!("== aa: in-place single-lattice propagation smoke ====================");
     let mut rec = obs::BenchRecord::new("aa");
     in_place_pass(hub, &mut rec);
-    let path = rec.write(".").expect("write BENCH_aa.json");
+    let path = write_record(&rec);
     println!("wrote {path}");
     println!();
 }
@@ -1187,6 +1183,7 @@ fn sparse_section(hub: &Arc<obs::Obs>) {
 
     // Porosity sweep: same bounding box, three rock fractions.
     let mut sweep = Vec::new();
+    let mut prev = (usize::MAX, usize::MAX);
     for solid_pct in [25u8, 50, 75] {
         let geom = Scenario::Porous2D {
             nx: 24,
@@ -1213,6 +1210,18 @@ fn sparse_section(hub: &Arc<obs::Obs>) {
             footprint_sparse_mr(nf, D2Q9::M, D2Q9::Q),
             "sparse MR footprint off the fluid-count model at {solid_pct}% rock"
         );
+        // Rock is free: more rock, fewer fluid nodes, fewer bytes; and MR
+        // stays below ST at every porosity.
+        let (st_bytes, mr_bytes) = (st.footprint_bytes(), mr.footprint_bytes());
+        assert!(
+            mr_bytes < st_bytes,
+            "sparse MR ({mr_bytes} B) not below sparse ST ({st_bytes} B) at {solid_pct}% rock"
+        );
+        assert!(
+            nf < prev.0 && st_bytes < prev.1,
+            "residency not shrinking with the fluid count at {solid_pct}% rock"
+        );
+        prev = (nf, st_bytes);
         let pct = solid_pct.to_string();
         for (pattern, bytes, bpf, model) in [
             (
@@ -1330,7 +1339,7 @@ fn sparse_section(hub: &Arc<obs::Obs>) {
 
     // The D3Q19 sparse B/F on the walled duct: 2Q·8 + Q·4 = 380 (ST) and
     // 2M·8 + Q·4 = 236 (MR).
-    let g3 = duct_3d(8, 6, 6);
+    let g3 = lbm_core::Geometry::duct(8, 6, 6);
     let nf3 = g3.fluid_count();
     let mut st3: StSparseSim<D3Q19, _> = StSparseSim::new(dev.clone(), g3.clone(), Bgk::new(TAU));
     let mut mr3: SparseMrSim3D = SparseMrSim3D::new(dev.clone(), g3, MrScheme::projective(), TAU);
@@ -1366,51 +1375,10 @@ fn sparse_section(hub: &Arc<obs::Obs>) {
         });
     }
 
-    let path = rec.write(".").expect("write BENCH_sparse.json");
+    let path = write_record(&rec);
     println!("sparse OK: footprints == fluid-count model at 25/50/75% rock (registry-checked);");
     println!("           B/F 180/132 (D2Q9) and 380/236 (D3Q19); bitwise vs dense; halo exact");
     println!("wrote {path}");
-    println!();
-}
-
-/// Machine-readable perf records: every headline number as a BENCH row —
-/// byte-exact traffic ideals, the measured sweep on both devices, the
-/// multi-device halo/overlap measurements.
-fn bench_record(quick: bool, results: &[RunResult], hub: &Arc<obs::Obs>) {
-    println!("== bench-record: machine-readable perf records ======================");
-    let mut rec = obs::BenchRecord::new("bench-record");
-    obs_pass(hub, &mut rec);
-
-    let n = 16_000_000;
-    for dev in devices() {
-        for r in results {
-            rec.push(obs::BenchRow {
-                device: dev.name.to_string(),
-                lattice: r.lattice.to_string(),
-                pattern: r.pattern.label().to_lowercase(),
-                fluid_nodes: r.fluid_nodes as u64,
-                steps: r.steps as u64,
-                mflups_modeled: r.modeled_mflups(&dev, n),
-                dram_bytes_per_item: r.measured_bpf,
-                l2_hit_rate: 0.0,
-                halo_bytes_per_step: 0,
-                overlap_efficiency: 0.0,
-            });
-        }
-    }
-
-    let steps = if quick { 3 } else { 6 };
-    let g2 = lbm_core::Geometry::walls_y_periodic_x(32, 16);
-    for row in scale_2d(&g2, 2, steps) {
-        rec.push(scale_to_bench(&row, "D2Q9", g2.fluid_count(), steps));
-    }
-    let g3 = duct_3d(12, 8, 8);
-    for row in scale_3d(&g3, 2, steps) {
-        rec.push(scale_to_bench(&row, "D3Q19", g3.fluid_count(), steps));
-    }
-
-    let path = rec.write(".").expect("write BENCH record");
-    println!("wrote {path}: {} rows", rec.rows().len());
     println!();
 }
 
@@ -1550,7 +1518,7 @@ fn resilience(hub: &Arc<obs::Obs>, inject: &str, every: u64) {
         );
     }
 
-    let path = rec.write(".").expect("write BENCH_resilience.json");
+    let path = write_record(&rec);
     println!(
         "  recovery counters: rollbacks={:?} checkpoints={:?} halo_retries(0->1)={:?}",
         hub.metrics.counter("recovery_rollbacks_total", &[]),
@@ -1700,7 +1668,7 @@ fn serve_load(hub: &Arc<obs::Obs>, jobs: usize, seed: u64) {
                 .collect(),
         ),
     );
-    let path = rec.write(".").expect("write BENCH_serve.json");
+    let path = write_record(&rec);
     println!("serve OK: zero lost/duplicated jobs, all checksums match solo runs; wrote {path}");
     println!();
 }
@@ -1952,8 +1920,9 @@ fn slo_load(jobs: usize, seed: u64, events_path: Option<&str>) {
             .gauge("achieved_gbps", &[("kernel", &kernel), ("device", &device)])
             .expect("achieved_gbps gauge paired with roofline gauge");
         assert!(
-            pct_v > 0.0 && gbps > 0.0,
-            "empty roofline attribution for {kernel} on {device}"
+            pct_v > 0.0 && pct_v <= 100.0 && gbps > 0.0,
+            "roofline attribution out of range for {kernel} on {device}: \
+             {gbps} GB/s, {pct_v}% of roofline"
         );
         devices_seen.insert(device.clone());
         roofline_rows.push(Value::obj(vec![
@@ -2030,7 +1999,7 @@ fn slo_load(jobs: usize, seed: u64, events_path: Option<&str>) {
         Value::int(span_tenant.len() as u64),
     );
     rec.set_extra("roofline", Value::Arr(roofline_rows));
-    let path = rec.write(".").expect("write BENCH_slo.json");
+    let path = write_record(&rec);
     if let Some(p) = events_path {
         hub.events.write_json(p).expect("write events JSON");
         println!("  wrote fleet event log to {p}");
@@ -2043,7 +2012,7 @@ fn slo_load(jobs: usize, seed: u64, events_path: Option<&str>) {
     println!();
 }
 
-const USAGE: &str = "usage: reproduce [table1|table2|table3|table4|figure2|figure3|footprint|speedups|occupancy|profile|futurework|scaling|smoke|aa|sparse|bench-record|resilience|serve|slo|all] [--quick] [--inject=nan|abort|link|all] [--checkpoint-every=<n>] [--jobs=<n>] [--seed=<n>] [--trace=<path>] [--metrics=<path>] [--events=<path>]";
+const USAGE: &str = "usage: reproduce [table1|table2|table3|table4|figure2|figure3|footprint|speedups|occupancy|profile|futurework|scaling|smoke|aa|sparse|resilience|serve|slo|all] [--quick] [--inject=nan|abort|link|all] [--checkpoint-every=<n>] [--jobs=<n>] [--seed=<n>] [--trace=<path>] [--metrics=<path>] [--events=<path>]";
 
 /// Flags that carry a value (`--name=value`).
 const VALUE_FLAGS: [&str; 7] = [
@@ -2130,10 +2099,7 @@ fn main() {
         None => 2023,
     };
     let hub = obs::Obs::shared();
-    let needs_measure = matches!(
-        what,
-        "all" | "table2" | "figure2" | "figure3" | "speedups" | "bench-record"
-    );
+    let needs_measure = matches!(what, "all" | "table2" | "figure2" | "figure3" | "speedups");
     let results = if needs_measure {
         eprintln!("measuring B/F on the substrate (this runs real kernels)...");
         measure_all(quick)
@@ -2157,7 +2123,6 @@ fn main() {
         "smoke" => smoke(&hub),
         "aa" => aa_section(&hub),
         "sparse" => sparse_section(&hub),
-        "bench-record" => bench_record(quick, &results, &hub),
         "resilience" => resilience(&hub, &inject, ckpt_every),
         "serve" => serve_load(&hub, serve_jobs, serve_seed),
         "slo" => slo_load(serve_jobs, serve_seed, events_path.as_deref()),
@@ -2176,7 +2141,6 @@ fn main() {
             scaling(quick);
             aa_section(&hub);
             sparse_section(&hub);
-            bench_record(quick, &results, &hub);
             resilience(&hub, &inject, ckpt_every);
             serve_load(&hub, serve_jobs, serve_seed);
             slo_load(serve_jobs, serve_seed, events_path.as_deref());

@@ -50,29 +50,6 @@ fn shear_init_3d(_x: usize, y: usize, z: usize) -> (f64, [f64; 3]) {
     (1.0, [0.03 * ((y + z) as f64 * 0.31).sin(), 0.0, 0.0])
 }
 
-/// Bulk-dominated 2D benchmark domain: walls in y, periodic in x.
-pub fn bench_geometry_2d(nx: usize, ny: usize) -> Geometry {
-    Geometry::walls_y_periodic_x(nx, ny)
-}
-
-/// Bulk-dominated 3D benchmark domain: walls in y and z, periodic in x.
-pub fn bench_geometry_3d(nx: usize, ny: usize, nz: usize) -> Geometry {
-    let mut g = Geometry::new(nx, ny, nz, [true, false, false]);
-    for z in 0..nz {
-        for x in 0..nx {
-            g.set(x, 0, z, lbm_core::NodeType::Wall);
-            g.set(x, ny - 1, z, lbm_core::NodeType::Wall);
-        }
-    }
-    for y in 0..ny {
-        for x in 0..nx {
-            g.set(x, y, 0, lbm_core::NodeType::Wall);
-            g.set(x, y, nz - 1, lbm_core::NodeType::Wall);
-        }
-    }
-    g
-}
-
 /// Measured B/F of `steps` steps of `sim` from `init`.
 fn bpf_of<B: SoloBody>(
     mut sim: Sim<B>,
@@ -84,8 +61,8 @@ fn bpf_of<B: SoloBody>(
     sim.measured_bpf()
 }
 
-/// Run `pattern` on lattice `L` over the bulk-dominated benchmark domain of
-/// that dimension (`nz` is ignored in 2D) and collect its measurements.
+/// Run `pattern` on lattice `L` over the bulk-dominated [`Geometry::duct`]
+/// of that dimension (`nz` is ignored in 2D) and collect its measurements.
 /// D3Q27 goes through the same kernels (paper §5 future work: "lattices
 /// with a large number of components, such as the single-speed D3Q27") and
 /// the MR advantage grows: 2Q·8 = 432 vs 2M·8 = 160 B/F.
@@ -97,9 +74,9 @@ pub fn run<L: Lattice>(
 ) -> RunResult {
     let name = device.name;
     let (geom, init): (_, fn(usize, usize, usize) -> _) = if L::D == 2 {
-        (bench_geometry_2d(nx, ny), shear_init_2d)
+        (Geometry::duct(nx, ny, 1), shear_init_2d)
     } else {
-        (bench_geometry_3d(nx, ny, nz), shear_init_3d)
+        (Geometry::duct(nx, ny, nz), shear_init_3d)
     };
     let fluid = geom.fluid_count();
     let bgk = Bgk::new(TAU);
@@ -130,8 +107,7 @@ pub fn run<L: Lattice>(
 /// Run the multi-speed D3Q39 lattice through the ST pattern on a fully
 /// periodic box (multi-speed wall treatment is out of scope — the paper
 /// names D3Q39 only as future work). The measured B/F should be
-/// 2Q·8 = 624; the moment representation would still need only
-/// 2M·8 = 160, a projected ×3.9.
+/// 2Q·8 = 624.
 pub fn run_3d_q39_st(device: DeviceSpec, n: usize, steps: usize) -> RunResult {
     let name = device.name;
     let geom = Geometry::periodic_3d(n, n, n);

@@ -126,16 +126,26 @@ impl Geometry {
         g
     }
 
-    /// 2D plane-Poiseuille test rig: periodic along `x`, walls on `y`,
-    /// driven by inlet/outlet replaced with a body force elsewhere — here we
-    /// keep walls only and let callers drive the flow.
-    pub fn walls_y_periodic_x(nx: usize, ny: usize) -> Self {
-        let mut g = Self::new(nx, ny, 1, [true, false, true]);
-        for x in 0..nx {
-            g.set(x, 0, 0, NodeType::Wall);
-            g.set(x, ny - 1, 0, NodeType::Wall);
+    /// Bulk-dominated duct: periodic along `x`, bounce-back walls on the
+    /// `y` faces and, when `nz > 1`, on the `z` faces too (a 2D duct is
+    /// periodic in its one `z` layer). Callers drive the flow.
+    pub fn duct(nx: usize, ny: usize, nz: usize) -> Self {
+        let mut g = Self::new(nx, ny, nz, [true, false, nz == 1]);
+        for z in 0..nz {
+            for y in 0..ny {
+                if y == 0 || y == ny - 1 || (nz > 1 && (z == 0 || z == nz - 1)) {
+                    for x in 0..nx {
+                        g.set(x, y, z, NodeType::Wall);
+                    }
+                }
+            }
         }
         g
+    }
+
+    /// 2D plane-Poiseuille test rig: the `nz = 1` [`Geometry::duct`].
+    pub fn walls_y_periodic_x(nx: usize, ny: usize) -> Self {
+        Self::duct(nx, ny, 1)
     }
 
     /// Carve a solid circular cylinder (2D) or circular column (3D, axis

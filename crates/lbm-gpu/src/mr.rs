@@ -1306,19 +1306,6 @@ mod tests {
         DeviceSpec::v100()
     }
 
-    /// Periodic along x, walls on the lateral faces: a channel for
-    /// `nz = 1`, a duct otherwise.
-    fn walled(nx: usize, ny: usize, nz: usize) -> Geometry {
-        let mut geom = Geometry::new(nx, ny, nz, [true, false, nz == 1]);
-        for idx in 0..geom.len() {
-            let (x, y, z) = geom.coords(idx);
-            if y == 0 || y == ny - 1 || (nz > 1 && (z == 0 || z == nz - 1)) {
-                geom.set(x, y, z, NodeType::Wall);
-            }
-        }
-        geom
-    }
-
     fn shear_2d(x: usize, y: usize, _z: usize) -> (f64, [f64; 3]) {
         (
             1.0 + 0.01 * ((x + 2 * y) as f64 * 0.4).sin(),
@@ -1440,9 +1427,14 @@ mod tests {
     fn periodic_x_matches_reference_with_racecheck() {
         assert_matches_reference::<D2Q9, _>(
             "periodic-x",
-            MrSim::new(v100(), walled(12, 8, 1), MrScheme::projective(), 0.9)
-                .with_cpu_threads(4)
-                .with_racecheck_strict(),
+            MrSim::new(
+                v100(),
+                Geometry::duct(12, 8, 1),
+                MrScheme::projective(),
+                0.9,
+            )
+            .with_cpu_threads(4)
+            .with_racecheck_strict(),
             Projective::new(0.9),
             Some(|x, y, _| {
                 (
@@ -1461,7 +1453,7 @@ mod tests {
             "3D MR-R",
             MrSim::new(
                 DeviceSpec::mi100(),
-                walled(8, 8, 8),
+                Geometry::duct(8, 8, 8),
                 MrScheme::recursive::<D3Q19>(),
                 0.8,
             )
@@ -1492,7 +1484,7 @@ mod tests {
         // Footprint 4 × auto, tile_h 2, shift 2 ≥ tile_h − 1.
         assert_matches_reference::<D2Q9, _>(
             "tile_h=2",
-            MrSim::with_config(v100(), walled(12, 8, 1), p(), 0.8, 4, 0, 2, 2)
+            MrSim::with_config(v100(), Geometry::duct(12, 8, 1), p(), 0.8, 4, 0, 2, 2)
                 .with_cpu_threads(4)
                 .with_racecheck_strict(),
             Projective::new(0.8),
@@ -1502,7 +1494,7 @@ mod tests {
         );
         assert_matches_reference::<D3Q19, _>(
             "3D tile_h=2",
-            MrSim::with_config(v100(), walled(12, 8, 8), p(), 0.8, 0, 0, 2, 1)
+            MrSim::with_config(v100(), Geometry::duct(12, 8, 8), p(), 0.8, 0, 0, 2, 1)
                 .with_cpu_threads(4)
                 .with_parallel_threshold(0)
                 .with_racecheck_strict(),
@@ -1523,9 +1515,9 @@ mod tests {
             mr.run(steps);
             mr.measured_bpf()
         }
-        let bpf2 = bpf::<D2Q9>(walled(32, 16, 1), 3);
+        let bpf2 = bpf::<D2Q9>(Geometry::duct(32, 16, 1), 3);
         assert!((bpf2 - 96.0).abs() < 2.0, "B/F = {bpf2}");
-        let bpf3 = bpf::<D3Q19>(walled(12, 12, 10), 2);
+        let bpf3 = bpf::<D3Q19>(Geometry::duct(12, 12, 10), 2);
         assert!((bpf3 - 160.0).abs() < 4.0, "B/F = {bpf3}");
     }
 
@@ -1533,7 +1525,12 @@ mod tests {
     /// than the paper's 33 % (Algorithm 2 stores M, not 2M, doubles).
     #[test]
     fn footprint_is_single_lattice() {
-        let mr: MrSim<D2Q9> = MrSim::new(v100(), walled(32, 16, 1), MrScheme::projective(), 0.8);
+        let mr: MrSim<D2Q9> = MrSim::new(
+            v100(),
+            Geometry::duct(32, 16, 1),
+            MrScheme::projective(),
+            0.8,
+        );
         let st_bytes = 2 * 9 * 32 * 16 * 8;
         assert!(mr.footprint_bytes() < st_bytes / 2);
     }
@@ -1544,7 +1541,7 @@ mod tests {
     fn inplace_no_shift_is_lockstep_safe() {
         let mut mr: MrSim<D2Q9> = MrSim::with_config(
             v100(),
-            walled(12, 8, 1),
+            Geometry::duct(12, 8, 1),
             MrScheme::projective(),
             0.8,
             4,
@@ -1584,7 +1581,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "needs a 2D domain")]
     fn rejects_a_domain_of_another_dimension() {
-        let _ = MrSim::<D2Q9>::new(v100(), walled(8, 8, 8), MrScheme::projective(), 0.8);
+        let _ = MrSim::<D2Q9>::new(v100(), Geometry::duct(8, 8, 8), MrScheme::projective(), 0.8);
     }
 
     #[test]
@@ -1622,8 +1619,13 @@ mod tests {
             )
         };
         let mk = || {
-            MrSim::<D2Q9>::new(v100(), walled(16, 8, 1), MrScheme::projective(), 0.8)
-                .with_cpu_threads(2)
+            MrSim::<D2Q9>::new(
+                v100(),
+                Geometry::duct(16, 8, 1),
+                MrScheme::projective(),
+                0.8,
+            )
+            .with_cpu_threads(2)
         };
         let mut single = mk();
         single.init_with(init);
@@ -1646,8 +1648,13 @@ mod tests {
     /// Mass conservation on the periodic-x channel.
     #[test]
     fn conserves_mass() {
-        let mut mr: MrSim<D2Q9> =
-            MrSim::new(v100(), walled(16, 8, 1), MrScheme::projective(), 0.8).with_cpu_threads(2);
+        let mut mr: MrSim<D2Q9> = MrSim::new(
+            v100(),
+            Geometry::duct(16, 8, 1),
+            MrScheme::projective(),
+            0.8,
+        )
+        .with_cpu_threads(2);
         mr.init_with(|x, y, _| (1.0 + 0.01 * ((x + y) as f64).sin(), [0.0; 3]));
         let mass = |s: &MrSim<D2Q9>| -> f64 { s.density_field().iter().sum() };
         let m0 = mass(&mr);
@@ -1691,7 +1698,7 @@ mod tests {
         }
         // wx 8 → 6 column blocks, enough for real work stealing.
         check::<D2Q9>(
-            |s| MrSim::with_config(v100(), walled(48, 8, 1), s, 0.8, 8, 0, 1, 1),
+            |s| MrSim::with_config(v100(), Geometry::duct(48, 8, 1), s, 0.8, 8, 0, 1, 1),
             shear_2d,
             8,
         );
@@ -1734,8 +1741,8 @@ mod tests {
                 }
             }
         }
-        check::<D2Q9>(walled(16, 8, 1), shear_2d, 7);
-        check::<D3Q19>(walled(8, 8, 8), shear_3d, 5);
+        check::<D2Q9>(Geometry::duct(16, 8, 1), shear_2d, 7);
+        check::<D3Q19>(Geometry::duct(8, 8, 8), shear_3d, 5);
     }
 
     /// Twist residency is exactly `M·8` bytes per node — no padding, no
@@ -1757,8 +1764,8 @@ mod tests {
             twist.run(5);
             assert!(twist.velocity_field().iter().all(|u| u[0].is_finite()));
         }
-        check::<D2Q9>(walled(16, 8, 1), 6 * 16 * 8 * 8);
-        check::<D3Q19>(walled(8, 8, 8), 10 * 8 * 8 * 8 * 8);
+        check::<D2Q9>(Geometry::duct(16, 8, 1), 6 * 16 * 8 * 8);
+        check::<D3Q19>(Geometry::duct(8, 8, 8), 10 * 8 * 8 * 8 * 8);
     }
 
     /// Twist checkpoints carry the parity in their flavor and round-trip at
@@ -1792,12 +1799,12 @@ mod tests {
             ));
         }
         check::<D2Q9>(
-            walled(16, 8, 1),
+            Geometry::duct(16, 8, 1),
             |_, y, _| (1.0, [0.02 * (y as f64 * 0.9).sin(), 0.0, 0.0]),
             5,
         );
         check::<D3Q19>(
-            walled(8, 6, 6),
+            Geometry::duct(8, 6, 6),
             |_, y, z| (1.0, [0.02 * ((y + z) as f64 * 0.7).sin(), 0.0, 0.0]),
             3,
         );
@@ -1837,8 +1844,12 @@ mod tests {
         }
         // And the driver exposes the chosen redundancy as a gauge.
         let obs = obs::Obs::shared();
-        let mut mr: MrSim<D3Q19> =
-            MrSim::new(v100(), walled(16, 4, 6), MrScheme::projective(), 0.8);
+        let mut mr: MrSim<D3Q19> = MrSim::new(
+            v100(),
+            Geometry::duct(16, 4, 6),
+            MrScheme::projective(),
+            0.8,
+        );
         mr.set_obs(obs.clone());
         let g = obs
             .metrics

@@ -68,19 +68,6 @@ mod tests {
     use lbm_lattice::{D2Q9, D3Q19};
     use std::sync::Arc;
 
-    /// Periodic along x, walls on the lateral faces: a channel for
-    /// `nz = 1`, a duct otherwise.
-    fn walled(nx: usize, ny: usize, nz: usize) -> Geometry {
-        let mut g = Geometry::new(nx, ny, nz, [true, false, nz == 1]);
-        for idx in 0..g.len() {
-            let (x, y, z) = g.coords(idx);
-            if y == 0 || y == ny - 1 || (nz > 1 && (z == 0 || z == nz - 1)) {
-                g.set(x, y, z, NodeType::Wall);
-            }
-        }
-        g
-    }
-
     fn shear_2d(x: usize, y: usize, _z: usize) -> (f64, [f64; 3]) {
         (
             1.0 + 0.01 * ((2 * x + y) as f64 * 0.4).sin(),
@@ -129,8 +116,8 @@ mod tests {
             let multi = sharded::<L>(geom, shards).with_cpu_threads(2);
             checks::matches_single(single, multi, Some(init), &[steps]);
         }
-        check::<D2Q9>(walled(16, 8, 1), 4, shear_2d, 10);
-        check::<D3Q19>(walled(12, 8, 8), 3, shear_3d, 6);
+        check::<D2Q9>(Geometry::duct(16, 8, 1), 4, shear_2d, 10);
+        check::<D3Q19>(Geometry::duct(12, 8, 8), 3, shear_3d, 6);
     }
 
     /// MR-R on an inlet/outlet channel matches to roundoff (the FD stencil
@@ -161,15 +148,25 @@ mod tests {
             );
         }
         // 4 transfers × 8 fluid nodes × M·8.
-        check::<D2Q9>(DeviceSpec::v100(), walled(16, 10, 1), 4, 4 * 8 * 6 * 8);
+        check::<D2Q9>(
+            DeviceSpec::v100(),
+            Geometry::duct(16, 10, 1),
+            4,
+            4 * 8 * 6 * 8,
+        );
         // 4 transfers × (6−2)·(6−2) fluid nodes × 10·8 bytes.
-        check::<D3Q19>(DeviceSpec::mi100(), walled(8, 6, 6), 3, 4 * 16 * 10 * 8);
+        check::<D3Q19>(
+            DeviceSpec::mi100(),
+            Geometry::duct(8, 6, 6),
+            3,
+            4 * 16 * 10 * 8,
+        );
     }
 
     /// Mass is conserved across the cuts.
     #[test]
     fn conserves_mass() {
-        let mut multi = sharded::<D2Q9>(walled(16, 8, 1), 4).with_cpu_threads(2);
+        let mut multi = sharded::<D2Q9>(Geometry::duct(16, 8, 1), 4).with_cpu_threads(2);
         multi.init_with(|x, y, _| (1.0 + 0.01 * ((x + y) as f64).sin(), [0.0; 3]));
         let mass = |s: &MultiMrSim<D2Q9>| -> f64 { s.density_field().iter().sum() };
         let m0 = mass(&multi);
@@ -191,11 +188,11 @@ mod tests {
                 steps,
             );
         }
-        check::<D2Q9>(walled(16, 8, 1), 4, shear_2d, 6);
-        check::<D3Q19>(walled(12, 8, 8), 3, shear_3d, 4);
+        check::<D2Q9>(Geometry::duct(16, 8, 1), 4, shear_2d, 6);
+        check::<D3Q19>(Geometry::duct(12, 8, 8), 3, shear_3d, 4);
         // Scattered rock: chunks mix span-scattered bulk lanes with
         // node-scattered ones, and the cut at x = 12 runs through it.
-        let mut rock = walled(24, 10, 1);
+        let mut rock = Geometry::duct(24, 10, 1);
         for (x, y) in (0..24).flat_map(|x| (1..9).map(move |y| (x, y))) {
             if (7 * x + 13 * y) % 5 == 0 {
                 rock.set(x, y, 0, NodeType::Wall);
@@ -234,7 +231,7 @@ mod tests {
             assert_eq!(multi.steps(), 2, "a failed step must not count");
             drop(multi);
         }
-        check::<D2Q9>(walled(16, 8, 1), 4, shear_2d);
-        check::<D3Q19>(walled(12, 8, 8), 3, shear_3d);
+        check::<D2Q9>(Geometry::duct(16, 8, 1), 4, shear_2d);
+        check::<D3Q19>(Geometry::duct(12, 8, 8), 3, shear_3d);
     }
 }

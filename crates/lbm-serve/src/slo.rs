@@ -303,13 +303,36 @@ mod tests {
         assert_eq!((d.slice_steps, d.batch_max, d.reason), (2, 3, "breach"));
     }
 
-    /// Batch observations feed quantiles but never tune, and the
-    /// controller's history is a pure function of the observation order.
+    /// Batch observations feed quantiles but never tune, the controller's
+    /// history is a pure function of the observation order, and the
+    /// summary `reproduce slo` records has ordered quantiles and burn rates
+    /// in [0, 1] for both classes.
     #[test]
     fn batch_never_tunes_and_replay_is_deterministic() {
         let run = |seq: &[(Priority, f64)]| {
             let mut c = SloController::new(policy(), 8, 4);
             let ds: Vec<_> = seq.iter().filter_map(|&(p, l)| c.observe(p, l)).collect();
+            let summary = c.summary();
+            for k in ["target_p99_ms", "tunes", "slice_steps", "batch_max"] {
+                assert!(summary.get(k).and_then(|v| v.as_f64()).is_some(), "no {k}");
+            }
+            for class in ["interactive", "batch"] {
+                let keys = [
+                    "p50_ms",
+                    "p90_ms",
+                    "p99_ms",
+                    "burn_rate",
+                    "count",
+                    "breaches",
+                    "mean_ms",
+                ];
+                let [p50, p90, p99, burn, ..] = keys.map(|k| {
+                    let v = summary.get(class).and_then(|c| c.get(k)?.as_f64());
+                    v.unwrap_or_else(|| panic!("summary has no {class}.{k}"))
+                });
+                assert!(p50 <= p90 && p90 <= p99, "{class}: {p50} {p90} {p99}");
+                assert!((0.0..=1.0).contains(&burn), "{class} burn rate {burn}");
+            }
             (ds, c.tuned(), c.tunes())
         };
         let seq: Vec<(Priority, f64)> = (0..200)

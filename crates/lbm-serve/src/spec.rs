@@ -78,19 +78,7 @@ impl Scenario {
     pub fn geometry(&self) -> Geometry {
         match *self {
             Scenario::Shear2D { nx, ny } => Geometry::walls_y_periodic_x(nx, ny),
-            Scenario::Shear3D { nx, ny, nz } => {
-                let mut g = Geometry::new(nx, ny, nz, [true, false, false]);
-                for z in 0..nz {
-                    for y in 0..ny {
-                        for x in 0..nx {
-                            if y == 0 || y == ny - 1 || z == 0 || z == nz - 1 {
-                                g.set(x, y, z, NodeType::Wall);
-                            }
-                        }
-                    }
-                }
-                g
-            }
+            Scenario::Shear3D { nx, ny, nz } => Geometry::duct(nx, ny, nz),
             Scenario::Porous2D { nx, ny, solid_pct } => {
                 let mut g = Geometry::walls_y_periodic_x(nx, ny);
                 for y in 1..ny - 1 {

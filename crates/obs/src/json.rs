@@ -4,8 +4,8 @@
 //! are all JSON, and the workspace is offline/std-only, so this module
 //! provides the small subset of JSON handling they need: a [`Value`] tree,
 //! an emitter with proper string escaping and non-finite-float handling,
-//! and a strict recursive-descent parser used by tests and the
-//! `obs-validate` CI gate to prove the emitted files parse.
+//! and a strict recursive-descent parser that the exporters' tests use to
+//! prove the emitted files parse.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -24,7 +24,9 @@
 //! the serve scheduler. [`BenchRecord`]
 //! renders machine-readable `BENCH_<section>.json` perf records, and the
 //! in-crate [`json`] module gives the std-only workspace a writer plus a
-//! strict parser (used by tests and the `obs-validate` CI gate).
+//! strict parser. The parser's callers are tests: each exporter's own
+//! tests parse what it emits. `reproduce` asserts each record's facts on
+//! the in-memory values before it writes the file.
 //!
 //! This crate is deliberately dependency-free (std only) and sits below
 //! `gpu-sim` in the crate graph.

@@ -307,22 +307,6 @@ fn multi_device_matches_single_2d() {
     }
 }
 
-/// Periodic-x duct with walls on the four lateral faces: the shared 3D
-/// geometry all three representations can run sharded.
-fn duct(nx: usize, ny: usize, nz: usize) -> Geometry {
-    let mut g = Geometry::new(nx, ny, nz, [true, false, false]);
-    for z in 0..nz {
-        for y in 0..ny {
-            for x in 0..nx {
-                if y == 0 || y == ny - 1 || z == 0 || z == nz - 1 {
-                    g.set(x, y, z, NodeType::Wall);
-                }
-            }
-        }
-    }
-    g
-}
-
 #[test]
 fn multi_device_matches_single_3d() {
     let tau = 0.75;
@@ -338,7 +322,7 @@ fn multi_device_matches_single_3d() {
             ],
         )
     };
-    let geom = duct(12, 7, 7);
+    let geom = Geometry::duct(12, 7, 7);
 
     let mut single: StSim<D3Q19, _> =
         StSim::new(DeviceSpec::v100(), geom.clone(), Projective::new(tau));
@@ -391,7 +375,7 @@ fn moment_space_halo_bytes_are_m_over_q() {
     assert_eq!(stb * 6, mrb * 9, "D2Q9 accumulated link bytes must be 9:6");
 
     // D3Q19: M/Q = 10/19 (the 160/304 ratio).
-    let geom = duct(10, 6, 6);
+    let geom = Geometry::duct(10, 6, 6);
     let mut st: MultiStSim<D3Q19, _> =
         MultiStSim::new(DeviceSpec::mi100(), geom.clone(), Bgk::new(0.9), 2);
     st.run(steps);

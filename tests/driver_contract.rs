@@ -24,7 +24,7 @@
 use gpu_sim::memory::Tally;
 use gpu_sim::{DeviceSpec, FaultPlan, Gpu};
 use lbm_core::collision::{Bgk, Projective};
-use lbm_core::geometry::{Geometry, NodeType};
+use lbm_core::geometry::Geometry;
 use lbm_core::io::{fnv1a, CheckpointError};
 use lbm_core::{Simulation, StepError};
 use lbm_gpu::multi::{
@@ -156,18 +156,7 @@ fn channel() -> Geometry {
 
 /// Periodic-x duct with walls on the four lateral faces.
 fn duct() -> Geometry {
-    let (nx, ny, nz) = (8, 6, 6);
-    let mut g = Geometry::new(nx, ny, nz, [true, false, false]);
-    for z in 0..nz {
-        for y in 0..ny {
-            for x in 0..nx {
-                if y == 0 || y == ny - 1 || z == 0 || z == nz - 1 {
-                    g.set(x, y, z, NodeType::Wall);
-                }
-            }
-        }
-    }
-    g
+    Geometry::duct(8, 6, 6)
 }
 
 fn host<B: DriverBody + Send + 'static>(

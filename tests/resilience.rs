@@ -10,7 +10,7 @@
 use gpu_sim::interconnect::LinkError;
 use gpu_sim::{DeviceSpec, FaultPlan};
 use lbm_core::collision::Projective;
-use lbm_core::geometry::{Geometry, NodeType};
+use lbm_core::geometry::Geometry;
 use lbm_core::io::{field_checksum, CheckpointError};
 use lbm_core::{Simulation, StepError};
 use lbm_gpu::scheme::MrScheme;
@@ -32,22 +32,6 @@ fn shear_init(x: usize, y: usize, z: usize) -> (f64, [f64; 3]) {
             0.0,
         ],
     )
-}
-
-/// Periodic-x duct: walls on the four lateral faces (what the 3D MR
-/// drivers require).
-fn duct(nx: usize, ny: usize, nz: usize) -> Geometry {
-    let mut g = Geometry::new(nx, ny, nz, [true, false, false]);
-    for z in 0..nz {
-        for y in 0..ny {
-            for x in 0..nx {
-                if y == 0 || y == ny - 1 || z == 0 || z == nz - 1 {
-                    g.set(x, y, z, NodeType::Wall);
-                }
-            }
-        }
-    }
-    g
 }
 
 fn checksum_of<S: Simulation>(s: &S) -> u64 {
@@ -136,7 +120,7 @@ fn mr2d_checkpoint_roundtrip_bitwise() {
 
 #[test]
 fn mr3d_checkpoint_roundtrip_bitwise() {
-    let geom = duct(8, 6, 6);
+    let geom = Geometry::duct(8, 6, 6);
     let mk = || {
         let mut s: MrSim3D<D3Q19> = MrSim3D::new(
             DeviceSpec::mi100(),
@@ -222,7 +206,7 @@ fn multi_mr2d_checkpoint_restores_overlap_stats() {
 
 #[test]
 fn multi_mr3d_checkpoint_roundtrip_bitwise() {
-    let geom = duct(12, 8, 8);
+    let geom = Geometry::duct(12, 8, 8);
     let mk = || {
         let mut s: MultiMrSim3D<D3Q19> = MultiMrSim3D::new(
             DeviceSpec::v100(),
@@ -386,7 +370,7 @@ fn mr_twist_checkpoint_roundtrip_at_odd_parity() {
     };
     ckpt_roundtrip(mk2(), mk2(), mk2(), 5, 7);
 
-    let geom3 = duct(8, 6, 6);
+    let geom3 = Geometry::duct(8, 6, 6);
     let mk3 = || {
         let mut s: MrSim3D<D3Q19> = MrSim3D::new(
             DeviceSpec::mi100(),
@@ -519,7 +503,7 @@ fn mr2d_recovers_from_nan_fault() {
 
 #[test]
 fn mr3d_recovers_from_bitflip_fault() {
-    let geom = duct(8, 6, 6);
+    let geom = Geometry::duct(8, 6, 6);
     let mk = || {
         let mut s: MrSim3D<D3Q19> = MrSim3D::new(
             DeviceSpec::mi100(),
@@ -603,7 +587,7 @@ fn multi_mr2d_recovers_from_nan_fault() {
 
 #[test]
 fn multi_mr3d_recovers_from_nan_fault() {
-    let geom = duct(12, 8, 8);
+    let geom = Geometry::duct(12, 8, 8);
     let mk = || {
         let mut s: MultiMrSim3D<D3Q19> = MultiMrSim3D::new(
             DeviceSpec::v100(),
@@ -1179,7 +1163,7 @@ fn injected_faults_hit_the_same_shard_at_any_thread_budget() {
         s.init_with(shear_init);
         s
     });
-    let duct3 = duct(12, 8, 8);
+    let duct3 = Geometry::duct(12, 8, 8);
     same_site("multi-mr3d", &duct3, 3, (110, 4), |threads, plan| {
         let scheme = MrScheme::projective();
         let mut s: MultiMrSim3D<D3Q19> =
