@@ -226,6 +226,26 @@ impl Geometry {
         self.nodes[idx]
     }
 
+    /// The classifications of the `nx` nodes of row `(y, z)`, by `x`.
+    #[inline]
+    pub fn row(&self, y: usize, z: usize) -> &[NodeType] {
+        let i = self.idx(0, y, z);
+        &self.nodes[i..i + self.nx]
+    }
+
+    /// Mutable [`Geometry::row`].
+    #[inline]
+    pub fn row_mut(&mut self, y: usize, z: usize) -> &mut [NodeType] {
+        let i = self.idx(0, y, z);
+        &mut self.nodes[i..i + self.nx]
+    }
+
+    /// Every node's classification, by flat index.
+    #[inline]
+    pub fn nodes(&self) -> &[NodeType] {
+        &self.nodes
+    }
+
     /// Set the classification of a node.
     pub fn set(&mut self, x: usize, y: usize, z: usize, t: NodeType) {
         let i = self.idx(x, y, z);

@@ -15,6 +15,29 @@ pub fn num_threads() -> usize {
         .unwrap_or(1)
 }
 
+/// Split `0..n` into at most `threads` contiguous ranges of near-equal size
+/// and run `body` on each in parallel, on scoped threads. With one range the
+/// body runs inline (no spawn).
+pub fn parallel_ranges<F>(n: usize, threads: usize, body: F)
+where
+    F: Fn(std::ops::Range<usize>) + Sync,
+{
+    if n == 0 {
+        return;
+    }
+    let chunk = n.div_ceil(threads.clamp(1, n));
+    if chunk == n {
+        return body(0..n);
+    }
+    std::thread::scope(|s| {
+        for lo in (chunk..n).step_by(chunk) {
+            let body = &body;
+            s.spawn(move || body(lo..(lo + chunk).min(n)));
+        }
+        body(0..chunk);
+    });
+}
+
 /// Split the `n` nodes of a direction-major SoA lattice (`soa.len()` a
 /// multiple of `n`) into at most `threads` contiguous node ranges of
 /// near-equal size and run `body(lo, rows)` on each in parallel, where
@@ -88,6 +111,22 @@ mod tests {
         for i in 0..n {
             assert_eq!(data[i], i as u64 * 3);
             assert_eq!(data[n + i], i as u64 * 5);
+        }
+    }
+
+    #[test]
+    fn parallel_ranges_cover_exactly_once() {
+        for n in [0usize, 1, 7, 100, 1001] {
+            for threads in [1usize, 2, 3, 8] {
+                let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                let calls = AtomicUsize::new(0);
+                parallel_ranges(n, threads, |r| {
+                    calls.fetch_add(1, Ordering::Relaxed);
+                    r.for_each(|i| _ = hits[i].fetch_add(1, Ordering::Relaxed));
+                });
+                assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+                assert!(calls.load(Ordering::Relaxed) <= threads.max(1));
+            }
         }
     }
 

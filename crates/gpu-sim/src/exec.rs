@@ -342,6 +342,18 @@ impl Gpu {
         self
     }
 
+    /// Host threads a host-side pass over `items` work items (a driver's
+    /// initialization) splits across: all of this device's, when it has more
+    /// than one and `items` clears the parallel threshold; else 1, the
+    /// calling thread.
+    pub fn host_split(&self, items: usize) -> usize {
+        if items >= self.parallel_threshold {
+            self.cpu_threads
+        } else {
+            1
+        }
+    }
+
     /// Attach an observability hub (builder style): every launch then emits
     /// one kernel span into the tracer, whatever its phase or block count,
     /// and publishes a fixed set of counters into the metrics registry.

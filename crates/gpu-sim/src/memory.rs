@@ -298,6 +298,13 @@ impl<'a> Selection<'a> {
     }
 }
 
+/// The first `len` items of `items`, the rest freed.
+fn prefix<T>(items: Box<[T]>, len: usize) -> Box<[T]> {
+    let mut v = Vec::from(items);
+    v.truncate(len);
+    v.into_boxed_slice()
+}
+
 /// Cells of a `len`-cell span that a family with selection `sel` uses: all
 /// of them with none.
 #[inline(always)]
@@ -410,9 +417,29 @@ impl<T: Element> GlobalBuffer<T> {
     /// read of each cell counts as DRAM traffic; repeats are L2 hits. The
     /// L2 is assumed cold at each launch boundary (conservative — matches
     /// the paper's per-step traffic model for problems much larger than L2).
+    /// The stamps start at 0 — no launch — in one zeroed allocation.
     pub fn with_touch_tracking(mut self) -> Self {
-        self.touch = Some((0..self.cells.len()).map(|_| AtomicU32::new(0)).collect());
+        const { assert!(std::mem::size_of::<AtomicU32>() == std::mem::size_of::<u32>()) };
+        let zeroed = Box::<[AtomicU32]>::new_zeroed_slice(self.cells.len());
+        // SAFETY: every element is all-zero bytes, and `AtomicU32` has the
+        // size (asserted above) and bit validity of `u32`, for which zero is
+        // a valid value: an initialized stamp of 0.
+        let touch = unsafe { zeroed.assume_init() };
+        debug_assert!(touch.iter().all(|s| s.load(Ordering::Relaxed) == 0));
+        self.touch = Some(touch);
         self
+    }
+
+    /// Keep the first `len` cells and free the rest: their values, and
+    /// their stamps under touch tracking. A fault plan stays attached. Call
+    /// it before attaching a race checker, which covers a fixed length.
+    pub fn truncate(&mut self, len: usize) {
+        assert!(
+            self.race.is_none(),
+            "truncate a buffer before race checking it"
+        );
+        self.cells = prefix(std::mem::take(&mut self.cells), len);
+        self.touch = self.touch.take().map(|t| prefix(t, len));
     }
 
     /// Attach a race checker covering every cell (test configurations).
@@ -822,9 +849,26 @@ impl<T: Element> GlobalBuffer<T> {
         self.store(i, value)
     }
 
+    /// Host-path read (uncounted) of cells `start .. start + out.len()`.
+    /// Only sound between launches.
+    #[inline]
+    pub fn get_span(&self, start: usize, out: &mut [T]) {
+        self.load_span(start, out)
+    }
+
+    /// Host-path write (uncounted) of `src` into cells `start ..
+    /// start + src.len()`. Only sound between launches, and only while no
+    /// other thread reads or writes those cells.
+    #[inline]
+    pub fn set_span(&self, start: usize, src: &[T]) {
+        self.store_span(start, src)
+    }
+
     /// Copy the whole buffer to host memory. Only sound between launches.
     pub fn snapshot(&self) -> Vec<T> {
-        (0..self.cells.len()).map(|i| self.get(i)).collect()
+        let mut out = vec![T::from_bits(0); self.cells.len()];
+        self.load_span(0, &mut out);
+        out
     }
 }
 

@@ -52,9 +52,10 @@ use crate::driver::{
     advance_solo, box_guards, fill, BlockSize, DriverBody, Fields, Frame, Owned, Part, Rec,
     ScalarKernels, Sim, SlabBody, SoloBody,
 };
+use crate::init::{init_population_rows, plane_store, Positions::Dense};
 use crate::multi::ring::StepCx;
 use crate::multi::Slabs;
-use crate::st::{fluid_like, init_populations, population_macro_fields, NodeWalk};
+use crate::st::{fluid_like, population_macro_fields, NodeWalk};
 use gpu_sim::exec::{BlockCtx, Kernel};
 use gpu_sim::interconnect::LinkError;
 use gpu_sim::{DeviceSpec, FaultPlan, GlobalBuffer, Gpu};
@@ -276,11 +277,13 @@ impl<L: Lattice, C: Collision<L>> DriverBody for AaSt<L, C> {
     }
 
     /// Stored per the even-parity invariant (reversed slots).
-    fn init_with(&mut self, field: impl Fn(usize, usize, usize) -> (f64, [f64; 3])) {
-        let (n, a) = (self.geom.len(), &self.a);
-        init_populations::<L, C>(&self.geom, &self.collision, 0..n, field, |idx, i, v| {
-            a.set(aa_slot::<L>(0, i) * n + idx, v)
-        });
+    fn init_with(
+        &mut self,
+        threads: usize,
+        field: &(impl Fn(usize, usize, usize) -> (f64, [f64; 3]) + Sync),
+    ) {
+        let store = plane_store(&self.a, L::Q, self.geom.len(), |i| aa_slot::<L>(0, i));
+        init_population_rows::<L, C>(&self.geom, Dense, threads, field, &self.collision, store);
     }
 
     /// At even parity the slot un-permutation makes the per-node sums

@@ -126,67 +126,84 @@ pub const BOUNCE: u8 = 3;
 /// it keeps the node-at-a-time scatter. A neighbor past a non-periodic x
 /// face is no wall: what crosses it belongs to the inlet/outlet kernel. The
 /// y and z faces are walls, so a fluid node's neighbors cross only x faces.
+///
+/// Row by row and direction by direction: the kinds are read once into
+/// bytes, and direction `i` of a row reads the neighbor row (`y + c_y`,
+/// `z + c_z`) shifted by `c_x` as one contiguous stretch — a loop over x
+/// with no per-node coordinates or neighbor lookups — plus the few nodes
+/// whose `x + c_x` crosses an x face.
 pub fn walk_classes<L: lbm_lattice::Lattice>(geom: &Geometry) -> (Vec<u8>, Vec<u32>) {
     const { assert!(L::Q <= 32, "bounce masks are u32") };
-    let (nx, ny) = (geom.nx as isize, geom.ny as isize);
-    let offset = |c: [i32; 3]| c[0] as isize + nx * (c[1] as isize + ny * c[2] as isize);
+    // Node kinds: 0 fluid-like, 1 resting wall, 2 moving wall.
+    let kind = |n: &NodeType| match n {
+        NodeType::Wall => 1u8,
+        NodeType::MovingWall(_) => 2,
+        _ => 0,
+    };
+    let kinds: Vec<u8> = geom.nodes().iter().map(kind).collect();
+    let dims = [geom.nx, geom.ny, geom.nz];
+    // Coordinate `v + c` along axis `a`, wrapped when periodic.
+    let step = |a: usize, v: usize, c: i32| {
+        let (p, n) = (v as i64 + c as i64, dims[a] as i64);
+        match (0..n).contains(&p) {
+            true => Some(p as usize),
+            false => geom.periodic[a].then(|| p.rem_euclid(n) as usize),
+        }
+    };
+    let nx = geom.nx;
     let mut class = vec![SOLID; geom.len()];
     let mut bounce = vec![0u32; geom.len()];
-    for idx in 0..geom.len() {
-        if geom.node_at(idx).is_solid() {
-            continue;
-        }
-        let (x, y, z) = geom.coords(idx);
-        let (mut mask, mut moving, on_face) = (0u32, false, x == 0 || x + 1 == geom.nx);
-        // Branch-free: on random rock a branch per neighbor mispredicts often.
-        for (i, &c) in L::C.iter().enumerate() {
-            let n = match on_face {
-                true => geom.neighbor(x, y, z, c).map(|p| geom.node(p.0, p.1, p.2)),
-                false => Some(geom.node_at(idx.wrapping_add_signed(offset(c)))),
+    let mut moving = vec![false; nx];
+    for (r, row) in kinds.chunks_exact(nx).enumerate() {
+        let (y, z) = (r % geom.ny, r / geom.ny);
+        let mask = &mut bounce[r * nx..][..nx];
+        moving.fill(false);
+        for (i, c) in L::C.iter().enumerate() {
+            let (Some(ny), Some(nz)) = (step(1, y, c[1]), step(2, z, c[2])) else {
+                continue;
             };
-            mask |= (matches!(n, Some(NodeType::Wall)) as u32) << i;
-            moving |= matches!(n, Some(NodeType::MovingWall(_)));
+            let from = &kinds[geom.idx(0, ny, nz)..][..nx];
+            let see = |m: &mut u32, mv: &mut bool, k: u8| {
+                *m |= u32::from(k == 1) << i;
+                *mv |= k == 2;
+            };
+            // `x + c_x` stays in the row for `x` in `lo..hi`.
+            let cx = c[0] as isize;
+            let lo = (-cx).clamp(0, nx as isize) as usize;
+            let hi = (nx as isize - cx).clamp(lo as isize, nx as isize) as usize;
+            let shifted = &from[(lo as isize + cx) as usize..][..hi - lo];
+            let inner = mask[lo..hi].iter_mut().zip(&mut moving[lo..hi]);
+            inner.zip(shifted).for_each(|((m, mv), &k)| see(m, mv, k));
+            for x in (0..lo).chain(hi..nx) {
+                if let Some(px) = step(0, x, c[0]) {
+                    see(&mut mask[x], &mut moving[x], from[px]);
+                }
+            }
         }
-        bounce[idx] = mask;
-        class[idx] = match (moving, mask) {
-            (true, _) => REFERENCE,
-            (false, 0) => BULK,
-            (false, _) => BOUNCE,
-        };
+        let class = &mut class[r * nx..][..nx];
+        for x in 0..nx {
+            (class[x], mask[x]) = match (row[x], moving[x], mask[x]) {
+                (0, true, m) => (REFERENCE, m),
+                (0, false, 0) => (BULK, 0),
+                (0, false, m) => (BOUNCE, m),
+                _ => (SOLID, 0),
+            };
+        }
     }
     (class, bounce)
 }
 
-/// Flat indices of all inlet/outlet nodes of a geometry, with coordinates.
+/// Flat indices of all inlet/outlet nodes of a geometry, with coordinates,
+/// in index order. Inlets and outlets sit on the x faces, but any node may
+/// be one, so every row is scanned.
 pub fn boundary_nodes(geom: &Geometry) -> Vec<(usize, usize, usize)> {
-    let mut out = Vec::new();
-    for idx in 0..geom.len() {
-        if matches!(geom.node_at(idx), NodeType::Inlet(_) | NodeType::Outlet(_)) {
-            out.push(geom.coords(idx));
-        }
-    }
-    out
-}
-
-/// The state every pattern starts node `idx` from: `{ρ, u, Π_eq}` of `field`
-/// — an equilibrium start — with an inlet at its prescribed velocity and an
-/// outlet at its prescribed density.
-pub fn initial_moments<L: lbm_lattice::Lattice>(
-    geom: &Geometry,
-    idx: usize,
-    field: &impl Fn(usize, usize, usize) -> (f64, [f64; 3]),
-) -> Moments {
-    let (x, y, z) = geom.coords(idx);
-    let (rho, u) = match geom.node_at(idx) {
-        NodeType::Inlet(u_bc) => (field(x, y, z).0, u_bc),
-        NodeType::Outlet(rho_bc) => (rho_bc, field(x, y, z).1),
-        _ => field(x, y, z),
-    };
-    Moments {
-        rho,
-        u,
-        pi: Moments::pi_eq(rho, u, L::D),
-    }
+    let is_io = |n: &NodeType| matches!(n, NodeType::Inlet(_) | NodeType::Outlet(_));
+    let rows = geom.nodes().chunks_exact(geom.nx).enumerate();
+    rows.flat_map(|(r, row)| {
+        let (y, z) = (r % geom.ny, r / geom.ny);
+        (row.iter().enumerate()).filter_map(move |(x, n)| is_io(n).then_some((x, y, z)))
+    })
+    .collect()
 }
 
 #[cfg(test)]

@@ -92,6 +92,9 @@ pub(crate) trait Device: Sized + Send + 'static {
     fn with_parallel_threshold(self, items: usize) -> Self;
     fn set_obs(&mut self, obs: Arc<obs::Obs>);
     fn set_fault_plan(&mut self, plan: Arc<FaultPlan>);
+    /// Host threads a body's initialization of `nodes` nodes splits across
+    /// (`gpu_sim::Gpu::host_split`; on a ring, one shard's device's).
+    fn host_split(&self, nodes: usize) -> usize;
     /// Halo-transfer retries so far (one device has no halo).
     fn halo_retries(&self) -> u64 {
         0
@@ -111,6 +114,9 @@ impl Device for Gpu {
     fn set_fault_plan(&mut self, plan: Arc<FaultPlan>) {
         Gpu::set_fault_plan(self, plan)
     }
+    fn host_split(&self, nodes: usize) -> usize {
+        Gpu::host_split(self, nodes)
+    }
 }
 
 /// What a propagation pattern supplies to a host.
@@ -128,8 +134,14 @@ pub trait DriverBody {
     fn geom(&self) -> &Geometry;
 
     /// Set every node to the equilibrium of a macroscopic field, in the
-    /// storage layout of step 0.
-    fn init_with(&mut self, field: impl Fn(usize, usize, usize) -> (f64, [f64; 3]));
+    /// storage layout of step 0, on `threads` host threads
+    /// (the crate's row-wise `init_rows`): the state is the same at any
+    /// count.
+    fn init_with(
+        &mut self,
+        threads: usize,
+        field: &(impl Fn(usize, usize, usize) -> (f64, [f64; 3]) + Sync),
+    );
 
     /// Density and velocity after `t` completed steps, in one pass.
     fn macro_fields(&self, t: u64) -> Fields;
@@ -335,10 +347,11 @@ pub(crate) trait NodeHalo: SlabBody {
     /// Doubles per halo node (`Q` populations or `M` moments).
     const HALO: usize;
 
-    /// Copy node `si`'s time-`t + 1` state — what the parts of step `t`
-    /// wrote — into node `di` of `to`. Node ids are the pattern's own (flat
-    /// domain index; compact id when fluid-compacted).
-    fn send_node(&self, to: &Self, t: u64, si: usize, di: usize);
+    /// Copy the time-`t + 1` state — what the parts of step `t` wrote — of
+    /// node `si` into node `di` of `to`, for each pair of one transfer. Node
+    /// ids are the pattern's own (flat domain index; compact id when
+    /// fluid-compacted).
+    fn send_nodes(&self, to: &Self, t: u64, pairs: &[(usize, usize)]);
 }
 
 /// A body with a per-node scalar path beside its chunk-vectorized one — or
@@ -366,9 +379,7 @@ pub fn box_guards(geom: &Geometry, payload: (&'static str, usize)) -> Vec<(&'sta
 
 /// Copy a restored array into a device buffer from the host side.
 pub fn fill(buf: &GlobalBuffer<f64>, data: &[f64]) {
-    for (i, v) in data.iter().enumerate() {
-        buf.set(i, *v);
-    }
+    buf.set_span(0, data);
 }
 
 /// The pattern-independent state of a driver.
@@ -569,12 +580,12 @@ impl<B: DriverBody> std::ops::Deref for Sim<B> {
 
 impl<B: DriverBody> Sim<B> {
     /// Host `body` on `dev`, initialized to equilibrium at rest (inlets at
-    /// their prescribed velocity).
-    pub(crate) fn from_body(dev: B::Dev, body: B) -> Self {
+    /// their prescribed velocity) on the calling thread: the rest state
+    /// costs about a fill, and a constructor never spawns.
+    pub(crate) fn from_body(dev: B::Dev, mut body: B) -> Self {
+        body.init_with(1, &|_, _, _| (1.0, [0.0; 3]));
         let core = DriverCore::new(body.geom().fluid_count());
-        let mut sim = Sim { core, dev, body };
-        sim.init_with(|_, _, _| (1.0, [0.0; 3]));
-        sim
+        Sim { core, dev, body }
     }
 
     /// Limit the CPU worker threads backing the substrate. On a ring the
@@ -641,9 +652,12 @@ impl<B: DriverBody> Sim<B> {
 
     /// Initialize every node to the operator-consistent equilibrium of a
     /// macroscopic field (evaluated at global coordinates) and reset the
-    /// step counter and the ledger.
-    pub fn init_with(&mut self, field: impl Fn(usize, usize, usize) -> (f64, [f64; 3])) {
-        self.body.init_with(field);
+    /// step counter and the ledger. The rows split over the device's host
+    /// threads when it has more than one and the domain clears its parallel
+    /// threshold; the state written is the same either way.
+    pub fn init_with(&mut self, field: impl Fn(usize, usize, usize) -> (f64, [f64; 3]) + Sync) {
+        let threads = self.dev.host_split(self.body.geom().len());
+        self.body.init_with(threads, &field);
         self.core.reset();
     }
 

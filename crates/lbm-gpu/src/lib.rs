@@ -53,6 +53,7 @@ pub mod aa;
 pub mod boundary;
 pub mod driver;
 pub mod footprint;
+mod init;
 pub mod moment_lattice;
 pub mod mr;
 pub mod multi;

@@ -238,24 +238,60 @@ impl MomentLattice {
             .filter(|p| p.2 > 0)
     }
 
-    /// Host read of a node's moments at time `t` (between launches).
-    pub fn get_moments<L: Lattice>(&self, t: u64, idx: usize) -> Moments {
+    /// Host read of a node's moments at time `at` (between launches).
+    pub fn get_moments<L: Lattice>(&self, at: TimeSlot, idx: usize) -> Moments {
         let mut flat = [0.0f64; MAX_M];
-        let s = self.slot(idx, t);
+        let s = self.slot_at(idx, at);
         for m in 0..self.m {
-            flat[m] = self.buf.get(self.plane(t, m) * self.cap + s);
+            flat[m] = self.buf.get(self.plane(at.t, m) * self.cap + s);
         }
         Moments::unpack::<L>(&flat[..self.m])
     }
 
-    /// Host write of a node's moments at time `t` (initialization).
-    pub fn set_moments<L: Lattice>(&self, t: u64, idx: usize, mom: &Moments) {
+    /// Host write of a node's moments at time `at` (between launches).
+    pub fn set_moments<L: Lattice>(&self, at: TimeSlot, idx: usize, mom: &Moments) {
         let mut flat = [0.0f64; MAX_M];
         mom.pack::<L>(&mut flat[..self.m]);
-        let s = self.slot(idx, t);
+        let s = self.slot_at(idx, at);
         for m in 0..self.m {
-            self.buf.set(self.plane(t, m) * self.cap + s, flat[m]);
+            self.buf.set(self.plane(at.t, m) * self.cap + s, flat[m]);
         }
+    }
+
+    /// Host write (between launches) of the packed moments of consecutive
+    /// nodes from `idx0` at time `at`, plane-major: `rows[m·count + j]` is
+    /// moment `m` of node `idx0 + j`, `count = rows.len() / M`. One span per
+    /// plane, split at the circular wrap.
+    pub fn set_row(&self, at: TimeSlot, idx0: usize, rows: &[f64]) {
+        let count = rows.len() / self.m;
+        for (s, j, len) in self.row_pieces(at, idx0, count) {
+            for m in 0..self.m {
+                let plane = self.plane(at.t, m) * self.cap;
+                self.buf.set_span(plane + s, &rows[m * count + j..][..len]);
+            }
+        }
+    }
+
+    /// This lattice's time-0 state in an unshifted, unpadded lattice of the
+    /// same buffer: at `t = 0` node `idx` sits in slot `idx` of every plane,
+    /// so each plane moves down from `m·cap` to `m·n` — a copy, in place —
+    /// and the padding is freed. What the storage switches of
+    /// [`crate::MrSim`] start from, so a switch builds no second lattice.
+    pub fn into_unshifted(mut self) -> Self {
+        let (n, cap) = (self.n, self.cap);
+        let mut staged = vec![0.0; n.min(1 << 14)];
+        for m in 1..self.m {
+            // Ascending through a staging row: a destination never lies
+            // beyond the source it is copied from.
+            for lo in (0..n).step_by(staged.len()) {
+                let row = &mut staged[..(n - lo).min(1 << 14)];
+                self.buf.get_span(m * cap + lo, row);
+                self.buf.set_span(m * n + lo, row);
+            }
+        }
+        self.buf.truncate(self.m * n);
+        (self.cap, self.shift) = (n, 0);
+        self
     }
 
     /// Total raw slots in the backing store (`m · cap`), the length of a
@@ -283,9 +319,7 @@ impl MomentLattice {
             data.len(),
             self.m * self.cap
         );
-        for (i, v) in data.iter().enumerate() {
-            self.buf.set(i, *v);
-        }
+        self.buf.set_span(0, data);
     }
 
     /// Attach a fault plan to the backing buffer (kernel writes become
@@ -326,8 +360,8 @@ mod tests {
             pi: [0.4, 0.1, 0.0, 0.3, 0.0, 0.0],
         };
         for t in [0u64, 1, 7, 123] {
-            ml.set_moments::<D2Q9>(t, 17, &m);
-            let back = ml.get_moments::<D2Q9>(t, 17);
+            ml.set_moments::<D2Q9>(ml.at(t), 17, &m);
+            let back = ml.get_moments::<D2Q9>(ml.at(t), 17);
             assert!((back.rho - m.rho).abs() < 1e-15);
             assert_eq!(back.u, m.u);
         }
@@ -415,7 +449,7 @@ mod tests {
                     u: [0.001 * idx as f64, -0.002 - 0.0001 * idx as f64, 0.0],
                     pi: [0.3, 0.05 * idx as f64, 0.0, 0.31, 0.0, 0.0],
                 };
-                ml.set_moments::<D2Q9>(t, idx, &m);
+                ml.set_moments::<D2Q9>(ml.at(t), idx, &m);
                 if (idx0..idx0 + count).contains(&idx) {
                     let mut flat = [0.0; 6];
                     m.pack::<D2Q9>(&mut flat);
@@ -442,7 +476,7 @@ mod tests {
             };
             let stats = gpu.launch(&cfg, &probe);
             let out = (idx0..idx0 + count)
-                .map(|idx| ml.get_moments::<D2Q9>(t + 1, idx))
+                .map(|idx| ml.get_moments::<D2Q9>(ml.at(t + 1), idx))
                 .collect();
             (stats.tally, out)
         })

@@ -56,12 +56,13 @@
 //! high" — but the height stays a parameter of the one walker.
 
 use crate::boundary::{
-    boundary_nodes, initial_moments, update_bc_block, walk_classes, BOUNCE, BULK, REFERENCE, SOLID,
+    boundary_nodes, update_bc_block, walk_classes, BOUNCE, BULK, REFERENCE, SOLID,
 };
 use crate::driver::{
     advance_solo, DriverBody, Fields, Frame, NodeHalo, Owned, Part, Rec, ScalarKernels, Sim,
     SlabBody, SoloBody,
 };
+use crate::init::{init_moment_rows, Positions};
 use crate::moment_lattice::{MomentLattice, TimeSlot};
 use crate::multi::ring::StepCx;
 use crate::multi::Slabs;
@@ -248,37 +249,53 @@ impl ColumnWalk {
         let (class, bounce) = walk_classes::<L>(geom);
         let (nx, periodic) = (geom.nx, geom.periodic[0]);
         let u32_of = |v: usize| u32::try_from(v).expect("run directory exceeds u32");
-        let mut row_class = Vec::with_capacity(class.len() / nx * ncols * (wx + 2));
-        let (mut runs, mut run_at) = (Vec::<[u32; 3]>::new(), vec![0]);
-        let (mut sel, words) = (Vec::new(), (wx + 2).div_ceil(64));
-        for row in class.chunks_exact(nx) {
-            for x0 in (0..ncols).map(|k| x_first + k * wx) {
-                let bits = sel.len();
-                sel.resize(bits + words, 0u64);
-                // Frame x of position `p`, wrapped at a periodic face.
-                let x_at = |p: usize| match x0 + p {
-                    0 if periodic => Some(nx - 1),
-                    fx if fx == nx + 1 && periodic => Some(0),
-                    fx => (1..=nx).contains(&fx).then(|| fx - 1),
-                };
-                // `prev`: frame x of the previous position when it is fluid.
-                let mut prev = None;
-                for p in 0..wx + 2 {
-                    let c = x_at(p).map_or(SOLID, |x| row[x]);
-                    row_class.push(c);
-                    if c != SOLID && (1..=nx).contains(&(x0 + p)) {
-                        sel[bits + p / 64] |= 1 << (p % 64);
-                    }
-                    let x = x_at(p).filter(|_| c != SOLID);
-                    match (x, runs.last_mut()) {
-                        (Some(x), Some(run)) if prev.is_some_and(|px| px + 1 == x) => run[2] += 1,
-                        (Some(x), _) => runs.push([x, p, 1].map(u32_of)),
-                        (None, _) => {}
-                    }
-                    prev = x;
-                }
-                run_at.push(u32_of(runs.len()));
+        let rows = class.len() / nx * ncols;
+        let mut row_class = Vec::with_capacity(rows * (wx + 2));
+        let (mut runs, mut run_at) = (Vec::<[u32; 3]>::new(), Vec::with_capacity(rows + 1));
+        let words = (wx + 2).div_ceil(64);
+        let mut sel = vec![0u64; rows * words];
+        run_at.push(0);
+        for (i, (row, k)) in (class.chunks_exact(nx))
+            .flat_map(|r| (0..ncols).map(move |k| (r, k)))
+            .enumerate()
+        {
+            // Position `p` is frame x `x0 + p − 1`; the two halo positions
+            // wrap at a periodic face and are past the frame otherwise.
+            let x0 = x_first + k * wx;
+            let left = x0.checked_sub(1).or((periodic).then(|| nx - 1));
+            let right = Some(x0 + wx).filter(|&x| x < nx).or(periodic.then_some(0));
+            let at = |x: Option<usize>| x.map_or(SOLID, |x| row[x]);
+            row_class.push(at(left));
+            row_class.extend_from_slice(&row[x0..x0 + wx]);
+            row_class.push(at(right));
+            let cls = &row_class[row_class.len() - (wx + 2)..];
+            // A set bit per fluid position not wrapped past a face.
+            let bits = &mut sel[i * words..][..words];
+            let framed = |p: usize| (1..=nx).contains(&(x0 + p));
+            for (p, _) in cls
+                .iter()
+                .enumerate()
+                .filter(|&(p, &c)| c != SOLID && framed(p))
+            {
+                bits[p / 64] |= 1 << (p % 64);
             }
+            // Runs of fluid positions whose frame x are consecutive.
+            let x_of = |p: usize| match p {
+                0 => left,
+                p if p == wx + 1 => right,
+                p => Some(x0 + p - 1),
+            };
+            let mut prev = None;
+            for (p, &c) in cls.iter().enumerate() {
+                let x = x_of(p).filter(|_| c != SOLID);
+                match (x, runs.last_mut()) {
+                    (Some(x), Some(run)) if prev.is_some_and(|px| px + 1 == x) => run[2] += 1,
+                    (Some(x), _) => runs.push([x, p, 1].map(u32_of)),
+                    (None, _) => {}
+                }
+                prev = x;
+            }
+            run_at.push(u32_of(runs.len()));
         }
         ColumnWalk {
             wx,
@@ -925,9 +942,9 @@ impl<L: Lattice> MrSim<L> {
     /// first step.
     pub fn with_double_buffer(mut self) -> Self {
         assert_eq!(self.steps(), 0, "switch storage before stepping");
-        let [mom, mom2] = shift0_pair::<L>(&self.body.geom);
-        (self.body.mom, self.body.mom2) = (mom, Some(mom2));
-        self.init_with(|_, _, _| (1.0, [0.0; 3]));
+        self.body.unshift(false);
+        let n = self.body.geom.len();
+        self.body.mom2 = Some(MomentLattice::new(n, L::M, 0, 0).with_touch_tracking());
         self
     }
 
@@ -958,11 +975,7 @@ impl<L: Lattice> MrSim<L> {
             self.body.walk.tile_h, 1,
             "the zero-shift twist requires 1-layer lockstep tiles"
         );
-        let n = self.body.geom.len();
-        self.body.mom = MomentLattice::new(n, L::M, 0, 0)
-            .with_parity_twist()
-            .with_touch_tracking();
-        self.init_with(|_, _, _| (1.0, [0.0; 3]));
+        self.body.unshift(true);
         self
     }
 
@@ -1051,6 +1064,16 @@ impl<L: Lattice> Mr<L> {
         }
     }
 
+    /// The storage switches' first half: the lattice the constructor built
+    /// and rest-filled, unshifted and unpadded in place
+    /// ([`MomentLattice::into_unshifted`]) and, for the `twist`, plane
+    /// order by step parity.
+    fn unshift(&mut self, twist: bool) {
+        let shifted = std::mem::replace(&mut self.mom, MomentLattice::new(0, L::M, 0, 0));
+        let mom = shifted.into_unshifted();
+        self.mom = if twist { mom.with_parity_twist() } else { mom };
+    }
+
     /// Strict race checking on the moment lattices (tests).
     pub(crate) fn set_racecheck_strict(&mut self) {
         self.mom.set_racecheck_strict();
@@ -1076,9 +1099,8 @@ impl<L: Lattice> Mr<L> {
 
     /// Moments of a node after `t` steps (pre-collision state).
     pub fn moments_at(&self, t: u64, x: usize, y: usize, z: usize) -> Moments {
-        self.lattice_pair(t)
-            .0
-            .get_moments::<L>(t, self.geom.idx(x, y, z))
+        let lat = self.lattice_pair(t).0;
+        lat.get_moments::<L>(lat.at(t), self.geom.idx(x, y, z))
     }
 
     /// The resident lattices, in checkpoint order.
@@ -1123,21 +1145,25 @@ impl<L: Lattice> DriverBody for Mr<L> {
         &self.geom
     }
 
-    /// Every node's [`initial_moments`], at time 0.
-    fn init_with(&mut self, field: impl Fn(usize, usize, usize) -> (f64, [f64; 3])) {
-        for idx in 0..self.geom.len() {
-            let m = initial_moments::<L>(&self.geom, idx, &field);
-            self.mom.set_moments::<L>(0, idx, &m);
-        }
+    /// Every node's start moments, at time 0.
+    fn init_with(
+        &mut self,
+        threads: usize,
+        field: &(impl Fn(usize, usize, usize) -> (f64, [f64; 3]) + Sync),
+    ) {
+        let (mom, at) = (&self.mom, self.mom.at(0));
+        let store = |idx0, rows: &[f64]| mom.set_row(at, idx0, rows);
+        init_moment_rows::<L>(&self.geom, Positions::Dense, threads, field, store);
     }
 
     fn macro_fields(&self, t: u64) -> Fields {
         let (n, lat) = (self.geom.len(), self.lattice_pair(t).0);
+        let at = lat.at(t);
         let mut rho = vec![0.0; n];
         let mut u = vec![[0.0; 3]; n];
         for idx in 0..n {
             if self.geom.node_at(idx).is_fluid_like() {
-                let m = lat.get_moments::<L>(t, idx);
+                let m = lat.get_moments::<L>(at, idx);
                 rho[idx] = m.rho;
                 u[idx] = m.u;
             }
@@ -1286,9 +1312,12 @@ impl<L: Lattice> SlabBody for Mr<L> {
 impl<L: Lattice> NodeHalo for Mr<L> {
     const HALO: usize = L::M;
 
-    fn send_node(&self, to: &Self, t: u64, si: usize, di: usize) {
-        let m = self.lattice_pair(t).1.get_moments::<L>(t + 1, si);
-        to.lattice_pair(t).1.set_moments::<L>(t + 1, di, &m);
+    fn send_nodes(&self, to: &Self, t: u64, pairs: &[(usize, usize)]) {
+        let (src, dst) = (self.lattice_pair(t).1, to.lattice_pair(t).1);
+        let (sa, da) = (src.at(t + 1), dst.at(t + 1));
+        for &(si, di) in pairs {
+            dst.set_moments::<L>(da, di, &src.get_moments::<L>(sa, si));
+        }
     }
 }
 

@@ -158,42 +158,39 @@ impl<L: Lattice, C: Collision<L>> Slabs<AaSt<L, C>> {
 /// reads ghosts and writes edge columns), and only then is the step
 /// counted, instead of recomputing over clobbered inputs. The stats
 /// record every exchange as exposed time — the launch both reads and
-/// rewrites the cut columns, so nothing can overlap it.
+/// rewrites the cut columns, so nothing can overlap it — and a parked step
+/// records its launch and pre-exchange when it completes, so its stats are
+/// those of the step run without the failure.
 pub(crate) fn advance<L: Lattice, C: Collision<L>>(
     slabs: &mut Slabs<AaSt<L, C>>,
     cx: &StepCx<'_>,
 ) -> Result<(), LinkError> {
-    if slabs.parked {
-        let transfers = slabs.exchange_slots(cx, Phase::Post)?;
-        slabs.parked = false;
-        let exchange_s = exchange_time_s(cx.mg, &transfers);
-        slabs.stats.record_step(0.0, 0.0, exchange_s, 0.0);
-        return Ok(());
-    }
-    let launch_bytes;
-    let mut exchange_s = 0.0;
-    if cx.t.is_multiple_of(2) {
+    let launch_time =
+        |bytes: Vec<u64>| device_time_s(cx.mg.spec(), bytes.into_iter().max().unwrap_or(0));
+    let (launch_s, exchange_s) = if let Some((launch_s, pre_s)) = slabs.parked {
+        let post = slabs.exchange_slots(cx, Phase::Post)?;
+        slabs.parked = None;
+        (launch_s, pre_s + exchange_time_s(cx.mg, &post))
+    } else if cx.t.is_multiple_of(2) {
         // Stream half-step: pre-exchange, one in-place launch per
         // shard, post-exchange.
         let pre_span = cx.halo_span();
         let pre = slabs.exchange_slots(cx, Phase::Pre)?;
         drop(pre_span);
-        launch_bytes = slabs.launch(cx, Part::Interior);
+        let (launch_s, pre_s) = (
+            launch_time(slabs.launch(cx, Part::Interior)),
+            exchange_time_s(cx.mg, &pre),
+        );
         let post_span = cx.halo_span();
-        let post = match slabs.exchange_slots(cx, Phase::Post) {
-            Ok(t) => t,
-            Err(e) => {
-                slabs.parked = true;
-                return Err(e);
-            }
-        };
+        let post = slabs.exchange_slots(cx, Phase::Post).inspect_err(|_| {
+            slabs.parked = Some((launch_s, pre_s));
+        })?;
         drop(post_span);
-        exchange_s = exchange_time_s(cx.mg, &pre) + exchange_time_s(cx.mg, &post);
+        (launch_s, pre_s + exchange_time_s(cx.mg, &post))
     } else {
         // Collide half-step: node-local, no exchange.
-        launch_bytes = slabs.launch(cx, Part::Interior);
-    }
-    let launch_s = device_time_s(cx.mg.spec(), launch_bytes.into_iter().max().unwrap_or(0));
+        (launch_time(slabs.launch(cx, Part::Interior)), 0.0)
+    };
     slabs.stats.record_step(0.0, launch_s, exchange_s, 0.0);
     Ok(())
 }

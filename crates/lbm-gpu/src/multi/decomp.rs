@@ -173,11 +173,12 @@ impl SlabDecomp {
         let [px, py, pz] = self.global.periodic;
         let periodic = [px && !s.ghost_l, py, pz];
         let mut g = Geometry::new(s.local_nx(), ny, nz, periodic);
-        for lx in 0..s.local_nx() {
-            let gx = self.global_x(r, lx);
-            for z in 0..nz {
-                for y in 0..ny {
-                    g.set(lx, y, z, self.global.node(gx, y, z));
+        let gx: Vec<usize> = (0..s.local_nx()).map(|lx| self.global_x(r, lx)).collect();
+        for z in 0..nz {
+            for y in 0..ny {
+                let src = self.global.row(y, z);
+                for (node, &x) in g.row_mut(y, z).iter_mut().zip(&gx) {
+                    *node = src[x];
                 }
             }
         }

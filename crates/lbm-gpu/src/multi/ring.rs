@@ -145,6 +145,9 @@ impl Device for Ring {
     fn set_fault_plan(&mut self, plan: Arc<FaultPlan>) {
         self.mg.set_fault_plan(plan)
     }
+    fn host_split(&self, nodes: usize) -> usize {
+        self.mg.device(0).host_split(nodes / self.mg.num_devices())
+    }
     fn halo_retries(&self) -> u64 {
         self.halo_retries.load(Ordering::Relaxed)
     }

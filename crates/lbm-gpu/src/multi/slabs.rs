@@ -49,7 +49,7 @@ use std::sync::Arc;
 
 /// One interconnect transfer of the halo exchange: nodes of shard `from`'s
 /// edge column and the ghost nodes of shard `to` that mirror them, as ids of
-/// the pattern (see `NodeHalo::send_node`).
+/// the pattern (see `NodeHalo::send_nodes`).
 pub(crate) struct Transfer {
     pub from: usize,
     pub to: usize,
@@ -87,8 +87,10 @@ pub struct Slabs<B> {
     pub(crate) stats: OverlapStats,
     /// A step's in-place launch ran but the exchange that closes it failed:
     /// the next `advance` must finish that exchange, not recompute over
-    /// clobbered inputs. Only the AA schedule parks a step.
-    pub(crate) parked: bool,
+    /// clobbered inputs. Only the AA schedule parks a step. What it holds is
+    /// the parked step's modeled launch and pre-exchange time, which the
+    /// step records when it completes.
+    pub(crate) parked: Option<(f64, f64)>,
     /// Transfers of the exchange in flight that got through before one
     /// failed: the retry copies them again but tallies only the rest.
     pub(crate) sent: usize,
@@ -106,7 +108,7 @@ impl<B: SlabBody> Slabs<B> {
             shards,
             plan,
             stats: OverlapStats::default(),
-            parked: false,
+            parked: None,
             sent: 0,
         }
     }
@@ -152,9 +154,7 @@ impl<B: NodeHalo> Slabs<B> {
             let bytes = (tr.pairs.len() * B::HALO * 8) as u64;
             cx.transfer(k, &mut self.sent, tr.from, tr.to, bytes)?;
             let (src, dst) = (&self.shards[tr.from], &self.shards[tr.to]);
-            for &(si, di) in &tr.pairs {
-                src.send_node(dst, cx.t, si, di);
-            }
+            src.send_nodes(dst, cx.t, &tr.pairs);
             out.push((tr.from, tr.to, bytes));
         }
         self.sent = 0;
@@ -195,12 +195,18 @@ impl<B: SlabBody> DriverBody for Slabs<B> {
         self.decomp.global()
     }
 
-    fn init_with(&mut self, field: impl Fn(usize, usize, usize) -> (f64, [f64; 3])) {
+    fn init_with(
+        &mut self,
+        threads: usize,
+        field: &(impl Fn(usize, usize, usize) -> (f64, [f64; 3]) + Sync),
+    ) {
         for (r, sh) in self.shards.iter_mut().enumerate() {
-            sh.init_with(|lx, y, z| field(self.decomp.global_x(r, lx), y, z));
+            sh.init_with(threads, &|lx, y, z| {
+                field(self.decomp.global_x(r, lx), y, z)
+            });
         }
         self.stats = OverlapStats::default();
-        (self.parked, self.sent) = (false, 0);
+        (self.parked, self.sent) = (None, 0);
     }
 
     fn macro_fields(&self, t: u64) -> Fields {
@@ -248,7 +254,7 @@ impl<B: SlabBody> DriverBody for Slabs<B> {
         for (sh, data) in self.shards.iter_mut().zip(arrays) {
             sh.install_current(t, data);
         }
-        (self.parked, self.sent) = (false, 0);
+        (self.parked, self.sent) = (None, 0);
     }
 
     /// The overlap timing, where the pattern's blobs have it.

@@ -35,9 +35,10 @@ use crate::driver::{
     advance_solo, box_guards, fill, DriverBody, Fields, Frame, NodeHalo, Owned, Part, Rec, Sim,
     SlabBody, SoloBody,
 };
+use crate::init::{init_population_rows, plane_store, Positions};
 use crate::multi::ring::StepCx;
 use crate::multi::Slabs;
-use crate::st::{init_populations, population_macro_fields};
+use crate::st::population_macro_fields;
 use gpu_sim::exec::{BlockCtx, Kernel, Launch};
 use gpu_sim::interconnect::LinkError;
 use gpu_sim::{DeviceSpec, GlobalBuffer, Gpu};
@@ -160,29 +161,37 @@ impl FluidIndex {
     pub fn build_tiled(geom: &Geometry, shape: (usize, usize, usize)) -> Self {
         let (tw, th, td) = shape;
         assert!(tw > 0 && th > 0 && td > 0, "tile dimensions must be ≥ 1");
-        let mut nodes = Vec::new();
+        let mut nodes = Vec::with_capacity(geom.fluid_count());
         let mut compact = vec![usize::MAX; geom.len()];
         let mut tiles = Vec::new();
         for tz in 0..geom.nz.div_ceil(td) {
             for ty in 0..geom.ny.div_ceil(th) {
                 for tx in 0..geom.nx.div_ceil(tw) {
-                    let lo = nodes.len() as u32;
-                    let mut active = Vec::new();
+                    let lo = nodes.len();
+                    let xs = tx * tw..((tx + 1) * tw).min(geom.nx);
                     for z in tz * td..((tz + 1) * td).min(geom.nz) {
                         for y in ty * th..((ty + 1) * th).min(geom.ny) {
-                            for x in tx * tw..((tx + 1) * tw).min(geom.nx) {
-                                let idx = geom.idx(x, y, z);
-                                if geom.node_at(idx).is_fluid_like() {
-                                    compact[idx] = nodes.len();
-                                    active.push(nodes.len() as u32);
-                                    nodes.push(idx);
-                                }
+                            // The tile's stretch of row `(y, z)`, by index.
+                            let first = geom.idx(xs.start, y, z);
+                            let row = geom.row(y, z)[xs.clone()].iter().enumerate();
+                            for (idx, _) in row
+                                .map(|(k, n)| (first + k, n))
+                                .filter(|p| p.1.is_fluid_like())
+                            {
+                                compact[idx] = nodes.len();
+                                nodes.push(idx);
                             }
                         }
                     }
                     let hi = nodes.len() as u32;
-                    if hi > lo {
-                        tiles.push(Tile { lo, hi, active });
+                    if hi > lo as u32 {
+                        // Every node starts active.
+                        let active = (lo as u32..hi).collect();
+                        tiles.push(Tile {
+                            lo: lo as u32,
+                            hi,
+                            active,
+                        });
                     }
                 }
             }
@@ -275,24 +284,36 @@ pub fn build_neighbor_table<L: Lattice>(
     let nf = index.len();
     check_table_encoding(L::Q, nf).map_err(SparseBuildError::TableOverflow)?;
     let mut table = vec![0u32; L::Q * nf];
+    let dims = [geom.nx, geom.ny, geom.nz];
+    // Flat-index step to the node direction `i` pulls from, `−c_i`: exact
+    // for a node at least `REACH` from every face of the axes it moves on.
+    let step: Vec<isize> = (L::C.iter())
+        .map(|c| {
+            -(c[0] as isize + geom.nx as isize * (c[1] as isize + geom.ny as isize * c[2] as isize))
+        })
+        .collect();
     for (cid, &idx) in index.nodes.iter().enumerate() {
         let (x, y, z) = geom.coords(idx);
+        let reach = L::REACH as usize;
+        let off_face = ([x, y, z].iter().zip(dims))
+            .take(L::D)
+            .all(|(&v, n)| v >= reach && v + reach < n);
         for i in 0..L::Q {
             let c = L::C[i];
-            let entry = match geom.neighbor(x, y, z, [-c[0], -c[1], -c[2]]) {
-                Some((px, py, pz)) => {
-                    let nidx = geom.idx(px, py, pz);
-                    match geom.node_at(nidx) {
-                        t if t.is_fluid_like() => (i * nf + index.compact[nidx]) as u32,
-                        NodeType::Wall => (L::OPP[i] * nf + cid) as u32,
-                        other => {
-                            return Err(SparseBuildError::UnsupportedNode(format!("{other:?}")))
-                        }
-                    }
-                }
-                None => (L::OPP[i] * nf + cid) as u32,
+            let upstream = match off_face {
+                true => Some(idx.wrapping_add_signed(step[i])),
+                false => (geom.neighbor(x, y, z, [-c[0], -c[1], -c[2]]))
+                    .map(|(px, py, pz)| geom.idx(px, py, pz)),
             };
-            table[i * nf + cid] = entry;
+            let entry = match upstream.map(|n| (n, index.compact[n])) {
+                Some((_, p)) if p != usize::MAX => i * nf + p,
+                Some((n, _)) if geom.node_at(n) != NodeType::Wall => {
+                    let other = geom.node_at(n);
+                    return Err(SparseBuildError::UnsupportedNode(format!("{other:?}")));
+                }
+                _ => L::OPP[i] * nf + cid,
+            };
+            table[i * nf + cid] = entry as u32;
         }
     }
     Ok(table)
@@ -444,12 +465,14 @@ impl<L: Lattice, C: Collision<L>> DriverBody for SparseSt<L, C> {
         &self.geom
     }
 
-    fn init_with(&mut self, field: impl Fn(usize, usize, usize) -> (f64, [f64; 3])) {
-        let (nf, f) = (self.index.len(), &self.f[self.cur]);
-        let nodes = self.index.nodes.iter().copied();
-        init_populations::<L, C>(&self.geom, &self.collision, nodes, field, |cid, i, v| {
-            f.set(i * nf + cid, v)
-        });
+    fn init_with(
+        &mut self,
+        threads: usize,
+        field: &(impl Fn(usize, usize, usize) -> (f64, [f64; 3]) + Sync),
+    ) {
+        let store = plane_store(&self.f[self.cur], L::Q, self.index.len(), |i| i);
+        let at = Positions::Compact(&self.index.nodes);
+        init_population_rows::<L, C>(&self.geom, at, threads, field, &self.collision, store);
     }
 
     fn macro_fields(&self, _t: u64) -> Fields {
@@ -548,11 +571,13 @@ impl<L: Lattice, C: Collision<L>> SlabBody for SparseSt<L, C> {
 impl<L: Lattice, C: Collision<L>> NodeHalo for SparseSt<L, C> {
     const HALO: usize = L::Q;
 
-    fn send_node(&self, to: &Self, _t: u64, si: usize, di: usize) {
+    fn send_nodes(&self, to: &Self, _t: u64, pairs: &[(usize, usize)]) {
         let (sn, dn) = (self.index.len(), to.index.len());
         let (sf, df) = (&self.f[self.cur ^ 1], &to.f[to.cur ^ 1]);
-        for i in 0..L::Q {
-            df.set(i * dn + di, sf.get(i * sn + si));
+        for &(si, di) in pairs {
+            for i in 0..L::Q {
+                df.set(i * dn + di, sf.get(i * sn + si));
+            }
         }
     }
 }

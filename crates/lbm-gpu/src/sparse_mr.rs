@@ -37,11 +37,11 @@
 //! lattice suffices. Only the staged new moments of the block's tiles
 //! persist across it, in block scratch ahead of the slab's moment rows.
 
-use crate::boundary::initial_moments;
 use crate::driver::{
     advance_solo, box_guards, fill, DriverBody, Fields, Frame, NodeHalo, Owned, Part, Rec,
     ScalarKernels, Sim, SlabBody, SoloBody,
 };
+use crate::init::{init_moment_rows, plane_store, Positions};
 use crate::multi::ring::StepCx;
 use crate::multi::Slabs;
 use crate::scheme::MrScheme;
@@ -90,16 +90,19 @@ impl HaloDirectory {
         let upstream =
             |i: usize, cid: u32| (table.get(i * nf + cid as usize) as usize).wrapping_sub(i * nf);
         for tile in index.tiles() {
-            halo.clear();
             let (lo, hi) = (tile.lo as usize, tile.hi as usize);
+            // Branch-free on random rock: every link is stored, and only a
+            // foreign fluid one advances the end.
+            halo.resize(L::Q * tile.active.len() + 1, 0);
+            let mut end = 0;
             for i in 0..L::Q {
                 for &cid in &tile.active {
                     let e = upstream(i, cid);
-                    if e < nf && !(lo..hi).contains(&e) {
-                        halo.push(e as u32);
-                    }
+                    halo[end] = e as u32;
+                    end += usize::from(e < nf && !(lo..hi).contains(&e));
                 }
             }
+            halo.truncate(end);
             halo.sort_unstable();
             halo.dedup();
             let n = hi - lo + halo.len();
@@ -459,17 +462,16 @@ impl<L: Lattice> DriverBody for SparseMr<L> {
         &self.geom
     }
 
-    /// Every fluid node's [`initial_moments`] — the start of the dense MR
+    /// Every fluid node's start moments — the start of the dense MR
     /// drivers, so shared fluid nodes begin bitwise-equal.
-    fn init_with(&mut self, field: impl Fn(usize, usize, usize) -> (f64, [f64; 3])) {
-        let nf = self.index.len();
-        let mut packed = [0.0f64; MAX_M];
-        for (cid, &idx) in self.index.nodes.iter().enumerate() {
-            initial_moments::<L>(&self.geom, idx, &field).pack::<L>(&mut packed[..L::M]);
-            for mi in 0..L::M {
-                self.mom.set(mi * nf + cid, packed[mi]);
-            }
-        }
+    fn init_with(
+        &mut self,
+        threads: usize,
+        field: &(impl Fn(usize, usize, usize) -> (f64, [f64; 3]) + Sync),
+    ) {
+        let store = plane_store(&self.mom, L::M, self.index.len(), |m| m);
+        let at = Positions::Compact(&self.index.nodes);
+        init_moment_rows::<L>(&self.geom, at, threads, field, store);
     }
 
     fn macro_fields(&self, t: u64) -> Fields {
@@ -584,11 +586,13 @@ impl<L: Lattice> SlabBody for SparseMr<L> {
 impl<L: Lattice> NodeHalo for SparseMr<L> {
     const HALO: usize = L::M;
 
-    fn send_node(&self, to: &Self, t: u64, si: usize, di: usize) {
+    fn send_nodes(&self, to: &Self, t: u64, pairs: &[(usize, usize)]) {
         let (sn, dn) = (self.index.len(), to.index.len());
         let (sm, dm) = (self.lattice_pair(t).1, to.lattice_pair(t).1);
-        for m in 0..L::M {
-            dm.set(m * dn + di, sm.get(m * sn + si));
+        for &(si, di) in pairs {
+            for m in 0..L::M {
+                dm.set(m * dn + di, sm.get(m * sn + si));
+            }
         }
     }
 }

@@ -12,11 +12,12 @@
 //! the same pull gather over reversed storage slots, and its collide
 //! half-step walks the same runs.
 
-use crate::boundary::{boundary_nodes, initial_moments, update_bc_block};
+use crate::boundary::{boundary_nodes, update_bc_block};
 use crate::driver::{
     advance_solo, box_guards, fill, BlockSize, DriverBody, Fields, Frame, NodeHalo, Owned, Part,
     Rec, ScalarKernels, Sim, SlabBody, SoloBody,
 };
+use crate::init::{init_population_rows, plane_store, Positions::Dense};
 use crate::multi::ring::StepCx;
 use crate::multi::Slabs;
 use gpu_sim::exec::{BlockCtx, Kernel, Launch, LaunchStats};
@@ -291,26 +292,6 @@ impl<L: Lattice, C: Collision<L>> Kernel for StBcKernel<'_, L, C> {
     }
 }
 
-/// Set the populations of `nodes` to the collision operator's reconstruction
-/// of their [`initial_moments`] (see the reference solver's `init_with`):
-/// `store(k, i, v)` receives population `i` of the `k`-th node.
-pub(crate) fn init_populations<L: Lattice, C: Collision<L>>(
-    geom: &Geometry,
-    collision: &C,
-    nodes: impl Iterator<Item = usize>,
-    field: impl Fn(usize, usize, usize) -> (f64, [f64; 3]),
-    mut store: impl FnMut(usize, usize, f64),
-) {
-    let mut feq = [0.0f64; MAX_Q];
-    for (k, idx) in nodes.enumerate() {
-        let m = initial_moments::<L>(geom, idx, &field);
-        collision.reconstruct(&m, &mut feq[..L::Q]);
-        for (i, &v) in feq[..L::Q].iter().enumerate() {
-            store(k, i, v);
-        }
-    }
-}
-
 /// Density and velocity over an `n`-node box from populations: `nodes`
 /// yields `(domain index, storage id)` of every fluid-like node and
 /// `f(id, i)` reads population `i`. One pass, the sums of
@@ -466,11 +447,13 @@ impl<L: Lattice, C: Collision<L>> DriverBody for St<L, C> {
         &self.geom
     }
 
-    fn init_with(&mut self, field: impl Fn(usize, usize, usize) -> (f64, [f64; 3])) {
-        let (n, f) = (self.geom.len(), &self.f[self.cur]);
-        init_populations::<L, C>(&self.geom, &self.collision, 0..n, field, |idx, i, v| {
-            f.set(i * n + idx, v)
-        });
+    fn init_with(
+        &mut self,
+        threads: usize,
+        field: &(impl Fn(usize, usize, usize) -> (f64, [f64; 3]) + Sync),
+    ) {
+        let store = plane_store(&self.f[self.cur], L::Q, self.geom.len(), |i| i);
+        init_population_rows::<L, C>(&self.geom, Dense, threads, field, &self.collision, store);
     }
 
     fn macro_fields(&self, _t: u64) -> Fields {
@@ -567,11 +550,13 @@ impl<L: Lattice, C: Collision<L>> SlabBody for St<L, C> {
 impl<L: Lattice, C: Collision<L>> NodeHalo for St<L, C> {
     const HALO: usize = L::Q;
 
-    fn send_node(&self, to: &Self, _t: u64, si: usize, di: usize) {
+    fn send_nodes(&self, to: &Self, _t: u64, pairs: &[(usize, usize)]) {
         let (sn, dn) = (self.geom.len(), to.geom.len());
         let (sf, df) = (&self.f[self.cur ^ 1], &to.f[to.cur ^ 1]);
-        for i in 0..L::Q {
-            df.set(i * dn + di, sf.get(i * sn + si));
+        for &(si, di) in pairs {
+            for i in 0..L::Q {
+                df.set(i * dn + di, sf.get(i * sn + si));
+            }
         }
     }
 }

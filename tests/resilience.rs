@@ -19,7 +19,7 @@ use lbm_lattice::{D2Q9, D3Q19};
 use lbm_multi::recovery::{run_with_recovery, RecoveryConfig, RecoveryError};
 use lbm_multi::{
     HaloRetryPolicy, MultiAaStSim, MultiMrSim2D, MultiMrSim3D, MultiSparseMrSim, MultiSparseStSim,
-    MultiStSim,
+    MultiStSim, OverlapStats,
 };
 use std::sync::Arc;
 
@@ -255,6 +255,55 @@ fn multi_aa_checkpoint_roundtrip_at_odd_parity() {
     ckpt_roundtrip(mk(), mk(), mk(), 5, 7);
 }
 
+/// A parked AA step records its launch and pre-exchange when the exchange
+/// that closes it completes: a run with one transient post-exchange link
+/// failure ends with the fault-free run's `OverlapStats`, word for word, and
+/// the same blob — overlap words included.
+#[test]
+fn multi_aa_parked_step_keeps_the_fault_free_overlap_stats() {
+    let geom = Geometry::walls_y_periodic_x(16, 8);
+    let mk = || {
+        let mut s: MultiAaStSim<D2Q9, _> =
+            MultiAaStSim::new(DeviceSpec::v100(), geom.clone(), Projective::new(0.8), 3)
+                .with_cpu_threads(2);
+        s.init_with(shear_init);
+        s
+    };
+    let words = |s: &OverlapStats| {
+        let t = [
+            s.boundary_s,
+            s.interior_s,
+            s.exchange_s,
+            s.bc_s,
+            s.hidden_s,
+            s.total_s,
+        ];
+        (s.steps, t.map(f64::to_bits))
+    };
+    // The fourth 1 → 0 transfer opens step 2's post-exchange (see the test
+    // below); the retry budget of one attempt parks the step there.
+    let mut plan = FaultPlan::new();
+    plan.fail_link_after(1, 0, 3, 1);
+    let plan = Arc::new(plan);
+    let mut sim = mk()
+        .with_halo_retry(HaloRetryPolicy {
+            max_attempts: 1,
+            backoff_base_us: 1,
+        })
+        .with_fault_plan(plan.clone());
+    let mut clean = mk();
+    sim.run(2);
+    sim.try_step().unwrap_err();
+    assert_eq!(sim.steps(), 2, "the step did not park");
+    sim.try_step().unwrap();
+    sim.run(5);
+    clean.run(8);
+    assert_eq!(plan.link_faults_fired(), 1);
+    assert!(sim.stats().exchange_s > 0.0 && sim.stats().interior_s > 0.0);
+    assert_eq!(words(sim.stats()), words(clean.stats()));
+    assert!(sim.checkpoint() == clean.checkpoint(), "blobs differ");
+}
+
 /// The sharded AA stream half-step updates its lattice in place, so a
 /// post-exchange that fails after the launch cannot be retried from the
 /// top: the step is parked and the next `try_step` finishes the exchange.
@@ -284,8 +333,8 @@ fn multi_aa_parked_post_exchange_is_finished_by_the_next_step() {
     };
     // Steps, fields, link bytes and every shard's lattice as the blob holds
     // it (ghost columns included). The blob's head — LBCK framing, five
-    // guards, `t` and the seven overlap words — is left out: the modeled
-    // timing of a parked step counts only the exchange that finished it.
+    // guards, `t` and the seven overlap words — is left out here; the next
+    // test holds the overlap words to the clean run's.
     let state = |s: &MultiAaStSim<D2Q9, Projective>| {
         (
             s.steps(),
