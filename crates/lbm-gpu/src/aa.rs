@@ -49,10 +49,10 @@
 
 use crate::boundary::boundary_nodes;
 use crate::driver::{
-    advance_solo, box_guards, fill, BlockSize, DriverBody, Fields, Frame, Owned, Part, Rec,
+    advance_solo, box_guards, BlockSize, DriverBody, Fields, Frame, Owned, Part, Rec,
     ScalarKernels, Sim, SlabBody, SoloBody,
 };
-use crate::init::{init_population_rows, plane_store, Positions::Dense};
+use crate::init::{init_rows, plane_store};
 use crate::multi::ring::StepCx;
 use crate::multi::Slabs;
 use crate::st::{fluid_like, population_macro_fields, NodeWalk};
@@ -283,7 +283,8 @@ impl<L: Lattice, C: Collision<L>> DriverBody for AaSt<L, C> {
         field: &(impl Fn(usize, usize, usize) -> (f64, [f64; 3]) + Sync),
     ) {
         let store = plane_store(&self.a, L::Q, self.geom.len(), |i| aa_slot::<L>(0, i));
-        init_population_rows::<L, C>(&self.geom, Dense, threads, field, &self.collision, store);
+        let values = |m: &Moments, f: &mut [f64]| self.collision.reconstruct(m, f);
+        init_rows::<L>(&self.geom, None, threads, field, L::Q, values, store);
     }
 
     /// At even parity the slot un-permutation makes the per-node sums
@@ -326,7 +327,7 @@ impl<L: Lattice, C: Collision<L>> DriverBody for AaSt<L, C> {
     }
 
     fn install(&mut self, _t: u64, arrays: Vec<Vec<f64>>) {
-        fill(&self.a, &arrays[0]);
+        self.a.set_span(0, &arrays[0]);
     }
 }
 

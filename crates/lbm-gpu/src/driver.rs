@@ -58,7 +58,7 @@
 use gpu_sim::exec::LaunchStats;
 use gpu_sim::interconnect::LinkError;
 use gpu_sim::memory::Tally;
-use gpu_sim::{FaultPlan, GlobalBuffer, Gpu};
+use gpu_sim::{FaultPlan, Gpu};
 use lbm_core::geometry::Geometry;
 use lbm_core::io::{parity_flavor, CheckpointError, CheckpointReader, CheckpointWriter};
 use lbm_core::sim::Simulation;
@@ -375,11 +375,6 @@ pub fn box_guards(geom: &Geometry, payload: (&'static str, usize)) -> Vec<(&'sta
         ("nz", geom.nz as u64),
         (payload.0, payload.1 as u64),
     ]
-}
-
-/// Copy a restored array into a device buffer from the host side.
-pub fn fill(buf: &GlobalBuffer<f64>, data: &[f64]) {
-    buf.set_span(0, data);
 }
 
 /// The pattern-independent state of a driver.

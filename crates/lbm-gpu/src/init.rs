@@ -15,21 +15,11 @@
 //! the same at every thread count.
 
 use gpu_sim::GlobalBuffer;
-use lbm_core::collision::Collision;
 use lbm_core::geometry::{Geometry, NodeType};
 use lbm_core::kernels::MAX_Q;
 use lbm_core::par::parallel_ranges;
 use lbm_lattice::moments::Moments;
 use lbm_lattice::Lattice;
-
-/// The storage positions a pattern initializes, in storage order.
-#[derive(Clone, Copy)]
-pub(crate) enum Positions<'a> {
-    /// Every node of the box; position = flat index.
-    Dense,
-    /// The fluid nodes of a compaction; position `p` is node `nodes[p]`.
-    Compact(&'a [usize]),
-}
 
 /// The start of a node of kind `node` where `field` reads `(ρ, u)`: the
 /// field's equilibrium, an inlet at its prescribed velocity, an outlet at
@@ -43,14 +33,16 @@ fn start(node: NodeType, (rho, u): (f64, [f64; 3])) -> (f64, [f64; 3]) {
     }
 }
 
-/// Write the time-0 state of every position of `at` over `geom`: `values`
-/// turns a node's start moments into its `planes` stored values, and
-/// `store(p0, rows)` receives the values of positions `p0 .. p0 + len`
-/// plane-major (`rows[j·len + k]` is value `j` of position `p0 + k`, `len =
-/// rows.len() / planes`). Rows go to `threads` host threads.
+/// Write the time-0 state of every storage position over `geom` — every
+/// node of the box, position = flat index, or with `compact` the fluid
+/// nodes of a compaction, position `p` = node `compact[p]`. `values` turns a
+/// node's start moments into its `planes` stored values, and `store(p0,
+/// rows)` receives the values of positions `p0 .. p0 + len` plane-major
+/// (`rows[j·len + k]` is value `j` of position `p0 + k`, `len = rows.len() /
+/// planes`). Rows go to `threads` host threads.
 pub(crate) fn init_rows<L: Lattice>(
     geom: &Geometry,
-    at: Positions<'_>,
+    compact: Option<&[usize]>,
     threads: usize,
     field: &(impl Fn(usize, usize, usize) -> (f64, [f64; 3]) + Sync),
     planes: usize,
@@ -59,10 +51,7 @@ pub(crate) fn init_rows<L: Lattice>(
 ) {
     assert!(planes <= MAX_Q, "{planes} values per node exceed MAX_Q");
     let (row, ny) = (geom.nx, geom.ny);
-    let n = match at {
-        Positions::Dense => geom.len(),
-        Positions::Compact(nodes) => nodes.len(),
-    };
+    let n = compact.map_or(geom.len(), <[usize]>::len);
     parallel_ranges(n.div_ceil(row), threads, |rows| {
         let mut buf = vec![0.0; planes * row];
         // The bits of the start `v` holds the values of; none before the
@@ -80,11 +69,9 @@ pub(crate) fn init_rows<L: Lattice>(
                 run = to;
             };
             for k in 0..len {
-                let (node, (x, y, z)) = match at {
-                    Positions::Dense => (geom.node_at(p0 + k), (k, r % ny, r / ny)),
-                    Positions::Compact(nodes) => {
-                        (geom.node_at(nodes[p0 + k]), geom.coords(nodes[p0 + k]))
-                    }
+                let (node, (x, y, z)) = match compact {
+                    None => (geom.node_at(p0 + k), (k, r % ny, r / ny)),
+                    Some(ids) => (geom.node_at(ids[p0 + k]), geom.coords(ids[p0 + k])),
                 };
                 let (rho, u) = start(node, field(x, y, z));
                 let bits = [rho, u[0], u[1], u[2]].map(f64::to_bits);
@@ -101,39 +88,6 @@ pub(crate) fn init_rows<L: Lattice>(
             store(p0, &buf[..planes * len]);
         }
     });
-}
-
-/// [`init_rows`] of a pattern that stores the packed moments.
-pub(crate) fn init_moment_rows<L: Lattice>(
-    geom: &Geometry,
-    at: Positions<'_>,
-    threads: usize,
-    field: &(impl Fn(usize, usize, usize) -> (f64, [f64; 3]) + Sync),
-    store: impl Fn(usize, &[f64]) + Sync,
-) {
-    init_rows::<L>(
-        geom,
-        at,
-        threads,
-        field,
-        L::M,
-        |m, out| m.pack::<L>(out),
-        store,
-    )
-}
-
-/// [`init_rows`] of a pattern that stores populations: the collision
-/// operator's reconstruction of each start.
-pub(crate) fn init_population_rows<L: Lattice, C: Collision<L>>(
-    geom: &Geometry,
-    at: Positions<'_>,
-    threads: usize,
-    field: &(impl Fn(usize, usize, usize) -> (f64, [f64; 3]) + Sync),
-    collision: &C,
-    store: impl Fn(usize, &[f64]) + Sync,
-) {
-    let values = |m: &Moments, out: &mut [f64]| collision.reconstruct(m, out);
-    init_rows::<L>(geom, at, threads, field, L::Q, values, store)
 }
 
 /// An [`init_rows`] store into the `planes` planes of `buf`: value `j` of

@@ -62,7 +62,7 @@ use crate::driver::{
     advance_solo, DriverBody, Fields, Frame, NodeHalo, Owned, Part, Rec, ScalarKernels, Sim,
     SlabBody, SoloBody,
 };
-use crate::init::{init_moment_rows, Positions};
+use crate::init::init_rows;
 use crate::moment_lattice::{MomentLattice, TimeSlot};
 use crate::multi::ring::StepCx;
 use crate::multi::Slabs;
@@ -249,53 +249,37 @@ impl ColumnWalk {
         let (class, bounce) = walk_classes::<L>(geom);
         let (nx, periodic) = (geom.nx, geom.periodic[0]);
         let u32_of = |v: usize| u32::try_from(v).expect("run directory exceeds u32");
-        let rows = class.len() / nx * ncols;
-        let mut row_class = Vec::with_capacity(rows * (wx + 2));
-        let (mut runs, mut run_at) = (Vec::<[u32; 3]>::new(), Vec::with_capacity(rows + 1));
-        let words = (wx + 2).div_ceil(64);
-        let mut sel = vec![0u64; rows * words];
-        run_at.push(0);
-        for (i, (row, k)) in (class.chunks_exact(nx))
-            .flat_map(|r| (0..ncols).map(move |k| (r, k)))
-            .enumerate()
-        {
-            // Position `p` is frame x `x0 + p − 1`; the two halo positions
-            // wrap at a periodic face and are past the frame otherwise.
-            let x0 = x_first + k * wx;
-            let left = x0.checked_sub(1).or((periodic).then(|| nx - 1));
-            let right = Some(x0 + wx).filter(|&x| x < nx).or(periodic.then_some(0));
-            let at = |x: Option<usize>| x.map_or(SOLID, |x| row[x]);
-            row_class.push(at(left));
-            row_class.extend_from_slice(&row[x0..x0 + wx]);
-            row_class.push(at(right));
-            let cls = &row_class[row_class.len() - (wx + 2)..];
-            // A set bit per fluid position not wrapped past a face.
-            let bits = &mut sel[i * words..][..words];
-            let framed = |p: usize| (1..=nx).contains(&(x0 + p));
-            for (p, _) in cls
-                .iter()
-                .enumerate()
-                .filter(|&(p, &c)| c != SOLID && framed(p))
-            {
-                bits[p / 64] |= 1 << (p % 64);
-            }
-            // Runs of fluid positions whose frame x are consecutive.
-            let x_of = |p: usize| match p {
-                0 => left,
-                p if p == wx + 1 => right,
-                p => Some(x0 + p - 1),
-            };
-            let mut prev = None;
-            for (p, &c) in cls.iter().enumerate() {
-                let x = x_of(p).filter(|_| c != SOLID);
-                match (x, runs.last_mut()) {
-                    (Some(x), Some(run)) if prev.is_some_and(|px| px + 1 == x) => run[2] += 1,
-                    (Some(x), _) => runs.push([x, p, 1].map(u32_of)),
-                    (None, _) => {}
+        let mut row_class = Vec::with_capacity(class.len() / nx * ncols * (wx + 2));
+        let (mut runs, mut run_at) = (Vec::<[u32; 3]>::new(), vec![0]);
+        let (mut sel, words) = (Vec::new(), (wx + 2).div_ceil(64));
+        for row in class.chunks_exact(nx) {
+            for x0 in (0..ncols).map(|k| x_first + k * wx) {
+                let bits = sel.len();
+                sel.resize(bits + words, 0u64);
+                // Frame x of position `p`, wrapped at a periodic face.
+                let x_at = |p: usize| match x0 + p {
+                    0 if periodic => Some(nx - 1),
+                    fx if fx == nx + 1 && periodic => Some(0),
+                    fx => (1..=nx).contains(&fx).then(|| fx - 1),
+                };
+                // `prev`: frame x of the previous position when it is fluid.
+                let mut prev = None;
+                for p in 0..wx + 2 {
+                    let c = x_at(p).map_or(SOLID, |x| row[x]);
+                    row_class.push(c);
+                    if c != SOLID && (1..=nx).contains(&(x0 + p)) {
+                        sel[bits + p / 64] |= 1 << (p % 64);
+                    }
+                    let x = x_at(p).filter(|_| c != SOLID);
+                    match (x, runs.last_mut()) {
+                        (Some(x), Some(run)) if prev.is_some_and(|px| px + 1 == x) => run[2] += 1,
+                        (Some(x), _) => runs.push([x, p, 1].map(u32_of)),
+                        (None, _) => {}
+                    }
+                    prev = x;
                 }
-                prev = x;
+                run_at.push(u32_of(runs.len()));
             }
-            run_at.push(u32_of(runs.len()));
         }
         ColumnWalk {
             wx,
@@ -1153,7 +1137,8 @@ impl<L: Lattice> DriverBody for Mr<L> {
     ) {
         let (mom, at) = (&self.mom, self.mom.at(0));
         let store = |idx0, rows: &[f64]| mom.set_row(at, idx0, rows);
-        init_moment_rows::<L>(&self.geom, Positions::Dense, threads, field, store);
+        let pack = |m: &Moments, p: &mut [f64]| m.pack::<L>(p);
+        init_rows::<L>(&self.geom, None, threads, field, L::M, pack, store);
     }
 
     fn macro_fields(&self, t: u64) -> Fields {

@@ -32,10 +32,10 @@
 //! geometry instead of catching a panic.
 
 use crate::driver::{
-    advance_solo, box_guards, fill, DriverBody, Fields, Frame, NodeHalo, Owned, Part, Rec, Sim,
-    SlabBody, SoloBody,
+    advance_solo, box_guards, DriverBody, Fields, Frame, NodeHalo, Owned, Part, Rec, Sim, SlabBody,
+    SoloBody,
 };
-use crate::init::{init_population_rows, plane_store, Positions};
+use crate::init::{init_rows, plane_store};
 use crate::multi::ring::StepCx;
 use crate::multi::Slabs;
 use crate::st::population_macro_fields;
@@ -45,6 +45,7 @@ use gpu_sim::{DeviceSpec, GlobalBuffer, Gpu};
 use lbm_core::collision::Collision;
 use lbm_core::geometry::{Geometry, NodeType};
 use lbm_core::kernels::{assert_lattice_fits, MAX_Q};
+use lbm_lattice::moments::Moments;
 use lbm_lattice::Lattice;
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -471,8 +472,9 @@ impl<L: Lattice, C: Collision<L>> DriverBody for SparseSt<L, C> {
         field: &(impl Fn(usize, usize, usize) -> (f64, [f64; 3]) + Sync),
     ) {
         let store = plane_store(&self.f[self.cur], L::Q, self.index.len(), |i| i);
-        let at = Positions::Compact(&self.index.nodes);
-        init_population_rows::<L, C>(&self.geom, at, threads, field, &self.collision, store);
+        let values = |m: &Moments, f: &mut [f64]| self.collision.reconstruct(m, f);
+        let ids = Some(&self.index.nodes[..]);
+        init_rows::<L>(&self.geom, ids, threads, field, L::Q, values, store);
     }
 
     fn macro_fields(&self, _t: u64) -> Fields {
@@ -516,7 +518,7 @@ impl<L: Lattice, C: Collision<L>> DriverBody for SparseSt<L, C> {
 
     /// The snapshot lands in buffer 0 regardless of the saved parity.
     fn install(&mut self, _t: u64, arrays: Vec<Vec<f64>>) {
-        fill(&self.f[0], &arrays[0]);
+        self.f[0].set_span(0, &arrays[0]);
         self.cur = 0;
     }
 }

@@ -38,10 +38,10 @@
 //! persist across it, in block scratch ahead of the slab's moment rows.
 
 use crate::driver::{
-    advance_solo, box_guards, fill, DriverBody, Fields, Frame, NodeHalo, Owned, Part, Rec,
-    ScalarKernels, Sim, SlabBody, SoloBody,
+    advance_solo, box_guards, DriverBody, Fields, Frame, NodeHalo, Owned, Part, Rec, ScalarKernels,
+    Sim, SlabBody, SoloBody,
 };
-use crate::init::{init_moment_rows, plane_store, Positions};
+use crate::init::{init_rows, plane_store};
 use crate::multi::ring::StepCx;
 use crate::multi::Slabs;
 use crate::scheme::MrScheme;
@@ -470,8 +470,10 @@ impl<L: Lattice> DriverBody for SparseMr<L> {
         field: &(impl Fn(usize, usize, usize) -> (f64, [f64; 3]) + Sync),
     ) {
         let store = plane_store(&self.mom, L::M, self.index.len(), |m| m);
-        let at = Positions::Compact(&self.index.nodes);
-        init_moment_rows::<L>(&self.geom, at, threads, field, store);
+        let (ids, pack) = (Some(&self.index.nodes[..]), |m: &Moments, p: &mut [f64]| {
+            m.pack::<L>(p)
+        });
+        init_rows::<L>(&self.geom, ids, threads, field, L::M, pack, store);
     }
 
     fn macro_fields(&self, t: u64) -> Fields {
@@ -538,7 +540,7 @@ impl<L: Lattice> DriverBody for SparseMr<L> {
     }
 
     fn install(&mut self, t: u64, arrays: Vec<Vec<f64>>) {
-        fill(self.lattice_pair(t).0, &arrays[0]);
+        self.lattice_pair(t).0.set_span(0, &arrays[0]);
     }
 }
 

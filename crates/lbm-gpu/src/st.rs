@@ -14,10 +14,10 @@
 
 use crate::boundary::{boundary_nodes, update_bc_block};
 use crate::driver::{
-    advance_solo, box_guards, fill, BlockSize, DriverBody, Fields, Frame, NodeHalo, Owned, Part,
-    Rec, ScalarKernels, Sim, SlabBody, SoloBody,
+    advance_solo, box_guards, BlockSize, DriverBody, Fields, Frame, NodeHalo, Owned, Part, Rec,
+    ScalarKernels, Sim, SlabBody, SoloBody,
 };
-use crate::init::{init_population_rows, plane_store, Positions::Dense};
+use crate::init::{init_rows, plane_store};
 use crate::multi::ring::StepCx;
 use crate::multi::Slabs;
 use gpu_sim::exec::{BlockCtx, Kernel, Launch, LaunchStats};
@@ -453,7 +453,8 @@ impl<L: Lattice, C: Collision<L>> DriverBody for St<L, C> {
         field: &(impl Fn(usize, usize, usize) -> (f64, [f64; 3]) + Sync),
     ) {
         let store = plane_store(&self.f[self.cur], L::Q, self.geom.len(), |i| i);
-        init_population_rows::<L, C>(&self.geom, Dense, threads, field, &self.collision, store);
+        let values = |m: &Moments, f: &mut [f64]| self.collision.reconstruct(m, f);
+        init_rows::<L>(&self.geom, None, threads, field, L::Q, values, store);
     }
 
     fn macro_fields(&self, _t: u64) -> Fields {
@@ -488,7 +489,7 @@ impl<L: Lattice, C: Collision<L>> DriverBody for St<L, C> {
 
     /// The snapshot lands in buffer 0 regardless of the saved parity.
     fn install(&mut self, _t: u64, arrays: Vec<Vec<f64>>) {
-        fill(&self.f[0], &arrays[0]);
+        self.f[0].set_span(0, &arrays[0]);
         self.cur = 0;
     }
 }
