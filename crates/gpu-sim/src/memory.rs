@@ -417,16 +417,8 @@ impl<T: Element> GlobalBuffer<T> {
     /// read of each cell counts as DRAM traffic; repeats are L2 hits. The
     /// L2 is assumed cold at each launch boundary (conservative — matches
     /// the paper's per-step traffic model for problems much larger than L2).
-    /// The stamps start at 0 — no launch — in one zeroed allocation.
     pub fn with_touch_tracking(mut self) -> Self {
-        const { assert!(std::mem::size_of::<AtomicU32>() == std::mem::size_of::<u32>()) };
-        let zeroed = Box::<[AtomicU32]>::new_zeroed_slice(self.cells.len());
-        // SAFETY: every element is all-zero bytes, and `AtomicU32` has the
-        // size (asserted above) and bit validity of `u32`, for which zero is
-        // a valid value: an initialized stamp of 0.
-        let touch = unsafe { zeroed.assume_init() };
-        debug_assert!(touch.iter().all(|s| s.load(Ordering::Relaxed) == 0));
-        self.touch = Some(touch);
+        self.touch = Some((0..self.cells.len()).map(|_| AtomicU32::new(0)).collect());
         self
     }
 

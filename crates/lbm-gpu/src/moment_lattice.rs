@@ -290,7 +290,8 @@ impl MomentLattice {
             }
         }
         self.buf.truncate(self.m * n);
-        (self.cap, self.shift) = (n, 0);
+        // At `t = 0` a twisted lattice's planes are in order too.
+        (self.cap, self.shift, self.twist) = (n, 0, false);
         self
     }
 

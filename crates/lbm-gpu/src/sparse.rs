@@ -168,31 +168,25 @@ impl FluidIndex {
         for tz in 0..geom.nz.div_ceil(td) {
             for ty in 0..geom.ny.div_ceil(th) {
                 for tx in 0..geom.nx.div_ceil(tw) {
-                    let lo = nodes.len();
+                    let lo = nodes.len() as u32;
                     let xs = tx * tw..((tx + 1) * tw).min(geom.nx);
                     for z in tz * td..((tz + 1) * td).min(geom.nz) {
                         for y in ty * th..((ty + 1) * th).min(geom.ny) {
                             // The tile's stretch of row `(y, z)`, by index.
                             let first = geom.idx(xs.start, y, z);
-                            let row = geom.row(y, z)[xs.clone()].iter().enumerate();
-                            for (idx, _) in row
-                                .map(|(k, n)| (first + k, n))
-                                .filter(|p| p.1.is_fluid_like())
-                            {
-                                compact[idx] = nodes.len();
-                                nodes.push(idx);
+                            for (k, n) in geom.row(y, z)[xs.clone()].iter().enumerate() {
+                                if n.is_fluid_like() {
+                                    compact[first + k] = nodes.len();
+                                    nodes.push(first + k);
+                                }
                             }
                         }
                     }
                     let hi = nodes.len() as u32;
-                    if hi > lo as u32 {
+                    if hi > lo {
                         // Every node starts active.
-                        let active = (lo as u32..hi).collect();
-                        tiles.push(Tile {
-                            lo: lo as u32,
-                            hi,
-                            active,
-                        });
+                        let active = (lo..hi).collect();
+                        tiles.push(Tile { lo, hi, active });
                     }
                 }
             }
@@ -285,7 +279,7 @@ pub fn build_neighbor_table<L: Lattice>(
     let nf = index.len();
     check_table_encoding(L::Q, nf).map_err(SparseBuildError::TableOverflow)?;
     let mut table = vec![0u32; L::Q * nf];
-    let dims = [geom.nx, geom.ny, geom.nz];
+    let (dims, reach) = ([geom.nx, geom.ny, geom.nz], L::REACH as usize);
     // Flat-index step to the node direction `i` pulls from, `−c_i`: exact
     // for a node at least `REACH` from every face of the axes it moves on.
     let step: Vec<isize> = (L::C.iter())
@@ -295,7 +289,6 @@ pub fn build_neighbor_table<L: Lattice>(
         .collect();
     for (cid, &idx) in index.nodes.iter().enumerate() {
         let (x, y, z) = geom.coords(idx);
-        let reach = L::REACH as usize;
         let off_face = ([x, y, z].iter().zip(dims))
             .take(L::D)
             .all(|(&v, n)| v >= reach && v + reach < n);

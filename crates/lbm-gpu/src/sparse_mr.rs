@@ -470,9 +470,8 @@ impl<L: Lattice> DriverBody for SparseMr<L> {
         field: &(impl Fn(usize, usize, usize) -> (f64, [f64; 3]) + Sync),
     ) {
         let store = plane_store(&self.mom, L::M, self.index.len(), |m| m);
-        let (ids, pack) = (Some(&self.index.nodes[..]), |m: &Moments, p: &mut [f64]| {
-            m.pack::<L>(p)
-        });
+        let pack = |m: &Moments, p: &mut [f64]| m.pack::<L>(p);
+        let ids = Some(&self.index.nodes[..]);
         init_rows::<L>(&self.geom, ids, threads, field, L::M, pack, store);
     }
 

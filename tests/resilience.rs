@@ -333,8 +333,9 @@ fn multi_aa_parked_post_exchange_is_finished_by_the_next_step() {
     };
     // Steps, fields, link bytes and every shard's lattice as the blob holds
     // it (ghost columns included). The blob's head — LBCK framing, five
-    // guards, `t` and the seven overlap words — is left out here; the next
-    // test holds the overlap words to the clean run's.
+    // guards, `t` and the seven overlap words — is left out here;
+    // `multi_aa_parked_step_keeps_the_fault_free_overlap_stats` holds the
+    // overlap words to the clean run's.
     let state = |s: &MultiAaStSim<D2Q9, Projective>| {
         (
             s.steps(),
