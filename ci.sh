@@ -15,18 +15,22 @@ echo "== cargo doc (warnings are errors: a dangling intra-doc link fails the bui
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "== non-test lines per crate (lines before the first #[cfg(test)] mod of every crates/*/src/**/*.rs)"
-# The size PRs report, as a command. The two driver crates, the gpu-sim
-# substrate and the bench + obs harness may only shrink: lower
-# DRIVER_LINES_MAX / SUBSTRATE_LINES_MAX / HARNESS_LINES_MAX when a PR lands
-# below it; raise one only with a sentence in CHANGES.md saying what the
-# lines bought. A `#[cfg(test)]` on anything but a `mod` (a test-only helper
-# method) does not end the count.
-DRIVER_LINES_MAX=6639
-SUBSTRATE_LINES_MAX=3205
+# The size PRs report, as a command. Every crate is in one group, and every
+# group may only shrink: the two driver crates, the gpu-sim substrate, the
+# bench + obs harness, and the core + lattice + lbm-serve library the drivers
+# and the fleet stand on. Lower DRIVER_LINES_MAX / SUBSTRATE_LINES_MAX /
+# HARNESS_LINES_MAX / LIBRARY_LINES_MAX when a PR lands below it; raise one
+# only with a sentence in CHANGES.md saying what the lines bought. A
+# `#[cfg(test)]` on anything but a `mod` (a test-only helper method) does
+# not end the count.
+DRIVER_LINES_MAX=6845
+SUBSTRATE_LINES_MAX=3253
 HARNESS_LINES_MAX=4315
+LIBRARY_LINES_MAX=6193
 driver_lines=0
 substrate_lines=0
 harness_lines=0
+library_lines=0
 for crate in crates/*/; do
   lines=$(find "$crate/src" -name '*.rs' -exec awk '
     FNR == 1 { on = 1; held = "" }
@@ -41,14 +45,17 @@ for crate in crates/*/; do
   lbm-gpu | lbm-multi) driver_lines=$((driver_lines + lines)) ;;
   gpu-sim) substrate_lines=$lines ;;
   bench | obs) harness_lines=$((harness_lines + lines)) ;;
+  core | lattice | lbm-serve) library_lines=$((library_lines + lines)) ;;
   esac
 done
 printf '%8d  lbm-gpu + lbm-multi (max %d)\n' "$driver_lines" "$DRIVER_LINES_MAX"
 printf '%8d  gpu-sim (max %d)\n' "$substrate_lines" "$SUBSTRATE_LINES_MAX"
 printf '%8d  bench + obs (max %d)\n' "$harness_lines" "$HARNESS_LINES_MAX"
+printf '%8d  core + lattice + lbm-serve (max %d)\n' "$library_lines" "$LIBRARY_LINES_MAX"
 test "$driver_lines" -le "$DRIVER_LINES_MAX"
 test "$substrate_lines" -le "$SUBSTRATE_LINES_MAX"
 test "$harness_lines" -le "$HARNESS_LINES_MAX"
+test "$library_lines" -le "$LIBRARY_LINES_MAX"
 
 echo "== every unsafe site states its invariant (a // SAFETY: comment just above it)"
 # The comment block above an `unsafe` block or impl must hold `SAFETY:`; one
