@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! reproduce [table1|table2|table3|table4|figure2|figure3|footprint|speedups|occupancy
-//!            |profile|futurework|scaling|smoke|aa|sparse|resilience|serve|slo|all]
+//!            |profile|futurework|smoke|aa|sparse|resilience|serve|slo|all]
 //!           [--quick]
 //!           [--inject=nan|abort|link|all] [--checkpoint-every=<n>]
 //!           [--jobs=<n>] [--seed=<n>]
@@ -466,63 +466,31 @@ fn occupancy_report() {
 }
 
 /// One multi-device measurement: exact halo traffic, overlap, modeled
-/// throughput, multi-roofline, and the deviation from the single-device run.
+/// throughput, and the deviation from the single-device run.
 struct ScaleRow {
     n: usize,
     repr: &'static str,
     halo_per_step: u64,
     efficiency: f64,
     mflups: f64,
-    roofline: f64,
     diff: f64,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn scale_row(
     n: usize,
     repr: &'static str,
     halo_per_step: u64,
-    mg: &gpu_sim::interconnect::MultiGpu,
     stats: &lbm_multi::OverlapStats,
     fluid: usize,
-    bpf: f64,
     diff: f64,
 ) -> ScaleRow {
-    use gpu_sim::roofline::mflups_max_multi;
-    let max_link: u64 = mg
-        .links()
-        .iter()
-        .map(|l| l.bytes_total())
-        .max()
-        .unwrap_or(0);
-    let per_link_per_step = max_link as f64 / stats.steps.max(1) as f64;
-    let shard_fluid = (fluid as f64 / n as f64).max(1.0);
     ScaleRow {
         n,
         repr,
         halo_per_step,
         efficiency: stats.overlap_efficiency(),
         mflups: stats.modeled_mflups(fluid),
-        roofline: mflups_max_multi(
-            mg.spec().bandwidth_gbps,
-            bpf,
-            mg.link_spec().bandwidth_gbps,
-            per_link_per_step / shard_fluid,
-        ),
         diff,
-    }
-}
-
-fn print_scale_rows(rows: &[ScaleRow]) {
-    println!(
-        "{:>3} {:<6} {:>12} {:>9} {:>15} {:>10} {:>18}",
-        "N", "repr", "halo B/step", "overlap", "modeled MFLUPS", "roofline", "max|Δu| vs 1 dev"
-    );
-    for r in rows {
-        println!(
-            "{:>3} {:<6} {:>12} {:>9.2} {:>15.0} {:>10.0} {:>18.1e}",
-            r.n, r.repr, r.halo_per_step, r.efficiency, r.mflups, r.roofline, r.diff
-        );
     }
 }
 
@@ -603,10 +571,8 @@ fn scale_2d(geom: &lbm_core::Geometry, n: usize, steps: usize) -> Vec<ScaleRow> 
         n,
         "ST",
         st.halo_bytes_per_step(),
-        st.interconnect(),
         st.stats(),
         fluid,
-        144.0,
         max_udiff(&st.velocity_field(), &st1.velocity_field()),
     ));
 
@@ -624,10 +590,8 @@ fn scale_2d(geom: &lbm_core::Geometry, n: usize, steps: usize) -> Vec<ScaleRow> 
             n,
             label,
             mr.halo_bytes_per_step(),
-            mr.interconnect(),
             mr.stats(),
             fluid,
-            96.0,
             max_udiff(&mr.velocity_field(), &mr1.velocity_field()),
         ));
     }
@@ -656,10 +620,8 @@ fn scale_3d(geom: &lbm_core::Geometry, n: usize, steps: usize) -> Vec<ScaleRow> 
         n,
         "ST",
         st.halo_bytes_per_step(),
-        st.interconnect(),
         st.stats(),
         fluid,
-        304.0,
         max_udiff(&st.velocity_field(), &st1.velocity_field()),
     ));
 
@@ -678,91 +640,12 @@ fn scale_3d(geom: &lbm_core::Geometry, n: usize, steps: usize) -> Vec<ScaleRow> 
             n,
             label,
             mr.halo_bytes_per_step(),
-            mr.interconnect(),
             mr.stats(),
             fluid,
-            160.0,
             max_udiff(&mr.velocity_field(), &mr1.velocity_field()),
         ));
     }
     rows
-}
-
-fn scaling(quick: bool) {
-    use lbm_gpu::MrScheme;
-    use lbm_lattice::D2Q9;
-    use lbm_multi::MultiMrSim2D;
-    println!("== Multi-device scaling: moment-space halo exchange =================");
-    let steps = if quick { 4 } else { 10 };
-    let counts = [1usize, 2, 4];
-
-    // Strong scaling: fixed global domain, sharded N ways.
-    let (sx2, sy2) = if quick { (32, 16) } else { (64, 24) };
-    let g2 = lbm_core::Geometry::walls_y_periodic_x(sx2, sy2);
-    println!("-- D2Q9 strong scaling, walls_y_periodic_x {sx2}×{sy2}, {steps} steps --");
-    let rows: Vec<ScaleRow> = counts
-        .iter()
-        .flat_map(|&n| scale_2d(&g2, n, steps))
-        .collect();
-    print_scale_rows(&rows);
-    check_halo_ratio(&rows, 6, 9, "D2Q9");
-    println!();
-
-    let (sx3, sy3, sz3) = if quick { (16, 8, 8) } else { (24, 10, 10) };
-    let g3 = lbm_core::Geometry::duct(sx3, sy3, sz3);
-    println!("-- D3Q19 strong scaling, periodic-x duct {sx3}×{sy3}×{sz3}, {steps} steps --");
-    let rows: Vec<ScaleRow> = counts
-        .iter()
-        .flat_map(|&n| scale_3d(&g3, n, steps))
-        .collect();
-    print_scale_rows(&rows);
-    check_halo_ratio(&rows, 10, 19, "D3Q19");
-    println!();
-
-    // Weak scaling: constant per-device slab, global domain grows with N.
-    let wx2 = if quick { 8 } else { 16 };
-    println!("-- D2Q9 weak scaling, {wx2}×{sy2} per device, {steps} steps --");
-    let rows: Vec<ScaleRow> = counts
-        .iter()
-        .flat_map(|&n| {
-            scale_2d(
-                &lbm_core::Geometry::walls_y_periodic_x(wx2 * n, sy2),
-                n,
-                steps,
-            )
-        })
-        .collect();
-    print_scale_rows(&rows);
-    check_halo_ratio(&rows, 6, 9, "D2Q9");
-    println!();
-
-    let wx3 = 8;
-    println!("-- D3Q19 weak scaling, {wx3}×{sy3}×{sz3} per device, {steps} steps --");
-    let rows: Vec<ScaleRow> = counts
-        .iter()
-        .flat_map(|&n| scale_3d(&lbm_core::Geometry::duct(wx3 * n, sy3, sz3), n, steps))
-        .collect();
-    print_scale_rows(&rows);
-    check_halo_ratio(&rows, 10, 19, "D3Q19");
-    println!();
-
-    // Per-link traffic of one representative configuration, from the
-    // interconnect's byte-exact counters.
-    let mut mr: MultiMrSim2D<D2Q9> = MultiMrSim2D::new(
-        DeviceSpec::v100(),
-        g2,
-        MrScheme::projective(),
-        lbm_bench::TAU,
-        4,
-    );
-    mr.init_with(init_2d);
-    mr.run(steps);
-    println!("per-link traffic (MR-P D2Q9, N = 4, {steps} steps):");
-    print!("{}", mr.interconnect().report());
-    println!("(every multi-device max|Δu| above is exactly 0: the sharded runs are bitwise)");
-    println!("(modeled MFLUPS at these domain sizes is link-latency-bound; the roofline");
-    println!(" column is the bandwidth-only bound: eq. 15 min'd with the interconnect term)");
-    println!();
 }
 
 /// One ideal-pattern run on the shared hub, traced, metered and
@@ -2012,7 +1895,7 @@ fn slo_load(jobs: usize, seed: u64, events_path: Option<&str>) {
     println!();
 }
 
-const USAGE: &str = "usage: reproduce [table1|table2|table3|table4|figure2|figure3|footprint|speedups|occupancy|profile|futurework|scaling|smoke|aa|sparse|resilience|serve|slo|all] [--quick] [--inject=nan|abort|link|all] [--checkpoint-every=<n>] [--jobs=<n>] [--seed=<n>] [--trace=<path>] [--metrics=<path>] [--events=<path>]";
+const USAGE: &str = "usage: reproduce [table1|table2|table3|table4|figure2|figure3|footprint|speedups|occupancy|profile|futurework|smoke|aa|sparse|resilience|serve|slo|all] [--quick] [--inject=nan|abort|link|all] [--checkpoint-every=<n>] [--jobs=<n>] [--seed=<n>] [--trace=<path>] [--metrics=<path>] [--events=<path>]";
 
 /// Flags that carry a value (`--name=value`).
 const VALUE_FLAGS: [&str; 7] = [
@@ -2119,7 +2002,6 @@ fn main() {
         "occupancy" => occupancy_report(),
         "profile" => profile(quick),
         "futurework" => future_work(quick),
-        "scaling" => scaling(quick),
         "smoke" => smoke(&hub),
         "aa" => aa_section(&hub),
         "sparse" => sparse_section(&hub),
@@ -2138,7 +2020,6 @@ fn main() {
             occupancy_report();
             profile(quick);
             future_work(quick);
-            scaling(quick);
             aa_section(&hub);
             sparse_section(&hub);
             resilience(&hub, &inject, ckpt_every);

@@ -1,4 +1,4 @@
-//! Field output (CSV profiles, legacy-ASCII VTK structured points) and the
+//! Field output (legacy-ASCII VTK structured points) and the
 //! checkpoint codec the resilience layer snapshots driver state through.
 //!
 //! # Checkpoint format
@@ -293,25 +293,6 @@ impl<'a> CheckpointReader<'a> {
     }
 }
 
-/// Write a velocity/density field as CSV rows `x,y,z,rho,ux,uy,uz`.
-pub fn write_csv<W: Write>(
-    w: &mut W,
-    geom: &Geometry,
-    rho: &[f64],
-    u: &[[f64; 3]],
-) -> io::Result<()> {
-    writeln!(w, "x,y,z,rho,ux,uy,uz")?;
-    for idx in 0..geom.len() {
-        let (x, y, z) = geom.coords(idx);
-        writeln!(
-            w,
-            "{x},{y},{z},{:.9},{:.9},{:.9},{:.9}",
-            rho[idx], u[idx][0], u[idx][1], u[idx][2]
-        )?;
-    }
-    Ok(())
-}
-
 /// Write a legacy-ASCII VTK `STRUCTURED_POINTS` dataset with density and
 /// velocity point data (openable with ParaView).
 pub fn write_vtk<W: Write>(
@@ -340,32 +321,8 @@ pub fn write_vtk<W: Write>(
     Ok(())
 }
 
-/// Write a single column profile `y,value` — handy for plotting Poiseuille
-/// profiles.
-pub fn write_profile<W: Write>(w: &mut W, values: &[(f64, f64)]) -> io::Result<()> {
-    writeln!(w, "coord,value")?;
-    for (c, v) in values {
-        writeln!(w, "{c},{v:.9}")?;
-    }
-    Ok(())
-}
-
-/// Write a CSV field to `path` through a [`BufWriter`] — one syscall per
-/// 8 KiB instead of one per node (the satellite fix for the examples'
-/// bare-`File` writers).
-pub fn write_csv_file<P: AsRef<Path>>(
-    path: P,
-    geom: &Geometry,
-    rho: &[f64],
-    u: &[[f64; 3]],
-) -> io::Result<()> {
-    let mut w = BufWriter::new(File::create(path)?);
-    write_csv(&mut w, geom, rho, u)?;
-    w.flush()
-}
-
-/// Write a VTK field to `path` through a [`BufWriter`]; see
-/// [`write_csv_file`].
+/// Write a VTK field to `path` through a [`BufWriter`]: one syscall per
+/// 8 KiB instead of one per node.
 pub fn write_vtk_file<P: AsRef<Path>>(
     path: P,
     geom: &Geometry,
@@ -389,18 +346,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_has_header_and_rows() {
-        let (g, rho, u) = rig();
-        let mut buf = Vec::new();
-        write_csv(&mut buf, &g, &rho, &u).unwrap();
-        let s = String::from_utf8(buf).unwrap();
-        let lines: Vec<&str> = s.lines().collect();
-        assert_eq!(lines.len(), 5);
-        assert!(lines[0].starts_with("x,y,z,"));
-        assert!(lines[1].starts_with("0,0,0,1.0"));
-    }
-
-    #[test]
     fn vtk_structure() {
         let (g, rho, u) = rig();
         let mut buf = Vec::new();
@@ -412,75 +357,18 @@ mod tests {
         assert!(s.contains("VECTORS velocity"));
     }
 
-    #[test]
-    fn profile_format() {
-        let mut buf = Vec::new();
-        write_profile(&mut buf, &[(0.0, 0.5), (1.0, 0.25)]).unwrap();
-        let s = String::from_utf8(buf).unwrap();
-        assert_eq!(s.lines().count(), 3);
-    }
-
-    /// The io round-trip satellite: re-parse the CSV and check every value
-    /// to the printed precision (9 decimal places).
-    #[test]
-    fn csv_round_trips_to_printed_precision() {
-        let geom = Geometry::periodic_2d(3, 2);
-        let rho: Vec<f64> = (0..6)
-            .map(|i| 1.0 + 0.01 * (i as f64 * 0.7).sin())
-            .collect();
-        let u: Vec<[f64; 3]> = (0..6)
-            .map(|i| {
-                [
-                    0.05 * (i as f64 * 0.3).cos(),
-                    -0.02 * (i as f64 * 1.1).sin(),
-                    0.0,
-                ]
-            })
-            .collect();
-        let mut buf = Vec::new();
-        write_csv(&mut buf, &geom, &rho, &u).unwrap();
-        let s = String::from_utf8(buf).unwrap();
-        let mut rows = 0;
-        for line in s.lines().skip(1) {
-            let cols: Vec<&str> = line.split(',').collect();
-            assert_eq!(cols.len(), 7, "bad row: {line}");
-            let (x, y, z): (usize, usize, usize) = (
-                cols[0].parse().unwrap(),
-                cols[1].parse().unwrap(),
-                cols[2].parse().unwrap(),
-            );
-            let idx = geom.idx(x, y, z);
-            let vals: Vec<f64> = cols[3..].iter().map(|c| c.parse().unwrap()).collect();
-            let expect = [rho[idx], u[idx][0], u[idx][1], u[idx][2]];
-            for (got, want) in vals.iter().zip(expect) {
-                assert!(
-                    (got - want).abs() < 5e-10,
-                    "reparsed {got} vs written {want} beyond printed precision"
-                );
-            }
-            rows += 1;
-        }
-        assert_eq!(rows, geom.len());
-    }
-
-    /// Buffered file helpers produce byte-identical output to the in-memory
-    /// writers.
+    /// The buffered file helper produces byte-identical output to the
+    /// in-memory writer.
     #[test]
     fn buffered_file_writers_match_in_memory() {
         let (g, rho, u) = rig();
         let dir = std::env::temp_dir().join("lbm_io_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let csv_path = dir.join("field.csv");
         let vtk_path = dir.join("field.vtk");
-        write_csv_file(&csv_path, &g, &rho, &u).unwrap();
         write_vtk_file(&vtk_path, &g, &rho, &u).unwrap();
-        let mut mem_csv = Vec::new();
-        write_csv(&mut mem_csv, &g, &rho, &u).unwrap();
         let mut mem_vtk = Vec::new();
         write_vtk(&mut mem_vtk, &g, &rho, &u).unwrap();
-        assert_eq!(std::fs::read(&csv_path).unwrap(), mem_csv);
         assert_eq!(std::fs::read(&vtk_path).unwrap(), mem_vtk);
-        let _ = std::fs::remove_file(csv_path);
         let _ = std::fs::remove_file(vtk_path);
     }
 

@@ -12,11 +12,15 @@
 //!   its channel flows.
 //! * [`geometry`] — node classification and domain builders (2D/3D channel,
 //!   fully periodic box, lid-driven cavity).
-//! * [`solver2d`] / [`solver3d`] — the *standard distribution representation*
-//!   reference solvers (two lattices, pull scheme — Algorithm 1 of the
-//!   paper), parallelized over CPU threads. These are the ground truth the
-//!   GPU-substrate kernels are validated against, bit-for-bit up to
-//!   floating-point roundoff.
+//! * [`solver`] (with the [`solver2d`] / [`solver3d`] aliases) — the
+//!   *standard distribution representation* reference solver (two lattices,
+//!   pull scheme — Algorithm 1 of the paper), split over scoped CPU threads
+//!   by a helper private to it. It is the ground truth the GPU-substrate
+//!   kernels are validated against, bit-for-bit up to floating-point
+//!   roundoff. The GPU-substrate drivers never use those threads: they run,
+//!   set-up included, on `gpu-sim`'s per-device worker pools.
+//! * [`kernels`] — the per-node and lane-chunked update arithmetic the
+//!   GPU-substrate drivers launch.
 //! * [`analytic`] — closed-form solutions (plane Poiseuille, Taylor–Green
 //!   vortex) used by the validation tests and examples.
 //! * [`diagnostics`] / [`io`] / [`units`] — observables, field output, and
@@ -34,7 +38,6 @@ pub mod diagnostics;
 pub mod geometry;
 pub mod io;
 pub mod kernels;
-pub mod par;
 pub mod sim;
 pub mod solver;
 pub mod solver2d;

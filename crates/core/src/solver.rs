@@ -17,7 +17,6 @@
 use crate::boundary::{boundary_node_moments, WallGains};
 use crate::collision::Collision;
 use crate::geometry::{Geometry, NodeType};
-use crate::par;
 use lbm_lattice::moments::Moments;
 use lbm_lattice::Lattice;
 use std::io::{self, Read, Write};
@@ -64,7 +63,7 @@ impl<L: Lattice, C: Collision<L>> Solver<L, C> {
             f: [vec![0.0; L::Q * n], vec![0.0; L::Q * n]],
             cur: 0,
             collision,
-            threads: par::num_threads(),
+            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             steps: 0,
             boundary_nodes,
             _lat: PhantomData,
@@ -130,7 +129,7 @@ impl<L: Lattice, C: Collision<L>> Solver<L, C> {
         // (bitwise-equal to the inline form; see `WallGains`).
         let gains = WallGains::build::<L>(1.0);
         let gains = &gains;
-        par::parallel_soa_ranges(dst, n, self.threads, |lo, mut rows| {
+        parallel_soa_ranges(dst, n, self.threads, |lo, mut rows| {
             let mut f_loc = [0.0f64; MAX_Q];
             for idx in lo..lo + rows[0].len() {
                 if !matches!(geom.node_at(idx), NodeType::Fluid) {
@@ -384,11 +383,84 @@ impl<L: Lattice, C: Collision<L>> Solver<L, C> {
     }
 }
 
+/// Split the `n` nodes of a direction-major SoA lattice (`soa.len()` a
+/// multiple of `n`) into at most `threads` contiguous node ranges of
+/// near-equal size and run `body(lo, rows)` on each in parallel on scoped
+/// threads, where `rows[dir][k]` is node `lo + k` of direction `dir`: each
+/// worker gets its own sub-slice of every direction. With one range the body
+/// runs inline (no spawn), which keeps single-threaded runs clean.
+fn parallel_soa_ranges<T, F>(soa: &mut [T], n: usize, threads: usize, body: F)
+where
+    T: Send,
+    F: Fn(usize, Vec<&mut [T]>) + Sync,
+{
+    if n == 0 {
+        return;
+    }
+    assert_eq!(soa.len() % n, 0, "lattice is not direction-major over n");
+    let chunk = n.div_ceil(threads.clamp(1, n));
+    let mut parts: Vec<Vec<&mut [T]>> = (0..n.div_ceil(chunk))
+        .map(|_| Vec::with_capacity(soa.len() / n))
+        .collect();
+    for dir in soa.chunks_mut(n) {
+        for (part, rows) in parts.iter_mut().zip(dir.chunks_mut(chunk)) {
+            part.push(rows);
+        }
+    }
+    if parts.len() == 1 {
+        body(0, parts.remove(0));
+        return;
+    }
+    std::thread::scope(|s| {
+        for (t, part) in parts.into_iter().enumerate() {
+            let body = &body;
+            s.spawn(move || body(t * chunk, part));
+        }
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::collision::{Bgk, Projective, Recursive};
     use lbm_lattice::{D2Q9, D3Q19};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    #[test]
+    fn ranges_cover_exactly_once() {
+        for n in [0usize, 1, 7, 100, 1001] {
+            for threads in [1usize, 2, 3, 8] {
+                let mut soa = vec![0u8; 3 * n];
+                let counter = AtomicUsize::new(0);
+                let sum = AtomicUsize::new(0);
+                parallel_soa_ranges(&mut soa, n, threads, |lo, rows| {
+                    assert_eq!(rows.len(), 3);
+                    let len = rows[0].len();
+                    assert!(rows.iter().all(|r| r.len() == len));
+                    counter.fetch_add(len, Ordering::Relaxed);
+                    sum.fetch_add((lo..lo + len).sum::<usize>(), Ordering::Relaxed);
+                });
+                assert_eq!(counter.load(Ordering::Relaxed), n);
+                assert_eq!(sum.load(Ordering::Relaxed), n * n.saturating_sub(1) / 2);
+            }
+        }
+    }
+
+    #[test]
+    fn disjoint_writes_land_direction_major() {
+        let n = 1000;
+        let mut data = vec![0u64; 2 * n];
+        parallel_soa_ranges(&mut data, n, 4, |lo, mut rows| {
+            for k in 0..rows[0].len() {
+                rows[0][k] = (lo + k) as u64 * 3;
+                rows[1][k] = (lo + k) as u64 * 5;
+            }
+        });
+        for i in 0..n {
+            assert_eq!(data[i], i as u64 * 3);
+            assert_eq!(data[n + i], i as u64 * 5);
+        }
+    }
 
     /// A uniform resting fluid in a periodic box is a fixed point.
     #[test]

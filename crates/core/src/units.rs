@@ -29,12 +29,6 @@ pub fn tau_from_nu_cs2(nu: f64, cs2: f64) -> f64 {
     nu / cs2 + 0.5
 }
 
-/// Reynolds number `Re = U L / ν` in lattice units.
-#[inline]
-pub fn reynolds(u: f64, l: f64, nu: f64) -> f64 {
-    u * l / nu
-}
-
 /// Relaxation time that realizes a target Reynolds number for a flow with
 /// characteristic velocity `u` and length `l` (both in lattice units).
 #[inline]
@@ -46,13 +40,6 @@ pub fn tau_for_reynolds(re: f64, u: f64, l: f64) -> f64 {
 #[inline]
 pub fn mach(u: f64) -> f64 {
     u / CS2.sqrt()
-}
-
-/// Whether a velocity is inside the usual low-Mach validity envelope of the
-/// second-order equilibrium (`Ma ≲ 0.3`).
-#[inline]
-pub fn is_low_mach(u: f64) -> bool {
-    mach(u) < 0.3
 }
 
 #[cfg(test)]
@@ -75,15 +62,12 @@ mod tests {
     fn reynolds_and_tau() {
         let (re, u, l) = (100.0, 0.05, 64.0);
         let tau = tau_for_reynolds(re, u, l);
-        let nu = nu_from_tau(tau);
-        assert!((reynolds(u, l, nu) - re).abs() < 1e-9);
+        assert!((u * l / nu_from_tau(tau) - re).abs() < 1e-9);
         assert!(tau > 0.5);
     }
 
     #[test]
     fn mach_envelope() {
-        assert!(is_low_mach(0.1));
-        assert!(!is_low_mach(0.3));
         assert!((mach(CS2.sqrt()) - 1.0).abs() < 1e-15);
     }
 }

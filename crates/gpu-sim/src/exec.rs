@@ -342,15 +342,16 @@ impl Gpu {
         self
     }
 
-    /// Host threads a host-side pass over `items` work items (a driver's
-    /// initialization) splits across: all of this device's, when it has more
-    /// than one and `items` clears the parallel threshold; else 1, the
-    /// calling thread.
-    pub fn host_split(&self, items: usize) -> usize {
-        if items >= self.parallel_threshold {
-            self.cpu_threads
+    /// Run `task(c)` once for every chunk `c in 0..chunks` of a host-side
+    /// pass over `items` work items (a driver's initialization): on this
+    /// device's worker pool, claimed dynamically as a launch's blocks are,
+    /// when it has more than one thread and `items` clears the parallel
+    /// threshold; else on the calling thread, in order.
+    pub fn host_run(&self, items: usize, chunks: usize, task: &(dyn Fn(usize) + Sync)) {
+        if self.cpu_threads > 1 && items >= self.parallel_threshold {
+            self.pool().run(chunks, task);
         } else {
-            1
+            (0..chunks).for_each(task);
         }
     }
 

@@ -50,25 +50,6 @@ pub fn mflups_max_on(dev: &DeviceSpec, bytes_per_flup: f64) -> f64 {
     mflups_max(dev.bandwidth_gbps, bytes_per_flup)
 }
 
-/// Multi-device roofline: eq. (15) extended with an interconnect term. A
-/// sharded run is bound by the slower of two pipes — device memory at
-/// `bytes_per_flup` per update, and the halo link at
-/// `halo_bytes_per_update` per update (per-link halo bytes per step divided
-/// by the shard's fluid nodes; 0 when exchange fully overlaps compute).
-#[inline]
-pub fn mflups_max_multi(
-    bandwidth_gbps: f64,
-    bytes_per_flup: f64,
-    link_gbps: f64,
-    halo_bytes_per_update: f64,
-) -> f64 {
-    let dram = mflups_max(bandwidth_gbps, bytes_per_flup);
-    if halo_bytes_per_update <= 0.0 {
-        return dram;
-    }
-    dram.min(mflups_max(link_gbps, halo_bytes_per_update))
-}
-
 /// Device-memory footprint of a simulation of `fluid_nodes` nodes in the ST
 /// pattern: two full distribution lattices, `2·Q` doubles per node.
 #[inline]
@@ -186,24 +167,6 @@ mod tests {
         assert!((mflups_max_on(&mi100, 304.0) - 4042.0).abs() < 1.0);
         assert!((mflups_max_on(&mi100, 96.0) - 12800.0).abs() < 10.0);
         assert!((mflups_max_on(&mi100, 160.0) - 7680.0).abs() < 1.0);
-    }
-
-    /// The interconnect term only binds when halo traffic per update is
-    /// large relative to the link (thin shards); bulk-dominated shards stay
-    /// on the DRAM roofline.
-    #[test]
-    fn multi_device_roofline_term() {
-        let v100 = DeviceSpec::v100();
-        let dram = mflups_max_on(&v100, 144.0);
-        // Wide shard: 0.01 halo B/update over a 150 GB/s link ≫ DRAM limit.
-        assert_eq!(mflups_max_multi(900.0, 144.0, 150.0, 0.01), dram);
-        // Degenerate 1-column shard: every node is a halo node, 144 B/update
-        // over the link — the link is 6× slower than DRAM and binds.
-        let bound = mflups_max_multi(900.0, 144.0, 150.0, 144.0);
-        assert!((bound - mflups_max(150.0, 144.0)).abs() < 1e-9);
-        assert!(bound < dram);
-        // No halo traffic (N = 1): plain eq. (15).
-        assert_eq!(mflups_max_multi(900.0, 144.0, 150.0, 0.0), dram);
     }
 
     /// §4.1 footprint claim: 15 M fluid points need ~2 GiB (ST) vs ~1.3 GiB

@@ -40,12 +40,6 @@ pub const CS2: f64 = 1.0 / 3.0;
 /// Fourth power of the lattice speed of sound.
 pub const CS4: f64 = CS2 * CS2;
 
-/// Sixth power of the lattice speed of sound.
-pub const CS6: f64 = CS2 * CS2 * CS2;
-
-/// Eighth power of the lattice speed of sound.
-pub const CS8: f64 = CS4 * CS4;
-
 /// A discrete velocity set (a "DdQq lattice").
 ///
 /// Implementors are zero-sized marker types; all data lives in associated

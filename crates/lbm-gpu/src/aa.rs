@@ -278,13 +278,13 @@ impl<L: Lattice, C: Collision<L>> DriverBody for AaSt<L, C> {
 
     /// Stored per the even-parity invariant (reversed slots).
     fn init_with(
-        &mut self,
-        threads: usize,
+        &self,
+        gpu: Option<&Gpu>,
         field: &(impl Fn(usize, usize, usize) -> (f64, [f64; 3]) + Sync),
     ) {
         let store = plane_store(&self.a, L::Q, self.geom.len(), |i| aa_slot::<L>(0, i));
         let values = |m: &Moments, f: &mut [f64]| self.collision.reconstruct(m, f);
-        init_rows::<L>(&self.geom, None, threads, field, L::Q, values, store);
+        init_rows::<L>(gpu, &self.geom, None, field, L::Q, values, store);
     }
 
     /// At even parity the slot un-permutation makes the per-node sums

@@ -92,9 +92,6 @@ pub(crate) trait Device: Sized + Send + 'static {
     fn with_parallel_threshold(self, items: usize) -> Self;
     fn set_obs(&mut self, obs: Arc<obs::Obs>);
     fn set_fault_plan(&mut self, plan: Arc<FaultPlan>);
-    /// Host threads a body's initialization of `nodes` nodes splits across
-    /// (`gpu_sim::Gpu::host_split`; on a ring, one shard's device's).
-    fn host_split(&self, nodes: usize) -> usize;
     /// Halo-transfer retries so far (one device has no halo).
     fn halo_retries(&self) -> u64 {
         0
@@ -114,9 +111,6 @@ impl Device for Gpu {
     fn set_fault_plan(&mut self, plan: Arc<FaultPlan>) {
         Gpu::set_fault_plan(self, plan)
     }
-    fn host_split(&self, nodes: usize) -> usize {
-        Gpu::host_split(self, nodes)
-    }
 }
 
 /// What a propagation pattern supplies to a host.
@@ -134,14 +128,18 @@ pub trait DriverBody {
     fn geom(&self) -> &Geometry;
 
     /// Set every node to the equilibrium of a macroscopic field, in the
-    /// storage layout of step 0, on `threads` host threads
-    /// (the crate's row-wise `init_rows`): the state is the same at any
-    /// count.
+    /// storage layout of step 0 (the crate's row-wise `init_rows`), through
+    /// `&self` as a launch writes, on `dev`'s host threads or, with `None`,
+    /// the calling thread. The state is the same at any thread count.
     fn init_with(
-        &mut self,
-        threads: usize,
+        &self,
+        dev: Option<&Self::Dev>,
         field: &(impl Fn(usize, usize, usize) -> (f64, [f64; 3]) + Sync),
     );
+
+    /// A fresh initial field was written: forget what earlier steps left in
+    /// the body (the host resets its own step counter and ledger).
+    fn reset(&mut self) {}
 
     /// Density and velocity after `t` completed steps, in one pass.
     fn macro_fields(&self, t: u64) -> Fields;
@@ -577,8 +575,8 @@ impl<B: DriverBody> Sim<B> {
     /// Host `body` on `dev`, initialized to equilibrium at rest (inlets at
     /// their prescribed velocity) on the calling thread: the rest state
     /// costs about a fill, and a constructor never spawns.
-    pub(crate) fn from_body(dev: B::Dev, mut body: B) -> Self {
-        body.init_with(1, &|_, _, _| (1.0, [0.0; 3]));
+    pub(crate) fn from_body(dev: B::Dev, body: B) -> Self {
+        body.init_with(None, &|_, _, _| (1.0, [0.0; 3]));
         let core = DriverCore::new(body.geom().fluid_count());
         Sim { core, dev, body }
     }
@@ -647,12 +645,12 @@ impl<B: DriverBody> Sim<B> {
 
     /// Initialize every node to the operator-consistent equilibrium of a
     /// macroscopic field (evaluated at global coordinates) and reset the
-    /// step counter and the ledger. The rows split over the device's host
-    /// threads when it has more than one and the domain clears its parallel
-    /// threshold; the state written is the same either way.
+    /// step counter and the ledger, on the threads a step runs on: the
+    /// device's worker pool above its parallel threshold, a ring's team for
+    /// its shards. The state written is the same at any thread count.
     pub fn init_with(&mut self, field: impl Fn(usize, usize, usize) -> (f64, [f64; 3]) + Sync) {
-        let threads = self.dev.host_split(self.body.geom().len());
-        self.body.init_with(threads, &field);
+        self.body.init_with(Some(&self.dev), &field);
+        self.body.reset();
         self.core.reset();
     }
 

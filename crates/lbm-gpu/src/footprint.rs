@@ -52,12 +52,6 @@ impl FootprintRow {
     pub fn twist_reduction(&self) -> f64 {
         1.0 - self.mr_twist_bytes as f64 / self.st_bytes as f64
     }
-
-    /// Reduction of the sparse MR (at this row's porosity) vs the dense ST
-    /// box — the compounded saving of compaction *and* moment compression.
-    pub fn sparse_mr_reduction(&self) -> f64 {
-        1.0 - self.sparse_mr_bytes as f64 / self.st_bytes as f64
-    }
 }
 
 /// Build the §4.1 comparison for a node count (sparse rows at porosity 1:
@@ -149,7 +143,6 @@ mod tests {
             assert_eq!(4 * r.sparse_mr_bytes, full_r.sparse_mr_bytes);
             // At φ = 0.25 sparse MR undercuts even the twist-MR box.
             assert!(r.sparse_mr_bytes < r.mr_twist_bytes);
-            assert!(r.sparse_mr_reduction() > r.twist_reduction());
         }
     }
 

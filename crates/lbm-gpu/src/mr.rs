@@ -1131,14 +1131,14 @@ impl<L: Lattice> DriverBody for Mr<L> {
 
     /// Every node's start moments, at time 0.
     fn init_with(
-        &mut self,
-        threads: usize,
+        &self,
+        gpu: Option<&Gpu>,
         field: &(impl Fn(usize, usize, usize) -> (f64, [f64; 3]) + Sync),
     ) {
         let (mom, at) = (&self.mom, self.mom.at(0));
         let store = |idx0, rows: &[f64]| mom.set_row(at, idx0, rows);
         let pack = |m: &Moments, p: &mut [f64]| m.pack::<L>(p);
-        init_rows::<L>(&self.geom, None, threads, field, L::M, pack, store);
+        init_rows::<L>(gpu, &self.geom, None, field, L::M, pack, store);
     }
 
     fn macro_fields(&self, t: u64) -> Fields {

@@ -104,7 +104,7 @@ pub(crate) fn transfer_with_retry(
 /// The devices of a sharded driver: one per shard joined ring-wise, the
 /// retry policy of their links and the retries taken so far.
 pub struct Ring {
-    mg: MultiGpu,
+    pub(super) mg: MultiGpu,
     retry: HaloRetryPolicy,
     halo_retries: AtomicU64,
 }
@@ -144,9 +144,6 @@ impl Device for Ring {
     }
     fn set_fault_plan(&mut self, plan: Arc<FaultPlan>) {
         self.mg.set_fault_plan(plan)
-    }
-    fn host_split(&self, nodes: usize) -> usize {
-        self.mg.device(0).host_split(nodes / self.mg.num_devices())
     }
     fn halo_retries(&self) -> u64 {
         self.halo_retries.load(Ordering::Relaxed)

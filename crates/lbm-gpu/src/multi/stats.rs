@@ -55,11 +55,6 @@ impl OverlapStats {
         self.hidden_s / self.exchange_s
     }
 
-    /// Exchange time left on the critical path.
-    pub fn exposed_exchange_s(&self) -> f64 {
-        self.exchange_s - self.hidden_s
-    }
-
     /// Modeled MFLUPS of the sharded run: global fluid updates over the
     /// accumulated critical path.
     pub fn modeled_mflups(&self, fluid_nodes: usize) -> f64 {
@@ -111,7 +106,6 @@ mod tests {
         // Exchange-bound step: only part hides.
         s.record_step(1e-6, 2e-6, 6e-6, 0.5e-6);
         assert!((s.overlap_efficiency() - 6e-6 / 10e-6).abs() < 1e-12);
-        assert!((s.exposed_exchange_s() - 4e-6).abs() < 1e-18);
     }
 
     #[test]

@@ -465,14 +465,14 @@ impl<L: Lattice> DriverBody for SparseMr<L> {
     /// Every fluid node's start moments — the start of the dense MR
     /// drivers, so shared fluid nodes begin bitwise-equal.
     fn init_with(
-        &mut self,
-        threads: usize,
+        &self,
+        gpu: Option<&Gpu>,
         field: &(impl Fn(usize, usize, usize) -> (f64, [f64; 3]) + Sync),
     ) {
         let store = plane_store(&self.mom, L::M, self.index.len(), |m| m);
         let pack = |m: &Moments, p: &mut [f64]| m.pack::<L>(p);
         let ids = Some(&self.index.nodes[..]);
-        init_rows::<L>(&self.geom, ids, threads, field, L::M, pack, store);
+        init_rows::<L>(gpu, &self.geom, ids, field, L::M, pack, store);
     }
 
     fn macro_fields(&self, t: u64) -> Fields {

@@ -448,13 +448,13 @@ impl<L: Lattice, C: Collision<L>> DriverBody for St<L, C> {
     }
 
     fn init_with(
-        &mut self,
-        threads: usize,
+        &self,
+        gpu: Option<&Gpu>,
         field: &(impl Fn(usize, usize, usize) -> (f64, [f64; 3]) + Sync),
     ) {
         let store = plane_store(&self.f[self.cur], L::Q, self.geom.len(), |i| i);
         let values = |m: &Moments, f: &mut [f64]| self.collision.reconstruct(m, f);
-        init_rows::<L>(&self.geom, None, threads, field, L::Q, values, store);
+        init_rows::<L>(gpu, &self.geom, None, field, L::Q, values, store);
     }
 
     fn macro_fields(&self, _t: u64) -> Fields {

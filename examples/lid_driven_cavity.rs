@@ -7,8 +7,6 @@
 //! ```
 
 use lbm_mr::prelude::*;
-use std::fs::File;
-use std::io::BufWriter;
 
 fn main() {
     let n = 48;
@@ -47,7 +45,6 @@ fn main() {
     );
     println!("return flow at y = N/4: u_x/u_lid = {:.4}", lower / u_lid);
 
-    let f = File::create("cavity.vtk").expect("create cavity.vtk");
-    io::write_vtk(&mut BufWriter::new(f), &g, &rho, &u).expect("write vtk");
+    io::write_vtk_file("cavity.vtk", &g, &rho, &u).expect("write cavity.vtk");
     println!("wrote cavity.vtk");
 }

@@ -37,6 +37,7 @@ use lbm_gpu::{
 };
 use lbm_lattice::{D2Q9, D3Q19};
 use obs::{Metric, MonitorConfig, Obs, PhysicsMonitor};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// What the contract needs beyond [`Simulation`].
@@ -664,6 +665,37 @@ fn one_shard_is_the_solo_driver() {
         "sparse-mr",
         SparseMrSim2D::new(v(), periodic(), p(), 0.8),
         MultiSparseMrSim::<D2Q9>::new(v(), periodic(), p(), 0.8, 1),
+    );
+}
+
+/// At one host thread `init_with` reads the field only on the calling
+/// thread, even with every pass forced past the parallel threshold: a solo
+/// driver's rows and a ring's shards alike. A served build and its spans
+/// stay on the executor thread (`ServeConfig::cpu_threads_per_job`).
+#[test]
+fn one_host_thread_initializes_on_the_calling_thread() {
+    fn check<B: DriverBody>(name: &str, sim: Sim<B>) {
+        let mut sim = sim.with_cpu_threads(1).with_parallel_threshold(0);
+        let caller = std::thread::current().id();
+        let (calls, away) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        sim.init_with(|x, y, z| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            if std::thread::current().id() != caller {
+                away.fetch_add(1, Ordering::Relaxed);
+            }
+            shear_init(x, y, z)
+        });
+        // A shard reads its ghost columns too.
+        assert!(
+            calls.into_inner() >= sim.geom().len(),
+            "{name}: field reads"
+        );
+        assert_eq!(away.into_inner(), 0, "{name}: reads off the calling thread");
+    }
+    check("st", StSim::<D2Q9, _>::new(v(), channel(), Bgk::new(0.8)));
+    check(
+        "mr-p.x2",
+        MultiMrSim2D::<D2Q9>::new(v(), channel(), p(), 0.8, 2),
     );
 }
 
