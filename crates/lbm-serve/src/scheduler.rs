@@ -108,9 +108,9 @@ pub struct ServeConfig {
     /// mode), so `executors` is the true parallelism. It is also what
     /// keeps a traced job's driver, halo and kernel spans on the executor
     /// thread, nested under the `serve` span that names the job: with more
-    /// than one thread, a multi-device job steps its devices on a team of
-    /// helper threads, and the kernel spans a helper opens sit on no job
-    /// span's stack.
+    /// than one thread, a job initializes and steps on its devices' pools
+    /// (a multi-device job on a team of helper threads), and the kernel
+    /// spans a helper opens sit on no job span's stack.
     pub cpu_threads_per_job: usize,
     /// Per-tenant admission limits (absent tenants are unlimited).
     pub quotas: HashMap<String, TenantQuota>,
