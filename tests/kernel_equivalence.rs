@@ -283,6 +283,81 @@ fn aa_matches_two_lattice_fnv_sweep_3d() {
     }
 }
 
+/// The AA stream half-step's push against the two-lattice driver and against
+/// history, on the geometries where a direction's span of pushes breaks: a
+/// moving lid (bounce-back with the wall's gain), a periodic-x channel whose
+/// runs cross row ends and wrap, a cylinder touching a wall, rows narrower
+/// than a lane chunk, and a walled 3D duct. At 1 and 3 pooled threads under
+/// the strict race checker, AA equals `st` at every even step, and its six
+/// tally words after seven steps are the ones the node-at-a-time push
+/// recorded (commit 572e35c).
+#[test]
+fn aa_push_matches_st_and_the_recorded_tally() {
+    fn check<L: Lattice, C: Collision<L> + Clone>(
+        what: &str,
+        geom: Geometry,
+        op: C,
+        recorded: [u64; 6],
+    ) {
+        for threads in [1, 3] {
+            let mut aa = AaStSim::<L, _>::new(DeviceSpec::v100(), geom.clone(), op.clone())
+                .with_racecheck_strict()
+                .with_cpu_threads(threads)
+                .with_parallel_threshold(0);
+            let mut st = StSim::<L, _>::new(DeviceSpec::v100(), geom.clone(), op.clone());
+            aa.init_with(shear_init);
+            st.init_with(shear_init);
+            for step in 1..=7 {
+                aa.step();
+                st.step();
+                if step % 2 == 0 {
+                    assert_eq!(
+                        aa.field_checksum(),
+                        st.field_checksum(),
+                        "{what}, {threads} threads: AA diverged from st at step {step}"
+                    );
+                }
+            }
+            assert_eq!(
+                tally_words(&aa),
+                recorded,
+                "{what}, {threads} threads: tally vs the recorded push"
+            );
+        }
+    }
+    let bgk = Bgk::new(0.8);
+    check::<D2Q9, _>(
+        "lid cavity",
+        Geometry::cavity_2d(24, 0.08),
+        bgk,
+        [30492, 30492, 243936, 243936, 243936, 0],
+    );
+    check::<D2Q9, _>(
+        "periodic channel",
+        Geometry::walls_y_periodic_x(40, 12),
+        bgk,
+        [25200, 25200, 201600, 201600, 201600, 0],
+    );
+    check::<D2Q9, _>(
+        "cylinder on a wall",
+        Geometry::walls_y_periodic_x(48, 16).with_cylinder(20.0, 3.0, 3.0),
+        bgk,
+        [40572, 40572, 324576, 324576, 324576, 0],
+    );
+    check::<D2Q9, _>(
+        "narrow rows",
+        Geometry::walls_y_periodic_x(5, 13),
+        bgk,
+        [3465, 3465, 27720, 27720, 27720, 0],
+    );
+    check::<D3Q19, _>(
+        "3D duct",
+        Geometry::duct(12, 7, 6),
+        Projective::new(0.7),
+        [31920, 31920, 255360, 255360, 255360, 0],
+    );
+}
+
 /// Sharded 2D MR, both flavors.
 #[test]
 fn multi_mr2d_vectorized_matches_scalar() {
