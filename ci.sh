@@ -23,7 +23,7 @@ echo "== non-test lines per crate (lines before the first #[cfg(test)] mod of ev
 # only with a sentence in CHANGES.md saying what the lines bought. A
 # `#[cfg(test)]` on anything but a `mod` (a test-only helper method) does
 # not end the count.
-DRIVER_LINES_MAX=6838
+DRIVER_LINES_MAX=6887
 SUBSTRATE_LINES_MAX=3235
 HARNESS_LINES_MAX=4196
 LIBRARY_LINES_MAX=6088

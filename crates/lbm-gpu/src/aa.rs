@@ -13,7 +13,10 @@
 //!   `OPP` instead of the identity (Wittmann et al.: AA is the pull kernel
 //!   over permuted slots) — then *push* the post-collision values out,
 //!   pre-applying the **next** step's streaming so they land in natural
-//!   slots `A(x + c_i, i)`.
+//!   slots `A(x + c_i, i)`: per direction, each stretch of a row whose
+//!   `x + c_i` is in the box without a wrap and fluid-like as one counted
+//!   row (an offset contiguous copy, Wittmann et al.), any other push as an
+//!   element write.
 //! * **collide half-step** (counter odd): every node's inputs are already
 //!   in its own natural slots; collide node-locally and store the results
 //!   reversed, `A(x, OPP[i]) = f*_i`.
@@ -37,11 +40,13 @@
 //! and written only by the push of the *same* node (`x + c_i = v, i = s ⇒
 //! x = v − c_s`); the bounce-back reads/writes of `A(x, i)` / `A(x,
 //! OPP[i])` are both by node `x` itself, under the same solid-neighbor
-//! condition. Every cell therefore has exclusive single-node ownership,
-//! and each node gathers before it pushes — the update is race-free under
-//! any block schedule, which the strict race checker verifies in the tests
-//! (under the pooled executor; this is exactly what it was built for). The
-//! collide half-step is trivially node-local.
+//! condition. Every cell therefore has exclusive single-node ownership (a
+//! counted row writes the cells its nodes' element pushes would, so each
+//! keeps its one writer), and each node gathers before it pushes — the
+//! update is race-free under any block schedule, which the strict race
+//! checker verifies in the tests (under the pooled executor; this is
+//! exactly what it was built for). The collide half-step is trivially
+//! node-local.
 //!
 //! Traffic per fluid node and step is `Q` reads + `Q` writes in both
 //! half-steps, so the measured B/F stays at Table 2's `2Q·8` (144 / 304)
@@ -61,7 +66,7 @@ use gpu_sim::interconnect::LinkError;
 use gpu_sim::{DeviceSpec, FaultPlan, GlobalBuffer, Gpu};
 use lbm_core::collision::Collision;
 use lbm_core::geometry::{Geometry, NodeType};
-use lbm_core::kernels::{aa_slot, KernelConsts, MAX_Q};
+use lbm_core::kernels::{aa_slot, KernelConsts};
 use lbm_lattice::moments::Moments;
 use lbm_lattice::Lattice;
 use std::marker::PhantomData;
@@ -69,8 +74,8 @@ use std::sync::Arc;
 
 /// Stream half-step kernel: the pull gather over reversed slots and the
 /// collide ([`NodeWalk::stage_run`], so per-node values are bitwise the
-/// two-lattice kernel's), then a scatter with the push rules into natural
-/// slots.
+/// two-lattice kernel's), then the push into natural slots, a counted row
+/// per stretch and direction (module docs).
 struct AaStreamKernel<'a, L: Lattice, C: Collision<L>> {
     walk: NodeWalk<'a, L, C>,
     a: &'a GlobalBuffer<f64>,
@@ -84,44 +89,77 @@ impl<L: Lattice, C: Collision<L>> Kernel for AaStreamKernel<'_, L, C> {
     fn run_block(&self, ctx: &mut BlockCtx) {
         let (walk, a) = (&self.walk, self.a);
         let (geom, gains) = (walk.geom, &walk.consts.gains);
-        let (n, bs) = (geom.len(), walk.block_size);
+        let (n, bs, (nx, ny, nz)) = (geom.len(), walk.block_size, (geom.nx, geom.ny, geom.nz));
         // Pass 1: gather + collide into scratch, staged per maximal run.
         walk.for_each_run(ctx.block_id, |stid, sidx, len| {
             walk.stage_run(ctx, a, |i| L::OPP[i], (stid, sidx, len));
         });
-        // Pass 2: scatter element-wise with the push rules (pre-applies the
-        // next step's streaming). Each node's gather strictly precedes its
-        // push, and cell ownership is exclusive (module docs), so the
-        // in-place overwrite is race-free.
+        // Pass 2: push with the push rules (pre-applies the next step's
+        // streaming), one row segment of a run at a time: a run may continue
+        // across rows. Each node's gather strictly precedes its push, and
+        // cell ownership is exclusive (module docs), so the in-place
+        // overwrite is race-free.
         walk.for_each_run(ctx.block_id, |stid, sidx, len| {
-            let mut f_loc = [0.0f64; MAX_Q];
-            for j in 0..len {
-                let idx = sidx + j;
-                let (x, y, z) = geom.coords(idx);
-                let scratch = ctx.scratch();
+            let mut j = 0;
+            while j < len {
+                let (x, y, z) = geom.coords(sidx + j);
+                let take = (nx - x).min(len - j);
                 for i in 0..L::Q {
-                    f_loc[i] = scratch[i * bs + stid + j];
-                }
-                for i in 0..L::Q {
-                    let own = L::OPP[i] * n + idx;
-                    match geom.neighbor(x, y, z, L::C[i]) {
-                        Some((dx, dy, dz)) => {
-                            let didx = geom.idx(dx, dy, dz);
-                            match geom.node_at(didx) {
-                                t if t.is_fluid_like() => ctx.write(a, i * n + didx, f_loc[i]),
-                                NodeType::Wall => ctx.write(a, own, f_loc[i]),
-                                NodeType::MovingWall(uw) => {
-                                    ctx.write(a, own, f_loc[i] + gains.gain(L::OPP[i], uw))
-                                }
-                                _ => unreachable!(),
-                            }
+                    // A stretch of nodes whose downstream node `x + c_i` is
+                    // in the box without a wrap and fluid-like lands at
+                    // `i·n + idx + off_i`: one counted row from scratch row
+                    // `i`. Every other push is an element one.
+                    let c = L::C[i];
+                    let off =
+                        c[0] as isize + (c[1] as isize + c[2] as isize * ny as isize) * nx as isize;
+                    let row_in = lands_in(y, c[1], ny) && lands_in(z, c[2], nz);
+                    let (first, slot) = (sidx + j, i * bs + stid + j);
+                    let flush = |ctx: &mut BlockCtx, from: usize, to: usize| {
+                        if to > from {
+                            let dst = i * n + (first + from).wrapping_add_signed(off);
+                            let row = (dst, n, 1, to - from);
+                            ctx.write_window_from_scratch(a, row, None, (slot + from, bs), false);
                         }
-                        None => ctx.write(a, own, f_loc[i]),
+                    };
+                    let mut from = 0;
+                    for k in 0..take {
+                        let idx = first + k;
+                        if row_in
+                            && lands_in(x + k, c[0], nx)
+                            && geom.node_at(idx.wrapping_add_signed(off)).is_fluid_like()
+                        {
+                            continue;
+                        }
+                        flush(ctx, from, k);
+                        from = k + 1;
+                        // The element push: across a wrap, or bounced back
+                        // into the node's own slot `OPP[i]` (plus the gain
+                        // of a moving wall) when `x + c_i` is solid or absent.
+                        let (own, v) = (L::OPP[i] * n + idx, ctx.scratch()[slot + k]);
+                        let to = geom
+                            .neighbor(x + k, y, z, c)
+                            .map(|(p, q, r)| geom.idx(p, q, r));
+                        let (cell, v) = match to.map(|d| (d, geom.node_at(d))) {
+                            Some((d, t)) if t.is_fluid_like() => (i * n + d, v),
+                            Some((_, NodeType::MovingWall(uw))) => {
+                                (own, v + gains.gain(L::OPP[i], uw))
+                            }
+                            _ => (own, v),
+                        };
+                        ctx.write(a, cell, v);
                     }
+                    flush(ctx, from, take);
                 }
+                j += take;
             }
         });
     }
+}
+
+/// Whether coordinate `v + c` lies in `0..dim` without a periodic wrap.
+#[inline(always)]
+fn lands_in(v: usize, c: i32, dim: usize) -> bool {
+    v.wrapping_add_signed(c as isize) < dim
 }
 
 /// Collide half-step kernel: read the `Q` natural slots (already streamed
@@ -238,12 +276,10 @@ impl<L: Lattice, C: Collision<L>> AaSt<L, C> {
             .collect()
     }
 
-    /// Copy storage slot `slot` of node `si` into the same slot of node `di`
-    /// of `to`: the unit of the sharded AA exchange, which moves only the
-    /// slots that cross a cut.
-    pub fn send_slot(&self, to: &Self, slot: usize, si: usize, di: usize) {
-        let (sn, dn) = (self.geom.len(), to.geom.len());
-        to.a.set(slot * dn + di, self.a.get(slot * sn + si));
+    /// Copy lattice cell `si` into cell `di` of `to`: the unit of the
+    /// sharded AA exchange, which moves only the slots that cross a cut.
+    pub(crate) fn send_cell(&self, to: &Self, si: usize, di: usize) {
+        to.a.set(di, self.a.get(si));
     }
 }
 

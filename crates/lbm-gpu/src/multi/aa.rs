@@ -14,10 +14,11 @@
 //!   right ghost — the slots the neighbor's gather reads) are copied into
 //!   the adjacent ghost. Post-exchange: the same slots of each ghost — now
 //!   holding the neighbor-bound *pushes* — are copied back into the owner's
-//!   edge column, guarded per `(cell, slot)` by "the pushing node is
-//!   Fluid"; where it is not (a wall or the domain edge sits across the
-//!   cut), the owner already stored the value itself through the local
-//!   bounce rules and the ghost slot is stale.
+//!   edge column, but only the cells a `Fluid` node pushed; where the
+//!   pushing node is not `Fluid` (a wall or the domain edge sits across
+//!   the cut), the owner already stored the value itself through the local
+//!   bounce rules and the ghost slot is stale. The geometry is static, so
+//!   both lists of cells are compiled once, at construction (`slot_plan`).
 //! * **Collide half-step** (odd `t`): node-local, no exchange at all.
 //!
 //! Only `REACH = 1` cut-crossing slots move: 3 of 9 (D2Q9) or 5 of 19
@@ -33,7 +34,7 @@
 
 use super::decomp::SlabDecomp;
 use super::ring::{Ring, StepCx};
-use super::slabs::{column_plan, Slabs};
+use super::slabs::{column_plan, Slabs, Transfer};
 use super::stats::{device_time_s, exchange_time_s};
 use crate::aa::AaSt;
 use crate::driver::{DriverBody, Part, Sim};
@@ -57,7 +58,7 @@ impl<L: Lattice, C: Collision<L> + Clone> MultiAaStSim<L, C> {
             .boxes()
             .map(|(owned, g)| AaSt::on_slab(owned, g, collision.clone()))
             .collect();
-        let plan = column_plan(&decomp, &shards);
+        let plan = slot_plan(&decomp, &shards);
         Sim::from_body(Ring::new(device, n), Slabs::new(decomp, shards, plan))
     }
 
@@ -80,59 +81,73 @@ fn crossing_slots<L: Lattice>(dir: i32) -> Vec<usize> {
     (0..L::Q).filter(|&s| L::C[s][0] == dir).collect()
 }
 
+/// The AA exchange (module docs) as `(source cell, destination cell)`
+/// pairs: of the `2m` transfers, `k < m` is directed cut transfer `k` of
+/// [`column_plan`] over its crossing slots, and `m + k` sends back from its
+/// ghosts the cells a `Fluid` node pushed.
+fn slot_plan<L: Lattice, C: Collision<L>>(
+    decomp: &SlabDecomp,
+    shards: &[AaSt<L, C>],
+) -> Vec<Transfer> {
+    let (mut pre, mut post) = (Vec::new(), Vec::new());
+    for Transfer { from, to, pairs } in column_plan(decomp, shards) {
+        let (on, hg) = (shards[from].geom().len(), shards[to].geom());
+        // The ghost's side decides which slots cross towards it.
+        let ghost_left = pairs.first().is_some_and(|&(_, hi)| hg.coords(hi).0 == 0);
+        let slots = crossing_slots::<L>(if ghost_left { -1 } else { 1 });
+        let (mut there, mut back) = (Vec::new(), Vec::new());
+        for (oi, hi) in pairs {
+            let (x, y, z) = hg.coords(hi);
+            for &s in &slots {
+                let (owned, ghost) = (s * on + oi, s * hg.len() + hi);
+                there.push((owned, ghost));
+                let c = L::C[s];
+                let pusher = hg.neighbor(x, y, z, [-c[0], -c[1], -c[2]]);
+                if matches!(
+                    pusher.map(|(p, q, r)| hg.node(p, q, r)),
+                    Some(NodeType::Fluid)
+                ) {
+                    back.push((ghost, owned));
+                }
+            }
+        }
+        pre.push(Transfer {
+            from,
+            to,
+            pairs: there,
+        });
+        post.push(Transfer {
+            from: to,
+            to: from,
+            pairs: back,
+        });
+    }
+    pre.append(&mut post);
+    pre
+}
+
 impl<L: Lattice, C: Collision<L>> Slabs<AaSt<L, C>> {
-    /// Run one exchange phase over every transfer of the plan (whose `from`
-    /// owns the column and whose `to` holds its ghost). Pre copies owned
-    /// edge columns into ghosts; post copies ghosts back into the owner's
-    /// edge columns with the pushing-node guard. Link tallies are recorded
-    /// (with bounded retries) before each copy, so a failed transfer moves
-    /// no data and a successful retry tallies exactly once.
+    /// Run one exchange phase of the compiled plan ([`slot_plan`]); either
+    /// phase ships the whole crossing-slot column over the link. Link
+    /// tallies are recorded (with bounded retries) before each copy, so a
+    /// failed transfer moves no data and a successful retry tallies exactly
+    /// once.
     fn exchange_slots(
         &mut self,
         cx: &StepCx<'_>,
         phase: Phase,
     ) -> Result<Vec<(usize, usize, u64)>, LinkError> {
-        let mut out = Vec::with_capacity(self.plan.len());
-        let (leftward, rightward) = (crossing_slots::<L>(-1), crossing_slots::<L>(1));
-        for (k, tr) in self.plan.iter().enumerate() {
-            let (owner, holder) = (&self.shards[tr.from], &self.shards[tr.to]);
-            let hg = holder.geom();
-            // Ghost side determines which slots cross this cut direction.
-            let ghost_left = tr
-                .pairs
-                .first()
-                .is_some_and(|&(_, hi)| hg.coords(hi).0 == 0);
-            let slots = if ghost_left { &leftward } else { &rightward };
-            let bytes = (tr.pairs.len() * slots.len() * 8) as u64;
-            // Post reverses the roles: the ghost holder sends back to the
-            // column owner.
-            let (from, to) = match phase {
-                Phase::Pre => (tr.from, tr.to),
-                Phase::Post => (tr.to, tr.from),
-            };
-            cx.transfer(k, &mut self.sent, from, to, bytes)?;
-            for &(oi, hi) in &tr.pairs {
-                if phase == Phase::Pre {
-                    slots
-                        .iter()
-                        .for_each(|&s| owner.send_slot(holder, s, oi, hi));
-                    continue;
-                }
-                // Only slots a Fluid node actually pushed: where the pushing
-                // cell across the cut is solid or absent, the owner stored
-                // this slot itself via the local bounce rules.
-                let (hx, y, z) = hg.coords(hi);
-                for &s in slots {
-                    let c = L::C[s];
-                    let pusher = hg.neighbor(hx, y, z, [-c[0], -c[1], -c[2]]);
-                    let pushed = pusher
-                        .is_some_and(|(px, py, pz)| matches!(hg.node(px, py, pz), NodeType::Fluid));
-                    if pushed {
-                        holder.send_slot(owner, s, hi, oi);
-                    }
-                }
-            }
-            out.push((from, to, bytes));
+        let m = self.plan.len() / 2;
+        let mut out = Vec::with_capacity(m);
+        for k in 0..m {
+            let bytes = (self.plan[k].pairs.len() * 8) as u64;
+            let tr = &self.plan[if phase == Phase::Pre { k } else { m + k }];
+            cx.transfer(k, &mut self.sent, tr.from, tr.to, bytes)?;
+            let (src, dst) = (&self.shards[tr.from], &self.shards[tr.to]);
+            tr.pairs
+                .iter()
+                .for_each(|&(si, di)| src.send_cell(dst, si, di));
+            out.push((tr.from, tr.to, bytes));
         }
         self.sent = 0;
         Ok(out)
@@ -142,10 +157,8 @@ impl<L: Lattice, C: Collision<L>> Slabs<AaSt<L, C>> {
     /// direction moves its crossing slots twice (pre + post) per stream
     /// half-step, and the collide half-step moves nothing.
     pub fn halo_bytes_per_cycle(&self) -> u64 {
-        // As many slots point left as right.
-        let crossing = crossing_slots::<L>(1).len();
-        let nodes: usize = self.plan.iter().map(|tr| tr.pairs.len()).sum();
-        (2 * nodes * crossing * 8) as u64
+        let pre = &self.plan[..self.plan.len() / 2];
+        (2 * pre.iter().map(|tr| tr.pairs.len()).sum::<usize>() * 8) as u64
     }
 }
 
